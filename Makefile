@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test doc clippy bench-smoke bench bench-snapshot serve-smoke bench-http bench-build bench-cluster bench-tenancy bench-overlay bench-trace bench-history cluster-smoke report ci
+.PHONY: build test doc clippy bench-smoke bench-contract bench bench-snapshot serve-smoke bench-http bench-build bench-cluster bench-tenancy bench-overlay bench-trace bench-history cluster-smoke report ci
 
 # Tier-1 gate, part 1.
 build:
@@ -24,6 +24,13 @@ clippy:
 # Every criterion bench body exactly once — compile + run sanity, no timing.
 bench-smoke:
 	$(CARGO) bench -p graphex-bench -- --test
+
+# The repo benchmark (benchmark/) is a package outside the workspace, so
+# the root build and test never compile it: this is what notices a
+# refactor that breaks the public API it builds against. Contract check
+# of BENCHMARK.json plus a --smoke run of all five workloads.
+bench-contract:
+	$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
 
 # Snapshot lifecycle smoke: v1 vs v2 load + swap-under-load, one pass
 # each (no timing). Real numbers land in BENCH_model_store.json.

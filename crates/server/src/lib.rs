@@ -17,7 +17,14 @@
 //!   snapshot per request through [`graphex_serving::ModelWatch`], so
 //!   registry publishes and rollbacks land with zero failed requests.
 //! * **Graceful shutdown** — stop accepting, drain admitted connections,
-//!   finish in-flight requests, join every thread.
+//!   finish in-flight requests, wake idle keep-alive peers, join every
+//!   thread.
+//!
+//! All of that is one frontend skeleton, the crate-private `edge` module
+//! (accept → bounded queue → workers → keep-alive loop → route table →
+//! trace bracket → shutdown). [`server`] and [`router`] are its two
+//! handlers: what they add is their domain routes and their members of
+//! `/statusz`, `/metrics` and the history ring.
 //!
 //! Endpoints: `POST /v1/infer` (single or batch JSON envelopes),
 //! `GET /healthz`, `GET /statusz` (counters as JSON), and `GET /metrics`
@@ -46,8 +53,8 @@
 //!
 //! One process is the paper's unit of serving, but the reproduction also
 //! scales out: [`shardmap`] names N backends each owning the leaves with
-//! `leaf % N == shard`, [`router`] is a scatter-gather edge that fans a
-//! batch envelope out across those backends (with bounded retries,
+//! `leaf % N == shard`, [`router`] is the scatter-gather handler that fans
+//! a batch envelope out across those backends (with bounded retries,
 //! failure ejection, and half-open re-admission), [`cluster`] boots the
 //! whole arrangement in-process for `graphex cluster` and the tests, and
 //! [`chaos`] is the deliberately misbehaving backend the chaos tests
@@ -56,6 +63,7 @@
 pub mod chaos;
 pub mod client;
 pub mod cluster;
+pub(crate) mod edge;
 pub mod history;
 pub mod http;
 pub mod json;
@@ -75,7 +83,7 @@ pub use metrics::{Endpoint, HttpMetrics, LatencyHistogram};
 pub use router::{
     start_router, RouterConfig, RouterHandle, OUTCOME_BACKEND_UNAVAILABLE, SOURCE_ROUTER_DEGRADED,
 };
-pub use server::{start, start_fleet, Backend, ServerConfig, ServerHandle, MAX_BATCH};
+pub use server::{start, start_fleet, ServerConfig, ServerHandle, MAX_BATCH};
 pub use shardmap::ShardMap;
 pub use trace::{
     parse_trace_id, BackendTrace, OwnedSpan, TraceConfig, TraceRecord, TraceRecorder, TRACE_HEADER,

@@ -237,168 +237,155 @@ impl HttpMetrics {
 
         self.infer_latency.render("graphex_request_duration_seconds", out);
     }
+}
 
-    /// Renders the fleet-mode `/metrics` exposition: HTTP-layer
-    /// families plus per-tenant serving counters (every family carries
-    /// a `tenant` label; cold tenants keep exporting their folded
-    /// lifetime counters so eviction never zeroes a time series).
-    pub fn render_prometheus_fleet(
-        &self,
-        fleet: &graphex_serving::TenantFleet,
-        queue_depth: usize,
-    ) -> String {
-        let tenants = fleet.list();
-        let mut out = String::with_capacity(2048 + tenants.len() * 512);
-        self.render_http_families(queue_depth, &mut out);
+/// Appends the fleet-mode serving families: per-tenant serving counters
+/// (every family carries a `tenant` label; cold tenants keep exporting
+/// their folded lifetime counters so eviction never zeroes a time
+/// series).
+pub fn render_fleet_families(fleet: &graphex_serving::TenantFleet, out: &mut String) {
+    let tenants = fleet.list();
+    let _ = writeln!(out, "# TYPE graphex_fleet_resident gauge");
+    let _ = writeln!(
+        out,
+        "graphex_fleet_resident {}",
+        tenants.iter().filter(|t| t.resident).count()
+    );
+    let _ = writeln!(out, "# TYPE graphex_fleet_resident_cap gauge");
+    let _ = writeln!(out, "graphex_fleet_resident_cap {}", fleet.config().resident_cap);
+    let _ = writeln!(out, "# TYPE graphex_fleet_resident_bytes gauge");
+    let _ = writeln!(
+        out,
+        "graphex_fleet_resident_bytes {}",
+        tenants.iter().map(|t| t.resident_bytes).sum::<u64>()
+    );
 
-        let _ = writeln!(out, "# TYPE graphex_fleet_resident gauge");
+    let _ = writeln!(out, "# TYPE graphex_tenant_resident gauge");
+    for t in &tenants {
         let _ = writeln!(
             out,
-            "graphex_fleet_resident {}",
-            tenants.iter().filter(|t| t.resident).count()
+            "graphex_tenant_resident{{tenant=\"{}\"}} {}",
+            t.name,
+            u8::from(t.resident)
         );
-        let _ = writeln!(out, "# TYPE graphex_fleet_resident_cap gauge");
-        let _ = writeln!(out, "graphex_fleet_resident_cap {}", fleet.config().resident_cap);
-        let _ = writeln!(out, "# TYPE graphex_fleet_resident_bytes gauge");
-        let _ = writeln!(
-            out,
-            "graphex_fleet_resident_bytes {}",
-            tenants.iter().map(|t| t.resident_bytes).sum::<u64>()
-        );
-
-        let _ = writeln!(out, "# TYPE graphex_tenant_resident gauge");
-        for t in &tenants {
-            let _ = writeln!(
-                out,
-                "graphex_tenant_resident{{tenant=\"{}\"}} {}",
-                t.name,
-                u8::from(t.resident)
-            );
-        }
-        let _ = writeln!(out, "# TYPE graphex_tenant_resident_bytes gauge");
-        for t in &tenants {
-            let _ = writeln!(
-                out,
-                "graphex_tenant_resident_bytes{{tenant=\"{}\"}} {}",
-                t.name, t.resident_bytes
-            );
-        }
-        let _ = writeln!(out, "# TYPE graphex_tenant_snapshot_version gauge");
-        for t in &tenants {
-            let _ = writeln!(
-                out,
-                "graphex_tenant_snapshot_version{{tenant=\"{}\"}} {}",
-                t.name, t.snapshot_version
-            );
-        }
-        let _ = writeln!(out, "# TYPE graphex_tenant_admissions_total counter");
-        for t in &tenants {
-            let _ = writeln!(
-                out,
-                "graphex_tenant_admissions_total{{tenant=\"{}\"}} {}",
-                t.name, t.admissions
-            );
-        }
-        let _ = writeln!(out, "# TYPE graphex_tenant_evictions_total counter");
-        for t in &tenants {
-            let _ = writeln!(
-                out,
-                "graphex_tenant_evictions_total{{tenant=\"{}\"}} {}",
-                t.name, t.evictions
-            );
-        }
-        let _ = writeln!(out, "# TYPE graphex_tenant_serve_source_total counter");
-        for t in &tenants {
-            for (label, n) in [
-                ("store_hit", t.stats.store_hits),
-                ("read_through", t.stats.read_throughs),
-                ("coalesced", t.stats.coalesced),
-                ("direct", t.stats.direct),
-                ("unservable", t.stats.unservable),
-            ] {
-                let _ = writeln!(
-                    out,
-                    "graphex_tenant_serve_source_total{{tenant=\"{}\",source=\"{label}\"}} {n}",
-                    t.name
-                );
-            }
-        }
-        let _ = writeln!(out, "# TYPE graphex_tenant_serve_outcome_total counter");
-        for t in &tenants {
-            for outcome in graphex_core::Outcome::ALL {
-                let _ = writeln!(
-                    out,
-                    "graphex_tenant_serve_outcome_total{{tenant=\"{}\",outcome=\"{}\"}} {}",
-                    t.name,
-                    outcome.name(),
-                    t.stats.outcomes.of(outcome)
-                );
-            }
-        }
-        let _ = writeln!(out, "# TYPE graphex_tenant_model_swaps_total counter");
-        for t in &tenants {
-            let _ = writeln!(
-                out,
-                "graphex_tenant_model_swaps_total{{tenant=\"{}\"}} {}",
-                t.name, t.stats.model_swaps
-            );
-        }
-        let overlay_rows: Vec<(String, OverlayStatus)> = tenants
-            .iter()
-            .filter_map(|t| {
-                t.overlay.map(|o| (format!("tenant=\"{}\"", t.name), o))
-            })
-            .collect();
-        render_overlay_families(&overlay_rows, &mut out);
-        out
     }
-
-    /// Renders the Prometheus text exposition for `/metrics`: HTTP-layer
-    /// counters plus the serving-layer [`ServeStats`] passed in.
-    pub fn render_prometheus(&self, serve: &ServeStats, queue_depth: usize) -> String {
-        let mut out = String::with_capacity(2048);
-        self.render_http_families(queue_depth, &mut out);
-
-        // Serving-layer counters (same numbers /statusz reports).
-        let _ = writeln!(out, "# TYPE graphex_serve_source_total counter");
+    let _ = writeln!(out, "# TYPE graphex_tenant_resident_bytes gauge");
+    for t in &tenants {
+        let _ = writeln!(
+            out,
+            "graphex_tenant_resident_bytes{{tenant=\"{}\"}} {}",
+            t.name, t.resident_bytes
+        );
+    }
+    let _ = writeln!(out, "# TYPE graphex_tenant_snapshot_version gauge");
+    for t in &tenants {
+        let _ = writeln!(
+            out,
+            "graphex_tenant_snapshot_version{{tenant=\"{}\"}} {}",
+            t.name, t.snapshot_version
+        );
+    }
+    let _ = writeln!(out, "# TYPE graphex_tenant_admissions_total counter");
+    for t in &tenants {
+        let _ = writeln!(
+            out,
+            "graphex_tenant_admissions_total{{tenant=\"{}\"}} {}",
+            t.name, t.admissions
+        );
+    }
+    let _ = writeln!(out, "# TYPE graphex_tenant_evictions_total counter");
+    for t in &tenants {
+        let _ = writeln!(
+            out,
+            "graphex_tenant_evictions_total{{tenant=\"{}\"}} {}",
+            t.name, t.evictions
+        );
+    }
+    let _ = writeln!(out, "# TYPE graphex_tenant_serve_source_total counter");
+    for t in &tenants {
         for (label, n) in [
-            ("store_hit", serve.store_hits),
-            ("read_through", serve.read_throughs),
-            ("coalesced", serve.coalesced),
-            ("direct", serve.direct),
-            ("unservable", serve.unservable),
+            ("store_hit", t.stats.store_hits),
+            ("read_through", t.stats.read_throughs),
+            ("coalesced", t.stats.coalesced),
+            ("direct", t.stats.direct),
+            ("unservable", t.stats.unservable),
         ] {
-            let _ = writeln!(out, "graphex_serve_source_total{{source=\"{label}\"}} {n}");
+            let _ = writeln!(
+                out,
+                "graphex_tenant_serve_source_total{{tenant=\"{}\",source=\"{label}\"}} {n}",
+                t.name
+            );
         }
-        let _ = writeln!(out, "# TYPE graphex_serve_outcome_total counter");
+    }
+    let _ = writeln!(out, "# TYPE graphex_tenant_serve_outcome_total counter");
+    for t in &tenants {
         for outcome in graphex_core::Outcome::ALL {
             let _ = writeln!(
                 out,
-                "graphex_serve_outcome_total{{outcome=\"{}\"}} {}",
+                "graphex_tenant_serve_outcome_total{{tenant=\"{}\",outcome=\"{}\"}} {}",
+                t.name,
                 outcome.name(),
-                serve.outcomes.of(outcome)
+                t.stats.outcomes.of(outcome)
             );
         }
-        let _ = writeln!(out, "# TYPE graphex_serve_invalidated_total counter");
-        let _ = writeln!(out, "graphex_serve_invalidated_total {}", serve.invalidated);
-        let _ = writeln!(out, "# TYPE graphex_serve_overlay_invalidated_total counter");
+    }
+    let _ = writeln!(out, "# TYPE graphex_tenant_model_swaps_total counter");
+    for t in &tenants {
         let _ = writeln!(
             out,
-            "graphex_serve_overlay_invalidated_total {}",
-            serve.overlay_invalidated
+            "graphex_tenant_model_swaps_total{{tenant=\"{}\"}} {}",
+            t.name, t.stats.model_swaps
         );
-        let _ = writeln!(out, "# TYPE graphex_shed_total counter");
-        let _ = writeln!(out, "graphex_shed_total {}", serve.shed);
-        let _ = writeln!(out, "# TYPE graphex_deadline_exceeded_total counter");
-        let _ = writeln!(out, "graphex_deadline_exceeded_total {}", serve.deadline_exceeded);
-        let _ = writeln!(out, "# TYPE graphex_in_flight gauge");
-        let _ = writeln!(out, "graphex_in_flight {}", serve.in_flight);
-        let _ = writeln!(out, "# TYPE graphex_model_snapshot_version gauge");
-        let _ = writeln!(out, "graphex_model_snapshot_version {}", serve.snapshot_version);
-        let _ = writeln!(out, "# TYPE graphex_model_swaps_total counter");
-        let _ = writeln!(out, "graphex_model_swaps_total {}", serve.model_swaps);
-        out
     }
+    let overlay_rows: Vec<(String, OverlayStatus)> = tenants
+        .iter()
+        .filter_map(|t| {
+            t.overlay.map(|o| (format!("tenant=\"{}\"", t.name), o))
+        })
+        .collect();
+    render_overlay_families(&overlay_rows, out);
+}
+
+/// Appends the single-api serving families: the serving-layer
+/// [`ServeStats`] passed in (same numbers `/statusz` reports).
+pub fn render_serve_families(serve: &ServeStats, out: &mut String) {
+    let _ = writeln!(out, "# TYPE graphex_serve_source_total counter");
+    for (label, n) in [
+        ("store_hit", serve.store_hits),
+        ("read_through", serve.read_throughs),
+        ("coalesced", serve.coalesced),
+        ("direct", serve.direct),
+        ("unservable", serve.unservable),
+    ] {
+        let _ = writeln!(out, "graphex_serve_source_total{{source=\"{label}\"}} {n}");
+    }
+    let _ = writeln!(out, "# TYPE graphex_serve_outcome_total counter");
+    for outcome in graphex_core::Outcome::ALL {
+        let _ = writeln!(
+            out,
+            "graphex_serve_outcome_total{{outcome=\"{}\"}} {}",
+            outcome.name(),
+            serve.outcomes.of(outcome)
+        );
+    }
+    let _ = writeln!(out, "# TYPE graphex_serve_invalidated_total counter");
+    let _ = writeln!(out, "graphex_serve_invalidated_total {}", serve.invalidated);
+    let _ = writeln!(out, "# TYPE graphex_serve_overlay_invalidated_total counter");
+    let _ = writeln!(
+        out,
+        "graphex_serve_overlay_invalidated_total {}",
+        serve.overlay_invalidated
+    );
+    let _ = writeln!(out, "# TYPE graphex_shed_total counter");
+    let _ = writeln!(out, "graphex_shed_total {}", serve.shed);
+    let _ = writeln!(out, "# TYPE graphex_deadline_exceeded_total counter");
+    let _ = writeln!(out, "graphex_deadline_exceeded_total {}", serve.deadline_exceeded);
+    let _ = writeln!(out, "# TYPE graphex_in_flight gauge");
+    let _ = writeln!(out, "graphex_in_flight {}", serve.in_flight);
+    let _ = writeln!(out, "# TYPE graphex_model_snapshot_version gauge");
+    let _ = writeln!(out, "graphex_model_snapshot_version {}", serve.snapshot_version);
+    let _ = writeln!(out, "# TYPE graphex_model_swaps_total counter");
+    let _ = writeln!(out, "graphex_model_swaps_total {}", serve.model_swaps);
 }
 
 #[cfg(test)]
@@ -476,7 +463,9 @@ mod tests {
         m.record_response(Endpoint::Infer, 503);
         m.connections_accepted.fetch_add(5, Ordering::Relaxed);
         m.connections_shed.fetch_add(1, Ordering::Relaxed);
-        let text = m.render_prometheus(&empty_stats(), 3);
+        let mut text = String::new();
+        m.render_http_families(3, &mut text);
+        render_serve_families(&empty_stats(), &mut text);
         assert!(text.contains("graphex_http_requests_total{endpoint=\"infer\",code=\"200\"} 2"));
         assert!(text.contains("graphex_http_requests_total{endpoint=\"other\",code=\"404\"} 1"));
         assert!(text.contains("graphex_http_shed_total 1"));

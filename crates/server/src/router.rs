@@ -1,5 +1,5 @@
-//! The scatter-gather router: one HTTP edge in front of a leaf-sharded
-//! backend cluster.
+//! The scatter-gather router: the shared HTTP edge (`edge.rs`) with a
+//! scatter-gather handler, in front of a leaf-sharded backend cluster.
 //!
 //! ```text
 //!                        ┌─► backend 0  (leaves ≡ 0 mod N)
@@ -38,22 +38,19 @@
 //! While ejected, calls fail fast (no connect attempt, no retry burn);
 //! exactly one thread runs the half-open probe when the backoff expires.
 
+
 use crate::client::HttpClient;
+use crate::edge::{self, Cx, EdgeConfig, EdgeHandle, Handler, Route, Routed};
 use crate::history::{HistoryConfig, MetricsHistory};
-use crate::http::{self, ReadError, Request};
+use crate::http::Request;
 use crate::json::{self, Json};
 use crate::metrics::{Endpoint, HttpMetrics};
-use crate::queue::Bounded;
-use crate::server::{decode_one, latency_json, MAX_BATCH, MAX_KEEPALIVE_REQUESTS};
+use crate::server::{decode_envelope, decode_one, id_json, Decoded};
 use crate::shardmap::ShardMap;
-use crate::trace::{
-    backend_trace_from_json, parse_trace_id, trace_json_inline, BackendTrace, TraceConfig,
-    TraceRecorder, TRACE_HEADER,
-};
-use graphex_core::{Stage, StageTrace};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::trace::{backend_trace_from_json, TraceConfig, TraceRecorder, TRACE_HEADER};
+use graphex_core::Stage;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -280,477 +277,205 @@ impl Backend {
     }
 }
 
-struct Inner {
+/// The scatter-gather [`Handler`]: shard map, backends, fan-out counters.
+struct ScatterHandler {
     map: ShardMap,
     backends: Vec<Backend>,
     config: RouterConfig,
-    metrics: HttpMetrics,
-    queue: Bounded<Conn>,
-    shutdown: AtomicBool,
     /// Client envelopes handled (single or batch).
     requests_in: AtomicU64,
     /// Sub-batches scattered to backends.
     fanout: AtomicU64,
     /// Individual request entries answered with degradation.
     degraded: AtomicU64,
-    /// Trace recorder (None when tracing is disabled).
-    traces: Option<Arc<TraceRecorder>>,
-    /// Telemetry-history ring (None when history is disabled).
-    history: Option<Arc<MetricsHistory>>,
     /// Router-wide half-open probe counter; feeds each backend's
     /// `last_probe_tick`.
     probe_ticks: AtomicU64,
 }
 
-struct Conn {
-    stream: TcpStream,
-}
-
 /// A running router; dropping it shuts down gracefully.
 pub struct RouterHandle {
-    addr: SocketAddr,
-    inner: Arc<Inner>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    sampler: Option<std::thread::JoinHandle<()>>,
+    edge: EdgeHandle,
+    handler: Arc<ScatterHandler>,
 }
 
 /// Binds and starts the router over a validated shard map.
 pub fn start_router(config: RouterConfig, map: ShardMap) -> std::io::Result<RouterHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let workers = config.workers.max(1);
-    let backends = map.backends().iter().map(|a| Backend::new(a.clone())).collect();
-    let traces = config.trace.enabled.then(|| Arc::new(TraceRecorder::new(config.trace.clone())));
-    let history =
-        config.history.enabled.then(|| Arc::new(MetricsHistory::new(config.history.clone())));
-    let inner = Arc::new(Inner {
+    let edge_config = EdgeConfig {
+        addr: config.addr.clone(),
+        workers: config.workers,
+        queue_depth: config.queue_depth,
+        max_body_bytes: config.max_body_bytes,
+        keep_alive_timeout: config.keep_alive_timeout,
+        trace: config.trace.clone(),
+        history: config.history.clone(),
+    };
+    let handler = Arc::new(ScatterHandler {
+        backends: map.backends().iter().map(|a| Backend::new(a.clone())).collect(),
         map,
-        backends,
-        metrics: HttpMetrics::default(),
-        queue: Bounded::new(config.queue_depth),
-        shutdown: AtomicBool::new(false),
+        config,
         requests_in: AtomicU64::new(0),
         fanout: AtomicU64::new(0),
         degraded: AtomicU64::new(0),
-        traces,
-        history,
         probe_ticks: AtomicU64::new(0),
-        config,
     });
-
-    let acceptor = {
-        let inner = Arc::clone(&inner);
-        std::thread::Builder::new()
-            .name("graphex-route-accept".into())
-            .spawn(move || accept_loop(listener, &inner))?
-    };
-    let worker_handles = (0..workers)
-        .map(|i| {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name(format!("graphex-route-{i}"))
-                .spawn(move || worker_loop(&inner))
-        })
-        .collect::<std::io::Result<Vec<_>>>()?;
-    let sampler = match &inner.history {
-        Some(_) => {
-            let inner = Arc::clone(&inner);
-            Some(
-                std::thread::Builder::new()
-                    .name("graphex-route-history".into())
-                    .spawn(move || sampler_loop(&inner))?,
-            )
-        }
-        None => None,
-    };
-    Ok(RouterHandle { addr, inner, acceptor: Some(acceptor), workers: worker_handles, sampler })
-}
-
-/// The router-side history sampler (same cadence contract as the
-/// backend's: short sleep slices so shutdown joins promptly).
-fn sampler_loop(inner: &Inner) {
-    let interval = inner.config.history.interval;
-    let slice = interval.min(Duration::from_millis(25));
-    let mut last = Instant::now();
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(slice);
-        if last.elapsed() >= interval {
-            sample_history(inner);
-            last = Instant::now();
-        }
-    }
-}
-
-/// One router history sample: HTTP-layer counters, fan-out counters,
-/// per-backend call/failure/health series, and per-stage percentiles.
-fn sample_history(inner: &Inner) {
-    let Some(history) = &inner.history else {
-        return;
-    };
-    let mut values: Vec<(String, f64)> = Vec::with_capacity(32);
-    let mut push = |key: String, v: f64| values.push((key, v));
-    let http = &inner.metrics;
-    push("http/requests".into(), http.infer_latency.count() as f64);
-    if http.infer_latency.count() > 0 {
-        push("http/p50_us".into(), http.infer_latency.quantile(0.50) * 1e6);
-        push("http/p99_us".into(), http.infer_latency.quantile(0.99) * 1e6);
-    }
-    push("http/accepted".into(), http.connections_accepted.load(Ordering::Relaxed) as f64);
-    push("http/shed".into(), http.connections_shed.load(Ordering::Relaxed) as f64);
-    push("queue/depth".into(), inner.queue.len() as f64);
-    push("router/requests_in".into(), inner.requests_in.load(Ordering::Relaxed) as f64);
-    push("router/fanout".into(), inner.fanout.load(Ordering::Relaxed) as f64);
-    push("router/degraded".into(), inner.degraded.load(Ordering::Relaxed) as f64);
-    let mut healthy = 0u64;
-    for (shard, backend) in inner.backends.iter().enumerate() {
-        let is_healthy = matches!(&*backend.lock_health(), Health::Healthy { .. });
-        healthy += u64::from(is_healthy);
-        push(format!("backend/{shard}/calls"), backend.calls.load(Ordering::Relaxed) as f64);
-        push(
-            format!("backend/{shard}/failures"),
-            backend.failures.load(Ordering::Relaxed) as f64,
-        );
-        push(format!("backend/{shard}/healthy"), if is_healthy { 1.0 } else { 0.0 });
-    }
-    push("router/backends_healthy".into(), healthy as f64);
-    if let Some(recorder) = &inner.traces {
-        for (stage, count, p50, p99) in recorder.stage_summaries() {
-            push(format!("stage/{stage}/count"), count as f64);
-            push(format!("stage/{stage}/p50_us"), p50 * 1e6);
-            push(format!("stage/{stage}/p99_us"), p99 * 1e6);
-        }
-    }
-    history.record(values);
+    let edge = edge::start(edge_config, Arc::clone(&handler) as Arc<dyn Handler>)?;
+    Ok(RouterHandle { edge, handler })
 }
 
 impl RouterHandle {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.edge.addr()
     }
 
     /// HTTP-layer metrics (what `/metrics` renders; `server_errors()` is
     /// the zero-5xx gate).
     pub fn metrics(&self) -> &HttpMetrics {
-        &self.inner.metrics
+        self.edge.metrics()
     }
 
     /// The shard map this router routes by.
     pub fn map(&self) -> &ShardMap {
-        &self.inner.map
+        &self.handler.map
     }
 
     /// Request entries answered with router-level degradation so far.
     pub fn degraded(&self) -> u64 {
-        self.inner.degraded.load(Ordering::Relaxed)
+        self.handler.degraded.load(Ordering::Relaxed)
     }
 
     /// The trace recorder, when tracing is enabled.
     pub fn traces(&self) -> Option<&Arc<TraceRecorder>> {
-        self.inner.traces.as_ref()
+        self.edge.traces()
     }
 
     /// The telemetry-history ring, or `None` when history is disabled.
     pub fn history(&self) -> Option<&Arc<MetricsHistory>> {
-        self.inner.history.as_ref()
+        self.edge.history()
     }
 
     /// Takes one history sample immediately (tests and report capture
     /// don't wait out the interval). No-op when history is disabled.
     pub fn sample_history_now(&self) {
-        sample_history(&self.inner);
+        self.edge.sample_history_now();
     }
 
     /// Graceful shutdown: stop accepting, drain admitted connections,
     /// join every thread.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
+    pub fn shutdown(self) {
+        self.edge.shutdown();
+    }
+}
+
+static ROUTES: [Route; 1] =
+    [Route { method: "POST", path: "/v1/infer", scoped: false, endpoint: Endpoint::Infer }];
+
+impl Handler for ScatterHandler {
+    fn routes(&self) -> &'static [Route] {
+        &ROUTES
     }
 
-    fn shutdown_inner(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+    fn handle(&self, _: &Route, _: Option<&str>, request: &Request, cx: &mut Cx) -> Routed {
+        self.infer(request, cx)
+    }
+
+    /// Fan-out counters plus the per-backend health table.
+    fn statusz(&self) -> Vec<(&'static str, Json)> {
+        let backends: Vec<Json> = self
+            .backends
+            .iter()
+            .enumerate()
+            .map(|(shard, b)| {
+                let (state, consecutive_failures) = b.health_label();
+                Json::obj(vec![
+                    ("shard", Json::uint(shard as u64)),
+                    ("addr", Json::str(b.addr.clone())),
+                    ("state", Json::str(state)),
+                    ("consecutive_failures", Json::uint(consecutive_failures)),
+                    ("calls", Json::uint(b.calls.load(Ordering::Relaxed))),
+                    ("failures", Json::uint(b.failures.load(Ordering::Relaxed))),
+                    ("retries", Json::uint(b.retries.load(Ordering::Relaxed))),
+                    ("ejections", Json::uint(b.ejections.load(Ordering::Relaxed))),
+                    ("readmissions", Json::uint(b.readmissions.load(Ordering::Relaxed))),
+                    ("fast_failures", Json::uint(b.fast_failures.load(Ordering::Relaxed))),
+                    ("last_error", Json::str(b.last_error_snapshot())),
+                    ("last_probe_tick", Json::uint(b.last_probe_tick.load(Ordering::Relaxed))),
+                ])
+            })
+            .collect();
+        vec![
+            ("role", Json::str("router")),
+            ("shards", Json::uint(u64::from(self.map.shards()))),
+            ("requests_in", Json::uint(self.requests_in.load(Ordering::Relaxed))),
+            ("fanout_subrequests", Json::uint(self.fanout.load(Ordering::Relaxed))),
+            ("degraded", Json::uint(self.degraded.load(Ordering::Relaxed))),
+            ("backends", Json::Arr(backends)),
+        ]
+    }
+
+    fn render_metrics(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        for (name, counter) in [
+            ("requests", &self.requests_in),
+            ("fanout", &self.fanout),
+            ("degraded", &self.degraded),
+        ] {
+            let _ = writeln!(out, "# TYPE graphex_router_{name}_total counter");
+            let _ = writeln!(out, "graphex_router_{name}_total {}", counter.load(Ordering::Relaxed));
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        for family in ["calls", "failures", "retries", "ejections", "readmissions"] {
+            let _ = writeln!(out, "# TYPE graphex_router_backend_{family}_total counter");
+            for (shard, backend) in self.backends.iter().enumerate() {
+                let value = match family {
+                    "calls" => backend.calls.load(Ordering::Relaxed),
+                    "failures" => backend.failures.load(Ordering::Relaxed),
+                    "retries" => backend.retries.load(Ordering::Relaxed),
+                    "ejections" => backend.ejections.load(Ordering::Relaxed),
+                    _ => backend.readmissions.load(Ordering::Relaxed),
+                };
+                let _ = writeln!(
+                    out,
+                    "graphex_router_backend_{family}_total{{shard=\"{shard}\"}} {value}"
+                );
+            }
         }
-        if let Some(sampler) = self.sampler.take() {
-            let _ = sampler.join();
+        let _ = writeln!(out, "# TYPE graphex_router_backend_healthy gauge");
+        for (shard, backend) in self.backends.iter().enumerate() {
+            let healthy = matches!(&*backend.lock_health(), Health::Healthy { .. });
+            let _ = writeln!(
+                out,
+                "graphex_router_backend_healthy{{shard=\"{shard}\"}} {}",
+                u8::from(healthy)
+            );
         }
-        for backend in &self.inner.backends {
+    }
+
+    /// Fan-out counters and per-backend call/failure/health series.
+    fn sample_history(&self, values: &mut Vec<(String, f64)>) {
+        let mut push = |key: String, v: f64| values.push((key, v));
+        push("router/requests_in".into(), self.requests_in.load(Ordering::Relaxed) as f64);
+        push("router/fanout".into(), self.fanout.load(Ordering::Relaxed) as f64);
+        push("router/degraded".into(), self.degraded.load(Ordering::Relaxed) as f64);
+        let mut healthy = 0u64;
+        for (shard, backend) in self.backends.iter().enumerate() {
+            let is_healthy = matches!(&*backend.lock_health(), Health::Healthy { .. });
+            healthy += u64::from(is_healthy);
+            push(format!("backend/{shard}/calls"), backend.calls.load(Ordering::Relaxed) as f64);
+            push(
+                format!("backend/{shard}/failures"),
+                backend.failures.load(Ordering::Relaxed) as f64,
+            );
+            push(format!("backend/{shard}/healthy"), if is_healthy { 1.0 } else { 0.0 });
+        }
+        push("router/backends_healthy".into(), healthy as f64);
+    }
+
+    fn on_shutdown(&self) {
+        for backend in &self.backends {
             backend.drop_pool();
         }
     }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        if self.acceptor.is_some() || !self.workers.is_empty() || self.sampler.is_some() {
-            self.shutdown_inner();
-        }
-    }
-}
-
-fn accept_loop(listener: TcpListener, inner: &Inner) {
-    loop {
-        let accepted = listener.accept();
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok((stream, _peer)) = accepted else {
-            continue;
-        };
-        inner.metrics.connections_accepted.fetch_add(1, Ordering::Relaxed);
-        if let Err(refused) = inner.queue.try_push(Conn { stream }) {
-            inner.metrics.connections_shed.fetch_add(1, Ordering::Relaxed);
-            let mut stream = refused.stream;
-            let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-            let _ = http::write_response(
-                &mut stream,
-                429,
-                "text/plain; charset=utf-8",
-                b"shed: accept queue full\n",
-                false,
-                &[("Retry-After", "1")],
-            );
-        }
-    }
-    inner.queue.close();
-}
-
-fn worker_loop(inner: &Inner) {
-    while let Some(conn) = inner.queue.pop() {
-        // Same rationale as the backend frontend: a panic costs one
-        // connection, never a worker.
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_connection(conn.stream, inner);
-        }));
-        if caught.is_err() {
-            inner.metrics.record_response(Endpoint::Other, 500);
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, inner: &Inner) {
-    let _ = stream.set_read_timeout(Some(inner.config.keep_alive_timeout));
-    let _ = stream.set_write_timeout(Some(inner.config.keep_alive_timeout));
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut write_half = stream;
-    let mut requests_served = 0u64;
-
-    loop {
-        let request = match http::read_request(&mut reader, inner.config.max_body_bytes) {
-            Ok(request) => request,
-            Err(ReadError::Closed | ReadError::Io(_)) => return,
-            Err(error) => {
-                let (status, message) = match &error {
-                    ReadError::Bad(what) => (400, format!("bad request: {what}\n")),
-                    ReadError::BodyTooLarge { declared, max } => {
-                        (413, format!("body of {declared} bytes exceeds cap of {max}\n"))
-                    }
-                    ReadError::UnsupportedTransferEncoding => {
-                        (501, "transfer-encoding not supported; send content-length\n".into())
-                    }
-                    ReadError::Closed | ReadError::Io(_) => unreachable!("handled above"),
-                };
-                inner.metrics.record_response(Endpoint::Other, status);
-                let _ = http::write_response(
-                    &mut write_half,
-                    status,
-                    "text/plain; charset=utf-8",
-                    message.as_bytes(),
-                    false,
-                    &[],
-                );
-                return;
-            }
-        };
-        let started = Instant::now();
-        requests_served += 1;
-        let keep_alive = request.keep_alive()
-            && !inner.shutdown.load(Ordering::SeqCst)
-            && requests_served < MAX_KEEPALIVE_REQUESTS;
-        let routed = route(&request, started, inner);
-        let extra: Vec<(&str, &str)> =
-            routed.extra_headers.iter().map(|(k, v)| (*k, v.as_str())).collect();
-        let written = http::write_response(
-            &mut write_half,
-            routed.status,
-            routed.content_type,
-            routed.body.as_bytes(),
-            keep_alive,
-            &extra,
-        );
-        inner.metrics.record_response(routed.endpoint, routed.status);
-        if routed.endpoint == Endpoint::Infer {
-            inner.metrics.infer_latency.record(started.elapsed());
-        }
-        if written.is_err() || !keep_alive {
-            return;
-        }
-    }
-}
-
-struct RoutedResponse {
-    endpoint: Endpoint,
-    status: u16,
-    content_type: &'static str,
-    body: String,
-    extra_headers: Vec<(&'static str, String)>,
-}
-
-impl RoutedResponse {
-    fn new(endpoint: Endpoint, status: u16, content_type: &'static str, body: String) -> Self {
-        Self { endpoint, status, content_type, body, extra_headers: Vec::new() }
-    }
-}
-
-fn error_response(endpoint: Endpoint, status: u16, message: impl Into<String>) -> RoutedResponse {
-    let body = Json::obj(vec![("error", Json::str(message.into()))]).render();
-    RoutedResponse::new(endpoint, status, "application/json", body)
-}
-
-fn route(request: &Request, started: Instant, inner: &Inner) -> RoutedResponse {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => RoutedResponse::new(
-            Endpoint::Healthz,
-            200,
-            "text/plain; charset=utf-8",
-            "ok\n".into(),
-        ),
-        ("GET", "/statusz") => RoutedResponse::new(
-            Endpoint::Statusz,
-            200,
-            "application/json",
-            statusz(inner).render(),
-        ),
-        ("GET", "/metrics") => RoutedResponse::new(
-            Endpoint::Metrics,
-            200,
-            "text/plain; version=0.0.4; charset=utf-8",
-            render_metrics(inner),
-        ),
-        ("GET", "/debug/traces") => match &inner.traces {
-            Some(recorder) => RoutedResponse::new(
-                Endpoint::Traces,
-                200,
-                "application/json",
-                recorder.render_debug(request.query.as_deref()),
-            ),
-            None => error_response(Endpoint::Traces, 404, "tracing is disabled"),
-        },
-        ("GET", "/debug/history") => match &inner.history {
-            Some(history) => RoutedResponse::new(
-                Endpoint::History,
-                200,
-                "application/json",
-                history.render_debug(request.query.as_deref()),
-            ),
-            None => error_response(Endpoint::History, 404, "history is disabled"),
-        },
-        ("POST", "/v1/infer") => infer(request, started, inner),
-        (_, "/healthz" | "/statusz" | "/metrics" | "/debug/traces" | "/debug/history"
-            | "/v1/infer") => {
-            error_response(Endpoint::Other, 405, "method not allowed")
-        }
-        _ => error_response(Endpoint::Other, 404, format!("no route for {}", request.path)),
-    }
-}
-
-/// Router `/statusz`: fan-out counters plus the per-backend health table.
-fn statusz(inner: &Inner) -> Json {
-    let backends: Vec<Json> = inner
-        .backends
-        .iter()
-        .enumerate()
-        .map(|(shard, b)| {
-            let (state, consecutive_failures) = b.health_label();
-            Json::obj(vec![
-                ("shard", Json::uint(shard as u64)),
-                ("addr", Json::str(b.addr.clone())),
-                ("state", Json::str(state)),
-                ("consecutive_failures", Json::uint(consecutive_failures)),
-                ("calls", Json::uint(b.calls.load(Ordering::Relaxed))),
-                ("failures", Json::uint(b.failures.load(Ordering::Relaxed))),
-                ("retries", Json::uint(b.retries.load(Ordering::Relaxed))),
-                ("ejections", Json::uint(b.ejections.load(Ordering::Relaxed))),
-                ("readmissions", Json::uint(b.readmissions.load(Ordering::Relaxed))),
-                ("fast_failures", Json::uint(b.fast_failures.load(Ordering::Relaxed))),
-                ("last_error", Json::str(b.last_error_snapshot())),
-                ("last_probe_tick", Json::uint(b.last_probe_tick.load(Ordering::Relaxed))),
-            ])
-        })
-        .collect();
-    let trace_block =
-        inner.traces.as_ref().map_or(Json::Null, |recorder| recorder.statusz_json());
-    let history_block =
-        inner.history.as_ref().map_or(Json::Null, |history| history.statusz_json());
-    Json::obj(vec![
-        ("role", Json::str("router")),
-        ("shards", Json::uint(u64::from(inner.map.shards()))),
-        ("requests_in", Json::uint(inner.requests_in.load(Ordering::Relaxed))),
-        ("fanout_subrequests", Json::uint(inner.fanout.load(Ordering::Relaxed))),
-        ("degraded", Json::uint(inner.degraded.load(Ordering::Relaxed))),
-        ("latency", latency_json(&inner.metrics)),
-        ("trace", trace_block),
-        ("history", history_block),
-        ("queue_depth", Json::uint(inner.queue.len() as u64)),
-        ("backends", Json::Arr(backends)),
-    ])
-}
-
-fn render_metrics(inner: &Inner) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(2048);
-    inner.metrics.render_http_families(inner.queue.len(), &mut out);
-    let _ = writeln!(out, "# TYPE graphex_router_requests_total counter");
-    let _ = writeln!(
-        out,
-        "graphex_router_requests_total {}",
-        inner.requests_in.load(Ordering::Relaxed)
-    );
-    let _ = writeln!(out, "# TYPE graphex_router_fanout_total counter");
-    let _ =
-        writeln!(out, "graphex_router_fanout_total {}", inner.fanout.load(Ordering::Relaxed));
-    let _ = writeln!(out, "# TYPE graphex_router_degraded_total counter");
-    let _ =
-        writeln!(out, "graphex_router_degraded_total {}", inner.degraded.load(Ordering::Relaxed));
-    for family in ["calls", "failures", "retries", "ejections", "readmissions"] {
-        let _ = writeln!(out, "# TYPE graphex_router_backend_{family}_total counter");
-        for (shard, backend) in inner.backends.iter().enumerate() {
-            let value = match family {
-                "calls" => backend.calls.load(Ordering::Relaxed),
-                "failures" => backend.failures.load(Ordering::Relaxed),
-                "retries" => backend.retries.load(Ordering::Relaxed),
-                "ejections" => backend.ejections.load(Ordering::Relaxed),
-                _ => backend.readmissions.load(Ordering::Relaxed),
-            };
-            let _ = writeln!(
-                out,
-                "graphex_router_backend_{family}_total{{shard=\"{shard}\"}} {value}"
-            );
-        }
-    }
-    let _ = writeln!(out, "# TYPE graphex_router_backend_healthy gauge");
-    for (shard, backend) in inner.backends.iter().enumerate() {
-        let healthy = matches!(&*backend.lock_health(), Health::Healthy { .. });
-        let _ = writeln!(
-            out,
-            "graphex_router_backend_healthy{{shard=\"{shard}\"}} {}",
-            u8::from(healthy)
-        );
-    }
-    if let Some(recorder) = &inner.traces {
-        recorder.render_metrics(&mut out);
-    }
-    out
 }
 
 /// What one scattered sub-batch resolved to.
@@ -763,197 +488,132 @@ enum SubResult {
     Degraded(String),
 }
 
-/// Trace bracket around [`infer_inner`]: checks a span buffer out of the
-/// recorder, runs the request, finishes the record (with per-backend
-/// breakdowns) and echoes the trace id back to the client.
-fn infer(request: &Request, started: Instant, inner: &Inner) -> RoutedResponse {
-    let Some(recorder) = &inner.traces else {
-        return infer_inner(request, started, inner, &mut StageTrace::disabled(), 0, false).0;
-    };
-    let header_id = request.header(TRACE_HEADER).and_then(parse_trace_id);
-    let propagated = header_id.is_some();
-    let (mut trace, id) = recorder.begin(started, header_id);
-    let (mut routed, entries, backends) =
-        infer_inner(request, started, inner, &mut trace, id, propagated);
-    recorder.finish(trace, id, None, routed.status, entries, started.elapsed(), backends);
-    routed.extra_headers.push((TRACE_HEADER, format!("{id:016x}")));
-    routed
-}
+impl ScatterHandler {
+    /// `POST /v1/infer`: validate, scatter by shard, gather in the
+    /// caller's order.
+    fn infer(&self, request: &Request, cx: &mut Cx) -> Routed {
+        let parse_start = cx.trace.clock();
+        // Validate with the backend's own decoder so the router 400s exactly
+        // what a backend would — a forwarded entry is never refused
+        // downstream, which would otherwise surface as a degradation. Each
+        // entry's JSON rides along to be forwarded verbatim.
+        let decode = |entry: &Json| decode_one(entry).map(|d| (d, entry.clone()));
+        let (envelope, batch) = match decode_envelope(&request.body, "requests", decode) {
+            Ok(envelope) => envelope,
+            Err(message) => return Routed::error(400, message),
+        };
+        let (decoded, mut entries): (Vec<Decoded>, Vec<Json>) = envelope.into_iter().unzip();
+        self.requests_in.fetch_add(1, Ordering::Relaxed);
+        cx.trace.record(Stage::Parse, parse_start);
 
-fn infer_inner(
-    request: &Request,
-    started: Instant,
-    inner: &Inner,
-    trace: &mut StageTrace,
-    trace_id: u64,
-    embed: bool,
-) -> (RoutedResponse, usize, Vec<BackendTrace>) {
-    let parse_start = trace.clock();
-    let Ok(text) = std::str::from_utf8(&request.body) else {
-        return (error_response(Endpoint::Infer, 400, "body is not valid UTF-8"), 0, Vec::new());
-    };
-    let envelope = match json::parse(text) {
-        Ok(value) => value,
-        Err(e) => {
-            return (error_response(Endpoint::Infer, 400, format!("invalid JSON: {e}")), 0, Vec::new())
+        // Scatter: group entry indices by owning shard, preserving order.
+        let shards = self.map.shards() as usize;
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shards];
+        for (i, d) in decoded.iter().enumerate() {
+            groups[self.map.shard_for_leaf(d.leaf)].push(i);
         }
-    };
-    inner.requests_in.fetch_add(1, Ordering::Relaxed);
+        let involved: Vec<usize> = (0..shards).filter(|s| !groups[*s].is_empty()).collect();
 
-    // Validate with the backend's own decoder so the router 400s exactly
-    // what a backend would — a forwarded entry is never refused
-    // downstream, which would otherwise surface as a degradation.
-    let (entries, batch): (Vec<&Json>, bool) = match envelope.get("requests") {
-        None => (vec![&envelope], false),
-        Some(Json::Arr(list)) => {
-            if list.len() > MAX_BATCH {
-                return (
-                    error_response(
-                        Endpoint::Infer,
-                        400,
-                        format!("batch of {} exceeds cap of {MAX_BATCH}", list.len()),
-                    ),
-                    0,
-                    Vec::new(),
-                );
+        let mut results: Vec<Option<SubResult>> = Vec::new();
+        results.resize_with(shards, || None);
+        // The forwarded trace id, as the backends will see it. The header
+        // rides on every sub-request so backend records correlate with the
+        // router record, and backends answer with an embedded breakdown.
+        let forwarded_id = cx.forwarded_trace_id();
+        std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(involved.len());
+            for &shard in &involved {
+                let forwarded: Vec<Json> = groups[shard]
+                    .iter()
+                    .map(|&i| std::mem::replace(&mut entries[i], Json::Null))
+                    .collect();
+                let body = Json::obj(vec![("requests", Json::Arr(forwarded))]).render();
+                let backend = &self.backends[shard];
+                let expected = groups[shard].len();
+                let config = &self.config;
+                let probe_ticks = &self.probe_ticks;
+                let trace_header = forwarded_id.as_deref();
+                self.fanout.fetch_add(1, Ordering::Relaxed);
+                // The span clock starts at the caller's dispatch point and
+                // stops when the join returns, so a Fanout span covers the
+                // whole window the router held this request open for the
+                // shard — spawn and scheduling latency included, not just
+                // the wire time the dispatcher thread itself observed.
+                let dispatched = Instant::now();
+                handles.push((
+                    shard,
+                    dispatched,
+                    scope.spawn(move || {
+                        dispatch(backend, config, probe_ticks, &body, expected, trace_header)
+                    }),
+                ));
             }
-            (list.iter().collect(), true)
-        }
-        Some(_) => {
-            return (
-                error_response(Endpoint::Infer, 400, "\"requests\" must be an array"),
-                0,
-                Vec::new(),
-            )
-        }
-    };
-    let mut decoded = Vec::with_capacity(entries.len());
-    for (i, entry) in entries.iter().enumerate() {
-        match decode_one(entry) {
-            Ok(d) => decoded.push(d),
-            Err(message) => {
-                let message =
-                    if batch { format!("requests[{i}]: {message}") } else { message };
-                return (error_response(Endpoint::Infer, 400, message), 0, Vec::new());
+            for (shard, dispatched, handle) in handles {
+                results[shard] = Some(match handle.join() {
+                    Ok(sub) => {
+                        // One Fanout span per involved shard (detail = shard
+                        // index), recorded post-join: StageTrace is owned by
+                        // this thread, never shared with the dispatchers.
+                        cx.trace.record_span(
+                            Stage::Fanout,
+                            dispatched,
+                            dispatched.elapsed(),
+                            shard as u64,
+                        );
+                        sub
+                    }
+                    Err(_) => SubResult::Degraded("router dispatch panicked".into()),
+                });
             }
-        }
-    }
-    trace.record(Stage::Parse, parse_start);
+        });
 
-    // Scatter: group entry indices by owning shard, preserving order.
-    let shards = inner.map.shards() as usize;
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    for (i, d) in decoded.iter().enumerate() {
-        groups[inner.map.shard_for_leaf(d.leaf)].push(i);
-    }
-    let involved: Vec<usize> = (0..shards).filter(|s| !groups[*s].is_empty()).collect();
-
-    let mut results: Vec<Option<SubResult>> = Vec::new();
-    results.resize_with(shards, || None);
-    // The forwarded trace id, as the backends will see it. The header
-    // rides on every sub-request so backend records correlate with the
-    // router record, and backends answer with an embedded breakdown.
-    let forwarded_id = trace.is_enabled().then(|| format!("{trace_id:016x}"));
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(involved.len());
-        for &shard in &involved {
-            let body = Json::obj(vec![(
-                "requests",
-                Json::Arr(groups[shard].iter().map(|&i| entries[i].clone()).collect()),
-            )])
-            .render();
-            let backend = &inner.backends[shard];
-            let expected = groups[shard].len();
-            let config = &inner.config;
-            let probe_ticks = &inner.probe_ticks;
-            let trace_header = forwarded_id.as_deref();
-            inner.fanout.fetch_add(1, Ordering::Relaxed);
-            // The span clock starts at the caller's dispatch point and
-            // stops when the join returns, so a Fanout span covers the
-            // whole window the router held this request open for the
-            // shard — spawn and scheduling latency included, not just
-            // the wire time the dispatcher thread itself observed.
-            let dispatched = Instant::now();
-            handles.push((
-                shard,
-                dispatched,
-                scope.spawn(move || {
-                    dispatch(backend, config, probe_ticks, &body, expected, trace_header)
-                }),
-            ));
-        }
-        for (shard, dispatched, handle) in handles {
-            results[shard] = Some(match handle.join() {
-                Ok(sub) => {
-                    // One Fanout span per involved shard (detail = shard
-                    // index), recorded post-join: StageTrace is owned by
-                    // this thread, never shared with the dispatchers.
-                    trace.record_span(Stage::Fanout, dispatched, dispatched.elapsed(), shard as u64);
-                    sub
-                }
-                Err(_) => SubResult::Degraded("router dispatch panicked".into()),
-            });
-        }
-    });
-
-    // Gather: merge per-entry responses back into the caller's order.
-    let mut merged: Vec<Option<Json>> = vec![None; decoded.len()];
-    let mut snapshot_version = 0u64;
-    let mut backend_traces: Vec<BackendTrace> = Vec::new();
-    for shard in involved {
-        let result = results[shard].take().expect("scattered shard has a result");
-        match result {
-            SubResult::Ok(responses, version, sub_trace) => {
-                snapshot_version = snapshot_version.max(version);
-                if let Some(sub_trace) = &sub_trace {
-                    if let Some(parsed) =
-                        backend_trace_from_json(shard, &inner.backends[shard].addr, sub_trace)
-                    {
-                        backend_traces.push(parsed);
+        // Gather: merge per-entry responses back into the caller's order.
+        let mut merged: Vec<Option<Json>> = vec![None; decoded.len()];
+        let mut snapshot_version = 0u64;
+        for shard in involved {
+            let result = results[shard].take().expect("scattered shard has a result");
+            match result {
+                SubResult::Ok(responses, version, sub_trace) => {
+                    snapshot_version = snapshot_version.max(version);
+                    if let Some(sub_trace) = &sub_trace {
+                        if let Some(parsed) =
+                            backend_trace_from_json(shard, &self.backends[shard].addr, sub_trace)
+                        {
+                            cx.backends.push(parsed);
+                        }
+                    }
+                    for (&i, response) in groups[shard].iter().zip(responses) {
+                        merged[i] = Some(response);
                     }
                 }
-                for (&i, response) in groups[shard].iter().zip(responses) {
-                    merged[i] = Some(response);
-                }
-            }
-            SubResult::Degraded(reason) => {
-                inner.degraded.fetch_add(groups[shard].len() as u64, Ordering::Relaxed);
-                for &i in &groups[shard] {
-                    merged[i] = Some(degraded_entry(decoded[i].id, shard, &reason));
+                SubResult::Degraded(reason) => {
+                    self.degraded.fetch_add(groups[shard].len() as u64, Ordering::Relaxed);
+                    for &i in &groups[shard] {
+                        merged[i] = Some(degraded_entry(decoded[i].id, shard, &reason));
+                    }
                 }
             }
         }
-    }
-    let merged: Vec<Json> = merged
-        .into_iter()
-        .map(|r| r.expect("every entry was grouped onto exactly one shard"))
-        .collect();
+        let mut merged: Vec<Json> = merged
+            .into_iter()
+            .map(|r| r.expect("every entry was grouped onto exactly one shard"))
+            .collect();
 
-    let serialize_start = trace.clock();
-    let mut body = if batch {
-        Json::obj(vec![
-            ("responses", Json::Arr(merged)),
-            ("snapshot_version", Json::uint(snapshot_version)),
-        ])
-    } else {
-        merged.into_iter().next().expect("single request decoded")
-    };
-    if trace.is_enabled() {
-        if let Json::Obj(members) = &mut body {
-            members.push(("trace_id".into(), Json::str(format!("{trace_id:016x}"))));
-            if embed {
-                members
-                    .push(("trace".into(), trace_json_inline(trace, trace_id, started.elapsed())));
-            }
-        }
+        let serialize_start = cx.trace.clock();
+        let mut body = if batch {
+            Json::obj(vec![
+                ("responses", Json::Arr(merged)),
+                ("snapshot_version", Json::uint(snapshot_version)),
+            ])
+        } else {
+            merged.pop().expect("a single-request envelope decodes to one entry")
+        };
+        cx.stamp_trace(&mut body);
+        let routed = Routed::json(200, &body);
+        cx.trace.record(Stage::Serialize, serialize_start);
+        cx.entries = decoded.len();
+        routed
     }
-    let rendered = body.render();
-    trace.record(Stage::Serialize, serialize_start);
-    (
-        RoutedResponse::new(Endpoint::Infer, 200, "application/json", rendered),
-        decoded.len(),
-        backend_traces,
-    )
 }
 
 /// The degraded per-request answer: same shape as a served response so
@@ -969,9 +629,7 @@ fn degraded_entry(id: Option<u64>, shard: usize, reason: &str) -> Json {
         ("error", Json::str(reason)),
     ];
     if let Some(id) = id {
-        // Same >2^53 decimal-string rule as a served response.
-        let id_json = if id <= 1 << 53 { Json::uint(id) } else { Json::str(id.to_string()) };
-        members.insert(0, ("id", id_json));
+        members.insert(0, ("id", id_json(id)));
     }
     Json::obj(members)
 }

@@ -1,52 +1,38 @@
-//! The network edge: a fixed worker pool over `std::net::TcpListener`.
+//! The serving handler: what a backend server adds to the shared HTTP
+//! edge (`edge.rs`).
 //!
-//! ```text
-//! clients ──► acceptor ──► Bounded accept queue ──► worker pool ──► ServingApi
-//!                │  full?                │ drained on shutdown
-//!                └─► HTTP 429 (shed)     └─► per-request deadline → 503
-//! ```
-//!
-//! One acceptor thread admits connections into a bounded queue; a full
-//! queue is **load shed** — the acceptor answers `429 Too Many Requests`
-//! and closes, so overload degrades into fast refusals instead of
-//! unbounded buffering or hangs. Workers pop connections and speak
-//! HTTP/1.1 keep-alive until the peer closes, errors, idles past the
-//! read timeout, or shutdown begins. Requests that waited past the
-//! configured deadline are answered `503` without running inference.
+//! The edge owns the socket side — accept queue, worker pool, keep-alive
+//! loop, shedding, the shared debug routes, tracing and history plumbing.
+//! This file owns the domain side: the `/v1/infer`, `/v1/upsert` and
+//! `/v1/overlay/*` routes (each also answering at `/v1/t/<tenant>/…`),
+//! the per-request deadline, and the serving-layer members of
+//! `/statusz`, `/metrics` and the history ring, over either one
+//! [`ServingApi`] or a [`TenantFleet`].
 //!
 //! The model behind the [`ServingApi`] hot-swaps under live traffic: each
 //! inference resolves the current snapshot through the api's `ModelWatch`,
 //! so a registry publish/rollback propagates to the next request with
 //! in-flight requests finishing on the model they started with.
-//!
-//! [`ServerHandle::shutdown`] is graceful: stop accepting, drain every
-//! admitted connection, answer in-flight requests, then join all threads.
 
+pub use crate::edge::MAX_KEEPALIVE_REQUESTS;
+use crate::edge::{self, Cx, EdgeConfig, EdgeHandle, Handler, Route, Routed};
 use crate::history::{HistoryConfig, MetricsHistory};
-use crate::http::{self, ReadError, Request};
+use crate::http::Request;
 use crate::json::{self, Json};
-use crate::metrics::{render_overlay_families, Endpoint, HttpMetrics};
-use crate::queue::Bounded;
-use crate::trace::{parse_trace_id, trace_json_inline, TraceConfig, TraceRecorder, TRACE_HEADER};
-use graphex_core::{Alignment, InferRequest, KeyphraseRecord, LeafId, Stage, StageTrace};
+use crate::metrics::{
+    render_fleet_families, render_overlay_families, render_serve_families, Endpoint, HttpMetrics,
+};
+use crate::trace::{TraceConfig, TraceRecorder};
+use graphex_core::{Alignment, InferRequest, KeyphraseRecord, LeafId, Stage};
 use graphex_serving::{
     FleetError, OverlayError, OverlayStatus, ServeSource, Served, ServingApi, TenantFleet,
 };
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Most requests accepted in one `/v1/infer` batch envelope.
 pub const MAX_BATCH: usize = 1024;
-
-/// Requests served on one keep-alive connection before the server closes
-/// it (`Connection: close` on the last response). Thread-per-connection
-/// means a chatty peer pins a worker; this cap bounds that pinning so
-/// connections waiting in the accept queue are never starved forever —
-/// a reconnect immediately re-admits the peer.
-pub const MAX_KEEPALIVE_REQUESTS: u64 = 1024;
 
 /// Frontend tuning. `Default` is sized for a laptop demo; production
 /// callers set every field explicitly.
@@ -67,8 +53,8 @@ pub struct ServerConfig {
     /// disables. An expired deadline answers 503 without running
     /// inference.
     pub deadline: Option<Duration>,
-    /// Idle read timeout on keep-alive connections; also bounds how long
-    /// shutdown waits on an idle peer.
+    /// Idle read timeout on keep-alive connections. Shutdown does not
+    /// wait it out: idle peers are woken on drain.
     pub keep_alive_timeout: Duration,
     /// Flight-recorder knobs; `trace.enabled = false` turns the whole
     /// trace layer off (no ids, no rings, no clock reads).
@@ -93,51 +79,25 @@ impl Default for ServerConfig {
     }
 }
 
-/// One admitted connection, stamped for deadline accounting.
-struct Conn {
-    stream: TcpStream,
-    enqueued_at: Instant,
-}
-
 /// What answers inference behind this frontend: one serving api, or a
 /// tenant fleet multiplexed by request path (`POST /v1/t/<name>/infer`;
 /// the legacy un-prefixed path serves the fleet's default tenant).
-pub enum Backend {
+enum Backend {
     Single(Arc<ServingApi>),
     Fleet(Arc<TenantFleet>),
 }
 
-impl Backend {
-    /// Connection-level shed (429 before any routing): in single mode
-    /// the one api's counter takes it; in fleet mode no tenant can be
-    /// blamed yet, so only the HTTP-layer `connections_shed` counter
-    /// (recorded by the caller) sees it.
-    fn note_shed(&self) {
-        if let Backend::Single(api) = self {
-            api.note_shed();
-        }
-    }
-}
-
-struct Inner {
+/// The serving [`Handler`].
+struct ServeHandler {
     backend: Backend,
-    metrics: HttpMetrics,
-    queue: Bounded<Conn>,
-    shutdown: AtomicBool,
-    config: ServerConfig,
-    /// The flight recorder; `None` when tracing is disabled.
-    traces: Option<Arc<TraceRecorder>>,
-    /// The telemetry-history ring; `None` when history is disabled.
-    history: Option<Arc<MetricsHistory>>,
+    deadline: Option<Duration>,
+    workers: usize,
 }
 
 /// A running server; dropping it shuts down gracefully.
 pub struct ServerHandle {
-    addr: SocketAddr,
-    inner: Arc<Inner>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    sampler: Option<std::thread::JoinHandle<()>>,
+    edge: EdgeHandle,
+    handler: Arc<ServeHandler>,
 }
 
 /// Binds and starts the frontend over a shared [`ServingApi`].
@@ -155,140 +115,170 @@ pub fn start_fleet(config: ServerConfig, fleet: Arc<TenantFleet>) -> std::io::Re
 }
 
 fn start_backend(config: ServerConfig, backend: Backend) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let workers = config.workers.max(1);
-    let traces = config
-        .trace
-        .enabled
-        .then(|| Arc::new(TraceRecorder::new(config.trace.clone())));
-    let history = config
-        .history
-        .enabled
-        .then(|| Arc::new(MetricsHistory::new(config.history.clone())));
-    let inner = Arc::new(Inner {
-        backend,
-        metrics: HttpMetrics::default(),
-        queue: Bounded::new(config.queue_depth),
-        shutdown: AtomicBool::new(false),
-        config,
-        traces,
-        history,
-    });
-
-    let acceptor = {
-        let inner = Arc::clone(&inner);
-        std::thread::Builder::new()
-            .name("graphex-accept".into())
-            .spawn(move || accept_loop(listener, &inner))?
-    };
-    let worker_handles = (0..workers)
-        .map(|i| {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name(format!("graphex-worker-{i}"))
-                .spawn(move || worker_loop(&inner))
-        })
-        .collect::<std::io::Result<Vec<_>>>()?;
-    let sampler = match &inner.history {
-        Some(_) => {
-            let inner = Arc::clone(&inner);
-            Some(
-                std::thread::Builder::new()
-                    .name("graphex-history".into())
-                    .spawn(move || sampler_loop(&inner))?,
-            )
-        }
-        None => None,
-    };
-
-    Ok(ServerHandle { addr, inner, acceptor: Some(acceptor), workers: worker_handles, sampler })
+    let handler =
+        Arc::new(ServeHandler { backend, deadline: config.deadline, workers: config.workers });
+    let edge = edge::start(
+        EdgeConfig {
+            addr: config.addr,
+            workers: config.workers,
+            queue_depth: config.queue_depth,
+            max_body_bytes: config.max_body_bytes,
+            keep_alive_timeout: config.keep_alive_timeout,
+            trace: config.trace,
+            history: config.history,
+        },
+        Arc::clone(&handler) as Arc<dyn Handler>,
+    )?;
+    Ok(ServerHandle { edge, handler })
 }
 
-/// The history sampler: one sample per configured interval until
-/// shutdown. Sleeps in short slices so shutdown joins promptly even
-/// with a multi-second interval.
-fn sampler_loop(inner: &Inner) {
-    let interval = inner.config.history.interval;
-    let slice = interval.min(Duration::from_millis(25));
-    let mut last = Instant::now();
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(slice);
-        if last.elapsed() >= interval {
-            sample_history(inner);
-            last = Instant::now();
+impl ServerHandle {
+    /// The bound address (resolves port 0).
+    pub fn addr(&self) -> SocketAddr {
+        self.edge.addr()
+    }
+
+    /// The serving facade behind a single-api frontend (counter
+    /// access), or `None` on a fleet-mode server — per-tenant apis live
+    /// behind [`ServerHandle::fleet`].
+    pub fn api(&self) -> Option<&Arc<ServingApi>> {
+        match &self.handler.backend {
+            Backend::Single(api) => Some(api),
+            Backend::Fleet(_) => None,
         }
+    }
+
+    /// The tenant fleet behind a fleet-mode frontend.
+    pub fn fleet(&self) -> Option<&Arc<TenantFleet>> {
+        match &self.handler.backend {
+            Backend::Single(_) => None,
+            Backend::Fleet(fleet) => Some(fleet),
+        }
+    }
+
+    /// HTTP-layer metrics (what `/metrics` renders).
+    pub fn metrics(&self) -> &HttpMetrics {
+        self.edge.metrics()
+    }
+
+    /// The flight recorder, or `None` when tracing is disabled.
+    pub fn traces(&self) -> Option<&Arc<TraceRecorder>> {
+        self.edge.traces()
+    }
+
+    /// The telemetry-history ring, or `None` when history is disabled.
+    pub fn history(&self) -> Option<&Arc<MetricsHistory>> {
+        self.edge.history()
+    }
+
+    /// Takes one history sample immediately (in addition to the periodic
+    /// sampler), so tests and report capture don't have to wait out the
+    /// interval. No-op when history is disabled.
+    pub fn sample_history_now(&self) {
+        self.edge.sample_history_now();
+    }
+
+    /// Graceful shutdown: stop accepting, drain admitted connections,
+    /// finish in-flight requests, join every thread.
+    pub fn shutdown(self) {
+        self.edge.shutdown();
     }
 }
 
-/// Collects one history sample from the backend counters, the HTTP
-/// metrics, and (when tracing is on) the per-stage histograms, and
-/// records it into the ring. All reads are the same relaxed atomic
-/// loads `/metrics` performs — the request path is never touched.
-fn sample_history(inner: &Inner) {
-    let Some(history) = &inner.history else {
-        return;
-    };
-    let mut values: Vec<(String, f64)> = Vec::with_capacity(48);
-    let push = |values: &mut Vec<(String, f64)>, key: &str, v: f64| {
-        values.push((key.to_string(), v));
-    };
-    // HTTP layer: end-to-end latency histogram plus connection counters.
-    let http = &inner.metrics;
-    push(&mut values, "http/requests", http.infer_latency.count() as f64);
-    if http.infer_latency.count() > 0 {
-        push(&mut values, "http/p50_us", http.infer_latency.quantile(0.50) * 1e6);
-        push(&mut values, "http/p99_us", http.infer_latency.quantile(0.99) * 1e6);
+/// The domain routes; each also answers at `/v1/t/<tenant>/<action>`.
+static ROUTES: [Route; 4] = [
+    Route { method: "POST", path: "/v1/infer", scoped: true, endpoint: Endpoint::Infer },
+    Route { method: "POST", path: "/v1/upsert", scoped: true, endpoint: Endpoint::Upsert },
+    Route { method: "GET", path: "/v1/overlay/journal", scoped: true, endpoint: Endpoint::Overlay },
+    Route { method: "POST", path: "/v1/overlay/drain", scoped: true, endpoint: Endpoint::Overlay },
+];
+
+impl Handler for ServeHandler {
+    fn routes(&self) -> &'static [Route] {
+        &ROUTES
     }
-    push(
-        &mut values,
-        "http/accepted",
-        http.connections_accepted.load(Ordering::Relaxed) as f64,
-    );
-    push(&mut values, "http/shed", http.connections_shed.load(Ordering::Relaxed) as f64);
-    push(&mut values, "queue/depth", inner.queue.len() as f64);
-    // Serving layer: cumulative counters (monotone across hot-swaps; the
-    // fleet folds evicted tenants' counters, so these survive eviction).
-    match &inner.backend {
-        Backend::Single(api) => {
-            let stats = api.stats();
-            serve_series(&mut values, "", &stats);
-            if let Some(status) = api.overlay_status() {
-                push(&mut values, "overlay/depth", status.depth as f64);
-                push(&mut values, "overlay/seq", status.seq as f64);
+
+    fn handle(
+        &self,
+        route: &Route,
+        tenant: Option<&str>,
+        request: &Request,
+        cx: &mut Cx,
+    ) -> Routed {
+        let api = match self.resolve_api(tenant) {
+            Ok(api) => api,
+            Err(routed) => return routed,
+        };
+        match route.path {
+            "/v1/infer" => self.infer(&api, request, cx),
+            "/v1/upsert" => upsert(&api, request),
+            "/v1/overlay/journal" => overlay_journal(&api),
+            _ => overlay_drain(&api, request),
+        }
+    }
+
+    /// [`ServeStats`](graphex_serving::ServeStats) plus config gauges for
+    /// a single-api server; the fleet table in fleet mode.
+    fn statusz(&self) -> Vec<(&'static str, Json)> {
+        let mut members = match &self.backend {
+            Backend::Single(api) => statusz_single(api),
+            Backend::Fleet(fleet) => statusz_fleet(fleet),
+        };
+        members.push(("workers", Json::uint(self.workers as u64)));
+        members
+    }
+
+    fn render_metrics(&self, out: &mut String) {
+        match &self.backend {
+            Backend::Single(api) => {
+                render_serve_families(&api.stats(), out);
+                if let Some(status) = api.overlay_status() {
+                    render_overlay_families(&[(String::new(), status)], out);
+                }
+            }
+            Backend::Fleet(fleet) => render_fleet_families(fleet, out),
+        }
+    }
+
+    /// Serving-layer cumulative counters (monotone across hot-swaps; the
+    /// fleet folds evicted tenants' counters, so these survive eviction).
+    fn sample_history(&self, values: &mut Vec<(String, f64)>) {
+        match &self.backend {
+            Backend::Single(api) => {
+                serve_series(values, "", &api.stats());
+                if let Some(status) = api.overlay_status() {
+                    values.push(("overlay/depth".into(), status.depth as f64));
+                    values.push(("overlay/seq".into(), status.seq as f64));
+                }
+            }
+            Backend::Fleet(fleet) => {
+                let tenants = fleet.list();
+                values.push((
+                    "fleet/resident".into(),
+                    tenants.iter().filter(|t| t.resident).count() as f64,
+                ));
+                values.push((
+                    "fleet/resident_bytes".into(),
+                    tenants.iter().map(|t| t.resident_bytes).sum::<u64>() as f64,
+                ));
+                for t in &tenants {
+                    serve_series(values, &format!("tenant/{}/", t.name), &t.stats);
+                    let resident = if t.resident { 1.0 } else { 0.0 };
+                    values.push((format!("tenant/{}/resident", t.name), resident));
+                }
             }
         }
-        Backend::Fleet(fleet) => {
-            let tenants = fleet.list();
-            push(
-                &mut values,
-                "fleet/resident",
-                tenants.iter().filter(|t| t.resident).count() as f64,
-            );
-            push(
-                &mut values,
-                "fleet/resident_bytes",
-                tenants.iter().map(|t| t.resident_bytes).sum::<u64>() as f64,
-            );
-            for t in &tenants {
-                serve_series(&mut values, &format!("tenant/{}/", t.name), &t.stats);
-                push(
-                    &mut values,
-                    &format!("tenant/{}/resident", t.name),
-                    if t.resident { 1.0 } else { 0.0 },
-                );
-            }
+    }
+
+    /// Connection-level shed (429 before any routing): in single mode
+    /// the one api's counter takes it; in fleet mode no tenant can be
+    /// blamed yet, so only the HTTP-layer `connections_shed` counter
+    /// (recorded by the edge) sees it.
+    fn note_shed(&self) {
+        if let Backend::Single(api) = &self.backend {
+            api.note_shed();
         }
     }
-    // Trace layer: per-stage latency percentiles.
-    if let Some(recorder) = &inner.traces {
-        for (stage, count, p50, p99) in recorder.stage_summaries() {
-            push(&mut values, &format!("stage/{stage}/count"), count as f64);
-            push(&mut values, &format!("stage/{stage}/p50_us"), p50 * 1e6);
-            push(&mut values, &format!("stage/{stage}/p99_us"), p99 * 1e6);
-        }
-    }
-    history.record(values);
 }
 
 /// The per-[`ServeStats`] series (shared by single mode, with an empty
@@ -303,394 +293,6 @@ fn serve_series(values: &mut Vec<(String, f64)>, prefix: &str, stats: &graphex_s
     push("serve/in_flight", stats.in_flight as f64);
     push("model/snapshot_version", stats.snapshot_version as f64);
     push("model/swaps", stats.model_swaps as f64);
-}
-
-impl ServerHandle {
-    /// The bound address (resolves port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The serving facade behind a single-api frontend (counter
-    /// access), or `None` on a fleet-mode server — per-tenant apis live
-    /// behind [`ServerHandle::fleet`].
-    pub fn api(&self) -> Option<&Arc<ServingApi>> {
-        match &self.inner.backend {
-            Backend::Single(api) => Some(api),
-            Backend::Fleet(_) => None,
-        }
-    }
-
-    /// The tenant fleet behind a fleet-mode frontend.
-    pub fn fleet(&self) -> Option<&Arc<TenantFleet>> {
-        match &self.inner.backend {
-            Backend::Single(_) => None,
-            Backend::Fleet(fleet) => Some(fleet),
-        }
-    }
-
-    /// HTTP-layer metrics (what `/metrics` renders).
-    pub fn metrics(&self) -> &HttpMetrics {
-        &self.inner.metrics
-    }
-
-    /// The flight recorder, or `None` when tracing is disabled.
-    pub fn traces(&self) -> Option<&Arc<TraceRecorder>> {
-        self.inner.traces.as_ref()
-    }
-
-    /// The telemetry-history ring, or `None` when history is disabled.
-    pub fn history(&self) -> Option<&Arc<MetricsHistory>> {
-        self.inner.history.as_ref()
-    }
-
-    /// Takes one history sample immediately (in addition to the periodic
-    /// sampler), so tests and report capture don't have to wait out the
-    /// interval. No-op when history is disabled.
-    pub fn sample_history_now(&self) {
-        sample_history(&self.inner);
-    }
-
-    /// Graceful shutdown: stop accepting, drain admitted connections,
-    /// finish in-flight requests, join every thread.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // The acceptor closed the queue on exit; workers drain it and stop.
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        if let Some(sampler) = self.sampler.take() {
-            let _ = sampler.join();
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        if self.acceptor.is_some() || !self.workers.is_empty() || self.sampler.is_some() {
-            self.shutdown_inner();
-        }
-    }
-}
-
-fn accept_loop(listener: TcpListener, inner: &Inner) {
-    loop {
-        let accepted = listener.accept();
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok((stream, _peer)) = accepted else {
-            // Transient accept failure (EMFILE, aborted handshake): keep
-            // serving; a poisoned listener would spin, but every error
-            // std reports here is per-connection, not per-listener.
-            continue;
-        };
-        inner.metrics.connections_accepted.fetch_add(1, Ordering::Relaxed);
-        let conn = Conn { stream, enqueued_at: Instant::now() };
-        if let Err(refused) = inner.queue.try_push(conn) {
-            // Admission control: the queue is full (or shutting down) —
-            // shed with 429 instead of buffering or hanging.
-            inner.backend.note_shed();
-            inner.metrics.connections_shed.fetch_add(1, Ordering::Relaxed);
-            let mut stream = refused.stream;
-            // The refusal is ~200 bytes into a fresh connection's empty
-            // send buffer, so this write practically never blocks; the
-            // short timeout is a backstop so a pathological peer cannot
-            // stall the accept loop during the very overload that causes
-            // sheds.
-            let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-            let _ = http::write_response(
-                &mut stream,
-                429,
-                "text/plain; charset=utf-8",
-                b"shed: accept queue full\n",
-                false,
-                &[("Retry-After", "1")],
-            );
-        }
-    }
-    inner.queue.close();
-}
-
-fn worker_loop(inner: &Inner) {
-    while let Some(conn) = inner.queue.pop() {
-        // A panic must cost one connection, not one worker: an unwinding
-        // thread would silently shrink the pool toward a server that
-        // accepts and queues but never serves. Connection state is owned
-        // by the call, so unwind safety holds; api-side invariants are
-        // restored by its own guards (LeaderGuard, InFlightGuard).
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_connection(conn, inner);
-        }));
-        if caught.is_err() {
-            inner.metrics.record_response(Endpoint::Other, 500);
-        }
-    }
-}
-
-fn handle_connection(conn: Conn, inner: &Inner) {
-    let Conn { stream, enqueued_at } = conn;
-    // Server-induced delay so far: time spent waiting in the accept
-    // queue. The first request's deadline budget is charged this wait
-    // (plus its own processing) but NOT the peer's think-time between
-    // connecting and sending — an idle client on an idle server must
-    // never eat its own deadline.
-    let queue_wait = enqueued_at.elapsed();
-    let _ = stream.set_read_timeout(Some(inner.config.keep_alive_timeout));
-    let _ = stream.set_write_timeout(Some(inner.config.keep_alive_timeout));
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut write_half = stream;
-    let mut requests_served = 0u64;
-
-    loop {
-        let request = match http::read_request(&mut reader, inner.config.max_body_bytes) {
-            Ok(request) => request,
-            Err(ReadError::Closed) => return,
-            Err(ReadError::Io(_)) => return, // includes idle timeouts
-            Err(error) => {
-                // Malformed input: answer the right 4xx/5xx and close —
-                // a desynced byte stream cannot be trusted for reuse.
-                let (status, message) = match &error {
-                    ReadError::Bad(what) => (400, format!("bad request: {what}\n")),
-                    ReadError::BodyTooLarge { declared, max } => {
-                        (413, format!("body of {declared} bytes exceeds cap of {max}\n"))
-                    }
-                    ReadError::UnsupportedTransferEncoding => {
-                        (501, "transfer-encoding not supported; send content-length\n".into())
-                    }
-                    ReadError::Closed | ReadError::Io(_) => unreachable!("handled above"),
-                };
-                inner.metrics.record_response(Endpoint::Other, status);
-                let _ = http::write_response(
-                    &mut write_half,
-                    status,
-                    "text/plain; charset=utf-8",
-                    message.as_bytes(),
-                    false,
-                    &[],
-                );
-                return;
-            }
-        };
-
-        // Deadline basis: read completion, back-dated by the accept-queue
-        // wait for the connection's first request — so queue pressure
-        // counts against the budget but client think-time never does.
-        let first_request = requests_served == 0;
-        let started = if first_request {
-            Instant::now().checked_sub(queue_wait).unwrap_or_else(Instant::now)
-        } else {
-            Instant::now()
-        };
-        requests_served += 1;
-
-        let draining = inner.shutdown.load(Ordering::SeqCst);
-        let keep_alive = request.keep_alive()
-            && !draining
-            && requests_served < MAX_KEEPALIVE_REQUESTS;
-        let charged_wait = if first_request { queue_wait } else { Duration::ZERO };
-        let outcome = route(&request, started, charged_wait, inner);
-        let extra: Vec<(&str, &str)> =
-            outcome.extra_headers.iter().map(|(k, v)| (*k, v.as_str())).collect();
-        let written = http::write_response(
-            &mut write_half,
-            outcome.status,
-            outcome.content_type,
-            outcome.body.as_bytes(),
-            keep_alive,
-            &extra,
-        );
-        inner.metrics.record_response(outcome.endpoint, outcome.status);
-        if outcome.endpoint == Endpoint::Infer {
-            inner.metrics.infer_latency.record(started.elapsed());
-        }
-        if written.is_err() || !keep_alive {
-            return;
-        }
-    }
-}
-
-struct Routed {
-    endpoint: Endpoint,
-    status: u16,
-    content_type: &'static str,
-    body: String,
-    extra_headers: Vec<(&'static str, String)>,
-}
-
-impl Routed {
-    fn new(endpoint: Endpoint, status: u16, content_type: &'static str, body: String) -> Self {
-        Self { endpoint, status, content_type, body, extra_headers: Vec::new() }
-    }
-
-    fn json(endpoint: Endpoint, status: u16, value: &Json) -> Self {
-        Self::new(endpoint, status, "application/json", value.render())
-    }
-
-    fn error(endpoint: Endpoint, status: u16, message: impl Into<String>) -> Self {
-        Self::json(endpoint, status, &Json::obj(vec![("error", Json::str(message.into()))]))
-    }
-}
-
-/// Splits a tenant-scoped action path: `/v1/t/<tenant>/<action>` →
-/// `Some(tenant)` (e.g. `tenant_action(path, "infer")`,
-/// `tenant_action(path, "overlay/journal")`). The tenant segment is not
-/// validated here — the fleet refuses bad names with a 404.
-fn tenant_action<'p>(path: &'p str, action: &str) -> Option<&'p str> {
-    let tenant =
-        path.strip_prefix("/v1/t/")?.strip_suffix(action)?.strip_suffix('/')?;
-    (!tenant.is_empty() && !tenant.contains('/')).then_some(tenant)
-}
-
-/// Shorthand for the inference flavour of [`tenant_action`].
-fn tenant_path(path: &str) -> Option<&str> {
-    tenant_action(path, "infer")
-}
-
-fn route(request: &Request, started: Instant, queue_wait: Duration, inner: &Inner) -> Routed {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => {
-            Routed::new(Endpoint::Healthz, 200, "text/plain; charset=utf-8", "ok\n".into())
-        }
-        ("GET", "/statusz") => Routed::json(Endpoint::Statusz, 200, &statusz(inner)),
-        ("GET", "/metrics") => Routed::new(
-            Endpoint::Metrics,
-            200,
-            "text/plain; version=0.0.4; charset=utf-8",
-            {
-                let mut out = match &inner.backend {
-                    Backend::Single(api) => {
-                        let mut out =
-                            inner.metrics.render_prometheus(&api.stats(), inner.queue.len());
-                        if let Some(status) = api.overlay_status() {
-                            render_overlay_families(&[(String::new(), status)], &mut out);
-                        }
-                        out
-                    }
-                    Backend::Fleet(fleet) => {
-                        inner.metrics.render_prometheus_fleet(fleet, inner.queue.len())
-                    }
-                };
-                if let Some(recorder) = &inner.traces {
-                    recorder.render_metrics(&mut out);
-                }
-                out
-            },
-        ),
-        ("GET", "/debug/traces") => match &inner.traces {
-            Some(recorder) => Routed::new(
-                Endpoint::Traces,
-                200,
-                "application/json",
-                recorder.render_debug(request.query.as_deref()),
-            ),
-            None => Routed::error(Endpoint::Traces, 404, "tracing is disabled"),
-        },
-        ("GET", "/debug/history") => match &inner.history {
-            Some(history) => Routed::new(
-                Endpoint::History,
-                200,
-                "application/json",
-                history.render_debug(request.query.as_deref()),
-            ),
-            None => Routed::error(Endpoint::History, 404, "history is disabled"),
-        },
-        ("POST", "/v1/infer") => infer(request, started, queue_wait, inner, None),
-        ("POST", path) if tenant_path(path).is_some() => {
-            infer(request, started, queue_wait, inner, tenant_path(path))
-        }
-        ("POST", "/v1/upsert") => upsert(request, inner, None),
-        ("POST", path) if tenant_action(path, "upsert").is_some() => {
-            upsert(request, inner, tenant_action(path, "upsert"))
-        }
-        ("GET", "/v1/overlay/journal") => overlay_journal(inner, None),
-        ("GET", path) if tenant_action(path, "overlay/journal").is_some() => {
-            overlay_journal(inner, tenant_action(path, "overlay/journal"))
-        }
-        ("POST", "/v1/overlay/drain") => overlay_drain(request, inner, None),
-        ("POST", path) if tenant_action(path, "overlay/drain").is_some() => {
-            overlay_drain(request, inner, tenant_action(path, "overlay/drain"))
-        }
-        (_, "/healthz" | "/statusz" | "/metrics" | "/debug/traces" | "/debug/history") => {
-            let mut routed = Routed::error(Endpoint::Other, 405, "method not allowed");
-            routed.extra_headers.push(("Allow", "GET".into()));
-            routed
-        }
-        (_, path)
-            if path == "/v1/overlay/journal"
-                || tenant_action(path, "overlay/journal").is_some() =>
-        {
-            let mut routed = Routed::error(Endpoint::Other, 405, "method not allowed");
-            routed.extra_headers.push(("Allow", "GET".into()));
-            routed
-        }
-        (_, path)
-            if path == "/v1/infer"
-                || path == "/v1/upsert"
-                || path == "/v1/overlay/drain"
-                || tenant_path(path).is_some()
-                || tenant_action(path, "upsert").is_some()
-                || tenant_action(path, "overlay/drain").is_some() =>
-        {
-            let mut routed = Routed::error(Endpoint::Other, 405, "method not allowed");
-            routed.extra_headers.push(("Allow", "POST".into()));
-            routed
-        }
-        _ => Routed::error(Endpoint::Other, 404, format!("no route for {}", request.path)),
-    }
-}
-
-/// The `/statusz` payload: [`ServeStats`] plus queue/config gauges for
-/// a single-api server, extended with the fleet table in fleet mode.
-fn statusz(inner: &Inner) -> Json {
-    match &inner.backend {
-        Backend::Single(api) => statusz_single(api, inner),
-        Backend::Fleet(fleet) => statusz_fleet(fleet, inner),
-    }
-}
-
-/// The `/statusz` latency block: count plus quantile estimates from the
-/// end-to-end inference histogram (the same numbers `/metrics` exports
-/// as bucket counts). Shared with the router's `/statusz`.
-pub(crate) fn latency_json(metrics: &HttpMetrics) -> Json {
-    let h = &metrics.infer_latency;
-    Json::obj(vec![
-        ("count", Json::uint(h.count())),
-        ("p50_us", Json::num(h.quantile(0.50) * 1e6)),
-        ("p90_us", Json::num(h.quantile(0.90) * 1e6)),
-        ("p99_us", Json::num(h.quantile(0.99) * 1e6)),
-    ])
-}
-
-/// The `/statusz` trace block ([`TraceRecorder::statusz_json`]), or
-/// `null` when tracing is disabled.
-fn trace_block(inner: &Inner) -> Json {
-    match &inner.traces {
-        Some(recorder) => recorder.statusz_json(),
-        None => Json::Null,
-    }
-}
-
-/// The `/statusz` history block ([`MetricsHistory::statusz_json`]), or
-/// `null` when history is disabled.
-fn history_block(inner: &Inner) -> Json {
-    match &inner.history {
-        Some(history) => history.statusz_json(),
-        None => Json::Null,
-    }
 }
 
 /// The `/statusz` shape of one [`OverlayStatus`] snapshot (shared by
@@ -710,10 +312,10 @@ fn overlay_status_json(status: &OverlayStatus) -> Json {
     ])
 }
 
-fn statusz_single(api: &ServingApi, inner: &Inner) -> Json {
+fn statusz_single(api: &ServingApi) -> Vec<(&'static str, Json)> {
     let stats = api.stats();
     let stats = &stats;
-    Json::obj(vec![
+    vec![
         ("snapshot_version", Json::uint(stats.snapshot_version)),
         ("model_swaps", Json::uint(stats.model_swaps)),
         ("in_flight", Json::uint(stats.in_flight)),
@@ -742,18 +344,13 @@ fn statusz_single(api: &ServingApi, inner: &Inner) -> Json {
                     .collect(),
             ),
         ),
-        ("latency", latency_json(&inner.metrics)),
-        ("trace", trace_block(inner)),
-        ("history", history_block(inner)),
-        ("queue_depth", Json::uint(inner.queue.len() as u64)),
-        ("workers", Json::uint(inner.config.workers as u64)),
-    ])
+    ]
 }
 
 /// Fleet-mode `/statusz`: residency gauges plus one table row per
 /// tenant (cold tenants included — their folded lifetime counters
 /// survive eviction).
-fn statusz_fleet(fleet: &TenantFleet, inner: &Inner) -> Json {
+fn statusz_fleet(fleet: &TenantFleet) -> Vec<(&'static str, Json)> {
     let tenants = fleet.list();
     let rows: Vec<Json> = tenants
         .iter()
@@ -791,210 +388,79 @@ fn statusz_fleet(fleet: &TenantFleet, inner: &Inner) -> Json {
             ])
         })
         .collect();
-    Json::obj(vec![
+    vec![
         ("mode", Json::str("fleet")),
         ("default_tenant", Json::str(fleet.default_tenant())),
         ("resident_cap", Json::uint(fleet.config().resident_cap as u64)),
         ("resident", Json::uint(tenants.iter().filter(|t| t.resident).count() as u64)),
         ("resident_bytes", Json::uint(tenants.iter().map(|t| t.resident_bytes).sum())),
         ("tenants", Json::Arr(rows)),
-        ("latency", latency_json(&inner.metrics)),
-        ("trace", trace_block(inner)),
-        ("history", history_block(inner)),
-        ("queue_depth", Json::uint(inner.queue.len() as u64)),
-        ("workers", Json::uint(inner.config.workers as u64)),
-    ])
+    ]
 }
 
-/// Resolves the serving api a request addresses: single backend, or
-/// per-tenant lookup (with lazy admission) through the fleet. Tenant
-/// routing failures are client errors (404) — an unknown or invalid
-/// tenant name must never count against the 5xx budget — while an
-/// admission failure of a *known* tenant (corrupt snapshot) is a 503:
-/// retrying after a fixed publish succeeds.
-fn resolve_api(
-    inner: &Inner,
-    tenant: Option<&str>,
-    endpoint: Endpoint,
-) -> Result<Arc<ServingApi>, Routed> {
-    match (&inner.backend, tenant) {
-        (Backend::Single(api), None) => Ok(Arc::clone(api)),
-        (Backend::Single(_), Some(_)) => {
-            Err(Routed::error(endpoint, 404, "no tenant fleet configured"))
-        }
-        (Backend::Fleet(fleet), tenant) => {
-            let name = tenant.unwrap_or(fleet.default_tenant());
-            match fleet.api(name) {
-                Ok(api) => Ok(api),
-                Err(e @ (FleetError::InvalidName(_) | FleetError::UnknownTenant(_))) => {
-                    Err(Routed::error(endpoint, 404, e.to_string()))
-                }
-                Err(e @ FleetError::Tenant { .. }) => {
-                    let mut routed = Routed::error(endpoint, 503, e.to_string());
-                    routed.extra_headers.push(("Retry-After", "1".into()));
-                    Err(routed)
-                }
-            }
-        }
-    }
-}
-
-/// `POST /v1/infer` (and tenant variants): trace bookkeeping around
-/// [`infer_inner`]. When tracing is on, the request checks a span buffer
-/// out of the flight recorder (honouring a propagated
-/// `x-graphex-trace` id from the router), charges the accept-queue wait
-/// as the first span, and on completion files the trace and echoes the
-/// id as a response header.
-fn infer(
-    request: &Request,
-    started: Instant,
-    queue_wait: Duration,
-    inner: &Inner,
-    tenant: Option<&str>,
-) -> Routed {
-    let Some(recorder) = &inner.traces else {
-        return infer_inner(request, started, inner, tenant, &mut StageTrace::disabled(), 0, false)
-            .0;
-    };
-    let header_id = request.header(TRACE_HEADER).and_then(parse_trace_id);
-    let propagated = header_id.is_some();
-    let (mut trace, id) = recorder.begin(started, header_id);
-    if !queue_wait.is_zero() {
-        trace.record_span(Stage::QueueWait, started, queue_wait, 0);
-    }
-    let (mut routed, entries) =
-        infer_inner(request, started, inner, tenant, &mut trace, id, propagated);
-    recorder.finish(
-        trace,
-        id,
-        tenant.map(str::to_string),
-        routed.status,
-        entries,
-        started.elapsed(),
-        Vec::new(),
-    );
-    routed.extra_headers.push((TRACE_HEADER, format!("{id:016x}")));
-    routed
-}
-
-/// The traced inference body. Returns the response plus the number of
-/// envelope entries answered (for the trace record). `embed` (the
-/// request carried a trace header — i.e. the router is upstream) embeds
-/// the full span breakdown in the response body so the router can fold
-/// it into its own trace.
-fn infer_inner(
-    request: &Request,
-    started: Instant,
-    inner: &Inner,
-    tenant: Option<&str>,
-    trace: &mut StageTrace,
-    trace_id: u64,
-    embed: bool,
-) -> (Routed, usize) {
-    let api = match resolve_api(inner, tenant, Endpoint::Infer) {
-        Ok(api) => api,
-        Err(routed) => return (routed, 0),
-    };
-
-    // Deadline check happens before any parsing or inference: a request
-    // that waited out its budget in the accept queue is refused cheaply.
-    if let Some(deadline) = inner.config.deadline {
-        if started.elapsed() > deadline {
-            api.note_deadline_exceeded();
-            let mut routed = Routed::error(Endpoint::Infer, 503, "deadline exceeded");
-            routed.extra_headers.push(("Retry-After", "1".into()));
-            return (routed, 0);
-        }
-    }
-    let parse_start = trace.clock();
-    let Ok(text) = std::str::from_utf8(&request.body) else {
-        return (Routed::error(Endpoint::Infer, 400, "body is not valid UTF-8"), 0);
-    };
-    let envelope = match json::parse(text) {
-        Ok(value) => value,
-        Err(e) => return (Routed::error(Endpoint::Infer, 400, format!("invalid JSON: {e}")), 0),
-    };
-
-    let _guard = api.begin_request();
-    match envelope.get("requests") {
-        None => match decode_one(&envelope) {
-            Err(message) => (Routed::error(Endpoint::Infer, 400, message), 0),
-            Ok(decoded) => {
-                trace.record(Stage::Parse, parse_start);
-                let served = api.serve_request_traced(&decoded.request(), trace);
-                let serialize_start = trace.clock();
-                let mut body = render_served(&served, decoded.id);
-                trace.record(Stage::Serialize, serialize_start);
-                stamp_trace(&mut body, trace, trace_id, embed, started);
-                (Routed::json(Endpoint::Infer, 200, &body), 1)
-            }
-        },
-        Some(Json::Arr(entries)) => {
-            if entries.len() > MAX_BATCH {
-                return (
-                    Routed::error(
-                        Endpoint::Infer,
-                        400,
-                        format!("batch of {} exceeds cap of {MAX_BATCH}", entries.len()),
-                    ),
-                    0,
-                );
-            }
-            let mut decoded = Vec::with_capacity(entries.len());
-            for (i, entry) in entries.iter().enumerate() {
-                match decode_one(entry) {
-                    Ok(d) => decoded.push(d),
-                    Err(message) => {
-                        return (
-                            Routed::error(
-                                Endpoint::Infer,
-                                400,
-                                format!("requests[{i}]: {message}"),
-                            ),
-                            0,
-                        )
+impl ServeHandler {
+    /// Resolves the serving api a request addresses: single backend, or
+    /// per-tenant lookup (with lazy admission) through the fleet. Tenant
+    /// routing failures are client errors (404) — an unknown or invalid
+    /// tenant name must never count against the 5xx budget — while an
+    /// admission failure of a *known* tenant (corrupt snapshot) is a 503:
+    /// retrying after a fixed publish succeeds.
+    fn resolve_api(&self, tenant: Option<&str>) -> Result<Arc<ServingApi>, Routed> {
+        match (&self.backend, tenant) {
+            (Backend::Single(api), None) => Ok(Arc::clone(api)),
+            (Backend::Single(_), Some(_)) => Err(Routed::error(404, "no tenant fleet configured")),
+            (Backend::Fleet(fleet), tenant) => {
+                let name = tenant.unwrap_or(fleet.default_tenant());
+                fleet.api(name).map_err(|e| match e {
+                    FleetError::InvalidName(_) | FleetError::UnknownTenant(_) => {
+                        Routed::error(404, e.to_string())
                     }
-                }
+                    FleetError::Tenant { .. } => {
+                        Routed::error(503, e.to_string()).with_header("Retry-After", "1")
+                    }
+                })
             }
-            trace.record(Stage::Parse, parse_start);
-            let requests: Vec<InferRequest<'_>> = decoded.iter().map(|d| d.request()).collect();
-            let served = api.serve_batch_traced(&requests, trace);
-            let serialize_start = trace.clock();
-            let responses: Vec<Json> = served
-                .iter()
-                .zip(&decoded)
-                .map(|(s, d)| render_served(s, d.id))
-                .collect();
-            let mut body = Json::obj(vec![
+        }
+    }
+
+    /// `POST /v1/infer` (and tenant variants): one request object or a
+    /// `{"requests":[...]}` batch. A request carrying a trace header (the
+    /// router is upstream) gets the full span breakdown embedded in the
+    /// response body so the router can fold it into its own trace.
+    fn infer(&self, api: &ServingApi, request: &Request, cx: &mut Cx) -> Routed {
+        // Deadline check happens before any parsing or inference: a request
+        // that waited out its budget in the accept queue is refused cheaply.
+        if self.deadline.is_some_and(|deadline| cx.started.elapsed() > deadline) {
+            api.note_deadline_exceeded();
+            return Routed::error(503, "deadline exceeded").with_header("Retry-After", "1");
+        }
+        let parse_start = cx.trace.clock();
+        let _guard = api.begin_request();
+        let (decoded, batch) = match decode_envelope(&request.body, "requests", decode_one) {
+            Ok(envelope) => envelope,
+            Err(message) => return Routed::error(400, message),
+        };
+        cx.trace.record(Stage::Parse, parse_start);
+        let requests: Vec<InferRequest<'_>> = decoded.iter().map(Decoded::request).collect();
+        let served = api.serve_batch_traced(&requests, &mut cx.trace);
+        let serialize_start = cx.trace.clock();
+        let mut responses: Vec<Json> =
+            served.iter().zip(&decoded).map(|(s, d)| render_served(s, d.id)).collect();
+        let mut body = if batch {
+            Json::obj(vec![
                 ("responses", Json::Arr(responses)),
                 // Envelope-level: the snapshot *serving* right now (the
                 // per-response field is the snapshot that produced each
                 // answer, which can be older on cached store hits).
                 ("snapshot_version", Json::uint(api.snapshot_version())),
-            ]);
-            trace.record(Stage::Serialize, serialize_start);
-            stamp_trace(&mut body, trace, trace_id, embed, started);
-            (Routed::json(Endpoint::Infer, 200, &body), decoded.len())
-        }
-        Some(_) => (Routed::error(Endpoint::Infer, 400, "\"requests\" must be an array"), 0),
-    }
-}
-
-/// Stamps a successful inference body with the trace id and — when the
-/// request propagated one (the router is upstream) — the full span
-/// breakdown for the router to fold into its own trace.
-fn stamp_trace(body: &mut Json, trace: &StageTrace, trace_id: u64, embed: bool, started: Instant) {
-    if !trace.is_enabled() {
-        return;
-    }
-    if let Json::Obj(members) = body {
-        members.push(("trace_id".to_string(), Json::str(format!("{trace_id:016x}"))));
-        if embed {
-            members.push((
-                "trace".to_string(),
-                trace_json_inline(trace, trace_id, started.elapsed()),
-            ));
-        }
+            ])
+        } else {
+            responses.pop().expect("a single-request envelope decodes to one entry")
+        };
+        cx.trace.record(Stage::Serialize, serialize_start);
+        cx.stamp_trace(&mut body);
+        cx.entries = decoded.len();
+        Routed::json(200, &body)
     }
 }
 
@@ -1004,61 +470,22 @@ fn stamp_trace(body: &mut Json, trace: &StageTrace, trace_id: u64, embed: bool, 
 /// No overlay attached → 404; a full journal → 429 + `Retry-After`
 /// (write shedding, mirroring the accept-queue policy); a malformed
 /// record → 400. None of these count against the 5xx budget.
-fn upsert(request: &Request, inner: &Inner, tenant: Option<&str>) -> Routed {
-    let api = match resolve_api(inner, tenant, Endpoint::Upsert) {
-        Ok(api) => api,
-        Err(routed) => return routed,
-    };
+fn upsert(api: &ServingApi, request: &Request) -> Routed {
     if api.overlay().is_none() {
         return Routed::error(
-            Endpoint::Upsert,
             404,
             "overlay serving is not enabled; start the server with --overlay",
         );
     }
-    let Ok(text) = std::str::from_utf8(&request.body) else {
-        return Routed::error(Endpoint::Upsert, 400, "body is not valid UTF-8");
-    };
-    let envelope = match json::parse(text) {
-        Ok(value) => value,
-        Err(e) => return Routed::error(Endpoint::Upsert, 400, format!("invalid JSON: {e}")),
-    };
-    let records = match envelope.get("records") {
-        None => match decode_record(&envelope) {
-            Ok(record) => vec![record],
-            Err(message) => return Routed::error(Endpoint::Upsert, 400, message),
-        },
-        Some(Json::Arr(entries)) => {
-            if entries.is_empty() {
-                return Routed::error(Endpoint::Upsert, 400, "\"records\" must not be empty");
-            }
-            if entries.len() > MAX_BATCH {
-                return Routed::error(
-                    Endpoint::Upsert,
-                    400,
-                    format!("batch of {} exceeds cap of {MAX_BATCH}", entries.len()),
-                );
-            }
-            let mut records = Vec::with_capacity(entries.len());
-            for (i, entry) in entries.iter().enumerate() {
-                match decode_record(entry) {
-                    Ok(record) => records.push(record),
-                    Err(message) => {
-                        return Routed::error(
-                            Endpoint::Upsert,
-                            400,
-                            format!("records[{i}]: {message}"),
-                        )
-                    }
-                }
-            }
-            records
+    let records = match decode_envelope(&request.body, "records", decode_record) {
+        Ok((records, _)) if records.is_empty() => {
+            return Routed::error(400, "\"records\" must not be empty")
         }
-        Some(_) => return Routed::error(Endpoint::Upsert, 400, "\"records\" must be an array"),
+        Ok((records, _)) => records,
+        Err(message) => return Routed::error(400, message),
     };
     match api.apply_upsert(&records) {
         Ok(ack) => Routed::json(
-            Endpoint::Upsert,
             200,
             &Json::obj(vec![
                 ("seq", Json::uint(ack.seq)),
@@ -1069,11 +496,9 @@ fn upsert(request: &Request, inner: &Inner, tenant: Option<&str>) -> Routed {
             ]),
         ),
         Err(e @ OverlayError::CapExceeded { retry_after_secs, .. }) => {
-            let mut routed = Routed::error(Endpoint::Upsert, 429, e.to_string());
-            routed.extra_headers.push(("Retry-After", retry_after_secs.to_string()));
-            routed
+            Routed::error(429, e.to_string()).with_header("Retry-After", retry_after_secs.to_string())
         }
-        Err(e @ OverlayError::Invalid(_)) => Routed::error(Endpoint::Upsert, 400, e.to_string()),
+        Err(e @ OverlayError::Invalid(_)) => Routed::error(400, e.to_string()),
     }
 }
 
@@ -1081,50 +506,76 @@ fn upsert(request: &Request, inner: &Inner, tenant: Option<&str>) -> Routed {
 /// line-oriented interchange format `graphex build --overlay-journal`
 /// ingests. The compactor fetches this, rebuilds, publishes, then
 /// `POST /v1/overlay/drain`s up to the journal's high-water mark.
-fn overlay_journal(inner: &Inner, tenant: Option<&str>) -> Routed {
-    let api = match resolve_api(inner, tenant, Endpoint::Overlay) {
-        Ok(api) => api,
-        Err(routed) => return routed,
-    };
+fn overlay_journal(api: &ServingApi) -> Routed {
     match api.export_overlay_journal() {
-        Some(journal) => Routed::new(
-            Endpoint::Overlay,
-            200,
-            "text/plain; charset=utf-8",
-            journal.to_text(),
-        ),
-        None => Routed::error(Endpoint::Overlay, 404, "overlay serving is not enabled"),
+        Some(journal) => Routed::text(200, journal.to_text()),
+        None => Routed::error(404, "overlay serving is not enabled"),
     }
 }
 
 /// `POST /v1/overlay/drain` with `{"upto": N}`: drops journal entries
 /// absorbed by a published compaction. Entries that arrived after the
 /// journal export survive and keep serving.
-fn overlay_drain(request: &Request, inner: &Inner, tenant: Option<&str>) -> Routed {
-    let api = match resolve_api(inner, tenant, Endpoint::Overlay) {
-        Ok(api) => api,
-        Err(routed) => return routed,
-    };
-    let Ok(text) = std::str::from_utf8(&request.body) else {
-        return Routed::error(Endpoint::Overlay, 400, "body is not valid UTF-8");
-    };
-    let envelope = match json::parse(text) {
+fn overlay_drain(api: &ServingApi, request: &Request) -> Routed {
+    let envelope = match parse_body(&request.body) {
         Ok(value) => value,
-        Err(e) => return Routed::error(Endpoint::Overlay, 400, format!("invalid JSON: {e}")),
+        Err(message) => return Routed::error(400, message),
     };
     let Some(upto) = envelope.get("upto").and_then(Json::as_u64) else {
-        return Routed::error(Endpoint::Overlay, 400, "missing or non-integer \"upto\"");
+        return Routed::error(400, "missing or non-integer \"upto\"");
     };
     match api.drain_overlay(upto) {
         Some(report) => Routed::json(
-            Endpoint::Overlay,
             200,
             &Json::obj(vec![
                 ("drained", Json::uint(report.drained as u64)),
                 ("remaining", Json::uint(report.remaining as u64)),
             ]),
         ),
-        None => Routed::error(Endpoint::Overlay, 404, "overlay serving is not enabled"),
+        None => Routed::error(404, "overlay serving is not enabled"),
+    }
+}
+
+fn parse_body(body: &[u8]) -> Result<Json, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not valid UTF-8")?;
+    json::parse(text).map_err(|e| format!("invalid JSON: {e}"))
+}
+
+/// Decodes a request body that is either one entry object or a
+/// `{"<key>": [entry, ...]}` batch of at most [`MAX_BATCH`], returning
+/// the entries and whether the batch form was used. Batch entry errors
+/// are prefixed `<key>[i]:`. `pub(crate)` (with [`decode_one`]) so the
+/// router validates client envelopes with exactly the backend's rules —
+/// a request the router forwards is never one a backend would 400.
+pub(crate) fn decode_envelope<T>(
+    body: &[u8],
+    key: &str,
+    decode: impl Fn(&Json) -> Result<T, String>,
+) -> Result<(Vec<T>, bool), String> {
+    let envelope = parse_body(body)?;
+    match envelope.get(key) {
+        None => Ok((vec![decode(&envelope)?], false)),
+        Some(Json::Arr(entries)) if entries.len() > MAX_BATCH => {
+            Err(format!("batch of {} exceeds cap of {MAX_BATCH}", entries.len()))
+        }
+        Some(Json::Arr(entries)) => entries
+            .iter()
+            .enumerate()
+            .map(|(i, entry)| decode(entry).map_err(|message| format!("{key}[{i}]: {message}")))
+            .collect::<Result<Vec<T>, String>>()
+            .map(|decoded| (decoded, true)),
+        Some(_) => Err(format!("\"{key}\" must be an array")),
+    }
+}
+
+/// A request id as JSON: ids past 2^53 travel as decimal strings,
+/// mirroring what the decoder accepts — an f64 JSON number cannot carry
+/// them exactly.
+pub(crate) fn id_json(id: u64) -> Json {
+    if id <= 1 << 53 {
+        Json::uint(id)
+    } else {
+        Json::str(id.to_string())
     }
 }
 
@@ -1161,10 +612,8 @@ fn decode_record(value: &Json) -> Result<KeyphraseRecord, String> {
     Ok(KeyphraseRecord::new(text, LeafId(leaf), search, recall))
 }
 
-/// One decoded infer envelope (owns the strings the borrowed
-/// [`InferRequest`] points into). `pub(crate)` so the router validates
-/// client envelopes with exactly the backend's rules — a request the
-/// router forwards is never one a backend would 400.
+/// One decoded infer entry (owns the strings the borrowed
+/// [`InferRequest`] points into).
 pub(crate) struct Decoded {
     title: String,
     pub(crate) leaf: u32,
@@ -1254,10 +703,7 @@ fn render_served(served: &Served, id: Option<u64>) -> Json {
         ("snapshot_version", Json::uint(served.snapshot_version)),
     ];
     if let Some(id) = id {
-        // Ids past 2^53 are echoed as strings, mirroring what the decoder
-        // accepts: an f64 JSON number cannot carry them exactly.
-        let id_json = if id <= 1 << 53 { Json::uint(id) } else { Json::str(id.to_string()) };
-        members.insert(0, ("id", id_json));
+        members.insert(0, ("id", id_json(id)));
     }
     Json::obj(members)
 }
@@ -1268,9 +714,8 @@ mod tests {
     use crate::client::HttpClient;
     use graphex_core::{GraphExBuilder, GraphExConfig, KeyphraseRecord, LeafId};
     use graphex_serving::{KvStore, OverlayStore};
-    use std::io::Write as _;
 
-    fn api() -> Arc<ServingApi> {
+    fn model() -> Arc<graphex_core::GraphExModel> {
         let mut config = GraphExConfig::default();
         config.curation.min_search_count = 0;
         config.build_meta_fallback = false;
@@ -1282,22 +727,16 @@ mod tests {
             ])
             .build()
             .unwrap();
-        Arc::new(ServingApi::new(Arc::new(model), Arc::new(KvStore::new()), 10))
+        Arc::new(model)
+    }
+
+    fn api() -> Arc<ServingApi> {
+        Arc::new(ServingApi::new(model(), Arc::new(KvStore::new()), 10))
     }
 
     fn api_with_overlay(cap_bytes: usize) -> Arc<ServingApi> {
-        let mut config = GraphExConfig::default();
-        config.curation.min_search_count = 0;
-        config.build_meta_fallback = false;
-        let model = GraphExBuilder::new(config)
-            .add_records(vec![
-                KeyphraseRecord::new("widget gadget", LeafId(1), 90, 5),
-                KeyphraseRecord::new("widget gadget pro", LeafId(1), 50, 5),
-            ])
-            .build()
-            .unwrap();
         Arc::new(
-            ServingApi::new(Arc::new(model), Arc::new(KvStore::new()), 10)
+            ServingApi::new(model(), Arc::new(KvStore::new()), 10)
                 .with_overlay(Arc::new(OverlayStore::with_cap(cap_bytes))),
         )
     }
@@ -1397,20 +836,6 @@ mod tests {
             assert_eq!(response.status, expected, "{}", response.text());
         }
 
-        // Oversized body: declared length beyond the cap → 413.
-        let mut client = HttpClient::connect(addr).unwrap();
-        let response = client.post_json("/v1/infer", &"x".repeat(5000)).unwrap();
-        assert_eq!(response.status, 413);
-
-        // Raw garbage on the socket → 400, not a hang or panic.
-        let mut raw = std::net::TcpStream::connect(addr).unwrap();
-        raw.write_all(b"NONSENSE\r\n\r\n").unwrap();
-        let mut reply = String::new();
-        use std::io::Read as _;
-        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        raw.read_to_string(&mut reply).unwrap();
-        assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
-
         // The server still serves normal traffic afterwards.
         let mut client = HttpClient::connect(addr).unwrap();
         assert_eq!(client.get("/healthz").unwrap().status, 200);
@@ -1418,38 +843,22 @@ mod tests {
         server.shutdown();
     }
 
+    /// The serving handler's half of shedding (the edge's half is tested
+    /// in `edge.rs`): a connection-level 429 lands in `ServeStats::shed`.
     #[test]
     fn full_accept_queue_sheds_with_429() {
-        let config = ServerConfig {
-            workers: 1,
-            queue_depth: 1,
-            ..test_config()
-        };
+        let config = ServerConfig { workers: 1, queue_depth: 1, ..test_config() };
         let server = crate::start(config, api()).unwrap();
         let addr = server.addr();
-
-        // Occupy the single worker with a held keep-alive connection.
+        // One connection pins the single worker, the next fills the queue
+        // (the acceptor admits in connect order), so a third is shed.
         let mut held = HttpClient::connect(addr).unwrap();
         assert_eq!(held.get("/healthz").unwrap().status, 200);
-        // Fill the queue with a second (idle) connection. Poll the gauge
-        // rather than sleeping: the acceptor thread admits it when ready.
-        let _queued = std::net::TcpStream::connect(addr).unwrap();
-        for _ in 0..200 {
-            if server.inner.queue.len() == 1 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(server.inner.queue.len(), 1, "second connection queued");
-
-        // A third connection must be shed immediately: 429, no hang.
-        let mut shed = HttpClient::connect(addr).unwrap();
-        let response = shed.get("/healthz").unwrap();
+        let queued = std::net::TcpStream::connect(addr).unwrap();
+        let response = HttpClient::connect(addr).unwrap().get("/healthz").unwrap();
         assert_eq!(response.status, 429);
-        assert_eq!(response.header("retry-after"), Some("1"));
         assert_eq!(server.api().unwrap().stats().shed, 1);
-        assert_eq!(server.metrics().connections_shed.load(Ordering::Relaxed), 1);
-        drop((held, _queued, shed));
+        drop((held, queued));
         server.shutdown();
     }
 
@@ -1518,49 +927,6 @@ mod tests {
         assert_eq!(server.api().unwrap().stats().deadline_exceeded, 0);
         drop(client);
         server.shutdown();
-    }
-
-    /// Worker pinning is bounded: after `MAX_KEEPALIVE_REQUESTS` on one
-    /// connection the server closes it, so a chatty peer cannot starve
-    /// queued connections forever.
-    #[test]
-    fn keep_alive_connections_are_capped() {
-        let server = crate::start(test_config(), api()).unwrap();
-        let mut client = HttpClient::connect(server.addr()).unwrap();
-        for i in 1..MAX_KEEPALIVE_REQUESTS {
-            let response = client.get("/healthz").unwrap();
-            assert_eq!(response.status, 200);
-            assert_ne!(response.header("connection"), Some("close"), "closed early at {i}");
-        }
-        let last = client.get("/healthz").unwrap();
-        assert_eq!(last.status, 200);
-        assert_eq!(last.header("connection"), Some("close"), "cap must close the connection");
-        assert!(client.get("/healthz").is_err(), "server hung up after the cap");
-        // A reconnect is admitted immediately.
-        let mut fresh = HttpClient::connect(server.addr()).unwrap();
-        assert_eq!(fresh.get("/healthz").unwrap().status, 200);
-        drop(fresh);
-        server.shutdown();
-    }
-
-    #[test]
-    fn graceful_shutdown_drains_queued_connections() {
-        let config = ServerConfig { workers: 1, queue_depth: 8, ..test_config() };
-        let server = crate::start(config, api()).unwrap();
-        let addr = server.addr();
-        // Subsequent requests on one connection under shutdown still get
-        // answered (with Connection: close) rather than dropped.
-        let mut client = HttpClient::connect(addr).unwrap();
-        assert_eq!(client.get("/healthz").unwrap().status, 200);
-        drop(client);
-        server.shutdown();
-        // After shutdown the port no longer accepts.
-        assert!(HttpClient::connect(addr).is_err() || {
-            // A TIME_WAIT race can let connect succeed; the write/read
-            // must then fail.
-            let mut c = HttpClient::connect(addr).unwrap();
-            c.get("/healthz").is_err()
-        });
     }
 
     fn tenant_model(tag: u32) -> graphex_core::GraphExModel {

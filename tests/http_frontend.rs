@@ -126,6 +126,11 @@ fn hot_swap_and_rollback_under_concurrent_load_zero_5xx() {
                         response.text()
                     );
                     assert_eq!(response.status, 200, "{}", response.text());
+                    // Keep-alive pinning is bounded (MAX_KEEPALIVE_REQUESTS):
+                    // the server announces `Connection: close`; honour it.
+                    if response.header("Connection") == Some("close") {
+                        client = HttpClient::connect(addr).unwrap();
+                    }
                     let body = graphex_server::json::parse(&response.text()).unwrap();
                     let (version, source) = match body.get("responses") {
                         // Batch envelope: the top-level field is the
@@ -290,4 +295,123 @@ fn statusz_and_metrics_are_consistent() {
     assert!(metrics.contains("graphex_model_snapshot_version 1"));
     drop(client);
     fixture.finish();
+}
+
+/// The single server, the fleet server and the router stand on one edge
+/// (`server/src/edge.rs`), so they must agree on everything
+/// connection-shaped: the `(method, path) → (status, Allow)` table, a
+/// `queue_wait` span on a connection's first traced request, and a
+/// shutdown that does not wait out idle keep-alive peers.
+#[test]
+fn three_frontends_share_one_edge() {
+    use graphex_server::{start_router, RouterConfig, ShardMap};
+    use graphex_serving::{FleetConfig, TenantFleet};
+
+    let model = tiny_model(&tiny_dataset(0xE46E));
+    // Idle peers must be woken by shutdown, not timed out.
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 5,
+        keep_alive_timeout: Duration::from_secs(60),
+        ..Default::default()
+    };
+    let api = Arc::new(ServingApi::new(Arc::new(model.clone()), Arc::new(KvStore::new()), 10));
+    let single = graphex_server::start(config.clone(), api).unwrap();
+    let fleet_root = tempdir("parity-fleet");
+    let fleet = TenantFleet::open(&fleet_root, FleetConfig::default()).unwrap();
+    fleet.publish_model("default", &model, "seed").unwrap();
+    let fleet = graphex_server::start_fleet(config, Arc::new(fleet)).unwrap();
+    let router = start_router(
+        RouterConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 5,
+            keep_alive_timeout: Duration::from_secs(60),
+            ..Default::default()
+        },
+        ShardMap::from_backends(vec![single.addr().to_string()]).unwrap(),
+    )
+    .unwrap();
+
+    // (method, path, answer on a server, answer on the router). The
+    // router has no overlay or tenant routes, so those paths are unknown
+    // to it; everything else is answered identically.
+    type Answer = (u16, Option<&'static str>);
+    const POST_ONLY: Answer = (405, Some("POST"));
+    const GET_ONLY: Answer = (405, Some("GET"));
+    const UNKNOWN: Answer = (404, None);
+    let table: &[(&str, &str, Answer, Answer)] = &[
+        ("GET", "/healthz", (200, None), (200, None)),
+        ("POST", "/healthz", GET_ONLY, GET_ONLY),
+        ("POST", "/statusz", GET_ONLY, GET_ONLY),
+        ("POST", "/metrics", GET_ONLY, GET_ONLY),
+        ("POST", "/debug/traces", GET_ONLY, GET_ONLY),
+        ("POST", "/debug/history", GET_ONLY, GET_ONLY),
+        ("GET", "/v1/infer", POST_ONLY, POST_ONLY),
+        ("GET", "/nope", UNKNOWN, UNKNOWN),
+        ("POST", "/v2/infer", UNKNOWN, UNKNOWN),
+        ("GET", "/v1/upsert", POST_ONLY, UNKNOWN),
+        ("POST", "/v1/overlay/journal", GET_ONLY, UNKNOWN),
+        ("GET", "/v1/overlay/drain", POST_ONLY, UNKNOWN),
+        ("GET", "/v1/t/acme/infer", POST_ONLY, UNKNOWN),
+        ("POST", "/v1/t/acme/overlay/journal", GET_ONLY, UNKNOWN),
+    ];
+    let frontends = [("single", single.addr()), ("fleet", fleet.addr()), ("router", router.addr())];
+    for (name, addr) in frontends {
+        let mut client = HttpClient::connect(addr).unwrap();
+        for (method, path, on_server, on_router) in table {
+            let response = match *method {
+                "GET" => client.get(path),
+                _ => client.post_json(path, "{}"),
+            }
+            .unwrap();
+            let expected = if name == "router" { on_router } else { on_server };
+            assert_eq!(
+                (response.status, response.header("allow")),
+                *expected,
+                "{name}: {method} {path}"
+            );
+        }
+    }
+
+    // A fresh connection's first infer carries its accept-queue wait as a
+    // span — on the router exactly as on the backend behind it.
+    for (name, addr) in [("single", single.addr()), ("router", router.addr())] {
+        let mut client = HttpClient::connect(addr).unwrap();
+        let response = client.post_json("/v1/infer", r#"{"title":"x","leaf":1}"#).unwrap();
+        assert_eq!(response.status, 200, "{name}: {}", response.text());
+        let traces = client.get("/debug/traces?limit=1").unwrap().text();
+        let traces = graphex_server::json::parse(&traces).unwrap();
+        let newest = &traces.get("traces").unwrap().as_arr().unwrap()[0];
+        let spans = newest.get("spans").unwrap().as_arr().unwrap();
+        assert!(
+            spans.iter().any(|s| s.get("stage").unwrap().as_str() == Some("queue_wait")),
+            "{name}: no queue_wait span in {spans:?}"
+        );
+    }
+
+    // Four idle keep-alive peers per frontend, 60 s timeouts: shutdown
+    // must wake them rather than wait. The router goes first — its
+    // backend is still up.
+    let mut idle = Vec::new();
+    for (_, addr) in frontends {
+        for _ in 0..4 {
+            let mut client = HttpClient::connect(addr).unwrap();
+            assert_eq!(client.get("/healthz").unwrap().status, 200);
+            idle.push(client);
+        }
+    }
+    fn timed(shutdown: impl FnOnce()) -> Duration {
+        let began = std::time::Instant::now();
+        shutdown();
+        began.elapsed()
+    }
+    for (name, took) in [
+        ("router", timed(|| router.shutdown())),
+        ("single", timed(|| single.shutdown())),
+        ("fleet", timed(|| fleet.shutdown())),
+    ] {
+        assert!(took < Duration::from_millis(250), "{name} shutdown took {took:?}");
+    }
+    drop(idle);
+    std::fs::remove_dir_all(&fleet_root).ok();
 }
