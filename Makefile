@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test doc clippy bench-smoke bench-contract bench bench-snapshot serve-smoke bench-http bench-build bench-cluster bench-tenancy bench-overlay bench-trace bench-history cluster-smoke report ci
+.PHONY: build test doc clippy bench-smoke bench-contract bench-pair bench bench-snapshot serve-smoke bench-http bench-build bench-cluster bench-tenancy bench-overlay bench-trace bench-history cluster-smoke report ci
 
 # Tier-1 gate, part 1.
 build:
@@ -31,6 +31,17 @@ bench-smoke:
 # of BENCHMARK.json plus a --smoke run of all five workloads.
 bench-contract:
 	$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
+
+# A change against its parent on one workload of the repo benchmark
+# (benchmark/README.md, "Comparing a change against its parent"): both
+# sides built into .bench_build/, PAIRS alternating pairs on fresh seeds,
+# disturbed pairs discarded, then per end-to-end metric each side's
+# median and quartiles and the pairs won.
+WORKLOAD ?= router_batch
+BASE ?= HEAD
+PAIRS ?= 10
+bench-pair:
+	scripts/bench_pair.sh $(WORKLOAD) $(BASE) $(PAIRS)
 
 # Snapshot lifecycle smoke: v1 vs v2 load + swap-under-load, one pass
 # each (no timing). Real numbers land in BENCH_model_store.json.

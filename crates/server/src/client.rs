@@ -1,7 +1,9 @@
 //! Minimal blocking HTTP/1.1 client for loopback tooling: the smoke
 //! check, the loadgen bench, `graphex stats --server`, and the suite's
-//! integration tests. Keep-alive by default; one in-flight request per
-//! connection (no pipelining).
+//! integration tests — and the router's backend connections, which use the
+//! crate-private split `send` / `recv` pair to have a request in flight on
+//! several connections at once. Keep-alive by default; one
+//! in-flight request per connection (no pipelining).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -41,6 +43,9 @@ pub struct HttpClient {
     writer: TcpStream,
     host: String,
     max_response_bytes: usize,
+    /// The outgoing request, head and body, assembled here so it leaves
+    /// in one write; kept between requests for its capacity.
+    out: Vec<u8>,
 }
 
 impl HttpClient {
@@ -66,7 +71,13 @@ impl HttpClient {
         stream.set_write_timeout(Some(rw_timeout))?;
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(Self { reader, writer: stream, host, max_response_bytes: DEFAULT_MAX_RESPONSE_BYTES })
+        Ok(Self {
+            reader,
+            writer: stream,
+            host,
+            max_response_bytes: DEFAULT_MAX_RESPONSE_BYTES,
+            out: Vec::new(),
+        })
     }
 
     /// Caps the declared `Content-Length` this client will buffer for a
@@ -105,21 +116,47 @@ impl HttpClient {
         body: Option<&[u8]>,
         headers: &[(&str, &str)],
     ) -> std::io::Result<Response> {
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: {}\r\n", self.host);
+        self.send(method, path, body, headers)?;
+        self.recv()
+    }
+
+    /// Writes one request — head and body in a single write — without
+    /// waiting for the answer. One in-flight request per connection still
+    /// holds: the caller owes exactly one [`recv`](Self::recv) before the
+    /// next `send`.
+    pub(crate) fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&[u8]>,
+        headers: &[(&str, &str)],
+    ) -> std::io::Result<()> {
+        self.out.clear();
+        write!(self.out, "{method} {path} HTTP/1.1\r\nHost: {}\r\n", self.host)?;
         for (name, value) in headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
+            write!(self.out, "{name}: {value}\r\n")?;
         }
         if let Some(body) = body {
-            head.push_str("Content-Type: application/json\r\n");
-            head.push_str(&format!("Content-Length: {}\r\n", body.len()));
+            write!(
+                self.out,
+                "Content-Type: application/json\r\nContent-Length: {}\r\n",
+                body.len()
+            )?;
         }
-        head.push_str("\r\n");
-        self.writer.write_all(head.as_bytes())?;
-        if let Some(body) = body {
-            self.writer.write_all(body)?;
-        }
-        self.writer.flush()?;
+        self.out.extend_from_slice(b"\r\n");
+        self.out.extend_from_slice(body.unwrap_or_default());
+        self.writer.write_all(&self.out)
+    }
+
+    /// Reads the answer to the request [`send`](Self::send) wrote.
+    pub(crate) fn recv(&mut self) -> std::io::Result<Response> {
         read_response(&mut self.reader, self.max_response_bytes)
+    }
+
+    /// Replaces the read timeout set at connect (the router's per-round
+    /// deadline: what is left of it when this connection's turn comes).
+    pub(crate) fn set_read_timeout(&mut self, timeout: Duration) -> std::io::Result<()> {
+        self.writer.set_read_timeout(Some(timeout))
     }
 }
 

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 pub const MAX_KEEPALIVE_REQUESTS: u64 = 1024;
 
 const TEXT: &str = "text/plain; charset=utf-8";
-const JSON: &str = "application/json";
+pub(crate) const JSON: &str = "application/json";
 
 /// The seven knobs `ServerConfig` and `RouterConfig` share (their field
 /// docs are the reference).
@@ -159,19 +159,25 @@ impl Cx {
         self.trace.is_enabled().then(|| format!("{:016x}", self.trace_id))
     }
 
-    /// Stamps a successful body with the trace id and, when the request
-    /// propagated one, the span breakdown so far.
-    pub(crate) fn stamp_trace(&self, body: &mut Json) {
+    /// What a successful body is stamped with: the trace id and, when the
+    /// request propagated one, the span breakdown so far. Empty with
+    /// tracing off.
+    pub(crate) fn trace_members(&self) -> Vec<(&'static str, Json)> {
         if !self.trace.is_enabled() {
-            return;
+            return Vec::new();
         }
+        let mut members = vec![("trace_id", Json::str(format!("{:016x}", self.trace_id)))];
+        if self.embed {
+            let breakdown = trace_json_inline(&self.trace, self.trace_id, self.started.elapsed());
+            members.push(("trace", breakdown));
+        }
+        members
+    }
+
+    /// Appends [`Cx::trace_members`] to a successful body.
+    pub(crate) fn stamp_trace(&self, body: &mut Json) {
         if let Json::Obj(members) = body {
-            members.push(("trace_id".into(), Json::str(format!("{:016x}", self.trace_id))));
-            if self.embed {
-                let breakdown =
-                    trace_json_inline(&self.trace, self.trace_id, self.started.elapsed());
-                members.push(("trace".into(), breakdown));
-            }
+            members.extend(self.trace_members().into_iter().map(|(k, v)| (k.to_string(), v)));
         }
     }
 }

@@ -2,12 +2,15 @@
 //! `/statusz`, with no dependency. Parsing is strict where it matters for
 //! robustness (depth limit, UTF-8 escapes, numbers via `f64`) and returns
 //! errors — never panics — on malformed input; encoding escapes control
-//! characters and quotes.
+//! characters and quotes. [`members`] and [`elements`] are the same grammar
+//! walk building nothing: byte ranges of a document's top-level values,
+//! for a caller (the router's gather) that forwards them unread.
 //!
 //! Objects preserve insertion order in a `Vec<(String, Json)>`; lookups
 //! are linear, which is the right trade for envelopes of a dozen keys.
 
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Maximum nesting depth accepted by the parser (arrays + objects). Deep
 /// enough for any real envelope, shallow enough that a hostile body can't
@@ -166,14 +169,36 @@ fn write_escaped(s: &str, out: &mut String) {
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
-    Ok(value)
+    Parser { text: input, pos: 0, spans: None }.document().map(|(value, _)| value)
+}
+
+/// The scanner's run: the root's kind (as an empty shell) and its children.
+fn scan(input: &str) -> Result<(Json, Vec<Member>), ParseError> {
+    Parser { text: input, pos: 0, spans: Some(Vec::new()) }.document()
+}
+
+/// One top-level member as the scanner reports it: the decoded key and the
+/// byte range of the value.
+pub type Member = (String, Range<usize>);
+
+/// The shallow scan of an object document: each top-level member's
+/// decoded key and the byte range of its value, in document order —
+/// `Json::as_obj` over ranges instead of subtrees. `Ok(None)` when the
+/// document is some other value. The whole document is checked by the
+/// grammar walk [`parse`] runs (escapes, surrogates, control bytes,
+/// numbers, the depth limit, trailing characters), so this errs exactly
+/// when `parse` does, but below the top level nothing is built.
+pub fn members(input: &str) -> Result<Option<Vec<Member>>, ParseError> {
+    let (root, spans) = scan(input)?;
+    Ok(matches!(root, Json::Obj(_)).then_some(spans))
+}
+
+/// [`members`] for an array document: the byte range of each element
+/// (`Json::as_arr` over ranges); `Ok(None)` when the document is not an
+/// array.
+pub fn elements(input: &str) -> Result<Option<Vec<Range<usize>>>, ParseError> {
+    let (root, spans) = scan(input)?;
+    Ok(matches!(root, Json::Arr(_)).then(|| spans.into_iter().map(|(_, range)| range).collect()))
 }
 
 /// Where and why a parse failed.
@@ -192,18 +217,40 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The one grammar walk behind [`parse`], [`members`] and [`elements`].
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// `None` builds the tree. `Some` is the scanner: containers come back
+    /// empty and strings undecoded (nothing is allocated for them), and
+    /// the root container's children are noted here as (key, value range)
+    /// — the key empty for an array's elements.
+    spans: Option<Vec<Member>>,
 }
 
 impl Parser<'_> {
+    /// One value with nothing but whitespace around it, and the root's
+    /// child spans (empty unless scanning).
+    fn document(mut self) -> Result<(Json, Vec<Member>), ParseError> {
+        self.skip_ws();
+        let value = self.value(0)?;
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok((value, self.spans.unwrap_or_default()))
+    }
+
+    fn building(&self) -> bool {
+        self.spans.is_none()
+    }
+
     fn err(&self, what: &'static str) -> ParseError {
         ParseError { at: self.pos, what }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -213,7 +260,7 @@ impl Parser<'_> {
     }
 
     fn eat(&mut self, lit: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -230,7 +277,7 @@ impl Parser<'_> {
             Some(b'n') => self.eat("null", Json::Null),
             Some(b't') => self.eat("true", Json::Bool(true)),
             Some(b'f') => self.eat("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::Str(self.string(self.building())?)),
             Some(b'[') => self.array(depth),
             Some(b'{') => self.object(depth),
             Some(b'-' | b'0'..=b'9') => self.number(),
@@ -248,7 +295,13 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            let start = self.pos;
+            let item = self.value(depth + 1)?;
+            match &mut self.spans {
+                None => items.push(item),
+                Some(spans) if depth == 0 => spans.push((String::new(), start..self.pos)),
+                Some(_) => {}
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -274,15 +327,21 @@ impl Parser<'_> {
             if self.peek() != Some(b'"') {
                 return Err(self.err("expected string key in object"));
             }
-            let key = self.string()?;
+            // The scanner reports the root's keys, so it decodes those.
+            let key = self.string(self.building() || depth == 0)?;
             self.skip_ws();
             if self.peek() != Some(b':') {
                 return Err(self.err("expected ':' after object key"));
             }
             self.pos += 1;
             self.skip_ws();
+            let start = self.pos;
             let value = self.value(depth + 1)?;
-            members.push((key, value));
+            match &mut self.spans {
+                None => members.push((key, value)),
+                Some(spans) if depth == 0 => spans.push((key, start..self.pos)),
+                Some(_) => {}
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -295,7 +354,9 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// One string, checked either way; decoded into the result only when
+    /// `decode` (otherwise the result is empty).
+    fn string(&mut self, decode: bool) -> Result<String, ParseError> {
         self.pos += 1; // opening quote
         let mut out = String::new();
         loop {
@@ -313,27 +374,33 @@ impl Parser<'_> {
                         return Err(self.err("unterminated escape"));
                     };
                     self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => out.push(self.unicode_escape()?),
+                    let c = match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'u' => self.unicode_escape()?,
                         _ => return Err(self.err("invalid escape")),
+                    };
+                    if decode {
+                        out.push(c);
                     }
                 }
                 0x00..=0x1f => return Err(self.err("raw control character in string")),
                 _ => {
-                    // Consume one UTF-8 scalar (input is &str, so valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty checked above");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // A run of literal text. Every byte that ends it is
+                    // ASCII, so the run lies on char boundaries.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\' | 0x00..=0x1f)) {
+                        self.pos += 1;
+                    }
+                    if decode {
+                        out.push_str(&self.text[start..self.pos]);
+                    }
                 }
             }
         }
@@ -343,7 +410,7 @@ impl Parser<'_> {
         let first = self.hex4()?;
         // Surrogate pair: \uD800-\uDBFF must be followed by \uDC00-\uDFFF.
         if (0xD800..=0xDBFF).contains(&first) {
-            if self.bytes[self.pos..].starts_with(b"\\u") {
+            if self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
                 self.pos += 2;
                 let second = self.hex4()?;
                 if (0xDC00..=0xDFFF).contains(&second) {
@@ -400,9 +467,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        let n: f64 = text.parse().map_err(|_| self.err("invalid number"))?;
+        let n: f64 =
+            self.text[start..self.pos].parse().map_err(|_| self.err("invalid number"))?;
         if !n.is_finite() {
             return Err(self.err("number out of range"));
         }
@@ -445,10 +511,33 @@ mod tests {
             "1e999", "{1:2}", "[,]",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
+            assert!(members(bad).is_err(), "members accepted {bad:?}");
+            assert!(elements(bad).is_err(), "elements accepted {bad:?}");
         }
         // Deep nesting is rejected, not a stack overflow.
         let deep = "[".repeat(100_000) + &"]".repeat(100_000);
         assert!(parse(&deep).is_err());
+        assert!(elements(&deep).is_err());
+    }
+
+    #[test]
+    fn scanner_returns_the_spans_of_top_level_values() {
+        let text = " {\"re\\u0073ponses\" : [ {\"a\":[1,2]} , \"x]\\\"\" ,3 ] ,\"v\":7, \"t\":{}} ";
+        let spans = members(text).unwrap().expect("an object");
+        let keys: Vec<&str> = spans.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["responses", "v", "t"], "keys come back decoded");
+        assert_eq!(&text[spans[1].1.clone()], "7");
+        assert_eq!(&text[spans[2].1.clone()], "{}");
+        let array = &text[spans[0].1.clone()];
+        let items = elements(array).unwrap().expect("an array");
+        let items: Vec<&str> = items.into_iter().map(|r| &array[r]).collect();
+        assert_eq!(items, ["{\"a\":[1,2]}", "\"x]\\\"\"", "3"]);
+        // Grammatical, but the other kind of document.
+        assert_eq!(members("[1]").unwrap(), None);
+        assert_eq!(elements("{}").unwrap(), None);
+        assert_eq!(elements("7").unwrap(), None);
+        assert_eq!(members("{}").unwrap(), Some(Vec::new()));
+        assert_eq!(elements(" [ ] ").unwrap(), Some(Vec::new()));
     }
 
     #[test]

@@ -11,10 +11,23 @@
 //! clients cannot tell whether they are talking to a monolith or a
 //! cluster. Each request entry is validated with the backend's own
 //! decoder (`crate::server::decode_one`), routed by
-//! `leaf % shards` through the [`ShardMap`], scattered as per-backend
-//! batch sub-envelopes over pooled keep-alive connections, and the
-//! responses are merged back in the caller's order with per-request ids
-//! (including the >2^53 decimal-string form) passed through verbatim.
+//! `leaf % shards` through the [`ShardMap`], and scattered as per-backend
+//! batch sub-envelopes over pooled keep-alive connections.
+//!
+//! **Scatter in rounds, on the worker's own thread.** A round sends the
+//! sub-request to every shard still pending and only then reads the
+//! answers, in shard order: the backends work in parallel, the router
+//! spends one thread and spawns none, and reading in a fixed order costs
+//! what the slowest shard costs. Round 0 uses pooled connections; each
+//! later round is one retry, on fresh ones. The reads of a round share
+//! one deadline (`backend_timeout` after the round's first send).
+//!
+//! **Gather by span, not by tree.** A backend's answer is checked in full
+//! (200, UTF-8, one grammatical document, the entry count) but never
+//! built: `json::members`/`json::elements` give the byte range of each
+//! entry, and the reply is written once, the entries' own bytes in the
+//! caller's order — ids (including the >2^53 decimal-string form) and
+//! everything else exactly as the backend rendered them.
 //!
 //! **Partial failure degrades, it does not storm.** A backend call that
 //! exhausts its bounded retries yields per-request `Outcome`-level
@@ -38,7 +51,6 @@
 //! While ejected, calls fail fast (no connect attempt, no retry burn);
 //! exactly one thread runs the half-open probe when the backoff expires.
 
-
 use crate::client::HttpClient;
 use crate::edge::{self, Cx, EdgeConfig, EdgeHandle, Handler, Route, Routed};
 use crate::history::{HistoryConfig, MetricsHistory};
@@ -49,7 +61,9 @@ use crate::server::{decode_envelope, decode_one, id_json, Decoded};
 use crate::shardmap::ShardMap;
 use crate::trace::{backend_trace_from_json, TraceConfig, TraceRecorder, TRACE_HEADER};
 use graphex_core::Stage;
+use std::fmt::Write as _;
 use std::net::SocketAddr;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -59,8 +73,8 @@ use std::time::{Duration, Instant};
 pub const OUTCOME_BACKEND_UNAVAILABLE: &str = "backend_unavailable";
 /// `source` label accompanying [`OUTCOME_BACKEND_UNAVAILABLE`].
 pub const SOURCE_ROUTER_DEGRADED: &str = "router_degraded";
-/// Most pooled keep-alive connections kept per backend.
-const POOL_SIZE: usize = 8;
+/// What a read gets when its round's deadline has already passed.
+const LATE_READ: Duration = Duration::from_millis(1);
 
 /// Router tuning. `Default` is sized for a local cluster; production
 /// callers set every field explicitly.
@@ -68,7 +82,9 @@ const POOL_SIZE: usize = 8;
 pub struct RouterConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads (each owns one client connection at a time).
+    /// Worker threads (each owns one client connection at a time, and
+    /// scatters its envelopes itself — so this is also the most
+    /// connections ever out to one backend, and its pool's bound).
     pub workers: usize,
     /// Accept-queue capacity; connections beyond it are shed with 429.
     pub queue_depth: usize,
@@ -76,8 +92,9 @@ pub struct RouterConfig {
     pub max_body_bytes: usize,
     /// Idle read timeout on client keep-alive connections.
     pub keep_alive_timeout: Duration,
-    /// Connect + read/write timeout for each backend call (a hung
-    /// backend costs at most this per attempt).
+    /// Connect and write timeout for each backend call, and the read
+    /// deadline the sub-requests of one round share: however many shards
+    /// hang, an envelope waits at most this per attempt.
     pub backend_timeout: Duration,
     /// Extra attempts after a failed backend call (total = retries + 1),
     /// each on a fresh connection.
@@ -252,14 +269,62 @@ impl Backend {
         }
     }
 
-    fn take_pooled(&self) -> Option<HttpClient> {
-        self.pool.lock().unwrap_or_else(PoisonError::into_inner).pop()
+    /// A connection for one attempt: pooled first (unless `fresh`), falling
+    /// back to a new connect.
+    fn connection(&self, config: &RouterConfig, fresh: bool) -> Result<HttpClient, String> {
+        if !fresh {
+            if let Some(client) = self.pool.lock().unwrap_or_else(PoisonError::into_inner).pop() {
+                return Ok(client);
+            }
+        }
+        let mut client = HttpClient::connect_with_timeouts(
+            &self.addr,
+            config.backend_timeout,
+            config.backend_timeout,
+        )
+        .map_err(|e| format!("connect: {e}"))?;
+        client.set_max_response_bytes(config.max_response_bytes);
+        Ok(client)
     }
 
-    fn return_pooled(&self, client: HttpClient) {
-        let mut pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
-        if pool.len() < POOL_SIZE {
-            pool.push(client);
+    /// Reads and checks the answer to a sent sub-batch, waiting at most
+    /// `within` per read. A connection that fails is simply dropped — the
+    /// backend may have closed a pooled one between requests (keep-alive
+    /// cap, restart), which must never surface to the client while retries
+    /// remain. One that worked goes back to the pool, unless the backend
+    /// asked to close it or the pool holds one per router worker already
+    /// (scatter runs on the worker's thread, so no more are ever out).
+    fn receive(
+        &self,
+        config: &RouterConfig,
+        mut client: HttpClient,
+        expected: usize,
+        within: Duration,
+    ) -> Result<Answer, String> {
+        let response = client
+            .set_read_timeout(within)
+            .and_then(|()| client.recv())
+            .map_err(|e| format!("call: {e}"))?;
+        let reusable =
+            response.header("connection").map_or(true, |v| !v.eq_ignore_ascii_case("close"));
+        let answer = validate_answer(response.status, response.body, expected)?;
+        if reusable {
+            let mut pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
+            if pool.len() < config.workers.max(1) {
+                pool.push(client);
+            }
+        }
+        Ok(answer)
+    }
+
+    /// One failed attempt at `sub`: counted, remembered, and final when it
+    /// was the last one allowed or it ejected the backend — the state
+    /// machine has spoken, and further attempts stop for this shard only.
+    fn fail(&self, config: &RouterConfig, sub: &mut Sub, reason: String, last: bool) {
+        self.record_failure(config);
+        self.note_error(&reason);
+        if last || matches!(&*self.lock_health(), Health::Ejected { .. }) {
+            sub.resolve(Err(format!("backend {}: {reason}", self.addr)));
         }
     }
 
@@ -415,7 +480,6 @@ impl Handler for ScatterHandler {
     }
 
     fn render_metrics(&self, out: &mut String) {
-        use std::fmt::Write as _;
         for (name, counter) in [
             ("requests", &self.requests_in),
             ("fanout", &self.fanout),
@@ -478,14 +542,72 @@ impl Handler for ScatterHandler {
     }
 }
 
-/// What one scattered sub-batch resolved to.
-enum SubResult {
-    /// Per-entry response objects, in sub-batch order, plus the
-    /// backend's envelope snapshot version and the backend's embedded
-    /// trace object (present when the router propagated a trace id).
-    Ok(Vec<Json>, u64, Option<Json>),
-    /// The whole sub-batch degrades with this reason.
-    Degraded(String),
+/// A backend's answer to one sub-batch, checked but not built: the body
+/// as the backend wrote it, and where in it each entry lies.
+struct Answer {
+    body: String,
+    /// Byte ranges of the `responses` elements, in sub-batch order.
+    entries: Vec<Range<usize>>,
+    snapshot_version: u64,
+    /// The backend's embedded span breakdown (present exactly when the
+    /// call carried the trace header).
+    trace: Option<Json>,
+}
+
+/// Checks one backend answer: 200, UTF-8, one grammatical JSON document,
+/// whose `responses` is an array of exactly `expected` elements. Entries
+/// stay bytes; only `snapshot_version` and `trace` are parsed.
+fn validate_answer(status: u16, body: Vec<u8>, expected: usize) -> Result<Answer, String> {
+    if status != 200 {
+        return Err(format!("HTTP {status}"));
+    }
+    let body =
+        String::from_utf8(body).map_err(|_| "unparsable backend response: not UTF-8")?;
+    let members = json::members(&body)
+        .map_err(|e| format!("unparsable backend response: {e}"))?
+        .unwrap_or_default();
+    let member = |key: &str| members.iter().find(|(k, _)| k == key).map(|(_, r)| r.clone());
+    let parsed = |key: &str| member(key).and_then(|range| json::parse(&body[range]).ok());
+    let (offset, mut entries) = member("responses")
+        .and_then(|range| Some((range.start, json::elements(&body[range]).ok()??)))
+        .ok_or("backend response missing \"responses\"")?;
+    if entries.len() != expected {
+        // A shard-map/backend mismatch shows up exactly here: the
+        // backend answered a different number of entries than asked.
+        return Err(format!(
+            "backend answered {} responses for {expected} requests (mismatched shard map?)",
+            entries.len()
+        ));
+    }
+    for entry in &mut entries {
+        *entry = entry.start + offset..entry.end + offset;
+    }
+    let snapshot_version = parsed("snapshot_version").and_then(|v| v.as_u64()).unwrap_or(0);
+    let trace = parsed("trace");
+    Ok(Answer { body, entries, snapshot_version, trace })
+}
+
+/// One shard's sub-batch on its way through the rounds.
+struct Sub {
+    shard: usize,
+    /// The sub-request body.
+    body: String,
+    /// Entries asked for, so entries owed.
+    expected: usize,
+    /// Sent this round, answer not yet read.
+    in_flight: Option<HttpClient>,
+    /// A `Fanout` span runs from here to the shard's answer validated (or
+    /// its last attempt failed).
+    dispatched: Instant,
+    /// How it ended (`Err` = the whole sub-batch degrades, with this
+    /// reason), and how long after `dispatched`.
+    outcome: Option<(Result<Answer, String>, Duration)>,
+}
+
+impl Sub {
+    fn resolve(&mut self, outcome: Result<Answer, String>) {
+        self.outcome = Some((outcome, self.dispatched.elapsed()));
+    }
 }
 
 impl ScatterHandler {
@@ -512,107 +634,157 @@ impl ScatterHandler {
         for (i, d) in decoded.iter().enumerate() {
             groups[self.map.shard_for_leaf(d.leaf)].push(i);
         }
-        let involved: Vec<usize> = (0..shards).filter(|s| !groups[*s].is_empty()).collect();
-
-        let mut results: Vec<Option<SubResult>> = Vec::new();
-        results.resize_with(shards, || None);
+        let mut subs: Vec<Option<Sub>> = groups
+            .iter()
+            .enumerate()
+            .map(|(shard, group)| {
+                if group.is_empty() {
+                    return None;
+                }
+                let forwarded: Vec<Json> = group
+                    .iter()
+                    .map(|&i| std::mem::replace(&mut entries[i], Json::Null))
+                    .collect();
+                Some(Sub {
+                    shard,
+                    body: Json::obj(vec![("requests", Json::Arr(forwarded))]).render(),
+                    expected: group.len(),
+                    in_flight: None,
+                    dispatched: Instant::now(),
+                    outcome: None,
+                })
+            })
+            .collect();
         // The forwarded trace id, as the backends will see it. The header
         // rides on every sub-request so backend records correlate with the
         // router record, and backends answer with an embedded breakdown.
         let forwarded_id = cx.forwarded_trace_id();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(involved.len());
-            for &shard in &involved {
-                let forwarded: Vec<Json> = groups[shard]
-                    .iter()
-                    .map(|&i| std::mem::replace(&mut entries[i], Json::Null))
-                    .collect();
-                let body = Json::obj(vec![("requests", Json::Arr(forwarded))]).render();
-                let backend = &self.backends[shard];
-                let expected = groups[shard].len();
-                let config = &self.config;
-                let probe_ticks = &self.probe_ticks;
-                let trace_header = forwarded_id.as_deref();
-                self.fanout.fetch_add(1, Ordering::Relaxed);
-                // The span clock starts at the caller's dispatch point and
-                // stops when the join returns, so a Fanout span covers the
-                // whole window the router held this request open for the
-                // shard — spawn and scheduling latency included, not just
-                // the wire time the dispatcher thread itself observed.
-                let dispatched = Instant::now();
-                handles.push((
-                    shard,
-                    dispatched,
-                    scope.spawn(move || {
-                        dispatch(backend, config, probe_ticks, &body, expected, trace_header)
-                    }),
-                ));
-            }
-            for (shard, dispatched, handle) in handles {
-                results[shard] = Some(match handle.join() {
-                    Ok(sub) => {
-                        // One Fanout span per involved shard (detail = shard
-                        // index), recorded post-join: StageTrace is owned by
-                        // this thread, never shared with the dispatchers.
-                        cx.trace.record_span(
-                            Stage::Fanout,
-                            dispatched,
-                            dispatched.elapsed(),
-                            shard as u64,
-                        );
-                        sub
-                    }
-                    Err(_) => SubResult::Degraded("router dispatch panicked".into()),
-                });
-            }
-        });
+        self.scatter(&mut subs, forwarded_id.as_deref());
 
-        // Gather: merge per-entry responses back into the caller's order.
-        let mut merged: Vec<Option<Json>> = vec![None; decoded.len()];
+        // Gather: the reply is written once, entries in the caller's order;
+        // a served entry is the backend's own bytes.
         let mut snapshot_version = 0u64;
-        for shard in involved {
-            let result = results[shard].take().expect("scattered shard has a result");
-            match result {
-                SubResult::Ok(responses, version, sub_trace) => {
-                    snapshot_version = snapshot_version.max(version);
-                    if let Some(sub_trace) = &sub_trace {
-                        if let Some(parsed) =
-                            backend_trace_from_json(shard, &self.backends[shard].addr, sub_trace)
-                        {
-                            cx.backends.push(parsed);
-                        }
-                    }
-                    for (&i, response) in groups[shard].iter().zip(responses) {
-                        merged[i] = Some(response);
-                    }
+        let mut capacity = 64;
+        for sub in subs.iter().flatten() {
+            let (outcome, took) = sub.outcome.as_ref().expect("scatter resolves every sub-batch");
+            cx.trace.record_span(Stage::Fanout, sub.dispatched, *took, sub.shard as u64);
+            match outcome {
+                Ok(answer) => {
+                    snapshot_version = snapshot_version.max(answer.snapshot_version);
+                    capacity += answer.body.len();
+                    let addr = &self.backends[sub.shard].addr;
+                    cx.backends.extend(
+                        answer
+                            .trace
+                            .as_ref()
+                            .and_then(|trace| backend_trace_from_json(sub.shard, addr, trace)),
+                    );
                 }
-                SubResult::Degraded(reason) => {
-                    self.degraded.fetch_add(groups[shard].len() as u64, Ordering::Relaxed);
-                    for &i in &groups[shard] {
-                        merged[i] = Some(degraded_entry(decoded[i].id, shard, &reason));
-                    }
+                Err(_) => {
+                    self.degraded.fetch_add(sub.expected as u64, Ordering::Relaxed);
                 }
             }
         }
-        let mut merged: Vec<Json> = merged
-            .into_iter()
-            .map(|r| r.expect("every entry was grouped onto exactly one shard"))
-            .collect();
 
         let serialize_start = cx.trace.clock();
-        let mut body = if batch {
-            Json::obj(vec![
-                ("responses", Json::Arr(merged)),
-                ("snapshot_version", Json::uint(snapshot_version)),
-            ])
-        } else {
-            merged.pop().expect("a single-request envelope decodes to one entry")
-        };
-        cx.stamp_trace(&mut body);
-        let routed = Routed::json(200, &body);
+        let mut body = String::with_capacity(capacity);
+        if batch {
+            body.push_str("{\"responses\":[");
+        }
+        // Groups keep the caller's order, so entry i is the next one its
+        // shard's answer has not yet given out.
+        let mut given = vec![0usize; shards];
+        for (i, d) in decoded.iter().enumerate() {
+            let shard = self.map.shard_for_leaf(d.leaf);
+            let sub = subs[shard].as_ref().expect("every entry was grouped onto its shard");
+            if i > 0 {
+                body.push(',');
+            }
+            match &sub.outcome.as_ref().expect("resolved above").0 {
+                Ok(answer) => body.push_str(&answer.body[answer.entries[given[shard]].clone()]),
+                Err(reason) => body.push_str(&degraded_entry(d.id, shard, reason).render()),
+            }
+            given[shard] += 1;
+        }
+        if batch {
+            let _ = write!(body, "],\"snapshot_version\":{snapshot_version}}}");
+        }
+        // The stamp goes inside the closing brace of the envelope — or of
+        // the one entry that is the whole single-request reply.
+        let stamp = cx.trace_members();
+        if !stamp.is_empty() && body.ends_with('}') {
+            body.pop();
+            for (key, value) in stamp {
+                if !body.trim_end().ends_with('{') {
+                    body.push(',');
+                }
+                let _ = write!(body, "\"{key}\":{}", value.render());
+            }
+            body.push('}');
+        }
+        let routed = Routed::new(200, edge::JSON, body);
         cx.trace.record(Stage::Serialize, serialize_start);
         cx.entries = decoded.len();
         routed
+    }
+
+    /// Resolves every sub-batch in rounds, on this thread (module doc): a
+    /// round sends to each shard still pending, then reads in shard order
+    /// under one deadline, so an envelope's wait stays within
+    /// `(retries + 1) × backend_timeout` however many shards hang.
+    fn scatter(&self, subs: &mut [Option<Sub>], trace_header: Option<&str>) {
+        let config = &self.config;
+        let mut pending: Vec<&mut Sub> = subs.iter_mut().flatten().collect();
+        for sub in &mut pending {
+            self.fanout.fetch_add(1, Ordering::Relaxed);
+            // Admission first, for all: a half-open probe takes a while, and
+            // must not eat a deadline other shards are already under.
+            if let Err(reason) = self.backends[sub.shard].admit(config, &self.probe_ticks) {
+                sub.resolve(Err(reason));
+            }
+        }
+        let header = trace_header.map(|id| (TRACE_HEADER, id));
+        for attempt in 0..=config.retries {
+            pending.retain(|sub| sub.outcome.is_none());
+            let last = attempt == config.retries;
+            let mut first_send = None;
+            for sub in &mut pending {
+                let backend = &self.backends[sub.shard];
+                if attempt > 0 {
+                    backend.retries.fetch_add(1, Ordering::Relaxed);
+                }
+                backend.calls.fetch_add(1, Ordering::Relaxed);
+                let sent = backend.connection(config, attempt > 0).and_then(|mut client| {
+                    first_send.get_or_insert_with(Instant::now);
+                    client
+                        .send("POST", "/v1/infer", Some(sub.body.as_bytes()), header.as_slice())
+                        .map_err(|e| format!("call: {e}"))?;
+                    Ok(client)
+                });
+                match sent {
+                    Ok(client) => sub.in_flight = Some(client),
+                    Err(reason) => backend.fail(config, sub, reason, last),
+                }
+            }
+            for sub in &mut pending {
+                let Some(client) = sub.in_flight.take() else {
+                    continue;
+                };
+                let backend = &self.backends[sub.shard];
+                let spent = first_send.map_or(Duration::ZERO, |at: Instant| at.elapsed());
+                // Past the deadline a read still gets a moment: an answer
+                // that arrived while the router waited on a slower shard is
+                // there to be taken, and a hung shard costs only this.
+                let left = config.backend_timeout.saturating_sub(spent).max(LATE_READ);
+                match backend.receive(config, client, sub.expected, left) {
+                    Ok(answer) => {
+                        backend.record_success();
+                        sub.resolve(Ok(answer));
+                    }
+                    Err(reason) => backend.fail(config, sub, reason, last),
+                }
+            }
+        }
     }
 }
 
@@ -632,107 +804,6 @@ fn degraded_entry(id: Option<u64>, shard: usize, reason: &str) -> Json {
         members.insert(0, ("id", id_json(id)));
     }
     Json::obj(members)
-}
-
-/// Sends one sub-batch to `backend` with bounded retries, validating the
-/// response down to per-entry objects. Every exit path updates the
-/// health state machine.
-fn dispatch(
-    backend: &Backend,
-    config: &RouterConfig,
-    probe_ticks: &AtomicU64,
-    body: &str,
-    expected: usize,
-    trace_header: Option<&str>,
-) -> SubResult {
-    if let Err(reason) = backend.admit(config, probe_ticks) {
-        return SubResult::Degraded(reason);
-    }
-    let mut last_error = String::new();
-    for attempt in 0..=config.retries {
-        if attempt > 0 {
-            backend.retries.fetch_add(1, Ordering::Relaxed);
-        }
-        backend.calls.fetch_add(1, Ordering::Relaxed);
-        match dispatch_once(backend, config, body, expected, attempt > 0, trace_header) {
-            Ok((responses, version, sub_trace)) => {
-                backend.record_success();
-                return SubResult::Ok(responses, version, sub_trace);
-            }
-            Err(reason) => {
-                backend.record_failure(config);
-                backend.note_error(&reason);
-                last_error = reason;
-                // Ejection mid-retry-loop stops further attempts: the
-                // state machine has spoken.
-                if matches!(&*backend.lock_health(), Health::Ejected { .. }) {
-                    break;
-                }
-            }
-        }
-    }
-    SubResult::Degraded(format!("backend {}: {last_error}", backend.addr))
-}
-
-/// One attempt: pooled connection first (unless `fresh`), falling back
-/// to a new connect. A pooled connection that fails is simply dropped —
-/// the backend may have closed it between requests (keep-alive cap,
-/// restart), which must never surface to the client while retries
-/// remain.
-fn dispatch_once(
-    backend: &Backend,
-    config: &RouterConfig,
-    body: &str,
-    expected: usize,
-    fresh: bool,
-    trace_header: Option<&str>,
-) -> Result<(Vec<Json>, u64, Option<Json>), String> {
-    let mut client = match if fresh { None } else { backend.take_pooled() } {
-        Some(client) => client,
-        None => {
-            let mut client = HttpClient::connect_with_timeouts(
-                &backend.addr,
-                config.backend_timeout,
-                config.backend_timeout,
-            )
-            .map_err(|e| format!("connect: {e}"))?;
-            client.set_max_response_bytes(config.max_response_bytes);
-            client
-        }
-    };
-    let response = match trace_header {
-        Some(id) => client.post_json_with_headers("/v1/infer", body, &[(TRACE_HEADER, id)]),
-        None => client.post_json("/v1/infer", body),
-    }
-    .map_err(|e| format!("call: {e}"))?;
-    let reusable =
-        response.header("connection").map_or(true, |v| !v.eq_ignore_ascii_case("close"));
-    if response.status != 200 {
-        return Err(format!("HTTP {}", response.status));
-    }
-    let parsed = json::parse(&response.text())
-        .map_err(|e| format!("unparsable backend response: {e}"))?;
-    let responses = parsed
-        .get("responses")
-        .and_then(Json::as_arr)
-        .ok_or("backend response missing \"responses\"")?;
-    if responses.len() != expected {
-        // A shard-map/backend mismatch shows up exactly here: the
-        // backend answered a different number of entries than asked.
-        return Err(format!(
-            "backend answered {} responses for {expected} requests (mismatched shard map?)",
-            responses.len()
-        ));
-    }
-    let version = parsed.get("snapshot_version").and_then(Json::as_u64).unwrap_or(0);
-    let out = responses.to_vec();
-    // The backend's embedded breakdown (present exactly when this call
-    // carried the trace header) rides back for the router's record.
-    let sub_trace = parsed.get("trace").cloned();
-    if reusable {
-        backend.return_pooled(client);
-    }
-    Ok((out, version, sub_trace))
 }
 
 #[cfg(test)]
@@ -822,5 +893,97 @@ mod tests {
         let big = degraded_entry(Some(u64::MAX), 0, "down");
         assert_eq!(big.get("id").unwrap().as_str(), Some(u64::MAX.to_string().as_str()));
         assert!(degraded_entry(None, 0, "down").get("id").is_none());
+    }
+
+    const GOOD: &str = concat!(
+        r#"{"responses":[{"id":1,"keyphrases":["a b"]},{"id":"18446744073709551615"}],"#,
+        r#""snapshot_version":7,"trace":{"total_us":5}}"#
+    );
+
+    #[test]
+    fn valid_answer_keeps_entries_as_the_backends_bytes() {
+        let answer = validate_answer(200, GOOD.into(), 2).unwrap();
+        let entries: Vec<&str> = answer.entries.iter().map(|r| &answer.body[r.clone()]).collect();
+        assert_eq!(
+            entries,
+            [r#"{"id":1,"keyphrases":["a b"]}"#, r#"{"id":"18446744073709551615"}"#]
+        );
+        assert_eq!(answer.snapshot_version, 7);
+        assert_eq!(answer.trace.unwrap().get("total_us").unwrap().as_u64(), Some(5));
+        // Whitespace and key order are the backend's business; a missing
+        // version reads 0, as it always has.
+        let spaced =
+            validate_answer(200, b" { \"responses\" : [ 1 , [2] ] } ".to_vec(), 2).unwrap();
+        let entries: Vec<&str> = spaced.entries.iter().map(|r| &spaced.body[r.clone()]).collect();
+        assert_eq!(entries, ["1", "[2]"]);
+        assert_eq!((spaced.snapshot_version, spaced.trace), (0, None));
+        let empty = validate_answer(200, br#"{"responses":[]}"#.to_vec(), 0).unwrap();
+        assert!(empty.entries.is_empty());
+    }
+
+    #[test]
+    fn invalid_answers_are_refused_naming_the_cause() {
+        let refused = |status: u16, body: &[u8], expected: usize| -> String {
+            validate_answer(status, body.to_vec(), expected).err().expect("refused")
+        };
+        assert_eq!(refused(500, GOOD.as_bytes(), 2), "HTTP 500");
+        assert_eq!(
+            refused(200, GOOD.as_bytes(), 3),
+            "backend answered 2 responses for 3 requests (mismatched shard map?)"
+        );
+        let missing = "backend response missing \"responses\"";
+        assert_eq!(refused(200, br#"{"responses":{"0":1}}"#, 1), missing, "not an array");
+        assert_eq!(refused(200, br#"{"surprise":[1]}"#, 1), missing);
+        assert_eq!(refused(200, br#"[{"responses":[1]}]"#, 1), missing, "not an object");
+        // Strictly UTF-8: an invalid byte inside a keyphrase is not repaired
+        // into U+FFFD and forwarded.
+        let mut bad = GOOD.as_bytes().to_vec();
+        let at = GOOD.find("a b").unwrap();
+        bad[at] = 0xff;
+        assert_eq!(refused(200, &bad, 2), "unparsable backend response: not UTF-8");
+        let truncated = refused(200, &GOOD.as_bytes()[..GOOD.len() - 9], 2);
+        assert!(truncated.starts_with("unparsable backend response: "), "{truncated}");
+        let trailing = refused(200, format!("{GOOD}]").as_bytes(), 2);
+        assert!(
+            trailing.starts_with("unparsable backend response: trailing characters"),
+            "{trailing}"
+        );
+        // A defect below the top level fails the whole answer, as a full
+        // parse would.
+        let deep = refused(200, br#"{"responses":[{"k":["\ud800"]}]}"#, 1);
+        assert!(deep.starts_with("unparsable backend response: lone leading surrogate"), "{deep}");
+    }
+
+    #[test]
+    fn oversize_answer_is_refused_at_the_response_cap() {
+        let chaos = crate::chaos::ChaosBackend::start().unwrap();
+        chaos.set_mode(crate::chaos::ChaosMode::Oversized);
+        let config = RouterConfig { max_response_bytes: 1 << 20, ..test_config() };
+        let backend = Backend::new(chaos.addr().to_string());
+        let mut client = backend.connection(&config, false).unwrap();
+        client.send("POST", "/v1/infer", Some(b"{}"), &[]).unwrap();
+        let refused =
+            backend.receive(&config, client, 1, config.backend_timeout).err().expect("refused");
+        assert_eq!(refused, "call: response body exceeds cap");
+        chaos.shutdown();
+    }
+
+    #[test]
+    fn pool_holds_one_connection_per_worker() {
+        let chaos = crate::chaos::ChaosBackend::start().unwrap();
+        let config = RouterConfig { workers: 2, ..test_config() };
+        let backend = Backend::new(chaos.addr().to_string());
+        let body = br#"{"requests":[{"title":"x","leaf":1}]}"#;
+        let mut out: Vec<HttpClient> =
+            (0..3).map(|_| backend.connection(&config, false).unwrap()).collect();
+        for client in &mut out {
+            client.send("POST", "/v1/infer", Some(body), &[]).unwrap();
+        }
+        for client in out {
+            backend.receive(&config, client, 1, config.backend_timeout).unwrap();
+        }
+        assert_eq!(backend.pool.lock().unwrap().len(), 2, "the third return is surplus");
+        backend.drop_pool();
+        chaos.shutdown();
     }
 }

@@ -16,7 +16,15 @@
 //! * **wire fuzz** — malformed/truncated/oversized/wrong-shape backend
 //!   responses degrade cleanly; malformed client traffic 400s exactly
 //!   like a single backend; ids past 2^53 ride decimal strings through
-//!   the scatter-gather unchanged.
+//!   the scatter-gather unchanged;
+//! * **gather ≡ tree merge** — entries pass through the router as the
+//!   backends' bytes, and its body still parses to exactly the merge of
+//!   the backends' parsed answers (batch, single, id > 2^53, degraded,
+//!   traced);
+//! * **one deadline per round** — two hung shards cost an envelope
+//!   `(retries + 1) × backend_timeout`, not that per shard, and the
+//!   healthy shard read after them is still served. (That the scatter
+//!   spawns no thread is `tests/router_threads.rs`, a process of its own.)
 
 use graphex_core::{Engine, GraphExConfig, InferRequest};
 use graphex_marketsim::{CategorySpec, ChurnCorpus};
@@ -552,6 +560,263 @@ fn router_wire_fuzz_never_panics() {
     assert_eq!(parsed.get("id").and_then(Json::as_str), Some(big.as_str()));
 
     assert_eq!(fixture.router.metrics().server_errors(), 0, "fuzz produced no 5xx");
+    drop(client);
+    fixture.finish();
+}
+
+/// Three shards for the gather gates: real backends on 0 and 2, a
+/// `ChaosBackend` on 1, tracing on (the default), and an ejection
+/// threshold no test reaches — a failing shard keeps being called.
+struct GatherFixture {
+    real: Vec<graphex_server::ServerHandle>,
+    chaos: Vec<ChaosBackend>,
+    addrs: Vec<String>,
+    router: graphex_server::RouterHandle,
+}
+
+impl GatherFixture {
+    /// `chaos_shards` become chaos backends, the rest real ones.
+    fn boot(chaos_shards: &[usize], backend_timeout: Duration) -> Self {
+        let ds = graphex_suite::tiny_dataset(0xC4A0);
+        let model = Arc::new(graphex_suite::tiny_model(&ds));
+        let (mut real, mut chaos, mut addrs) = (Vec::new(), Vec::new(), Vec::new());
+        for shard in 0..SHARDS as usize {
+            if chaos_shards.contains(&shard) {
+                let backend = ChaosBackend::start_with_hang_cap(Duration::from_secs(2)).unwrap();
+                addrs.push(backend.addr().to_string());
+                chaos.push(backend);
+            } else {
+                let api =
+                    Arc::new(ServingApi::new(Arc::clone(&model), Arc::new(KvStore::new()), 10));
+                let config = ServerConfig { addr: "127.0.0.1:0".into(), ..Default::default() };
+                let backend = graphex_server::start(config, api).unwrap();
+                addrs.push(backend.addr().to_string());
+                real.push(backend);
+            }
+        }
+        let router = start_router(
+            RouterConfig {
+                addr: "127.0.0.1:0".into(),
+                backend_timeout,
+                retries: 1,
+                eject_after: 1_000_000,
+                ..Default::default()
+            },
+            ShardMap::from_backends(addrs.clone()).unwrap(),
+        )
+        .unwrap();
+        Self { real, chaos, addrs, router }
+    }
+
+    fn finish(self) {
+        self.router.shutdown();
+        self.real.into_iter().for_each(|b| b.shutdown());
+        self.chaos.into_iter().for_each(|b| b.shutdown());
+    }
+
+    /// What the router must answer for `entries`, built the long way: each
+    /// shard's sub-envelope sent straight to its backend, the answers
+    /// parsed into trees, and the entries merged in the caller's order
+    /// under the highest snapshot version. A backend that answers non-200
+    /// degrades its entries the way the router words it.
+    fn reference_merge(&self, entries: &[Json], batch: bool) -> Json {
+        let shard_of = |entry: &Json| {
+            entry.get("leaf").and_then(Json::as_u64).unwrap() as usize % self.addrs.len()
+        };
+        let mut merged: Vec<Option<Json>> = vec![None; entries.len()];
+        let mut snapshot_version = 0;
+        for (shard, addr) in self.addrs.iter().enumerate() {
+            let owned: Vec<usize> =
+                (0..entries.len()).filter(|&i| shard_of(&entries[i]) == shard).collect();
+            if owned.is_empty() {
+                continue;
+            }
+            let sub = Json::obj(vec![(
+                "requests",
+                Json::Arr(owned.iter().map(|&i| entries[i].clone()).collect()),
+            )]);
+            let answer =
+                HttpClient::connect(addr).unwrap().post_json("/v1/infer", &sub.render()).unwrap();
+            if answer.status != 200 {
+                for &i in &owned {
+                    let mut members = vec![
+                        ("outcome", Json::str(OUTCOME_BACKEND_UNAVAILABLE)),
+                        ("source", Json::str("router_degraded")),
+                        ("keyphrases", Json::Arr(Vec::new())),
+                        ("snapshot_version", Json::uint(0)),
+                        ("shard", Json::uint(shard as u64)),
+                        ("error", Json::str(format!("backend {addr}: HTTP {}", answer.status))),
+                    ];
+                    if let Some(id) = entries[i].get("id") {
+                        members.insert(0, ("id", id.clone()));
+                    }
+                    merged[i] = Some(Json::obj(members));
+                }
+                continue;
+            }
+            let answer = graphex_server::json::parse(&answer.text()).unwrap();
+            let version = answer.get("snapshot_version").and_then(Json::as_u64).unwrap();
+            snapshot_version = snapshot_version.max(version);
+            let responses = answer.get("responses").and_then(Json::as_arr).unwrap();
+            assert_eq!(responses.len(), owned.len());
+            for (&i, response) in owned.iter().zip(responses) {
+                merged[i] = Some(response.clone());
+            }
+        }
+        let mut merged: Vec<Json> = merged.into_iter().map(Option::unwrap).collect();
+        if batch {
+            Json::obj(vec![
+                ("responses", Json::Arr(merged)),
+                ("snapshot_version", Json::uint(snapshot_version)),
+            ])
+        } else {
+            merged.pop().unwrap()
+        }
+    }
+}
+
+/// Splits a router body into what the backends said and the trace stamp
+/// (`trace_id`, then `trace`) the router appended after it.
+fn split_stamp(body: Json) -> (Json, Vec<(String, Json)>) {
+    let Json::Obj(mut members) = body else { panic!("router body is not an object: {body:?}") };
+    let at = members.iter().position(|(k, _)| k == "trace_id").unwrap_or(members.len());
+    let stamp = members.split_off(at);
+    (Json::Obj(members), stamp)
+}
+
+/// Entries pass through the router as the backend's own bytes, so its body
+/// must still be, value for value and key for key, the merge of the
+/// backends' parsed answers — for every shape of request and reply.
+#[test]
+fn router_body_equals_the_merge_of_the_backends_parsed_answers() {
+    let fixture = GatherFixture::boot(&[1], Duration::from_millis(500));
+    let mut client = HttpClient::connect(fixture.router.addr()).unwrap();
+    let entry = |title: &str, leaf: u64, id: Option<Json>| {
+        let mut members = vec![("title", Json::str(title)), ("leaf", Json::uint(leaf))];
+        members.extend(id.map(|id| ("id", id)));
+        Json::obj(members)
+    };
+    let big = Json::str(u64::MAX.to_string());
+    let title = "gialket mioktiar pro case";
+    let batch: Vec<Json> = vec![
+        entry(title, 9002, Some(Json::uint(11))), // shard 2
+        entry("chaos first", 1, Some(Json::uint(12))), // shard 1
+        entry(title, 9000, None),                 // shard 0
+        entry(title, 9001, Some(big.clone())),    // shard 1, id > 2^53
+        entry("escapes \"quoted\" \\ \u{e9}\u{1f600}\n", 9003, Some(Json::uint(13))), // shard 0
+        entry(title, 9005, Some(Json::uint(14))), // shard 2
+    ];
+    let envelope = |entries: &[Json]| Json::obj(vec![("requests", Json::Arr(entries.to_vec()))]);
+    let pinned = "00000000feedf00d";
+
+    let mut check = |what: &str, entries: &[Json], is_batch: bool, traced: bool| {
+        let body = if is_batch { envelope(entries).render() } else { entries[0].render() };
+        // Once unrecorded, so keyed entries are store hits on both paths.
+        assert_eq!(client.post_json("/v1/infer", &body).unwrap().status, 200, "{what}");
+        let headers: &[(&str, &str)] =
+            if traced { &[("x-graphex-trace", pinned)] } else { &[] };
+        let response = client.post_json_with_headers("/v1/infer", &body, headers).unwrap();
+        assert_eq!(response.status, 200, "{what}: {}", response.text());
+        let parsed = graphex_server::json::parse(&response.text()).unwrap_or_else(|e| {
+            panic!("{what}: router body does not parse ({e}): {}", response.text())
+        });
+        let (said, stamp) = split_stamp(parsed);
+        assert_eq!(said, fixture.reference_merge(entries, is_batch), "{what}: {}", response.text());
+        // The stamp: always the id; the breakdown only for a caller that
+        // sent the header.
+        let keys: Vec<&str> = stamp.iter().map(|(k, _)| k.as_str()).collect();
+        if traced {
+            assert_eq!(keys, ["trace_id", "trace"], "{what}");
+            assert_eq!(stamp[0].1.as_str(), Some(pinned), "{what}");
+            assert_eq!(stamp[1].1.get("id").and_then(Json::as_str), Some(pinned), "{what}");
+            let spans = stamp[1].1.get("spans").and_then(Json::as_arr).unwrap();
+            assert!(
+                spans.iter().any(|s| s.get("stage").and_then(Json::as_str) == Some("fanout")),
+                "{what}: {spans:?}"
+            );
+        } else {
+            assert_eq!(keys, ["trace_id"], "{what}");
+            assert_eq!(stamp[0].1.as_str().map(str::len), Some(16), "{what}");
+        }
+    };
+
+    check("batch over three shards", &batch, true, false);
+    check("batch, traced", &batch, true, true);
+    check("batch of one", &batch[..1], true, false);
+    check("single object", &batch[..1], false, false);
+    check("single object without id", &batch[2..3], false, false);
+    check("single object, traced", &batch[5..], false, true);
+    check("single object, id > 2^53", &batch[3..4], false, false);
+
+    // One shard answering 500: its entries degrade in place, the others'
+    // pass through, and the envelope's version is the healthy shards'.
+    fixture.chaos[0].set_mode(ChaosMode::Error500);
+    check("mixed healthy + degraded batch", &batch, true, false);
+    check("mixed, traced", &batch, true, true);
+    check("degraded single object, id > 2^53", &batch[3..4], false, true);
+    assert!(fixture.router.degraded() >= 6);
+
+    assert_eq!(fixture.router.metrics().server_errors(), 0);
+    drop(client);
+    fixture.finish();
+}
+
+/// Two of three shards hang. A round sends to all three and its reads
+/// share one deadline, so the envelope costs `(retries + 1) ×
+/// backend_timeout`, not that per hung shard — and the healthy shard,
+/// though read last, is served.
+#[test]
+fn two_hung_shards_cost_one_deadline_per_round_and_spare_the_healthy_one() {
+    let backend_timeout = Duration::from_millis(200);
+    let fixture = GatherFixture::boot(&[0, 1], backend_timeout);
+    for chaos in &fixture.chaos {
+        chaos.set_mode(ChaosMode::Hang);
+    }
+    let body = format!(
+        r#"{{"requests":[{},{},{},{}]}}"#,
+        single_body("hung a", 0),
+        single_body("gialket mioktiar pro case", 9002),
+        single_body("hung b", 1),
+        single_body("gialket mioktiar case", 9002),
+    );
+    let mut client = HttpClient::connect(fixture.router.addr()).unwrap();
+    let started = std::time::Instant::now();
+    let response = client.post_json("/v1/infer", &body).unwrap();
+    let took = started.elapsed();
+    assert_eq!(response.status, 200, "{}", response.text());
+    // retries = 1: two rounds. One retry loop per shard after the other
+    // would take twice this.
+    assert!(
+        took < backend_timeout * 2 + Duration::from_millis(250),
+        "two hung shards took {took:?}"
+    );
+    assert!(took >= backend_timeout * 2, "both rounds wait out the deadline: {took:?}");
+    let parsed = graphex_server::json::parse(&response.text()).unwrap();
+    let outcomes: Vec<&str> = parsed
+        .get("responses")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|r| r.get("outcome").and_then(Json::as_str).unwrap())
+        .collect();
+    assert_eq!(outcomes[0], OUTCOME_BACKEND_UNAVAILABLE);
+    assert_eq!(outcomes[2], OUTCOME_BACKEND_UNAVAILABLE);
+    assert_ne!(outcomes[1], OUTCOME_BACKEND_UNAVAILABLE, "{}", response.text());
+    assert_ne!(outcomes[3], OUTCOME_BACKEND_UNAVAILABLE, "{}", response.text());
+    assert_eq!(fixture.router.degraded(), 2);
+
+    // Per-shard accounting is what it was: two calls, one of them a retry,
+    // both failed, on each hung shard; one clean call on the healthy one.
+    let status = graphex_server::json::parse(&client.get("/statusz").unwrap().text()).unwrap();
+    let rows = status.get("backends").and_then(Json::as_arr).unwrap();
+    let row = |shard: usize, key: &str| rows[shard].get(key).and_then(Json::as_u64).unwrap();
+    for hung in [0, 1] {
+        assert_eq!((row(hung, "calls"), row(hung, "retries"), row(hung, "failures")), (2, 1, 2));
+    }
+    assert_eq!((row(2, "calls"), row(2, "retries"), row(2, "failures")), (1, 0, 0));
+    assert_eq!(status.get("fanout_subrequests").and_then(Json::as_u64), Some(3));
+
+    assert_eq!(fixture.router.metrics().server_errors(), 0);
     drop(client);
     fixture.finish();
 }
