@@ -36,7 +36,9 @@ bench-contract:
 # (benchmark/README.md, "Comparing a change against its parent"): both
 # sides built into .bench_build/, PAIRS alternating pairs on fresh seeds,
 # disturbed pairs discarded, then per end-to-end metric each side's
-# median and quartiles and the pairs won.
+# median and quartiles and the pairs won. TRACE_METRICS="name,name" in
+# the environment adds one --trace 1 run per side and prints those
+# per-layer metrics side by side.
 WORKLOAD ?= router_batch
 BASE ?= HEAD
 PAIRS ?= 10
@@ -87,9 +89,10 @@ bench-tenancy:
 	$(CARGO) run --release -p graphex-bench --bin tenancybench -- \
 	  --output BENCH_tenancy.json --date $$(date +%Y-%m-%d)
 
-# NRT overlay serving: upsert-to-servable latency for brand-new leaves
-# and steady-state read-path overhead at 0%/1%/10% overlaid-leaf depth.
-# Records the BENCH_overlay.json datapoint.
+# NRT overlay serving: upsert-to-servable latency for a brand-new leaf,
+# for an existing production-size leaf on first touch and with 1 / 128
+# records pending, and steady-state read-path overhead at 0%/1%/10%
+# overlaid-leaf depth. Records the BENCH_overlay.json datapoint.
 bench-overlay:
 	$(CARGO) run --release -p graphex-bench --bin overlaybench -- \
 	  --output BENCH_overlay.json --date $$(date +%Y-%m-%d)

@@ -1,7 +1,11 @@
 //! `overlaybench` — NRT overlay serving cost model: measures (a) the
-//! upsert-to-servable latency a seller sees when a brand-new listing is
-//! pushed through `ServingApi::apply_upsert` and answered on the very
-//! next request, and (b) the read-path overhead the overlay imposes on
+//! upsert-to-servable latency a seller sees when a listing is pushed
+//! through `ServingApi::apply_upsert` and answered on the very next
+//! request — into a leaf the snapshot has never seen (the cheap case),
+//! and into a leaf it has, on first touch (the leaf's base records are
+//! staged) and with 1 and 128 records already pending (the staging is
+//! reused; only the new record is tokenized) — and (b) the read-path
+//! overhead the overlay imposes on
 //! steady-state inference at 0% / 1% / 10% overlaid-leaf depth (the
 //! no-overlay arm runs an api without any overlay attached, so the 0%
 //! arm also prices the bare `is-there-an-overlay` branch). Records the
@@ -12,7 +16,7 @@
 //!     [--seed 23] [--output BENCH_overlay.json] [--date YYYY-MM-DD]
 //! ```
 
-use graphex_core::{GraphExConfig, InferRequest, KeyphraseRecord, LeafId};
+use graphex_core::{GraphExConfig, GraphExModel, InferRequest, KeyphraseRecord, LeafId};
 use graphex_marketsim::{CategorySpec, ChurnCorpus};
 use graphex_pipeline::{build, BuildPlan, MarketsimSource};
 use graphex_serving::{KvStore, OverlayStore, ServingApi};
@@ -21,6 +25,12 @@ use std::time::{Duration, Instant};
 
 const NUM_LEAVES: usize = 100;
 const UPSERTS: usize = 200;
+/// The existing-leaf arms run over a few leaves of production size
+/// (≈1k keyphrases each, like the repo benchmark's `bench200k`): what an
+/// upsert to an existing leaf costs grows with the leaf.
+const DEEP_LEAVES: usize = 8;
+/// Records already pending on the leaf in the deepest arm.
+const DEEP_PENDING: usize = 128;
 const READS_PER_ARM: usize = 20_000;
 /// Fraction of base leaves carrying at least one overlay record per arm.
 const DEPTHS: [f64; 3] = [0.0, 0.01, 0.10];
@@ -89,17 +99,40 @@ fn bench_corpus(seed: u64) -> ChurnCorpus {
     )
 }
 
-fn api_over(corpus: &ChurnCorpus, overlay: bool) -> Result<Arc<ServingApi>, String> {
+fn deep_corpus(seed: u64) -> ChurnCorpus {
+    ChurnCorpus::new(
+        CategorySpec {
+            name: "OVERLAYBENCH_DEEP".into(),
+            seed,
+            num_leaves: DEEP_LEAVES,
+            products_per_leaf: 400,
+            num_items: 33_000,
+            num_sessions: 170_000,
+            leaf_id_base: 7_000,
+        },
+        0.0,
+    )
+}
+
+fn model_of(corpus: &ChurnCorpus) -> Result<Arc<GraphExModel>, String> {
     let mut config = GraphExConfig::default();
     config.curation.min_search_count = 2;
     let plan = BuildPlan::new(config).jobs(2);
     let output =
         build(&plan, vec![Box::new(MarketsimSource::new(corpus))]).map_err(|e| e.to_string())?;
-    let mut api = ServingApi::new(Arc::new(output.model), Arc::new(KvStore::new()), 10);
+    Ok(Arc::new(output.model))
+}
+
+fn api_on(model: &Arc<GraphExModel>, overlay: bool) -> Arc<ServingApi> {
+    let mut api = ServingApi::new(Arc::clone(model), Arc::new(KvStore::new()), 10);
     if overlay {
         api = api.with_overlay(Arc::new(OverlayStore::new()));
     }
-    Ok(Arc::new(api))
+    Arc::new(api)
+}
+
+fn api_over(corpus: &ChurnCorpus, overlay: bool) -> Result<Arc<ServingApi>, String> {
+    Ok(api_on(&model_of(corpus)?, overlay))
 }
 
 fn fmt_stats(samples: &mut [Duration]) -> (Duration, Duration, Duration) {
@@ -110,34 +143,96 @@ fn fmt_stats(samples: &mut [Duration]) -> (Duration, Duration, Duration) {
     (mean, p99, max)
 }
 
-/// Arm (a): one brand-new listing per upsert, each immediately served.
-/// The measured interval covers apply (canonicalize + rebuild the leaf's
-/// mini graph) *and* the first read answered from it.
-fn bench_upsert_to_servable(corpus: &ChurnCorpus) -> Result<String, String> {
+/// One listing upserted and immediately served: the interval covers the
+/// apply (stage the record, re-assemble the leaf's mini graph, swap the
+/// view) *and* the first read answered from it. `Err` when that read
+/// does not return the listing — the next-request-servability gate.
+fn upsert_then_serve(api: &ServingApi, text: &str, leaf: LeafId) -> Result<Duration, String> {
+    let record = KeyphraseRecord::new(text, leaf, 60, 5);
+    let started = Instant::now();
+    api.apply_upsert(std::slice::from_ref(&record)).map_err(|e| format!("{e:?}"))?;
+    let served = api.serve_request(&InferRequest::new(text, leaf).k(5).resolve_texts(true));
+    let elapsed = started.elapsed();
+    if !served.keyphrases.iter().any(|k| k == text) {
+        return Err(format!("{text:?} on {leaf} not servable on the next request"));
+    }
+    Ok(elapsed)
+}
+
+fn arm_json(name: &str, case: &str, samples: &mut [Duration]) -> String {
+    let (mean, p99, max) = fmt_stats(samples);
+    eprintln!(
+        "upsert→servable, {case}: {mean:.3?} mean, {p99:.3?} p99, {max:.3?} max over {} upserts",
+        samples.len()
+    );
+    format!(
+        r#"      "{name}": {{
+        "case": "{case}",
+        "upserts": {},
+        "mean": "{mean:.3?}",
+        "p99": "{p99:.3?}",
+        "max": "{max:.3?}"
+      }}"#,
+        samples.len()
+    )
+}
+
+/// Arm (a): upsert-to-servable latency in the four cases that cost
+/// differently.
+fn bench_upsert_to_servable(corpus: &ChurnCorpus, seed: u64) -> Result<String, String> {
+    // A leaf the snapshot has never seen: nothing to stage but the record.
     let api = api_over(corpus, true)?;
-    let mut samples = Vec::with_capacity(UPSERTS);
+    let mut new_leaf = Vec::with_capacity(UPSERTS);
     for i in 0..UPSERTS {
         let text = format!("fresh onboard listing {i} widget");
-        let leaf = LeafId(40_000 + i as u32);
-        let record = KeyphraseRecord::new(text.clone(), leaf, 60, 5);
-        let started = Instant::now();
-        api.apply_upsert(std::slice::from_ref(&record)).map_err(|e| format!("{e:?}"))?;
-        let served = api.serve_request(&InferRequest::new(&text, leaf).k(5).resolve_texts(true));
-        let elapsed = started.elapsed();
-        if !served.keyphrases.iter().any(|k| k == &text) {
-            return Err(format!("upsert {i} not servable on the next request"));
-        }
-        samples.push(elapsed);
+        new_leaf.push(upsert_then_serve(&api, &text, LeafId(40_000 + i as u32))?);
     }
-    let (mean, p99, max) = fmt_stats(&mut samples);
-    eprintln!("upsert→servable over {UPSERTS} listings: {mean:.3?} mean, {p99:.3?} p99, {max:.3?} max");
+
+    // Leaves the snapshot has, at production size.
+    let model = model_of(&deep_corpus(seed))?;
+    let mut leaves: Vec<LeafId> = model.leaf_ids().collect();
+    leaves.sort_unstable();
+    let labels: usize =
+        leaves.iter().map(|&l| model.leaf_graph(l).map_or(0, |g| g.num_labels() as usize)).sum();
+    eprintln!("existing-leaf arms: {} leaves, {} keyphrases per leaf", leaves.len(), labels / leaves.len());
+    let rounds = UPSERTS / leaves.len();
+    let (mut first_touch, mut one_pending) = (Vec::new(), Vec::new());
+    for round in 0..rounds {
+        // A fresh store per round, so every leaf is touched for the
+        // first time (its base records are staged), then a second time
+        // (the staging is reused).
+        let api = api_on(&model, true);
+        for &leaf in &leaves {
+            first_touch.push(upsert_then_serve(&api, &format!("first touch {round} gadget"), leaf)?);
+        }
+        for &leaf in &leaves {
+            one_pending.push(upsert_then_serve(&api, &format!("second listing {round} gadget"), leaf)?);
+        }
+    }
+    let api = api_on(&model, true);
+    for &leaf in &leaves {
+        for i in 0..DEEP_PENDING {
+            upsert_then_serve(&api, &format!("pending listing {i} gadget"), leaf)?;
+        }
+    }
+    let mut deep = Vec::new();
+    for round in 0..rounds {
+        for &leaf in &leaves {
+            deep.push(upsert_then_serve(&api, &format!("deep listing {round} gadget"), leaf)?);
+        }
+    }
+
+    let existing = format!("existing leaf of ~{} keyphrases", labels / leaves.len());
     Ok(format!(
-        r#"    "upsert_to_servable": {{
-      "upserts": {UPSERTS},
-      "mean": "{mean:.3?}",
-      "p99": "{p99:.3?}",
-      "max": "{max:.3?}"
-    }}"#
+        "    \"upsert_to_servable\": {{\n{},\n{},\n{},\n{}\n    }}",
+        arm_json("brand_new_leaf", "leaf the snapshot has never seen", &mut new_leaf),
+        arm_json("existing_leaf_first_touch", &format!("{existing}, first touch"), &mut first_touch),
+        arm_json("existing_leaf_1_pending", &format!("{existing}, 1 record pending"), &mut one_pending),
+        arm_json(
+            "existing_leaf_128_pending",
+            &format!("{existing}, {DEEP_PENDING}+ records pending"),
+            &mut deep
+        ),
     ))
 }
 
@@ -213,12 +308,12 @@ fn bench_read_overhead(corpus: &ChurnCorpus, seed: u64) -> Result<String, String
 
 fn run(args: &Args) -> Result<String, String> {
     let corpus = bench_corpus(args.seed);
-    let upsert = bench_upsert_to_servable(&corpus)?;
+    let upsert = bench_upsert_to_servable(&corpus, args.seed)?;
     let reads = bench_read_overhead(&corpus, args.seed)?;
     Ok(format!(
         r#"{{
   "bench": "overlay",
-  "description": "NRT overlay serving: upsert-to-servable latency (apply_upsert of a brand-new leaf plus the first read answered from its overlay mini graph) and steady-state read-path overhead with 0%/1%/10% of base leaves overlaid. The 0% arm runs without any overlay attached, so deltas price both the overlay branch and the overlaid-leaf traversal.",
+  "description": "NRT overlay serving: upsert-to-servable latency (apply_upsert plus the first read answered from the leaf's overlay mini graph) for a brand-new leaf, for an existing production-size leaf on first touch (its base records are staged) and with 1 and 128 records already pending (the staging is reused, only the new record is tokenized); and steady-state read-path overhead with 0%/1%/10% of base leaves overlaid. The 0% arm runs without any overlay attached, so deltas price both the overlay branch and the overlaid-leaf traversal.",
   "date": "{}",
   "machine": {{
     "os": "{}",
@@ -226,7 +321,7 @@ fn run(args: &Args) -> Result<String, String> {
     "note": "single-process, in-memory serving api; no HTTP or KV-cache in the measured path (serve_request bypasses the store)."
   }},
   "config": {{
-    "dataset": "marketsim OVERLAYBENCH ({NUM_LEAVES} leaves, seed {})",
+    "dataset": "marketsim OVERLAYBENCH ({NUM_LEAVES} leaves, seed {}); existing-leaf arms: OVERLAYBENCH_DEEP ({DEEP_LEAVES} leaves x 400 products, 33k items, 170k sessions, min_search_count 2)",
     "upserts": {UPSERTS},
     "reads_per_arm": {READS_PER_ARM},
     "depths_pct": [0, 1, 10],

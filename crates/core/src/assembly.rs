@@ -34,6 +34,9 @@ use crate::model::GraphExModel;
 use crate::types::{KeyphraseRecord, LeafId};
 use graphex_textkit::{FxHashMap, Tokenizer, Vocab};
 
+/// "Not seen yet" in a [`GraphParts`] remap table.
+const UNSEEN: u32 = u32::MAX;
+
 /// Sorts curated records into the canonical build order:
 /// `(leaf, text, search, recall)` ascending.
 ///
@@ -140,6 +143,7 @@ pub struct AssemblyContext {
     text_normalizer: Tokenizer,
     token_buf: Vec<String>,
     text_buf: Vec<String>,
+    normalized: String,
 }
 
 impl AssemblyContext {
@@ -149,8 +153,119 @@ impl AssemblyContext {
             text_normalizer: GraphExModel::make_tokenizer(false),
             token_buf: Vec::new(),
             text_buf: Vec::new(),
+            normalized: String::new(),
         }
     }
+
+    /// Reduces one keyphrase text to what assembly keys on: its
+    /// normalized (unstemmed) text — the label's identity — and its
+    /// distinct stemmed tokens in string order — the label's rows.
+    /// `None` for a punctuation-only text: nothing to match on.
+    pub(crate) fn analyze(&mut self, text: &str) -> Option<(&str, &[String])> {
+        self.text_normalizer.tokenize_into(text, &mut self.text_buf);
+        let (first, rest) = self.text_buf.split_first()?;
+        self.normalized.clear();
+        self.normalized.push_str(first);
+        for word in rest {
+            self.normalized.push(' ');
+            self.normalized.push_str(word);
+        }
+        self.tokenizer.tokenize_into(text, &mut self.token_buf);
+        self.token_buf.sort_unstable();
+        self.token_buf.dedup();
+        debug_assert!(!self.token_buf.is_empty());
+        Some((&self.normalized, &self.token_buf))
+    }
+}
+
+/// One leaf graph under construction from records already reduced to
+/// integers: a keyphrase id and distinct token ids, from any id spaces
+/// dense enough to index a `Vec`. Labels and rows are numbered by first
+/// occurrence, which is what pins the graph to the canonical record
+/// order; two records with one keyphrase id merge (sum search, max
+/// recall), mirroring curation's duplicate policy. The one assembly
+/// routine: [`LeafAssembly::build`] feeds it fresh vocabulary ids, the
+/// serving overlay its staged leaf-stable ids.
+#[derive(Debug, Default)]
+pub(crate) struct GraphParts {
+    /// Keyphrase id → label, token id → row ([`UNSEEN`] until met).
+    label_of: Vec<u32>,
+    row_of: Vec<u32>,
+    labels: Vec<u32>,
+    label_len: Vec<u16>,
+    search: Vec<u32>,
+    recall: Vec<u32>,
+    row_tokens: Vec<u32>,
+    edges: Vec<(u32, u32)>,
+}
+
+impl GraphParts {
+    /// Parts sized for records whose ids stay below `keyphrases` and
+    /// `tokens` and whose token lists sum to `edges` (every table grows
+    /// on demand either way).
+    pub(crate) fn with_capacity(keyphrases: usize, tokens: usize, edges: usize) -> Self {
+        Self {
+            label_of: vec![UNSEEN; keyphrases],
+            row_of: vec![UNSEEN; tokens],
+            labels: Vec::with_capacity(keyphrases),
+            label_len: Vec::with_capacity(keyphrases),
+            search: Vec::with_capacity(keyphrases),
+            recall: Vec::with_capacity(keyphrases),
+            row_tokens: Vec::with_capacity(tokens),
+            edges: Vec::with_capacity(edges),
+        }
+    }
+
+    /// Folds in one record; `tokens` must be distinct.
+    pub(crate) fn push(&mut self, keyphrase: u32, tokens: &[u32], search: u32, recall: u32) {
+        let slot = entry(&mut self.label_of, keyphrase);
+        if *slot != UNSEEN {
+            let l = *slot as usize;
+            self.search[l] = self.search[l].saturating_add(search);
+            self.recall[l] = self.recall[l].max(recall);
+            return;
+        }
+        let label = self.labels.len() as u32;
+        *slot = label;
+        self.labels.push(keyphrase);
+        self.label_len.push(tokens.len().min(u16::MAX as usize) as u16);
+        self.search.push(search);
+        self.recall.push(recall);
+        for &token in tokens {
+            let slot = entry(&mut self.row_of, token);
+            if *slot == UNSEEN {
+                *slot = self.row_tokens.len() as u32;
+                self.row_tokens.push(token);
+            }
+            self.edges.push((*slot, label));
+        }
+    }
+
+    /// The assembled graph, and the keyphrase id of every label in label
+    /// order. The graph's own label ids are the label indices — the last
+    /// tie-break of ranking is that id, so it must not depend on the id
+    /// space the records came in with; its `row_tokens()` are the token
+    /// ids as pushed.
+    pub(crate) fn finish(self) -> (LeafGraph, Vec<u32>) {
+        let graph = LeafGraph::new(
+            self.row_tokens,
+            self.edges,
+            (0..self.labels.len() as u32).collect(),
+            self.label_len,
+            self.search,
+            self.recall,
+        );
+        (graph, self.labels)
+    }
+}
+
+/// `table[id]`, grown with [`UNSEEN`] to reach it.
+fn entry(table: &mut Vec<u32>, id: u32) -> &mut u32 {
+    let id = id as usize;
+    if id >= table.len() {
+        table.resize(id + 1, UNSEEN);
+    }
+    &mut table[id]
 }
 
 /// One leaf graph built against leaf-local vocabularies: the unit of
@@ -174,67 +289,20 @@ impl LeafAssembly {
     pub fn build(records: &[KeyphraseRecord], ctx: &mut AssemblyContext) -> Self {
         let mut tokens = Vocab::new();
         let mut keyphrases = Vocab::new();
-
-        // local structures
-        let mut local_rows: FxHashMap<u32, u32> = FxHashMap::default(); // local token -> row
-        let mut row_tokens: Vec<u32> = Vec::new();
-        let mut label_index: FxHashMap<u32, u32> = FxHashMap::default(); // local kp id -> label
-        let mut labels: Vec<u32> = Vec::new();
-        let mut label_len: Vec<u16> = Vec::new();
-        let mut search: Vec<u32> = Vec::new();
-        let mut recall: Vec<u32> = Vec::new();
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-
+        let mut parts = GraphParts::default();
+        let mut ids: Vec<u32> = Vec::new();
         for rec in records {
-            // Normalized text identity.
-            ctx.text_normalizer.tokenize_into(&rec.text, &mut ctx.text_buf);
-            if ctx.text_buf.is_empty() {
-                continue; // punctuation-only keyphrase: nothing to match on
-            }
-            let normalized = ctx.text_buf.join(" ");
-            let kp_id = keyphrases.intern(&normalized);
-
-            // Stemmed distinct graph tokens.
-            ctx.tokenizer.tokenize_into(&rec.text, &mut ctx.token_buf);
-            ctx.token_buf.sort_unstable();
-            ctx.token_buf.dedup();
-            debug_assert!(!ctx.token_buf.is_empty());
-
-            let local_label = match label_index.entry(kp_id) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let l = *e.get();
-                    // duplicate within leaf after normalization: merge counts
-                    search[l as usize] = search[l as usize].saturating_add(rec.search_count);
-                    recall[l as usize] = recall[l as usize].max(rec.recall_count);
-                    continue;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let l = labels.len() as u32;
-                    e.insert(l);
-                    labels.push(kp_id);
-                    label_len.push(ctx.token_buf.len().min(u16::MAX as usize) as u16);
-                    search.push(rec.search_count);
-                    recall.push(rec.recall_count);
-                    l
-                }
+            let Some((normalized, words)) = ctx.analyze(&rec.text) else {
+                continue;
             };
-
-            for tok in ctx.token_buf.iter() {
-                let local = tokens.intern(tok);
-                let row = match local_rows.entry(local) {
-                    std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let row = row_tokens.len() as u32;
-                        e.insert(row);
-                        row_tokens.push(local);
-                        row
-                    }
-                };
-                edges.push((row, local_label));
-            }
+            let keyphrase = keyphrases.intern(normalized);
+            ids.clear();
+            ids.extend(words.iter().map(|word| tokens.intern(word)));
+            parts.push(keyphrase, &ids, rec.search_count, rec.recall_count);
         }
-
-        let graph = LeafGraph::new(row_tokens, edges, labels, label_len, search, recall);
+        let (graph, label_keyphrases) = parts.finish();
+        // A fresh vocabulary numbers keyphrases in label order already.
+        debug_assert!(label_keyphrases.iter().enumerate().all(|(l, &id)| l as u32 == id));
         Self { tokens, keyphrases, graph }
     }
 
@@ -274,18 +342,20 @@ impl LeafAssembly {
         Self { tokens, keyphrases, graph }
     }
 
-    /// The leaf-local token vocabulary (overlay inference tokenizes
-    /// against it directly).
+    /// The leaf-local token vocabulary.
+    #[cfg(test)]
     pub(crate) fn tokens(&self) -> &Vocab {
         &self.tokens
     }
 
     /// The leaf-local keyphrase vocabulary.
+    #[cfg(test)]
     pub(crate) fn keyphrases(&self) -> &Vocab {
         &self.keyphrases
     }
 
     /// The assembled leaf graph (local-identity ids).
+    #[cfg(test)]
     pub(crate) fn graph(&self) -> &LeafGraph {
         &self.graph
     }

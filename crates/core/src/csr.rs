@@ -10,7 +10,7 @@ use crate::storage::U32Store;
 
 /// Immutable CSR adjacency from `u32` rows to `u32` targets.
 ///
-/// Construction sorts and de-duplicates the edge list exactly as the paper
+/// Construction sorts and de-duplicates the edge list as the paper
 /// describes ("constructed as tuples, sorted and then de-duplicated"). The
 /// two arrays are [`U32Store`]s: owned when built in-process, borrowed
 /// zero-copy from the load buffer when deserialized from a `GEXM v2`
@@ -22,24 +22,49 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Builds a CSR over `num_rows` rows from an edge list. Edges are sorted
-    /// and de-duplicated; `edges` is consumed as the scratch buffer.
+    /// Builds a CSR over `num_rows` rows from an edge list: edges are
+    /// bucketed by row (one counting pass, no comparison sort over the
+    /// pairs), then each row's targets are sorted and de-duplicated. The
+    /// builders emit edges label by label, so every row's bucket arrives
+    /// already ascending and the per-row sort is a linear check.
     ///
     /// # Panics
     /// Panics if an edge references `row >= num_rows` (construction-time
     /// programming error, not a data error).
-    pub fn from_edges(num_rows: u32, mut edges: Vec<(u32, u32)>) -> Self {
-        edges.sort_unstable();
-        edges.dedup();
-        let mut offsets = vec![0u32; num_rows as usize + 1];
+    pub fn from_edges(num_rows: u32, edges: Vec<(u32, u32)>) -> Self {
+        let rows = num_rows as usize;
+        let mut offsets = vec![0u32; rows + 1];
         for &(row, _) in &edges {
             assert!(row < num_rows, "edge row {row} out of bounds ({num_rows} rows)");
             offsets[row as usize + 1] += 1;
         }
-        for i in 0..num_rows as usize {
+        for i in 0..rows {
             offsets[i + 1] += offsets[i];
         }
-        let targets: Vec<u32> = edges.iter().map(|&(_, t)| t).collect();
+        let mut cursor = offsets.clone();
+        let mut targets = vec![0u32; edges.len()];
+        for &(row, target) in &edges {
+            let at = &mut cursor[row as usize];
+            targets[*at as usize] = target;
+            *at += 1;
+        }
+        // Sort each bucket, then close the gaps its duplicates leave.
+        let (mut start, mut kept) = (0usize, 0usize);
+        for row in 0..rows {
+            let end = offsets[row + 1] as usize;
+            targets[start..end].sort_unstable();
+            offsets[row] = kept as u32;
+            let first = kept;
+            for i in start..end {
+                if kept == first || targets[kept - 1] != targets[i] {
+                    targets[kept] = targets[i];
+                    kept += 1;
+                }
+            }
+            start = end;
+        }
+        offsets[rows] = kept as u32;
+        targets.truncate(kept);
         Self { offsets: offsets.into(), targets: targets.into() }
     }
 

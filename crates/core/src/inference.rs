@@ -12,7 +12,7 @@ use crate::alignment::Alignment;
 use crate::leaf_graph::LeafGraph;
 use crate::ranking::{count_group_threshold, sort_predictions};
 use crate::types::KeyphraseId;
-use graphex_textkit::{TokenId, Tokenizer, Vocab};
+use graphex_textkit::{TokenId, Tokenizer};
 
 /// One recommended keyphrase with the attributes the ranking used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,20 +123,21 @@ impl Scratch {
 }
 
 /// Tokenizes `title` and produces the distinct known-token list in
-/// `scratch.title_tokens`. Unknown words (not in the model vocabulary) are
+/// `scratch.title_tokens`; `lookup` is the vocabulary (the model's, or an
+/// overlaid leaf's tables). Unknown words (not in the vocabulary) are
 /// dropped — the permutation problem only ranges over words that appear in
 /// some keyphrase (Sec. III-A: "if a title token is not part of any
 /// keyphrase then it is ignored").
 pub(crate) fn collect_title_tokens(
     tokenizer: &Tokenizer,
-    vocab: &Vocab,
+    lookup: impl Fn(&str) -> Option<TokenId>,
     title: &str,
     scratch: &mut Scratch,
 ) {
     tokenizer.tokenize_into(title, &mut scratch.token_buf);
     scratch.title_tokens.clear();
     for tok in &scratch.token_buf {
-        if let Some(id) = vocab.get(tok) {
+        if let Some(id) = lookup(tok) {
             scratch.title_tokens.push(id);
         }
     }

@@ -94,7 +94,7 @@ impl GraphExModel {
                 None => return InferResponse::empty(request.id, Outcome::UnknownLeaf),
             },
         };
-        collect_title_tokens(&self.tokenizer, &self.tokens, request.title, scratch);
+        collect_title_tokens(&self.tokenizer, |word| self.tokens.get(word), request.title, scratch);
         let alignment = request.alignment.unwrap_or(self.alignment);
         let predictions = infer_on_graph(graph, alignment, &request.params(), scratch);
         let outcome = if predictions.is_empty() {

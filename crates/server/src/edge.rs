@@ -35,6 +35,7 @@ use crate::trace::{
     parse_trace_id, trace_json_inline, BackendTrace, TraceConfig, TraceRecorder, TRACE_HEADER,
 };
 use graphex_core::{Stage, StageTrace};
+use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -382,11 +383,24 @@ fn sample_history(shared: &Shared) {
     history.record(values);
 }
 
+/// How long a shed connection stays open after its 429 is written, and
+/// how many may wait at once. A client connects, then writes: closing
+/// before its request arrives makes the kernel answer the request with a
+/// reset, and a reset can discard the refusal the peer has not read yet.
+const SHED_LINGER: Duration = Duration::from_millis(100);
+const SHED_PARKED_MAX: usize = 64;
+
 fn accept_loop(listener: TcpListener, shared: &Shared) {
+    // Refused connections, write side shut, oldest first; dropping one
+    // closes it. Checked once per accept, so the loop never waits on it.
+    let mut parked: VecDeque<(Instant, TcpStream)> = VecDeque::new();
     loop {
         let accepted = listener.accept();
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
+        }
+        while parked.front().is_some_and(|(shed_at, _)| shed_at.elapsed() >= SHED_LINGER) {
+            parked.pop_front();
         }
         let Ok((stream, _peer)) = accepted else {
             // Transient accept failure (EMFILE, aborted handshake): keep
@@ -416,6 +430,13 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
                 false,
                 &[("Retry-After", "1")],
             );
+            // End of response now; the close waits until the peer has
+            // had time to read it.
+            let _ = stream.shutdown(Shutdown::Write);
+            if parked.len() == SHED_PARKED_MAX {
+                parked.pop_front();
+            }
+            parked.push_back((Instant::now(), stream));
         }
     }
     shared.queue.close();
@@ -853,6 +874,32 @@ mod tests {
         assert_eq!(f.toy.shed.load(Ordering::Relaxed), 1);
         assert_eq!(f.edge.metrics().connections_shed.load(Ordering::Relaxed), 1);
         drop((held, queued, shed));
+        f.edge.shutdown();
+    }
+
+    /// A client connects, then writes, and the acceptor may run on
+    /// either side of that write. When the request is already unread in
+    /// the socket as the acceptor closes, the close is a reset, which
+    /// takes whatever of the refusal is not on the wire yet with it; when
+    /// it arrives after the close, it draws one. Every shed peer must
+    /// still read the whole 429, then EOF.
+    #[test]
+    fn shed_refusal_is_read_in_full_whenever_the_request_lands() {
+        let f = boot(1, 1);
+        let addr = f.edge.addr();
+        let mut held = HttpClient::connect(addr).unwrap();
+        assert_eq!(held.get("/healthz").unwrap().status, 200);
+        let queued = TcpStream::connect(addr).unwrap();
+        await_queued(&f.edge, 1);
+
+        // More than the acceptor parks at once, so the oldest are closed
+        // to make room while the loop runs.
+        for i in 0..3 * SHED_PARKED_MAX {
+            let reply = raw_exchange(addr, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+            assert!(reply.starts_with("HTTP/1.1 429 "), "shed {i}: {reply:?}");
+            assert!(reply.ends_with("shed: accept queue full\n"), "shed {i}: {reply:?}");
+        }
+        drop((held, queued));
         f.edge.shutdown();
     }
 

@@ -139,7 +139,7 @@ impl Endpoint {
 /// One table shared by the single-tenant and fleet expositions so the
 /// family names cannot drift apart.
 type OverlayFamily = (&'static str, &'static str, fn(&OverlayStatus) -> u64);
-const OVERLAY_FAMILIES: [OverlayFamily; 10] = [
+const OVERLAY_FAMILIES: [OverlayFamily; 11] = [
     ("graphex_overlay_depth", "gauge", |s| s.depth as u64),
     ("graphex_overlay_journal_bytes", "gauge", |s| s.journal_bytes as u64),
     ("graphex_overlay_cap_bytes", "gauge", |s| s.cap_bytes as u64),
@@ -150,6 +150,8 @@ const OVERLAY_FAMILIES: [OverlayFamily; 10] = [
     ("graphex_overlay_records_total", "counter", |s| s.records_applied),
     ("graphex_overlay_shed_total", "counter", |s| s.upserts_shed),
     ("graphex_overlay_drains_total", "counter", |s| s.drains),
+    // rate(apply_micros_total) / rate(upserts_total) = mean apply time.
+    ("graphex_overlay_apply_micros_total", "counter", |s| s.apply_micros_total),
 ];
 
 /// Appends the overlay gauge/counter families for a set of labeled
@@ -488,6 +490,7 @@ mod tests {
             journal_bytes: 128,
             cap_bytes: 1024,
             upserts_applied: 3,
+            apply_micros_total: 450,
             ..Default::default()
         };
         let mut bare = String::new();
@@ -495,6 +498,8 @@ mod tests {
         assert!(bare.contains("# TYPE graphex_overlay_depth gauge"), "{bare}");
         assert!(bare.contains("graphex_overlay_depth 4"), "{bare}");
         assert!(bare.contains("graphex_overlay_upserts_total 3"), "{bare}");
+        assert!(bare.contains("# TYPE graphex_overlay_apply_micros_total counter"), "{bare}");
+        assert!(bare.contains("graphex_overlay_apply_micros_total 450"), "{bare}");
 
         let mut fleet = String::new();
         render_overlay_families(
@@ -503,6 +508,7 @@ mod tests {
         );
         assert!(fleet.contains("graphex_overlay_seq{tenant=\"acme\"} 9"), "{fleet}");
         assert!(fleet.contains("graphex_overlay_seq{tenant=\"bob\"} 0"), "{fleet}");
+        assert!(fleet.contains("graphex_overlay_apply_micros_total{tenant=\"acme\"} 450"), "{fleet}");
         // One TYPE header per family, not per row.
         assert_eq!(fleet.matches("# TYPE graphex_overlay_seq gauge").count(), 1);
 

@@ -249,6 +249,7 @@ impl Handler for ServeHandler {
                 if let Some(status) = api.overlay_status() {
                     values.push(("overlay/depth".into(), status.depth as f64));
                     values.push(("overlay/seq".into(), status.seq as f64));
+                    values.push(("overlay/apply_micros".into(), status.apply_micros_total as f64));
                 }
             }
             Backend::Fleet(fleet) => {
@@ -309,6 +310,10 @@ fn overlay_status_json(status: &OverlayStatus) -> Json {
         ("records_applied", Json::uint(status.records_applied)),
         ("upserts_shed", Json::uint(status.upserts_shed)),
         ("drains", Json::uint(status.drains)),
+        (
+            "apply_us_mean",
+            Json::num(status.apply_micros_total as f64 / status.upserts_applied.max(1) as f64),
+        ),
     ])
 }
 

@@ -10,8 +10,15 @@
 //!   compacted snapshot is byte-identical to a direct rebuild of the
 //!   union corpus (the pipeline's determinism property does the proof).
 //! * the **view** — an `Arc<OverlayView>` composed from the journal's
-//!   pending records, swapped atomically after every accepted upsert
-//!   batch. Readers clone the `Arc` and never block on writers.
+//!   records, swapped atomically after every accepted upsert batch.
+//!   Readers clone the `Arc` and never block on writers. An upsert hands
+//!   the view only its own records: each overlaid leaf keeps its staged
+//!   (tokenized, interned) records inside the view, so a write to an
+//!   already-overlaid leaf re-assembles that leaf's mini graph in
+//!   integers. The staging lives and dies with the leaf's presence in
+//!   the view — [`OverlayStore::drain`] and [`OverlayStore::rebase`]
+//!   rebuild the view from the journal against the base they are given,
+//!   which is why [`OverlayStore::apply`] must see that same base.
 //!
 //! Writes are bounded: once the uncompacted journal exceeds
 //! `cap_bytes`, further upserts are shed with [`OverlayError::CapExceeded`]
@@ -32,6 +39,7 @@ use graphex_core::{GraphExModel, KeyphraseRecord, LeafId, OverlayView};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::time::Instant;
 
 /// Default journal cap: plenty for an inter-compaction window, small
 /// enough that a stuck compactor surfaces as 429s instead of OOM.
@@ -121,13 +129,15 @@ pub struct OverlayStatus {
     pub upserts_shed: u64,
     /// Compaction drains performed.
     pub drains: u64,
+    /// Wall time spent inside [`OverlayStore::apply`] by accepted
+    /// batches, in microseconds (÷ `upserts_applied` = mean apply time).
+    pub apply_micros_total: u64,
 }
 
 #[derive(Debug, Default)]
 struct OverlayInner {
+    /// The one owner of the pending records; the view holds them staged.
     journal: Vec<JournalEntry>,
-    /// Per-leaf pending raw records (the view's build input).
-    pending: BTreeMap<LeafId, Vec<KeyphraseRecord>>,
     seq: u64,
     drained_upto: u64,
     journal_bytes: usize,
@@ -146,6 +156,7 @@ pub struct OverlayStore {
     records_applied: AtomicU64,
     upserts_shed: AtomicU64,
     drains: AtomicU64,
+    apply_nanos: AtomicU64,
 }
 
 impl OverlayStore {
@@ -165,6 +176,7 @@ impl OverlayStore {
             records_applied: AtomicU64::new(0),
             upserts_shed: AtomicU64::new(0),
             drains: AtomicU64::new(0),
+            apply_nanos: AtomicU64::new(0),
         }
     }
 
@@ -191,15 +203,18 @@ impl OverlayStore {
             .unwrap_or(0)
     }
 
-    /// Applies a batch of raw upsert records against `base`, rebuilding
-    /// the affected leaves' mini graphs and swapping the view **before**
-    /// acknowledging — an acked record is servable by the very next
-    /// request. All-or-nothing: a shed or invalid batch changes nothing.
+    /// Applies a batch of raw upsert records against `base`,
+    /// re-assembling the affected leaves' mini graphs and swapping the
+    /// view **before** acknowledging — an acked record is servable by the
+    /// very next request. All-or-nothing: a shed or invalid batch changes
+    /// nothing. `base` must be the model of the last [`OverlayStore::drain`]
+    /// or [`OverlayStore::rebase`] (the first `apply`'s, before either).
     pub fn apply(
         &self,
         base: &GraphExModel,
         records: &[KeyphraseRecord],
     ) -> Result<UpsertAck, OverlayError> {
+        let started = Instant::now();
         if records.is_empty() {
             return Err(OverlayError::Invalid("empty upsert batch".into()));
         }
@@ -231,7 +246,6 @@ impl OverlayStore {
             inner.seq += 1;
             let seq = inner.seq;
             inner.journal.push(JournalEntry { seq, record: rec.clone() });
-            inner.pending.entry(rec.leaf).or_default().push(rec.clone());
             if !touched.contains(&rec.leaf) {
                 touched.push(rec.leaf);
             }
@@ -239,11 +253,12 @@ impl OverlayStore {
         inner.journal_bytes += added_bytes;
         let seq = inner.seq;
 
-        // Rebuild only the touched leaves, sharing the rest of the view.
+        // Each touched leaf takes its own records of the batch; the rest
+        // of the view is shared.
         let mut view = self.view();
-        for leaf in &touched {
-            let delta = inner.pending.get(leaf).map(Vec::as_slice).unwrap_or(&[]);
-            view = Arc::new(view.with_leaf(base, *leaf, delta, seq));
+        for &leaf in &touched {
+            let added = records.iter().filter(|rec| rec.leaf == leaf);
+            view = Arc::new(view.with_leaf(base, leaf, added, seq));
         }
         let ack = UpsertAck {
             seq,
@@ -262,6 +277,7 @@ impl OverlayStore {
 
         self.upserts_applied.fetch_add(1, Ordering::Relaxed);
         self.records_applied.fetch_add(records.len() as u64, Ordering::Relaxed);
+        self.apply_nanos.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         Ok(ack)
     }
 
@@ -279,21 +295,13 @@ impl OverlayStore {
     /// remainder against the **new** base model.
     pub fn drain(&self, base: &GraphExModel, upto: u64) -> DrainReport {
         let mut inner = self.lock_inner();
-        let before = inner.journal.len();
-        inner.journal.retain(|e| e.seq > upto);
-        let remaining = inner.journal.len();
-        inner.drained_upto = inner.drained_upto.max(upto);
-        inner.pending.clear();
-        inner.journal_bytes = 0;
-        // Borrow the journal separately so the per-entry loop can mutate
-        // the other fields.
-        let entries: Vec<JournalEntry> = inner.journal.clone();
-        for entry in &entries {
-            inner.pending.entry(entry.record.leaf).or_default().push(entry.record.clone());
-            inner.journal_bytes += Self::record_bytes(&entry.record);
-        }
-        let view = Arc::new(OverlayView::build(base, &inner.pending, inner.seq));
-        *self.view.write().unwrap_or_else(PoisonError::into_inner) = view;
+        let OverlayInner { journal, seq, drained_upto, journal_bytes } = &mut *inner;
+        let before = journal.len();
+        journal.retain(|e| e.seq > upto);
+        let remaining = journal.len();
+        *drained_upto = (*drained_upto).max(upto);
+        *journal_bytes = journal.iter().map(|e| Self::record_bytes(&e.record)).sum();
+        self.rebuild_view(base, journal, *seq);
         drop(inner);
         self.drains.fetch_add(1, Ordering::Relaxed);
         DrainReport { drained: before - remaining, remaining }
@@ -305,7 +313,17 @@ impl OverlayStore {
     /// serving.
     pub fn rebase(&self, base: &GraphExModel) {
         let inner = self.lock_inner();
-        let view = Arc::new(OverlayView::build(base, &inner.pending, inner.seq));
+        self.rebuild_view(base, &inner.journal, inner.seq);
+    }
+
+    /// Swaps in a view staged afresh from `journal` against `base`
+    /// (caller holds the store mutex).
+    fn rebuild_view(&self, base: &GraphExModel, journal: &[JournalEntry], seq: u64) {
+        let mut pending: BTreeMap<LeafId, Vec<KeyphraseRecord>> = BTreeMap::new();
+        for entry in journal {
+            pending.entry(entry.record.leaf).or_default().push(entry.record.clone());
+        }
+        let view = Arc::new(OverlayView::build(base, &pending, seq));
         *self.view.write().unwrap_or_else(PoisonError::into_inner) = view;
     }
 
@@ -324,6 +342,7 @@ impl OverlayStore {
             records_applied: self.records_applied.load(Ordering::Relaxed),
             upserts_shed: self.upserts_shed.load(Ordering::Relaxed),
             drains: self.drains.load(Ordering::Relaxed),
+            apply_micros_total: self.apply_nanos.load(Ordering::Relaxed) / 1_000,
         }
     }
 
@@ -602,6 +621,44 @@ mod tests {
             .unwrap();
         assert!(resp.texts.iter().any(|t| t == "wireless headphones xbox"));
         assert!(resp.texts.iter().any(|t| t == "audeze maxwell xbox edition"));
+    }
+
+    #[test]
+    fn staging_lives_with_the_leaf_and_refused_batches_change_nothing() {
+        let model = base();
+        let first = rec("audeze maxwell xbox edition", 7, 990, 10);
+        let second = rec("audeze maxwell wireless", 7, 500, 20);
+        let cap = OverlayStore::record_bytes(&first) + OverlayStore::record_bytes(&second);
+        let store = OverlayStore::with_cap(cap);
+        store.apply(&model, std::slice::from_ref(&first)).unwrap();
+        let staged = store.view().staged_base(LeafId(7)).unwrap();
+        // The next upsert to the leaf extends the same staging.
+        store.apply(&model, std::slice::from_ref(&second)).unwrap();
+        let view = store.view();
+        assert!(staged.ptr_eq(&view.staged_base(LeafId(7)).unwrap()));
+        assert_eq!(staged.strong_count(), 1, "only the live view's leaf holds it");
+
+        // A shed batch and an invalid one leave view, leaf_seq, journal
+        // and staging exactly as they were.
+        let journal = store.export_journal();
+        let applied_micros = store.status().apply_micros_total;
+        let shed = store.apply(&model, &[rec("one too many", 7, 1, 1)]);
+        assert!(matches!(shed, Err(OverlayError::CapExceeded { .. })));
+        let invalid = store.apply(&model, &[rec("has\ttab", 7, 1, 1)]);
+        assert!(matches!(invalid, Err(OverlayError::Invalid(_))));
+        assert!(Arc::ptr_eq(&view, &store.view()));
+        assert_eq!(store.leaf_seq(LeafId(7)), 2);
+        assert_eq!(store.export_journal(), journal);
+        assert_eq!(staged.strong_count(), 1);
+        let status = store.status();
+        assert_eq!((status.upserts_applied, status.upserts_shed), (2, 1));
+        assert_eq!(status.apply_micros_total, applied_micros, "accepted batches only");
+
+        // Once a drain takes the leaf out of the view, its staging goes.
+        drop(view);
+        store.drain(&model, journal.upto);
+        assert!(!store.view().covers(LeafId(7)));
+        assert!(staged.upgrade().is_none());
     }
 
     #[test]

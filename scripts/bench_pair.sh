@@ -7,6 +7,13 @@
 #   scripts/bench_pair.sh <workload> [base-rev] [pairs]
 #   make bench-pair WORKLOAD=router_batch BASE=HEAD PAIRS=10
 #
+# With TRACE_METRICS="name,name" set, one extra `--trace 1` run per side
+# follows the pairs (same seed on both) and those per-layer metrics are
+# printed side by side — where the saving sits, informational:
+#
+#   TRACE_METRICS=serving.overlay.apply_ns,client.upsert_p50_us \
+#       make bench-pair WORKLOAD=write_mix
+#
 # Everything it writes goes under .bench_build/ (git-ignored). The base is
 # the committed tree of <base-rev> (`git archive`, so no worktree is left
 # registered); the change is the working tree as it stands.
@@ -38,8 +45,8 @@ for side in base change; do
 done
 
 # One run: stdout (metric lines + result line) and the --out document.
-run() { # side pair seed
-    "$out/bin/$1" --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 \
+run() { # side pair seed [trace]
+    "$out/bin/$1" --workload "$workload" --seed "$3" --seconds "$seconds" --trace "${4:-0}" \
         --out "$out/runs/$2.$1.json" >"$out/runs/$2.$1.txt" || {
         echo "bench_pair: $1 failed its checks on seed $3 (see $out/runs/$2.$1.txt)" >&2
         exit 1
@@ -124,3 +131,24 @@ END {
     }
     printf "failed operations: base %d of %d, change %d of %d\n", failed["base"], attempted["base"], failed["change"], attempted["change"]
 }' BENCHMARK.json "$out"/runs/*.txt
+
+# The per-layer metrics asked for, from one traced run per side. They go
+# under their own names (trace.*), so the table above never reads them.
+if [ -n "${TRACE_METRICS:-}" ]; then
+    seed=$((seed + 1))
+    for side in base change; do run "$side" trace "$seed" 1; done
+    echo "per-layer, one --trace 1 run per side (seed $seed):"
+    awk -v workload="$workload" -v wanted="$TRACE_METRICS" '
+    BEGIN { n = split(wanted, names, ","); for (i = 1; i <= n; i++) want[names[i]] = 1 }
+    $1 == workload && NF == 4 && ($2 in want) {
+        side = FILENAME; sub(/.*trace\./, "", side); sub(/\.txt$/, "", side)
+        value[side, $2] = $3; unit[$2] = $4
+    }
+    END {
+        printf "%-44s %14s %14s %8s  %s\n", "metric", "base", "change", "ratio", "unit"
+        for (i = 1; i <= n; i++) {
+            m = names[i]; b = value["base", m]; c = value["change", m]
+            printf "%-44s %14.6g %14.6g %8s  %s\n", m, b, c, (b != 0 ? sprintf("%.2fx", c / b) : "-"), unit[m]
+        }
+    }' "$out/runs/trace.base.txt" "$out/runs/trace.change.txt"
+fi

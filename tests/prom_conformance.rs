@@ -143,6 +143,7 @@ fn single_server_with_overlay_exposition_is_conformant() {
         "graphex_http_requests_total",
         "graphex_serve_outcome_total",
         "graphex_overlay_depth",
+        "graphex_overlay_apply_micros_total",
         "graphex_stage_latency_seconds",
         "graphex_traces_recorded_total",
     ] {
@@ -150,8 +151,17 @@ fn single_server_with_overlay_exposition_is_conformant() {
     }
 
     drive_infer(&mut client, "/v1/infer", &title, leaf, 8);
+    // A second accepted upsert moves the pair the mean apply time is
+    // read from: one more batch, and no less time inside `apply`.
+    let ack = client
+        .post_json("/v1/upsert", r#"{"text":"prom conformance sequel","leaf":77,"search":41,"recall":4}"#)
+        .unwrap();
+    assert_eq!(ack.status, 200, "{}", ack.text());
     let after = scrape(&mut client, "single");
     check_monotone(&before, &after, "single");
+    let moved = |name: &str| after.series[name] - before.series[name];
+    assert_eq!(moved("graphex_overlay_upserts_total"), 1.0);
+    assert!(after.series["graphex_overlay_apply_micros_total"] > 0.0, "two applies take time");
     server.shutdown();
 }
 
