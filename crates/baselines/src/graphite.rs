@@ -54,7 +54,8 @@ impl Graphite {
             }
             let row = item_labels.len() as u32;
             let item = &ds.marketplace.items[item_id];
-            tokenizer.tokenize_into(&item.title, &mut buf);
+            buf.clear();
+            buf.extend(tokenizer.tokenize(&item.title));
             buf.sort_unstable();
             buf.dedup();
             item_token_len.push(buf.len().min(u16::MAX as usize) as u16);

@@ -32,7 +32,7 @@ use crate::builder::GraphExConfig;
 use crate::leaf_graph::LeafGraph;
 use crate::model::GraphExModel;
 use crate::types::{KeyphraseRecord, LeafId};
-use graphex_textkit::{FxHashMap, Tokenizer, Vocab};
+use graphex_textkit::{FxHashMap, TokenBuf, Tokenizer, Vocab};
 
 /// "Not seen yet" in a [`GraphParts`] remap table.
 const UNSEEN: u32 = u32::MAX;
@@ -141,9 +141,12 @@ pub struct AssemblyContext {
     /// must be exact-match biddable queries while graph tokens are
     /// stemmed for match reach.
     text_normalizer: Tokenizer,
-    token_buf: Vec<String>,
-    text_buf: Vec<String>,
+    walk: TokenBuf,
     normalized: String,
+    /// The stemmed tokens of the text back to back, and each one's
+    /// `start..end` in that string.
+    stems: String,
+    spans: Vec<(usize, usize)>,
 }
 
 impl AssemblyContext {
@@ -151,9 +154,10 @@ impl AssemblyContext {
         Self {
             tokenizer: GraphExModel::make_tokenizer(stemming),
             text_normalizer: GraphExModel::make_tokenizer(false),
-            token_buf: Vec::new(),
-            text_buf: Vec::new(),
+            walk: TokenBuf::default(),
             normalized: String::new(),
+            stems: String::new(),
+            spans: Vec::new(),
         }
     }
 
@@ -161,20 +165,28 @@ impl AssemblyContext {
     /// normalized (unstemmed) text — the label's identity — and its
     /// distinct stemmed tokens in string order — the label's rows.
     /// `None` for a punctuation-only text: nothing to match on.
-    pub(crate) fn analyze(&mut self, text: &str) -> Option<(&str, &[String])> {
-        self.text_normalizer.tokenize_into(text, &mut self.text_buf);
-        let (first, rest) = self.text_buf.split_first()?;
-        self.normalized.clear();
-        self.normalized.push_str(first);
-        for word in rest {
-            self.normalized.push(' ');
-            self.normalized.push_str(word);
+    pub(crate) fn analyze(&mut self, text: &str) -> Option<(&str, impl Iterator<Item = &str>)> {
+        let Self { tokenizer, text_normalizer, walk, normalized, stems, spans } = self;
+        normalized.clear();
+        text_normalizer.for_each_token(text, walk, |word| {
+            if !normalized.is_empty() {
+                normalized.push(' ');
+            }
+            normalized.push_str(word);
+        });
+        if normalized.is_empty() {
+            return None;
         }
-        self.tokenizer.tokenize_into(text, &mut self.token_buf);
-        self.token_buf.sort_unstable();
-        self.token_buf.dedup();
-        debug_assert!(!self.token_buf.is_empty());
-        Some((&self.normalized, &self.token_buf))
+        stems.clear();
+        spans.clear();
+        tokenizer.for_each_token(text, walk, |word| {
+            spans.push((stems.len(), stems.len() + word.len()));
+            stems.push_str(word);
+        });
+        let stem = |&(start, end): &(usize, usize)| &stems[start..end];
+        spans.sort_unstable_by_key(stem);
+        spans.dedup_by_key(|span| stem(span));
+        Some((normalized, spans.iter().map(stem)))
     }
 }
 
@@ -297,7 +309,7 @@ impl LeafAssembly {
             };
             let keyphrase = keyphrases.intern(normalized);
             ids.clear();
-            ids.extend(words.iter().map(|word| tokens.intern(word)));
+            ids.extend(words.map(|word| tokens.intern(word)));
             parts.push(keyphrase, &ids, rec.search_count, rec.recall_count);
         }
         let (graph, label_keyphrases) = parts.finish();

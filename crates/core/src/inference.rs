@@ -5,14 +5,16 @@
 //! words it shares (`DC(·)` in the paper). The naive formulation collects a
 //! list and de-duplicates it — poly-log cost; Sec. III-F replaces that with
 //! **count arrays**, implemented here as a generation-stamped array so that
-//! clearing between calls is O(1) and steady-state inference does **zero
-//! allocation** (all buffers live in [`Scratch`]).
+//! clearing between calls is O(1). Every buffer lives in [`Scratch`]: at
+//! steady state a call allocates the returned `Vec<Prediction>` and
+//! nothing else.
 
 use crate::alignment::Alignment;
 use crate::leaf_graph::LeafGraph;
-use crate::ranking::{count_group_threshold, sort_predictions};
+use crate::ranking::{count_group_threshold, rank_top, RankKey};
+use crate::trace::Stage;
 use crate::types::KeyphraseId;
-use graphex_textkit::{TokenId, Tokenizer};
+use graphex_textkit::{TokenBuf, TokenId, Tokenizer};
 
 /// One recommended keyphrase with the attributes the ranking used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,27 +72,40 @@ impl Default for InferenceParams {
     }
 }
 
+/// Bits of a count-array cell that hold the count; the generation stamp
+/// sits above them.
+const COUNT_BITS: u32 = 16;
+const COUNT_MASK: u32 = (1 << COUNT_BITS) - 1;
+
 /// Reusable inference workspace.
 ///
-/// Holds the generation-stamped count array, the touched-label list, token
-/// buffers and the candidate vector. One `Scratch` per thread; create with
-/// [`Scratch::new`] and pass to every [`crate::GraphExModel::infer`] call.
+/// Holds the generation-stamped count array, the touched-label list, the
+/// token-walk strings and the candidate and ranking-key vectors. One
+/// `Scratch` per thread; create with [`Scratch::new`] and pass to every
+/// [`crate::GraphExModel::infer`] call. The buffers grow to the largest
+/// graph and title seen and are then reused: nothing here allocates at
+/// steady state.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// stamp[l] == generation  ⇔  counts[l] is valid for this call.
-    stamps: Vec<u32>,
-    counts: Vec<u16>,
-    generation: u32,
-    /// Local label ids touched this call.
+    /// The count array. `cells[l] >> COUNT_BITS == generation` ⇔ the low
+    /// bits are label `l`'s count for this call; any smaller stamp is a
+    /// stale cell, read as zero.
+    cells: Vec<u32>,
+    generation: u16,
+    /// Local label ids touched this call, in `touched[..n]`; one slot
+    /// longer than the count array so the edge loop can write before it
+    /// knows whether the label is new.
     touched: Vec<u32>,
-    /// Tokenized title (strings, reused).
-    token_buf: Vec<String>,
+    /// Normalized title and stem buffer of the token walk.
+    walk: TokenBuf,
     /// Distinct known title token ids.
     title_tokens: Vec<TokenId>,
     /// Histogram of candidate counts (index = count).
     group_sizes: Vec<u32>,
     /// Candidate predictions being assembled.
     candidates: Vec<Prediction>,
+    /// Their ranking keys.
+    keys: Vec<RankKey>,
     /// Pooled span buffer: armed per request when tracing is on, disabled
     /// (one branch per stage hook) otherwise.
     pub(crate) trace: crate::trace::StageTrace,
@@ -101,24 +116,26 @@ impl Scratch {
         Self::default()
     }
 
-    /// Ensures the stamped count array covers `num_labels` labels.
+    /// Ensures the count array covers `num_labels` labels.
     fn ensure_labels(&mut self, num_labels: usize) {
-        if self.stamps.len() < num_labels {
-            self.stamps.resize(num_labels, 0);
-            self.counts.resize(num_labels, 0);
+        if self.cells.len() < num_labels {
+            self.cells.resize(num_labels, 0);
+            self.touched.resize(num_labels + 1, 0);
         }
     }
 
-    /// Starts a new call: O(1) logical clear of the count array.
-    fn next_generation(&mut self) {
+    /// Starts a new call: O(1) logical clear of the count array. Returns
+    /// the value every cell of this call is at least: the new stamp with
+    /// a zero count.
+    fn next_generation(&mut self) -> u32 {
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
-            // Wrapped: physically reset stamps so stale entries can't alias.
-            self.stamps.fill(0);
+            // Wrapped: physically reset so stale cells can't alias.
+            self.cells.fill(0);
             self.generation = 1;
         }
-        self.touched.clear();
         self.candidates.clear();
+        u32::from(self.generation) << COUNT_BITS
     }
 }
 
@@ -134,15 +151,18 @@ pub(crate) fn collect_title_tokens(
     title: &str,
     scratch: &mut Scratch,
 ) {
-    tokenizer.tokenize_into(title, &mut scratch.token_buf);
-    scratch.title_tokens.clear();
-    for tok in &scratch.token_buf {
-        if let Some(id) = lookup(tok) {
-            scratch.title_tokens.push(id);
+    let Scratch { walk, title_tokens, .. } = scratch;
+    title_tokens.clear();
+    tokenizer.for_each_token(title, walk, |token| {
+        if let Some(id) = lookup(token) {
+            title_tokens.push(id);
         }
-    }
-    scratch.title_tokens.sort_unstable();
-    scratch.title_tokens.dedup();
+    });
+    title_tokens.sort_unstable();
+    title_tokens.dedup();
+    // A label's count is at most |T|: this keeps it inside a cell's count
+    // bits, and `Prediction::title_len` exact.
+    title_tokens.truncate(COUNT_MASK as usize);
 }
 
 /// Runs enumeration + ranking against one leaf graph. Returns predictions
@@ -157,50 +177,53 @@ pub(crate) fn infer_on_graph(
     scratch: &mut Scratch,
 ) -> Vec<Prediction> {
     scratch.ensure_labels(graph.num_labels() as usize);
-    scratch.next_generation();
-    let generation = scratch.generation;
-    let traversal_start = scratch.trace.clock();
+    let fresh = scratch.next_generation();
+    let Scratch { cells, touched, title_tokens, group_sizes, candidates, keys, trace, .. } = scratch;
+    let traversal_start = trace.clock();
 
     // --- Enumeration (Algorithm 1 lines 3–6, count-array variant) ---
-    for &tok in &scratch.title_tokens {
+    // About half the edges of a title reach a label for the first time, so
+    // "is this label new" is a coin flip to a branch predictor: the label
+    // is written to the list either way and the list grows by the answer.
+    let mut n = 0;
+    for &tok in title_tokens.iter() {
         for &label in graph.labels_of_token(tok) {
-            let l = label as usize;
-            if scratch.stamps[l] != generation {
-                scratch.stamps[l] = generation;
-                scratch.counts[l] = 0;
-                scratch.touched.push(label);
-            }
+            let cell = &mut cells[label as usize];
+            touched[n] = label;
+            n += usize::from(*cell < fresh);
             // Distinct title tokens guaranteed by collect_title_tokens, and
             // CSR edges are deduplicated, so each (word, label) pair
-            // increments at most once: counts[l] == |T ∩ l|.
-            scratch.counts[l] += 1;
+            // increments at most once: the count is |T ∩ l|.
+            *cell = (*cell).max(fresh) + 1;
         }
     }
-
-    if scratch.touched.is_empty() {
-        scratch.trace.record(crate::trace::Stage::Traversal, traversal_start);
+    let touched = &touched[..n];
+    if touched.is_empty() {
+        trace.record(Stage::Traversal, traversal_start);
         return Vec::new();
     }
-    let title_len = scratch.title_tokens.len() as u32;
+    let title_len = title_tokens.len() as u32;
 
     // --- Count-group pruning (Sec. III-F) ---
-    let max_count = usize::from(*scratch.touched.iter().map(|&l| &scratch.counts[l as usize]).max().unwrap());
-    scratch.group_sizes.clear();
-    scratch.group_sizes.resize(max_count + 1, 0);
-    for &l in &scratch.touched {
-        scratch.group_sizes[usize::from(scratch.counts[l as usize])] += 1;
+    // No count exceeds |T|, so the histogram needs no pass to find its size.
+    group_sizes.clear();
+    group_sizes.resize(title_tokens.len() + 1, 0);
+    for &l in touched {
+        group_sizes[(cells[l as usize] & COUNT_MASK) as usize] += 1;
     }
-    let threshold = count_group_threshold(&scratch.group_sizes, params.k);
+    // `k = 0` prunes as `k = 1` does, down to the top group — what is then
+    // returned of it is the ranking step's business.
+    let threshold = count_group_threshold(group_sizes, params.k.max(1));
 
     // --- Tuple generation (Algorithm 1 lines 7–8) for surviving labels ---
-    for &l in &scratch.touched {
-        let c = scratch.counts[l as usize];
-        if u32::from(c) < threshold {
+    for &l in touched {
+        let c = cells[l as usize] & COUNT_MASK;
+        if c < threshold {
             continue;
         }
-        scratch.candidates.push(Prediction {
+        candidates.push(Prediction {
             keyphrase: graph.keyphrase_id(l),
-            matched: c,
+            matched: c as u16,
             label_len: graph.label_len(l),
             search_count: graph.search_count(l),
             recall_count: graph.recall_count(l),
@@ -208,17 +231,12 @@ pub(crate) fn infer_on_graph(
         });
     }
 
-    // --- Ranking (Sec. III-E2) ---
-    scratch.trace.record(crate::trace::Stage::Traversal, traversal_start);
-    let ranking_start = scratch.trace.clock();
-    sort_predictions(&mut scratch.candidates, alignment, title_len);
-    let take = if params.keep_threshold_group {
-        scratch.candidates.len()
-    } else {
-        params.k.min(scratch.candidates.len())
-    };
-    let out = scratch.candidates[..take].to_vec();
-    scratch.trace.record(crate::trace::Stage::Ranking, ranking_start);
+    // --- Ranking (Sec. III-E2): select the k that are returned, sort those ---
+    trace.record(Stage::Traversal, traversal_start);
+    let ranking_start = trace.clock();
+    let take = if params.keep_threshold_group { candidates.len() } else { params.k };
+    let out = rank_top(candidates, alignment, title_len, take, keys);
+    trace.record(Stage::Ranking, ranking_start);
     out
 }
 
@@ -289,6 +307,20 @@ mod tests {
     }
 
     #[test]
+    fn k_zero_returns_nothing_unless_the_threshold_group_is_kept() {
+        let g = figure3();
+        assert!(run(&g, &[0, 1, 2, 3, 4], InferenceParams::with_k(0)).is_empty());
+        // Asked to keep the threshold group, `k = 0` keeps the top one: the
+        // single label matching three title words.
+        let grouped = run(
+            &g,
+            &[0, 1, 2, 3, 4],
+            InferenceParams { k: 0, alignment: None, keep_threshold_group: true },
+        );
+        assert_eq!(grouped.iter().map(|p| p.keyphrase).collect::<Vec<_>>(), [12]);
+    }
+
+    #[test]
     fn no_known_tokens_yields_empty() {
         let g = figure3();
         assert!(run(&g, &[], InferenceParams::default()).is_empty());
@@ -314,7 +346,7 @@ mod tests {
     fn generation_wrap_resets_stamps() {
         let g = figure3();
         let mut scratch = Scratch::new();
-        scratch.generation = u32::MAX; // force wrap on next call
+        scratch.generation = u16::MAX; // force wrap on next call
         scratch.title_tokens = vec![0];
         let preds = infer_on_graph(&g, Alignment::Lta, &InferenceParams::with_k(10), &mut scratch);
         assert_eq!(preds.len(), 2);

@@ -58,8 +58,9 @@
 //! assert_eq!(response.texts, ["gaming headphones xbox", "audeze maxwell", "audeze headphones"]);
 //! ```
 //!
-//! The crate is CPU-only, allocation-free per inference at steady state
-//! (pooled [`Scratch`] via [`Engine`]/[`Session`]), and scales batch
+//! The crate is CPU-only, allocates per inference at steady state only the
+//! answer it returns (pooled [`Scratch`] via [`Engine`]/[`Session`]; gated
+//! by `tests/alloc_count.rs`), and scales batch
 //! inference across cores with [`Engine::infer_batch`] /
 //! [`parallel::batch_infer`] — per-request `k` and alignment included.
 //! Every frontend (store-backed serving, CLI, evaluation, benches) speaks

@@ -1,17 +1,18 @@
 //! Multithreaded batch inference (paper Sec. IV-A / IV-H).
 //!
 //! GraphEx "employs coarse-grained multithreading, assigning each input's
-//! inference to an individual thread". We chunk the request slice across
-//! `crossbeam` scoped threads; each thread checks one
-//! [`crate::Scratch`] out of a [`ScratchPool`], so the steady state
-//! does no cross-thread
-//! synchronization and no allocation beyond the result vectors.
+//! inference to an individual thread". One driver, [`batch_infer_with`],
+//! gives each worker a contiguous chunk of the batch and one
+//! [`crate::Scratch`] from a [`ScratchPool`], and hands every answer to the
+//! caller's sink on the worker that computed it — so what is done with an
+//! answer (collect it, store it, count it) runs in parallel too, and a
+//! worker allocates only what its answers and its sink do.
 //!
 //! Requests are full [`InferRequest`] envelopes: every item in a batch can
-//! carry its own `k`, alignment override, and resolve-texts flag. Results
-//! come back as [`InferResponse`]s in request order, each tagged with the
-//! [`crate::Outcome`] that explains it — a batch never aborts because one
-//! item is in a cold category; that item simply reports `UnknownLeaf`.
+//! carry its own `k`, alignment override, and resolve-texts flag. Each
+//! answer is tagged with the [`crate::Outcome`] that explains it — a batch
+//! never aborts because one item is in a cold category; that item simply
+//! reports `UnknownLeaf`.
 
 use crate::model::GraphExModel;
 use crate::service::{InferRequest, InferResponse, ScratchPool};
@@ -33,36 +34,65 @@ pub fn batch_infer(
 }
 
 /// [`batch_infer`] drawing scratches from an existing pool (the
-/// [`crate::Engine`] path).
+/// [`crate::Engine`] path): the driver with a sink that collects each
+/// worker's answers, joined in chunk order.
 pub(crate) fn batch_infer_pooled(
     model: &GraphExModel,
     requests: &[InferRequest<'_>],
     num_threads: usize,
     pool: &ScratchPool,
 ) -> Vec<InferResponse> {
-    let threads = effective_threads(num_threads, requests.len());
-    if threads <= 1 {
-        let mut scratch = pool.take();
-        let results = requests.iter().map(|r| model.infer_request(r, &mut scratch)).collect();
-        pool.give(scratch);
-        return results;
-    }
+    let collect = |answers: &mut Vec<InferResponse>, _, response| answers.push(response);
+    let mut chunks =
+        batch_infer_with(model, requests.len(), |i| requests[i], num_threads, pool, collect)
+            .into_iter();
+    let mut answers = chunks.next().expect("at least one worker");
+    answers.extend(chunks.flatten());
+    answers
+}
 
-    let mut results: Vec<Option<InferResponse>> = (0..requests.len()).map(|_| None).collect();
-    let chunk = requests.len().div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        for (req_chunk, out_chunk) in requests.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move |_| {
-                let mut scratch = pool.take();
-                for (req, out) in req_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *out = Some(model.infer_request(req, &mut scratch));
-                }
-                pool.give(scratch);
-            });
+/// The batch driver. Answers `request(i)` for every `i` in `0..count` on up
+/// to `num_threads` workers (`0` = all available cores), each taking one
+/// contiguous chunk in index order, and calls `sink(state, i, response)`
+/// on the worker that computed the response; `state` is that worker's own
+/// `T`, starting from `T::default()`. Returns the workers' states in chunk
+/// order; a single worker runs on the calling thread.
+pub fn batch_infer_with<'r, T, R, S>(
+    model: &GraphExModel,
+    count: usize,
+    request: R,
+    num_threads: usize,
+    pool: &ScratchPool,
+    sink: S,
+) -> Vec<T>
+where
+    T: Default + Send,
+    R: Fn(usize) -> InferRequest<'r> + Sync,
+    S: Fn(&mut T, usize, InferResponse) + Sync,
+{
+    let work = |range: std::ops::Range<usize>| {
+        let mut state = T::default();
+        let mut scratch = pool.take();
+        for i in range {
+            sink(&mut state, i, model.infer_request(&request(i), &mut scratch));
         }
+        pool.give(scratch);
+        state
+    };
+    let threads = effective_threads(num_threads, count);
+    if threads <= 1 {
+        return vec![work(0..count)];
+    }
+    let chunk = count.div_ceil(threads);
+    let work = &work;
+    crossbeam::thread::scope(|scope| {
+        let workers: Vec<_> = (0..count)
+            .step_by(chunk)
+            .map(|start| scope.spawn(move |_| work(start..count.min(start + chunk))))
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("batch inference worker panicked")).collect()
     })
-    .expect("batch inference worker panicked");
-    results.into_iter().map(|r| r.expect("every request answered")).collect()
+    .expect("batch inference worker panicked")
 }
 
 fn effective_threads(requested: usize, work_items: usize) -> usize {
@@ -103,6 +133,21 @@ mod tests {
         let seq = batch_infer(&model, &requests, 1);
         let par = batch_infer(&model, &requests, 4);
         assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn driver_gives_each_worker_one_chunk_in_index_order() {
+        let model = model();
+        let request = |i: usize| InferRequest::new("brand1 model1 widget", LeafId(1)).id(i as u64);
+        let note = |seen: &mut Vec<usize>, i: usize, response: InferResponse| {
+            assert_eq!(response.id, Some(i as u64));
+            seen.push(i);
+        };
+        let pool = ScratchPool::new();
+        let chunks = batch_infer_with(&model, 10, request, 4, &pool, note);
+        assert_eq!(chunks, [vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8], vec![9]]);
+        assert_eq!(batch_infer_with(&model, 10, request, 1, &pool, note), [(0..10).collect::<Vec<_>>()]);
+        assert_eq!(batch_infer_with(&model, 0, request, 4, &pool, note), [vec![]]);
     }
 
     #[test]

@@ -6,10 +6,15 @@
 //!   their redundancy count `c`, take groups from the largest `c` downward
 //!   until the requested number of predictions is covered, and keep the
 //!   entire threshold group.
-//! * [`sort_predictions`] — the ranking step: non-increasing alignment score
-//!   with exact fraction comparison; ties prefer higher Search count, then
-//!   lower Recall count (more buyers, fewer competing items → higher click
-//!   probability per item), then keyphrase id for determinism.
+//! * [`sort_predictions`] — the ranking step: non-increasing alignment score;
+//!   ties prefer higher Search count, then lower Recall count (more buyers,
+//!   fewer competing items → higher click probability per item), then
+//!   keyphrase id for determinism.
+//!
+//! Both the full sort and the inference kernel's top-`k` go through one
+//! routine, [`rank_top`], on one key, [`RankKey`]: the order is computed
+//! once per candidate, not once per comparison, and only the `k` that are
+//! returned are ever sorted.
 
 use crate::alignment::Alignment;
 use crate::inference::Prediction;
@@ -32,20 +37,85 @@ pub fn count_group_threshold(group_sizes: &[u32], k: usize) -> u32 {
     1
 }
 
+/// One candidate's place in the ranking order as two integers that compare
+/// lexicographically, smaller first. `major` packs, from the top bit
+/// down, the alignment score (descending), the search count (descending)
+/// and the recall count (ascending) — one branch-free 128-bit compare that
+/// decides nearly every pair; `id` is the keyphrase id (ascending) over
+/// the candidate's index in the slice being ranked. Keyphrase ids are
+/// unique within a leaf, so on a leaf's candidates the order is total.
+///
+/// The score is exact. It is the IEEE-754 bits of `n / d`, the fraction
+/// of [`Alignment::as_fraction`], and non-negative doubles order as their
+/// bits do. Division is correctly rounded, hence monotone, and equal
+/// fractions give equal quotients; two *different* fractions `a/b < c/d`
+/// with `a, c < 2^16` and `b, d < 2^17` are at least `1/(b·d)` apart, a
+/// relative gap of `1/(b·c) > 2^-33` — twenty binary orders of magnitude
+/// more than the `2^-53` a rounding moves either side, so they stay apart
+/// and in order. (`crates/core/tests/props.rs` checks key order against
+/// [`Alignment::cmp_scores`] pair by pair.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct RankKey {
+    major: u128,
+    id: u64,
+}
+
+impl RankKey {
+    /// The key of `pred`, candidate number `index`, under `alignment`.
+    #[inline]
+    pub fn new(pred: &Prediction, index: u32, alignment: Alignment, title_len: u32) -> Self {
+        let (n, d) =
+            alignment.as_fraction(u32::from(pred.matched), u32::from(pred.label_len), title_len);
+        let score = (f64::from(n) / f64::from(d)).to_bits();
+        Self {
+            major: u128::from(!score) << 64
+                | u128::from(!pred.search_count) << 32
+                | u128::from(pred.recall_count),
+            id: u64::from(pred.keyphrase) << 32 | u64::from(index),
+        }
+    }
+
+    fn index(self) -> usize {
+        self.id as u32 as usize
+    }
+}
+
+/// The best `k` of `candidates` in ranking order (all of them when
+/// `k >= candidates.len()`), as a vector allocated at exactly that size.
+/// `keys` is scratch, overwritten.
+///
+/// Selection puts the `k` smallest keys in front in O(n); only those are
+/// sorted. The keys form a total order (the index makes them distinct), so
+/// the result does not depend on how selection and sort break ties: it is
+/// the first `k` of the full sort, for every `k`.
+pub fn rank_top(
+    candidates: &[Prediction],
+    alignment: Alignment,
+    title_len: u32,
+    k: usize,
+    keys: &mut Vec<RankKey>,
+) -> Vec<Prediction> {
+    let k = k.min(candidates.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    keys.clear();
+    keys.extend(
+        candidates.iter().enumerate().map(|(i, p)| RankKey::new(p, i as u32, alignment, title_len)),
+    );
+    if k < keys.len() {
+        keys.select_nth_unstable(k - 1);
+    }
+    let best = &mut keys[..k];
+    best.sort_unstable();
+    best.iter().map(|key| candidates[key.index()]).collect()
+}
+
 /// Sorts predictions in ranking order under `alignment`:
 /// score desc → search count desc → recall count asc → keyphrase id asc.
 pub fn sort_predictions(preds: &mut [Prediction], alignment: Alignment, title_len: u32) {
-    preds.sort_unstable_by(|a, b| {
-        alignment
-            .cmp_scores(
-                (u32::from(b.matched), u32::from(b.label_len)),
-                (u32::from(a.matched), u32::from(a.label_len)),
-                title_len,
-            )
-            .then_with(|| b.search_count.cmp(&a.search_count))
-            .then_with(|| a.recall_count.cmp(&b.recall_count))
-            .then_with(|| a.keyphrase.cmp(&b.keyphrase))
-    });
+    let ranked = rank_top(preds, alignment, title_len, preds.len(), &mut Vec::new());
+    preds.copy_from_slice(&ranked);
 }
 
 #[cfg(test)]
@@ -100,6 +170,32 @@ mod tests {
     fn deterministic_on_full_tie() {
         let mut preds = vec![pred(9, 1, 2, 5, 5), pred(3, 1, 2, 5, 5)];
         sort_predictions(&mut preds, Alignment::Lta, 5);
+        assert_eq!(preds[0].keyphrase, 3);
+    }
+
+    #[test]
+    fn top_k_is_a_prefix_of_the_full_order_and_k_zero_is_empty() {
+        let preds: Vec<Prediction> =
+            (0..9).map(|i| pred(i, 1 + (i % 3) as u16, 3, 100 * (i % 2), 9 - i)).collect();
+        let mut full = preds.clone();
+        sort_predictions(&mut full, Alignment::Lta, 6);
+        let mut keys = Vec::new();
+        for k in 0..=preds.len() + 1 {
+            let top = rank_top(&preds, Alignment::Lta, 6, k, &mut keys);
+            assert_eq!(top, full[..k.min(preds.len())], "k = {k}");
+        }
+    }
+
+    #[test]
+    fn key_separates_the_closest_fractions() {
+        // 65534/65535 and 65533/65534 differ by 2.3e-10: one `f32` ulp is
+        // 250 times that, one `f64` ulp a two-millionth of it.
+        let mut preds = vec![pred(1, 65533, 65534, 0, 0), pred(2, 65534, 65535, 0, 0)];
+        sort_predictions(&mut preds, Alignment::Wmr, 6);
+        assert_eq!(preds[0].keyphrase, 2);
+        // Equal fractions written differently are one key: the id decides.
+        let mut preds = vec![pred(9, 2, 4, 0, 0), pred(3, 32767, 65534, 0, 0)];
+        sort_predictions(&mut preds, Alignment::Wmr, 6);
         assert_eq!(preds[0].keyphrase, 3);
     }
 

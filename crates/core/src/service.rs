@@ -13,10 +13,11 @@
 //! Two services live here:
 //!
 //! * [`Engine`] — a cheap-to-clone handle over `Arc<GraphExModel>` with a
-//!   [`ScratchPool`], so `&self` callers get zero-allocation steady-state
-//!   inference without owning a [`Scratch`]. [`Engine::session`] checks a
-//!   scratch out for a run of calls; [`Engine::infer_batch`] fans a request
-//!   slice across threads with *per-request* parameters.
+//!   [`ScratchPool`], so `&self` callers get steady-state inference that
+//!   allocates only its answer without owning a [`Scratch`].
+//!   [`Engine::session`] checks a scratch out for a run of calls;
+//!   [`Engine::infer_batch`] fans a request slice across threads with
+//!   *per-request* parameters.
 //! * `graphex-serving`'s `ServingApi` — the store-backed implementation
 //!   (KV hit, else read-through), sharing this exact interface.
 
@@ -112,6 +113,15 @@ impl OutcomeCounts {
             Outcome::MetaFallback => &mut self.meta_fallback,
             Outcome::UnknownLeaf => &mut self.unknown_leaf,
             Outcome::Empty => &mut self.empty,
+        }
+    }
+}
+
+impl std::ops::AddAssign for OutcomeCounts {
+    /// Folds another tally in (per-worker tallies of one batch).
+    fn add_assign(&mut self, other: Self) {
+        for outcome in Outcome::ALL {
+            *self.slot(outcome) += other.of(outcome);
         }
     }
 }
@@ -315,7 +325,7 @@ impl ScratchPool {
 /// [`ScratchPool`].
 ///
 /// This is the in-process [`KeyphraseService`]: no store, no counters, just
-/// pooled zero-allocation inference. Clone it freely across threads; all
+/// inference over pooled scratches. Clone it freely across threads; all
 /// clones share the model and the pool.
 #[derive(Debug, Clone)]
 pub struct Engine {
@@ -407,9 +417,11 @@ impl KeyphraseService for Engine {
 
 /// A pooled-scratch inference session (see [`Engine::session`]).
 ///
-/// Holds one [`Scratch`] for its lifetime, so a loop of `infer` calls does
-/// zero allocation at steady state and touches the pool lock only twice
-/// (checkout + return on drop).
+/// Holds one [`Scratch`] for its lifetime, so a loop of `infer` calls
+/// allocates, at steady state, only the answers it returns (one
+/// `Vec<Prediction>` each; with texts, their `Vec` and one `String` per
+/// keyphrase) and touches the pool lock only twice (checkout + return on
+/// drop).
 #[derive(Debug)]
 pub struct Session<'e> {
     engine: &'e Engine,
@@ -443,7 +455,7 @@ impl Session<'_> {
     ///
     /// The caller's trace is swapped into the pooled scratch for the call,
     /// so the inference internals record into it without any extra
-    /// plumbing, then swapped back out — zero allocation either way. An
+    /// plumbing, then swapped back out — the swap allocates nothing. An
     /// overlay consult that answers the request is reported as a single
     /// [`crate::trace::Stage::OverlayConsult`] span (detail = leaf id);
     /// the mini graph's nested traversal/ranking spans are suppressed so

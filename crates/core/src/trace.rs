@@ -40,7 +40,8 @@ pub enum Stage {
     /// Graph enumeration: token → label fan-out plus count-group pruning
     /// and candidate generation (Algorithm 1).
     Traversal,
-    /// Candidate ranking: sort + truncate (Sec. III-E2).
+    /// Candidate ranking: ranking keys, selection of the `k` returned,
+    /// their sort, and the copy out (Sec. III-E2).
     Ranking,
     /// Response envelope construction and JSON rendering.
     Serialize,

@@ -4,10 +4,13 @@
 //! correctness arguments rest on, against randomly generated keyphrase
 //! universes.
 
+use graphex_core::ranking::{rank_top, RankKey};
 use graphex_core::{
-    Alignment, GraphExBuilder, GraphExConfig, InferenceParams, KeyphraseRecord, LeafId, Scratch,
+    Alignment, GraphExBuilder, GraphExConfig, InferenceParams, KeyphraseRecord, LeafId, Prediction,
+    Scratch,
 };
 use proptest::prelude::*;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A small random vocabulary to force word overlap between phrases.
@@ -59,7 +62,94 @@ fn naive_counts(records: &[KeyphraseRecord], leaf: LeafId, title: &str) -> BTree
     out
 }
 
+/// The ranking order as the comparator that sorted every candidate before
+/// ranking went through [`RankKey`]: exact cross-multiplied score, then the
+/// three tie-breaks. Kept here as the reference the key is checked against.
+fn reference_order(a: &Prediction, b: &Prediction, alignment: Alignment, title_len: u32) -> Ordering {
+    alignment
+        .cmp_scores(
+            (u32::from(b.matched), u32::from(b.label_len)),
+            (u32::from(a.matched), u32::from(a.label_len)),
+            title_len,
+        )
+        .then_with(|| b.search_count.cmp(&a.search_count))
+        .then_with(|| a.recall_count.cmp(&b.recall_count))
+        .then_with(|| a.keyphrase.cmp(&b.keyphrase))
+}
+
 proptest! {
+    /// Select-then-sort returns, element for element, the first `k` of the
+    /// reference full sort — on candidate sets built to tie and to nearly
+    /// tie: a handful of `(label_len, matched)` pairs that are one step
+    /// apart anywhere in the `u16` range (`65534/65535` against
+    /// `65533/65534` differ in the tenth digit), three search and three
+    /// recall values, ids in an order unrelated to position. And the key's
+    /// score orders every pair as the exact comparison does.
+    #[test]
+    fn rank_top_equals_reference_full_sort(
+        base in (2u16..u16::MAX, any::<u16>()),
+        steps in prop::collection::vec((-1i32..=1, -1i32..=1), 0..4),
+        picks in prop::collection::vec((0usize..4, 0usize..3, 0usize..3), 0..48),
+        title_len in 1u16..=512,
+    ) {
+        const COUNTS: [u32; 3] = [0, 7, u32::MAX];
+        // Half the time the base pair is a nearly complete match, where
+        // neighbouring fractions are closest.
+        let (label_len, raw) = base;
+        let matched = if raw & 1 == 0 { label_len - (raw >> 1) % 4 } else { raw % (label_len + 1) };
+        let mut pairs = vec![(label_len, matched)];
+        for (dl, dc) in steps {
+            let label_len = (i32::from(label_len) + dl) as u16;
+            let matched = (i32::from(matched) + dc).clamp(0, i32::from(label_len)) as u16;
+            pairs.push((label_len, matched));
+        }
+        let candidates: Vec<Prediction> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &(pair, search, recall))| {
+                let (label_len, matched) = pairs[pair % pairs.len()];
+                Prediction {
+                    // 31 is a unit modulo 61: distinct ids, shuffled.
+                    keyphrase: (i as u32 * 31 + 17) % 61,
+                    matched,
+                    label_len,
+                    search_count: COUNTS[search],
+                    recall_count: COUNTS[recall],
+                    title_len,
+                }
+            })
+            .collect();
+        let len = candidates.len();
+        let title_len = u32::from(title_len);
+        let mut keys = Vec::new();
+        for alignment in Alignment::ALL {
+            let mut reference = candidates.clone();
+            reference.sort_by(|a, b| reference_order(a, b, alignment, title_len));
+            for k in [0, 1, len.saturating_sub(1), len, len + 1] {
+                for keep_threshold_group in [false, true] {
+                    // What the kernel asks of the routine.
+                    let take = if keep_threshold_group { len } else { k };
+                    let ranked = rank_top(&candidates, alignment, title_len, take, &mut keys);
+                    prop_assert_eq!(&ranked[..], &reference[..take.min(len)], "{} k={}", alignment, k);
+                }
+            }
+            let score_only = |p: &Prediction| {
+                let bare = Prediction { keyphrase: 0, search_count: 0, recall_count: 0, ..*p };
+                RankKey::new(&bare, 0, alignment, title_len)
+            };
+            for a in &candidates {
+                for b in &candidates {
+                    let exact = alignment.cmp_scores(
+                        (u32::from(b.matched), u32::from(b.label_len)),
+                        (u32::from(a.matched), u32::from(a.label_len)),
+                        title_len,
+                    );
+                    prop_assert_eq!(score_only(a).cmp(&score_only(b)), exact, "{}: {:?} vs {:?}", alignment, a, b);
+                }
+            }
+        }
+    }
+
     /// Enumeration counts (`c = |T ∩ l|`) match the naive set-intersection
     /// definition for every candidate, on every leaf.
     #[test]

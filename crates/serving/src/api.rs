@@ -533,7 +533,12 @@ impl ServingApi {
                     // miss the flight entry (they re-check the store under
                     // the lock).
                     self.lock_inflight().remove(&item);
-                    flight.publish(served.clone());
+                    // Followers cloned the handle under that lock and
+                    // nobody can find the flight any more: a count of one
+                    // means nobody waits, and the answer is not copied.
+                    if Arc::strong_count(&flight) > 1 {
+                        flight.publish(served.clone());
+                    }
                     guard.armed = false;
                     self.count(&served);
                     served

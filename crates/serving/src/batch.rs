@@ -4,15 +4,19 @@
 //! items in eBay, and 2) daily differential, i.e. the difference of all new
 //! items created/revised and then merged with the old existing items."
 //! Results land in the KV store the serving API reads. The pipeline rides
-//! [`graphex_core::parallel::batch_infer`] with one [`InferRequest`]
-//! envelope per item, and the report tallies every item's
-//! [`graphex_core::Outcome`] so a batch run says *why* items were
-//! skipped, not just how many.
+//! [`graphex_core::parallel::batch_infer_with`] with one [`InferRequest`]
+//! envelope per item: each worker scores its chunk of the items, writes
+//! every servable answer into the (sharded) store itself and keeps its
+//! own tally, so no per-item vector is ever built and nothing is stored
+//! serially. The report tallies every item's [`graphex_core::Outcome`] so
+//! a batch run says *why* items were skipped, not just how many.
 
 use crate::kv::KvStore;
 use crate::registry::ModelWatch;
-use graphex_core::parallel::batch_infer;
-use graphex_core::{GraphExModel, InferRequest, LeafId, OutcomeCounts};
+use graphex_core::parallel::batch_infer_with;
+use graphex_core::{
+    GraphExModel, InferRequest, InferResponse, LeafId, OutcomeCounts, ScratchPool,
+};
 
 /// A batch work item (owned so pipelines can be fed from any source).
 #[derive(Debug, Clone)]
@@ -23,7 +27,7 @@ pub struct BatchItem {
 }
 
 /// What a batch run did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchReport {
     pub items_processed: usize,
     pub items_with_recommendations: usize,
@@ -73,7 +77,9 @@ impl<'a> BatchPipeline<'a> {
     /// Differential pass ("all new items created/revised, merged with the
     /// old existing items"): identical compute, but by contract callers pass
     /// only the changed items. Existing entries for other items are left
-    /// untouched; changed items are overwritten (version bump).
+    /// untouched; changed items are overwritten (version bump). Ids within
+    /// one batch must be distinct: workers store concurrently, so of two
+    /// items with one id either may be the record that stays.
     pub fn run_differential(&self, changed: &[BatchItem]) -> BatchReport {
         self.run(changed)
     }
@@ -94,36 +100,34 @@ impl<'a> BatchPipeline<'a> {
                 active.engine.model()
             }
         };
-        let requests: Vec<InferRequest<'_>> = items
-            .iter()
-            .map(|i| {
-                InferRequest::new(&i.title, i.leaf)
-                    .k(self.k)
-                    .id(u64::from(i.id))
-                    .resolve_texts(true)
-            })
-            .collect();
-        let responses = batch_infer(model, &requests, self.threads);
-        let mut with_recs = 0usize;
-        let mut total = 0usize;
-        let mut outcomes = OutcomeCounts::default();
-        for (item, response) in items.iter().zip(responses) {
-            outcomes.record(response.outcome);
+        let request = |i: usize| {
+            let item = &items[i];
+            InferRequest::new(&item.title, item.leaf)
+                .k(self.k)
+                .id(u64::from(item.id))
+                .resolve_texts(true)
+        };
+        let store = |tally: &mut BatchReport, i: usize, response: InferResponse| {
+            tally.items_processed += 1;
+            tally.outcomes.record(response.outcome);
             if !response.is_servable() {
-                continue;
+                return;
             }
-            with_recs += 1;
-            total += response.texts.len();
-            self.store.put(u64::from(item.id), response.texts, response.outcome, snapshot_version);
+            tally.items_with_recommendations += 1;
+            tally.total_keyphrases += response.texts.len();
+            self.store.put(u64::from(items[i].id), response.texts, response.outcome, snapshot_version);
+        };
+        let workers =
+            batch_infer_with(model, items.len(), request, self.threads, &ScratchPool::new(), store);
+        let mut report = BatchReport { snapshot_version, ..BatchReport::default() };
+        for worker in workers {
+            report.items_processed += worker.items_processed;
+            report.items_with_recommendations += worker.items_with_recommendations;
+            report.total_keyphrases += worker.total_keyphrases;
+            report.outcomes += worker.outcomes;
         }
-        BatchReport {
-            items_processed: items.len(),
-            items_with_recommendations: with_recs,
-            total_keyphrases: total,
-            outcomes,
-            elapsed_ms: start.elapsed().as_millis(),
-            snapshot_version,
-        }
+        report.elapsed_ms = start.elapsed().as_millis();
+        report
     }
 }
 
@@ -170,6 +174,33 @@ mod tests {
             assert!(!recs.keyphrases.is_empty());
             assert_eq!(recs.outcome, Outcome::ExactLeaf);
         }
+    }
+
+    /// One worker or four: the same report (but for the clock) and the
+    /// same records under the same versions, after a full pass and after a
+    /// second one that overwrites every record.
+    #[test]
+    fn thread_count_changes_neither_report_nor_store() {
+        let model = model();
+        // Every fifth item sits in a leaf the model lacks: skipped, tallied.
+        let mut batch = items(203);
+        for item in batch.iter_mut().step_by(5) {
+            item.leaf = LeafId(77);
+        }
+        let run = |threads| {
+            let store = KvStore::new();
+            let pipeline = BatchPipeline::new(&model, &store, 10, threads);
+            pipeline.run_full(&batch);
+            let report = BatchReport { elapsed_ms: 0, ..pipeline.run_full(&batch) };
+            let records: Vec<_> = batch.iter().map(|item| store.get(u64::from(item.id))).collect();
+            (report, records)
+        };
+        let (one, stored_by_one) = run(1);
+        assert_eq!(one.items_processed, 203);
+        assert_eq!(one.outcomes.total(), 203);
+        assert!(one.outcomes.meta_fallback + one.outcomes.unknown_leaf > 0);
+        assert!(stored_by_one.iter().flatten().all(|record| record.version == 2));
+        assert_eq!((one, stored_by_one), run(4));
     }
 
     #[test]

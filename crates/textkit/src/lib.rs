@@ -40,5 +40,5 @@ pub mod vocab;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use normalize::normalize_into;
 pub use stem::stem;
-pub use tokenize::{TokenIter, Tokenizer, TokenizerBuilder};
+pub use tokenize::{TokenBuf, TokenIter, Tokenizer, TokenizerBuilder};
 pub use vocab::{TokenId, Vocab};

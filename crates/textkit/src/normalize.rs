@@ -14,27 +14,36 @@
 /// downstream `split(' ')` yields clean tokens.
 ///
 /// Writing into a caller-supplied buffer keeps batch pipelines
-/// allocation-free (one workhorse `String` per thread).
+/// allocation-free (one workhorse `String` per thread). All-ASCII input —
+/// nearly every title and query — takes a byte loop that writes what the
+/// `char` loop would.
 pub fn normalize_into(input: &str, out: &mut String) {
     out.clear();
     out.reserve(input.len());
     let mut pending_space = false;
+    if input.is_ascii() {
+        for &byte in input.as_bytes() {
+            if byte.is_ascii_alphanumeric() {
+                if pending_space && !out.is_empty() {
+                    out.push(' ');
+                }
+                pending_space = false;
+                out.push(char::from(byte.to_ascii_lowercase()));
+            } else {
+                pending_space = true;
+            }
+        }
+        return;
+    }
     for ch in input.chars() {
-        let keep = ch.is_alphanumeric();
-        if keep {
+        if ch.is_alphanumeric() {
             if pending_space && !out.is_empty() {
                 out.push(' ');
             }
             pending_space = false;
-            if ch.is_ascii() {
-                out.push(ch.to_ascii_lowercase());
-            } else {
-                // Unicode lowercase can expand; for token identity we take
-                // every produced char.
-                for lc in ch.to_lowercase() {
-                    out.push(lc);
-                }
-            }
+            // Unicode lowercase can expand; for token identity we take
+            // every produced char.
+            out.extend(ch.to_lowercase());
         } else {
             pending_space = true;
         }

@@ -41,7 +41,7 @@ pub fn stem(word: &str) -> &str {
     }
     if word.len() > 4 && word.ends_with("ies") {
         // Can't return "y"-substituted slice borrowed from input; callers
-        // that need the `y` form use `stem_owned`. For the borrowed fast
+        // that need the `y` form use `stem_into`. For the borrowed fast
         // path we drop the suffix entirely, which still unifies
         // "batteries"/"batterie" style variants.
         return &word[..word.len() - 3];
@@ -52,14 +52,18 @@ pub fn stem(word: &str) -> &str {
     word
 }
 
-/// Owned variant that applies the `ies → y` substitution properly.
-pub fn stem_owned(word: &str) -> String {
+/// [`stem`] with the `ies → y` substitution applied properly: that one
+/// rule is the only one whose output is not a sub-slice of `word`, so it
+/// is written into `buf` (cleared first) and every other stem is returned
+/// borrowed from `word`, leaving `buf` untouched.
+pub fn stem_into<'a>(word: &'a str, buf: &'a mut String) -> &'a str {
     if word.len() > 4 && word.ends_with("ies") && !word.bytes().any(|b| b.is_ascii_digit()) {
-        let mut s = word[..word.len() - 3].to_string();
-        s.push('y');
-        return s;
+        buf.clear();
+        buf.push_str(&word[..word.len() - 3]);
+        buf.push('y');
+        return buf;
     }
-    stem(word).to_string()
+    stem(word)
 }
 
 #[cfg(test)]
@@ -105,15 +109,19 @@ mod tests {
     #[test]
     fn ies_endings() {
         assert_eq!(stem("batteries"), "batter");
-        assert_eq!(stem_owned("batteries"), "battery");
-        assert_eq!(stem_owned("accessories"), "accessory");
+        let mut buf = String::new();
+        assert_eq!(stem_into("batteries", &mut buf), "battery");
+        assert_eq!(stem_into("accessories", &mut buf), "accessory");
+        assert_eq!(stem_into("headphones", &mut buf), "headphone");
+        assert_eq!(buf, "accessory", "a borrowed stem leaves the buffer alone");
     }
 
     #[test]
     fn idempotent() {
         for w in ["headphones", "boxes", "batteries", "glass", "ps5", "watches"] {
-            let once = stem_owned(w);
-            let twice = stem_owned(&once);
+            let (mut a, mut b) = (String::new(), String::new());
+            let once = stem_into(w, &mut a);
+            let twice = stem_into(once, &mut b);
             assert_eq!(once, twice, "stem not idempotent for {w}");
         }
     }

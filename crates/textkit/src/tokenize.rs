@@ -6,7 +6,7 @@
 //! identity stays consistent (the one invariant the paper requires).
 
 use crate::normalize::normalize_into;
-use crate::stem::stem_owned;
+use crate::stem::stem_into;
 
 /// Configurable tokenizer. Cheap to clone; construction does no work.
 #[derive(Debug, Clone)]
@@ -57,28 +57,40 @@ impl Default for TokenizerBuilder {
     }
 }
 
+/// The two strings a token walk writes into: the normalized text, which
+/// the tokens are slices of, and the one stem that is not a slice of it
+/// (`-ies → y`). Keep one per thread: once both have grown to the longest
+/// input seen, [`Tokenizer::for_each_token`] allocates nothing.
+#[derive(Debug, Default, Clone)]
+pub struct TokenBuf {
+    normalized: String,
+    stemmed: String,
+}
+
 impl Tokenizer {
-    /// Tokenizes `text`, yielding owned normalized tokens.
-    ///
-    /// Owned tokens are the right interface here: every consumer immediately
-    /// interns them into a [`crate::Vocab`], and stemming can rewrite the
-    /// suffix so a borrowed iterator can't represent all outputs.
-    pub fn tokenize<'a>(&'a self, text: &'a str) -> TokenIter<'a> {
-        let mut normalized = String::new();
-        normalize_into(text, &mut normalized);
-        TokenIter { tokenizer: self, normalized, pos: 0 }
+    /// Tokenizes `text`, yielding owned normalized tokens — one `String`
+    /// per token, for consumers that keep them. Hot paths that only look
+    /// each token up use [`Tokenizer::for_each_token`].
+    pub fn tokenize<'a>(&'a self, text: &str) -> TokenIter<'a> {
+        let mut buf = TokenBuf::default();
+        normalize_into(text, &mut buf.normalized);
+        TokenIter { tokenizer: self, buf, pos: 0 }
     }
 
-    /// Tokenizes into a caller-provided buffer of token strings, reusing
-    /// both the buffer and its element allocations where possible.
-    pub fn tokenize_into(&self, text: &str, out: &mut Vec<String>) {
-        out.clear();
-        for tok in self.tokenize(text) {
-            out.push(tok);
+    /// Calls `visit` with every token of `text`, in order, each borrowed
+    /// from `buf`: the same tokens [`Tokenizer::tokenize`] yields, without
+    /// a `String` per token.
+    pub fn for_each_token(&self, text: &str, buf: &mut TokenBuf, mut visit: impl FnMut(&str)) {
+        normalize_into(text, &mut buf.normalized);
+        let mut pos = 0;
+        while let Some(raw) = next_raw(&buf.normalized, &mut pos) {
+            visit(self.finish_token(raw, &mut buf.stemmed));
         }
     }
 
-    fn finish_token(&self, raw: &str) -> String {
+    /// Clips and (if configured) stems one space-delimited piece of a
+    /// normalized string.
+    fn finish_token<'a>(&self, raw: &'a str, stemmed: &'a mut String) -> &'a str {
         let clipped = if raw.len() > self.max_token_len {
             // Truncate at a char boundary at or below the limit.
             let mut end = self.max_token_len;
@@ -90,17 +102,30 @@ impl Tokenizer {
             raw
         };
         if self.stemming {
-            stem_owned(clipped)
+            stem_into(clipped, stemmed)
         } else {
-            clipped.to_string()
+            clipped
         }
     }
+}
+
+/// The piece of `normalized` starting at `*pos`, up to the next space;
+/// advances `*pos` past it. A normalized string has single spaces between
+/// pieces and none at either end, so every piece is non-empty.
+fn next_raw<'a>(normalized: &'a str, pos: &mut usize) -> Option<&'a str> {
+    let rest = &normalized[*pos..];
+    if rest.is_empty() {
+        return None;
+    }
+    let end = rest.bytes().position(|b| b == b' ').unwrap_or(rest.len());
+    *pos += end + usize::from(end < rest.len());
+    Some(&rest[..end])
 }
 
 /// Iterator over the tokens of one input string.
 pub struct TokenIter<'a> {
     tokenizer: &'a Tokenizer,
-    normalized: String,
+    buf: TokenBuf,
     pos: usize,
 }
 
@@ -108,21 +133,8 @@ impl Iterator for TokenIter<'_> {
     type Item = String;
 
     fn next(&mut self) -> Option<String> {
-        let rest = &self.normalized[self.pos..];
-        if rest.is_empty() {
-            return None;
-        }
-        match rest.find(' ') {
-            Some(idx) => {
-                let tok = &rest[..idx];
-                self.pos += idx + 1;
-                Some(self.tokenizer.finish_token(tok))
-            }
-            None => {
-                self.pos = self.normalized.len();
-                Some(self.tokenizer.finish_token(rest))
-            }
-        }
+        let raw = next_raw(&self.buf.normalized, &mut self.pos)?;
+        Some(self.tokenizer.finish_token(raw, &mut self.buf.stemmed).to_owned())
     }
 }
 
@@ -161,13 +173,14 @@ mod tests {
     }
 
     #[test]
-    fn tokenize_into_reuses_buffer() {
-        let tok = Tokenizer::default();
-        let mut buf = Vec::new();
-        tok.tokenize_into("a b c", &mut buf);
-        assert_eq!(buf, ["a", "b", "c"]);
-        tok.tokenize_into("d", &mut buf);
-        assert_eq!(buf, ["d"]);
+    fn walk_reuses_its_buffers_across_inputs() {
+        let tok = TokenizerBuilder::new().stemming(true).build();
+        let mut buf = TokenBuf::default();
+        let mut seen = Vec::new();
+        tok.for_each_token("Batteries, cases", &mut buf, |t| seen.push(t.to_owned()));
+        tok.for_each_token("d", &mut buf, |t| seen.push(t.to_owned()));
+        tok.for_each_token(" -- ", &mut buf, |t| seen.push(t.to_owned()));
+        assert_eq!(seen, ["battery", "case", "d"]);
     }
 
     #[test]

@@ -1,7 +1,32 @@
 //! Property-based tests for the text substrate.
 
-use graphex_textkit::{normalize_into, stem, Tokenizer, TokenizerBuilder, Vocab};
+use graphex_textkit::{normalize_into, stem, TokenBuf, Tokenizer, TokenizerBuilder, Vocab};
 use proptest::prelude::*;
+
+/// Tokenization spelled out the slow way, one `String` per step: every
+/// char lowercased or turned into a space, split, each piece cut at a char
+/// boundary, then stemmed.
+fn reference_tokens(text: &str, stemming: bool, max_token_len: usize) -> Vec<String> {
+    let spaced: String = text
+        .chars()
+        .map(|ch| if ch.is_alphanumeric() { ch.to_lowercase().collect() } else { " ".to_string() })
+        .collect();
+    spaced
+        .split(' ')
+        .filter(|piece| !piece.is_empty())
+        .map(|piece| {
+            let end = (0..=max_token_len.min(piece.len())).rev().find(|&i| piece.is_char_boundary(i));
+            let piece = &piece[..end.expect("0 is a boundary")];
+            if !stemming {
+                piece.to_string()
+            } else if piece.len() > 4 && piece.ends_with("ies") && !piece.bytes().any(|b| b.is_ascii_digit()) {
+                format!("{}y", &piece[..piece.len() - 3])
+            } else {
+                stem(piece).to_string()
+            }
+        })
+        .collect()
+}
 
 proptest! {
     /// Normalization output never contains uppercase ASCII, doubled spaces,
@@ -44,6 +69,39 @@ proptest! {
         let rejoined = first.join(" ");
         let second: Vec<String> = tok.tokenize(&rejoined).collect();
         prop_assert_eq!(first, second);
+    }
+
+    /// The borrowed walk visits exactly the tokens the owning iterator
+    /// yields, and both the reference's — through every stemmer rule, both normalization loops
+    /// (ASCII and not), lowercase that expands (`İ`), marks that split a
+    /// word, empty input, and tokens cut at `max_token_len` inside a
+    /// multi-byte char — with one `TokenBuf` reused across all of it.
+    #[test]
+    fn walk_equals_owned_tokens(
+        pieces in prop::collection::vec(
+            (
+                prop::sample::select(vec![
+                    "Batteries", "PARTIES", "ties", "glasses", "boxes", "Watches", "men's", "sellers'",
+                    "bags", "gas", "ps5", "512GB", "accessories9", "İstanbul", "Straße", "STRASSE",
+                    "e\u{301}cole", "ééééééééé", "日本語のタイトル", "a", "", "---", "!!!",
+                    "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxies",
+                ]),
+                prop::sample::select(vec![" ", "  ", ", ", "-", "\t", "", "'"]),
+            ),
+            0..12,
+        ),
+        stemming in any::<bool>(),
+        max_token_len in prop::sample::select(vec![64usize, 5, 1]),
+    ) {
+        let text: String = pieces.iter().flat_map(|(word, sep)| [*word, *sep]).collect();
+        let tok = TokenizerBuilder::new().stemming(stemming).max_token_len(max_token_len).build();
+        let owned: Vec<String> = tok.tokenize(&text).collect();
+        prop_assert_eq!(&owned, &reference_tokens(&text, stemming, max_token_len), "{:?}", text);
+        let mut buf = TokenBuf::default();
+        tok.for_each_token("left over from another input: Batteries", &mut buf, |_| {});
+        let mut walked = Vec::new();
+        tok.for_each_token(&text, &mut buf, |token| walked.push(token.to_owned()));
+        prop_assert_eq!(&walked, &owned, "{:?}", text);
     }
 
     /// Title/query token identity: any word sequence tokenizes identically
