@@ -257,7 +257,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 pub const CHAOS_KEYPHRASE: &str = "chaos keyphrase";
 
 fn healthy_response(request: &http::Request) -> (String, &'static str) {
-    match (request.method.as_str(), request.path.as_str()) {
+    match (request.method(), request.path()) {
         ("GET", "/healthz") => ("ok\n".into(), "text/plain; charset=utf-8"),
         ("POST", "/v1/infer") => {
             let entry = |id: Option<&Json>| {
@@ -272,7 +272,7 @@ fn healthy_response(request: &http::Request) -> (String, &'static str) {
                 }
                 Json::obj(members)
             };
-            let parsed = std::str::from_utf8(&request.body)
+            let parsed = std::str::from_utf8(request.body())
                 .ok()
                 .and_then(|text| crate::json::parse(text).ok());
             let body = match parsed.as_ref().and_then(|p| p.get("requests")).and_then(Json::as_arr)

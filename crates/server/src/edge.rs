@@ -11,7 +11,11 @@
 //! and closes, so overload degrades into fast refusals instead of
 //! unbounded buffering or hangs. Workers pop connections and speak
 //! HTTP/1.1 keep-alive until the peer closes, errors, idles past the
-//! read timeout, or shutdown begins.
+//! read timeout, or shutdown begins. A worker parses every request into
+//! the same `Request`, hands every route the same body buffer and sends
+//! every response — head and body in one `write` — from the same wire
+//! buffer, so a request in steady state allocates only what its handler
+//! does.
 //!
 //! The edge owns the listener, the queue, the workers, the keep-alive
 //! request loop, [`HttpMetrics`], the optional flight recorder and
@@ -28,7 +32,7 @@
 
 use crate::history::{HistoryConfig, MetricsHistory};
 use crate::http::{self, ReadError, Request};
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::metrics::{Endpoint, HttpMetrics};
 use crate::queue::Bounded;
 use crate::trace::{
@@ -106,29 +110,37 @@ static SHARED_ROUTES: [Route; 5] = [
     shared_route("/debug/history", Endpoint::History),
 ];
 
-/// One response on its way to the wire.
+/// One response on its way to the wire: everything but the body, which
+/// is whatever the worker's body buffer (the `out` every route is handed)
+/// holds when the route returns.
 pub(crate) struct Routed {
     pub(crate) status: u16,
     content_type: &'static str,
-    body: String,
     extra_headers: Vec<(&'static str, String)>,
 }
 
 impl Routed {
-    pub(crate) fn new(status: u16, content_type: &'static str, body: String) -> Self {
-        Self { status, content_type, body, extra_headers: Vec::new() }
+    /// The answer is what the route has written to `out`.
+    pub(crate) fn new(status: u16, content_type: &'static str) -> Self {
+        Self { status, content_type, extra_headers: Vec::new() }
     }
 
-    pub(crate) fn text(status: u16, body: String) -> Self {
-        Self::new(status, TEXT, body)
+    /// The answer is `body`, whatever `out` held.
+    pub(crate) fn text(out: &mut String, status: u16, body: &str) -> Self {
+        out.clear();
+        out.push_str(body);
+        Self::new(status, TEXT)
     }
 
-    pub(crate) fn json(status: u16, value: &Json) -> Self {
-        Self::new(status, JSON, value.render())
+    /// The answer is `value`, whatever `out` held.
+    pub(crate) fn json(out: &mut String, status: u16, value: &Json) -> Self {
+        out.clear();
+        value.render_into(out);
+        Self::new(status, JSON)
     }
 
-    pub(crate) fn error(status: u16, message: impl Into<String>) -> Self {
-        Self::json(status, &Json::obj(vec![("error", Json::str(message.into()))]))
+    pub(crate) fn error(out: &mut String, status: u16, message: impl Into<String>) -> Self {
+        Self::json(out, status, &Json::obj(vec![("error", Json::str(message.into()))]))
     }
 
     pub(crate) fn with_header(mut self, name: &'static str, value: impl Into<String>) -> Self {
@@ -175,12 +187,29 @@ impl Cx {
         members
     }
 
-    /// Appends [`Cx::trace_members`] to a successful body.
-    pub(crate) fn stamp_trace(&self, body: &mut Json) {
-        if let Json::Obj(members) = body {
-            members.extend(self.trace_members().into_iter().map(|(k, v)| (k.to_string(), v)));
-        }
+    /// Stamps a successful body with [`Cx::trace_members`].
+    pub(crate) fn stamp_trace(&self, body: &mut String) {
+        stamp_members(body, &self.trace_members());
     }
+}
+
+/// Writes `members` inside the closing brace `body` ends with — the
+/// envelope's, or that of the one entry that is a whole single-request
+/// reply — as `Json` would render them there.
+pub(crate) fn stamp_members(body: &mut String, members: &[(&'static str, Json)]) {
+    if members.is_empty() || !body.ends_with('}') {
+        return;
+    }
+    body.pop();
+    for (key, value) in members {
+        if !body.trim_end().ends_with('{') {
+            body.push(',');
+        }
+        json::write_escaped(key, body);
+        body.push(':');
+        value.render_into(body);
+    }
+    body.push('}');
 }
 
 /// What a frontend adds to the edge. Two production implementations: the
@@ -189,14 +218,21 @@ impl Cx {
 pub(crate) trait Handler: Send + Sync {
     /// Domain rows of the route table.
     fn routes(&self) -> &'static [Route];
-    /// Answers a request that matched `route` (one of [`Handler::routes`]).
-    fn handle(&self, route: &Route, scope: Option<&str>, request: &Request, cx: &mut Cx)
-        -> Routed;
+    /// Answers a request that matched `route` (one of [`Handler::routes`]),
+    /// writing the body to `out` (handed over empty).
+    fn handle(
+        &self,
+        route: &Route,
+        scope: Option<&str>,
+        request: &Request,
+        cx: &mut Cx,
+        out: &mut String,
+    ) -> Routed;
     /// `/statusz` members ahead of the edge's latency/trace/history/queue
     /// blocks.
     fn statusz(&self) -> Vec<(&'static str, Json)>;
     /// `/metrics` families between the HTTP-layer ones and the stage
-    /// histograms.
+    /// histograms, appended to `out`.
     fn render_metrics(&self, out: &mut String);
     /// History series beside the edge's `http/*`, `queue/*`, `stage/*`.
     fn sample_history(&self, values: &mut Vec<(String, f64)>);
@@ -442,15 +478,28 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
     shared.queue.close();
 }
 
+/// What a worker keeps from one request, and one connection, to the
+/// next, so that in steady state serving allocates nothing of its own: the
+/// request it parses into, the body its routes write, and the response as
+/// it goes to the wire. None outgrows `http`'s retained capacity for long.
+#[derive(Default)]
+struct Buffers {
+    request: Request,
+    body: String,
+    wire: Vec<u8>,
+}
+
 fn worker_loop(shared: &Shared, slot: &Slot) {
+    let mut buffers = Buffers::default();
     while let Some(conn) = shared.queue.pop() {
         // A panic must cost one connection, not one worker: an unwinding
         // thread would silently shrink the pool toward a server that
         // accepts and queues but never serves. Connection state is owned
-        // by the call, so unwind safety holds; handler-side invariants
-        // are restored by its own guards (LeaderGuard, InFlightGuard).
+        // by the call and the buffers are overwritten by each request, so
+        // unwind safety holds; handler-side invariants are restored by
+        // its own guards (LeaderGuard, InFlightGuard).
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_connection(conn, shared, slot);
+            handle_connection(conn, shared, slot, &mut buffers);
         }));
         // The slot's clone would otherwise hold the socket open.
         *lock_slot(slot) = None;
@@ -460,8 +509,9 @@ fn worker_loop(shared: &Shared, slot: &Slot) {
     }
 }
 
-fn handle_connection(conn: Conn, shared: &Shared, slot: &Slot) {
+fn handle_connection(conn: Conn, shared: &Shared, slot: &Slot, buffers: &mut Buffers) {
     let Conn { stream, enqueued_at } = conn;
+    let Buffers { request, body, wire } = buffers;
     // Server-induced delay so far: time spent waiting in the accept
     // queue. The first request's deadline budget is charged this wait
     // (plus its own processing) but NOT the peer's think-time between
@@ -485,8 +535,8 @@ fn handle_connection(conn: Conn, shared: &Shared, slot: &Slot) {
     let mut requests_served = 0u64;
 
     loop {
-        let request = match http::read_request(&mut reader, shared.config.max_body_bytes) {
-            Ok(request) => request,
+        match http::read_request_into(&mut reader, shared.config.max_body_bytes, request) {
+            Ok(()) => {}
             // Includes idle timeouts and the shutdown wake.
             Err(ReadError::Closed | ReadError::Io(_)) => return,
             Err(error) => {
@@ -503,8 +553,8 @@ fn handle_connection(conn: Conn, shared: &Shared, slot: &Slot) {
                     ReadError::Closed | ReadError::Io(_) => unreachable!("handled above"),
                 };
                 shared.metrics.record_response(Endpoint::Other, status);
-                let _ =
-                    http::write_response(&mut writer, status, TEXT, message.as_bytes(), false, &[]);
+                let message = message.as_bytes();
+                let _ = http::write_response(&mut writer, status, TEXT, message, false, &[]);
                 return;
             }
         };
@@ -517,22 +567,27 @@ fn handle_connection(conn: Conn, shared: &Shared, slot: &Slot) {
         let started = now.checked_sub(charged_wait).unwrap_or(now);
         requests_served += 1;
 
-        let (endpoint, routed) = route(shared, &request, started, charged_wait);
+        body.clear();
+        body.shrink_to(http::RETAINED_BUFFER_BYTES);
+        let (endpoint, routed) = route(shared, request, started, charged_wait, body);
         // Decided after the handler ran, so a request in flight when
         // shutdown begins is answered `Connection: close`.
         let keep_alive = request.keep_alive()
             && !shared.shutdown.load(Ordering::SeqCst)
             && requests_served < MAX_KEEPALIVE_REQUESTS;
-        let extra: Vec<(&str, &str)> =
-            routed.extra_headers.iter().map(|(k, v)| (*k, v.as_str())).collect();
-        let written = http::write_response(
+        let written = http::write_response_via(
+            wire,
             &mut writer,
             routed.status,
             routed.content_type,
-            routed.body.as_bytes(),
+            body.as_bytes(),
             keep_alive,
-            &extra,
+            &routed.extra_headers,
         );
+        // Tallied after the write, so the peer is never kept waiting on
+        // bookkeeping: a client that has its answer may find the counters
+        // one behind, but never after its next exchange on this
+        // connection — the same worker tallies before it reads again.
         shared.metrics.record_response(endpoint, routed.status);
         if endpoint == Endpoint::Infer {
             shared.metrics.infer_latency.record(started.elapsed());
@@ -544,47 +599,54 @@ fn handle_connection(conn: Conn, shared: &Shared, slot: &Slot) {
 }
 
 /// Resolves the request against the route table: the first row matching
-/// path and method answers; a path that only matches under another
-/// method is a 405 naming that method; anything else is a 404.
+/// path and method answers, its body written to `out`; a path that only
+/// matches under another method is a 405 naming that method; anything
+/// else is a 404.
 fn route(
     shared: &Shared,
     request: &Request,
     started: Instant,
     queue_wait: Duration,
+    out: &mut String,
 ) -> (Endpoint, Routed) {
+    let (method, path) = (request.method(), request.path());
     let mut allow = None;
     for route in shared.handler.routes().iter().chain(&SHARED_ROUTES) {
-        let Some(scope) = route.matches(&request.path) else {
+        let Some(scope) = route.matches(path) else {
             continue;
         };
-        if route.method != request.method {
+        if route.method != method {
             allow = Some(route.method);
             continue;
         }
-        let query = request.query.as_deref();
         let routed = match route.endpoint {
-            Endpoint::Healthz => Routed::text(200, "ok\n".into()),
-            Endpoint::Statusz => Routed::json(200, &statusz(shared)),
-            Endpoint::Metrics => Routed::new(
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                render_metrics(shared),
-            ),
+            Endpoint::Healthz => Routed::text(out, 200, "ok\n"),
+            Endpoint::Statusz => Routed::json(out, 200, &statusz(shared)),
+            Endpoint::Metrics => {
+                render_metrics(shared, out);
+                Routed::new(200, "text/plain; version=0.0.4; charset=utf-8")
+            }
             Endpoint::Traces => match &shared.traces {
-                Some(recorder) => Routed::new(200, JSON, recorder.render_debug(query)),
-                None => Routed::error(404, "tracing is disabled"),
+                Some(recorder) => {
+                    out.push_str(&recorder.render_debug(request.query()));
+                    Routed::new(200, JSON)
+                }
+                None => Routed::error(out, 404, "tracing is disabled"),
             },
             Endpoint::History => match &shared.history {
-                Some(history) => Routed::new(200, JSON, history.render_debug(query)),
-                None => Routed::error(404, "history is disabled"),
+                Some(history) => {
+                    out.push_str(&history.render_debug(request.query()));
+                    Routed::new(200, JSON)
+                }
+                None => Routed::error(out, 404, "history is disabled"),
             },
-            _ => handle_traced(shared, route, scope, request, started, queue_wait),
+            _ => handle_traced(shared, route, scope, request, started, queue_wait, out),
         };
         return (route.endpoint, routed);
     }
     let routed = match allow {
-        Some(method) => Routed::error(405, "method not allowed").with_header("Allow", method),
-        None => Routed::error(404, format!("no route for {}", request.path)),
+        Some(method) => Routed::error(out, 405, "method not allowed").with_header("Allow", method),
+        None => Routed::error(out, 404, format!("no route for {path}")),
     };
     (Endpoint::Other, routed)
 }
@@ -601,6 +663,7 @@ fn handle_traced(
     request: &Request,
     started: Instant,
     queue_wait: Duration,
+    out: &mut String,
 ) -> Routed {
     let mut cx = Cx {
         started,
@@ -612,7 +675,7 @@ fn handle_traced(
     };
     let recorder = shared.traces.as_ref().filter(|_| route.endpoint == Endpoint::Infer);
     let Some(recorder) = recorder else {
-        return shared.handler.handle(route, scope, request, &mut cx);
+        return shared.handler.handle(route, scope, request, &mut cx, out);
     };
     let header_id = request.header(TRACE_HEADER).and_then(parse_trace_id);
     (cx.trace, cx.trace_id) = recorder.begin(started, header_id);
@@ -620,7 +683,7 @@ fn handle_traced(
     if !queue_wait.is_zero() {
         cx.trace.record_span(Stage::QueueWait, started, queue_wait, 0);
     }
-    let routed = shared.handler.handle(route, scope, request, &mut cx);
+    let routed = shared.handler.handle(route, scope, request, &mut cx, out);
     recorder.finish(
         cx.trace,
         cx.trace_id,
@@ -653,14 +716,12 @@ fn statusz(shared: &Shared) -> Json {
     Json::obj(members)
 }
 
-fn render_metrics(shared: &Shared) -> String {
-    let mut out = String::with_capacity(4096);
-    shared.metrics.render_http_families(shared.queue.len(), &mut out);
-    shared.handler.render_metrics(&mut out);
+fn render_metrics(shared: &Shared, out: &mut String) {
+    shared.metrics.render_http_families(shared.queue.len(), out);
+    shared.handler.render_metrics(out);
     if let Some(recorder) = &shared.traces {
-        recorder.render_metrics(&mut out);
+        recorder.render_metrics(out);
     }
-    out
 }
 
 #[cfg(test)]
@@ -691,18 +752,25 @@ mod tests {
             &TOY_ROUTES
         }
 
-        fn handle(&self, route: &Route, scope: Option<&str>, request: &Request, cx: &mut Cx) -> Routed {
+        fn handle(
+            &self,
+            route: &Route,
+            scope: Option<&str>,
+            request: &Request,
+            cx: &mut Cx,
+            out: &mut String,
+        ) -> Routed {
             match route.path {
                 "/v1/echo" => {
                     cx.entries = 1;
-                    let body = String::from_utf8_lossy(&request.body);
-                    Routed::text(200, format!("{}:{body}", scope.unwrap_or("-")))
+                    let body = String::from_utf8_lossy(request.body());
+                    Routed::text(out, 200, &format!("{}:{body}", scope.unwrap_or("-")))
                 }
                 "/v1/panic" => panic!("toy handler panic (expected by the test)"),
                 _ => {
                     self.entered.lock().unwrap().send(()).unwrap();
                     self.release.lock().unwrap().recv().unwrap();
-                    Routed::text(200, "released\n".into())
+                    Routed::text(out, 200, "released\n")
                 }
             }
         }

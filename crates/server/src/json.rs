@@ -9,6 +9,7 @@
 //! Objects preserve insertion order in a `Vec<(String, Json)>`; lookups
 //! are linear, which is the right trade for envelopes of a dozen keys.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::ops::Range;
 
@@ -105,23 +106,16 @@ impl Json {
     /// Serializes to a compact JSON string.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.render_into(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// [`Json::render`], appended to `out`.
+    pub fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
-                    let _ = write!(out, "{}", *n as i64);
-                } else if n.is_finite() {
-                    let _ = write!(out, "{n}");
-                } else {
-                    out.push_str("null"); // JSON has no NaN/Inf
-                }
-            }
+            Json::Num(n) => write_num(*n, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -129,7 +123,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    item.render_into(out);
                 }
                 out.push(']');
             }
@@ -141,7 +135,7 @@ impl Json {
                     }
                     write_escaped(key, out);
                     out.push(':');
-                    value.write(out);
+                    value.render_into(out);
                 }
                 out.push('}');
             }
@@ -149,21 +143,44 @@ impl Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// A number as [`Json::Num`] renders it. `write_num(n as f64, ..)` is what
+/// a writer that builds no tree owes a `u64` to stay byte-identical with
+/// [`Json::uint`].
+pub(crate) fn write_num(n: f64, out: &mut String) {
+    if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
+        let _ = write!(out, "{}", n as i64);
+    } else if n.is_finite() {
+        let _ = write!(out, "{n}");
+    } else {
+        out.push_str("null"); // JSON has no NaN/Inf
     }
+}
+
+/// A string as [`Json::Str`] renders it, quotes included.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
+    out.push('"');
+    // Literal text goes out in runs; every byte that ends one is ASCII,
+    // so the runs lie on char boundaries.
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -173,13 +190,14 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 /// The scanner's run: the root's kind (as an empty shell) and its children.
-fn scan(input: &str) -> Result<(Json, Vec<Member>), ParseError> {
+fn scan(input: &str) -> Result<(Json, Vec<Member<'_>>), ParseError> {
     Parser { text: input, pos: 0, spans: Some(Vec::new()) }.document()
 }
 
-/// One top-level member as the scanner reports it: the decoded key and the
-/// byte range of the value.
-pub type Member = (String, Range<usize>);
+/// One top-level member as the scanner reports it: the decoded key —
+/// borrowed from the document unless it carries an escape — and the byte
+/// range of the value.
+pub type Member<'a> = (Cow<'a, str>, Range<usize>);
 
 /// The shallow scan of an object document: each top-level member's
 /// decoded key and the byte range of its value, in document order —
@@ -188,7 +206,7 @@ pub type Member = (String, Range<usize>);
 /// grammar walk [`parse`] runs (escapes, surrogates, control bytes,
 /// numbers, the depth limit, trailing characters), so this errs exactly
 /// when `parse` does, but below the top level nothing is built.
-pub fn members(input: &str) -> Result<Option<Vec<Member>>, ParseError> {
+pub fn members(input: &str) -> Result<Option<Vec<Member<'_>>>, ParseError> {
     let (root, spans) = scan(input)?;
     Ok(matches!(root, Json::Obj(_)).then_some(spans))
 }
@@ -199,6 +217,20 @@ pub fn members(input: &str) -> Result<Option<Vec<Member>>, ParseError> {
 pub fn elements(input: &str) -> Result<Option<Vec<Range<usize>>>, ParseError> {
     let (root, spans) = scan(input)?;
     Ok(matches!(root, Json::Arr(_)).then(|| spans.into_iter().map(|(_, range)| range).collect()))
+}
+
+/// The text of a string document (a span [`members`] or [`elements`]
+/// reported, say): borrowed from it unless it carries an escape. `None`
+/// when `span` is anything but one string.
+pub fn unquote(span: &str) -> Option<Cow<'_, str>> {
+    let inner = span.strip_prefix('"')?.strip_suffix('"')?;
+    if !inner.bytes().any(|b| matches!(b, b'\\' | b'"' | 0x00..=0x1f)) {
+        return Some(Cow::Borrowed(inner));
+    }
+    match parse(span) {
+        Ok(Json::Str(text)) => Some(Cow::Owned(text)),
+        _ => None,
+    }
 }
 
 /// Where and why a parse failed.
@@ -225,13 +257,13 @@ struct Parser<'a> {
     /// empty and strings undecoded (nothing is allocated for them), and
     /// the root container's children are noted here as (key, value range)
     /// — the key empty for an array's elements.
-    spans: Option<Vec<Member>>,
+    spans: Option<Vec<Member<'a>>>,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     /// One value with nothing but whitespace around it, and the root's
     /// child spans (empty unless scanning).
-    fn document(mut self) -> Result<(Json, Vec<Member>), ParseError> {
+    fn document(mut self) -> Result<(Json, Vec<Member<'a>>), ParseError> {
         self.skip_ws();
         let value = self.value(0)?;
         self.skip_ws();
@@ -277,7 +309,7 @@ impl Parser<'_> {
             Some(b'n') => self.eat("null", Json::Null),
             Some(b't') => self.eat("true", Json::Bool(true)),
             Some(b'f') => self.eat("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string(self.building())?)),
+            Some(b'"') => Ok(Json::Str(self.string(self.building())?.into_owned())),
             Some(b'[') => self.array(depth),
             Some(b'{') => self.object(depth),
             Some(b'-' | b'0'..=b'9') => self.number(),
@@ -299,7 +331,7 @@ impl Parser<'_> {
             let item = self.value(depth + 1)?;
             match &mut self.spans {
                 None => items.push(item),
-                Some(spans) if depth == 0 => spans.push((String::new(), start..self.pos)),
+                Some(spans) if depth == 0 => spans.push((Cow::Borrowed(""), start..self.pos)),
                 Some(_) => {}
             }
             self.skip_ws();
@@ -338,7 +370,7 @@ impl Parser<'_> {
             let start = self.pos;
             let value = self.value(depth + 1)?;
             match &mut self.spans {
-                None => members.push((key, value)),
+                None => members.push((key.into_owned(), value)),
                 Some(spans) if depth == 0 => spans.push((key, start..self.pos)),
                 Some(_) => {}
             }
@@ -355,20 +387,27 @@ impl Parser<'_> {
     }
 
     /// One string, checked either way; decoded into the result only when
-    /// `decode` (otherwise the result is empty).
-    fn string(&mut self, decode: bool) -> Result<String, ParseError> {
+    /// `decode` (otherwise the result is empty), and copied only from its
+    /// first escape on.
+    fn string(&mut self, decode: bool) -> Result<Cow<'a, str>, ParseError> {
         self.pos += 1; // opening quote
-        let mut out = String::new();
+        let text = self.text;
+        let start = self.pos;
+        let mut unescaped: Option<String> = None;
         loop {
             let Some(byte) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             match byte {
                 b'"' => {
+                    let literal = if decode { &text[start..self.pos] } else { "" };
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(unescaped.map_or(Cow::Borrowed(literal), Cow::Owned));
                 }
                 b'\\' => {
+                    if decode && unescaped.is_none() {
+                        unescaped = Some(text[start..self.pos].to_string());
+                    }
                     self.pos += 1;
                     let Some(esc) = self.peek() else {
                         return Err(self.err("unterminated escape"));
@@ -386,7 +425,7 @@ impl Parser<'_> {
                         b'u' => self.unicode_escape()?,
                         _ => return Err(self.err("invalid escape")),
                     };
-                    if decode {
+                    if let Some(out) = &mut unescaped {
                         out.push(c);
                     }
                 }
@@ -394,12 +433,12 @@ impl Parser<'_> {
                 _ => {
                     // A run of literal text. Every byte that ends it is
                     // ASCII, so the run lies on char boundaries.
-                    let start = self.pos;
+                    let run = self.pos;
                     while !matches!(self.peek(), None | Some(b'"' | b'\\' | 0x00..=0x1f)) {
                         self.pos += 1;
                     }
-                    if decode {
-                        out.push_str(&self.text[start..self.pos]);
+                    if let Some(out) = &mut unescaped {
+                        out.push_str(&text[run..self.pos]);
                     }
                 }
             }
@@ -524,7 +563,7 @@ mod tests {
     fn scanner_returns_the_spans_of_top_level_values() {
         let text = " {\"re\\u0073ponses\" : [ {\"a\":[1,2]} , \"x]\\\"\" ,3 ] ,\"v\":7, \"t\":{}} ";
         let spans = members(text).unwrap().expect("an object");
-        let keys: Vec<&str> = spans.iter().map(|(k, _)| k.as_str()).collect();
+        let keys: Vec<&str> = spans.iter().map(|(k, _)| k.as_ref()).collect();
         assert_eq!(keys, ["responses", "v", "t"], "keys come back decoded");
         assert_eq!(&text[spans[1].1.clone()], "7");
         assert_eq!(&text[spans[2].1.clone()], "{}");
@@ -538,6 +577,16 @@ mod tests {
         assert_eq!(elements("7").unwrap(), None);
         assert_eq!(members("{}").unwrap(), Some(Vec::new()));
         assert_eq!(elements(" [ ] ").unwrap(), Some(Vec::new()));
+    }
+
+    #[test]
+    fn unquote_borrows_until_an_escape() {
+        assert!(matches!(unquote(r#""plain é text""#), Some(Cow::Borrowed("plain é text"))));
+        assert!(matches!(unquote(r#""""#), Some(Cow::Borrowed(""))));
+        assert_eq!(unquote(r#""a\"b\u00e9""#), Some(Cow::Owned("a\"bé".to_string())));
+        for not_one_string in ["7", "\"", "\"a\"b\"", "\"a\" ", "[\"a\"]", "\"\\q\"", "\"\u{1}\""] {
+            assert_eq!(unquote(not_one_string), None, "{not_one_string:?}");
+        }
     }
 
     #[test]

@@ -279,6 +279,14 @@ pub fn render_fleet_families(fleet: &graphex_serving::TenantFleet, out: &mut Str
             t.name, t.resident_bytes
         );
     }
+    let _ = writeln!(out, "# TYPE graphex_store_items gauge");
+    for t in &tenants {
+        let _ = writeln!(out, "graphex_store_items{{tenant=\"{}\"}} {}", t.name, t.store_items);
+    }
+    let _ = writeln!(out, "# TYPE graphex_store_bytes gauge");
+    for t in &tenants {
+        let _ = writeln!(out, "graphex_store_bytes{{tenant=\"{}\"}} {}", t.name, t.store_bytes);
+    }
     let _ = writeln!(out, "# TYPE graphex_tenant_snapshot_version gauge");
     for t in &tenants {
         let _ = writeln!(
@@ -346,6 +354,15 @@ pub fn render_fleet_families(fleet: &graphex_serving::TenantFleet, out: &mut Str
         })
         .collect();
     render_overlay_families(&overlay_rows, out);
+}
+
+/// Appends the single-api KV store gauges: items held and the heap bytes
+/// of their records (`/statusz` reports the same pair as `store`).
+pub fn render_store_families(store: &graphex_serving::KvStore, out: &mut String) {
+    let _ = writeln!(out, "# TYPE graphex_store_items gauge");
+    let _ = writeln!(out, "graphex_store_items {}", store.len());
+    let _ = writeln!(out, "# TYPE graphex_store_bytes gauge");
+    let _ = writeln!(out, "graphex_store_bytes {}", store.record_bytes());
 }
 
 /// Appends the single-api serving families: the serving-layer

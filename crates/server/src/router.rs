@@ -57,7 +57,7 @@ use crate::history::{HistoryConfig, MetricsHistory};
 use crate::http::Request;
 use crate::json::{self, Json};
 use crate::metrics::{Endpoint, HttpMetrics};
-use crate::server::{decode_envelope, decode_one, id_json, Decoded};
+use crate::server::{decode_envelope, decode_one, id_json, Decoded, Fields};
 use crate::shardmap::ShardMap;
 use crate::trace::{backend_trace_from_json, TraceConfig, TraceRecorder, TRACE_HEADER};
 use graphex_core::Stage;
@@ -441,8 +441,15 @@ impl Handler for ScatterHandler {
         &ROUTES
     }
 
-    fn handle(&self, _: &Route, _: Option<&str>, request: &Request, cx: &mut Cx) -> Routed {
-        self.infer(request, cx)
+    fn handle(
+        &self,
+        _: &Route,
+        _: Option<&str>,
+        request: &Request,
+        cx: &mut Cx,
+        out: &mut String,
+    ) -> Routed {
+        self.infer(request, cx, out)
     }
 
     /// Fan-out counters plus the per-backend health table.
@@ -613,18 +620,22 @@ impl Sub {
 impl ScatterHandler {
     /// `POST /v1/infer`: validate, scatter by shard, gather in the
     /// caller's order.
-    fn infer(&self, request: &Request, cx: &mut Cx) -> Routed {
+    fn infer(&self, request: &Request, cx: &mut Cx, body: &mut String) -> Routed {
         let parse_start = cx.trace.clock();
         // Validate with the backend's own decoder so the router 400s exactly
         // what a backend would — a forwarded entry is never refused
         // downstream, which would otherwise surface as a degradation. Each
-        // entry's JSON rides along to be forwarded verbatim.
-        let decode = |entry: &Json| decode_one(entry).map(|d| (d, entry.clone()));
-        let (envelope, batch) = match decode_envelope(&request.body, "requests", decode) {
+        // entry's JSON rides along to be forwarded.
+        fn decode<'a>(entry: Option<&Fields<'a>>) -> Result<(Decoded<'a>, Json), String> {
+            let decoded = decode_one(entry)?;
+            let forwarded = entry.and_then(|entry| json::parse(entry.text).ok());
+            Ok((decoded, forwarded.ok_or("request must be a JSON object")?))
+        }
+        let (envelope, batch) = match decode_envelope(request.body(), "requests", decode) {
             Ok(envelope) => envelope,
-            Err(message) => return Routed::error(400, message),
+            Err(message) => return Routed::error(body, 400, message),
         };
-        let (decoded, mut entries): (Vec<Decoded>, Vec<Json>) = envelope.into_iter().unzip();
+        let (decoded, mut entries): (Vec<Decoded<'_>>, Vec<Json>) = envelope.into_iter().unzip();
         self.requests_in.fetch_add(1, Ordering::Relaxed);
         cx.trace.record(Stage::Parse, parse_start);
 
@@ -687,7 +698,7 @@ impl ScatterHandler {
         }
 
         let serialize_start = cx.trace.clock();
-        let mut body = String::with_capacity(capacity);
+        body.reserve(capacity);
         if batch {
             body.push_str("{\"responses\":[");
         }
@@ -709,23 +720,12 @@ impl ScatterHandler {
         if batch {
             let _ = write!(body, "],\"snapshot_version\":{snapshot_version}}}");
         }
-        // The stamp goes inside the closing brace of the envelope — or of
-        // the one entry that is the whole single-request reply.
-        let stamp = cx.trace_members();
-        if !stamp.is_empty() && body.ends_with('}') {
-            body.pop();
-            for (key, value) in stamp {
-                if !body.trim_end().ends_with('{') {
-                    body.push(',');
-                }
-                let _ = write!(body, "\"{key}\":{}", value.render());
-            }
-            body.push('}');
-        }
-        let routed = Routed::new(200, edge::JSON, body);
+        // Into the envelope — or the one entry that is the whole
+        // single-request reply.
+        cx.stamp_trace(body);
         cx.trace.record(Stage::Serialize, serialize_start);
         cx.entries = decoded.len();
-        routed
+        Routed::new(200, edge::JSON)
     }
 
     /// Resolves every sub-batch in rounds, on this thread (module doc): a

@@ -20,16 +20,19 @@ use crate::history::{HistoryConfig, MetricsHistory};
 use crate::http::Request;
 use crate::json::{self, Json};
 use crate::metrics::{
-    render_fleet_families, render_overlay_families, render_serve_families, Endpoint, HttpMetrics,
+    render_fleet_families, render_overlay_families, render_serve_families, render_store_families,
+    Endpoint, HttpMetrics,
 };
 use crate::trace::{TraceConfig, TraceRecorder};
 use graphex_core::{Alignment, InferRequest, KeyphraseRecord, LeafId, Stage};
 use graphex_serving::{
-    FleetError, OverlayError, OverlayStatus, ServeSource, Served, ServingApi, TenantFleet,
+    Answer, FleetError, OverlayError, OverlayStatus, ServeSource, ServingApi, TenantFleet,
 };
+use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Most requests accepted in one `/v1/infer` batch envelope.
 pub const MAX_BATCH: usize = 1024;
@@ -204,16 +207,17 @@ impl Handler for ServeHandler {
         tenant: Option<&str>,
         request: &Request,
         cx: &mut Cx,
+        out: &mut String,
     ) -> Routed {
-        let api = match self.resolve_api(tenant) {
+        let api = match self.resolve_api(tenant, out) {
             Ok(api) => api,
             Err(routed) => return routed,
         };
         match route.path {
-            "/v1/infer" => self.infer(&api, request, cx),
-            "/v1/upsert" => upsert(&api, request),
-            "/v1/overlay/journal" => overlay_journal(&api),
-            _ => overlay_drain(&api, request),
+            "/v1/infer" => self.infer(&api, request, cx, out),
+            "/v1/upsert" => upsert(&api, request, out),
+            "/v1/overlay/journal" => overlay_journal(&api, out),
+            _ => overlay_drain(&api, request, out),
         }
     }
 
@@ -232,6 +236,7 @@ impl Handler for ServeHandler {
         match &self.backend {
             Backend::Single(api) => {
                 render_serve_families(&api.stats(), out);
+                render_store_families(api.store(), out);
                 if let Some(status) = api.overlay_status() {
                     render_overlay_families(&[(String::new(), status)], out);
                 }
@@ -317,6 +322,13 @@ fn overlay_status_json(status: &OverlayStatus) -> Json {
     ])
 }
 
+/// The `/statusz` shape of a KV store's footprint: how many items it
+/// holds and the heap bytes of their records — the per-item figure the
+/// paper's "billions of items" turns on, read rather than inferred.
+fn store_json(items: u64, bytes: u64) -> Json {
+    Json::obj(vec![("items", Json::uint(items)), ("bytes", Json::uint(bytes))])
+}
+
 fn statusz_single(api: &ServingApi) -> Vec<(&'static str, Json)> {
     let stats = api.stats();
     let stats = &stats;
@@ -333,6 +345,7 @@ fn statusz_single(api: &ServingApi) -> Vec<(&'static str, Json)> {
         ("unservable", Json::uint(stats.unservable)),
         ("invalidated", Json::uint(stats.invalidated)),
         ("overlay_invalidated", Json::uint(stats.overlay_invalidated)),
+        ("store", store_json(api.store().len() as u64, api.store().record_bytes() as u64)),
         (
             "overlay",
             match api.overlay_status() {
@@ -372,6 +385,7 @@ fn statusz_fleet(fleet: &TenantFleet) -> Vec<(&'static str, Json)> {
                     },
                 ),
                 ("resident_bytes", Json::uint(t.resident_bytes)),
+                ("store", store_json(t.store_items, t.store_bytes)),
                 ("admissions", Json::uint(t.admissions)),
                 ("evictions", Json::uint(t.evictions)),
                 (
@@ -410,18 +424,24 @@ impl ServeHandler {
     /// tenant name must never count against the 5xx budget — while an
     /// admission failure of a *known* tenant (corrupt snapshot) is a 503:
     /// retrying after a fixed publish succeeds.
-    fn resolve_api(&self, tenant: Option<&str>) -> Result<Arc<ServingApi>, Routed> {
+    fn resolve_api(
+        &self,
+        tenant: Option<&str>,
+        out: &mut String,
+    ) -> Result<Arc<ServingApi>, Routed> {
         match (&self.backend, tenant) {
             (Backend::Single(api), None) => Ok(Arc::clone(api)),
-            (Backend::Single(_), Some(_)) => Err(Routed::error(404, "no tenant fleet configured")),
+            (Backend::Single(_), Some(_)) => {
+                Err(Routed::error(out, 404, "no tenant fleet configured"))
+            }
             (Backend::Fleet(fleet), tenant) => {
                 let name = tenant.unwrap_or(fleet.default_tenant());
                 fleet.api(name).map_err(|e| match e {
                     FleetError::InvalidName(_) | FleetError::UnknownTenant(_) => {
-                        Routed::error(404, e.to_string())
+                        Routed::error(out, 404, e.to_string())
                     }
                     FleetError::Tenant { .. } => {
-                        Routed::error(503, e.to_string()).with_header("Retry-After", "1")
+                        Routed::error(out, 503, e.to_string()).with_header("Retry-After", "1")
                     }
                 })
             }
@@ -429,43 +449,58 @@ impl ServeHandler {
     }
 
     /// `POST /v1/infer` (and tenant variants): one request object or a
-    /// `{"requests":[...]}` batch. A request carrying a trace header (the
-    /// router is upstream) gets the full span breakdown embedded in the
-    /// response body so the router can fold it into its own trace.
-    fn infer(&self, api: &ServingApi, request: &Request, cx: &mut Cx) -> Routed {
+    /// `{"requests":[...]}` batch. Each entry is served and written to
+    /// `out` in turn — a store hit goes from the store's record to the
+    /// response bytes with nothing built in between. A request carrying a
+    /// trace header (the router is upstream) gets the full span breakdown
+    /// embedded in the response body so the router can fold it into its
+    /// own trace.
+    fn infer(&self, api: &ServingApi, request: &Request, cx: &mut Cx, out: &mut String) -> Routed {
         // Deadline check happens before any parsing or inference: a request
         // that waited out its budget in the accept queue is refused cheaply.
         if self.deadline.is_some_and(|deadline| cx.started.elapsed() > deadline) {
             api.note_deadline_exceeded();
-            return Routed::error(503, "deadline exceeded").with_header("Retry-After", "1");
+            return Routed::error(out, 503, "deadline exceeded").with_header("Retry-After", "1");
         }
         let parse_start = cx.trace.clock();
         let _guard = api.begin_request();
-        let (decoded, batch) = match decode_envelope(&request.body, "requests", decode_one) {
+        let (decoded, batch) = match decode_envelope(request.body(), "requests", decode_one) {
             Ok(envelope) => envelope,
-            Err(message) => return Routed::error(400, message),
+            Err(message) => return Routed::error(out, 400, message),
         };
         cx.trace.record(Stage::Parse, parse_start);
-        let requests: Vec<InferRequest<'_>> = decoded.iter().map(Decoded::request).collect();
-        let served = api.serve_batch_traced(&requests, &mut cx.trace);
-        let serialize_start = cx.trace.clock();
-        let mut responses: Vec<Json> =
-            served.iter().zip(&decoded).map(|(s, d)| render_served(s, d.id)).collect();
-        let mut body = if batch {
-            Json::obj(vec![
-                ("responses", Json::Arr(responses)),
-                // Envelope-level: the snapshot *serving* right now (the
-                // per-response field is the snapshot that produced each
-                // answer, which can be older on cached store hits).
-                ("snapshot_version", Json::uint(api.snapshot_version())),
-            ])
-        } else {
-            responses.pop().expect("a single-request envelope decodes to one entry")
-        };
-        cx.trace.record(Stage::Serialize, serialize_start);
-        cx.stamp_trace(&mut body);
+        if batch {
+            open_envelope(out);
+        }
+        // One `Serialize` span for the request: from the first entry's
+        // write, as long as the writes took together.
+        let tracing = cx.trace.is_enabled();
+        let mut serialize: Option<(Instant, Duration)> = None;
+        for (i, entry) in decoded.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            api.serve_with(&entry.request(), &mut cx.trace, |answer| {
+                let start = tracing.then(Instant::now);
+                write_entry(out, &answer, entry.id);
+                if let Some(start) = start {
+                    serialize.get_or_insert((start, Duration::ZERO)).1 += start.elapsed();
+                }
+            });
+        }
+        if batch {
+            // Envelope-level: the snapshot *serving* right now (the
+            // per-response field is the snapshot that produced each
+            // answer, which can be older on cached store hits).
+            close_envelope(out, api.snapshot_version());
+        }
+        if let Some((start, took)) = serialize {
+            cx.trace.record_span(Stage::Serialize, start, took, 0);
+        }
+        // Into the envelope — or the one entry that is the whole reply.
+        cx.stamp_trace(out);
         cx.entries = decoded.len();
-        Routed::json(200, &body)
+        Routed::new(200, edge::JSON)
     }
 }
 
@@ -475,22 +510,24 @@ impl ServeHandler {
 /// No overlay attached → 404; a full journal → 429 + `Retry-After`
 /// (write shedding, mirroring the accept-queue policy); a malformed
 /// record → 400. None of these count against the 5xx budget.
-fn upsert(api: &ServingApi, request: &Request) -> Routed {
+fn upsert(api: &ServingApi, request: &Request, out: &mut String) -> Routed {
     if api.overlay().is_none() {
         return Routed::error(
+            out,
             404,
             "overlay serving is not enabled; start the server with --overlay",
         );
     }
-    let records = match decode_envelope(&request.body, "records", decode_record) {
+    let records = match decode_envelope(request.body(), "records", decode_record) {
         Ok((records, _)) if records.is_empty() => {
-            return Routed::error(400, "\"records\" must not be empty")
+            return Routed::error(out, 400, "\"records\" must not be empty")
         }
         Ok((records, _)) => records,
-        Err(message) => return Routed::error(400, message),
+        Err(message) => return Routed::error(out, 400, message),
     };
     match api.apply_upsert(&records) {
         Ok(ack) => Routed::json(
+            out,
             200,
             &Json::obj(vec![
                 ("seq", Json::uint(ack.seq)),
@@ -501,9 +538,10 @@ fn upsert(api: &ServingApi, request: &Request) -> Routed {
             ]),
         ),
         Err(e @ OverlayError::CapExceeded { retry_after_secs, .. }) => {
-            Routed::error(429, e.to_string()).with_header("Retry-After", retry_after_secs.to_string())
+            Routed::error(out, 429, e.to_string())
+                .with_header("Retry-After", retry_after_secs.to_string())
         }
-        Err(e @ OverlayError::Invalid(_)) => Routed::error(400, e.to_string()),
+        Err(e @ OverlayError::Invalid(_)) => Routed::error(out, 400, e.to_string()),
     }
 }
 
@@ -511,66 +549,103 @@ fn upsert(api: &ServingApi, request: &Request) -> Routed {
 /// line-oriented interchange format `graphex build --overlay-journal`
 /// ingests. The compactor fetches this, rebuilds, publishes, then
 /// `POST /v1/overlay/drain`s up to the journal's high-water mark.
-fn overlay_journal(api: &ServingApi) -> Routed {
+fn overlay_journal(api: &ServingApi, out: &mut String) -> Routed {
     match api.export_overlay_journal() {
-        Some(journal) => Routed::text(200, journal.to_text()),
-        None => Routed::error(404, "overlay serving is not enabled"),
+        Some(journal) => Routed::text(out, 200, &journal.to_text()),
+        None => Routed::error(out, 404, "overlay serving is not enabled"),
     }
 }
 
 /// `POST /v1/overlay/drain` with `{"upto": N}`: drops journal entries
 /// absorbed by a published compaction. Entries that arrived after the
 /// journal export survive and keep serving.
-fn overlay_drain(api: &ServingApi, request: &Request) -> Routed {
-    let envelope = match parse_body(&request.body) {
+fn overlay_drain(api: &ServingApi, request: &Request, out: &mut String) -> Routed {
+    let envelope = body_text(request.body())
+        .and_then(|text| json::parse(text).map_err(invalid_json));
+    let envelope = match envelope {
         Ok(value) => value,
-        Err(message) => return Routed::error(400, message),
+        Err(message) => return Routed::error(out, 400, message),
     };
     let Some(upto) = envelope.get("upto").and_then(Json::as_u64) else {
-        return Routed::error(400, "missing or non-integer \"upto\"");
+        return Routed::error(out, 400, "missing or non-integer \"upto\"");
     };
     match api.drain_overlay(upto) {
         Some(report) => Routed::json(
+            out,
             200,
             &Json::obj(vec![
                 ("drained", Json::uint(report.drained as u64)),
                 ("remaining", Json::uint(report.remaining as u64)),
             ]),
         ),
-        None => Routed::error(404, "overlay serving is not enabled"),
+        None => Routed::error(out, 404, "overlay serving is not enabled"),
     }
 }
 
-fn parse_body(body: &[u8]) -> Result<Json, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not valid UTF-8")?;
-    json::parse(text).map_err(|e| format!("invalid JSON: {e}"))
+fn body_text(body: &[u8]) -> Result<&str, String> {
+    std::str::from_utf8(body).map_err(|_| "body is not valid UTF-8".into())
+}
+
+fn invalid_json(e: json::ParseError) -> String {
+    format!("invalid JSON: {e}")
+}
+
+/// One JSON object as the scanner reports it (`json::members`): which
+/// members it has and where their values lie in its text. Nothing is
+/// built; a decoder reads the few values it wants off the spans.
+pub(crate) struct Fields<'a> {
+    /// The object's own text.
+    pub(crate) text: &'a str,
+    members: Vec<json::Member<'a>>,
+}
+
+impl<'a> Fields<'a> {
+    /// `None` when `text` is a document of another kind.
+    fn scan(text: &'a str) -> Result<Option<Self>, String> {
+        let members = json::members(text).map_err(invalid_json)?;
+        Ok(members.map(|members| Self { text, members }))
+    }
+
+    /// The value of the first member named `key`, as written.
+    fn get(&self, key: &str) -> Option<&'a str> {
+        self.members.iter().find(|(k, _)| k == key).map(|(_, span)| &self.text[span.clone()])
+    }
+
+    /// [`Fields::get`] as `Json::as_u64` would read it.
+    fn u64(&self, key: &str) -> Option<Option<u64>> {
+        self.get(key).map(|span| json::parse(span).ok()?.as_u64())
+    }
 }
 
 /// Decodes a request body that is either one entry object or a
 /// `{"<key>": [entry, ...]}` batch of at most [`MAX_BATCH`], returning
-/// the entries and whether the batch form was used. Batch entry errors
-/// are prefixed `<key>[i]:`. `pub(crate)` (with [`decode_one`]) so the
-/// router validates client envelopes with exactly the backend's rules —
-/// a request the router forwards is never one a backend would 400.
-pub(crate) fn decode_envelope<T>(
-    body: &[u8],
+/// the entries and whether the batch form was used. `decode` is handed
+/// each entry's [`Fields`] (`None` for an entry that is no object) and
+/// may borrow from the body. Batch entry errors are prefixed `<key>[i]:`.
+/// `pub(crate)` (with [`decode_one`]) so the router validates client
+/// envelopes with exactly the backend's rules — a request the router
+/// forwards is never one a backend would 400.
+pub(crate) fn decode_envelope<'a, T>(
+    body: &'a [u8],
     key: &str,
-    decode: impl Fn(&Json) -> Result<T, String>,
+    decode: impl Fn(Option<&Fields<'a>>) -> Result<T, String>,
 ) -> Result<(Vec<T>, bool), String> {
-    let envelope = parse_body(body)?;
-    match envelope.get(key) {
-        None => Ok((vec![decode(&envelope)?], false)),
-        Some(Json::Arr(entries)) if entries.len() > MAX_BATCH => {
-            Err(format!("batch of {} exceeds cap of {MAX_BATCH}", entries.len()))
-        }
-        Some(Json::Arr(entries)) => entries
-            .iter()
-            .enumerate()
-            .map(|(i, entry)| decode(entry).map_err(|message| format!("{key}[{i}]: {message}")))
-            .collect::<Result<Vec<T>, String>>()
-            .map(|decoded| (decoded, true)),
-        Some(_) => Err(format!("\"{key}\" must be an array")),
+    let envelope = Fields::scan(body_text(body)?)?;
+    let Some(entries) = envelope.as_ref().and_then(|envelope| envelope.get(key)) else {
+        return Ok((vec![decode(envelope.as_ref())?], false));
+    };
+    let spans = json::elements(entries)
+        .map_err(invalid_json)?
+        .ok_or_else(|| format!("\"{key}\" must be an array"))?;
+    if spans.len() > MAX_BATCH {
+        return Err(format!("batch of {} exceeds cap of {MAX_BATCH}", spans.len()));
     }
+    let mut decoded = Vec::with_capacity(spans.len());
+    for (i, span) in spans.into_iter().enumerate() {
+        let entry = Fields::scan(&entries[span])?;
+        decoded.push(decode(entry.as_ref()).map_err(|message| format!("{key}[{i}]: {message}"))?);
+    }
+    Ok((decoded, true))
 }
 
 /// A request id as JSON: ids past 2^53 travel as decimal strings,
@@ -588,46 +663,38 @@ pub(crate) fn id_json(id: u64) -> Json {
 /// "recall": N}` (recall optional, defaulting to 0). Validation beyond
 /// shape — empty text, reserved bytes — happens in the overlay store so
 /// HTTP and in-process writers are refused identically.
-fn decode_record(value: &Json) -> Result<KeyphraseRecord, String> {
-    if !matches!(value, Json::Obj(_)) {
-        return Err("record must be a JSON object".into());
-    }
-    let text = value
+fn decode_record(fields: Option<&Fields<'_>>) -> Result<KeyphraseRecord, String> {
+    let fields = fields.ok_or("record must be a JSON object")?;
+    let text = fields
         .get("text")
-        .and_then(Json::as_str)
+        .and_then(json::unquote)
         .ok_or("missing or non-string \"text\"")?
-        .to_string();
-    let leaf = value
-        .get("leaf")
-        .and_then(Json::as_u64)
-        .ok_or("missing or non-integer \"leaf\"")?;
+        .into_owned();
+    let leaf = fields.u64("leaf").flatten().ok_or("missing or non-integer \"leaf\"")?;
     let leaf = u32::try_from(leaf).map_err(|_| "\"leaf\" exceeds u32 range".to_string())?;
-    let search = value
-        .get("search")
-        .and_then(Json::as_u64)
-        .ok_or("missing or non-integer \"search\"")?;
+    let search = fields.u64("search").flatten().ok_or("missing or non-integer \"search\"")?;
     let search = u32::try_from(search).map_err(|_| "\"search\" exceeds u32 range".to_string())?;
-    let recall = match value.get("recall") {
+    let recall = match fields.u64("recall") {
         None => 0,
-        Some(v) => {
-            let recall = v.as_u64().ok_or("\"recall\" must be a non-negative integer")?;
+        Some(recall) => {
+            let recall = recall.ok_or("\"recall\" must be a non-negative integer")?;
             u32::try_from(recall).map_err(|_| "\"recall\" exceeds u32 range".to_string())?
         }
     };
     Ok(KeyphraseRecord::new(text, LeafId(leaf), search, recall))
 }
 
-/// One decoded infer entry (owns the strings the borrowed
-/// [`InferRequest`] points into).
-pub(crate) struct Decoded {
-    title: String,
+/// One decoded infer entry; the title is the body's own bytes unless it
+/// carried an escape.
+pub(crate) struct Decoded<'a> {
+    title: Cow<'a, str>,
     pub(crate) leaf: u32,
     k: Option<usize>,
     pub(crate) id: Option<u64>,
     alignment: Option<Alignment>,
 }
 
-impl Decoded {
+impl Decoded<'_> {
     fn request(&self) -> InferRequest<'_> {
         let mut request =
             InferRequest::new(&self.title, graphex_core::LeafId(self.leaf)).resolve_texts(true);
@@ -644,44 +711,37 @@ impl Decoded {
     }
 }
 
-pub(crate) fn decode_one(value: &Json) -> Result<Decoded, String> {
-    if !matches!(value, Json::Obj(_)) {
-        return Err("request must be a JSON object".into());
-    }
-    let title = value
+pub(crate) fn decode_one<'a>(fields: Option<&Fields<'a>>) -> Result<Decoded<'a>, String> {
+    let fields = fields.ok_or("request must be a JSON object")?;
+    let title = fields
         .get("title")
-        .and_then(Json::as_str)
-        .ok_or("missing or non-string \"title\"")?
-        .to_string();
-    let leaf = value
-        .get("leaf")
-        .and_then(Json::as_u64)
-        .ok_or("missing or non-integer \"leaf\"")?;
+        .and_then(json::unquote)
+        .ok_or("missing or non-string \"title\"")?;
+    let leaf = fields.u64("leaf").flatten().ok_or("missing or non-integer \"leaf\"")?;
     let leaf = u32::try_from(leaf).map_err(|_| "\"leaf\" exceeds u32 range".to_string())?;
-    let k = match value.get("k") {
+    let k = match fields.u64("k") {
         None => None,
-        Some(v) => Some(
-            v.as_u64()
-                .filter(|&k| (1..=10_000).contains(&k))
+        Some(k) => Some(
+            k.filter(|k| (1..=10_000).contains(k))
                 .ok_or("\"k\" must be an integer in 1..=10000")? as usize,
         ),
     };
     // KV keys are full u64 (PR 2); JSON numbers are f64 and lose
     // exactness past 2^53, so large ids are accepted as decimal strings.
-    let id = match value.get("id") {
+    let id = match fields.get("id").map(|span| (span, json::unquote(span))) {
         None => None,
-        Some(Json::Str(raw)) => {
+        Some((_, Some(raw))) => {
             Some(raw.parse::<u64>().map_err(|_| "\"id\" string must be a decimal u64")?)
         }
-        Some(v) => Some(v.as_u64().ok_or(
+        Some((_, None)) => Some(fields.u64("id").flatten().ok_or(
             "\"id\" must be a non-negative integer (< 2^53) or a decimal string",
         )?),
     };
-    let alignment = match value.get("alignment").map(|v| (v, v.as_str())) {
+    let alignment = match fields.get("alignment").map(json::unquote) {
         None => None,
-        Some((_, Some("lta"))) => Some(Alignment::Lta),
-        Some((_, Some("wmr"))) => Some(Alignment::Wmr),
-        Some((_, Some("jac"))) => Some(Alignment::Jac),
+        Some(Some(name)) if name == "lta" => Some(Alignment::Lta),
+        Some(Some(name)) if name == "wmr" => Some(Alignment::Wmr),
+        Some(Some(name)) if name == "jac" => Some(Alignment::Jac),
         Some(_) => return Err("\"alignment\" must be one of lta|wmr|jac".into()),
     };
     Ok(Decoded { title, leaf, k, id, alignment })
@@ -697,20 +757,50 @@ fn source_label(source: ServeSource) -> &'static str {
     }
 }
 
-fn render_served(served: &Served, id: Option<u64>) -> Json {
-    let mut members = vec![
-        ("outcome", Json::str(served.outcome.name())),
-        ("source", Json::str(source_label(served.source))),
-        (
-            "keyphrases",
-            Json::Arr(served.keyphrases.iter().map(|k| Json::str(k.clone())).collect()),
-        ),
-        ("snapshot_version", Json::uint(served.snapshot_version)),
-    ];
-    if let Some(id) = id {
-        members.insert(0, ("id", id_json(id)));
+/// A batch reply up to its first entry ([`write_entry`]s follow,
+/// comma-separated, then [`close_envelope`]).
+fn open_envelope(out: &mut String) {
+    out.push_str("{\"responses\":[");
+}
+
+fn close_envelope(out: &mut String, snapshot_version: u64) {
+    out.push_str("],\"snapshot_version\":");
+    json::write_num(snapshot_version as f64, out);
+    out.push('}');
+}
+
+/// One response entry, written as `Json` would render it (`render_served`
+/// in the tests is that rendering, and the reference this is held to; the
+/// id follows [`id_json`]).
+fn write_entry(out: &mut String, answer: &Answer<'_>, id: Option<u64>) {
+    out.push('{');
+    match id {
+        None => {}
+        Some(id) if id <= 1 << 53 => {
+            out.push_str("\"id\":");
+            json::write_num(id as f64, out);
+            out.push(',');
+        }
+        Some(id) => {
+            let _ = write!(out, "\"id\":\"{id}\",");
+        }
     }
-    Json::obj(members)
+    out.push_str("\"outcome\":");
+    json::write_escaped(answer.outcome().name(), out);
+    out.push_str(",\"source\":");
+    json::write_escaped(source_label(answer.source()), out);
+    out.push_str(",\"keyphrases\":[");
+    let mut written = 0;
+    answer.for_each_keyphrase(|keyphrase| {
+        if written > 0 {
+            out.push(',');
+        }
+        json::write_escaped(keyphrase, out);
+        written += 1;
+    });
+    out.push_str("],\"snapshot_version\":");
+    json::write_num(answer.snapshot_version() as f64, out);
+    out.push('}');
 }
 
 #[cfg(test)]
@@ -718,7 +808,25 @@ mod tests {
     use super::*;
     use crate::client::HttpClient;
     use graphex_core::{GraphExBuilder, GraphExConfig, KeyphraseRecord, LeafId};
-    use graphex_serving::{KvStore, OverlayStore};
+    use graphex_serving::{KvStore, OverlayStore, Served};
+
+    /// The reference [`write_entry`] is held to: the entry as a `Json`
+    /// tree, rendered.
+    fn render_served(served: &Served, id: Option<u64>) -> Json {
+        let mut members = vec![
+            ("outcome", Json::str(served.outcome.name())),
+            ("source", Json::str(source_label(served.source))),
+            (
+                "keyphrases",
+                Json::Arr(served.keyphrases.iter().map(|k| Json::str(k.clone())).collect()),
+            ),
+            ("snapshot_version", Json::uint(served.snapshot_version)),
+        ];
+        if let Some(id) = id {
+            members.insert(0, ("id", id_json(id)));
+        }
+        Json::obj(members)
+    }
 
     fn model() -> Arc<graphex_core::GraphExModel> {
         let mut config = GraphExConfig::default();
@@ -804,6 +912,13 @@ mod tests {
         let stats = json::parse(&status.text()).unwrap();
         assert_eq!(stats.get("store_hits").unwrap().as_u64(), Some(1));
         assert_eq!(stats.get("snapshot_version").unwrap().as_u64(), Some(0));
+        // The store's footprint is read, not inferred: item 7 and nothing
+        // else (id-less answers are never stored).
+        let store = server.api().unwrap().store();
+        assert_eq!((store.len(), store.record_bytes()), (1, store.record(7).unwrap().heap_bytes()));
+        let footprint = stats.get("store").unwrap();
+        assert_eq!(footprint.get("items").unwrap().as_u64(), Some(1));
+        assert_eq!(footprint.get("bytes").unwrap().as_u64(), Some(store.record_bytes() as u64));
 
         let metrics = client.get("/metrics").unwrap();
         assert_eq!(metrics.status, 200);
@@ -811,6 +926,11 @@ mod tests {
         assert!(text.contains("graphex_http_requests_total{endpoint=\"infer\",code=\"200\"} 3"));
         assert!(text.contains("graphex_request_duration_seconds_count 3"));
         assert!(text.contains("graphex_serve_source_total{source=\"store_hit\"} 1"));
+        assert!(text.contains("graphex_store_items 1\n"), "{text}");
+        assert!(
+            text.contains(&format!("graphex_store_bytes {}\n", store.record_bytes())),
+            "{text}"
+        );
 
         drop(client); // close the keep-alive so shutdown doesn't wait it out
         server.shutdown();
@@ -1020,6 +1140,15 @@ mod tests {
             "graphex_tenant_serve_outcome_total{tenant=\"alpha\",outcome=\"exact_leaf\"} 1"
         ));
         assert!(metrics.contains("graphex_fleet_resident_cap 2"));
+        // A tenant's store goes with its incarnation: the evicted one
+        // reads empty, a resident one holds what it answered.
+        assert!(metrics.contains("graphex_store_items{tenant=\"alpha\"} 0"), "{metrics}");
+        assert!(metrics.contains("graphex_store_bytes{tenant=\"alpha\"} 0"), "{metrics}");
+        let default_row = rows
+            .iter()
+            .find(|row| row.get("name").unwrap().as_str() == Some("default"))
+            .expect("default row");
+        assert_eq!(default_row.get("store").unwrap().get("items").unwrap().as_u64(), Some(0));
         assert!(metrics.contains(
             "graphex_tenant_serve_outcome_total{tenant=\"beta\",outcome=\"exact_leaf\"} 1"
         ));
@@ -1241,5 +1370,134 @@ mod tests {
         drop(client);
         server.shutdown();
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// Answers grown from a byte script: keyphrases over everything the
+    /// string writer treats specially (and the empty string), ids and
+    /// snapshot versions on both sides of 2^53.
+    fn phrases(script: &mut impl FnMut() -> u8) -> Vec<String> {
+        const PALETTE: [char; 16] = [
+            'a', 'z', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{1}', '\u{1f}', '\u{7f}', '\u{e9}',
+            '\u{20ac}', '\u{1f600}', '}',
+        ];
+        (0..script() % 9)
+            .map(|_| (0..script() % 7).map(|_| PALETTE[usize::from(script()) % 16]).collect())
+            .collect()
+    }
+
+    fn edge_u64(script: &mut impl FnMut() -> u8) -> u64 {
+        match script() % 7 {
+            0 => 0,
+            1 => u64::from(script()),
+            2 => 1 << 53,
+            3 => (1 << 53) + 1,
+            4 => u64::MAX,
+            5 => (1 << 53) - 1,
+            _ => (0..8).fold(0, |n, _| n << 8 | u64::from(script())),
+        }
+    }
+
+    const SOURCES: [ServeSource; 5] = [
+        ServeSource::Store,
+        ServeSource::ReadThrough,
+        ServeSource::Coalesced,
+        ServeSource::Direct,
+        ServeSource::None,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The direct writer against the tree render, byte for byte: one
+        /// entry for every `Outcome` × `ServeSource`, computed and as a
+        /// store hit cut at every `k`, alone and inside an envelope, with
+        /// and without the trace stamp.
+        #[test]
+        fn direct_writer_matches_the_tree_render(
+            script in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+        ) {
+            let mut bytes = script.iter();
+            let mut script = || bytes.next().copied().unwrap_or(0);
+            let keyphrases = phrases(&mut script);
+            let id = (script() % 4 > 0).then(|| edge_u64(&mut script));
+            let snapshot_version = edge_u64(&mut script);
+            let stamp: Vec<(&'static str, Json)> = match script() % 3 {
+                0 => Vec::new(),
+                1 => vec![("trace_id", Json::str("00000000deadbeef"))],
+                _ => vec![
+                    ("trace_id", Json::str("00000000deadbeef")),
+                    ("trace", Json::obj(vec![
+                        ("total_us", Json::num(12.5)),
+                        ("stages", Json::Arr(vec![Json::str("kv \"lookup\""), Json::Null])),
+                    ])),
+                ],
+            };
+
+            // The reference: the tree, the stamp appended to its members.
+            let stamped = |mut tree: Json| {
+                if let Json::Obj(members) = &mut tree {
+                    members.extend(stamp.iter().map(|(k, v)| (k.to_string(), v.clone())));
+                }
+                tree.render()
+            };
+            let mut entries = String::new();
+            let mut trees = Vec::new();
+            let mut check = |answer: Answer<'_>, served: &Served| {
+                let tree = render_served(served, id);
+                let mut direct = String::new();
+                write_entry(&mut direct, &answer, id);
+                assert_eq!(direct, tree.render());
+                edge::stamp_members(&mut direct, &stamp);
+                assert_eq!(direct, stamped(tree.clone()), "one entry as the whole reply");
+                if !trees.is_empty() {
+                    entries.push(',');
+                }
+                write_entry(&mut entries, &answer, id);
+                trees.push(tree);
+            };
+
+            let store = KvStore::new();
+            for outcome in graphex_core::Outcome::ALL {
+                for source in SOURCES {
+                    let served = Served {
+                        keyphrases: keyphrases.clone(),
+                        source,
+                        outcome,
+                        predictions: Vec::new(),
+                        snapshot_version,
+                        overlay_epoch: 0,
+                    };
+                    check(Answer::Computed(served.clone()), &served);
+                }
+                // A store hit: the packed record, cut to `k`.
+                store.put_tagged(9, &keyphrases, outcome, snapshot_version, 3);
+                assert_eq!(store.get(9).expect("just put").keyphrases, keyphrases);
+                let record = store.record(9).expect("just put");
+                for k in [0, 1, keyphrases.len().saturating_sub(1), keyphrases.len(), 10_000] {
+                    let served = Served {
+                        keyphrases: keyphrases.iter().take(k).cloned().collect(),
+                        source: ServeSource::Store,
+                        outcome,
+                        predictions: Vec::new(),
+                        snapshot_version,
+                        overlay_epoch: 3,
+                    };
+                    check(Answer::Hit { record: &record, k }, &served);
+                }
+            }
+
+            // The same entries as a batch reply.
+            let envelope_version = edge_u64(&mut script);
+            let mut direct = String::new();
+            open_envelope(&mut direct);
+            direct.push_str(&entries);
+            close_envelope(&mut direct, envelope_version);
+            edge::stamp_members(&mut direct, &stamp);
+            let tree = Json::obj(vec![
+                ("responses", Json::Arr(trees)),
+                ("snapshot_version", Json::uint(envelope_version)),
+            ]);
+            assert_eq!(direct, stamped(tree));
+        }
     }
 }

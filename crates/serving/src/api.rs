@@ -22,7 +22,7 @@
 //!   exactly once; the rest wait for the leader's answer. The KV version
 //!   therefore bumps once per item, not once per concurrent caller.
 
-use crate::kv::KvStore;
+use crate::kv::{KvStore, PackedRecs};
 use crate::overlay::{DrainReport, OverlayError, OverlayStatus, OverlayStore, UpsertAck};
 use crate::registry::ModelWatch;
 use graphex_core::{
@@ -74,6 +74,64 @@ pub struct Served {
     /// overlay-blind writers). Write-backs tag the KV record with this so
     /// later upserts to the same leaf invalidate it.
     pub overlay_epoch: u64,
+}
+
+/// A response as [`ServingApi::serve_with`] hands it to its sink. A
+/// store hit stays the store's own record — a sink that writes the answer
+/// out copies no keyphrase — and anything computed arrives owned, so the
+/// materialising sink ([`Answer::into_served`]) moves it through.
+pub enum Answer<'a> {
+    /// A fresh store hit, to be cut to the request's `k`.
+    Hit { record: &'a PackedRecs, k: usize },
+    /// Computed by this call, or by the single-flight leader it joined.
+    Computed(Served),
+}
+
+impl Answer<'_> {
+    pub fn source(&self) -> ServeSource {
+        match self {
+            Answer::Hit { .. } => ServeSource::Store,
+            Answer::Computed(served) => served.source,
+        }
+    }
+
+    pub fn outcome(&self) -> Outcome {
+        match self {
+            Answer::Hit { record, .. } => record.outcome(),
+            Answer::Computed(served) => served.outcome,
+        }
+    }
+
+    /// See [`Served::snapshot_version`].
+    pub fn snapshot_version(&self) -> u64 {
+        match self {
+            Answer::Hit { record, .. } => record.snapshot_version(),
+            Answer::Computed(served) => served.snapshot_version,
+        }
+    }
+
+    /// Calls `each` with every keyphrase, in rank order.
+    pub fn for_each_keyphrase(&self, mut each: impl FnMut(&str)) {
+        match self {
+            Answer::Hit { record, k } => record.keyphrases().take(*k).for_each(each),
+            Answer::Computed(served) => served.keyphrases.iter().for_each(|text| each(text)),
+        }
+    }
+
+    /// The materialising sink: the response as owned fields.
+    pub fn into_served(self) -> Served {
+        match self {
+            Answer::Hit { record, k } => Served {
+                keyphrases: record.keyphrases().take(k).map(str::to_string).collect(),
+                source: ServeSource::Store,
+                outcome: record.outcome(),
+                predictions: Vec::new(),
+                snapshot_version: record.snapshot_version(),
+                overlay_epoch: record.overlay_epoch(),
+            },
+            Answer::Computed(served) => served,
+        }
+    }
 }
 
 /// One in-flight read-through; followers block on `ready` until the leader
@@ -287,6 +345,12 @@ impl ServingApi {
         self
     }
 
+    /// The store this api reads through (its item count and record
+    /// bytes are what `/statusz` and `/metrics` report).
+    pub fn store(&self) -> &Arc<KvStore> {
+        &self.store
+    }
+
     /// The attached overlay store, if overlay serving is enabled.
     pub fn overlay(&self) -> Option<&Arc<OverlayStore>> {
         self.overlay.as_ref()
@@ -412,19 +476,34 @@ impl ServingApi {
     }
 
     /// [`ServingApi::serve_request`] with stage spans recorded into
-    /// `trace`: KV lookup (detail 1 = fresh hit served, 0 = miss/stale),
-    /// single-flight wait, and the inference stages via
-    /// [`graphex_core::Engine::infer_traced`]. A disabled trace makes
+    /// `trace` (see [`ServingApi::serve_with`]). A disabled trace makes
     /// this the plain untraced path.
     pub fn serve_request_traced(
         &self,
         request: &InferRequest<'_>,
         trace: &mut graphex_core::StageTrace,
     ) -> Served {
+        self.serve_with(request, trace, |answer| answer.into_served())
+    }
+
+    /// The serving routine: answers `request` as
+    /// [`ServingApi::serve_request`] documents and hands the answer to
+    /// `sink`, borrowed — a store hit reaches the sink as the store's own
+    /// record, so a sink that writes the answer out copies nothing.
+    ///
+    /// Stage spans are recorded into `trace`: KV lookup (detail 1 = fresh
+    /// hit served, 0 = miss/stale), single-flight wait, and the inference
+    /// stages via [`graphex_core::Engine::infer_traced`].
+    pub fn serve_with<R>(
+        &self,
+        request: &InferRequest<'_>,
+        trace: &mut graphex_core::StageTrace,
+        sink: impl FnOnce(Answer<'_>) -> R,
+    ) -> R {
         let Some(item) = request.id else {
             let served = self.compute_traced(request, trace);
-            self.count(&served);
-            return served;
+            self.count(served.source, served.outcome);
+            return sink(Answer::Computed(served));
         };
 
         // Miss path: elect a leader for this item, or join an existing
@@ -444,12 +523,12 @@ impl ServingApi {
             };
             let kv_start = trace.clock();
             let mut fresh_hit = None;
-            if let Some(stored) = self.store.get(item) {
-                if !self.record_is_fresh(stored.snapshot_version, current) {
+            if let Some(stored) = self.store.record(item) {
+                if !self.record_is_fresh(stored.snapshot_version(), current) {
                     // Stale under SwapPolicy::Invalidate: fall through to
                     // the read-through path, which overwrites the record.
                     self.invalidated.fetch_add(1, Ordering::Relaxed);
-                } else if !self.overlay_fresh(stored.overlay_epoch, request.leaf) {
+                } else if !self.overlay_fresh(stored.overlay_epoch(), request.leaf) {
                     // An upsert touched this leaf after the record was
                     // written: recompute so the answer reflects the
                     // overlay (the write-back re-tags the record).
@@ -461,7 +540,8 @@ impl ServingApi {
             match fresh_hit {
                 Some(stored) => {
                     trace.record_detail(graphex_core::Stage::KvLookup, kv_start, 1);
-                    return self.count_hit(stored, request.k);
+                    self.count(ServeSource::Store, stored.outcome());
+                    return sink(Answer::Hit { record: &stored, k: request.k });
                 }
                 None => trace.record_detail(graphex_core::Stage::KvLookup, kv_start, 0),
             }
@@ -472,7 +552,7 @@ impl ServingApi {
                 // completion is visible here. Only a snapshot-tag probe runs
                 // under the global lock — the record fetch happens
                 // lock-free on the next pass, so concurrent misses on
-                // distinct items don't serialize on a store clone.
+                // distinct items don't serialize on the store.
                 // A present-but-stale record does *not* `continue` (the
                 // next pass would see it stale again and loop forever); it
                 // proceeds to leader election so it gets overwritten.
@@ -495,7 +575,7 @@ impl ServingApi {
                 }
             };
 
-            return match role {
+            let served = match role {
                 Role::Follower(flight) => {
                     let wait_start = trace.clock();
                     let mut served = flight.wait();
@@ -510,7 +590,6 @@ impl ServingApi {
                     // request's budget where possible (see docs above).
                     served.keyphrases.truncate(request.k);
                     served.predictions.truncate(request.k);
-                    self.count(&served);
                     served
                 }
                 Role::Leader(flight) => {
@@ -523,7 +602,7 @@ impl ServingApi {
                     if served.outcome.is_servable() {
                         self.store.put_tagged(
                             item,
-                            served.keyphrases.clone(),
+                            &served.keyphrases,
                             served.outcome,
                             served.snapshot_version,
                             served.overlay_epoch,
@@ -540,10 +619,11 @@ impl ServingApi {
                         flight.publish(served.clone());
                     }
                     guard.armed = false;
-                    self.count(&served);
                     served
                 }
             };
+            self.count(served.source, served.outcome);
+            return sink(Answer::Computed(served));
         }
     }
 
@@ -552,16 +632,6 @@ impl ServingApi {
     /// single-flight read-through path as [`ServingApi::serve_request`].
     pub fn serve_batch(&self, requests: &[InferRequest<'_>]) -> Vec<Served> {
         requests.iter().map(|r| self.serve_request(r)).collect()
-    }
-
-    /// [`ServingApi::serve_batch`] with one shared trace: each entry's
-    /// stage spans append to the same buffer (one trace per envelope).
-    pub fn serve_batch_traced(
-        &self,
-        requests: &[InferRequest<'_>],
-        trace: &mut graphex_core::StageTrace,
-    ) -> Vec<Served> {
-        requests.iter().map(|r| self.serve_request_traced(r, trace)).collect()
     }
 
     /// Counter snapshot.
@@ -659,23 +729,8 @@ impl ServingApi {
         }
     }
 
-    fn count_hit(&self, stored: crate::kv::StoredRecs, k: usize) -> Served {
-        let mut keyphrases = stored.keyphrases;
-        keyphrases.truncate(k);
-        let served = Served {
-            keyphrases,
-            source: ServeSource::Store,
-            outcome: stored.outcome,
-            predictions: Vec::new(),
-            snapshot_version: stored.snapshot_version,
-            overlay_epoch: stored.overlay_epoch,
-        };
-        self.count(&served);
-        served
-    }
-
-    fn count(&self, served: &Served) {
-        let counter = match served.source {
+    fn count(&self, source: ServeSource, outcome: Outcome) {
+        let counter = match source {
             ServeSource::Store => &self.store_hits,
             ServeSource::ReadThrough => &self.read_throughs,
             ServeSource::Coalesced => &self.coalesced,
@@ -683,7 +738,7 @@ impl ServingApi {
             ServeSource::None => &self.unservable,
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        self.outcomes[served.outcome.index()].fetch_add(1, Ordering::Relaxed);
+        self.outcomes[outcome.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     fn lock_inflight(&self) -> std::sync::MutexGuard<'_, FxHashMap<u64, Arc<Flight>>> {

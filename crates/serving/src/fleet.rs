@@ -188,6 +188,11 @@ pub struct TenantStatus {
     /// Under mmap this is file bytes shared with the page cache, not
     /// private anonymous memory.
     pub resident_bytes: u64,
+    /// Items in the resident incarnation's KV store and the bytes their
+    /// records occupy ([`KvStore::record_bytes`]); both 0 while cold —
+    /// the store goes with the incarnation.
+    pub store_items: u64,
+    pub store_bytes: u64,
     pub admissions: u64,
     pub evictions: u64,
     /// Cold-start cost of the current incarnation, if resident.
@@ -510,6 +515,8 @@ impl TenantFleet {
             snapshot_version,
             load_mode: resident.and_then(|r| r.registry.current().map(|a| a.load_mode)),
             resident_bytes: resident.map_or(0, resident_bytes),
+            store_items: resident.map_or(0, |r| r.api.store().len() as u64),
+            store_bytes: resident.map_or(0, |r| r.api.store().record_bytes() as u64),
             admissions: state.admissions,
             evictions: state.evictions,
             admitted_in: resident.map(|r| r.admitted_in),

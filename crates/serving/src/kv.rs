@@ -5,15 +5,25 @@
 //! serving API) take shared locks only. Each record carries the
 //! [`Outcome`] the inference reported when it was computed, so a store hit
 //! can echo the same provenance a fresh inference would.
+//!
+//! A record is stored **packed** ([`PackedRecs`]): one immutable,
+//! refcounted allocation holding the four tags, the keyphrases' end
+//! offsets and their texts back to back. A serving hit is a refcount bump
+//! under the shard's read lock — no per-phrase heap traffic — and an
+//! overwrite swaps the record whole, so a reader keeps the one it took.
+//! [`StoredRecs`] is that record decoded, for callers that want owned
+//! strings ([`KvStore::get`]).
 
 use graphex_core::Outcome;
 use graphex_textkit::FxHashMap;
 use parking_lot::RwLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Number of shards; power of two so the shard pick is a mask.
 const SHARDS: usize = 16;
 
-/// The stored record for one item.
+/// The stored record for one item, decoded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredRecs {
     pub keyphrases: Vec<String>,
@@ -36,10 +46,129 @@ pub struct StoredRecs {
     pub overlay_epoch: u64,
 }
 
+// Packed layout, little-endian, byte offsets:
+//   0  version u32 | 4 count u32 | 8 snapshot_version u64
+//   16 overlay_epoch u64 | 24 outcome (`Outcome::index`) u8
+//   25 count × u32: where each keyphrase ends in the text
+//   25 + 4·count: the keyphrases' UTF-8, back to back
+const VERSION_AT: usize = 0;
+const COUNT_AT: usize = 4;
+const SNAPSHOT_AT: usize = 8;
+const EPOCH_AT: usize = 16;
+const OUTCOME_AT: usize = 24;
+const ENDS_AT: usize = 25;
+
+/// One item's record as the store holds it (module doc): immutable, one
+/// allocation, cloned by refcount. The fields of [`StoredRecs`] are read
+/// straight off the bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedRecs(Arc<[u8]>);
+
+impl PackedRecs {
+    /// Packs a first write (version 1).
+    fn pack(
+        keyphrases: &[String],
+        outcome: Outcome,
+        snapshot_version: u64,
+        overlay_epoch: u64,
+    ) -> Self {
+        let count = u32::try_from(keyphrases.len()).expect("fewer than 2^32 keyphrases per item");
+        let text: usize = keyphrases.iter().map(String::len).sum();
+        let mut bytes = Vec::with_capacity(ENDS_AT + 4 * keyphrases.len() + text);
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&count.to_le_bytes());
+        bytes.extend_from_slice(&snapshot_version.to_le_bytes());
+        bytes.extend_from_slice(&overlay_epoch.to_le_bytes());
+        bytes.push(outcome.index() as u8);
+        let mut end = 0usize;
+        for keyphrase in keyphrases {
+            end += keyphrase.len();
+            let end = u32::try_from(end).expect("under 4 GiB of keyphrase text per item");
+            bytes.extend_from_slice(&end.to_le_bytes());
+        }
+        for keyphrase in keyphrases {
+            bytes.extend_from_slice(keyphrase.as_bytes());
+        }
+        Self(bytes.into())
+    }
+
+    /// Stamps the version of a record no reader has seen yet.
+    fn set_version(&mut self, version: u32) {
+        let bytes = Arc::get_mut(&mut self.0).expect("a record is unshared until it is stored");
+        bytes[VERSION_AT..VERSION_AT + 4].copy_from_slice(&version.to_le_bytes());
+    }
+
+    fn u32_at(&self, at: usize) -> u32 {
+        u32::from_le_bytes(self.0[at..at + 4].try_into().expect("four bytes"))
+    }
+
+    fn u64_at(&self, at: usize) -> u64 {
+        u64::from_le_bytes(self.0[at..at + 8].try_into().expect("eight bytes"))
+    }
+
+    pub fn version(&self) -> u32 {
+        self.u32_at(VERSION_AT)
+    }
+
+    pub fn outcome(&self) -> Outcome {
+        Outcome::ALL[usize::from(self.0[OUTCOME_AT])]
+    }
+
+    pub fn snapshot_version(&self) -> u64 {
+        self.u64_at(SNAPSHOT_AT)
+    }
+
+    pub fn overlay_epoch(&self) -> u64 {
+        self.u64_at(EPOCH_AT)
+    }
+
+    /// Number of keyphrases.
+    pub fn len(&self) -> usize {
+        self.u32_at(COUNT_AT) as usize
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The keyphrases, in rank order, borrowed from the record.
+    pub fn keyphrases(&self) -> impl ExactSizeIterator<Item = &str> {
+        let count = self.len();
+        let text = std::str::from_utf8(&self.0[ENDS_AT + 4 * count..])
+            .expect("packed from whole strings");
+        let mut start = 0;
+        (0..count).map(move |i| {
+            let end = self.u32_at(ENDS_AT + 4 * i) as usize;
+            let keyphrase = &text[start..end];
+            start = end;
+            keyphrase
+        })
+    }
+
+    /// The record as owned fields.
+    pub fn decode(&self) -> StoredRecs {
+        StoredRecs {
+            keyphrases: self.keyphrases().map(str::to_string).collect(),
+            version: self.version(),
+            outcome: self.outcome(),
+            snapshot_version: self.snapshot_version(),
+            overlay_epoch: self.overlay_epoch(),
+        }
+    }
+
+    /// Size of the record's one allocation: the two refcounts and the
+    /// packed bytes.
+    pub fn heap_bytes(&self) -> usize {
+        2 * std::mem::size_of::<usize>() + self.0.len()
+    }
+}
+
 /// Concurrent item → keyphrases store.
 #[derive(Debug)]
 pub struct KvStore {
-    shards: Vec<RwLock<FxHashMap<u64, StoredRecs>>>,
+    shards: Vec<RwLock<FxHashMap<u64, PackedRecs>>>,
+    /// Sum of [`PackedRecs::heap_bytes`] over the stored records.
+    bytes: AtomicUsize,
 }
 
 impl Default for KvStore {
@@ -50,11 +179,14 @@ impl Default for KvStore {
 
 impl KvStore {
     pub fn new() -> Self {
-        Self { shards: (0..SHARDS).map(|_| RwLock::new(FxHashMap::default())).collect() }
+        Self {
+            shards: (0..SHARDS).map(|_| RwLock::new(FxHashMap::default())).collect(),
+            bytes: AtomicUsize::new(0),
+        }
     }
 
     #[inline]
-    fn shard(&self, item: u64) -> &RwLock<FxHashMap<u64, StoredRecs>> {
+    fn shard(&self, item: u64) -> &RwLock<FxHashMap<u64, PackedRecs>> {
         &self.shards[(item as usize) & (SHARDS - 1)]
     }
 
@@ -64,7 +196,7 @@ impl KvStore {
     /// epoch is 0 — writers that compute against an overlay view use
     /// [`KvStore::put_tagged`].
     pub fn put(&self, item: u64, keyphrases: Vec<String>, outcome: Outcome, snapshot_version: u64) {
-        self.put_tagged(item, keyphrases, outcome, snapshot_version, 0);
+        self.put_tagged(item, &keyphrases, outcome, snapshot_version, 0);
     }
 
     /// [`KvStore::put`] with an explicit overlay epoch: the overlay
@@ -73,57 +205,57 @@ impl KvStore {
     pub fn put_tagged(
         &self,
         item: u64,
-        keyphrases: Vec<String>,
+        keyphrases: &[String],
         outcome: Outcome,
         snapshot_version: u64,
         overlay_epoch: u64,
     ) {
-        let mut shard = self.shard(item).write();
-        match shard.get_mut(&item) {
-            Some(existing) => {
-                existing.version += 1;
-                existing.keyphrases = keyphrases;
-                existing.outcome = outcome;
-                existing.snapshot_version = snapshot_version;
-                existing.overlay_epoch = overlay_epoch;
+        // Packed before the lock is taken; only the version needs it.
+        let mut record = PackedRecs::pack(keyphrases, outcome, snapshot_version, overlay_epoch);
+        self.bytes.fetch_add(record.heap_bytes(), Ordering::Relaxed);
+        let replaced = {
+            let mut shard = self.shard(item).write();
+            if let Some(existing) = shard.get(&item) {
+                record.set_version(existing.version() + 1);
             }
-            None => {
-                shard.insert(
-                    item,
-                    StoredRecs {
-                        keyphrases,
-                        version: 1,
-                        outcome,
-                        snapshot_version,
-                        overlay_epoch,
-                    },
-                );
-            }
+            shard.insert(item, record)
+        };
+        if let Some(replaced) = &replaced {
+            self.forget(replaced);
         }
     }
 
-    /// The serving read path.
-    pub fn get(&self, item: u64) -> Option<StoredRecs> {
+    /// Takes a record that left the map out of the byte count.
+    fn forget(&self, record: &PackedRecs) {
+        self.bytes.fetch_sub(record.heap_bytes(), Ordering::Relaxed);
+    }
+
+    /// The serving read path: the item's record, shared, not copied.
+    pub fn record(&self, item: u64) -> Option<PackedRecs> {
         self.shard(item).read().get(&item).cloned()
     }
 
-    /// Presence check without cloning the record (cheap enough to call
-    /// under another lock).
+    /// The item's record decoded into owned strings.
+    pub fn get(&self, item: u64) -> Option<StoredRecs> {
+        self.record(item).map(|record| record.decode())
+    }
+
+    /// Presence check (cheap enough to call under another lock).
     pub fn contains(&self, item: u64) -> bool {
         self.shard(item).read().contains_key(&item)
     }
 
-    /// The `snapshot_version` an item's record was computed by, without
-    /// cloning the keyphrases (cheap enough to call under another lock).
+    /// The `snapshot_version` an item's record was computed by (cheap
+    /// enough to call under another lock).
     pub fn probe_snapshot(&self, item: u64) -> Option<u64> {
-        self.shard(item).read().get(&item).map(|r| r.snapshot_version)
+        self.shard(item).read().get(&item).map(PackedRecs::snapshot_version)
     }
 
     /// Both freshness tags of an item's record —
-    /// `(snapshot_version, overlay_epoch)` — without cloning the
-    /// keyphrases (cheap enough to call under another lock).
+    /// `(snapshot_version, overlay_epoch)` (cheap enough to call under
+    /// another lock).
     pub fn probe_tags(&self, item: u64) -> Option<(u64, u64)> {
-        self.shard(item).read().get(&item).map(|r| (r.snapshot_version, r.overlay_epoch))
+        self.shard(item).read().get(&item).map(|r| (r.snapshot_version(), r.overlay_epoch()))
     }
 
     /// Removes every record whose `snapshot_version` differs from
@@ -136,7 +268,13 @@ impl KvStore {
         for shard in &self.shards {
             let mut shard = shard.write();
             let before = shard.len();
-            shard.retain(|_, r| r.snapshot_version == 0 || r.snapshot_version == current);
+            shard.retain(|_, r| {
+                let keep = r.snapshot_version() == 0 || r.snapshot_version() == current;
+                if !keep {
+                    self.forget(r);
+                }
+                keep
+            });
             dropped += before - shard.len();
         }
         dropped
@@ -153,20 +291,19 @@ impl KvStore {
 
     /// Removes an item (listing ended).
     pub fn remove(&self, item: u64) -> bool {
-        self.shard(item).write().remove(&item).is_some()
+        let removed = self.shard(item).write().remove(&item);
+        if let Some(removed) = &removed {
+            self.forget(removed);
+        }
+        removed.is_some()
     }
 
-    /// Approximate stored bytes (keyphrase text only).
-    pub fn approx_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .values()
-                    .map(|r| r.keyphrases.iter().map(|k| k.len() + 8).sum::<usize>() + 8)
-                    .sum::<usize>()
-            })
-            .sum()
+    /// Heap bytes the stored records occupy: each record's one allocation
+    /// ([`PackedRecs::heap_bytes`]), kept as a running sum. The shard
+    /// maps' own tables (24 bytes an entry before load factor) are not in
+    /// it.
+    pub fn record_bytes(&self) -> usize {
+        self.bytes.load(Ordering::Relaxed)
     }
 }
 
@@ -220,11 +357,64 @@ mod tests {
         kv.put(1, vec!["plain".into()], Outcome::ExactLeaf, 2);
         assert_eq!(kv.get(1).unwrap().overlay_epoch, 0, "plain puts are untagged");
         assert_eq!(kv.probe_tags(1), Some((2, 0)));
-        kv.put_tagged(1, vec!["tagged".into()], Outcome::ExactLeaf, 2, 17);
+        kv.put_tagged(1, &["tagged".into()], Outcome::ExactLeaf, 2, 17);
         let got = kv.get(1).unwrap();
         assert_eq!((got.version, got.overlay_epoch), (2, 17));
         assert_eq!(kv.probe_tags(1), Some((2, 17)));
         assert_eq!(kv.probe_tags(9), None);
+    }
+
+    /// Packing loses nothing: empty lists, empty strings, bytes JSON
+    /// escapes, multi-byte text, and every tag at its extremes.
+    #[test]
+    fn packed_records_decode_to_what_was_put() {
+        let kv = KvStore::new();
+        let lists: [Vec<String>; 4] = [
+            vec![],
+            vec![String::new()],
+            vec!["".into(), "line\nbreak \"quoted\" \\".into(), "".into(), "é😀 wide".into()],
+            (0..300).map(|i| format!("kp {i}")).collect(),
+        ];
+        for (item, keyphrases) in lists.iter().enumerate() {
+            let item = item as u64;
+            for outcome in Outcome::ALL {
+                kv.put_tagged(item, keyphrases, outcome, u64::MAX, u64::MAX - 1);
+                let record = kv.record(item).unwrap();
+                assert_eq!(record.len(), keyphrases.len());
+                assert!(record.keyphrases().eq(keyphrases.iter().map(String::as_str)));
+                let got = kv.get(item).unwrap();
+                assert_eq!(&got.keyphrases, keyphrases);
+                assert_eq!(
+                    (got.outcome, got.snapshot_version, got.overlay_epoch),
+                    (outcome, u64::MAX, u64::MAX - 1)
+                );
+            }
+            assert_eq!(kv.get(item).unwrap().version, Outcome::ALL.len() as u32);
+        }
+    }
+
+    /// The running byte count is the sum over what is stored, through
+    /// overwrites, removals and purges.
+    #[test]
+    fn record_bytes_tracks_the_stored_records() {
+        let kv = KvStore::new();
+        let walked = |kv: &KvStore| -> usize {
+            (0..8u64).filter_map(|item| kv.record(item)).map(|r| r.heap_bytes()).sum()
+        };
+        assert_eq!(kv.record_bytes(), 0);
+        kv.put(1, vec!["abc".into(), "de".into()], Outcome::ExactLeaf, 1);
+        // Two refcounts, the 25-byte header, two end offsets, five bytes.
+        assert_eq!(kv.record_bytes(), 16 + 25 + 8 + 5);
+        kv.put(2, vec!["x".repeat(100)], Outcome::ExactLeaf, 2);
+        kv.put(3, vec![], Outcome::Empty, 0);
+        assert_eq!(kv.record_bytes(), walked(&kv));
+        kv.put(1, vec!["shorter".into()], Outcome::ExactLeaf, 1);
+        assert_eq!(kv.record_bytes(), walked(&kv));
+        assert!(kv.remove(3));
+        assert_eq!(kv.record_bytes(), walked(&kv));
+        assert_eq!(kv.purge_stale(1), 1);
+        assert_eq!(kv.record_bytes(), walked(&kv));
+        assert_eq!(kv.record_bytes(), kv.record(1).unwrap().heap_bytes());
     }
 
     #[test]
@@ -243,7 +433,6 @@ mod tests {
             kv.put(i, vec![format!("kp{i}")], Outcome::ExactLeaf, 1);
         }
         assert_eq!(kv.len(), 1000);
-        assert!(kv.approx_bytes() > 0);
         for i in 0..1000u64 {
             assert_eq!(kv.get(i).unwrap().keyphrases[0], format!("kp{i}"));
         }

@@ -39,10 +39,10 @@ pub mod nrt;
 pub mod overlay;
 pub mod registry;
 
-pub use api::{InFlightGuard, ServeSource, ServeStats, Served, ServingApi, SwapPolicy};
+pub use api::{Answer, InFlightGuard, ServeSource, ServeStats, Served, ServingApi, SwapPolicy};
 pub use batch::{BatchPipeline, BatchReport};
 pub use fleet::{FleetConfig, FleetError, FleetResult, TenantFleet, TenantStatus};
-pub use kv::KvStore;
+pub use kv::{KvStore, PackedRecs};
 pub use nrt::{ItemEvent, NrtConfig, NrtService, NrtStats};
 pub use overlay::{
     DrainReport, OverlayError, OverlayJournal, OverlayStatus, OverlayStore, UpsertAck,

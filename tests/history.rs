@@ -53,6 +53,16 @@ fn manual_history_config() -> ServerConfig {
     }
 }
 
+/// Takes one history sample that counts every request `client` has been
+/// answered. The edge tallies a response after writing it, so a peer that
+/// has its answer may be one ahead of the counters — but the worker that
+/// wrote it tallies before it reads from the connection again: one more
+/// exchange on `client` orders the tally before the sample.
+fn sample_after_tally(server: &graphex_server::ServerHandle, client: &mut HttpClient) {
+    assert_eq!(client.get("/healthz").expect("healthz").status, 200);
+    server.sample_history_now();
+}
+
 fn infer(client: &mut HttpClient, path: &str, title: &str) {
     let body = format!(r#"{{"title":{title:?},"leaf":1,"k":3}}"#);
     let response = client.post_json(path, &body).expect("infer request");
@@ -92,7 +102,7 @@ fn history_survives_registry_hot_swap_without_losing_or_double_counting() {
     for i in 0..4 {
         infer(&mut client, "/v1/infer", &format!("alpha widget {i}"));
     }
-    server.sample_history_now();
+    sample_after_tally(&server, &mut client);
 
     // Hot-swap: publishing v2 activates it under the live server (the
     // watch observes the new snapshot on its next resolution).
@@ -103,7 +113,7 @@ fn history_survives_registry_hot_swap_without_losing_or_double_counting() {
     for i in 0..3 {
         infer(&mut client, "/v1/infer", &format!("alpha widget {i}"));
     }
-    server.sample_history_now();
+    sample_after_tally(&server, &mut client);
     server.sample_history_now();
 
     let history = server.history().expect("history enabled").clone();
@@ -151,19 +161,19 @@ fn per_tenant_history_survives_eviction_and_readmission() {
     for i in 0..3 {
         infer(&mut client, "/v1/t/a/infer", &format!("a widget {i}"));
     }
-    server.sample_history_now();
+    sample_after_tally(&server, &mut client);
 
     // Phase 2: tenant b serves 2 (cap 1 → a is evicted).
     for i in 0..2 {
         infer(&mut client, "/v1/t/b/infer", &format!("b widget {i}"));
     }
-    server.sample_history_now();
+    sample_after_tally(&server, &mut client);
 
     // Phase 3: tenant a again (re-admitted, b evicted).
     for i in 0..2 {
         infer(&mut client, "/v1/t/a/infer", &format!("a widget {i}"));
     }
-    server.sample_history_now();
+    sample_after_tally(&server, &mut client);
 
     let history = server.history().expect("history enabled").clone();
     assert_contiguous_ticks(&history);

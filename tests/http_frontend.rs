@@ -246,6 +246,31 @@ fn malformed_requests_never_panic_or_5xx() {
         assert_eq!(response.status, *expected, "body {body:?} → {}", response.text());
     }
 
+    // Framing a client library would never send: a `Content-Length` that
+    // is not plain digits, or two that disagree, is a 400 — the body is
+    // never guessed at. Two that agree are one.
+    let body = r#"{"title":"x","leaf":1}"#;
+    let framing_cases: &[(String, u16)] = &[
+        (format!("Content-Length: +{}", body.len()), 400),
+        (format!("Content-Length: {} {}", body.len(), body.len()), 400),
+        ("Content-Length: 0x16".into(), 400),
+        (format!("Content-Length: {}\r\nContent-Length: {}", body.len(), body.len() - 1), 400),
+        (format!("Content-Length: {}\r\ncontent-length: 0{}", body.len(), body.len()), 200),
+    ];
+    for (headers, expected) in framing_cases {
+        use std::io::{Read as _, Write as _};
+        let mut raw = std::net::TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let request =
+            format!("POST /v1/infer HTTP/1.1\r\nConnection: close\r\n{headers}\r\n\r\n{body}");
+        raw.write_all(request.as_bytes()).unwrap();
+        // A refusal closes with the body unread, which may reset the
+        // connection behind the reply: what was read is what counts.
+        let mut reply = String::new();
+        let _ = raw.read_to_string(&mut reply);
+        assert!(reply.starts_with(&format!("HTTP/1.1 {expected} ")), "{headers:?} → {reply}");
+    }
+
     // Unknown path → 404; wrong method → 405; oversized body → 413.
     let mut client = HttpClient::connect(addr).unwrap();
     assert_eq!(client.get("/v2/wrong").unwrap().status, 404);
