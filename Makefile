@@ -1,9 +1,10 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs the same
-# four gates: build, test, doc, clippy.
+# four gates — build, test, doc, clippy — then the named gates, smokes
+# and overhead benches below.
 
 CARGO ?= cargo
 
-.PHONY: build test doc clippy bench-smoke bench-contract bench-pair bench bench-snapshot serve-smoke bench-http bench-build bench-cluster bench-tenancy bench-overlay bench-trace bench-history cluster-smoke report ci
+.PHONY: build test doc clippy bench-smoke bench-contract bench-pair bench bench-snapshot serve-smoke bench-tenancy bench-trace bench-history cluster-smoke report ci
 
 # Tier-1 gate, part 1.
 build:
@@ -45,8 +46,9 @@ PAIRS ?= 10
 bench-pair:
 	scripts/bench_pair.sh $(WORKLOAD) $(BASE) $(PAIRS)
 
-# Snapshot lifecycle smoke: v1 vs v2 load + swap-under-load, one pass
-# each (no timing). Real numbers land in BENCH_model_store.json.
+# Snapshot lifecycle smoke: zero-copy load + swap-under-load, one pass
+# each (no timing). Timed end to end by the repo benchmark's
+# model_refresh workload.
 bench-snapshot:
 	$(CARGO) bench -p graphex-bench --bench snapshot_lifecycle -- --test
 
@@ -56,71 +58,37 @@ bench-snapshot:
 serve-smoke:
 	$(CARGO) run --release -p graphex-cli --bin graphex -- serve --smoke
 
-# HTTP frontend loadgen: replay marketsim serving traffic over loopback
-# with one live hot-swap mid-run; fails on any non-200 response. Records
-# the BENCH_http_frontend.json datapoint.
-bench-http:
-	$(CARGO) run --release -p graphex-bench --bin loadgen -- \
-	  --requests 4000 --connections 4 --scale cat1 \
-	  --output BENCH_http_frontend.json --date $$(date +%Y-%m-%d)
-
-# Build pipeline: sequential vs parallel vs incremental-delta builds at
-# cat1/cat2 scales, with the byte-equivalence gate built in (exit 1 if
-# pipeline or delta bytes ever diverge from the sequential builder).
-# Records the BENCH_build_pipeline.json datapoint.
-bench-build:
-	$(CARGO) run --release -p graphex-bench --bin buildbench -- \
-	  --reps 5 --output BENCH_build_pipeline.json --date $$(date +%Y-%m-%d)
-
-# Scale-out serving: loadgen through the scatter-gather router, 1 vs 3
-# backends, the 3-backend arm absorbing a rolling cluster-wide hot swap
-# mid-run. Gates on zero 5xx and zero degraded entries cluster-wide.
-# Records the BENCH_cluster.json datapoint (1-CPU container caveat
-# inside: the 3-backend arm measures coordination, not speedup).
-bench-cluster:
-	$(CARGO) run --release -p graphex-bench --bin clusterbench -- \
-	  --requests 3000 --connections 4 \
-	  --output BENCH_cluster.json --date $$(date +%Y-%m-%d)
-
 # Multi-tenant serving: fleet cold-start latency and resident bytes at
 # 1/4/16 tenants, mmap vs heap snapshot backend (cold admit, evict-all,
-# page-cache-warm re-admit). Records the BENCH_tenancy.json datapoint.
+# page-cache-warm re-admit). Prints its measurements as JSON.
 bench-tenancy:
-	$(CARGO) run --release -p graphex-bench --bin tenancybench -- \
-	  --output BENCH_tenancy.json --date $$(date +%Y-%m-%d)
-
-# NRT overlay serving: upsert-to-servable latency for a brand-new leaf,
-# for an existing production-size leaf on first touch and with 1 / 128
-# records pending, and steady-state read-path overhead at 0%/1%/10%
-# overlaid-leaf depth. Records the BENCH_overlay.json datapoint.
-bench-overlay:
-	$(CARGO) run --release -p graphex-bench --bin overlaybench -- \
-	  --output BENCH_overlay.json --date $$(date +%Y-%m-%d)
+	$(CARGO) run --release -p graphex-bench --bin tenancybench
 
 # Request tracing overhead: interleaved tracing-off / tracing-on /
 # slow-log-firing arms over loopback infer traffic; fails if the traced
-# arm is >5% slower than the baseline. Records the
-# BENCH_trace_overhead.json datapoint.
+# arm is >5% slower than the baseline.
 bench-trace:
 	$(CARGO) run --release -p graphex-bench --bin tracebench -- \
-	  --requests 3000 --connections 4 \
-	  --output BENCH_trace_overhead.json --date $$(date +%Y-%m-%d)
+	  --requests 3000 --connections 4
 
 # Telemetry-history overhead: interleaved history-off / history-on arms
 # (the on arm sampling at 20x the production rate) over loopback infer
 # traffic; fails if the sampled arm is >1% slower than the baseline.
-# Records the BENCH_report_history.json datapoint.
 bench-history:
 	$(CARGO) run --release -p graphex-bench --bin historybench -- \
-	  --requests 3000 --connections 4 \
-	  --output BENCH_report_history.json --date $$(date +%Y-%m-%d)
+	  --requests 3000 --connections 4
 
-# The observability report: compile every BENCH_*.json in the repo root,
-# a live history + trace capture (in-process demo server), and a judged
-# eval into one self-contained report.html — no external assets, opens
-# from file://.
+# The observability report: one run document written by the repo
+# benchmark itself (a --smoke edge_hot run with --trace 1, so the writer
+# and graphex-report's reader meet on a real document on every run), a
+# live history + trace capture (in-process demo server), and a judged
+# eval, compiled into one self-contained report.html — no external
+# assets, opens from file://. Point --bench-dir at .bench_build/runs to
+# render a `make bench-pair` run instead.
 report:
-	$(CARGO) run --release -p graphex-cli --bin graphex -- report --out report.html
+	mkdir -p target/report-bench
+	$(CARGO) run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload edge_hot --seed 1 --seconds 1 --trace 1 --smoke --out target/report-bench/edge_hot.json >/dev/null
+	$(CARGO) run --release -p graphex-cli --bin graphex -- report --out report.html --bench-dir target/report-bench
 
 # Cluster smoke: build -> per-shard snapshots -> 3 backends + router,
 # then the sharded≡monolith, rolling-swap zero-5xx, and health gates.

@@ -7,8 +7,8 @@
 //! (there is nothing to fan out to) — thread scaling must be re-measured
 //! on real hardware; the delta-vs-full gap is the portable signal, since
 //! it comes from *skipping* leaf construction, not from parallelism.
-//! Recorded datapoints live in `BENCH_build_pipeline.json` (written by
-//! the `buildbench` bin, `make bench-build`).
+//! The repo benchmark's `model_refresh` workload reports the same builds
+//! end to end (`core.builder.build_ms`, `pipeline.build.{full_ms, delta_ms}`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use graphex_core::{GraphExBuilder, GraphExConfig};

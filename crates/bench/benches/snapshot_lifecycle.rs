@@ -1,16 +1,15 @@
-//! Snapshot lifecycle bench: v1 copying load vs. v2 zero-copy load across
-//! model sizes, plus hot-swap (publish-to-live) latency under serving load.
+//! Snapshot lifecycle bench: zero-copy load across model sizes, plus
+//! hot-swap (publish-to-live) latency under serving load.
 //!
-//! This is the measurement behind the `GEXM v2` format: v1 materializes
-//! every CSR/label/score array (one copy per edge) and re-interns both
-//! string tables; v2 borrows all integer arrays straight out of the load
+//! The loader borrows all integer arrays straight out of the load
 //! buffer, so load cost is dominated by the checksum scan plus the
-//! O(strings + words) tables. The gap widens with model size — exactly
-//! the Fig. 6b model-size pressure the registry's daily republish cadence
-//! multiplies.
+//! O(strings + words) tables — what keeps the Fig. 6b model-size
+//! pressure, multiplied by the registry's daily republish cadence,
+//! affordable.
 //!
-//! Results are recorded in `BENCH_model_store.json` at the repo root
-//! (`make bench-snapshot` runs each body once as a smoke test).
+//! `make bench-snapshot` runs each body once as a smoke test; the repo
+//! benchmark's `model_refresh` workload reports the same two costs end to
+//! end (`core.serialize.load_ms`, `publish_to_live_ms`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use graphex_bench::experiments::{build_graphex, default_threshold};
@@ -31,20 +30,14 @@ fn sized_models() -> Vec<(&'static str, GraphExModel)> {
     ]
 }
 
-/// v1 (copying) vs v2 (zero-copy) deserialization, per model size.
-/// Throughput is bytes of the *v2* snapshot so the two cases report
-/// comparable GiB/s over the same logical model.
+/// Zero-copy deserialization, per model size.
 fn bench_load(c: &mut Criterion) {
     let mut group = c.benchmark_group("snapshot_load");
     for (size, model) in sized_models() {
-        let v1 = serialize::to_bytes_v1(&model);
-        let v2 = serialize::to_bytes(&model);
-        group.throughput(Throughput::Bytes(v2.len() as u64));
-        group.bench_function(BenchmarkId::new("v1_copy", size), |b| {
-            b.iter(|| serialize::from_bytes(std::hint::black_box(&v1)).expect("v1 load"))
-        });
+        let bytes = serialize::to_bytes(&model);
+        group.throughput(Throughput::Bytes(bytes.len() as u64));
         group.bench_function(BenchmarkId::new("v2_zero_copy", size), |b| {
-            b.iter(|| serialize::from_shared(std::hint::black_box(v2.clone())).expect("v2 load"))
+            b.iter(|| serialize::from_shared(std::hint::black_box(bytes.clone())).expect("load"))
         });
     }
     group.finish();

@@ -16,13 +16,12 @@
 //! but it cannot manufacture overhead in every pass at once. Exit 1 if
 //! the overhead exceeds `--max-overhead-pct`, if any response is
 //! non-200, or if the on arm failed to record samples. On success it
-//! prints (and with `--output`, writes) `BENCH_report_history.json`.
+//! prints its measurements as one JSON document.
 //!
 //! ```text
 //! cargo run --release -p graphex-bench --bin historybench -- \
 //!     [--requests 3000] [--connections 4] [--scale cat1|cat2|cat3|tiny] \
-//!     [--passes 3] [--interval-ms 50] [--max-overhead-pct 1] \
-//!     [--output BENCH_report_history.json] [--date YYYY-MM-DD]
+//!     [--passes 3] [--interval-ms 50] [--max-overhead-pct 1]
 //! ```
 
 use graphex_bench::experiments::{build_graphex, default_threshold};
@@ -40,8 +39,6 @@ struct Args {
     passes: usize,
     interval_ms: u64,
     max_overhead_pct: f64,
-    output: Option<String>,
-    date: String,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -52,8 +49,6 @@ fn parse_args() -> Result<Args, String> {
         passes: 3,
         interval_ms: 50,
         max_overhead_pct: 1.0,
-        output: None,
-        date: "unrecorded".into(),
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -68,8 +63,6 @@ fn parse_args() -> Result<Args, String> {
             "--max-overhead-pct" => {
                 args.max_overhead_pct = value.parse().map_err(|_| "bad --max-overhead-pct")?;
             }
-            "--output" => args.output = Some(value.clone()),
-            "--date" => args.date = value.clone(),
             other => return Err(format!("unknown flag {other}")),
         }
         i += 2;
@@ -100,16 +93,7 @@ fn main() {
         }
     };
     match run(&args) {
-        Ok(report) => {
-            println!("{report}");
-            if let Some(path) = &args.output {
-                if let Err(e) = std::fs::write(path, format!("{report}\n")) {
-                    eprintln!("historybench: write {path}: {e}");
-                    std::process::exit(2);
-                }
-                eprintln!("recorded {path}");
-            }
-        }
+        Ok(report) => println!("{report}"),
         Err(e) => {
             eprintln!("historybench FAILED: {e}");
             std::process::exit(1);
@@ -167,7 +151,6 @@ fn run(args: &Args) -> Result<String, String> {
         r#"{{
   "bench": "report_history",
   "description": "two interleaved arms of loopback POST /v1/infer traffic against a release-built graphex-server: telemetry history off, and on with an aggressive sampling interval (20x the production default rate). The sampler reads the same atomics the handlers bump and writes its own ring, never touching the request path, so the budget is 1% — versus tracebench's 5%. Throughputs are the best pass per arm; the overhead percentage is the best matched pair (smallest within-pass off-vs-on delta), which cancels inter-pass machine drift. Gate: overhead within budget and the on arm actually recorded samples.",
-  "date": "{date}",
   "machine": {{
     "os": "{os}",
     "cpus_available": {cpus},
@@ -189,7 +172,6 @@ fn run(args: &Args) -> Result<String, String> {
     "min_samples_per_on_arm": {min_samples}
   }}
 }}"#,
-        date = args.date,
         os = std::env::consts::OS,
         cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         scale = args.scale,

@@ -3,12 +3,11 @@
 //! publishing the same marketsim-built snapshot), admits every tenant
 //! cold, evicts the lot, and re-admits — once with the mmap backend and
 //! once with heap loads. Records per-tenant cold-start / re-admission
-//! latency and resident bytes per scale, the `BENCH_tenancy.json`
-//! datapoint behind `make bench-tenancy`.
+//! latency and resident bytes per scale and prints them as one JSON
+//! document (`make bench-tenancy`).
 //!
 //! ```text
-//! cargo run --release -p graphex-bench --bin tenancybench -- \
-//!     [--seed 11] [--output BENCH_tenancy.json] [--date YYYY-MM-DD]
+//! cargo run --release -p graphex-bench --bin tenancybench -- [--seed 11]
 //! ```
 
 use graphex_core::serialize::LoadMode;
@@ -20,48 +19,31 @@ use std::time::{Duration, Instant};
 
 const SCALES: [usize; 3] = [1, 4, 16];
 
-struct Args {
-    seed: u64,
-    output: Option<String>,
-    date: String,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args { seed: 11, output: None, date: "unrecorded".into() };
+fn parse_seed() -> Result<u64, String> {
+    let mut seed = 11;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
         let value = argv.get(i + 1).ok_or_else(|| format!("{} needs a value", argv[i]))?;
         match argv[i].as_str() {
-            "--seed" => args.seed = value.parse().map_err(|_| "bad --seed")?,
-            "--output" => args.output = Some(value.clone()),
-            "--date" => args.date = value.clone(),
+            "--seed" => seed = value.parse().map_err(|_| "bad --seed")?,
             other => return Err(format!("unknown flag {other}")),
         }
         i += 2;
     }
-    Ok(args)
+    Ok(seed)
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
+    let seed = match parse_seed() {
+        Ok(seed) => seed,
         Err(e) => {
             eprintln!("tenancybench: {e}");
             std::process::exit(2);
         }
     };
-    match run(&args) {
-        Ok(report) => {
-            println!("{report}");
-            if let Some(path) = &args.output {
-                if let Err(e) = std::fs::write(path, format!("{report}\n")) {
-                    eprintln!("tenancybench: write {path}: {e}");
-                    std::process::exit(2);
-                }
-                eprintln!("recorded {path}");
-            }
-        }
+    match run(seed) {
+        Ok(report) => println!("{report}"),
         Err(e) => {
             eprintln!("tenancybench FAILED: {e}");
             std::process::exit(1);
@@ -148,8 +130,8 @@ fn run_arm(mode: LoadMode, n: usize, model: &GraphExModel) -> Result<ScaleResult
     })
 }
 
-fn run(args: &Args) -> Result<String, String> {
-    let (model, snapshot_bytes) = bench_model(args.seed)?;
+fn run(seed: u64) -> Result<String, String> {
+    let (model, snapshot_bytes) = bench_model(seed)?;
     let mut arms = String::new();
     for (m, mode) in [LoadMode::Mmap, LoadMode::Heap].into_iter().enumerate() {
         if m > 0 {
@@ -187,7 +169,6 @@ fn run(args: &Args) -> Result<String, String> {
         r#"{{
   "bench": "tenancy",
   "description": "tenant fleet cold-start latency and resident footprint at 1/4/16 tenants, mmap vs heap snapshot backend. Each admission runs the full registry pipeline (load, manifest checksum, structural parse, warm-up); re-admission repeats it after evicting every tenant, so the mmap arm measures page-cache-warm reload — the cost the LRU residency cap imposes on an evicted tenant's next request.",
-  "date": "{}",
   "machine": {{
     "os": "{}",
     "cpus_available": {},
@@ -203,10 +184,9 @@ fn run(args: &Args) -> Result<String, String> {
 {}
   }}
 }}"#,
-        args.date,
         std::env::consts::OS,
         std::thread::available_parallelism().map(usize::from).unwrap_or(1),
-        args.seed,
+        seed,
         snapshot_bytes,
         arms,
     ))

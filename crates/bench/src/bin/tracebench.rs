@@ -16,14 +16,12 @@
 //! can slow a whole pass, but it cannot manufacture overhead in every
 //! pass at once. The run **fails** (exit 1) if that overhead exceeds
 //! `--max-overhead-pct` (default 5), or if any response is non-200. On
-//! success it prints (and with `--output`, writes)
-//! `BENCH_trace_overhead.json`.
+//! success it prints its measurements as one JSON document.
 //!
 //! ```text
 //! cargo run --release -p graphex-bench --bin tracebench -- \
 //!     [--requests 3000] [--connections 4] [--scale cat1|cat2|cat3|tiny] \
-//!     [--passes 3] [--max-overhead-pct 5] \
-//!     [--output BENCH_trace_overhead.json] [--date YYYY-MM-DD]
+//!     [--passes 3] [--max-overhead-pct 5]
 //! ```
 
 use graphex_bench::experiments::{build_graphex, default_threshold};
@@ -40,8 +38,6 @@ struct Args {
     scale: String,
     passes: usize,
     max_overhead_pct: f64,
-    output: Option<String>,
-    date: String,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -51,8 +47,6 @@ fn parse_args() -> Result<Args, String> {
         scale: "tiny".into(),
         passes: 3,
         max_overhead_pct: 5.0,
-        output: None,
-        date: "unrecorded".into(),
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -66,8 +60,6 @@ fn parse_args() -> Result<Args, String> {
             "--max-overhead-pct" => {
                 args.max_overhead_pct = value.parse().map_err(|_| "bad --max-overhead-pct")?;
             }
-            "--output" => args.output = Some(value.clone()),
-            "--date" => args.date = value.clone(),
             other => return Err(format!("unknown flag {other}")),
         }
         i += 2;
@@ -97,16 +89,7 @@ fn main() {
         }
     };
     match run(&args) {
-        Ok(report) => {
-            println!("{report}");
-            if let Some(path) = &args.output {
-                if let Err(e) = std::fs::write(path, format!("{report}\n")) {
-                    eprintln!("tracebench: write {path}: {e}");
-                    std::process::exit(2);
-                }
-                eprintln!("recorded {path}");
-            }
-        }
+        Ok(report) => println!("{report}"),
         Err(e) => {
             eprintln!("tracebench FAILED: {e}");
             std::process::exit(1);
@@ -176,7 +159,6 @@ fn run(args: &Args) -> Result<String, String> {
         r#"{{
   "bench": "trace_overhead",
   "description": "three interleaved arms of loopback POST /v1/infer traffic against a release-built graphex-server: tracing off, tracing on (default 25ms slow threshold, slow ring idle), and tracing on with a zero slow threshold so every request also writes the slow ring. Throughputs are the best pass per arm; the overhead percentages are the best matched pair (smallest within-pass off-vs-traced delta), which cancels inter-pass machine drift. Gate: the traced arm within the overhead budget.",
-  "date": "{date}",
   "machine": {{
     "os": "{os}",
     "cpus_available": {cpus},
@@ -198,7 +180,6 @@ fn run(args: &Args) -> Result<String, String> {
     "overhead_slow_logging_pct": {slow_pct:.2}
   }}
 }}"#,
-        date = args.date,
         os = std::env::consts::OS,
         cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         scale = args.scale,

@@ -136,9 +136,7 @@ fn render_info(source: &str, info: &SnapshotInfo) -> String {
     let _ = writeln!(out, "leaves: {}", info.num_leaves);
     let _ = writeln!(out, "tokens: {}", info.num_tokens);
     let _ = writeln!(out, "keyphrases: {}", info.num_keyphrases);
-    if let Some(sections) = info.num_sections {
-        let _ = writeln!(out, "sections: {sections} (zero-copy loadable)");
-    }
+    let _ = writeln!(out, "sections: {} (zero-copy loadable)", info.num_sections);
     let _ = writeln!(out, "size: {} bytes", info.size_bytes);
     // The format's own integrity trailer (FNV-1a over the payload);
     // manifests additionally record an FNV-1a over the whole file.

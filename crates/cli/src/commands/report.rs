@@ -1,7 +1,8 @@
 //! `graphex report` — compile every observability artifact into one
-//! self-contained `report.html`: the repo's recorded `BENCH_*.json`
-//! datapoints, a live server's `/debug/history` ring and `/debug/traces`
-//! flight recorder, and a judged evaluation run (RP/HP + top-k
+//! self-contained `report.html`: the repo benchmark's run documents
+//! (`benchmark --out`, every `*.json` under `--bench-dir`), a live
+//! server's `/debug/history` ring and `/debug/traces` flight
+//! recorder, and a judged evaluation run (RP/HP + top-k
 //! diversity). With `--server` the live sections come from a running
 //! deployment; without it the command boots the same in-process demo
 //! server the serve smoke uses, drives traffic, and samples it — so CI
@@ -15,11 +16,11 @@ use std::path::Path;
 
 pub fn run(args: &ParsedArgs) -> Result<String, String> {
     let out_path = args.get("out").unwrap_or("report.html").to_string();
-    let bench_dir = args.get("bench-dir").unwrap_or(".");
+    let bench_dir = args.get("bench-dir").unwrap_or(".").to_string();
 
     let mut benches = Vec::new();
-    for path in graphex_report::discover_bench_files(Path::new(bench_dir)) {
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("BENCH").to_string();
+    for path in graphex_report::discover_bench_files(Path::new(&bench_dir))? {
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
         benches.push(BenchDoc::parse(&name, &text)?);
@@ -41,7 +42,8 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
         Some(run_eval(args.get_num("eval-seed", 0x9E)?, args.get_num("eval-items", 12)?))
     };
 
-    let inputs = ReportInputs { generated: today(), source, benches, history, traces, eval };
+    let inputs =
+        ReportInputs { generated: today(), source, bench_dir, benches, history, traces, eval };
     let page = graphex_report::render(&inputs);
     std::fs::write(&out_path, &page).map_err(|e| format!("write {out_path}: {e}"))?;
     Ok(format!(
@@ -149,10 +151,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("graphex-report-cli-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
-            dir.join("BENCH_demo.json"),
-            r#"{"bench": "demo", "description": "x", "date": "2026-08-07",
-                "machine": {"os": "linux"}, "config": {"n": 1},
-                "results": {"elapsed": "3.5ms"}}"#,
+            dir.join("1.base.json"),
+            r#"{"workload": "edge_hot", "seed": 1, "seconds": 1, "traced": false,
+                "attempted": 9, "failed": 0, "disturbed": false,
+                "metrics": {"p50_us": {"value": 3.5, "unit": "us"}}}"#,
         )
         .unwrap();
         let out = dir.join("report.html");
@@ -172,11 +174,18 @@ mod tests {
         // least one trace waterfall made it into the page.
         assert!(page.contains("http/requests"), "missing history series");
         assert!(page.contains("Trace waterfalls"));
-        assert!(page.contains("BENCH_demo.json"));
+        assert!(page.contains("edge_hot") && page.contains("3.500"), "missing bench section");
         assert!(page.contains("GraphEx"), "missing eval section");
         for forbidden in ["http://", "https://", "<script", "src="] {
             assert!(!page.contains(forbidden), "page contains {forbidden:?}");
         }
+
+        // A document of any other shape fails the command, naming the
+        // file; so does a --bench-dir that cannot be read.
+        std::fs::write(dir.join("2.base.json"), r#"{"bench": "demo"}"#).unwrap();
+        assert!(run(&args).unwrap_err().starts_with("2.base.json: not a benchmark document"));
         std::fs::remove_dir_all(&dir).ok();
+        let err = run(&args).unwrap_err();
+        assert!(err.contains("--bench-dir") && err.contains("graphex-report-cli-"), "{err}");
     }
 }

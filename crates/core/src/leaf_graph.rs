@@ -168,29 +168,8 @@ impl LeafGraph {
         &self.recall
     }
 
-    /// Rebuild from serialized parts with validation.
-    pub(crate) fn from_serialized(
-        row_tokens: Vec<TokenId>,
-        offsets: Vec<u32>,
-        targets: Vec<u32>,
-        labels: Vec<KeyphraseId>,
-        label_len: Vec<u16>,
-        search: Vec<u32>,
-        recall: Vec<u32>,
-    ) -> Result<Self, String> {
-        Self::from_stores(
-            row_tokens.into(),
-            offsets.into(),
-            targets.into(),
-            labels.into(),
-            label_len.into(),
-            search.into(),
-            recall.into(),
-        )
-    }
-
-    /// [`LeafGraph::from_serialized`] over store-typed arrays. This is the
-    /// zero-copy load path: every store may be a borrowed view into the
+    /// Rebuild from the seven serialized arrays, with validation. This is
+    /// the zero-copy load path: every store may be a borrowed view into the
     /// snapshot buffer; validation reads the arrays (CSR monotonicity,
     /// parallel lengths, duplicate rows) but copies nothing per edge.
     #[allow(clippy::too_many_arguments)] // mirrors the 7 serialized arrays
@@ -316,23 +295,39 @@ mod tests {
     }
 
     #[test]
-    fn from_serialized_validates() {
+    fn from_stores_validates() {
         // offsets/rows mismatch
-        let bad = LeafGraph::from_serialized(vec![1, 2], vec![0, 0], vec![], vec![], vec![], vec![], vec![]);
+        let bad = LeafGraph::from_stores(
+            vec![1, 2].into(),
+            vec![0, 0].into(),
+            vec![].into(),
+            vec![].into(),
+            vec![].into(),
+            vec![].into(),
+            vec![].into(),
+        );
         assert!(bad.is_err());
         // edge target out of range
-        let bad = LeafGraph::from_serialized(
-            vec![7],
-            vec![0, 1],
-            vec![5],
-            vec![42],
-            vec![1],
-            vec![1],
-            vec![1],
+        let bad = LeafGraph::from_stores(
+            vec![7].into(),
+            vec![0, 1].into(),
+            vec![5].into(),
+            vec![42].into(),
+            vec![1].into(),
+            vec![1].into(),
+            vec![1].into(),
         );
         assert!(bad.unwrap_err().contains("out of label range"));
         // parallel array mismatch
-        let bad = LeafGraph::from_serialized(vec![], vec![0], vec![], vec![9], vec![], vec![1], vec![1]);
+        let bad = LeafGraph::from_stores(
+            vec![].into(),
+            vec![0].into(),
+            vec![].into(),
+            vec![9].into(),
+            vec![].into(),
+            vec![1].into(),
+            vec![1].into(),
+        );
         assert!(bad.is_err());
     }
 

@@ -1,21 +1,15 @@
-//! Binary model formats: `GEXM` v1 (legacy, copying) and v2 (zero-copy).
+//! Binary model format: `GEXM` v2 (zero-copy).
 //!
-//! A GraphEx model is a set of integer arrays plus two string tables. Two
-//! on-disk layouts share the `GEXM` magic and an FNV-1a checksum trailer,
-//! dispatched on the version field:
-//!
-//! * **v1** — a length-prefixed stream. Every array is re-materialized on
-//!   load (one copy per edge) and both string tables are re-interned.
-//!   Kept for reading old snapshots and as the baseline side of the
-//!   `snapshot_lifecycle` bench; written only by [`to_bytes_v1`].
-//! * **v2** — the default ([`to_bytes`]). A fixed 32-byte header, a
-//!   **section directory**, and every integer array stored as a raw
-//!   little-endian section on an **8-byte boundary**. The loader borrows
-//!   the CSR/label/score arrays straight out of the load buffer
-//!   ([`bytes::Bytes`]-backed [`crate::storage::PodView`]s) — zero
-//!   per-edge copies, and mmap-ready: any `AsRef<[u8]>` owner with an
-//!   8-aligned base can back [`from_shared`]. Only the string tables and
-//!   the per-leaf word index are materialized (O(strings + words)).
+//! A GraphEx model is a set of integer arrays plus two string tables. On
+//! disk that is the `GEXM` magic, a version word, and an FNV-1a checksum
+//! trailer around one layout ([`to_bytes`]): a fixed 32-byte header, a
+//! **section directory**, and every integer array stored as a raw
+//! little-endian section on an **8-byte boundary**. The loader borrows
+//! the CSR/label/score arrays straight out of the load buffer
+//! ([`bytes::Bytes`]-backed [`crate::storage::PodView`]s) — zero
+//! per-edge copies, and mmap-ready: any `AsRef<[u8]>` owner with an
+//! 8-aligned base can back [`from_shared`]. Only the string tables and
+//! the per-leaf word index are materialized (O(strings + words)).
 //!
 //! v2 layout (little-endian throughout):
 //!
@@ -41,11 +35,12 @@
 //! row-tokens, CSR offsets, CSR targets, labels, label-lens (u16),
 //! search counts, recall counts.
 //!
-//! Deserialization of either version validates every structural invariant
-//! (checksum first, then CSR monotonicity, parallel array lengths, label
+//! Deserialization validates every structural invariant (checksum first,
+//! then the version word, CSR monotonicity, parallel array lengths, label
 //! ranges, section bounds/alignment) and fails with
-//! [`GraphExError::Corrupt`] rather than panicking — corrupt model files
-//! are an expected operational failure, not a bug.
+//! [`GraphExError::Corrupt`] — or [`GraphExError::UnsupportedVersion`] for
+//! a checksum-valid buffer of any other version — rather than panicking:
+//! bad model files are an expected operational failure, not a bug.
 
 use crate::alignment::Alignment;
 use crate::error::{GraphExError, Result};
@@ -59,9 +54,7 @@ use std::io::Write;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"GEXM";
-/// Legacy copying format.
-pub const VERSION_V1: u32 = 1;
-/// Current zero-copy format.
+/// The format version this module writes and reads.
 pub const VERSION_V2: u32 = 2;
 /// Fixed v2 header length in bytes.
 pub const V2_HEADER_LEN: usize = 32;
@@ -83,100 +76,17 @@ pub mod section {
     pub const LABEL_LENS: u32 = 8;
     pub const SEARCH: u32 = 9;
     pub const RECALL: u32 = 10;
-
-    /// The seven per-graph kinds, in serialized order.
-    pub const GRAPH_KINDS: [u32; 7] =
-        [ROW_TOKENS, CSR_OFFSETS, CSR_TARGETS, LABELS, LABEL_LENS, SEARCH, RECALL];
 }
 
-/// Serializes `model` in the current (v2, zero-copy-loadable) format.
-pub fn to_bytes(model: &GraphExModel) -> Bytes {
-    to_bytes_v2(model)
-}
-
-/// FNV-1a of `data` — the checksum both formats append and the value the
+/// FNV-1a of `data` — the checksum trailer of a snapshot and the value the
 /// registry records in snapshot manifests.
 pub fn checksum(data: &[u8]) -> u64 {
     fnv1a(data)
 }
 
-// ====================================================================
-// v1: legacy length-prefixed stream
-// ====================================================================
-
-/// Serializes `model` in the legacy v1 format (copying loader). Kept for
-/// migration tooling and as the baseline in the snapshot benches.
-pub fn to_bytes_v1(model: &GraphExModel) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1024);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION_V1);
-    buf.put_u8(model_flags(model));
-    buf.put_u8(alignment_tag(model.alignment));
-    put_vocab(&mut buf, &model.tokens);
-    put_vocab(&mut buf, &model.keyphrases);
-
-    let leaf_ids = sorted_leaf_ids(model);
-    buf.put_u32_le(leaf_ids.len() as u32);
-    for leaf in leaf_ids {
-        buf.put_u32_le(leaf.0);
-        put_graph(&mut buf, &model.leaves[&leaf]);
-    }
-    if let Some(fb) = &model.fallback {
-        put_graph(&mut buf, fb);
-    }
-    let checksum = fnv1a(&buf);
-    buf.put_u64_le(checksum);
-    buf.freeze()
-}
-
-fn parse_v1(payload: &[u8]) -> Result<GraphExModel> {
-    // `payload` excludes the trailer; checksum/magic/version were already
-    // verified by `preflight`.
-    let mut buf = &payload[8..];
-    let flags = buf.get_u8();
-    let stemming = flags & 1 != 0;
-    let has_fallback = flags & 2 != 0;
-    let alignment = alignment_from_tag(buf.get_u8())?;
-
-    let tokens = get_vocab(&mut buf)?;
-    let keyphrases = get_vocab(&mut buf)?;
-
-    let num_leaves = checked_count(&mut buf, "leaf count")? as usize;
-    let mut leaves: FxHashMap<LeafId, LeafGraph> =
-        FxHashMap::with_capacity_and_hasher(num_leaves, Default::default());
-    for _ in 0..num_leaves {
-        if buf.remaining() < 4 {
-            return Err(GraphExError::Corrupt("truncated leaf id".into()));
-        }
-        let leaf = LeafId(buf.get_u32_le());
-        let graph = get_graph(&mut buf, keyphrases.len() as u32)?;
-        if leaves.insert(leaf, graph).is_some() {
-            return Err(GraphExError::Corrupt(format!("duplicate {leaf}")));
-        }
-    }
-    let fallback = if has_fallback { Some(Box::new(get_graph(&mut buf, keyphrases.len() as u32)?)) } else { None };
-    if buf.has_remaining() {
-        return Err(GraphExError::Corrupt("trailing bytes after model".into()));
-    }
-
-    Ok(GraphExModel {
-        tokenizer: GraphExModel::make_tokenizer(stemming),
-        tokens,
-        keyphrases,
-        leaves,
-        fallback,
-        alignment,
-        stemming,
-    })
-}
-
-// ====================================================================
-// v2: aligned sections + directory, zero-copy load
-// ====================================================================
-
-/// Serializes `model` in the v2 format (see the module docs for the
-/// layout).
-pub fn to_bytes_v2(model: &GraphExModel) -> Bytes {
+/// Serializes `model` (see the module docs for the layout); the result
+/// loads zero-copy.
+pub fn to_bytes(model: &GraphExModel) -> Bytes {
     let leaf_ids = sorted_leaf_ids(model);
 
     let mut buf = BytesMut::with_capacity(4096);
@@ -250,36 +160,27 @@ pub struct RawSection {
 
 /// Parses a model from a byte slice.
 ///
-/// Dispatches on the format version: v1 streams are materialized with
-/// owned arrays; v2 buffers are **copied once** into an 8-byte-aligned
-/// buffer and then loaded zero-copy from that copy (a borrowed slice
-/// cannot be refcounted). Call [`from_shared`] (or [`load_from`]) with an
-/// aligned [`Bytes`] to skip the realign copy entirely.
+/// The bytes are **copied once** into an 8-byte-aligned buffer and then
+/// loaded zero-copy from that copy (a borrowed slice cannot be
+/// refcounted). Call [`from_shared`] (or [`load_from`]) with an aligned
+/// [`Bytes`] to skip the realign copy entirely.
 pub fn from_bytes(data: &[u8]) -> Result<GraphExModel> {
-    match preflight(data)? {
-        VERSION_V1 => parse_v1(&data[..data.len() - 8]),
-        VERSION_V2 => parse_v2(Bytes::from_owner(AlignedBuf::copy_from(data))),
-        other => Err(GraphExError::UnsupportedVersion(other)),
-    }
+    preflight(data)?;
+    parse_v2(Bytes::from_owner(AlignedBuf::copy_from(data)))
 }
 
-/// Parses a model from a shared buffer, borrowing all v2 array sections
+/// Parses a model from a shared buffer, borrowing all array sections
 /// from it — the zero-copy load path.
 ///
 /// The buffer must be 8-byte aligned for the borrow to be taken directly
 /// (buffers produced by [`AlignedBuf`] — and any mmap — always are); an
 /// unaligned buffer is realigned with one copy rather than rejected.
 pub fn from_shared(data: Bytes) -> Result<GraphExModel> {
-    match preflight(&data)? {
-        VERSION_V1 => parse_v1(&data[..data.len() - 8]),
-        VERSION_V2 => {
-            if data.as_ptr() as usize % 8 == 0 {
-                parse_v2(data)
-            } else {
-                parse_v2(Bytes::from_owner(AlignedBuf::copy_from(&data)))
-            }
-        }
-        other => Err(GraphExError::UnsupportedVersion(other)),
+    preflight(&data)?;
+    if data.as_ptr() as usize % 8 == 0 {
+        parse_v2(data)
+    } else {
+        parse_v2(Bytes::from_owner(AlignedBuf::copy_from(&data)))
     }
 }
 
@@ -524,11 +425,12 @@ fn read_u64(data: &[u8], at: usize) -> u64 {
 // Common entry points
 // ====================================================================
 
-/// Verifies the checksum trailer and magic, returning the format version.
-/// The checksum runs **first**, so any corruption — including of the
-/// version field itself — reports [`GraphExError::Corrupt`], never a
-/// bogus [`GraphExError::UnsupportedVersion`].
-fn preflight(data: &[u8]) -> Result<u32> {
+/// Verifies the checksum trailer, the magic and the version word. The
+/// checksum runs **first**, so any corruption — including of the version
+/// field itself — reports [`GraphExError::Corrupt`], never a bogus
+/// [`GraphExError::UnsupportedVersion`]; that is kept for a buffer that
+/// is intact but of a version this build does not read.
+fn preflight(data: &[u8]) -> Result<()> {
     if data.len() < MAGIC.len() + 4 + 2 + 8 {
         return Err(GraphExError::Corrupt("file too short".into()));
     }
@@ -540,7 +442,10 @@ fn preflight(data: &[u8]) -> Result<u32> {
     if &payload[..4] != MAGIC {
         return Err(GraphExError::Corrupt("bad magic".into()));
     }
-    Ok(read_u32(payload, 4))
+    match read_u32(payload, 4) {
+        VERSION_V2 => Ok(()),
+        other => Err(GraphExError::UnsupportedVersion(other)),
+    }
 }
 
 /// Writes the model to `path` (buffered, v2 format).
@@ -648,8 +553,8 @@ pub fn read_aligned(path: impl AsRef<Path>) -> Result<Bytes> {
     Ok(Bytes::from_owner(AlignedBuf::read_exact(&mut reader, len)?))
 }
 
-/// Cheap snapshot metadata (no graph materialization for v2): what
-/// `graphex model inspect` prints.
+/// Cheap snapshot metadata (header + directory, no graph
+/// materialization): what `graphex model inspect` prints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotInfo {
     pub version: u32,
@@ -659,60 +564,38 @@ pub struct SnapshotInfo {
     pub num_leaves: u64,
     pub num_tokens: u64,
     pub num_keyphrases: u64,
-    /// v2 only: number of directory sections.
-    pub num_sections: Option<u32>,
+    /// Number of directory sections.
+    pub num_sections: u32,
     pub size_bytes: usize,
     /// The stored FNV-1a trailer.
     pub checksum: u64,
 }
 
-/// Inspects a serialized snapshot: header + directory for v2 (cheap), a
-/// full parse for v1 (the stream has no summary header).
+/// Inspects a serialized snapshot from its header and directory.
 pub fn inspect(data: &[u8]) -> Result<SnapshotInfo> {
-    let version = preflight(data)?;
-    let stored_checksum = u64::from_le_bytes(data[data.len() - 8..].try_into().expect("trailer"));
-    match version {
-        VERSION_V1 => {
-            let model = from_bytes(data)?;
-            Ok(SnapshotInfo {
-                version,
-                stemming: model.stemming(),
-                has_fallback: model.has_fallback(),
-                alignment: model.alignment(),
-                num_leaves: model.leaf_ids().count() as u64,
-                num_tokens: model.tokens.len() as u64,
-                num_keyphrases: model.num_keyphrases() as u64,
-                num_sections: None,
-                size_bytes: data.len(),
-                checksum: stored_checksum,
-            })
-        }
-        VERSION_V2 => {
-            if data.len() < V2_HEADER_LEN + 8 {
-                return Err(GraphExError::Corrupt("v2 file too short".into()));
-            }
-            let sections = read_directory(data)?;
-            let elems_of = |kind: u32| {
-                sections
-                    .iter()
-                    .find(|s| s.kind == kind && s.owner == V2_NO_OWNER)
-                    .map_or(0, |s| s.elems)
-            };
-            Ok(SnapshotInfo {
-                version,
-                stemming: data[8] & 1 != 0,
-                has_fallback: data[8] & 2 != 0,
-                alignment: alignment_from_tag(data[9])?,
-                num_leaves: u64::from(read_u32(data, 12)),
-                num_tokens: elems_of(section::TOKENS_VOCAB),
-                num_keyphrases: elems_of(section::KEYPHRASES_VOCAB),
-                num_sections: Some(read_u32(data, 24)),
-                size_bytes: data.len(),
-                checksum: stored_checksum,
-            })
-        }
-        other => Err(GraphExError::UnsupportedVersion(other)),
+    preflight(data)?;
+    if data.len() < V2_HEADER_LEN + 8 {
+        return Err(GraphExError::Corrupt("v2 file too short".into()));
     }
+    let sections = read_directory(data)?;
+    let elems_of = |kind: u32| {
+        sections
+            .iter()
+            .find(|s| s.kind == kind && s.owner == V2_NO_OWNER)
+            .map_or(0, |s| s.elems)
+    };
+    Ok(SnapshotInfo {
+        version: VERSION_V2,
+        stemming: data[8] & 1 != 0,
+        has_fallback: data[8] & 2 != 0,
+        alignment: alignment_from_tag(data[9])?,
+        num_leaves: u64::from(read_u32(data, 12)),
+        num_tokens: elems_of(section::TOKENS_VOCAB),
+        num_keyphrases: elems_of(section::KEYPHRASES_VOCAB),
+        num_sections: read_u32(data, 24),
+        size_bytes: data.len(),
+        checksum: u64::from_le_bytes(data[data.len() - 8..].try_into().expect("trailer")),
+    })
 }
 
 /// Builds a [`SnapshotInfo`] for a model that was *already parsed* from
@@ -721,16 +604,15 @@ pub fn inspect(data: &[u8]) -> Result<SnapshotInfo> {
 /// `verify`) pay exactly one parse. `data` must be the validated bytes
 /// the model came from.
 pub fn inspect_model(model: &GraphExModel, data: &[u8]) -> SnapshotInfo {
-    let version = read_u32(data, 4);
     SnapshotInfo {
-        version,
+        version: read_u32(data, 4),
         stemming: model.stemming(),
         has_fallback: model.has_fallback(),
         alignment: model.alignment(),
         num_leaves: model.leaf_ids().count() as u64,
         num_tokens: model.tokens.len() as u64,
         num_keyphrases: model.num_keyphrases() as u64,
-        num_sections: (version == VERSION_V2).then(|| read_u32(data, 24)),
+        num_sections: read_u32(data, 24),
         size_bytes: data.len(),
         checksum: u64::from_le_bytes(data[data.len() - 8..].try_into().expect("trailer")),
     }
@@ -807,102 +689,6 @@ fn sorted_leaf_ids(model: &GraphExModel) -> Vec<LeafId> {
     leaf_ids
 }
 
-fn put_vocab(buf: &mut BytesMut, vocab: &Vocab) {
-    buf.put_u32_le(vocab.len() as u32);
-    put_vocab_blob(buf, vocab);
-}
-
-fn get_vocab(buf: &mut &[u8]) -> Result<Vocab> {
-    let count = checked_count(buf, "vocab count")? as usize;
-    let mut vocab = Vocab::with_capacity(count);
-    for i in 0..count {
-        if buf.remaining() < 2 {
-            return Err(GraphExError::Corrupt("truncated vocab entry length".into()));
-        }
-        let len = buf.get_u16_le() as usize;
-        if buf.remaining() < len {
-            return Err(GraphExError::Corrupt("truncated vocab entry".into()));
-        }
-        let (head, rest) = buf.split_at(len);
-        let s = std::str::from_utf8(head)
-            .map_err(|_| GraphExError::Corrupt("vocab entry is not utf-8".into()))?;
-        let id = vocab.intern(s);
-        if id as usize != i {
-            return Err(GraphExError::Corrupt("duplicate vocab entry".into()));
-        }
-        *buf = rest;
-    }
-    Ok(vocab)
-}
-
-fn put_graph(buf: &mut BytesMut, graph: &LeafGraph) {
-    put_u32s(buf, graph.row_tokens());
-    let (offsets, targets) = graph.csr_parts();
-    put_u32s(buf, offsets);
-    put_u32s(buf, targets);
-    put_u32s(buf, graph.labels());
-    buf.put_u32_le(graph.label_lens().len() as u32);
-    for &l in graph.label_lens() {
-        buf.put_u16_le(l);
-    }
-    put_u32s(buf, graph.searches());
-    put_u32s(buf, graph.recalls());
-}
-
-fn get_graph(buf: &mut &[u8], num_keyphrases: u32) -> Result<LeafGraph> {
-    let row_tokens = get_u32s(buf, "row tokens")?;
-    let offsets = get_u32s(buf, "csr offsets")?;
-    let targets = get_u32s(buf, "csr targets")?;
-    let labels = get_u32s(buf, "labels")?;
-    if labels.iter().any(|&kp| kp >= num_keyphrases) {
-        return Err(GraphExError::Corrupt("label references unknown keyphrase".into()));
-    }
-    let n = checked_count(buf, "label_len count")? as usize;
-    if buf.remaining() < n * 2 {
-        return Err(GraphExError::Corrupt("truncated label_len array".into()));
-    }
-    let mut label_len = Vec::with_capacity(n);
-    for _ in 0..n {
-        label_len.push(buf.get_u16_le());
-    }
-    let search = get_u32s(buf, "search counts")?;
-    let recall = get_u32s(buf, "recall counts")?;
-    LeafGraph::from_serialized(row_tokens, offsets, targets, labels, label_len, search, recall)
-        .map_err(GraphExError::Corrupt)
-}
-
-fn put_u32s(buf: &mut BytesMut, vals: &[u32]) {
-    buf.put_u32_le(vals.len() as u32);
-    for &v in vals {
-        buf.put_u32_le(v);
-    }
-}
-
-fn get_u32s(buf: &mut &[u8], what: &str) -> Result<Vec<u32>> {
-    let count = checked_count(buf, what)? as usize;
-    if buf.remaining() < count * 4 {
-        return Err(GraphExError::Corrupt(format!("truncated {what}")));
-    }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(buf.get_u32_le());
-    }
-    Ok(out)
-}
-
-fn checked_count(buf: &mut &[u8], what: &str) -> Result<u32> {
-    if buf.remaining() < 4 {
-        return Err(GraphExError::Corrupt(format!("truncated {what}")));
-    }
-    let count = buf.get_u32_le();
-    // Guard against absurd counts from corrupt length fields: the count
-    // cannot exceed the remaining bytes (every element is ≥ 1 byte).
-    if count as usize > buf.remaining() * 8 {
-        return Err(GraphExError::Corrupt(format!("implausible {what}: {count}")));
-    }
-    Ok(count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -950,21 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_roundtrip_preserves_behavior() {
-        let model = sample_model();
-        let restored = from_bytes(&to_bytes_v1(&model)).unwrap();
-        assert_eq!(infer_outputs(&model), infer_outputs(&restored));
-    }
-
-    #[test]
-    fn v1_to_v2_migration_is_inference_identical() {
-        let model = sample_model();
-        let via_v1 = from_bytes(&to_bytes_v1(&model)).unwrap();
-        let via_v2 = from_shared(to_bytes_v2(&via_v1)).unwrap();
-        assert_eq!(infer_outputs(&model), infer_outputs(&via_v2));
-    }
-
-    #[test]
     fn v2_load_borrows_sections_zero_copy() {
         let model = sample_model();
         let bytes = to_bytes(&model);
@@ -975,9 +746,6 @@ mod tests {
         }
         // The owned construction path is not view-backed.
         assert!(!model.leaf_graph(LeafId(7)).unwrap().is_zero_copy());
-        // The v1 loader copies (owned arrays).
-        let v1 = from_bytes(&to_bytes_v1(&model)).unwrap();
-        assert!(!v1.leaf_graph(LeafId(7)).unwrap().is_zero_copy());
     }
 
     #[test]
@@ -1103,17 +871,16 @@ mod tests {
 
     #[test]
     fn detects_bitflips_as_corrupt() {
-        for bytes in [to_bytes(&sample_model()).to_vec(), to_bytes_v1(&sample_model()).to_vec()] {
-            // Any flipped byte — header, payload, or trailer — must be
-            // caught by the checksum, which runs before version dispatch.
-            for pos in [0, 4, 8, bytes.len() / 3, bytes.len() / 2, bytes.len() - 1] {
-                let mut corrupted = bytes.clone();
-                corrupted[pos] ^= 0xFF;
-                assert!(
-                    matches!(from_bytes(&corrupted), Err(GraphExError::Corrupt(_))),
-                    "bitflip at {pos} not detected as Corrupt"
-                );
-            }
+        let bytes = to_bytes(&sample_model()).to_vec();
+        // Any flipped byte — header, payload, or trailer — must be
+        // caught by the checksum, which runs before the version check.
+        for pos in [0, 4, 8, bytes.len() / 3, bytes.len() / 2, bytes.len() - 1] {
+            let mut corrupted = bytes.clone();
+            corrupted[pos] ^= 0xFF;
+            assert!(
+                matches!(from_bytes(&corrupted), Err(GraphExError::Corrupt(_))),
+                "bitflip at {pos} not detected as Corrupt"
+            );
         }
     }
 
@@ -1128,25 +895,25 @@ mod tests {
         wrong_magic[n - 8..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(from_bytes(&wrong_magic), Err(GraphExError::Corrupt(_))));
 
-        let mut wrong_version = bytes;
-        wrong_version[4] = 99;
-        let sum = fnv1a(&wrong_version[..n - 8]);
-        wrong_version[n - 8..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(from_bytes(&wrong_version), Err(GraphExError::UnsupportedVersion(99))));
+        // An intact buffer of any other version is refused by every entry
+        // point: neither parsed nor called corrupt.
+        for version in [1u8, 99] {
+            let mut other = bytes.clone();
+            other[4] = version;
+            let sum = fnv1a(&other[..n - 8]);
+            other[n - 8..].copy_from_slice(&sum.to_le_bytes());
+            let refused = |res: Result<()>| {
+                matches!(res, Err(GraphExError::UnsupportedVersion(v)) if v == u32::from(version))
+            };
+            assert!(refused(from_bytes(&other).map(drop)), "from_bytes, version {version}");
+            let shared = Bytes::from(other.clone());
+            assert!(refused(from_shared(shared).map(drop)), "from_shared, version {version}");
+            assert!(refused(inspect(&other).map(drop)), "inspect, version {version}");
+        }
     }
 
     #[test]
-    fn v2_is_larger_but_loads_without_copies() {
-        // Size sanity: v2 pays padding + directory overhead over v1.
-        let model = sample_model();
-        let v1 = to_bytes_v1(&model);
-        let v2 = to_bytes(&model);
-        assert!(v2.len() > v1.len());
-        assert_eq!(model.size_bytes(), v2.len());
-    }
-
-    #[test]
-    fn inspect_reads_both_versions() {
+    fn inspect_reads_header_and_directory() {
         let model = sample_model();
         let v2 = to_bytes(&model);
         let info = inspect(&v2).unwrap();
@@ -1154,17 +921,11 @@ mod tests {
         assert_eq!(info.num_leaves, 2);
         assert_eq!(info.num_keyphrases, 3);
         assert!(info.num_tokens >= 7);
-        assert_eq!(info.num_sections, Some(3 + 7 * 2));
+        assert_eq!(info.num_sections, 3 + 7 * 2);
         assert_eq!(info.size_bytes, v2.len());
+        assert_eq!(model.size_bytes(), v2.len());
         assert!(info.stemming);
         assert!(!info.has_fallback);
-
-        let v1 = to_bytes_v1(&model);
-        let info1 = inspect(&v1).unwrap();
-        assert_eq!(info1.version, 1);
-        assert_eq!(info1.num_leaves, 2);
-        assert_eq!(info1.num_keyphrases, 3);
-        assert_eq!(info1.num_sections, None);
     }
 
     #[test]

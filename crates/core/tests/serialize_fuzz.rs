@@ -3,8 +3,8 @@
 //! operational reality for anything loaded from disk.
 //!
 //! The corruption properties are pinned to [`GraphExError::Corrupt`]
-//! specifically (not just "some error"): the checksum runs before
-//! version dispatch, so no flip or truncation may surface as a bogus
+//! specifically (not just "some error"): the checksum runs before the
+//! version check, so no flip or truncation may surface as a bogus
 //! `UnsupportedVersion` or — worse — a panic.
 
 use graphex_core::{serialize, GraphExBuilder, GraphExConfig, GraphExError, KeyphraseRecord, LeafId};
@@ -27,10 +27,6 @@ fn sample_bytes_v2() -> Vec<u8> {
     serialize::to_bytes(&sample_model()).to_vec()
 }
 
-fn sample_bytes_v1() -> Vec<u8> {
-    serialize::to_bytes_v1(&sample_model()).to_vec()
-}
-
 fn assert_corrupt(res: Result<graphex_core::GraphExModel, GraphExError>, what: &str) {
     match res {
         Err(GraphExError::Corrupt(_)) => {}
@@ -48,7 +44,7 @@ proptest! {
 
     /// Random single-byte flips of a valid v2 snapshot: always
     /// `Corrupt` — the checksum rejects the flip before any structural
-    /// parsing (or version dispatch) can misread it.
+    /// parsing (or the version check) can misread it.
     #[test]
     fn v2_byte_flips_are_corrupt(pos in 0usize..100_000, xor in 1u8..=255) {
         let mut bytes = sample_bytes_v2();
@@ -63,18 +59,6 @@ proptest! {
         let bytes = sample_bytes_v2();
         let cut = cut % bytes.len(); // strictly shorter than the valid model
         assert_corrupt(serialize::from_bytes(&bytes[..cut]), "v2 truncation");
-    }
-
-    /// The legacy v1 stream holds the same properties.
-    #[test]
-    fn v1_flips_and_truncations_are_corrupt(pos in 0usize..100_000, xor in 1u8..=255, cut in 0usize..100_000) {
-        let mut bytes = sample_bytes_v1();
-        let idx = pos % bytes.len();
-        bytes[idx] ^= xor;
-        assert_corrupt(serialize::from_bytes(&bytes), "v1 flip");
-
-        let bytes = sample_bytes_v1();
-        assert_corrupt(serialize::from_bytes(&bytes[..cut % bytes.len()]), "v1 truncation");
     }
 
     /// Garbage appended after a valid model: rejected (trailing data means
@@ -138,8 +122,5 @@ fn valid_model_still_loads() {
     // Guard against the fuzz tests passing because *everything* is rejected.
     let bytes = sample_bytes_v2();
     let model = serialize::from_bytes(&bytes).expect("valid v2 bytes load");
-    assert_eq!(model.num_keyphrases(), 3);
-    let v1 = sample_bytes_v1();
-    let model = serialize::from_bytes(&v1).expect("valid v1 bytes load");
     assert_eq!(model.num_keyphrases(), 3);
 }

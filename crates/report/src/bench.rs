@@ -1,340 +1,169 @@
-//! `BENCH_*.json` schema: parse, validate, and extract chartable numbers.
+//! Reader for the run documents of the repo benchmark (`benchmark/`).
 //!
-//! Every recorded datapoint in the repo root follows one shape — five
-//! required top-level keys — so the report can render any of them and the
-//! suite can reject a malformed one before it lands:
-//!
-//! ```json
-//! {
-//!   "bench":   "trace_overhead",          // required, string
-//!   "date":    "2026-08-07",              // required, string
-//!   "machine": { ... },                   // required, object
-//!   "config":  { ... },                   // required, object
-//!   "results": { "elapsed": "111.6ms" }   // required, non-empty object
-//! }
-//! ```
-//!
-//! `results` comes in two shapes: a flat object of named values, or an
-//! array of row objects (one per scale/config arm — `buildbench` and
-//! friends). Array rows are flattened into `<row label>/<key>` result
-//! keys, the label being the row's first string-valued member.
-//!
-//! Result values are either bare numbers or unit-suffixed strings
-//! (`"111.615ms"`, `"86.011µs"`); [`leading_number`] extracts the numeric
-//! prefix best-effort so charts can scale bars without a unit registry.
+//! `benchmark --out <file>` writes one JSON document per run: `workload`,
+//! `seed`, `seconds`, `traced`, `attempted`, `failed`, `disturbed` and
+//! `metrics: {name: {value, unit}}` (its `series` and `claim` are not
+//! read). Every `*.json` under `--bench-dir` must be one. Runs are grouped
+//! by workload × traced × side — the side is the file stem after its
+//! first dot, `3.base.json` → `base` — so a `make bench-pair` run
+//! directory reads as the two columns its own summary prints.
 
 use graphex_server::json::{self, Json};
 use std::path::{Path, PathBuf};
 
-/// The five top-level keys every `BENCH_*.json` must carry.
-pub const REQUIRED_KEYS: [&str; 5] = ["bench", "date", "machine", "config", "results"];
-
-/// One result row: the key, the raw rendered value, and the numeric
-/// prefix when one exists.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    pub key: String,
-    pub raw: String,
-    pub value: Option<f64>,
-}
-
-/// One parsed + validated `BENCH_*.json`.
+/// One run: a parsed `--out` document.
 #[derive(Debug, Clone)]
 pub struct BenchDoc {
-    /// File name the doc came from (for error messages and headings).
     pub file: String,
-    pub bench: String,
-    pub description: String,
-    pub date: String,
-    /// Flattened `config` object, insertion order preserved.
-    pub config: Vec<(String, String)>,
-    /// Flattened `machine` object.
-    pub machine: Vec<(String, String)>,
-    pub results: Vec<BenchResult>,
+    pub workload: String,
+    pub traced: bool,
+    pub side: String,
+    pub seed: u64,
+    pub seconds: f64,
+    pub attempted: u64,
+    pub failed: u64,
+    pub disturbed: bool,
+    /// `(name, value, unit)` in document order.
+    pub metrics: Vec<(String, f64, String)>,
 }
 
 impl BenchDoc {
-    /// Parses and validates one document. `file` is only used in error
-    /// messages and report headings.
+    /// Parses one document; every error names `file`.
     pub fn parse(file: &str, text: &str) -> Result<Self, String> {
         let doc = json::parse(text).map_err(|e| format!("{file}: not JSON: {e}"))?;
-        validate(file, &doc)?;
-        let results = result_rows(doc.get("results").expect("validated"));
+        let bad = |key: &str| format!("{file}: not a benchmark document: no valid {key:?}");
+        let num = |key: &str| doc.get(key).and_then(Json::as_f64).ok_or_else(|| bad(key));
+        let flag = |key: &str| doc.get(key).and_then(Json::as_bool).ok_or_else(|| bad(key));
+        let members = doc.get("metrics").and_then(Json::as_obj).ok_or_else(|| bad("metrics"))?;
+        let mut metrics = Vec::new();
+        for (name, metric) in members {
+            let value = metric.get("value").and_then(Json::as_f64).ok_or_else(|| bad(name))?;
+            let unit = metric.get("unit").and_then(Json::as_str).ok_or_else(|| bad(name))?;
+            metrics.push((name.clone(), value, unit.to_string()));
+        }
+        let workload = doc.get("workload").and_then(Json::as_str).ok_or_else(|| bad("workload"))?;
+        let stem = file.strip_suffix(".json").unwrap_or(file);
         Ok(Self {
             file: file.to_string(),
-            bench: doc.get("bench").and_then(Json::as_str).expect("validated").to_string(),
-            description: doc
-                .get("description")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            date: doc.get("date").and_then(Json::as_str).expect("validated").to_string(),
-            config: flatten_obj(doc.get("config")),
-            machine: flatten_obj(doc.get("machine")),
-            results,
+            workload: workload.to_string(),
+            traced: flag("traced")?,
+            side: stem.split_once('.').map_or("", |(_, side)| side).to_string(),
+            seed: num("seed")? as u64,
+            seconds: num("seconds")?,
+            attempted: num("attempted")? as u64,
+            failed: num("failed")? as u64,
+            disturbed: flag("disturbed")?,
+            metrics,
         })
     }
-}
 
-/// Checks the five required keys (and their types) without building a
-/// [`BenchDoc`]; the suite's schema test calls this over every file.
-pub fn validate(file: &str, doc: &Json) -> Result<(), String> {
-    for key in REQUIRED_KEYS {
-        if doc.get(key).is_none() {
-            return Err(format!("{file}: missing required top-level key {key:?}"));
-        }
-    }
-    for key in ["bench", "date"] {
-        if doc.get(key).and_then(Json::as_str).is_none() {
-            return Err(format!("{file}: {key:?} must be a string"));
-        }
-    }
-    for key in ["machine", "config"] {
-        if doc.get(key).and_then(Json::as_obj).is_none() {
-            return Err(format!("{file}: {key:?} must be an object"));
-        }
-    }
-    match doc.get("results").expect("checked above") {
-        Json::Obj(members) if !members.is_empty() => Ok(()),
-        Json::Arr(rows) if !rows.is_empty() => {
-            if rows.iter().all(|row| matches!(row, Json::Obj(m) if !m.is_empty())) {
-                Ok(())
-            } else {
-                Err(format!("{file}: \"results\" rows must be non-empty objects"))
-            }
-        }
-        Json::Obj(_) | Json::Arr(_) => Err(format!("{file}: \"results\" must not be empty")),
-        _ => Err(format!("{file}: \"results\" must be an object or an array of row objects")),
+    /// A disturbed run, or one with failed operations, is listed in the
+    /// report but kept out of its statistics.
+    pub fn counted(&self) -> bool {
+        !self.disturbed && self.failed == 0
     }
 }
 
-/// Flattens either `results` shape into chartable rows. Array rows get a
-/// `<label>/` key prefix from the row's first string-valued member
-/// (falling back to the row index), which is dropped from the rows
-/// themselves — `{"scale": "cat1", "ms": 54}` → `cat1/ms = 54`.
-fn result_rows(results: &Json) -> Vec<BenchResult> {
-    let mut out = Vec::new();
-    flatten_results("", results, &mut out);
-    out
-}
-
-/// Recursive flattener for the `results` value. Objects contribute their
-/// key as a path segment; arrays of row objects are labeled by each
-/// row's first string-valued member (excluded from the row, falling back
-/// to the index); arrays of scalars fan out into indexed keys. Leaves
-/// become one [`BenchResult`] each.
-fn flatten_results(prefix: &str, value: &Json, out: &mut Vec<BenchResult>) {
-    match value {
-        Json::Obj(members) => {
-            for (key, value) in members {
-                flatten_results(&format!("{prefix}{key}/"), value, out);
-            }
-        }
-        Json::Arr(items) if items.iter().all(|item| item.as_obj().is_some()) => {
-            for (i, item) in items.iter().enumerate() {
-                let members = item.as_obj().expect("checked by guard");
-                // A label is a string member that is not itself a
-                // measurement — "cat1" labels, "839µs" does not.
-                let label = members.iter().find_map(|(k, v)| {
-                    v.as_str()
-                        .filter(|s| leading_number(s).is_none())
-                        .map(|label| (k.clone(), label.to_string()))
-                });
-                let (label_key, row_prefix) = match label {
-                    Some((key, label)) => (Some(key), format!("{prefix}{label}/")),
-                    None => (None, format!("{prefix}{i}/")),
-                };
-                for (key, value) in
-                    members.iter().filter(|(k, _)| Some(k) != label_key.as_ref())
-                {
-                    flatten_results(&format!("{row_prefix}{key}/"), value, out);
-                }
-            }
-        }
-        Json::Arr(items) => {
-            for (i, item) in items.iter().enumerate() {
-                flatten_results(&format!("{prefix}{i}/"), item, out);
-            }
-        }
-        scalar => {
-            let raw = scalar_text(scalar);
-            let value = scalar.as_f64().or_else(|| leading_number(&raw));
-            out.push(BenchResult {
-                key: prefix.trim_end_matches('/').to_string(),
-                raw,
-                value,
-            });
+/// Runs grouped by workload × traced × side; groups and their runs in
+/// first-seen order, no group empty.
+pub fn group_runs(docs: &[BenchDoc]) -> Vec<Vec<&BenchDoc>> {
+    fn key(doc: &BenchDoc) -> (&str, bool, &str) {
+        (&doc.workload, doc.traced, &doc.side)
+    }
+    let mut groups: Vec<Vec<&BenchDoc>> = Vec::new();
+    for doc in docs {
+        match groups.iter_mut().find(|group| key(group[0]) == key(doc)) {
+            Some(group) => group.push(doc),
+            None => groups.push(vec![doc]),
         }
     }
+    groups
 }
 
-/// Numeric prefix of a unit-suffixed value: `"111.615ms"` → `111.615`.
-/// Returns `None` when the value does not start with a number.
-pub fn leading_number(raw: &str) -> Option<f64> {
-    let raw = raw.trim();
-    let end = raw
-        .char_indices()
-        .take_while(|(i, c)| c.is_ascii_digit() || *c == '.' || *c == '-' && *i == 0)
-        .map(|(i, c)| i + c.len_utf8())
-        .last()?;
-    raw[..end].parse().ok()
-}
-
-/// `BENCH_*.json` files directly under `dir`, sorted by name.
-pub fn discover_bench_files(dir: &Path) -> Vec<PathBuf> {
-    let mut found: Vec<PathBuf> = std::fs::read_dir(dir)
-        .into_iter()
-        .flatten()
+/// The `*.json` files directly under `dir`, sorted by name.
+pub fn discover_bench_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("read --bench-dir {}: {e}", dir.display()))?;
+    let mut found: Vec<PathBuf> = entries
         .flatten()
         .map(|entry| entry.path())
-        .filter(|path| {
-            path.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        })
+        .filter(|path| path.is_file() && path.extension().is_some_and(|ext| ext == "json"))
         .collect();
     found.sort();
-    found
-}
-
-fn scalar_text(value: &Json) -> String {
-    match value {
-        Json::Str(s) => s.clone(),
-        other => other.render(),
-    }
-}
-
-fn flatten_obj(obj: Option<&Json>) -> Vec<(String, String)> {
-    obj.and_then(Json::as_obj)
-        .map(|fields| fields.iter().map(|(k, v)| (k.clone(), scalar_text(v))).collect())
-        .unwrap_or_default()
+    Ok(found)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    const GOOD: &str = r#"{
-        "bench": "demo", "description": "d", "date": "2026-08-07",
-        "machine": {"os": "linux"},
-        "config": {"requests": 100},
-        "results": {"elapsed": "12.5ms", "throughput_per_s": 4000, "p99": "86.011µs"}
-    }"#;
+    /// A run in the shape `benchmark/src/report.rs::document` writes.
+    pub(crate) fn run(file: &str, workload: &str, traced: bool, disturbed: bool, p50: f64) -> BenchDoc {
+        let text = format!(
+            "{{\n  \"workload\": \"{workload}\",\n  \"seed\": 7,\n  \"seconds\": 10,\n  \
+             \"traced\": {traced},\n  \"threads\": 2,\n  \"cpus\": 2,\n  \"attempted\": 400,\n  \
+             \"failed\": 0,\n  \"error_share\": 0,\n  \"canary_ms\": [5.1, 5.2],\n  \
+             \"disturbed\": {disturbed},\n  \"metrics\": {{\"setup_s\": {{\"value\": 1.5, \
+             \"unit\": \"s\"}}, \"p50_us\": {{\"value\": {p50}, \"unit\": \"us\"}}}},\n  \
+             \"series\": {{\n    \"p50_us\": {{\"quietest\": 1, \"median\": 2, \"iqr_share\": 0.1, \
+             \"samples\": 20}}\n  }},\n  \"claim\": null\n}}\n"
+        );
+        BenchDoc::parse(file, &text).unwrap()
+    }
 
     #[test]
     fn parses_good_doc() {
-        let doc = BenchDoc::parse("BENCH_demo.json", GOOD).unwrap();
-        assert_eq!(doc.bench, "demo");
-        assert_eq!(doc.date, "2026-08-07");
-        assert_eq!(doc.results.len(), 3);
-        let elapsed = doc.results.iter().find(|r| r.key == "elapsed").unwrap();
-        assert_eq!(elapsed.raw, "12.5ms");
-        assert_eq!(elapsed.value, Some(12.5));
-        let tput = doc.results.iter().find(|r| r.key == "throughput_per_s").unwrap();
-        assert_eq!(tput.value, Some(4000.0));
-        let p99 = doc.results.iter().find(|r| r.key == "p99").unwrap();
-        assert_eq!(p99.value, Some(86.011));
+        let doc = run("3.base.json", "edge_hot", false, false, 12.5);
+        assert_eq!((doc.workload.as_str(), doc.traced, doc.side.as_str()), ("edge_hot", false, "base"));
+        assert_eq!((doc.seed, doc.seconds, doc.attempted, doc.failed), (7, 10.0, 400, 0));
+        assert_eq!(doc.metrics[1], ("p50_us".to_string(), 12.5, "us".to_string()));
+        assert!(doc.counted() && !run("4.base.json", "edge_hot", false, true, 1.0).counted());
+        assert_eq!(run("edge_hot.json", "edge_hot", true, false, 1.0).side, "");
     }
 
     #[test]
     fn rejects_missing_and_mistyped_keys() {
-        for key in REQUIRED_KEYS {
-            let doc = json::parse(GOOD).unwrap();
-            let Json::Obj(fields) = doc else { panic!("obj") };
-            let stripped = Json::Obj(fields.into_iter().filter(|(k, _)| k != key).collect());
-            let err = validate("f", &stripped).unwrap_err();
-            assert!(err.contains(key), "{err}");
+        for (text, what) in [
+            ("not json", "not JSON"),
+            (r#"{"bench": "demo", "results": {"elapsed": "3ms"}}"#, "\"metrics\""),
+            (r#"{"workload": "w", "seed": 1, "seconds": 1, "traced": false, "attempted": 1,
+                 "failed": 0, "disturbed": false}"#, "\"metrics\""),
+            (r#"{"metrics": {"p50_us": {"value": 1, "unit": 3}}}"#, "\"p50_us\""),
+            (r#"{"metrics": {}, "workload": "w", "traced": 0}"#, "\"traced\""),
+        ] {
+            let err = BenchDoc::parse("runs/9.change.json", text).unwrap_err();
+            assert!(err.starts_with("runs/9.change.json: ") && err.contains(what), "{err}");
         }
-        let err = BenchDoc::parse("f", r#"{"bench": 7, "date": "d",
-            "machine": {}, "config": {}, "results": {"x": 1}}"#)
-            .unwrap_err();
-        assert!(err.contains("bench"), "{err}");
-        let err = BenchDoc::parse("f", r#"{"bench": "b", "date": "d",
-            "machine": {}, "config": {}, "results": {}}"#)
-            .unwrap_err();
-        assert!(err.contains("empty"), "{err}");
-        assert!(BenchDoc::parse("f", "not json").is_err());
     }
 
     #[test]
-    fn parses_array_results_with_row_labels() {
-        let doc = BenchDoc::parse(
-            "BENCH_rows.json",
-            r#"{"bench": "rows", "date": "2026-08-07", "machine": {}, "config": {},
-                "results": [
-                  {"scale": "cat1", "sequential_ms": 54.3, "snapshot_bytes": 100},
-                  {"scale": "cat2", "sequential_ms": 15.1, "snapshot_bytes": 50},
-                  {"n": 1, "ms": 2.0}
-                ]}"#,
-        )
-        .unwrap();
-        let keys: Vec<&str> = doc.results.iter().map(|r| r.key.as_str()).collect();
-        assert_eq!(
-            keys,
-            ["cat1/sequential_ms", "cat1/snapshot_bytes", "cat2/sequential_ms",
-             "cat2/snapshot_bytes", "2/n", "2/ms"]
-        );
-        assert_eq!(doc.results[0].value, Some(54.3));
-        let err = BenchDoc::parse(
-            "f",
-            r#"{"bench": "b", "date": "d", "machine": {}, "config": {},
-                "results": [{}]}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("non-empty objects"), "{err}");
-        let err = BenchDoc::parse(
-            "f",
-            r#"{"bench": "b", "date": "d", "machine": {}, "config": {}, "results": 3}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("object or an array"), "{err}");
-    }
-
-    #[test]
-    fn flattens_nested_arrays_of_row_objects() {
-        // tenancybench shape: an object whose members are arrays of row
-        // objects with no string-valued label member (index labels), one
-        // of which carries an array of repeated measurements.
-        let doc = BenchDoc::parse(
-            "BENCH_nested.json",
-            r#"{"bench": "nested", "date": "2026-08-07", "machine": {}, "config": {},
-                "results": {
-                  "mmap": [{"tenants": 1, "cold_start": "839µs"},
-                           {"tenants": 4, "cold_start": "1.2ms"}],
-                  "read_path": [{"depth_pct": 0, "per_load": ["27µs", "28µs"]}]
-                }}"#,
-        )
-        .unwrap();
-        let keys: Vec<&str> = doc.results.iter().map(|r| r.key.as_str()).collect();
-        assert_eq!(
-            keys,
-            ["mmap/0/tenants", "mmap/0/cold_start", "mmap/1/tenants", "mmap/1/cold_start",
-             "read_path/0/depth_pct", "read_path/0/per_load/0", "read_path/0/per_load/1"]
-        );
-        assert!(doc.results.iter().all(|r| r.value.is_some()), "{:?}", doc.results);
-    }
-
-    #[test]
-    fn leading_number_edge_cases() {
-        assert_eq!(leading_number("111.615ms"), Some(111.615));
-        assert_eq!(leading_number("-3.5x"), Some(-3.5));
-        assert_eq!(leading_number("42"), Some(42.0));
-        assert_eq!(leading_number("µs42"), None);
-        assert_eq!(leading_number(""), None);
+    fn groups_by_workload_traced_and_side() {
+        let docs = [
+            run("1.base.json", "edge_hot", false, false, 1.0),
+            run("1.change.json", "edge_hot", false, false, 1.0),
+            run("2.base.json", "edge_hot", false, true, 1.0),
+            run("trace.base.json", "edge_hot", true, false, 1.0),
+            run("3.base.json", "write_mix", false, false, 1.0),
+        ];
+        let files: Vec<Vec<&str>> =
+            group_runs(&docs).iter().map(|g| g.iter().map(|d| d.file.as_str()).collect()).collect();
+        let expected: [&[&str]; 4] =
+            [&["1.base.json", "2.base.json"], &["1.change.json"], &["trace.base.json"], &["3.base.json"]];
+        assert_eq!(files, expected);
     }
 
     #[test]
     fn discovers_only_bench_json() {
         let dir = std::env::temp_dir().join(format!("graphex-report-disc-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("BENCH_b.json"), GOOD).unwrap();
-        std::fs::write(dir.join("BENCH_a.json"), GOOD).unwrap();
-        std::fs::write(dir.join("README.md"), "x").unwrap();
-        std::fs::write(dir.join("BENCH_c.txt"), "x").unwrap();
-        let found = discover_bench_files(&dir);
-        let names: Vec<_> =
-            found.iter().map(|p| p.file_name().unwrap().to_str().unwrap()).collect();
-        assert_eq!(names, ["BENCH_a.json", "BENCH_b.json"]);
+        for name in ["2.change.json", "2.base.json", "2.base.txt", "README.md"] {
+            std::fs::write(dir.join(name), "x").unwrap();
+        }
+        let found = discover_bench_files(&dir).unwrap();
+        let names: Vec<_> = found.iter().map(|p| p.file_name().unwrap().to_str().unwrap()).collect();
+        assert_eq!(names, ["2.base.json", "2.change.json"]);
+        let err = discover_bench_files(&dir.join("no-such-dir")).unwrap_err();
+        assert!(err.contains("no-such-dir"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -3,7 +3,7 @@
 //! test below greps the rendered page for anything that would reach off
 //! the file.
 
-use crate::bench::BenchDoc;
+use crate::bench::{group_runs, BenchDoc};
 use crate::evalrun::EvalSection;
 use crate::svg;
 use graphex_server::json::Json;
@@ -22,6 +22,8 @@ pub struct ReportInputs {
     pub generated: String,
     /// Where the live sections came from (server address or "in-process").
     pub source: String,
+    /// Where the benchmark documents were looked for (`--bench-dir`).
+    pub bench_dir: String,
     pub benches: Vec<BenchDoc>,
     pub history: Option<Json>,
     pub traces: Option<Json>,
@@ -60,7 +62,7 @@ pub fn render(inputs: &ReportInputs) -> String {
     history_section(&mut page, inputs.history.as_ref());
     traces_section(&mut page, inputs.traces.as_ref());
     eval_section(&mut page, inputs.eval.as_ref());
-    bench_section(&mut page, &inputs.benches);
+    bench_section(&mut page, &inputs.bench_dir, &inputs.benches);
     page.push_str("<p class=\"meta\">self-contained page: inline CSS + SVG, no scripts, \
                    no external assets.</p>\n</body></html>\n");
     page
@@ -220,53 +222,99 @@ fn eval_section(page: &mut String, eval: Option<&EvalSection>) {
     page.push_str("</table>\n");
 }
 
-/// "Recorded benchmarks": one subsection per `BENCH_*.json`, bars scaled
-/// log₁₀ against the doc's largest numeric result (the results mix units
-/// and magnitudes; the bars rank, the raw column measures).
-fn bench_section(page: &mut String, benches: &[BenchDoc]) {
+/// "Recorded benchmarks": one subsection per workload × traced × side,
+/// one row per metric with its median and quartiles over the counted
+/// runs; disturbed runs and runs with failed operations are named, not
+/// counted.
+fn bench_section(page: &mut String, bench_dir: &str, benches: &[BenchDoc]) {
     page.push_str("<h2>Recorded benchmarks</h2>\n");
     if benches.is_empty() {
-        page.push_str("<p class=\"meta\">no BENCH_*.json files were found.</p>\n");
-        return;
-    }
-    for doc in benches {
         let _ = writeln!(
             page,
-            "<h3>{} <span class=\"meta\">({}, {})</span></h3>",
-            escape(&doc.bench),
-            escape(&doc.file),
-            escape(&doc.date),
+            "<p class=\"meta\">no benchmark documents (*.json) were found in {}.</p>",
+            escape(bench_dir),
         );
-        if !doc.description.is_empty() {
-            let _ = writeln!(page, "<p class=\"desc\">{}</p>", escape(&doc.description));
-        }
-        let config: Vec<String> =
-            doc.config.iter().map(|(k, v)| format!("{}={}", escape(k), escape(v))).collect();
-        if !config.is_empty() {
-            let _ = writeln!(page, "<p class=\"meta\"><code>{}</code></p>", config.join(" "));
-        }
-        let max = doc
-            .results
-            .iter()
-            .filter_map(|r| r.value)
-            .fold(0.0f64, |hi, v| hi.max(v.abs()));
-        page.push_str("<table><tr><th>result</th><th>value</th><th></th></tr>\n");
-        for result in &doc.results {
-            let bar = match result.value {
-                Some(v) if max > 0.0 => {
-                    svg::hbar((1.0 + v.abs()).log10() / (1.0 + max).log10(), 140, 9)
-                }
-                _ => String::new(),
-            };
+        return;
+    }
+    for group in group_runs(benches) {
+        let head = group[0];
+        let (counted, left_out): (Vec<&BenchDoc>, Vec<&BenchDoc>) =
+            group.iter().partition(|doc| doc.counted());
+        let _ = writeln!(
+            page,
+            "<h3>{} <span class=\"meta\">({}{}{})</span></h3>",
+            escape(&head.workload),
+            if head.traced { "per-layer, --trace 1" } else { "end-to-end" },
+            if head.side.is_empty() { "" } else { ", " },
+            escape(&head.side),
+        );
+        for doc in left_out {
             let _ = writeln!(
                 page,
-                "<tr><td><code>{}</code></td><td>{}</td><td>{bar}</td></tr>",
-                escape(&result.key),
-                escape(&result.raw),
+                "<p class=\"meta\">left out: <code>{}</code> (seed {}): disturbed: {}, \
+                 {} of {} operations failed</p>",
+                escape(&doc.file),
+                doc.seed,
+                doc.disturbed,
+                doc.failed,
+                doc.attempted,
+            );
+        }
+        let Some(first) = counted.first() else { continue };
+        let seeds: Vec<String> = counted.iter().map(|doc| doc.seed.to_string()).collect();
+        let _ = writeln!(
+            page,
+            "<p class=\"meta\">runs counted: {}, {}&thinsp;s each; seeds: {}</p>",
+            counted.len(),
+            head.seconds,
+            seeds.join(", "),
+        );
+        page.push_str(
+            "<table><tr><th>metric</th><th>runs</th><th>median</th><th>q1</th><th>q3</th>\
+             <th>unit</th></tr>\n",
+        );
+        for (name, _, unit) in &first.metrics {
+            let values: Vec<f64> = counted
+                .iter()
+                .filter_map(|doc| doc.metrics.iter().find(|(n, ..)| n == name).map(|m| m.1))
+                .collect();
+            let (q1, median, q3) = quartiles(&values);
+            let _ = writeln!(
+                page,
+                "<tr><td><code>{}</code></td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
+                 <td>{}</td></tr>",
+                escape(name),
+                values.len(),
+                fmt_sig(median),
+                fmt_sig(q1),
+                fmt_sig(q3),
+                escape(unit),
             );
         }
         page.push_str("</table>\n");
     }
+}
+
+/// `(q1, median, q3)` of a non-empty sample, by linear interpolation over
+/// the sorted values — the rule `scripts/bench_pair.sh` prints with.
+fn quartiles(values: &[f64]) -> (f64, f64, f64) {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let h = (sorted.len() - 1) as f64 * q;
+        let (lo, hi) = (h.floor() as usize, h.ceil() as usize);
+        sorted[lo] + (h - lo as f64) * (sorted[hi] - sorted[lo])
+    };
+    (at(0.25), at(0.5), at(0.75))
+}
+
+/// Four significant digits, as `scripts/bench_pair.sh` prints.
+fn fmt_sig(v: f64) -> String {
+    if v == 0.0 || !v.is_finite() {
+        return v.to_string();
+    }
+    let decimals = (3 - v.abs().log10().floor() as i32).clamp(0, 9) as usize;
+    format!("{v:.decimals$}")
 }
 
 fn fmt_opt(v: Option<f64>) -> String {
@@ -283,13 +331,15 @@ mod tests {
     use graphex_server::json;
 
     fn sample_inputs() -> ReportInputs {
-        let bench = BenchDoc::parse(
-            "BENCH_demo.json",
-            r#"{"bench": "demo", "description": "a <demo> bench", "date": "2026-08-07",
-                "machine": {"os": "linux"}, "config": {"requests": 100},
-                "results": {"elapsed": "12.5ms", "throughput_per_s": 4000}}"#,
-        )
-        .unwrap();
+        use crate::bench::tests::run;
+        // Five counted pairs, one disturbed base run, one traced run.
+        let mut benches = Vec::new();
+        for (pair, p50) in [40.0, 10.0, 30.0, 20.0, 60.0].into_iter().enumerate() {
+            benches.push(run(&format!("{pair}.base.json"), "edge_<hot>", false, false, p50));
+            benches.push(run(&format!("{pair}.change.json"), "edge_<hot>", false, false, p50 / 4.0));
+        }
+        benches.push(run("5.base.json", "edge_<hot>", false, true, 9000.0));
+        benches.push(run("trace.base.json", "edge_<hot>", true, false, 77.0));
         let history = json::parse(
             r#"{"interval_ms": 1000, "ring": 512, "recorded": 3, "samples": 3,
                 "span_ms": 2000, "ticks": [1,2,3],
@@ -311,7 +361,8 @@ mod tests {
         ReportInputs {
             generated: "2026-08-07".into(),
             source: "in-process".into(),
-            benches: vec![bench],
+            bench_dir: "runs".into(),
+            benches,
             history: Some(history),
             traces: Some(traces),
             eval: Some(crate::evalrun::run_eval(0x9E, 4)),
@@ -332,9 +383,16 @@ mod tests {
             "GraphEx",
             "redundancy",
             "Recorded benchmarks",
-            "BENCH_demo.json",
-            "12.5ms",
-            "a &lt;demo&gt; bench",
+            "edge_&lt;hot&gt; <span class=\"meta\">(end-to-end, base)",
+            "(end-to-end, change)",
+            "(per-layer, --trace 1, base)",
+            "runs counted: 5, 10&thinsp;s each; seeds: 7, 7, 7, 7, 7",
+            // p50_us over the five counted base runs: median, q1, q3 —
+            // the disturbed 9000 is named and left out.
+            "<td><code>p50_us</code></td><td>5</td><td>30.00</td><td>20.00</td><td>40.00</td><td>us</td>",
+            "<td><code>p50_us</code></td><td>5</td><td>7.500</td><td>5.000</td><td>10.00</td><td>us</td>",
+            "left out: <code>5.base.json</code> (seed 7): disturbed: true, 0 of 400 operations failed",
+            "<td><code>p50_us</code></td><td>1</td><td>77.00</td>",
         ] {
             assert!(page.contains(needle), "page missing {needle:?}");
         }
@@ -354,11 +412,11 @@ mod tests {
 
     #[test]
     fn empty_inputs_still_render() {
-        let page = render(&ReportInputs::default());
+        let page = render(&ReportInputs { bench_dir: "some/dir".into(), ..Default::default() });
         assert!(page.contains("no live server was sampled"));
         assert!(page.contains("no trace records"));
         assert!(page.contains("evaluation was skipped"));
-        assert!(page.contains("no BENCH_*.json files"));
+        assert!(page.contains("no benchmark documents (*.json) were found in some/dir."));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! <root>/
 //!   CURRENT           ← decimal version of the active snapshot (atomic rename)
 //!   3/
-//!     model.gexm      ← GEXM snapshot (v2 preferred; v1 accepted)
+//!     model.gexm      ← GEXM snapshot
 //!     MANIFEST        ← key<space>value lines: checksum, counts, metadata
 //!   4/ …
 //! ```
@@ -97,7 +97,7 @@ pub type RegistryResult<T> = std::result::Result<T, RegistryError>;
 pub struct SnapshotMeta {
     /// Registry version (directory name).
     pub version: u64,
-    /// GEXM format version inside the snapshot (1 or 2).
+    /// GEXM format version inside the snapshot.
     pub format: u32,
     /// FNV-1a of the whole `model.gexm` file.
     pub checksum: u64,
@@ -435,8 +435,8 @@ impl ModelRegistry {
         self.publish_bytes(&serialize::to_bytes(model), note)
     }
 
-    /// Publishes an already-serialized snapshot file (any supported GEXM
-    /// version; bytes are stored verbatim). This is the CLI ingest path.
+    /// Publishes an already-serialized snapshot file (bytes are stored
+    /// verbatim). This is the CLI ingest path.
     pub fn publish_file(&self, path: impl AsRef<Path>, note: &str) -> RegistryResult<SnapshotMeta> {
         let bytes = std::fs::read(path)?;
         self.publish_bytes(&bytes, note)
@@ -1000,21 +1000,36 @@ mod tests {
     }
 
     #[test]
-    fn publish_file_accepts_v1_snapshots() {
-        let root = tempdir("v1file");
+    fn publish_file_admits_a_snapshot_and_refuses_other_versions() {
+        let root = tempdir("pubfile");
         let registry = ModelRegistry::open(&root).unwrap();
-        let m = model(7);
-        let v1_path = root.join("legacy.gexm");
-        std::fs::create_dir_all(&root).unwrap();
-        std::fs::write(&v1_path, graphex_core::serialize::to_bytes_v1(&m)).unwrap();
-        let meta = registry.publish_file(&v1_path, "migrated from v1").unwrap();
-        assert_eq!(meta.format, 1);
+        let path = root.join("incoming.gexm");
+        let mut bytes = serialize::to_bytes(&model(7)).to_vec();
+        std::fs::write(&path, &bytes).unwrap();
+        let meta = registry.publish_file(&path, "from a file").unwrap();
+        assert_eq!(meta.format, 2);
         assert_eq!(registry.current_version(), Some(1));
         let active = registry.current().unwrap();
         let resp = active
             .engine
             .infer(&InferRequest::new("brand7 widget model3", LeafId(1)).k(3));
         assert!(resp.is_servable());
+
+        // An intact file of another format version is a rejected
+        // admission: nothing lands in the registry, CURRENT stays put.
+        let n = bytes.len();
+        bytes[4] = 1;
+        let sum = serialize::checksum(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = registry.publish_file(&path, "version word 1").unwrap_err();
+        assert!(
+            matches!(err, RegistryError::Model(GraphExError::UnsupportedVersion(1))),
+            "{err}"
+        );
+        assert_eq!(registry.current_version(), Some(1));
+        assert_eq!(registry.versions().unwrap(), [1]);
+        assert_eq!(std::fs::read_to_string(root.join(CURRENT_FILE)).unwrap().trim(), "1");
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -1,9 +1,9 @@
 //! Model lifecycle integration: the acceptance criteria of the snapshot
 //! subsystem.
 //!
-//! * a v1 model round-trips through v2 with **byte-identical inference
-//!   results** (this is also the CI migration gate — see
-//!   `.github/workflows/ci.yml`),
+//! * a model round-trips through its snapshot bytes to a **byte fixpoint
+//!   with identical inference results**, loaded zero-copy (this is also
+//!   the CI round-trip gate — see `.github/workflows/ci.yml`),
 //! * the registry hot-swaps under concurrent request load with **zero
 //!   failed requests**, and `rollback` restores the prior version,
 //! * batch and NRT consumers follow the watch across republishes.
@@ -64,49 +64,46 @@ fn tempdir(name: &str) -> PathBuf {
     dir
 }
 
-/// v1 → load → v2 → load: inference outputs must be byte-identical at
-/// every hop (`Prediction` is `Eq`, so this compares every ranking
-/// attribute, not just the texts).
+/// save → load → save: the second save is byte-identical to the first,
+/// and inference outputs are identical at every hop (`Prediction` is
+/// `Eq`, so this compares every ranking attribute, not just the texts).
 #[test]
-fn v1_to_v2_roundtrip_is_inference_identical() {
+fn snapshot_roundtrip_is_a_byte_fixpoint_and_inference_identical() {
     let original = build_model(&[]);
     let expected = infer_all(&original);
 
-    let v1_bytes = serialize::to_bytes_v1(&original);
-    let from_v1 = serialize::from_bytes(&v1_bytes).expect("v1 load");
-    assert_eq!(expected, infer_all(&from_v1), "v1 load changed inference results");
+    let bytes = serialize::to_bytes(&original);
+    let loaded = serialize::from_shared(bytes.clone()).expect("load");
+    assert_eq!(expected, infer_all(&loaded), "round-trip changed inference results");
+    assert_eq!(bytes, serialize::to_bytes(&loaded), "save → load → save is not a fixpoint");
 
-    let v2_bytes = serialize::to_bytes(&from_v1);
-    let from_v2 = serialize::from_shared(v2_bytes).expect("v2 load");
-    assert_eq!(expected, infer_all(&from_v2), "v2 round-trip changed inference results");
-
-    // And the v2 load really borrowed its arrays.
-    assert!(from_v2.leaf_ids().all(|l| from_v2.leaf_graph(l).unwrap().is_zero_copy()));
-    assert!(from_v1.leaf_ids().all(|l| !from_v1.leaf_graph(l).unwrap().is_zero_copy()));
+    // And the load really borrowed its arrays.
+    assert!(loaded.leaf_ids().all(|l| loaded.leaf_graph(l).unwrap().is_zero_copy()));
 }
 
-/// The same equality, through registry publish of a v1 *file* — the CLI
-/// migration path (`graphex model publish --input legacy.gexm`).
+/// The same equality through the registry: `publish_file` of a snapshot
+/// *file* — the CLI path (`graphex model publish --input m.gexm`) — is
+/// `publish` of the model it holds.
 #[test]
-fn registry_serves_v1_and_v2_snapshots_identically() {
-    let root = tempdir("mixed-formats");
+fn registry_serves_published_files_and_models_identically() {
+    let root = tempdir("file-and-model");
     let model = build_model(&[]);
     let expected = infer_all(&model);
 
-    let v1_path = root.join("legacy.gexm");
-    std::fs::write(&v1_path, serialize::to_bytes_v1(&model)).unwrap();
+    let path = root.join("incoming.gexm");
+    serialize::save_to(&model, &path).unwrap();
 
     let registry = ModelRegistry::open(root.join("registry")).unwrap();
-    let meta_v1 = registry.publish_file(&v1_path, "legacy v1 import").unwrap();
-    assert_eq!(meta_v1.format, 1);
-    let served_v1 = infer_all(registry.current().unwrap().engine.model());
+    let from_file = registry.publish_file(&path, "from a file").unwrap();
+    let served_file = infer_all(registry.current().unwrap().engine.model());
 
-    let meta_v2 = registry.publish(&model, "rewritten as v2").unwrap();
-    assert_eq!(meta_v2.format, 2);
-    let served_v2 = infer_all(registry.current().unwrap().engine.model());
+    let from_model = registry.publish(&model, "from a model").unwrap();
+    let served_model = infer_all(registry.current().unwrap().engine.model());
 
-    assert_eq!(expected, served_v1);
-    assert_eq!(expected, served_v2);
+    assert_eq!((from_file.format, from_file.checksum), (2, from_model.checksum));
+    assert_eq!(from_model.format, 2);
+    assert_eq!(expected, served_file);
+    assert_eq!(expected, served_model);
     std::fs::remove_dir_all(&root).ok();
 }
 
