@@ -58,7 +58,7 @@ fn bench_kernel(c: &mut Criterion) {
     config.curation.min_search_count = 2;
     let built = GraphExBuilder::new(config).add_records(ds.keyphrase_records()).build().unwrap();
     // Serve what a registry would: the snapshot loaded back, arrays borrowed.
-    let engine = Engine::from_model(serialize::from_shared(serialize::to_bytes(&built)).unwrap());
+    let engine = Engine::from_model(serialize::to_bytes(&built).parse().unwrap());
     let items = &ds.marketplace.items;
 
     let mut group = c.benchmark_group("inference_kernel_bench200k");

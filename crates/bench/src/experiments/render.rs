@@ -398,7 +398,11 @@ pub fn fig6(studies: &[Study]) -> String {
     let href: Vec<&str> = header.iter().map(String::as_str).collect();
     format!(
         "Figure 6a — amortized per-record inference latency\n\n{}\n\
-         Figure 6b — model sizes\n\n{}\n\
+         Figure 6b — model sizes\n\n{}\
+         (GraphEx: its serialized snapshot. Graphite: estimated heap, of which its token\n\
+         vocabulary is now exact — `Vocab::heap_bytes` is the capacities of its three\n\
+         buffers, no longer an estimate of two boxed copies per string — so that row\n\
+         differs from runs made before the vocabulary was flattened.)\n\n\
          Sec. IV-G — construction/training time\n\n{}",
         render(&href, &latency_rows),
         render(&href, &size_rows),

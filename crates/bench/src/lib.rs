@@ -6,8 +6,8 @@
 //! render the paper's tables from it.
 //!
 //! Scale control: set `GRAPHEX_SCALE=quick` to run everything on miniature
-//! datasets (seconds, for smoke-testing the harness);the default is the
-//! full laptop-scale presets used by EXPERIMENTS.md.
+//! datasets (seconds, for smoke-testing the harness); the default is the
+//! full laptop-scale presets (the CAT_1/2/3 specs of `graphex-marketsim`).
 //!
 //! ```bash
 //! cargo run --release -p graphex-bench --bin table3     # one experiment

@@ -164,13 +164,18 @@ fn render_text(report: &BuildReport) -> String {
         c.merged_duplicates,
         c.dropped_leaf_cap,
     );
-    let fallback = if report.fallback_reused { ", fallback reused" } else { "" };
+    let t = &report.stages;
+    let _ = writeln!(
+        out,
+        "stages: shards {:.1} ms, merge {:.1} ms, fallback {:.1} ms, serialize {:.1} ms",
+        t.shards_ms, t.merge_ms, t.fallback_ms, t.serialize_ms,
+    );
     match report.delta_base {
         Some(base) => {
             let _ = writeln!(
                 out,
-                "leaves: {} total — {} built, {} reused from delta base {:016x}{}",
-                report.leaves_total, report.leaves_built, report.leaves_reused, base, fallback,
+                "leaves: {} total — {} built, {} reused from delta base {:016x}",
+                report.leaves_total, report.leaves_built, report.leaves_reused, base,
             );
         }
         None => {
@@ -236,13 +241,26 @@ fn render_json(report: &BuildReport) -> Json {
         ("leaves_total", Json::uint(report.leaves_total as u64)),
         ("leaves_built", Json::uint(report.leaves_built as u64)),
         ("leaves_reused", Json::uint(report.leaves_reused as u64)),
-        ("fallback_reused", Json::Bool(report.fallback_reused)),
         ("jobs", Json::uint(report.jobs as u64)),
         ("keyphrases", Json::uint(report.keyphrases as u64)),
         ("tokens", Json::uint(report.tokens as u64)),
         ("snapshot_bytes", Json::uint(report.snapshot_bytes as u64)),
         ("snapshot_checksum", Json::str(format!("{:016x}", report.snapshot_checksum))),
         ("wall_ms", Json::uint(report.wall_ms)),
+        (
+            "stages_ms",
+            Json::obj(
+                [
+                    ("shards", report.stages.shards_ms),
+                    ("merge", report.stages.merge_ms),
+                    ("fallback", report.stages.fallback_ms),
+                    ("serialize", report.stages.serialize_ms),
+                ]
+                .into_iter()
+                .map(|(stage, ms)| (stage, Json::num((ms * 1e3).round() / 1e3)))
+                .collect(),
+            ),
+        ),
     ];
     if let Some(base) = report.delta_base {
         members.push(("delta_base", Json::str(format!("{base:016x}"))));

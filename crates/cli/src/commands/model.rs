@@ -148,7 +148,7 @@ fn inspect(args: &ParsedArgs) -> Result<String, String> {
     let (source, bytes) = snapshot_bytes(args)?;
     let info = serialize::inspect(&bytes).map_err(|e| format!("inspect {source}: {e}"))?;
     let mut out = render_info(&source, &info);
-    render_buildinfo_check(&source, &bytes, &mut out)?;
+    render_buildinfo_check(&source, info.file_checksum, &mut out)?;
     Ok(out)
 }
 
@@ -157,14 +157,13 @@ fn inspect(args: &ParsedArgs) -> Result<String, String> {
 /// with, so a mismatch means the sidecar describes a *different* build
 /// (stale copy, mixed-up files) — exactly what an operator inspecting a
 /// registry wants to catch.
-fn render_buildinfo_check(source: &str, bytes: &[u8], out: &mut String) -> Result<(), String> {
+fn render_buildinfo_check(source: &str, actual: u64, out: &mut String) -> Result<(), String> {
     let info_path = graphex_pipeline::buildinfo_path_for(std::path::Path::new(source));
     if !info_path.is_file() {
         return Ok(());
     }
     let manifest = graphex_pipeline::BuildManifest::load(&info_path)
         .map_err(|e| format!("buildinfo: {e}"))?;
-    let actual = serialize::checksum(bytes);
     if manifest.snapshot_checksum == actual {
         let _ = writeln!(
             out,
@@ -186,9 +185,11 @@ fn render_buildinfo_check(source: &str, bytes: &[u8], out: &mut String) -> Resul
 
 fn verify(args: &ParsedArgs) -> Result<String, String> {
     let (source, bytes) = snapshot_bytes(args)?;
-    // One full structural parse; the info view derives from it.
-    let model = serialize::from_bytes(&bytes).map_err(|e| format!("verify {source}: {e}"))?;
-    let info = serialize::inspect_model(&model, &bytes);
+    // One hash pass, one full structural parse, and the header read
+    // back from the buffer both vouch for.
+    let snapshot = serialize::hash(bytes.into());
+    let model = snapshot.parse().map_err(|e| format!("verify {source}: {e}"))?;
+    let info = snapshot.inspect().map_err(|e| format!("verify {source}: {e}"))?;
     Ok(format!(
         "OK: {source}\n{}model loads: {} leaves, {} keyphrases\n",
         render_info(&source, &info),

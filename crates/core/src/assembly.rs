@@ -22,7 +22,9 @@
 //!    id order reproduces exactly the global first-occurrence order a
 //!    single sequential pass over the canonical record stream would have
 //!    produced, so the merged model — and its `GEXM v2` serialization —
-//!    is byte-identical no matter how stages 2 ran (1 thread or N).
+//!    is byte-identical no matter how stages 2 ran (1 thread or N). The
+//!    meta-fallback graph is then a fold over the merged leaves
+//!    ([`ModelAssembler::derive_fallback`]) — no record is read twice.
 //!
 //! [`leaf_fingerprint`] / [`config_fingerprint`] are the content hashes
 //! delta builds store in their build manifest to decide which leaves can
@@ -258,16 +260,23 @@ impl GraphParts {
     /// tie-break of ranking is that id, so it must not depend on the id
     /// space the records came in with; its `row_tokens()` are the token
     /// ids as pushed.
-    pub(crate) fn finish(self) -> (LeafGraph, Vec<u32>) {
-        let graph = LeafGraph::new(
+    pub(crate) fn finish(mut self) -> (LeafGraph, Vec<u32>) {
+        let identity = (0..self.labels.len() as u32).collect();
+        let keyphrases = std::mem::replace(&mut self.labels, identity);
+        (self.finish_as_pushed(), keyphrases)
+    }
+
+    /// The assembled graph under the ids the records came in with: its
+    /// label ids are the keyphrase ids, its `row_tokens()` the token ids.
+    fn finish_as_pushed(self) -> LeafGraph {
+        LeafGraph::new(
             self.row_tokens,
             self.edges,
-            (0..self.labels.len() as u32).collect(),
+            self.labels,
             self.label_len,
             self.search,
             self.recall,
-        );
-        (graph, self.labels)
+        )
     }
 }
 
@@ -394,10 +403,11 @@ pub struct ModelAssembler {
     tokens: Vocab,
     keyphrases: Vocab,
     leaves: FxHashMap<LeafId, LeafGraph>,
+    /// The leaves added so far, ascending.
+    order: Vec<LeafId>,
     fallback: Option<Box<LeafGraph>>,
     alignment: crate::Alignment,
     stemming: bool,
-    last_leaf: Option<LeafId>,
     /// Remap scratch, reused across leaves.
     tok_map: Vec<u32>,
     kp_map: Vec<u32>,
@@ -409,10 +419,10 @@ impl ModelAssembler {
             tokens: Vocab::new(),
             keyphrases: Vocab::new(),
             leaves: FxHashMap::default(),
+            order: Vec::new(),
             fallback: None,
             alignment: config.alignment,
             stemming: config.stemming,
-            last_leaf: None,
             tok_map: Vec::new(),
             kp_map: Vec::new(),
         }
@@ -427,21 +437,77 @@ impl ModelAssembler {
     /// (but still valid-looking) vocabulary layout.
     pub fn add_leaf(&mut self, leaf: LeafId, assembly: &LeafAssembly) {
         assert!(
-            self.last_leaf.map_or(true, |prev| prev < leaf),
+            self.order.last().map_or(true, |&prev| prev < leaf),
             "leaves must merge in ascending order ({:?} after {:?})",
             leaf,
-            self.last_leaf
+            self.order.last()
         );
-        self.last_leaf = Some(leaf);
+        self.order.push(leaf);
         let graph = self.globalize(assembly);
         self.leaves.insert(leaf, graph);
     }
 
-    /// Re-interns the meta-fallback assembly. Call after every leaf (the
-    /// sequential pass builds the fallback last; keeping that order makes
-    /// the merge reproduce its vocabulary layout exactly — in practice
-    /// the fallback introduces no new strings, but the order is part of
-    /// the determinism contract).
+    /// Builds the meta-fallback graph — one graph over the whole corpus —
+    /// from the leaves merged so far. Call after every leaf.
+    ///
+    /// A fold over integers, not a second build from records: each merged
+    /// leaf already holds, per label, the global keyphrase id, the counts
+    /// and (as its CSR) the global token ids, so the leaves are pushed
+    /// through `GraphParts` — ascending, labels in label order, each
+    /// label's tokens recovered by transposing the leaf's CSR. That is the
+    /// graph one [`LeafAssembly::build`] over the canonical record stream
+    /// would produce, byte for byte: a leaf's label order is first
+    /// occurrence in that stream; a record whose keyphrase was already met
+    /// adds no rows; summing (saturating) and maxing a leaf's
+    /// already-merged label equals folding in its records one by one; and
+    /// no string is interned. The transpose yields a label's tokens by
+    /// ascending leaf row where the record stream had them by ascending
+    /// *string*, which numbers the fallback's rows alike: a token new to
+    /// the fallback is new to its leaf too (every earlier label of the
+    /// leaf is in the fallback already), and a label's new tokens took
+    /// their leaf rows in string order.
+    pub fn derive_fallback(&mut self) {
+        let edges = self.order.iter().map(|leaf| self.leaves[leaf].num_edges()).sum();
+        let mut parts = GraphParts::with_capacity(self.keyphrases.len(), self.tokens.len(), edges);
+        // One leaf's CSR transposed: label `l`'s tokens end at `ends[l]`
+        // and start where the label before it ends.
+        let (mut ends, mut tokens): (Vec<usize>, Vec<u32>) = (Vec::new(), Vec::new());
+        for leaf in &self.order {
+            let graph = &self.leaves[leaf];
+            let (offsets, targets) = graph.csr_parts();
+            // Count into the slot after each label, prefix-sum to starts,
+            // and let the fill advance every start to its end.
+            ends.clear();
+            ends.resize(graph.labels().len() + 1, 0);
+            for &label in targets {
+                ends[label as usize + 1] += 1;
+            }
+            for label in 1..ends.len() {
+                ends[label] += ends[label - 1];
+            }
+            tokens.clear();
+            tokens.resize(targets.len(), 0);
+            for (row, &token) in graph.row_tokens().iter().enumerate() {
+                for &label in &targets[offsets[row] as usize..offsets[row + 1] as usize] {
+                    tokens[ends[label as usize]] = token;
+                    ends[label as usize] += 1;
+                }
+            }
+            let mut start = 0;
+            for (label, &keyphrase) in graph.labels().iter().enumerate() {
+                let words = &tokens[start..ends[label]];
+                start = ends[label];
+                parts.push(keyphrase, words, graph.searches()[label], graph.recalls()[label]);
+            }
+        }
+        self.fallback = Some(Box::new(parts.finish_as_pushed()));
+    }
+
+    /// Installs an already-assembled meta-fallback graph, re-interning its
+    /// vocabularies. For `emit_shards` only: a shard carries the *global*
+    /// fallback, which it cannot derive from its own leaves. Call after
+    /// every leaf — the fallback introduces no new strings, but the order
+    /// is part of the determinism contract.
     pub fn set_fallback(&mut self, assembly: &LeafAssembly) {
         let graph = self.globalize(assembly);
         self.fallback = Some(Box::new(graph));
@@ -512,7 +578,7 @@ pub fn assemble_model(config: &GraphExConfig, curated_sorted: &[KeyphraseRecord]
         assembler.add_leaf(leaf, &assembly);
     }
     if config.build_meta_fallback {
-        assembler.set_fallback(&LeafAssembly::build(curated_sorted, &mut ctx));
+        assembler.derive_fallback();
     }
     assembler.finish()
 }
@@ -573,12 +639,12 @@ mod tests {
     #[test]
     fn relocalized_assembly_reproduces_bytes() {
         // Build → serialize → load (zero-copy) → relocalize every leaf +
-        // fallback → re-merge: the delta-borrow path must reproduce the
-        // exact bytes of a from-records build.
+        // fallback → re-merge: the shard-emission path must reproduce
+        // the exact bytes of a from-records build.
         let config = no_curation();
         let model = GraphExBuilder::new(config.clone()).add_records(corpus()).build().unwrap();
         let bytes = serialize::to_bytes(&model);
-        let loaded = serialize::from_shared(bytes.clone()).unwrap();
+        let loaded = bytes.parse().unwrap();
 
         let mut leaves: Vec<LeafId> = loaded.leaf_ids().collect();
         leaves.sort_unstable();
@@ -598,7 +664,7 @@ mod tests {
         let (mut curated, _) = curate(corpus(), &config.curation);
         canonicalize(&mut curated);
         let reference = assemble_model(&config, &curated);
-        let loaded = serialize::from_shared(serialize::to_bytes(&reference)).unwrap();
+        let loaded = serialize::to_bytes(&reference).parse().unwrap();
 
         // Rebuild even leaves from records, borrow odd leaves from the
         // previous model; the result must be byte-identical either way.
@@ -612,7 +678,7 @@ mod tests {
             };
             assembler.add_leaf(leaf, &assembly);
         }
-        assembler.set_fallback(&LeafAssembly::from_model_fallback(&loaded).unwrap());
+        assembler.derive_fallback();
         let mixed = assembler.finish();
         assert_eq!(serialize::to_bytes(&mixed), serialize::to_bytes(&reference));
     }

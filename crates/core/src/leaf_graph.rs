@@ -15,8 +15,8 @@ use graphex_textkit::{FxHashMap, TokenId};
 /// Bipartite word→keyphrase graph for one leaf category.
 ///
 /// All integer arrays are stores: owned when the graph was built
-/// in-process (or loaded from a v1 file), borrowed zero-copy from the
-/// snapshot buffer when loaded from `GEXM v2`. Only `word_rows` — the
+/// in-process, borrowed zero-copy from the snapshot buffer when loaded
+/// from `GEXM v2`. Only `word_rows` — the
 /// token → row hash index — is materialized at load time, and that is
 /// O(words), not O(edges).
 #[derive(Debug, Clone)]

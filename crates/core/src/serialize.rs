@@ -35,6 +35,10 @@
 //! row-tokens, CSR offsets, CSR targets, labels, label-lens (u16),
 //! search counts, recall counts.
 //!
+//! A buffer is hashed **once**: one FNV-1a walk yields the trailer (the
+//! state after the payload) and the whole-file checksum manifests record
+//! (the same state carried over the trailer), and a [`Hashed`] carries
+//! both with the bytes so that nothing downstream hashes again.
 //! Deserialization validates every structural invariant (checksum first,
 //! then the version word, CSR monotonicity, parallel array lengths, label
 //! ranges, section bounds/alignment) and fails with
@@ -78,15 +82,104 @@ pub mod section {
     pub const RECALL: u32 = 10;
 }
 
-/// FNV-1a of `data` — the checksum trailer of a snapshot and the value the
-/// registry records in snapshot manifests.
+/// FNV-1a of `data` — over a snapshot's payload it is the trailer, over
+/// the whole file the value the registry and `BUILDINFO` record. Holders
+/// of a [`Hashed`] have both already.
 pub fn checksum(data: &[u8]) -> u64 {
     fnv1a(data)
 }
 
+/// A snapshot buffer with the one FNV-1a pass it needs already made.
+///
+/// FNV-1a is a running state: the state after the payload *is* the
+/// trailer a sound file stores, and carried on over those 8 bytes it *is*
+/// the whole-file checksum manifests record. [`hash`] walks a buffer once
+/// and keeps both; [`Hashed::parse`] and [`Hashed::inspect`] judge the
+/// buffer by them without reading it again, and [`to_bytes`] returns one
+/// because it computed the same state to write the trailer. Derefs to the
+/// bytes; compares equal when the bytes do.
+#[derive(Clone)]
+pub struct Hashed {
+    bytes: Bytes,
+    sums: Sums,
+}
+
+/// FNV-1a after a buffer's payload (everything but its last 8 bytes) and
+/// after the whole of it.
+#[derive(Debug, Clone, Copy)]
+struct Sums {
+    payload: u64,
+    file: u64,
+}
+
+/// Walks `data` once. Nothing is judged yet — not even the length — so
+/// this cannot fail: the checks run, on the sums, when the buffer is
+/// parsed or inspected.
+pub fn hash(data: Bytes) -> Hashed {
+    let sums = Sums::of(&data);
+    Hashed { bytes: data, sums }
+}
+
+impl Hashed {
+    /// FNV-1a of the whole buffer: what [`checksum`] would return.
+    pub fn checksum(&self) -> u64 {
+        self.sums.file
+    }
+
+    /// The buffer itself.
+    pub fn into_bytes(self) -> Bytes {
+        self.bytes
+    }
+
+    /// Checks trailer, magic and version, then parses the model,
+    /// borrowing all array sections from the buffer — [`from_shared`]
+    /// without its hash pass.
+    pub fn parse(&self) -> Result<GraphExModel> {
+        self.sums.check(&self.bytes)?;
+        if self.bytes.as_ptr() as usize % 8 == 0 {
+            parse_v2(self.bytes.clone())
+        } else {
+            parse_v2(Bytes::from_owner(AlignedBuf::copy_from(&self.bytes)))
+        }
+    }
+
+    /// [`inspect`] without its hash pass.
+    pub fn inspect(&self) -> Result<SnapshotInfo> {
+        self.sums.info(&self.bytes)
+    }
+}
+
+impl std::ops::Deref for Hashed {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl AsRef<[u8]> for Hashed {
+    fn as_ref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl PartialEq for Hashed {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for Hashed {}
+
+impl std::fmt::Debug for Hashed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Hashed({} bytes, checksum {:016x})", self.bytes.len(), self.sums.file)
+    }
+}
+
 /// Serializes `model` (see the module docs for the layout); the result
-/// loads zero-copy.
-pub fn to_bytes(model: &GraphExModel) -> Bytes {
+/// loads zero-copy, and knows its own checksum from writing the trailer.
+pub fn to_bytes(model: &GraphExModel) -> Hashed {
     let leaf_ids = sorted_leaf_ids(model);
 
     let mut buf = BytesMut::with_capacity(4096);
@@ -139,9 +232,10 @@ pub fn to_bytes(model: &GraphExModel) -> Bytes {
     buf[16..24].copy_from_slice(&dir_offset.to_le_bytes());
     buf[24..28].copy_from_slice(&section_count.to_le_bytes());
 
-    let checksum = fnv1a(&buf);
-    buf.put_u64_le(checksum);
-    buf.freeze()
+    let payload = fnv1a(&buf);
+    buf.put_u64_le(payload);
+    let sums = Sums { payload, file: fnv1a_from(payload, &payload.to_le_bytes()) };
+    Hashed { bytes: buf.freeze(), sums }
 }
 
 /// One directory entry (also returned by [`inspect`]).
@@ -165,7 +259,7 @@ pub struct RawSection {
 /// refcounted). Call [`from_shared`] (or [`load_from`]) with an aligned
 /// [`Bytes`] to skip the realign copy entirely.
 pub fn from_bytes(data: &[u8]) -> Result<GraphExModel> {
-    preflight(data)?;
+    Sums::of(data).check(data)?;
     parse_v2(Bytes::from_owner(AlignedBuf::copy_from(data)))
 }
 
@@ -176,12 +270,7 @@ pub fn from_bytes(data: &[u8]) -> Result<GraphExModel> {
 /// (buffers produced by [`AlignedBuf`] — and any mmap — always are); an
 /// unaligned buffer is realigned with one copy rather than rejected.
 pub fn from_shared(data: Bytes) -> Result<GraphExModel> {
-    preflight(&data)?;
-    if data.as_ptr() as usize % 8 == 0 {
-        parse_v2(data)
-    } else {
-        parse_v2(Bytes::from_owner(AlignedBuf::copy_from(&data)))
-    }
+    hash(data).parse()
 }
 
 fn parse_v2(data: Bytes) -> Result<GraphExModel> {
@@ -349,7 +438,13 @@ fn pad_to_8(buf: &mut BytesMut) {
 
 fn put_vocab_blob(buf: &mut BytesMut, vocab: &Vocab) {
     for (_, s) in vocab.iter() {
-        debug_assert!(s.len() <= u16::MAX as usize);
+        // A longer string would be written with a wrapped length under a
+        // valid checksum: a snapshot that fails its own admission.
+        assert!(
+            s.len() <= u16::MAX as usize,
+            "vocab string of {} bytes does not fit the format's u16 length",
+            s.len()
+        );
         buf.put_u16_le(s.len() as u16);
         buf.put_slice(s.as_bytes());
     }
@@ -358,11 +453,13 @@ fn put_vocab_blob(buf: &mut BytesMut, vocab: &Vocab) {
 fn get_vocab_blob(mut blob: &[u8], count: u64) -> Result<Vocab> {
     let count = usize::try_from(count)
         .map_err(|_| GraphExError::Corrupt("implausible vocab count".into()))?;
-    if count > blob.len() {
-        // Every entry takes at least 2 bytes; cheap plausibility gate.
+    if count > blob.len() / 2 {
+        // Every entry takes at least 2 bytes: bounds what is allocated
+        // on the word of a count field.
         return Err(GraphExError::Corrupt(format!("implausible vocab count: {count}")));
     }
-    let mut vocab = Vocab::with_capacity(count);
+    // Exact: every entry is a 2-byte length and its string.
+    let mut vocab = Vocab::with_capacities(count, blob.len() - 2 * count);
     for i in 0..count {
         if blob.remaining() < 2 {
             return Err(GraphExError::Corrupt("truncated vocab entry length".into()));
@@ -425,26 +522,63 @@ fn read_u64(data: &[u8], at: usize) -> u64 {
 // Common entry points
 // ====================================================================
 
-/// Verifies the checksum trailer, the magic and the version word. The
-/// checksum runs **first**, so any corruption — including of the version
-/// field itself — reports [`GraphExError::Corrupt`], never a bogus
-/// [`GraphExError::UnsupportedVersion`]; that is kept for a buffer that
-/// is intact but of a version this build does not read.
-fn preflight(data: &[u8]) -> Result<()> {
-    if data.len() < MAGIC.len() + 4 + 2 + 8 {
-        return Err(GraphExError::Corrupt("file too short".into()));
+impl Sums {
+    /// The one pass.
+    fn of(data: &[u8]) -> Self {
+        let (payload, trailer) = data.split_at(data.len().saturating_sub(8));
+        let payload = fnv1a(payload);
+        Self { payload, file: fnv1a_from(payload, trailer) }
     }
-    let (payload, trailer) = data.split_at(data.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-    if fnv1a(payload) != stored {
-        return Err(GraphExError::Corrupt("checksum mismatch".into()));
+
+    /// Verifies the checksum trailer, the magic and the version word of
+    /// the buffer these sums were taken over. The trailer is judged
+    /// **first**, so any corruption — including of the version field
+    /// itself — reports [`GraphExError::Corrupt`], never a bogus
+    /// [`GraphExError::UnsupportedVersion`]; that is kept for a buffer
+    /// that is intact but of a version this build does not read.
+    fn check(&self, data: &[u8]) -> Result<()> {
+        if data.len() < MAGIC.len() + 4 + 2 + 8 {
+            return Err(GraphExError::Corrupt("file too short".into()));
+        }
+        if self.payload != read_u64(data, data.len() - 8) {
+            return Err(GraphExError::Corrupt("checksum mismatch".into()));
+        }
+        if &data[..4] != MAGIC {
+            return Err(GraphExError::Corrupt("bad magic".into()));
+        }
+        match read_u32(data, 4) {
+            VERSION_V2 => Ok(()),
+            other => Err(GraphExError::UnsupportedVersion(other)),
+        }
     }
-    if &payload[..4] != MAGIC {
-        return Err(GraphExError::Corrupt("bad magic".into()));
-    }
-    match read_u32(payload, 4) {
-        VERSION_V2 => Ok(()),
-        other => Err(GraphExError::UnsupportedVersion(other)),
+
+    /// [`Sums::check`], then the header and directory as a
+    /// [`SnapshotInfo`].
+    fn info(&self, data: &[u8]) -> Result<SnapshotInfo> {
+        self.check(data)?;
+        if data.len() < V2_HEADER_LEN + 8 {
+            return Err(GraphExError::Corrupt("v2 file too short".into()));
+        }
+        let sections = read_directory(data)?;
+        let elems_of = |kind: u32| {
+            sections
+                .iter()
+                .find(|s| s.kind == kind && s.owner == V2_NO_OWNER)
+                .map_or(0, |s| s.elems)
+        };
+        Ok(SnapshotInfo {
+            version: VERSION_V2,
+            stemming: data[8] & 1 != 0,
+            has_fallback: data[8] & 2 != 0,
+            alignment: alignment_from_tag(data[9])?,
+            num_leaves: u64::from(read_u32(data, 12)),
+            num_tokens: elems_of(section::TOKENS_VOCAB),
+            num_keyphrases: elems_of(section::KEYPHRASES_VOCAB),
+            num_sections: read_u32(data, 24),
+            size_bytes: data.len(),
+            checksum: self.payload,
+            file_checksum: self.file,
+        })
     }
 }
 
@@ -569,53 +703,15 @@ pub struct SnapshotInfo {
     pub size_bytes: usize,
     /// The stored FNV-1a trailer.
     pub checksum: u64,
+    /// FNV-1a of the whole file, trailer included: what the registry
+    /// `MANIFEST` and `BUILDINFO` record.
+    pub file_checksum: u64,
 }
 
-/// Inspects a serialized snapshot from its header and directory.
+/// Inspects a serialized snapshot from its header and directory (after
+/// the one hash pass that vouches for them).
 pub fn inspect(data: &[u8]) -> Result<SnapshotInfo> {
-    preflight(data)?;
-    if data.len() < V2_HEADER_LEN + 8 {
-        return Err(GraphExError::Corrupt("v2 file too short".into()));
-    }
-    let sections = read_directory(data)?;
-    let elems_of = |kind: u32| {
-        sections
-            .iter()
-            .find(|s| s.kind == kind && s.owner == V2_NO_OWNER)
-            .map_or(0, |s| s.elems)
-    };
-    Ok(SnapshotInfo {
-        version: VERSION_V2,
-        stemming: data[8] & 1 != 0,
-        has_fallback: data[8] & 2 != 0,
-        alignment: alignment_from_tag(data[9])?,
-        num_leaves: u64::from(read_u32(data, 12)),
-        num_tokens: elems_of(section::TOKENS_VOCAB),
-        num_keyphrases: elems_of(section::KEYPHRASES_VOCAB),
-        num_sections: read_u32(data, 24),
-        size_bytes: data.len(),
-        checksum: u64::from_le_bytes(data[data.len() - 8..].try_into().expect("trailer")),
-    })
-}
-
-/// Builds a [`SnapshotInfo`] for a model that was *already parsed* from
-/// `data` — header fields are read back without re-validating or
-/// re-scanning the buffer, so callers that hold both (e.g. registry
-/// `verify`) pay exactly one parse. `data` must be the validated bytes
-/// the model came from.
-pub fn inspect_model(model: &GraphExModel, data: &[u8]) -> SnapshotInfo {
-    SnapshotInfo {
-        version: read_u32(data, 4),
-        stemming: model.stemming(),
-        has_fallback: model.has_fallback(),
-        alignment: model.alignment(),
-        num_leaves: model.leaf_ids().count() as u64,
-        num_tokens: model.tokens.len() as u64,
-        num_keyphrases: model.num_keyphrases() as u64,
-        num_sections: read_u32(data, 24),
-        size_bytes: data.len(),
-        checksum: u64::from_le_bytes(data[data.len() - 8..].try_into().expect("trailer")),
-    }
+    Sums::of(data).info(data)
 }
 
 /// Parses and bounds-checks the v2 section directory of a
@@ -647,12 +743,18 @@ fn read_directory(data: &[u8]) -> Result<Vec<RawSection>> {
 // --- shared helpers ----------------------------------------------------
 
 fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_from(0xcbf2_9ce4_8422_2325, data)
+}
+
+/// FNV-1a carried on from `state` over `data`.
+fn fnv1a_from(mut state: u64, data: &[u8]) -> u64 {
+    #[cfg(test)]
+    tests::HASHED_BYTES.with(|n| n.set(n.get() + data.len()));
     for &b in data {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
+        state ^= u64::from(b);
+        state = state.wrapping_mul(0x1000_0000_01b3);
     }
-    hash
+    state
 }
 
 fn model_flags(model: &GraphExModel) -> u8 {
@@ -694,6 +796,19 @@ mod tests {
     use super::*;
     use crate::builder::{GraphExBuilder, GraphExConfig};
     use crate::types::KeyphraseRecord;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Bytes this thread has fed through the FNV loop.
+        pub(super) static HASHED_BYTES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// What `f` returns and how many bytes it hashed.
+    fn counting<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = HASHED_BYTES.with(Cell::get);
+        let out = f();
+        (out, HASHED_BYTES.with(Cell::get) - before)
+    }
 
     fn sample_model() -> GraphExModel {
         let mut config = GraphExConfig::default();
@@ -739,8 +854,8 @@ mod tests {
     fn v2_load_borrows_sections_zero_copy() {
         let model = sample_model();
         let bytes = to_bytes(&model);
-        // from_shared on the (aligned) serializer output: zero-copy.
-        let loaded = from_shared(bytes).unwrap();
+        // Parsing the (aligned) serializer output: zero-copy.
+        let loaded = bytes.parse().unwrap();
         for leaf in loaded.leaf_ids() {
             assert!(loaded.leaf_graph(leaf).unwrap().is_zero_copy(), "{leaf} was copied");
         }
@@ -910,6 +1025,82 @@ mod tests {
             assert!(refused(from_shared(shared).map(drop)), "from_shared, version {version}");
             assert!(refused(inspect(&other).map(drop)), "inspect, version {version}");
         }
+    }
+
+    /// Pins the pass count where it can be counted exactly: a buffer is
+    /// hashed once, by whoever meets it first, and never again.
+    #[test]
+    fn each_buffer_is_hashed_once() {
+        let model = sample_model();
+        let (written, hashed) = counting(|| to_bytes(&model));
+        // The payload once, then on over the 8 trailer bytes it has just
+        // written for the file checksum.
+        assert_eq!(hashed, written.len());
+        let (file_sum, whole_pass) = counting(|| checksum(&written));
+        assert_eq!(whole_pass, written.len());
+        assert_eq!(written.checksum(), file_sum, "to_bytes knows the file checksum");
+
+        let shared = written.clone().into_bytes();
+        let (walked, hashed) = counting(|| hash(shared.clone()));
+        assert_eq!(hashed, shared.len());
+        assert_eq!(walked.checksum(), file_sum);
+
+        for snapshot in [&written, &walked] {
+            let (info, hashed) = counting(|| snapshot.inspect().unwrap());
+            assert_eq!(hashed, 0, "inspecting a hashed buffer");
+            assert_eq!(info, inspect(&shared).unwrap());
+            assert_eq!(info.file_checksum, file_sum);
+            assert_eq!(info.checksum, read_u64(&shared, shared.len() - 8));
+            let (loaded, hashed) = counting(|| snapshot.parse().unwrap());
+            assert_eq!(hashed, 0, "parsing a hashed buffer");
+            assert_eq!(infer_outputs(&loaded), infer_outputs(&model));
+        }
+
+        assert_eq!(counting(|| from_bytes(&shared).unwrap()).1, shared.len());
+        assert_eq!(counting(|| from_shared(shared.clone()).unwrap()).1, shared.len());
+        assert_eq!(counting(|| inspect(&shared).unwrap()).1, shared.len());
+    }
+
+    /// The sums are judged in the old preflight's order whichever entry
+    /// point took them, and a short buffer is an error, not a panic.
+    #[test]
+    fn hashed_buffers_are_judged_like_raw_ones() {
+        let bytes = to_bytes(&sample_model()).to_vec();
+        let n = bytes.len();
+        let mut flipped = bytes.clone();
+        flipped[4] ^= 0xFF; // the version word, trailer left stale
+        let mut other_version = bytes.clone();
+        other_version[4] = 9;
+        let sum = fnv1a(&other_version[..n - 8]);
+        other_version[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        for (data, what) in [
+            (&bytes[..0], "empty"),
+            (&bytes[..7], "shorter than a trailer"),
+            (&bytes[..17], "shorter than a header"),
+            (&flipped[..], "flipped version word"),
+            (&other_version[..], "intact other version"),
+        ] {
+            let hashed = hash(Bytes::from(data.to_vec()));
+            assert_eq!(hashed.checksum(), checksum(data), "{what}");
+            let (want, got) = (from_bytes(data).map(drop), hashed.parse().map(drop));
+            assert_eq!(format!("{want:?}"), format!("{got:?}"), "{what}");
+            let (want, got) = (inspect(data), hashed.inspect());
+            assert_eq!(format!("{want:?}"), format!("{got:?}"), "{what}");
+            assert!(want.is_err(), "{what}");
+        }
+        assert!(matches!(hash(Bytes::from(flipped)).parse(), Err(GraphExError::Corrupt(_))));
+        assert!(matches!(
+            hash(Bytes::from(other_version)).parse(),
+            Err(GraphExError::UnsupportedVersion(9))
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the format's u16 length")]
+    fn oversized_vocab_string_is_refused_at_write() {
+        let mut vocab = Vocab::new();
+        vocab.intern("x".repeat(u16::MAX as usize + 1));
+        put_vocab_blob(&mut BytesMut::new(), &vocab);
     }
 
     #[test]

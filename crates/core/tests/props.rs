@@ -280,3 +280,142 @@ proptest! {
         prop_assert!(lta.score(c, l + 1, 30) < lta.score(c, l, 30));
     }
 }
+
+// ---- derived meta-fallback ≡ the record-based one -----------------------
+
+use graphex_core::assembly::{
+    assemble_model, canonicalize, leaf_runs, AssemblyContext, LeafAssembly, ModelAssembler,
+};
+use graphex_core::{serialize, GraphExModel};
+
+/// The meta-fallback as it was built before it was derived from the
+/// merged leaves: a second assembly over the whole corpus's records,
+/// installed with `set_fallback`. Kept alive only as this reference.
+fn record_based(config: &GraphExConfig, canonical: &[KeyphraseRecord]) -> GraphExModel {
+    let mut ctx = AssemblyContext::new(config.stemming);
+    let mut assembler = ModelAssembler::new(config);
+    for (leaf, run) in leaf_runs(canonical) {
+        assembler.add_leaf(leaf, &LeafAssembly::build(run, &mut ctx));
+    }
+    if config.build_meta_fallback {
+        assembler.set_fallback(&LeafAssembly::build(canonical, &mut ctx));
+    }
+    assembler.finish()
+}
+
+/// The derived path as a delta build drives it: every other leaf borrowed
+/// from `base` (views into a loaded snapshot), the rest built fresh.
+fn derived_over_borrowed_leaves(
+    config: &GraphExConfig,
+    canonical: &[KeyphraseRecord],
+    base: &GraphExModel,
+) -> GraphExModel {
+    let mut ctx = AssemblyContext::new(config.stemming);
+    let mut assembler = ModelAssembler::new(config);
+    for (nth, (leaf, run)) in leaf_runs(canonical).enumerate() {
+        let assembly = match nth % 2 {
+            0 => LeafAssembly::from_model(base, leaf).expect("the base has every leaf"),
+            _ => LeafAssembly::build(run, &mut ctx),
+        };
+        assembler.add_leaf(leaf, &assembly);
+    }
+    if config.build_meta_fallback {
+        assembler.derive_fallback();
+    }
+    assembler.finish()
+}
+
+/// Byte equality of the sequential builder (derived fallback) and of a
+/// half-borrowed merge against the record-based reference, under every
+/// configuration that reaches assembly.
+fn assert_derived_equals_record_based(mut records: Vec<KeyphraseRecord>) {
+    canonicalize(&mut records);
+    for (stemming, build_meta_fallback) in [(true, true), (false, true), (true, false)] {
+        let config = GraphExConfig { stemming, build_meta_fallback, ..no_curation() };
+        let want = serialize::to_bytes(&record_based(&config, &records));
+        let what = format!("stemming {stemming}, fallback {build_meta_fallback}: {records:?}");
+        assert_eq!(serialize::to_bytes(&assemble_model(&config, &records)), want, "built, {what}");
+        let base = want.parse().expect("reference snapshot loads");
+        let mixed = derived_over_borrowed_leaves(&config, &records, &base);
+        assert_eq!(serialize::to_bytes(&mixed), want, "half borrowed, {what}");
+    }
+}
+
+/// Every shape the derivation's argument leans on, spelled out — the
+/// generated corpora below meet them only by chance.
+#[test]
+fn derived_fallback_equals_record_based_on_the_named_cases() {
+    let rec = |text: &str, leaf, s, r| KeyphraseRecord::new(text, LeafId(leaf), s, r);
+    let twelve = "one two three four five six seven eight nine ten eleven twelve";
+    assert_derived_equals_record_based(vec![
+        // One normalized text in five leaves: search sums, recall maxes.
+        rec("usb c charger", 1, 10, 5),
+        rec("USB-C charger", 2, 20, 50),
+        rec("usb c  charger", 3, 30, 7),
+        rec("Usb C Charger!", 4, 40, 1),
+        rec("usb c charger", 5, 50, 2),
+        // Texts that collide after normalization inside one leaf.
+        rec("Phone Case", 2, 3, 9),
+        rec("phone-case", 2, 4, 8),
+        // Search counts whose sum passes u32::MAX, within and across leaves.
+        rec("red boxes", 1, u32::MAX - 1, 1),
+        rec("red  boxes", 1, 7, 2),
+        rec("red boxes", 3, u32::MAX / 2 + 9, 3),
+        // Punctuation-only texts, alone in a leaf and beside real ones.
+        rec("!!!", 2, 500, 1),
+        rec("-- ??", 6, 1, 1),
+        // Stems that collide: one token, a two-word label.
+        rec("boxes box", 3, 11, 4),
+        rec("box", 4, 12, 4),
+        // A token first seen in a later leaf, in a label whose other
+        // token is old; and a label sorting before its leaf's first.
+        rec("zebra charger", 5, 13, 6),
+        rec("apple zebra", 5, 14, 6),
+        rec("zebra", 1, 15, 6),
+        // Single-token and twelve-token labels, the long one twice.
+        rec("case", 1, 16, 1),
+        rec(twelve, 2, 17, 2),
+        rec(twelve, 4, 18, 3),
+    ]);
+}
+
+/// Texts over a pool small enough that labels, tokens and stems collide
+/// within and across leaves; `copies` lands one text in up to five leaves.
+fn colliding_records() -> impl Strategy<Value = Vec<KeyphraseRecord>> {
+    const POOL: [&str; 14] = [
+        "box", "boxes", "case", "cases", "charger", "usb", "c", "red", "zebra", "apple", "running",
+        "run", "12v", "é",
+    ];
+    const SEPARATORS: [&str; 4] = [" ", "-", "  ", ", "];
+    const SEARCHES: [u32; 4] = [0, 7, u32::MAX / 2 + 1, u32::MAX - 3];
+    let record = (
+        prop::collection::vec(0usize..POOL.len(), 0..13),
+        (0usize..SEPARATORS.len(), any::<bool>()),
+        (0u32..5, 1u32..6),
+        (0usize..SEARCHES.len(), 0u32..50, 0u32..1000),
+    );
+    prop::collection::vec(record, 1..25).prop_map(|drawn| {
+        let mut out = Vec::new();
+        for (words, (separator, shout), (leaf, copies), (base, extra, recall)) in drawn {
+            let words: Vec<&str> = words.into_iter().map(|w| POOL[w]).collect();
+            let mut text = words.join(SEPARATORS[separator]);
+            if words.is_empty() {
+                text = "?!".into(); // punctuation only
+            } else if shout {
+                text = text.to_uppercase();
+            }
+            for copy in 0..copies {
+                let search = SEARCHES[base].saturating_add(extra + copy);
+                out.push(KeyphraseRecord::new(text.clone(), LeafId((leaf + copy) % 5), search, recall + copy));
+            }
+        }
+        out
+    })
+}
+
+proptest! {
+    #[test]
+    fn derived_fallback_equals_record_based(records in colliding_records()) {
+        assert_derived_equals_record_based(records);
+    }
+}

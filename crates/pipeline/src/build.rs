@@ -10,7 +10,8 @@
 //!                      when the fingerprint is unchanged)
 //!                                      │
 //!                                      ▼
-//!            merge (ascending leaf order) + meta-fallback assembly
+//!            merge (ascending leaf order), then the meta-fallback
+//!            derived from the merged leaves
 //!                                      │
 //!                                      ▼
 //!             GEXM v2 bytes + BUILDINFO manifest + BuildReport
@@ -23,19 +24,21 @@
 //! could depend on scheduling is funneled through the canonical order —
 //! shards own disjoint leaf sets, per-leaf assembly is a pure function of
 //! the leaf's curated records, and the merge walks leaves in ascending
-//! id order on one thread.
+//! id order on one thread, as does the fold that derives the meta-fallback
+//! from them — the same `ModelAssembler` method the sequential builder
+//! calls, for full and delta builds alike.
 
 use crate::manifest::{buildinfo_path_for, BuildManifest, BUILDINFO_FILE};
 use crate::queue::Bounded;
 use crate::source::{RecordSource, SourceStats};
-use bytes::Bytes;
 use graphex_core::assembly::{
     canonicalize, combine_fingerprints, config_fingerprint, leaf_fingerprint, leaf_runs,
     AssemblyContext, LeafAssembly, ModelAssembler,
 };
 use graphex_core::curation::Curator;
+use graphex_core::serialize::{self, Hashed};
 use graphex_core::{
-    serialize, CurationStats, GraphExConfig, GraphExError, GraphExModel, KeyphraseRecord, LeafId,
+    CurationStats, GraphExConfig, GraphExError, GraphExModel, KeyphraseRecord, LeafId,
 };
 use graphex_serving::{ModelRegistry, RegistryError, SnapshotMeta};
 use std::path::{Path, PathBuf};
@@ -125,7 +128,10 @@ impl DeltaBase {
         let buildinfo = buildinfo_path_for(&snapshot);
         let manifest = BuildManifest::load(&buildinfo).map_err(PipelineError::Delta)?;
         let bytes = serialize::read_aligned(&snapshot).map_err(PipelineError::Model)?;
-        let checksum = serialize::checksum(&bytes);
+        // One pass: the sum compared here is the one the parse below
+        // judges trailer, magic and version by.
+        let hashed = serialize::hash(bytes);
+        let checksum = hashed.checksum();
         if checksum != manifest.snapshot_checksum {
             return Err(PipelineError::Delta(format!(
                 "{} records checksum {:016x} but {} hashes to {checksum:016x} — stale BUILDINFO?",
@@ -134,7 +140,7 @@ impl DeltaBase {
                 snapshot.display(),
             )));
         }
-        let model = serialize::from_shared(bytes).map_err(PipelineError::Model)?;
+        let model = hashed.parse().map_err(PipelineError::Model)?;
         Ok(Self { model, manifest, source: snapshot.display().to_string() })
     }
 
@@ -213,8 +219,6 @@ pub struct BuildReport {
     pub leaves_built: usize,
     /// Leaves borrowed unchanged from the delta base.
     pub leaves_reused: usize,
-    /// Whether the meta-fallback graph was borrowed from the delta base.
-    pub fallback_reused: bool,
     /// Checksum of the delta base snapshot, if one was used.
     pub delta_base: Option<u64>,
     /// Why a provided delta base was ignored, if it was.
@@ -232,13 +236,29 @@ pub struct BuildReport {
     pub published_version: Option<u64>,
     /// Wall time of the build (ingest through serialize).
     pub wall_ms: u64,
+    /// Where that time went. Not part of `BUILDINFO`, which stays a
+    /// function of the inputs.
+    pub stages: StageTimes,
+}
+
+/// Wall milliseconds of a build's four stages, back to back.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StageTimes {
+    /// Ingest ∥ shard workers: curate → canonicalize → per-leaf assemble.
+    pub shards_ms: f64,
+    /// Merge of the leaf assemblies into the global vocabularies.
+    pub merge_ms: f64,
+    /// Meta-fallback derived from the merged leaves (0 when off).
+    pub fallback_ms: f64,
+    /// `serialize::to_bytes`, checksum included.
+    pub serialize_ms: f64,
 }
 
 /// A finished build: serialized snapshot + manifest + report.
 #[derive(Debug)]
 pub struct BuildOutput {
-    /// `GEXM v2` snapshot bytes.
-    pub bytes: Bytes,
+    /// `GEXM v2` snapshot bytes, with the checksum writing them yielded.
+    pub bytes: Hashed,
     /// The parsed model (already in memory — callers may serve it
     /// directly or drop it).
     pub model: GraphExModel,
@@ -261,11 +281,12 @@ impl BuildOutput {
 
     /// Publishes the snapshot (+ `BUILDINFO` sidecar) into a registry:
     /// admission (load → validate → warm-up) and the `CURRENT` flip
-    /// happen inside [`ModelRegistry::publish_with_files`]. Updates the
-    /// report's `published_version`.
+    /// happen inside [`ModelRegistry::publish_hashed`], which does not
+    /// hash the bytes again before writing them. Updates the report's
+    /// `published_version`.
     pub fn publish(&mut self, registry: &ModelRegistry, note: &str) -> PipelineResult<SnapshotMeta> {
         let manifest_text = self.manifest.render();
-        let meta = registry.publish_with_files(
+        let meta = registry.publish_hashed(
             &self.bytes,
             note,
             &[(BUILDINFO_FILE, manifest_text.as_bytes())],
@@ -280,9 +301,6 @@ struct LeafYield {
     leaf: LeafId,
     fingerprint: u64,
     assembly: LeafAssembly,
-    /// The leaf's curated records in canonical order — the meta-fallback
-    /// assembly input. Left empty when no fallback will be built.
-    records: Vec<KeyphraseRecord>,
     reused: bool,
 }
 
@@ -344,6 +362,7 @@ pub fn build(plan: &BuildPlan, sources: Vec<Box<dyn RecordSource>>) -> PipelineR
     ingest_result?;
 
     let mut shard_yields: Vec<ShardYield> = yield_rx.into_iter().collect();
+    let shards_done = Instant::now();
 
     // Deterministic merge: all leaves, ascending.
     let mut leaves: Vec<LeafYield> =
@@ -359,61 +378,37 @@ pub fn build(plan: &BuildPlan, sources: Vec<Box<dyn RecordSource>>) -> PipelineR
         return Err(PipelineError::Model(GraphExError::EmptyModel));
     }
 
-    let fallback_fp = combine_fingerprints(leaves.iter().map(|y| y.fingerprint));
-    let reuse_fallback = plan.config.build_meta_fallback
-        && delta.is_some_and(|base| {
-            base.manifest.fallback_fingerprint == Some(fallback_fp) && base.model.has_fallback()
-        });
-
-    // The fallback assembly spans the whole corpus — roughly as much work
-    // as every leaf combined — so overlap it with the merge. Records are
-    // *moved* out of the yields (they exist only to feed this), so the
-    // build holds at most one copy of the curated corpus beyond the
-    // assemblies — and none at all when the fallback is off or reused.
-    let corpus: Vec<KeyphraseRecord> = if plan.config.build_meta_fallback && !reuse_fallback {
-        leaves.iter_mut().flat_map(|y| std::mem::take(&mut y.records)).collect()
-    } else {
-        for y in &mut leaves {
-            y.records = Vec::new();
-        }
-        Vec::new()
-    };
-    let stemming = plan.config.stemming;
-    let (model, fallback_reused) = crossbeam::thread::scope(|scope| {
-        let fallback_handle = plan.config.build_meta_fallback.then(|| {
-            scope.spawn(|_| {
-                if reuse_fallback {
-                    let base = delta.expect("reuse implies a delta base");
-                    LeafAssembly::from_model_fallback(&base.model)
-                        .expect("base has_fallback checked")
-                } else {
-                    let mut ctx = AssemblyContext::new(stemming);
-                    LeafAssembly::build(&corpus, &mut ctx)
-                }
-            })
-        });
-
-        let mut assembler = ModelAssembler::new(&plan.config);
-        for y in &leaves {
-            assembler.add_leaf(y.leaf, &y.assembly);
-        }
-        if let Some(handle) = fallback_handle {
-            let fallback = handle.join().expect("fallback assembly panicked");
-            assembler.set_fallback(&fallback);
-        }
-        (assembler.finish(), reuse_fallback)
-    })
-    .expect("merge scope panicked");
+    let mut assembler = ModelAssembler::new(&plan.config);
+    for y in &leaves {
+        assembler.add_leaf(y.leaf, &y.assembly);
+    }
+    let merge_done = Instant::now();
+    if plan.config.build_meta_fallback {
+        assembler.derive_fallback();
+    }
+    let model = assembler.finish();
+    let fallback_done = Instant::now();
 
     let bytes = serialize::to_bytes(&model);
-    let snapshot_checksum = serialize::checksum(&bytes);
+    let snapshot_checksum = bytes.checksum();
+    let serialize_done = Instant::now();
+    let millis = |from: Instant, to: Instant| (to - from).as_secs_f64() * 1e3;
+    let stages = StageTimes {
+        shards_ms: millis(start, shards_done),
+        merge_ms: millis(shards_done, merge_done),
+        fallback_ms: millis(merge_done, fallback_done),
+        serialize_ms: millis(fallback_done, serialize_done),
+    };
 
     let records_in: u64 = source_stats.iter().map(|s| s.records + s.parse_errors).sum();
     let parse_errors: u64 = source_stats.iter().map(|s| s.parse_errors).sum();
     let manifest = BuildManifest {
         config_fingerprint: config_fp,
         snapshot_checksum,
-        fallback_fingerprint: plan.config.build_meta_fallback.then_some(fallback_fp),
+        fallback_fingerprint: plan
+            .config
+            .build_meta_fallback
+            .then(|| combine_fingerprints(leaves.iter().map(|y| y.fingerprint))),
         records_in,
         parse_errors,
         curation,
@@ -428,7 +423,6 @@ pub fn build(plan: &BuildPlan, sources: Vec<Box<dyn RecordSource>>) -> PipelineR
         leaves_total: leaves.len(),
         leaves_built: leaves.iter().filter(|y| !y.reused).count(),
         leaves_reused: leaves.iter().filter(|y| y.reused).count(),
-        fallback_reused,
         delta_base: delta.map(DeltaBase::checksum),
         delta_discarded,
         jobs,
@@ -437,7 +431,8 @@ pub fn build(plan: &BuildPlan, sources: Vec<Box<dyn RecordSource>>) -> PipelineR
         snapshot_bytes: bytes.len(),
         snapshot_checksum,
         published_version: None,
-        wall_ms: start.elapsed().as_millis() as u64,
+        wall_ms: (serialize_done - start).as_millis() as u64,
+        stages,
     };
     Ok(BuildOutput { bytes, model, manifest, report })
 }
@@ -520,10 +515,7 @@ fn run_shard(
             Some(assembly) => (assembly, true),
             None => (LeafAssembly::build(run, &mut ctx), false),
         };
-        // The record copy exists solely to feed the meta-fallback
-        // assembly (which needs the whole corpus in leaf order).
-        let records = if config.build_meta_fallback { run.to_vec() } else { Vec::new() };
-        leaves.push(LeafYield { leaf, fingerprint, assembly, records, reused });
+        leaves.push(LeafYield { leaf, fingerprint, assembly, reused });
     }
     ShardYield { leaves, curation }
 }

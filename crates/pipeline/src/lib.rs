@@ -52,6 +52,7 @@ pub mod source;
 
 pub use build::{
     build, BuildOutput, BuildPlan, BuildReport, DeltaBase, PipelineError, PipelineResult,
+    StageTimes,
 };
 pub use manifest::{buildinfo_path_for, BuildManifest, BUILDINFO_FILE};
 pub use shard::{emit_shards, publish_shards, shard_of, shard_root, ShardSnapshot};

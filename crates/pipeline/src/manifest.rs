@@ -37,7 +37,10 @@ pub struct BuildManifest {
     /// cross-check that a snapshot really is the manifest's build.
     pub snapshot_checksum: u64,
     /// Fingerprint of the full curated corpus (what the meta-fallback
-    /// graph depends on); `None` when no fallback was built.
+    /// graph depends on); `None` when no fallback was built. Written for
+    /// audits and shard comparison only: no build reads it to make a
+    /// decision — the fallback is derived from the merged leaves every
+    /// time, which costs less than borrowing one would.
     pub fallback_fingerprint: Option<u64>,
     /// Raw records ingested (before curation).
     pub records_in: u64,

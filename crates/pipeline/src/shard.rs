@@ -22,9 +22,9 @@
 
 use crate::build::{BuildOutput, PipelineError, PipelineResult};
 use crate::manifest::{BuildManifest, BUILDINFO_FILE};
-use bytes::Bytes;
 use graphex_core::assembly::{LeafAssembly, ModelAssembler};
-use graphex_core::{serialize, GraphExConfig, GraphExModel, LeafId};
+use graphex_core::serialize::{self, Hashed};
+use graphex_core::{GraphExConfig, GraphExModel, LeafId};
 use graphex_serving::{ModelRegistry, SnapshotMeta};
 use std::path::{Path, PathBuf};
 
@@ -47,8 +47,8 @@ pub struct ShardSnapshot {
     pub index: u32,
     /// Total shards in the partition.
     pub shards: u32,
-    /// `GEXM v2` snapshot bytes for this shard.
-    pub bytes: Bytes,
+    /// `GEXM v2` snapshot bytes for this shard, with their checksum.
+    pub bytes: Hashed,
     /// The shard model (the shard's leaves + the global fallback).
     pub model: GraphExModel,
     pub manifest: BuildManifest,
@@ -59,7 +59,7 @@ impl ShardSnapshot {
     /// through the same admission pipeline as a monolithic snapshot.
     pub fn publish(&self, registry: &ModelRegistry, note: &str) -> PipelineResult<SnapshotMeta> {
         let manifest_text = self.manifest.render();
-        Ok(registry.publish_with_files(
+        Ok(registry.publish_hashed(
             &self.bytes,
             note,
             &[(BUILDINFO_FILE, manifest_text.as_bytes())],
@@ -128,7 +128,7 @@ pub fn emit_shards(
         }
         let shard_model = assembler.finish();
         let bytes = serialize::to_bytes(&shard_model);
-        let snapshot_checksum = serialize::checksum(&bytes);
+        let snapshot_checksum = bytes.checksum();
         let shard_manifest = BuildManifest {
             config_fingerprint: manifest.config_fingerprint,
             snapshot_checksum,

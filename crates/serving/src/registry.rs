@@ -27,7 +27,7 @@
 //! pipeline, and NRT service resolve per request/window, so a `publish`
 //! or `rollback` propagates without restarting anything.
 
-use graphex_core::serialize::{self, LoadMode, SnapshotInfo};
+use graphex_core::serialize::{self, Hashed, LoadMode, SnapshotInfo};
 use graphex_core::{Engine, GraphExError, GraphExModel, InferRequest};
 use parking_lot::{Mutex, RwLock};
 use std::path::{Path, PathBuf};
@@ -432,14 +432,14 @@ impl ModelRegistry {
     /// `MANIFEST` under the next version, then admits it (load →
     /// validate → warm up → swap). Returns the new snapshot's manifest.
     pub fn publish(&self, model: &GraphExModel, note: &str) -> RegistryResult<SnapshotMeta> {
-        self.publish_bytes(&serialize::to_bytes(model), note)
+        self.publish_hashed(&serialize::to_bytes(model), note, &[])
     }
 
     /// Publishes an already-serialized snapshot file (bytes are stored
     /// verbatim). This is the CLI ingest path.
     pub fn publish_file(&self, path: impl AsRef<Path>, note: &str) -> RegistryResult<SnapshotMeta> {
         let bytes = std::fs::read(path)?;
-        self.publish_bytes(&bytes, note)
+        self.publish_with_files(&bytes, note, &[])
     }
 
     /// Publishes serialized snapshot bytes together with sidecar files
@@ -453,33 +453,47 @@ impl ModelRegistry {
         note: &str,
         extras: &[(&str, &[u8])],
     ) -> RegistryResult<SnapshotMeta> {
+        // The one pass over bytes nobody has hashed yet.
+        let info = serialize::inspect(bytes)?;
+        self.publish_inspected(bytes, &info, note, extras)
+    }
+
+    /// [`ModelRegistry::publish_with_files`] for a buffer whose hash pass
+    /// is already made (the serializer's output): nothing is hashed again
+    /// before the write. Admission still reads the version directory back
+    /// and checks those bytes in full, so sums that do not belong to the
+    /// bytes can only get the publish rejected and withdrawn.
+    pub fn publish_hashed(
+        &self,
+        snapshot: &Hashed,
+        note: &str,
+        extras: &[(&str, &[u8])],
+    ) -> RegistryResult<SnapshotMeta> {
+        let info = snapshot.inspect()?;
+        self.publish_inspected(snapshot, &info, note, extras)
+    }
+
+    /// Stages `bytes` as the next version under a manifest written from
+    /// `info`, renames it into place and admits it.
+    fn publish_inspected(
+        &self,
+        bytes: &[u8],
+        info: &SnapshotInfo,
+        note: &str,
+        extras: &[(&str, &[u8])],
+    ) -> RegistryResult<SnapshotMeta> {
         for (name, _) in extras {
             let reserved = [MODEL_FILE, MANIFEST_FILE, CURRENT_FILE].contains(name);
             if reserved || name.is_empty() || name.contains(['/', '\\']) {
                 return Err(RegistryError::Manifest(format!("invalid sidecar file name {name:?}")));
             }
         }
-        self.publish_bytes_with(bytes, note, extras)
-    }
-
-    fn publish_bytes(&self, bytes: &[u8], note: &str) -> RegistryResult<SnapshotMeta> {
-        self.publish_bytes_with(bytes, note, &[])
-    }
-
-    fn publish_bytes_with(
-        &self,
-        bytes: &[u8],
-        note: &str,
-        extras: &[(&str, &[u8])],
-    ) -> RegistryResult<SnapshotMeta> {
         let _writer = self.write_lock.lock();
-        // Validate *before* anything lands in the registry directory.
-        let info = serialize::inspect(bytes)?;
         let version = self.versions()?.last().copied().unwrap_or(0) + 1;
         let meta = SnapshotMeta {
             version,
             format: info.version,
-            checksum: serialize::checksum(bytes),
+            checksum: info.file_checksum,
             leaves: info.num_leaves,
             keyphrases: info.num_keyphrases,
             size_bytes: bytes.len() as u64,
@@ -500,9 +514,10 @@ impl ModelRegistry {
         }
         std::fs::rename(&staging, self.version_dir(version))?;
 
-        // Admission failed (deep structural parse or warm-up): withdraw
-        // the snapshot so a rejected publish never lingers as the newest
-        // on-disk version (it would poison later `gc`/`rollback` picks).
+        // Admission failed (checksum of the bytes read back, deep
+        // structural parse or warm-up): withdraw the snapshot so a
+        // rejected publish never lingers as the newest on-disk version
+        // (it would poison later `gc`/`rollback` picks).
         if let Err(e) = self.activate_locked(version) {
             let _ = std::fs::remove_dir_all(self.version_dir(version));
             return Err(e);
@@ -528,25 +543,19 @@ impl ModelRegistry {
         }
         let meta = self.manifest(version)?;
 
-        // Load + validate: whole-file checksum against the manifest, then
-        // the (zero-copy for v2) structural parse. The mmap-vs-heap
-        // choice changes only who owns the pages — both backends hand
-        // `from_shared` one aligned buffer, and the checksum pass below
-        // reads every byte either way, so corruption is caught before
-        // the swap regardless of backend. Mapping the file is safe here
-        // because version directories are staged-then-renamed and never
-        // rewritten in place.
+        // Load + validate, on the bytes that will serve: one hash pass
+        // over what was read back from the version directory, its
+        // whole-file checksum against the manifest, then trailer, magic,
+        // version word and the (zero-copy) structural parse. The
+        // mmap-vs-heap choice changes only who owns the pages — both
+        // backends hand over one aligned buffer and the pass reads every
+        // byte either way, so corruption is caught before the swap
+        // regardless of backend. Mapping the file is safe here because
+        // version directories are staged-then-renamed and never rewritten
+        // in place.
         let model_path = dir.join(MODEL_FILE);
         let (bytes, load_mode) = serialize::read_snapshot(&model_path, self.load_mode)?;
-        let actual = serialize::checksum(&bytes);
-        if actual != meta.checksum {
-            return Err(RegistryError::Manifest(format!(
-                "{}: checksum mismatch for version {version}: manifest {:016x}, file {actual:016x}",
-                model_path.display(),
-                meta.checksum
-            )));
-        }
-        let model = serialize::from_shared(bytes).map_err(|e| e.with_path(&model_path))?;
+        let model = admit(&serialize::hash(bytes), &meta, &model_path)?;
 
         // Warm up: probe inferences touch the graph pages and prove the
         // engine answers before any traffic sees the snapshot.
@@ -610,19 +619,9 @@ impl ModelRegistry {
         let meta = self.manifest(version)?;
         let model_path = dir.join(MODEL_FILE);
         let bytes = serialize::read_aligned(&model_path).map_err(|e| e.with_path(&model_path))?;
-        let actual = serialize::checksum(&bytes);
-        if actual != meta.checksum {
-            return Err(RegistryError::Manifest(format!(
-                "{}: checksum mismatch for version {version}: manifest {:016x}, file {actual:016x}",
-                model_path.display(),
-                meta.checksum
-            )));
-        }
-        // One full structural parse; the info view is derived from the
-        // already-validated model + header (no second parse, no second
-        // checksum scan).
-        let model = serialize::from_shared(bytes.clone()).map_err(|e| e.with_path(&model_path))?;
-        Ok(serialize::inspect_model(&model, &bytes))
+        let snapshot = serialize::hash(bytes);
+        admit(&snapshot, &meta, &model_path)?;
+        Ok(snapshot.inspect()?)
     }
 
     fn warm_up(&self, engine: &Engine) -> RegistryResult<WarmupReport> {
@@ -674,6 +673,22 @@ impl ModelRegistry {
         std::fs::rename(&tmp, self.root.join(CURRENT_FILE))?;
         Ok(())
     }
+}
+
+/// The checks every snapshot read back from disk goes through, on its
+/// one hash pass: whole-file checksum equal to the manifest's, then
+/// trailer, magic, version word and the full structural parse.
+fn admit(snapshot: &Hashed, meta: &SnapshotMeta, model_path: &Path) -> RegistryResult<GraphExModel> {
+    let actual = snapshot.checksum();
+    if actual != meta.checksum {
+        return Err(RegistryError::Manifest(format!(
+            "{}: checksum mismatch for version {}: manifest {:016x}, file {actual:016x}",
+            model_path.display(),
+            meta.version,
+            meta.checksum
+        )));
+    }
+    Ok(snapshot.parse().map_err(|e| e.with_path(model_path))?)
 }
 
 fn unix_now() -> u64 {
@@ -943,6 +958,26 @@ mod tests {
         // the newest on-disk snapshot, so gc/rollback stay sane.
         assert_eq!(registry.versions().unwrap(), [1]);
         assert_eq!(registry.current_version(), Some(1));
+
+        // Sound bytes published under sums that are not theirs: nothing
+        // re-hashes them before the write, so the wrong checksum reaches
+        // the manifest — and admission, hashing what it reads back,
+        // rejects and withdraws the publish just the same.
+        let sound = serialize::to_bytes(&model(2));
+        let mut info = sound.inspect().unwrap();
+        info.file_checksum ^= 1;
+        let err = registry.publish_inspected(&sound, &info, "wrong sums", &[]).unwrap_err();
+        assert!(matches!(err, RegistryError::Manifest(_)), "{err}");
+        assert_eq!(registry.versions().unwrap(), [1]);
+        assert_eq!(registry.current_version(), Some(1));
+        assert_eq!(std::fs::read_to_string(root.join(CURRENT_FILE)).unwrap().trim(), "1");
+        let resp = registry
+            .current()
+            .unwrap()
+            .engine
+            .infer(&InferRequest::new("brand1 widget model0", LeafId(0)).k(3));
+        assert!(resp.is_servable(), "the old model still serves");
+
         // The next good publish reuses the freed version number.
         let meta = registry.publish(&model(3), "good again").unwrap();
         assert_eq!(meta.version, 2);

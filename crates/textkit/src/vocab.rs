@@ -4,20 +4,36 @@
 //! vocabulary and the global keyphrase table; all cross-crate identifiers in
 //! the workspace are interned ids, never strings (paper Sec. III-F).
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::FxHasher;
+use std::hash::Hasher;
 
 /// Dense id of an interned string.
 pub type TokenId = u32;
+
+/// An unoccupied slot of the id table.
+const EMPTY: u32 = u32::MAX;
+/// The id table's smallest non-empty size.
+const MIN_SLOTS: usize = 8;
 
 /// Append-only string interner.
 ///
 /// Ids are assigned in first-seen order starting at 0, so they can index
 /// plain `Vec`s in downstream structures. Lookup is O(1) amortized; resolve
 /// is O(1).
-#[derive(Debug, Default, Clone)]
+///
+/// Three flat buffers and nothing per string: the strings back to back
+/// in id order, where each one ends, and an open-addressed table of ids
+/// (linear probing, at most half full) that is probed with the Fx hash
+/// of the string and compared against the blob. Interning allocates only
+/// when a buffer grows, and a clone is three copies.
+#[derive(Default, Clone)]
 pub struct Vocab {
-    map: FxHashMap<Box<str>, TokenId>,
-    strings: Vec<Box<str>>,
+    blob: String,
+    /// `ends[id]` is where string `id` ends in `blob`; it starts where
+    /// the one before it ends.
+    ends: Vec<u32>,
+    /// Ids, or [`EMPTY`]; the length is zero or a power of two.
+    table: Vec<u32>,
 }
 
 impl Vocab {
@@ -25,56 +41,156 @@ impl Vocab {
         Self::default()
     }
 
+    /// A vocabulary that takes `cap` strings without growing its id
+    /// buffers.
     pub fn with_capacity(cap: usize) -> Self {
+        Self::with_capacities(cap, 0)
+    }
+
+    /// A vocabulary that takes `strings` strings of `bytes` bytes in
+    /// total without growing any buffer.
+    pub fn with_capacities(strings: usize, bytes: usize) -> Self {
         Self {
-            map: FxHashMap::with_capacity_and_hasher(cap, Default::default()),
-            strings: Vec::with_capacity(cap),
+            blob: String::with_capacity(bytes),
+            ends: Vec::with_capacity(strings),
+            table: vec![EMPTY; slots_for(strings)],
         }
     }
 
     /// Interns `s`, returning its id (existing or freshly assigned).
     pub fn intern(&mut self, s: impl AsRef<str>) -> TokenId {
         let s = s.as_ref();
-        if let Some(&id) = self.map.get(s) {
-            return id;
-        }
-        let id = u32::try_from(self.strings.len()).expect("vocab overflow: > u32::MAX strings");
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.map.insert(boxed, id);
+        let hash = hash_of(s);
+        let slot = match self.probe(hash, s) {
+            Ok(id) => return id,
+            Err(slot) if slots_for(self.ends.len() + 1) <= self.table.len() => slot,
+            Err(_) => {
+                self.grow();
+                self.free_slot(hash)
+            }
+        };
+        let id = u32::try_from(self.ends.len())
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("vocab overflow: > u32::MAX strings");
+        let end = u32::try_from(self.blob.len() + s.len())
+            .expect("vocab overflow: > u32::MAX bytes of strings");
+        self.blob.push_str(s);
+        self.ends.push(end);
+        self.table[slot] = id;
         id
     }
 
     /// Id of `s` if it was interned before.
     pub fn get(&self, s: impl AsRef<str>) -> Option<TokenId> {
-        self.map.get(s.as_ref()).copied()
+        let s = s.as_ref();
+        self.probe(hash_of(s), s).ok()
     }
 
     /// The string for `id`, if valid.
     pub fn resolve(&self, id: TokenId) -> Option<&str> {
-        self.strings.get(id as usize).map(|s| &**s)
+        let end = *self.ends.get(id as usize)? as usize;
+        Some(&self.blob[self.start_of(id)..end])
+    }
+
+    /// Where string `id` starts in the blob; `id` must be valid.
+    fn start_of(&self, id: TokenId) -> usize {
+        match id {
+            0 => 0,
+            _ => self.ends[id as usize - 1] as usize,
+        }
     }
 
     /// Number of interned strings.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.ends.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterates `(id, string)` in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TokenId, &str)> {
-        self.strings.iter().enumerate().map(|(i, s)| (i as TokenId, &**s))
+        let mut start = 0usize;
+        self.ends.iter().enumerate().map(move |(id, &end)| {
+            let s = &self.blob[start..end as usize];
+            start = end as usize;
+            (id as TokenId, s)
+        })
     }
 
-    /// Approximate heap footprint in bytes (for model-size accounting,
-    /// paper Fig. 6b).
+    /// Heap footprint in bytes (for model-size accounting, paper
+    /// Fig. 6b): the capacities of the three buffers.
     pub fn heap_bytes(&self) -> usize {
-        let strings: usize = self.strings.iter().map(|s| s.len()).sum();
-        // map stores cloned boxes: count their bytes + entry overhead.
-        strings * 2 + self.strings.len() * (std::mem::size_of::<Box<str>>() + 16)
+        self.blob.capacity()
+            + (self.ends.capacity() + self.table.capacity()) * std::mem::size_of::<u32>()
+    }
+
+    /// Walks the probe sequence of `hash`: the id of `s`, or the free
+    /// slot it would take (no slot at all while there is no table, which
+    /// `intern` grows before it seats anything).
+    fn probe(&self, hash: u64, s: &str) -> Result<TokenId, usize> {
+        if self.table.is_empty() {
+            return Err(0);
+        }
+        let mut slot = self.first_slot(hash);
+        loop {
+            let id = self.table[slot];
+            if id == EMPTY {
+                return Err(slot);
+            }
+            let have = &self.blob.as_bytes()[self.start_of(id)..self.ends[id as usize] as usize];
+            if have == s.as_bytes() {
+                return Ok(id);
+            }
+            slot = (slot + 1) & (self.table.len() - 1);
+        }
+    }
+
+    /// The first free slot on the probe sequence of `hash` (the table is
+    /// never full).
+    fn free_slot(&self, hash: u64) -> usize {
+        let mut slot = self.first_slot(hash);
+        while self.table[slot] != EMPTY {
+            slot = (slot + 1) & (self.table.len() - 1);
+        }
+        slot
+    }
+
+    /// Fx ends on a multiply, so the high bits are the mixed ones.
+    fn first_slot(&self, hash: u64) -> usize {
+        (hash >> (64 - self.table.len().trailing_zeros())) as usize
+    }
+
+    /// Makes room in the id table for one more string and re-seats
+    /// every id.
+    fn grow(&mut self) {
+        self.table = vec![EMPTY; slots_for(self.ends.len() + 1)];
+        let mut start = 0usize;
+        for id in 0..self.ends.len() {
+            let end = self.ends[id] as usize;
+            let slot = self.free_slot(hash_of(&self.blob[start..end]));
+            self.table[slot] = id as u32;
+            start = end;
+        }
+    }
+}
+
+/// The table size that keeps `strings` strings at most half full.
+fn slots_for(strings: usize) -> usize {
+    (strings * 2).next_power_of_two().max(MIN_SLOTS)
+}
+
+fn hash_of(s: &str) -> u64 {
+    let mut hasher = FxHasher::default();
+    hasher.write(s.as_bytes());
+    hasher.finish()
+}
+
+impl std::fmt::Debug for Vocab {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter().map(|(_, s)| s)).finish()
     }
 }
 
@@ -142,5 +258,31 @@ mod tests {
         v.intern("y");
         let collected: Vec<(u32, String)> = v.iter().map(|(i, s)| (i, s.to_string())).collect();
         assert_eq!(collected, vec![(0, "x".to_string()), (1, "y".to_string())]);
+    }
+
+    #[test]
+    fn heap_bytes_is_the_three_capacities() {
+        let mut v = Vocab::new();
+        assert_eq!(v.heap_bytes(), 0);
+        for i in 0..1000 {
+            v.intern(format!("word{i}"));
+            assert_eq!(
+                v.heap_bytes(),
+                v.blob.capacity() + 4 * v.ends.capacity() + 4 * v.table.capacity()
+            );
+        }
+        assert!(v.table.len().is_power_of_two() && v.table.len() >= 2 * v.len());
+    }
+
+    #[test]
+    fn with_capacity_takes_exactly_that_many_without_growing() {
+        for n in [1usize, 4, 5, 64, 1000] {
+            let mut v = Vocab::with_capacity(n);
+            let (ends, table) = (v.ends.capacity(), v.table.len());
+            for i in 0..n {
+                v.intern(i.to_string());
+            }
+            assert_eq!((v.ends.capacity(), v.table.len()), (ends, table), "{n} strings");
+        }
     }
 }

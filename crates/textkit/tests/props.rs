@@ -127,4 +127,106 @@ proptest! {
         let distinct: std::collections::HashSet<_> = words.iter().collect();
         prop_assert_eq!(v.len(), distinct.len());
     }
+
+    /// Vocab against the obvious model, a `HashMap<String, u32>` and a
+    /// `Vec<String>`, over scripts of intern / get / resolve / clone. The
+    /// alphabet is tiny so that strings repeat, share prefixes, are empty,
+    /// are not ASCII, and differ only in trailing NULs — which the Fx
+    /// hash, zero-padding its last word, cannot tell apart.
+    #[test]
+    fn vocab_matches_the_map_and_vec_model(
+        script in prop::collection::vec((0u8..8, "[ab\u{0}é]{0,5}", 0u32..40), 0..200),
+    ) {
+        let mut vocab = Vocab::new();
+        let mut model = VocabModel::default();
+        // Clones taken along the way, each with the model of that moment:
+        // later interns into the original must not show in them.
+        let mut clones: Vec<(Vocab, VocabModel)> = Vec::new();
+        for (op, text, id) in &script {
+            match op {
+                0..=3 => prop_assert_eq!(vocab.intern(text), model.intern(text), "intern {:?}", text),
+                4 | 5 => prop_assert_eq!(vocab.get(text), model.ids.get(text).copied(), "get {:?}", text),
+                6 => prop_assert_eq!(vocab.resolve(*id), model.strings.get(*id as usize).map(String::as_str)),
+                _ => clones.push((vocab.clone(), model.clone())),
+            }
+            prop_assert_eq!(vocab.len(), model.strings.len());
+            prop_assert_eq!(vocab.is_empty(), model.strings.is_empty());
+        }
+        clones.push((vocab, model));
+        // Diverge every clone from the rest, then check each in full.
+        for (n, (vocab, model)) in clones.iter_mut().enumerate() {
+            let own = format!("clone{n}");
+            prop_assert_eq!(vocab.intern(&own), model.intern(&own));
+        }
+        for (vocab, model) in &clones {
+            let listed: Vec<(u32, &str)> = vocab.iter().collect();
+            let want: Vec<(u32, &str)> =
+                model.strings.iter().enumerate().map(|(id, s)| (id as u32, s.as_str())).collect();
+            prop_assert_eq!(listed, want);
+            for (text, &id) in &model.ids {
+                prop_assert_eq!(vocab.get(text), Some(id));
+                prop_assert_eq!(&vocab[id], text.as_str());
+            }
+            prop_assert_eq!(vocab.resolve(model.strings.len() as u32), None);
+        }
+    }
+}
+
+/// What [`Vocab`] replaced, kept as the reference.
+#[derive(Default, Clone)]
+struct VocabModel {
+    ids: std::collections::HashMap<String, u32>,
+    strings: Vec<String>,
+}
+
+impl VocabModel {
+    fn intern(&mut self, text: &str) -> u32 {
+        if let Some(&id) = self.ids.get(text) {
+            return id;
+        }
+        let id = self.strings.len() as u32;
+        self.ids.insert(text.to_string(), id);
+        self.strings.push(text.to_string());
+        id
+    }
+}
+
+/// Enough strings that the id table grows a dozen times, with repeats in
+/// between: every id stays findable across every re-seating.
+#[test]
+fn vocab_survives_many_growths() {
+    const STRINGS: u32 = 200_000;
+    let mut vocab = Vocab::new();
+    for i in 0..STRINGS {
+        assert_eq!(vocab.intern(format!("token{i}")), i);
+        if i % 7 == 0 {
+            assert_eq!(vocab.intern(format!("token{}", i / 2)), i / 2);
+        }
+    }
+    assert_eq!(vocab.len(), STRINGS as usize);
+    for i in (0..STRINGS).step_by(13) {
+        let text = format!("token{i}");
+        assert_eq!(vocab.get(&text), Some(i));
+        assert_eq!(vocab.resolve(i), Some(text.as_str()));
+    }
+    assert_eq!(vocab.get("token"), None);
+    assert_eq!(vocab.get(format!("token{STRINGS}")), None);
+}
+
+/// Sized for its contents up front, a vocabulary never reallocates: the
+/// footprint it reports before the first intern is the footprint after
+/// the last.
+#[test]
+fn vocab_sized_up_front_does_not_grow() {
+    for strings in [1usize, 7, 8, 9, 1000, 4096, 4097] {
+        let words: Vec<String> = (0..strings).map(|i| format!("w{i}")).collect();
+        let bytes: usize = words.iter().map(String::len).sum();
+        let mut vocab = Vocab::with_capacities(strings, bytes);
+        let before = vocab.heap_bytes();
+        for word in &words {
+            vocab.intern(word);
+        }
+        assert_eq!(vocab.len(), strings);
+        assert_eq!(vocab.heap_bytes(), before, "{strings} strings grew a buffer");
+    }
 }

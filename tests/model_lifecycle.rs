@@ -73,7 +73,7 @@ fn snapshot_roundtrip_is_a_byte_fixpoint_and_inference_identical() {
     let expected = infer_all(&original);
 
     let bytes = serialize::to_bytes(&original);
-    let loaded = serialize::from_shared(bytes.clone()).expect("load");
+    let loaded = bytes.parse().expect("load");
     assert_eq!(expected, infer_all(&loaded), "round-trip changed inference results");
     assert_eq!(bytes, serialize::to_bytes(&loaded), "save → load → save is not a fixpoint");
 
