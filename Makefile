@@ -1,6 +1,7 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs the same
-# four gates — build, test, doc, clippy — then the named gates, smokes
-# and overhead benches below.
+# four gates — build, test, doc, clippy — then the smokes and overhead
+# benches below; its named gates are test binaries `make test` runs
+# (the table above CI's Test step says which).
 
 CARGO ?= cargo
 

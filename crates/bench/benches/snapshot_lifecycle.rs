@@ -38,7 +38,7 @@ fn bench_load(c: &mut Criterion) {
         // hashed yet, one pass included.
         let bytes = serialize::to_bytes(&model).into_bytes();
         group.throughput(Throughput::Bytes(bytes.len() as u64));
-        group.bench_function(BenchmarkId::new("v2_zero_copy", size), |b| {
+        group.bench_function(BenchmarkId::new("zero_copy", size), |b| {
             b.iter(|| serialize::from_shared(std::hint::black_box(bytes.clone())).expect("load"))
         });
     }

@@ -138,8 +138,8 @@ fn render_info(source: &str, info: &SnapshotInfo) -> String {
     let _ = writeln!(out, "keyphrases: {}", info.num_keyphrases);
     let _ = writeln!(out, "sections: {} (zero-copy loadable)", info.num_sections);
     let _ = writeln!(out, "size: {} bytes", info.size_bytes);
-    // The format's own integrity trailer (FNV-1a over the payload);
-    // manifests additionally record an FNV-1a over the whole file.
+    // The format's own integrity trailer (`serialize::checksum` of the
+    // payload); manifests additionally record it over the whole file.
     let _ = writeln!(out, "trailer checksum: {:016x}", info.checksum);
     out
 }
@@ -244,7 +244,7 @@ mod tests {
         assert!(out.contains("first"), "{out}");
 
         let out = run(&argv(&["inspect", "--root", root_s])).unwrap();
-        assert!(out.contains("GEXM v2"), "{out}");
+        assert!(out.contains("GEXM v3"), "{out}");
         assert!(out.contains("zero-copy"), "{out}");
 
         let out = run(&argv(&["verify", "--root", root_s, "--version", "1"])).unwrap();
@@ -258,6 +258,17 @@ mod tests {
         // Verify a bare file too.
         let out = run(&argv(&["verify", "--model", gexm_s])).unwrap();
         assert!(out.starts_with("OK:"), "{out}");
+
+        // A snapshot an older build wrote — version word 2 under a
+        // trailer (FNV-1a) that this build's checksum does not match —
+        // is named, not just called corrupt.
+        let mut old = std::fs::read(&gexm).unwrap();
+        old[4] = 2;
+        std::fs::write(&gexm, &old).unwrap();
+        for verb in ["inspect", "verify"] {
+            let err = run(&argv(&[verb, "--model", gexm_s])).unwrap_err();
+            assert!(err.contains("a GEXM v2 snapshot predates the v3 checksum — rebuild it"), "{verb}: {err}");
+        }
 
         std::fs::remove_dir_all(&dir).ok();
     }

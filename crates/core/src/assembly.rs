@@ -21,7 +21,7 @@
 //!    into the global ones. Interning a leaf's local vocabulary in local
 //!    id order reproduces exactly the global first-occurrence order a
 //!    single sequential pass over the canonical record stream would have
-//!    produced, so the merged model — and its `GEXM v2` serialization —
+//!    produced, so the merged model — and its `GEXM` serialization —
 //!    is byte-identical no matter how stages 2 ran (1 thread or N). The
 //!    meta-fallback graph is then a fold over the merged leaves
 //!    ([`ModelAssembler::derive_fallback`]) — no record is read twice.
@@ -105,7 +105,8 @@ pub fn combine_fingerprints(fingerprints: impl IntoIterator<Item = u64>) -> u64 
     h.finish()
 }
 
-/// Streaming FNV-1a hasher (same function as the GEXM trailer checksum).
+/// Streaming FNV-1a hasher, for the fingerprints `BUILDINFO` records (a
+/// snapshot's own checksum is `serialize::checksum`, a different function).
 struct Fnv(u64);
 
 impl Fnv {

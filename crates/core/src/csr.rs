@@ -13,7 +13,7 @@ use crate::storage::U32Store;
 /// Construction sorts and de-duplicates the edge list as the paper
 /// describes ("constructed as tuples, sorted and then de-duplicated"). The
 /// two arrays are [`U32Store`]s: owned when built in-process, borrowed
-/// zero-copy from the load buffer when deserialized from a `GEXM v2`
+/// zero-copy from the load buffer when deserialized from a `GEXM`
 /// snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {

@@ -8,6 +8,7 @@
 //! to 90 where a category is too small — Table VII quantifies the trade).
 
 use crate::types::KeyphraseRecord;
+use graphex_textkit::{FxHashMap, Vocab};
 
 /// Thresholds applied to raw keyphrase rows before graph construction.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,8 +100,11 @@ pub fn curate(
 pub struct Curator {
     config: CurationConfig,
     stats: CurationStats,
-    /// (leaf, text) -> index into kept
-    index: std::collections::HashMap<(u32, String), usize>,
+    /// Every text seen, interned: a record costs the index no allocation
+    /// of its own.
+    texts: Vocab,
+    /// (leaf, text id) -> index into kept
+    index: FxHashMap<(u32, u32), usize>,
     kept: Vec<KeyphraseRecord>,
 }
 
@@ -109,7 +113,8 @@ impl Curator {
         Self {
             config,
             stats: CurationStats::default(),
-            index: std::collections::HashMap::new(),
+            texts: Vocab::new(),
+            index: FxHashMap::default(),
             kept: Vec::new(),
         }
     }
@@ -126,7 +131,7 @@ impl Curator {
             self.stats.dropped_low_search += 1;
             return;
         }
-        match self.index.entry((rec.leaf.0, rec.text.clone())) {
+        match self.index.entry((rec.leaf.0, self.texts.intern(&rec.text))) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 let existing = &mut self.kept[*e.get()];
                 existing.search_count = existing.search_count.saturating_add(rec.search_count);

@@ -16,7 +16,7 @@ use graphex_textkit::{FxHashMap, TokenId};
 ///
 /// All integer arrays are stores: owned when the graph was built
 /// in-process, borrowed zero-copy from the snapshot buffer when loaded
-/// from `GEXM v2`. Only `word_rows` — the
+/// from a `GEXM` snapshot. Only `word_rows` — the
 /// token → row hash index — is materialized at load time, and that is
 /// O(words), not O(edges).
 #[derive(Debug, Clone)]
@@ -203,7 +203,7 @@ impl LeafGraph {
     }
 
     /// Whether this graph's arrays borrow from a shared snapshot buffer
-    /// (true exactly for graphs loaded through the zero-copy v2 path).
+    /// (true exactly for graphs loaded through the zero-copy snapshot path).
     pub fn is_zero_copy(&self) -> bool {
         self.labels.is_view()
     }

@@ -1,21 +1,21 @@
-//! Binary model format: `GEXM` v2 (zero-copy).
+//! Binary model format: `GEXM` v3 (zero-copy).
 //!
 //! A GraphEx model is a set of integer arrays plus two string tables. On
-//! disk that is the `GEXM` magic, a version word, and an FNV-1a checksum
-//! trailer around one layout ([`to_bytes`]): a fixed 32-byte header, a
-//! **section directory**, and every integer array stored as a raw
-//! little-endian section on an **8-byte boundary**. The loader borrows
-//! the CSR/label/score arrays straight out of the load buffer
-//! ([`bytes::Bytes`]-backed [`crate::storage::PodView`]s) — zero
-//! per-edge copies, and mmap-ready: any `AsRef<[u8]>` owner with an
-//! 8-aligned base can back [`from_shared`]. Only the string tables and
-//! the per-leaf word index are materialized (O(strings + words)).
+//! disk that is the `GEXM` magic, a version word, and a checksum trailer
+//! around one layout ([`to_bytes`]): a fixed 32-byte header, a **section
+//! directory**, and every array stored as a raw little-endian section on
+//! an **8-byte boundary**. The loader borrows the CSR/label/score arrays
+//! straight out of the load buffer ([`bytes::Bytes`]-backed
+//! [`crate::storage::PodView`]s) — zero per-edge copies, and mmap-ready:
+//! any `AsRef<[u8]>` owner with an 8-aligned base can back
+//! [`from_shared`]. Only the string tables and the per-leaf word index
+//! are materialized (O(strings + words)).
 //!
-//! v2 layout (little-endian throughout):
+//! v3 layout (little-endian throughout):
 //!
 //! ```text
 //! off  0  magic            b"GEXM"
-//! off  4  u32  version     (= 2)
+//! off  4  u32  version     (= 3)
 //! off  8  u8   flags       (bit0 stemming, bit1 has_fallback)
 //! off  9  u8   alignment   (0 LTA, 1 WMR, 2 JAC)
 //! off 10  u16  reserved    (= 0)
@@ -27,18 +27,44 @@
 //!         directory        section_count × 32-byte entries:
 //!                          (u32 kind, u32 owner, u64 offset,
 //!                           u64 byte_len, u64 elem_count)
-//!         u64 fnv1a        checksum of everything above
+//!         u64 checksum     of everything above
 //! ```
 //!
-//! Section kinds: leaf-id table and the two vocab blobs (owner = `!0`),
-//! then per graph (owner = leaf index, or `!0` for the meta fallback):
-//! row-tokens, CSR offsets, CSR targets, labels, label-lens (u16),
-//! search counts, recall counts.
+//! | kind | section | elements | owner |
+//! |---|---|---|---|
+//! | 1 | leaf-id table | `u32` leaf ids, ascending | `!0` |
+//! | 2 / 4 | token / keyphrase vocab **ends** | `u32`: where string *id* ends in the blob | `!0` |
+//! | 3 / 5 | token / keyphrase vocab **blob** | the strings' UTF-8 back to back, id order | `!0` |
+//! | 6–9 | row tokens, CSR offsets, CSR targets, labels | `u32` | leaf index, or `!0` for the meta fallback |
+//! | 10 | label lengths | `u16` | 〃 |
+//! | 11, 12 | search counts, recall counts | `u32` | 〃 |
 //!
-//! A buffer is hashed **once**: one FNV-1a walk yields the trailer (the
-//! state after the payload) and the whole-file checksum manifests record
-//! (the same state carried over the trailer), and a [`Hashed`] carries
-//! both with the bytes so that nothing downstream hashes again.
+//! A string table on disk is [`Vocab`]'s own two buffers, so writing one
+//! is two bulk copies and loading one is [`Vocab::from_parts`]: one UTF-8
+//! validation of the blob, one pass over the ends (monotone, on char
+//! boundaries, ending at the blob's end), one pass seating the id table
+//! that refuses a duplicate. A string may be as long as the blob may be:
+//! `u32::MAX` bytes.
+//!
+//! **The checksum** ([`checksum`]) reads the buffer as little-endian
+//! `u64` words, the ragged tail zero-padded into a last word. Word *i* is
+//! folded into lane *i* mod 4 — `lane = ((lane ^ word) × odd).rotl(29)` —
+//! and the four lanes are folded the same way into a state seeded with
+//! the byte length. Every step is a bijection of the lane for a fixed
+//! word and of the word for a fixed lane, so **a change confined to one
+//! word always changes the sum** (a flipped bit or byte is detected with
+//! certainty, not with probability 1 − 2⁻⁶⁴), and four independent
+//! multiply chains make a pass memory-bound where one byte-serial chain
+//! was latency-bound. The sum over the payload is the trailer; the sum
+//! over the whole file is what manifests record. The payload of a
+//! well-formed file is whole words, so one walk yields both (the lanes
+//! are read off at the payload's end and the walk carries on), and a
+//! [`Hashed`] carries both with the bytes so that nothing downstream
+//! sums again.
+//!
+//! [`to_bytes`] knows every section's length from the model: it makes
+//! **one allocation**, of the file's exact size, copies each array in as
+//! one slice, and sums once when the last byte is written.
 //! Deserialization validates every structural invariant (checksum first,
 //! then the version word, CSR monotonicity, parallel array lengths, label
 //! ranges, section bounds/alignment) and fails with
@@ -52,60 +78,70 @@ use crate::leaf_graph::LeafGraph;
 use crate::model::GraphExModel;
 use crate::storage::{AlignedBuf, PodView};
 use crate::types::LeafId;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use graphex_textkit::{FxHashMap, Vocab};
 use std::io::Write;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"GEXM";
 /// The format version this module writes and reads.
-pub const VERSION_V2: u32 = 2;
-/// Fixed v2 header length in bytes.
-pub const V2_HEADER_LEN: usize = 32;
-/// v2 directory entry length in bytes.
-pub const V2_DIR_ENTRY_LEN: usize = 32;
+pub const VERSION: u32 = 3;
+/// Fixed header length in bytes.
+pub const HEADER_LEN: usize = 32;
+/// Directory entry length in bytes.
+pub const DIR_ENTRY_LEN: usize = 32;
 /// Section owner value meaning "not a leaf graph" (tables, vocabs, the
 /// meta-fallback graph).
-pub const V2_NO_OWNER: u32 = u32::MAX;
+pub const NO_OWNER: u32 = u32::MAX;
 
-/// v2 section kinds (directory `kind` field).
+/// Section kinds (directory `kind` field).
 pub mod section {
     pub const LEAF_TABLE: u32 = 1;
-    pub const TOKENS_VOCAB: u32 = 2;
-    pub const KEYPHRASES_VOCAB: u32 = 3;
-    pub const ROW_TOKENS: u32 = 4;
-    pub const CSR_OFFSETS: u32 = 5;
-    pub const CSR_TARGETS: u32 = 6;
-    pub const LABELS: u32 = 7;
-    pub const LABEL_LENS: u32 = 8;
-    pub const SEARCH: u32 = 9;
-    pub const RECALL: u32 = 10;
+    pub const TOKENS_ENDS: u32 = 2;
+    pub const TOKENS_BLOB: u32 = 3;
+    pub const KEYPHRASES_ENDS: u32 = 4;
+    pub const KEYPHRASES_BLOB: u32 = 5;
+    pub const ROW_TOKENS: u32 = 6;
+    pub const CSR_OFFSETS: u32 = 7;
+    pub const CSR_TARGETS: u32 = 8;
+    pub const LABELS: u32 = 9;
+    pub const LABEL_LENS: u32 = 10;
+    pub const SEARCH: u32 = 11;
+    pub const RECALL: u32 = 12;
 }
 
-/// FNV-1a of `data` — over a snapshot's payload it is the trailer, over
-/// the whole file the value the registry and `BUILDINFO` record. Holders
-/// of a [`Hashed`] have both already.
+/// Sections that are not a graph's: the leaf table and two per vocab.
+const TABLE_SECTIONS: usize = 5;
+/// Sections per graph (each leaf, and the meta fallback).
+const GRAPH_SECTIONS: usize = 7;
+
+/// The lane checksum of `data` (module docs) — over a snapshot's payload
+/// it is the trailer, over the whole file the value the registry and
+/// `BUILDINFO` record. Holders of a [`Hashed`] have both already.
 pub fn checksum(data: &[u8]) -> u64 {
-    fnv1a(data)
+    let mut sum = LaneSum::new();
+    sum.absorb(data);
+    sum.finish(data.len())
 }
 
-/// A snapshot buffer with the one FNV-1a pass it needs already made.
+/// A snapshot buffer with the one checksum pass it needs already made.
 ///
-/// FNV-1a is a running state: the state after the payload *is* the
-/// trailer a sound file stores, and carried on over those 8 bytes it *is*
-/// the whole-file checksum manifests record. [`hash`] walks a buffer once
-/// and keeps both; [`Hashed::parse`] and [`Hashed::inspect`] judge the
-/// buffer by them without reading it again, and [`to_bytes`] returns one
-/// because it computed the same state to write the trailer. Derefs to the
-/// bytes; compares equal when the bytes do.
+/// The checksum is a running state: read off after the payload it *is*
+/// the trailer a sound file stores, and read off again after those 8
+/// bytes it *is* the whole-file checksum manifests record. [`hash`] walks
+/// a buffer once and keeps both; [`Hashed::parse`] and
+/// [`Hashed::inspect`] judge the buffer by them without reading it again,
+/// and [`to_bytes`] returns one because it computed the same state to
+/// write the trailer. Derefs to the bytes; compares equal when the bytes
+/// do.
 #[derive(Clone)]
 pub struct Hashed {
     bytes: Bytes,
     sums: Sums,
 }
 
-/// FNV-1a after a buffer's payload (everything but its last 8 bytes) and
-/// after the whole of it.
+/// The checksum of a buffer's payload (everything but its last 8 bytes)
+/// and of the whole of it.
 #[derive(Debug, Clone, Copy)]
 struct Sums {
     payload: u64,
@@ -121,7 +157,7 @@ pub fn hash(data: Bytes) -> Hashed {
 }
 
 impl Hashed {
-    /// FNV-1a of the whole buffer: what [`checksum`] would return.
+    /// The checksum of the whole buffer: what [`checksum`] would return.
     pub fn checksum(&self) -> u64 {
         self.sums.file
     }
@@ -133,17 +169,17 @@ impl Hashed {
 
     /// Checks trailer, magic and version, then parses the model,
     /// borrowing all array sections from the buffer — [`from_shared`]
-    /// without its hash pass.
+    /// without its checksum pass.
     pub fn parse(&self) -> Result<GraphExModel> {
         self.sums.check(&self.bytes)?;
         if self.bytes.as_ptr() as usize % 8 == 0 {
-            parse_v2(self.bytes.clone())
+            parse_model(self.bytes.clone())
         } else {
-            parse_v2(Bytes::from_owner(AlignedBuf::copy_from(&self.bytes)))
+            parse_model(Bytes::from_owner(AlignedBuf::copy_from(&self.bytes)))
         }
     }
 
-    /// [`inspect`] without its hash pass.
+    /// [`inspect`] without its checksum pass.
     pub fn inspect(&self) -> Result<SnapshotInfo> {
         self.sums.info(&self.bytes)
     }
@@ -179,49 +215,52 @@ impl std::fmt::Debug for Hashed {
 
 /// Serializes `model` (see the module docs for the layout); the result
 /// loads zero-copy, and knows its own checksum from writing the trailer.
+///
+/// Every section's length is known before a byte is written, so the
+/// buffer is allocated once at the file's exact size and each array is
+/// copied in as a slice.
 pub fn to_bytes(model: &GraphExModel) -> Hashed {
     let leaf_ids = sorted_leaf_ids(model);
+    // Each graph with its section owner: the leaves by index, then the
+    // fallback.
+    let graphs = || {
+        let leaves = leaf_ids.iter().enumerate();
+        leaves
+            .map(|(index, &leaf)| (index as u32, &model.leaves[&LeafId(leaf)]))
+            .chain(model.fallback.as_deref().map(|fallback| (NO_OWNER, fallback)))
+    };
 
-    let mut buf = BytesMut::with_capacity(4096);
+    let section_count = TABLE_SECTIONS + GRAPH_SECTIONS * graphs().count();
+    let sections_len = padded(leaf_ids.len() * 4)
+        + vocab_len(&model.tokens)
+        + vocab_len(&model.keyphrases)
+        + graphs().map(|(_, graph)| graph_len(graph)).sum::<usize>();
+    let dir_offset = HEADER_LEN + sections_len;
+    let file_len = dir_offset + section_count * DIR_ENTRY_LEN + 8;
+
+    let mut out = Writer { buf: Vec::with_capacity(file_len), dir: Vec::with_capacity(section_count) };
+    let buf = &mut out.buf;
     buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION_V2);
+    buf.put_u32_le(VERSION);
     buf.put_u8(model_flags(model));
     buf.put_u8(alignment_tag(model.alignment));
     buf.put_u16_le(0); // reserved
     buf.put_u32_le(leaf_ids.len() as u32);
-    buf.put_u64_le(0); // directory offset, patched below
-    buf.put_u32_le(0); // section count, patched below
+    buf.put_u64_le(dir_offset as u64);
+    buf.put_u32_le(section_count as u32);
     buf.put_u32_le(0); // reserved
-    debug_assert_eq!(buf.len(), V2_HEADER_LEN);
+    debug_assert_eq!(buf.len(), HEADER_LEN);
 
-    let mut dir: Vec<RawSection> = Vec::new();
-
-    put_section(&mut buf, &mut dir, section::LEAF_TABLE, V2_NO_OWNER, leaf_ids.len() as u64, |b| {
-        for leaf in &leaf_ids {
-            b.put_u32_le(leaf.0);
-        }
-    });
-    put_section(&mut buf, &mut dir, section::TOKENS_VOCAB, V2_NO_OWNER, model.tokens.len() as u64, |b| {
-        put_vocab_blob(b, &model.tokens);
-    });
-    put_section(
-        &mut buf,
-        &mut dir,
-        section::KEYPHRASES_VOCAB,
-        V2_NO_OWNER,
-        model.keyphrases.len() as u64,
-        |b| put_vocab_blob(b, &model.keyphrases),
-    );
-    for (index, leaf) in leaf_ids.iter().enumerate() {
-        put_graph_sections(&mut buf, &mut dir, index as u32, &model.leaves[leaf]);
-    }
-    if let Some(fb) = &model.fallback {
-        put_graph_sections(&mut buf, &mut dir, V2_NO_OWNER, fb);
+    out.put_u32s(section::LEAF_TABLE, NO_OWNER, &leaf_ids);
+    out.put_vocab(section::TOKENS_ENDS, section::TOKENS_BLOB, &model.tokens);
+    out.put_vocab(section::KEYPHRASES_ENDS, section::KEYPHRASES_BLOB, &model.keyphrases);
+    for (owner, graph) in graphs() {
+        out.put_graph(owner, graph);
     }
 
-    pad_to_8(&mut buf);
-    let dir_offset = buf.len() as u64;
-    let section_count = dir.len() as u32;
+    let Writer { mut buf, dir } = out;
+    buf.resize(padded(buf.len()), 0);
+    assert_eq!((buf.len(), dir.len()), (dir_offset, section_count), "sections were not sized as written");
     for entry in &dir {
         buf.put_u32_le(entry.kind);
         buf.put_u32_le(entry.owner);
@@ -229,26 +268,31 @@ pub fn to_bytes(model: &GraphExModel) -> Hashed {
         buf.put_u64_le(entry.byte_len);
         buf.put_u64_le(entry.elems);
     }
-    buf[16..24].copy_from_slice(&dir_offset.to_le_bytes());
-    buf[24..28].copy_from_slice(&section_count.to_le_bytes());
 
-    let payload = fnv1a(&buf);
+    // The payload is whole words: the sum is read off here and carries
+    // on over the trailer it is written as.
+    let mut sum = LaneSum::new();
+    sum.absorb(&buf);
+    let payload = sum.finish(buf.len());
     buf.put_u64_le(payload);
-    let sums = Sums { payload, file: fnv1a_from(payload, &payload.to_le_bytes()) };
-    Hashed { bytes: buf.freeze(), sums }
+    sum.absorb(&payload.to_le_bytes());
+    let sums = Sums { payload, file: sum.finish(buf.len()) };
+    debug_assert_eq!(buf.len(), file_len);
+    Hashed { bytes: Bytes::from(buf), sums }
 }
 
 /// One directory entry (also returned by [`inspect`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawSection {
     pub kind: u32,
-    /// Leaf index this section belongs to, or [`V2_NO_OWNER`] for tables,
+    /// Leaf index this section belongs to, or [`NO_OWNER`] for tables,
     /// vocabs, and the fallback graph.
     pub owner: u32,
     /// Absolute byte offset (8-aligned).
     pub offset: u64,
     pub byte_len: u64,
-    /// Element count: array length, or string count for vocab blobs.
+    /// Element count: array length (a vocab's ends: its string count;
+    /// its blob: bytes).
     pub elems: u64,
 }
 
@@ -260,7 +304,7 @@ pub struct RawSection {
 /// [`Bytes`] to skip the realign copy entirely.
 pub fn from_bytes(data: &[u8]) -> Result<GraphExModel> {
     Sums::of(data).check(data)?;
-    parse_v2(Bytes::from_owner(AlignedBuf::copy_from(data)))
+    parse_model(Bytes::from_owner(AlignedBuf::copy_from(data)))
 }
 
 /// Parses a model from a shared buffer, borrowing all array sections
@@ -273,10 +317,11 @@ pub fn from_shared(data: Bytes) -> Result<GraphExModel> {
     hash(data).parse()
 }
 
-fn parse_v2(data: Bytes) -> Result<GraphExModel> {
-    debug_assert_eq!(data.as_ptr() as usize % 8, 0, "parse_v2 requires an aligned buffer");
-    if data.len() < V2_HEADER_LEN + 8 {
-        return Err(GraphExError::Corrupt("v2 file too short".into()));
+/// Parses a buffer whose trailer, magic and version have been checked.
+fn parse_model(data: Bytes) -> Result<GraphExModel> {
+    debug_assert_eq!(data.as_ptr() as usize % 8, 0, "parse_model requires an aligned buffer");
+    if data.len() < HEADER_LEN + 8 {
+        return Err(GraphExError::Corrupt("file too short for its header".into()));
     }
     // Header.
     let flags = data[8];
@@ -294,7 +339,7 @@ fn parse_v2(data: Bytes) -> Result<GraphExModel> {
         FxHashMap::with_capacity_and_hasher(entries.len(), Default::default());
     for (i, entry) in entries.into_iter().enumerate() {
         let end = entry.offset.checked_add(entry.byte_len);
-        if entry.offset % 8 != 0 || entry.offset < V2_HEADER_LEN as u64 || end.is_none() || end > Some(dir_offset) {
+        if entry.offset % 8 != 0 || entry.offset < HEADER_LEN as u64 || end.is_none() || end > Some(dir_offset) {
             return Err(GraphExError::Corrupt(format!("section {i} out of bounds")));
         }
         if sections.insert((entry.kind, entry.owner), entry).is_some() {
@@ -314,15 +359,14 @@ fn parse_v2(data: Bytes) -> Result<GraphExModel> {
     };
 
     // Tables and vocabs.
-    let leaf_table = take(section::LEAF_TABLE, V2_NO_OWNER)?;
+    let leaf_table = take(section::LEAF_TABLE, NO_OWNER)?;
     if leaf_table.elems != num_leaves as u64 {
         return Err(GraphExError::Corrupt("leaf table length != num_leaves".into()));
     }
     let leaf_ids = u32_view(&data, &leaf_table)?;
-    let tokens_sec = take(section::TOKENS_VOCAB, V2_NO_OWNER)?;
-    let tokens = get_vocab_blob(section_bytes(&data, &tokens_sec), tokens_sec.elems)?;
-    let keyphrases_sec = take(section::KEYPHRASES_VOCAB, V2_NO_OWNER)?;
-    let keyphrases = get_vocab_blob(section_bytes(&data, &keyphrases_sec), keyphrases_sec.elems)?;
+    let tokens = get_vocab(&data, &take(section::TOKENS_ENDS, NO_OWNER)?, &take(section::TOKENS_BLOB, NO_OWNER)?)?;
+    let keyphrases =
+        get_vocab(&data, &take(section::KEYPHRASES_ENDS, NO_OWNER)?, &take(section::KEYPHRASES_BLOB, NO_OWNER)?)?;
     let num_keyphrases = keyphrases.len() as u32;
 
     // Per-leaf graphs, then the fallback.
@@ -336,7 +380,7 @@ fn parse_v2(data: Bytes) -> Result<GraphExModel> {
         }
     }
     let fallback = if has_fallback {
-        Some(Box::new(graph_from_sections(&data, V2_NO_OWNER, num_keyphrases, &mut take)?))
+        Some(Box::new(graph_from_sections(&data, NO_OWNER, num_keyphrases, &mut take)?))
     } else {
         None
     };
@@ -383,107 +427,105 @@ fn graph_from_sections(
     .map_err(GraphExError::Corrupt)
 }
 
-// ---- v2 writer helpers ------------------------------------------------
+// ---- writer helpers ---------------------------------------------------
 
-fn put_section(
-    buf: &mut BytesMut,
-    dir: &mut Vec<RawSection>,
-    kind: u32,
-    owner: u32,
-    elems: u64,
-    write: impl FnOnce(&mut BytesMut),
-) {
-    pad_to_8(buf);
-    let offset = buf.len() as u64;
-    write(buf);
-    dir.push(RawSection { kind, owner, offset, byte_len: buf.len() as u64 - offset, elems });
+/// `len` rounded up to the 8-byte boundary the next section starts on.
+fn padded(len: usize) -> usize {
+    len.next_multiple_of(8)
 }
 
-fn put_graph_sections(buf: &mut BytesMut, dir: &mut Vec<RawSection>, owner: u32, graph: &LeafGraph) {
+/// The bytes a vocab's two sections take, padding included.
+fn vocab_len(vocab: &Vocab) -> usize {
+    let (blob, ends) = vocab.parts();
+    padded(ends.len() * 4) + padded(blob.len())
+}
+
+/// The bytes a graph's seven sections take, padding included.
+fn graph_len(graph: &LeafGraph) -> usize {
     let (offsets, targets) = graph.csr_parts();
-    let arrays: [(&[u32], u32); 6] = [
-        (graph.row_tokens(), section::ROW_TOKENS),
-        (offsets, section::CSR_OFFSETS),
-        (targets, section::CSR_TARGETS),
-        (graph.labels(), section::LABELS),
-        (graph.searches(), section::SEARCH),
-        (graph.recalls(), section::RECALL),
-    ];
-    for (vals, kind) in arrays.iter().take(4).copied() {
-        put_section(buf, dir, kind, owner, vals.len() as u64, |b| {
-            for &v in vals {
-                b.put_u32_le(v);
-            }
+    [graph.row_tokens(), offsets, targets, graph.labels(), graph.searches(), graph.recalls()]
+        .iter()
+        .map(|vals| padded(vals.len() * 4))
+        .sum::<usize>()
+        + padded(graph.label_lens().len() * 2)
+}
+
+/// The file under construction — allocated at its final size by
+/// [`to_bytes`] — and the directory entries of the sections in it.
+struct Writer {
+    buf: Vec<u8>,
+    dir: Vec<RawSection>,
+}
+
+impl Writer {
+    /// Opens a section of `byte_len` zeroed bytes on the next 8-byte
+    /// boundary and returns them to be filled.
+    fn section(&mut self, kind: u32, owner: u32, elems: usize, byte_len: usize) -> &mut [u8] {
+        let offset = padded(self.buf.len());
+        self.dir.push(RawSection {
+            kind,
+            owner,
+            offset: offset as u64,
+            byte_len: byte_len as u64,
+            elems: elems as u64,
         });
+        self.buf.resize(offset + byte_len, 0);
+        &mut self.buf[offset..]
     }
-    put_section(buf, dir, section::LABEL_LENS, owner, graph.label_lens().len() as u64, |b| {
-        for &l in graph.label_lens() {
-            b.put_u16_le(l);
+
+    fn put_u32s(&mut self, kind: u32, owner: u32, vals: &[u32]) {
+        let dst = self.section(kind, owner, vals.len(), vals.len() * 4);
+        for (dst, val) in dst.chunks_exact_mut(4).zip(vals) {
+            dst.copy_from_slice(&val.to_le_bytes());
         }
-    });
-    for (vals, kind) in arrays.iter().skip(4).copied() {
-        put_section(buf, dir, kind, owner, vals.len() as u64, |b| {
-            for &v in vals {
-                b.put_u32_le(v);
-            }
-        });
     }
-}
 
-fn pad_to_8(buf: &mut BytesMut) {
-    while buf.len() % 8 != 0 {
-        buf.put_u8(0);
+    fn put_u16s(&mut self, kind: u32, owner: u32, vals: &[u16]) {
+        let dst = self.section(kind, owner, vals.len(), vals.len() * 2);
+        for (dst, val) in dst.chunks_exact_mut(2).zip(vals) {
+            dst.copy_from_slice(&val.to_le_bytes());
+        }
     }
-}
 
-fn put_vocab_blob(buf: &mut BytesMut, vocab: &Vocab) {
-    for (_, s) in vocab.iter() {
-        // A longer string would be written with a wrapped length under a
-        // valid checksum: a snapshot that fails its own admission.
+    /// A string table as [`Vocab`] holds it: where each string ends, and
+    /// the strings back to back.
+    fn put_vocab(&mut self, ends_kind: u32, blob_kind: u32, vocab: &Vocab) {
+        let (blob, ends) = vocab.parts();
+        // An end past `u32::MAX` would be written wrapped under a valid
+        // checksum: a snapshot that fails its own admission.
         assert!(
-            s.len() <= u16::MAX as usize,
-            "vocab string of {} bytes does not fit the format's u16 length",
-            s.len()
+            u32::try_from(blob.len()).is_ok(),
+            "vocab blob of {} bytes does not fit the format's u32 ends",
+            blob.len()
         );
-        buf.put_u16_le(s.len() as u16);
-        buf.put_slice(s.as_bytes());
+        self.put_u32s(ends_kind, NO_OWNER, ends);
+        self.section(blob_kind, NO_OWNER, blob.len(), blob.len()).copy_from_slice(blob);
+    }
+
+    fn put_graph(&mut self, owner: u32, graph: &LeafGraph) {
+        let (offsets, targets) = graph.csr_parts();
+        self.put_u32s(section::ROW_TOKENS, owner, graph.row_tokens());
+        self.put_u32s(section::CSR_OFFSETS, owner, offsets);
+        self.put_u32s(section::CSR_TARGETS, owner, targets);
+        self.put_u32s(section::LABELS, owner, graph.labels());
+        self.put_u16s(section::LABEL_LENS, owner, graph.label_lens());
+        self.put_u32s(section::SEARCH, owner, graph.searches());
+        self.put_u32s(section::RECALL, owner, graph.recalls());
     }
 }
 
-fn get_vocab_blob(mut blob: &[u8], count: u64) -> Result<Vocab> {
-    let count = usize::try_from(count)
-        .map_err(|_| GraphExError::Corrupt("implausible vocab count".into()))?;
-    if count > blob.len() / 2 {
-        // Every entry takes at least 2 bytes: bounds what is allocated
-        // on the word of a count field.
-        return Err(GraphExError::Corrupt(format!("implausible vocab count: {count}")));
+/// Loads a string table from its two sections; [`Vocab::from_parts`]
+/// makes every check. What it allocates is bounded by the sections'
+/// lengths, which the directory bounds by the file's.
+fn get_vocab(data: &Bytes, ends: &RawSection, blob: &RawSection) -> Result<Vocab> {
+    if blob.elems != blob.byte_len {
+        return Err(GraphExError::Corrupt("vocab blob length mismatch".into()));
     }
-    // Exact: every entry is a 2-byte length and its string.
-    let mut vocab = Vocab::with_capacities(count, blob.len() - 2 * count);
-    for i in 0..count {
-        if blob.remaining() < 2 {
-            return Err(GraphExError::Corrupt("truncated vocab entry length".into()));
-        }
-        let len = blob.get_u16_le() as usize;
-        if blob.remaining() < len {
-            return Err(GraphExError::Corrupt("truncated vocab entry".into()));
-        }
-        let (head, rest) = blob.split_at(len);
-        let s = std::str::from_utf8(head)
-            .map_err(|_| GraphExError::Corrupt("vocab entry is not utf-8".into()))?;
-        let id = vocab.intern(s);
-        if id as usize != i {
-            return Err(GraphExError::Corrupt("duplicate vocab entry".into()));
-        }
-        blob = rest;
-    }
-    if blob.has_remaining() {
-        return Err(GraphExError::Corrupt("trailing bytes in vocab section".into()));
-    }
-    Ok(vocab)
+    Vocab::from_parts(section_bytes(data, blob), &u32_view(data, ends)?)
+        .map_err(|why| GraphExError::Corrupt(format!("vocab section: {why}")))
 }
 
-// ---- v2 reader helpers ------------------------------------------------
+// ---- reader helpers ---------------------------------------------------
 
 fn section_bytes<'a>(data: &'a Bytes, sec: &RawSection) -> &'a [u8] {
     // Bounds were validated against the directory when `sec` was parsed.
@@ -523,11 +565,19 @@ fn read_u64(data: &[u8], at: usize) -> u64 {
 // ====================================================================
 
 impl Sums {
-    /// The one pass.
+    /// The one pass: the payload of a well-formed file is whole words,
+    /// so its sum is read off on the way to the file's. A buffer of any
+    /// other length is garbage, and is walked twice to say so.
     fn of(data: &[u8]) -> Self {
         let (payload, trailer) = data.split_at(data.len().saturating_sub(8));
-        let payload = fnv1a(payload);
-        Self { payload, file: fnv1a_from(payload, trailer) }
+        if payload.len() % 8 != 0 {
+            return Self { payload: checksum(payload), file: checksum(data) };
+        }
+        let mut sum = LaneSum::new();
+        sum.absorb(payload);
+        let payload = sum.finish(payload.len());
+        sum.absorb(trailer);
+        Self { payload, file: sum.finish(data.len()) }
     }
 
     /// Verifies the checksum trailer, the magic and the version word of
@@ -540,14 +590,22 @@ impl Sums {
         if data.len() < MAGIC.len() + 4 + 2 + 8 {
             return Err(GraphExError::Corrupt("file too short".into()));
         }
+        let (magic, version) = (&data[..4], read_u32(data, 4));
         if self.payload != read_u64(data, data.len() - 8) {
-            return Err(GraphExError::Corrupt("checksum mismatch".into()));
+            // An intact v2 file lands here too: its trailer is FNV-1a,
+            // which this build does not compute.
+            return Err(GraphExError::Corrupt(if magic == MAGIC && version == 2 {
+                "checksum mismatch (version word reads 2: a GEXM v2 snapshot predates the v3 checksum — rebuild it)"
+                    .into()
+            } else {
+                "checksum mismatch".into()
+            }));
         }
-        if &data[..4] != MAGIC {
+        if magic != MAGIC {
             return Err(GraphExError::Corrupt("bad magic".into()));
         }
-        match read_u32(data, 4) {
-            VERSION_V2 => Ok(()),
+        match version {
+            VERSION => Ok(()),
             other => Err(GraphExError::UnsupportedVersion(other)),
         }
     }
@@ -556,24 +614,24 @@ impl Sums {
     /// [`SnapshotInfo`].
     fn info(&self, data: &[u8]) -> Result<SnapshotInfo> {
         self.check(data)?;
-        if data.len() < V2_HEADER_LEN + 8 {
-            return Err(GraphExError::Corrupt("v2 file too short".into()));
+        if data.len() < HEADER_LEN + 8 {
+            return Err(GraphExError::Corrupt("file too short for its header".into()));
         }
         let sections = read_directory(data)?;
         let elems_of = |kind: u32| {
             sections
                 .iter()
-                .find(|s| s.kind == kind && s.owner == V2_NO_OWNER)
+                .find(|s| s.kind == kind && s.owner == NO_OWNER)
                 .map_or(0, |s| s.elems)
         };
         Ok(SnapshotInfo {
-            version: VERSION_V2,
+            version: VERSION,
             stemming: data[8] & 1 != 0,
             has_fallback: data[8] & 2 != 0,
             alignment: alignment_from_tag(data[9])?,
             num_leaves: u64::from(read_u32(data, 12)),
-            num_tokens: elems_of(section::TOKENS_VOCAB),
-            num_keyphrases: elems_of(section::KEYPHRASES_VOCAB),
+            num_tokens: elems_of(section::TOKENS_ENDS),
+            num_keyphrases: elems_of(section::KEYPHRASES_ENDS),
             num_sections: read_u32(data, 24),
             size_bytes: data.len(),
             checksum: self.payload,
@@ -582,7 +640,7 @@ impl Sums {
     }
 }
 
-/// Writes the model to `path` (buffered, v2 format).
+/// Writes the model to `path` (buffered).
 pub fn save_to(model: &GraphExModel, path: impl AsRef<Path>) -> Result<()> {
     write_bytes_to(&to_bytes(model), path)
 }
@@ -597,7 +655,7 @@ pub fn write_bytes_to(bytes: &[u8], path: impl AsRef<Path>) -> Result<()> {
 
 /// Reads a model from `path`.
 ///
-/// The file is read straight into an 8-byte-aligned buffer, so a v2
+/// The file is read straight into an 8-byte-aligned buffer, so a
 /// snapshot loads zero-copy: the returned model's CSR/label/score arrays
 /// borrow from that single buffer for the model's lifetime. See
 /// [`load_snapshot`] for the mmap-backed variant.
@@ -647,7 +705,7 @@ impl std::fmt::Display for LoadMode {
 /// returning the backend that actually served it.
 ///
 /// Both paths hand [`from_shared`] an 8-aligned buffer (mmap bases are
-/// page-aligned; the heap path uses [`AlignedBuf`]), so a v2 snapshot
+/// page-aligned; the heap path uses [`AlignedBuf`]), so a snapshot
 /// loads zero-copy either way and the checksum preflight runs before
 /// any version dispatch regardless of backend. A failed `mmap` —
 /// unsupported target, exotic filesystem — degrades to the heap read
@@ -678,7 +736,7 @@ pub fn read_snapshot(path: impl AsRef<Path>, prefer: LoadMode) -> Result<(Bytes,
     Ok((bytes, LoadMode::Heap))
 }
 
-/// Reads a whole file into an aligned shared buffer (the v2 load buffer).
+/// Reads a whole file into an aligned shared buffer (the load buffer).
 pub fn read_aligned(path: impl AsRef<Path>) -> Result<Bytes> {
     let file = std::fs::File::open(path)?;
     let len = usize::try_from(file.metadata()?.len())
@@ -701,34 +759,34 @@ pub struct SnapshotInfo {
     /// Number of directory sections.
     pub num_sections: u32,
     pub size_bytes: usize,
-    /// The stored FNV-1a trailer.
+    /// The stored trailer: the [`checksum`] of the payload.
     pub checksum: u64,
-    /// FNV-1a of the whole file, trailer included: what the registry
+    /// The [`checksum`] of the whole file, trailer included: what the registry
     /// `MANIFEST` and `BUILDINFO` record.
     pub file_checksum: u64,
 }
 
 /// Inspects a serialized snapshot from its header and directory (after
-/// the one hash pass that vouches for them).
+/// the one checksum pass that vouches for them).
 pub fn inspect(data: &[u8]) -> Result<SnapshotInfo> {
     Sums::of(data).info(data)
 }
 
-/// Parses and bounds-checks the v2 section directory of a
+/// Parses and bounds-checks the section directory of a
 /// checksum-verified buffer.
 fn read_directory(data: &[u8]) -> Result<Vec<RawSection>> {
     let payload_len = (data.len() - 8) as u64;
     let dir_offset = read_u64(data, 16);
     let count = read_u32(data, 24) as usize;
     let dir_end = (count as u64)
-        .checked_mul(V2_DIR_ENTRY_LEN as u64)
+        .checked_mul(DIR_ENTRY_LEN as u64)
         .and_then(|l| dir_offset.checked_add(l));
-    if dir_offset % 8 != 0 || dir_offset < V2_HEADER_LEN as u64 || dir_end != Some(payload_len) {
+    if dir_offset % 8 != 0 || dir_offset < HEADER_LEN as u64 || dir_end != Some(payload_len) {
         return Err(GraphExError::Corrupt("directory out of bounds".into()));
     }
     let mut out = Vec::with_capacity(count);
     for i in 0..count {
-        let base = dir_offset as usize + i * V2_DIR_ENTRY_LEN;
+        let base = dir_offset as usize + i * DIR_ENTRY_LEN;
         out.push(RawSection {
             kind: read_u32(data, base),
             owner: read_u32(data, base + 4),
@@ -742,19 +800,83 @@ fn read_directory(data: &[u8]) -> Result<Vec<RawSection>> {
 
 // --- shared helpers ----------------------------------------------------
 
-fn fnv1a(data: &[u8]) -> u64 {
-    fnv1a_from(0xcbf2_9ce4_8422_2325, data)
+/// Independent multiply chains of the checksum: enough that a pass waits
+/// on memory, not on the multiplier.
+const LANES: usize = 4;
+/// Odd, so multiplying by it permutes the `u64`s.
+const LANE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+const LANE_ROT: u32 = 29;
+/// What the final fold starts from, xored with the byte length.
+const SUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One checksum step. A bijection of `lane` for a fixed `word` and of
+/// `word` for a fixed `lane` (xor, multiplication by an odd number and
+/// rotation each are), which is what makes a one-word change certain to
+/// reach the sum.
+#[inline(always)]
+fn fold(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(LANE_MUL).rotate_left(LANE_ROT)
 }
 
-/// FNV-1a carried on from `state` over `data`.
-fn fnv1a_from(mut state: u64, data: &[u8]) -> u64 {
-    #[cfg(test)]
-    tests::HASHED_BYTES.with(|n| n.set(n.get() + data.len()));
-    for &b in data {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(0x1000_0000_01b3);
+fn word_of(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+}
+
+/// The running state of [`checksum`]: the lanes, and how many words they
+/// have taken (word *i* goes to lane *i* mod [`LANES`]).
+struct LaneSum {
+    lanes: [u64; LANES],
+    words: usize,
+}
+
+impl LaneSum {
+    fn new() -> Self {
+        Self { lanes: std::array::from_fn(|lane| fold(SUM_SEED, lane as u64)), words: 0 }
     }
-    state
+
+    fn push(&mut self, word: u64) {
+        let lane = &mut self.lanes[self.words % LANES];
+        *lane = fold(*lane, word);
+        self.words += 1;
+    }
+
+    /// Takes `data` as words. A tail shorter than a word is zero-padded
+    /// into one, so only the last call may pass a ragged length.
+    fn absorb(&mut self, mut data: &[u8]) {
+        #[cfg(test)]
+        tests::HASHED_BYTES.with(|n| n.set(n.get() + data.len()));
+        // Up to lane 0, so that a block below is one word per lane.
+        while self.words % LANES != 0 && data.len() >= 8 {
+            self.push(word_of(&data[..8]));
+            data = &data[8..];
+        }
+        let mut blocks = data.chunks_exact(8 * LANES);
+        let mut lanes = self.lanes;
+        for block in &mut blocks {
+            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane = fold(*lane, word_of(word));
+            }
+        }
+        self.lanes = lanes;
+        self.words += (data.len() - blocks.remainder().len()) / 8;
+        let mut words = blocks.remainder().chunks_exact(8);
+        for word in &mut words {
+            self.push(word_of(word));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.push(u64::from_le_bytes(last));
+        }
+    }
+
+    /// The sum of the `len` bytes taken so far. `len` separates buffers
+    /// that differ only in trailing zeros of their last word.
+    fn finish(&self, len: usize) -> u64 {
+        let sum = self.lanes.iter().fold(SUM_SEED ^ len as u64, |sum, &lane| fold(sum, lane));
+        sum ^ (sum >> 32)
+    }
 }
 
 fn model_flags(model: &GraphExModel) -> u8 {
@@ -785,8 +907,8 @@ fn alignment_from_tag(tag: u8) -> Result<Alignment> {
     }
 }
 
-fn sorted_leaf_ids(model: &GraphExModel) -> Vec<LeafId> {
-    let mut leaf_ids: Vec<LeafId> = model.leaves.keys().copied().collect();
+fn sorted_leaf_ids(model: &GraphExModel) -> Vec<u32> {
+    let mut leaf_ids: Vec<u32> = model.leaves.keys().map(|leaf| leaf.0).collect();
     leaf_ids.sort_unstable();
     leaf_ids
 }
@@ -799,7 +921,7 @@ mod tests {
     use std::cell::Cell;
 
     thread_local! {
-        /// Bytes this thread has fed through the FNV loop.
+        /// Bytes this thread has fed through the checksum.
         pub(super) static HASHED_BYTES: Cell<usize> = const { Cell::new(0) };
     }
 
@@ -930,8 +1052,8 @@ mod tests {
     }
 
     #[test]
-    fn golden_v2_header_layout() {
-        // Pins the v2 header byte layout. If this test fails, the format
+    fn golden_v3_header_layout() {
+        // Pins the v3 header byte layout. If this test fails, the format
         // changed: bump the version number instead of silently drifting.
         let mut config = GraphExConfig::default();
         config.curation.min_search_count = 0;
@@ -946,7 +1068,7 @@ mod tests {
         let bytes = to_bytes(&model);
 
         assert_eq!(&bytes[0..4], b"GEXM");
-        assert_eq!(read_u32(&bytes, 4), 2, "version");
+        assert_eq!(read_u32(&bytes, 4), 3, "version");
         assert_eq!(bytes[8], 0b11, "flags: stemming + fallback");
         assert_eq!(bytes[9], 0, "alignment tag: LTA");
         assert_eq!(&bytes[10..12], &[0, 0], "reserved");
@@ -954,22 +1076,37 @@ mod tests {
         let dir_offset = read_u64(&bytes, 16);
         let section_count = read_u32(&bytes, 24);
         assert_eq!(&bytes[28..32], &[0, 0, 0, 0], "reserved");
-        // 3 table/vocab sections + 7 per graph (2 leaves + fallback).
-        assert_eq!(section_count, 3 + 7 * 3);
+        // The leaf table, two sections per vocab, 7 per graph (2 leaves +
+        // fallback).
+        assert_eq!(section_count, 5 + 7 * 3);
         assert_eq!(dir_offset % 8, 0);
         assert_eq!(
-            dir_offset as usize + section_count as usize * V2_DIR_ENTRY_LEN + 8,
+            dir_offset as usize + section_count as usize * DIR_ENTRY_LEN + 8,
             bytes.len(),
             "directory runs exactly to the checksum trailer"
         );
         // First section: the leaf table, immediately after the header.
         assert_eq!(read_u32(&bytes, dir_offset as usize), section::LEAF_TABLE);
-        assert_eq!(read_u64(&bytes, dir_offset as usize + 8), V2_HEADER_LEN as u64);
-        // Every section is 8-aligned and inside [header, directory).
-        for s in read_directory(&bytes).unwrap() {
+        assert_eq!(read_u64(&bytes, dir_offset as usize + 8), HEADER_LEN as u64);
+        // Every section is 8-aligned and inside [header, directory), in
+        // the order of the kinds: tables, leaf 0, leaf 1, the fallback.
+        let directory = read_directory(&bytes).unwrap();
+        for s in &directory {
             assert_eq!(s.offset % 8, 0, "section {s:?} misaligned");
-            assert!(s.offset >= V2_HEADER_LEN as u64 && s.offset + s.byte_len <= dir_offset);
+            assert!(s.offset >= HEADER_LEN as u64 && s.offset + s.byte_len <= dir_offset);
         }
+        let keys: Vec<(u32, u32)> = directory.iter().map(|s| (s.kind, s.owner)).collect();
+        let mut want: Vec<(u32, u32)> = (1..=5).map(|kind| (kind, NO_OWNER)).collect();
+        for owner in [0, 1, NO_OWNER] {
+            want.extend((6..=12).map(|kind| (kind, owner)));
+        }
+        assert_eq!(keys, want);
+        // A string table is the vocab's own two buffers.
+        let (blob, ends) = model.keyphrases.parts();
+        assert_eq!(directory[3].elems, ends.len() as u64);
+        assert_eq!(directory[3].byte_len, 4 * ends.len() as u64);
+        assert_eq!((directory[4].elems, directory[4].byte_len), (blob.len() as u64, blob.len() as u64));
+        assert_eq!(section_bytes(&bytes.clone().into_bytes(), &directory[4]), blob);
     }
 
     #[test]
@@ -1006,16 +1143,16 @@ mod tests {
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         // checksum catches it first; rewrite checksum to isolate magic check
-        let sum = fnv1a(&wrong_magic[..n - 8]);
+        let sum = checksum(&wrong_magic[..n - 8]);
         wrong_magic[n - 8..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(from_bytes(&wrong_magic), Err(GraphExError::Corrupt(_))));
 
         // An intact buffer of any other version is refused by every entry
         // point: neither parsed nor called corrupt.
-        for version in [1u8, 99] {
+        for version in [1u8, 2, 99] {
             let mut other = bytes.clone();
             other[4] = version;
-            let sum = fnv1a(&other[..n - 8]);
+            let sum = checksum(&other[..n - 8]);
             other[n - 8..].copy_from_slice(&sum.to_le_bytes());
             let refused = |res: Result<()>| {
                 matches!(res, Err(GraphExError::UnsupportedVersion(v)) if v == u32::from(version))
@@ -1025,6 +1162,98 @@ mod tests {
             assert!(refused(from_shared(shared).map(drop)), "from_shared, version {version}");
             assert!(refused(inspect(&other).map(drop)), "inspect, version {version}");
         }
+    }
+
+    /// The bytes the known answers below are over: no two words alike.
+    fn patterned(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 37 + 11) as u8).collect()
+    }
+
+    /// The checksum is part of the format: these sums are what files on
+    /// disk carry. If one moves, the function changed — bump the version.
+    #[test]
+    fn checksum_known_answers() {
+        // Of the first 0, 1, … 40 patterned bytes.
+        const OF_PATTERNED_PREFIXES: [u64; 41] = [
+            0x3e53_676a_56d6_7fc4, 0x1942_2aa2_6e0b_1f5b, 0x461a_ed83_03a0_83f1, 0x1ecb_08b2_1d25_07ce,
+            0x26f5_8d72_f73d_ae31, 0xef64_3821_166d_7ddf, 0x2585_182c_9f70_4c24, 0x6c1b_42ba_e46a_7baa,
+            0x1446_4970_11be_cb92, 0xdfb8_f763_9a39_4c87, 0x681e_dd98_6c82_71b2, 0xa012_3b28_f47b_9743,
+            0x39ea_6e7f_041f_2a94, 0x3260_a67b_4fc3_7739, 0x8c44_5c4c_f3b4_de63, 0xfbc8_d48c_1807_ebeb,
+            0x98f9_d9a1_5152_e355, 0xceac_0bb7_5151_e93f, 0x4586_f167_c8eb_038e, 0x703f_0533_8ea8_a0e8,
+            0xc2bc_39db_47b1_6fe4, 0xb654_e9c1_abad_a02a, 0xfd5d_3abd_df8c_7b7a, 0xd80b_b74b_b998_abac,
+            0xebef_64cc_72c8_7d89, 0xb88a_3fad_47c8_82e5, 0x36af_1f65_a5f0_da90, 0xaf23_c5bc_8923_52b8,
+            0x7d5c_5554_de77_3d81, 0x75dd_f689_85ba_192c, 0xa688_4bcb_b5b2_45e5, 0x257e_863b_2687_ba18,
+            0x24e8_ce15_85c4_512a, 0x931e_6d3b_9a11_e146, 0xfcb2_65d4_9fe4_b6fd, 0x135b_02a1_729e_ce59,
+            0x8105_afe5_c1a5_aa4e, 0x94e1_2e77_fdda_ac86, 0xa77e_da84_4cc0_c5ac, 0xce33_0407_226a_c06b,
+            0x9c06_386c_7445_f18f,
+        ];
+        for (len, &want) in OF_PATTERNED_PREFIXES.iter().enumerate() {
+            assert_eq!(checksum(&patterned(len)), want, "{len} patterned bytes");
+        }
+        let snapshot = to_bytes(&sample_model());
+        assert_eq!(snapshot.len(), 992);
+        assert_eq!(read_u64(&snapshot, 984), 0x4631_0b15_4683_127f, "trailer");
+        assert_eq!(checksum(&snapshot[..984]), 0x4631_0b15_4683_127f, "payload sum");
+        assert_eq!(checksum(&snapshot), 0xe71d_125a_8e08_53d2, "whole-file sum");
+        assert_eq!(snapshot.checksum(), 0xe71d_125a_8e08_53d2);
+    }
+
+    /// The running state read off after any whole number of words is the
+    /// sum of the bytes so far, wherever the walk is cut — which is what
+    /// lets one pass give a file's trailer and its whole-file sum — and
+    /// `Sums::of` agrees with two separate passes at every length,
+    /// ragged ones included.
+    #[test]
+    fn checksum_streams_across_every_split() {
+        for len in 0..=100usize {
+            let data = patterned(len);
+            for cut in (0..=len).step_by(8) {
+                let mut sum = LaneSum::new();
+                sum.absorb(&data[..cut]);
+                assert_eq!(sum.finish(cut), checksum(&data[..cut]), "{len} bytes, head of {cut}");
+                sum.absorb(&data[cut..]);
+                assert_eq!(sum.finish(len), checksum(&data), "{len} bytes cut at {cut}");
+                // And cut once more, a word further on.
+                let next = (cut + 8).min(len) / 8 * 8;
+                let mut sum = LaneSum::new();
+                for piece in [&data[..cut], &data[cut..next], &data[next..]] {
+                    sum.absorb(piece);
+                }
+                assert_eq!(sum.finish(len), checksum(&data), "{len} bytes cut at {cut} and {next}");
+            }
+            let sums = Sums::of(&data);
+            let payload = &data[..len.saturating_sub(8)];
+            assert_eq!((sums.payload, sums.file), (checksum(payload), checksum(&data)), "{len} bytes");
+            // Trailing zeros are not padding.
+            let mut longer = data.clone();
+            longer.push(0);
+            assert_ne!(checksum(&longer), checksum(&data), "{len} bytes and a zero");
+        }
+    }
+
+    /// A change confined to one word always changes the sum: every
+    /// single-bit flip of a real snapshot — all of them, not a sample —
+    /// moves the payload sum (or the stored trailer it is compared with)
+    /// and the whole-file sum, and is refused as `Corrupt`.
+    #[test]
+    fn every_single_bit_flip_changes_both_sums() {
+        let sound = to_bytes(&sample_model());
+        let mut bytes = sound.to_vec();
+        let n = bytes.len();
+        for bit in 0..n * 8 {
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            let sums = Sums::of(&bytes);
+            assert_ne!(sums.file, sound.sums.file, "bit {bit}: whole-file sum");
+            if bit / 8 < n - 8 {
+                assert_ne!(sums.payload, sound.sums.payload, "bit {bit}: payload sum");
+            } else {
+                assert_eq!(sums.payload, sound.sums.payload, "bit {bit} is in the trailer");
+            }
+            assert_ne!(sums.payload, read_u64(&bytes, n - 8), "bit {bit}: trailer check");
+            assert!(matches!(sums.check(&bytes), Err(GraphExError::Corrupt(_))), "bit {bit}");
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(bytes, sound.to_vec());
     }
 
     /// Pins the pass count where it can be counted exactly: a buffer is
@@ -1071,7 +1300,7 @@ mod tests {
         flipped[4] ^= 0xFF; // the version word, trailer left stale
         let mut other_version = bytes.clone();
         other_version[4] = 9;
-        let sum = fnv1a(&other_version[..n - 8]);
+        let sum = checksum(&other_version[..n - 8]);
         other_version[n - 8..].copy_from_slice(&sum.to_le_bytes());
         for (data, what) in [
             (&bytes[..0], "empty"),
@@ -1095,26 +1324,72 @@ mod tests {
         ));
     }
 
+    /// FNV-1a, the trailer of the formats before v3.
+    fn fnv1a(data: &[u8]) -> u64 {
+        data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3))
+    }
+
+    /// An intact v2 file fails the v3 trailer check like any damaged
+    /// buffer, but the error says what it is.
     #[test]
-    #[should_panic(expected = "does not fit the format's u16 length")]
-    fn oversized_vocab_string_is_refused_at_write() {
-        let mut vocab = Vocab::new();
-        vocab.intern("x".repeat(u16::MAX as usize + 1));
-        put_vocab_blob(&mut BytesMut::new(), &vocab);
+    fn intact_v2_snapshot_is_corrupt_by_name() {
+        let mut old = to_bytes(&sample_model()).to_vec();
+        let n = old.len();
+        old[4] = 2;
+        let sum = fnv1a(&old[..n - 8]);
+        old[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        let shared = Bytes::from(old.clone());
+        for res in [from_bytes(&old).map(drop), from_shared(shared).map(drop), inspect(&old).map(drop)] {
+            match res {
+                Err(GraphExError::Corrupt(why)) => {
+                    assert!(why.contains("a GEXM v2 snapshot predates the v3 checksum — rebuild it"), "{why}")
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+        // Any other damaged buffer stays anonymous.
+        old[4] = 3;
+        let err = from_bytes(&old).unwrap_err();
+        assert_eq!(err.to_string(), GraphExError::Corrupt("checksum mismatch".into()).to_string());
+    }
+
+    /// The interleaved layout's `u16` string length is gone: a string is
+    /// bounded by the blob, not by 65 535 bytes.
+    #[test]
+    fn a_70_000_byte_keyphrase_builds_serializes_loads_and_resolves() {
+        let words: Vec<String> = (0..10_000).map(|i| format!("kp{i:04}")).collect();
+        let long = words.join(" ") + "x";
+        assert_eq!(long.len(), 70_000);
+        let mut config = GraphExConfig::default();
+        config.curation.min_search_count = 0;
+        config.curation.max_tokens = words.len();
+        let model = GraphExBuilder::new(config)
+            .add_records(vec![
+                KeyphraseRecord::new(long.as_str(), LeafId(7), 900, 120),
+                KeyphraseRecord::new("usb c charger", LeafId(7), 500, 50),
+            ])
+            .build()
+            .unwrap();
+        let loaded = to_bytes(&model).parse().unwrap();
+        let id = loaded.keyphrases.get(&long).expect("the long keyphrase is in the table");
+        assert_eq!(loaded.keyphrases.resolve(id), Some(long.as_str()));
+        let request = crate::InferRequest::new(long.as_str(), LeafId(7)).k(1).resolve_texts(true);
+        let response = loaded.infer_request(&request, &mut crate::Scratch::new());
+        assert_eq!(response.texts, [long]);
     }
 
     #[test]
     fn inspect_reads_header_and_directory() {
         let model = sample_model();
-        let v2 = to_bytes(&model);
-        let info = inspect(&v2).unwrap();
-        assert_eq!(info.version, 2);
+        let bytes = to_bytes(&model);
+        let info = inspect(&bytes).unwrap();
+        assert_eq!(info.version, 3);
         assert_eq!(info.num_leaves, 2);
         assert_eq!(info.num_keyphrases, 3);
         assert!(info.num_tokens >= 7);
-        assert_eq!(info.num_sections, 3 + 7 * 2);
-        assert_eq!(info.size_bytes, v2.len());
-        assert_eq!(model.size_bytes(), v2.len());
+        assert_eq!(info.num_sections, 5 + 7 * 2);
+        assert_eq!(info.size_bytes, bytes.len());
+        assert_eq!(model.size_bytes(), bytes.len());
         assert!(info.stemming);
         assert!(!info.has_fallback);
     }

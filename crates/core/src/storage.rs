@@ -1,6 +1,6 @@
 //! Zero-copy array storage for loaded models.
 //!
-//! The `GEXM v2` snapshot format lays every CSR/label/score array out as
+//! The `GEXM` snapshot format lays every CSR/label/score array out as
 //! an 8-byte-aligned little-endian section so the loader can *borrow* the
 //! arrays straight out of the load buffer instead of copying them. This
 //! module supplies the three pieces that makes sound:
@@ -12,7 +12,7 @@
 //!   validated for alignment and length at construction. Cloning is O(1)
 //!   and shares the underlying buffer.
 //! * [`U32Store`] / [`U16Store`] — either an owned boxed slice (built
-//!   models, v1 loads) or a borrowed [`PodView`] (v2 loads). The graph
+//!   models) or a borrowed [`PodView`] (loaded snapshots). The graph
 //!   structures store these and deref to plain slices, so inference code
 //!   is oblivious to where an array lives.
 //!
@@ -171,7 +171,8 @@ macro_rules! store {
         #[doc = $doc]
         ///
         /// Derefs to a plain slice either way; `Owned` comes from the
-        /// builder and the v1 loader, `View` from the zero-copy v2 loader.
+        /// builder (and the serving overlay), `View` from the zero-copy
+        /// snapshot loader.
         #[derive(Debug, Clone)]
         pub enum $name {
             Owned(Box<[$elem]>),
@@ -212,7 +213,7 @@ macro_rules! store {
 
         impl $name {
             /// Whether this array borrows from a shared load buffer
-            /// (true only for zero-copy v2 views).
+            /// (true only for zero-copy snapshot views).
             pub fn is_view(&self) -> bool {
                 matches!(self, Self::View(_))
             }

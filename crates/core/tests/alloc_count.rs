@@ -1,10 +1,13 @@
 //! What the inference kernel allocates at steady state: the returned
 //! `Vec<Prediction>`, and — when texts are asked for — the `Vec` of them
 //! and one `String` each. Everything else lives in the session's
-//! `Scratch`. A binary of its own because it replaces the global
+//! `Scratch`. And what serializing a model allocates: the file, once, at
+//! its final size. A binary of its own because it replaces the global
 //! allocator with a counting one.
 
-use graphex_core::{Engine, GraphExBuilder, GraphExConfig, InferRequest, KeyphraseRecord, LeafId};
+use graphex_core::{
+    serialize, Engine, GraphExBuilder, GraphExConfig, GraphExModel, InferRequest, KeyphraseRecord, LeafId,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -12,6 +15,16 @@ thread_local! {
     /// Allocations (and reallocations) made by this thread. Const-initialized
     /// and without a destructor, so reading it never allocates.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Those of them that asked for at least `BIG_AT` bytes.
+    static BIG: Cell<usize> = const { Cell::new(0) };
+    static BIG_AT: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+fn count(size: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    if size >= BIG_AT.with(Cell::get) {
+        BIG.with(|n| n.set(n.get() + 1));
+    }
 }
 
 struct Counting;
@@ -21,7 +34,7 @@ struct Counting;
 // integer and touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
@@ -33,7 +46,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(new_size);
         // SAFETY: as for `dealloc`; `new_size` is passed through as received.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -48,27 +61,32 @@ fn allocations() -> usize {
 
 const K: usize = 5;
 
-#[test]
-fn steady_state_inference_allocates_only_what_it_returns() {
-    // Two leaves of 200 phrases over 12 shared words: every title below has
-    // far more than K candidates, stems through `-ies → y`, and is not
-    // all-ASCII once in four.
-    let words = [
-        "battery", "case", "leather", "wireless", "charger", "cable", "mini", "pro", "red", "usb",
-        "école", "glass",
-    ];
+const WORDS: [&str; 12] = [
+    "battery", "case", "leather", "wireless", "charger", "cable", "mini", "pro", "red", "usb", "école",
+    "glass",
+];
+
+/// `leaves` leaves of 200 phrases over 12 shared words.
+fn model(leaves: u32) -> GraphExModel {
     let mut config = GraphExConfig::default();
     config.curation.min_search_count = 0;
-    let records = (0..400u32).map(|i| {
+    let records = (0..200 * leaves).map(|i| {
         let (a, b, c) = (i as usize % 12, (i as usize / 12) % 12, (i as usize * 7 / 5) % 12);
-        let text = format!("{} {} {} model{}", words[a], words[b], words[c], i % 40);
-        KeyphraseRecord::new(text, LeafId(i % 2), 10 + i % 17, 1 + i % 5)
+        let text = format!("{} {} {} model{}", WORDS[a], WORDS[b], WORDS[c], i % 40);
+        KeyphraseRecord::new(text, LeafId(i % leaves), 10 + i % 17, 1 + i % 5)
     });
-    let engine = Engine::from_model(GraphExBuilder::new(config).add_records(records).build().unwrap());
+    GraphExBuilder::new(config).add_records(records).build().unwrap()
+}
+
+#[test]
+fn steady_state_inference_allocates_only_what_it_returns() {
+    // Two leaves: every title below has far more than K candidates, stems
+    // through `-ies → y`, and is not all-ASCII once in four.
+    let engine = Engine::from_model(model(2));
     let titles: Vec<String> = (0..50usize)
         .map(|i| {
             let accent = if i % 4 == 0 { "École" } else { "glasses" };
-            format!("{} Batteries, {} CASES {accent} model{}", words[i % 10], words[(i + 3) % 10], i % 40)
+            format!("{} Batteries, {} CASES {accent} model{}", WORDS[i % 10], WORDS[(i + 3) % 10], i % 40)
         })
         .collect();
 
@@ -94,5 +112,25 @@ fn steady_state_inference_allocates_only_what_it_returns() {
             }
         }
         assert_eq!(served, 1_000);
+    }
+}
+
+/// `to_bytes` sizes the file before it writes a byte: one allocation as
+/// large as the file, never grown, and beside it only the sorted leaf
+/// ids, the directory and the `Bytes` handle — however many leaves.
+#[test]
+fn to_bytes_allocates_the_file_once() {
+    for leaves in [2, 40] {
+        let model = model(leaves);
+        let len = serialize::to_bytes(&model).len();
+        assert!(len > 16 * 1024, "{len} bytes: too small a file to tell a writer that grows from one that does not");
+        BIG_AT.with(|at| at.set(len));
+        let (before, big_before) = (allocations(), BIG.with(Cell::get));
+        let bytes = serialize::to_bytes(&model);
+        let (spent, big) = (allocations() - before, BIG.with(Cell::get) - big_before);
+        BIG_AT.with(|at| at.set(usize::MAX));
+        assert_eq!(bytes.len(), len);
+        assert_eq!(big, 1, "{leaves} leaves: allocations of the file's size");
+        assert!(spent <= 4, "{leaves} leaves: {spent} allocations");
     }
 }

@@ -4,10 +4,11 @@
 //! correctness arguments rest on, against randomly generated keyphrase
 //! universes.
 
+use graphex_core::curation::Curator;
 use graphex_core::ranking::{rank_top, RankKey};
 use graphex_core::{
-    Alignment, GraphExBuilder, GraphExConfig, InferenceParams, KeyphraseRecord, LeafId, Prediction,
-    Scratch,
+    Alignment, CurationConfig, CurationStats, GraphExBuilder, GraphExConfig, InferenceParams,
+    KeyphraseRecord, LeafId, Prediction, Scratch,
 };
 use proptest::prelude::*;
 use std::cmp::Ordering;
@@ -417,5 +418,81 @@ proptest! {
     #[test]
     fn derived_fallback_equals_record_based(records in colliding_records()) {
         assert_derived_equals_record_based(records);
+    }
+}
+
+/// Curation spelled out over the map the `Curator` used to keep — one
+/// owned `(leaf, text)` key per record — with the cap applied leaf by
+/// leaf.
+fn reference_curate(
+    records: &[KeyphraseRecord],
+    config: &CurationConfig,
+) -> (Vec<KeyphraseRecord>, CurationStats) {
+    let mut stats = CurationStats { input: records.len(), ..CurationStats::default() };
+    let mut index: std::collections::HashMap<(u32, String), usize> = std::collections::HashMap::new();
+    let mut kept: Vec<KeyphraseRecord> = Vec::new();
+    for rec in records {
+        let tokens = rec.text.split_whitespace().count();
+        if tokens < config.min_tokens || tokens > config.max_tokens {
+            stats.dropped_token_bounds += 1;
+        } else if rec.search_count < config.min_search_count {
+            stats.dropped_low_search += 1;
+        } else if let Some(&at) = index.get(&(rec.leaf.0, rec.text.clone())) {
+            kept[at].search_count = kept[at].search_count.saturating_add(rec.search_count);
+            kept[at].recall_count = kept[at].recall_count.max(rec.recall_count);
+            stats.merged_duplicates += 1;
+        } else {
+            index.insert((rec.leaf.0, rec.text.clone()), kept.len());
+            kept.push(rec.clone());
+        }
+    }
+    if let Some(cap) = config.max_per_leaf {
+        let mut by_leaf: BTreeMap<LeafId, Vec<KeyphraseRecord>> = BTreeMap::new();
+        for rec in kept.drain(..) {
+            by_leaf.entry(rec.leaf).or_default().push(rec);
+        }
+        for (_, mut leaf) in by_leaf {
+            leaf.sort_by(|a, b| b.search_count.cmp(&a.search_count).then_with(|| a.text.cmp(&b.text)));
+            stats.dropped_leaf_cap += leaf.len().saturating_sub(cap);
+            leaf.truncate(cap);
+            kept.extend(leaf);
+        }
+    }
+    stats.kept = kept.len();
+    (kept, stats)
+}
+
+proptest! {
+    /// The `Curator`'s interned index keeps what the owned-key map kept:
+    /// the same rows in the same order with the same merged counts, and
+    /// the same stats — over streams whose few texts repeat within a
+    /// leaf and across leaves, differ only in spacing, fall outside the
+    /// token bounds, fall under the search threshold, and sum past
+    /// `u32::MAX` — with and without a per-leaf cap.
+    #[test]
+    fn curator_equals_the_owned_key_map(
+        stream in prop::collection::vec(
+            (
+                prop::sample::select(vec!["a", "b", "a b", "a  b", "b a", "a b c", "a b c d", "", " ", "é"]),
+                0u32..4,
+                prop::sample::select(vec![0u32, 1, 5, 5, 9, 100, u32::MAX - 3]),
+                0u32..50,
+            ),
+            0..120,
+        ),
+        max_per_leaf in prop::sample::select(vec![None, Some(0usize), Some(1), Some(2), Some(5)]),
+    ) {
+        let records: Vec<KeyphraseRecord> = stream
+            .iter()
+            .map(|&(text, leaf, search, recall)| KeyphraseRecord::new(text, LeafId(leaf), search, recall))
+            .collect();
+        let config = CurationConfig { min_search_count: 1, min_tokens: 1, max_tokens: 3, max_per_leaf };
+        let mut curator = Curator::new(config.clone());
+        for rec in &records {
+            curator.push(rec.clone());
+        }
+        let uncapped = reference_curate(&records, &CurationConfig { max_per_leaf: None, ..config.clone() }).0;
+        prop_assert_eq!(curator.len(), uncapped.len());
+        prop_assert_eq!(curator.finish(), reference_curate(&records, &config));
     }
 }

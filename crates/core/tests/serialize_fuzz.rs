@@ -23,7 +23,7 @@ fn sample_model() -> graphex_core::GraphExModel {
         .unwrap()
 }
 
-fn sample_bytes_v2() -> Vec<u8> {
+fn sample_bytes_v3() -> Vec<u8> {
     serialize::to_bytes(&sample_model()).to_vec()
 }
 
@@ -42,43 +42,44 @@ proptest! {
         let _ = serialize::from_bytes(&data);
     }
 
-    /// Random single-byte flips of a valid v2 snapshot: always
+    /// Random single-byte flips of a valid v3 snapshot: always
     /// `Corrupt` — the checksum rejects the flip before any structural
-    /// parsing (or the version check) can misread it.
+    /// parsing (or the version check) can misread it, and with certainty:
+    /// a change confined to one 8-byte word always changes the sum.
     #[test]
-    fn v2_byte_flips_are_corrupt(pos in 0usize..100_000, xor in 1u8..=255) {
-        let mut bytes = sample_bytes_v2();
+    fn v3_byte_flips_are_corrupt(pos in 0usize..100_000, xor in 1u8..=255) {
+        let mut bytes = sample_bytes_v3();
         let idx = pos % bytes.len();
         bytes[idx] ^= xor;
-        assert_corrupt(serialize::from_bytes(&bytes), "v2 flip");
+        assert_corrupt(serialize::from_bytes(&bytes), "v3 flip");
     }
 
-    /// Random truncations of a v2 snapshot: always `Corrupt`.
+    /// Random truncations of a v3 snapshot: always `Corrupt`.
     #[test]
-    fn v2_truncations_are_corrupt(cut in 0usize..100_000) {
-        let bytes = sample_bytes_v2();
+    fn v3_truncations_are_corrupt(cut in 0usize..100_000) {
+        let bytes = sample_bytes_v3();
         let cut = cut % bytes.len(); // strictly shorter than the valid model
-        assert_corrupt(serialize::from_bytes(&bytes[..cut]), "v2 truncation");
+        assert_corrupt(serialize::from_bytes(&bytes[..cut]), "v3 truncation");
     }
 
     /// Garbage appended after a valid model: rejected (trailing data means
     /// the reader and writer disagree about the format).
     #[test]
     fn trailing_garbage_is_rejected(tail in prop::collection::vec(any::<u8>(), 1..64)) {
-        let mut bytes = sample_bytes_v2();
+        let mut bytes = sample_bytes_v3();
         bytes.extend_from_slice(&tail);
-        assert_corrupt(serialize::from_bytes(&bytes), "v2 trailing garbage");
+        assert_corrupt(serialize::from_bytes(&bytes), "v3 trailing garbage");
     }
 
     /// Flips survive the zero-copy path too: `from_shared` (aligned
     /// buffer, borrowed sections) rejects exactly like `from_bytes`.
     #[test]
-    fn v2_shared_load_rejects_flips(pos in 0usize..100_000, xor in 1u8..=255) {
-        let mut bytes = sample_bytes_v2();
+    fn v3_shared_load_rejects_flips(pos in 0usize..100_000, xor in 1u8..=255) {
+        let mut bytes = sample_bytes_v3();
         let idx = pos % bytes.len();
         bytes[idx] ^= xor;
         let shared = bytes::Bytes::from_owner(graphex_core::storage::AlignedBuf::copy_from(&bytes));
-        assert_corrupt(serialize::from_shared(shared), "v2 shared flip");
+        assert_corrupt(serialize::from_shared(shared), "v3 shared flip");
     }
 
     /// The mmap load path holds the same guarantee: a bit-flipped or
@@ -87,7 +88,7 @@ proptest! {
     /// a panic or a bogus `UnsupportedVersion`.
     #[test]
     fn mapped_flips_and_truncations_are_corrupt(pos in 0usize..100_000, xor in 1u8..=255, cut in 0usize..100_000, heap in any::<bool>()) {
-        let mut bytes = sample_bytes_v2();
+        let mut bytes = sample_bytes_v3();
         let idx = pos % bytes.len();
         bytes[idx] ^= xor;
         let prefer = if heap { serialize::LoadMode::Heap } else { serialize::LoadMode::Mmap };
@@ -99,7 +100,7 @@ proptest! {
         }
         std::fs::remove_file(&path).ok();
 
-        let bytes = sample_bytes_v2();
+        let bytes = sample_bytes_v3();
         let path = fuzz_file("cut", &bytes[..cut % bytes.len()]);
         match serialize::load_snapshot(&path, prefer) {
             Err(GraphExError::Corrupt(_)) => {}
@@ -120,7 +121,7 @@ fn fuzz_file(label: &str, bytes: &[u8]) -> std::path::PathBuf {
 #[test]
 fn valid_model_still_loads() {
     // Guard against the fuzz tests passing because *everything* is rejected.
-    let bytes = sample_bytes_v2();
-    let model = serialize::from_bytes(&bytes).expect("valid v2 bytes load");
+    let bytes = sample_bytes_v3();
+    let model = serialize::from_bytes(&bytes).expect("valid v3 bytes load");
     assert_eq!(model.num_keyphrases(), 3);
 }

@@ -14,7 +14,7 @@
 //!            derived from the merged leaves
 //!                                      │
 //!                                      ▼
-//!             GEXM v2 bytes + BUILDINFO manifest + BuildReport
+//!             GEXM v3 bytes + BUILDINFO manifest + BuildReport
 //! ```
 //!
 //! Determinism contract (pinned by `tests/determinism.rs` and the CI
@@ -133,8 +133,11 @@ impl DeltaBase {
         let hashed = serialize::hash(bytes);
         let checksum = hashed.checksum();
         if checksum != manifest.snapshot_checksum {
+            // With the file's own verdict on itself, which names a base
+            // (and so a BUILDINFO) written before this format's checksum.
+            let own = hashed.inspect().err().map(|e| format!(" ({e})")).unwrap_or_default();
             return Err(PipelineError::Delta(format!(
-                "{} records checksum {:016x} but {} hashes to {checksum:016x} — stale BUILDINFO?",
+                "{} records checksum {:016x} but {} hashes to {checksum:016x} — stale BUILDINFO?{own}",
                 buildinfo.display(),
                 manifest.snapshot_checksum,
                 snapshot.display(),
@@ -257,7 +260,7 @@ pub struct StageTimes {
 /// A finished build: serialized snapshot + manifest + report.
 #[derive(Debug)]
 pub struct BuildOutput {
-    /// `GEXM v2` snapshot bytes, with the checksum writing them yielded.
+    /// `GEXM` snapshot bytes, with the checksum writing them yielded.
     pub bytes: Hashed,
     /// The parsed model (already in memory — callers may serve it
     /// directly or drop it).

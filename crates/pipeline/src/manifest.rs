@@ -8,7 +8,7 @@
 //! ```text
 //! graphex-buildinfo 1
 //! config <16-hex config fingerprint>
-//! snapshot_checksum <16-hex FNV-1a of the whole model.gexm>
+//! snapshot_checksum <16-hex serialize::checksum of the whole model.gexm>
 //! fallback <16-hex corpus fingerprint | none>
 //! records_in <raw records ingested>
 //! parse_errors <records skipped as unparsable>
@@ -32,7 +32,7 @@ pub struct BuildManifest {
     /// Fingerprint of everything in [`graphex_core::GraphExConfig`] that
     /// affects the built bytes; delta reuse requires an exact match.
     pub config_fingerprint: u64,
-    /// FNV-1a over the whole serialized snapshot this manifest describes
+    /// `serialize::checksum` of the whole serialized snapshot this manifest describes
     /// (the same value the registry `MANIFEST` records) — lets tooling
     /// cross-check that a snapshot really is the manifest's build.
     pub snapshot_checksum: u64,

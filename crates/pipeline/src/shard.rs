@@ -2,7 +2,7 @@
 //! `leaf % shards` into independently publishable snapshots — the build
 //! side of the scale-out serving tier (`graphex_server::router`).
 //!
-//! Each [`ShardSnapshot`] is a complete, self-contained `GEXM v2` model:
+//! Each [`ShardSnapshot`] is a complete, self-contained `GEXM` model:
 //! the shard's own leaf graphs **plus the global meta-fallback graph**,
 //! so a backend serving one shard answers `MetaFallback` and
 //! `UnknownLeaf` requests exactly like the monolith would — the
@@ -47,7 +47,7 @@ pub struct ShardSnapshot {
     pub index: u32,
     /// Total shards in the partition.
     pub shards: u32,
-    /// `GEXM v2` snapshot bytes for this shard, with their checksum.
+    /// `GEXM` snapshot bytes for this shard, with their checksum.
     pub bytes: Hashed,
     /// The shard model (the shard's leaves + the global fallback).
     pub model: GraphExModel,

@@ -169,6 +169,18 @@ fn stale_buildinfo_is_rejected() {
     let err = DeltaBase::load(&snapshot);
     assert!(matches!(err, Err(PipelineError::Delta(_))), "stale BUILDINFO accepted: {err:?}");
     assert!(buildinfo.is_file());
+
+    // A base an older build wrote (version word 2 under a trailer this
+    // build's checksum does not match) mismatches the same way, and is
+    // named.
+    bytes[4] = 2;
+    std::fs::write(&snapshot, &bytes).unwrap();
+    match DeltaBase::load(&snapshot) {
+        Err(PipelineError::Delta(why)) => {
+            assert!(why.contains("a GEXM v2 snapshot predates the v3 checksum — rebuild it"), "{why}")
+        }
+        other => panic!("expected a delta error, got {other:?}"),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -99,7 +99,7 @@ pub struct SnapshotMeta {
     pub version: u64,
     /// GEXM format version inside the snapshot.
     pub format: u32,
-    /// FNV-1a of the whole `model.gexm` file.
+    /// `serialize::checksum` of the whole `model.gexm` file.
     pub checksum: u64,
     pub leaves: u64,
     pub keyphrases: u64,
@@ -239,7 +239,7 @@ impl ModelWatch {
     pub fn fixed(engine: Engine) -> Self {
         let meta = SnapshotMeta {
             version: 0,
-            format: serialize::VERSION_V2,
+            format: serialize::VERSION,
             checksum: 0,
             leaves: 0,
             keyphrases: 0,
@@ -428,7 +428,7 @@ impl ModelRegistry {
         Ok(ModelWatch { shared: Arc::clone(&self.shared) })
     }
 
-    /// Publishes a freshly built model: writes `model.gexm` (v2) +
+    /// Publishes a freshly built model: writes `model.gexm` +
     /// `MANIFEST` under the next version, then admits it (load →
     /// validate → warm up → swap). Returns the new snapshot's manifest.
     pub fn publish(&self, model: &GraphExModel, note: &str) -> RegistryResult<SnapshotMeta> {
@@ -681,8 +681,11 @@ impl ModelRegistry {
 fn admit(snapshot: &Hashed, meta: &SnapshotMeta, model_path: &Path) -> RegistryResult<GraphExModel> {
     let actual = snapshot.checksum();
     if actual != meta.checksum {
+        // With the file's own verdict on itself, which names a snapshot
+        // (and so a manifest) written before this format's checksum.
+        let own = snapshot.inspect().err().map(|e| format!(" — {e}")).unwrap_or_default();
         return Err(RegistryError::Manifest(format!(
-            "{}: checksum mismatch for version {}: manifest {:016x}, file {actual:016x}",
+            "{}: checksum mismatch for version {}: manifest {:016x}, file {actual:016x}{own}",
             model_path.display(),
             meta.version,
             meta.checksum
@@ -739,7 +742,7 @@ mod tests {
 
         let meta = registry.publish(&model(1), "daily batch #1").unwrap();
         assert_eq!(meta.version, 1);
-        assert_eq!(meta.format, 2);
+        assert_eq!(meta.format, 3);
         assert_eq!(registry.current_version(), Some(1));
         assert_eq!(registry.epoch(), 1);
 
@@ -940,8 +943,8 @@ mod tests {
         let registry = ModelRegistry::open(&root).unwrap();
         registry.publish(&model(1), "good").unwrap();
 
-        // Craft checksum-valid but structurally broken v2 bytes: smash a
-        // directory entry's kind, then rewrite the FNV trailer so only
+        // Craft checksum-valid but structurally broken bytes: smash a
+        // directory entry's kind, then rewrite the trailer so only
         // the deep parse (inside activate) can catch it.
         let mut bytes = graphex_core::serialize::to_bytes(&model(2)).to_vec();
         let dir_offset =
@@ -1042,7 +1045,7 @@ mod tests {
         let mut bytes = serialize::to_bytes(&model(7)).to_vec();
         std::fs::write(&path, &bytes).unwrap();
         let meta = registry.publish_file(&path, "from a file").unwrap();
-        assert_eq!(meta.format, 2);
+        assert_eq!(meta.format, 3);
         assert_eq!(registry.current_version(), Some(1));
         let active = registry.current().unwrap();
         let resp = active
@@ -1065,6 +1068,28 @@ mod tests {
         assert_eq!(registry.current_version(), Some(1));
         assert_eq!(registry.versions().unwrap(), [1]);
         assert_eq!(std::fs::read_to_string(root.join(CURRENT_FILE)).unwrap().trim(), "1");
+
+        // A snapshot an older build wrote — version word 2 under a
+        // trailer (FNV-1a) that this build's checksum does not match —
+        // fails the trailer check like any damaged file, but is named:
+        // as an incoming file, and where it sits in a version directory
+        // under a manifest of its day.
+        const NAMED: &str = "a GEXM v2 snapshot predates the v3 checksum — rebuild it";
+        bytes[4] = 2;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = registry.publish_file(&path, "version word 2").unwrap_err();
+        assert!(matches!(err, RegistryError::Model(GraphExError::Corrupt(_))), "{err}");
+        assert!(err.to_string().contains(NAMED), "{err}");
+        assert_eq!(registry.versions().unwrap(), [1]);
+
+        registry.publish(&model(8), "to be overwritten").unwrap();
+        registry.activate(1).unwrap();
+        std::fs::write(root.join("2").join(MODEL_FILE), &bytes).unwrap();
+        for err in [registry.activate(2).map(drop).unwrap_err(), registry.verify(2).map(drop).unwrap_err()] {
+            assert!(matches!(err, RegistryError::Manifest(_)), "{err}");
+            assert!(err.to_string().contains(NAMED), "{err}");
+        }
+        assert_eq!(registry.current_version(), Some(1));
         std::fs::remove_dir_all(&root).ok();
     }
 

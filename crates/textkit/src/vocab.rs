@@ -44,17 +44,59 @@ impl Vocab {
     /// A vocabulary that takes `cap` strings without growing its id
     /// buffers.
     pub fn with_capacity(cap: usize) -> Self {
-        Self::with_capacities(cap, 0)
+        Self { blob: String::new(), ends: Vec::with_capacity(cap), table: vec![EMPTY; slots_for(cap)] }
     }
 
-    /// A vocabulary that takes `strings` strings of `bytes` bytes in
-    /// total without growing any buffer.
-    pub fn with_capacities(strings: usize, bytes: usize) -> Self {
-        Self {
-            blob: String::with_capacity(bytes),
-            ends: Vec::with_capacity(strings),
-            table: vec![EMPTY; slots_for(strings)],
+    /// The vocabulary whose strings are `blob` cut at `ends` — string
+    /// `id` is `blob[ends[id - 1]..ends[id]]`, the first starting at 0:
+    /// what [`Vocab::parts`] returned, and what interning those strings
+    /// one by one into an empty vocabulary builds.
+    ///
+    /// The parts are outside input (a snapshot's string table), so every
+    /// condition is checked and named when it fails: the blob is UTF-8,
+    /// the ends never decrease, each falls on a char boundary, the last
+    /// is the blob's length, and no string occurs twice (interning would
+    /// have returned the old id, so such parts describe no vocabulary).
+    /// Three allocations, each of its final size; the id table is seated
+    /// in one pass.
+    pub fn from_parts(blob: &[u8], ends: &[u32]) -> Result<Self, &'static str> {
+        if ends.len() >= EMPTY as usize {
+            return Err("more strings than ids");
         }
+        let blob = std::str::from_utf8(blob).map_err(|_| "blob is not utf-8")?;
+        let mut start = 0usize;
+        for &end in ends {
+            let end = end as usize;
+            if end < start {
+                return Err("ends decrease");
+            }
+            // Also refuses an end past the blob.
+            if !blob.is_char_boundary(end) {
+                return Err("end is not on a char boundary of the blob");
+            }
+            start = end;
+        }
+        if start != blob.len() {
+            return Err("last end is not the blob's length");
+        }
+        let mut vocab =
+            Self { blob: blob.to_owned(), ends: ends.to_vec(), table: vec![EMPTY; slots_for(ends.len())] };
+        let mut start = 0usize;
+        for (id, &end) in ends.iter().enumerate() {
+            let s = &vocab.blob[start..end as usize];
+            match vocab.probe(hash_of(s), s) {
+                Ok(_) => return Err("duplicate string"),
+                Err(slot) => vocab.table[slot] = id as u32,
+            }
+            start = end as usize;
+        }
+        Ok(vocab)
+    }
+
+    /// The strings back to back in id order, and where each ends: the
+    /// input of [`Vocab::from_parts`].
+    pub fn parts(&self) -> (&[u8], &[u32]) {
+        (self.blob.as_bytes(), &self.ends)
     }
 
     /// Interns `s`, returning its id (existing or freshly assigned).

@@ -172,6 +172,42 @@ proptest! {
     }
 }
 
+proptest! {
+    /// `from_parts` over the parts of any vocabulary — same alphabet as
+    /// above — is that vocabulary: same strings under the same ids, found
+    /// by `get`, and interning on from there agrees with the original.
+    #[test]
+    fn vocab_from_parts_equals_interning_one_by_one(
+        texts in prop::collection::vec("[ab\u{0}é]{0,5}", 0..120),
+        more in prop::collection::vec("[ab\u{0}é]{0,5}", 0..20),
+    ) {
+        let mut built = Vocab::new();
+        for text in &texts {
+            built.intern(text);
+        }
+        let (blob, ends) = built.parts();
+        let mut loaded = Vocab::from_parts(blob, ends).expect("parts of a vocabulary");
+        prop_assert_eq!(loaded.parts(), built.parts());
+        prop_assert_eq!(loaded.iter().collect::<Vec<_>>(), built.iter().collect::<Vec<_>>());
+        for text in texts.iter().chain(&more) {
+            prop_assert_eq!(loaded.get(text), built.get(text), "get {:?}", text);
+        }
+        for text in &more {
+            prop_assert_eq!(loaded.intern(text), built.intern(text), "intern {:?}", text);
+        }
+        prop_assert_eq!(loaded.parts(), built.parts());
+        // Repeating any string of it makes the parts a duplicate's.
+        let first = built.resolve(0).map(str::to_owned);
+        if let Some(again) = first {
+            let mut blob = built.parts().0.to_vec();
+            let mut ends = built.parts().1.to_vec();
+            blob.extend_from_slice(again.as_bytes());
+            ends.push(blob.len() as u32);
+            prop_assert_eq!(Vocab::from_parts(&blob, &ends).map(drop), Err("duplicate string"));
+        }
+    }
+}
+
 /// What [`Vocab`] replaced, kept as the reference.
 #[derive(Default, Clone)]
 struct VocabModel {
@@ -213,20 +249,47 @@ fn vocab_survives_many_growths() {
     assert_eq!(vocab.get(format!("token{STRINGS}")), None);
 }
 
-/// Sized for its contents up front, a vocabulary never reallocates: the
-/// footprint it reports before the first intern is the footprint after
-/// the last.
+/// Loaded from its parts, a vocabulary is sized for its contents — the
+/// three buffers hold exactly the strings, one end each, and the smallest
+/// id table that is at most half full — and finding any of its strings
+/// grows nothing.
 #[test]
-fn vocab_sized_up_front_does_not_grow() {
-    for strings in [1usize, 7, 8, 9, 1000, 4096, 4097] {
-        let words: Vec<String> = (0..strings).map(|i| format!("w{i}")).collect();
-        let bytes: usize = words.iter().map(String::len).sum();
-        let mut vocab = Vocab::with_capacities(strings, bytes);
-        let before = vocab.heap_bytes();
-        for word in &words {
-            vocab.intern(word);
+fn vocab_from_parts_is_sized_for_its_contents() {
+    for strings in [0usize, 1, 7, 8, 9, 1000, 4096, 4097] {
+        let mut built = Vocab::new();
+        for i in 0..strings {
+            built.intern(format!("w{i}"));
         }
-        assert_eq!(vocab.len(), strings);
-        assert_eq!(vocab.heap_bytes(), before, "{strings} strings grew a buffer");
+        let (blob, ends) = built.parts();
+        let mut loaded = Vocab::from_parts(blob, ends).unwrap();
+        let slots = (2 * strings).next_power_of_two().max(8);
+        assert_eq!(loaded.heap_bytes(), blob.len() + 4 * strings + 4 * slots, "{strings} strings");
+        let before = loaded.heap_bytes();
+        for i in 0..strings {
+            assert_eq!(loaded.intern(format!("w{i}")), i as u32);
+        }
+        assert_eq!(loaded.heap_bytes(), before, "{strings} strings grew a buffer");
     }
+}
+
+/// Every way parts can fail to describe a vocabulary is refused by name.
+#[test]
+fn vocab_from_parts_refuses_what_interning_cannot_build() {
+    let refused = |blob: &[u8], ends: &[u32]| Vocab::from_parts(blob, ends).map(drop).unwrap_err();
+    assert_eq!(refused(b"abc", &[2, 1, 3]), "ends decrease");
+    assert_eq!(refused("aéb".as_bytes(), &[1, 2, 4]), "end is not on a char boundary of the blob");
+    assert_eq!(refused(b"abc", &[1, 4]), "end is not on a char boundary of the blob");
+    assert_eq!(refused(b"abc", &[1, 2]), "last end is not the blob's length");
+    assert_eq!(refused(b"abc", &[]), "last end is not the blob's length");
+    assert_eq!(refused(b"ab\xff", &[1, 3]), "blob is not utf-8");
+    assert_eq!(refused(b"abab", &[2, 4]), "duplicate string");
+    assert_eq!(refused(b"ab", &[0, 2, 2]), "duplicate string");
+    assert_eq!(refused(b"", &[0, 0]), "duplicate string");
+    // One empty string is a string like any other, wherever it sits.
+    for (blob, ends) in [(&b""[..], &[0u32][..]), (b"ab", &[0, 2]), (b"ab", &[1, 1, 2]), (b"ab", &[2, 2])] {
+        let vocab = Vocab::from_parts(blob, ends).unwrap();
+        assert_eq!(vocab.len(), ends.len());
+        assert!(vocab.get("").is_some());
+    }
+    assert!(Vocab::from_parts(b"", &[]).unwrap().is_empty());
 }

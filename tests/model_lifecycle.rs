@@ -100,8 +100,8 @@ fn registry_serves_published_files_and_models_identically() {
     let from_model = registry.publish(&model, "from a model").unwrap();
     let served_model = infer_all(registry.current().unwrap().engine.model());
 
-    assert_eq!((from_file.format, from_file.checksum), (2, from_model.checksum));
-    assert_eq!(from_model.format, 2);
+    assert_eq!((from_file.format, from_file.checksum), (3, from_model.checksum));
+    assert_eq!(from_model.format, 3);
     assert_eq!(expected, served_file);
     assert_eq!(expected, served_model);
     std::fs::remove_dir_all(&root).ok();
