@@ -2,7 +2,7 @@
 //! of the three latency-comparable models (fastText, Graphite, GraphEx).
 //!
 //! Runs on the CAT_3-sized preset so `cargo bench` stays in CI budget; the
-//! full-scale numbers come from `--bin fig6`.
+//! full-scale numbers come from `repro_all --only fig6`.
 //!
 //! A second group times the GraphEx kernel alone on the repo benchmark's
 //! marketplace (`bench200k`, `benchmark/src/data.rs`): the request the

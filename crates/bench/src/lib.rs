@@ -1,18 +1,18 @@
 //! # bench — the experiment harness regenerating every table and figure
 //!
-//! One binary per experiment (see `src/bin/`), all built on the shared
-//! [`experiments`] machinery: generate the three category datasets
-//! (Table II), train all six models, run the judged evaluation once, and
-//! render the paper's tables from it.
+//! One binary, `repro_all`, built on the shared [`experiments`] machinery:
+//! generate the three category datasets (Table II), train all six models,
+//! run the judged evaluation once, and render the paper's tables from it —
+//! all of them, or one with `--only <section>`.
 //!
 //! Scale control: set `GRAPHEX_SCALE=quick` to run everything on miniature
 //! datasets (seconds, for smoke-testing the harness); the default is the
 //! full laptop-scale presets (the CAT_1/2/3 specs of `graphex-marketsim`).
 //!
 //! ```bash
-//! cargo run --release -p graphex-bench --bin table3     # one experiment
-//! cargo run --release -p graphex-bench --bin repro_all  # everything
-//! cargo bench -p graphex-bench                          # criterion suite
+//! cargo run --release -p graphex-bench --bin repro_all -- --only table3  # one experiment
+//! cargo run --release -p graphex-bench --bin repro_all                   # everything
+//! cargo bench -p graphex-bench                                           # criterion suite
 //! ```
 
 pub mod experiments;

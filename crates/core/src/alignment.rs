@@ -11,8 +11,14 @@
 //!
 //! Sec. IV-F1's worked example: title with 10 tokens, labels "A B C" and
 //! "A B C D E" — LTA ranks "A B C" first (3/1 > 4/2) while JAC prefers the
-//! longer, riskier label (3/10 < 4/10). Table VI measures LTA ≥ JAC > WMR on
-//! relevant proportion, which `crates/bench --bin table6` reproduces.
+//! longer, riskier label (3/10 < 4/10). The paper's Table VI measures
+//! LTA ≥ JAC > WMR on relevant proportion; this reproduction's Table VI
+//! (`repro_all --only table6`) does not reproduce that ordering, because on
+//! its simulator the three rarely disagree: for a fixed title and count `c`
+//! all three are strictly decreasing in `|l|`, so they order any one count
+//! group identically and can differ only when labels of different counts
+//! compete, which count-group pruning leaves few chances to do
+//! (`probe_align` counts the items whose top-k sets differ).
 //!
 //! Scores are compared *exactly* using cross-multiplication over `u64`, so
 //! ranking is never subject to float rounding; `f64` values are only

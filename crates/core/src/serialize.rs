@@ -963,7 +963,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_roundtrip_preserves_behavior() {
+    fn roundtrip_preserves_behavior() {
         let model = sample_model();
         let restored = from_bytes(&to_bytes(&model)).unwrap();
         assert_eq!(infer_outputs(&model), infer_outputs(&restored));
@@ -973,7 +973,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_load_borrows_sections_zero_copy() {
+    fn load_borrows_sections_zero_copy() {
         let model = sample_model();
         let bytes = to_bytes(&model);
         // Parsing the (aligned) serializer output: zero-copy.

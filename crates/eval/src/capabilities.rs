@@ -1,8 +1,8 @@
 //! Table I: comparative capability matrix of the framework families.
 //!
 //! These are qualitative claims from the paper (Sec. I/II), encoded as data
-//! so `--bin table1` can print the same matrix and tests can assert the
-//! shape (GraphEx is the only row with every ✓).
+//! so `repro_all --only table1` can print the same matrix and tests can
+//! assert the shape (GraphEx is the only row with every ✓).
 
 /// Tri-state capability: yes (✓), no (blank), or depends (?).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

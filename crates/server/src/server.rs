@@ -808,7 +808,7 @@ mod tests {
     use super::*;
     use crate::client::HttpClient;
     use graphex_core::{GraphExBuilder, GraphExConfig, KeyphraseRecord, LeafId};
-    use graphex_serving::{KvStore, OverlayStore, Served};
+    use graphex_serving::{KvStore, OverlayStore, Served, Tags};
 
     /// The reference [`write_entry`] is held to: the entry as a `Json`
     /// tree, rendered.
@@ -933,6 +933,54 @@ mod tests {
         );
 
         drop(client); // close the keep-alive so shutdown doesn't wait it out
+        server.shutdown();
+    }
+
+    /// A revised title, then a changed leaf, under one id over HTTP: each
+    /// answer is the kernel's for that request, not the stored one —
+    /// whether the first answer was a read-through or a batch pass's.
+    #[test]
+    fn revised_item_is_served_fresh_over_http() {
+        for prewarmed in [false, true] {
+            let store = KvStore::new();
+            if prewarmed {
+                let item = graphex_serving::batch::BatchItem {
+                    id: 7,
+                    title: "widget gadget pro max".into(),
+                    leaf: LeafId(1),
+                };
+                graphex_serving::BatchPipeline::new(&model(), &store, 10, 1).run_full(&[item]);
+            }
+            revise_over_http(Arc::new(ServingApi::new(model(), Arc::new(store), 10)));
+        }
+    }
+
+    fn revise_over_http(api: Arc<ServingApi>) {
+        let engine = graphex_core::Engine::new(model());
+        let server = crate::start(test_config(), api).unwrap();
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let mut previous = None;
+        for (title, leaf) in [("widget gadget pro max", 1), ("widget gadget", 1), ("widget gadget", 2)] {
+            let body = format!(r#"{{"title":"{title}","leaf":{leaf},"k":10,"id":7}}"#);
+            let reply = client.post_json("/v1/infer", &body).unwrap();
+            assert_eq!(reply.status, 200, "{}", reply.text());
+            let reply = json::parse(&reply.text()).unwrap();
+            let served: Vec<&str> = reply
+                .get("keyphrases")
+                .unwrap()
+                .as_arr()
+                .unwrap()
+                .iter()
+                .map(|k| k.as_str().unwrap())
+                .collect();
+            let fresh = engine.infer(
+                &graphex_core::InferRequest::new(title, LeafId(leaf)).k(10).resolve_texts(true),
+            );
+            assert_eq!(served, fresh.texts, "{title:?} in leaf {leaf}");
+            assert_ne!(Some(fresh.texts.clone()), previous, "each step asks something new");
+            previous = Some(fresh.texts);
+        }
+        drop(client);
         server.shutdown();
     }
 
@@ -1470,7 +1518,8 @@ mod tests {
                     check(Answer::Computed(served.clone()), &served);
                 }
                 // A store hit: the packed record, cut to `k`.
-                store.put_tagged(9, &keyphrases, outcome, snapshot_version, 3);
+                let tags = Tags { snapshot_version, overlay_epoch: 3, fingerprint: 1 };
+                store.put_tagged(9, &keyphrases, outcome, tags);
                 assert_eq!(store.get(9).expect("just put").keyphrases, keyphrases);
                 let record = store.record(9).expect("just put");
                 for k in [0, 1, keyphrases.len().saturating_sub(1), keyphrases.len(), 10_000] {

@@ -2,13 +2,20 @@
 //! (Fig. 7's right edge), with a read-through fallback.
 //!
 //! Sellers request keyphrases for an item; the API answers from the KV
-//! store. A miss (item listed seconds ago, NRT still in flight, or a cold
-//! path after a store wipe) triggers synchronous inference and a
-//! write-back, so the caller never sees an empty answer for a servable
-//! item. Requests are [`InferRequest`] envelopes — per-request `k` and
-//! alignment ride through to inference — and every response carries the
-//! [`Outcome`] that explains it; counters are keyed by both source and
-//! outcome.
+//! store. A miss (item listed seconds ago, or a cold path after a store
+//! wipe) triggers synchronous inference and a write-back, so the caller
+//! never sees an empty answer for a servable item. Requests are
+//! [`InferRequest`] envelopes — per-request `k` and alignment ride through
+//! to inference — and every response carries the [`Outcome`] that
+//! explains it; counters are keyed by both source and outcome.
+//!
+//! This is also Sec. IV-H's near-real-time path. Every record carries the
+//! [`kv::fingerprint`] of the title and leaf it was computed for, and a
+//! request whose fingerprint differs is a miss: an item created or
+//! revised by its seller is computed on its next request, and the
+//! write-back replaces the old answer. The keyed store is the dedup
+//! window — the latest revision wins, and a revision nobody reads costs
+//! nothing.
 //!
 //! Two concurrency properties the old design lacked, both load-bearing at
 //! production fan-in:
@@ -18,11 +25,12 @@
 //!   parallel instead of serializing behind one `Mutex<Scratch>` (measured
 //!   by `crates/bench/benches/serving_read_path.rs`).
 //! * **Single-flight read-through.** Concurrent misses on the *same* item
-//!   coalesce: one caller (the leader) runs inference and writes back
-//!   exactly once; the rest wait for the leader's answer. The KV version
-//!   therefore bumps once per item, not once per concurrent caller.
+//!   and title coalesce: one caller (the leader) runs inference and writes
+//!   back exactly once; the rest wait for the leader's answer. The KV
+//!   version therefore bumps once per item, not once per concurrent
+//!   caller. A request carrying another title never joins that flight.
 
-use crate::kv::{KvStore, PackedRecs};
+use crate::kv::{self, KvStore, PackedRecs, Tags};
 use crate::overlay::{DrainReport, OverlayError, OverlayStatus, OverlayStore, UpsertAck};
 use crate::registry::ModelWatch;
 use graphex_core::{
@@ -36,7 +44,8 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 /// Where a response came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeSource {
-    /// Precomputed by batch/NRT, read from the store.
+    /// Precomputed for this title and leaf by a batch pass or an earlier
+    /// read-through, read from the store.
     Store,
     /// Computed synchronously on miss and written back.
     ReadThrough,
@@ -164,8 +173,8 @@ impl Flight {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SwapPolicy {
     /// Serve cached answers regardless of the snapshot that computed them
-    /// (the paper's Fig. 7 behaviour: refresh rides the next batch/NRT
-    /// pass). This is the default.
+    /// (the paper's Fig. 7 behaviour: refresh rides the next batch pass or
+    /// revision). This is the default.
     #[default]
     Serve,
     /// Treat a store hit tagged with another `snapshot_version` as a miss
@@ -217,8 +226,8 @@ pub struct ServingApi {
     in_flight_gauge: AtomicU64,
     /// Responses by [`Outcome::index`].
     outcomes: [AtomicU64; 4],
-    /// item id → in-flight read-through (single-flight).
-    inflight: Mutex<FxHashMap<u64, Arc<Flight>>>,
+    /// (item id, fingerprint) → in-flight read-through (single-flight).
+    inflight: Mutex<FxHashMap<FlightKey, Arc<Flight>>>,
 }
 
 /// Counters snapshot, keyed by source and by [`Outcome`].
@@ -461,7 +470,8 @@ impl ServingApi {
     /// Serves one envelope request.
     ///
     /// Requests with an [`InferRequest::id`] use it as the KV key: store
-    /// hit, else single-flight read-through with write-back. Requests
+    /// hit when the stored answer is fresh for this title and leaf (module
+    /// doc), else single-flight read-through with write-back. Requests
     /// without an id are computed directly and never stored (there is no
     /// key to store them under).
     ///
@@ -506,35 +516,44 @@ impl ServingApi {
             return sink(Answer::Computed(served));
         };
 
-        // Miss path: elect a leader for this item, or join an existing
-        // flight. The loop re-enters only when the double-check sees a
-        // completed leader, in which case the next store read hits.
+        // One hash of the title per request: it decides every store read
+        // below, keys the single flight and tags the write-back.
+        let fingerprint = kv::fingerprint(request.leaf, request.title);
+        let key = (item, fingerprint);
+
+        // Miss path: elect a leader for this item and title, or join an
+        // existing flight. The loop re-enters only when the double-check
+        // sees a completed leader, in which case the next store read hits.
         enum Role {
             Leader(Arc<Flight>),
             Follower(Arc<Flight>),
         }
         loop {
             // Resolve the serving version once per pass (and only under
-            // the invalidate policy), so the freshness probe below never
+            // the invalidate policy), so the freshness check below never
             // touches the watch's RwLock inside the inflight mutex.
-            let current = match self.swap_policy {
-                SwapPolicy::Serve => 0,
-                SwapPolicy::Invalidate => self.watch.version(),
+            let wanted = Wanted {
+                snapshot: match self.swap_policy {
+                    SwapPolicy::Serve => None,
+                    SwapPolicy::Invalidate => Some(self.watch.version()),
+                },
+                fingerprint,
+                leaf: request.leaf,
             };
             let kv_start = trace.clock();
             let mut fresh_hit = None;
             if let Some(stored) = self.store.record(item) {
-                if !self.record_is_fresh(stored.snapshot_version(), current) {
-                    // Stale under SwapPolicy::Invalidate: fall through to
-                    // the read-through path, which overwrites the record.
-                    self.invalidated.fetch_add(1, Ordering::Relaxed);
-                } else if !self.overlay_fresh(stored.overlay_epoch(), request.leaf) {
-                    // An upsert touched this leaf after the record was
-                    // written: recompute so the answer reflects the
-                    // overlay (the write-back re-tags the record).
-                    self.overlay_invalidated.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    fresh_hit = Some(stored);
+                // Anything stale falls through to the read-through path,
+                // which overwrites the record (and re-tags it).
+                match self.staleness(stored.tags(), &wanted) {
+                    None => fresh_hit = Some(stored),
+                    Some(Stale::Snapshot) => {
+                        self.invalidated.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Some(Stale::Overlay) => {
+                        self.overlay_invalidated.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Some(Stale::Revised) => {}
                 }
             }
             match fresh_hit {
@@ -549,28 +568,23 @@ impl ServingApi {
                 let mut inflight = self.lock_inflight();
                 // Double-check under the map lock: the leader writes the
                 // store *before* clearing its flight entry, so a concurrent
-                // completion is visible here. Only a snapshot-tag probe runs
-                // under the global lock — the record fetch happens
-                // lock-free on the next pass, so concurrent misses on
-                // distinct items don't serialize on the store.
-                // A present-but-stale record does *not* `continue` (the
-                // next pass would see it stale again and loop forever); it
-                // proceeds to leader election so it gets overwritten.
-                // Overlay staleness joins the probe for the same reason.
-                match self.store.probe_tags(item) {
-                    Some((tag, epoch))
-                        if self.record_is_fresh(tag, current)
-                            && self.overlay_fresh(epoch, request.leaf) =>
-                    {
-                        continue
-                    }
-                    _ => {}
+                // completion is visible here. Only a tag probe runs under
+                // the global lock — the record fetch happens lock-free on
+                // the next pass, so concurrent misses on distinct items
+                // don't serialize on the store. The check is the same one
+                // the read above made: a present-but-stale record does
+                // *not* `continue` (the next pass would see it stale again
+                // and loop forever); it proceeds to leader election so it
+                // gets overwritten.
+                let tags = self.store.probe_tags(item);
+                if tags.is_some_and(|tags| self.staleness(tags, &wanted).is_none()) {
+                    continue;
                 }
-                if let Some(flight) = inflight.get(&item) {
+                if let Some(flight) = inflight.get(&key) {
                     Role::Follower(Arc::clone(flight))
                 } else {
                     let flight = Arc::new(Flight::default());
-                    inflight.insert(item, Arc::clone(&flight));
+                    inflight.insert(key, Arc::clone(&flight));
                     Role::Leader(flight)
                 }
             };
@@ -597,21 +611,20 @@ impl ServingApi {
                     // the flight entry and publishes an unservable answer,
                     // so followers unblock and later requests retry instead
                     // of joining a wedged flight forever.
-                    let mut guard = LeaderGuard { api: self, item, flight: &flight, armed: true };
+                    let mut guard = LeaderGuard { api: self, key, flight: &flight, armed: true };
                     let served = self.compute_traced(request, trace);
                     if served.outcome.is_servable() {
-                        self.store.put_tagged(
-                            item,
-                            &served.keyphrases,
-                            served.outcome,
-                            served.snapshot_version,
-                            served.overlay_epoch,
-                        );
+                        let tags = Tags {
+                            snapshot_version: served.snapshot_version,
+                            overlay_epoch: served.overlay_epoch,
+                            fingerprint,
+                        };
+                        self.store.put_tagged(item, &served.keyphrases, served.outcome, tags);
                     }
                     // Store write is published; only now may new callers
                     // miss the flight entry (they re-check the store under
                     // the lock).
-                    self.lock_inflight().remove(&item);
+                    self.lock_inflight().remove(&key);
                     // Followers cloned the handle under that lock and
                     // nobody can find the flight any more: a count of one
                     // means nobody waits, and the answer is not copied.
@@ -659,26 +672,30 @@ impl ServingApi {
         }
     }
 
-    /// Whether a store record with this snapshot tag may be served under
-    /// the configured [`SwapPolicy`]. Untagged records (0) always may;
-    /// `current` is the serving version the caller resolved up front
-    /// (unused under [`SwapPolicy::Serve`]).
-    fn record_is_fresh(&self, record_snapshot: u64, current: u64) -> bool {
-        match self.swap_policy {
-            SwapPolicy::Serve => true,
-            SwapPolicy::Invalidate => record_snapshot == 0 || record_snapshot == current,
+    /// The freshness rule: why a record with these tags may not answer a
+    /// request, or `None` when it may. In order:
+    ///
+    /// * its fingerprint is another title's or leaf's — a revision;
+    /// * under [`SwapPolicy::Invalidate`], another snapshot computed it
+    ///   (records tagged 0, fixed-engine writes, are exempt);
+    /// * an upsert touched the request's leaf after the record was
+    ///   written. `leaf_seq` is monotone and survives drains, so records
+    ///   written by overlay-blind writers (epoch 0) go stale the moment an
+    ///   upsert touches their leaf, and never before.
+    fn staleness(&self, tags: Tags, wanted: &Wanted) -> Option<Stale> {
+        if tags.fingerprint != wanted.fingerprint {
+            return Some(Stale::Revised);
         }
-    }
-
-    /// Whether a store record's overlay epoch is at least as new as the
-    /// last upsert touching the request's leaf. Trivially true without an
-    /// overlay; `leaf_seq` is monotone and survives drains, so records
-    /// written by overlay-blind writers (epoch 0) go stale the moment an
-    /// upsert touches their leaf, and never before.
-    fn overlay_fresh(&self, record_epoch: u64, leaf: LeafId) -> bool {
+        if let Some(current) = wanted.snapshot {
+            if tags.snapshot_version != 0 && tags.snapshot_version != current {
+                return Some(Stale::Snapshot);
+            }
+        }
         match &self.overlay {
-            None => true,
-            Some(overlay) => record_epoch >= overlay.leaf_seq(leaf),
+            Some(overlay) if tags.overlay_epoch < overlay.leaf_seq(wanted.leaf) => {
+                Some(Stale::Overlay)
+            }
+            _ => None,
         }
     }
 
@@ -741,10 +758,35 @@ impl ServingApi {
         self.outcomes[outcome.index()].fetch_add(1, Ordering::Relaxed);
     }
 
-    fn lock_inflight(&self) -> std::sync::MutexGuard<'_, FxHashMap<u64, Arc<Flight>>> {
+    fn lock_inflight(&self) -> std::sync::MutexGuard<'_, FxHashMap<FlightKey, Arc<Flight>>> {
         self.inflight.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
+
+/// What a keyed request needs of a stored record to be answered from it
+/// (see [`ServingApi::staleness`]).
+struct Wanted {
+    /// The serving snapshot under [`SwapPolicy::Invalidate`]; `None` under
+    /// [`SwapPolicy::Serve`], which serves any snapshot's record.
+    snapshot: Option<u64>,
+    fingerprint: u64,
+    leaf: LeafId,
+}
+
+/// Why a stored record may not answer a request.
+enum Stale {
+    /// Computed for another title or leaf.
+    Revised,
+    /// Computed by another snapshot ([`SwapPolicy::Invalidate`] only).
+    Snapshot,
+    /// An upsert touched the request's leaf since.
+    Overlay,
+}
+
+/// A single flight's key: the item id and the request's
+/// [`kv::fingerprint`], so a request never takes an answer computed for
+/// another title of the same item.
+type FlightKey = (u64, u64);
 
 /// RAII marker for one executing request (see
 /// [`ServingApi::begin_request`]): decrements the in-flight gauge on drop,
@@ -764,7 +806,7 @@ impl Drop for InFlightGuard<'_> {
 /// wake followers with an unservable answer rather than wedging the item.
 struct LeaderGuard<'a> {
     api: &'a ServingApi,
-    item: u64,
+    key: FlightKey,
     flight: &'a Flight,
     armed: bool,
 }
@@ -772,7 +814,7 @@ struct LeaderGuard<'a> {
 impl Drop for LeaderGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            self.api.lock_inflight().remove(&self.item);
+            self.api.lock_inflight().remove(&self.key);
             self.flight.publish(Served {
                 keyphrases: Vec::new(),
                 source: ServeSource::None,
@@ -822,10 +864,17 @@ mod tests {
         )
     }
 
+    /// What a precomputing writer (a batch pass) stores for a title.
+    fn precomputed(store: &KvStore, item: u64, keyphrases: &[&str], title: &str, leaf: LeafId) {
+        let keyphrases: Vec<String> = keyphrases.iter().map(|k| k.to_string()).collect();
+        let tags = Tags { fingerprint: kv::fingerprint(leaf, title), ..Tags::default() };
+        store.put_tagged(item, &keyphrases, Outcome::ExactLeaf, tags);
+    }
+
     #[test]
     fn store_hit_is_served_verbatim() {
         let store = Arc::new(KvStore::new());
-        store.put(7, vec!["precomputed".into()], Outcome::ExactLeaf, 0);
+        precomputed(&store, 7, &["precomputed"], "widget gadget", LeafId(1));
         let api = ServingApi::new(model(), store, 10);
         let served = api.serve(7, "widget gadget", LeafId(1));
         assert_eq!(served.source, ServeSource::Store);
@@ -833,6 +882,10 @@ mod tests {
         assert_eq!(served.keyphrases, ["precomputed"]);
         assert_eq!(api.stats().store_hits, 1);
         assert_eq!(api.stats().outcomes.exact_leaf, 1);
+        // A plain `put` carries no fingerprint, so no request is answered
+        // from it.
+        api.store().put(8, vec!["unfingerprinted".into()], Outcome::ExactLeaf, 0);
+        assert_eq!(api.serve(8, "widget gadget", LeafId(1)).source, ServeSource::ReadThrough);
     }
 
     #[test]
@@ -893,7 +946,7 @@ mod tests {
     #[test]
     fn store_hit_truncates_to_request_k() {
         let store = Arc::new(KvStore::new());
-        store.put(7, vec!["a".into(), "b".into(), "c".into()], Outcome::ExactLeaf, 0);
+        precomputed(&store, 7, &["a", "b", "c"], "ignored", LeafId(1));
         let api = ServingApi::new(model(), store, 10);
         let one = api.serve_request(&InferRequest::new("ignored", LeafId(1)).k(1).id(7));
         assert_eq!(one.source, ServeSource::Store);
@@ -939,7 +992,7 @@ mod tests {
     #[test]
     fn serve_batch_mixes_hits_and_read_throughs() {
         let store = Arc::new(KvStore::new());
-        store.put(1, vec!["stored".into()], Outcome::ExactLeaf, 0);
+        precomputed(&store, 1, &["stored"], "irrelevant title", LeafId(1));
         let api = ServingApi::new(model(), store, 10);
         let requests = [
             InferRequest::new("irrelevant title", LeafId(1)).k(5).id(1), // hit
@@ -1085,7 +1138,7 @@ mod tests {
         // Read-through under snapshot 1 tags the record.
         let first = api.serve(5, "widget gadget pro", LeafId(1));
         assert_eq!(first.source, ServeSource::ReadThrough);
-        assert_eq!(store.get(5).unwrap().snapshot_version, 1);
+        assert_eq!(store.get(5).unwrap().tags.snapshot_version, 1);
         // Same snapshot: a plain store hit.
         assert_eq!(api.serve(5, "widget gadget pro", LeafId(1)).source, ServeSource::Store);
 
@@ -1094,7 +1147,7 @@ mod tests {
         registry.publish(&model(), "v2").unwrap();
         let after_swap = api.serve(5, "widget gadget pro", LeafId(1));
         assert_eq!(after_swap.source, ServeSource::ReadThrough);
-        assert_eq!(store.get(5).unwrap().snapshot_version, 2);
+        assert_eq!(store.get(5).unwrap().tags.snapshot_version, 2);
         assert_eq!(store.get(5).unwrap().version, 2, "record was overwritten once");
 
         // Rollback to snapshot 1: the version-2 record is stale again —
@@ -1102,7 +1155,7 @@ mod tests {
         registry.rollback().unwrap();
         let after_rollback = api.serve(5, "widget gadget pro", LeafId(1));
         assert_eq!(after_rollback.source, ServeSource::ReadThrough);
-        assert_eq!(store.get(5).unwrap().snapshot_version, 1);
+        assert_eq!(store.get(5).unwrap().tags.snapshot_version, 1);
         let stats = api.stats();
         assert_eq!(stats.invalidated, 2);
         assert_eq!(stats.store_hits, 1);
@@ -1147,10 +1200,11 @@ mod tests {
         let api = ServingApi::new(model(), store.clone(), 10)
             .with_overlay(Arc::new(crate::overlay::OverlayStore::new()));
 
-        // Cache an answer for item 7 before any upsert.
-        let before = api.serve(7, "widget gadget pro", LeafId(1));
+        // Cache an answer for item 7 before any upsert, under the title it
+        // is asked for afterwards (so only the upsert can make it stale).
+        let before = api.serve(7, "widget gadget ultra", LeafId(1));
         assert_eq!(before.source, ServeSource::ReadThrough);
-        assert_eq!(store.get(7).unwrap().overlay_epoch, 0);
+        assert_eq!(store.get(7).unwrap().tags.overlay_epoch, 0);
 
         // Upsert a new keyphrase into leaf 1: the cached record is stale.
         let ack = api
@@ -1160,7 +1214,7 @@ mod tests {
         let after = api.serve(7, "widget gadget ultra", LeafId(1));
         assert_eq!(after.source, ServeSource::ReadThrough, "cached answer was invalidated");
         assert!(after.keyphrases.iter().any(|k| k == "widget gadget ultra"));
-        assert_eq!(store.get(7).unwrap().overlay_epoch, 1, "write-back re-tagged the record");
+        assert_eq!(store.get(7).unwrap().tags.overlay_epoch, 1, "write-back re-tagged the record");
         assert_eq!(api.stats().overlay_invalidated, 1);
 
         // The re-tagged record is a plain store hit now.
@@ -1235,6 +1289,66 @@ mod tests {
             tiny.apply_upsert(&[KeyphraseRecord::new("over the cap now", LeafId(1), 1, 1)]),
             Err(OverlayError::CapExceeded { .. })
         ));
+    }
+
+    /// Sec. IV-H's NRT case: a seller revises an item's title, or moves
+    /// it to another leaf, and the next request for the same id answers
+    /// for the revision — under either swap policy, whether the old answer
+    /// came from a read-through or from a batch pass.
+    #[test]
+    fn revised_title_or_leaf_is_served_fresh() {
+        let mut config = GraphExConfig::default();
+        config.curation.min_search_count = 0;
+        config.build_meta_fallback = false;
+        let model = Arc::new(
+            GraphExBuilder::new(config)
+                .add_records(vec![
+                    KeyphraseRecord::new("widget gadget", LeafId(1), 90, 5),
+                    KeyphraseRecord::new("widget gadget pro", LeafId(1), 50, 5),
+                    KeyphraseRecord::new("sprocket cog", LeafId(1), 70, 5),
+                    KeyphraseRecord::new("sprocket cog deluxe", LeafId(2), 60, 5),
+                ])
+                .build()
+                .unwrap(),
+        );
+        let engine = Engine::new(model.clone());
+        let fresh = |title: &str, leaf: u32| {
+            engine.infer(&InferRequest::new(title, LeafId(leaf)).k(10).resolve_texts(true)).texts
+        };
+        let (original, revised) = ("widget gadget pro", "sprocket cog deluxe");
+        assert_ne!(fresh(original, 1), fresh(revised, 1));
+        assert_ne!(fresh(revised, 1), fresh(revised, 2));
+        let script = [(original, 1), (revised, 1), (revised, 2), (original, 1), (original, 3)];
+        for policy in [SwapPolicy::Serve, SwapPolicy::Invalidate] {
+            for prewarmed in [false, true] {
+                let store = Arc::new(KvStore::new());
+                if prewarmed {
+                    let item =
+                        crate::batch::BatchItem { id: 42, title: original.into(), leaf: LeafId(1) };
+                    crate::BatchPipeline::new(&model, &store, 10, 1).run_full(&[item]);
+                }
+                let api = ServingApi::new(model.clone(), store, 10).swap_policy(policy);
+                for (step, &(title, leaf)) in script.iter().enumerate() {
+                    let served = api.serve(42, title, LeafId(leaf));
+                    assert_eq!(
+                        served.keyphrases,
+                        fresh(title, leaf),
+                        "{policy:?}, prewarmed {prewarmed}, step {step}: {title:?} in leaf {leaf}"
+                    );
+                    // The batch pass fingerprinted its record the way the
+                    // request does: the first ask is a store hit.
+                    if prewarmed && step == 0 {
+                        assert_eq!(served.source, ServeSource::Store);
+                    }
+                    // Asked again unchanged, the answer is the stored one.
+                    let again = api.serve(42, title, LeafId(leaf));
+                    assert_eq!(again.keyphrases, served.keyphrases);
+                    if served.outcome.is_servable() {
+                        assert_eq!(again.source, ServeSource::Store);
+                    }
+                }
+            }
+        }
     }
 
     /// Unservable single-flight: coalesced followers of an unservable

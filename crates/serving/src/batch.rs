@@ -8,10 +8,13 @@
 //! envelope per item: each worker scores its chunk of the items, writes
 //! every servable answer into the (sharded) store itself and keeps its
 //! own tally, so no per-item vector is ever built and nothing is stored
-//! serially. The report tallies every item's [`graphex_core::Outcome`] so
-//! a batch run says *why* items were skipped, not just how many.
+//! serially. Each record carries the [`kv::fingerprint`] of the item's
+//! title and leaf, so the serving API answers from it exactly the requests
+//! it was computed for. The report tallies every item's
+//! [`graphex_core::Outcome`] so a batch run says *why* items were skipped,
+//! not just how many.
 
-use crate::kv::KvStore;
+use crate::kv::{self, KvStore, Tags};
 use crate::registry::ModelWatch;
 use graphex_core::parallel::batch_infer_with;
 use graphex_core::{
@@ -115,7 +118,13 @@ impl<'a> BatchPipeline<'a> {
             }
             tally.items_with_recommendations += 1;
             tally.total_keyphrases += response.texts.len();
-            self.store.put(u64::from(items[i].id), response.texts, response.outcome, snapshot_version);
+            let item = &items[i];
+            let tags = Tags {
+                snapshot_version,
+                overlay_epoch: 0,
+                fingerprint: kv::fingerprint(item.leaf, &item.title),
+            };
+            self.store.put_tagged(u64::from(item.id), &response.texts, response.outcome, tags);
         };
         let workers =
             batch_infer_with(model, items.len(), request, self.threads, &ScratchPool::new(), store);

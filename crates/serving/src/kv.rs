@@ -1,27 +1,63 @@
 //! Sharded in-memory key-value store (the NuKV stand-in).
 //!
 //! Item id → recommended keyphrases. Sharded `RwLock`s keep the batch
-//! writers and NRT writers from serializing behind one lock; readers (the
-//! serving API) take shared locks only. Each record carries the
-//! [`Outcome`] the inference reported when it was computed, so a store hit
-//! can echo the same provenance a fresh inference would.
+//! writers and read-through writers from serializing behind one lock;
+//! readers (the serving API) take shared locks only. Each record carries
+//! the [`Outcome`] the inference reported when it was computed, so a store
+//! hit can echo the same provenance a fresh inference would, and the
+//! [`Tags`] serving compares against a request before answering from it —
+//! among them the [`fingerprint`] of the title and leaf the answer was
+//! computed for, so a revised item is never answered from its old title.
 //!
 //! A record is stored **packed** ([`PackedRecs`]): one immutable,
-//! refcounted allocation holding the four tags, the keyphrases' end
-//! offsets and their texts back to back. A serving hit is a refcount bump
-//! under the shard's read lock — no per-phrase heap traffic — and an
-//! overwrite swaps the record whole, so a reader keeps the one it took.
+//! refcounted allocation holding the header, the keyphrases' end offsets
+//! and their texts back to back. A serving hit is a refcount bump under
+//! the shard's read lock — no per-phrase heap traffic — and an overwrite
+//! swaps the record whole, so a reader keeps the one it took.
 //! [`StoredRecs`] is that record decoded, for callers that want owned
 //! strings ([`KvStore::get`]).
 
-use graphex_core::Outcome;
-use graphex_textkit::FxHashMap;
+use graphex_core::{LeafId, Outcome};
+use graphex_textkit::{FxHashMap, FxHasher};
 use parking_lot::RwLock;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Number of shards; power of two so the shard pick is a mask.
 const SHARDS: usize = 16;
+
+/// The fingerprint of the request an answer is computed for: a 64-bit Fx
+/// hash of one word holding the leaf and the title's length, then the
+/// title's bytes. (One leading word, because Fx's zero state absorbs a
+/// zero word: hashed apart, leaf 0 and title `"\0"` would hash as leaf 1
+/// and title `""`.) It is never 0 — the fingerprint [`KvStore::put`]
+/// writes — so no request matches a record written without one.
+pub fn fingerprint(leaf: LeafId, title: &str) -> u64 {
+    let mut hasher = FxHasher::default();
+    hasher.write_u64((u64::from(leaf.0) << 32) ^ title.len() as u64);
+    hasher.write(title.as_bytes());
+    hasher.finish().max(1)
+}
+
+/// What a record was computed by and for; serving answers a request from
+/// it only while all three still hold.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tags {
+    /// Registry version of the model snapshot that computed the record (0
+    /// for a fixed engine without a registry). Lets serving detect records
+    /// that outlived a hot swap or rollback.
+    pub snapshot_version: u64,
+    /// Overlay sequence the computing view had absorbed (0 for writers
+    /// that never saw an overlay). Serving compares it against the
+    /// overlay's per-leaf last-write sequence: an upsert touching the
+    /// record's leaf makes the record stale, so cached answers never hide
+    /// fresh overlay content.
+    pub overlay_epoch: u64,
+    /// [`fingerprint`] of the title and leaf the record answers (0 from
+    /// [`KvStore::put`], which no request matches).
+    pub fingerprint: u64,
+}
 
 /// The stored record for one item, decoded.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,30 +69,23 @@ pub struct StoredRecs {
     /// Provenance of the inference that produced these keyphrases
     /// (exact-leaf graph vs. meta fallback).
     pub outcome: Outcome,
-    /// Registry version of the model snapshot that computed these
-    /// keyphrases (0 for a fixed engine without a registry). Lets serving
-    /// detect records that outlived a hot swap or rollback.
-    pub snapshot_version: u64,
-    /// Overlay sequence the computing view had absorbed when this record
-    /// was written (0 for writers that never saw an overlay: batch, NRT,
-    /// fixed-engine tests). Serving compares it against the overlay's
-    /// per-leaf last-write sequence: an upsert touching the record's leaf
-    /// makes the record stale, so cached answers never hide fresh
-    /// overlay content.
-    pub overlay_epoch: u64,
+    /// What the keyphrases were computed by and for.
+    pub tags: Tags,
 }
 
 // Packed layout, little-endian, byte offsets:
 //   0  version u32 | 4 count u32 | 8 snapshot_version u64
-//   16 overlay_epoch u64 | 24 outcome (`Outcome::index`) u8
-//   25 count × u32: where each keyphrase ends in the text
-//   25 + 4·count: the keyphrases' UTF-8, back to back
+//   16 overlay_epoch u64 | 24 fingerprint u64
+//   32 outcome (`Outcome::index`) u8
+//   33 count × u32: where each keyphrase ends in the text
+//   33 + 4·count: the keyphrases' UTF-8, back to back
 const VERSION_AT: usize = 0;
 const COUNT_AT: usize = 4;
 const SNAPSHOT_AT: usize = 8;
 const EPOCH_AT: usize = 16;
-const OUTCOME_AT: usize = 24;
-const ENDS_AT: usize = 25;
+const FINGERPRINT_AT: usize = 24;
+const OUTCOME_AT: usize = 32;
+const ENDS_AT: usize = 33;
 
 /// One item's record as the store holds it (module doc): immutable, one
 /// allocation, cloned by refcount. The fields of [`StoredRecs`] are read
@@ -66,19 +95,15 @@ pub struct PackedRecs(Arc<[u8]>);
 
 impl PackedRecs {
     /// Packs a first write (version 1).
-    fn pack(
-        keyphrases: &[String],
-        outcome: Outcome,
-        snapshot_version: u64,
-        overlay_epoch: u64,
-    ) -> Self {
+    fn pack(keyphrases: &[String], outcome: Outcome, tags: Tags) -> Self {
         let count = u32::try_from(keyphrases.len()).expect("fewer than 2^32 keyphrases per item");
         let text: usize = keyphrases.iter().map(String::len).sum();
         let mut bytes = Vec::with_capacity(ENDS_AT + 4 * keyphrases.len() + text);
         bytes.extend_from_slice(&1u32.to_le_bytes());
         bytes.extend_from_slice(&count.to_le_bytes());
-        bytes.extend_from_slice(&snapshot_version.to_le_bytes());
-        bytes.extend_from_slice(&overlay_epoch.to_le_bytes());
+        bytes.extend_from_slice(&tags.snapshot_version.to_le_bytes());
+        bytes.extend_from_slice(&tags.overlay_epoch.to_le_bytes());
+        bytes.extend_from_slice(&tags.fingerprint.to_le_bytes());
         bytes.push(outcome.index() as u8);
         let mut end = 0usize;
         for keyphrase in keyphrases {
@@ -122,6 +147,15 @@ impl PackedRecs {
         self.u64_at(EPOCH_AT)
     }
 
+    /// The record's three [`Tags`], serving's freshness input.
+    pub fn tags(&self) -> Tags {
+        Tags {
+            snapshot_version: self.snapshot_version(),
+            overlay_epoch: self.overlay_epoch(),
+            fingerprint: self.u64_at(FINGERPRINT_AT),
+        }
+    }
+
     /// Number of keyphrases.
     pub fn len(&self) -> usize {
         self.u32_at(COUNT_AT) as usize
@@ -151,8 +185,7 @@ impl PackedRecs {
             keyphrases: self.keyphrases().map(str::to_string).collect(),
             version: self.version(),
             outcome: self.outcome(),
-            snapshot_version: self.snapshot_version(),
-            overlay_epoch: self.overlay_epoch(),
+            tags: self.tags(),
         }
     }
 
@@ -193,25 +226,19 @@ impl KvStore {
     /// Writes (or overwrites) an item's keyphrases, bumping the version.
     /// `snapshot_version` tags the record with the model snapshot that
     /// produced it (0 for a fixed engine without a registry). The overlay
-    /// epoch is 0 — writers that compute against an overlay view use
+    /// epoch and the fingerprint are 0, so serving never answers a request
+    /// from the record — writers that know the request use
     /// [`KvStore::put_tagged`].
     pub fn put(&self, item: u64, keyphrases: Vec<String>, outcome: Outcome, snapshot_version: u64) {
-        self.put_tagged(item, &keyphrases, outcome, snapshot_version, 0);
+        self.put_tagged(item, &keyphrases, outcome, Tags { snapshot_version, ..Tags::default() });
     }
 
-    /// [`KvStore::put`] with an explicit overlay epoch: the overlay
-    /// sequence the computing view had absorbed, so serving can detect
-    /// records written before a later upsert touched their leaf.
-    pub fn put_tagged(
-        &self,
-        item: u64,
-        keyphrases: &[String],
-        outcome: Outcome,
-        snapshot_version: u64,
-        overlay_epoch: u64,
-    ) {
+    /// [`KvStore::put`] with every tag given: the overlay sequence the
+    /// computing view had absorbed and the [`fingerprint`] of the title and
+    /// leaf the keyphrases answer.
+    pub fn put_tagged(&self, item: u64, keyphrases: &[String], outcome: Outcome, tags: Tags) {
         // Packed before the lock is taken; only the version needs it.
-        let mut record = PackedRecs::pack(keyphrases, outcome, snapshot_version, overlay_epoch);
+        let mut record = PackedRecs::pack(keyphrases, outcome, tags);
         self.bytes.fetch_add(record.heap_bytes(), Ordering::Relaxed);
         let replaced = {
             let mut shard = self.shard(item).write();
@@ -240,44 +267,10 @@ impl KvStore {
         self.record(item).map(|record| record.decode())
     }
 
-    /// Presence check (cheap enough to call under another lock).
-    pub fn contains(&self, item: u64) -> bool {
-        self.shard(item).read().contains_key(&item)
-    }
-
-    /// The `snapshot_version` an item's record was computed by (cheap
-    /// enough to call under another lock).
-    pub fn probe_snapshot(&self, item: u64) -> Option<u64> {
-        self.shard(item).read().get(&item).map(PackedRecs::snapshot_version)
-    }
-
-    /// Both freshness tags of an item's record —
-    /// `(snapshot_version, overlay_epoch)` (cheap enough to call under
-    /// another lock).
-    pub fn probe_tags(&self, item: u64) -> Option<(u64, u64)> {
-        self.shard(item).read().get(&item).map(|r| (r.snapshot_version(), r.overlay_epoch()))
-    }
-
-    /// Removes every record whose `snapshot_version` differs from
-    /// `current` (records tagged 0 — fixed-engine writes — are kept).
-    /// Returns how many were dropped. This is the eager counterpart to
-    /// `ServingApi`'s lazy invalidate-on-swap policy: call it after a
-    /// rollback to purge answers computed by a withdrawn snapshot.
-    pub fn purge_stale(&self, current: u64) -> usize {
-        let mut dropped = 0;
-        for shard in &self.shards {
-            let mut shard = shard.write();
-            let before = shard.len();
-            shard.retain(|_, r| {
-                let keep = r.snapshot_version() == 0 || r.snapshot_version() == current;
-                if !keep {
-                    self.forget(r);
-                }
-                keep
-            });
-            dropped += before - shard.len();
-        }
-        dropped
+    /// An item's record's [`Tags`] (cheap enough to call under another
+    /// lock).
+    pub fn probe_tags(&self, item: u64) -> Option<Tags> {
+        self.shard(item).read().get(&item).map(PackedRecs::tags)
     }
 
     /// Number of items stored.
@@ -331,37 +324,41 @@ mod tests {
         assert_eq!(got.keyphrases, ["b"]);
         assert_eq!(got.version, 2);
         assert_eq!(got.outcome, Outcome::MetaFallback);
-        assert_eq!(got.snapshot_version, 4);
-        assert_eq!(kv.probe_snapshot(7), Some(4));
-        assert_eq!(kv.probe_snapshot(8), None);
+        assert_eq!(got.tags.snapshot_version, 4);
         assert_eq!(kv.len(), 1);
-    }
-
-    #[test]
-    fn purge_stale_drops_other_snapshots_but_keeps_untagged() {
-        let kv = KvStore::new();
-        kv.put(1, vec!["v1".into()], Outcome::ExactLeaf, 1);
-        kv.put(2, vec!["v2".into()], Outcome::ExactLeaf, 2);
-        kv.put(3, vec!["fixed".into()], Outcome::ExactLeaf, 0);
-        // Roll back to snapshot 1: the v2 record is the only stale one.
-        assert_eq!(kv.purge_stale(1), 1);
-        assert!(kv.get(1).is_some());
-        assert!(kv.get(2).is_none());
-        assert!(kv.get(3).is_some(), "untagged fixed-engine records survive");
-        assert_eq!(kv.purge_stale(1), 0);
     }
 
     #[test]
     fn put_tagged_carries_the_overlay_epoch() {
         let kv = KvStore::new();
         kv.put(1, vec!["plain".into()], Outcome::ExactLeaf, 2);
-        assert_eq!(kv.get(1).unwrap().overlay_epoch, 0, "plain puts are untagged");
-        assert_eq!(kv.probe_tags(1), Some((2, 0)));
-        kv.put_tagged(1, &["tagged".into()], Outcome::ExactLeaf, 2, 17);
+        let plain = Tags { snapshot_version: 2, overlay_epoch: 0, fingerprint: 0 };
+        assert_eq!(kv.get(1).unwrap().tags, plain, "plain puts carry no epoch or fingerprint");
+        assert_eq!(kv.probe_tags(1), Some(plain));
+        let tagged = Tags { snapshot_version: 2, overlay_epoch: 17, fingerprint: 99 };
+        kv.put_tagged(1, &["tagged".into()], Outcome::ExactLeaf, tagged);
         let got = kv.get(1).unwrap();
-        assert_eq!((got.version, got.overlay_epoch), (2, 17));
-        assert_eq!(kv.probe_tags(1), Some((2, 17)));
+        assert_eq!((got.version, got.tags), (2, tagged));
+        assert_eq!(kv.probe_tags(1), Some(tagged));
         assert_eq!(kv.probe_tags(9), None);
+    }
+
+    /// The fingerprint tells apart what a request can differ in — the
+    /// leaf, the title, a title that only grows by a zero byte — and is
+    /// never the 0 a plain `put` writes.
+    #[test]
+    fn fingerprint_separates_leaf_and_title_and_is_never_zero() {
+        let titles = ["", "a", "a\0", "\0", "widget gadget pro", "widget gadget pro ", "é"];
+        let mut seen = FxHashMap::default();
+        for leaf in [0, 1, 2, u32::MAX] {
+            for title in titles {
+                let print = fingerprint(LeafId(leaf), title);
+                assert_ne!(print, 0);
+                assert_eq!(print, fingerprint(LeafId(leaf), title), "deterministic");
+                let clash = seen.insert(print, (leaf, title));
+                assert!(clash.is_none(), "{clash:?} and {:?}", (leaf, title));
+            }
+        }
     }
 
     /// Packing loses nothing: empty lists, empty strings, bytes JSON
@@ -377,24 +374,23 @@ mod tests {
         ];
         for (item, keyphrases) in lists.iter().enumerate() {
             let item = item as u64;
+            let tags =
+                Tags { snapshot_version: u64::MAX, overlay_epoch: u64::MAX - 1, fingerprint: u64::MAX - 2 };
             for outcome in Outcome::ALL {
-                kv.put_tagged(item, keyphrases, outcome, u64::MAX, u64::MAX - 1);
+                kv.put_tagged(item, keyphrases, outcome, tags);
                 let record = kv.record(item).unwrap();
                 assert_eq!(record.len(), keyphrases.len());
                 assert!(record.keyphrases().eq(keyphrases.iter().map(String::as_str)));
                 let got = kv.get(item).unwrap();
                 assert_eq!(&got.keyphrases, keyphrases);
-                assert_eq!(
-                    (got.outcome, got.snapshot_version, got.overlay_epoch),
-                    (outcome, u64::MAX, u64::MAX - 1)
-                );
+                assert_eq!((got.outcome, got.tags), (outcome, tags));
             }
             assert_eq!(kv.get(item).unwrap().version, Outcome::ALL.len() as u32);
         }
     }
 
     /// The running byte count is the sum over what is stored, through
-    /// overwrites, removals and purges.
+    /// overwrites and removals.
     #[test]
     fn record_bytes_tracks_the_stored_records() {
         let kv = KvStore::new();
@@ -403,8 +399,8 @@ mod tests {
         };
         assert_eq!(kv.record_bytes(), 0);
         kv.put(1, vec!["abc".into(), "de".into()], Outcome::ExactLeaf, 1);
-        // Two refcounts, the 25-byte header, two end offsets, five bytes.
-        assert_eq!(kv.record_bytes(), 16 + 25 + 8 + 5);
+        // Two refcounts, the 33-byte header, two end offsets, five bytes.
+        assert_eq!(kv.record_bytes(), 16 + 33 + 8 + 5);
         kv.put(2, vec!["x".repeat(100)], Outcome::ExactLeaf, 2);
         kv.put(3, vec![], Outcome::Empty, 0);
         assert_eq!(kv.record_bytes(), walked(&kv));
@@ -412,7 +408,7 @@ mod tests {
         assert_eq!(kv.record_bytes(), walked(&kv));
         assert!(kv.remove(3));
         assert_eq!(kv.record_bytes(), walked(&kv));
-        assert_eq!(kv.purge_stale(1), 1);
+        assert!(kv.remove(2));
         assert_eq!(kv.record_bytes(), walked(&kv));
         assert_eq!(kv.record_bytes(), kv.record(1).unwrap().heap_bytes());
     }

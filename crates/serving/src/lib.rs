@@ -10,18 +10,23 @@
 //!   flow through a Flink window (deduplication + feature enrichment) into
 //!   a Python scorer, so new listings get keyphrases within seconds.
 //!
-//! This crate reproduces that dataflow at process scale with the same
-//! moving parts: a sharded in-memory [`KvStore`] (NuKV), a
-//! [`BatchPipeline`] (full + differential batch), and an [`NrtService`]
-//! (event channel + dedup window + worker pool). The integration tests
-//! assert the property the architecture exists to provide: *batch and NRT
-//! agree* — an item served through either path carries the same keyphrases.
+//! This crate reproduces that dataflow at process scale: a sharded
+//! in-memory [`KvStore`] (NuKV), a [`BatchPipeline`] (full + differential
+//! batch) and the [`ServingApi`] in front of them. NRT is the api's
+//! read-through on a changed fingerprint: every stored answer carries the
+//! [`kv::fingerprint`] of the title and leaf it was computed for, so a
+//! request for a new or revised item misses, is computed, and its
+//! write-back replaces the old answer — one path, and the keyed store is
+//! the dedup window (the latest revision wins). The integration tests
+//! assert the property the architecture exists to provide: *batch
+//! precompute and read-through agree* — an item served through either
+//! path carries the same keyphrases.
 
 //! A fourth moving part closes the production loop: the
 //! [`ModelRegistry`] (module [`registry`]) manages versioned snapshot
 //! directories and hot-swaps republished models under live traffic — the
 //! daily-refresh half of Fig. 7 the first cut of this crate left out.
-//! Serving, batch, and NRT all consume a [`registry::ModelWatch`] so a
+//! Serving and batch both consume a [`registry::ModelWatch`] so a
 //! `publish` or `rollback` propagates to every consumer without restart.
 
 //! A fifth part opens the NRT path to *brand-new* items: the
@@ -35,15 +40,13 @@ pub mod api;
 pub mod batch;
 pub mod fleet;
 pub mod kv;
-pub mod nrt;
 pub mod overlay;
 pub mod registry;
 
 pub use api::{Answer, InFlightGuard, ServeSource, ServeStats, Served, ServingApi, SwapPolicy};
 pub use batch::{BatchPipeline, BatchReport};
 pub use fleet::{FleetConfig, FleetError, FleetResult, TenantFleet, TenantStatus};
-pub use kv::{KvStore, PackedRecs};
-pub use nrt::{ItemEvent, NrtConfig, NrtService, NrtStats};
+pub use kv::{KvStore, PackedRecs, Tags};
 pub use overlay::{
     DrainReport, OverlayError, OverlayJournal, OverlayStatus, OverlayStore, UpsertAck,
     DEFAULT_OVERLAY_CAP_BYTES,

@@ -23,9 +23,9 @@
 //! leaves the previous model serving untouched.
 //!
 //! Consumers don't talk to the registry directly — they hold a
-//! [`ModelWatch`], a cheap poll-based handle that the serving API, batch
-//! pipeline, and NRT service resolve per request/window, so a `publish`
-//! or `rollback` propagates without restarting anything.
+//! [`ModelWatch`], a cheap poll-based handle that the serving API and the
+//! batch pipeline resolve per request or run, so a `publish` or
+//! `rollback` propagates without restarting anything.
 
 use graphex_core::serialize::{self, Hashed, LoadMode, SnapshotInfo};
 use graphex_core::{Engine, GraphExError, GraphExModel, InferRequest};

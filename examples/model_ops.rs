@@ -1,7 +1,7 @@
 //! Model operations: the production lifecycle of Sec. IV-G/IV-H — build,
 //! publish into a versioned snapshot registry, serve through a watch,
 //! hot-swap a daily refresh, roll back, and run full + differential batch
-//! and NRT against the live model.
+//! and NRT read-throughs against the live model.
 //!
 //! ```bash
 //! cargo run --release -p graphex-suite --example model_ops
@@ -10,9 +10,7 @@
 use graphex_core::{GraphExBuilder, GraphExConfig, LeafId};
 use graphex_marketsim::{CategoryDataset, CategorySpec};
 use graphex_serving::batch::BatchItem;
-use graphex_serving::{
-    BatchPipeline, ItemEvent, KvStore, ModelRegistry, NrtConfig, NrtService, ServingApi,
-};
+use graphex_serving::{BatchPipeline, KvStore, ModelRegistry, ServingApi};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -89,24 +87,28 @@ fn main() {
     );
     println!("item 0 now at version {}", store.get(0).map(|r| r.version).unwrap_or_default());
 
-    // --- NRT path for a just-created listing ------------------------------
-    let nrt_store = Arc::new(KvStore::new());
-    let service = NrtService::start_with_watch(watch.clone(), nrt_store.clone(), NrtConfig::default());
+    // --- NRT: a just-created listing, then its seller's revision ----------
+    // Both are plain requests: a title the store has no answer for reads
+    // through, and the write-back replaces the old title's answer.
     let new_item = &ds.marketplace.items[7];
-    service.submit(ItemEvent::Created {
-        id: 9_000_001,
-        title: new_item.title.clone(),
-        leaf: new_item.leaf,
-    });
-    let stats = service.shutdown();
-    let recs = nrt_store.get(9_000_001).map(|r| r.keyphrases).unwrap_or_default();
-    println!(
-        "NRT: {} event(s) → {} keyphrases for the new listing (snapshot v{}), e.g. {:?}",
-        stats.events_received,
-        recs.len(),
-        stats.snapshot_version,
-        recs.first().map(String::as_str).unwrap_or("-"),
-    );
+    // The seller retitles the listing as another product of its leaf.
+    let revised = ds
+        .marketplace
+        .items
+        .iter()
+        .find(|i| i.leaf == new_item.leaf && i.product != new_item.product)
+        .expect("another product in the leaf");
+    for (event, title) in [("created", &new_item.title), ("revised", &revised.title)] {
+        let served = api.serve(9_000_001, title, new_item.leaf);
+        println!(
+            "NRT ({event}): {:?} → {} keyphrases via {:?} (snapshot v{}), e.g. {:?}",
+            title,
+            served.keyphrases.len(),
+            served.source,
+            served.snapshot_version,
+            served.keyphrases.first().map(String::as_str).unwrap_or("-"),
+        );
+    }
 
     // --- rollback: yesterday's model comes back with one pointer flip -----
     let (from, to) = registry.rollback().expect("rollback");

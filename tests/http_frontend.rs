@@ -104,10 +104,12 @@ fn hot_swap_and_rollback_under_concurrent_load_zero_5xx() {
                 let mut round = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     round += 1;
-                    let (title, leaf) = &titles[(t as u64 + round) as usize % titles.len()];
+                    let index = (t + round as usize) % titles.len();
+                    let (title, leaf) = &titles[index];
                     // Overlapping id space across threads: mixes store
-                    // hits, read-throughs, and coalesced answers.
-                    let id = (t as u64 + round) % 48;
+                    // hits, read-throughs, and coalesced answers. One
+                    // title per id: another title would be a revision.
+                    let id = index as u64;
                     let response = if round % 7 == 0 {
                         // Periodically exercise the batch envelope too.
                         let body = format!(

@@ -6,16 +6,13 @@
 //!   the CI round-trip gate — see `.github/workflows/ci.yml`),
 //! * the registry hot-swaps under concurrent request load with **zero
 //!   failed requests**, and `rollback` restores the prior version,
-//! * batch and NRT consumers follow the watch across republishes.
+//! * batch runs and read-throughs follow the watch across republishes.
 
 use graphex_core::{
     serialize, GraphExBuilder, GraphExConfig, GraphExModel, InferRequest, KeyphraseRecord, LeafId,
 };
 use graphex_serving::batch::BatchItem;
-use graphex_serving::{
-    BatchPipeline, ItemEvent, KvStore, ModelRegistry, NrtConfig, NrtService, ServeSource,
-    ServingApi,
-};
+use graphex_serving::{BatchPipeline, KvStore, ModelRegistry, ServeSource, ServingApi};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -190,11 +187,11 @@ fn hot_swap_under_load_has_zero_failed_requests() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// Batch and NRT consumers resolve the watch per run/window: a republish
-/// between runs changes the snapshot version they report, without
+/// Batch runs and read-throughs resolve the watch per run / per request:
+/// a republish changes the snapshot version they report, without
 /// rebuilding either component.
 #[test]
-fn batch_and_nrt_follow_republishes() {
+fn batch_and_read_through_follow_republishes() {
     let root = tempdir("consumers");
     let registry = ModelRegistry::open(&root).unwrap();
     registry.publish(&build_model(&[]), "").unwrap();
@@ -217,21 +214,15 @@ fn batch_and_nrt_follow_republishes() {
     let report = pipeline.run_differential(&items[..5]);
     assert_eq!(report.snapshot_version, 2, "pipeline did not follow the publish");
 
-    // NRT across a publish: no events lost, final version reported.
-    let nrt_store = Arc::new(KvStore::new());
-    let service =
-        NrtService::start_with_watch(watch.clone(), nrt_store.clone(), NrtConfig::default());
-    for i in 0..10u32 {
-        service.submit(ItemEvent::Created {
-            id: i,
-            title: "beta gadget pro".into(),
-            leaf: LeafId(2),
-        });
+    // New listings read through on the republished snapshot, and every
+    // one is stored under it.
+    let read_through_store = Arc::new(KvStore::new());
+    let api = ServingApi::with_watch(watch.clone(), read_through_store.clone(), 10);
+    for i in 0..10u64 {
+        let served = api.serve(i, "beta gadget pro", LeafId(2));
+        assert_eq!((served.source, served.snapshot_version), (ServeSource::ReadThrough, 2));
+        assert_eq!(read_through_store.get(i).unwrap().tags.snapshot_version, 2);
     }
-    let stats = service.shutdown();
-    assert_eq!(stats.events_received, 10);
-    assert_eq!(stats.items_scored + stats.deduplicated, 10);
-    assert_eq!(stats.snapshot_version, 2);
-    assert!(!nrt_store.is_empty());
+    assert_eq!(api.stats().snapshot_version, 2);
     std::fs::remove_dir_all(&root).ok();
 }
