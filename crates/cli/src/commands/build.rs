@@ -167,8 +167,9 @@ fn render_text(report: &BuildReport) -> String {
     let t = &report.stages;
     let _ = writeln!(
         out,
-        "stages: shards {:.1} ms, merge {:.1} ms, fallback {:.1} ms, serialize {:.1} ms",
-        t.shards_ms, t.merge_ms, t.fallback_ms, t.serialize_ms,
+        "stages: shards {:.1} ms (slowest worker: curate {:.1}, assemble {:.1}), merge {:.1} ms, \
+         fallback {:.1} ms, serialize {:.1} ms",
+        t.shards_ms, t.curate_ms, t.assemble_ms, t.merge_ms, t.fallback_ms, t.serialize_ms,
     );
     match report.delta_base {
         Some(base) => {
@@ -252,6 +253,8 @@ fn render_json(report: &BuildReport) -> Json {
             Json::obj(
                 [
                     ("shards", report.stages.shards_ms),
+                    ("curate", report.stages.curate_ms),
+                    ("assemble", report.stages.assemble_ms),
                     ("merge", report.stages.merge_ms),
                     ("fallback", report.stages.fallback_ms),
                     ("serialize", report.stages.serialize_ms),
@@ -306,6 +309,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("keyphrases"), "{out}");
+        assert!(out.contains("(slowest worker: curate "), "{out}");
         assert!(out.contains("published version 1"), "{out}");
         assert!(model.with_file_name("model.gexm.buildinfo").is_file());
         assert!(root.join("1").join("BUILDINFO").is_file());
@@ -321,6 +325,10 @@ mod tests {
         assert_eq!(parsed.get("leaves_built").and_then(Json::as_u64), Some(0), "{out}");
         assert!(parsed.get("leaves_reused").and_then(Json::as_u64).unwrap() > 0);
         assert_eq!(parsed.get("published_version").and_then(Json::as_u64), Some(2));
+        let stages = parsed.get("stages_ms").unwrap();
+        for stage in ["shards", "curate", "assemble", "merge", "fallback", "serialize"] {
+            assert!(stages.get(stage).is_some(), "no {stage} in {out}");
+        }
         assert_eq!(
             std::fs::read(root.join("1").join("model.gexm")).unwrap(),
             std::fs::read(root.join("2").join("model.gexm")).unwrap(),

@@ -11,15 +11,20 @@
 //!    record multiset (per-record filters, commutative duplicate merge),
 //!    so after this sort the whole build is independent of arrival order.
 //! 2. **Assemble** ([`LeafAssembly::build`]): build one leaf graph against
-//!    *leaf-local* vocabularies. Because a fresh vocabulary assigns ids in
-//!    first-occurrence order, the local token ids coincide with CSR row
-//!    indices and the local keyphrase ids with label indices — which is
-//!    what lets [`LeafAssembly::from_model`] recover the exact assembly
-//!    of an unchanged leaf from a previous snapshot (delta builds).
-//! 3. **Merge** ([`ModelAssembler`]): fold assemblies into the global
-//!    model in ascending-leaf order, re-interning each local vocabulary
-//!    into the global ones. Interning a leaf's local vocabulary in local
-//!    id order reproduces exactly the global first-occurrence order a
+//!    *leaf-local* vocabularies. Each text is read by one normalize walk
+//!    ([`AssemblyContext::analyze`]) that yields both its label — the
+//!    unstemmed text — and its stemmed tokens. Because a fresh vocabulary
+//!    assigns ids in first-occurrence order, the local token ids coincide
+//!    with CSR row indices and the local keyphrase ids with label indices,
+//!    so the assembly keeps its graph without ids — which is also what
+//!    lets [`LeafAssembly::from_model`] recover the exact assembly of an
+//!    unchanged leaf from a previous snapshot (delta builds).
+//! 3. **Merge** ([`ModelAssembler::merge`]): take the assemblies by value
+//!    and fold them into the global model in ascending-leaf order,
+//!    re-interning each local vocabulary into the global ones — sized up
+//!    front from the leaves' counts and bytes — and building each leaf's
+//!    graph once, under global ids. Interning a leaf's local vocabulary in
+//!    local id order reproduces exactly the global first-occurrence order a
 //!    single sequential pass over the canonical record stream would have
 //!    produced, so the merged model — and its `GEXM` serialization —
 //!    is byte-identical no matter how stages 2 ran (1 thread or N). The
@@ -31,7 +36,7 @@
 //! be borrowed from the previous snapshot.
 
 use crate::builder::GraphExConfig;
-use crate::leaf_graph::LeafGraph;
+use crate::leaf_graph::{GraphBody, LeafGraph};
 use crate::model::GraphExModel;
 use crate::types::{KeyphraseRecord, LeafId};
 use graphex_textkit::{FxHashMap, TokenBuf, Tokenizer, Vocab};
@@ -94,17 +99,6 @@ pub fn config_fingerprint(config: &GraphExConfig) -> u64 {
     h.finish()
 }
 
-/// Folds per-leaf fingerprints (in ascending-leaf order) into one value —
-/// the fingerprint of the whole curated corpus, which is what the meta
-/// fallback graph depends on.
-pub fn combine_fingerprints(fingerprints: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = Fnv::new();
-    for fp in fingerprints {
-        h.u64(fp);
-    }
-    h.finish()
-}
-
 /// Streaming FNV-1a hasher, for the fingerprints `BUILDINFO` records (a
 /// snapshot's own checksum is `serialize::checksum`, a different function).
 struct Fnv(u64);
@@ -134,16 +128,15 @@ impl Fnv {
     }
 }
 
-/// Tokenizers + scratch buffers shared across [`LeafAssembly::build`]
+/// The tokenizer + scratch buffers shared across [`LeafAssembly::build`]
 /// calls. One per build thread.
 #[derive(Debug)]
 pub struct AssemblyContext {
-    /// Stemmed (per config) tokenizer: graph-token identity.
+    /// The model's tokenizer (stemmed per config): its tokens are graph
+    /// identity, and their unstemmed surfaces, joined, are keyphrase
+    /// *text* identity — recommendations must be exact-match biddable
+    /// queries while graph tokens are stemmed for match reach.
     tokenizer: Tokenizer,
-    /// Unstemmed tokenizer: keyphrase *text* identity — recommendations
-    /// must be exact-match biddable queries while graph tokens are
-    /// stemmed for match reach.
-    text_normalizer: Tokenizer,
     walk: TokenBuf,
     normalized: String,
     /// The stemmed tokens of the text back to back, and each one's
@@ -156,7 +149,6 @@ impl AssemblyContext {
     pub fn new(stemming: bool) -> Self {
         Self {
             tokenizer: GraphExModel::make_tokenizer(stemming),
-            text_normalizer: GraphExModel::make_tokenizer(false),
             walk: TokenBuf::default(),
             normalized: String::new(),
             stems: String::new(),
@@ -168,24 +160,26 @@ impl AssemblyContext {
     /// normalized (unstemmed) text — the label's identity — and its
     /// distinct stemmed tokens in string order — the label's rows.
     /// `None` for a punctuation-only text: nothing to match on.
-    pub(crate) fn analyze(&mut self, text: &str) -> Option<(&str, impl Iterator<Item = &str>)> {
-        let Self { tokenizer, text_normalizer, walk, normalized, stems, spans } = self;
+    ///
+    /// One normalize walk yields both: the label is the walk's surfaces
+    /// joined by spaces, the rows its tokens
+    /// ([`Tokenizer::for_each_surface_token`]).
+    pub fn analyze(&mut self, text: &str) -> Option<(&str, impl Iterator<Item = &str>)> {
+        let Self { tokenizer, walk, normalized, stems, spans } = self;
         normalized.clear();
-        text_normalizer.for_each_token(text, walk, |word| {
+        stems.clear();
+        spans.clear();
+        tokenizer.for_each_surface_token(text, walk, |surface, token| {
             if !normalized.is_empty() {
                 normalized.push(' ');
             }
-            normalized.push_str(word);
+            normalized.push_str(surface);
+            spans.push((stems.len(), stems.len() + token.len()));
+            stems.push_str(token);
         });
         if normalized.is_empty() {
             return None;
         }
-        stems.clear();
-        spans.clear();
-        tokenizer.for_each_token(text, walk, |word| {
-            spans.push((stems.len(), stems.len() + word.len()));
-            stems.push_str(word);
-        });
         let stem = |&(start, end): &(usize, usize)| &stems[start..end];
         spans.sort_unstable_by_key(stem);
         spans.dedup_by_key(|span| stem(span));
@@ -261,23 +255,25 @@ impl GraphParts {
     /// tie-break of ranking is that id, so it must not depend on the id
     /// space the records came in with; its `row_tokens()` are the token
     /// ids as pushed.
-    pub(crate) fn finish(mut self) -> (LeafGraph, Vec<u32>) {
-        let identity = (0..self.labels.len() as u32).collect();
-        let keyphrases = std::mem::replace(&mut self.labels, identity);
-        (self.finish_as_pushed(), keyphrases)
+    pub(crate) fn finish(self) -> (LeafGraph, Vec<u32>) {
+        let (row_tokens, keyphrases, body) = self.split();
+        let identity = (0..keyphrases.len() as u32).collect();
+        (LeafGraph::from_body(row_tokens, identity, body), keyphrases)
     }
 
     /// The assembled graph under the ids the records came in with: its
     /// label ids are the keyphrase ids, its `row_tokens()` the token ids.
     fn finish_as_pushed(self) -> LeafGraph {
-        LeafGraph::new(
-            self.row_tokens,
-            self.edges,
-            self.labels,
-            self.label_len,
-            self.search,
-            self.recall,
-        )
+        let (row_tokens, keyphrases, body) = self.split();
+        LeafGraph::from_body(row_tokens, keyphrases, body)
+    }
+
+    /// The token id of every row, the keyphrase id of every label, and
+    /// the graph without them.
+    fn split(self) -> (Vec<u32>, Vec<u32>, GraphBody) {
+        let rows = self.row_tokens.len() as u32;
+        let body = GraphBody::new(rows, self.edges, self.label_len, self.search, self.recall);
+        (self.row_tokens, self.labels, body)
     }
 }
 
@@ -293,15 +289,17 @@ fn entry(table: &mut Vec<u32>, id: u32) -> &mut u32 {
 /// One leaf graph built against leaf-local vocabularies: the unit of
 /// parallel construction and of delta reuse.
 ///
-/// Invariant: `graph.row_tokens()` and `graph.labels()` are the identity
-/// over the local vocabularies (`row_tokens[i] == i`, `labels[j] == j`),
-/// because a fresh vocabulary assigns ids in first-occurrence order —
-/// the same order rows and labels are created in.
+/// The graph is held without its id arrays: its rows *are* the
+/// local token ids and its labels the local keyphrase ids (row `i` is
+/// token `i`, label `j` keyphrase `j`), because a fresh vocabulary
+/// assigns ids in first-occurrence order — the same order rows and
+/// labels are created in. So the merge builds each leaf's [`LeafGraph`]
+/// once, under global ids, from the body and the two vocabularies.
 #[derive(Debug, Clone)]
 pub struct LeafAssembly {
     tokens: Vocab,
     keyphrases: Vocab,
-    graph: LeafGraph,
+    body: GraphBody,
 }
 
 impl LeafAssembly {
@@ -322,10 +320,12 @@ impl LeafAssembly {
             ids.extend(words.map(|word| tokens.intern(word)));
             parts.push(keyphrase, &ids, rec.search_count, rec.recall_count);
         }
-        let (graph, label_keyphrases) = parts.finish();
-        // A fresh vocabulary numbers keyphrases in label order already.
-        debug_assert!(label_keyphrases.iter().enumerate().all(|(l, &id)| l as u32 == id));
-        Self { tokens, keyphrases, graph }
+        let (row_tokens, labels, body) = parts.split();
+        // Fresh vocabularies number tokens in row order and keyphrases in
+        // label order already.
+        let identity = |ids: &[u32]| ids.iter().enumerate().all(|(i, &id)| i as u32 == id);
+        debug_assert!(identity(&row_tokens) && identity(&labels));
+        Self { tokens, keyphrases, body }
     }
 
     /// Recovers the assembly of one leaf from an already-built model —
@@ -346,22 +346,22 @@ impl LeafAssembly {
     }
 
     fn relocalize(graph: &LeafGraph, model: &GraphExModel) -> Self {
-        let mut tokens = Vocab::with_capacity(graph.row_tokens().len());
-        for &tok in graph.row_tokens() {
-            let text = model.tokens.resolve(tok).expect("model token id resolves");
-            let local = tokens.intern(text);
-            debug_assert_eq!(local as usize + 1, tokens.len());
+        // Interning in row (label) order numbers the local ids as rows
+        // (labels), which is the invariant the body relies on.
+        let local = |global: &Vocab, ids: &[u32]| {
+            let bytes = ids.iter().map(|&id| global[id].len()).sum();
+            let mut vocab = Vocab::with_capacity(ids.len(), bytes);
+            for &id in ids {
+                let local = vocab.intern(&global[id]);
+                debug_assert_eq!(local as usize + 1, vocab.len());
+            }
+            vocab
+        };
+        Self {
+            tokens: local(&model.tokens, graph.row_tokens()),
+            keyphrases: local(&model.keyphrases, graph.labels()),
+            body: graph.body(),
         }
-        let mut keyphrases = Vocab::with_capacity(graph.labels().len());
-        for &kp in graph.labels() {
-            let text = model.keyphrases.resolve(kp).expect("model keyphrase id resolves");
-            let local = keyphrases.intern(text);
-            debug_assert_eq!(local as usize + 1, keyphrases.len());
-        }
-        let identity_rows: Vec<u32> = (0..graph.row_tokens().len() as u32).collect();
-        let identity_labels: Vec<u32> = (0..graph.labels().len() as u32).collect();
-        let graph = graph.with_ids(identity_rows, identity_labels);
-        Self { tokens, keyphrases, graph }
     }
 
     /// The leaf-local token vocabulary.
@@ -376,80 +376,83 @@ impl LeafAssembly {
         &self.keyphrases
     }
 
-    /// The assembled leaf graph (local-identity ids).
+    /// The assembled leaf graph under its local ids.
     #[cfg(test)]
-    pub(crate) fn graph(&self) -> &LeafGraph {
-        &self.graph
-    }
-
-    /// Number of labels (keyphrases) in this leaf.
-    pub fn num_labels(&self) -> u32 {
-        self.graph.num_labels()
-    }
-
-    /// Number of distinct words in this leaf.
-    pub fn num_words(&self) -> u32 {
-        self.graph.num_words()
+    pub(crate) fn graph(&self) -> LeafGraph {
+        let identity = |n: usize| (0..n as u32).collect();
+        let (rows, labels) = (identity(self.tokens.len()), identity(self.keyphrases.len()));
+        LeafGraph::from_body(rows, labels, self.body.clone())
     }
 }
 
 /// Folds [`LeafAssembly`]s into a [`GraphExModel`], re-interning local
 /// vocabularies into the global ones.
 ///
-/// Leaves must be added in **ascending leaf-id order** (asserted): that
-/// order is what pins the global vocabulary layout, and it matches both
-/// the canonical sequential pass and the `GEXM` leaf table order.
+/// [`ModelAssembler::merge`] takes every leaf at once, by value, in
+/// **ascending leaf-id order** (asserted): that order is what pins the
+/// global vocabulary layout, and it matches both the canonical
+/// sequential pass and the `GEXM` leaf table order. Seeing every leaf
+/// before it interns a string, the merge sizes the global vocabularies
+/// once and never regrows them.
 #[derive(Debug)]
 pub struct ModelAssembler {
     tokens: Vocab,
     keyphrases: Vocab,
     leaves: FxHashMap<LeafId, LeafGraph>,
-    /// The leaves added so far, ascending.
+    /// The merged leaves, ascending.
     order: Vec<LeafId>,
     fallback: Option<Box<LeafGraph>>,
     alignment: crate::Alignment,
     stemming: bool,
-    /// Remap scratch, reused across leaves.
-    tok_map: Vec<u32>,
-    kp_map: Vec<u32>,
 }
 
 impl ModelAssembler {
-    pub fn new(config: &GraphExConfig) -> Self {
+    /// Merges `leaves` into the global model: each local vocabulary is
+    /// re-interned into the global ones, in leaf order, and each leaf's
+    /// graph is built once, under global ids.
+    ///
+    /// # Panics
+    /// Panics if the leaf ids are not strictly ascending — out-of-order
+    /// merges would silently produce a different (but still
+    /// valid-looking) vocabulary layout.
+    pub fn merge(
+        config: &GraphExConfig,
+        leaves: impl IntoIterator<Item = (LeafId, LeafAssembly)>,
+    ) -> Self {
+        let leaves: Vec<(LeafId, LeafAssembly)> = leaves.into_iter().collect();
+        let mut assembler = Self::sized_for(config, &leaves);
+        for (leaf, assembly) in leaves {
+            assert!(
+                assembler.order.last().map_or(true, |&prev| prev < leaf),
+                "leaves must merge in ascending order ({:?} after {:?})",
+                leaf,
+                assembler.order.last()
+            );
+            assembler.order.push(leaf);
+            let graph = assembler.globalize(assembly);
+            assembler.leaves.insert(leaf, graph);
+        }
+        assembler
+    }
+
+    /// An empty assembler whose vocabularies take every string of
+    /// `leaves` without growing: the leaves' counts and bytes, summed,
+    /// bound the global ones (a string two leaves share is interned
+    /// once).
+    fn sized_for(config: &GraphExConfig, leaves: &[(LeafId, LeafAssembly)]) -> Self {
         Self {
-            tokens: Vocab::new(),
-            keyphrases: Vocab::new(),
-            leaves: FxHashMap::default(),
-            order: Vec::new(),
+            tokens: room_for(leaves.iter().map(|(_, a)| &a.tokens)),
+            keyphrases: room_for(leaves.iter().map(|(_, a)| &a.keyphrases)),
+            leaves: FxHashMap::with_capacity_and_hasher(leaves.len(), Default::default()),
+            order: Vec::with_capacity(leaves.len()),
             fallback: None,
             alignment: config.alignment,
             stemming: config.stemming,
-            tok_map: Vec::new(),
-            kp_map: Vec::new(),
         }
     }
 
-    /// Re-interns `assembly` into the global vocabularies and installs
-    /// its graph under `leaf`.
-    ///
-    /// # Panics
-    /// Panics if `leaf` is not strictly greater than the previously added
-    /// leaf — out-of-order merges would silently produce a different
-    /// (but still valid-looking) vocabulary layout.
-    pub fn add_leaf(&mut self, leaf: LeafId, assembly: &LeafAssembly) {
-        assert!(
-            self.order.last().map_or(true, |&prev| prev < leaf),
-            "leaves must merge in ascending order ({:?} after {:?})",
-            leaf,
-            self.order.last()
-        );
-        self.order.push(leaf);
-        let graph = self.globalize(assembly);
-        self.leaves.insert(leaf, graph);
-    }
-
     /// Builds the meta-fallback graph — one graph over the whole corpus —
-    /// from the leaves merged so far. Call after every leaf.
+    /// from the merged leaves.
     ///
     /// A fold over integers, not a second build from records: each merged
     /// leaf already holds, per label, the global keyphrase id, the counts
@@ -506,24 +509,22 @@ impl ModelAssembler {
 
     /// Installs an already-assembled meta-fallback graph, re-interning its
     /// vocabularies. For `emit_shards` only: a shard carries the *global*
-    /// fallback, which it cannot derive from its own leaves. Call after
-    /// every leaf — the fallback introduces no new strings, but the order
-    /// is part of the determinism contract.
-    pub fn set_fallback(&mut self, assembly: &LeafAssembly) {
+    /// fallback, which it cannot derive from its own leaves. It comes
+    /// after every leaf — the fallback introduces no new strings, but the
+    /// order is part of the determinism contract.
+    pub fn set_fallback(&mut self, assembly: LeafAssembly) {
         let graph = self.globalize(assembly);
         self.fallback = Some(Box::new(graph));
     }
 
-    fn globalize(&mut self, assembly: &LeafAssembly) -> LeafGraph {
-        self.tok_map.clear();
-        self.tok_map.extend(assembly.tokens.iter().map(|(_, s)| self.tokens.intern(s)));
-        self.kp_map.clear();
-        self.kp_map.extend(assembly.keyphrases.iter().map(|(_, s)| self.keyphrases.intern(s)));
-        let row_tokens: Vec<u32> =
-            assembly.graph.row_tokens().iter().map(|&t| self.tok_map[t as usize]).collect();
-        let labels: Vec<u32> =
-            assembly.graph.labels().iter().map(|&l| self.kp_map[l as usize]).collect();
-        assembly.graph.with_ids(row_tokens, labels)
+    /// The graph of `assembly` under global ids. Row `i` is local token
+    /// `i` and label `j` local keyphrase `j`, so the global id of each
+    /// local string, in local id order, is the row (label) id array.
+    fn globalize(&mut self, assembly: LeafAssembly) -> LeafGraph {
+        let LeafAssembly { tokens, keyphrases, body } = assembly;
+        let row_tokens = tokens.iter().map(|(_, s)| self.tokens.intern(s)).collect();
+        let labels = keyphrases.iter().map(|(_, s)| self.keyphrases.intern(s)).collect();
+        LeafGraph::from_body(row_tokens, labels, body)
     }
 
     /// The assembled model.
@@ -538,6 +539,13 @@ impl ModelAssembler {
             stemming: self.stemming,
         }
     }
+}
+
+/// An empty vocabulary that takes every string of `vocabs` without
+/// growing.
+fn room_for<'a>(vocabs: impl Iterator<Item = &'a Vocab>) -> Vocab {
+    let (strings, bytes) = vocabs.fold((0, 0), |(n, b), v| (n + v.len(), b + v.parts().0.len()));
+    Vocab::with_capacity(strings, bytes)
 }
 
 /// Splits a canonical-sorted curated slice into its consecutive per-leaf
@@ -573,11 +581,9 @@ pub fn assemble_model(config: &GraphExConfig, curated_sorted: &[KeyphraseRecord]
         "records must be canonicalized"
     );
     let mut ctx = AssemblyContext::new(config.stemming);
-    let mut assembler = ModelAssembler::new(config);
-    for (leaf, run) in leaf_runs(curated_sorted) {
-        let assembly = LeafAssembly::build(run, &mut ctx);
-        assembler.add_leaf(leaf, &assembly);
-    }
+    let leaves =
+        leaf_runs(curated_sorted).map(|(leaf, run)| (leaf, LeafAssembly::build(run, &mut ctx)));
+    let mut assembler = ModelAssembler::merge(config, leaves);
     if config.build_meta_fallback {
         assembler.derive_fallback();
     }
@@ -649,12 +655,10 @@ mod tests {
 
         let mut leaves: Vec<LeafId> = loaded.leaf_ids().collect();
         leaves.sort_unstable();
-        let mut assembler = ModelAssembler::new(&config);
-        for leaf in leaves {
-            let assembly = LeafAssembly::from_model(&loaded, leaf).unwrap();
-            assembler.add_leaf(leaf, &assembly);
-        }
-        assembler.set_fallback(&LeafAssembly::from_model_fallback(&loaded).unwrap());
+        let assemblies =
+            leaves.into_iter().map(|leaf| (leaf, LeafAssembly::from_model(&loaded, leaf).unwrap()));
+        let mut assembler = ModelAssembler::merge(&config, assemblies);
+        assembler.set_fallback(LeafAssembly::from_model_fallback(&loaded).unwrap());
         let rebuilt = assembler.finish();
         assert_eq!(serialize::to_bytes(&rebuilt), bytes);
     }
@@ -670,15 +674,15 @@ mod tests {
         // Rebuild even leaves from records, borrow odd leaves from the
         // previous model; the result must be byte-identical either way.
         let mut ctx = AssemblyContext::new(config.stemming);
-        let mut assembler = ModelAssembler::new(&config);
-        for (i, (leaf, run)) in leaf_runs(&curated).enumerate() {
+        let leaves = leaf_runs(&curated).enumerate().map(|(i, (leaf, run))| {
             let assembly = if i % 2 == 0 {
                 LeafAssembly::build(run, &mut ctx)
             } else {
                 LeafAssembly::from_model(&loaded, leaf).unwrap()
             };
-            assembler.add_leaf(leaf, &assembly);
-        }
+            (leaf, assembly)
+        });
+        let mut assembler = ModelAssembler::merge(&config, leaves);
         assembler.derive_fallback();
         let mixed = assembler.finish();
         assert_eq!(serialize::to_bytes(&mixed), serialize::to_bytes(&reference));
@@ -690,9 +694,28 @@ mod tests {
         let config = no_curation();
         let mut ctx = AssemblyContext::new(true);
         let a = LeafAssembly::build(&[rec("a b", 1, 10, 1)], &mut ctx);
-        let mut assembler = ModelAssembler::new(&config);
-        assembler.add_leaf(LeafId(2), &a);
-        assembler.add_leaf(LeafId(1), &a);
+        ModelAssembler::merge(&config, [(LeafId(2), a.clone()), (LeafId(1), a)]);
+    }
+
+    /// The merge sizes its global vocabularies from the leaves before it
+    /// interns a string: merging every leaf leaves their buffers exactly
+    /// as sized — nothing regrew. The corpus shares tokens and
+    /// keyphrases across leaves, so the sizes are strict upper bounds.
+    #[test]
+    fn merge_never_regrows_its_global_vocabularies() {
+        let config = no_curation();
+        let (mut curated, _) = curate(corpus(), &config.curation);
+        canonicalize(&mut curated);
+        let mut ctx = AssemblyContext::new(config.stemming);
+        let leaves: Vec<(LeafId, LeafAssembly)> =
+            leaf_runs(&curated).map(|(leaf, run)| (leaf, LeafAssembly::build(run, &mut ctx))).collect();
+        let sized = ModelAssembler::sized_for(&config, &leaves);
+        let heap = |a: &ModelAssembler| (a.tokens.heap_bytes(), a.keyphrases.heap_bytes());
+        let local_tokens: usize = leaves.iter().map(|(_, a)| a.tokens.len()).sum();
+
+        let merged = ModelAssembler::merge(&config, leaves);
+        assert!(merged.tokens.len() < local_tokens, "some token is shared by two leaves");
+        assert_eq!(heap(&merged), heap(&sized));
     }
 
     #[test]
@@ -712,7 +735,6 @@ mod tests {
         let c3 = GraphExConfig { stemming: false, ..GraphExConfig::default() };
         assert_ne!(config_fingerprint(&c1), config_fingerprint(&c3));
 
-        assert_ne!(combine_fingerprints([1, 2]), combine_fingerprints([2, 1]));
     }
 
     #[test]

@@ -6,9 +6,16 @@
 //! actually search frequently survive (the paper's production threshold is
 //! "searched at least once per day", i.e. 180 over a 6-month window, relaxed
 //! to 90 where a category is too small — Table VII quantifies the trade).
+//!
+//! [`Curator`] is the streaming form the build pipeline runs once per
+//! shard worker. It reads a record's text for a whitespace count (the
+//! token bounds) and one hash (the duplicate index), compares it only
+//! with kept records whose hash matches, and copies none: the index holds
+//! positions in the kept records.
 
 use crate::types::KeyphraseRecord;
-use graphex_textkit::{FxHashMap, Vocab};
+use graphex_textkit::FxHasher;
+use std::hash::Hasher;
 
 /// Thresholds applied to raw keyphrase rows before graph construction.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,27 +103,40 @@ pub fn curate(
 /// *multiset*, not the arrival order, and curating leaf-disjoint shards
 /// independently is exactly equivalent to one global pass. The build
 /// pipeline runs one `Curator` per shard worker on that guarantee.
+///
+/// The duplicate index copies no text: it is an open-addressed table of
+/// indices into the kept records (linear probing, at most half full),
+/// probed by the Fx hash of `(leaf, text)` and compared against the kept
+/// record itself. Its memory depends on how many records are kept, never
+/// on how long their texts are.
 #[derive(Debug)]
 pub struct Curator {
     config: CurationConfig,
     stats: CurationStats,
-    /// Every text seen, interned: a record costs the index no allocation
-    /// of its own.
-    texts: Vocab,
-    /// (leaf, text id) -> index into kept
-    index: FxHashMap<(u32, u32), usize>,
+    /// Empty, or a power of two of [`Slot`]s.
+    slots: Vec<Slot>,
     kept: Vec<KeyphraseRecord>,
 }
 
+/// One cell of the duplicate index: a kept record and the top half of
+/// its hash, which re-seats it when the table grows and turns most
+/// mismatches away before a text is compared.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Index into `kept`, or [`VACANT`].
+    kept: u32,
+    hash: u32,
+}
+
+/// The `kept` of an unoccupied [`Slot`].
+const VACANT: u32 = u32::MAX;
+
+/// The index's smallest non-empty size.
+const MIN_SLOTS: usize = 16;
+
 impl Curator {
     pub fn new(config: CurationConfig) -> Self {
-        Self {
-            config,
-            stats: CurationStats::default(),
-            texts: Vocab::new(),
-            index: FxHashMap::default(),
-            kept: Vec::new(),
-        }
+        Self { config, stats: CurationStats::default(), slots: Vec::new(), kept: Vec::new() }
     }
 
     /// Applies the per-record filters and duplicate merge to one row.
@@ -131,17 +151,42 @@ impl Curator {
             self.stats.dropped_low_search += 1;
             return;
         }
-        match self.index.entry((rec.leaf.0, self.texts.intern(&rec.text))) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let existing = &mut self.kept[*e.get()];
+        if 2 * (self.kept.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let hash = key_hash(&rec);
+        let mask = self.slots.len() - 1;
+        let mut at = first_slot(hash, self.slots.len());
+        loop {
+            let slot = self.slots[at];
+            if slot.kept == VACANT {
+                self.slots[at] = Slot { kept: self.kept.len() as u32, hash };
+                self.kept.push(rec);
+                return;
+            }
+            let existing = &mut self.kept[slot.kept as usize];
+            if slot.hash == hash && existing.leaf == rec.leaf && existing.text == rec.text {
                 existing.search_count = existing.search_count.saturating_add(rec.search_count);
                 existing.recall_count = existing.recall_count.max(rec.recall_count);
                 self.stats.merged_duplicates += 1;
+                return;
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(self.kept.len());
-                self.kept.push(rec);
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Doubles the index and re-seats every kept record from the hash
+    /// half its slot holds.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(MIN_SLOTS);
+        assert!(len / 2 <= VACANT as usize, "curator overflow: too many records kept");
+        let old = std::mem::replace(&mut self.slots, vec![Slot { kept: VACANT, hash: 0 }; len]);
+        for slot in old.into_iter().filter(|s| s.kept != VACANT) {
+            let mut at = first_slot(slot.hash, len);
+            while self.slots[at].kept != VACANT {
+                at = (at + 1) & (len - 1);
             }
+            self.slots[at] = slot;
         }
     }
 
@@ -187,6 +232,21 @@ impl Curator {
         stats.kept = kept.len();
         (kept, stats)
     }
+}
+
+/// The top half of the Fx hash of a record's `(leaf, text)` — the mixed
+/// half, since Fx ends on a multiply.
+fn key_hash(rec: &KeyphraseRecord) -> u32 {
+    let mut hasher = FxHasher::default();
+    hasher.write_u32(rec.leaf.0);
+    hasher.write(rec.text.as_bytes());
+    (hasher.finish() >> 32) as u32
+}
+
+/// Where the probe for `hash` starts in a table of `len` (a power of
+/// two) slots: its top bits.
+fn first_slot(hash: u32, len: usize) -> usize {
+    (u64::from(hash) << 32 >> (64 - len.trailing_zeros())) as usize
 }
 
 #[cfg(test)]

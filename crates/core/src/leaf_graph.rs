@@ -38,13 +38,64 @@ pub struct LeafGraph {
     row_tokens: U32Store,
 }
 
+/// A leaf graph but for its two id arrays: the CSR from rows to label
+/// indices, and per label its length and counts. Nothing in it names a
+/// vocabulary, so it moves unchanged from the leaf-local ids a leaf is
+/// assembled under to the global ids it is merged under.
+#[derive(Debug, Clone)]
+pub(crate) struct GraphBody {
+    csr: Csr,
+    label_len: U16Store,
+    search: U32Store,
+    recall: U32Store,
+}
+
+impl GraphBody {
+    /// `edges` are `(row, label)` pairs over `num_rows` rows and the
+    /// labels the three arrays describe.
+    ///
+    /// # Panics
+    /// Panics if the label arrays disagree in length or an edge is out of
+    /// bounds — construction bugs, not data errors.
+    pub(crate) fn new(
+        num_rows: u32,
+        edges: Vec<(u32, u32)>,
+        label_len: Vec<u16>,
+        search: Vec<u32>,
+        recall: Vec<u32>,
+    ) -> Self {
+        assert_eq!(label_len.len(), search.len());
+        assert_eq!(label_len.len(), recall.len());
+        let num_labels = label_len.len() as u32;
+        debug_assert!(edges.iter().all(|&(_, l)| l < num_labels), "edge label out of bounds");
+        Self {
+            csr: Csr::from_edges(num_rows, edges),
+            label_len: label_len.into(),
+            search: search.into(),
+            recall: recall.into(),
+        }
+    }
+
+    /// Number of rows (distinct words).
+    pub(crate) fn num_rows(&self) -> usize {
+        self.csr.num_rows() as usize
+    }
+
+    /// Number of labels.
+    pub(crate) fn num_labels(&self) -> usize {
+        self.label_len.len()
+    }
+}
+
 impl LeafGraph {
     /// Assembles a leaf graph from its parts. `edges` are
     /// `(row, local_label)` pairs; rows must be dense `0..row_tokens.len()`.
     ///
     /// # Panics
-    /// Panics if the parallel arrays disagree in length or an edge is out of
-    /// bounds — construction bugs, not data errors.
+    /// Panics if the parallel arrays disagree in length, an edge is out of
+    /// bounds or a token names two rows — construction bugs, not data
+    /// errors.
+    #[cfg(test)]
     pub(crate) fn new(
         row_tokens: Vec<TokenId>,
         edges: Vec<(u32, u32)>,
@@ -53,26 +104,49 @@ impl LeafGraph {
         search: Vec<u32>,
         recall: Vec<u32>,
     ) -> Self {
-        assert_eq!(labels.len(), label_len.len());
-        assert_eq!(labels.len(), search.len());
-        assert_eq!(labels.len(), recall.len());
-        let num_rows = row_tokens.len() as u32;
-        let num_labels = labels.len() as u32;
-        debug_assert!(edges.iter().all(|&(_, l)| l < num_labels), "edge label out of bounds");
-        let csr = Csr::from_edges(num_rows, edges);
+        let body = GraphBody::new(row_tokens.len() as u32, edges, label_len, search, recall);
+        Self::from_body(row_tokens, labels, body)
+    }
+
+    /// The graph of `body` under ids: `row_tokens[row]` is the token of
+    /// each row, `labels[label]` the keyphrase of each label. The token →
+    /// row index is built here, once per graph.
+    ///
+    /// # Panics
+    /// Panics if an id array disagrees in length with `body` or a token
+    /// names two rows (remap bugs, not data errors).
+    pub(crate) fn from_body(
+        row_tokens: Vec<TokenId>,
+        labels: Vec<KeyphraseId>,
+        body: GraphBody,
+    ) -> Self {
+        assert_eq!(row_tokens.len(), body.num_rows());
+        assert_eq!(labels.len(), body.num_labels());
         let mut word_rows = FxHashMap::with_capacity_and_hasher(row_tokens.len(), Default::default());
         for (row, &tok) in row_tokens.iter().enumerate() {
             let prev = word_rows.insert(tok, row as u32);
-            debug_assert!(prev.is_none(), "duplicate token in row_tokens");
+            assert!(prev.is_none(), "duplicate token in row_tokens");
         }
+        let GraphBody { csr, label_len, search, recall } = body;
         Self {
             word_rows,
             csr,
             labels: labels.into(),
-            label_len: label_len.into(),
-            search: search.into(),
-            recall: recall.into(),
+            label_len,
+            search,
+            recall,
             row_tokens: row_tokens.into(),
+        }
+    }
+
+    /// This graph without its ids — shares a loaded snapshot's buffers
+    /// rather than copying them.
+    pub(crate) fn body(&self) -> GraphBody {
+        GraphBody {
+            csr: self.csr.clone(),
+            label_len: self.label_len.clone(),
+            search: self.search.clone(),
+            recall: self.recall.clone(),
         }
     }
 
@@ -206,35 +280,6 @@ impl LeafGraph {
     /// (true exactly for graphs loaded through the zero-copy snapshot path).
     pub fn is_zero_copy(&self) -> bool {
         self.labels.is_view()
-    }
-
-    /// The same graph with its id arrays rewritten — the assembly-merge
-    /// remap (local → global ids) and its inverse (relocalization for
-    /// delta borrows). CSR structure, label lengths, and score arrays are
-    /// shared/cloned untouched: only *which* vocabulary the ids point
-    /// into changes, never the topology.
-    ///
-    /// # Panics
-    /// Panics if the replacement arrays disagree in length with the
-    /// originals or contain duplicate tokens (remap bugs, not data
-    /// errors).
-    pub(crate) fn with_ids(&self, row_tokens: Vec<TokenId>, labels: Vec<KeyphraseId>) -> Self {
-        assert_eq!(row_tokens.len(), self.row_tokens.len());
-        assert_eq!(labels.len(), self.labels.len());
-        let mut word_rows = FxHashMap::with_capacity_and_hasher(row_tokens.len(), Default::default());
-        for (row, &tok) in row_tokens.iter().enumerate() {
-            let prev = word_rows.insert(tok, row as u32);
-            assert!(prev.is_none(), "duplicate token after id remap");
-        }
-        Self {
-            word_rows,
-            csr: self.csr.clone(),
-            labels: labels.into(),
-            label_len: self.label_len.clone(),
-            search: self.search.clone(),
-            recall: self.recall.clone(),
-            row_tokens: row_tokens.into(),
-        }
     }
 }
 

@@ -793,7 +793,7 @@ mod overlay_incremental {
             collect_title_tokens(&tokenizer, |word| tokens.get(word), request.title, scratch);
             let alignment = request.alignment.unwrap_or(base.alignment());
             let mut predictions =
-                infer_on_graph(self.assembly.graph(), alignment, &request.params(), scratch);
+                infer_on_graph(&self.assembly.graph(), alignment, &request.params(), scratch);
             let texts = predictions
                 .iter()
                 .map(|p| self.assembly.keyphrases().resolve(p.keyphrase).unwrap().to_string())

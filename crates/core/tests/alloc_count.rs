@@ -1,12 +1,15 @@
 //! What the inference kernel allocates at steady state: the returned
 //! `Vec<Prediction>`, and — when texts are asked for — the `Vec` of them
 //! and one `String` each. Everything else lives in the session's
-//! `Scratch`. And what serializing a model allocates: the file, once, at
-//! its final size. A binary of its own because it replaces the global
-//! allocator with a counting one.
+//! `Scratch`. What serializing a model allocates: the file, once, at
+//! its final size. And what curating allocates: its two tables, grown by
+//! doubling, never a copy of a text. A binary of its own because it
+//! replaces the global allocator with a counting one.
 
+use graphex_core::curation::Curator;
 use graphex_core::{
-    serialize, Engine, GraphExBuilder, GraphExConfig, GraphExModel, InferRequest, KeyphraseRecord, LeafId,
+    serialize, CurationConfig, Engine, GraphExBuilder, GraphExConfig, GraphExModel, InferRequest,
+    KeyphraseRecord, LeafId,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,6 +18,8 @@ thread_local! {
     /// Allocations (and reallocations) made by this thread. Const-initialized
     /// and without a destructor, so reading it never allocates.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// The bytes they asked for.
+    static BYTES: Cell<usize> = const { Cell::new(0) };
     /// Those of them that asked for at least `BIG_AT` bytes.
     static BIG: Cell<usize> = const { Cell::new(0) };
     static BIG_AT: Cell<usize> = const { Cell::new(usize::MAX) };
@@ -22,6 +27,7 @@ thread_local! {
 
 fn count(size: usize) {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + size));
     if size >= BIG_AT.with(Cell::get) {
         BIG.with(|n| n.set(n.get() + 1));
     }
@@ -132,5 +138,32 @@ fn to_bytes_allocates_the_file_once() {
         assert_eq!(bytes.len(), len);
         assert_eq!(big, 1, "{leaves} leaves: allocations of the file's size");
         assert!(spent <= 4, "{leaves} leaves: {spent} allocations");
+    }
+}
+
+/// Pushing `n` distinct records into a `Curator` allocates O(log n) times
+/// — the kept records and the duplicate index each double — and copies no
+/// text: it asks for the same bytes whether every text is 8 bytes long or
+/// 800.
+#[test]
+fn curating_allocates_log_n_times_and_copies_no_text() {
+    for n in [1_000usize, 20_000] {
+        let mut spent = Vec::new();
+        for width in [8usize, 800] {
+            let records: Vec<KeyphraseRecord> = (0..n)
+                .map(|i| KeyphraseRecord::new(format!("{i:0width$}"), LeafId(i as u32 % 7), 10, 1))
+                .collect();
+            let mut curator = Curator::new(CurationConfig::with_min_search_count(0));
+            let before = (allocations(), BYTES.with(Cell::get));
+            for rec in records {
+                curator.push(rec);
+            }
+            spent.push((allocations() - before.0, BYTES.with(Cell::get) - before.1));
+            assert_eq!(curator.len(), n);
+        }
+        let (count, _) = spent[0];
+        let bound = 2 * n.ilog2() as usize + 4;
+        assert!(count <= bound, "{n} records: {count} allocations (bound {bound})");
+        assert_eq!(spent[0], spent[1], "{n} records: 8-byte vs 800-byte texts");
     }
 }

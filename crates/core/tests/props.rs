@@ -294,12 +294,11 @@ use graphex_core::{serialize, GraphExModel};
 /// installed with `set_fallback`. Kept alive only as this reference.
 fn record_based(config: &GraphExConfig, canonical: &[KeyphraseRecord]) -> GraphExModel {
     let mut ctx = AssemblyContext::new(config.stemming);
-    let mut assembler = ModelAssembler::new(config);
-    for (leaf, run) in leaf_runs(canonical) {
-        assembler.add_leaf(leaf, &LeafAssembly::build(run, &mut ctx));
-    }
+    let leaves: Vec<_> =
+        leaf_runs(canonical).map(|(leaf, run)| (leaf, LeafAssembly::build(run, &mut ctx))).collect();
+    let mut assembler = ModelAssembler::merge(config, leaves);
     if config.build_meta_fallback {
-        assembler.set_fallback(&LeafAssembly::build(canonical, &mut ctx));
+        assembler.set_fallback(LeafAssembly::build(canonical, &mut ctx));
     }
     assembler.finish()
 }
@@ -312,14 +311,14 @@ fn derived_over_borrowed_leaves(
     base: &GraphExModel,
 ) -> GraphExModel {
     let mut ctx = AssemblyContext::new(config.stemming);
-    let mut assembler = ModelAssembler::new(config);
-    for (nth, (leaf, run)) in leaf_runs(canonical).enumerate() {
+    let leaves = leaf_runs(canonical).enumerate().map(|(nth, (leaf, run))| {
         let assembly = match nth % 2 {
             0 => LeafAssembly::from_model(base, leaf).expect("the base has every leaf"),
             _ => LeafAssembly::build(run, &mut ctx),
         };
-        assembler.add_leaf(leaf, &assembly);
-    }
+        (leaf, assembly)
+    });
+    let mut assembler = ModelAssembler::merge(config, leaves);
     if config.build_meta_fallback {
         assembler.derive_fallback();
     }
@@ -495,4 +494,108 @@ proptest! {
         prop_assert_eq!(curator.len(), uncapped.len());
         prop_assert_eq!(curator.finish(), reference_curate(&records, &config));
     }
+}
+
+// ---- one normalize walk ≡ the two-tokenizer derivation ------------------
+
+use graphex_textkit::{TokenBuf, TokenizerBuilder};
+
+/// What `AssemblyContext::analyze` computed before it walked a text once:
+/// an unstemmed tokenizer's tokens joined into the label, then the
+/// model's tokenizer run over the text again for the rows. Kept alive
+/// only as this reference.
+fn two_walks(stemming: bool, text: &str) -> Option<(String, Vec<String>)> {
+    let tokenizer = TokenizerBuilder::new().stemming(stemming).build();
+    let unstemmed = TokenizerBuilder::new().stemming(false).build();
+    let mut walk = TokenBuf::default();
+    let mut normalized = String::new();
+    unstemmed.for_each_token(text, &mut walk, |word| {
+        if !normalized.is_empty() {
+            normalized.push(' ');
+        }
+        normalized.push_str(word);
+    });
+    if normalized.is_empty() {
+        return None;
+    }
+    let mut stems = Vec::new();
+    tokenizer.for_each_token(text, &mut walk, |word| stems.push(word.to_owned()));
+    stems.sort_unstable();
+    stems.dedup();
+    Some((normalized, stems))
+}
+
+fn one_walk(ctx: &mut AssemblyContext, text: &str) -> Option<(String, Vec<String>)> {
+    let (normalized, words) = ctx.analyze(text)?;
+    Some((normalized.to_owned(), words.map(str::to_owned).collect()))
+}
+
+/// A `len`-byte word ending in `ending`.
+fn word_of(len: usize, ending: &str) -> String {
+    format!("{}{ending}", "q".repeat(len - ending.len()))
+}
+
+/// Texts over words that reach every branch the analysis has: mixed case,
+/// digits, the stemmer's suffixes, `İ` (whose lowercase is two chars),
+/// and 63–70-byte words either side of the 64-byte clip — some ending in
+/// a suffix the clip cuts off — joined by punctuation runs; with no
+/// words, a punctuation-only text.
+fn analyzed_text() -> impl Strategy<Value = String> {
+    let mut pool: Vec<String> = [
+        "Berries", "glasses", "BOXES", "box", "men's", "sellers'", "PS5", "512GB", "x2", "İstanbul",
+        "İ", "ies", "sses", "Straße", "a",
+    ]
+    .map(String::from)
+    .to_vec();
+    for len in 63..=70 {
+        for ending in ["ies", "sses", "xes", "s"] {
+            pool.push(word_of(len, ending));
+        }
+    }
+    // Two-byte chars from an odd offset: byte 64 falls inside one, so the
+    // clip backs off to 63; and one ending in "ies" the clip cuts.
+    pool.push(format!("a{}", "é".repeat(33)));
+    pool.push(format!("a{}ies", "é".repeat(31)));
+    const SEPARATORS: [&str; 7] = [" ", "  ", "-", "!?", ", ", "'", "\t("];
+    let piece = (prop::sample::select(pool), 0usize..SEPARATORS.len(), any::<bool>());
+    (prop::collection::vec(piece, 0..6), 0usize..SEPARATORS.len()).prop_map(|(pieces, lead)| {
+        let mut text = SEPARATORS[lead].to_owned();
+        for (word, separator, shout) in pieces {
+            text.push_str(&if shout { word.to_uppercase() } else { word });
+            text.push_str(SEPARATORS[separator]);
+        }
+        text
+    })
+}
+
+proptest! {
+    /// One walk yields exactly the label and distinct stems the two
+    /// tokenizers did, with stemming on and off.
+    #[test]
+    fn analyze_in_one_walk_equals_two_walks(texts in prop::collection::vec(analyzed_text(), 1..8)) {
+        for stemming in [true, false] {
+            let mut ctx = AssemblyContext::new(stemming);
+            for text in &texts {
+                let (one, two) = (one_walk(&mut ctx, text), two_walks(stemming, text));
+                prop_assert_eq!(one, two, "stemming {}: {:?}", stemming, text);
+            }
+        }
+    }
+}
+
+/// The cases the generator reaches only by chance, spelled out.
+#[test]
+fn analyze_in_one_walk_on_the_named_cases() {
+    let mut ctx = AssemblyContext::new(true);
+    for text in ["", "?! -- ...", "'s", "İİ", "Berries BERRIES berry", "boxes-glasses, men's"] {
+        assert_eq!(one_walk(&mut ctx, text), two_walks(true, text), "{text:?}");
+    }
+    assert_eq!(one_walk(&mut ctx, "?! -- ..."), None, "punctuation only");
+    // Clip before stem: a 66-byte word ending in "ies" keeps its first 64
+    // bytes, which no longer end in "ies", so it does not become "…y".
+    let long = word_of(66, "ies");
+    let (label, stems) = one_walk(&mut ctx, &long).unwrap();
+    assert_eq!(label, long[..64]);
+    assert_eq!(stems, [long[..64].to_owned()]);
+    assert_eq!(one_walk(&mut ctx, &word_of(64, "ies")).unwrap().1, [format!("{}y", "q".repeat(61))]);
 }

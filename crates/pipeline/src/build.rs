@@ -32,8 +32,8 @@ use crate::manifest::{buildinfo_path_for, BuildManifest, BUILDINFO_FILE};
 use crate::queue::Bounded;
 use crate::source::{RecordSource, SourceStats};
 use graphex_core::assembly::{
-    canonicalize, combine_fingerprints, config_fingerprint, leaf_fingerprint, leaf_runs,
-    AssemblyContext, LeafAssembly, ModelAssembler,
+    canonicalize, config_fingerprint, leaf_fingerprint, leaf_runs, AssemblyContext, LeafAssembly,
+    ModelAssembler,
 };
 use graphex_core::curation::Curator;
 use graphex_core::serialize::{self, Hashed};
@@ -41,6 +41,7 @@ use graphex_core::{
     CurationStats, GraphExConfig, GraphExError, GraphExModel, KeyphraseRecord, LeafId,
 };
 use graphex_serving::{ModelRegistry, RegistryError, SnapshotMeta};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -244,11 +245,19 @@ pub struct BuildReport {
     pub stages: StageTimes,
 }
 
-/// Wall milliseconds of a build's four stages, back to back.
+/// Wall milliseconds of a build's four stages, back to back, and how
+/// the slowest shard worker split its part of the first.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimes {
     /// Ingest ∥ shard workers: curate → canonicalize → per-leaf assemble.
     pub shards_ms: f64,
+    /// The slowest shard worker's first half: draining its queue while
+    /// curating (so it includes waiting on ingest), then canonicalizing
+    /// and fingerprinting every leaf.
+    pub curate_ms: f64,
+    /// The same worker's second half: assembling (or borrowing) its
+    /// leaves.
+    pub assemble_ms: f64,
     /// Merge of the leaf assemblies into the global vocabularies.
     pub merge_ms: f64,
     /// Meta-fallback derived from the merged leaves (0 when off).
@@ -310,6 +319,10 @@ struct LeafYield {
 struct ShardYield {
     leaves: Vec<LeafYield>,
     curation: CurationStats,
+    /// This worker's [`StageTimes::curate_ms`] and
+    /// [`StageTimes::assemble_ms`].
+    curate_ms: f64,
+    assemble_ms: f64,
 }
 
 /// Runs a build plan over `sources`.
@@ -375,16 +388,21 @@ pub fn build(plan: &BuildPlan, sources: Vec<Box<dyn RecordSource>>) -> PipelineR
     for shard in &shard_yields {
         curation.absorb(&shard.curation);
     }
+    let slowest = shard_yields
+        .iter()
+        .max_by(|a, b| (a.curate_ms + a.assemble_ms).total_cmp(&(b.curate_ms + b.assemble_ms)));
     // A yield exists only for a leaf with ≥1 curated record, so no
     // yields ⇔ nothing survived curation.
     if leaves.is_empty() {
         return Err(PipelineError::Model(GraphExError::EmptyModel));
     }
 
-    let mut assembler = ModelAssembler::new(&plan.config);
-    for y in &leaves {
-        assembler.add_leaf(y.leaf, &y.assembly);
-    }
+    let fingerprints: BTreeMap<u32, u64> =
+        leaves.iter().map(|y| (y.leaf.0, y.fingerprint)).collect();
+    let leaves_reused = leaves.iter().filter(|y| y.reused).count();
+    let leaves_total = leaves.len();
+    let mut assembler =
+        ModelAssembler::merge(&plan.config, leaves.into_iter().map(|y| (y.leaf, y.assembly)));
     let merge_done = Instant::now();
     if plan.config.build_meta_fallback {
         assembler.derive_fallback();
@@ -395,9 +413,10 @@ pub fn build(plan: &BuildPlan, sources: Vec<Box<dyn RecordSource>>) -> PipelineR
     let bytes = serialize::to_bytes(&model);
     let snapshot_checksum = bytes.checksum();
     let serialize_done = Instant::now();
-    let millis = |from: Instant, to: Instant| (to - from).as_secs_f64() * 1e3;
     let stages = StageTimes {
         shards_ms: millis(start, shards_done),
+        curate_ms: slowest.map_or(0.0, |s| s.curate_ms),
+        assemble_ms: slowest.map_or(0.0, |s| s.assemble_ms),
         merge_ms: millis(shards_done, merge_done),
         fallback_ms: millis(merge_done, fallback_done),
         serialize_ms: millis(fallback_done, serialize_done),
@@ -408,24 +427,20 @@ pub fn build(plan: &BuildPlan, sources: Vec<Box<dyn RecordSource>>) -> PipelineR
     let manifest = BuildManifest {
         config_fingerprint: config_fp,
         snapshot_checksum,
-        fallback_fingerprint: plan
-            .config
-            .build_meta_fallback
-            .then(|| combine_fingerprints(leaves.iter().map(|y| y.fingerprint))),
         records_in,
         parse_errors,
         curation,
         shard: None,
-        leaves: leaves.iter().map(|y| (y.leaf.0, y.fingerprint)).collect(),
+        leaves: fingerprints,
     };
     let report = BuildReport {
         records_in,
         parse_errors,
         sources: source_stats,
         curation,
-        leaves_total: leaves.len(),
-        leaves_built: leaves.iter().filter(|y| !y.reused).count(),
-        leaves_reused: leaves.iter().filter(|y| y.reused).count(),
+        leaves_total,
+        leaves_built: leaves_total - leaves_reused,
+        leaves_reused,
         delta_base: delta.map(DeltaBase::checksum),
         delta_discarded,
         jobs,
@@ -498,6 +513,7 @@ fn run_shard(
     config: &GraphExConfig,
     delta: Option<&DeltaBase>,
 ) -> ShardYield {
+    let started = Instant::now();
     let mut curator = Curator::new(config.curation.clone());
     while let Some(batch) = queue.pop() {
         for rec in batch {
@@ -506,11 +522,13 @@ fn run_shard(
     }
     let (mut curated, curation) = curator.finish();
     canonicalize(&mut curated);
+    let runs: Vec<(LeafId, &[KeyphraseRecord], u64)> =
+        leaf_runs(&curated).map(|(leaf, run)| (leaf, run, leaf_fingerprint(run))).collect();
+    let curated_at = Instant::now();
 
     let mut ctx = AssemblyContext::new(config.stemming);
-    let mut leaves = Vec::new();
-    for (leaf, run) in leaf_runs(&curated) {
-        let fingerprint = leaf_fingerprint(run);
+    let mut leaves = Vec::with_capacity(runs.len());
+    for (leaf, run, fingerprint) in runs {
         let borrowed = delta
             .filter(|base| base.manifest.leaves.get(&leaf.0) == Some(&fingerprint))
             .and_then(|base| LeafAssembly::from_model(&base.model, leaf));
@@ -520,5 +538,15 @@ fn run_shard(
         };
         leaves.push(LeafYield { leaf, fingerprint, assembly, reused });
     }
-    ShardYield { leaves, curation }
+    ShardYield {
+        leaves,
+        curation,
+        curate_ms: millis(started, curated_at),
+        assemble_ms: millis(curated_at, Instant::now()),
+    }
+}
+
+/// Wall milliseconds from `from` to `to`.
+fn millis(from: Instant, to: Instant) -> f64 {
+    (to - from).as_secs_f64() * 1e3
 }

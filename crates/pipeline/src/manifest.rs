@@ -9,7 +9,6 @@
 //! graphex-buildinfo 1
 //! config <16-hex config fingerprint>
 //! snapshot_checksum <16-hex serialize::checksum of the whole model.gexm>
-//! fallback <16-hex corpus fingerprint | none>
 //! records_in <raw records ingested>
 //! parse_errors <records skipped as unparsable>
 //! curation <input> <kept> <low_search> <token_bounds> <leaf_cap> <merged>
@@ -17,6 +16,9 @@
 //! leaf <leaf id> <16-hex fingerprint of the leaf's curated records>
 //! leaf …
 //! ```
+//!
+//! A `fallback <fingerprint | none>` line, which builds wrote until no
+//! build read it, is one of the unknown keys an older file may carry.
 
 use graphex_core::CurationStats;
 use std::collections::BTreeMap;
@@ -36,12 +38,6 @@ pub struct BuildManifest {
     /// (the same value the registry `MANIFEST` records) — lets tooling
     /// cross-check that a snapshot really is the manifest's build.
     pub snapshot_checksum: u64,
-    /// Fingerprint of the full curated corpus (what the meta-fallback
-    /// graph depends on); `None` when no fallback was built. Written for
-    /// audits and shard comparison only: no build reads it to make a
-    /// decision — the fallback is derived from the merged leaves every
-    /// time, which costs less than borrowing one would.
-    pub fallback_fingerprint: Option<u64>,
     /// Raw records ingested (before curation).
     pub records_in: u64,
     /// Records skipped as unparsable during ingestion.
@@ -65,14 +61,6 @@ impl BuildManifest {
         let _ = writeln!(out, "graphex-buildinfo 1");
         let _ = writeln!(out, "config {:016x}", self.config_fingerprint);
         let _ = writeln!(out, "snapshot_checksum {:016x}", self.snapshot_checksum);
-        match self.fallback_fingerprint {
-            Some(fp) => {
-                let _ = writeln!(out, "fallback {fp:016x}");
-            }
-            None => {
-                let _ = writeln!(out, "fallback none");
-            }
-        }
         let _ = writeln!(out, "records_in {}", self.records_in);
         let _ = writeln!(out, "parse_errors {}", self.parse_errors);
         let c = &self.curation;
@@ -96,7 +84,6 @@ impl BuildManifest {
         let mut manifest = BuildManifest {
             config_fingerprint: 0,
             snapshot_checksum: 0,
-            fallback_fingerprint: None,
             records_in: 0,
             parse_errors: 0,
             curation: CurationStats::default(),
@@ -127,13 +114,6 @@ impl BuildManifest {
                 "snapshot_checksum" => {
                     manifest.snapshot_checksum =
                         u64::from_str_radix(value, 16).map_err(|_| fail("bad checksum"))?;
-                }
-                "fallback" => {
-                    manifest.fallback_fingerprint = if value == "none" {
-                        None
-                    } else {
-                        Some(u64::from_str_radix(value, 16).map_err(|_| fail("bad fingerprint"))?)
-                    };
                 }
                 "records_in" => {
                     manifest.records_in = value.parse().map_err(|_| fail("bad count"))?;
@@ -219,7 +199,6 @@ mod tests {
         BuildManifest {
             config_fingerprint: 0xDEAD_BEEF_0123_4567,
             snapshot_checksum: 0x0FED_CBA9_8765_4321,
-            fallback_fingerprint: Some(42),
             records_in: 1000,
             parse_errors: 3,
             curation: CurationStats {
@@ -239,10 +218,6 @@ mod tests {
     fn render_parse_roundtrip() {
         let manifest = sample();
         assert_eq!(BuildManifest::parse(&manifest.render()).unwrap(), manifest);
-
-        let mut no_fallback = sample();
-        no_fallback.fallback_fingerprint = None;
-        assert_eq!(BuildManifest::parse(&no_fallback.render()).unwrap(), no_fallback);
 
         let mut sharded = sample();
         sharded.shard = Some((2, 3));
@@ -268,5 +243,20 @@ mod tests {
     fn unknown_keys_are_ignored() {
         let text = format!("{}future_key some value\n", sample().render());
         assert_eq!(BuildManifest::parse(&text).unwrap(), sample());
+    }
+
+    /// A `BUILDINFO` as builds wrote it while they recorded a corpus
+    /// fingerprint for the fallback: it parses to what it says about
+    /// everything else, whatever its `fallback` line holds.
+    #[test]
+    fn a_buildinfo_with_a_fallback_line_still_parses() {
+        let lines: Vec<String> = sample().render().lines().map(str::to_owned).collect();
+        for fallback in ["fallback 000000000000002a", "fallback none"] {
+            let mut old = lines.clone();
+            old.insert(3, fallback.to_owned());
+            let text = old.join("\n") + "\n";
+            assert!(text.starts_with("graphex-buildinfo 1\nconfig "), "{text}");
+            assert_eq!(BuildManifest::parse(&text).unwrap(), sample(), "{fallback}");
+        }
     }
 }

@@ -117,14 +117,12 @@ pub fn emit_shards(
                  an empty shard cannot pass registry admission, pick a different shard count"
             )));
         }
-        let mut assembler = ModelAssembler::new(&config);
-        for leaf in &owned {
-            let assembly =
-                LeafAssembly::from_model(model, *leaf).expect("leaf listed by the model");
-            assembler.add_leaf(*leaf, &assembly);
-        }
+        let assemblies = owned.iter().map(|&leaf| {
+            (leaf, LeafAssembly::from_model(model, leaf).expect("leaf listed by the model"))
+        });
+        let mut assembler = ModelAssembler::merge(&config, assemblies);
         if let Some(fallback) = &fallback {
-            assembler.set_fallback(fallback);
+            assembler.set_fallback(fallback.clone());
         }
         let shard_model = assembler.finish();
         let bytes = serialize::to_bytes(&shard_model);
@@ -132,7 +130,6 @@ pub fn emit_shards(
         let shard_manifest = BuildManifest {
             config_fingerprint: manifest.config_fingerprint,
             snapshot_checksum,
-            fallback_fingerprint: manifest.fallback_fingerprint,
             records_in: manifest.records_in,
             parse_errors: manifest.parse_errors,
             curation: manifest.curation,

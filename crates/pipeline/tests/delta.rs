@@ -132,6 +132,30 @@ fn unchanged_corpus_reuses_every_leaf() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Builds used to write a corpus fingerprint for the fallback into
+/// `BUILDINFO` (`fallback <hex>`, after `snapshot_checksum`). A base
+/// carrying that line still loads and lends every leaf; the delta's own
+/// manifest no longer has it.
+#[test]
+fn a_buildinfo_with_a_fallback_line_still_serves_as_a_delta_base() {
+    let dir = tempdir("fallback-line");
+    let corpus = ChurnCorpus::new(CategorySpec::tiny(0xD6), 0.0);
+    let first = full_build(&corpus, 2);
+    let snapshot = dir.join("model.gexm");
+    let buildinfo = first.write_to(&snapshot).unwrap();
+    let text = std::fs::read_to_string(&buildinfo).unwrap();
+    assert!(!text.contains("fallback"), "{text}");
+    let (head, tail) = text.split_at(text.find("records_in ").unwrap());
+    std::fs::write(&buildinfo, format!("{head}fallback 5f3e2a9c0d41b877\n{tail}")).unwrap();
+
+    let plan = BuildPlan::new(config()).jobs(2).delta(DeltaBase::load(&snapshot).unwrap());
+    let again = build(&plan, vec![Box::new(MarketsimSource::new(&corpus))]).unwrap();
+    assert_eq!(again.bytes.as_ref(), first.bytes.as_ref());
+    assert_eq!(again.report.leaves_reused, again.report.leaves_total);
+    assert_eq!(again.manifest, first.manifest);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn config_change_discards_the_delta_base() {
     let dir = tempdir("config-change");

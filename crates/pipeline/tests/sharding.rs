@@ -94,10 +94,6 @@ fn manifest_union_equals_monolith() {
             // Per-shard manifests keep the whole-build provenance so a
             // shard can stand in as a delta base / audit subject.
             assert_eq!(snapshot.manifest.config_fingerprint, output.manifest.config_fingerprint);
-            assert_eq!(
-                snapshot.manifest.fallback_fingerprint,
-                output.manifest.fallback_fingerprint
-            );
             assert_eq!(snapshot.manifest.records_in, output.manifest.records_in);
             assert_eq!(
                 snapshot.manifest.snapshot_checksum,

@@ -30,9 +30,10 @@
 use graphex_core::serialize::{self, Hashed, LoadMode, SnapshotInfo};
 use graphex_core::{Engine, GraphExError, GraphExModel, InferRequest};
 use parking_lot::{Mutex, RwLock};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Errors surfaced by the model lifecycle layer.
 #[derive(Debug)]
@@ -279,12 +280,34 @@ pub struct ModelRegistry {
     /// Preferred snapshot storage backend for activations (mmap with
     /// heap fallback by default).
     load_mode: LoadMode,
-    /// Serializes write operations (publish / activate / rollback / gc)
-    /// within this process: concurrent publishers would otherwise race
-    /// on version allocation, staging directories, and the
+    /// Serializes write operations (publish / activate / rollback / gc,
+    /// and `open`'s choice of what to activate) across every handle onto
+    /// this directory in this process ([`directory_lock`]): concurrent
+    /// writers would otherwise race on version allocation, staging
+    /// directories, the shared `CURRENT` temp file, and the
     /// CURRENT-file-vs-memory ordering. (Cross-process publishers are
     /// not coordinated; the staging rename fails loudly if two collide.)
-    write_lock: Mutex<()>,
+    write_lock: Arc<Mutex<()>>,
+}
+
+/// The write lock of the registry directory at `root` (which exists):
+/// one per directory per process, however many handles are open on it
+/// and however its path is spelled. A fleet publishes to a cold tenant
+/// through a transient [`ModelRegistry::attach`] while a request may be
+/// admitting the same tenant through [`ModelRegistry::open`]; with a
+/// lock each, the admission could re-pin `CURRENT` to the version it
+/// chose before the publish landed.
+fn directory_lock(root: &Path) -> Arc<Mutex<()>> {
+    static LOCKS: Mutex<BTreeMap<PathBuf, Weak<Mutex<()>>>> = Mutex::new(BTreeMap::new());
+    let key = std::fs::canonicalize(root).unwrap_or_else(|_| root.to_path_buf());
+    let mut locks = LOCKS.lock();
+    if let Some(lock) = locks.get(&key).and_then(Weak::upgrade) {
+        return lock;
+    }
+    locks.retain(|_, lock| lock.strong_count() > 0);
+    let lock = Arc::new(Mutex::new(()));
+    locks.insert(key, Arc::downgrade(&lock));
+    lock
 }
 
 const MODEL_FILE: &str = "model.gexm";
@@ -308,26 +331,29 @@ impl ModelRegistry {
     /// the page cache, `LoadMode::Heap` forces private copies (the
     /// pre-mmap behaviour; also the bench baseline).
     pub fn open_with_mode(root: impl AsRef<Path>, load_mode: LoadMode) -> RegistryResult<Self> {
-        let root = root.as_ref().to_path_buf();
-        std::fs::create_dir_all(&root)?;
-        let registry = Self {
-            root,
-            shared: Arc::new(Shared { active: RwLock::new(None), epoch: AtomicU64::new(0) }),
-            load_mode,
-            write_lock: Mutex::new(()),
-        };
-        let versions = registry.versions()?;
+        let registry = Self { load_mode, ..Self::attach(root)? };
+        registry.activate_pinned()?;
+        Ok(registry)
+    }
+
+    /// Activates what `open` boots: the snapshot `CURRENT` names, then
+    /// the others newest first, until one passes admission. The choice is
+    /// made under the write lock, so no publish can land between reading
+    /// `CURRENT` and writing it back.
+    fn activate_pinned(&self) -> RegistryResult<()> {
+        let _writer = self.write_lock.lock();
+        let versions = self.versions()?;
         if versions.is_empty() {
-            return Ok(registry);
+            return Ok(());
         }
         // Boot order: CURRENT first, then newest-to-oldest.
-        let preferred = registry.read_current_file().filter(|v| versions.contains(v));
+        let preferred = self.read_current_file().filter(|v| versions.contains(v));
         let mut candidates: Vec<u64> = preferred.into_iter().collect();
         candidates.extend(versions.iter().rev().filter(|v| Some(**v) != preferred));
         let mut first_err = None;
         for version in candidates {
-            match registry.activate(version) {
-                Ok(_) => return Ok(registry),
+            match self.activate_locked(version) {
+                Ok(_) => return Ok(()),
                 Err(e) => first_err.get_or_insert(e),
             };
         }
@@ -343,10 +369,10 @@ impl ModelRegistry {
         let root = root.as_ref().to_path_buf();
         std::fs::create_dir_all(&root)?;
         Ok(Self {
+            write_lock: directory_lock(&root),
             root,
             shared: Arc::new(Shared { active: RwLock::new(None), epoch: AtomicU64::new(0) }),
             load_mode: LoadMode::default(),
-            write_lock: Mutex::new(()),
         })
     }
 
@@ -1091,6 +1117,49 @@ mod tests {
         }
         assert_eq!(registry.current_version(), Some(1));
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// Every handle onto one directory shares one write lock, whatever
+    /// the path's spelling — and a transient `attach` that publishes
+    /// while an `open` admits the same directory (a fleet publishing to a
+    /// cold tenant a request is admitting) never collide: every publish
+    /// succeeds and `CURRENT` ends at the newest version, whichever of
+    /// the two took the lock first.
+    #[test]
+    fn attach_publish_and_open_on_one_directory_share_its_write_lock() {
+        let root = tempdir("shared-lock");
+        let first = ModelRegistry::open(&root).unwrap();
+        first.publish(&model(0), "v1").unwrap();
+        let shares = |handle: ModelRegistry| Arc::ptr_eq(&handle.write_lock, &first.write_lock);
+        assert!(shares(ModelRegistry::attach(&root).unwrap()));
+        assert!(shares(ModelRegistry::open(root.join(".")).unwrap()));
+        let other = tempdir("shared-lock-other");
+        assert!(!shares(ModelRegistry::attach(&other).unwrap()));
+        drop(first);
+
+        let bytes = serialize::to_bytes(&model(1));
+        for round in 0..100 {
+            let start = std::sync::Barrier::new(2);
+            let (published, opened) = std::thread::scope(|s| {
+                let publisher = s.spawn(|| {
+                    start.wait();
+                    ModelRegistry::attach(&root)?.publish_hashed(&bytes, "", &[])
+                });
+                let opener = s.spawn(|| {
+                    start.wait();
+                    ModelRegistry::open(&root).map(|registry| registry.current_version())
+                });
+                (publisher.join().unwrap(), opener.join().unwrap())
+            });
+            let meta = published.unwrap_or_else(|e| panic!("round {round}: publish failed: {e}"));
+            assert!(opened.unwrap_or_else(|e| panic!("round {round}: open failed: {e}")).is_some());
+            let current = std::fs::read_to_string(root.join(CURRENT_FILE)).unwrap();
+            assert_eq!(current.trim(), meta.version.to_string(), "round {round}: CURRENT re-pinned");
+            let newest = ModelRegistry::attach(&root).unwrap().versions().unwrap().pop();
+            assert_eq!(newest, Some(meta.version), "round {round}");
+        }
+        std::fs::remove_dir_all(&root).ok();
+        std::fs::remove_dir_all(&other).ok();
     }
 
     #[test]

@@ -81,26 +81,51 @@ impl Tokenizer {
     /// from `buf`: the same tokens [`Tokenizer::tokenize`] yields, without
     /// a `String` per token.
     pub fn for_each_token(&self, text: &str, buf: &mut TokenBuf, mut visit: impl FnMut(&str)) {
+        self.for_each_surface_token(text, buf, |_, token| visit(token));
+    }
+
+    /// [`Tokenizer::for_each_token`] that also hands `visit` each token's
+    /// *surface*: the clipped piece before stemming, which is the token an
+    /// unstemmed tokenizer of the same length bound yields. One normalize
+    /// walk serves both, so a caller that needs a text's unstemmed form
+    /// and its tokens (a keyphrase's label and its graph rows) reads the
+    /// text once.
+    pub fn for_each_surface_token(
+        &self,
+        text: &str,
+        buf: &mut TokenBuf,
+        mut visit: impl FnMut(&str, &str),
+    ) {
         normalize_into(text, &mut buf.normalized);
         let mut pos = 0;
         while let Some(raw) = next_raw(&buf.normalized, &mut pos) {
-            visit(self.finish_token(raw, &mut buf.stemmed));
+            let surface = self.clip(raw);
+            visit(surface, self.stem(surface, &mut buf.stemmed));
         }
     }
 
     /// Clips and (if configured) stems one space-delimited piece of a
     /// normalized string.
     fn finish_token<'a>(&self, raw: &'a str, stemmed: &'a mut String) -> &'a str {
-        let clipped = if raw.len() > self.max_token_len {
-            // Truncate at a char boundary at or below the limit.
-            let mut end = self.max_token_len;
-            while !raw.is_char_boundary(end) {
-                end -= 1;
-            }
-            &raw[..end]
-        } else {
-            raw
-        };
+        self.stem(self.clip(raw), stemmed)
+    }
+
+    /// `raw` truncated to the length bound, at a char boundary at or
+    /// below it. Clipping comes before stemming: a long word's stem is
+    /// the stem of its clipped prefix.
+    fn clip<'a>(&self, raw: &'a str) -> &'a str {
+        if raw.len() <= self.max_token_len {
+            return raw;
+        }
+        let mut end = self.max_token_len;
+        while !raw.is_char_boundary(end) {
+            end -= 1;
+        }
+        &raw[..end]
+    }
+
+    /// `clipped` stemmed if this tokenizer stems, else as it is.
+    fn stem<'a>(&self, clipped: &'a str, stemmed: &'a mut String) -> &'a str {
         if self.stemming {
             stem_into(clipped, stemmed)
         } else {
@@ -181,6 +206,20 @@ mod tests {
         tok.for_each_token("d", &mut buf, |t| seen.push(t.to_owned()));
         tok.for_each_token(" -- ", &mut buf, |t| seen.push(t.to_owned()));
         assert_eq!(seen, ["battery", "case", "d"]);
+    }
+
+    #[test]
+    fn surface_walk_pairs_each_token_with_its_unstemmed_clip() {
+        let tok = TokenizerBuilder::new().stemming(true).max_token_len(7).build();
+        let mut buf = TokenBuf::default();
+        let mut seen = Vec::new();
+        tok.for_each_surface_token("Berries, boxes TOPAZIES", &mut buf, |surface, token| {
+            seen.push((surface.to_owned(), token.to_owned()))
+        });
+        // "topazies" clips to "topazie" first, so no `-ies → y` applies.
+        let want = [("berries", "berry"), ("boxes", "box"), ("topazie", "topazie")];
+        let want: Vec<(String, String)> = want.iter().map(|&(s, t)| (s.into(), t.into())).collect();
+        assert_eq!(seen, want);
     }
 
     #[test]

@@ -41,10 +41,14 @@ impl Vocab {
         Self::default()
     }
 
-    /// A vocabulary that takes `cap` strings without growing its id
-    /// buffers.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self { blob: String::new(), ends: Vec::with_capacity(cap), table: vec![EMPTY; slots_for(cap)] }
+    /// A vocabulary that takes `strings` strings of `bytes` bytes in all
+    /// without growing a buffer.
+    pub fn with_capacity(strings: usize, bytes: usize) -> Self {
+        Self {
+            blob: String::with_capacity(bytes),
+            ends: Vec::with_capacity(strings),
+            table: vec![EMPTY; slots_for(strings)],
+        }
     }
 
     /// The vocabulary whose strings are `blob` cut at `ends` — string
@@ -319,12 +323,13 @@ mod tests {
     #[test]
     fn with_capacity_takes_exactly_that_many_without_growing() {
         for n in [1usize, 4, 5, 64, 1000] {
-            let mut v = Vocab::with_capacity(n);
-            let (ends, table) = (v.ends.capacity(), v.table.len());
+            let bytes = (0..n).map(|i| i.to_string().len()).sum();
+            let mut v = Vocab::with_capacity(n, bytes);
+            let before = (v.blob.capacity(), v.ends.capacity(), v.table.len());
             for i in 0..n {
                 v.intern(i.to_string());
             }
-            assert_eq!((v.ends.capacity(), v.table.len()), (ends, table), "{n} strings");
+            assert_eq!((v.blob.capacity(), v.ends.capacity(), v.table.len()), before, "{n} strings");
         }
     }
 }
