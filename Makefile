@@ -1,11 +1,12 @@
-# Developer entry points. CI (.github/workflows/ci.yml) runs the same
-# four gates — build, test, doc, clippy — then the smokes and overhead
-# benches below; its named gates are test binaries `make test` runs
-# (the table above CI's Test step says which).
+# Developer entry points. `make ci` runs every step of CI
+# (.github/workflows/ci.yml) in CI's order: the four gates — build, test,
+# doc, clippy — then the two walkthrough examples, bench-smoke,
+# bench-contract, bench-overhead and report. CI's named gates are test
+# binaries `make test` runs (the table above CI's Test step says which).
 
 CARGO ?= cargo
 
-.PHONY: build test doc clippy bench-smoke bench-contract bench-pair bench bench-snapshot serve-smoke bench-tenancy bench-trace bench-history cluster-smoke report ci
+.PHONY: build test doc clippy bench-smoke bench-contract bench-pair bench bench-snapshot bench-tenancy bench-overhead report ci
 
 # Tier-1 gate, part 1.
 build:
@@ -53,31 +54,18 @@ bench-pair:
 bench-snapshot:
 	$(CARGO) bench -p graphex-bench --bench snapshot_lifecycle -- --test
 
-# Network-frontend smoke: boot `graphex serve --smoke` on an ephemeral
-# port, hit all four endpoints plus malformed-request probes, shut down
-# gracefully. Exits non-zero on any failed probe.
-serve-smoke:
-	$(CARGO) run --release -p graphex-cli --bin graphex -- serve --smoke
-
 # Multi-tenant serving: fleet cold-start latency and resident bytes at
 # 1/4/16 tenants, mmap vs heap snapshot backend (cold admit, evict-all,
 # page-cache-warm re-admit). Prints its measurements as JSON.
 bench-tenancy:
 	$(CARGO) run --release -p graphex-bench --bin tenancybench
 
-# Request tracing overhead: interleaved tracing-off / tracing-on /
-# slow-log-firing arms over loopback infer traffic; fails if the traced
-# arm is >5% slower than the baseline.
-bench-trace:
-	$(CARGO) run --release -p graphex-bench --bin tracebench -- \
-	  --requests 3000 --connections 4
-
-# Telemetry-history overhead: interleaved history-off / history-on arms
-# (the on arm sampling at 20x the production rate) over loopback infer
-# traffic; fails if the sampled arm is >1% slower than the baseline.
-bench-history:
-	$(CARGO) run --release -p graphex-bench --bin historybench -- \
-	  --requests 3000 --connections 4
+# Tracing and telemetry-history overhead: five interleaved arms of
+# loopback infer traffic (tracing off / on / slow-logging, history off /
+# on at 20x the production sampling rate); fails if traced serving is
+# >5% or sampled serving >1% slower than its untraced / unsampled arm.
+bench-overhead:
+	$(CARGO) run --release -p graphex-bench --bin overheadbench
 
 # The observability report: one run document written by the repo
 # benchmark itself (a --smoke edge_hot run with --trace 1, so the writer
@@ -91,14 +79,12 @@ report:
 	$(CARGO) run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload edge_hot --seed 1 --seconds 1 --trace 1 --smoke --out target/report-bench/edge_hot.json >/dev/null
 	$(CARGO) run --release -p graphex-cli --bin graphex -- report --out report.html --bench-dir target/report-bench
 
-# Cluster smoke: build -> per-shard snapshots -> 3 backends + router,
-# then the sharded≡monolith, rolling-swap zero-5xx, and health gates.
-cluster-smoke:
-	$(CARGO) run --release -p graphex-cli --bin graphex -- cluster smoke
-
 # The real (wall-clock) bench suite.
 bench:
 	$(CARGO) bench -p graphex-bench
 
-# Everything CI checks, in CI order.
+# Everything CI runs, in CI's order.
 ci: build test doc clippy
+	$(CARGO) run --release -p graphex-suite --example seller_onboarding
+	$(CARGO) run --release -p graphex-suite --example model_ops
+	$(MAKE) bench-smoke bench-contract bench-overhead report

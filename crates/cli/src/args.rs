@@ -18,7 +18,6 @@ const SWITCHES: &[&str] = &[
     "stdin",
     "outcome",
     "invalidate-on-swap",
-    "smoke",
     "json",
     "strict",
     "heap",

@@ -1,42 +1,28 @@
 //! `graphex cluster <verb>` — local scale-out cluster operations.
 //!
 //! ```text
-//! graphex cluster up    --root <cluster dir> [--addr host:port] [--k N]
-//!                       [--workers N] [--poll-ms N]
-//! graphex cluster smoke [--shards N] [--clients N]
+//! graphex cluster up --root <cluster dir> [--addr host:port] [--k N]
+//!                    [--workers N] [--poll-ms N]
 //! ```
 //!
 //! `up` boots one backend per `<root>/shard-<i>` registry (as produced by
 //! `graphex build --shards N --publish <root>`) plus the scatter-gather
 //! router, then polls each registry's `CURRENT` so cross-process
 //! publishes roll through the cluster one shard at a time.
-//!
-//! `smoke` is the self-contained CI gate: build a corpus, emit per-shard
-//! snapshots, boot backends + router on ephemeral ports, check that the
-//! sharded cluster answers **identically to the monolith**, then replay
-//! the zero-5xx hot-swap gate cluster-wide — a rolling publish of the
-//! next corpus generation under concurrent keep-alive traffic.
 
 use crate::args::ParsedArgs;
-use graphex_core::{Engine, GraphExConfig, InferRequest};
-use graphex_marketsim::{CategorySpec, ChurnCorpus};
-use graphex_pipeline::{build, BuildOutput, BuildPlan, MarketsimSource, BUILDINFO_FILE};
-use graphex_server::{ClusterConfig, HttpClient, LocalCluster, RouterConfig, ServerConfig};
-use std::fmt::Write as _;
+use graphex_server::{ClusterConfig, LocalCluster, RouterConfig, ServerConfig};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Dispatches a `cluster` sub-verb (positional, like `model`).
 pub fn run(argv: &[String]) -> Result<String, String> {
     let (verb, rest) =
-        argv.split_first().ok_or_else(|| "cluster: missing verb (up|smoke)".to_string())?;
+        argv.split_first().ok_or_else(|| "cluster: missing verb (up)".to_string())?;
     let args = ParsedArgs::parse(rest)?;
     match verb.as_str() {
         "up" => up(&args),
-        "smoke" => smoke(&args),
-        other => Err(format!("cluster: unknown verb {other:?} (up|smoke)")),
+        other => Err(format!("cluster: unknown verb {other:?} (up)")),
     }
 }
 
@@ -116,268 +102,6 @@ fn up(args: &ParsedArgs) -> Result<String, String> {
             }
         }
     }
-}
-
-/// Builds generation `generation` of the smoke corpus.
-fn smoke_build(corpus: &ChurnCorpus) -> Result<BuildOutput, String> {
-    let mut config = GraphExConfig::default();
-    config.curation.min_search_count = 2;
-    let plan = BuildPlan::new(config).jobs(2);
-    build(&plan, vec![Box::new(MarketsimSource::new(corpus))]).map_err(|e| format!("build: {e}"))
-}
-
-fn smoke(args: &ParsedArgs) -> Result<String, String> {
-    let shards = args.get_num::<u32>("shards", 3)?.max(1);
-    let clients = args.get_num::<usize>("clients", 3)?.max(1);
-    let dir =
-        std::env::temp_dir().join(format!("graphex-cluster-smoke-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut out = String::new();
-
-    // Generation 0: monolith build → per-shard snapshots → registries.
-    let spec = CategorySpec {
-        name: "CLUSTER".into(),
-        seed: args.get_num::<u64>("seed", 11)?,
-        num_leaves: 24,
-        products_per_leaf: 8,
-        num_items: 400,
-        num_sessions: 2_500,
-        leaf_id_base: 5_000,
-    };
-    let mut corpus = ChurnCorpus::new(spec, 0.05);
-    let output = smoke_build(&corpus)?;
-    let snapshots = output.emit_shards(shards).map_err(|e| format!("emit shards: {e}"))?;
-    graphex_pipeline::publish_shards(&snapshots, &dir, "smoke gen0")
-        .map_err(|e| format!("publish shards: {e}"))?;
-    let _ = writeln!(
-        out,
-        "gen0: {} leaves across {shards} shard(s) under {}",
-        output.model.leaf_ids().count(),
-        dir.display()
-    );
-
-    let roots: Vec<PathBuf> =
-        (0..shards).map(|i| graphex_pipeline::shard_root(&dir, i)).collect();
-    let config = ClusterConfig {
-        router: RouterConfig { addr: "127.0.0.1:0".into(), ..Default::default() },
-        ..Default::default()
-    };
-    let cluster =
-        LocalCluster::boot(&roots, &config).map_err(|e| format!("cluster boot: {e}"))?;
-    let addr = cluster.router_addr();
-    let _ = writeln!(out, "router on http://{addr}, {} backend(s)", cluster.backends().len());
-
-    let result = smoke_gates(&cluster, &mut corpus, &output, clients, &mut out);
-    let errors = cluster.server_errors();
-    let degraded = cluster.router().degraded();
-    cluster.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-    result?;
-    if errors > 0 {
-        return Err(format!("zero-5xx gate failed: {errors} server error(s) during the roll"));
-    }
-    if degraded > 0 {
-        return Err(format!("roll degraded {degraded} request(s) to backend_unavailable"));
-    }
-    let _ = writeln!(out, "zero-5xx gate: ok (0 server errors, 0 degraded)");
-    let _ = writeln!(out, "cluster smoke: all gates passed");
-    Ok(out)
-}
-
-fn smoke_gates(
-    cluster: &LocalCluster,
-    corpus: &mut ChurnCorpus,
-    gen0: &BuildOutput,
-    clients: usize,
-    out: &mut String,
-) -> Result<(), String> {
-    let addr = cluster.router_addr();
-    let io = |e: std::io::Error| format!("smoke client: {e}");
-
-    // Gate 1: sharded ≡ monolith. Every probed item must come back from
-    // the cluster with exactly the keyphrases the monolithic engine
-    // produces (compared as texts — keyphrase ids are vocab-local).
-    let engine = Engine::new(Arc::new(gen0.model.clone()));
-    let mut client = HttpClient::connect(addr).map_err(io)?;
-    let mut checked = 0usize;
-    for item in corpus.marketplace().items.iter().take(60) {
-        let request = InferRequest::new(&item.title, item.leaf).k(10);
-        let want: Vec<String> = engine
-            .infer(&request)
-            .predictions
-            .iter()
-            .map(|p| engine.model().keyphrase_text(p.keyphrase).unwrap().to_string())
-            .collect();
-        let body = graphex_server::Json::obj(vec![
-            ("title", graphex_server::Json::str(item.title.clone())),
-            ("leaf", graphex_server::Json::uint(u64::from(item.leaf.0))),
-            ("k", graphex_server::Json::uint(10)),
-        ])
-        .render();
-        let response = client.post_json("/v1/infer", &body).map_err(io)?;
-        if response.status != 200 {
-            return Err(format!("router answered HTTP {} for {:?}", response.status, item.title));
-        }
-        let parsed = graphex_server::json::parse(&response.text())
-            .map_err(|e| format!("router payload: {e}"))?;
-        let got: Vec<String> = parsed
-            .get("keyphrases")
-            .and_then(|k| k.as_arr())
-            .map(|arr| {
-                arr.iter().filter_map(|k| k.as_str().map(str::to_string)).collect()
-            })
-            .unwrap_or_default();
-        if got != want {
-            return Err(format!(
-                "sharded ≠ monolith for {:?} (leaf {}): cluster {got:?}, monolith {want:?}",
-                item.title, item.leaf.0
-            ));
-        }
-        checked += 1;
-    }
-    let _ = writeln!(out, "sharded ≡ monolith: {checked} items identical");
-
-    // Gate 2: rolling hot-swap under concurrent keep-alive traffic.
-    let stop = Arc::new(AtomicBool::new(false));
-    let sent = Arc::new(AtomicU64::new(0));
-    let titles: Vec<(String, u32)> = corpus
-        .marketplace()
-        .items
-        .iter()
-        .take(40)
-        .map(|item| (item.title.clone(), item.leaf.0))
-        .collect();
-    let workers: Vec<_> = (0..clients)
-        .map(|worker| {
-            let stop = Arc::clone(&stop);
-            let sent = Arc::clone(&sent);
-            let titles = titles.clone();
-            std::thread::spawn(move || -> Result<(), String> {
-                let mut client = None;
-                let mut i = worker;
-                while !stop.load(Ordering::Relaxed) {
-                    let connected = match client.take() {
-                        Some(c) => c,
-                        None => HttpClient::connect(addr).map_err(|e| e.to_string())?,
-                    };
-                    let mut c = connected;
-                    let (title, leaf) = &titles[i % titles.len()];
-                    let body = format!(r#"{{"title":{:?},"leaf":{leaf},"k":5}}"#, title);
-                    let response = c.post_json("/v1/infer", &body).map_err(|e| e.to_string())?;
-                    if response.status >= 500 {
-                        return Err(format!("HTTP {} during the roll", response.status));
-                    }
-                    // The edge closes keep-alive at its cap; reconnect then.
-                    let closed = response
-                        .header("connection")
-                        .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-                    if !closed {
-                        client = Some(c);
-                    }
-                    sent.fetch_add(1, Ordering::Relaxed);
-                    i += 1;
-                }
-                Ok(())
-            })
-        })
-        .collect();
-
-    corpus.advance_to(1);
-    let gen1 = smoke_build(corpus)?;
-    let shards = cluster.backends().len() as u32;
-    let next = gen1.emit_shards(shards).map_err(|e| format!("emit gen1: {e}"))?;
-    let payloads: Vec<graphex_server::ShardPayload> = next
-        .iter()
-        .map(|s| {
-            (
-                s.bytes.to_vec(),
-                vec![(BUILDINFO_FILE.to_string(), s.manifest.render().into_bytes())],
-            )
-        })
-        .collect();
-    let rolled = cluster
-        .rolling_publish(&payloads, "smoke gen1", Duration::from_secs(10))
-        .map_err(|e| format!("rolling publish: {e}"));
-    std::thread::sleep(Duration::from_millis(300));
-    stop.store(true, Ordering::Relaxed);
-    let mut failures = Vec::new();
-    for worker in workers {
-        if let Err(e) = worker.join().map_err(|_| "client panicked".to_string())? {
-            failures.push(e);
-        }
-    }
-    rolled?;
-    if let Some(first) = failures.first() {
-        return Err(format!("{} client(s) failed during the roll (first: {first})", failures.len()));
-    }
-    let _ = writeln!(
-        out,
-        "rolling swap: {} requests served across the roll, every backend on gen1",
-        sent.load(Ordering::Relaxed)
-    );
-
-    // Gate 3: the router's own /statusz sees every backend healthy.
-    let mut client = HttpClient::connect(addr).map_err(io)?;
-    let status = client.get("/statusz").map_err(io)?;
-    if status.status != 200 {
-        return Err(format!("GET /statusz: HTTP {}", status.status));
-    }
-    let parsed = graphex_server::json::parse(&status.text())
-        .map_err(|e| format!("statusz payload: {e}"))?;
-    let backends = parsed
-        .get("backends")
-        .and_then(|b| b.as_arr())
-        .ok_or("statusz missing backends table")?;
-    for backend in backends {
-        if backend.get("state").and_then(|s| s.as_str()) != Some("healthy") {
-            return Err(format!("unhealthy backend after the roll: {}", backend.render()));
-        }
-    }
-    let _ = writeln!(out, "router /statusz: {} backend(s) healthy", backends.len());
-
-    // Gate 4: the telemetry-history ring is live on every node. Force a
-    // sample cluster-wide, then probe `/debug/history` on the router
-    // (router-shaped series) and on each backend (serving series).
-    cluster.sample_history_now();
-    let history = client.get("/debug/history").map_err(io)?;
-    if history.status != 200 {
-        return Err(format!("router GET /debug/history: HTTP {}", history.status));
-    }
-    let parsed = graphex_server::json::parse(&history.text())
-        .map_err(|e| format!("router debug/history payload: {e}"))?;
-    if parsed.get("samples").and_then(|v| v.as_u64()).unwrap_or(0) == 0 {
-        return Err(format!("router history holds no samples: {}", history.text()));
-    }
-    for key in ["router/requests_in", "router/backends_healthy"] {
-        if parsed.get("series").and_then(|s| s.get(key)).is_none() {
-            return Err(format!("router history missing {key} series: {}", history.text()));
-        }
-    }
-    for backend in cluster.backends() {
-        let mut client = HttpClient::connect(backend.addr()).map_err(io)?;
-        let history = client.get("/debug/history").map_err(io)?;
-        if history.status != 200 {
-            return Err(format!(
-                "shard {} GET /debug/history: HTTP {}",
-                backend.shard, history.status
-            ));
-        }
-        let parsed = graphex_server::json::parse(&history.text())
-            .map_err(|e| format!("shard {} debug/history payload: {e}", backend.shard))?;
-        if parsed.get("series").and_then(|s| s.get("serve/requests")).is_none() {
-            return Err(format!(
-                "shard {} history missing serve/requests series: {}",
-                backend.shard,
-                history.text()
-            ));
-        }
-    }
-    let _ = writeln!(
-        out,
-        "telemetry history: router + {} backend(s) sampling",
-        cluster.backends().len()
-    );
-    Ok(())
 }
 
 #[cfg(test)]

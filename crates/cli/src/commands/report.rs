@@ -4,15 +4,18 @@
 //! server's `/debug/history` ring and `/debug/traces` flight
 //! recorder, and a judged evaluation run (RP/HP + top-k
 //! diversity). With `--server` the live sections come from a running
-//! deployment; without it the command boots the same in-process demo
-//! server the serve smoke uses, drives traffic, and samples it — so CI
-//! produces a page with real sparklines and waterfalls on every run.
+//! deployment; without it the command boots an in-process demo server,
+//! drives traffic, and samples it — so CI produces a page with real
+//! sparklines and waterfalls on every run.
 
 use crate::args::ParsedArgs;
+use graphex_core::{GraphExBuilder, GraphExConfig, KeyphraseRecord, LeafId};
 use graphex_report::{run_eval, BenchDoc, ReportInputs};
 use graphex_server::json::Json;
 use graphex_server::{HttpClient, ServerConfig};
+use graphex_serving::{KvStore, OverlayStore, ServingApi};
 use std::path::Path;
+use std::sync::Arc;
 
 pub fn run(args: &ParsedArgs) -> Result<String, String> {
     let out_path = args.get("out").unwrap_or("report.html").to_string();
@@ -76,12 +79,29 @@ fn capture_from(addr: &str) -> Result<(Option<Json>, Option<Json>), String> {
     Ok((history, traces))
 }
 
+/// A small servable model (no files needed), with an overlay attached so
+/// the captured history carries the `overlay/*` series too.
+fn demo_api() -> Result<Arc<ServingApi>, String> {
+    let mut config = GraphExConfig::default();
+    config.curation.min_search_count = 0;
+    let model = GraphExBuilder::new(config)
+        .add_records((0..8u32).map(|i| {
+            KeyphraseRecord::new(format!("acme widget model{i}"), LeafId(i % 2), 50 + i, 5)
+        }))
+        .build()
+        .map_err(|e| format!("demo model: {e}"))?;
+    Ok(Arc::new(
+        ServingApi::new(Arc::new(model), Arc::new(KvStore::new()), 10)
+            .with_overlay(Arc::new(OverlayStore::new())),
+    ))
+}
+
 /// Boots the demo server on an ephemeral port, drives a few batches of
 /// infer traffic with a forced history sample between batches (so the
 /// sparklines have a real trajectory), captures both debug surfaces,
 /// and shuts down.
 fn capture_in_process() -> Result<(Option<Json>, Option<Json>), String> {
-    let api = super::serve::demo_api()?;
+    let api = demo_api()?;
     let config = ServerConfig { addr: "127.0.0.1:0".into(), ..Default::default() };
     let server = graphex_server::start(config, api).map_err(|e| format!("bind: {e}"))?;
     let addr = server.addr().to_string();

@@ -6,29 +6,19 @@
 //! fleet root (`--tenants`, path-multiplexed: `POST /v1/t/<name>/infer`
 //! per tenant, `--resident N` caps how many are loaded at once, and one
 //! poll loop hot-swaps every resident tenant).
-//!
-//! `--smoke` boots on an ephemeral port with a built-in demo model, runs
-//! a client against all four endpoints (including malformed-request
-//! probes), shuts down gracefully, and reports — the self-contained CI
-//! gate behind `make serve-smoke`.
 
 use crate::args::ParsedArgs;
 use graphex_core::serialize::LoadMode;
-use graphex_core::{Engine, GraphExBuilder, GraphExConfig, KeyphraseRecord, LeafId};
+use graphex_core::Engine;
 use graphex_serving::{
     FleetConfig, KvStore, ModelRegistry, ModelWatch, OverlayStore, ServingApi, SwapPolicy,
     TenantFleet, DEFAULT_OVERLAY_CAP_BYTES,
 };
-use graphex_server::{HistoryConfig, HttpClient, ServerConfig, TraceConfig};
-use std::fmt::Write as _;
+use graphex_server::{HistoryConfig, ServerConfig, TraceConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
 pub fn run(args: &ParsedArgs) -> Result<String, String> {
-    if args.switch("smoke") {
-        return smoke();
-    }
-
     let config = config_from(args)?;
     let default_k = args.get_num::<usize>("k", 10)?;
     let policy = if args.switch("invalidate-on-swap") {
@@ -70,6 +60,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
         api = api.with_overlay(Arc::new(OverlayStore::with_cap(cap)));
     }
     let api = Arc::new(api);
+    let debug = debug_endpoints(&config);
     let server = graphex_server::start(config, Arc::clone(&api))
         .map_err(|e| format!("bind {}: {e}", args.get("addr").unwrap_or("127.0.0.1:7878")))?;
     println!(
@@ -77,7 +68,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
         server.addr(),
         api.stats().snapshot_version
     );
-    println!("endpoints: POST /v1/infer  GET /healthz  GET /statusz  GET /metrics");
+    println!("endpoints: POST /v1/infer  GET /healthz  GET /statusz  GET /metrics{debug}");
     if overlay {
         println!(
             "overlay (NRT writes): POST /v1/upsert  GET /v1/overlay/journal  POST /v1/overlay/drain"
@@ -132,6 +123,7 @@ fn serve_fleet(
             .map_err(|e| format!("open fleet {tenants_root}: {e}"))?,
     );
     let names = fleet.names();
+    let debug = debug_endpoints(&config);
     let server = graphex_server::start_fleet(config, Arc::clone(&fleet))
         .map_err(|e| format!("bind {}: {e}", args.get("addr").unwrap_or("127.0.0.1:7878")))?;
     println!(
@@ -143,7 +135,7 @@ fn serve_fleet(
     );
     println!("tenants: {}", if names.is_empty() { "(none yet)".into() } else { names.join(", ") });
     println!(
-        "endpoints: POST /v1/t/<tenant>/infer  POST /v1/infer (tenant {:?})  GET /healthz  GET /statusz  GET /metrics",
+        "endpoints: POST /v1/t/<tenant>/infer  POST /v1/infer (tenant {:?})  GET /healthz  GET /statusz  GET /metrics{debug}",
         fleet.default_tenant()
     );
     if fleet.config().overlay {
@@ -162,6 +154,19 @@ fn serve_fleet(
             }
         }
     }
+}
+
+/// The `/debug/*` surfaces `config` leaves on, for the startup banner
+/// (`--no-trace` / `--no-history` turn them into 404s).
+fn debug_endpoints(config: &ServerConfig) -> String {
+    let mut out = String::new();
+    if config.trace.enabled {
+        out.push_str("  GET /debug/traces");
+    }
+    if config.history.enabled {
+        out.push_str("  GET /debug/history");
+    }
+    out
 }
 
 fn config_from(args: &ParsedArgs) -> Result<ServerConfig, String> {
@@ -201,280 +206,4 @@ fn config_from(args: &ParsedArgs) -> Result<ServerConfig, String> {
         trace,
         history,
     })
-}
-
-/// A small servable model for the smoke check (no files needed). The
-/// overlay is attached so the smoke run exercises the NRT write path.
-/// `graphex report` reuses it to capture live history/trace sections
-/// without a running deployment.
-pub(crate) fn demo_api() -> Result<Arc<ServingApi>, String> {
-    let mut config = GraphExConfig::default();
-    config.curation.min_search_count = 0;
-    let model = GraphExBuilder::new(config)
-        .add_records((0..8u32).map(|i| {
-            KeyphraseRecord::new(format!("acme widget model{i}"), LeafId(i % 2), 50 + i, 5)
-        }))
-        .build()
-        .map_err(|e| format!("demo model: {e}"))?;
-    Ok(Arc::new(
-        ServingApi::new(Arc::new(model), Arc::new(KvStore::new()), 10)
-            .with_overlay(Arc::new(OverlayStore::new())),
-    ))
-}
-
-/// Boot → probe all endpoints → graceful shutdown. Any failed probe is a
-/// hard error (non-zero exit through `dispatch`). Runs twice: once over
-/// a single-api backend, once over a temp-dir tenant fleet, so the
-/// history/trace surfaces are proven in both backend modes.
-fn smoke() -> Result<String, String> {
-    let api = demo_api()?;
-    let config = ServerConfig { addr: "127.0.0.1:0".into(), ..Default::default() };
-    let server = graphex_server::start(config, api).map_err(|e| format!("bind: {e}"))?;
-    let addr = server.addr();
-    let mut out = String::new();
-    let _ = writeln!(out, "smoke server on http://{addr}");
-
-    let result = smoke_probes(addr, &mut out).and_then(|()| {
-        // The traffic above is in the counters; force a sample so the
-        // history probes don't wait out the 1s interval.
-        server.sample_history_now();
-        history_probes(addr, &mut out)
-    });
-    server.shutdown();
-    let _ = writeln!(out, "graceful shutdown: ok");
-    result?;
-
-    smoke_fleet(&mut out)?;
-    let _ = writeln!(out, "serve smoke: all probes passed");
-    Ok(out)
-}
-
-/// Fleet-mode smoke: a temp-dir fleet with one tenant, probed for the
-/// same history surfaces the single-mode server answers.
-fn smoke_fleet(out: &mut String) -> Result<(), String> {
-    let root = std::env::temp_dir()
-        .join(format!("graphex-serve-smoke-fleet-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let fleet = TenantFleet::open(&root, FleetConfig::default())
-        .map_err(|e| format!("smoke fleet open: {e}"))?;
-    let mut config = GraphExConfig::default();
-    config.curation.min_search_count = 0;
-    let model = GraphExBuilder::new(config)
-        .add_records(
-            (0..4u32).map(|i| KeyphraseRecord::new(format!("fleet widget {i}"), LeafId(1), 50, 5)),
-        )
-        .build()
-        .map_err(|e| format!("smoke fleet model: {e}"))?;
-    fleet
-        .publish_model("default", &model, "smoke")
-        .map_err(|e| format!("smoke fleet publish: {e}"))?;
-    let server = graphex_server::start_fleet(
-        ServerConfig { addr: "127.0.0.1:0".into(), ..Default::default() },
-        Arc::new(fleet),
-    )
-    .map_err(|e| format!("smoke fleet bind: {e}"))?;
-    let addr = server.addr();
-    let _ = writeln!(out, "smoke fleet server on http://{addr}");
-
-    let io = |e: std::io::Error| format!("smoke fleet client: {e}");
-    let mut client = HttpClient::connect(addr).map_err(io)?;
-    let infer = client
-        .post_json("/v1/t/default/infer", r#"{"title":"fleet widget 1","leaf":1,"k":3}"#)
-        .map_err(io)?;
-    expect(out, "POST /v1/t/default/infer (fleet)", infer.status, 200)?;
-    drop(client);
-    server.sample_history_now();
-    let result = history_probes(addr, out).and_then(|()| {
-        // Fleet samples must carry per-tenant series.
-        let mut client = HttpClient::connect(addr).map_err(io)?;
-        let history = client.get("/debug/history?series=tenant/default").map_err(io)?;
-        let parsed = graphex_server::json::parse(&history.text())
-            .map_err(|e| format!("fleet debug/history is not JSON: {e}"))?;
-        let has_tenant_series = parsed
-            .get("series")
-            .and_then(|s| s.get("tenant/default/serve/requests"))
-            .is_some();
-        if !has_tenant_series {
-            return Err(format!(
-                "fleet history missing per-tenant series: {}",
-                history.text()
-            ));
-        }
-        let _ = writeln!(out, "fleet per-tenant history series: ok");
-        Ok(())
-    });
-    server.shutdown();
-    std::fs::remove_dir_all(&root).ok();
-    result
-}
-
-/// Probes `GET /debug/history` and the `/statusz` history block; the
-/// caller has already driven traffic and forced a sample.
-fn history_probes(addr: std::net::SocketAddr, out: &mut String) -> Result<(), String> {
-    let io = |e: std::io::Error| format!("smoke client: {e}");
-    let mut client = HttpClient::connect(addr).map_err(io)?;
-    let history = client.get("/debug/history").map_err(io)?;
-    expect(out, "GET /debug/history", history.status, 200)?;
-    if history.header("content-type") != Some("application/json") {
-        return Err(format!(
-            "debug/history content-type: {:?}",
-            history.header("content-type")
-        ));
-    }
-    let parsed = graphex_server::json::parse(&history.text())
-        .map_err(|e| format!("debug/history is not JSON: {e}"))?;
-    let samples = parsed.get("samples").and_then(|v| v.as_u64()).unwrap_or(0);
-    if samples == 0 {
-        return Err(format!("debug/history holds no samples: {}", history.text()));
-    }
-    if parsed.get("series").and_then(|s| s.get("http/requests")).is_none() {
-        return Err(format!("debug/history missing http/requests series: {}", history.text()));
-    }
-
-    let status = client.get("/statusz").map_err(io)?;
-    expect(out, "GET /statusz (history block)", status.status, 200)?;
-    let stats = graphex_server::json::parse(&status.text())
-        .map_err(|e| format!("statusz is not JSON: {e}"))?;
-    let block = stats.get("history").ok_or("statusz missing history block")?;
-    if block.get("sparklines").is_none() {
-        return Err(format!("statusz history block missing sparklines: {}", status.text()));
-    }
-    Ok(())
-}
-
-fn smoke_probes(addr: std::net::SocketAddr, out: &mut String) -> Result<(), String> {
-    let io = |e: std::io::Error| format!("smoke client: {e}");
-    let mut client = HttpClient::connect(addr).map_err(io)?;
-
-    let health = client.get("/healthz").map_err(io)?;
-    expect(out, "GET /healthz", health.status, 200)?;
-
-    let single = client
-        .post_json("/v1/infer", r#"{"title":"acme widget model3","leaf":1,"k":5,"id":42}"#)
-        .map_err(io)?;
-    expect(out, "POST /v1/infer (single)", single.status, 200)?;
-    if single.header("x-graphex-trace").is_none() {
-        return Err("infer response missing x-graphex-trace header".into());
-    }
-    let body = graphex_server::json::parse(&single.text())
-        .map_err(|e| format!("infer response is not JSON: {e}"))?;
-    match body.get("keyphrases").and_then(|k| k.as_arr()) {
-        Some(keyphrases) if !keyphrases.is_empty() => {}
-        _ => return Err(format!("infer returned no keyphrases: {}", single.text())),
-    }
-    if body.get("trace_id").and_then(|v| v.as_str()).is_none() {
-        return Err(format!("infer response missing trace_id: {}", single.text()));
-    }
-
-    let batch = client
-        .post_json(
-            "/v1/infer",
-            r#"{"requests":[{"title":"acme widget model0","leaf":0},{"title":"acme widget model1","leaf":1}]}"#,
-        )
-        .map_err(io)?;
-    expect(out, "POST /v1/infer (batch)", batch.status, 200)?;
-
-    let status = client.get("/statusz").map_err(io)?;
-    expect(out, "GET /statusz", status.status, 200)?;
-    let stats = graphex_server::json::parse(&status.text())
-        .map_err(|e| format!("statusz is not JSON: {e}"))?;
-    for key in ["snapshot_version", "in_flight", "shed", "deadline_exceeded"] {
-        if stats.get(key).and_then(|v| v.as_u64()).is_none() {
-            return Err(format!("statusz missing {key:?}: {}", status.text()));
-        }
-    }
-    for key in ["latency", "trace"] {
-        if stats.get(key).is_none() {
-            return Err(format!("statusz missing {key:?} block: {}", status.text()));
-        }
-    }
-    let recorded = stats
-        .get("trace")
-        .and_then(|t| t.get("recorded"))
-        .and_then(|v| v.as_u64())
-        .unwrap_or(0);
-    if recorded == 0 {
-        return Err(format!("statusz trace block recorded nothing: {}", status.text()));
-    }
-
-    // The flight recorder: the traced requests above must be retrievable.
-    let traces = client.get("/debug/traces").map_err(io)?;
-    expect(out, "GET /debug/traces", traces.status, 200)?;
-    let recorder = graphex_server::json::parse(&traces.text())
-        .map_err(|e| format!("debug/traces is not JSON: {e}"))?;
-    match recorder.get("traces").and_then(|t| t.as_arr()) {
-        Some(records) if !records.is_empty() => {
-            for record in records {
-                if record.get("id").and_then(|v| v.as_str()).is_none()
-                    || record.get("spans").and_then(|s| s.as_arr()).is_none()
-                {
-                    return Err(format!("malformed trace record: {}", record.render()));
-                }
-            }
-        }
-        _ => return Err(format!("debug/traces holds no records: {}", traces.text())),
-    }
-
-    // The NRT write path: upsert a brand-new leaf, serve it on the very
-    // next request, export the journal, drain it.
-    let upsert = client
-        .post_json("/v1/upsert", r#"{"text":"acme overlay onboard","leaf":99,"search":70,"recall":5}"#)
-        .map_err(io)?;
-    expect(out, "POST /v1/upsert", upsert.status, 200)?;
-    let served = client
-        .post_json("/v1/infer", r#"{"title":"acme overlay onboard","leaf":99,"k":3}"#)
-        .map_err(io)?;
-    expect(out, "POST /v1/infer (upserted leaf)", served.status, 200)?;
-    let body = graphex_server::json::parse(&served.text())
-        .map_err(|e| format!("infer response is not JSON: {e}"))?;
-    let servable = body
-        .get("keyphrases")
-        .and_then(|k| k.as_arr())
-        .is_some_and(|k| k.iter().any(|p| p.as_str() == Some("acme overlay onboard")));
-    if !servable {
-        return Err(format!("upserted phrase not servable: {}", served.text()));
-    }
-    let journal = client.get("/v1/overlay/journal").map_err(io)?;
-    expect(out, "GET /v1/overlay/journal", journal.status, 200)?;
-    if !journal.text().contains("acme overlay onboard") {
-        return Err("journal export missing the upserted record".into());
-    }
-    let drained = client.post_json("/v1/overlay/drain", r#"{"upto":1}"#).map_err(io)?;
-    expect(out, "POST /v1/overlay/drain", drained.status, 200)?;
-
-    let metrics = client.get("/metrics").map_err(io)?;
-    expect(out, "GET /metrics", metrics.status, 200)?;
-    if !metrics.text().contains("graphex_http_requests_total") {
-        return Err("metrics missing graphex_http_requests_total".into());
-    }
-    if !metrics.text().contains("graphex_overlay_depth") {
-        return Err("metrics missing graphex_overlay_depth".into());
-    }
-    if !metrics.text().contains("graphex_stage_latency_seconds") {
-        return Err("metrics missing graphex_stage_latency_seconds".into());
-    }
-
-    // Malformed traffic must map to 4xx, not a hang or panic. Each probe
-    // uses a fresh connection (the server closes after an error).
-    for (label, expected, probe) in [
-        ("bad JSON", 400, ("/v1/infer", Some("not json"))),
-        ("unknown path", 404, ("/nope", None)),
-        ("wrong method", 405, ("/healthz", Some("{}"))),
-    ] {
-        let mut c = HttpClient::connect(addr).map_err(io)?;
-        let response = match probe {
-            (path, Some(body)) => c.post_json(path, body).map_err(io)?,
-            (path, None) => c.get(path).map_err(io)?,
-        };
-        expect(out, label, response.status, expected)?;
-    }
-    Ok(())
-}
-
-fn expect(out: &mut String, what: &str, got: u16, want: u16) -> Result<(), String> {
-    if got != want {
-        return Err(format!("{what}: expected HTTP {want}, got {got}"));
-    }
-    let _ = writeln!(out, "{what}: {got} ok");
-    Ok(())
 }

@@ -36,9 +36,10 @@ pub fn usage() -> &'static str {
                    [--resident N] [--default-tenant <name>] [--heap]
                    [--addr host:port] [--workers N] [--queue N] [--k N]
                    [--deadline-ms N] [--max-body BYTES] [--poll-ms N]
-                   [--invalidate-on-swap] [--smoke]
+                   [--invalidate-on-swap]
                    [--overlay [--overlay-cap-bytes N]]
                    [--no-trace] [--trace-ring N] [--trace-slow-ms N]
+                   [--no-history] [--history-interval-ms N] [--history-ring N]
   graphex overlay  status  --server <host:port> [--name <tenant>]
   graphex overlay  apply   --server <host:port> --input <records.tsv[,more…]>
                            [--name <tenant>] [--batch N]
@@ -58,9 +59,8 @@ pub fn usage() -> &'static str {
   graphex report   [--out <report.html>] [--bench-dir <dir>]
                    [--server <host:port> | --no-live]
                    [--no-eval] [--eval-items N] [--eval-seed N]
-  graphex cluster  up    --root <cluster dir> [--addr host:port] [--k N]
-                         [--workers N] [--poll-ms N]
-  graphex cluster  smoke [--shards N] [--clients N] [--seed N]
+  graphex cluster  up --root <cluster dir> [--addr host:port] [--k N]
+                      [--workers N] [--poll-ms N]
 
 build --shards N + --publish <dir> emits per-shard registries under
 <dir>/shard-<i> for `graphex cluster up` / `graphex route`.
@@ -76,7 +76,7 @@ pub fn dispatch(argv: &[String]) -> Result<String, String> {
         return commands::model::run(rest);
     }
     if command == "cluster" {
-        // `cluster` too (up|smoke).
+        // `cluster` too (up).
         return commands::cluster::run(rest);
     }
     if command == "tenant" {
@@ -122,6 +122,10 @@ mod tests {
     fn help_prints_usage() {
         let out = dispatch(&argv(&["help"])).unwrap();
         assert!(out.contains("graphex build"));
+        // Every flag `serve` reads is advertised.
+        for flag in ["--no-history", "--history-interval-ms", "--history-ring"] {
+            assert!(out.contains(flag), "usage omits {flag}");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Minimal blocking HTTP/1.1 client for loopback tooling: the smoke
-//! check, the overhead benches, `graphex stats --server`, and the suite's
+//! Minimal blocking HTTP/1.1 client for loopback tooling: `graphex
+//! report`, the overhead bench, `graphex stats --server`, and the suite's
 //! integration tests — and the router's backend connections, which use the
 //! crate-private split `send` / `recv` pair to have a request in flight on
 //! several connections at once. Keep-alive by default; one

@@ -152,7 +152,7 @@ impl LocalCluster {
     }
 
     /// Takes one history sample on the router and every backend at once
-    /// (tests and smoke gates don't wait out the sampler interval).
+    /// (tests don't wait out the sampler interval).
     pub fn sample_history_now(&self) {
         self.router.sample_history_now();
         for backend in &self.backends {

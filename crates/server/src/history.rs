@@ -23,7 +23,7 @@
 //!
 //! Overhead: the hot path never touches this module. Sampling reads the
 //! same atomics `/metrics` reads, once per interval, on a dedicated
-//! thread; the `historybench` gate pins the cost below 1% of serving
+//! thread; the `overheadbench` gate pins the cost below 1% of serving
 //! throughput.
 
 use crate::json::Json;

@@ -31,7 +31,7 @@
 //! (Prometheus text). The JSON codec ([`json`]) and the HTTP wire format
 //! ([`http`]) are hand-rolled minimal modules — the workspace is hermetic,
 //! so no serde/hyper — and [`client`] is the matching blocking client used
-//! by the smoke check, the overhead benches, and `graphex stats --server`.
+//! by the integration tests, the overhead bench, and `graphex stats --server`.
 //!
 //! ```no_run
 //! use graphex_serving::{KvStore, ServingApi};

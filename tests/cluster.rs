@@ -8,7 +8,8 @@
 //!   cross-shard batch envelopes alike;
 //! * **zero 5xx across a rolling cluster-wide hot swap** — concurrent
 //!   keep-alive clients drive the router while every backend republishes
-//!   one shard at a time;
+//!   one shard at a time; afterwards the router's `/statusz` shows every
+//!   backend healthy and every node's `/debug/history` carries its series;
 //! * **chaos** — a misbehaving backend is ejected after K consecutive
 //!   failures, fails fast while ejected (degraded `Outcome`s inside 200
 //!   envelopes, never a 5xx storm), and is re-admitted by the half-open
@@ -298,6 +299,42 @@ fn sharded_cluster_equals_monolith_and_rolls_with_zero_5xx() {
         checked += 1;
     }
     assert!(checked >= 30);
+
+    // --- Gate 4: the router's /statusz sees every backend healthy after
+    // the clean roll, and every node's history ring is live. -----------
+    let status = graphex_server::json::parse(&via_router.get("/statusz").unwrap().text()).unwrap();
+    let backends = status.get("backends").and_then(Json::as_arr).expect("statusz backends table");
+    assert_eq!(backends.len(), SHARDS as usize);
+    for backend in backends {
+        assert_eq!(
+            backend.get("state").and_then(Json::as_str),
+            Some("healthy"),
+            "after a clean roll: {}",
+            backend.render()
+        );
+    }
+    fixture.cluster.sample_history_now();
+    let history_keys = |client: &mut HttpClient| {
+        let response = client.get("/debug/history").unwrap();
+        assert_eq!(response.status, 200, "{}", response.text());
+        let body = graphex_server::json::parse(&response.text()).unwrap();
+        body.get("series")
+            .and_then(Json::as_obj)
+            .map(|series| series.iter().map(|(key, _)| key.clone()).collect::<Vec<_>>())
+            .unwrap_or_default()
+    };
+    let router_keys = history_keys(&mut via_router);
+    for key in ["router/requests_in", "router/backends_healthy"] {
+        assert!(router_keys.iter().any(|k| k == key), "router history lacks {key}: {router_keys:?}");
+    }
+    for backend in fixture.cluster.backends() {
+        let keys = history_keys(&mut HttpClient::connect(backend.addr()).unwrap());
+        assert!(
+            keys.iter().any(|k| k == "serve/requests"),
+            "shard {} history lacks serve/requests: {keys:?}",
+            backend.shard
+        );
+    }
     drop(via_router);
     fixture.finish();
 }

@@ -13,6 +13,10 @@
 //!    counters), stay monotone, and land on the exact totals.
 //! 3. **Off switch** — a server booted with history disabled exposes no
 //!    ring: `/debug/history` is 404 and the statusz block is `null`.
+//!
+//! The first two also read the ring over HTTP, as a dashboard does:
+//! `/debug/history` (JSON, per-tenant `?series=` filter in fleet mode)
+//! and the `/statusz` sparklines.
 
 use graphex_core::{GraphExBuilder, GraphExConfig, GraphExModel, KeyphraseRecord, LeafId};
 use graphex_serving::{FleetConfig, KvStore, ModelRegistry, ServingApi, TenantFleet};
@@ -61,6 +65,33 @@ fn manual_history_config() -> ServerConfig {
 fn sample_after_tally(server: &graphex_server::ServerHandle, client: &mut HttpClient) {
     assert_eq!(client.get("/healthz").expect("healthz").status, 200);
     server.sample_history_now();
+}
+
+/// `GET /debug/history` is JSON holding the samples taken so far and an
+/// `http/requests` series, and `/statusz` carries their sparklines.
+fn assert_history_over_http(client: &mut HttpClient) {
+    let response = client.get("/debug/history").expect("debug/history");
+    assert_eq!(response.status, 200, "{}", response.text());
+    assert_eq!(response.header("content-type"), Some("application/json"));
+    let body = graphex_server::json::parse(&response.text()).unwrap();
+    assert!(
+        body.get("samples").and_then(Json::as_u64).unwrap_or(0) > 0,
+        "debug/history holds no samples: {}",
+        response.text()
+    );
+    assert!(
+        body.get("series").and_then(|s| s.get("http/requests")).is_some(),
+        "debug/history has no http/requests series: {}",
+        response.text()
+    );
+    let status = client.get("/statusz").expect("statusz");
+    let parsed = graphex_server::json::parse(&status.text()).unwrap();
+    let sparklines = parsed.get("history").and_then(|h| h.get("sparklines")).and_then(Json::as_obj);
+    assert!(
+        sparklines.is_some_and(|s| !s.is_empty()),
+        "statusz history block has no sparklines: {}",
+        status.text()
+    );
 }
 
 fn infer(client: &mut HttpClient, path: &str, title: &str) {
@@ -115,6 +146,7 @@ fn history_survives_registry_hot_swap_without_losing_or_double_counting() {
     }
     sample_after_tally(&server, &mut client);
     server.sample_history_now();
+    assert_history_over_http(&mut client);
 
     let history = server.history().expect("history enabled").clone();
     assert_contiguous_ticks(&history);
@@ -174,6 +206,18 @@ fn per_tenant_history_survives_eviction_and_readmission() {
         infer(&mut client, "/v1/t/a/infer", &format!("a widget {i}"));
     }
     sample_after_tally(&server, &mut client);
+    assert_history_over_http(&mut client);
+    // `?series=` narrows the ring to one tenant's keys.
+    let filtered = client.get("/debug/history?series=tenant/a").expect("debug/history");
+    assert_eq!(filtered.status, 200, "{}", filtered.text());
+    let body = graphex_server::json::parse(&filtered.text()).unwrap();
+    let keys: Vec<&str> = body
+        .get("series")
+        .and_then(Json::as_obj)
+        .map(|series| series.iter().map(|(key, _)| key.as_str()).collect())
+        .unwrap_or_default();
+    assert!(keys.contains(&"tenant/a/serve/requests"), "{keys:?}");
+    assert!(!keys.iter().any(|key| key.starts_with("tenant/b/")), "{keys:?}");
 
     let history = server.history().expect("history enabled").clone();
     assert_contiguous_ticks(&history);

@@ -312,6 +312,12 @@ fn statusz_and_metrics_are_consistent() {
     assert_eq!(statusz.get("store_hits").unwrap().as_u64(), Some(stats.store_hits));
     assert_eq!(statusz.get("read_throughs").unwrap().as_u64(), Some(stats.read_throughs));
     assert_eq!(statusz.get("snapshot_version").unwrap().as_u64(), Some(1));
+    for key in ["in_flight", "shed", "deadline_exceeded"] {
+        assert!(statusz.get(key).and_then(Json::as_u64).is_some(), "statusz lacks {key}");
+    }
+    assert_eq!(statusz.get("latency").and_then(|l| l.get("count")).and_then(Json::as_u64), Some(5));
+    let recorded = statusz.get("trace").and_then(|t| t.get("recorded")).and_then(Json::as_u64);
+    assert!(recorded.is_some_and(|n| n > 0), "statusz trace block recorded nothing");
 
     let metrics = client.get("/metrics").unwrap().text();
     assert!(metrics.contains(&format!(
