@@ -126,7 +126,12 @@ mod tests {
         let a = embed(&t, "audeze maxwell wireless gaming headphones");
         let b = embed(&t, "audeze maxwell gaming headphones for xbox");
         let c = embed(&t, "vintage porcelain tea set flowers");
-        assert!(dot(&a, &b) > dot(&a, &c) + 0.2, "{} vs {}", dot(&a, &b), dot(&a, &c));
+        assert!(
+            dot(&a, &b) > dot(&a, &c) + 0.2,
+            "{} vs {}",
+            dot(&a, &b),
+            dot(&a, &c)
+        );
     }
 
     #[test]

@@ -43,7 +43,14 @@ impl Default for FastTextConfig {
         // count compensates where the original compensates with data volume
         // (training still finishes in seconds; the paper's fastText trains
         // for hours on real logs).
-        Self { dim: 48, buckets: 1 << 15, epochs: 20, learning_rate: 0.18, negatives: 5, seed: 42 }
+        Self {
+            dim: 48,
+            buckets: 1 << 15,
+            epochs: 20,
+            learning_rate: 0.18,
+            negatives: 5,
+            seed: 42,
+        }
     }
 }
 
@@ -103,7 +110,13 @@ impl FastTextLike {
         }
         let output = vec![0.0f32; labels.len() * dim];
 
-        let mut model = Self { config, tokenizer, input, output, labels };
+        let mut model = Self {
+            config,
+            tokenizer,
+            input,
+            output,
+            labels,
+        };
         if pairs.is_empty() {
             return model;
         }
@@ -170,7 +183,8 @@ impl FastTextLike {
             out.push((crate::embedding::token_hash(t) & mask) as u32);
         }
         for pair in tokens.windows(2) {
-            let h = crate::embedding::token_hash(&pair[0]) ^ crate::embedding::token_hash(&pair[1]).rotate_left(21);
+            let h = crate::embedding::token_hash(&pair[0])
+                ^ crate::embedding::token_hash(&pair[1]).rotate_left(21);
             out.push((h & mask) as u32);
         }
         out
@@ -272,7 +286,10 @@ impl Recommender for FastTextLike {
             .into_iter()
             .map(|(l, s)| (l, sigmoid(s)))
             .filter(|&(_, p)| p >= 0.3)
-            .map(|(l, p)| Rec { text: self.labels[l].clone(), score: f64::from(p) })
+            .map(|(l, p)| Rec {
+                text: self.labels[l].clone(),
+                score: f64::from(p),
+            })
             .collect()
     }
 
@@ -294,7 +311,13 @@ mod tests {
     fn quick_config() -> FastTextConfig {
         // The tiny dataset has few click pairs, so give SGD more passes
         // than the production default to converge.
-        FastTextConfig { dim: 24, buckets: 1 << 12, epochs: 25, learning_rate: 0.3, ..Default::default() }
+        FastTextConfig {
+            dim: 24,
+            buckets: 1 << 12,
+            epochs: 25,
+            learning_rate: 0.3,
+            ..Default::default()
+        }
     }
 
     fn setup() -> (CategoryDataset, FastTextLike) {
@@ -326,7 +349,9 @@ mod tests {
         let mut hits = 0usize;
         let mut total = 0usize;
         for (item_id, assoc) in ds.train_log.item_clicks.iter().enumerate() {
-            let Some(&(q, _)) = assoc.first() else { continue };
+            let Some(&(q, _)) = assoc.first() else {
+                continue;
+            };
             total += 1;
             let item = &ds.marketplace.items[item_id];
             let recs = ft.recommend(&ItemRef::known(item.id, &item.title, item.leaf), 10);
@@ -344,7 +369,10 @@ mod tests {
     fn cold_start_capable_and_scores_sorted() {
         let (ds, ft) = setup();
         assert!(ft.cold_start_capable());
-        let recs = ft.recommend(&ItemRef::cold(&ds.marketplace.items[0].title, ds.marketplace.items[0].leaf), 15);
+        let recs = ft.recommend(
+            &ItemRef::cold(&ds.marketplace.items[0].title, ds.marketplace.items[0].leaf),
+            15,
+        );
         assert!(!recs.is_empty());
         for w in recs.windows(2) {
             assert!(w[0].score >= w[1].score);
@@ -354,7 +382,9 @@ mod tests {
     #[test]
     fn empty_title_yields_nothing() {
         let (ds, ft) = setup();
-        assert!(ft.recommend(&ItemRef::cold("", ds.marketplace.leaves[0].id), 5).is_empty());
+        assert!(ft
+            .recommend(&ItemRef::cold("", ds.marketplace.leaves[0].id), 5)
+            .is_empty());
     }
 
     #[test]

@@ -26,7 +26,10 @@ impl GraphExRecommender {
 
     /// Recommender with an explicit per-item prediction budget.
     pub fn with_budget(model: GraphExModel, max_k: usize) -> Self {
-        Self { engine: Engine::from_model(model), max_k: max_k.max(1) }
+        Self {
+            engine: Engine::from_model(model),
+            max_k: max_k.max(1),
+        }
     }
 
     /// The wrapped model.
@@ -46,15 +49,19 @@ impl Recommender for GraphExRecommender {
     }
 
     fn recommend(&self, item: &ItemRef<'_>, k: usize) -> Vec<Rec> {
-        let request =
-            InferRequest::new(item.title, item.leaf).k(k.min(self.max_k)).resolve_texts(true);
+        let request = InferRequest::new(item.title, item.leaf)
+            .k(k.min(self.max_k))
+            .resolve_texts(true);
         let response = self.engine.infer(&request);
         let alignment = self.engine.model().alignment();
         response
             .texts
             .into_iter()
             .zip(&response.predictions)
-            .map(|(text, p)| Rec { text, score: p.score(alignment) })
+            .map(|(text, p)| Rec {
+                text,
+                score: p.score(alignment),
+            })
             .collect()
     }
 
@@ -93,7 +100,11 @@ pub struct ServiceRecommender<S> {
 
 impl<S: KeyphraseService> ServiceRecommender<S> {
     pub fn new(name: &'static str, service: S) -> Self {
-        Self { service, name, alignment: None }
+        Self {
+            service,
+            name,
+            alignment: None,
+        }
     }
 
     /// Adapter that ranks *and* scores with an explicit alignment.
@@ -102,7 +113,11 @@ impl<S: KeyphraseService> ServiceRecommender<S> {
         service: S,
         alignment: graphex_core::Alignment,
     ) -> Self {
-        Self { service, name, alignment: Some(alignment) }
+        Self {
+            service,
+            name,
+            alignment: Some(alignment),
+        }
     }
 
     /// The wrapped service.
@@ -117,7 +132,9 @@ impl<S: KeyphraseService> Recommender for ServiceRecommender<S> {
     }
 
     fn recommend(&self, item: &ItemRef<'_>, k: usize) -> Vec<Rec> {
-        let mut request = InferRequest::new(item.title, item.leaf).k(k).resolve_texts(true);
+        let mut request = InferRequest::new(item.title, item.leaf)
+            .k(k)
+            .resolve_texts(true);
         if let Some(id) = item.id {
             request = request.id(u64::from(id));
         }
@@ -132,7 +149,10 @@ impl<S: KeyphraseService> Recommender for ServiceRecommender<S> {
                 .texts
                 .into_iter()
                 .zip(&response.predictions)
-                .map(|(text, p)| Rec { text, score: p.score(alignment) })
+                .map(|(text, p)| Rec {
+                    text,
+                    score: p.score(alignment),
+                })
                 .collect(),
             // Texts only (store-served) or unknown alignment → rank-based
             // scores, monotonically descending by construction.
@@ -142,7 +162,10 @@ impl<S: KeyphraseService> Recommender for ServiceRecommender<S> {
                     .texts
                     .into_iter()
                     .enumerate()
-                    .map(|(rank, text)| Rec { text, score: (n - rank) as f64 })
+                    .map(|(rank, text)| Rec {
+                        text,
+                        score: (n - rank) as f64,
+                    })
                     .collect()
             }
         }
@@ -180,9 +203,11 @@ mod tests {
         let rec = recommender();
         let item = ItemRef::cold("audeze maxwell gaming headphones xbox", LeafId(7));
         let recs = rec.recommend(&item, 5);
-        let direct = rec
-            .engine()
-            .infer(&InferRequest::new(item.title, item.leaf).k(5).resolve_texts(true));
+        let direct = rec.engine().infer(
+            &InferRequest::new(item.title, item.leaf)
+                .k(5)
+                .resolve_texts(true),
+        );
         assert_eq!(recs.len(), direct.texts.len());
         for (r, text) in recs.iter().zip(&direct.texts) {
             assert_eq!(&r.text, text);

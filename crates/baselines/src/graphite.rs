@@ -81,7 +81,15 @@ impl Graphite {
             item_labels.push(lab);
         }
 
-        Self { tokenizer, tokens, token_items, item_labels, item_token_len, labels, max_fanout }
+        Self {
+            tokenizer,
+            tokens,
+            token_items,
+            item_labels,
+            item_token_len,
+            labels,
+            max_fanout,
+        }
     }
 
     /// Number of training rows (clicked listings).
@@ -153,9 +161,17 @@ impl Recommender for Graphite {
                 let c = self
                     .tokenizer
                     .tokenize(text)
-                    .filter(|t| self.tokens.get(t).is_some_and(|id| title_tokens.binary_search(&id).is_ok()))
+                    .filter(|t| {
+                        self.tokens
+                            .get(t)
+                            .is_some_and(|id| title_tokens.binary_search(&id).is_ok())
+                    })
                     .count() as u32;
-                let score = wmr.score(c.min(u32::from(*len)), u32::from((*len).max(1)), title_len as u32);
+                let score = wmr.score(
+                    c.min(u32::from(*len)),
+                    u32::from((*len).max(1)),
+                    title_len as u32,
+                );
                 // Relevance truncation: labels sharing under half their
                 // tokens with the title are dropped (the production model
                 // truncates its candidate set the same way; without this
@@ -172,13 +188,23 @@ impl Recommender for Graphite {
         });
         out.into_iter()
             .take(k)
-            .map(|(label, score, _)| Rec { text: self.labels[label as usize].0.clone(), score })
+            .map(|(label, score, _)| Rec {
+                text: self.labels[label as usize].0.clone(),
+                score,
+            })
             .collect()
     }
 
     fn size_bytes(&self) -> usize {
-        self.token_items.iter().map(|v| v.len() * 4 + 16).sum::<usize>()
-            + self.item_labels.iter().map(|v| v.len() * 8 + 16).sum::<usize>()
+        self.token_items
+            .iter()
+            .map(|v| v.len() * 4 + 16)
+            .sum::<usize>()
+            + self
+                .item_labels
+                .iter()
+                .map(|v| v.len() * 8 + 16)
+                .sum::<usize>()
             + self.item_token_len.len() * 2
             + self.labels.iter().map(|(t, _)| t.len() + 10).sum::<usize>()
             + self.tokens.heap_bytes()
@@ -203,7 +229,12 @@ mod tests {
     #[test]
     fn trains_on_clicked_rows_only() {
         let (ds, g) = setup();
-        let clicked = ds.train_log.item_clicks.iter().filter(|a| !a.is_empty()).count();
+        let clicked = ds
+            .train_log
+            .item_clicks
+            .iter()
+            .filter(|a| !a.is_empty())
+            .count();
         assert_eq!(g.num_rows(), clicked);
         assert!(g.num_labels() > 0);
     }
@@ -211,7 +242,12 @@ mod tests {
     #[test]
     fn predicts_for_training_item() {
         let (ds, g) = setup();
-        let row_item = ds.train_log.item_clicks.iter().position(|a| !a.is_empty()).unwrap();
+        let row_item = ds
+            .train_log
+            .item_clicks
+            .iter()
+            .position(|a| !a.is_empty())
+            .unwrap();
         let item = &ds.marketplace.items[row_item];
         let recs = g.recommend(&ItemRef::known(item.id, &item.title, item.leaf), 10);
         assert!(!recs.is_empty());
@@ -230,9 +266,17 @@ mod tests {
     #[test]
     fn cold_start_via_shared_tokens() {
         let (ds, g) = setup();
-        let row_item = ds.train_log.item_clicks.iter().position(|a| !a.is_empty()).unwrap();
+        let row_item = ds
+            .train_log
+            .item_clicks
+            .iter()
+            .position(|a| !a.is_empty())
+            .unwrap();
         let title = &ds.marketplace.items[row_item].title;
-        let recs = g.recommend(&ItemRef::cold(title, ds.marketplace.items[row_item].leaf), 10);
+        let recs = g.recommend(
+            &ItemRef::cold(title, ds.marketplace.items[row_item].leaf),
+            10,
+        );
         assert!(!recs.is_empty());
         assert!(g.cold_start_capable());
     }
@@ -241,7 +285,10 @@ mod tests {
     fn unknown_tokens_yield_nothing() {
         let (ds, g) = setup();
         assert!(g
-            .recommend(&ItemRef::cold("zzzz yyyy xxxx unseen tokens", ds.marketplace.leaves[0].id), 10)
+            .recommend(
+                &ItemRef::cold("zzzz yyyy xxxx unseen tokens", ds.marketplace.leaves[0].id),
+                10
+            )
             .is_empty());
     }
 
@@ -258,7 +305,11 @@ mod tests {
             .collect();
         for item in ds.test_items(40, 5) {
             for rec in g.recommend(&ItemRef::known(item.id, &item.title, item.leaf), 20) {
-                assert!(clicked.contains(rec.text.as_str()), "{} not a clicked query", rec.text);
+                assert!(
+                    clicked.contains(rec.text.as_str()),
+                    "{} not a clicked query",
+                    rec.text
+                );
             }
         }
     }

@@ -22,8 +22,8 @@
 
 pub mod embedding;
 pub mod fasttext;
-pub mod graphite;
 pub mod graphex_rec;
+pub mod graphite;
 pub mod rules_engine;
 pub mod sl_emb;
 pub mod sl_query;
@@ -50,11 +50,19 @@ pub struct ItemRef<'a> {
 
 impl<'a> ItemRef<'a> {
     pub fn known(id: u32, title: &'a str, leaf: LeafId) -> Self {
-        Self { id: Some(id), title, leaf }
+        Self {
+            id: Some(id),
+            title,
+            leaf,
+        }
     }
 
     pub fn cold(title: &'a str, leaf: LeafId) -> Self {
-        Self { id: None, title, leaf }
+        Self {
+            id: None,
+            title,
+            leaf,
+        }
     }
 }
 

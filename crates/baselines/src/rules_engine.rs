@@ -44,7 +44,11 @@ impl RulesEngine {
             bytes += entries.iter().map(|(t, _)| t.len() + 12).sum::<usize>() + 16;
             associations.insert(item_id as u32, entries);
         }
-        Self { associations, total_items: ds.marketplace.items.len(), bytes }
+        Self {
+            associations,
+            total_items: ds.marketplace.items.len(),
+            bytes,
+        }
     }
 
     /// Fraction of items this model can serve at all.
@@ -70,11 +74,16 @@ impl Recommender for RulesEngine {
 
     fn recommend(&self, item: &ItemRef<'_>, k: usize) -> Vec<Rec> {
         let Some(id) = item.id else { return Vec::new() };
-        let Some(entries) = self.associations.get(&id) else { return Vec::new() };
+        let Some(entries) = self.associations.get(&id) else {
+            return Vec::new();
+        };
         entries
             .iter()
             .take(k)
-            .map(|(text, clicks)| Rec { text: text.clone(), score: f64::from(*clicks) })
+            .map(|(text, clicks)| Rec {
+                text: text.clone(),
+                score: f64::from(*clicks),
+            })
             .collect()
     }
 
@@ -125,7 +134,12 @@ mod tests {
     fn cold_items_get_nothing() {
         let ds = dataset();
         let re = RulesEngine::train(&ds, 1);
-        assert!(re.recommend(&ItemRef::cold("brand new listing", ds.marketplace.leaves[0].id), 10).is_empty());
+        assert!(re
+            .recommend(
+                &ItemRef::cold("brand new listing", ds.marketplace.leaves[0].id),
+                10
+            )
+            .is_empty());
         assert!(!re.cold_start_capable());
     }
 
@@ -133,9 +147,16 @@ mod tests {
     fn unclicked_items_get_nothing() {
         let ds = dataset();
         let re = RulesEngine::train(&ds, 1);
-        let unclicked = ds.train_log.item_clicks.iter().position(Vec::is_empty).unwrap() as u32;
+        let unclicked = ds
+            .train_log
+            .item_clicks
+            .iter()
+            .position(Vec::is_empty)
+            .unwrap() as u32;
         let item = &ds.marketplace.items[unclicked as usize];
-        assert!(re.recommend(&ItemRef::known(item.id, &item.title, item.leaf), 10).is_empty());
+        assert!(re
+            .recommend(&ItemRef::known(item.id, &item.title, item.leaf), 10)
+            .is_empty());
     }
 
     #[test]

@@ -48,7 +48,14 @@ impl SlEmb {
             corpus_queries.push(assoc.clone());
         }
         let query_texts: Vec<String> = ds.queries.iter().map(|q| q.text.clone()).collect();
-        Self { tokenizer, corpus, corpus_queries, query_texts, neighbors, jaccard_threshold }
+        Self {
+            tokenizer,
+            corpus,
+            corpus_queries,
+            query_texts,
+            neighbors,
+            jaccard_threshold,
+        }
     }
 
     /// Exact top-m cosine neighbors (indices into the corpus).
@@ -111,21 +118,31 @@ impl Recommender for SlEmb {
         let mut ranked: Vec<(u32, f64)> = scores
             .into_iter()
             .filter(|&(q, _)| {
-                Self::token_jaccard(&title_tokens, &self.query_texts[q as usize], &self.tokenizer)
-                    >= self.jaccard_threshold
+                Self::token_jaccard(
+                    &title_tokens,
+                    &self.query_texts[q as usize],
+                    &self.tokenizer,
+                ) >= self.jaccard_threshold
             })
             .collect();
         ranked.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
         ranked
             .into_iter()
             .take(k)
-            .map(|(q, score)| Rec { text: self.query_texts[q as usize].clone(), score })
+            .map(|(q, score)| Rec {
+                text: self.query_texts[q as usize].clone(),
+                score,
+            })
             .collect()
     }
 
     fn size_bytes(&self) -> usize {
         self.corpus.len() * DIM * 4
-            + self.corpus_queries.iter().map(|v| v.len() * 8 + 16).sum::<usize>()
+            + self
+                .corpus_queries
+                .iter()
+                .map(|v| v.len() * 8 + 16)
+                .sum::<usize>()
             + self.query_texts.iter().map(|t| t.len() + 8).sum::<usize>()
     }
 
@@ -148,7 +165,12 @@ mod tests {
     #[test]
     fn corpus_is_clicked_listings_only() {
         let (ds, sl) = setup();
-        let clicked = ds.train_log.item_clicks.iter().filter(|a| !a.is_empty()).count();
+        let clicked = ds
+            .train_log
+            .item_clicks
+            .iter()
+            .filter(|a| !a.is_empty())
+            .count();
         assert_eq!(sl.corpus_len(), clicked);
     }
 
@@ -157,9 +179,17 @@ mod tests {
         let (ds, sl) = setup();
         // Take a clicked item's title as a "new" listing: similar listings
         // exist by construction.
-        let clicked_item = ds.train_log.item_clicks.iter().position(|a| !a.is_empty()).unwrap();
+        let clicked_item = ds
+            .train_log
+            .item_clicks
+            .iter()
+            .position(|a| !a.is_empty())
+            .unwrap();
         let title = &ds.marketplace.items[clicked_item].title;
-        let recs = sl.recommend(&ItemRef::cold(title, ds.marketplace.items[clicked_item].leaf), 10);
+        let recs = sl.recommend(
+            &ItemRef::cold(title, ds.marketplace.items[clicked_item].leaf),
+            10,
+        );
         assert!(!recs.is_empty(), "no recs for {title:?}");
         assert!(sl.cold_start_capable());
         for w in recs.windows(2) {
@@ -170,7 +200,9 @@ mod tests {
     #[test]
     fn empty_title_yields_nothing() {
         let (ds, sl) = setup();
-        assert!(sl.recommend(&ItemRef::cold("", ds.marketplace.leaves[0].id), 10).is_empty());
+        assert!(sl
+            .recommend(&ItemRef::cold("", ds.marketplace.leaves[0].id), 10)
+            .is_empty());
     }
 
     #[test]
@@ -185,7 +217,10 @@ mod tests {
             loose_total += loose.recommend(&r, 40).len();
             strict_total += strict.recommend(&r, 40).len();
         }
-        assert!(strict_total < loose_total, "{strict_total} !< {loose_total}");
+        assert!(
+            strict_total < loose_total,
+            "{strict_total} !< {loose_total}"
+        );
     }
 
     #[test]
@@ -201,7 +236,11 @@ mod tests {
             .map(|&(q, _)| ds.queries[q as usize].text.as_str())
             .collect();
         for rec in recs {
-            assert!(all_clicked.contains(rec.text.as_str()), "{} not from click log", rec.text);
+            assert!(
+                all_clicked.contains(rec.text.as_str()),
+                "{} not from click log",
+                rec.text
+            );
         }
     }
 }

@@ -46,7 +46,13 @@ impl SlQuery {
         }
         let query_texts: Vec<String> = ds.queries.iter().map(|q| q.text.clone()).collect();
         bytes += query_texts.iter().map(|t| t.len() + 8).sum::<usize>();
-        Self { item_queries, query_items, query_texts, jaccard_threshold, bytes }
+        Self {
+            item_queries,
+            query_items,
+            query_texts,
+            jaccard_threshold,
+            bytes,
+        }
     }
 
     fn jaccard(a: &[u32], b: &[u32]) -> f64 {
@@ -79,7 +85,9 @@ impl Recommender for SlQuery {
 
     fn recommend(&self, item: &ItemRef<'_>, k: usize) -> Vec<Rec> {
         let Some(id) = item.id else { return Vec::new() };
-        let Some(seed_queries) = self.item_queries.get(&id) else { return Vec::new() };
+        let Some(seed_queries) = self.item_queries.get(&id) else {
+            return Vec::new();
+        };
 
         // Neighbor listings: any item sharing a clicked query with the seed.
         let mut neighbors: FxHashSet<u32> = FxHashSet::default();
@@ -115,7 +123,10 @@ impl Recommender for SlQuery {
         ranked
             .into_iter()
             .take(k)
-            .map(|(q, score)| Rec { text: self.query_texts[q as usize].clone(), score })
+            .map(|(q, score)| Rec {
+                text: self.query_texts[q as usize].clone(),
+                score,
+            })
             .collect()
     }
 
@@ -149,7 +160,9 @@ mod tests {
     fn cold_items_get_nothing() {
         let ds = dataset();
         let sl = SlQuery::train(&ds, 0.1);
-        assert!(sl.recommend(&ItemRef::cold("new item", ds.marketplace.leaves[0].id), 10).is_empty());
+        assert!(sl
+            .recommend(&ItemRef::cold("new item", ds.marketplace.leaves[0].id), 10)
+            .is_empty());
         assert!(!sl.cold_start_capable());
     }
 
@@ -167,8 +180,10 @@ mod tests {
                 continue;
             }
             let item = &ds.marketplace.items[item_id];
-            let own: FxHashSet<&str> =
-                assoc.iter().map(|&(q, _)| ds.queries[q as usize].text.as_str()).collect();
+            let own: FxHashSet<&str> = assoc
+                .iter()
+                .map(|&(q, _)| ds.queries[q as usize].text.as_str())
+                .collect();
             let recs = sl.recommend(&ItemRef::known(item.id, &item.title, item.leaf), 40);
             if recs.is_empty() {
                 continue;
@@ -179,7 +194,10 @@ mod tests {
             }
         }
         assert!(with_recs > 0);
-        assert!(resurfaced * 2 > with_recs, "seed queries rarely resurface: {resurfaced}/{with_recs}");
+        assert!(
+            resurfaced * 2 > with_recs,
+            "seed queries rarely resurface: {resurfaced}/{with_recs}"
+        );
     }
 
     #[test]
@@ -202,9 +220,14 @@ mod tests {
             let seed_qs: FxHashSet<u32> = assoc.iter().map(|&(q, _)| q).collect();
             for rec in &recs {
                 let qid = ds.oracle().query_by_text(&rec.text).unwrap().id;
-                let carrier_exists = ds.train_log.query_clicks[qid as usize].iter().any(|&(n, _)| {
-                    ds.train_log.item_clicks[n as usize].iter().any(|&(q2, _)| seed_qs.contains(&q2))
-                });
+                let carrier_exists =
+                    ds.train_log.query_clicks[qid as usize]
+                        .iter()
+                        .any(|&(n, _)| {
+                            ds.train_log.item_clicks[n as usize]
+                                .iter()
+                                .any(|&(q2, _)| seed_qs.contains(&q2))
+                        });
                 assert!(carrier_exists, "no co-click path for {}", rec.text);
             }
             verified = true;

@@ -23,8 +23,11 @@ struct Setup {
 fn setup() -> Setup {
     let ds = CategoryDataset::generate(CategorySpec::cat3());
     let model = build_graphex(&ds, default_threshold(&ds));
-    let titles: Vec<(String, graphex_core::LeafId)> =
-        ds.test_items(64, 3).iter().map(|i| (i.title.clone(), i.leaf)).collect();
+    let titles: Vec<(String, graphex_core::LeafId)> = ds
+        .test_items(64, 3)
+        .iter()
+        .map(|i| (i.title.clone(), i.leaf))
+        .collect();
     Setup { model, titles }
 }
 
@@ -32,9 +35,14 @@ fn setup() -> Setup {
 /// through the public adjacency API — the baseline the count-array design
 /// is measured against.
 fn enumerate_with_hashmap(model: &GraphExModel, title: &str, leaf: graphex_core::LeafId) -> usize {
-    let Some(graph) = model.leaf_graph(leaf) else { return 0 };
-    let mut tokens: Vec<u32> =
-        model.tokenize_title(title).iter().filter_map(|t| model.token_id(t)).collect();
+    let Some(graph) = model.leaf_graph(leaf) else {
+        return 0;
+    };
+    let mut tokens: Vec<u32> = model
+        .tokenize_title(title)
+        .iter()
+        .filter_map(|t| model.token_id(t))
+        .collect();
     tokens.sort_unstable();
     tokens.dedup();
     let mut counts: HashMap<u32, u32> = HashMap::new();
@@ -100,7 +108,9 @@ fn bench_pruning(c: &mut Criterion) {
         b.iter(|| {
             let (title, leaf) = &s.titles[idx % s.titles.len()];
             idx += 1;
-            let req = InferRequest::new(title, *leaf).k(usize::MAX).keep_threshold_group(true);
+            let req = InferRequest::new(title, *leaf)
+                .k(usize::MAX)
+                .keep_threshold_group(true);
             std::hint::black_box(s.model.infer_request(&req, &mut scratch))
         });
     });

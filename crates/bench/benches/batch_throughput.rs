@@ -11,16 +11,27 @@ use graphex_marketsim::{CategoryDataset, CategorySpec};
 fn bench_batch(c: &mut Criterion) {
     let ds = CategoryDataset::generate(CategorySpec::cat3());
     let model = build_graphex(&ds, default_threshold(&ds));
-    let items: Vec<(String, graphex_core::LeafId)> =
-        ds.marketplace.items.iter().take(2_000).map(|i| (i.title.clone(), i.leaf)).collect();
-    let requests: Vec<InferRequest<'_>> =
-        items.iter().map(|(t, l)| InferRequest::new(t, *l).k(20)).collect();
+    let items: Vec<(String, graphex_core::LeafId)> = ds
+        .marketplace
+        .items
+        .iter()
+        .take(2_000)
+        .map(|i| (i.title.clone(), i.leaf))
+        .collect();
+    let requests: Vec<InferRequest<'_>> = items
+        .iter()
+        .map(|(t, l)| InferRequest::new(t, *l).k(20))
+        .collect();
 
     let mut group = c.benchmark_group("batch_throughput_cat3");
     group.sample_size(10);
     group.throughput(Throughput::Elements(requests.len() as u64));
     for threads in [1usize, 2, 4, 0] {
-        let label = if threads == 0 { "all".to_string() } else { threads.to_string() };
+        let label = if threads == 0 {
+            "all".to_string()
+        } else {
+            threads.to_string()
+        };
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
             b.iter(|| std::hint::black_box(batch_infer(&model, &requests, threads)))
         });

@@ -37,14 +37,19 @@ fn bench_scale(c: &mut Criterion, name: &str, spec: CategorySpec) {
     gen0.write_to(&snapshot).unwrap();
     corpus.advance();
     let records = corpus.records();
-    let delta_plan = BuildPlan::new(config()).jobs(1).delta(DeltaBase::load(&snapshot).unwrap());
+    let delta_plan = BuildPlan::new(config())
+        .jobs(1)
+        .delta(DeltaBase::load(&snapshot).unwrap());
 
     let mut group = c.benchmark_group(format!("build_pipeline_{name}"));
     group.sample_size(10);
     group.bench_function("sequential_builder", |b| {
         b.iter(|| {
             std::hint::black_box(
-                GraphExBuilder::new(config()).add_records(records.clone()).build().unwrap(),
+                GraphExBuilder::new(config())
+                    .add_records(records.clone())
+                    .build()
+                    .unwrap(),
             )
         })
     });
@@ -53,7 +58,11 @@ fn bench_scale(c: &mut Criterion, name: &str, spec: CategorySpec) {
         group.bench_function(format!("pipeline_{jobs}_workers"), |b| {
             b.iter(|| {
                 std::hint::black_box(
-                    build(&plan, vec![Box::new(VecSource::new("bench", records.clone()))]).unwrap(),
+                    build(
+                        &plan,
+                        vec![Box::new(VecSource::new("bench", records.clone()))],
+                    )
+                    .unwrap(),
                 )
             })
         });
@@ -61,8 +70,11 @@ fn bench_scale(c: &mut Criterion, name: &str, spec: CategorySpec) {
     group.bench_function("delta_rebuild", |b| {
         b.iter(|| {
             std::hint::black_box(
-                build(&delta_plan, vec![Box::new(VecSource::new("bench", records.clone()))])
-                    .unwrap(),
+                build(
+                    &delta_plan,
+                    vec![Box::new(VecSource::new("bench", records.clone()))],
+                )
+                .unwrap(),
             )
         })
     });

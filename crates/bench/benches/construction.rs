@@ -26,7 +26,10 @@ fn bench_construction(c: &mut Criterion) {
         b.iter(|| {
             std::hint::black_box(FastTextLike::train(
                 &ds,
-                FastTextConfig { epochs: 1, ..Default::default() },
+                FastTextConfig {
+                    epochs: 1,
+                    ..Default::default()
+                },
             ))
         })
     });

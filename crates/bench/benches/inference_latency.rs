@@ -19,12 +19,17 @@ use graphex_marketsim::{CategoryDataset, CategorySpec};
 
 fn bench_inference(c: &mut Criterion) {
     let ds = CategoryDataset::generate(CategorySpec::cat3());
-    let graphex: Box<dyn Recommender> =
-        Box::new(GraphExRecommender::new(build_graphex(&ds, default_threshold(&ds))));
+    let graphex: Box<dyn Recommender> = Box::new(GraphExRecommender::new(build_graphex(
+        &ds,
+        default_threshold(&ds),
+    )));
     let graphite: Box<dyn Recommender> = Box::new(Graphite::train(&ds, 512));
     let fasttext: Box<dyn Recommender> = Box::new(FastTextLike::train(
         &ds,
-        FastTextConfig { epochs: 3, ..Default::default() }, // latency, not quality
+        FastTextConfig {
+            epochs: 3,
+            ..Default::default()
+        }, // latency, not quality
     ));
 
     let items = ds.test_items(64, 7);
@@ -56,7 +61,10 @@ fn bench_kernel(c: &mut Criterion) {
     });
     let mut config = GraphExConfig::default();
     config.curation.min_search_count = 2;
-    let built = GraphExBuilder::new(config).add_records(ds.keyphrase_records()).build().unwrap();
+    let built = GraphExBuilder::new(config)
+        .add_records(ds.keyphrase_records())
+        .build()
+        .unwrap();
     // Serve what a registry would: the snapshot loaded back, arrays borrowed.
     let engine = Engine::from_model(serialize::to_bytes(&built).parse().unwrap());
     let items = &ds.marketplace.items;
@@ -72,7 +80,11 @@ fn bench_kernel(c: &mut Criterion) {
         b.iter(|| {
             let item = &items[idx % items.len()];
             idx += 1;
-            session.infer(&InferRequest::new(&item.title, item.leaf).k(10).resolve_texts(true))
+            session.infer(
+                &InferRequest::new(&item.title, item.leaf)
+                    .k(10)
+                    .resolve_texts(true),
+            )
         });
     });
     group.finish();

@@ -30,9 +30,16 @@ struct Setup {
 fn setup() -> Setup {
     let ds = CategoryDataset::generate(CategorySpec::cat3());
     let model = Arc::new(build_graphex(&ds, default_threshold(&ds)));
-    let titles: Vec<(String, LeafId)> =
-        ds.test_items(BATCH, 7).iter().map(|i| (i.title.clone(), i.leaf)).collect();
-    Setup { model, titles, fresh_id: AtomicU64::new(1 << 32) }
+    let titles: Vec<(String, LeafId)> = ds
+        .test_items(BATCH, 7)
+        .iter()
+        .map(|i| (i.title.clone(), i.leaf))
+        .collect();
+    Setup {
+        model,
+        titles,
+        fresh_id: AtomicU64::new(1 << 32),
+    }
 }
 
 impl Setup {
@@ -42,7 +49,11 @@ impl Setup {
     /// measuring cold misses — but every function starts from the same
     /// BATCH-entry state.)
     fn fresh_api(&self) -> Arc<ServingApi> {
-        let api = Arc::new(ServingApi::new(self.model.clone(), Arc::new(KvStore::new()), 10));
+        let api = Arc::new(ServingApi::new(
+            self.model.clone(),
+            Arc::new(KvStore::new()),
+            10,
+        ));
         // Prepopulate ids 0..BATCH so the store-hit benches never miss.
         for (i, (title, leaf)) in self.titles.iter().enumerate() {
             api.serve(i as u64, title, *leaf);
@@ -84,19 +95,25 @@ fn bench_read_path(c: &mut Criterion) {
 
     for threads in [1usize, 8] {
         let api = s.fresh_api();
-        group.bench_function(BenchmarkId::new("store_hit", format!("{threads}_threads")), |b| {
-            b.iter(|| serve_batch(&api, &s.titles, threads, &|i| i as u64));
-        });
+        group.bench_function(
+            BenchmarkId::new("store_hit", format!("{threads}_threads")),
+            |b| {
+                b.iter(|| serve_batch(&api, &s.titles, threads, &|i| i as u64));
+            },
+        );
     }
     for threads in [1usize, 8] {
         let api = s.fresh_api();
-        group.bench_function(BenchmarkId::new("read_through", format!("{threads}_threads")), |b| {
-            b.iter(|| {
-                serve_batch(&api, &s.titles, threads, &|_| {
-                    s.fresh_id.fetch_add(1, Ordering::Relaxed)
-                })
-            });
-        });
+        group.bench_function(
+            BenchmarkId::new("read_through", format!("{threads}_threads")),
+            |b| {
+                b.iter(|| {
+                    serve_batch(&api, &s.titles, threads, &|_| {
+                        s.fresh_id.fetch_add(1, Ordering::Relaxed)
+                    })
+                });
+            },
+        );
     }
     group.finish();
 }

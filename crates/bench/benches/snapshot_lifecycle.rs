@@ -63,8 +63,11 @@ fn bench_swap_under_load(c: &mut Criterion) {
         Arc::new(KvStore::new()),
         10,
     ));
-    let titles: Vec<(String, LeafId)> =
-        ds.test_items(64, 7).iter().map(|i| (i.title.clone(), i.leaf)).collect();
+    let titles: Vec<(String, LeafId)> = ds
+        .test_items(64, 7)
+        .iter()
+        .map(|i| (i.title.clone(), i.leaf))
+        .collect();
 
     let stop = Arc::new(AtomicBool::new(false));
     let load: Vec<_> = (0..2)
@@ -78,9 +81,7 @@ fn bench_swap_under_load(c: &mut Criterion) {
                     let (title, leaf) = &titles[i % titles.len()];
                     // Id-less: always computed, so the load keeps touching
                     // the active model rather than the KV store.
-                    std::hint::black_box(
-                        api.serve_request(&InferRequest::new(title, *leaf).k(10)),
-                    );
+                    std::hint::black_box(api.serve_request(&InferRequest::new(title, *leaf).k(10)));
                     i += 1;
                 }
             })
@@ -92,7 +93,9 @@ fn bench_swap_under_load(c: &mut Criterion) {
     let mut target = 1u64;
     group.bench_function("activate_under_load", |b| {
         b.iter(|| {
-            registry.activate(std::hint::black_box(target)).expect("swap");
+            registry
+                .activate(std::hint::black_box(target))
+                .expect("swap");
             target = if target == 1 { 2 } else { 1 };
         })
     });

@@ -58,8 +58,13 @@ enum Arm {
     HistoryOn,
 }
 
-const ARMS: [Arm; 5] =
-    [Arm::TraceOff, Arm::TraceOn, Arm::TraceSlow, Arm::HistoryOff, Arm::HistoryOn];
+const ARMS: [Arm; 5] = [
+    Arm::TraceOff,
+    Arm::TraceOn,
+    Arm::TraceSlow,
+    Arm::HistoryOff,
+    Arm::HistoryOn,
+];
 
 impl Arm {
     fn name(self) -> &'static str {
@@ -79,12 +84,19 @@ impl Arm {
             ..HistoryConfig::default()
         };
         let (trace, history) = match self {
-            Arm::TraceOff => {
-                (TraceConfig { enabled: false, ..TraceConfig::default() }, HistoryConfig::default())
-            }
+            Arm::TraceOff => (
+                TraceConfig {
+                    enabled: false,
+                    ..TraceConfig::default()
+                },
+                HistoryConfig::default(),
+            ),
             Arm::TraceOn => (TraceConfig::default(), HistoryConfig::default()),
             Arm::TraceSlow => (
-                TraceConfig { slow_threshold: Duration::ZERO, ..TraceConfig::default() },
+                TraceConfig {
+                    slow_threshold: Duration::ZERO,
+                    ..TraceConfig::default()
+                },
                 HistoryConfig::default(),
             ),
             Arm::HistoryOff => (TraceConfig::default(), sampled(false)),
@@ -160,7 +172,12 @@ fn run() -> Result<String, String> {
     let trace_on_pct = overhead(Arm::TraceOff, Arm::TraceOn);
     let trace_slow_pct = overhead(Arm::TraceOff, Arm::TraceSlow);
     let history_pct = overhead(Arm::HistoryOff, Arm::HistoryOn);
-    let best = |arm: Arm| passes.iter().map(|row| row[arm as usize]).fold(0.0, f64::max);
+    let best = |arm: Arm| {
+        passes
+            .iter()
+            .map(|row| row[arm as usize])
+            .fold(0.0, f64::max)
+    };
     eprintln!(
         "matched-pair overhead: trace on {trace_on_pct:.1}%  trace slow {trace_slow_pct:.1}%  \
          history {history_pct:.2}%"
@@ -223,9 +240,15 @@ fn run() -> Result<String, String> {
   }}
 }}"#,
         os = std::env::consts::OS,
-        cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        cpus = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
         interval = HISTORY_INTERVAL.as_millis(),
-        profile = if cfg!(debug_assertions) { "debug" } else { "release" },
+        profile = if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        },
         trace_off = best(Arm::TraceOff),
         trace_on = best(Arm::TraceOn),
         trace_slow = best(Arm::TraceSlow),
@@ -253,7 +276,9 @@ fn run_arm(
             .map(|c| scope.spawn(move || drive(addr, pool, c as u64, per_connection)))
             .collect();
         clients.into_iter().try_for_each(|client| {
-            client.join().map_err(|_| "client thread panicked".to_string())?
+            client
+                .join()
+                .map_err(|_| "client thread panicked".to_string())?
         })
     })?;
     let elapsed = started.elapsed();
@@ -322,7 +347,10 @@ fn drive(
             .post_json("/v1/infer", &body)
             .map_err(|e| format!("connection {c} request {r}: {e}"))?;
         if response.status != 200 {
-            return Err(format!("connection {c} request {r}: HTTP {}", response.status));
+            return Err(format!(
+                "connection {c} request {r}: HTTP {}",
+                response.status
+            ));
         }
     }
     Ok(())

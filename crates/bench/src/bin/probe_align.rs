@@ -18,7 +18,10 @@ fn main() {
         for a in [Alignment::Wmr, Alignment::Jac, Alignment::Lta] {
             let (mut relevant, mut total) = (0usize, 0usize);
             for item in ds.test_items(400, 1) {
-                let req = InferRequest::new(&item.title, item.leaf).k(k).alignment(a).resolve_texts(true);
+                let req = InferRequest::new(&item.title, item.leaf)
+                    .k(k)
+                    .alignment(a)
+                    .resolve_texts(true);
                 for text in &model.infer_request(&req, &mut scratch).texts {
                     total += 1;
                     if oracle.is_relevant(item, text) {
@@ -26,7 +29,11 @@ fn main() {
                     }
                 }
             }
-            print!("  {}={:.1}%", a.name(), 100.0 * relevant as f64 / total.max(1) as f64);
+            print!(
+                "  {}={:.1}%",
+                a.name(),
+                100.0 * relevant as f64 / total.max(1) as f64
+            );
         }
         println!();
     }
@@ -44,12 +51,18 @@ fn probe(
     for item in &items {
         let run = |a: Alignment, scratch: &mut Scratch| -> Vec<u32> {
             let req = InferRequest::new(&item.title, item.leaf).k(k).alignment(a);
-            let mut v: Vec<u32> =
-                model.infer_request(&req, scratch).predictions.iter().map(|p| p.keyphrase).collect();
+            let mut v: Vec<u32> = model
+                .infer_request(&req, scratch)
+                .predictions
+                .iter()
+                .map(|p| p.keyphrase)
+                .collect();
             v.sort_unstable();
             v
         };
-        let all = InferRequest::new(&item.title, item.leaf).k(usize::MAX).keep_threshold_group(true);
+        let all = InferRequest::new(&item.title, item.leaf)
+            .k(usize::MAX)
+            .keep_threshold_group(true);
         let pool = model.infer_request(&all, scratch).predictions;
         if pool.len() > k {
             pool_over_k += 1;

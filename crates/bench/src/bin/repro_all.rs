@@ -39,21 +39,28 @@ const SECTIONS: [(&str, Reads, Render); 12] = [
     ("table6", Reads::All, render::table6),
     ("table7", Reads::First, |s| render::table7(&s[0])),
     ("fig6", Reads::All, render::fig6),
-    ("serving_demo", Reads::First, |s| render::serving_demo(&s[0])),
+    ("serving_demo", Reads::First, |s| {
+        render::serving_demo(&s[0])
+    }),
 ];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let sections: Vec<_> = match args.as_slice() {
         [] => SECTIONS.to_vec(),
-        [flag, name] if flag == "--only" => {
-            SECTIONS.iter().filter(|(n, _, _)| n == name).copied().collect()
-        }
+        [flag, name] if flag == "--only" => SECTIONS
+            .iter()
+            .filter(|(n, _, _)| n == name)
+            .copied()
+            .collect(),
         _ => Vec::new(),
     };
     if sections.is_empty() {
         let names: Vec<&str> = SECTIONS.iter().map(|(name, _, _)| *name).collect();
-        eprintln!("usage: repro_all [--only <section>]\nsections: {}", names.join(", "));
+        eprintln!(
+            "usage: repro_all [--only <section>]\nsections: {}",
+            names.join(", ")
+        );
         std::process::exit(2);
     }
 

@@ -24,7 +24,9 @@ fn parse_seed() -> Result<u64, String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
-        let value = argv.get(i + 1).ok_or_else(|| format!("{} needs a value", argv[i]))?;
+        let value = argv
+            .get(i + 1)
+            .ok_or_else(|| format!("{} needs a value", argv[i]))?;
         match argv[i].as_str() {
             "--seed" => seed = value.parse().map_err(|_| "bad --seed")?,
             other => return Err(format!("unknown flag {other}")),
@@ -68,8 +70,7 @@ fn bench_model(seed: u64) -> Result<(GraphExModel, u64), String> {
     let output =
         build(&plan, vec![Box::new(MarketsimSource::new(&corpus))]).map_err(|e| e.to_string())?;
     let size = output.bytes.len() as u64;
-    let model =
-        graphex_core::serialize::from_bytes(&output.bytes).map_err(|e| e.to_string())?;
+    let model = graphex_core::serialize::from_bytes(&output.bytes).map_err(|e| e.to_string())?;
     Ok((model, size))
 }
 
@@ -85,17 +86,25 @@ struct ScaleResult {
 /// all, re-admit all. Admission answers a probe request each time so
 /// the measured path includes real inference, not just the load.
 fn run_arm(mode: LoadMode, n: usize, model: &GraphExModel) -> Result<ScaleResult, String> {
-    let root = std::env::temp_dir()
-        .join(format!("graphex-tenancybench-{mode}-{n}-{}", std::process::id()));
+    let root = std::env::temp_dir().join(format!(
+        "graphex-tenancybench-{mode}-{n}-{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&root);
     let fleet = TenantFleet::open(
         &root,
-        FleetConfig { resident_cap: n, load_mode: mode, ..FleetConfig::default() },
+        FleetConfig {
+            resident_cap: n,
+            load_mode: mode,
+            ..FleetConfig::default()
+        },
     )
     .map_err(|e| e.to_string())?;
     let names: Vec<String> = (0..n).map(|i| format!("tenant-{i}")).collect();
     for name in &names {
-        fleet.publish_model(name, model, "tenancybench").map_err(|e| e.to_string())?;
+        fleet
+            .publish_model(name, model, "tenancybench")
+            .map_err(|e| e.to_string())?;
         fleet.evict(name).map_err(|e| e.to_string())?;
     }
     debug_assert_eq!(fleet.resident_count(), 0);
@@ -185,7 +194,9 @@ fn run(seed: u64) -> Result<String, String> {
   }}
 }}"#,
         std::env::consts::OS,
-        std::thread::available_parallelism().map(usize::from).unwrap_or(1),
+        std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(1),
         seed,
         snapshot_bytes,
         arms,

@@ -4,17 +4,19 @@
 
 pub mod render;
 
+use graphex_baselines::fasttext::FastTextConfig;
 use graphex_baselines::{
     FastTextLike, GraphExRecommender, Graphite, ItemRef, Recommender, RulesEngine, SlEmb, SlQuery,
 };
-use graphex_baselines::fasttext::FastTextConfig;
 use graphex_core::{GraphExBuilder, GraphExConfig, GraphExModel};
 use graphex_eval::{Evaluation, RelevanceJudge};
 use graphex_marketsim::{CategoryDataset, CategorySpec};
 use std::time::{Duration, Instant};
 
 /// Model order used everywhere (matches the paper's table rows).
-pub const MODEL_ORDER: [&str; 6] = ["fastText", "SL-emb", "SL-query", "Graphite", "RE", "GraphEx"];
+pub const MODEL_ORDER: [&str; 6] = [
+    "fastText", "SL-emb", "SL-query", "Graphite", "RE", "GraphEx",
+];
 
 /// One fully evaluated category.
 pub struct Study {
@@ -58,8 +60,13 @@ pub fn default_threshold(ds: &CategoryDataset) -> u32 {
 
 /// Threshold at an arbitrary percentile of positive search counts.
 pub fn percentile_threshold(ds: &CategoryDataset, pct: f64) -> u32 {
-    let mut counts: Vec<u32> =
-        ds.train_log.search_counts.iter().copied().filter(|&c| c > 0).collect();
+    let mut counts: Vec<u32> = ds
+        .train_log
+        .search_counts
+        .iter()
+        .copied()
+        .filter(|&c| c > 0)
+        .collect();
     if counts.is_empty() {
         return 2;
     }
@@ -118,11 +125,19 @@ pub fn run_study(spec: CategorySpec, test_n: usize) -> Study {
     let latency_models = ["fastText", "Graphite", "GraphEx"];
     let mut latencies = Vec::new();
     for name in latency_models {
-        let model = models.iter().find(|m| m.name() == name).expect("model present");
-        latencies.push((name.to_string(), measure_latency(model.as_ref(), &ds, &test_item_ids)));
+        let model = models
+            .iter()
+            .find(|m| m.name() == name)
+            .expect("model present");
+        latencies.push((
+            name.to_string(),
+            measure_latency(model.as_ref(), &ds, &test_item_ids),
+        ));
     }
-    let sizes: Vec<(String, usize)> =
-        models.iter().map(|m| (m.name().to_string(), m.size_bytes())).collect();
+    let sizes: Vec<(String, usize)> = models
+        .iter()
+        .map(|m| (m.name().to_string(), m.size_bytes()))
+        .collect();
 
     Study {
         name,
@@ -141,7 +156,11 @@ pub fn run_study(spec: CategorySpec, test_n: usize) -> Study {
 /// Amortized per-record inference latency over the test items (paper
 /// Fig. 6a: "amortizing the time taken for prediction over the entire test
 /// set"), k = 20.
-pub fn measure_latency(model: &dyn Recommender, ds: &CategoryDataset, item_ids: &[u32]) -> Duration {
+pub fn measure_latency(
+    model: &dyn Recommender,
+    ds: &CategoryDataset,
+    item_ids: &[u32],
+) -> Duration {
     // Warm-up pass so lazy allocations don't pollute the measurement.
     for &id in item_ids.iter().take(10) {
         let item = &ds.marketplace.items[id as usize];
@@ -196,7 +215,10 @@ mod tests {
         let study = quick_study();
         let graphex = study.evaluation.model("GraphEx").unwrap();
         assert!(graphex.total_predictions() > 0, "GraphEx predicted nothing");
-        assert!(graphex.relevant() > 0, "GraphEx has zero judged-relevant predictions");
+        assert!(
+            graphex.relevant() > 0,
+            "GraphEx has zero judged-relevant predictions"
+        );
     }
 
     #[test]

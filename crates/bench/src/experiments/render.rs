@@ -4,9 +4,9 @@
 use super::{percentile_threshold, Study, MODEL_ORDER};
 use crate::tables::{fmt_bytes, fmt_pct, fmt_ratio, render};
 use graphex_core::Scratch;
+use graphex_eval::framework_capabilities;
 use graphex_eval::judge::RelevanceJudge;
 use graphex_eval::metrics::{exclusive_relevant_head, fig4_rows, precision_recall_vs, venn_counts};
-use graphex_eval::framework_capabilities;
 use graphex_serving::{BatchPipeline, KvStore, ServeSource, ServingApi};
 use std::sync::Arc;
 
@@ -28,7 +28,14 @@ pub fn table1() -> String {
     format!(
         "Table I — framework capabilities (yes / - / ?)\n\n{}",
         render(
-            &["Framework", "Latency OK", "Click debias", "Survives RE dedup", "100% targeting", "Head focus"],
+            &[
+                "Framework",
+                "Latency OK",
+                "Click debias",
+                "Survives RE dedup",
+                "100% targeting",
+                "Head focus"
+            ],
             &rows,
         )
     )
@@ -51,7 +58,16 @@ pub fn table2(studies: &[Study]) -> String {
         .collect();
     format!(
         "Table II — category datasets (synthetic; paper scales ÷1000)\n\n{}",
-        render(&["MetaCat", "# Items", "# Keyphrases", "# GraphEx Keyphrases", "curation threshold"], &rows)
+        render(
+            &[
+                "MetaCat",
+                "# Items",
+                "# Keyphrases",
+                "# GraphEx Keyphrases",
+                "curation threshold"
+            ],
+            &rows
+        )
     )
 }
 
@@ -85,7 +101,9 @@ pub fn fig2(study: &Study) -> String {
 
 /// Figure 4: average relevant head/tail and irrelevant keyphrases per item.
 pub fn fig4(studies: &[Study]) -> String {
-    let mut out = String::from("Figure 4 — avg keyphrases per item (irrelevant / relevant-tail / relevant-head)\n");
+    let mut out = String::from(
+        "Figure 4 — avg keyphrases per item (irrelevant / relevant-tail / relevant-head)\n",
+    );
     for study in studies {
         let rows: Vec<Vec<String>> = fig4_rows(&study.evaluation)
             .into_iter()
@@ -102,7 +120,10 @@ pub fn fig4(studies: &[Study]) -> String {
         out.push_str(&format!(
             "\n[{}]\n{}",
             study.name,
-            render(&["Model", "irrelevant", "rel tail", "rel head", "total"], &rows)
+            render(
+                &["Model", "irrelevant", "rel tail", "rel head", "total"],
+                &rows
+            )
         ));
     }
     out
@@ -136,7 +157,10 @@ pub fn table3(studies: &[Study]) -> String {
         }
     }
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    format!("Table III — RP, HP, RRR, RHR (RRR/RHR relative to GraphEx)\n\n{}", render(&header_refs, &rows))
+    format!(
+        "Table III — RP, HP, RRR, RHR (RRR/RHR relative to GraphEx)\n\n{}",
+        render(&header_refs, &rows)
+    )
 }
 
 /// Table IV: GraphEx's exclusive relevant-head diversity relative to every
@@ -148,7 +172,12 @@ pub fn table4(studies: &[Study]) -> String {
         let mut row = vec![name.to_string()];
         for study in studies {
             let ex = exclusive_relevant_head(&study.evaluation);
-            let get = |model: &str| ex.iter().find(|(n, _)| n == model).map(|&(_, v)| v).unwrap_or(0.0);
+            let get = |model: &str| {
+                ex.iter()
+                    .find(|(n, _)| n == model)
+                    .map(|&(_, v)| v)
+                    .unwrap_or(0.0)
+            };
             let graphex = get("GraphEx");
             let other = get(name);
             // Show the ratio plus the raw per-item averages so degenerate
@@ -176,7 +205,12 @@ pub fn fig5(study: &Study) -> String {
     let rows: Vec<Vec<String>> = venn_counts(&study.evaluation)
         .into_iter()
         .map(|(name, unique, shared)| {
-            vec![name, unique.to_string(), shared.to_string(), (unique + shared).to_string()]
+            vec![
+                name,
+                unique.to_string(),
+                shared.to_string(),
+                (unique + shared).to_string(),
+            ]
         })
         .collect();
     format!(
@@ -217,7 +251,10 @@ pub fn table5(studies: &[Study]) -> String {
             study.name,
             graphex.precision,
             graphex.recall,
-            render(&["Metrics", "fastText", "Graphite", "SL-emb", "SL-query"], &rows)
+            render(
+                &["Metrics", "fastText", "Graphite", "SL-emb", "SL-query"],
+                &rows
+            )
         ));
     }
     out
@@ -254,7 +291,11 @@ pub fn table6(studies: &[Study]) -> String {
                     }
                 }
             }
-            row.push(if total == 0 { "n/a".into() } else { fmt_pct(relevant as f64 / total as f64) });
+            row.push(if total == 0 {
+                "n/a".into()
+            } else {
+                fmt_pct(relevant as f64 / total as f64)
+            });
         }
         rows.push(row);
     }
@@ -286,8 +327,9 @@ pub fn table7(study: &Study) -> String {
     for &id in items {
         let item = &study.ds.marketplace.items[id as usize];
         let texts = |model: &graphex_core::GraphExModel, scratch: &mut Scratch| -> Vec<String> {
-            let request =
-                graphex_core::InferRequest::new(&item.title, item.leaf).k(20).resolve_texts(true);
+            let request = graphex_core::InferRequest::new(&item.title, item.leaf)
+                .k(20)
+                .resolve_texts(true);
             model.infer_request(&request, scratch).texts
         };
         let a = texts(&model_low, &mut scratch);
@@ -299,15 +341,23 @@ pub fn table7(study: &Study) -> String {
             continue;
         }
         let rel = |texts: &[String]| -> std::collections::BTreeSet<String> {
-            texts.iter().filter(|t| judge.judge(item, t)).cloned().collect()
+            texts
+                .iter()
+                .filter(|t| judge.judge(item, t))
+                .cloned()
+                .collect()
         };
         let (ra, rb) = (rel(&a), rel(&b));
         if ra == rb {
             same_relevant += 1;
         }
-        let heads = |set: &std::collections::BTreeSet<String>| -> std::collections::BTreeSet<String> {
-            set.iter().filter(|t| head.is_head(study.ds.eval_search_count(t))).cloned().collect()
-        };
+        let heads =
+            |set: &std::collections::BTreeSet<String>| -> std::collections::BTreeSet<String> {
+                set.iter()
+                    .filter(|t| head.is_head(study.ds.eval_search_count(t)))
+                    .cloned()
+                    .collect()
+            };
         if heads(&ra) == heads(&rb) {
             same_relevant_head += 1;
         }
@@ -354,8 +404,18 @@ pub fn table7(study: &Study) -> String {
         high,
         fmt_pct(pct(identical, items.len())),
         fmt_pct(pct(same_relevant, items.len().saturating_sub(identical))),
-        fmt_pct(pct(same_relevant_head, items.len().saturating_sub(identical))),
-        render(&["Search Count Threshold", "% Relevant (exclusive)", "% Relevant Head (exclusive)"], &rows)
+        fmt_pct(pct(
+            same_relevant_head,
+            items.len().saturating_sub(identical)
+        )),
+        render(
+            &[
+                "Search Count Threshold",
+                "% Relevant (exclusive)",
+                "% Relevant Head (exclusive)"
+            ],
+            &rows
+        )
     )
 }
 
@@ -365,7 +425,12 @@ pub fn fig6(studies: &[Study]) -> String {
     for name in ["fastText", "Graphite", "GraphEx"] {
         let mut row = vec![name.to_string()];
         for study in studies {
-            let lat = study.latencies.iter().find(|(n, _)| n == name).map(|(_, d)| *d).unwrap_or_default();
+            let lat = study
+                .latencies
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, d)| *d)
+                .unwrap_or_default();
             row.push(format!("{:.3} ms", lat.as_secs_f64() * 1e3));
         }
         latency_rows.push(row);
@@ -374,7 +439,12 @@ pub fn fig6(studies: &[Study]) -> String {
     for name in ["fastText", "Graphite", "GraphEx"] {
         let mut row = vec![name.to_string()];
         for study in studies {
-            let sz = study.sizes.iter().find(|(n, _)| n == name).map(|&(_, s)| s).unwrap_or(0);
+            let sz = study
+                .sizes
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|&(_, s)| s)
+                .unwrap_or(0);
             row.push(fmt_bytes(sz));
         }
         size_rows.push(row);
@@ -425,7 +495,11 @@ pub fn serving_demo(study: &Study) -> String {
         .items
         .iter()
         .take(50_000)
-        .map(|i| graphex_serving::batch::BatchItem { id: i.id, title: i.title.clone(), leaf: i.leaf })
+        .map(|i| graphex_serving::batch::BatchItem {
+            id: i.id,
+            title: i.title.clone(),
+            leaf: i.leaf,
+        })
         .collect();
     let report = pipeline.run_full(&items);
     let throughput = if report.elapsed_ms == 0 {

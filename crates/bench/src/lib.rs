@@ -42,7 +42,11 @@ impl Scale {
     /// The category specs at this scale.
     pub fn specs(self) -> Vec<CategorySpec> {
         match self {
-            Scale::Full => vec![CategorySpec::cat1(), CategorySpec::cat2(), CategorySpec::cat3()],
+            Scale::Full => vec![
+                CategorySpec::cat1(),
+                CategorySpec::cat2(),
+                CategorySpec::cat3(),
+            ],
             Scale::Quick => {
                 let mut c1 = CategorySpec::tiny(0xC1);
                 c1.name = "CAT_1".into();

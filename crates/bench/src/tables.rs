@@ -71,7 +71,10 @@ mod tests {
     fn renders_aligned() {
         let s = render(
             &["Model", "RP"],
-            &[vec!["GraphEx".into(), "56.4%".into()], vec!["RE".into(), "63.7%".into()]],
+            &[
+                vec!["GraphEx".into(), "56.4%".into()],
+                vec!["RE".into(), "63.7%".into()],
+            ],
         );
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);

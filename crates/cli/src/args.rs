@@ -56,7 +56,10 @@ impl ParsedArgs {
 
     /// Required string value.
     pub fn require(&self, key: &str) -> Result<&str, String> {
-        self.values.get(key).map(String::as_str).ok_or_else(|| format!("missing --{key}"))
+        self.values
+            .get(key)
+            .map(String::as_str)
+            .ok_or_else(|| format!("missing --{key}"))
     }
 
     /// Optional string value.
@@ -68,7 +71,9 @@ impl ParsedArgs {
     pub fn get_num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.values.get(key) {
             None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| format!("--{key}: cannot parse {raw:?}")),
+            Some(raw) => raw
+                .parse()
+                .map_err(|_| format!("--{key}: cannot parse {raw:?}")),
         }
     }
 
@@ -88,7 +93,8 @@ mod tests {
 
     #[test]
     fn parses_pairs_and_switches() {
-        let p = ParsedArgs::parse(&argv(&["--input", "a.tsv", "--no-stemming", "--k", "7"])).unwrap();
+        let p =
+            ParsedArgs::parse(&argv(&["--input", "a.tsv", "--no-stemming", "--k", "7"])).unwrap();
         assert_eq!(p.require("input").unwrap(), "a.tsv");
         assert!(p.switch("no-stemming"));
         assert!(!p.switch("no-fallback"));

@@ -46,7 +46,9 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
 
     let mut tail = String::new();
     if let Some(path) = output_path {
-        let info = output.write_to(path).map_err(|e| format!("write {path}: {e}"))?;
+        let info = output
+            .write_to(path)
+            .map_err(|e| format!("write {path}: {e}"))?;
         let _ = writeln!(tail, "wrote {path} (+ {})", info.display());
     }
     if let Some(root) = publish_root {
@@ -54,7 +56,9 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
         if shards > 0 {
             // Scale-out publish: partition by `leaf % shards` and publish
             // each shard into its own registry under `<root>/shard-<i>`.
-            let snapshots = output.emit_shards(shards).map_err(|e| format!("--shards: {e}"))?;
+            let snapshots = output
+                .emit_shards(shards)
+                .map_err(|e| format!("--shards: {e}"))?;
             let metas = graphex_pipeline::publish_shards(&snapshots, root, note)
                 .map_err(|e| format!("publish shards into {root}: {e}"))?;
             for (snapshot, meta) in snapshots.iter().zip(&metas) {
@@ -194,7 +198,10 @@ fn render_text(report: &BuildReport) -> String {
                 src.name,
                 src.records,
                 src.parse_errors,
-                src.error_sample.first().map(String::as_str).unwrap_or("<unavailable>"),
+                src.error_sample
+                    .first()
+                    .map(String::as_str)
+                    .unwrap_or("<unavailable>"),
             );
         }
     }
@@ -219,7 +226,12 @@ fn render_json(report: &BuildReport) -> Json {
                 ("parse_errors", Json::uint(s.parse_errors)),
                 (
                     "error_sample",
-                    Json::Arr(s.error_sample.iter().map(|e| Json::str(e.clone())).collect()),
+                    Json::Arr(
+                        s.error_sample
+                            .iter()
+                            .map(|e| Json::str(e.clone()))
+                            .collect(),
+                    ),
                 ),
             ])
         })
@@ -233,8 +245,14 @@ fn render_json(report: &BuildReport) -> Json {
             Json::obj(vec![
                 ("input", Json::uint(c.input as u64)),
                 ("kept", Json::uint(c.kept as u64)),
-                ("dropped_low_search", Json::uint(c.dropped_low_search as u64)),
-                ("dropped_token_bounds", Json::uint(c.dropped_token_bounds as u64)),
+                (
+                    "dropped_low_search",
+                    Json::uint(c.dropped_low_search as u64),
+                ),
+                (
+                    "dropped_token_bounds",
+                    Json::uint(c.dropped_token_bounds as u64),
+                ),
                 ("dropped_leaf_cap", Json::uint(c.dropped_leaf_cap as u64)),
                 ("merged_duplicates", Json::uint(c.merged_duplicates as u64)),
             ]),
@@ -246,7 +264,10 @@ fn render_json(report: &BuildReport) -> Json {
         ("keyphrases", Json::uint(report.keyphrases as u64)),
         ("tokens", Json::uint(report.tokens as u64)),
         ("snapshot_bytes", Json::uint(report.snapshot_bytes as u64)),
-        ("snapshot_checksum", Json::str(format!("{:016x}", report.snapshot_checksum))),
+        (
+            "snapshot_checksum",
+            Json::str(format!("{:016x}", report.snapshot_checksum)),
+        ),
         ("wall_ms", Json::uint(report.wall_ms)),
         (
             "stages_ms",
@@ -304,8 +325,21 @@ mod tests {
 
         // Full build from a marketsim corpus → file + registry.
         let out = dispatch(&argv(&[
-            "build", "--marketsim", "tiny", "--seed", "3", "--min-search", "2", "--jobs", "2",
-            "--output", model_s, "--publish", root_s, "--note", "gen0",
+            "build",
+            "--marketsim",
+            "tiny",
+            "--seed",
+            "3",
+            "--min-search",
+            "2",
+            "--jobs",
+            "2",
+            "--output",
+            model_s,
+            "--publish",
+            root_s,
+            "--note",
+            "gen0",
         ]))
         .unwrap();
         assert!(out.contains("keyphrases"), "{out}");
@@ -317,16 +351,42 @@ mod tests {
         // Delta rebuild of the identical corpus: everything reused, and
         // the registry gains version 2 with identical model bytes.
         let out = dispatch(&argv(&[
-            "build", "--marketsim", "tiny", "--seed", "3", "--min-search", "2", "--jobs", "2",
-            "--delta", root_s, "--publish", root_s, "--json",
+            "build",
+            "--marketsim",
+            "tiny",
+            "--seed",
+            "3",
+            "--min-search",
+            "2",
+            "--jobs",
+            "2",
+            "--delta",
+            root_s,
+            "--publish",
+            root_s,
+            "--json",
         ]))
         .unwrap();
         let parsed = graphex_server::json::parse(&out).unwrap();
-        assert_eq!(parsed.get("leaves_built").and_then(Json::as_u64), Some(0), "{out}");
+        assert_eq!(
+            parsed.get("leaves_built").and_then(Json::as_u64),
+            Some(0),
+            "{out}"
+        );
         assert!(parsed.get("leaves_reused").and_then(Json::as_u64).unwrap() > 0);
-        assert_eq!(parsed.get("published_version").and_then(Json::as_u64), Some(2));
+        assert_eq!(
+            parsed.get("published_version").and_then(Json::as_u64),
+            Some(2)
+        );
         let stages = parsed.get("stages_ms").unwrap();
-        for stage in ["shards", "curate", "assemble", "merge", "fallback", "serialize"] {
+        for stage in [
+            "shards",
+            "curate",
+            "assemble",
+            "merge",
+            "fallback",
+            "serialize",
+        ] {
             assert!(stages.get(stage).is_some(), "no {stage} in {out}");
         }
         assert_eq!(
@@ -349,21 +409,41 @@ mod tests {
         let root = dir.join("cluster");
         let root_s = root.to_str().unwrap();
         let out = dispatch(&argv(&[
-            "build", "--marketsim", "tiny", "--seed", "3", "--min-search", "2", "--publish",
-            root_s, "--shards", "2", "--note", "gen0",
+            "build",
+            "--marketsim",
+            "tiny",
+            "--seed",
+            "3",
+            "--min-search",
+            "2",
+            "--publish",
+            root_s,
+            "--shards",
+            "2",
+            "--note",
+            "gen0",
         ]))
         .unwrap();
         assert!(out.contains("published shard 0/2"), "{out}");
         assert!(out.contains("published shard 1/2"), "{out}");
         for shard in 0..2 {
-            let info = root.join(format!("shard-{shard}")).join("1").join("BUILDINFO");
+            let info = root
+                .join(format!("shard-{shard}"))
+                .join("1")
+                .join("BUILDINFO");
             let text = std::fs::read_to_string(&info).unwrap();
             assert!(text.contains(&format!("shard {shard} 2")), "{text}");
         }
 
         // --shards is a publish topology, not a file format.
         let err = dispatch(&argv(&[
-            "build", "--marketsim", "tiny", "--output", "/tmp/x.gexm", "--shards", "2",
+            "build",
+            "--marketsim",
+            "tiny",
+            "--output",
+            "/tmp/x.gexm",
+            "--shards",
+            "2",
         ]))
         .unwrap_err();
         assert!(err.contains("--publish"), "{err}");
@@ -377,7 +457,12 @@ mod tests {
         std::fs::write(&tsv, "a b\t1\t50\t5\nbroken\nc d\t2\t60\t6\n").unwrap();
         let model = dir.join("model.gexm");
         let base = [
-            "build", "--input", tsv.to_str().unwrap(), "--min-search", "1", "--output",
+            "build",
+            "--input",
+            tsv.to_str().unwrap(),
+            "--min-search",
+            "1",
+            "--output",
             model.to_str().unwrap(),
         ];
 

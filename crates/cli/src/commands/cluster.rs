@@ -17,8 +17,9 @@ use std::time::Duration;
 
 /// Dispatches a `cluster` sub-verb (positional, like `model`).
 pub fn run(argv: &[String]) -> Result<String, String> {
-    let (verb, rest) =
-        argv.split_first().ok_or_else(|| "cluster: missing verb (up)".to_string())?;
+    let (verb, rest) = argv
+        .split_first()
+        .ok_or_else(|| "cluster: missing verb (up)".to_string())?;
     let args = ParsedArgs::parse(rest)?;
     match verb.as_str() {
         "up" => up(&args),
@@ -61,8 +62,7 @@ fn up(args: &ParsedArgs) -> Result<String, String> {
         },
         default_k: args.get_num::<usize>("k", 10)?,
     };
-    let cluster =
-        LocalCluster::boot(&roots, &config).map_err(|e| format!("cluster boot: {e}"))?;
+    let cluster = LocalCluster::boot(&roots, &config).map_err(|e| format!("cluster boot: {e}"))?;
     println!(
         "graphex-cluster: router on http://{} over {} backend(s)",
         cluster.router_addr(),

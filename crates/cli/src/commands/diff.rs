@@ -31,7 +31,11 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
         }
     }
     if diff.changed_leaves.len() > max_listed {
-        let _ = writeln!(out, "  ... {} more changed leaves", diff.changed_leaves.len() - max_listed);
+        let _ = writeln!(
+            out,
+            "  ... {} more changed leaves",
+            diff.changed_leaves.len() - max_listed
+        );
     }
     Ok(out)
 }

@@ -16,7 +16,11 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
         .explain(title, leaf, &InferenceParams::with_k(k), &mut scratch)
         .map_err(|e| e.to_string())?;
     let mut out = String::new();
-    let _ = writeln!(out, "title: {title:?} ({leaf}, {} candidates)", explained.len());
+    let _ = writeln!(
+        out,
+        "title: {title:?} ({leaf}, {} candidates)",
+        explained.len()
+    );
     for (rank, e) in explained.iter().enumerate() {
         let _ = writeln!(out, "{:>3}. {}", rank + 1, e.rationale());
     }

@@ -41,13 +41,28 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
             if title.trim().is_empty() {
                 continue;
             }
-            render_response(&mut session, InferRequest { title: &title, ..template }, true, show_outcome, &mut out)?;
+            render_response(
+                &mut session,
+                InferRequest {
+                    title: &title,
+                    ..template
+                },
+                true,
+                show_outcome,
+                &mut out,
+            )?;
         }
         Ok(out)
     } else {
         let title = args.require("title")?;
         let mut out = String::new();
-        render_response(&mut session, InferRequest { title, ..template }, false, show_outcome, &mut out)?;
+        render_response(
+            &mut session,
+            InferRequest { title, ..template },
+            false,
+            show_outcome,
+            &mut out,
+        )?;
         Ok(out)
     }
 }
@@ -66,7 +81,9 @@ fn render_response(
             request.leaf
         ));
     }
-    let alignment = request.alignment.unwrap_or_else(|| session.engine().model().alignment());
+    let alignment = request
+        .alignment
+        .unwrap_or_else(|| session.engine().model().alignment());
     for (rank, (p, text)) in response.predictions.iter().zip(&response.texts).enumerate() {
         if include_title {
             let _ = write!(out, "{}\t", request.title);

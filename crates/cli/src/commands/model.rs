@@ -19,9 +19,9 @@ use std::fmt::Write as _;
 /// Dispatches a `model` sub-verb. Receives the raw argv after `model`
 /// because the verb itself is positional, not a `--flag`.
 pub fn run(argv: &[String]) -> Result<String, String> {
-    let (verb, rest) = argv
-        .split_first()
-        .ok_or_else(|| "model: missing verb (publish|list|rollback|inspect|verify|gc)".to_string())?;
+    let (verb, rest) = argv.split_first().ok_or_else(|| {
+        "model: missing verb (publish|list|rollback|inspect|verify|gc)".to_string()
+    })?;
     let args = ParsedArgs::parse(rest)?;
     match verb.as_str() {
         "publish" => publish(&args),
@@ -30,7 +30,9 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         "inspect" => inspect(&args),
         "verify" => verify(&args),
         "gc" => gc(&args),
-        other => Err(format!("model: unknown verb {other:?} (publish|list|rollback|inspect|verify|gc)")),
+        other => Err(format!(
+            "model: unknown verb {other:?} (publish|list|rollback|inspect|verify|gc)"
+        )),
     }
 }
 
@@ -77,12 +79,21 @@ fn list(args: &ParsedArgs) -> Result<String, String> {
     }
     let mut out = String::from("version\tformat\tleaves\tkeyphrases\tbytes\tchecksum\tnote\n");
     for meta in snapshots {
-        let marker = if Some(meta.version) == current { "*" } else { " " };
+        let marker = if Some(meta.version) == current {
+            "*"
+        } else {
+            " "
+        };
         let _ = writeln!(
             out,
             "{marker}{}\tv{}\t{}\t{}\t{}\t{:016x}\t{}",
-            meta.version, meta.format, meta.leaves, meta.keyphrases, meta.size_bytes,
-            meta.checksum, meta.note,
+            meta.version,
+            meta.format,
+            meta.leaves,
+            meta.keyphrases,
+            meta.size_bytes,
+            meta.checksum,
+            meta.note,
         );
     }
     Ok(out)
@@ -115,14 +126,15 @@ fn snapshot_bytes(args: &ParsedArgs) -> Result<(String, Vec<u8>), String> {
     }
     let registry = attach_registry(args)?;
     let version = match args.get("version") {
-        Some(raw) => raw.parse::<u64>().map_err(|_| format!("--version: cannot parse {raw:?}"))?,
+        Some(raw) => raw
+            .parse::<u64>()
+            .map_err(|_| format!("--version: cannot parse {raw:?}"))?,
         None => registry
             .pinned_version()
             .ok_or_else(|| "registry holds no snapshots (and no --version given)".to_string())?,
     };
     let path = registry.root().join(version.to_string()).join("model.gexm");
-    let bytes =
-        std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    let bytes = std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
     Ok((path.display().to_string(), bytes))
 }
 
@@ -162,8 +174,8 @@ fn render_buildinfo_check(source: &str, actual: u64, out: &mut String) -> Result
     if !info_path.is_file() {
         return Ok(());
     }
-    let manifest = graphex_pipeline::BuildManifest::load(&info_path)
-        .map_err(|e| format!("buildinfo: {e}"))?;
+    let manifest =
+        graphex_pipeline::BuildManifest::load(&info_path).map_err(|e| format!("buildinfo: {e}"))?;
     if manifest.snapshot_checksum == actual {
         let _ = writeln!(
             out,
@@ -188,8 +200,12 @@ fn verify(args: &ParsedArgs) -> Result<String, String> {
     // One hash pass, one full structural parse, and the header read
     // back from the buffer both vouch for.
     let snapshot = serialize::hash(bytes.into());
-    let model = snapshot.parse().map_err(|e| format!("verify {source}: {e}"))?;
-    let info = snapshot.inspect().map_err(|e| format!("verify {source}: {e}"))?;
+    let model = snapshot
+        .parse()
+        .map_err(|e| format!("verify {source}: {e}"))?;
+    let info = snapshot
+        .inspect()
+        .map_err(|e| format!("verify {source}: {e}"))?;
     Ok(format!(
         "OK: {source}\n{}model loads: {} leaves, {} keyphrases\n",
         render_info(&source, &info),
@@ -231,8 +247,10 @@ mod tests {
         let root_s = root.to_str().unwrap();
         let gexm_s = gexm.to_str().unwrap();
 
-        let out = run(&argv(&["publish", "--root", root_s, "--input", gexm_s, "--note", "first"]))
-            .unwrap();
+        let out = run(&argv(&[
+            "publish", "--root", root_s, "--input", gexm_s, "--note", "first",
+        ]))
+        .unwrap();
         assert!(out.contains("published version 1"), "{out}");
 
         write_model(&gexm, 2);
@@ -267,7 +285,10 @@ mod tests {
         std::fs::write(&gexm, &old).unwrap();
         for verb in ["inspect", "verify"] {
             let err = run(&argv(&[verb, "--model", gexm_s])).unwrap_err();
-            assert!(err.contains("a GEXM v2 snapshot predates the v3 checksum — rebuild it"), "{verb}: {err}");
+            assert!(
+                err.contains("a GEXM v2 snapshot predates the v3 checksum — rebuild it"),
+                "{verb}: {err}"
+            );
         }
 
         std::fs::remove_dir_all(&dir).ok();
@@ -295,8 +316,10 @@ mod tests {
 
     #[test]
     fn inspect_cross_checks_pipeline_buildinfo() {
-        let dir = std::env::temp_dir()
-            .join(format!("graphex-cli-model-buildinfo-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "graphex-cli-model-buildinfo-{}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let snapshot = dir.join("model.gexm");
@@ -332,7 +355,8 @@ mod tests {
         assert!(run(&argv(&["frobnicate"])).is_err());
         assert!(run(&argv(&["publish", "--root", "/tmp/x"])).is_err()); // missing --input
         assert!(run(&argv(&["verify", "--model", "/nonexistent.gexm"])).is_err());
-        let dir = std::env::temp_dir().join(format!("graphex-cli-model-err-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("graphex-cli-model-err-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         // Empty registry: rollback and inspect fail cleanly.
         let root_s = dir.to_str().unwrap();

@@ -35,7 +35,9 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         "status" => status(&args),
         "apply" => apply(&args),
         "compact" => compact(&args),
-        other => Err(format!("overlay: unknown verb {other:?} (status|apply|compact)")),
+        other => Err(format!(
+            "overlay: unknown verb {other:?} (status|apply|compact)"
+        )),
     }
 }
 
@@ -78,7 +80,9 @@ fn render_overlay_row(out: &mut String, overlay: &Json) {
 /// object or the fleet table, optionally filtered by `--name`).
 fn status(args: &ParsedArgs) -> Result<String, String> {
     let mut client = connect(args)?;
-    let response = client.get("/statusz").map_err(|e| format!("GET /statusz: {e}"))?;
+    let response = client
+        .get("/statusz")
+        .map_err(|e| format!("GET /statusz: {e}"))?;
     if response.status != 200 {
         return Err(format!("GET /statusz: HTTP {}", response.status));
     }
@@ -133,8 +137,7 @@ fn records_from_inputs(args: &ParsedArgs) -> Result<Vec<graphex_core::KeyphraseR
             if line.trim().is_empty() {
                 continue;
             }
-            let record =
-                records::parse_line(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
+            let record = records::parse_line(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
             out.push(record);
         }
     }
@@ -193,7 +196,9 @@ fn apply(args: &ParsedArgs) -> Result<String, String> {
         "applied {applied} records (seq {}, overlay depth {}, journal {} bytes) — servable now\n",
         last.get("seq").and_then(Json::as_u64).unwrap_or(0),
         last.get("depth").and_then(Json::as_u64).unwrap_or(0),
-        last.get("journal_bytes").and_then(Json::as_u64).unwrap_or(0),
+        last.get("journal_bytes")
+            .and_then(Json::as_u64)
+            .unwrap_or(0),
     ))
 }
 
@@ -204,8 +209,9 @@ fn compact(args: &ParsedArgs) -> Result<String, String> {
     let drain_path = action_path(args.get("name"), "overlay/drain");
 
     let mut client = connect(args)?;
-    let response =
-        client.get(&journal_path).map_err(|e| format!("GET {journal_path}: {e}"))?;
+    let response = client
+        .get(&journal_path)
+        .map_err(|e| format!("GET {journal_path}: {e}"))?;
     if response.status != 200 {
         return Err(format!(
             "GET {journal_path}: HTTP {}: {}",
@@ -214,14 +220,12 @@ fn compact(args: &ParsedArgs) -> Result<String, String> {
         ));
     }
     let text = response.text();
-    let journal =
-        OverlayJournal::parse(&text).map_err(|e| format!("exported journal: {e}"))?;
+    let journal = OverlayJournal::parse(&text).map_err(|e| format!("exported journal: {e}"))?;
 
     // Rebuild the union corpus through the pipeline: base inputs plus the
     // journal, as a delta against the registry the server watches so
     // unchanged leaves are borrowed byte-for-byte.
-    let dir = std::env::temp_dir()
-        .join(format!("graphex-overlay-compact-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("graphex-overlay-compact-{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
     let journal_file = dir.join("journal.txt");
     std::fs::write(&journal_file, &text)
@@ -283,7 +287,10 @@ fn compact(args: &ParsedArgs) -> Result<String, String> {
         report.get("drained").and_then(Json::as_u64).unwrap_or(0),
         report.get("remaining").and_then(Json::as_u64).unwrap_or(0),
     );
-    let _ = writeln!(out, "the server hot-swaps to the compacted snapshot on its next poll");
+    let _ = writeln!(
+        out,
+        "the server hot-swaps to the compacted snapshot on its next poll"
+    );
     Ok(out)
 }
 
@@ -304,8 +311,14 @@ mod tests {
         // Missing --input.
         assert!(run(&argv(&["apply", "--server", "127.0.0.1:1"])).is_err());
         // Missing --publish.
-        assert!(run(&argv(&["compact", "--server", "127.0.0.1:1", "--input", "x.tsv"]))
-            .is_err());
+        assert!(run(&argv(&[
+            "compact",
+            "--server",
+            "127.0.0.1:1",
+            "--input",
+            "x.tsv"
+        ]))
+        .is_err());
     }
 
     #[test]

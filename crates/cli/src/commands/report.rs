@@ -42,19 +42,37 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
     let eval = if args.switch("no-eval") {
         None
     } else {
-        Some(run_eval(args.get_num("eval-seed", 0x9E)?, args.get_num("eval-items", 12)?))
+        Some(run_eval(
+            args.get_num("eval-seed", 0x9E)?,
+            args.get_num("eval-items", 12)?,
+        ))
     };
 
-    let inputs =
-        ReportInputs { generated: today(), source, bench_dir, benches, history, traces, eval };
+    let inputs = ReportInputs {
+        generated: today(),
+        source,
+        bench_dir,
+        benches,
+        history,
+        traces,
+        eval,
+    };
     let page = graphex_report::render(&inputs);
     std::fs::write(&out_path, &page).map_err(|e| format!("write {out_path}: {e}"))?;
     Ok(format!(
         "wrote {out_path}: {} bytes, {} bench docs, live telemetry: {}, eval: {}\n",
         page.len(),
         inputs.benches.len(),
-        if inputs.history.is_some() { "captured" } else { "none" },
-        if inputs.eval.is_some() { "run" } else { "skipped" },
+        if inputs.history.is_some() {
+            "captured"
+        } else {
+            "none"
+        },
+        if inputs.eval.is_some() {
+            "run"
+        } else {
+            "skipped"
+        },
     ))
 }
 
@@ -62,8 +80,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
 /// router. A 404 (surface disabled) yields `None` for that section, not
 /// an error — the rest of the report is still worth producing.
 fn capture_from(addr: &str) -> Result<(Option<Json>, Option<Json>), String> {
-    let mut client =
-        HttpClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut client = HttpClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let mut fetch = |path: &str| -> Result<Option<Json>, String> {
         let response = client.get(path).map_err(|e| format!("GET {path}: {e}"))?;
         match response.status {
@@ -102,7 +119,10 @@ fn demo_api() -> Result<Arc<ServingApi>, String> {
 /// and shuts down.
 fn capture_in_process() -> Result<(Option<Json>, Option<Json>), String> {
     let api = demo_api()?;
-    let config = ServerConfig { addr: "127.0.0.1:0".into(), ..Default::default() };
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        ..Default::default()
+    };
     let server = graphex_server::start(config, api).map_err(|e| format!("bind: {e}"))?;
     let addr = server.addr().to_string();
     let io = |e: std::io::Error| format!("report client: {e}");
@@ -112,8 +132,11 @@ fn capture_in_process() -> Result<(Option<Json>, Option<Json>), String> {
         for batch in 0..6u32 {
             for i in 0..10u32 {
                 let title = format!("acme widget model{}", (batch + i) % 8);
-                let body =
-                    format!(r#"{{"title":{:?},"leaf":{},"k":5}}"#, title, (batch + i) % 2);
+                let body = format!(
+                    r#"{{"title":{:?},"leaf":{},"k":5}}"#,
+                    title,
+                    (batch + i) % 2
+                );
                 let response = client.post_json("/v1/infer", &body).map_err(io)?;
                 if response.status != 200 {
                     return Err(format!("demo infer: HTTP {}", response.status));
@@ -194,7 +217,10 @@ mod tests {
         // least one trace waterfall made it into the page.
         assert!(page.contains("http/requests"), "missing history series");
         assert!(page.contains("Trace waterfalls"));
-        assert!(page.contains("edge_hot") && page.contains("3.500"), "missing bench section");
+        assert!(
+            page.contains("edge_hot") && page.contains("3.500"),
+            "missing bench section"
+        );
         assert!(page.contains("GraphEx"), "missing eval section");
         for forbidden in ["http://", "https://", "<script", "src="] {
             assert!(!page.contains(forbidden), "page contains {forbidden:?}");
@@ -203,9 +229,14 @@ mod tests {
         // A document of any other shape fails the command, naming the
         // file; so does a --bench-dir that cannot be read.
         std::fs::write(dir.join("2.base.json"), r#"{"bench": "demo"}"#).unwrap();
-        assert!(run(&args).unwrap_err().starts_with("2.base.json: not a benchmark document"));
+        assert!(run(&args)
+            .unwrap_err()
+            .starts_with("2.base.json: not a benchmark document"));
         std::fs::remove_dir_all(&dir).ok();
         let err = run(&args).unwrap_err();
-        assert!(err.contains("--bench-dir") && err.contains("graphex-report-cli-"), "{err}");
+        assert!(
+            err.contains("--bench-dir") && err.contains("graphex-report-cli-"),
+            "{err}"
+        );
     }
 }

@@ -36,7 +36,10 @@ pub(crate) fn map_from(args: &ParsedArgs) -> Result<ShardMap, String> {
         (Some(_), Some(_)) => Err("pass --map or --backends, not both".into()),
         (Some(path), None) => ShardMap::load(path),
         (None, Some(list)) => ShardMap::from_backends(
-            list.split(',').filter(|a| !a.is_empty()).map(str::to_string).collect(),
+            list.split(',')
+                .filter(|a| !a.is_empty())
+                .map(str::to_string)
+                .collect(),
         ),
         (None, None) => Err("missing --map <file> or --backends <addr,addr,…>".into()),
     }
@@ -53,7 +56,9 @@ pub(crate) fn config_from(args: &ParsedArgs) -> Result<RouterConfig, String> {
             args.get_num::<u64>("backend-timeout-ms", 2000)?.max(1),
         ),
         retries: args.get_num::<u32>("retries", defaults.retries)?,
-        eject_after: args.get_num::<u32>("eject-after", defaults.eject_after)?.max(1),
+        eject_after: args
+            .get_num::<u32>("eject-after", defaults.eject_after)?
+            .max(1),
         ..defaults
     })
 }

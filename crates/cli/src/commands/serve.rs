@@ -10,11 +10,11 @@
 use crate::args::ParsedArgs;
 use graphex_core::serialize::LoadMode;
 use graphex_core::Engine;
+use graphex_server::{HistoryConfig, ServerConfig, TraceConfig};
 use graphex_serving::{
     FleetConfig, KvStore, ModelRegistry, ModelWatch, OverlayStore, ServingApi, SwapPolicy,
     TenantFleet, DEFAULT_OVERLAY_CAP_BYTES,
 };
-use graphex_server::{HistoryConfig, ServerConfig, TraceConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -111,12 +111,15 @@ fn serve_fleet(
     let fleet_config = FleetConfig {
         resident_cap: args.get_num::<usize>("resident", 4)?,
         default_k,
-        load_mode: if args.switch("heap") { LoadMode::Heap } else { LoadMode::Mmap },
+        load_mode: if args.switch("heap") {
+            LoadMode::Heap
+        } else {
+            LoadMode::Mmap
+        },
         swap_policy: policy,
         default_tenant: args.get("default-tenant").unwrap_or("default").to_string(),
         overlay: args.switch("overlay"),
-        overlay_cap_bytes: args
-            .get_num::<usize>("overlay-cap-bytes", DEFAULT_OVERLAY_CAP_BYTES)?,
+        overlay_cap_bytes: args.get_num::<usize>("overlay-cap-bytes", DEFAULT_OVERLAY_CAP_BYTES)?,
     };
     let fleet = Arc::new(
         TenantFleet::open(tenants_root, fleet_config)
@@ -133,7 +136,14 @@ fn serve_fleet(
         fleet.config().resident_cap,
         fleet.config().load_mode,
     );
-    println!("tenants: {}", if names.is_empty() { "(none yet)".into() } else { names.join(", ") });
+    println!(
+        "tenants: {}",
+        if names.is_empty() {
+            "(none yet)".into()
+        } else {
+            names.join(", ")
+        }
+    );
     println!(
         "endpoints: POST /v1/t/<tenant>/infer  POST /v1/infer (tenant {:?})  GET /healthz  GET /statusz  GET /metrics{debug}",
         fleet.default_tenant()
@@ -149,7 +159,9 @@ fn serve_fleet(
         std::thread::sleep(poll);
         for (tenant, result) in fleet.poll_publishes() {
             match result {
-                Ok(version) => println!("tenant {tenant}: hot-swapped to snapshot_version {version}"),
+                Ok(version) => {
+                    println!("tenant {tenant}: hot-swapped to snapshot_version {version}")
+                }
                 Err(e) => eprintln!("tenant {tenant}: activation failed: {e} (still serving)"),
             }
         }
@@ -174,7 +186,9 @@ fn config_from(args: &ParsedArgs) -> Result<ServerConfig, String> {
     let trace_defaults = TraceConfig::default();
     let trace = TraceConfig {
         enabled: !args.switch("no-trace"),
-        ring: args.get_num::<usize>("trace-ring", trace_defaults.ring)?.max(1),
+        ring: args
+            .get_num::<usize>("trace-ring", trace_defaults.ring)?
+            .max(1),
         slow_ring: trace_defaults.slow_ring,
         slow_threshold: Duration::from_millis(
             args.get_num::<u64>(
@@ -194,7 +208,9 @@ fn config_from(args: &ParsedArgs) -> Result<ServerConfig, String> {
             )?
             .max(10),
         ),
-        ring: args.get_num::<usize>("history-ring", history_defaults.ring)?.max(1),
+        ring: args
+            .get_num::<usize>("history-ring", history_defaults.ring)?
+            .max(1),
     };
     Ok(ServerConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:7878").to_string(),

@@ -19,8 +19,11 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
         return cluster_stats(map.backends());
     }
     if let Some(addr) = args.get("server") {
-        let addrs: Vec<String> =
-            addr.split(',').filter(|a| !a.is_empty()).map(str::to_string).collect();
+        let addrs: Vec<String> = addr
+            .split(',')
+            .filter(|a| !a.is_empty())
+            .map(str::to_string)
+            .collect();
         if addrs.len() > 1 {
             return cluster_stats(&addrs);
         }
@@ -93,9 +96,11 @@ fn render_buildinfo(model_path: &std::path::Path, out: &mut String) {
 
 /// Live serving counters from a running frontend's `/statusz`.
 fn server_stats(addr: &str) -> Result<String, String> {
-    let mut client = graphex_server::HttpClient::connect(addr)
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    let response = client.get("/statusz").map_err(|e| format!("GET /statusz: {e}"))?;
+    let mut client =
+        graphex_server::HttpClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let response = client
+        .get("/statusz")
+        .map_err(|e| format!("GET /statusz: {e}"))?;
     if response.status != 200 {
         return Err(format!("GET /statusz: HTTP {}", response.status));
     }
@@ -180,14 +185,28 @@ fn fetch_statusz(addr: &str) -> Option<Json> {
 /// cannot be reached (or answer garbage) show as `down` — an operator
 /// pointing `stats` at a half-up cluster still gets the full picture.
 fn cluster_stats(addrs: &[String]) -> Result<String, String> {
-    const COUNTERS: [&str; 6] =
-        ["in_flight", "shed", "deadline_exceeded", "store_hits", "read_throughs", "unservable"];
+    const COUNTERS: [&str; 6] = [
+        "in_flight",
+        "shed",
+        "deadline_exceeded",
+        "store_hits",
+        "read_throughs",
+        "unservable",
+    ];
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{:>5}  {:<21} {:>6} {:>9} {:>9} {:>6} {:>9} {:>11} {:>13} {:>11}",
-        "shard", "backend", "state", "snapshot", "in-flight", "shed", "deadline", "store-hits",
-        "read-through", "unservable"
+        "shard",
+        "backend",
+        "state",
+        "snapshot",
+        "in-flight",
+        "shed",
+        "deadline",
+        "store-hits",
+        "read-through",
+        "unservable"
     );
     let mut up = 0usize;
     let mut totals = [0u64; COUNTERS.len()];
@@ -206,7 +225,14 @@ fn cluster_stats(addrs: &[String]) -> Result<String, String> {
                 let _ = writeln!(
                     out,
                     "{shard:>5}  {addr:<21} {:>6} {:>9} {:>9} {:>6} {:>9} {:>11} {:>13} {:>11}",
-                    "up", num("snapshot_version"), row[0], row[1], row[2], row[3], row[4], row[5]
+                    "up",
+                    num("snapshot_version"),
+                    row[0],
+                    row[1],
+                    row[2],
+                    row[3],
+                    row[4],
+                    row[5]
                 );
             }
             None => {
@@ -225,7 +251,10 @@ fn cluster_stats(addrs: &[String]) -> Result<String, String> {
         [one] => one.to_string(),
         many => format!(
             "MIXED ({})",
-            many.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
+            many.iter()
+                .map(u64::to_string)
+                .collect::<Vec<_>>()
+                .join(",")
         ),
     };
     let _ = writeln!(
@@ -246,7 +275,11 @@ fn cluster_stats(addrs: &[String]) -> Result<String, String> {
 fn render_leaf_table(model: &graphex_core::GraphExModel, out: &mut String) {
     let mut leaves: Vec<_> = model.leaf_ids().collect();
     leaves.sort_unstable();
-    let _ = writeln!(out, "\n{:>10} {:>8} {:>8} {:>8} {:>10}", "leaf", "words", "labels", "edges", "avg deg");
+    let _ = writeln!(
+        out,
+        "\n{:>10} {:>8} {:>8} {:>8} {:>10}",
+        "leaf", "words", "labels", "edges", "avg deg"
+    );
     for leaf in leaves {
         let g = model.leaf_graph(leaf).expect("listed leaf");
         let _ = writeln!(

@@ -31,14 +31,15 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         "publish" => publish(&args),
         "evict" => evict(&args),
         "stats" => stats(&args),
-        other => Err(format!("tenant: unknown verb {other:?} (list|publish|evict|stats)")),
+        other => Err(format!(
+            "tenant: unknown verb {other:?} (list|publish|evict|stats)"
+        )),
     }
 }
 
 fn open_fleet(args: &ParsedArgs) -> Result<TenantFleet, String> {
     let root = args.require("tenants")?;
-    TenantFleet::open(root, FleetConfig::default())
-        .map_err(|e| format!("open fleet {root}: {e}"))
+    TenantFleet::open(root, FleetConfig::default()).map_err(|e| format!("open fleet {root}: {e}"))
 }
 
 /// On-disk view: names plus each tenant's registry manifest (a fresh CLI
@@ -47,7 +48,10 @@ fn list(args: &ParsedArgs) -> Result<String, String> {
     let fleet = open_fleet(args)?;
     let names = fleet.names();
     if names.is_empty() {
-        return Ok(format!("no tenants under {}\n", fleet.tenants_root().display()));
+        return Ok(format!(
+            "no tenants under {}\n",
+            fleet.tenants_root().display()
+        ));
     }
     let mut out = String::from("tenant\tactive\tsnapshots\tbytes\tnote\n");
     for name in names {
@@ -56,8 +60,7 @@ fn list(args: &ParsedArgs) -> Result<String, String> {
             Ok(registry) => {
                 let active = registry.pinned_version();
                 let snapshots = registry.list().map_err(|e| format!("{name}: list: {e}"))?;
-                let current =
-                    active.and_then(|v| snapshots.iter().find(|m| m.version == v));
+                let current = active.and_then(|v| snapshots.iter().find(|m| m.version == v));
                 let _ = writeln!(
                     out,
                     "{name}\t{}\t{}\t{}\t{}",
@@ -120,26 +123,39 @@ fn stats(args: &ParsedArgs) -> Result<String, String> {
     let _ = writeln!(
         out,
         "active version: {}",
-        registry.pinned_version().map_or_else(|| "-".into(), |v| v.to_string())
+        registry
+            .pinned_version()
+            .map_or_else(|| "-".into(), |v| v.to_string())
     );
-    let _ = writeln!(out, "snapshots: {}", registry.versions().map_err(|e| e.to_string())?.len());
+    let _ = writeln!(
+        out,
+        "snapshots: {}",
+        registry.versions().map_err(|e| e.to_string())?.len()
+    );
     let _ = writeln!(out, "resident (this process): {}", status.resident);
-    let _ = writeln!(out, "note: serve counters live in the serving process; use --server\n");
+    let _ = writeln!(
+        out,
+        "note: serve counters live in the serving process; use --server\n"
+    );
     Ok(out)
 }
 
 /// Fleet table from a running `graphex serve --tenants` (its `/statusz`).
 fn server_stats(addr: &str, name: Option<&str>) -> Result<String, String> {
-    let mut client = graphex_server::HttpClient::connect(addr)
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    let response = client.get("/statusz").map_err(|e| format!("GET /statusz: {e}"))?;
+    let mut client =
+        graphex_server::HttpClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let response = client
+        .get("/statusz")
+        .map_err(|e| format!("GET /statusz: {e}"))?;
     if response.status != 200 {
         return Err(format!("GET /statusz: HTTP {}", response.status));
     }
     let status = graphex_server::json::parse(&response.text())
         .map_err(|e| format!("statusz is not JSON: {e}"))?;
     if status.get("mode").and_then(|m| m.as_str()) != Some("fleet") {
-        return Err(format!("{addr} is not a fleet server (single-tenant /statusz)"));
+        return Err(format!(
+            "{addr} is not a fleet server (single-tenant /statusz)"
+        ));
     }
     let tenants = status
         .get("tenants")
@@ -150,10 +166,19 @@ fn server_stats(addr: &str, name: Option<&str>) -> Result<String, String> {
         out,
         "fleet on http://{addr}: {} resident / cap {}, {} bytes resident",
         status.get("resident").and_then(|v| v.as_u64()).unwrap_or(0),
-        status.get("resident_cap").and_then(|v| v.as_u64()).unwrap_or(0),
-        status.get("resident_bytes").and_then(|v| v.as_u64()).unwrap_or(0),
+        status
+            .get("resident_cap")
+            .and_then(|v| v.as_u64())
+            .unwrap_or(0),
+        status
+            .get("resident_bytes")
+            .and_then(|v| v.as_u64())
+            .unwrap_or(0),
     );
-    let _ = writeln!(out, "tenant\tresident\tversion\tmode\tbytes\trequests\tadmissions\tevictions");
+    let _ = writeln!(
+        out,
+        "tenant\tresident\tversion\tmode\tbytes\trequests\tadmissions\tevictions"
+    );
     let mut matched = false;
     for row in tenants {
         let row_name = row.get("name").and_then(|n| n.as_str()).unwrap_or("?");
@@ -167,9 +192,13 @@ fn server_stats(addr: &str, name: Option<&str>) -> Result<String, String> {
         let _ = writeln!(
             out,
             "{row_name}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            row.get("resident").and_then(|v| v.as_bool()).unwrap_or(false),
+            row.get("resident")
+                .and_then(|v| v.as_bool())
+                .unwrap_or(false),
             field("snapshot_version"),
-            row.get("load_mode").and_then(|v| v.as_str()).unwrap_or("cold"),
+            row.get("load_mode")
+                .and_then(|v| v.as_str())
+                .unwrap_or("cold"),
             field("resident_bytes"),
             field("requests"),
             field("admissions"),
@@ -218,12 +247,29 @@ mod tests {
         let gexm_s = gexm.to_str().unwrap();
 
         let out = run(&argv(&[
-            "publish", "--tenants", root_s, "--name", "alpha", "--input", gexm_s, "--note", "seed",
+            "publish",
+            "--tenants",
+            root_s,
+            "--name",
+            "alpha",
+            "--input",
+            gexm_s,
+            "--note",
+            "seed",
         ]))
         .unwrap();
         assert!(out.contains("tenant alpha: published version 1"), "{out}");
         write_model(&gexm, 2);
-        run(&argv(&["publish", "--tenants", root_s, "--name", "beta", "--input", gexm_s])).unwrap();
+        run(&argv(&[
+            "publish",
+            "--tenants",
+            root_s,
+            "--name",
+            "beta",
+            "--input",
+            gexm_s,
+        ]))
+        .unwrap();
 
         let out = run(&argv(&["list", "--tenants", root_s])).unwrap();
         assert!(out.contains("alpha\t1\t1\t"), "{out}");

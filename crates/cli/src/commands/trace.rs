@@ -24,8 +24,8 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
     query.push(format!("limit={}", args.get_num::<usize>("limit", 8)?));
     let path = format!("/debug/traces?{}", query.join("&"));
 
-    let mut client = graphex_server::HttpClient::connect(addr)
-        .map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut client =
+        graphex_server::HttpClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let response = client.get(&path).map_err(|e| format!("GET {path}: {e}"))?;
     if response.status == 404 {
         return Err(format!("tracing is disabled on {addr}"));
@@ -93,7 +93,10 @@ fn render_one(out: &mut String, trace: &Json) {
             "  backend shard={} {}  total {:.1}\u{b5}s",
             backend.get("shard").and_then(Json::as_u64).unwrap_or(0),
             backend.get("addr").and_then(Json::as_str).unwrap_or("?"),
-            backend.get("total_us").and_then(Json::as_f64).unwrap_or(0.0),
+            backend
+                .get("total_us")
+                .and_then(Json::as_f64)
+                .unwrap_or(0.0),
         );
         if let Some(spans) = backend.get("spans").and_then(Json::as_arr) {
             for span in spans {
@@ -184,8 +187,12 @@ mod tests {
         assert!(text.contains("detail=1"), "{text}");
         // Every span row carries a bar of the fixed width.
         for line in text.lines().filter(|l| l.contains('|')) {
-            let bar: String =
-                line.chars().skip_while(|&c| c != '|').skip(1).take_while(|&c| c != '|').collect();
+            let bar: String = line
+                .chars()
+                .skip_while(|&c| c != '|')
+                .skip(1)
+                .take_while(|&c| c != '|')
+                .collect();
             assert_eq!(bar.chars().count(), BAR_WIDTH, "{line}");
         }
     }

@@ -70,7 +70,9 @@ record TSV line: text<TAB>leaf_id<TAB>search_count<TAB>recall_count"
 
 /// Parses and runs a command line (without the binary name).
 pub fn dispatch(argv: &[String]) -> Result<String, String> {
-    let (command, rest) = argv.split_first().ok_or_else(|| "missing command".to_string())?;
+    let (command, rest) = argv
+        .split_first()
+        .ok_or_else(|| "missing command".to_string())?;
     if command == "model" {
         // `model` takes a positional verb before its flags.
         return commands::model::run(rest);
@@ -137,15 +139,25 @@ mod tests {
 
         // simulate → build → stats → infer → explain
         let out = dispatch(&argv(&[
-            "simulate", "--preset", "tiny", "--seed", "9", "--output",
+            "simulate",
+            "--preset",
+            "tiny",
+            "--seed",
+            "9",
+            "--output",
             records.to_str().unwrap(),
         ]))
         .unwrap();
         assert!(out.contains("records"));
 
         let out = dispatch(&argv(&[
-            "build", "--input", records.to_str().unwrap(), "--output", model.to_str().unwrap(),
-            "--min-search", "2",
+            "build",
+            "--input",
+            records.to_str().unwrap(),
+            "--output",
+            model.to_str().unwrap(),
+            "--min-search",
+            "2",
         ]))
         .unwrap();
         assert!(out.contains("keyphrases"), "{out}");
@@ -163,14 +175,27 @@ mod tests {
         let leaf = cols.next().unwrap().to_string();
 
         let inferred = dispatch(&argv(&[
-            "infer", "--model", model.to_str().unwrap(), "--leaf", &leaf, "--title", &text, "--k",
+            "infer",
+            "--model",
+            model.to_str().unwrap(),
+            "--leaf",
+            &leaf,
+            "--title",
+            &text,
+            "--k",
             "5",
         ]))
         .unwrap();
         assert!(!inferred.trim().is_empty(), "no predictions for {text:?}");
 
         let explained = dispatch(&argv(&[
-            "explain", "--model", model.to_str().unwrap(), "--leaf", &leaf, "--title", &text,
+            "explain",
+            "--model",
+            model.to_str().unwrap(),
+            "--leaf",
+            &leaf,
+            "--title",
+            &text,
         ]))
         .unwrap();
         assert!(explained.contains("tokens"), "{explained}");
@@ -178,12 +203,21 @@ mod tests {
         // diff against a stricter rebuild of the same records
         let model2 = dir.join("model2.gexm");
         dispatch(&argv(&[
-            "build", "--input", records.to_str().unwrap(), "--output", model2.to_str().unwrap(),
-            "--min-search", "6",
+            "build",
+            "--input",
+            records.to_str().unwrap(),
+            "--output",
+            model2.to_str().unwrap(),
+            "--min-search",
+            "6",
         ]))
         .unwrap();
         let diffed = dispatch(&argv(&[
-            "diff", "--old", model.to_str().unwrap(), "--new", model2.to_str().unwrap(),
+            "diff",
+            "--old",
+            model.to_str().unwrap(),
+            "--new",
+            model2.to_str().unwrap(),
         ]))
         .unwrap();
         assert!(diffed.contains("removed"), "{diffed}");

@@ -20,8 +20,12 @@ pub fn write_tsv(path: impl AsRef<Path>, records: &[KeyphraseRecord]) -> Result<
         .map_err(|e| format!("create {}: {e}", path.as_ref().display()))?;
     let mut out = BufWriter::new(file);
     for rec in records {
-        writeln!(out, "{}\t{}\t{}\t{}", rec.text, rec.leaf.0, rec.search_count, rec.recall_count)
-            .map_err(|e| format!("write: {e}"))?;
+        writeln!(
+            out,
+            "{}\t{}\t{}\t{}",
+            rec.text, rec.leaf.0, rec.search_count, rec.recall_count
+        )
+        .map_err(|e| format!("write: {e}"))?;
     }
     out.flush().map_err(|e| format!("flush: {e}"))
 }

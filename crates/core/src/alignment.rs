@@ -125,7 +125,10 @@ mod tests {
         // "A B C D E" (c=3,|l|=5).
         let t = 10;
         // LTA: 3/1 > 3/3 → shorter label wins.
-        assert_eq!(Alignment::Lta.cmp_scores((3, 3), (3, 5), t), Ordering::Greater);
+        assert_eq!(
+            Alignment::Lta.cmp_scores((3, 3), (3, 5), t),
+            Ordering::Greater
+        );
         // JAC: 3/10 < ... wait: paper compares c=3 vs c=4 when E also matches.
         // Fully-matched long label: c=5 → JAC = 5/10; "A B C" = 3/10: JAC
         // prefers the longer one even though token E is risky.
@@ -133,7 +136,10 @@ mod tests {
         // LTA still prefers complete short over complete long here? 3/1 vs
         // 5/1 → no, both fully matched: LTA prefers more coverage. The risk
         // penalty only applies to *unmatched* label tokens:
-        assert_eq!(Alignment::Lta.cmp_scores((3, 3), (4, 5), t), Ordering::Greater); // 3/1 > 4/2
+        assert_eq!(
+            Alignment::Lta.cmp_scores((3, 3), (4, 5), t),
+            Ordering::Greater
+        ); // 3/1 > 4/2
     }
 
     #[test]

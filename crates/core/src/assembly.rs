@@ -165,7 +165,13 @@ impl AssemblyContext {
     /// joined by spaces, the rows its tokens
     /// ([`Tokenizer::for_each_surface_token`]).
     pub fn analyze(&mut self, text: &str) -> Option<(&str, impl Iterator<Item = &str>)> {
-        let Self { tokenizer, walk, normalized, stems, spans } = self;
+        let Self {
+            tokenizer,
+            walk,
+            normalized,
+            stems,
+            spans,
+        } = self;
         normalized.clear();
         stems.clear();
         spans.clear();
@@ -237,7 +243,8 @@ impl GraphParts {
         let label = self.labels.len() as u32;
         *slot = label;
         self.labels.push(keyphrase);
-        self.label_len.push(tokens.len().min(u16::MAX as usize) as u16);
+        self.label_len
+            .push(tokens.len().min(u16::MAX as usize) as u16);
         self.search.push(search);
         self.recall.push(recall);
         for &token in tokens {
@@ -325,7 +332,11 @@ impl LeafAssembly {
         // label order already.
         let identity = |ids: &[u32]| ids.iter().enumerate().all(|(i, &id)| i as u32 == id);
         debug_assert!(identity(&row_tokens) && identity(&labels));
-        Self { tokens, keyphrases, body }
+        Self {
+            tokens,
+            keyphrases,
+            body,
+        }
     }
 
     /// Recovers the assembly of one leaf from an already-built model —
@@ -471,7 +482,11 @@ impl ModelAssembler {
     /// leaf is in the fallback already), and a label's new tokens took
     /// their leaf rows in string order.
     pub fn derive_fallback(&mut self) {
-        let edges = self.order.iter().map(|leaf| self.leaves[leaf].num_edges()).sum();
+        let edges = self
+            .order
+            .iter()
+            .map(|leaf| self.leaves[leaf].num_edges())
+            .sum();
         let mut parts = GraphParts::with_capacity(self.keyphrases.len(), self.tokens.len(), edges);
         // One leaf's CSR transposed: label `l`'s tokens end at `ends[l]`
         // and start where the label before it ends.
@@ -501,7 +516,12 @@ impl ModelAssembler {
             for (label, &keyphrase) in graph.labels().iter().enumerate() {
                 let words = &tokens[start..ends[label]];
                 start = ends[label];
-                parts.push(keyphrase, words, graph.searches()[label], graph.recalls()[label]);
+                parts.push(
+                    keyphrase,
+                    words,
+                    graph.searches()[label],
+                    graph.recalls()[label],
+                );
             }
         }
         self.fallback = Some(Box::new(parts.finish_as_pushed()));
@@ -521,9 +541,16 @@ impl ModelAssembler {
     /// `i` and label `j` local keyphrase `j`, so the global id of each
     /// local string, in local id order, is the row (label) id array.
     fn globalize(&mut self, assembly: LeafAssembly) -> LeafGraph {
-        let LeafAssembly { tokens, keyphrases, body } = assembly;
+        let LeafAssembly {
+            tokens,
+            keyphrases,
+            body,
+        } = assembly;
         let row_tokens = tokens.iter().map(|(_, s)| self.tokens.intern(s)).collect();
-        let labels = keyphrases.iter().map(|(_, s)| self.keyphrases.intern(s)).collect();
+        let labels = keyphrases
+            .iter()
+            .map(|(_, s)| self.keyphrases.intern(s))
+            .collect();
         LeafGraph::from_body(row_tokens, labels, body)
     }
 
@@ -604,8 +631,18 @@ mod tests {
     fn corpus() -> Vec<KeyphraseRecord> {
         let mut out = Vec::new();
         for i in 0..40u32 {
-            out.push(rec(&format!("brand{} widget kind{}", i % 7, i % 5), 100 + i % 4, 50 + i, i));
-            out.push(rec(&format!("widget accessory v{i}"), 100 + i % 3, 200 + i, 2 * i));
+            out.push(rec(
+                &format!("brand{} widget kind{}", i % 7, i % 5),
+                100 + i % 4,
+                50 + i,
+                i,
+            ));
+            out.push(rec(
+                &format!("widget accessory v{i}"),
+                100 + i % 3,
+                200 + i,
+                2 * i,
+            ));
         }
         // duplicates + a punctuation-only phrase
         out.push(rec("brand1 widget kind1", 101, 9, 9));
@@ -622,10 +659,16 @@ mod tests {
     #[test]
     fn build_is_input_order_independent() {
         let config = no_curation();
-        let forward = GraphExBuilder::new(config.clone()).add_records(corpus()).build().unwrap();
+        let forward = GraphExBuilder::new(config.clone())
+            .add_records(corpus())
+            .build()
+            .unwrap();
         let mut reversed = corpus();
         reversed.reverse();
-        let backward = GraphExBuilder::new(config).add_records(reversed).build().unwrap();
+        let backward = GraphExBuilder::new(config)
+            .add_records(reversed)
+            .build()
+            .unwrap();
         assert_eq!(
             serialize::to_bytes(&forward),
             serialize::to_bytes(&backward),
@@ -639,8 +682,14 @@ mod tests {
         let (mut curated, _) = curate(corpus(), &config.curation);
         canonicalize(&mut curated);
         let merged = assemble_model(&config, &curated);
-        let reference = GraphExBuilder::new(config).add_records(corpus()).build().unwrap();
-        assert_eq!(serialize::to_bytes(&merged), serialize::to_bytes(&reference));
+        let reference = GraphExBuilder::new(config)
+            .add_records(corpus())
+            .build()
+            .unwrap();
+        assert_eq!(
+            serialize::to_bytes(&merged),
+            serialize::to_bytes(&reference)
+        );
     }
 
     #[test]
@@ -649,14 +698,18 @@ mod tests {
         // fallback → re-merge: the shard-emission path must reproduce
         // the exact bytes of a from-records build.
         let config = no_curation();
-        let model = GraphExBuilder::new(config.clone()).add_records(corpus()).build().unwrap();
+        let model = GraphExBuilder::new(config.clone())
+            .add_records(corpus())
+            .build()
+            .unwrap();
         let bytes = serialize::to_bytes(&model);
         let loaded = bytes.parse().unwrap();
 
         let mut leaves: Vec<LeafId> = loaded.leaf_ids().collect();
         leaves.sort_unstable();
-        let assemblies =
-            leaves.into_iter().map(|leaf| (leaf, LeafAssembly::from_model(&loaded, leaf).unwrap()));
+        let assemblies = leaves
+            .into_iter()
+            .map(|leaf| (leaf, LeafAssembly::from_model(&loaded, leaf).unwrap()));
         let mut assembler = ModelAssembler::merge(&config, assemblies);
         assembler.set_fallback(LeafAssembly::from_model_fallback(&loaded).unwrap());
         let rebuilt = assembler.finish();
@@ -707,14 +760,18 @@ mod tests {
         let (mut curated, _) = curate(corpus(), &config.curation);
         canonicalize(&mut curated);
         let mut ctx = AssemblyContext::new(config.stemming);
-        let leaves: Vec<(LeafId, LeafAssembly)> =
-            leaf_runs(&curated).map(|(leaf, run)| (leaf, LeafAssembly::build(run, &mut ctx))).collect();
+        let leaves: Vec<(LeafId, LeafAssembly)> = leaf_runs(&curated)
+            .map(|(leaf, run)| (leaf, LeafAssembly::build(run, &mut ctx)))
+            .collect();
         let sized = ModelAssembler::sized_for(&config, &leaves);
         let heap = |a: &ModelAssembler| (a.tokens.heap_bytes(), a.keyphrases.heap_bytes());
         let local_tokens: usize = leaves.iter().map(|(_, a)| a.tokens.len()).sum();
 
         let merged = ModelAssembler::merge(&config, leaves);
-        assert!(merged.tokens.len() < local_tokens, "some token is shared by two leaves");
+        assert!(
+            merged.tokens.len() < local_tokens,
+            "some token is shared by two leaves"
+        );
         assert_eq!(heap(&merged), heap(&sized));
     }
 
@@ -732,18 +789,25 @@ mod tests {
         assert_eq!(config_fingerprint(&c1), config_fingerprint(&c2));
         c2.curation.min_search_count += 1;
         assert_ne!(config_fingerprint(&c1), config_fingerprint(&c2));
-        let c3 = GraphExConfig { stemming: false, ..GraphExConfig::default() };
+        let c3 = GraphExConfig {
+            stemming: false,
+            ..GraphExConfig::default()
+        };
         assert_ne!(config_fingerprint(&c1), config_fingerprint(&c3));
-
     }
 
     #[test]
     fn leaf_runs_splits_consecutive_groups() {
-        let mut records =
-            vec![rec("x", 3, 1, 1), rec("y", 1, 1, 1), rec("z", 3, 1, 1), rec("w", 2, 1, 1)];
+        let mut records = vec![
+            rec("x", 3, 1, 1),
+            rec("y", 1, 1, 1),
+            rec("z", 3, 1, 1),
+            rec("w", 2, 1, 1),
+        ];
         canonicalize(&mut records);
-        let runs: Vec<(LeafId, usize)> =
-            leaf_runs(&records).map(|(leaf, run)| (leaf, run.len())).collect();
+        let runs: Vec<(LeafId, usize)> = leaf_runs(&records)
+            .map(|(leaf, run)| (leaf, run.len()))
+            .collect();
         assert_eq!(runs, [(LeafId(1), 1), (LeafId(2), 1), (LeafId(3), 2)]);
         assert!(leaf_runs(&[]).next().is_none());
     }

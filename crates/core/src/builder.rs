@@ -57,7 +57,10 @@ pub struct GraphExBuilder {
 
 impl GraphExBuilder {
     pub fn new(config: GraphExConfig) -> Self {
-        Self { config, records: Vec::new() }
+        Self {
+            config,
+            records: Vec::new(),
+        }
     }
 
     /// Adds one raw keyphrase row.
@@ -143,7 +146,10 @@ mod tests {
     #[test]
     fn builds_one_graph_per_leaf_plus_fallback() {
         let model = GraphExBuilder::new(no_curation())
-            .add_records(vec![rec("phone case", 1, 10, 1), rec("phone charger", 2, 10, 1)])
+            .add_records(vec![
+                rec("phone case", 1, 10, 1),
+                rec("phone charger", 2, 10, 1),
+            ])
             .build()
             .unwrap();
         assert_eq!(model.leaf_ids().count(), 2);
@@ -162,18 +168,27 @@ mod tests {
         // Title uses the plural; keyphrase the singular. Stemming unifies.
         let mut scratch = crate::Scratch::new();
         let preds = model
-            .infer_request(&crate::InferRequest::new("gaming headphones bundle", LeafId(1)).k(5), &mut scratch)
+            .infer_request(
+                &crate::InferRequest::new("gaming headphones bundle", LeafId(1)).k(5),
+                &mut scratch,
+            )
             .predictions;
         assert_eq!(preds.len(), 1);
         assert_eq!(preds[0].matched, 2);
         // Output text preserves the original (normalized) query form.
-        assert_eq!(model.keyphrase_text(preds[0].keyphrase), Some("gaming headphone"));
+        assert_eq!(
+            model.keyphrase_text(preds[0].keyphrase),
+            Some("gaming headphone")
+        );
     }
 
     #[test]
     fn duplicate_normalized_keyphrases_merge() {
         let model = GraphExBuilder::new(no_curation())
-            .add_records(vec![rec("Phone Case!", 1, 10, 5), rec("phone case", 1, 7, 9)])
+            .add_records(vec![
+                rec("Phone Case!", 1, 10, 5),
+                rec("phone case", 1, 7, 9),
+            ])
             .build()
             .unwrap();
         let g = model.leaf_graph(LeafId(1)).unwrap();
@@ -207,7 +222,10 @@ mod tests {
     fn no_fallback_when_disabled() {
         let mut config = no_curation();
         config.build_meta_fallback = false;
-        let model = GraphExBuilder::new(config).add_record(rec("a b", 1, 10, 1)).build().unwrap();
+        let model = GraphExBuilder::new(config)
+            .add_record(rec("a b", 1, 10, 1))
+            .build()
+            .unwrap();
         assert!(!model.has_fallback());
     }
 
@@ -215,14 +233,25 @@ mod tests {
     fn leaf_isolation() {
         // Same word in two leaves must not leak labels across graphs.
         let model = GraphExBuilder::new(no_curation())
-            .add_records(vec![rec("apple iphone", 1, 10, 1), rec("apple juice", 2, 10, 1)])
+            .add_records(vec![
+                rec("apple iphone", 1, 10, 1),
+                rec("apple juice", 2, 10, 1),
+            ])
             .build()
             .unwrap();
         let mut scratch = Scratch::new();
         let preds = model
-            .infer("fresh apple crate", LeafId(2), &InferenceParams::with_k(10), &mut scratch)
+            .infer(
+                "fresh apple crate",
+                LeafId(2),
+                &InferenceParams::with_k(10),
+                &mut scratch,
+            )
             .unwrap();
-        let texts: Vec<&str> = preds.iter().map(|p| model.keyphrase_text(p.keyphrase).unwrap()).collect();
+        let texts: Vec<&str> = preds
+            .iter()
+            .map(|p| model.keyphrase_text(p.keyphrase).unwrap())
+            .collect();
         assert_eq!(texts, ["apple juice"]);
     }
 
@@ -231,7 +260,10 @@ mod tests {
         let mut config = GraphExConfig::default();
         config.curation.min_search_count = 100;
         let (_, stats) = GraphExBuilder::new(config)
-            .add_records(vec![rec("kept phrase", 1, 500, 1), rec("dropped phrase", 1, 3, 1)])
+            .add_records(vec![
+                rec("kept phrase", 1, 500, 1),
+                rec("dropped phrase", 1, 3, 1),
+            ])
             .build_with_stats()
             .unwrap();
         assert_eq!(stats.kept, 1);

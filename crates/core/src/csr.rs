@@ -35,7 +35,10 @@ impl Csr {
         let rows = num_rows as usize;
         let mut offsets = vec![0u32; rows + 1];
         for &(row, _) in &edges {
-            assert!(row < num_rows, "edge row {row} out of bounds ({num_rows} rows)");
+            assert!(
+                row < num_rows,
+                "edge row {row} out of bounds ({num_rows} rows)"
+            );
             offsets[row as usize + 1] += 1;
         }
         for i in 0..rows {
@@ -65,7 +68,10 @@ impl Csr {
         }
         offsets[rows] = kept as u32;
         targets.truncate(kept);
-        Self { offsets: offsets.into(), targets: targets.into() }
+        Self {
+            offsets: offsets.into(),
+            targets: targets.into(),
+        }
     }
 
     /// Number of rows.

@@ -36,7 +36,12 @@ pub struct CurationConfig {
 
 impl Default for CurationConfig {
     fn default() -> Self {
-        Self { min_search_count: 180, min_tokens: 1, max_tokens: 12, max_per_leaf: None }
+        Self {
+            min_search_count: 180,
+            min_tokens: 1,
+            max_tokens: 12,
+            max_per_leaf: None,
+        }
     }
 }
 
@@ -44,7 +49,10 @@ impl CurationConfig {
     /// Config with a relaxed search-count threshold (e.g. small categories,
     /// Table II fn. 5: "the constraint was eased for CAT 3").
     pub fn with_min_search_count(min: u32) -> Self {
-        Self { min_search_count: min, ..Self::default() }
+        Self {
+            min_search_count: min,
+            ..Self::default()
+        }
     }
 }
 
@@ -136,7 +144,12 @@ const MIN_SLOTS: usize = 16;
 
 impl Curator {
     pub fn new(config: CurationConfig) -> Self {
-        Self { config, stats: CurationStats::default(), slots: Vec::new(), kept: Vec::new() }
+        Self {
+            config,
+            stats: CurationStats::default(),
+            slots: Vec::new(),
+            kept: Vec::new(),
+        }
     }
 
     /// Applies the per-record filters and duplicate merge to one row.
@@ -160,7 +173,10 @@ impl Curator {
         loop {
             let slot = self.slots[at];
             if slot.kept == VACANT {
-                self.slots[at] = Slot { kept: self.kept.len() as u32, hash };
+                self.slots[at] = Slot {
+                    kept: self.kept.len() as u32,
+                    hash,
+                };
                 self.kept.push(rec);
                 return;
             }
@@ -179,8 +195,20 @@ impl Curator {
     /// half its slot holds.
     fn grow(&mut self) {
         let len = (2 * self.slots.len()).max(MIN_SLOTS);
-        assert!(len / 2 <= VACANT as usize, "curator overflow: too many records kept");
-        let old = std::mem::replace(&mut self.slots, vec![Slot { kept: VACANT, hash: 0 }; len]);
+        assert!(
+            len / 2 <= VACANT as usize,
+            "curator overflow: too many records kept"
+        );
+        let old = std::mem::replace(
+            &mut self.slots,
+            vec![
+                Slot {
+                    kept: VACANT,
+                    hash: 0
+                };
+                len
+            ],
+        );
         for slot in old.into_iter().filter(|s| s.kept != VACANT) {
             let mut at = first_slot(slot.hash, len);
             while self.slots[at].kept != VACANT {
@@ -201,7 +229,12 @@ impl Curator {
 
     /// Applies the per-leaf cap and returns the surviving rows + stats.
     pub fn finish(self) -> (Vec<KeyphraseRecord>, CurationStats) {
-        let Curator { config, mut stats, mut kept, .. } = self;
+        let Curator {
+            config,
+            mut stats,
+            mut kept,
+            ..
+        } = self;
         if let Some(cap) = config.max_per_leaf {
             // Sort within leaf by search count desc and truncate each leaf group.
             kept.sort_unstable_by(|a, b| {
@@ -273,7 +306,12 @@ mod tests {
 
     #[test]
     fn token_bounds() {
-        let cfg = CurationConfig { min_tokens: 2, max_tokens: 3, min_search_count: 0, max_per_leaf: None };
+        let cfg = CurationConfig {
+            min_tokens: 2,
+            max_tokens: 3,
+            min_search_count: 0,
+            max_per_leaf: None,
+        };
         let (kept, stats) = curate(
             vec![
                 rec("one", 1, 10, 1),
@@ -291,7 +329,10 @@ mod tests {
     fn duplicates_merge_sum_search_max_recall() {
         let cfg = CurationConfig::with_min_search_count(0);
         let (kept, stats) = curate(
-            vec![rec("gaming mouse", 2, 100, 50), rec("gaming mouse", 2, 40, 80)],
+            vec![
+                rec("gaming mouse", 2, 100, 50),
+                rec("gaming mouse", 2, 40, 80),
+            ],
             &cfg,
         );
         assert_eq!(kept.len(), 1);
@@ -305,18 +346,34 @@ mod tests {
         // The paper: "a keyphrase can be duplicated across different Leaf
         // Categories."
         let cfg = CurationConfig::with_min_search_count(0);
-        let (kept, _) = curate(vec![rec("charger", 1, 10, 1), rec("charger", 2, 10, 1)], &cfg);
+        let (kept, _) = curate(
+            vec![rec("charger", 1, 10, 1), rec("charger", 2, 10, 1)],
+            &cfg,
+        );
         assert_eq!(kept.len(), 2);
     }
 
     #[test]
     fn leaf_cap_keeps_highest_search() {
-        let cfg = CurationConfig { max_per_leaf: Some(2), min_search_count: 0, ..Default::default() };
+        let cfg = CurationConfig {
+            max_per_leaf: Some(2),
+            min_search_count: 0,
+            ..Default::default()
+        };
         let (kept, stats) = curate(
-            vec![rec("a b", 1, 10, 1), rec("c d", 1, 30, 1), rec("e f", 1, 20, 1), rec("g h", 2, 1, 1)],
+            vec![
+                rec("a b", 1, 10, 1),
+                rec("c d", 1, 30, 1),
+                rec("e f", 1, 20, 1),
+                rec("g h", 2, 1, 1),
+            ],
             &cfg,
         );
-        let leaf1: Vec<&str> = kept.iter().filter(|r| r.leaf == LeafId(1)).map(|r| r.text.as_str()).collect();
+        let leaf1: Vec<&str> = kept
+            .iter()
+            .filter(|r| r.leaf == LeafId(1))
+            .map(|r| r.text.as_str())
+            .collect();
         assert_eq!(leaf1, ["c d", "e f"]);
         assert_eq!(stats.dropped_leaf_cap, 1);
         assert_eq!(kept.len(), 3);

@@ -115,7 +115,14 @@ pub fn diff_models(old: &GraphExModel, new: &GraphExModel) -> ModelDiff {
         diff.total_removed += removed.len();
         diff.total_retained += retained;
         if !added.is_empty() || !removed.is_empty() {
-            diff.changed_leaves.insert(leaf.0, LeafDiff { added, removed, retained });
+            diff.changed_leaves.insert(
+                leaf.0,
+                LeafDiff {
+                    added,
+                    removed,
+                    retained,
+                },
+            );
         }
     }
     diff
@@ -131,7 +138,10 @@ mod tests {
         let mut config = GraphExConfig::default();
         config.curation.min_search_count = 0;
         config.build_meta_fallback = false;
-        GraphExBuilder::new(config).add_records(records).build().unwrap()
+        GraphExBuilder::new(config)
+            .add_records(records)
+            .build()
+            .unwrap()
     }
 
     fn rec(text: &str, leaf: u32) -> KeyphraseRecord {
@@ -186,8 +196,12 @@ mod tests {
     #[test]
     fn daily_refresh_churn_is_visible() {
         // Simulated day-over-day refresh: ~20% of phrases replaced.
-        let day0: Vec<KeyphraseRecord> = (0..50).map(|i| rec(&format!("phrase number{i}"), 1)).collect();
-        let day1: Vec<KeyphraseRecord> = (10..60).map(|i| rec(&format!("phrase number{i}"), 1)).collect();
+        let day0: Vec<KeyphraseRecord> = (0..50)
+            .map(|i| rec(&format!("phrase number{i}"), 1))
+            .collect();
+        let day1: Vec<KeyphraseRecord> = (10..60)
+            .map(|i| rec(&format!("phrase number{i}"), 1))
+            .collect();
         let d = diff_models(&build(day0), &build(day1));
         assert_eq!(d.total_added, 10);
         assert_eq!(d.total_removed, 10);

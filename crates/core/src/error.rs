@@ -26,7 +26,10 @@ impl std::fmt::Display for GraphExError {
             Self::Corrupt(what) => write!(f, "corrupt model data: {what}"),
             Self::UnsupportedVersion(v) => write!(f, "unsupported model format version {v}"),
             Self::UnknownLeaf(leaf) => write!(f, "no graph for {leaf} and no fallback configured"),
-            Self::EmptyModel => write!(f, "no keyphrases survived curation; cannot build an empty model"),
+            Self::EmptyModel => write!(
+                f,
+                "no keyphrases survived curation; cannot build an empty model"
+            ),
         }
     }
 }
@@ -78,9 +81,15 @@ mod tests {
 
     #[test]
     fn display_variants() {
-        assert!(GraphExError::Corrupt("bad magic".into()).to_string().contains("bad magic"));
-        assert!(GraphExError::UnsupportedVersion(9).to_string().contains('9'));
-        assert!(GraphExError::UnknownLeaf(LeafId(3)).to_string().contains("leaf#3"));
+        assert!(GraphExError::Corrupt("bad magic".into())
+            .to_string()
+            .contains("bad magic"));
+        assert!(GraphExError::UnsupportedVersion(9)
+            .to_string()
+            .contains('9'));
+        assert!(GraphExError::UnknownLeaf(LeafId(3))
+            .to_string()
+            .contains("leaf#3"));
         assert!(GraphExError::EmptyModel.to_string().contains("curation"));
     }
 

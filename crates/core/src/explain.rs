@@ -39,7 +39,10 @@ impl ExplainedPrediction {
             self.matched_tokens.join(", "),
         );
         if !self.missing_tokens.is_empty() {
-            s.push_str(&format!("; risky tokens not in title: {}", self.missing_tokens.join(", ")));
+            s.push_str(&format!(
+                "; risky tokens not in title: {}",
+                self.missing_tokens.join(", ")
+            ));
         }
         s.push_str(&format!(
             "; searched {} times, {} items recalled",
@@ -82,7 +85,13 @@ impl GraphExModel {
                     .into_iter()
                     .partition(|t| title_tokens.binary_search(t).is_ok());
                 let score = prediction.score(alignment);
-                ExplainedPrediction { prediction, text, matched_tokens, missing_tokens, score }
+                ExplainedPrediction {
+                    prediction,
+                    text,
+                    matched_tokens,
+                    missing_tokens,
+                    score,
+                }
             })
             .collect())
     }
@@ -119,10 +128,16 @@ mod tests {
             )
             .unwrap();
         assert_eq!(explained.len(), 2);
-        let full = explained.iter().find(|e| e.text == "audeze maxwell").unwrap();
+        let full = explained
+            .iter()
+            .find(|e| e.text == "audeze maxwell")
+            .unwrap();
         assert_eq!(full.matched_tokens, ["audeze", "maxwell"]);
         assert!(full.missing_tokens.is_empty());
-        let partial = explained.iter().find(|e| e.text == "wireless headphones xbox").unwrap();
+        let partial = explained
+            .iter()
+            .find(|e| e.text == "wireless headphones xbox")
+            .unwrap();
         // stemming: "headphones" → "headphone" on both sides
         assert_eq!(partial.matched_tokens, ["headphone"]);
         assert_eq!(partial.missing_tokens, ["wireless", "xbox"]);
@@ -133,7 +148,12 @@ mod tests {
         let model = model();
         let mut scratch = Scratch::new();
         for e in model
-            .explain("audeze wireless xbox", LeafId(7), &InferenceParams::with_k(5), &mut scratch)
+            .explain(
+                "audeze wireless xbox",
+                LeafId(7),
+                &InferenceParams::with_k(5),
+                &mut scratch,
+            )
             .unwrap()
         {
             assert_eq!(e.matched_tokens.len(), usize::from(e.prediction.matched));
@@ -149,7 +169,12 @@ mod tests {
         let model = model();
         let mut scratch = Scratch::new();
         let explained = model
-            .explain("audeze maxwell", LeafId(7), &InferenceParams::with_k(1), &mut scratch)
+            .explain(
+                "audeze maxwell",
+                LeafId(7),
+                &InferenceParams::with_k(1),
+                &mut scratch,
+            )
             .unwrap();
         let r = explained[0].rationale();
         assert!(r.contains("audeze maxwell"));
@@ -162,9 +187,22 @@ mod tests {
         let model = model();
         let mut scratch = Scratch::new();
         let params = InferenceParams::with_k(5);
-        let preds = model.infer("audeze wireless headphones", LeafId(7), &params, &mut scratch).unwrap();
-        let explained =
-            model.explain("audeze wireless headphones", LeafId(7), &params, &mut scratch).unwrap();
+        let preds = model
+            .infer(
+                "audeze wireless headphones",
+                LeafId(7),
+                &params,
+                &mut scratch,
+            )
+            .unwrap();
+        let explained = model
+            .explain(
+                "audeze wireless headphones",
+                LeafId(7),
+                &params,
+                &mut scratch,
+            )
+            .unwrap();
         assert_eq!(preds.len(), explained.len());
         for (p, e) in preds.iter().zip(&explained) {
             assert_eq!(*p, e.prediction);

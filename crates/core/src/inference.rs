@@ -37,7 +37,11 @@ pub struct Prediction {
 impl Prediction {
     /// The alignment score as a float, for reporting.
     pub fn score(&self, alignment: Alignment) -> f64 {
-        alignment.score(u32::from(self.matched), u32::from(self.label_len), u32::from(self.title_len))
+        alignment.score(
+            u32::from(self.matched),
+            u32::from(self.label_len),
+            u32::from(self.title_len),
+        )
     }
 
     /// LTA score (the model default), for convenience.
@@ -62,7 +66,11 @@ pub struct InferenceParams {
 
 impl InferenceParams {
     pub fn with_k(k: usize) -> Self {
-        Self { k, alignment: None, keep_threshold_group: false }
+        Self {
+            k,
+            alignment: None,
+            keep_threshold_group: false,
+        }
     }
 }
 
@@ -151,7 +159,9 @@ pub(crate) fn collect_title_tokens(
     title: &str,
     scratch: &mut Scratch,
 ) {
-    let Scratch { walk, title_tokens, .. } = scratch;
+    let Scratch {
+        walk, title_tokens, ..
+    } = scratch;
     title_tokens.clear();
     tokenizer.for_each_token(title, walk, |token| {
         if let Some(id) = lookup(token) {
@@ -178,7 +188,16 @@ pub(crate) fn infer_on_graph(
 ) -> Vec<Prediction> {
     scratch.ensure_labels(graph.num_labels() as usize);
     let fresh = scratch.next_generation();
-    let Scratch { cells, touched, title_tokens, group_sizes, candidates, keys, trace, .. } = scratch;
+    let Scratch {
+        cells,
+        touched,
+        title_tokens,
+        group_sizes,
+        candidates,
+        keys,
+        trace,
+        ..
+    } = scratch;
     let traversal_start = trace.clock();
 
     // --- Enumeration (Algorithm 1 lines 3–6, count-array variant) ---
@@ -234,7 +253,11 @@ pub(crate) fn infer_on_graph(
     // --- Ranking (Sec. III-E2): select the k that are returned, sort those ---
     trace.record(Stage::Traversal, traversal_start);
     let ranking_start = trace.clock();
-    let take = if params.keep_threshold_group { candidates.len() } else { params.k };
+    let take = if params.keep_threshold_group {
+        candidates.len()
+    } else {
+        params.k
+    };
     let out = rank_top(candidates, alignment, title_len, take, keys);
     trace.record(Stage::Ranking, ranking_start);
     out
@@ -250,8 +273,19 @@ mod tests {
         LeafGraph::new(
             vec![0, 1, 2, 3, 4, 5, 6],
             vec![
-                (0, 0), (1, 0), (0, 1), (2, 1), (3, 2), (2, 2), (4, 2),
-                (5, 3), (2, 3), (4, 3), (6, 4), (5, 4), (2, 4),
+                (0, 0),
+                (1, 0),
+                (0, 1),
+                (2, 1),
+                (3, 2),
+                (2, 2),
+                (4, 2),
+                (5, 3),
+                (2, 3),
+                (4, 3),
+                (6, 4),
+                (5, 4),
+                (2, 4),
             ],
             vec![10, 11, 12, 13, 14],
             vec![2, 2, 3, 3, 3],
@@ -271,8 +305,17 @@ mod tests {
         // Title "audeze maxwell gaming headphones for xbox" → tokens
         // {0,1,3,2,4} ("for" unknown). Paper: duplication counts 2,2,3,2,1.
         let g = figure3();
-        let preds = run(&g, &[0, 1, 2, 3, 4], InferenceParams { k: 10, alignment: None, keep_threshold_group: true });
-        let by_kp: std::collections::HashMap<u32, u16> = preds.iter().map(|p| (p.keyphrase, p.matched)).collect();
+        let preds = run(
+            &g,
+            &[0, 1, 2, 3, 4],
+            InferenceParams {
+                k: 10,
+                alignment: None,
+                keep_threshold_group: true,
+            },
+        );
+        let by_kp: std::collections::HashMap<u32, u16> =
+            preds.iter().map(|p| (p.keyphrase, p.matched)).collect();
         assert_eq!(by_kp[&10], 2);
         assert_eq!(by_kp[&11], 2);
         assert_eq!(by_kp[&12], 3);
@@ -299,7 +342,11 @@ mod tests {
         let grouped = run(
             &g,
             &[0, 1, 2, 3, 4],
-            InferenceParams { k: 2, alignment: None, keep_threshold_group: true },
+            InferenceParams {
+                k: 2,
+                alignment: None,
+                keep_threshold_group: true,
+            },
         );
         // k=2 → threshold count = 2 (group sizes: c=3→1, c=2→3) → the whole
         // c≥2 set (4 labels) is kept.
@@ -315,9 +362,16 @@ mod tests {
         let grouped = run(
             &g,
             &[0, 1, 2, 3, 4],
-            InferenceParams { k: 0, alignment: None, keep_threshold_group: true },
+            InferenceParams {
+                k: 0,
+                alignment: None,
+                keep_threshold_group: true,
+            },
         );
-        assert_eq!(grouped.iter().map(|p| p.keyphrase).collect::<Vec<_>>(), [12]);
+        assert_eq!(
+            grouped.iter().map(|p| p.keyphrase).collect::<Vec<_>>(),
+            [12]
+        );
     }
 
     #[test]
@@ -332,9 +386,19 @@ mod tests {
         let g = figure3();
         let mut scratch = Scratch::new();
         scratch.title_tokens = vec![0, 1]; // audeze maxwell
-        let first = infer_on_graph(&g, Alignment::Lta, &InferenceParams::with_k(10), &mut scratch);
+        let first = infer_on_graph(
+            &g,
+            Alignment::Lta,
+            &InferenceParams::with_k(10),
+            &mut scratch,
+        );
         scratch.title_tokens = vec![6]; // bluetooth
-        let second = infer_on_graph(&g, Alignment::Lta, &InferenceParams::with_k(10), &mut scratch);
+        let second = infer_on_graph(
+            &g,
+            Alignment::Lta,
+            &InferenceParams::with_k(10),
+            &mut scratch,
+        );
         // Second call must not inherit counts from the first.
         assert_eq!(second.len(), 1);
         assert_eq!(second[0].keyphrase, 14);
@@ -348,14 +412,26 @@ mod tests {
         let mut scratch = Scratch::new();
         scratch.generation = u16::MAX; // force wrap on next call
         scratch.title_tokens = vec![0];
-        let preds = infer_on_graph(&g, Alignment::Lta, &InferenceParams::with_k(10), &mut scratch);
+        let preds = infer_on_graph(
+            &g,
+            Alignment::Lta,
+            &InferenceParams::with_k(10),
+            &mut scratch,
+        );
         assert_eq!(preds.len(), 2);
         assert!(preds.iter().all(|p| p.matched == 1));
     }
 
     #[test]
     fn prediction_score_accessors() {
-        let p = Prediction { keyphrase: 1, matched: 2, label_len: 3, search_count: 9, recall_count: 1, title_len: 6 };
+        let p = Prediction {
+            keyphrase: 1,
+            matched: 2,
+            label_len: 3,
+            search_count: 9,
+            recall_count: 1,
+            title_len: 6,
+        };
         assert!((p.lta() - 1.0).abs() < 1e-12);
         assert!((p.score(Alignment::Wmr) - 2.0 / 3.0).abs() < 1e-12);
     }

@@ -67,7 +67,10 @@ impl GraphBody {
         assert_eq!(label_len.len(), search.len());
         assert_eq!(label_len.len(), recall.len());
         let num_labels = label_len.len() as u32;
-        debug_assert!(edges.iter().all(|&(_, l)| l < num_labels), "edge label out of bounds");
+        debug_assert!(
+            edges.iter().all(|&(_, l)| l < num_labels),
+            "edge label out of bounds"
+        );
         Self {
             csr: Csr::from_edges(num_rows, edges),
             label_len: label_len.into(),
@@ -122,12 +125,18 @@ impl LeafGraph {
     ) -> Self {
         assert_eq!(row_tokens.len(), body.num_rows());
         assert_eq!(labels.len(), body.num_labels());
-        let mut word_rows = FxHashMap::with_capacity_and_hasher(row_tokens.len(), Default::default());
+        let mut word_rows =
+            FxHashMap::with_capacity_and_hasher(row_tokens.len(), Default::default());
         for (row, &tok) in row_tokens.iter().enumerate() {
             let prev = word_rows.insert(tok, row as u32);
             assert!(prev.is_none(), "duplicate token in row_tokens");
         }
-        let GraphBody { csr, label_len, search, recall } = body;
+        let GraphBody {
+            csr,
+            label_len,
+            search,
+            recall,
+        } = body;
         Self {
             word_rows,
             csr,
@@ -256,7 +265,10 @@ impl LeafGraph {
         search: U32Store,
         recall: U32Store,
     ) -> Result<Self, String> {
-        if labels.len() != label_len.len() || labels.len() != search.len() || labels.len() != recall.len() {
+        if labels.len() != label_len.len()
+            || labels.len() != search.len()
+            || labels.len() != recall.len()
+        {
             return Err("leaf graph: parallel label arrays disagree in length".into());
         }
         if offsets.len() != row_tokens.len() + 1 {
@@ -267,13 +279,22 @@ impl LeafGraph {
         if csr.edges().any(|(_, l)| l >= num_labels) {
             return Err("leaf graph: edge target out of label range".into());
         }
-        let mut word_rows = FxHashMap::with_capacity_and_hasher(row_tokens.len(), Default::default());
+        let mut word_rows =
+            FxHashMap::with_capacity_and_hasher(row_tokens.len(), Default::default());
         for (row, &tok) in row_tokens.iter().enumerate() {
             if word_rows.insert(tok, row as u32).is_some() {
                 return Err("leaf graph: duplicate token row".into());
             }
         }
-        Ok(Self { word_rows, csr, labels, label_len, search, recall, row_tokens })
+        Ok(Self {
+            word_rows,
+            csr,
+            labels,
+            label_len,
+            search,
+            recall,
+            row_tokens,
+        })
     }
 
     /// Whether this graph's arrays borrow from a shared snapshot buffer
@@ -296,18 +317,34 @@ mod tests {
         //         4 "bluetooth wireless headphones"
         let row_tokens = vec![0, 1, 2, 3, 4, 5, 6];
         let edges = vec![
-            (0, 0), (1, 0),                  // audeze maxwell
-            (0, 1), (2, 1),                  // audeze headphones
-            (3, 2), (2, 2), (4, 2),          // gaming headphones xbox
-            (5, 3), (2, 3), (4, 3),          // wireless headphones xbox
-            (6, 4), (5, 4), (2, 4),          // bluetooth wireless headphones
+            (0, 0),
+            (1, 0), // audeze maxwell
+            (0, 1),
+            (2, 1), // audeze headphones
+            (3, 2),
+            (2, 2),
+            (4, 2), // gaming headphones xbox
+            (5, 3),
+            (2, 3),
+            (4, 3), // wireless headphones xbox
+            (6, 4),
+            (5, 4),
+            (2, 4), // bluetooth wireless headphones
         ];
         let labels = vec![10, 11, 12, 13, 14]; // arbitrary global ids
         let label_len = vec![2, 2, 3, 3, 3];
         let search = vec![900, 450, 800, 650, 300];
         let recall = vec![120, 300, 700, 800, 900];
         let graph = LeafGraph::new(row_tokens, edges, labels, label_len, search, recall);
-        let words = vec!["audeze", "maxwell", "headphones", "gaming", "xbox", "wireless", "bluetooth"];
+        let words = vec![
+            "audeze",
+            "maxwell",
+            "headphones",
+            "gaming",
+            "xbox",
+            "wireless",
+            "bluetooth",
+        ];
         (graph, words)
     }
 

@@ -2,7 +2,9 @@
 
 use crate::alignment::Alignment;
 use crate::error::{GraphExError, Result};
-use crate::inference::{collect_title_tokens, infer_on_graph, InferenceParams, Prediction, Scratch};
+use crate::inference::{
+    collect_title_tokens, infer_on_graph, InferenceParams, Prediction, Scratch,
+};
 use crate::leaf_graph::LeafGraph;
 use crate::service::{InferRequest, InferResponse, Outcome};
 use crate::types::{KeyphraseId, LeafId};
@@ -86,7 +88,11 @@ impl GraphExModel {
     /// This is the single entry point behind every inference frontend; the
     /// pooled [`crate::Engine`] wraps it for `&self` callers, and
     /// [`crate::parallel::batch_infer`] fans it across threads.
-    pub fn infer_request(&self, request: &InferRequest<'_>, scratch: &mut Scratch) -> InferResponse {
+    pub fn infer_request(
+        &self,
+        request: &InferRequest<'_>,
+        scratch: &mut Scratch,
+    ) -> InferResponse {
         let (graph, exact) = match self.leaves.get(&request.leaf) {
             Some(g) => (g, true),
             None => match &self.fallback {
@@ -94,7 +100,12 @@ impl GraphExModel {
                 None => return InferResponse::empty(request.id, Outcome::UnknownLeaf),
             },
         };
-        collect_title_tokens(&self.tokenizer, |word| self.tokens.get(word), request.title, scratch);
+        collect_title_tokens(
+            &self.tokenizer,
+            |word| self.tokens.get(word),
+            request.title,
+            scratch,
+        );
         let alignment = request.alignment.unwrap_or(self.alignment);
         let predictions = infer_on_graph(graph, alignment, &request.params(), scratch);
         let outcome = if predictions.is_empty() {
@@ -107,12 +118,21 @@ impl GraphExModel {
         let texts = if request.resolve_texts {
             predictions
                 .iter()
-                .map(|p| self.keyphrase_text(p.keyphrase).unwrap_or_default().to_string())
+                .map(|p| {
+                    self.keyphrase_text(p.keyphrase)
+                        .unwrap_or_default()
+                        .to_string()
+                })
                 .collect()
         } else {
             Vec::new()
         };
-        InferResponse { id: request.id, outcome, predictions, texts }
+        InferResponse {
+            id: request.id,
+            outcome,
+            predictions,
+            texts,
+        }
     }
 
     /// The text of a keyphrase id (normalized query text).
@@ -188,7 +208,11 @@ impl GraphExModel {
             num_keyphrases: self.keyphrases.len(),
             total_labels,
             total_edges,
-            avg_degree: if total_words == 0 { 0.0 } else { total_edges as f64 / total_words as f64 },
+            avg_degree: if total_words == 0 {
+                0.0
+            } else {
+                total_edges as f64 / total_words as f64
+            },
             heap_bytes: heap,
         }
     }
@@ -240,7 +264,12 @@ mod tests {
     fn unknown_leaf_errors_without_fallback() {
         let model = sample_model(false);
         let mut scratch = Scratch::new();
-        let err = model.infer("anything", LeafId(999), &InferenceParams::default(), &mut scratch);
+        let err = model.infer(
+            "anything",
+            LeafId(999),
+            &InferenceParams::default(),
+            &mut scratch,
+        );
         assert!(matches!(err, Err(GraphExError::UnknownLeaf(LeafId(999)))));
         // The envelope reports it as an outcome instead of an error.
         let resp = model.infer_request(&InferRequest::new("anything", LeafId(999)), &mut scratch);
@@ -253,8 +282,10 @@ mod tests {
         let model = sample_model(true);
         assert!(model.has_fallback());
         let mut scratch = Scratch::new();
-        let resp = model
-            .infer_request(&InferRequest::new("audeze maxwell headphones", LeafId(999)).k(5), &mut scratch);
+        let resp = model.infer_request(
+            &InferRequest::new("audeze maxwell headphones", LeafId(999)).k(5),
+            &mut scratch,
+        );
         assert_eq!(resp.outcome, Outcome::MetaFallback);
         assert!(!resp.predictions.is_empty());
     }

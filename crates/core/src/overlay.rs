@@ -90,7 +90,10 @@ impl Table {
 
 /// Id of `s` in the id space that runs through `base`, then `delta`.
 fn lookup(base: &Table, delta: &Table, s: &str) -> Option<u32> {
-    base.ids.get(s).copied().or_else(|| delta.ids.get(s).map(|id| base.len() + id))
+    base.ids
+        .get(s)
+        .copied()
+        .or_else(|| delta.ids.get(s).map(|id| base.len() + id))
 }
 
 /// Inverse of [`lookup`].
@@ -142,7 +145,13 @@ impl Stage {
                 .keyphrase_text(graph.keyphrase_id(label))
                 .expect("base leaf label resolves in base vocabulary")
         };
-        let key = |label: u32| (text(label), graph.search_count(label), graph.recall_count(label));
+        let key = |label: u32| {
+            (
+                text(label),
+                graph.search_count(label),
+                graph.recall_count(label),
+            )
+        };
         let mut order: Vec<u32> = (0..graph.num_labels()).collect();
         order.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)));
         let before = Self::default();
@@ -169,7 +178,13 @@ impl Stage {
     ) -> Staged {
         let start = self.token_ids.len() as u32;
         let Some((normalized, words)) = ctx.analyze(text) else {
-            return Staged { raw: Some(text.into()), keyphrase: NONE, tokens: start..start, search, recall };
+            return Staged {
+                raw: Some(text.into()),
+                keyphrase: NONE,
+                tokens: start..start,
+                search,
+                recall,
+            };
         };
         let keyphrase =
             lookup(&before.keyphrases, &self.keyphrases, normalized).unwrap_or_else(|| {
@@ -241,10 +256,15 @@ impl OverlayLeaf {
         added: impl IntoIterator<Item = &'a KeyphraseRecord>,
         ctx: &mut AssemblyContext,
     ) -> Self {
-        let base_labels = model.leaf_graph(leaf).map(|graph| graph.num_labels() as usize);
+        let base_labels = model
+            .leaf_graph(leaf)
+            .map(|graph| graph.num_labels() as usize);
         let (shared, mut delta) = match prev {
             Some(prev) => (Arc::clone(&prev.base), prev.delta.clone()),
-            None => (Arc::new(Stage::of_base_leaf(model, leaf, ctx)), Stage::default()),
+            None => (
+                Arc::new(Stage::of_base_leaf(model, leaf, ctx)),
+                Stage::default(),
+            ),
         };
         let base = &*shared;
         debug_assert_eq!(
@@ -274,8 +294,8 @@ impl OverlayLeaf {
         };
         let mut rest = &base.records[..];
         for rec in &delta.records {
-            let cut = rest
-                .partition_point(|b| sort_key(base, &delta, b) <= sort_key(base, &delta, rec));
+            let cut =
+                rest.partition_point(|b| sort_key(base, &delta, b) <= sort_key(base, &delta, rec));
             rest[..cut].iter().for_each(|b| push(base, b));
             rest = &rest[cut..];
             push(&delta, rec);
@@ -361,8 +381,15 @@ impl OverlayView {
     /// canonical order, with the normalized-text merge (sum search, max
     /// recall) that curation + assembly will apply to the same records
     /// at compaction time.
-    pub fn build(base: &GraphExModel, deltas: &BTreeMap<LeafId, Vec<KeyphraseRecord>>, seq: u64) -> Self {
-        let mut view = Self { seq, ..Self::over(base) };
+    pub fn build(
+        base: &GraphExModel,
+        deltas: &BTreeMap<LeafId, Vec<KeyphraseRecord>>,
+        seq: u64,
+    ) -> Self {
+        let mut view = Self {
+            seq,
+            ..Self::over(base)
+        };
         let mut ctx = AssemblyContext::new(base.stemming());
         for (&leaf, delta) in deltas {
             if !delta.is_empty() {
@@ -388,7 +415,11 @@ impl OverlayView {
         let mut ctx = AssemblyContext::new(base.stemming());
         let prev = self.leaves.get(&leaf).map(|staged| &**staged);
         let next = OverlayLeaf::upserted(prev, base, leaf, added, &mut ctx);
-        let mut view = Self { leaves: self.leaves.clone(), seq, ..Self::over(base) };
+        let mut view = Self {
+            leaves: self.leaves.clone(),
+            seq,
+            ..Self::over(base)
+        };
         view.leaves.insert(leaf, Arc::new(next));
         view
     }
@@ -487,8 +518,17 @@ impl OverlayView {
         for p in &mut predictions {
             p.keyphrase = ov.global_ids[p.keyphrase as usize];
         }
-        let outcome = if predictions.is_empty() { Outcome::Empty } else { Outcome::ExactLeaf };
-        Some(InferResponse { id: request.id, outcome, predictions, texts })
+        let outcome = if predictions.is_empty() {
+            Outcome::Empty
+        } else {
+            Outcome::ExactLeaf
+        };
+        Some(InferResponse {
+            id: request.id,
+            outcome,
+            predictions,
+            texts,
+        })
     }
 }
 
@@ -525,12 +565,18 @@ mod tests {
         let base = base_model();
         let view = OverlayView::build(
             &base,
-            &deltas(vec![(9, KeyphraseRecord::new("ski goggles", LeafId(9), 50, 5))]),
+            &deltas(vec![(
+                9,
+                KeyphraseRecord::new("ski goggles", LeafId(9), 50, 5),
+            )]),
             1,
         );
         let mut scratch = Scratch::new();
         assert!(view
-            .infer_request(&InferRequest::new("audeze maxwell", LeafId(7)), &mut scratch)
+            .infer_request(
+                &InferRequest::new("audeze maxwell", LeafId(7)),
+                &mut scratch
+            )
             .is_none());
         assert!(view.covers(LeafId(9)));
         assert!(!view.covers(LeafId(7)));
@@ -542,7 +588,10 @@ mod tests {
         let view = OverlayView::build(
             &base,
             &deltas(vec![
-                (9, KeyphraseRecord::new("ski goggles anti fog", LeafId(9), 50, 5)),
+                (
+                    9,
+                    KeyphraseRecord::new("ski goggles anti fog", LeafId(9), 50, 5),
+                ),
                 (9, KeyphraseRecord::new("ski goggles", LeafId(9), 80, 9)),
             ]),
             2,
@@ -550,7 +599,9 @@ mod tests {
         let mut scratch = Scratch::new();
         let resp = view
             .infer_request(
-                &InferRequest::new("anti fog ski goggles large", LeafId(9)).k(5).resolve_texts(true),
+                &InferRequest::new("anti fog ski goggles large", LeafId(9))
+                    .k(5)
+                    .resolve_texts(true),
                 &mut scratch,
             )
             .unwrap();
@@ -569,7 +620,10 @@ mod tests {
         // still answer alongside it.
         let view = OverlayView::build(
             &base,
-            &deltas(vec![(7, KeyphraseRecord::new("audeze maxwell xbox edition", LeafId(7), 990, 10))]),
+            &deltas(vec![(
+                7,
+                KeyphraseRecord::new("audeze maxwell xbox edition", LeafId(7), 990, 10),
+            )]),
             3,
         );
         let mut scratch = Scratch::new();
@@ -582,14 +636,25 @@ mod tests {
             )
             .unwrap();
         assert_eq!(resp.outcome, Outcome::ExactLeaf);
-        assert!(resp.texts.iter().any(|t| t == "audeze maxwell xbox edition"));
+        assert!(resp
+            .texts
+            .iter()
+            .any(|t| t == "audeze maxwell xbox edition"));
         assert!(resp.texts.iter().any(|t| t == "gaming headphones xbox"));
         // Existing phrases keep their base-model global ids.
         let kp = base.keyphrase_id("gaming headphones xbox").unwrap();
-        let idx = resp.texts.iter().position(|t| t == "gaming headphones xbox").unwrap();
+        let idx = resp
+            .texts
+            .iter()
+            .position(|t| t == "gaming headphones xbox")
+            .unwrap();
         assert_eq!(resp.predictions[idx].keyphrase, kp);
         // The new phrase gets a synthetic id past the base vocabulary.
-        let new_idx = resp.texts.iter().position(|t| t == "audeze maxwell xbox edition").unwrap();
+        let new_idx = resp
+            .texts
+            .iter()
+            .position(|t| t == "audeze maxwell xbox edition")
+            .unwrap();
         assert!(resp.predictions[new_idx].keyphrase >= base.num_keyphrases() as u32);
     }
 
@@ -601,17 +666,26 @@ mod tests {
         // compacted snapshot will serve.
         let view = OverlayView::build(
             &base,
-            &deltas(vec![(7, KeyphraseRecord::new("audeze headphones", LeafId(7), 1000, 100))]),
+            &deltas(vec![(
+                7,
+                KeyphraseRecord::new("audeze headphones", LeafId(7), 1000, 100),
+            )]),
             4,
         );
         let mut scratch = Scratch::new();
         let resp = view
             .infer_request(
-                &InferRequest::new("audeze maxwell headphones", LeafId(7)).k(5).resolve_texts(true),
+                &InferRequest::new("audeze maxwell headphones", LeafId(7))
+                    .k(5)
+                    .resolve_texts(true),
                 &mut scratch,
             )
             .unwrap();
-        let idx = resp.texts.iter().position(|t| t == "audeze headphones").unwrap();
+        let idx = resp
+            .texts
+            .iter()
+            .position(|t| t == "audeze headphones")
+            .unwrap();
         assert_eq!(resp.predictions[idx].search_count, 450 + 1000);
         assert_eq!(resp.predictions[idx].recall_count, 300);
         // The bumped phrase now out-ties "audeze maxwell" (LTA 2/1 both,
@@ -632,12 +706,18 @@ mod tests {
         ];
         let mut config = GraphExConfig::default();
         config.curation.min_search_count = 0;
-        let rebuilt = GraphExBuilder::new(config).add_records(union_records).build().unwrap();
+        let rebuilt = GraphExBuilder::new(config)
+            .add_records(union_records)
+            .build()
+            .unwrap();
 
         let base = base_model();
         let view = OverlayView::build(
             &base,
-            &deltas(vec![(7, KeyphraseRecord::new("audeze maxwell xbox edition", LeafId(7), 990, 10))]),
+            &deltas(vec![(
+                7,
+                KeyphraseRecord::new("audeze maxwell xbox edition", LeafId(7), 990, 10),
+            )]),
             5,
         );
         let req = InferRequest::new("audeze maxwell gaming headphones xbox edition", LeafId(7))
@@ -653,7 +733,10 @@ mod tests {
     #[test]
     fn with_leaf_rebuilds_one_leaf_and_shares_the_rest() {
         let base = base_model();
-        let pending = deltas(vec![(9, KeyphraseRecord::new("ski goggles", LeafId(9), 80, 9))]);
+        let pending = deltas(vec![(
+            9,
+            KeyphraseRecord::new("ski goggles", LeafId(9), 80, 9),
+        )]);
         let view = OverlayView::build(&base, &pending, 1);
         let next = view.with_leaf(
             &base,
@@ -665,7 +748,10 @@ mod tests {
         assert!(next.covers(LeafId(9)) && next.covers(LeafId(10)));
         assert_eq!(next.num_leaves(), 2);
         // The untouched leaf is the same mini graph, not a copy.
-        assert!(Arc::ptr_eq(&view.leaves[&LeafId(9)], &next.leaves[&LeafId(9)]));
+        assert!(Arc::ptr_eq(
+            &view.leaves[&LeafId(9)],
+            &next.leaves[&LeafId(9)]
+        ));
         // A second upsert to leaf 10 shares its staged base part.
         let again = next.with_leaf(
             &base,
@@ -673,13 +759,19 @@ mod tests {
             &[KeyphraseRecord::new("snow helmet kids", LeafId(10), 30, 3)],
             3,
         );
-        assert!(Arc::ptr_eq(&next.leaves[&LeafId(10)].base, &again.leaves[&LeafId(10)].base));
+        assert!(Arc::ptr_eq(
+            &next.leaves[&LeafId(10)].base,
+            &again.leaves[&LeafId(10)].base
+        ));
         assert_eq!(again.leaf_stats()[1].delta_records, 2);
         // Draining a leaf removes it: the store rebuilds the view from
         // what is still pending.
         let drained = OverlayView::build(
             &base,
-            &deltas(vec![(10, KeyphraseRecord::new("snow helmet", LeafId(10), 40, 4))]),
+            &deltas(vec![(
+                10,
+                KeyphraseRecord::new("snow helmet", LeafId(10), 40, 4),
+            )]),
             4,
         );
         assert!(!drained.covers(LeafId(9)) && drained.covers(LeafId(10)));
@@ -692,20 +784,30 @@ mod tests {
         let first = Arc::new(OverlayView::empty().with_leaf(
             &base,
             leaf,
-            &[KeyphraseRecord::new("audeze maxwell xbox edition", leaf, 990, 10)],
+            &[KeyphraseRecord::new(
+                "audeze maxwell xbox edition",
+                leaf,
+                990,
+                10,
+            )],
             1,
         ));
-        let request =
-            InferRequest::new("audeze maxwell gaming headphones xbox", leaf).k(10).resolve_texts(true);
+        let request = InferRequest::new("audeze maxwell gaming headphones xbox", leaf)
+            .k(10)
+            .resolve_texts(true);
         let mut scratch = Scratch::new();
         let before = first.infer_request(&request, &mut scratch).unwrap();
 
         // Three more upserts to the same leaf, each on top of the last
         // (sharing the staged base and extending a copy of the delta).
         let mut view = Arc::clone(&first);
-        for (i, text) in ["audeze maxwell", "gaming headphones", "xbox headphones stand"]
-            .into_iter()
-            .enumerate()
+        for (i, text) in [
+            "audeze maxwell",
+            "gaming headphones",
+            "xbox headphones stand",
+        ]
+        .into_iter()
+        .enumerate()
         {
             let added = [KeyphraseRecord::new(text, leaf, 5_000, 1)];
             view = Arc::new(view.with_leaf(&base, leaf, &added, 2 + i as u64));
@@ -714,7 +816,11 @@ mod tests {
         assert_eq!((first.seq(), first.num_records()), (1, 1));
         let after = view.infer_request(&request, &mut scratch).unwrap();
         assert_eq!(view.num_records(), 4);
-        assert!(after.texts.iter().any(|t| t == "gaming headphones"), "{:?}", after.texts);
+        assert!(
+            after.texts.iter().any(|t| t == "gaming headphones"),
+            "{:?}",
+            after.texts
+        );
         assert_ne!(after, before);
     }
 
@@ -725,7 +831,9 @@ mod tests {
         assert_eq!(view.seq(), 0);
         assert_eq!(view.num_records(), 0);
         let mut scratch = Scratch::new();
-        assert!(view.infer_request(&InferRequest::new("x", LeafId(1)), &mut scratch).is_none());
+        assert!(view
+            .infer_request(&InferRequest::new("x", LeafId(1)), &mut scratch)
+            .is_none());
     }
 }
 
@@ -779,7 +887,10 @@ mod overlay_incremental {
                     })
                 })
                 .collect();
-            Self { assembly, global_ids }
+            Self {
+                assembly,
+                global_ids,
+            }
         }
 
         fn infer(
@@ -792,17 +903,36 @@ mod overlay_incremental {
             let tokens = self.assembly.tokens();
             collect_title_tokens(&tokenizer, |word| tokens.get(word), request.title, scratch);
             let alignment = request.alignment.unwrap_or(base.alignment());
-            let mut predictions =
-                infer_on_graph(&self.assembly.graph(), alignment, &request.params(), scratch);
+            let mut predictions = infer_on_graph(
+                &self.assembly.graph(),
+                alignment,
+                &request.params(),
+                scratch,
+            );
             let texts = predictions
                 .iter()
-                .map(|p| self.assembly.keyphrases().resolve(p.keyphrase).unwrap().to_string())
+                .map(|p| {
+                    self.assembly
+                        .keyphrases()
+                        .resolve(p.keyphrase)
+                        .unwrap()
+                        .to_string()
+                })
                 .collect();
             for p in &mut predictions {
                 p.keyphrase = self.global_ids[p.keyphrase as usize];
             }
-            let outcome = if predictions.is_empty() { Outcome::Empty } else { Outcome::ExactLeaf };
-            InferResponse { id: request.id, outcome, predictions, texts }
+            let outcome = if predictions.is_empty() {
+                Outcome::Empty
+            } else {
+                Outcome::ExactLeaf
+            };
+            InferResponse {
+                id: request.id,
+                outcome,
+                predictions,
+                texts,
+            }
         }
     }
 
@@ -810,15 +940,26 @@ mod overlay_incremental {
     /// "İstanbul" lowercases to `i` + a combining dot, which a second
     /// normalization splits off: a base text that is not its own
     /// normalized form.
-    const SHARED: [&str; 9] =
-        ["red", "shoes", "case", "pro", "bags", "batteries", "glass", "İstanbul", "men's"];
+    const SHARED: [&str; 9] = [
+        "red",
+        "shoes",
+        "case",
+        "pro",
+        "bags",
+        "batteries",
+        "glass",
+        "İstanbul",
+        "men's",
+    ];
     /// Word indices a base corpus draws from; upserts and titles draw
     /// from a wider range, so they bring words no base leaf has.
     const BASE_WORDS: usize = 14;
     const ALL_WORDS: usize = 18;
 
     fn word(leaf: u32, index: usize) -> String {
-        SHARED.get(index).map_or_else(|| format!("w{leaf}x{index}"), |w| w.to_string())
+        SHARED
+            .get(index)
+            .map_or_else(|| format!("w{leaf}x{index}"), |w| w.to_string())
     }
 
     /// (word indices, rendering style, search, recall): counts are small
@@ -826,7 +967,12 @@ mod overlay_incremental {
     type Phrase = (Vec<usize>, u8, u32, u32);
 
     fn phrase(words: usize) -> impl Strategy<Value = Phrase> {
-        (prop::collection::vec(0..words, 1..=3), 0u8..4, 1u32..5, 0u32..3)
+        (
+            prop::collection::vec(0..words, 1..=3),
+            0u8..4,
+            1u32..5,
+            0u32..3,
+        )
     }
 
     /// The raw text of a phrase: as typed, shouting, hyphenated, or
@@ -846,21 +992,37 @@ mod overlay_incremental {
         for (i, phrases) in corpus.iter().enumerate() {
             let leaf = 100 + i as u32;
             for p in phrases {
-                records.push(KeyphraseRecord::new(render(leaf, p), LeafId(leaf), p.2, p.3));
+                records.push(KeyphraseRecord::new(
+                    render(leaf, p),
+                    LeafId(leaf),
+                    p.2,
+                    p.3,
+                ));
             }
             // The first phrase again in another raw form: one normalized
             // text twice in the corpus.
             let (words, style, search, recall) = phrases[0].clone();
             let again = (words, (style + 1) % 4, search + 1, recall);
-            records.push(KeyphraseRecord::new(render(leaf, &again), LeafId(leaf), again.2, again.3));
+            records.push(KeyphraseRecord::new(
+                render(leaf, &again),
+                LeafId(leaf),
+                again.2,
+                again.3,
+            ));
         }
         let mut config = GraphExConfig::default();
         config.curation.min_search_count = 0;
-        GraphExBuilder::new(config).add_records(records).build().unwrap()
+        GraphExBuilder::new(config)
+            .add_records(records)
+            .build()
+            .unwrap()
     }
 
     /// One upserted record, by kind (see the match arms).
-    fn upsert(base: &GraphExModel, (kind, a, b, p): &(u8, usize, usize, Phrase)) -> KeyphraseRecord {
+    fn upsert(
+        base: &GraphExModel,
+        (kind, a, b, p): &(u8, usize, usize, Phrase),
+    ) -> KeyphraseRecord {
         let mut leaves: Vec<LeafId> = base.leaf_ids().collect();
         leaves.sort_unstable();
         let leaf = leaves[a % leaves.len()];
@@ -871,7 +1033,10 @@ mod overlay_incremental {
             // An exact re-upsert of a base phrase: counts merge.
             0 => (base_text.to_string(), leaf),
             // A base phrase in another case and punctuation.
-            1 => (format!("{}!", base_text.to_uppercase().replace(' ', "-")), leaf),
+            1 => (
+                format!("{}!", base_text.to_uppercase().replace(' ', "-")),
+                leaf,
+            ),
             // Only words the base has never seen.
             2 => (format!("fresh{a} novel{b}"), leaf),
             // A leaf the base has never seen.

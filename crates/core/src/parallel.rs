@@ -43,9 +43,15 @@ pub(crate) fn batch_infer_pooled(
     pool: &ScratchPool,
 ) -> Vec<InferResponse> {
     let collect = |answers: &mut Vec<InferResponse>, _, response| answers.push(response);
-    let mut chunks =
-        batch_infer_with(model, requests.len(), |i| requests[i], num_threads, pool, collect)
-            .into_iter();
+    let mut chunks = batch_infer_with(
+        model,
+        requests.len(),
+        |i| requests[i],
+        num_threads,
+        pool,
+        collect,
+    )
+    .into_iter();
     let mut answers = chunks.next().expect("at least one worker");
     answers.extend(chunks.flatten());
     answers
@@ -74,7 +80,11 @@ where
         let mut state = T::default();
         let mut scratch = pool.take();
         for i in range {
-            sink(&mut state, i, model.infer_request(&request(i), &mut scratch));
+            sink(
+                &mut state,
+                i,
+                model.infer_request(&request(i), &mut scratch),
+            );
         }
         pool.give(scratch);
         state
@@ -90,13 +100,18 @@ where
             .step_by(chunk)
             .map(|start| scope.spawn(move |_| work(start..count.min(start + chunk))))
             .collect();
-        workers.into_iter().map(|w| w.join().expect("batch inference worker panicked")).collect()
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("batch inference worker panicked"))
+            .collect()
     })
     .expect("batch inference worker panicked")
 }
 
 fn effective_threads(requested: usize, work_items: usize) -> usize {
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let hw = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let threads = if requested == 0 { hw } else { requested };
     threads.min(work_items.max(1))
 }
@@ -114,7 +129,12 @@ mod tests {
         config.build_meta_fallback = false;
         GraphExBuilder::new(config)
             .add_records((0..50).map(|i| {
-                KeyphraseRecord::new(format!("brand{i} model{i} widget"), LeafId(i % 5), 100 + i, 10 + i)
+                KeyphraseRecord::new(
+                    format!("brand{i} model{i} widget"),
+                    LeafId(i % 5),
+                    100 + i,
+                    10 + i,
+                )
             }))
             .build()
             .unwrap()
@@ -123,8 +143,9 @@ mod tests {
     #[test]
     fn batch_matches_sequential() {
         let model = model();
-        let titles: Vec<String> =
-            (0..40).map(|i| format!("brand{i} model{i} widget deluxe edition")).collect();
+        let titles: Vec<String> = (0..40)
+            .map(|i| format!("brand{i} model{i} widget deluxe edition"))
+            .collect();
         let requests: Vec<InferRequest<'_>> = titles
             .iter()
             .enumerate()
@@ -145,9 +166,18 @@ mod tests {
         };
         let pool = ScratchPool::new();
         let chunks = batch_infer_with(&model, 10, request, 4, &pool, note);
-        assert_eq!(chunks, [vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8], vec![9]]);
-        assert_eq!(batch_infer_with(&model, 10, request, 1, &pool, note), [(0..10).collect::<Vec<_>>()]);
-        assert_eq!(batch_infer_with(&model, 0, request, 4, &pool, note), [vec![]]);
+        assert_eq!(
+            chunks,
+            [vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8], vec![9]]
+        );
+        assert_eq!(
+            batch_infer_with(&model, 10, request, 1, &pool, note),
+            [(0..10).collect::<Vec<_>>()]
+        );
+        assert_eq!(
+            batch_infer_with(&model, 0, request, 4, &pool, note),
+            [vec![]]
+        );
     }
 
     #[test]
@@ -156,7 +186,9 @@ mod tests {
         let title = "brand1 model1 widget deluxe";
         let requests = [
             InferRequest::new(title, LeafId(1)).k(1),
-            InferRequest::new(title, LeafId(1)).k(10).resolve_texts(true),
+            InferRequest::new(title, LeafId(1))
+                .k(10)
+                .resolve_texts(true),
         ];
         let out = batch_infer(&model, &requests, 2);
         assert_eq!(out[0].predictions.len(), 1);

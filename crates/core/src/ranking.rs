@@ -64,8 +64,11 @@ impl RankKey {
     /// The key of `pred`, candidate number `index`, under `alignment`.
     #[inline]
     pub fn new(pred: &Prediction, index: u32, alignment: Alignment, title_len: u32) -> Self {
-        let (n, d) =
-            alignment.as_fraction(u32::from(pred.matched), u32::from(pred.label_len), title_len);
+        let (n, d) = alignment.as_fraction(
+            u32::from(pred.matched),
+            u32::from(pred.label_len),
+            title_len,
+        );
         let score = (f64::from(n) / f64::from(d)).to_bits();
         Self {
             major: u128::from(!score) << 64
@@ -101,7 +104,10 @@ pub fn rank_top(
     }
     keys.clear();
     keys.extend(
-        candidates.iter().enumerate().map(|(i, p)| RankKey::new(p, i as u32, alignment, title_len)),
+        candidates
+            .iter()
+            .enumerate()
+            .map(|(i, p)| RankKey::new(p, i as u32, alignment, title_len)),
     );
     if k < keys.len() {
         keys.select_nth_unstable(k - 1);
@@ -123,7 +129,14 @@ mod tests {
     use super::*;
 
     fn pred(kp: u32, matched: u16, len: u16, s: u32, r: u32) -> Prediction {
-        Prediction { keyphrase: kp, matched, label_len: len, search_count: s, recall_count: r, title_len: 6 }
+        Prediction {
+            keyphrase: kp,
+            matched,
+            label_len: len,
+            search_count: s,
+            recall_count: r,
+            title_len: 6,
+        }
     }
 
     #[test]
@@ -175,8 +188,9 @@ mod tests {
 
     #[test]
     fn top_k_is_a_prefix_of_the_full_order_and_k_zero_is_empty() {
-        let preds: Vec<Prediction> =
-            (0..9).map(|i| pred(i, 1 + (i % 3) as u16, 3, 100 * (i % 2), 9 - i)).collect();
+        let preds: Vec<Prediction> = (0..9)
+            .map(|i| pred(i, 1 + (i % 3) as u16, 3, 100 * (i % 2), 9 - i))
+            .collect();
         let mut full = preds.clone();
         sort_predictions(&mut full, Alignment::Lta, 6);
         let mut keys = Vec::new();
@@ -204,7 +218,11 @@ mod tests {
         // label A: c=2,|l|=2 → LTA 2.0, WMR 1.0
         // label B: c=3,|l|=4 → LTA 1.5, WMR 0.75
         // label C: c=4,|l|=6 → LTA 4/3, WMR 0.666
-        let mut by_lta = vec![pred(1, 2, 2, 0, 0), pred(2, 3, 4, 0, 0), pred(3, 4, 6, 0, 0)];
+        let mut by_lta = vec![
+            pred(1, 2, 2, 0, 0),
+            pred(2, 3, 4, 0, 0),
+            pred(3, 4, 6, 0, 0),
+        ];
         let mut by_wmr = by_lta.clone();
         sort_predictions(&mut by_lta, Alignment::Lta, 8);
         sort_predictions(&mut by_wmr, Alignment::Wmr, 8);

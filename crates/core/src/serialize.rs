@@ -209,7 +209,12 @@ impl Eq for Hashed {}
 
 impl std::fmt::Debug for Hashed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Hashed({} bytes, checksum {:016x})", self.bytes.len(), self.sums.file)
+        write!(
+            f,
+            "Hashed({} bytes, checksum {:016x})",
+            self.bytes.len(),
+            self.sums.file
+        )
     }
 }
 
@@ -227,7 +232,12 @@ pub fn to_bytes(model: &GraphExModel) -> Hashed {
         let leaves = leaf_ids.iter().enumerate();
         leaves
             .map(|(index, &leaf)| (index as u32, &model.leaves[&LeafId(leaf)]))
-            .chain(model.fallback.as_deref().map(|fallback| (NO_OWNER, fallback)))
+            .chain(
+                model
+                    .fallback
+                    .as_deref()
+                    .map(|fallback| (NO_OWNER, fallback)),
+            )
     };
 
     let section_count = TABLE_SECTIONS + GRAPH_SECTIONS * graphs().count();
@@ -238,7 +248,10 @@ pub fn to_bytes(model: &GraphExModel) -> Hashed {
     let dir_offset = HEADER_LEN + sections_len;
     let file_len = dir_offset + section_count * DIR_ENTRY_LEN + 8;
 
-    let mut out = Writer { buf: Vec::with_capacity(file_len), dir: Vec::with_capacity(section_count) };
+    let mut out = Writer {
+        buf: Vec::with_capacity(file_len),
+        dir: Vec::with_capacity(section_count),
+    };
     let buf = &mut out.buf;
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
@@ -253,14 +266,22 @@ pub fn to_bytes(model: &GraphExModel) -> Hashed {
 
     out.put_u32s(section::LEAF_TABLE, NO_OWNER, &leaf_ids);
     out.put_vocab(section::TOKENS_ENDS, section::TOKENS_BLOB, &model.tokens);
-    out.put_vocab(section::KEYPHRASES_ENDS, section::KEYPHRASES_BLOB, &model.keyphrases);
+    out.put_vocab(
+        section::KEYPHRASES_ENDS,
+        section::KEYPHRASES_BLOB,
+        &model.keyphrases,
+    );
     for (owner, graph) in graphs() {
         out.put_graph(owner, graph);
     }
 
     let Writer { mut buf, dir } = out;
     buf.resize(padded(buf.len()), 0);
-    assert_eq!((buf.len(), dir.len()), (dir_offset, section_count), "sections were not sized as written");
+    assert_eq!(
+        (buf.len(), dir.len()),
+        (dir_offset, section_count),
+        "sections were not sized as written"
+    );
     for entry in &dir {
         buf.put_u32_le(entry.kind);
         buf.put_u32_le(entry.owner);
@@ -276,9 +297,15 @@ pub fn to_bytes(model: &GraphExModel) -> Hashed {
     let payload = sum.finish(buf.len());
     buf.put_u64_le(payload);
     sum.absorb(&payload.to_le_bytes());
-    let sums = Sums { payload, file: sum.finish(buf.len()) };
+    let sums = Sums {
+        payload,
+        file: sum.finish(buf.len()),
+    };
     debug_assert_eq!(buf.len(), file_len);
-    Hashed { bytes: Bytes::from(buf), sums }
+    Hashed {
+        bytes: Bytes::from(buf),
+        sums,
+    }
 }
 
 /// One directory entry (also returned by [`inspect`]).
@@ -319,9 +346,15 @@ pub fn from_shared(data: Bytes) -> Result<GraphExModel> {
 
 /// Parses a buffer whose trailer, magic and version have been checked.
 fn parse_model(data: Bytes) -> Result<GraphExModel> {
-    debug_assert_eq!(data.as_ptr() as usize % 8, 0, "parse_model requires an aligned buffer");
+    debug_assert_eq!(
+        data.as_ptr() as usize % 8,
+        0,
+        "parse_model requires an aligned buffer"
+    );
     if data.len() < HEADER_LEN + 8 {
-        return Err(GraphExError::Corrupt("file too short for its header".into()));
+        return Err(GraphExError::Corrupt(
+            "file too short for its header".into(),
+        ));
     }
     // Header.
     let flags = data[8];
@@ -339,7 +372,11 @@ fn parse_model(data: Bytes) -> Result<GraphExModel> {
         FxHashMap::with_capacity_and_hasher(entries.len(), Default::default());
     for (i, entry) in entries.into_iter().enumerate() {
         let end = entry.offset.checked_add(entry.byte_len);
-        if entry.offset % 8 != 0 || entry.offset < HEADER_LEN as u64 || end.is_none() || end > Some(dir_offset) {
+        if entry.offset % 8 != 0
+            || entry.offset < HEADER_LEN as u64
+            || end.is_none()
+            || end > Some(dir_offset)
+        {
             return Err(GraphExError::Corrupt(format!("section {i} out of bounds")));
         }
         if sections.insert((entry.kind, entry.owner), entry).is_some() {
@@ -352,21 +389,29 @@ fn parse_model(data: Bytes) -> Result<GraphExModel> {
     let mut consumed = 0usize;
     let mut take = |kind: u32, owner: u32| -> Result<RawSection> {
         consumed += 1;
-        sections
-            .get(&(kind, owner))
-            .copied()
-            .ok_or_else(|| GraphExError::Corrupt(format!("missing section kind {kind} owner {owner}")))
+        sections.get(&(kind, owner)).copied().ok_or_else(|| {
+            GraphExError::Corrupt(format!("missing section kind {kind} owner {owner}"))
+        })
     };
 
     // Tables and vocabs.
     let leaf_table = take(section::LEAF_TABLE, NO_OWNER)?;
     if leaf_table.elems != num_leaves as u64 {
-        return Err(GraphExError::Corrupt("leaf table length != num_leaves".into()));
+        return Err(GraphExError::Corrupt(
+            "leaf table length != num_leaves".into(),
+        ));
     }
     let leaf_ids = u32_view(&data, &leaf_table)?;
-    let tokens = get_vocab(&data, &take(section::TOKENS_ENDS, NO_OWNER)?, &take(section::TOKENS_BLOB, NO_OWNER)?)?;
-    let keyphrases =
-        get_vocab(&data, &take(section::KEYPHRASES_ENDS, NO_OWNER)?, &take(section::KEYPHRASES_BLOB, NO_OWNER)?)?;
+    let tokens = get_vocab(
+        &data,
+        &take(section::TOKENS_ENDS, NO_OWNER)?,
+        &take(section::TOKENS_BLOB, NO_OWNER)?,
+    )?;
+    let keyphrases = get_vocab(
+        &data,
+        &take(section::KEYPHRASES_ENDS, NO_OWNER)?,
+        &take(section::KEYPHRASES_BLOB, NO_OWNER)?,
+    )?;
     let num_keyphrases = keyphrases.len() as u32;
 
     // Per-leaf graphs, then the fallback.
@@ -380,7 +425,12 @@ fn parse_model(data: Bytes) -> Result<GraphExModel> {
         }
     }
     let fallback = if has_fallback {
-        Some(Box::new(graph_from_sections(&data, NO_OWNER, num_keyphrases, &mut take)?))
+        Some(Box::new(graph_from_sections(
+            &data,
+            NO_OWNER,
+            num_keyphrases,
+            &mut take,
+        )?))
     } else {
         None
     };
@@ -413,7 +463,9 @@ fn graph_from_sections(
     let search = u32_view(data, &take(section::SEARCH, owner)?)?;
     let recall = u32_view(data, &take(section::RECALL, owner)?)?;
     if labels.iter().any(|&kp| kp >= num_keyphrases) {
-        return Err(GraphExError::Corrupt("label references unknown keyphrase".into()));
+        return Err(GraphExError::Corrupt(
+            "label references unknown keyphrase".into(),
+        ));
     }
     LeafGraph::from_stores(
         row_tokens.into(),
@@ -443,10 +495,17 @@ fn vocab_len(vocab: &Vocab) -> usize {
 /// The bytes a graph's seven sections take, padding included.
 fn graph_len(graph: &LeafGraph) -> usize {
     let (offsets, targets) = graph.csr_parts();
-    [graph.row_tokens(), offsets, targets, graph.labels(), graph.searches(), graph.recalls()]
-        .iter()
-        .map(|vals| padded(vals.len() * 4))
-        .sum::<usize>()
+    [
+        graph.row_tokens(),
+        offsets,
+        targets,
+        graph.labels(),
+        graph.searches(),
+        graph.recalls(),
+    ]
+    .iter()
+    .map(|vals| padded(vals.len() * 4))
+    .sum::<usize>()
         + padded(graph.label_lens().len() * 2)
 }
 
@@ -499,7 +558,8 @@ impl Writer {
             blob.len()
         );
         self.put_u32s(ends_kind, NO_OWNER, ends);
-        self.section(blob_kind, NO_OWNER, blob.len(), blob.len()).copy_from_slice(blob);
+        self.section(blob_kind, NO_OWNER, blob.len(), blob.len())
+            .copy_from_slice(blob);
     }
 
     fn put_graph(&mut self, owner: u32, graph: &LeafGraph) {
@@ -571,13 +631,19 @@ impl Sums {
     fn of(data: &[u8]) -> Self {
         let (payload, trailer) = data.split_at(data.len().saturating_sub(8));
         if payload.len() % 8 != 0 {
-            return Self { payload: checksum(payload), file: checksum(data) };
+            return Self {
+                payload: checksum(payload),
+                file: checksum(data),
+            };
         }
         let mut sum = LaneSum::new();
         sum.absorb(payload);
         let payload = sum.finish(payload.len());
         sum.absorb(trailer);
-        Self { payload, file: sum.finish(data.len()) }
+        Self {
+            payload,
+            file: sum.finish(data.len()),
+        }
     }
 
     /// Verifies the checksum trailer, the magic and the version word of
@@ -615,7 +681,9 @@ impl Sums {
     fn info(&self, data: &[u8]) -> Result<SnapshotInfo> {
         self.check(data)?;
         if data.len() < HEADER_LEN + 8 {
-            return Err(GraphExError::Corrupt("file too short for its header".into()));
+            return Err(GraphExError::Corrupt(
+                "file too short for its header".into(),
+            ));
         }
         let sections = read_directory(data)?;
         let elems_of = |kind: u32| {
@@ -831,7 +899,10 @@ struct LaneSum {
 
 impl LaneSum {
     fn new() -> Self {
-        Self { lanes: std::array::from_fn(|lane| fold(SUM_SEED, lane as u64)), words: 0 }
+        Self {
+            lanes: std::array::from_fn(|lane| fold(SUM_SEED, lane as u64)),
+            words: 0,
+        }
     }
 
     fn push(&mut self, word: u64) {
@@ -874,7 +945,10 @@ impl LaneSum {
     /// The sum of the `len` bytes taken so far. `len` separates buffers
     /// that differ only in trailing zeros of their last word.
     fn finish(&self, len: usize) -> u64 {
-        let sum = self.lanes.iter().fold(SUM_SEED ^ len as u64, |sum, &lane| fold(sum, lane));
+        let sum = self
+            .lanes
+            .iter()
+            .fold(SUM_SEED ^ len as u64, |sum, &lane| fold(sum, lane));
         sum ^ (sum >> 32)
     }
 }
@@ -903,7 +977,9 @@ fn alignment_from_tag(tag: u8) -> Result<Alignment> {
         0 => Ok(Alignment::Lta),
         1 => Ok(Alignment::Wmr),
         2 => Ok(Alignment::Jac),
-        other => Err(GraphExError::Corrupt(format!("unknown alignment tag {other}"))),
+        other => Err(GraphExError::Corrupt(format!(
+            "unknown alignment tag {other}"
+        ))),
     }
 }
 
@@ -955,7 +1031,9 @@ mod tests {
         ]
         .iter()
         .map(|&(title, leaf)| {
-            let req = crate::InferRequest::new(title, leaf).k(10).resolve_texts(true);
+            let req = crate::InferRequest::new(title, leaf)
+                .k(10)
+                .resolve_texts(true);
             let resp = model.infer_request(&req, &mut scratch);
             (resp.texts, resp.predictions)
         })
@@ -979,7 +1057,10 @@ mod tests {
         // Parsing the (aligned) serializer output: zero-copy.
         let loaded = bytes.parse().unwrap();
         for leaf in loaded.leaf_ids() {
-            assert!(loaded.leaf_graph(leaf).unwrap().is_zero_copy(), "{leaf} was copied");
+            assert!(
+                loaded.leaf_graph(leaf).unwrap().is_zero_copy(),
+                "{leaf} was copied"
+            );
         }
         // The owned construction path is not view-backed.
         assert!(!model.leaf_graph(LeafId(7)).unwrap().is_zero_copy());
@@ -994,7 +1075,9 @@ mod tests {
         save_to(&model, &path).unwrap();
         let restored = load_from(&path).unwrap();
         assert_eq!(restored.num_keyphrases(), model.num_keyphrases());
-        assert!(restored.leaf_ids().all(|l| restored.leaf_graph(l).unwrap().is_zero_copy()));
+        assert!(restored
+            .leaf_ids()
+            .all(|l| restored.leaf_graph(l).unwrap().is_zero_copy()));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1007,8 +1090,14 @@ mod tests {
         save_to(&model, &path).unwrap();
 
         let (mapped, mode) = load_snapshot(&path, LoadMode::Mmap).unwrap();
-        assert_eq!(mode, LoadMode::Mmap, "linux container should serve the mmap path");
-        assert!(mapped.leaf_ids().all(|l| mapped.leaf_graph(l).unwrap().is_zero_copy()));
+        assert_eq!(
+            mode,
+            LoadMode::Mmap,
+            "linux container should serve the mmap path"
+        );
+        assert!(mapped
+            .leaf_ids()
+            .all(|l| mapped.leaf_graph(l).unwrap().is_zero_copy()));
 
         let (heaped, heap_mode) = load_snapshot(&path, LoadMode::Heap).unwrap();
         assert_eq!(heap_mode, LoadMode::Heap);
@@ -1105,8 +1194,14 @@ mod tests {
         let (blob, ends) = model.keyphrases.parts();
         assert_eq!(directory[3].elems, ends.len() as u64);
         assert_eq!(directory[3].byte_len, 4 * ends.len() as u64);
-        assert_eq!((directory[4].elems, directory[4].byte_len), (blob.len() as u64, blob.len() as u64));
-        assert_eq!(section_bytes(&bytes.clone().into_bytes(), &directory[4]), blob);
+        assert_eq!(
+            (directory[4].elems, directory[4].byte_len),
+            (blob.len() as u64, blob.len() as u64)
+        );
+        assert_eq!(
+            section_bytes(&bytes.clone().into_bytes(), &directory[4]),
+            blob
+        );
     }
 
     #[test]
@@ -1145,7 +1240,10 @@ mod tests {
         // checksum catches it first; rewrite checksum to isolate magic check
         let sum = checksum(&wrong_magic[..n - 8]);
         wrong_magic[n - 8..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(from_bytes(&wrong_magic), Err(GraphExError::Corrupt(_))));
+        assert!(matches!(
+            from_bytes(&wrong_magic),
+            Err(GraphExError::Corrupt(_))
+        ));
 
         // An intact buffer of any other version is refused by every entry
         // point: neither parsed nor called corrupt.
@@ -1154,13 +1252,20 @@ mod tests {
             other[4] = version;
             let sum = checksum(&other[..n - 8]);
             other[n - 8..].copy_from_slice(&sum.to_le_bytes());
-            let refused = |res: Result<()>| {
-                matches!(res, Err(GraphExError::UnsupportedVersion(v)) if v == u32::from(version))
-            };
-            assert!(refused(from_bytes(&other).map(drop)), "from_bytes, version {version}");
+            let refused = |res: Result<()>| matches!(res, Err(GraphExError::UnsupportedVersion(v)) if v == u32::from(version));
+            assert!(
+                refused(from_bytes(&other).map(drop)),
+                "from_bytes, version {version}"
+            );
             let shared = Bytes::from(other.clone());
-            assert!(refused(from_shared(shared).map(drop)), "from_shared, version {version}");
-            assert!(refused(inspect(&other).map(drop)), "inspect, version {version}");
+            assert!(
+                refused(from_shared(shared).map(drop)),
+                "from_shared, version {version}"
+            );
+            assert!(
+                refused(inspect(&other).map(drop)),
+                "inspect, version {version}"
+            );
         }
     }
 
@@ -1175,16 +1280,46 @@ mod tests {
     fn checksum_known_answers() {
         // Of the first 0, 1, … 40 patterned bytes.
         const OF_PATTERNED_PREFIXES: [u64; 41] = [
-            0x3e53_676a_56d6_7fc4, 0x1942_2aa2_6e0b_1f5b, 0x461a_ed83_03a0_83f1, 0x1ecb_08b2_1d25_07ce,
-            0x26f5_8d72_f73d_ae31, 0xef64_3821_166d_7ddf, 0x2585_182c_9f70_4c24, 0x6c1b_42ba_e46a_7baa,
-            0x1446_4970_11be_cb92, 0xdfb8_f763_9a39_4c87, 0x681e_dd98_6c82_71b2, 0xa012_3b28_f47b_9743,
-            0x39ea_6e7f_041f_2a94, 0x3260_a67b_4fc3_7739, 0x8c44_5c4c_f3b4_de63, 0xfbc8_d48c_1807_ebeb,
-            0x98f9_d9a1_5152_e355, 0xceac_0bb7_5151_e93f, 0x4586_f167_c8eb_038e, 0x703f_0533_8ea8_a0e8,
-            0xc2bc_39db_47b1_6fe4, 0xb654_e9c1_abad_a02a, 0xfd5d_3abd_df8c_7b7a, 0xd80b_b74b_b998_abac,
-            0xebef_64cc_72c8_7d89, 0xb88a_3fad_47c8_82e5, 0x36af_1f65_a5f0_da90, 0xaf23_c5bc_8923_52b8,
-            0x7d5c_5554_de77_3d81, 0x75dd_f689_85ba_192c, 0xa688_4bcb_b5b2_45e5, 0x257e_863b_2687_ba18,
-            0x24e8_ce15_85c4_512a, 0x931e_6d3b_9a11_e146, 0xfcb2_65d4_9fe4_b6fd, 0x135b_02a1_729e_ce59,
-            0x8105_afe5_c1a5_aa4e, 0x94e1_2e77_fdda_ac86, 0xa77e_da84_4cc0_c5ac, 0xce33_0407_226a_c06b,
+            0x3e53_676a_56d6_7fc4,
+            0x1942_2aa2_6e0b_1f5b,
+            0x461a_ed83_03a0_83f1,
+            0x1ecb_08b2_1d25_07ce,
+            0x26f5_8d72_f73d_ae31,
+            0xef64_3821_166d_7ddf,
+            0x2585_182c_9f70_4c24,
+            0x6c1b_42ba_e46a_7baa,
+            0x1446_4970_11be_cb92,
+            0xdfb8_f763_9a39_4c87,
+            0x681e_dd98_6c82_71b2,
+            0xa012_3b28_f47b_9743,
+            0x39ea_6e7f_041f_2a94,
+            0x3260_a67b_4fc3_7739,
+            0x8c44_5c4c_f3b4_de63,
+            0xfbc8_d48c_1807_ebeb,
+            0x98f9_d9a1_5152_e355,
+            0xceac_0bb7_5151_e93f,
+            0x4586_f167_c8eb_038e,
+            0x703f_0533_8ea8_a0e8,
+            0xc2bc_39db_47b1_6fe4,
+            0xb654_e9c1_abad_a02a,
+            0xfd5d_3abd_df8c_7b7a,
+            0xd80b_b74b_b998_abac,
+            0xebef_64cc_72c8_7d89,
+            0xb88a_3fad_47c8_82e5,
+            0x36af_1f65_a5f0_da90,
+            0xaf23_c5bc_8923_52b8,
+            0x7d5c_5554_de77_3d81,
+            0x75dd_f689_85ba_192c,
+            0xa688_4bcb_b5b2_45e5,
+            0x257e_863b_2687_ba18,
+            0x24e8_ce15_85c4_512a,
+            0x931e_6d3b_9a11_e146,
+            0xfcb2_65d4_9fe4_b6fd,
+            0x135b_02a1_729e_ce59,
+            0x8105_afe5_c1a5_aa4e,
+            0x94e1_2e77_fdda_ac86,
+            0xa77e_da84_4cc0_c5ac,
+            0xce33_0407_226a_c06b,
             0x9c06_386c_7445_f18f,
         ];
         for (len, &want) in OF_PATTERNED_PREFIXES.iter().enumerate() {
@@ -1193,7 +1328,11 @@ mod tests {
         let snapshot = to_bytes(&sample_model());
         assert_eq!(snapshot.len(), 992);
         assert_eq!(read_u64(&snapshot, 984), 0x4631_0b15_4683_127f, "trailer");
-        assert_eq!(checksum(&snapshot[..984]), 0x4631_0b15_4683_127f, "payload sum");
+        assert_eq!(
+            checksum(&snapshot[..984]),
+            0x4631_0b15_4683_127f,
+            "payload sum"
+        );
         assert_eq!(checksum(&snapshot), 0xe71d_125a_8e08_53d2, "whole-file sum");
         assert_eq!(snapshot.checksum(), 0xe71d_125a_8e08_53d2);
     }
@@ -1210,7 +1349,11 @@ mod tests {
             for cut in (0..=len).step_by(8) {
                 let mut sum = LaneSum::new();
                 sum.absorb(&data[..cut]);
-                assert_eq!(sum.finish(cut), checksum(&data[..cut]), "{len} bytes, head of {cut}");
+                assert_eq!(
+                    sum.finish(cut),
+                    checksum(&data[..cut]),
+                    "{len} bytes, head of {cut}"
+                );
                 sum.absorb(&data[cut..]);
                 assert_eq!(sum.finish(len), checksum(&data), "{len} bytes cut at {cut}");
                 // And cut once more, a word further on.
@@ -1219,11 +1362,19 @@ mod tests {
                 for piece in [&data[..cut], &data[cut..next], &data[next..]] {
                     sum.absorb(piece);
                 }
-                assert_eq!(sum.finish(len), checksum(&data), "{len} bytes cut at {cut} and {next}");
+                assert_eq!(
+                    sum.finish(len),
+                    checksum(&data),
+                    "{len} bytes cut at {cut} and {next}"
+                );
             }
             let sums = Sums::of(&data);
             let payload = &data[..len.saturating_sub(8)];
-            assert_eq!((sums.payload, sums.file), (checksum(payload), checksum(&data)), "{len} bytes");
+            assert_eq!(
+                (sums.payload, sums.file),
+                (checksum(payload), checksum(&data)),
+                "{len} bytes"
+            );
             // Trailing zeros are not padding.
             let mut longer = data.clone();
             longer.push(0);
@@ -1247,10 +1398,20 @@ mod tests {
             if bit / 8 < n - 8 {
                 assert_ne!(sums.payload, sound.sums.payload, "bit {bit}: payload sum");
             } else {
-                assert_eq!(sums.payload, sound.sums.payload, "bit {bit} is in the trailer");
+                assert_eq!(
+                    sums.payload, sound.sums.payload,
+                    "bit {bit} is in the trailer"
+                );
             }
-            assert_ne!(sums.payload, read_u64(&bytes, n - 8), "bit {bit}: trailer check");
-            assert!(matches!(sums.check(&bytes), Err(GraphExError::Corrupt(_))), "bit {bit}");
+            assert_ne!(
+                sums.payload,
+                read_u64(&bytes, n - 8),
+                "bit {bit}: trailer check"
+            );
+            assert!(
+                matches!(sums.check(&bytes), Err(GraphExError::Corrupt(_))),
+                "bit {bit}"
+            );
             bytes[bit / 8] ^= 1 << (bit % 8);
         }
         assert_eq!(bytes, sound.to_vec());
@@ -1267,7 +1428,11 @@ mod tests {
         assert_eq!(hashed, written.len());
         let (file_sum, whole_pass) = counting(|| checksum(&written));
         assert_eq!(whole_pass, written.len());
-        assert_eq!(written.checksum(), file_sum, "to_bytes knows the file checksum");
+        assert_eq!(
+            written.checksum(),
+            file_sum,
+            "to_bytes knows the file checksum"
+        );
 
         let shared = written.clone().into_bytes();
         let (walked, hashed) = counting(|| hash(shared.clone()));
@@ -1286,7 +1451,10 @@ mod tests {
         }
 
         assert_eq!(counting(|| from_bytes(&shared).unwrap()).1, shared.len());
-        assert_eq!(counting(|| from_shared(shared.clone()).unwrap()).1, shared.len());
+        assert_eq!(
+            counting(|| from_shared(shared.clone()).unwrap()).1,
+            shared.len()
+        );
         assert_eq!(counting(|| inspect(&shared).unwrap()).1, shared.len());
     }
 
@@ -1317,7 +1485,10 @@ mod tests {
             assert_eq!(format!("{want:?}"), format!("{got:?}"), "{what}");
             assert!(want.is_err(), "{what}");
         }
-        assert!(matches!(hash(Bytes::from(flipped)).parse(), Err(GraphExError::Corrupt(_))));
+        assert!(matches!(
+            hash(Bytes::from(flipped)).parse(),
+            Err(GraphExError::Corrupt(_))
+        ));
         assert!(matches!(
             hash(Bytes::from(other_version)).parse(),
             Err(GraphExError::UnsupportedVersion(9))
@@ -1326,7 +1497,9 @@ mod tests {
 
     /// FNV-1a, the trailer of the formats before v3.
     fn fnv1a(data: &[u8]) -> u64 {
-        data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3))
+        data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+        })
     }
 
     /// An intact v2 file fails the v3 trailer check like any damaged
@@ -1339,10 +1512,17 @@ mod tests {
         let sum = fnv1a(&old[..n - 8]);
         old[n - 8..].copy_from_slice(&sum.to_le_bytes());
         let shared = Bytes::from(old.clone());
-        for res in [from_bytes(&old).map(drop), from_shared(shared).map(drop), inspect(&old).map(drop)] {
+        for res in [
+            from_bytes(&old).map(drop),
+            from_shared(shared).map(drop),
+            inspect(&old).map(drop),
+        ] {
             match res {
                 Err(GraphExError::Corrupt(why)) => {
-                    assert!(why.contains("a GEXM v2 snapshot predates the v3 checksum — rebuild it"), "{why}")
+                    assert!(
+                        why.contains("a GEXM v2 snapshot predates the v3 checksum — rebuild it"),
+                        "{why}"
+                    )
                 }
                 other => panic!("expected Corrupt, got {other:?}"),
             }
@@ -1350,7 +1530,10 @@ mod tests {
         // Any other damaged buffer stays anonymous.
         old[4] = 3;
         let err = from_bytes(&old).unwrap_err();
-        assert_eq!(err.to_string(), GraphExError::Corrupt("checksum mismatch".into()).to_string());
+        assert_eq!(
+            err.to_string(),
+            GraphExError::Corrupt("checksum mismatch".into()).to_string()
+        );
     }
 
     /// The interleaved layout's `u16` string length is gone: a string is
@@ -1371,9 +1554,14 @@ mod tests {
             .build()
             .unwrap();
         let loaded = to_bytes(&model).parse().unwrap();
-        let id = loaded.keyphrases.get(&long).expect("the long keyphrase is in the table");
+        let id = loaded
+            .keyphrases
+            .get(&long)
+            .expect("the long keyphrase is in the table");
         assert_eq!(loaded.keyphrases.resolve(id), Some(long.as_str()));
-        let request = crate::InferRequest::new(long.as_str(), LeafId(7)).k(1).resolve_texts(true);
+        let request = crate::InferRequest::new(long.as_str(), LeafId(7))
+            .k(1)
+            .resolve_texts(true);
         let response = loaded.infer_request(&request, &mut crate::Scratch::new());
         assert_eq!(response.texts, [long]);
     }

@@ -48,8 +48,12 @@ pub enum Outcome {
 
 impl Outcome {
     /// All variants, for counter registries and exhaustive sweeps.
-    pub const ALL: [Outcome; 4] =
-        [Outcome::ExactLeaf, Outcome::MetaFallback, Outcome::UnknownLeaf, Outcome::Empty];
+    pub const ALL: [Outcome; 4] = [
+        Outcome::ExactLeaf,
+        Outcome::MetaFallback,
+        Outcome::UnknownLeaf,
+        Outcome::Empty,
+    ];
 
     /// Stable snake_case label (counter/metric key).
     pub fn name(self) -> &'static str {
@@ -241,7 +245,12 @@ pub struct InferResponse {
 impl InferResponse {
     /// A response with no predictions (unknown leaf or empty candidates).
     pub fn empty(id: Option<u64>, outcome: Outcome) -> Self {
-        Self { id, outcome, predictions: Vec::new(), texts: Vec::new() }
+        Self {
+            id,
+            outcome,
+            predictions: Vec::new(),
+            texts: Vec::new(),
+        }
     }
 
     /// Number of served keyphrases (predictions, or texts when the service
@@ -336,7 +345,10 @@ pub struct Engine {
 impl Engine {
     /// Engine over an already-shared model.
     pub fn new(model: Arc<GraphExModel>) -> Self {
-        Self { model, pool: Arc::new(ScratchPool::new()) }
+        Self {
+            model,
+            pool: Arc::new(ScratchPool::new()),
+        }
     }
 
     /// Engine that takes ownership of a freshly built model.
@@ -362,7 +374,10 @@ impl Engine {
     /// Checks a scratch out of the pool for a run of calls; the scratch
     /// returns to the pool when the [`Session`] drops.
     pub fn session(&self) -> Session<'_> {
-        Session { engine: self, scratch: Some(self.pool.take()) }
+        Session {
+            engine: self,
+            scratch: Some(self.pool.take()),
+        }
     }
 
     /// One-shot inference through a pooled session.

@@ -38,7 +38,10 @@ pub struct AlignedBuf {
 impl AlignedBuf {
     /// An uninitialized (zeroed) buffer of `len` bytes.
     pub fn zeroed(len: usize) -> Self {
-        Self { words: vec![0u64; len.div_ceil(8)], len }
+        Self {
+            words: vec![0u64; len.div_ceil(8)],
+            len,
+        }
     }
 
     /// Copies `data` into a fresh aligned buffer.
@@ -133,7 +136,12 @@ impl<T: Pod> PodView<T> {
             return None;
         }
         let (ptr, len) = (bytes.as_ptr().cast::<T>(), bytes.len() / size);
-        Some(Self { _bytes: bytes, ptr, len, _elem: PhantomData })
+        Some(Self {
+            _bytes: bytes,
+            ptr,
+            len,
+            _elem: PhantomData,
+        })
     }
 
     /// Number of `T` elements.
@@ -221,8 +229,16 @@ macro_rules! store {
     };
 }
 
-store!(U32Store, u32, "A `u32` array: owned or borrowed from a load buffer.");
-store!(U16Store, u16, "A `u16` array: owned or borrowed from a load buffer.");
+store!(
+    U32Store,
+    u32,
+    "A `u32` array: owned or borrowed from a load buffer."
+);
+store!(
+    U16Store,
+    u16,
+    "A `u16` array: owned or borrowed from a load buffer."
+);
 
 #[cfg(test)]
 mod tests {

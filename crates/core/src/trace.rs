@@ -165,7 +165,11 @@ impl StageTrace {
     /// disabled trace costs two branches and zero syscalls per stage.
     #[inline]
     pub fn clock(&self) -> Option<Instant> {
-        if self.enabled { Some(Instant::now()) } else { None }
+        if self.enabled {
+            Some(Instant::now())
+        } else {
+            None
+        }
     }
 
     /// Records `stage` as spanning `start ..= now`.
@@ -180,7 +184,12 @@ impl StageTrace {
         if let Some(start) = start {
             if self.enabled {
                 let nanos = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                self.push(SpanRec { stage, start, nanos, detail });
+                self.push(SpanRec {
+                    stage,
+                    start,
+                    nanos,
+                    detail,
+                });
             }
         }
     }
@@ -191,7 +200,12 @@ impl StageTrace {
     pub fn record_span(&mut self, stage: Stage, start: Instant, duration: Duration, detail: u64) {
         if self.enabled {
             let nanos = duration.as_nanos().min(u128::from(u64::MAX)) as u64;
-            self.push(SpanRec { stage, start, nanos, detail });
+            self.push(SpanRec {
+                stage,
+                start,
+                nanos,
+                detail,
+            });
         }
     }
 
@@ -230,7 +244,12 @@ mod tests {
         let mut t = StageTrace::disabled();
         assert!(t.clock().is_none());
         t.record(Stage::Parse, Some(Instant::now()));
-        t.record_span(Stage::QueueWait, Instant::now(), Duration::from_millis(1), 0);
+        t.record_span(
+            Stage::QueueWait,
+            Instant::now(),
+            Duration::from_millis(1),
+            0,
+        );
         assert!(t.spans().is_empty());
         assert!(!t.is_enabled());
     }

@@ -37,8 +37,18 @@ pub struct KeyphraseRecord {
 }
 
 impl KeyphraseRecord {
-    pub fn new(text: impl Into<String>, leaf: LeafId, search_count: u32, recall_count: u32) -> Self {
-        Self { text: text.into(), leaf, search_count, recall_count }
+    pub fn new(
+        text: impl Into<String>,
+        leaf: LeafId,
+        search_count: u32,
+        recall_count: u32,
+    ) -> Self {
+        Self {
+            text: text.into(),
+            leaf,
+            search_count,
+            recall_count,
+        }
     }
 }
 

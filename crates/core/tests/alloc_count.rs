@@ -68,8 +68,8 @@ fn allocations() -> usize {
 const K: usize = 5;
 
 const WORDS: [&str; 12] = [
-    "battery", "case", "leather", "wireless", "charger", "cable", "mini", "pro", "red", "usb", "école",
-    "glass",
+    "battery", "case", "leather", "wireless", "charger", "cable", "mini", "pro", "red", "usb",
+    "école", "glass",
 ];
 
 /// `leaves` leaves of 200 phrases over 12 shared words.
@@ -77,11 +77,18 @@ fn model(leaves: u32) -> GraphExModel {
     let mut config = GraphExConfig::default();
     config.curation.min_search_count = 0;
     let records = (0..200 * leaves).map(|i| {
-        let (a, b, c) = (i as usize % 12, (i as usize / 12) % 12, (i as usize * 7 / 5) % 12);
+        let (a, b, c) = (
+            i as usize % 12,
+            (i as usize / 12) % 12,
+            (i as usize * 7 / 5) % 12,
+        );
         let text = format!("{} {} {} model{}", WORDS[a], WORDS[b], WORDS[c], i % 40);
         KeyphraseRecord::new(text, LeafId(i % leaves), 10 + i % 17, 1 + i % 5)
     });
-    GraphExBuilder::new(config).add_records(records).build().unwrap()
+    GraphExBuilder::new(config)
+        .add_records(records)
+        .build()
+        .unwrap()
 }
 
 #[test]
@@ -92,7 +99,12 @@ fn steady_state_inference_allocates_only_what_it_returns() {
     let titles: Vec<String> = (0..50usize)
         .map(|i| {
             let accent = if i % 4 == 0 { "École" } else { "glasses" };
-            format!("{} Batteries, {} CASES {accent} model{}", WORDS[i % 10], WORDS[(i + 3) % 10], i % 40)
+            format!(
+                "{} Batteries, {} CASES {accent} model{}",
+                WORDS[i % 10],
+                WORDS[(i + 3) % 10],
+                i % 40
+            )
         })
         .collect();
 
@@ -104,15 +116,23 @@ fn steady_state_inference_allocates_only_what_it_returns() {
         // size; the next twenty are the thousand calls that are counted.
         for pass in 0..21 {
             for (i, title) in titles.iter().enumerate() {
-                let request =
-                    InferRequest::new(title, LeafId(i as u32 % 2)).k(K).resolve_texts(resolve_texts);
+                let request = InferRequest::new(title, LeafId(i as u32 % 2))
+                    .k(K)
+                    .resolve_texts(resolve_texts);
                 let before = allocations();
                 let response = session.infer(&request);
                 let spent = allocations() - before;
-                assert_eq!(response.predictions.len(), K, "{title:?} has candidates to spare");
+                assert_eq!(
+                    response.predictions.len(),
+                    K,
+                    "{title:?} has candidates to spare"
+                );
                 assert_eq!(response.texts.len(), if resolve_texts { K } else { 0 });
                 if pass > 0 {
-                    assert!(spent <= budget, "{spent} allocations for {title:?} (texts: {resolve_texts})");
+                    assert!(
+                        spent <= budget,
+                        "{spent} allocations for {title:?} (texts: {resolve_texts})"
+                    );
                     served += 1;
                 }
             }
@@ -129,7 +149,10 @@ fn to_bytes_allocates_the_file_once() {
     for leaves in [2, 40] {
         let model = model(leaves);
         let len = serialize::to_bytes(&model).len();
-        assert!(len > 16 * 1024, "{len} bytes: too small a file to tell a writer that grows from one that does not");
+        assert!(
+            len > 16 * 1024,
+            "{len} bytes: too small a file to tell a writer that grows from one that does not"
+        );
         BIG_AT.with(|at| at.set(len));
         let (before, big_before) = (allocations(), BIG.with(Cell::get));
         let bytes = serialize::to_bytes(&model);
@@ -163,7 +186,10 @@ fn curating_allocates_log_n_times_and_copies_no_text() {
         }
         let (count, _) = spent[0];
         let bound = 2 * n.ilog2() as usize + 4;
-        assert!(count <= bound, "{n} records: {count} allocations (bound {bound})");
+        assert!(
+            count <= bound,
+            "{n} records: {count} allocations (bound {bound})"
+        );
         assert_eq!(spent[0], spent[1], "{n} records: 8-byte vs 800-byte texts");
     }
 }

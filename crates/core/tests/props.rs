@@ -17,8 +17,22 @@ use std::collections::{BTreeMap, BTreeSet};
 /// A small random vocabulary to force word overlap between phrases.
 fn word() -> impl Strategy<Value = String> {
     prop::sample::select(vec![
-        "audeze", "maxwell", "gaming", "headphones", "xbox", "wireless", "bluetooth", "case",
-        "charger", "usb", "cable", "pro", "max", "mini", "leather", "red",
+        "audeze",
+        "maxwell",
+        "gaming",
+        "headphones",
+        "xbox",
+        "wireless",
+        "bluetooth",
+        "case",
+        "charger",
+        "usb",
+        "cable",
+        "pro",
+        "max",
+        "mini",
+        "leather",
+        "red",
     ])
     .prop_map(str::to_string)
 }
@@ -44,7 +58,9 @@ fn no_curation() -> GraphExConfig {
 /// Naive reference for the enumeration step: distinct-token set
 /// intersection per (normalized, stemmed) keyphrase.
 fn naive_counts(records: &[KeyphraseRecord], leaf: LeafId, title: &str) -> BTreeMap<String, usize> {
-    let tok = graphex_textkit::TokenizerBuilder::new().stemming(true).build();
+    let tok = graphex_textkit::TokenizerBuilder::new()
+        .stemming(true)
+        .build();
     let norm = graphex_textkit::Tokenizer::default();
     let title_tokens: BTreeSet<String> = tok.tokenize(title).collect();
     let mut out = BTreeMap::new();
@@ -66,7 +82,12 @@ fn naive_counts(records: &[KeyphraseRecord], leaf: LeafId, title: &str) -> BTree
 /// The ranking order as the comparator that sorted every candidate before
 /// ranking went through [`RankKey`]: exact cross-multiplied score, then the
 /// three tie-breaks. Kept here as the reference the key is checked against.
-fn reference_order(a: &Prediction, b: &Prediction, alignment: Alignment, title_len: u32) -> Ordering {
+fn reference_order(
+    a: &Prediction,
+    b: &Prediction,
+    alignment: Alignment,
+    title_len: u32,
+) -> Ordering {
     alignment
         .cmp_scores(
             (u32::from(b.matched), u32::from(b.label_len)),
@@ -294,8 +315,9 @@ use graphex_core::{serialize, GraphExModel};
 /// installed with `set_fallback`. Kept alive only as this reference.
 fn record_based(config: &GraphExConfig, canonical: &[KeyphraseRecord]) -> GraphExModel {
     let mut ctx = AssemblyContext::new(config.stemming);
-    let leaves: Vec<_> =
-        leaf_runs(canonical).map(|(leaf, run)| (leaf, LeafAssembly::build(run, &mut ctx))).collect();
+    let leaves: Vec<_> = leaf_runs(canonical)
+        .map(|(leaf, run)| (leaf, LeafAssembly::build(run, &mut ctx)))
+        .collect();
     let mut assembler = ModelAssembler::merge(config, leaves);
     if config.build_meta_fallback {
         assembler.set_fallback(LeafAssembly::build(canonical, &mut ctx));
@@ -331,10 +353,18 @@ fn derived_over_borrowed_leaves(
 fn assert_derived_equals_record_based(mut records: Vec<KeyphraseRecord>) {
     canonicalize(&mut records);
     for (stemming, build_meta_fallback) in [(true, true), (false, true), (true, false)] {
-        let config = GraphExConfig { stemming, build_meta_fallback, ..no_curation() };
+        let config = GraphExConfig {
+            stemming,
+            build_meta_fallback,
+            ..no_curation()
+        };
         let want = serialize::to_bytes(&record_based(&config, &records));
         let what = format!("stemming {stemming}, fallback {build_meta_fallback}: {records:?}");
-        assert_eq!(serialize::to_bytes(&assemble_model(&config, &records)), want, "built, {what}");
+        assert_eq!(
+            serialize::to_bytes(&assemble_model(&config, &records)),
+            want,
+            "built, {what}"
+        );
         let base = want.parse().expect("reference snapshot loads");
         let mixed = derived_over_borrowed_leaves(&config, &records, &base);
         assert_eq!(serialize::to_bytes(&mixed), want, "half borrowed, {what}");
@@ -406,7 +436,12 @@ fn colliding_records() -> impl Strategy<Value = Vec<KeyphraseRecord>> {
             }
             for copy in 0..copies {
                 let search = SEARCHES[base].saturating_add(extra + copy);
-                out.push(KeyphraseRecord::new(text.clone(), LeafId((leaf + copy) % 5), search, recall + copy));
+                out.push(KeyphraseRecord::new(
+                    text.clone(),
+                    LeafId((leaf + copy) % 5),
+                    search,
+                    recall + copy,
+                ));
             }
         }
         out
@@ -427,8 +462,12 @@ fn reference_curate(
     records: &[KeyphraseRecord],
     config: &CurationConfig,
 ) -> (Vec<KeyphraseRecord>, CurationStats) {
-    let mut stats = CurationStats { input: records.len(), ..CurationStats::default() };
-    let mut index: std::collections::HashMap<(u32, String), usize> = std::collections::HashMap::new();
+    let mut stats = CurationStats {
+        input: records.len(),
+        ..CurationStats::default()
+    };
+    let mut index: std::collections::HashMap<(u32, String), usize> =
+        std::collections::HashMap::new();
     let mut kept: Vec<KeyphraseRecord> = Vec::new();
     for rec in records {
         let tokens = rec.text.split_whitespace().count();
@@ -451,7 +490,11 @@ fn reference_curate(
             by_leaf.entry(rec.leaf).or_default().push(rec);
         }
         for (_, mut leaf) in by_leaf {
-            leaf.sort_by(|a, b| b.search_count.cmp(&a.search_count).then_with(|| a.text.cmp(&b.text)));
+            leaf.sort_by(|a, b| {
+                b.search_count
+                    .cmp(&a.search_count)
+                    .then_with(|| a.text.cmp(&b.text))
+            });
             stats.dropped_leaf_cap += leaf.len().saturating_sub(cap);
             leaf.truncate(cap);
             kept.extend(leaf);
@@ -542,8 +585,21 @@ fn word_of(len: usize, ending: &str) -> String {
 /// words, a punctuation-only text.
 fn analyzed_text() -> impl Strategy<Value = String> {
     let mut pool: Vec<String> = [
-        "Berries", "glasses", "BOXES", "box", "men's", "sellers'", "PS5", "512GB", "x2", "İstanbul",
-        "İ", "ies", "sses", "Straße", "a",
+        "Berries",
+        "glasses",
+        "BOXES",
+        "box",
+        "men's",
+        "sellers'",
+        "PS5",
+        "512GB",
+        "x2",
+        "İstanbul",
+        "İ",
+        "ies",
+        "sses",
+        "Straße",
+        "a",
     ]
     .map(String::from)
     .to_vec();
@@ -557,7 +613,11 @@ fn analyzed_text() -> impl Strategy<Value = String> {
     pool.push(format!("a{}", "é".repeat(33)));
     pool.push(format!("a{}ies", "é".repeat(31)));
     const SEPARATORS: [&str; 7] = [" ", "  ", "-", "!?", ", ", "'", "\t("];
-    let piece = (prop::sample::select(pool), 0usize..SEPARATORS.len(), any::<bool>());
+    let piece = (
+        prop::sample::select(pool),
+        0usize..SEPARATORS.len(),
+        any::<bool>(),
+    );
     (prop::collection::vec(piece, 0..6), 0usize..SEPARATORS.len()).prop_map(|(pieces, lead)| {
         let mut text = SEPARATORS[lead].to_owned();
         for (word, separator, shout) in pieces {
@@ -587,7 +647,14 @@ proptest! {
 #[test]
 fn analyze_in_one_walk_on_the_named_cases() {
     let mut ctx = AssemblyContext::new(true);
-    for text in ["", "?! -- ...", "'s", "İİ", "Berries BERRIES berry", "boxes-glasses, men's"] {
+    for text in [
+        "",
+        "?! -- ...",
+        "'s",
+        "İİ",
+        "Berries BERRIES berry",
+        "boxes-glasses, men's",
+    ] {
         assert_eq!(one_walk(&mut ctx, text), two_walks(true, text), "{text:?}");
     }
     assert_eq!(one_walk(&mut ctx, "?! -- ..."), None, "punctuation only");
@@ -597,5 +664,8 @@ fn analyze_in_one_walk_on_the_named_cases() {
     let (label, stems) = one_walk(&mut ctx, &long).unwrap();
     assert_eq!(label, long[..64]);
     assert_eq!(stems, [long[..64].to_owned()]);
-    assert_eq!(one_walk(&mut ctx, &word_of(64, "ies")).unwrap().1, [format!("{}y", "q".repeat(61))]);
+    assert_eq!(
+        one_walk(&mut ctx, &word_of(64, "ies")).unwrap().1,
+        [format!("{}y", "q".repeat(61))]
+    );
 }

@@ -7,7 +7,9 @@
 //! version check, so no flip or truncation may surface as a bogus
 //! `UnsupportedVersion` or — worse — a panic.
 
-use graphex_core::{serialize, GraphExBuilder, GraphExConfig, GraphExError, KeyphraseRecord, LeafId};
+use graphex_core::{
+    serialize, GraphExBuilder, GraphExConfig, GraphExError, KeyphraseRecord, LeafId,
+};
 use proptest::prelude::*;
 
 fn sample_model() -> graphex_core::GraphExModel {
@@ -113,7 +115,8 @@ proptest! {
 /// Writes fuzz bytes to a per-process temp file (proptest runs cases
 /// sequentially, so one file per label cannot race within a test).
 fn fuzz_file(label: &str, bytes: &[u8]) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("graphex-fuzz-{label}-{}.gexm", std::process::id()));
+    let path =
+        std::env::temp_dir().join(format!("graphex-fuzz-{label}-{}.gexm", std::process::id()));
     std::fs::write(&path, bytes).expect("write fuzz file");
     path
 }

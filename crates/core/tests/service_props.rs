@@ -38,14 +38,17 @@ fn request_inputs() -> impl Strategy<Value = (String, u32, usize, u8, bool, bool
     let vocab: Vec<String> = (0..12)
         .map(|i| format!("brand{i}"))
         .chain((0..7).map(|i| format!("model{i}")))
-        .chain(["widget".to_string(), "pro".to_string(), "unrelated".to_string()])
+        .chain([
+            "widget".to_string(),
+            "pro".to_string(),
+            "unrelated".to_string(),
+        ])
         .collect();
     (
-        prop::collection::vec(prop::sample::select(vocab), 0..6)
-            .prop_map(|words| words.join(" ")),
-        0u32..6,  // leaves 4,5 are unknown → fallback
+        prop::collection::vec(prop::sample::select(vocab), 0..6).prop_map(|words| words.join(" ")),
+        0u32..6, // leaves 4,5 are unknown → fallback
         1usize..25,
-        0u8..4,   // 0 = model default, 1..3 = explicit alignment
+        0u8..4, // 0 = model default, 1..3 = explicit alignment
         any::<bool>(),
         any::<bool>(),
     )

@@ -77,11 +77,21 @@ mod tests {
     fn graphex_is_the_only_all_yes_row() {
         let rows = framework_capabilities();
         let all_yes = |r: &FrameworkRow| {
-            [r.feasible_latency, r.click_debiasing, r.survives_re_dedup, r.full_targeting, r.head_focus]
-                .iter()
-                .all(|&c| c == Cap::Yes)
+            [
+                r.feasible_latency,
+                r.click_debiasing,
+                r.survives_re_dedup,
+                r.full_targeting,
+                r.head_focus,
+            ]
+            .iter()
+            .all(|&c| c == Cap::Yes)
         };
-        let winners: Vec<&str> = rows.iter().filter(|r| all_yes(r)).map(|r| r.framework).collect();
+        let winners: Vec<&str> = rows
+            .iter()
+            .filter(|r| all_yes(r))
+            .map(|r| r.framework)
+            .collect();
         assert_eq!(winners, ["GraphEx"]);
     }
 

@@ -31,19 +31,35 @@ impl ModelOutcome {
     }
 
     pub fn relevant(&self) -> usize {
-        self.per_item.iter().flatten().filter(|p| p.relevant).count()
+        self.per_item
+            .iter()
+            .flatten()
+            .filter(|p| p.relevant)
+            .count()
     }
 
     pub fn relevant_head(&self) -> usize {
-        self.per_item.iter().flatten().filter(|p| p.relevant && p.head).count()
+        self.per_item
+            .iter()
+            .flatten()
+            .filter(|p| p.relevant && p.head)
+            .count()
     }
 
     pub fn relevant_tail(&self) -> usize {
-        self.per_item.iter().flatten().filter(|p| p.relevant && !p.head).count()
+        self.per_item
+            .iter()
+            .flatten()
+            .filter(|p| p.relevant && !p.head)
+            .count()
     }
 
     pub fn irrelevant(&self) -> usize {
-        self.per_item.iter().flatten().filter(|p| !p.relevant).count()
+        self.per_item
+            .iter()
+            .flatten()
+            .filter(|p| !p.relevant)
+            .count()
     }
 
     /// Relevant Proportion (RP).
@@ -90,22 +106,32 @@ impl Evaluation {
         for model in models {
             let mut per_item = Vec::with_capacity(test_items.len());
             for item in test_items {
-                let recs =
-                    model.recommend(&ItemRef::known(item.id, &item.title, item.leaf), k);
+                let recs = model.recommend(&ItemRef::known(item.id, &item.title, item.leaf), k);
                 let judged: Vec<JudgedPrediction> = recs
                     .into_iter()
                     .map(|rec| {
                         let relevant = judge.judge(item, &rec.text);
-                        let head = relevant
-                            && head_threshold.is_head(ds.eval_search_count(&rec.text));
-                        JudgedPrediction { text: rec.text, relevant, head }
+                        let head =
+                            relevant && head_threshold.is_head(ds.eval_search_count(&rec.text));
+                        JudgedPrediction {
+                            text: rec.text,
+                            relevant,
+                            head,
+                        }
                     })
                     .collect();
                 per_item.push(judged);
             }
-            outcomes.push(ModelOutcome { name: model.name().to_string(), per_item });
+            outcomes.push(ModelOutcome {
+                name: model.name().to_string(),
+                per_item,
+            });
         }
-        Self { items: test_items.iter().map(|i| i.id).collect(), models: outcomes, head_threshold }
+        Self {
+            items: test_items.iter().map(|i| i.id).collect(),
+            models: outcomes,
+            head_threshold,
+        }
     }
 
     /// Outcome of a model by name.
@@ -165,11 +191,27 @@ mod tests {
             name: "X".into(),
             per_item: vec![
                 vec![
-                    JudgedPrediction { text: "a".into(), relevant: true, head: true },
-                    JudgedPrediction { text: "b".into(), relevant: true, head: false },
-                    JudgedPrediction { text: "c".into(), relevant: false, head: false },
+                    JudgedPrediction {
+                        text: "a".into(),
+                        relevant: true,
+                        head: true,
+                    },
+                    JudgedPrediction {
+                        text: "b".into(),
+                        relevant: true,
+                        head: false,
+                    },
+                    JudgedPrediction {
+                        text: "c".into(),
+                        relevant: false,
+                        head: false,
+                    },
                 ],
-                vec![JudgedPrediction { text: "d".into(), relevant: false, head: false }],
+                vec![JudgedPrediction {
+                    text: "d".into(),
+                    relevant: false,
+                    head: false,
+                }],
             ],
         };
         assert_eq!(outcome.total_predictions(), 4);
@@ -198,8 +240,20 @@ mod tests {
                 .unwrap();
             q.text.clone()
         };
-        let a = Fixed { name: "A", recs: vec![Rec { text: own_type_query, score: 1.0 }] };
-        let b = Fixed { name: "B", recs: vec![Rec { text: "made up phrase".into(), score: 1.0 }] };
+        let a = Fixed {
+            name: "A",
+            recs: vec![Rec {
+                text: own_type_query,
+                score: 1.0,
+            }],
+        };
+        let b = Fixed {
+            name: "B",
+            recs: vec![Rec {
+                text: "made up phrase".into(),
+                score: 1.0,
+            }],
+        };
         let test_items: Vec<&graphex_marketsim::catalog::Item> = vec![items[0]];
         let eval = Evaluation::run(&ds, &[&a, &b], &test_items, 40, &judge);
         assert_eq!(eval.model("A").unwrap().relevant(), 1);
@@ -214,13 +268,19 @@ mod tests {
         let mk = |name: &'static str, rel: usize, head: usize| ModelOutcome {
             name: name.into(),
             per_item: vec![(0..rel)
-                .map(|i| JudgedPrediction { text: format!("p{i}"), relevant: true, head: i < head })
+                .map(|i| JudgedPrediction {
+                    text: format!("p{i}"),
+                    relevant: true,
+                    head: i < head,
+                })
                 .collect()],
         };
         let eval = Evaluation {
             items: vec![0],
             models: vec![mk("GraphEx", 10, 4), mk("fastText", 5, 2)],
-            head_threshold: HeadThreshold { min_search_count: 0 },
+            head_threshold: HeadThreshold {
+                min_search_count: 0,
+            },
         };
         assert!((eval.rrr("fastText", "GraphEx") - 0.5).abs() < 1e-12);
         assert!((eval.rhr("fastText", "GraphEx") - 0.5).abs() < 1e-12);

@@ -13,8 +13,8 @@
 //! hash-derived from (item, keyphrase), so verdicts are stable across call
 //! order and repeated runs.
 
-use graphex_marketsim::{CategoryDataset, RelevanceOracle};
 use graphex_marketsim::catalog::Item;
+use graphex_marketsim::{CategoryDataset, RelevanceOracle};
 
 /// Head/tail split threshold (Sec. IV-C).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,15 +29,24 @@ impl HeadThreshold {
     /// category's unique searched keyphrases, "ensuring 10 % exceed this
     /// limit".
     pub fn from_dataset(ds: &CategoryDataset) -> Self {
-        let mut counts: Vec<u32> =
-            ds.eval_log.search_counts.iter().copied().filter(|&c| c > 0).collect();
+        let mut counts: Vec<u32> = ds
+            .eval_log
+            .search_counts
+            .iter()
+            .copied()
+            .filter(|&c| c > 0)
+            .collect();
         if counts.is_empty() {
-            return Self { min_search_count: u32::MAX };
+            return Self {
+                min_search_count: u32::MAX,
+            };
         }
         counts.sort_unstable();
         let idx = (counts.len() * 9) / 10;
         let idx = idx.min(counts.len() - 1);
-        Self { min_search_count: counts[idx] }
+        Self {
+            min_search_count: counts[idx],
+        }
     }
 
     /// Is an evaluation-window search count head-class?
@@ -113,7 +122,9 @@ impl<'a> RelevanceJudge<'a> {
     fn shares_token(&self, title: &str, keyphrase: &str) -> bool {
         let title_tokens: std::collections::HashSet<String> =
             self.tokenizer.tokenize(title).collect();
-        self.tokenizer.tokenize(keyphrase).any(|t| title_tokens.contains(&t))
+        self.tokenizer
+            .tokenize(keyphrase)
+            .any(|t| title_tokens.contains(&t))
     }
 
     /// Access to the exact oracle (for tests and diagnostics).
@@ -151,7 +162,10 @@ mod tests {
         let judge = RelevanceJudge::with_noise(&ds, 0.0, 1);
         let item = &ds.marketplace.items[0];
         for q in ds.queries.iter().take(100) {
-            assert_eq!(judge.judge(item, &q.text), judge.oracle().is_relevant(item, &q.text));
+            assert_eq!(
+                judge.judge(item, &q.text),
+                judge.oracle().is_relevant(item, &q.text)
+            );
         }
     }
 
@@ -187,16 +201,27 @@ mod tests {
         }
         let rel_rate = rel_flips as f64 / rel_total.max(1) as f64;
         let junk_rate = junk_flips as f64 / junk_total.max(1) as f64;
-        assert!((rel_rate - 0.2).abs() < 0.05, "false-negative rate {rel_rate}");
-        assert!(junk_rate < 0.03, "blatant junk false-positive rate {junk_rate}");
+        assert!(
+            (rel_rate - 0.2).abs() < 0.05,
+            "false-negative rate {rel_rate}"
+        );
+        assert!(
+            junk_rate < 0.03,
+            "blatant junk false-positive rate {junk_rate}"
+        );
     }
 
     #[test]
     fn head_threshold_puts_about_ten_percent_above() {
         let ds = dataset();
         let threshold = HeadThreshold::from_dataset(&ds);
-        let searched: Vec<u32> =
-            ds.eval_log.search_counts.iter().copied().filter(|&c| c > 0).collect();
+        let searched: Vec<u32> = ds
+            .eval_log
+            .search_counts
+            .iter()
+            .copied()
+            .filter(|&c| c > 0)
+            .collect();
         let above = searched.iter().filter(|&&c| threshold.is_head(c)).count();
         let share = above as f64 / searched.len() as f64;
         assert!(share <= 0.101, "share above threshold: {share}");
@@ -207,7 +232,9 @@ mod tests {
     fn empty_eval_window_gives_unreachable_threshold() {
         let ds = dataset();
         // Simulate "no searches": threshold from an empty list.
-        let t = HeadThreshold { min_search_count: u32::MAX };
+        let t = HeadThreshold {
+            min_search_count: u32::MAX,
+        };
         assert!(!t.is_head(1_000_000));
         let real = HeadThreshold::from_dataset(&ds);
         assert!(real.min_search_count < u32::MAX);

@@ -53,7 +53,10 @@ pub fn exclusive_relevant_head(eval: &Evaluation) -> Vec<(String, f64)> {
                 .filter(|p| p.relevant && p.head && !others.contains(p.text.as_str()))
                 .count();
         }
-        out.push((model.name.clone(), exclusive_total as f64 / num_items.max(1) as f64));
+        out.push((
+            model.name.clone(),
+            exclusive_total as f64 / num_items.max(1) as f64,
+        ));
     }
     out
 }
@@ -99,7 +102,10 @@ pub struct PrScores {
 /// skipped (no labels to score against).
 pub fn precision_recall_vs(eval: &Evaluation, model: &str, ground_truth: &str) -> PrScores {
     let (Some(m), Some(gt)) = (eval.model(model), eval.model(ground_truth)) else {
-        return PrScores { precision: 0.0, recall: 0.0 };
+        return PrScores {
+            precision: 0.0,
+            recall: 0.0,
+        };
     };
     let mut precision_sum = 0.0;
     let mut recall_sum = 0.0;
@@ -110,16 +116,25 @@ pub fn precision_recall_vs(eval: &Evaluation, model: &str, ground_truth: &str) -
         }
         counted += 1;
         let label_set: FxHashSet<&str> = labels.iter().map(|p| p.text.as_str()).collect();
-        let hits = preds.iter().filter(|p| label_set.contains(p.text.as_str())).count();
+        let hits = preds
+            .iter()
+            .filter(|p| label_set.contains(p.text.as_str()))
+            .count();
         if !preds.is_empty() {
             precision_sum += hits as f64 / preds.len() as f64;
         }
         recall_sum += hits as f64 / label_set.len() as f64;
     }
     if counted == 0 {
-        return PrScores { precision: 0.0, recall: 0.0 };
+        return PrScores {
+            precision: 0.0,
+            recall: 0.0,
+        };
     }
-    PrScores { precision: precision_sum / counted as f64, recall: recall_sum / counted as f64 }
+    PrScores {
+        precision: precision_sum / counted as f64,
+        recall: recall_sum / counted as f64,
+    }
 }
 
 /// Perception-centred top-k set quality (the "From Precision to
@@ -225,7 +240,11 @@ mod tests {
     use crate::judge::HeadThreshold;
 
     fn pred(text: &str, relevant: bool, head: bool) -> JudgedPrediction {
-        JudgedPrediction { text: text.into(), relevant, head }
+        JudgedPrediction {
+            text: text.into(),
+            relevant,
+            head,
+        }
     }
 
     fn eval_fixture() -> Evaluation {
@@ -233,7 +252,11 @@ mod tests {
         let a = ModelOutcome {
             name: "A".into(),
             per_item: vec![
-                vec![pred("x", true, true), pred("y", true, false), pred("z", false, false)],
+                vec![
+                    pred("x", true, true),
+                    pred("y", true, false),
+                    pred("z", false, false),
+                ],
                 vec![pred("w", true, true)],
             ],
         };
@@ -248,7 +271,9 @@ mod tests {
         Evaluation {
             items: vec![0, 1],
             models: vec![a, b, c],
-            head_threshold: HeadThreshold { min_search_count: 0 },
+            head_threshold: HeadThreshold {
+                min_search_count: 0,
+            },
         }
     }
 
@@ -304,11 +329,21 @@ mod tests {
     fn missing_models_yield_zero() {
         let eval = eval_fixture();
         let pr = precision_recall_vs(&eval, "nope", "B");
-        assert_eq!(pr, PrScores { precision: 0.0, recall: 0.0 });
+        assert_eq!(
+            pr,
+            PrScores {
+                precision: 0.0,
+                recall: 0.0
+            }
+        );
     }
 
     fn judged(text: &str) -> crate::harness::JudgedPrediction {
-        crate::harness::JudgedPrediction { text: text.into(), relevant: true, head: false }
+        crate::harness::JudgedPrediction {
+            text: text.into(),
+            relevant: true,
+            head: false,
+        }
     }
 
     fn diversity_eval(per_item: Vec<Vec<&str>>) -> Evaluation {
@@ -321,7 +356,9 @@ mod tests {
                     .map(|preds| preds.into_iter().map(judged).collect())
                     .collect(),
             }],
-            head_threshold: HeadThreshold { min_search_count: 0 },
+            head_threshold: HeadThreshold {
+                min_search_count: 0,
+            },
         }
     }
 

@@ -139,8 +139,22 @@ pub struct Marketplace {
 
 /// Filler words sellers pad titles with; never part of any query constraint.
 const NOISE_WORDS: &[&str] = &[
-    "new", "genuine", "original", "for", "with", "gift", "sale", "premium", "deluxe", "2024",
-    "edition", "authentic", "fast", "shipping", "oem", "bundle",
+    "new",
+    "genuine",
+    "original",
+    "for",
+    "with",
+    "gift",
+    "sale",
+    "premium",
+    "deluxe",
+    "2024",
+    "edition",
+    "authentic",
+    "fast",
+    "shipping",
+    "oem",
+    "bundle",
 ];
 
 impl Marketplace {
@@ -164,9 +178,14 @@ impl Marketplace {
                     vec![qualifier, noun]
                 })
                 .collect();
-            let attr_pool: Vec<String> =
-                (0..rng.gen_range(8..=14)).map(|_| words.word(&mut rng, 1)).collect();
-            leaves.push(Leaf { id: LeafId(spec.leaf_id_base + l as u32), type_pool, attr_pool });
+            let attr_pool: Vec<String> = (0..rng.gen_range(8..=14))
+                .map(|_| words.word(&mut rng, 1))
+                .collect();
+            leaves.push(Leaf {
+                id: LeafId(spec.leaf_id_base + l as u32),
+                type_pool,
+                attr_pool,
+            });
         }
 
         // Products.
@@ -179,12 +198,23 @@ impl Marketplace {
                 let line: Vec<String> = (0..line_len).map(|_| words.word(&mut rng, 2)).collect();
                 let type_idx = rng.gen_range(0..leaf.type_pool.len()) as u32;
                 let num_attrs = rng.gen_range(2..=5);
-                let mut attrs: Vec<String> =
-                    leaf.attr_pool.choose_multiple(&mut rng, num_attrs).cloned().collect();
+                let mut attrs: Vec<String> = leaf
+                    .attr_pool
+                    .choose_multiple(&mut rng, num_attrs)
+                    .cloned()
+                    .collect();
                 attrs.sort_unstable();
                 // Pareto-ish popularity: a few hits, a long tail.
                 let popularity = rng.gen_range(0.0f64..1.0).powf(3.0).max(1e-4);
-                products.push(Product { id, leaf: leaf.id, brand, line, type_idx, attrs, popularity });
+                products.push(Product {
+                    id,
+                    leaf: leaf.id,
+                    brand,
+                    line,
+                    type_idx,
+                    attrs,
+                    popularity,
+                });
             }
         }
 
@@ -200,10 +230,23 @@ impl Marketplace {
             let title = compose_title(product, leaf, &brands, &mut rng);
             let popularity = (product.popularity * rng.gen_range(0.2..1.0)).max(1e-6);
             product_items[pick].push(id);
-            items.push(Item { id, product: pick as u32, leaf: product.leaf, title, popularity });
+            items.push(Item {
+                id,
+                product: pick as u32,
+                leaf: product.leaf,
+                title,
+                popularity,
+            });
         }
 
-        Self { spec, brands, leaves, products, items, product_items }
+        Self {
+            spec,
+            brands,
+            leaves,
+            products,
+            items,
+            product_items,
+        }
     }
 
     /// Leaf struct by id.
@@ -259,7 +302,9 @@ pub(crate) fn cumsum(weights: &[f64]) -> Vec<f64> {
 pub(crate) fn sample_cumulative(cumulative: &[f64], rng: &mut SmallRng) -> usize {
     let total = *cumulative.last().expect("empty weight vector");
     let x = rng.gen_range(0.0..total);
-    cumulative.partition_point(|&c| c <= x).min(cumulative.len() - 1)
+    cumulative
+        .partition_point(|&c| c <= x)
+        .min(cumulative.len() - 1)
 }
 
 #[cfg(test)]
@@ -303,7 +348,11 @@ mod tests {
         for item in mp.items.iter().take(50) {
             let product = &mp.products[item.product as usize];
             let brand = mp.brand_token(product);
-            assert!(item.title.contains(brand), "title {:?} missing brand {brand}", item.title);
+            assert!(
+                item.title.contains(brand),
+                "title {:?} missing brand {brand}",
+                item.title
+            );
             for t in mp.type_tokens(product) {
                 assert!(item.title.contains(t.as_str()));
             }
@@ -330,7 +379,10 @@ mod tests {
         let mut counts: Vec<usize> = mp.product_items.iter().map(Vec::len).collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let top20: usize = counts.iter().take(counts.len() / 5).sum();
-        assert!(top20 * 100 / mp.items.len() > 35, "top-20% share too small: {top20}");
+        assert!(
+            top20 * 100 / mp.items.len() > 35,
+            "top-20% share too small: {top20}"
+        );
     }
 
     #[test]

@@ -107,7 +107,11 @@ pub fn evolve_queries(
     for (i, q) in retained.iter_mut().enumerate() {
         q.id = i as u32;
     }
-    let report = ChurnReport { retained: retained.len() - added, removed, added };
+    let report = ChurnReport {
+        retained: retained.len() - added,
+        removed,
+        added,
+    };
     (retained, report)
 }
 
@@ -152,7 +156,10 @@ mod tests {
                 }
             }
         }
-        assert!(tail_removed > head_removed, "tail {tail_removed} vs head {head_removed}");
+        assert!(
+            tail_removed > head_removed,
+            "tail {tail_removed} vs head {head_removed}"
+        );
     }
 
     #[test]
@@ -188,7 +195,11 @@ mod tests {
         // Every query relevant to at least the items of a matching product.
         let mut decidable = 0usize;
         for q in evolved.iter().rev().take(report.added) {
-            let any_relevant = mp.items.iter().take(500).any(|i| oracle.is_relevant(i, &q.text));
+            let any_relevant = mp
+                .items
+                .iter()
+                .take(500)
+                .any(|i| oracle.is_relevant(i, &q.text));
             if any_relevant {
                 decidable += 1;
             }
@@ -210,14 +221,19 @@ mod tests {
             .iter()
             .map(|q| KeyphraseRecord::new(q.text.clone(), q.leaf, q.weight.ceil() as u32, 10))
             .collect();
-        let model = GraphExBuilder::new(config).add_records(records).build().unwrap();
+        let model = GraphExBuilder::new(config)
+            .add_records(records)
+            .build()
+            .unwrap();
         // A brand-new query is recommendable the same day.
         let new_q = &evolved[evolved.len() - 1];
-        assert!(model.keyphrase_id(&new_q.text).is_some() || {
-            // normalization may alter the text; check via inference instead
-            let mut scratch = graphex_core::Scratch::new();
-            let req = graphex_core::InferRequest::new(&new_q.text, new_q.leaf).k(5);
-            !model.infer_request(&req, &mut scratch).is_empty()
-        });
+        assert!(
+            model.keyphrase_id(&new_q.text).is_some() || {
+                // normalization may alter the text; check via inference instead
+                let mut scratch = graphex_core::Scratch::new();
+                let req = graphex_core::InferRequest::new(&new_q.text, new_q.leaf).k(5);
+                !model.infer_request(&req, &mut scratch).is_empty()
+            }
+        );
     }
 }

@@ -39,7 +39,13 @@ impl ChurnCorpus {
         assert!((0.0..=1.0).contains(&rate), "churn rate must be in [0,1]");
         let marketplace = Marketplace::generate(spec);
         let queries = generate_queries(&marketplace);
-        Self { marketplace, queries, rate, generation: 0, last_report: None }
+        Self {
+            marketplace,
+            queries,
+            rate,
+            generation: 0,
+            last_report: None,
+        }
     }
 
     /// The generation this corpus is at (0 = pre-churn).

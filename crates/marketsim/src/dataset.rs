@@ -40,12 +40,30 @@ impl CategoryDataset {
         let index = build_index(&marketplace, &queries);
         let config = SessionConfig::default();
         let spec = &marketplace.spec;
-        let train_log =
-            simulate(&marketplace, &queries, &index, spec.num_sessions as u64, spec.seed ^ 0x11AA, &config);
+        let train_log = simulate(
+            &marketplace,
+            &queries,
+            &index,
+            spec.num_sessions as u64,
+            spec.seed ^ 0x11AA,
+            &config,
+        );
         let eval_sessions = (spec.num_sessions as u64 / 12).max(100);
-        let eval_log =
-            simulate(&marketplace, &queries, &index, eval_sessions, spec.seed ^ 0x22BB, &config);
-        Self { marketplace, queries, index, train_log, eval_log }
+        let eval_log = simulate(
+            &marketplace,
+            &queries,
+            &index,
+            eval_sessions,
+            spec.seed ^ 0x22BB,
+            &config,
+        );
+        Self {
+            marketplace,
+            queries,
+            index,
+            train_log,
+            eval_log,
+        }
     }
 
     /// Raw keyphrase rows for GraphEx construction: query text, Cassini
@@ -77,7 +95,9 @@ impl CategoryDataset {
         let mut ids: Vec<usize> = (0..self.marketplace.items.len()).collect();
         ids.shuffle(&mut rng);
         ids.truncate(n);
-        ids.into_iter().map(|i| &self.marketplace.items[i]).collect()
+        ids.into_iter()
+            .map(|i| &self.marketplace.items[i])
+            .collect()
     }
 
     /// Evaluation-window search count for a query text (0 if never searched
@@ -109,7 +129,10 @@ mod tests {
         let records = ds.keyphrase_records();
         assert!(!records.is_empty());
         for rec in &records {
-            let q = ds.oracle().query_by_text(&rec.text).expect("record text is a real query");
+            let q = ds
+                .oracle()
+                .query_by_text(&rec.text)
+                .expect("record text is a real query");
             assert_eq!(rec.search_count, ds.train_log.search_counts[q.id as usize]);
             assert!(rec.search_count > 0);
             assert_eq!(rec.leaf, q.leaf);

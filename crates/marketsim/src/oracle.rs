@@ -26,7 +26,11 @@ impl<'a> RelevanceOracle<'a> {
         for q in queries {
             by_text.insert(q.text.as_str(), q.id);
         }
-        Self { mp, queries, by_text }
+        Self {
+            mp,
+            queries,
+            by_text,
+        }
     }
 
     /// Looks a query up by its exact text.
@@ -53,7 +57,10 @@ impl<'a> RelevanceOracle<'a> {
     /// All queries relevant to `item` (used by diagnostics and tests; not on
     /// any hot path).
     pub fn relevant_queries(&self, item: &Item) -> Vec<&'a Query> {
-        self.queries.iter().filter(|q| matches(self.mp, q, item.product)).collect()
+        self.queries
+            .iter()
+            .filter(|q| matches(self.mp, q, item.product))
+            .collect()
     }
 }
 
@@ -91,7 +98,11 @@ mod tests {
         let (mp, qs) = setup();
         let oracle = RelevanceOracle::new(&mp, &qs);
         // For each pinned query, every item of that product must be relevant.
-        for q in qs.iter().filter(|q| q.constraint.product.is_some()).take(20) {
+        for q in qs
+            .iter()
+            .filter(|q| q.constraint.product.is_some())
+            .take(20)
+        {
             let pid = q.constraint.product.unwrap();
             for &iid in &mp.product_items[pid as usize] {
                 assert!(oracle.is_relevant(&mp.items[iid as usize], &q.text));
@@ -103,7 +114,10 @@ mod tests {
     fn cross_product_pinned_queries_are_irrelevant() {
         let (mp, qs) = setup();
         let oracle = RelevanceOracle::new(&mp, &qs);
-        let pinned: Vec<&Query> = qs.iter().filter(|q| q.constraint.product.is_some()).collect();
+        let pinned: Vec<&Query> = qs
+            .iter()
+            .filter(|q| q.constraint.product.is_some())
+            .collect();
         let qa = pinned[0];
         let qb = pinned
             .iter()
@@ -123,7 +137,10 @@ mod tests {
         let oracle = RelevanceOracle::new(&mp, &qs);
         let item = &mp.items[0];
         let rel = oracle.relevant_queries(item);
-        assert!(!rel.is_empty(), "every item has at least its generic type query");
+        assert!(
+            !rel.is_empty(),
+            "every item has at least its generic type query"
+        );
         for q in rel {
             assert!(oracle.is_relevant(item, &q.text));
         }

@@ -51,7 +51,12 @@ pub fn generate_queries(mp: &Marketplace) -> Vec<Query> {
     let mut queries: Vec<Query> = Vec::new();
     let mut by_text: FxHashMap<String, u32> = FxHashMap::default();
 
-    let push = |text: String, leaf: LeafId, constraint: QueryConstraint, weight: f64, by_text: &mut FxHashMap<String, u32>, queries: &mut Vec<Query>| {
+    let push = |text: String,
+                leaf: LeafId,
+                constraint: QueryConstraint,
+                weight: f64,
+                by_text: &mut FxHashMap<String, u32>,
+                queries: &mut Vec<Query>| {
         if let Some(&existing) = by_text.get(&text) {
             // Same text can be emitted for several products of one brand;
             // the constraint is identical by construction — just add demand.
@@ -60,11 +65,19 @@ pub fn generate_queries(mp: &Marketplace) -> Vec<Query> {
         }
         let id = queries.len() as u32;
         by_text.insert(text.clone(), id);
-        queries.push(Query { id, text, leaf, constraint, weight });
+        queries.push(Query {
+            id,
+            text,
+            leaf,
+            constraint,
+            weight,
+        });
     };
 
     // Leaf-level demand skew: some leaves are simply busier.
-    let leaf_demand: Vec<f64> = (0..mp.leaves.len()).map(|_| rng.gen_range(0.3..1.0)).collect();
+    let leaf_demand: Vec<f64> = (0..mp.leaves.len())
+        .map(|_| rng.gen_range(0.3..1.0))
+        .collect();
 
     // Attributes that actually occur on products of each (leaf, type): a
     // curated query always has positive recall, so attribute-qualified
@@ -84,11 +97,18 @@ pub fn generate_queries(mp: &Marketplace) -> Vec<Query> {
         //    types some product actually has (zero-recall queries are never
         //    curated).
         for (type_idx, type_tokens) in leaf.type_pool.iter().enumerate() {
-            let Some(attrs) = type_attrs.get(&(leaf.id, type_idx as u32)) else { continue };
+            let Some(attrs) = type_attrs.get(&(leaf.id, type_idx as u32)) else {
+                continue;
+            };
             push(
                 type_tokens.join(" "),
                 leaf.id,
-                QueryConstraint { product: None, type_idx: Some(type_idx as u32), brand: None, attrs: vec![] },
+                QueryConstraint {
+                    product: None,
+                    type_idx: Some(type_idx as u32),
+                    brand: None,
+                    attrs: vec![],
+                },
                 60.0 * demand,
                 &mut by_text,
                 &mut queries,
@@ -138,7 +158,12 @@ pub fn generate_queries(mp: &Marketplace) -> Vec<Query> {
         push(
             format!("{brand} {line}"),
             product.leaf,
-            QueryConstraint { product: Some(product.id), type_idx: None, brand: None, attrs: vec![] },
+            QueryConstraint {
+                product: Some(product.id),
+                type_idx: None,
+                brand: None,
+                attrs: vec![],
+            },
             8.0 * demand,
             &mut by_text,
             &mut queries,
@@ -149,7 +174,12 @@ pub fn generate_queries(mp: &Marketplace) -> Vec<Query> {
             push(
                 format!("{line} {type_tokens}"),
                 product.leaf,
-                QueryConstraint { product: Some(product.id), type_idx: None, brand: None, attrs: vec![] },
+                QueryConstraint {
+                    product: Some(product.id),
+                    type_idx: None,
+                    brand: None,
+                    attrs: vec![],
+                },
                 4.0 * demand,
                 &mut by_text,
                 &mut queries,
@@ -180,7 +210,12 @@ pub fn generate_queries(mp: &Marketplace) -> Vec<Query> {
             push(
                 format!("{brand} {line} {type_tokens}"),
                 product.leaf,
-                QueryConstraint { product: Some(product.id), type_idx: None, brand: None, attrs: vec![] },
+                QueryConstraint {
+                    product: Some(product.id),
+                    type_idx: None,
+                    brand: None,
+                    attrs: vec![],
+                },
                 1.0 * demand,
                 &mut by_text,
                 &mut queries,
@@ -192,7 +227,12 @@ pub fn generate_queries(mp: &Marketplace) -> Vec<Query> {
             push(
                 line.clone(),
                 product.leaf,
-                QueryConstraint { product: Some(product.id), type_idx: None, brand: None, attrs: vec![] },
+                QueryConstraint {
+                    product: Some(product.id),
+                    type_idx: None,
+                    brand: None,
+                    attrs: vec![],
+                },
                 0.8 * demand,
                 &mut by_text,
                 &mut queries,
@@ -237,7 +277,9 @@ pub fn matches(mp: &Marketplace, q: &Query, item_product: u32) -> bool {
             return false;
         }
     }
-    c.attrs.iter().all(|a| product.attrs.binary_search(a).is_ok())
+    c.attrs
+        .iter()
+        .all(|a| product.attrs.binary_search(a).is_ok())
 }
 
 /// Builds the [`QueryIndex`] by ranking each query's matching items by
@@ -313,7 +355,10 @@ mod tests {
         let a = generate_queries(&mp);
         let b = generate_queries(&mp);
         assert_eq!(a.len(), b.len());
-        assert!(a.iter().zip(&b).all(|(x, y)| x.text == y.text && x.weight == y.weight));
+        assert!(a
+            .iter()
+            .zip(&b)
+            .all(|(x, y)| x.text == y.text && x.weight == y.weight));
     }
 
     #[test]
@@ -331,7 +376,11 @@ mod tests {
         let (mp, qs) = setup();
         let generic = qs
             .iter()
-            .find(|q| q.constraint.product.is_none() && q.constraint.brand.is_none() && q.constraint.attrs.is_empty())
+            .find(|q| {
+                q.constraint.product.is_none()
+                    && q.constraint.brand.is_none()
+                    && q.constraint.attrs.is_empty()
+            })
             .unwrap();
         let t = generic.constraint.type_idx.unwrap();
         for p in mp.products.iter().filter(|p| p.leaf == generic.leaf) {
@@ -373,14 +422,28 @@ mod tests {
     fn head_generic_queries_have_more_weight() {
         let (_, qs) = setup();
         let generic_avg: f64 = {
-            let g: Vec<f64> =
-                qs.iter().filter(|q| q.constraint.type_idx.is_some() && q.constraint.brand.is_none() && q.constraint.attrs.is_empty()).map(|q| q.weight).collect();
+            let g: Vec<f64> = qs
+                .iter()
+                .filter(|q| {
+                    q.constraint.type_idx.is_some()
+                        && q.constraint.brand.is_none()
+                        && q.constraint.attrs.is_empty()
+                })
+                .map(|q| q.weight)
+                .collect();
             g.iter().sum::<f64>() / g.len() as f64
         };
         let pinned_avg: f64 = {
-            let p: Vec<f64> = qs.iter().filter(|q| q.constraint.product.is_some()).map(|q| q.weight).collect();
+            let p: Vec<f64> = qs
+                .iter()
+                .filter(|q| q.constraint.product.is_some())
+                .map(|q| q.weight)
+                .collect();
             p.iter().sum::<f64>() / p.len() as f64
         };
-        assert!(generic_avg > pinned_avg * 2.0, "generic {generic_avg} vs pinned {pinned_avg}");
+        assert!(
+            generic_avg > pinned_avg * 2.0,
+            "generic {generic_avg} vs pinned {pinned_avg}"
+        );
     }
 }

@@ -71,7 +71,11 @@ impl Default for SessionConfig {
         // Tuned so the large presets land near the paper's click sparsity
         // (~96 % of items without clicks, Sec. I-A2) while still producing
         // enough click mass for the XMC baselines to train on.
-        Self { base_ctr: 0.18, position_decay: 1.6, max_clicks_per_session: 2 }
+        Self {
+            base_ctr: 0.18,
+            position_decay: 1.6,
+            max_clicks_per_session: 2,
+        }
     }
 }
 
@@ -146,7 +150,14 @@ pub fn simulate_window(
     seed: u64,
 ) -> SearchLog {
     let index = build_index(mp, queries);
-    simulate(mp, queries, &index, num_sessions, seed, &SessionConfig::default())
+    simulate(
+        mp,
+        queries,
+        &index,
+        num_sessions,
+        seed,
+        &SessionConfig::default(),
+    )
 }
 
 impl SearchLog {
@@ -175,7 +186,11 @@ impl SearchLog {
         ClickStats {
             num_items,
             items_with_clicks,
-            coverage: if num_items == 0 { 0.0 } else { items_with_clicks as f64 / num_items as f64 },
+            coverage: if num_items == 0 {
+                0.0
+            } else {
+                items_with_clicks as f64 / num_items as f64
+            },
             queries_per_item_histogram: histogram,
             single_query_share: if items_with_clicks == 0 {
                 0.0
@@ -237,8 +252,18 @@ mod tests {
     #[test]
     fn pivots_agree() {
         let (_, _, log) = setup();
-        let from_items: u64 = log.item_clicks.iter().flatten().map(|&(_, n)| u64::from(n)).sum();
-        let from_queries: u64 = log.query_clicks.iter().flatten().map(|&(_, n)| u64::from(n)).sum();
+        let from_items: u64 = log
+            .item_clicks
+            .iter()
+            .flatten()
+            .map(|&(_, n)| u64::from(n))
+            .sum();
+        let from_queries: u64 = log
+            .query_clicks
+            .iter()
+            .flatten()
+            .map(|&(_, n)| u64::from(n))
+            .sum();
         assert_eq!(from_items, from_queries);
         assert_eq!(from_items, log.total_clicks);
     }
@@ -249,7 +274,11 @@ mod tests {
         // clicked items overwhelmingly have few distinct queries.
         let (_, _, log) = setup();
         let stats = log.click_stats();
-        assert!(stats.coverage < 0.45, "coverage too high: {}", stats.coverage);
+        assert!(
+            stats.coverage < 0.45,
+            "coverage too high: {}",
+            stats.coverage
+        );
         assert!(stats.items_with_clicks > 0);
         assert!(
             stats.single_query_share > 0.45,
@@ -268,8 +297,14 @@ mod tests {
         let mut by_weight: Vec<usize> = (0..qs.len()).collect();
         by_weight.sort_unstable_by(|&a, &b| qs[b].weight.partial_cmp(&qs[a].weight).unwrap());
         let decile = qs.len() / 10;
-        let head: u64 = by_weight[..decile].iter().map(|&i| u64::from(log.search_counts[i])).sum();
-        let tail: u64 = by_weight[qs.len() - decile..].iter().map(|&i| u64::from(log.search_counts[i])).sum();
+        let head: u64 = by_weight[..decile]
+            .iter()
+            .map(|&i| u64::from(log.search_counts[i]))
+            .sum();
+        let tail: u64 = by_weight[qs.len() - decile..]
+            .iter()
+            .map(|&i| u64::from(log.search_counts[i]))
+            .sum();
         assert!(head > tail * 5, "head {head} vs tail {tail}");
     }
 

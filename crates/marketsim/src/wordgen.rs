@@ -24,7 +24,9 @@ pub struct WordGen {
 
 impl WordGen {
     pub fn new() -> Self {
-        Self { used: HashSet::new() }
+        Self {
+            used: HashSet::new(),
+        }
     }
 
     /// One random syllable.
@@ -105,7 +107,11 @@ mod tests {
         let mut gen = WordGen::new();
         for _ in 0..200 {
             let w = gen.word(&mut rng, 2);
-            assert!(w.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit()), "{w}");
+            assert!(
+                w.chars()
+                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit()),
+                "{w}"
+            );
             assert!(!w.is_empty());
         }
     }

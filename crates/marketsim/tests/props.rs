@@ -8,8 +8,8 @@ use proptest::prelude::*;
 
 /// Small random spec: keeps each case fast while varying every dimension.
 fn spec_strategy() -> impl Strategy<Value = CategorySpec> {
-    (1u64..1000, 1usize..4, 2usize..6, 20usize..120).prop_map(
-        |(seed, leaves, products, items)| CategorySpec {
+    (1u64..1000, 1usize..4, 2usize..6, 20usize..120).prop_map(|(seed, leaves, products, items)| {
+        CategorySpec {
             name: format!("P{seed}"),
             seed,
             num_leaves: leaves,
@@ -17,8 +17,8 @@ fn spec_strategy() -> impl Strategy<Value = CategorySpec> {
             num_items: items,
             num_sessions: 400,
             leaf_id_base: 100,
-        },
-    )
+        }
+    })
 }
 
 proptest! {

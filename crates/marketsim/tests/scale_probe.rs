@@ -20,14 +20,26 @@ fn cat2_click_log_shape_matches_paper() {
     // Paper Sec. I-A2: ~96 % of items have no clicks; Fig. 2: ~90 % of
     // clicked items have one query. Synthetic scale won't match exactly —
     // we require the same regime.
-    assert!(stats.coverage < 0.35, "click coverage too high: {:.3}", stats.coverage);
-    assert!(stats.single_query_share > 0.55, "single-query share: {:.3}", stats.single_query_share);
+    assert!(
+        stats.coverage < 0.35,
+        "click coverage too high: {:.3}",
+        stats.coverage
+    );
+    assert!(
+        stats.single_query_share > 0.55,
+        "single-query share: {:.3}",
+        stats.single_query_share
+    );
     // Enough signal left for click-trained baselines.
     assert!(ds.train_log.total_clicks > 1_000);
 
     // Curated keyphrases: observed search counts exist and heads dominate.
     let records = ds.keyphrase_records();
-    assert!(records.len() > 1_000, "too few searched keyphrases: {}", records.len());
+    assert!(
+        records.len() > 1_000,
+        "too few searched keyphrases: {}",
+        records.len()
+    );
 }
 
 #[test]

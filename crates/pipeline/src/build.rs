@@ -136,7 +136,11 @@ impl DeltaBase {
         if checksum != manifest.snapshot_checksum {
             // With the file's own verdict on itself, which names a base
             // (and so a BUILDINFO) written before this format's checksum.
-            let own = hashed.inspect().err().map(|e| format!(" ({e})")).unwrap_or_default();
+            let own = hashed
+                .inspect()
+                .err()
+                .map(|e| format!(" ({e})"))
+                .unwrap_or_default();
             return Err(PipelineError::Delta(format!(
                 "{} records checksum {:016x} but {} hashes to {checksum:016x} — stale BUILDINFO?{own}",
                 buildinfo.display(),
@@ -145,7 +149,11 @@ impl DeltaBase {
             )));
         }
         let model = hashed.parse().map_err(PipelineError::Model)?;
-        Ok(Self { model, manifest, source: snapshot.display().to_string() })
+        Ok(Self {
+            model,
+            manifest,
+            source: snapshot.display().to_string(),
+        })
     }
 
     fn resolve_snapshot_path(path: &Path) -> PipelineResult<PathBuf> {
@@ -158,7 +166,10 @@ impl DeltaBase {
         // A registry root: resolve the pinned version without activating.
         let registry = ModelRegistry::attach(path)?;
         let version = registry.pinned_version().ok_or_else(|| {
-            PipelineError::Delta(format!("{}: no snapshot to base a delta on", path.display()))
+            PipelineError::Delta(format!(
+                "{}: no snapshot to base a delta on",
+                path.display()
+            ))
         })?;
         Ok(registry.root().join(version.to_string()).join("model.gexm"))
     }
@@ -187,7 +198,14 @@ pub struct BuildPlan {
 
 impl BuildPlan {
     pub fn new(config: GraphExConfig) -> Self {
-        Self { config, jobs: 0, batch: 4096, queue_depth: 4, strict: false, delta: None }
+        Self {
+            config,
+            jobs: 0,
+            batch: 4096,
+            queue_depth: 4,
+            strict: false,
+            delta: None,
+        }
     }
 
     pub fn jobs(mut self, jobs: usize) -> Self {
@@ -296,7 +314,11 @@ impl BuildOutput {
     /// happen inside [`ModelRegistry::publish_hashed`], which does not
     /// hash the bytes again before writing them. Updates the report's
     /// `published_version`.
-    pub fn publish(&mut self, registry: &ModelRegistry, note: &str) -> PipelineResult<SnapshotMeta> {
+    pub fn publish(
+        &mut self,
+        registry: &ModelRegistry,
+        note: &str,
+    ) -> PipelineResult<SnapshotMeta> {
         let manifest_text = self.manifest.render();
         let meta = registry.publish_hashed(
             &self.bytes,
@@ -329,7 +351,9 @@ struct ShardYield {
 pub fn build(plan: &BuildPlan, sources: Vec<Box<dyn RecordSource>>) -> PipelineResult<BuildOutput> {
     let start = Instant::now();
     let jobs = if plan.jobs == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     } else {
         plan.jobs
     };
@@ -348,8 +372,9 @@ pub fn build(plan: &BuildPlan, sources: Vec<Box<dyn RecordSource>>) -> PipelineR
         other => other.as_ref(),
     };
 
-    let queues: Vec<Arc<Bounded<Vec<KeyphraseRecord>>>> =
-        (0..jobs).map(|_| Arc::new(Bounded::new(plan.queue_depth.max(1)))).collect();
+    let queues: Vec<Arc<Bounded<Vec<KeyphraseRecord>>>> = (0..jobs)
+        .map(|_| Arc::new(Bounded::new(plan.queue_depth.max(1))))
+        .collect();
     let (yield_tx, yield_rx) = crossbeam::channel::unbounded::<ShardYield>();
 
     let (source_stats, ingest_result) = crossbeam::thread::scope(|scope| {
@@ -381,8 +406,10 @@ pub fn build(plan: &BuildPlan, sources: Vec<Box<dyn RecordSource>>) -> PipelineR
     let shards_done = Instant::now();
 
     // Deterministic merge: all leaves, ascending.
-    let mut leaves: Vec<LeafYield> =
-        shard_yields.iter_mut().flat_map(|s| s.leaves.drain(..)).collect();
+    let mut leaves: Vec<LeafYield> = shard_yields
+        .iter_mut()
+        .flat_map(|s| s.leaves.drain(..))
+        .collect();
     leaves.sort_unstable_by_key(|y| y.leaf);
     let mut curation = CurationStats::default();
     for shard in &shard_yields {
@@ -401,8 +428,10 @@ pub fn build(plan: &BuildPlan, sources: Vec<Box<dyn RecordSource>>) -> PipelineR
         leaves.iter().map(|y| (y.leaf.0, y.fingerprint)).collect();
     let leaves_reused = leaves.iter().filter(|y| y.reused).count();
     let leaves_total = leaves.len();
-    let mut assembler =
-        ModelAssembler::merge(&plan.config, leaves.into_iter().map(|y| (y.leaf, y.assembly)));
+    let mut assembler = ModelAssembler::merge(
+        &plan.config,
+        leaves.into_iter().map(|y| (y.leaf, y.assembly)),
+    );
     let merge_done = Instant::now();
     if plan.config.build_meta_fallback {
         assembler.derive_fallback();
@@ -422,7 +451,10 @@ pub fn build(plan: &BuildPlan, sources: Vec<Box<dyn RecordSource>>) -> PipelineR
         serialize_ms: millis(fallback_done, serialize_done),
     };
 
-    let records_in: u64 = source_stats.iter().map(|s| s.records + s.parse_errors).sum();
+    let records_in: u64 = source_stats
+        .iter()
+        .map(|s| s.records + s.parse_errors)
+        .sum();
     let parse_errors: u64 = source_stats.iter().map(|s| s.parse_errors).sum();
     let manifest = BuildManifest {
         config_fingerprint: config_fp,
@@ -452,7 +484,12 @@ pub fn build(plan: &BuildPlan, sources: Vec<Box<dyn RecordSource>>) -> PipelineR
         wall_ms: (serialize_done - start).as_millis() as u64,
         stages,
     };
-    Ok(BuildOutput { bytes, model, manifest, report })
+    Ok(BuildOutput {
+        bytes,
+        model,
+        manifest,
+        report,
+    })
 }
 
 /// Reads every source to exhaustion, routing records to their shard
@@ -468,7 +505,9 @@ fn ingest(
     let mut batch: Vec<KeyphraseRecord> = Vec::with_capacity(plan.batch);
     for mut source in sources {
         loop {
-            source.next_batch(plan.batch, &mut batch).map_err(PipelineError::Source)?;
+            source
+                .next_batch(plan.batch, &mut batch)
+                .map_err(PipelineError::Source)?;
             if batch.is_empty() {
                 break;
             }
@@ -486,7 +525,11 @@ fn ingest(
                 "{}: {} unparsable record(s), first: {}",
                 stats.name,
                 stats.parse_errors,
-                stats.error_sample.first().map(String::as_str).unwrap_or("<unavailable>"),
+                stats
+                    .error_sample
+                    .first()
+                    .map(String::as_str)
+                    .unwrap_or("<unavailable>"),
             )));
         }
         stats_out.push(stats);
@@ -499,7 +542,11 @@ fn ingest(
     Ok(())
 }
 
-fn push_batch(queue: &Bounded<Vec<KeyphraseRecord>>, staged: &mut Vec<KeyphraseRecord>, cap: usize) {
+fn push_batch(
+    queue: &Bounded<Vec<KeyphraseRecord>>,
+    staged: &mut Vec<KeyphraseRecord>,
+    cap: usize,
+) {
     let batch = std::mem::replace(staged, Vec::with_capacity(cap));
     // A closed queue here means a worker vanished — only possible if it
     // panicked, which the surrounding scope turns into a build panic.
@@ -522,8 +569,9 @@ fn run_shard(
     }
     let (mut curated, curation) = curator.finish();
     canonicalize(&mut curated);
-    let runs: Vec<(LeafId, &[KeyphraseRecord], u64)> =
-        leaf_runs(&curated).map(|(leaf, run)| (leaf, run, leaf_fingerprint(run))).collect();
+    let runs: Vec<(LeafId, &[KeyphraseRecord], u64)> = leaf_runs(&curated)
+        .map(|(leaf, run)| (leaf, run, leaf_fingerprint(run)))
+        .collect();
     let curated_at = Instant::now();
 
     let mut ctx = AssemblyContext::new(config.stemming);
@@ -536,7 +584,12 @@ fn run_shard(
             Some(assembly) => (assembly, true),
             None => (LeafAssembly::build(run, &mut ctx), false),
         };
-        leaves.push(LeafYield { leaf, fingerprint, assembly, reused });
+        leaves.push(LeafYield {
+            leaf,
+            fingerprint,
+            assembly,
+            reused,
+        });
     }
     ShardYield {
         leaves,

@@ -67,7 +67,11 @@ impl BuildManifest {
         let _ = writeln!(
             out,
             "curation {} {} {} {} {} {}",
-            c.input, c.kept, c.dropped_low_search, c.dropped_token_bounds, c.dropped_leaf_cap,
+            c.input,
+            c.kept,
+            c.dropped_low_search,
+            c.dropped_token_bounds,
+            c.dropped_leaf_cap,
             c.merged_duplicates
         );
         if let Some((index, of)) = self.shard {
@@ -140,7 +144,9 @@ impl BuildManifest {
                     };
                 }
                 "shard" => {
-                    let (index, of) = value.split_once(' ').ok_or_else(|| fail("bad shard line"))?;
+                    let (index, of) = value
+                        .split_once(' ')
+                        .ok_or_else(|| fail("bad shard line"))?;
                     let index: u32 = index.parse().map_err(|_| fail("bad shard index"))?;
                     let of: u32 = of.parse().map_err(|_| fail("bad shard count"))?;
                     if of == 0 || index >= of {
@@ -171,8 +177,8 @@ impl BuildManifest {
     /// Reads and parses a `BUILDINFO` file.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, String> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("read {}: {e}", path.display()))?;
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         Self::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 }
@@ -227,14 +233,23 @@ mod tests {
     #[test]
     fn parse_rejects_malformed() {
         assert!(BuildManifest::parse("").is_err(), "missing header");
-        assert!(BuildManifest::parse("graphex-buildinfo 2\nconfig 0\n").is_err(), "bad version");
-        assert!(BuildManifest::parse("graphex-buildinfo 1\n").is_err(), "missing config");
+        assert!(
+            BuildManifest::parse("graphex-buildinfo 2\nconfig 0\n").is_err(),
+            "bad version"
+        );
+        assert!(
+            BuildManifest::parse("graphex-buildinfo 1\n").is_err(),
+            "missing config"
+        );
         let dup = "graphex-buildinfo 1\nconfig 0\nleaf 1 aa\nleaf 1 bb\n";
         assert!(BuildManifest::parse(dup).is_err(), "duplicate leaf");
         let bad = "graphex-buildinfo 1\nconfig zz\n";
         assert!(BuildManifest::parse(bad).is_err(), "bad hex");
         let shard = "graphex-buildinfo 1\nconfig 0\nshard 3 3\n";
-        assert!(BuildManifest::parse(shard).is_err(), "shard index out of range");
+        assert!(
+            BuildManifest::parse(shard).is_err(),
+            "shard index out of range"
+        );
         let shard = "graphex-buildinfo 1\nconfig 0\nshard 0 0\n";
         assert!(BuildManifest::parse(shard).is_err(), "zero shard count");
     }

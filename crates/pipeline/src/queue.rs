@@ -29,7 +29,10 @@ impl<T> Bounded<T> {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
-            state: Mutex::new(State { items: VecDeque::with_capacity(capacity), closed: false }),
+            state: Mutex::new(State {
+                items: VecDeque::with_capacity(capacity),
+                closed: false,
+            }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
@@ -54,7 +57,10 @@ impl<T> Bounded<T> {
                 self.not_empty.notify_one();
                 return Ok(());
             }
-            state = self.not_full.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state = self
+                .not_full
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -71,7 +77,10 @@ impl<T> Bounded<T> {
             if state.closed {
                 return None;
             }
-            state = self.not_empty.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state = self
+                .not_empty
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -119,6 +128,10 @@ mod tests {
         let producer = std::thread::spawn(move || q2.push(2));
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.close();
-        assert_eq!(producer.join().unwrap(), Err(2), "close unblocks the producer with its item");
+        assert_eq!(
+            producer.join().unwrap(),
+            Err(2),
+            "close unblocks the producer with its item"
+        );
     }
 }

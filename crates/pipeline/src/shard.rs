@@ -88,7 +88,9 @@ pub fn emit_shards(
     shards: u32,
 ) -> PipelineResult<Vec<ShardSnapshot>> {
     if shards == 0 {
-        return Err(PipelineError::Shard("shard count must be at least 1".into()));
+        return Err(PipelineError::Shard(
+            "shard count must be at least 1".into(),
+        ));
     }
     let mut leaves: Vec<LeafId> = model.leaf_ids().collect();
     leaves.sort_unstable();
@@ -109,8 +111,11 @@ pub fn emit_shards(
 
     let mut out = Vec::with_capacity(shards as usize);
     for index in 0..shards {
-        let owned: Vec<LeafId> =
-            leaves.iter().copied().filter(|leaf| shard_of(*leaf, shards) == index).collect();
+        let owned: Vec<LeafId> = leaves
+            .iter()
+            .copied()
+            .filter(|leaf| shard_of(*leaf, shards) == index)
+            .collect();
         if owned.is_empty() {
             return Err(PipelineError::Shard(format!(
                 "shard {index} of {shards} owns no leaves — no leaf id ≡ {index} (mod {shards}); \
@@ -118,7 +123,10 @@ pub fn emit_shards(
             )));
         }
         let assemblies = owned.iter().map(|&leaf| {
-            (leaf, LeafAssembly::from_model(model, leaf).expect("leaf listed by the model"))
+            (
+                leaf,
+                LeafAssembly::from_model(model, leaf).expect("leaf listed by the model"),
+            )
         });
         let mut assembler = ModelAssembler::merge(&config, assemblies);
         if let Some(fallback) = &fallback {

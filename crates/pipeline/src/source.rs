@@ -44,7 +44,10 @@ pub struct SourceStats {
 
 impl SourceStats {
     fn named(name: impl Into<String>) -> Self {
-        Self { name: name.into(), ..Self::default() }
+        Self {
+            name: name.into(),
+            ..Self::default()
+        }
     }
 
     fn record_error(&mut self, lineno: u64, what: &str) {
@@ -78,9 +81,15 @@ pub trait RecordSource: Send {
 /// `text<TAB>leaf_id<TAB>search_count<TAB>recall_count`.
 pub fn parse_tsv_line(line: &str) -> Result<KeyphraseRecord, String> {
     let mut cols = line.split('\t');
-    let text = cols.next().filter(|t| !t.is_empty()).ok_or("empty keyphrase text")?;
-    let leaf: u32 =
-        cols.next().ok_or("missing leaf id")?.parse().map_err(|_| "leaf id is not a number")?;
+    let text = cols
+        .next()
+        .filter(|t| !t.is_empty())
+        .ok_or("empty keyphrase text")?;
+    let leaf: u32 = cols
+        .next()
+        .ok_or("missing leaf id")?
+        .parse()
+        .map_err(|_| "leaf id is not a number")?;
     let search: u32 = cols
         .next()
         .ok_or("missing search count")?
@@ -109,17 +118,26 @@ struct LineSource<R: BufRead> {
 
 impl<R: BufRead> LineSource<R> {
     fn new(name: String, reader: R, parse: fn(&str) -> Result<KeyphraseRecord, String>) -> Self {
-        Self { reader, stats: SourceStats::named(name), lineno: 0, parse, line: String::new() }
+        Self {
+            reader,
+            stats: SourceStats::named(name),
+            lineno: 0,
+            parse,
+            line: String::new(),
+        }
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Vec<KeyphraseRecord>) -> Result<(), String> {
         out.clear();
         while out.len() < max {
             self.line.clear();
-            let n = self
-                .reader
-                .read_line(&mut self.line)
-                .map_err(|e| format!("{}: read error at line {}: {e}", self.stats.name, self.lineno + 1))?;
+            let n = self.reader.read_line(&mut self.line).map_err(|e| {
+                format!(
+                    "{}: read error at line {}: {e}",
+                    self.stats.name,
+                    self.lineno + 1
+                )
+            })?;
             if n == 0 {
                 return Ok(()); // EOF
             }
@@ -323,13 +341,18 @@ impl<'a> JsonScanner<'a> {
 
     fn u32(&mut self) -> Result<u32, String> {
         self.skip_ws();
-        let end = self.rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(self.rest.len());
+        let end = self
+            .rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(self.rest.len());
         if end == 0 {
             return Err("expected an unsigned integer".into());
         }
         let (digits, rest) = self.rest.split_at(end);
         self.rest = rest;
-        digits.parse().map_err(|_| format!("integer out of range: {digits}"))
+        digits
+            .parse()
+            .map_err(|_| format!("integer out of range: {digits}"))
     }
 }
 
@@ -400,7 +423,10 @@ impl MarketsimSource {
             corpus.marketplace().spec.name.to_lowercase(),
             corpus.generation()
         );
-        Self { stats: SourceStats::named(name), records: corpus.records().into_iter() }
+        Self {
+            stats: SourceStats::named(name),
+            records: corpus.records().into_iter(),
+        }
     }
 }
 
@@ -429,7 +455,10 @@ pub struct VecSource {
 
 impl VecSource {
     pub fn new(name: impl Into<String>, records: Vec<KeyphraseRecord>) -> Self {
-        Self { stats: SourceStats::named(name), records: records.into_iter() }
+        Self {
+            stats: SourceStats::named(name),
+            records: records.into_iter(),
+        }
     }
 }
 
@@ -456,7 +485,10 @@ impl RecordSource for VecSource {
 /// contract — feeding the same records any other way produces the same
 /// snapshot bytes.
 pub fn overlay_journal_source(journal: &graphex_serving::OverlayJournal) -> VecSource {
-    VecSource::new(format!("overlay-journal:upto{}", journal.upto), journal.records())
+    VecSource::new(
+        format!("overlay-journal:upto{}", journal.upto),
+        journal.records(),
+    )
 }
 
 /// Opens a serialized overlay journal file (the `GET /v1/overlay/journal`
@@ -468,8 +500,7 @@ pub fn open_overlay_journal_source(
     path: impl AsRef<Path>,
 ) -> Result<(Box<dyn RecordSource>, u64), String> {
     let path = path.as_ref();
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let journal = graphex_serving::OverlayJournal::parse(&text)
         .map_err(|e| format!("{}: {e}", path.display()))?;
     let upto = journal.upto;
@@ -510,8 +541,10 @@ mod tests {
                 ],
             )
             .unwrap();
-        let path = std::env::temp_dir()
-            .join(format!("graphex-journal-src-{}.journal", std::process::id()));
+        let path = std::env::temp_dir().join(format!(
+            "graphex-journal-src-{}.journal",
+            std::process::id()
+        ));
         std::fs::write(&path, store.export_journal().to_text()).unwrap();
 
         let (mut source, upto) = open_overlay_journal_source(&path).unwrap();
@@ -539,10 +572,9 @@ mod tests {
         assert_eq!((rec.search_count, rec.recall_count), (500, 50));
 
         // alias keys + reordering + escapes
-        let rec = parse_ndjson_line(
-            r#"{"recall_count":1,"search_count":2,"leaf":3,"text":"a \"b\" c"}"#,
-        )
-        .unwrap();
+        let rec =
+            parse_ndjson_line(r#"{"recall_count":1,"search_count":2,"leaf":3,"text":"a \"b\" c"}"#)
+                .unwrap();
         assert_eq!(rec.text, "a \"b\" c");
         assert_eq!((rec.search_count, rec.recall_count), (2, 1));
 
@@ -604,13 +636,22 @@ mod tests {
         assert_eq!(stats.skipped, 2);
         assert_eq!(stats.parse_errors, 2);
         assert_eq!(stats.error_sample.len(), 2);
-        assert!(stats.error_sample[0].contains("line 4"), "{:?}", stats.error_sample);
+        assert!(
+            stats.error_sample[0].contains("line 4"),
+            "{:?}",
+            stats.error_sample
+        );
     }
 
     #[test]
     fn ndjson_source_reads_batches() {
         let lines: Vec<String> = (0..7)
-            .map(|i| format!(r#"{{"text":"phrase {i}","leaf":{},"search":10,"recall":1}}"#, i % 2))
+            .map(|i| {
+                format!(
+                    r#"{{"text":"phrase {i}","leaf":{},"search":10,"recall":1}}"#,
+                    i % 2
+                )
+            })
             .collect();
         let path = tmpfile("batch.ndjson", &(lines.join("\n") + "\nnot json\n"));
         let mut source = NdjsonFileSource::open(&path).unwrap();
@@ -622,7 +663,10 @@ mod tests {
     #[test]
     fn open_file_source_picks_format_by_extension() {
         let tsv = tmpfile("by-ext.tsv", "a b\t1\t5\t6\n");
-        let ndjson = tmpfile("by-ext.ndjson", r#"{"text":"a b","leaf":1,"search":5,"recall":6}"#);
+        let ndjson = tmpfile(
+            "by-ext.ndjson",
+            r#"{"text":"a b","leaf":1,"search":5,"recall":6}"#,
+        );
         for path in [tsv, ndjson] {
             let mut source = open_file_source(&path).unwrap();
             assert_eq!(drain(source.as_mut()).len(), 1, "{}", path.display());

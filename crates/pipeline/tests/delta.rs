@@ -4,9 +4,7 @@
 
 use graphex_core::{Engine, GraphExConfig, InferRequest};
 use graphex_marketsim::{CategorySpec, ChurnCorpus};
-use graphex_pipeline::{
-    build, BuildOutput, BuildPlan, DeltaBase, MarketsimSource, PipelineError,
-};
+use graphex_pipeline::{build, BuildOutput, BuildPlan, DeltaBase, MarketsimSource, PipelineError};
 
 fn config() -> GraphExConfig {
     let mut config = GraphExConfig::default();
@@ -34,7 +32,10 @@ fn infer_answers(engine: &Engine, corpus: &ChurnCorpus) -> Vec<(String, Vec<u32>
         .take(40)
         .map(|item| {
             let resp = engine.infer(&InferRequest::new(&item.title, item.leaf).k(10));
-            (item.title.clone(), resp.predictions.iter().map(|p| p.keyphrase).collect())
+            (
+                item.title.clone(),
+                resp.predictions.iter().map(|p| p.keyphrase).collect(),
+            )
         })
         .collect()
 }
@@ -69,7 +70,10 @@ fn delta_build_equals_full_rebuild_across_generations() {
     let mut reused_any = false;
     for generation in 1..=3u32 {
         let report = corpus.advance();
-        assert!(report.removed + report.added > 0, "gen {generation}: churn was a no-op");
+        assert!(
+            report.removed + report.added > 0,
+            "gen {generation}: churn was a no-op"
+        );
 
         let full = full_build(&corpus, 2);
         let delta_plan = BuildPlan::new(config())
@@ -83,7 +87,10 @@ fn delta_build_equals_full_rebuild_across_generations() {
             full.bytes.as_ref(),
             "gen {generation}: delta build diverges from full rebuild"
         );
-        assert_eq!(delta.manifest, full.manifest, "gen {generation}: manifests diverge");
+        assert_eq!(
+            delta.manifest, full.manifest,
+            "gen {generation}: manifests diverge"
+        );
         // … and same answers.
         let full_engine = Engine::from_model(full.model);
         let delta_engine = Engine::from_model(delta.model.clone());
@@ -108,7 +115,10 @@ fn delta_build_equals_full_rebuild_across_generations() {
         // Next generation deltas against this one.
         delta.write_to(&snapshot).unwrap();
     }
-    assert!(reused_any, "no generation reused a single leaf — delta path never engaged");
+    assert!(
+        reused_any,
+        "no generation reused a single leaf — delta path never engaged"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -124,7 +134,9 @@ fn unchanged_corpus_reuses_every_leaf() {
     let snapshot = dir.join("model.gexm");
     first.write_to(&snapshot).unwrap();
 
-    let plan = BuildPlan::new(config()).jobs(2).delta(DeltaBase::load(&snapshot).unwrap());
+    let plan = BuildPlan::new(config())
+        .jobs(2)
+        .delta(DeltaBase::load(&snapshot).unwrap());
     let again = build(&plan, vec![Box::new(MarketsimSource::new(&corpus))]).unwrap();
     assert_eq!(again.bytes.as_ref(), first.bytes.as_ref());
     assert_eq!(again.report.leaves_reused, again.report.leaves_total);
@@ -146,9 +158,15 @@ fn a_buildinfo_with_a_fallback_line_still_serves_as_a_delta_base() {
     let text = std::fs::read_to_string(&buildinfo).unwrap();
     assert!(!text.contains("fallback"), "{text}");
     let (head, tail) = text.split_at(text.find("records_in ").unwrap());
-    std::fs::write(&buildinfo, format!("{head}fallback 5f3e2a9c0d41b877\n{tail}")).unwrap();
+    std::fs::write(
+        &buildinfo,
+        format!("{head}fallback 5f3e2a9c0d41b877\n{tail}"),
+    )
+    .unwrap();
 
-    let plan = BuildPlan::new(config()).jobs(2).delta(DeltaBase::load(&snapshot).unwrap());
+    let plan = BuildPlan::new(config())
+        .jobs(2)
+        .delta(DeltaBase::load(&snapshot).unwrap());
     let again = build(&plan, vec![Box::new(MarketsimSource::new(&corpus))]).unwrap();
     assert_eq!(again.bytes.as_ref(), first.bytes.as_ref());
     assert_eq!(again.report.leaves_reused, again.report.leaves_total);
@@ -166,9 +184,14 @@ fn config_change_discards_the_delta_base() {
 
     let mut changed = config();
     changed.curation.min_search_count += 1;
-    let plan = BuildPlan::new(changed.clone()).jobs(2).delta(DeltaBase::load(&snapshot).unwrap());
+    let plan = BuildPlan::new(changed.clone())
+        .jobs(2)
+        .delta(DeltaBase::load(&snapshot).unwrap());
     let rebuilt = build(&plan, vec![Box::new(MarketsimSource::new(&corpus))]).unwrap();
-    assert_eq!(rebuilt.report.leaves_reused, 0, "config changed: nothing may be borrowed");
+    assert_eq!(
+        rebuilt.report.leaves_reused, 0,
+        "config changed: nothing may be borrowed"
+    );
     assert!(rebuilt.report.delta_discarded.is_some());
     // What it built instead is the full build under the changed config.
     let plan = BuildPlan::new(changed).jobs(2);
@@ -191,7 +214,10 @@ fn stale_buildinfo_is_rejected() {
     bytes[last] ^= 0xFF;
     std::fs::write(&snapshot, &bytes).unwrap();
     let err = DeltaBase::load(&snapshot);
-    assert!(matches!(err, Err(PipelineError::Delta(_))), "stale BUILDINFO accepted: {err:?}");
+    assert!(
+        matches!(err, Err(PipelineError::Delta(_))),
+        "stale BUILDINFO accepted: {err:?}"
+    );
     assert!(buildinfo.is_file());
 
     // A base an older build wrote (version word 2 under a trailer this
@@ -201,7 +227,10 @@ fn stale_buildinfo_is_rejected() {
     std::fs::write(&snapshot, &bytes).unwrap();
     match DeltaBase::load(&snapshot) {
         Err(PipelineError::Delta(why)) => {
-            assert!(why.contains("a GEXM v2 snapshot predates the v3 checksum — rebuild it"), "{why}")
+            assert!(
+                why.contains("a GEXM v2 snapshot predates the v3 checksum — rebuild it"),
+                "{why}"
+            )
         }
         other => panic!("expected a delta error, got {other:?}"),
     }

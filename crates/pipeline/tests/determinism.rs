@@ -30,7 +30,10 @@ fn corpus_records(seed: u64) -> Vec<KeyphraseRecord> {
     records
 }
 
-fn pipeline_bytes(records: Vec<KeyphraseRecord>, jobs: usize) -> (Vec<u8>, graphex_pipeline::BuildReport) {
+fn pipeline_bytes(
+    records: Vec<KeyphraseRecord>,
+    jobs: usize,
+) -> (Vec<u8>, graphex_pipeline::BuildReport) {
     let plan = BuildPlan::new(config()).jobs(jobs);
     let output = build(&plan, vec![Box::new(VecSource::new("test", records))]).unwrap();
     (output.bytes.to_vec(), output.report)
@@ -58,7 +61,10 @@ fn parallel_build_is_byte_identical_to_sequential_builder() {
                 reference_bytes.as_ref(),
                 "jobs={jobs} seed={seed}: pipeline bytes diverge from sequential builder"
             );
-            assert_eq!(report.curation, ref_stats, "jobs={jobs}: curation stats diverge");
+            assert_eq!(
+                report.curation, ref_stats,
+                "jobs={jobs}: curation stats diverge"
+            );
             assert_eq!(report.jobs, jobs);
             assert_eq!(report.leaves_built, report.leaves_total);
             assert_eq!(report.leaves_reused, 0);
@@ -83,7 +89,11 @@ fn multi_source_ingest_equals_single_source() {
         ],
     )
     .unwrap();
-    assert_eq!(output.bytes.as_ref(), all, "source splitting leaked into the bytes");
+    assert_eq!(
+        output.bytes.as_ref(),
+        all,
+        "source splitting leaked into the bytes"
+    );
     assert_eq!(output.report.sources.len(), 2);
     assert_eq!(
         output.report.records_in,

@@ -54,7 +54,11 @@ fn partition_covers_every_leaf_exactly_once() {
     for seed in [0x5A1, 0x5A2] {
         let (_, output) = monolith(seed);
         let all: Vec<LeafId> = output.model.leaf_ids().collect();
-        assert!(all.len() > 8, "spec produced {} leaves — too few to shard", all.len());
+        assert!(
+            all.len() > 8,
+            "spec produced {} leaves — too few to shard",
+            all.len()
+        );
         for shards in [1u32, 2, 3, 8] {
             let snapshots = output.emit_shards(shards).unwrap();
             assert_eq!(snapshots.len(), shards as usize);
@@ -93,7 +97,10 @@ fn manifest_union_equals_monolith() {
         for snapshot in &snapshots {
             // Per-shard manifests keep the whole-build provenance so a
             // shard can stand in as a delta base / audit subject.
-            assert_eq!(snapshot.manifest.config_fingerprint, output.manifest.config_fingerprint);
+            assert_eq!(
+                snapshot.manifest.config_fingerprint,
+                output.manifest.config_fingerprint
+            );
             assert_eq!(snapshot.manifest.records_in, output.manifest.records_in);
             assert_eq!(
                 snapshot.manifest.snapshot_checksum,
@@ -107,7 +114,10 @@ fn manifest_union_equals_monolith() {
                 );
             }
         }
-        assert_eq!(union, output.manifest.leaves, "N={shards}: fingerprint union != monolith");
+        assert_eq!(
+            union, output.manifest.leaves,
+            "N={shards}: fingerprint union != monolith"
+        );
     }
 }
 
@@ -115,11 +125,17 @@ fn manifest_union_equals_monolith() {
 fn single_shard_is_byte_identical_to_monolith() {
     let (_, output) = monolith(0x5A4);
     let snapshots = output.emit_shards(1).unwrap();
-    assert_eq!(snapshots[0].bytes, output.bytes, "N=1 emission must be exact");
+    assert_eq!(
+        snapshots[0].bytes, output.bytes,
+        "N=1 emission must be exact"
+    );
     assert_eq!(snapshots[0].manifest.leaves, output.manifest.leaves);
     assert_eq!(snapshots[0].manifest.shard, Some((0, 1)));
     // Same bytes → same checksum as the monolith records.
-    assert_eq!(snapshots[0].manifest.snapshot_checksum, output.manifest.snapshot_checksum);
+    assert_eq!(
+        snapshots[0].manifest.snapshot_checksum,
+        output.manifest.snapshot_checksum
+    );
 }
 
 #[test]
@@ -128,8 +144,10 @@ fn shards_answer_their_leaves_like_the_monolith() {
     let engine = Engine::new(std::sync::Arc::new(output.model.clone()));
     let shards = 3u32;
     let snapshots = output.emit_shards(shards).unwrap();
-    let shard_engines: Vec<Engine> =
-        snapshots.iter().map(|s| Engine::new(std::sync::Arc::new(s.model.clone()))).collect();
+    let shard_engines: Vec<Engine> = snapshots
+        .iter()
+        .map(|s| Engine::new(std::sync::Arc::new(s.model.clone())))
+        .collect();
 
     // Keyphrase ids are vocab-local (each shard re-interns its own
     // vocabulary), so equality is over the resolved *texts*.
@@ -137,7 +155,13 @@ fn shards_answer_their_leaves_like_the_monolith() {
         response
             .predictions
             .iter()
-            .map(|p| engine.model().keyphrase_text(p.keyphrase).unwrap().to_string())
+            .map(|p| {
+                engine
+                    .model()
+                    .keyphrase_text(p.keyphrase)
+                    .unwrap()
+                    .to_string()
+            })
             .collect()
     };
 
@@ -178,18 +202,23 @@ fn shard_publish_roundtrips_through_registry() {
     let (_, output) = monolith(0x5A6);
     let root = tempdir("publish");
     let snapshots = output.emit_shards(2).unwrap();
-    let metas =
-        graphex_pipeline::publish_shards(&snapshots, &root, "shard smoke").unwrap();
+    let metas = graphex_pipeline::publish_shards(&snapshots, &root, "shard smoke").unwrap();
     assert_eq!(metas.len(), 2);
     for snapshot in &snapshots {
         let shard_dir = graphex_pipeline::shard_root(&root, snapshot.index);
         let registry = ModelRegistry::open(&shard_dir).unwrap();
         let current = registry.current_version().unwrap();
         let loaded = BuildManifest::load(
-            registry.root().join(current.to_string()).join(graphex_pipeline::BUILDINFO_FILE),
+            registry
+                .root()
+                .join(current.to_string())
+                .join(graphex_pipeline::BUILDINFO_FILE),
         )
         .unwrap();
-        assert_eq!(&loaded, &snapshot.manifest, "BUILDINFO survived the publish");
+        assert_eq!(
+            &loaded, &snapshot.manifest,
+            "BUILDINFO survived the publish"
+        );
         assert_eq!(loaded.shard, Some((snapshot.index, 2)));
     }
     std::fs::remove_dir_all(&root).ok();
@@ -203,9 +232,15 @@ fn empty_shard_is_an_error_not_a_snapshot() {
     let leaves = output.model.leaf_ids().count() as u32;
     match output.emit_shards(leaves + 7) {
         Err(PipelineError::Shard(message)) => {
-            assert!(message.contains("owns no leaves"), "unhelpful error: {message}");
+            assert!(
+                message.contains("owns no leaves"),
+                "unhelpful error: {message}"
+            );
         }
         other => panic!("expected Shard error, got {other:?}"),
     }
-    assert!(matches!(output.emit_shards(0), Err(PipelineError::Shard(_))));
+    assert!(matches!(
+        output.emit_shards(0),
+        Err(PipelineError::Shard(_))
+    ));
 }

@@ -34,20 +34,35 @@ impl BenchDoc {
         let bad = |key: &str| format!("{file}: not a benchmark document: no valid {key:?}");
         let num = |key: &str| doc.get(key).and_then(Json::as_f64).ok_or_else(|| bad(key));
         let flag = |key: &str| doc.get(key).and_then(Json::as_bool).ok_or_else(|| bad(key));
-        let members = doc.get("metrics").and_then(Json::as_obj).ok_or_else(|| bad("metrics"))?;
+        let members = doc
+            .get("metrics")
+            .and_then(Json::as_obj)
+            .ok_or_else(|| bad("metrics"))?;
         let mut metrics = Vec::new();
         for (name, metric) in members {
-            let value = metric.get("value").and_then(Json::as_f64).ok_or_else(|| bad(name))?;
-            let unit = metric.get("unit").and_then(Json::as_str).ok_or_else(|| bad(name))?;
+            let value = metric
+                .get("value")
+                .and_then(Json::as_f64)
+                .ok_or_else(|| bad(name))?;
+            let unit = metric
+                .get("unit")
+                .and_then(Json::as_str)
+                .ok_or_else(|| bad(name))?;
             metrics.push((name.clone(), value, unit.to_string()));
         }
-        let workload = doc.get("workload").and_then(Json::as_str).ok_or_else(|| bad("workload"))?;
+        let workload = doc
+            .get("workload")
+            .and_then(Json::as_str)
+            .ok_or_else(|| bad("workload"))?;
         let stem = file.strip_suffix(".json").unwrap_or(file);
         Ok(Self {
             file: file.to_string(),
             workload: workload.to_string(),
             traced: flag("traced")?,
-            side: stem.split_once('.').map_or("", |(_, side)| side).to_string(),
+            side: stem
+                .split_once('.')
+                .map_or("", |(_, side)| side)
+                .to_string(),
             seed: num("seed")? as u64,
             seconds: num("seconds")?,
             attempted: num("attempted")? as u64,
@@ -98,7 +113,13 @@ pub(crate) mod tests {
     use super::*;
 
     /// A run in the shape `benchmark/src/report.rs::document` writes.
-    pub(crate) fn run(file: &str, workload: &str, traced: bool, disturbed: bool, p50: f64) -> BenchDoc {
+    pub(crate) fn run(
+        file: &str,
+        workload: &str,
+        traced: bool,
+        disturbed: bool,
+        p50: f64,
+    ) -> BenchDoc {
         let text = format!(
             "{{\n  \"workload\": \"{workload}\",\n  \"seed\": 7,\n  \"seconds\": 10,\n  \
              \"traced\": {traced},\n  \"threads\": 2,\n  \"cpus\": 2,\n  \"attempted\": 400,\n  \
@@ -114,9 +135,18 @@ pub(crate) mod tests {
     #[test]
     fn parses_good_doc() {
         let doc = run("3.base.json", "edge_hot", false, false, 12.5);
-        assert_eq!((doc.workload.as_str(), doc.traced, doc.side.as_str()), ("edge_hot", false, "base"));
-        assert_eq!((doc.seed, doc.seconds, doc.attempted, doc.failed), (7, 10.0, 400, 0));
-        assert_eq!(doc.metrics[1], ("p50_us".to_string(), 12.5, "us".to_string()));
+        assert_eq!(
+            (doc.workload.as_str(), doc.traced, doc.side.as_str()),
+            ("edge_hot", false, "base")
+        );
+        assert_eq!(
+            (doc.seed, doc.seconds, doc.attempted, doc.failed),
+            (7, 10.0, 400, 0)
+        );
+        assert_eq!(
+            doc.metrics[1],
+            ("p50_us".to_string(), 12.5, "us".to_string())
+        );
         assert!(doc.counted() && !run("4.base.json", "edge_hot", false, true, 1.0).counted());
         assert_eq!(run("edge_hot.json", "edge_hot", true, false, 1.0).side, "");
     }
@@ -125,14 +155,29 @@ pub(crate) mod tests {
     fn rejects_missing_and_mistyped_keys() {
         for (text, what) in [
             ("not json", "not JSON"),
-            (r#"{"bench": "demo", "results": {"elapsed": "3ms"}}"#, "\"metrics\""),
-            (r#"{"workload": "w", "seed": 1, "seconds": 1, "traced": false, "attempted": 1,
-                 "failed": 0, "disturbed": false}"#, "\"metrics\""),
-            (r#"{"metrics": {"p50_us": {"value": 1, "unit": 3}}}"#, "\"p50_us\""),
-            (r#"{"metrics": {}, "workload": "w", "traced": 0}"#, "\"traced\""),
+            (
+                r#"{"bench": "demo", "results": {"elapsed": "3ms"}}"#,
+                "\"metrics\"",
+            ),
+            (
+                r#"{"workload": "w", "seed": 1, "seconds": 1, "traced": false, "attempted": 1,
+                 "failed": 0, "disturbed": false}"#,
+                "\"metrics\"",
+            ),
+            (
+                r#"{"metrics": {"p50_us": {"value": 1, "unit": 3}}}"#,
+                "\"p50_us\"",
+            ),
+            (
+                r#"{"metrics": {}, "workload": "w", "traced": 0}"#,
+                "\"traced\"",
+            ),
         ] {
             let err = BenchDoc::parse("runs/9.change.json", text).unwrap_err();
-            assert!(err.starts_with("runs/9.change.json: ") && err.contains(what), "{err}");
+            assert!(
+                err.starts_with("runs/9.change.json: ") && err.contains(what),
+                "{err}"
+            );
         }
     }
 
@@ -145,10 +190,16 @@ pub(crate) mod tests {
             run("trace.base.json", "edge_hot", true, false, 1.0),
             run("3.base.json", "write_mix", false, false, 1.0),
         ];
-        let files: Vec<Vec<&str>> =
-            group_runs(&docs).iter().map(|g| g.iter().map(|d| d.file.as_str()).collect()).collect();
-        let expected: [&[&str]; 4] =
-            [&["1.base.json", "2.base.json"], &["1.change.json"], &["trace.base.json"], &["3.base.json"]];
+        let files: Vec<Vec<&str>> = group_runs(&docs)
+            .iter()
+            .map(|g| g.iter().map(|d| d.file.as_str()).collect())
+            .collect();
+        let expected: [&[&str]; 4] = [
+            &["1.base.json", "2.base.json"],
+            &["1.change.json"],
+            &["trace.base.json"],
+            &["3.base.json"],
+        ];
         assert_eq!(files, expected);
     }
 
@@ -160,7 +211,10 @@ pub(crate) mod tests {
             std::fs::write(dir.join(name), "x").unwrap();
         }
         let found = discover_bench_files(&dir).unwrap();
-        let names: Vec<_> = found.iter().map(|p| p.file_name().unwrap().to_str().unwrap()).collect();
+        let names: Vec<_> = found
+            .iter()
+            .map(|p| p.file_name().unwrap().to_str().unwrap())
+            .collect();
         assert_eq!(names, ["2.base.json", "2.change.json"]);
         let err = discover_bench_files(&dir.join("no-such-dir")).unwrap_err();
         assert!(err.contains("no-such-dir"), "{err}");

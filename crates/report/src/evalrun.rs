@@ -41,8 +41,10 @@ pub fn run_eval(seed: u64, test_n: usize) -> EvalSection {
         .add_records(ds.keyphrase_records())
         .build()
         .expect("tiny dataset produced zero curated keyphrases");
-    let models: Vec<Box<dyn Recommender>> =
-        vec![Box::new(GraphExRecommender::new(model)), Box::new(RulesEngine::train(&ds, 1))];
+    let models: Vec<Box<dyn Recommender>> = vec![
+        Box::new(GraphExRecommender::new(model)),
+        Box::new(RulesEngine::train(&ds, 1)),
+    ];
     let refs: Vec<&dyn Recommender> = models.iter().map(|m| m.as_ref()).collect();
     let judge = RelevanceJudge::new(&ds);
     let test_items = ds.test_items(test_n, 0xE57);

@@ -57,14 +57,20 @@ pub fn render(inputs: &ReportInputs) -> String {
         page,
         "<p class=\"meta\">generated {} &middot; live telemetry: {}</p>",
         escape(&inputs.generated),
-        escape(if inputs.source.is_empty() { "none" } else { &inputs.source }),
+        escape(if inputs.source.is_empty() {
+            "none"
+        } else {
+            &inputs.source
+        }),
     );
     history_section(&mut page, inputs.history.as_ref());
     traces_section(&mut page, inputs.traces.as_ref());
     eval_section(&mut page, inputs.eval.as_ref());
     bench_section(&mut page, &inputs.bench_dir, &inputs.benches);
-    page.push_str("<p class=\"meta\">self-contained page: inline CSS + SVG, no scripts, \
-                   no external assets.</p>\n</body></html>\n");
+    page.push_str(
+        "<p class=\"meta\">self-contained page: inline CSS + SVG, no scripts, \
+                   no external assets.</p>\n</body></html>\n",
+    );
     page
 }
 
@@ -91,7 +97,10 @@ fn history_section(page: &mut String, history: Option<&Json>) {
         return;
     };
     let samples = history.get("samples").and_then(Json::as_u64).unwrap_or(0);
-    let interval = history.get("interval_ms").and_then(Json::as_u64).unwrap_or(0);
+    let interval = history
+        .get("interval_ms")
+        .and_then(Json::as_u64)
+        .unwrap_or(0);
     let recorded = history.get("recorded").and_then(Json::as_u64).unwrap_or(0);
     let _ = writeln!(
         page,
@@ -102,9 +111,7 @@ fn history_section(page: &mut String, history: Option<&Json>) {
         page.push_str("<p class=\"meta\">history payload carries no series.</p>\n");
         return;
     };
-    page.push_str(
-        "<table><tr><th>series</th><th>trend</th><th>last</th><th>rate/s</th></tr>\n",
-    );
+    page.push_str("<table><tr><th>series</th><th>trend</th><th>last</th><th>rate/s</th></tr>\n");
     for (key, entry) in series {
         let points: Vec<Option<f64>> = entry
             .get("points")
@@ -128,7 +135,10 @@ fn history_section(page: &mut String, history: Option<&Json>) {
 /// "Trace waterfalls": the most recent flight-recorder records.
 fn traces_section(page: &mut String, traces: Option<&Json>) {
     page.push_str("<h2>Trace waterfalls</h2>\n");
-    let records = traces.and_then(|t| t.get("traces")).and_then(Json::as_arr).unwrap_or(&[]);
+    let records = traces
+        .and_then(|t| t.get("traces"))
+        .and_then(Json::as_arr)
+        .unwrap_or(&[]);
     if records.is_empty() {
         page.push_str("<p class=\"meta\">no trace records were captured.</p>\n");
         return;
@@ -183,9 +193,7 @@ fn eval_section(page: &mut String, eval: Option<&EvalSection>) {
         eval.test_items,
         escape(&eval.dataset),
     );
-    page.push_str(
-        "<table><tr><th>model</th><th>predictions</th><th>RP</th><th>HP</th></tr>\n",
-    );
+    page.push_str("<table><tr><th>model</th><th>predictions</th><th>RP</th><th>HP</th></tr>\n");
     for row in &eval.rows {
         let _ = writeln!(
             page,
@@ -244,7 +252,11 @@ fn bench_section(page: &mut String, bench_dir: &str, benches: &[BenchDoc]) {
             page,
             "<h3>{} <span class=\"meta\">({}{}{})</span></h3>",
             escape(&head.workload),
-            if head.traced { "per-layer, --trace 1" } else { "end-to-end" },
+            if head.traced {
+                "per-layer, --trace 1"
+            } else {
+                "end-to-end"
+            },
             if head.side.is_empty() { "" } else { ", " },
             escape(&head.side),
         );
@@ -260,7 +272,9 @@ fn bench_section(page: &mut String, bench_dir: &str, benches: &[BenchDoc]) {
                 doc.attempted,
             );
         }
-        let Some(first) = counted.first() else { continue };
+        let Some(first) = counted.first() else {
+            continue;
+        };
         let seeds: Vec<String> = counted.iter().map(|doc| doc.seed.to_string()).collect();
         let _ = writeln!(
             page,
@@ -335,8 +349,20 @@ mod tests {
         // Five counted pairs, one disturbed base run, one traced run.
         let mut benches = Vec::new();
         for (pair, p50) in [40.0, 10.0, 30.0, 20.0, 60.0].into_iter().enumerate() {
-            benches.push(run(&format!("{pair}.base.json"), "edge_<hot>", false, false, p50));
-            benches.push(run(&format!("{pair}.change.json"), "edge_<hot>", false, false, p50 / 4.0));
+            benches.push(run(
+                &format!("{pair}.base.json"),
+                "edge_<hot>",
+                false,
+                false,
+                p50,
+            ));
+            benches.push(run(
+                &format!("{pair}.change.json"),
+                "edge_<hot>",
+                false,
+                false,
+                p50 / 4.0,
+            ));
         }
         benches.push(run("5.base.json", "edge_<hot>", false, true, 9000.0));
         benches.push(run("trace.base.json", "edge_<hot>", true, false, 77.0));
@@ -403,16 +429,22 @@ mod tests {
         let page = render(&sample_inputs());
         // Nothing that reaches off the file: no scripts, no external
         // URLs, no asset references of any kind.
-        for forbidden in
-            ["http://", "https://", "<script", "src=", "href=", "@import", "url(", "<link", "<img"]
-        {
-            assert!(!page.contains(forbidden), "page contains forbidden {forbidden:?}");
+        for forbidden in [
+            "http://", "https://", "<script", "src=", "href=", "@import", "url(", "<link", "<img",
+        ] {
+            assert!(
+                !page.contains(forbidden),
+                "page contains forbidden {forbidden:?}"
+            );
         }
     }
 
     #[test]
     fn empty_inputs_still_render() {
-        let page = render(&ReportInputs { bench_dir: "some/dir".into(), ..Default::default() });
+        let page = render(&ReportInputs {
+            bench_dir: "some/dir".into(),
+            ..Default::default()
+        });
         assert!(page.contains("no live server was sampled"));
         assert!(page.contains("no trace records"));
         assert!(page.contains("evaluation was skipped"));
@@ -421,6 +453,9 @@ mod tests {
 
     #[test]
     fn escape_covers_html_metachars() {
-        assert_eq!(escape(r#"<a href="x">&'"#), "&lt;a href=&quot;x&quot;&gt;&amp;&#39;");
+        assert_eq!(
+            escape(r#"<a href="x">&'"#),
+            "&lt;a href=&quot;x&quot;&gt;&amp;&#39;"
+        );
     }
 }

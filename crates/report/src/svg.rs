@@ -12,7 +12,12 @@ use std::fmt::Write as _;
 /// Y is auto-scaled to the min..max of the present values; a flat or
 /// single-point series renders as a midline.
 pub fn sparkline(values: &[Option<f64>], width: u32, height: u32) -> String {
-    let present: Vec<f64> = values.iter().flatten().copied().filter(|v| v.is_finite()).collect();
+    let present: Vec<f64> = values
+        .iter()
+        .flatten()
+        .copied()
+        .filter(|v| v.is_finite())
+        .collect();
     if present.is_empty() {
         return format!(
             "<svg class=\"spark\" width=\"{width}\" height=\"{height}\" \
@@ -21,13 +26,17 @@ pub fn sparkline(values: &[Option<f64>], width: u32, height: u32) -> String {
     }
     let (min, max) = present
         .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+            (lo.min(v), hi.max(v))
+        });
     let span = (max - min).max(f64::EPSILON);
     let n = values.len().max(2) as f64;
     let pad = 2.0;
     let mut points = String::new();
     for (i, value) in values.iter().enumerate() {
-        let Some(v) = value.filter(|v| v.is_finite()) else { continue };
+        let Some(v) = value.filter(|v| v.is_finite()) else {
+            continue;
+        };
         let x = i as f64 / (n - 1.0) * (f64::from(width) - 2.0 * pad) + pad;
         let y = if max == min {
             f64::from(height) / 2.0
@@ -97,7 +106,13 @@ mod tests {
         let svg = sparkline(&[Some(1.0), None, Some(3.0), Some(2.0)], 100, 20);
         assert!(svg.contains("<polyline"), "{svg}");
         // Three present points → three coordinate pairs.
-        let pairs = svg.split("points=\"").nth(1).unwrap().split('"').next().unwrap();
+        let pairs = svg
+            .split("points=\"")
+            .nth(1)
+            .unwrap()
+            .split('"')
+            .next()
+            .unwrap();
         assert_eq!(pairs.split_whitespace().count(), 3, "{pairs}");
     }
 
@@ -105,7 +120,10 @@ mod tests {
     fn sparkline_handles_empty_and_flat() {
         assert!(!sparkline(&[], 100, 20).contains("polyline"));
         let flat = sparkline(&[Some(5.0), Some(5.0)], 100, 20);
-        assert!(flat.contains("10.0"), "flat series sits on the midline: {flat}");
+        assert!(
+            flat.contains("10.0"),
+            "flat series sits on the midline: {flat}"
+        );
     }
 
     #[test]

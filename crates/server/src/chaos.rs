@@ -98,7 +98,11 @@ impl ChaosBackend {
                 .name("graphex-chaos".into())
                 .spawn(move || accept_loop(listener, &shared))?
         };
-        Ok(Self { addr, shared, acceptor: Some(acceptor) })
+        Ok(Self {
+            addr,
+            shared,
+            acceptor: Some(acceptor),
+        })
     }
 
     /// The bound loopback address (for a shard map).
@@ -109,7 +113,11 @@ impl ChaosBackend {
     /// Switches the failure mode; takes effect for new requests (and for
     /// in-flight `Hang`s, which re-check the mode while waiting).
     pub fn set_mode(&self, mode: ChaosMode) {
-        *self.shared.mode.lock().unwrap_or_else(PoisonError::into_inner) = mode;
+        *self
+            .shared
+            .mode
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = mode;
     }
 
     /// Requests that reached a handler so far.
@@ -204,21 +212,20 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 );
             }
             ChaosMode::Garbage => {
-                let _ = write_half
-                    .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nnot json!");
+                let _ =
+                    write_half.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nnot json!");
                 let _ = write_half.flush();
             }
             ChaosMode::Truncated => {
                 // Declares 1000 body bytes, sends 4, closes.
-                let _ = write_half
-                    .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 1000\r\n\r\noops");
+                let _ =
+                    write_half.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 1000\r\n\r\noops");
                 let _ = write_half.flush();
                 return;
             }
             ChaosMode::Oversized => {
                 let _ = write_half.write_all(
-                    format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", 1u64 << 40)
-                        .as_bytes(),
+                    format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", 1u64 << 40).as_bytes(),
                 );
                 let _ = write_half.flush();
                 return;
@@ -275,7 +282,10 @@ fn healthy_response(request: &http::Request) -> (String, &'static str) {
             let parsed = std::str::from_utf8(request.body())
                 .ok()
                 .and_then(|text| crate::json::parse(text).ok());
-            let body = match parsed.as_ref().and_then(|p| p.get("requests")).and_then(Json::as_arr)
+            let body = match parsed
+                .as_ref()
+                .and_then(|p| p.get("requests"))
+                .and_then(Json::as_arr)
             {
                 Some(requests) => Json::obj(vec![
                     (
@@ -303,7 +313,10 @@ mod tests {
         let mut client = HttpClient::connect(chaos.addr()).unwrap();
         assert_eq!(client.get("/healthz").unwrap().status, 200);
         let response = client
-            .post_json("/v1/infer", r#"{"requests":[{"title":"x","leaf":1,"id":9}]}"#)
+            .post_json(
+                "/v1/infer",
+                r#"{"requests":[{"title":"x","leaf":1,"id":9}]}"#,
+            )
             .unwrap();
         assert_eq!(response.status, 200);
         let body = crate::json::parse(&response.text()).unwrap();
@@ -325,7 +338,10 @@ mod tests {
 
         chaos.set_mode(ChaosMode::Refuse);
         let mut c = HttpClient::connect(chaos.addr()).unwrap();
-        assert!(c.get("/healthz").is_err(), "refuse mode must yield no response");
+        assert!(
+            c.get("/healthz").is_err(),
+            "refuse mode must yield no response"
+        );
 
         chaos.set_mode(ChaosMode::Error500);
         let mut c = HttpClient::connect(chaos.addr()).unwrap();
@@ -338,17 +354,26 @@ mod tests {
 
         chaos.set_mode(ChaosMode::Truncated);
         let mut c = HttpClient::connect(chaos.addr()).unwrap();
-        assert!(c.get("/healthz").is_err(), "truncated body must be an IO error");
+        assert!(
+            c.get("/healthz").is_err(),
+            "truncated body must be an IO error"
+        );
 
         chaos.set_mode(ChaosMode::Oversized);
         let mut c = HttpClient::connect(chaos.addr()).unwrap();
         c.set_max_response_bytes(1 << 20);
-        assert!(c.get("/healthz").is_err(), "oversized declaration must hit the cap");
+        assert!(
+            c.get("/healthz").is_err(),
+            "oversized declaration must hit the cap"
+        );
 
         chaos.set_mode(ChaosMode::ServeThenDie);
         let mut c = HttpClient::connect(chaos.addr()).unwrap();
         assert_eq!(c.get("/healthz").unwrap().status, 200);
-        assert!(c.get("/healthz").is_err(), "second request on the connection must fail");
+        assert!(
+            c.get("/healthz").is_err(),
+            "second request on the connection must fail"
+        );
 
         chaos.set_mode(ChaosMode::Hang);
         let mut c = HttpClient::connect(chaos.addr()).unwrap();
@@ -357,7 +382,11 @@ mod tests {
 
         chaos.set_mode(ChaosMode::Healthy);
         let mut c = HttpClient::connect(chaos.addr()).unwrap();
-        assert_eq!(c.get("/healthz").unwrap().status, 200, "recovery after chaos");
+        assert_eq!(
+            c.get("/healthz").unwrap().status,
+            200,
+            "recovery after chaos"
+        );
         chaos.shutdown();
     }
 }

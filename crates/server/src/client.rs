@@ -132,7 +132,11 @@ impl HttpClient {
         headers: &[(&str, &str)],
     ) -> std::io::Result<()> {
         self.out.clear();
-        write!(self.out, "{method} {path} HTTP/1.1\r\nHost: {}\r\n", self.host)?;
+        write!(
+            self.out,
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\n",
+            self.host
+        )?;
         for (name, value) in headers {
             write!(self.out, "{name}: {value}\r\n")?;
         }
@@ -177,8 +181,10 @@ fn read_response<S: BufRead>(stream: &mut S, max_body: usize) -> std::io::Result
     if !version.starts_with("HTTP/1.") {
         return Err(bad("not an HTTP/1.x response"));
     }
-    let status: u16 =
-        parts.next().and_then(|s| s.parse().ok()).ok_or_else(|| bad("bad status code"))?;
+    let status: u16 = parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| bad("bad status code"))?;
 
     let mut headers = Vec::new();
     loop {
@@ -207,7 +213,11 @@ fn read_response<S: BufRead>(stream: &mut S, max_body: usize) -> std::io::Result
     }
     let mut body = vec![0u8; content_length];
     stream.read_exact(&mut body)?;
-    Ok(Response { status, headers, body })
+    Ok(Response {
+        status,
+        headers,
+        body,
+    })
 }
 
 #[cfg(test)]
@@ -228,7 +238,10 @@ mod tests {
         let parse = |raw: &[u8]| read_response(&mut BufReader::new(raw), 1024);
         assert!(parse(b"SPDY/9 lol\r\n\r\n").is_err());
         assert!(parse(b"").is_err());
-        assert!(parse(b"HTTP/1.1 200 OK\r\n\r\n").is_err(), "missing content-length");
+        assert!(
+            parse(b"HTTP/1.1 200 OK\r\n\r\n").is_err(),
+            "missing content-length"
+        );
     }
 
     #[test]
@@ -236,8 +249,7 @@ mod tests {
         // A hostile Content-Length must not size a buffer: usize::MAX
         // here would abort the process if the allocation were attempted.
         let raw = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", usize::MAX);
-        let err =
-            read_response(&mut BufReader::new(raw.as_bytes()), 1024).unwrap_err();
+        let err = read_response(&mut BufReader::new(raw.as_bytes()), 1024).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         // At the cap is fine, one past it is not.
         let ok = "HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nbody";

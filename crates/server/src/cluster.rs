@@ -59,7 +59,11 @@ pub enum ClusterError {
     /// A socket-level failure booting a backend or the router.
     Io(std::io::Error),
     /// A rolled backend never observed its new snapshot version.
-    SwapTimeout { shard: u32, expected: u64, observed: u64 },
+    SwapTimeout {
+        shard: u32,
+        expected: u64,
+        observed: u64,
+    },
 }
 
 impl std::fmt::Display for ClusterError {
@@ -67,7 +71,11 @@ impl std::fmt::Display for ClusterError {
         match self {
             Self::Registry(shard, e) => write!(f, "shard {shard}: {e}"),
             Self::Io(e) => write!(f, "cluster io: {e}"),
-            Self::SwapTimeout { shard, expected, observed } => write!(
+            Self::SwapTimeout {
+                shard,
+                expected,
+                observed,
+            } => write!(
                 f,
                 "shard {shard}: swap to version {expected} not observed (still {observed})"
             ),
@@ -98,7 +106,10 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         Self {
-            backend: ServerConfig { addr: "127.0.0.1:0".into(), ..Default::default() },
+            backend: ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                ..Default::default()
+            },
             router: RouterConfig::default(),
             default_k: 10,
         }
@@ -123,12 +134,16 @@ impl LocalCluster {
             let shard = shard as u32;
             backends.push(boot_backend(shard, root, config)?);
         }
-        let map = ShardMap::from_backends(
-            backends.iter().map(|b| b.addr().to_string()).collect(),
-        )
-        .map_err(|e| ClusterError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, e)))?;
+        let map = ShardMap::from_backends(backends.iter().map(|b| b.addr().to_string()).collect())
+            .map_err(|e| {
+                ClusterError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, e))
+            })?;
         let router = start_router(config.router.clone(), map.clone())?;
-        Ok(Self { backends, map, router })
+        Ok(Self {
+            backends,
+            map,
+            router,
+        })
     }
 
     /// The router's loopback address — what clients talk to.
@@ -164,7 +179,11 @@ impl LocalCluster {
     /// cluster-wide zero-5xx gate reads this before and after a roll.
     pub fn server_errors(&self) -> u64 {
         self.router.metrics().server_errors()
-            + self.backends.iter().map(|b| b.metrics().server_errors()).sum::<u64>()
+            + self
+                .backends
+                .iter()
+                .map(|b| b.metrics().server_errors())
+                .sum::<u64>()
     }
 
     /// Rolls a new model generation across the cluster **one shard at a
@@ -192,8 +211,10 @@ impl LocalCluster {
         );
         let mut published = Vec::with_capacity(snapshots.len());
         for (backend, (bytes, extras)) in self.backends.iter().zip(snapshots) {
-            let extras: Vec<(&str, &[u8])> =
-                extras.iter().map(|(name, content)| (name.as_str(), content.as_slice())).collect();
+            let extras: Vec<(&str, &[u8])> = extras
+                .iter()
+                .map(|(name, content)| (name.as_str(), content.as_slice()))
+                .collect();
             let meta = backend
                 .registry
                 .publish_with_files(bytes, note, &extras)
@@ -237,10 +258,21 @@ fn boot_backend(
 ) -> Result<LocalBackend, ClusterError> {
     let registry =
         Arc::new(ModelRegistry::open(root).map_err(|e| ClusterError::Registry(shard, e))?);
-    let watch = registry.watch().map_err(|e| ClusterError::Registry(shard, e))?;
-    let api = Arc::new(ServingApi::with_watch(watch, Arc::new(KvStore::new()), config.default_k));
+    let watch = registry
+        .watch()
+        .map_err(|e| ClusterError::Registry(shard, e))?;
+    let api = Arc::new(ServingApi::with_watch(
+        watch,
+        Arc::new(KvStore::new()),
+        config.default_k,
+    ));
     let mut server_config = config.backend.clone();
     server_config.addr = "127.0.0.1:0".into();
     let server = start(server_config, Arc::clone(&api))?;
-    Ok(LocalBackend { shard, registry, api, server })
+    Ok(LocalBackend {
+        shard,
+        registry,
+        api,
+        server,
+    })
 }

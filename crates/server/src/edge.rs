@@ -98,7 +98,12 @@ impl Route {
 }
 
 const fn shared_route(path: &'static str, endpoint: Endpoint) -> Route {
-    Route { method: "GET", path, scoped: false, endpoint }
+    Route {
+        method: "GET",
+        path,
+        scoped: false,
+        endpoint,
+    }
 }
 
 /// The routes every frontend answers itself.
@@ -122,7 +127,11 @@ pub(crate) struct Routed {
 impl Routed {
     /// The answer is what the route has written to `out`.
     pub(crate) fn new(status: u16, content_type: &'static str) -> Self {
-        Self { status, content_type, extra_headers: Vec::new() }
+        Self {
+            status,
+            content_type,
+            extra_headers: Vec::new(),
+        }
     }
 
     /// The answer is `body`, whatever `out` held.
@@ -140,7 +149,11 @@ impl Routed {
     }
 
     pub(crate) fn error(out: &mut String, status: u16, message: impl Into<String>) -> Self {
-        Self::json(out, status, &Json::obj(vec![("error", Json::str(message.into()))]))
+        Self::json(
+            out,
+            status,
+            &Json::obj(vec![("error", Json::str(message.into()))]),
+        )
     }
 
     pub(crate) fn with_header(mut self, name: &'static str, value: impl Into<String>) -> Self {
@@ -169,7 +182,9 @@ pub(crate) struct Cx {
 impl Cx {
     /// The trace id as sub-requests carry it, when tracing is on.
     pub(crate) fn forwarded_trace_id(&self) -> Option<String> {
-        self.trace.is_enabled().then(|| format!("{:016x}", self.trace_id))
+        self.trace
+            .is_enabled()
+            .then(|| format!("{:016x}", self.trace_id))
     }
 
     /// What a successful body is stamped with: the trace id and, when the
@@ -281,9 +296,14 @@ pub(crate) fn start(config: EdgeConfig, handler: Arc<dyn Handler>) -> std::io::R
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let workers = config.workers.max(1);
-    let traces = config.trace.enabled.then(|| Arc::new(TraceRecorder::new(config.trace.clone())));
-    let history =
-        config.history.enabled.then(|| Arc::new(MetricsHistory::new(config.history.clone())));
+    let traces = config
+        .trace
+        .enabled
+        .then(|| Arc::new(TraceRecorder::new(config.trace.clone())));
+    let history = config
+        .history
+        .enabled
+        .then(|| Arc::new(MetricsHistory::new(config.history.clone())));
     let shared = Arc::new(Shared {
         handler,
         metrics: HttpMetrics::default(),
@@ -300,14 +320,20 @@ pub(crate) fn start(config: EdgeConfig, handler: Arc<dyn Handler>) -> std::io::R
         accept_loop(listener, shared)
     })?);
     for i in 0..workers {
-        threads.push(spawn(&shared, format!("graphex-worker-{i}"), move |shared| {
-            worker_loop(shared, &shared.slots[i])
-        })?);
+        threads.push(spawn(
+            &shared,
+            format!("graphex-worker-{i}"),
+            move |shared| worker_loop(shared, &shared.slots[i]),
+        )?);
     }
     if shared.history.is_some() {
         threads.push(spawn(&shared, "graphex-history".into(), sampler_loop)?);
     }
-    Ok(EdgeHandle { addr, shared, threads })
+    Ok(EdgeHandle {
+        addr,
+        shared,
+        threads,
+    })
 }
 
 fn spawn(
@@ -316,7 +342,9 @@ fn spawn(
     body: impl FnOnce(&Shared) + Send + 'static,
 ) -> std::io::Result<std::thread::JoinHandle<()>> {
     let shared = Arc::clone(shared);
-    std::thread::Builder::new().name(name).spawn(move || body(&shared))
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || body(&shared))
 }
 
 impl EdgeHandle {
@@ -399,14 +427,23 @@ fn sample_history(shared: &Shared) {
     let http = &shared.metrics;
     values.push(("http/requests".into(), http.infer_latency.count() as f64));
     if http.infer_latency.count() > 0 {
-        values.push(("http/p50_us".into(), http.infer_latency.quantile(0.50) * 1e6));
-        values.push(("http/p99_us".into(), http.infer_latency.quantile(0.99) * 1e6));
+        values.push((
+            "http/p50_us".into(),
+            http.infer_latency.quantile(0.50) * 1e6,
+        ));
+        values.push((
+            "http/p99_us".into(),
+            http.infer_latency.quantile(0.99) * 1e6,
+        ));
     }
     values.push((
         "http/accepted".into(),
         http.connections_accepted.load(Ordering::Relaxed) as f64,
     ));
-    values.push(("http/shed".into(), http.connections_shed.load(Ordering::Relaxed) as f64));
+    values.push((
+        "http/shed".into(),
+        http.connections_shed.load(Ordering::Relaxed) as f64,
+    ));
     values.push(("queue/depth".into(), shared.queue.len() as f64));
     shared.handler.sample_history(&mut values);
     if let Some(recorder) = &shared.traces {
@@ -435,7 +472,10 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        while parked.front().is_some_and(|(shed_at, _)| shed_at.elapsed() >= SHED_LINGER) {
+        while parked
+            .front()
+            .is_some_and(|(shed_at, _)| shed_at.elapsed() >= SHED_LINGER)
+        {
             parked.pop_front();
         }
         let Ok((stream, _peer)) = accepted else {
@@ -444,13 +484,22 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
             // std reports here is per-connection, not per-listener.
             continue;
         };
-        shared.metrics.connections_accepted.fetch_add(1, Ordering::Relaxed);
-        let conn = Conn { stream, enqueued_at: Instant::now() };
+        shared
+            .metrics
+            .connections_accepted
+            .fetch_add(1, Ordering::Relaxed);
+        let conn = Conn {
+            stream,
+            enqueued_at: Instant::now(),
+        };
         if let Err(refused) = shared.queue.try_push(conn) {
             // Admission control: the queue is full (or shutting down) —
             // shed with 429 instead of buffering or hanging.
             shared.handler.note_shed();
-            shared.metrics.connections_shed.fetch_add(1, Ordering::Relaxed);
+            shared
+                .metrics
+                .connections_shed
+                .fetch_add(1, Ordering::Relaxed);
             let mut stream = refused.stream;
             // The refusal is ~200 bytes into a fresh connection's empty
             // send buffer, so this write practically never blocks; the
@@ -510,8 +559,15 @@ fn worker_loop(shared: &Shared, slot: &Slot) {
 }
 
 fn handle_connection(conn: Conn, shared: &Shared, slot: &Slot, buffers: &mut Buffers) {
-    let Conn { stream, enqueued_at } = conn;
-    let Buffers { request, body, wire } = buffers;
+    let Conn {
+        stream,
+        enqueued_at,
+    } = conn;
+    let Buffers {
+        request,
+        body,
+        wire,
+    } = buffers;
     // Server-induced delay so far: time spent waiting in the accept
     // queue. The first request's deadline budget is charged this wait
     // (plus its own processing) but NOT the peer's think-time between
@@ -544,12 +600,14 @@ fn handle_connection(conn: Conn, shared: &Shared, slot: &Slot, buffers: &mut Buf
                 // a desynced byte stream cannot be trusted for reuse.
                 let (status, message) = match &error {
                     ReadError::Bad(what) => (400, format!("bad request: {what}\n")),
-                    ReadError::BodyTooLarge { declared, max } => {
-                        (413, format!("body of {declared} bytes exceeds cap of {max}\n"))
-                    }
-                    ReadError::UnsupportedTransferEncoding => {
-                        (501, "transfer-encoding not supported; send content-length\n".into())
-                    }
+                    ReadError::BodyTooLarge { declared, max } => (
+                        413,
+                        format!("body of {declared} bytes exceeds cap of {max}\n"),
+                    ),
+                    ReadError::UnsupportedTransferEncoding => (
+                        501,
+                        "transfer-encoding not supported; send content-length\n".into(),
+                    ),
                     ReadError::Closed | ReadError::Io(_) => unreachable!("handled above"),
                 };
                 shared.metrics.record_response(Endpoint::Other, status);
@@ -562,7 +620,11 @@ fn handle_connection(conn: Conn, shared: &Shared, slot: &Slot, buffers: &mut Buf
         // Deadline basis: read completion, back-dated by the accept-queue
         // wait for the connection's first request — so queue pressure
         // counts against the budget but client think-time never does.
-        let charged_wait = if requests_served == 0 { queue_wait } else { Duration::ZERO };
+        let charged_wait = if requests_served == 0 {
+            queue_wait
+        } else {
+            Duration::ZERO
+        };
         let now = Instant::now();
         let started = now.checked_sub(charged_wait).unwrap_or(now);
         requests_served += 1;
@@ -673,7 +735,10 @@ fn handle_traced(
         entries: 0,
         backends: Vec::new(),
     };
-    let recorder = shared.traces.as_ref().filter(|_| route.endpoint == Endpoint::Infer);
+    let recorder = shared
+        .traces
+        .as_ref()
+        .filter(|_| route.endpoint == Endpoint::Infer);
     let Some(recorder) = recorder else {
         return shared.handler.handle(route, scope, request, &mut cx, out);
     };
@@ -681,7 +746,8 @@ fn handle_traced(
     (cx.trace, cx.trace_id) = recorder.begin(started, header_id);
     cx.embed = header_id.is_some();
     if !queue_wait.is_zero() {
-        cx.trace.record_span(Stage::QueueWait, started, queue_wait, 0);
+        cx.trace
+            .record_span(Stage::QueueWait, started, queue_wait, 0);
     }
     let routed = shared.handler.handle(route, scope, request, &mut cx, out);
     recorder.finish(
@@ -709,8 +775,20 @@ fn statusz(shared: &Shared) -> Json {
     let mut members = shared.handler.statusz();
     members.extend([
         ("latency", latency),
-        ("trace", shared.traces.as_ref().map_or(Json::Null, |r| r.statusz_json())),
-        ("history", shared.history.as_ref().map_or(Json::Null, |h| h.statusz_json())),
+        (
+            "trace",
+            shared
+                .traces
+                .as_ref()
+                .map_or(Json::Null, |r| r.statusz_json()),
+        ),
+        (
+            "history",
+            shared
+                .history
+                .as_ref()
+                .map_or(Json::Null, |h| h.statusz_json()),
+        ),
         ("queue_depth", Json::uint(shared.queue.len() as u64)),
     ]);
     Json::obj(members)
@@ -742,9 +820,24 @@ mod tests {
     }
 
     static TOY_ROUTES: [Route; 3] = [
-        Route { method: "POST", path: "/v1/echo", scoped: true, endpoint: Endpoint::Infer },
-        Route { method: "POST", path: "/v1/panic", scoped: false, endpoint: Endpoint::Upsert },
-        Route { method: "POST", path: "/v1/gate", scoped: false, endpoint: Endpoint::Upsert },
+        Route {
+            method: "POST",
+            path: "/v1/echo",
+            scoped: true,
+            endpoint: Endpoint::Infer,
+        },
+        Route {
+            method: "POST",
+            path: "/v1/panic",
+            scoped: false,
+            endpoint: Endpoint::Upsert,
+        },
+        Route {
+            method: "POST",
+            path: "/v1/gate",
+            scoped: false,
+            endpoint: Endpoint::Upsert,
+        },
     ];
 
     impl Handler for Toy {
@@ -827,7 +920,12 @@ mod tests {
             history: HistoryConfig::default(),
         };
         let edge = start(config, Arc::clone(&toy) as Arc<dyn Handler>).unwrap();
-        Fixture { edge, toy, entered, release }
+        Fixture {
+            edge,
+            toy,
+            entered,
+            release,
+        }
     }
 
     /// Polls the queue gauge rather than sleeping a fixed time: the
@@ -859,7 +957,10 @@ mod tests {
 
         let echoed = client.post_json("/v1/echo", "hi").unwrap();
         assert_eq!((echoed.status, echoed.text().as_str()), (200, "-:hi"));
-        assert!(echoed.header(TRACE_HEADER).is_some(), "infer routes are traced");
+        assert!(
+            echoed.header(TRACE_HEADER).is_some(),
+            "infer routes are traced"
+        );
         let scoped = client.post_json("/v1/t/acme/echo", "hi").unwrap();
         assert_eq!((scoped.status, scoped.text().as_str()), (200, "acme:hi"));
         // Unscoped rows do not answer under a scope; nor do nested scopes.
@@ -869,18 +970,40 @@ mod tests {
 
         for (path, allow) in [("/v1/echo", "POST"), ("/v1/t/acme/echo", "POST")] {
             let refused = client.get(path).unwrap();
-            assert_eq!((refused.status, refused.header("allow")), (405, Some(allow)), "{path}");
+            assert_eq!(
+                (refused.status, refused.header("allow")),
+                (405, Some(allow)),
+                "{path}"
+            );
         }
-        for path in ["/healthz", "/statusz", "/metrics", "/debug/traces", "/debug/history"] {
+        for path in [
+            "/healthz",
+            "/statusz",
+            "/metrics",
+            "/debug/traces",
+            "/debug/history",
+        ] {
             let refused = client.post_json(path, "{}").unwrap();
-            assert_eq!((refused.status, refused.header("allow")), (405, Some("GET")), "{path}");
+            assert_eq!(
+                (refused.status, refused.header("allow")),
+                (405, Some("GET")),
+                "{path}"
+            );
             assert_eq!(client.get(path).unwrap().status, 200, "{path}");
         }
 
         // The handler's contributions land inside the edge's envelopes.
         let status = crate::json::parse(&client.get("/statusz").unwrap().text()).unwrap();
         assert_eq!(status.get("role").unwrap().as_str(), Some("toy"));
-        assert_eq!(status.get("latency").unwrap().get("count").unwrap().as_u64(), Some(2));
+        assert_eq!(
+            status
+                .get("latency")
+                .unwrap()
+                .get("count")
+                .unwrap()
+                .as_u64(),
+            Some(2)
+        );
         assert!(status.get("queue_depth").is_some());
         let metrics = client.get("/metrics").unwrap().text();
         assert!(metrics.contains("toy_family 1"), "{metrics}");
@@ -901,10 +1024,16 @@ mod tests {
         let addr = f.edge.addr();
         // Each case desyncs the stream, so the server closes after the
         // error and `raw_exchange` reads to EOF.
-        let oversized = format!("POST /v1/echo HTTP/1.1\r\nContent-Length: 5000\r\n\r\n{}", "x".repeat(5000));
+        let oversized = format!(
+            "POST /v1/echo HTTP/1.1\r\nContent-Length: 5000\r\n\r\n{}",
+            "x".repeat(5000)
+        );
         for (expected, bytes) in [
             ("HTTP/1.1 400", b"NONSENSE\r\n\r\n".as_slice()),
-            ("HTTP/1.1 400", b"GET /healthz HTTP/1.1\r\nno-colon-here\r\n\r\n".as_slice()),
+            (
+                "HTTP/1.1 400",
+                b"GET /healthz HTTP/1.1\r\nno-colon-here\r\n\r\n".as_slice(),
+            ),
             ("HTTP/1.1 413", oversized.as_bytes()),
             (
                 "HTTP/1.1 501",
@@ -912,7 +1041,10 @@ mod tests {
             ),
         ] {
             let reply = raw_exchange(addr, bytes);
-            assert!(reply.starts_with(expected), "wanted {expected}, got {reply}");
+            assert!(
+                reply.starts_with(expected),
+                "wanted {expected}, got {reply}"
+            );
             assert!(reply.contains("Connection: close"), "{reply}");
         }
         // The server still serves normal traffic afterwards.
@@ -965,7 +1097,10 @@ mod tests {
         for i in 0..3 * SHED_PARKED_MAX {
             let reply = raw_exchange(addr, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
             assert!(reply.starts_with("HTTP/1.1 429 "), "shed {i}: {reply:?}");
-            assert!(reply.ends_with("shed: accept queue full\n"), "shed {i}: {reply:?}");
+            assert!(
+                reply.ends_with("shed: accept queue full\n"),
+                "shed {i}: {reply:?}"
+            );
         }
         drop((held, queued));
         f.edge.shutdown();
@@ -981,12 +1116,23 @@ mod tests {
         for i in 1..MAX_KEEPALIVE_REQUESTS {
             let response = client.get("/healthz").unwrap();
             assert_eq!(response.status, 200);
-            assert_ne!(response.header("connection"), Some("close"), "closed early at {i}");
+            assert_ne!(
+                response.header("connection"),
+                Some("close"),
+                "closed early at {i}"
+            );
         }
         let last = client.get("/healthz").unwrap();
         assert_eq!(last.status, 200);
-        assert_eq!(last.header("connection"), Some("close"), "cap must close the connection");
-        assert!(client.get("/healthz").is_err(), "server hung up after the cap");
+        assert_eq!(
+            last.header("connection"),
+            Some("close"),
+            "cap must close the connection"
+        );
+        assert!(
+            client.get("/healthz").is_err(),
+            "server hung up after the cap"
+        );
         // A reconnect is admitted immediately.
         let mut fresh = HttpClient::connect(f.edge.addr()).unwrap();
         assert_eq!(fresh.get("/healthz").unwrap().status, 200);
@@ -999,12 +1145,20 @@ mod tests {
     /// afterwards the port no longer accepts.
     #[test]
     fn graceful_shutdown_drains_queued_connections() {
-        let Fixture { edge, entered, release, .. } = boot(1, 8);
+        let Fixture {
+            edge,
+            entered,
+            release,
+            ..
+        } = boot(1, 8);
         let addr = edge.addr();
         let shared = Arc::clone(&edge.shared);
         // Hold the only worker inside the handler...
         let gated = std::thread::spawn(move || {
-            HttpClient::connect(addr).unwrap().post_json("/v1/gate", "").unwrap()
+            HttpClient::connect(addr)
+                .unwrap()
+                .post_json("/v1/gate", "")
+                .unwrap()
         });
         entered.recv().unwrap();
         // ...so this connection, request already sent, waits in the queue.
@@ -1022,11 +1176,16 @@ mod tests {
         assert_eq!(gated.join().unwrap().text(), "released\n");
         let reply = queued.join().unwrap();
         assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
-        assert!(reply.contains("Connection: close") && reply.ends_with("ok\n"), "{reply}");
+        assert!(
+            reply.contains("Connection: close") && reply.ends_with("ok\n"),
+            "{reply}"
+        );
         stopper.join().unwrap();
         // A TIME_WAIT race can let connect succeed; the exchange must
         // then fail.
-        assert!(HttpClient::connect(addr).and_then(|mut c| c.get("/healthz")).is_err());
+        assert!(HttpClient::connect(addr)
+            .and_then(|mut c| c.get("/healthz"))
+            .is_err());
     }
 
     #[test]
@@ -1034,7 +1193,10 @@ mod tests {
         let f = boot(1, 8);
         let addr = f.edge.addr();
         let mut doomed = HttpClient::connect(addr).unwrap();
-        assert!(doomed.post_json("/v1/panic", "").is_err(), "the connection is dropped");
+        assert!(
+            doomed.post_json("/v1/panic", "").is_err(),
+            "the connection is dropped"
+        );
         // The only worker survived and keeps serving.
         let mut client = HttpClient::connect(addr).unwrap();
         assert_eq!(client.get("/healthz").unwrap().status, 200);
@@ -1049,13 +1211,22 @@ mod tests {
     /// shutdown begins still gets its whole response.
     #[test]
     fn shutdown_wakes_idle_peers_and_finishes_in_flight_requests() {
-        let Fixture { edge, entered, release, .. } = boot(6, 16);
+        let Fixture {
+            edge,
+            entered,
+            release,
+            ..
+        } = boot(6, 16);
         let addr = edge.addr();
         let mut idle: Vec<TcpStream> = (0..4)
             .map(|_| {
                 let mut stream = TcpStream::connect(addr).unwrap();
-                stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-                stream.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(5)))
+                    .unwrap();
+                stream
+                    .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                    .unwrap();
                 // One whole keep-alive response, however it is segmented.
                 let mut reply = Vec::new();
                 while !reply.ends_with(b"ok\n") {
@@ -1068,7 +1239,10 @@ mod tests {
             })
             .collect();
         let in_flight = std::thread::spawn(move || {
-            HttpClient::connect(addr).unwrap().post_json("/v1/gate", "").unwrap()
+            HttpClient::connect(addr)
+                .unwrap()
+                .post_json("/v1/gate", "")
+                .unwrap()
         });
         entered.recv().unwrap();
 
@@ -1077,14 +1251,25 @@ mod tests {
         // Every idle peer sees the server hang up while the gated request
         // is still in the handler...
         for stream in &mut idle {
-            assert_eq!(stream.read(&mut [0u8; 16]).unwrap(), 0, "idle peer woken with EOF");
+            assert_eq!(
+                stream.read(&mut [0u8; 16]).unwrap(),
+                0,
+                "idle peer woken with EOF"
+            );
         }
         // ...and only then is that request allowed to finish.
         release.send(()).unwrap();
         let response = in_flight.join().unwrap();
-        assert_eq!((response.status, response.text().as_str()), (200, "released\n"));
+        assert_eq!(
+            (response.status, response.text().as_str()),
+            (200, "released\n")
+        );
         assert_eq!(response.header("connection"), Some("close"));
         stopper.join().unwrap();
-        assert!(began.elapsed() < Duration::from_millis(250), "took {:?}", began.elapsed());
+        assert!(
+            began.elapsed() < Duration::from_millis(250),
+            "took {:?}",
+            began.elapsed()
+        );
     }
 }

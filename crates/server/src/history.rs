@@ -46,7 +46,11 @@ pub struct HistoryConfig {
 
 impl Default for HistoryConfig {
     fn default() -> Self {
-        Self { enabled: true, interval: Duration::from_secs(1), ring: 512 }
+        Self {
+            enabled: true,
+            interval: Duration::from_secs(1),
+            ring: 512,
+        }
     }
 }
 
@@ -143,7 +147,10 @@ impl MetricsHistory {
     /// One series' values over the last `window` samples (samples where
     /// the series is absent are skipped).
     pub fn series(&self, key: &str, window: usize) -> Vec<f64> {
-        self.samples(window).iter().filter_map(|s| s.value(key)).collect()
+        self.samples(window)
+            .iter()
+            .filter_map(|s| s.value(key))
+            .collect()
     }
 
     /// The `GET /debug/history` body. Query grammar: `window=N` keeps
@@ -182,8 +189,7 @@ impl MetricsHistory {
                     .iter()
                     .map(|s| s.value(key).map_or(Json::Null, Json::num))
                     .collect();
-                let present: Vec<f64> =
-                    samples.iter().filter_map(|s| s.value(key)).collect();
+                let present: Vec<f64> = samples.iter().filter_map(|s| s.value(key)).collect();
                 let mut fields = vec![("points", Json::Arr(points))];
                 if let (Some(&first), Some(&last)) = (present.first(), present.last()) {
                     fields.push(("last", Json::num(last)));
@@ -198,13 +204,22 @@ impl MetricsHistory {
             })
             .collect();
         Json::obj(vec![
-            ("interval_ms", Json::num(self.config.interval.as_millis() as f64)),
+            (
+                "interval_ms",
+                Json::num(self.config.interval.as_millis() as f64),
+            ),
             ("ring", Json::uint(self.config.ring as u64)),
             ("recorded", Json::uint(self.recorded())),
             ("samples", Json::uint(samples.len() as u64)),
             ("span_ms", Json::uint(span_ms)),
-            ("ticks", Json::Arr(samples.iter().map(|s| Json::uint(s.tick)).collect())),
-            ("at_ms", Json::Arr(samples.iter().map(|s| Json::uint(s.at_ms)).collect())),
+            (
+                "ticks",
+                Json::Arr(samples.iter().map(|s| Json::uint(s.tick)).collect()),
+            ),
+            (
+                "at_ms",
+                Json::Arr(samples.iter().map(|s| Json::uint(s.at_ms)).collect()),
+            ),
             ("series", Json::obj(series)),
         ])
         .render()
@@ -225,14 +240,16 @@ impl MetricsHistory {
             .keys()
             .take(STATUSZ_SPARKLINES)
             .map(|&key| {
-                let points: Vec<f64> =
-                    samples.iter().filter_map(|s| s.value(key)).collect();
+                let points: Vec<f64> = samples.iter().filter_map(|s| s.value(key)).collect();
                 (key, Json::str(sparkline(&points)))
             })
             .collect();
         Json::obj(vec![
             ("enabled", Json::Bool(self.config.enabled)),
-            ("interval_ms", Json::num(self.config.interval.as_millis() as f64)),
+            (
+                "interval_ms",
+                Json::num(self.config.interval.as_millis() as f64),
+            ),
             ("recorded", Json::uint(self.recorded())),
             ("samples", Json::uint(self.len() as u64)),
             ("sparklines", Json::obj(sparklines)),
@@ -321,13 +338,21 @@ mod tests {
         let points = series.get("serve/requests").unwrap().get("points").unwrap();
         assert_eq!(points.as_arr().unwrap().len(), 2);
         assert_eq!(
-            series.get("serve/requests").unwrap().get("last").unwrap().as_f64(),
+            series
+                .get("serve/requests")
+                .unwrap()
+                .get("last")
+                .unwrap()
+                .as_f64(),
             Some(30.0)
         );
 
         let filtered = h.render_debug(Some("series=serve"));
         let parsed = crate::json::parse(&filtered).unwrap();
-        assert!(parsed.get("series").unwrap().get("queue/depth").is_none(), "{filtered}");
+        assert!(
+            parsed.get("series").unwrap().get("queue/depth").is_none(),
+            "{filtered}"
+        );
 
         let windowed = h.render_debug(Some("window=1"));
         let parsed = crate::json::parse(&windowed).unwrap();
@@ -340,7 +365,11 @@ mod tests {
         h.record(kv(&[("a", 1.0)]));
         h.record(kv(&[("a", 2.0), ("tenant/late/requests", 5.0)]));
         let parsed = crate::json::parse(&h.render_debug(None)).unwrap();
-        let late = parsed.get("series").unwrap().get("tenant/late/requests").unwrap();
+        let late = parsed
+            .get("series")
+            .unwrap()
+            .get("tenant/late/requests")
+            .unwrap();
         let points = late.get("points").unwrap().as_arr().unwrap();
         assert_eq!(points.len(), 2);
         assert!(matches!(points[0], Json::Null));

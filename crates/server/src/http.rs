@@ -55,7 +55,9 @@ impl Request {
 
     /// Case-insensitive header lookup (first match).
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v)
+        self.headers()
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v)
     }
 
     pub fn body(&self) -> &[u8] {
@@ -81,7 +83,9 @@ impl Request {
         }
         let mut parts = line.split(' ');
         let method = parts.next().unwrap_or("");
-        let target = parts.next().ok_or(ReadError::Bad("missing request target"))?;
+        let target = parts
+            .next()
+            .ok_or(ReadError::Bad("missing request target"))?;
         let version = parts.next().ok_or(ReadError::Bad("missing HTTP version"))?;
         if parts.next().is_some() || !version.starts_with("HTTP/1.") {
             return Err(ReadError::Bad("malformed request line"));
@@ -106,7 +110,9 @@ impl Request {
         if self.headers.len() >= MAX_HEADERS {
             return Err(ReadError::Bad("too many headers"));
         }
-        let (name, value) = line.split_once(':').ok_or(ReadError::Bad("header without ':'"))?;
+        let (name, value) = line
+            .split_once(':')
+            .ok_or(ReadError::Bad("header without ':'"))?;
         if name.is_empty() || name.contains(' ') {
             return Err(ReadError::Bad("malformed header name"));
         }
@@ -121,12 +127,16 @@ impl Request {
     /// differently is refused, not guessed at.
     fn declared_length(&self) -> Result<usize, ReadError> {
         let mut declared = None;
-        for (_, value) in self.headers().filter(|(k, _)| k.eq_ignore_ascii_case("content-length")) {
+        for (_, value) in self
+            .headers()
+            .filter(|(k, _)| k.eq_ignore_ascii_case("content-length"))
+        {
             if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
                 return Err(ReadError::Bad("bad content-length"));
             }
-            let length =
-                value.parse::<usize>().map_err(|_| ReadError::Bad("bad content-length"))?;
+            let length = value
+                .parse::<usize>()
+                .map_err(|_| ReadError::Bad("bad content-length"))?;
             if declared.is_some_and(|first| first != length) {
                 return Err(ReadError::Bad("conflicting content-length headers"));
             }
@@ -256,7 +266,10 @@ pub(crate) fn read_request_into<S: BufRead>(
     }
     let content_length = request.declared_length()?;
     if content_length > max_body {
-        return Err(ReadError::BodyTooLarge { declared: content_length, max: max_body });
+        return Err(ReadError::BodyTooLarge {
+            declared: content_length,
+            max: max_body,
+        });
     }
     request.body.resize(content_length, 0);
     stream.read_exact(&mut request.body).map_err(ReadError::Io)
@@ -293,7 +306,15 @@ pub fn write_response<W: Write>(
     extra_headers: &[(&str, &str)],
 ) -> std::io::Result<()> {
     let wire = &mut Vec::new();
-    write_response_via(wire, stream, status, content_type, body, keep_alive, extra_headers)
+    write_response_via(
+        wire,
+        stream,
+        status,
+        content_type,
+        body,
+        keep_alive,
+        extra_headers,
+    )
 }
 
 /// [`write_response`], assembled in `wire`: a buffer the caller keeps
@@ -342,7 +363,10 @@ mod tests {
     #[test]
     fn parses_get_and_post() {
         let get = parse("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        assert_eq!((get.method(), get.path(), get.query()), ("GET", "/healthz", None));
+        assert_eq!(
+            (get.method(), get.path(), get.query()),
+            ("GET", "/healthz", None)
+        );
         assert!(get.body().is_empty());
         assert!(get.keep_alive());
 
@@ -371,10 +395,19 @@ mod tests {
             (request.method(), request.path(), request.query()),
             ("POST", "/a", Some("q=1"))
         );
-        assert_eq!((request.header("x-one"), request.body()), (Some("1"), b"hi".as_slice()));
+        assert_eq!(
+            (request.header("x-one"), request.body()),
+            (Some("1"), b"hi".as_slice())
+        );
         read_request_into(&mut stream, 1024, &mut request).unwrap();
-        assert_eq!((request.method(), request.path(), request.query()), ("GET", "/b", None));
-        assert_eq!((request.headers().count(), request.body()), (0, b"".as_slice()));
+        assert_eq!(
+            (request.method(), request.path(), request.query()),
+            ("GET", "/b", None)
+        );
+        assert_eq!(
+            (request.headers().count(), request.body()),
+            (0, b"".as_slice())
+        );
         assert!(matches!(
             read_request_into(&mut stream, 1024, &mut request),
             Err(ReadError::Closed)
@@ -385,17 +418,37 @@ mod tests {
     fn malformed_requests_are_typed_errors() {
         assert!(matches!(parse(""), Err(ReadError::Closed)));
         assert!(matches!(parse("GARBAGE\r\n\r\n"), Err(ReadError::Bad(_))));
-        assert!(matches!(parse("GET noslash HTTP/1.1\r\n\r\n"), Err(ReadError::Bad(_))));
-        assert!(matches!(parse("GET / SPDY/3\r\n\r\n"), Err(ReadError::Bad(_))));
-        assert!(matches!(parse("GET / HTTP/1.1\r\nbad header\r\n\r\n"), Err(ReadError::Bad(_))));
+        assert!(matches!(
+            parse("GET noslash HTTP/1.1\r\n\r\n"),
+            Err(ReadError::Bad(_))
+        ));
+        assert!(matches!(
+            parse("GET / SPDY/3\r\n\r\n"),
+            Err(ReadError::Bad(_))
+        ));
+        assert!(matches!(
+            parse("GET / HTTP/1.1\r\nbad header\r\n\r\n"),
+            Err(ReadError::Bad(_))
+        ));
         assert!(matches!(
             parse("POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"),
             Err(ReadError::Bad(_))
         ));
         // Digits only, and every Content-Length agreeing.
-        for bad in ["+5", "-0", "5 5", "0x5", "", "5,5", "99999999999999999999999"] {
+        for bad in [
+            "+5",
+            "-0",
+            "5 5",
+            "0x5",
+            "",
+            "5,5",
+            "99999999999999999999999",
+        ] {
             let raw = format!("POST / HTTP/1.1\r\nContent-Length: {bad}\r\n\r\nhello");
-            assert!(matches!(parse(&raw), Err(ReadError::Bad(_))), "accepted {bad:?}");
+            assert!(
+                matches!(parse(&raw), Err(ReadError::Bad(_))),
+                "accepted {bad:?}"
+            );
         }
         assert!(matches!(
             parse("POST / HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 4\r\n\r\nhello"),
@@ -406,7 +459,10 @@ mod tests {
         assert_eq!(agreeing.unwrap().body(), b"hello");
         assert!(matches!(
             parse("POST / HTTP/1.1\r\nContent-Length: 9999\r\n\r\n"),
-            Err(ReadError::BodyTooLarge { declared: 9999, max: 1024 })
+            Err(ReadError::BodyTooLarge {
+                declared: 9999,
+                max: 1024
+            })
         ));
         assert!(matches!(
             parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
@@ -423,15 +479,25 @@ mod tests {
         many.push_str("\r\n");
         assert!(matches!(parse(&many), Err(ReadError::Bad(_))));
 
-        let huge = format!("GET / HTTP/1.1\r\nX-Big: {}\r\n\r\n", "a".repeat(MAX_HEADER_BYTES));
+        let huge = format!(
+            "GET / HTTP/1.1\r\nX-Big: {}\r\n\r\n",
+            "a".repeat(MAX_HEADER_BYTES)
+        );
         assert!(matches!(parse(&huge), Err(ReadError::Bad(_))));
     }
 
     #[test]
     fn response_wire_format() {
         let mut out = Vec::new();
-        write_response(&mut out, 429, "text/plain", b"shed", false, &[("Retry-After", "1")])
-            .unwrap();
+        write_response(
+            &mut out,
+            429,
+            "text/plain",
+            b"shed",
+            false,
+            &[("Retry-After", "1")],
+        )
+        .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Content-Length: 4\r\n"));
@@ -455,7 +521,11 @@ mod tests {
         let big = vec![b'x'; 4 * RETAINED_BUFFER_BYTES];
         write_response_via(&mut wire, &mut out, 200, "text/plain", &big, true, none).unwrap();
         assert!(out.ends_with(&big));
-        assert!(wire.capacity() <= RETAINED_BUFFER_BYTES, "kept {}", wire.capacity());
+        assert!(
+            wire.capacity() <= RETAINED_BUFFER_BYTES,
+            "kept {}",
+            wire.capacity()
+        );
         out.clear();
         write_response_via(&mut wire, &mut out, 200, "text/plain", b"ok", true, none).unwrap();
         assert!(out.ends_with(b"\r\n\r\nok"));

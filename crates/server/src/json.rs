@@ -55,9 +55,7 @@ impl Json {
     /// Non-negative integral number, if exactly representable.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
             _ => None,
         }
     }
@@ -86,7 +84,12 @@ impl Json {
 
     /// Convenience constructor for object literals.
     pub fn obj(members: Vec<(&str, Json)>) -> Json {
-        Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 
     pub fn str(s: impl Into<String>) -> Json {
@@ -186,12 +189,23 @@ pub(crate) fn write_escaped(s: &str, out: &mut String) {
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    Parser { text: input, pos: 0, spans: None }.document().map(|(value, _)| value)
+    Parser {
+        text: input,
+        pos: 0,
+        spans: None,
+    }
+    .document()
+    .map(|(value, _)| value)
 }
 
 /// The scanner's run: the root's kind (as an empty shell) and its children.
 fn scan(input: &str) -> Result<(Json, Vec<Member<'_>>), ParseError> {
-    Parser { text: input, pos: 0, spans: Some(Vec::new()) }.document()
+    Parser {
+        text: input,
+        pos: 0,
+        spans: Some(Vec::new()),
+    }
+    .document()
 }
 
 /// One top-level member as the scanner reports it: the decoded key —
@@ -224,7 +238,10 @@ pub fn elements(input: &str) -> Result<Option<Vec<Range<usize>>>, ParseError> {
 /// when `span` is anything but one string.
 pub fn unquote(span: &str) -> Option<Cow<'_, str>> {
     let inner = span.strip_prefix('"')?.strip_suffix('"')?;
-    if !inner.bytes().any(|b| matches!(b, b'\\' | b'"' | 0x00..=0x1f)) {
+    if !inner
+        .bytes()
+        .any(|b| matches!(b, b'\\' | b'"' | 0x00..=0x1f))
+    {
         return Some(Cow::Borrowed(inner));
     }
     match parse(span) {
@@ -506,8 +523,9 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let n: f64 =
-            self.text[start..self.pos].parse().map_err(|_| self.err("invalid number"))?;
+        let n: f64 = self.text[start..self.pos]
+            .parse()
+            .map_err(|_| self.err("invalid number"))?;
         if !n.is_finite() {
             return Err(self.err("number out of range"));
         }
@@ -523,18 +541,27 @@ mod tests {
     fn roundtrip_envelope() {
         let text = r#"{"title":"audeze maxwell \"pro\"","leaf":3001,"k":10,"flags":[true,false,null],"nested":{"x":-1.5e2}}"#;
         let v = parse(text).unwrap();
-        assert_eq!(v.get("title").unwrap().as_str(), Some("audeze maxwell \"pro\""));
+        assert_eq!(
+            v.get("title").unwrap().as_str(),
+            Some("audeze maxwell \"pro\"")
+        );
         assert_eq!(v.get("leaf").unwrap().as_u64(), Some(3001));
         assert_eq!(v.get("k").unwrap().as_u64(), Some(10));
         assert_eq!(v.get("flags").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("nested").unwrap().get("x").unwrap().as_f64(), Some(-150.0));
+        assert_eq!(
+            v.get("nested").unwrap().get("x").unwrap().as_f64(),
+            Some(-150.0)
+        );
         // Render → parse is identity.
         assert_eq!(parse(&v.render()).unwrap(), v);
     }
 
     #[test]
     fn escapes_roundtrip() {
-        let original = Json::obj(vec![("s", Json::str("line\nbreak\ttab \"quote\" \\ \u{1}"))]);
+        let original = Json::obj(vec![(
+            "s",
+            Json::str("line\nbreak\ttab \"quote\" \\ \u{1}"),
+        )]);
         let parsed = parse(&original.render()).unwrap();
         assert_eq!(parsed, original);
         // Unicode escapes, including a surrogate pair.
@@ -545,9 +572,24 @@ mod tests {
     #[test]
     fn malformed_inputs_error_not_panic() {
         for bad in [
-            "", "{", "}", "[1,", "{\"a\":}", "{\"a\" 1}", "tru", "nul", "01x", "\"unterminated",
-            "{\"a\":1}trailing", "\"\\q\"", "\"\\u12\"", "\"\\ud800\"", "\"\\udc00 alone\"",
-            "1e999", "{1:2}", "[,]",
+            "",
+            "{",
+            "}",
+            "[1,",
+            "{\"a\":}",
+            "{\"a\" 1}",
+            "tru",
+            "nul",
+            "01x",
+            "\"unterminated",
+            "{\"a\":1}trailing",
+            "\"\\q\"",
+            "\"\\u12\"",
+            "\"\\ud800\"",
+            "\"\\udc00 alone\"",
+            "1e999",
+            "{1:2}",
+            "[,]",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
             assert!(members(bad).is_err(), "members accepted {bad:?}");
@@ -581,10 +623,24 @@ mod tests {
 
     #[test]
     fn unquote_borrows_until_an_escape() {
-        assert!(matches!(unquote(r#""plain é text""#), Some(Cow::Borrowed("plain é text"))));
+        assert!(matches!(
+            unquote(r#""plain é text""#),
+            Some(Cow::Borrowed("plain é text"))
+        ));
         assert!(matches!(unquote(r#""""#), Some(Cow::Borrowed(""))));
-        assert_eq!(unquote(r#""a\"b\u00e9""#), Some(Cow::Owned("a\"bé".to_string())));
-        for not_one_string in ["7", "\"", "\"a\"b\"", "\"a\" ", "[\"a\"]", "\"\\q\"", "\"\u{1}\""] {
+        assert_eq!(
+            unquote(r#""a\"b\u00e9""#),
+            Some(Cow::Owned("a\"bé".to_string()))
+        );
+        for not_one_string in [
+            "7",
+            "\"",
+            "\"a\"b\"",
+            "\"a\" ",
+            "[\"a\"]",
+            "\"\\q\"",
+            "\"\u{1}\"",
+        ] {
             assert_eq!(unquote(not_one_string), None, "{not_one_string:?}");
         }
     }
@@ -594,7 +650,10 @@ mod tests {
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
-        assert_eq!(Json::uint(u64::from(u32::MAX)).as_u64(), Some(u64::from(u32::MAX)));
+        assert_eq!(
+            Json::uint(u64::from(u32::MAX)).as_u64(),
+            Some(u64::from(u32::MAX))
+        );
     }
 
     #[test]

@@ -16,8 +16,9 @@ use std::time::Duration;
 
 /// Histogram bucket upper bounds, in seconds (Prometheus `le` labels).
 /// Spans 100 µs (a warm store hit) to 1 s (pathological queueing).
-pub const BUCKET_BOUNDS: [f64; 11] =
-    [0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 1.0];
+pub const BUCKET_BOUNDS: [f64; 11] = [
+    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 1.0,
+];
 
 /// Cumulative-style latency histogram (buckets are recorded sparse and
 /// accumulated at render time, like Prometheus expects).
@@ -31,9 +32,13 @@ pub struct LatencyHistogram {
 impl LatencyHistogram {
     pub fn record(&self, elapsed: Duration) {
         let secs = elapsed.as_secs_f64();
-        let idx = BUCKET_BOUNDS.iter().position(|&b| secs <= b).unwrap_or(BUCKET_BOUNDS.len());
+        let idx = BUCKET_BOUNDS
+            .iter()
+            .position(|&b| secs <= b)
+            .unwrap_or(BUCKET_BOUNDS.len());
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum_nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        self.sum_nanos
+            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -59,7 +64,10 @@ impl LatencyHistogram {
             cumulative += in_bucket;
             if cumulative >= target {
                 let lower = if i == 0 { 0.0 } else { BUCKET_BOUNDS[i - 1] };
-                let upper = BUCKET_BOUNDS.get(i).copied().unwrap_or(BUCKET_BOUNDS[BUCKET_BOUNDS.len() - 1]);
+                let upper = BUCKET_BOUNDS
+                    .get(i)
+                    .copied()
+                    .unwrap_or(BUCKET_BOUNDS[BUCKET_BOUNDS.len() - 1]);
                 if in_bucket == 0 || upper <= lower {
                     return upper;
                 }
@@ -84,17 +92,27 @@ impl LatencyHistogram {
         let mut cumulative = 0u64;
         for (i, bound) in BUCKET_BOUNDS.iter().enumerate() {
             cumulative += self.buckets[i].load(Ordering::Relaxed);
-            let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"{bound}\"}} {cumulative}");
+            let _ = writeln!(
+                out,
+                "{name}_bucket{{{labels}{sep}le=\"{bound}\"}} {cumulative}"
+            );
         }
         cumulative += self.buckets[BUCKET_BOUNDS.len()].load(Ordering::Relaxed);
-        let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}");
+        let _ = writeln!(
+            out,
+            "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}"
+        );
         let sum = self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9;
         if labels.is_empty() {
             let _ = writeln!(out, "{name}_sum {sum}");
             let _ = writeln!(out, "{name}_count {}", self.count.load(Ordering::Relaxed));
         } else {
             let _ = writeln!(out, "{name}_sum{{{labels}}} {sum}");
-            let _ = writeln!(out, "{name}_count{{{labels}}} {}", self.count.load(Ordering::Relaxed));
+            let _ = writeln!(
+                out,
+                "{name}_count{{{labels}}} {}",
+                self.count.load(Ordering::Relaxed)
+            );
         }
     }
 }
@@ -141,17 +159,25 @@ impl Endpoint {
 type OverlayFamily = (&'static str, &'static str, fn(&OverlayStatus) -> u64);
 const OVERLAY_FAMILIES: [OverlayFamily; 11] = [
     ("graphex_overlay_depth", "gauge", |s| s.depth as u64),
-    ("graphex_overlay_journal_bytes", "gauge", |s| s.journal_bytes as u64),
+    ("graphex_overlay_journal_bytes", "gauge", |s| {
+        s.journal_bytes as u64
+    }),
     ("graphex_overlay_cap_bytes", "gauge", |s| s.cap_bytes as u64),
     ("graphex_overlay_leaves", "gauge", |s| s.leaves as u64),
     ("graphex_overlay_seq", "gauge", |s| s.seq),
     ("graphex_overlay_drained_upto", "gauge", |s| s.drained_upto),
-    ("graphex_overlay_upserts_total", "counter", |s| s.upserts_applied),
-    ("graphex_overlay_records_total", "counter", |s| s.records_applied),
+    ("graphex_overlay_upserts_total", "counter", |s| {
+        s.upserts_applied
+    }),
+    ("graphex_overlay_records_total", "counter", |s| {
+        s.records_applied
+    }),
     ("graphex_overlay_shed_total", "counter", |s| s.upserts_shed),
     ("graphex_overlay_drains_total", "counter", |s| s.drains),
     // rate(apply_micros_total) / rate(upserts_total) = mean apply time.
-    ("graphex_overlay_apply_micros_total", "counter", |s| s.apply_micros_total),
+    ("graphex_overlay_apply_micros_total", "counter", |s| {
+        s.apply_micros_total
+    }),
 ];
 
 /// Appends the overlay gauge/counter families for a set of labeled
@@ -190,19 +216,31 @@ pub struct HttpMetrics {
 
 impl HttpMetrics {
     pub fn record_response(&self, endpoint: Endpoint, status: u16) {
-        let mut map = self.responses.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut map = self
+            .responses
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         *map.entry((endpoint, status)).or_insert(0) += 1;
     }
 
     /// Total responses with a 5xx status (the "failed requests" gate).
     pub fn server_errors(&self) -> u64 {
-        let map = self.responses.lock().unwrap_or_else(PoisonError::into_inner);
-        map.iter().filter(|((_, s), _)| (500..600).contains(s)).map(|(_, n)| n).sum()
+        let map = self
+            .responses
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        map.iter()
+            .filter(|((_, s), _)| (500..600).contains(s))
+            .map(|(_, n)| n)
+            .sum()
     }
 
     /// Responses tallied for one (endpoint, status) pair.
     pub fn responses_for(&self, endpoint: Endpoint, status: u16) -> u64 {
-        let map = self.responses.lock().unwrap_or_else(PoisonError::into_inner);
+        let map = self
+            .responses
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         map.get(&(endpoint, status)).copied().unwrap_or(0)
     }
 
@@ -213,7 +251,10 @@ impl HttpMetrics {
     pub fn render_http_families(&self, queue_depth: usize, out: &mut String) {
         let _ = writeln!(out, "# TYPE graphex_http_requests_total counter");
         {
-            let map = self.responses.lock().unwrap_or_else(PoisonError::into_inner);
+            let map = self
+                .responses
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             for ((endpoint, status), n) in map.iter() {
                 let _ = writeln!(
                     out,
@@ -222,7 +263,10 @@ impl HttpMetrics {
                 );
             }
         }
-        let _ = writeln!(out, "# TYPE graphex_http_connections_accepted_total counter");
+        let _ = writeln!(
+            out,
+            "# TYPE graphex_http_connections_accepted_total counter"
+        );
         let _ = writeln!(
             out,
             "graphex_http_connections_accepted_total {}",
@@ -237,7 +281,8 @@ impl HttpMetrics {
         let _ = writeln!(out, "# TYPE graphex_http_queue_depth gauge");
         let _ = writeln!(out, "graphex_http_queue_depth {queue_depth}");
 
-        self.infer_latency.render("graphex_request_duration_seconds", out);
+        self.infer_latency
+            .render("graphex_request_duration_seconds", out);
     }
 }
 
@@ -254,7 +299,11 @@ pub fn render_fleet_families(fleet: &graphex_serving::TenantFleet, out: &mut Str
         tenants.iter().filter(|t| t.resident).count()
     );
     let _ = writeln!(out, "# TYPE graphex_fleet_resident_cap gauge");
-    let _ = writeln!(out, "graphex_fleet_resident_cap {}", fleet.config().resident_cap);
+    let _ = writeln!(
+        out,
+        "graphex_fleet_resident_cap {}",
+        fleet.config().resident_cap
+    );
     let _ = writeln!(out, "# TYPE graphex_fleet_resident_bytes gauge");
     let _ = writeln!(
         out,
@@ -281,11 +330,19 @@ pub fn render_fleet_families(fleet: &graphex_serving::TenantFleet, out: &mut Str
     }
     let _ = writeln!(out, "# TYPE graphex_store_items gauge");
     for t in &tenants {
-        let _ = writeln!(out, "graphex_store_items{{tenant=\"{}\"}} {}", t.name, t.store_items);
+        let _ = writeln!(
+            out,
+            "graphex_store_items{{tenant=\"{}\"}} {}",
+            t.name, t.store_items
+        );
     }
     let _ = writeln!(out, "# TYPE graphex_store_bytes gauge");
     for t in &tenants {
-        let _ = writeln!(out, "graphex_store_bytes{{tenant=\"{}\"}} {}", t.name, t.store_bytes);
+        let _ = writeln!(
+            out,
+            "graphex_store_bytes{{tenant=\"{}\"}} {}",
+            t.name, t.store_bytes
+        );
     }
     let _ = writeln!(out, "# TYPE graphex_tenant_snapshot_version gauge");
     for t in &tenants {
@@ -349,9 +406,7 @@ pub fn render_fleet_families(fleet: &graphex_serving::TenantFleet, out: &mut Str
     }
     let overlay_rows: Vec<(String, OverlayStatus)> = tenants
         .iter()
-        .filter_map(|t| {
-            t.overlay.map(|o| (format!("tenant=\"{}\"", t.name), o))
-        })
+        .filter_map(|t| t.overlay.map(|o| (format!("tenant=\"{}\"", t.name), o)))
         .collect();
     render_overlay_families(&overlay_rows, out);
 }
@@ -389,7 +444,10 @@ pub fn render_serve_families(serve: &ServeStats, out: &mut String) {
     }
     let _ = writeln!(out, "# TYPE graphex_serve_invalidated_total counter");
     let _ = writeln!(out, "graphex_serve_invalidated_total {}", serve.invalidated);
-    let _ = writeln!(out, "# TYPE graphex_serve_overlay_invalidated_total counter");
+    let _ = writeln!(
+        out,
+        "# TYPE graphex_serve_overlay_invalidated_total counter"
+    );
     let _ = writeln!(
         out,
         "graphex_serve_overlay_invalidated_total {}",
@@ -398,11 +456,19 @@ pub fn render_serve_families(serve: &ServeStats, out: &mut String) {
     let _ = writeln!(out, "# TYPE graphex_shed_total counter");
     let _ = writeln!(out, "graphex_shed_total {}", serve.shed);
     let _ = writeln!(out, "# TYPE graphex_deadline_exceeded_total counter");
-    let _ = writeln!(out, "graphex_deadline_exceeded_total {}", serve.deadline_exceeded);
+    let _ = writeln!(
+        out,
+        "graphex_deadline_exceeded_total {}",
+        serve.deadline_exceeded
+    );
     let _ = writeln!(out, "# TYPE graphex_in_flight gauge");
     let _ = writeln!(out, "graphex_in_flight {}", serve.in_flight);
     let _ = writeln!(out, "# TYPE graphex_model_snapshot_version gauge");
-    let _ = writeln!(out, "graphex_model_snapshot_version {}", serve.snapshot_version);
+    let _ = writeln!(
+        out,
+        "graphex_model_snapshot_version {}",
+        serve.snapshot_version
+    );
     let _ = writeln!(out, "# TYPE graphex_model_swaps_total counter");
     let _ = writeln!(out, "graphex_model_swaps_total {}", serve.model_swaps);
 }
@@ -469,8 +535,14 @@ mod tests {
         h.render_series("stage_seconds", "stage=\"parse\"", &mut out);
         h.render_series("stage_seconds", "stage=\"ranking\"", &mut out);
         assert_eq!(out.matches("# TYPE").count(), 1);
-        assert!(out.contains("stage_seconds_bucket{stage=\"parse\",le=\"0.0001\"} 1"), "{out}");
-        assert!(out.contains("stage_seconds_count{stage=\"ranking\"} 1"), "{out}");
+        assert!(
+            out.contains("stage_seconds_bucket{stage=\"parse\",le=\"0.0001\"} 1"),
+            "{out}"
+        );
+        assert!(
+            out.contains("stage_seconds_count{stage=\"ranking\"} 1"),
+            "{out}"
+        );
     }
 
     #[test]
@@ -512,20 +584,41 @@ mod tests {
         };
         let mut bare = String::new();
         render_overlay_families(&[(String::new(), status)], &mut bare);
-        assert!(bare.contains("# TYPE graphex_overlay_depth gauge"), "{bare}");
+        assert!(
+            bare.contains("# TYPE graphex_overlay_depth gauge"),
+            "{bare}"
+        );
         assert!(bare.contains("graphex_overlay_depth 4"), "{bare}");
         assert!(bare.contains("graphex_overlay_upserts_total 3"), "{bare}");
-        assert!(bare.contains("# TYPE graphex_overlay_apply_micros_total counter"), "{bare}");
-        assert!(bare.contains("graphex_overlay_apply_micros_total 450"), "{bare}");
+        assert!(
+            bare.contains("# TYPE graphex_overlay_apply_micros_total counter"),
+            "{bare}"
+        );
+        assert!(
+            bare.contains("graphex_overlay_apply_micros_total 450"),
+            "{bare}"
+        );
 
         let mut fleet = String::new();
         render_overlay_families(
-            &[("tenant=\"acme\"".into(), status), ("tenant=\"bob\"".into(), OverlayStatus::default())],
+            &[
+                ("tenant=\"acme\"".into(), status),
+                ("tenant=\"bob\"".into(), OverlayStatus::default()),
+            ],
             &mut fleet,
         );
-        assert!(fleet.contains("graphex_overlay_seq{tenant=\"acme\"} 9"), "{fleet}");
-        assert!(fleet.contains("graphex_overlay_seq{tenant=\"bob\"} 0"), "{fleet}");
-        assert!(fleet.contains("graphex_overlay_apply_micros_total{tenant=\"acme\"} 450"), "{fleet}");
+        assert!(
+            fleet.contains("graphex_overlay_seq{tenant=\"acme\"} 9"),
+            "{fleet}"
+        );
+        assert!(
+            fleet.contains("graphex_overlay_seq{tenant=\"bob\"} 0"),
+            "{fleet}"
+        );
+        assert!(
+            fleet.contains("graphex_overlay_apply_micros_total{tenant=\"acme\"} 450"),
+            "{fleet}"
+        );
         // One TYPE header per family, not per row.
         assert_eq!(fleet.matches("# TYPE graphex_overlay_seq gauge").count(), 1);
 

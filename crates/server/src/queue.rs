@@ -27,7 +27,10 @@ impl<T> Bounded<T> {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
-            state: Mutex::new(State { items: VecDeque::with_capacity(capacity), closed: false }),
+            state: Mutex::new(State {
+                items: VecDeque::with_capacity(capacity),
+                closed: false,
+            }),
             not_empty: Condvar::new(),
             capacity,
         }
@@ -61,7 +64,10 @@ impl<T> Bounded<T> {
             if state.closed {
                 return None;
             }
-            state = self.not_empty.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state = self
+                .not_empty
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 

@@ -174,7 +174,9 @@ impl Backend {
         Self {
             addr,
             pool: Mutex::new(Vec::new()),
-            health: Mutex::new(Health::Healthy { consecutive_failures: 0 }),
+            health: Mutex::new(Health::Healthy {
+                consecutive_failures: 0,
+            }),
             calls: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -187,13 +189,19 @@ impl Backend {
     }
 
     fn note_error(&self, message: &str) {
-        let mut last = self.last_error.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut last = self
+            .last_error
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         last.clear();
         last.push_str(message);
     }
 
     fn last_error_snapshot(&self) -> String {
-        self.last_error.lock().unwrap_or_else(PoisonError::into_inner).clone()
+        self.last_error
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     fn lock_health(&self) -> std::sync::MutexGuard<'_, Health> {
@@ -218,13 +226,19 @@ impl Backend {
                     // Claim the probe: double the backoff in place so
                     // only this thread probes this expiry.
                     let doubled = (*backoff * 2).min(config.backoff_max);
-                    *health = Health::Ejected { until: Instant::now() + doubled, backoff: doubled };
+                    *health = Health::Ejected {
+                        until: Instant::now() + doubled,
+                        backoff: doubled,
+                    };
                     doubled
                 }
             }
         };
         // Half-open probe, outside the lock.
-        self.last_probe_tick.store(probe_ticks.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
+        self.last_probe_tick.store(
+            probe_ticks.fetch_add(1, Ordering::Relaxed) + 1,
+            Ordering::Relaxed,
+        );
         let probe = HttpClient::connect_with_timeouts(
             &self.addr,
             config.backend_timeout,
@@ -233,7 +247,9 @@ impl Backend {
         .and_then(|mut client| client.get("/healthz"));
         match probe {
             Ok(response) if response.status == 200 => {
-                *self.lock_health() = Health::Healthy { consecutive_failures: 0 };
+                *self.lock_health() = Health::Healthy {
+                    consecutive_failures: 0,
+                };
                 self.readmissions.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
@@ -251,13 +267,18 @@ impl Backend {
     }
 
     fn record_success(&self) {
-        *self.lock_health() = Health::Healthy { consecutive_failures: 0 };
+        *self.lock_health() = Health::Healthy {
+            consecutive_failures: 0,
+        };
     }
 
     fn record_failure(&self, config: &RouterConfig) {
         self.failures.fetch_add(1, Ordering::Relaxed);
         let mut health = self.lock_health();
-        if let Health::Healthy { consecutive_failures } = &mut *health {
+        if let Health::Healthy {
+            consecutive_failures,
+        } = &mut *health
+        {
             *consecutive_failures += 1;
             if *consecutive_failures >= config.eject_after {
                 *health = Health::Ejected {
@@ -273,7 +294,12 @@ impl Backend {
     /// back to a new connect.
     fn connection(&self, config: &RouterConfig, fresh: bool) -> Result<HttpClient, String> {
         if !fresh {
-            if let Some(client) = self.pool.lock().unwrap_or_else(PoisonError::into_inner).pop() {
+            if let Some(client) = self
+                .pool
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .pop()
+            {
                 return Ok(client);
             }
         }
@@ -305,8 +331,9 @@ impl Backend {
             .set_read_timeout(within)
             .and_then(|()| client.recv())
             .map_err(|e| format!("call: {e}"))?;
-        let reusable =
-            response.header("connection").map_or(true, |v| !v.eq_ignore_ascii_case("close"));
+        let reusable = response
+            .header("connection")
+            .map_or(true, |v| !v.eq_ignore_ascii_case("close"));
         let answer = validate_answer(response.status, response.body, expected)?;
         if reusable {
             let mut pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
@@ -329,14 +356,17 @@ impl Backend {
     }
 
     fn drop_pool(&self) {
-        self.pool.lock().unwrap_or_else(PoisonError::into_inner).clear();
+        self.pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 
     fn health_label(&self) -> (&'static str, u64) {
         match &*self.lock_health() {
-            Health::Healthy { consecutive_failures } => {
-                ("healthy", u64::from(*consecutive_failures))
-            }
+            Health::Healthy {
+                consecutive_failures,
+            } => ("healthy", u64::from(*consecutive_failures)),
             Health::Ejected { .. } => ("ejected", 0),
         }
     }
@@ -376,7 +406,11 @@ pub fn start_router(config: RouterConfig, map: ShardMap) -> std::io::Result<Rout
         history: config.history.clone(),
     };
     let handler = Arc::new(ScatterHandler {
-        backends: map.backends().iter().map(|a| Backend::new(a.clone())).collect(),
+        backends: map
+            .backends()
+            .iter()
+            .map(|a| Backend::new(a.clone()))
+            .collect(),
         map,
         config,
         requests_in: AtomicU64::new(0),
@@ -433,8 +467,12 @@ impl RouterHandle {
     }
 }
 
-static ROUTES: [Route; 1] =
-    [Route { method: "POST", path: "/v1/infer", scoped: false, endpoint: Endpoint::Infer }];
+static ROUTES: [Route; 1] = [Route {
+    method: "POST",
+    path: "/v1/infer",
+    scoped: false,
+    endpoint: Endpoint::Infer,
+}];
 
 impl Handler for ScatterHandler {
     fn routes(&self) -> &'static [Route] {
@@ -469,19 +507,37 @@ impl Handler for ScatterHandler {
                     ("failures", Json::uint(b.failures.load(Ordering::Relaxed))),
                     ("retries", Json::uint(b.retries.load(Ordering::Relaxed))),
                     ("ejections", Json::uint(b.ejections.load(Ordering::Relaxed))),
-                    ("readmissions", Json::uint(b.readmissions.load(Ordering::Relaxed))),
-                    ("fast_failures", Json::uint(b.fast_failures.load(Ordering::Relaxed))),
+                    (
+                        "readmissions",
+                        Json::uint(b.readmissions.load(Ordering::Relaxed)),
+                    ),
+                    (
+                        "fast_failures",
+                        Json::uint(b.fast_failures.load(Ordering::Relaxed)),
+                    ),
                     ("last_error", Json::str(b.last_error_snapshot())),
-                    ("last_probe_tick", Json::uint(b.last_probe_tick.load(Ordering::Relaxed))),
+                    (
+                        "last_probe_tick",
+                        Json::uint(b.last_probe_tick.load(Ordering::Relaxed)),
+                    ),
                 ])
             })
             .collect();
         vec![
             ("role", Json::str("router")),
             ("shards", Json::uint(u64::from(self.map.shards()))),
-            ("requests_in", Json::uint(self.requests_in.load(Ordering::Relaxed))),
-            ("fanout_subrequests", Json::uint(self.fanout.load(Ordering::Relaxed))),
-            ("degraded", Json::uint(self.degraded.load(Ordering::Relaxed))),
+            (
+                "requests_in",
+                Json::uint(self.requests_in.load(Ordering::Relaxed)),
+            ),
+            (
+                "fanout_subrequests",
+                Json::uint(self.fanout.load(Ordering::Relaxed)),
+            ),
+            (
+                "degraded",
+                Json::uint(self.degraded.load(Ordering::Relaxed)),
+            ),
             ("backends", Json::Arr(backends)),
         ]
     }
@@ -493,7 +549,11 @@ impl Handler for ScatterHandler {
             ("degraded", &self.degraded),
         ] {
             let _ = writeln!(out, "# TYPE graphex_router_{name}_total counter");
-            let _ = writeln!(out, "graphex_router_{name}_total {}", counter.load(Ordering::Relaxed));
+            let _ = writeln!(
+                out,
+                "graphex_router_{name}_total {}",
+                counter.load(Ordering::Relaxed)
+            );
         }
         for family in ["calls", "failures", "retries", "ejections", "readmissions"] {
             let _ = writeln!(out, "# TYPE graphex_router_backend_{family}_total counter");
@@ -525,19 +585,34 @@ impl Handler for ScatterHandler {
     /// Fan-out counters and per-backend call/failure/health series.
     fn sample_history(&self, values: &mut Vec<(String, f64)>) {
         let mut push = |key: String, v: f64| values.push((key, v));
-        push("router/requests_in".into(), self.requests_in.load(Ordering::Relaxed) as f64);
-        push("router/fanout".into(), self.fanout.load(Ordering::Relaxed) as f64);
-        push("router/degraded".into(), self.degraded.load(Ordering::Relaxed) as f64);
+        push(
+            "router/requests_in".into(),
+            self.requests_in.load(Ordering::Relaxed) as f64,
+        );
+        push(
+            "router/fanout".into(),
+            self.fanout.load(Ordering::Relaxed) as f64,
+        );
+        push(
+            "router/degraded".into(),
+            self.degraded.load(Ordering::Relaxed) as f64,
+        );
         let mut healthy = 0u64;
         for (shard, backend) in self.backends.iter().enumerate() {
             let is_healthy = matches!(&*backend.lock_health(), Health::Healthy { .. });
             healthy += u64::from(is_healthy);
-            push(format!("backend/{shard}/calls"), backend.calls.load(Ordering::Relaxed) as f64);
+            push(
+                format!("backend/{shard}/calls"),
+                backend.calls.load(Ordering::Relaxed) as f64,
+            );
             push(
                 format!("backend/{shard}/failures"),
                 backend.failures.load(Ordering::Relaxed) as f64,
             );
-            push(format!("backend/{shard}/healthy"), if is_healthy { 1.0 } else { 0.0 });
+            push(
+                format!("backend/{shard}/healthy"),
+                if is_healthy { 1.0 } else { 0.0 },
+            );
         }
         push("router/backends_healthy".into(), healthy as f64);
     }
@@ -568,12 +643,16 @@ fn validate_answer(status: u16, body: Vec<u8>, expected: usize) -> Result<Answer
     if status != 200 {
         return Err(format!("HTTP {status}"));
     }
-    let body =
-        String::from_utf8(body).map_err(|_| "unparsable backend response: not UTF-8")?;
+    let body = String::from_utf8(body).map_err(|_| "unparsable backend response: not UTF-8")?;
     let members = json::members(&body)
         .map_err(|e| format!("unparsable backend response: {e}"))?
         .unwrap_or_default();
-    let member = |key: &str| members.iter().find(|(k, _)| k == key).map(|(_, r)| r.clone());
+    let member = |key: &str| {
+        members
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, r)| r.clone())
+    };
     let parsed = |key: &str| member(key).and_then(|range| json::parse(&body[range]).ok());
     let (offset, mut entries) = member("responses")
         .and_then(|range| Some((range.start, json::elements(&body[range]).ok()??)))
@@ -589,9 +668,16 @@ fn validate_answer(status: u16, body: Vec<u8>, expected: usize) -> Result<Answer
     for entry in &mut entries {
         *entry = entry.start + offset..entry.end + offset;
     }
-    let snapshot_version = parsed("snapshot_version").and_then(|v| v.as_u64()).unwrap_or(0);
+    let snapshot_version = parsed("snapshot_version")
+        .and_then(|v| v.as_u64())
+        .unwrap_or(0);
     let trace = parsed("trace");
-    Ok(Answer { body, entries, snapshot_version, trace })
+    Ok(Answer {
+        body,
+        entries,
+        snapshot_version,
+        trace,
+    })
 }
 
 /// One shard's sub-batch on its way through the rounds.
@@ -677,8 +763,12 @@ impl ScatterHandler {
         let mut snapshot_version = 0u64;
         let mut capacity = 64;
         for sub in subs.iter().flatten() {
-            let (outcome, took) = sub.outcome.as_ref().expect("scatter resolves every sub-batch");
-            cx.trace.record_span(Stage::Fanout, sub.dispatched, *took, sub.shard as u64);
+            let (outcome, took) = sub
+                .outcome
+                .as_ref()
+                .expect("scatter resolves every sub-batch");
+            cx.trace
+                .record_span(Stage::Fanout, sub.dispatched, *took, sub.shard as u64);
             match outcome {
                 Ok(answer) => {
                     snapshot_version = snapshot_version.max(answer.snapshot_version);
@@ -692,7 +782,8 @@ impl ScatterHandler {
                     );
                 }
                 Err(_) => {
-                    self.degraded.fetch_add(sub.expected as u64, Ordering::Relaxed);
+                    self.degraded
+                        .fetch_add(sub.expected as u64, Ordering::Relaxed);
                 }
             }
         }
@@ -707,7 +798,9 @@ impl ScatterHandler {
         let mut given = vec![0usize; shards];
         for (i, d) in decoded.iter().enumerate() {
             let shard = self.map.shard_for_leaf(d.leaf);
-            let sub = subs[shard].as_ref().expect("every entry was grouped onto its shard");
+            let sub = subs[shard]
+                .as_ref()
+                .expect("every entry was grouped onto its shard");
             if i > 0 {
                 body.push(',');
             }
@@ -754,13 +847,20 @@ impl ScatterHandler {
                     backend.retries.fetch_add(1, Ordering::Relaxed);
                 }
                 backend.calls.fetch_add(1, Ordering::Relaxed);
-                let sent = backend.connection(config, attempt > 0).and_then(|mut client| {
-                    first_send.get_or_insert_with(Instant::now);
-                    client
-                        .send("POST", "/v1/infer", Some(sub.body.as_bytes()), header.as_slice())
-                        .map_err(|e| format!("call: {e}"))?;
-                    Ok(client)
-                });
+                let sent = backend
+                    .connection(config, attempt > 0)
+                    .and_then(|mut client| {
+                        first_send.get_or_insert_with(Instant::now);
+                        client
+                            .send(
+                                "POST",
+                                "/v1/infer",
+                                Some(sub.body.as_bytes()),
+                                header.as_slice(),
+                            )
+                            .map_err(|e| format!("call: {e}"))?;
+                        Ok(client)
+                    });
                 match sent {
                     Ok(client) => sub.in_flight = Some(client),
                     Err(reason) => backend.fail(config, sub, reason, last),
@@ -828,11 +928,17 @@ mod tests {
         let ticks = AtomicU64::new(0);
         assert!(backend.admit(&config, &ticks).is_ok());
         backend.record_failure(&config);
-        assert!(backend.admit(&config, &ticks).is_ok(), "one failure is not ejection");
+        assert!(
+            backend.admit(&config, &ticks).is_ok(),
+            "one failure is not ejection"
+        );
         backend.record_failure(&config);
         assert!(matches!(&*backend.lock_health(), Health::Ejected { .. }));
         assert_eq!(backend.ejections.load(Ordering::Relaxed), 1);
-        assert!(backend.admit(&config, &ticks).is_err(), "ejected backends fail fast");
+        assert!(
+            backend.admit(&config, &ticks).is_err(),
+            "ejected backends fail fast"
+        );
         assert_eq!(backend.fast_failures.load(Ordering::Relaxed), 1);
         assert_eq!(
             backend.last_probe_tick.load(Ordering::Relaxed),
@@ -854,7 +960,11 @@ mod tests {
         assert!(backend.admit(&config, &ticks).is_err());
         assert_eq!(backend.readmissions.load(Ordering::Relaxed), 0);
         assert_eq!(backend.ejections.load(Ordering::Relaxed), 2);
-        assert_eq!(backend.last_probe_tick.load(Ordering::Relaxed), 1, "probe consumed a tick");
+        assert_eq!(
+            backend.last_probe_tick.load(Ordering::Relaxed),
+            1,
+            "probe consumed a tick"
+        );
         assert!(
             backend.last_error_snapshot().contains("probe failed"),
             "failed probe leaves a last_error"
@@ -875,7 +985,12 @@ mod tests {
         backend.record_success();
         backend.record_failure(&config);
         assert!(
-            matches!(&*backend.lock_health(), Health::Healthy { consecutive_failures: 1 }),
+            matches!(
+                &*backend.lock_health(),
+                Health::Healthy {
+                    consecutive_failures: 1
+                }
+            ),
             "failures must be consecutive to eject"
         );
     }
@@ -888,10 +1003,16 @@ mod tests {
             small.get("outcome").unwrap().as_str(),
             Some(OUTCOME_BACKEND_UNAVAILABLE)
         );
-        assert_eq!(small.get("source").unwrap().as_str(), Some(SOURCE_ROUTER_DEGRADED));
+        assert_eq!(
+            small.get("source").unwrap().as_str(),
+            Some(SOURCE_ROUTER_DEGRADED)
+        );
         assert_eq!(small.get("keyphrases").unwrap().as_arr().unwrap().len(), 0);
         let big = degraded_entry(Some(u64::MAX), 0, "down");
-        assert_eq!(big.get("id").unwrap().as_str(), Some(u64::MAX.to_string().as_str()));
+        assert_eq!(
+            big.get("id").unwrap().as_str(),
+            Some(u64::MAX.to_string().as_str())
+        );
         assert!(degraded_entry(None, 0, "down").get("id").is_none());
     }
 
@@ -903,18 +1024,32 @@ mod tests {
     #[test]
     fn valid_answer_keeps_entries_as_the_backends_bytes() {
         let answer = validate_answer(200, GOOD.into(), 2).unwrap();
-        let entries: Vec<&str> = answer.entries.iter().map(|r| &answer.body[r.clone()]).collect();
+        let entries: Vec<&str> = answer
+            .entries
+            .iter()
+            .map(|r| &answer.body[r.clone()])
+            .collect();
         assert_eq!(
             entries,
-            [r#"{"id":1,"keyphrases":["a b"]}"#, r#"{"id":"18446744073709551615"}"#]
+            [
+                r#"{"id":1,"keyphrases":["a b"]}"#,
+                r#"{"id":"18446744073709551615"}"#
+            ]
         );
         assert_eq!(answer.snapshot_version, 7);
-        assert_eq!(answer.trace.unwrap().get("total_us").unwrap().as_u64(), Some(5));
+        assert_eq!(
+            answer.trace.unwrap().get("total_us").unwrap().as_u64(),
+            Some(5)
+        );
         // Whitespace and key order are the backend's business; a missing
         // version reads 0, as it always has.
         let spaced =
             validate_answer(200, b" { \"responses\" : [ 1 , [2] ] } ".to_vec(), 2).unwrap();
-        let entries: Vec<&str> = spaced.entries.iter().map(|r| &spaced.body[r.clone()]).collect();
+        let entries: Vec<&str> = spaced
+            .entries
+            .iter()
+            .map(|r| &spaced.body[r.clone()])
+            .collect();
         assert_eq!(entries, ["1", "[2]"]);
         assert_eq!((spaced.snapshot_version, spaced.trace), (0, None));
         let empty = validate_answer(200, br#"{"responses":[]}"#.to_vec(), 0).unwrap();
@@ -924,7 +1059,9 @@ mod tests {
     #[test]
     fn invalid_answers_are_refused_naming_the_cause() {
         let refused = |status: u16, body: &[u8], expected: usize| -> String {
-            validate_answer(status, body.to_vec(), expected).err().expect("refused")
+            validate_answer(status, body.to_vec(), expected)
+                .err()
+                .expect("refused")
         };
         assert_eq!(refused(500, GOOD.as_bytes(), 2), "HTTP 500");
         assert_eq!(
@@ -932,17 +1069,31 @@ mod tests {
             "backend answered 2 responses for 3 requests (mismatched shard map?)"
         );
         let missing = "backend response missing \"responses\"";
-        assert_eq!(refused(200, br#"{"responses":{"0":1}}"#, 1), missing, "not an array");
+        assert_eq!(
+            refused(200, br#"{"responses":{"0":1}}"#, 1),
+            missing,
+            "not an array"
+        );
         assert_eq!(refused(200, br#"{"surprise":[1]}"#, 1), missing);
-        assert_eq!(refused(200, br#"[{"responses":[1]}]"#, 1), missing, "not an object");
+        assert_eq!(
+            refused(200, br#"[{"responses":[1]}]"#, 1),
+            missing,
+            "not an object"
+        );
         // Strictly UTF-8: an invalid byte inside a keyphrase is not repaired
         // into U+FFFD and forwarded.
         let mut bad = GOOD.as_bytes().to_vec();
         let at = GOOD.find("a b").unwrap();
         bad[at] = 0xff;
-        assert_eq!(refused(200, &bad, 2), "unparsable backend response: not UTF-8");
+        assert_eq!(
+            refused(200, &bad, 2),
+            "unparsable backend response: not UTF-8"
+        );
         let truncated = refused(200, &GOOD.as_bytes()[..GOOD.len() - 9], 2);
-        assert!(truncated.starts_with("unparsable backend response: "), "{truncated}");
+        assert!(
+            truncated.starts_with("unparsable backend response: "),
+            "{truncated}"
+        );
         let trailing = refused(200, format!("{GOOD}]").as_bytes(), 2);
         assert!(
             trailing.starts_with("unparsable backend response: trailing characters"),
@@ -951,19 +1102,27 @@ mod tests {
         // A defect below the top level fails the whole answer, as a full
         // parse would.
         let deep = refused(200, br#"{"responses":[{"k":["\ud800"]}]}"#, 1);
-        assert!(deep.starts_with("unparsable backend response: lone leading surrogate"), "{deep}");
+        assert!(
+            deep.starts_with("unparsable backend response: lone leading surrogate"),
+            "{deep}"
+        );
     }
 
     #[test]
     fn oversize_answer_is_refused_at_the_response_cap() {
         let chaos = crate::chaos::ChaosBackend::start().unwrap();
         chaos.set_mode(crate::chaos::ChaosMode::Oversized);
-        let config = RouterConfig { max_response_bytes: 1 << 20, ..test_config() };
+        let config = RouterConfig {
+            max_response_bytes: 1 << 20,
+            ..test_config()
+        };
         let backend = Backend::new(chaos.addr().to_string());
         let mut client = backend.connection(&config, false).unwrap();
         client.send("POST", "/v1/infer", Some(b"{}"), &[]).unwrap();
-        let refused =
-            backend.receive(&config, client, 1, config.backend_timeout).err().expect("refused");
+        let refused = backend
+            .receive(&config, client, 1, config.backend_timeout)
+            .err()
+            .expect("refused");
         assert_eq!(refused, "call: response body exceeds cap");
         chaos.shutdown();
     }
@@ -971,18 +1130,28 @@ mod tests {
     #[test]
     fn pool_holds_one_connection_per_worker() {
         let chaos = crate::chaos::ChaosBackend::start().unwrap();
-        let config = RouterConfig { workers: 2, ..test_config() };
+        let config = RouterConfig {
+            workers: 2,
+            ..test_config()
+        };
         let backend = Backend::new(chaos.addr().to_string());
         let body = br#"{"requests":[{"title":"x","leaf":1}]}"#;
-        let mut out: Vec<HttpClient> =
-            (0..3).map(|_| backend.connection(&config, false).unwrap()).collect();
+        let mut out: Vec<HttpClient> = (0..3)
+            .map(|_| backend.connection(&config, false).unwrap())
+            .collect();
         for client in &mut out {
             client.send("POST", "/v1/infer", Some(body), &[]).unwrap();
         }
         for client in out {
-            backend.receive(&config, client, 1, config.backend_timeout).unwrap();
+            backend
+                .receive(&config, client, 1, config.backend_timeout)
+                .unwrap();
         }
-        assert_eq!(backend.pool.lock().unwrap().len(), 2, "the third return is surplus");
+        assert_eq!(
+            backend.pool.lock().unwrap().len(),
+            2,
+            "the third return is surplus"
+        );
         backend.drop_pool();
         chaos.shutdown();
     }

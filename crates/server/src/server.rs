@@ -118,8 +118,11 @@ pub fn start_fleet(config: ServerConfig, fleet: Arc<TenantFleet>) -> std::io::Re
 }
 
 fn start_backend(config: ServerConfig, backend: Backend) -> std::io::Result<ServerHandle> {
-    let handler =
-        Arc::new(ServeHandler { backend, deadline: config.deadline, workers: config.workers });
+    let handler = Arc::new(ServeHandler {
+        backend,
+        deadline: config.deadline,
+        workers: config.workers,
+    });
     let edge = edge::start(
         EdgeConfig {
             addr: config.addr,
@@ -190,10 +193,30 @@ impl ServerHandle {
 
 /// The domain routes; each also answers at `/v1/t/<tenant>/<action>`.
 static ROUTES: [Route; 4] = [
-    Route { method: "POST", path: "/v1/infer", scoped: true, endpoint: Endpoint::Infer },
-    Route { method: "POST", path: "/v1/upsert", scoped: true, endpoint: Endpoint::Upsert },
-    Route { method: "GET", path: "/v1/overlay/journal", scoped: true, endpoint: Endpoint::Overlay },
-    Route { method: "POST", path: "/v1/overlay/drain", scoped: true, endpoint: Endpoint::Overlay },
+    Route {
+        method: "POST",
+        path: "/v1/infer",
+        scoped: true,
+        endpoint: Endpoint::Infer,
+    },
+    Route {
+        method: "POST",
+        path: "/v1/upsert",
+        scoped: true,
+        endpoint: Endpoint::Upsert,
+    },
+    Route {
+        method: "GET",
+        path: "/v1/overlay/journal",
+        scoped: true,
+        endpoint: Endpoint::Overlay,
+    },
+    Route {
+        method: "POST",
+        path: "/v1/overlay/drain",
+        scoped: true,
+        endpoint: Endpoint::Overlay,
+    },
 ];
 
 impl Handler for ServeHandler {
@@ -254,7 +277,10 @@ impl Handler for ServeHandler {
                 if let Some(status) = api.overlay_status() {
                     values.push(("overlay/depth".into(), status.depth as f64));
                     values.push(("overlay/seq".into(), status.seq as f64));
-                    values.push(("overlay/apply_micros".into(), status.apply_micros_total as f64));
+                    values.push((
+                        "overlay/apply_micros".into(),
+                        status.apply_micros_total as f64,
+                    ));
                 }
             }
             Backend::Fleet(fleet) => {
@@ -289,7 +315,11 @@ impl Handler for ServeHandler {
 
 /// The per-[`ServeStats`] series (shared by single mode, with an empty
 /// prefix, and fleet mode, prefixed `tenant/<name>/`).
-fn serve_series(values: &mut Vec<(String, f64)>, prefix: &str, stats: &graphex_serving::ServeStats) {
+fn serve_series(
+    values: &mut Vec<(String, f64)>,
+    prefix: &str,
+    stats: &graphex_serving::ServeStats,
+) {
     let mut push = |key: &str, v: f64| values.push((format!("{prefix}{key}"), v));
     push("serve/requests", stats.outcomes.total() as f64);
     push("serve/store_hits", stats.store_hits as f64);
@@ -326,7 +356,10 @@ fn overlay_status_json(status: &OverlayStatus) -> Json {
 /// holds and the heap bytes of their records — the per-item figure the
 /// paper's "billions of items" turns on, read rather than inferred.
 fn store_json(items: u64, bytes: u64) -> Json {
-    Json::obj(vec![("items", Json::uint(items)), ("bytes", Json::uint(bytes))])
+    Json::obj(vec![
+        ("items", Json::uint(items)),
+        ("bytes", Json::uint(bytes)),
+    ])
 }
 
 fn statusz_single(api: &ServingApi) -> Vec<(&'static str, Json)> {
@@ -345,7 +378,10 @@ fn statusz_single(api: &ServingApi) -> Vec<(&'static str, Json)> {
         ("unservable", Json::uint(stats.unservable)),
         ("invalidated", Json::uint(stats.invalidated)),
         ("overlay_invalidated", Json::uint(stats.overlay_invalidated)),
-        ("store", store_json(api.store().len() as u64, api.store().record_bytes() as u64)),
+        (
+            "store",
+            store_json(api.store().len() as u64, api.store().record_bytes() as u64),
+        ),
         (
             "overlay",
             match api.overlay_status() {
@@ -410,9 +446,18 @@ fn statusz_fleet(fleet: &TenantFleet) -> Vec<(&'static str, Json)> {
     vec![
         ("mode", Json::str("fleet")),
         ("default_tenant", Json::str(fleet.default_tenant())),
-        ("resident_cap", Json::uint(fleet.config().resident_cap as u64)),
-        ("resident", Json::uint(tenants.iter().filter(|t| t.resident).count() as u64)),
-        ("resident_bytes", Json::uint(tenants.iter().map(|t| t.resident_bytes).sum())),
+        (
+            "resident_cap",
+            Json::uint(fleet.config().resident_cap as u64),
+        ),
+        (
+            "resident",
+            Json::uint(tenants.iter().filter(|t| t.resident).count() as u64),
+        ),
+        (
+            "resident_bytes",
+            Json::uint(tenants.iter().map(|t| t.resident_bytes).sum()),
+        ),
         ("tenants", Json::Arr(rows)),
     ]
 }
@@ -458,7 +503,10 @@ impl ServeHandler {
     fn infer(&self, api: &ServingApi, request: &Request, cx: &mut Cx, out: &mut String) -> Routed {
         // Deadline check happens before any parsing or inference: a request
         // that waited out its budget in the accept queue is refused cheaply.
-        if self.deadline.is_some_and(|deadline| cx.started.elapsed() > deadline) {
+        if self
+            .deadline
+            .is_some_and(|deadline| cx.started.elapsed() > deadline)
+        {
             api.note_deadline_exceeded();
             return Routed::error(out, 503, "deadline exceeded").with_header("Retry-After", "1");
         }
@@ -537,10 +585,12 @@ fn upsert(api: &ServingApi, request: &Request, out: &mut String) -> Routed {
                 ("snapshot_version", Json::uint(api.snapshot_version())),
             ]),
         ),
-        Err(e @ OverlayError::CapExceeded { retry_after_secs, .. }) => {
-            Routed::error(out, 429, e.to_string())
-                .with_header("Retry-After", retry_after_secs.to_string())
-        }
+        Err(
+            e @ OverlayError::CapExceeded {
+                retry_after_secs, ..
+            },
+        ) => Routed::error(out, 429, e.to_string())
+            .with_header("Retry-After", retry_after_secs.to_string()),
         Err(e @ OverlayError::Invalid(_)) => Routed::error(out, 400, e.to_string()),
     }
 }
@@ -560,8 +610,8 @@ fn overlay_journal(api: &ServingApi, out: &mut String) -> Routed {
 /// absorbed by a published compaction. Entries that arrived after the
 /// journal export survive and keep serving.
 fn overlay_drain(api: &ServingApi, request: &Request, out: &mut String) -> Routed {
-    let envelope = body_text(request.body())
-        .and_then(|text| json::parse(text).map_err(invalid_json));
+    let envelope =
+        body_text(request.body()).and_then(|text| json::parse(text).map_err(invalid_json));
     let envelope = match envelope {
         Ok(value) => value,
         Err(message) => return Routed::error(out, 400, message),
@@ -608,7 +658,10 @@ impl<'a> Fields<'a> {
 
     /// The value of the first member named `key`, as written.
     fn get(&self, key: &str) -> Option<&'a str> {
-        self.members.iter().find(|(k, _)| k == key).map(|(_, span)| &self.text[span.clone()])
+        self.members
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, span)| &self.text[span.clone()])
     }
 
     /// [`Fields::get`] as `Json::as_u64` would read it.
@@ -638,7 +691,10 @@ pub(crate) fn decode_envelope<'a, T>(
         .map_err(invalid_json)?
         .ok_or_else(|| format!("\"{key}\" must be an array"))?;
     if spans.len() > MAX_BATCH {
-        return Err(format!("batch of {} exceeds cap of {MAX_BATCH}", spans.len()));
+        return Err(format!(
+            "batch of {} exceeds cap of {MAX_BATCH}",
+            spans.len()
+        ));
     }
     let mut decoded = Vec::with_capacity(spans.len());
     for (i, span) in spans.into_iter().enumerate() {
@@ -670,9 +726,15 @@ fn decode_record(fields: Option<&Fields<'_>>) -> Result<KeyphraseRecord, String>
         .and_then(json::unquote)
         .ok_or("missing or non-string \"text\"")?
         .into_owned();
-    let leaf = fields.u64("leaf").flatten().ok_or("missing or non-integer \"leaf\"")?;
+    let leaf = fields
+        .u64("leaf")
+        .flatten()
+        .ok_or("missing or non-integer \"leaf\"")?;
     let leaf = u32::try_from(leaf).map_err(|_| "\"leaf\" exceeds u32 range".to_string())?;
-    let search = fields.u64("search").flatten().ok_or("missing or non-integer \"search\"")?;
+    let search = fields
+        .u64("search")
+        .flatten()
+        .ok_or("missing or non-integer \"search\"")?;
     let search = u32::try_from(search).map_err(|_| "\"search\" exceeds u32 range".to_string())?;
     let recall = match fields.u64("recall") {
         None => 0,
@@ -717,7 +779,10 @@ pub(crate) fn decode_one<'a>(fields: Option<&Fields<'a>>) -> Result<Decoded<'a>,
         .get("title")
         .and_then(json::unquote)
         .ok_or("missing or non-string \"title\"")?;
-    let leaf = fields.u64("leaf").flatten().ok_or("missing or non-integer \"leaf\"")?;
+    let leaf = fields
+        .u64("leaf")
+        .flatten()
+        .ok_or("missing or non-integer \"leaf\"")?;
     let leaf = u32::try_from(leaf).map_err(|_| "\"leaf\" exceeds u32 range".to_string())?;
     let k = match fields.u64("k") {
         None => None,
@@ -730,12 +795,16 @@ pub(crate) fn decode_one<'a>(fields: Option<&Fields<'a>>) -> Result<Decoded<'a>,
     // exactness past 2^53, so large ids are accepted as decimal strings.
     let id = match fields.get("id").map(|span| (span, json::unquote(span))) {
         None => None,
-        Some((_, Some(raw))) => {
-            Some(raw.parse::<u64>().map_err(|_| "\"id\" string must be a decimal u64")?)
-        }
-        Some((_, None)) => Some(fields.u64("id").flatten().ok_or(
-            "\"id\" must be a non-negative integer (< 2^53) or a decimal string",
-        )?),
+        Some((_, Some(raw))) => Some(
+            raw.parse::<u64>()
+                .map_err(|_| "\"id\" string must be a decimal u64")?,
+        ),
+        Some((_, None)) => Some(
+            fields
+                .u64("id")
+                .flatten()
+                .ok_or("\"id\" must be a non-negative integer (< 2^53) or a decimal string")?,
+        ),
     };
     let alignment = match fields.get("alignment").map(json::unquote) {
         None => None,
@@ -744,7 +813,13 @@ pub(crate) fn decode_one<'a>(fields: Option<&Fields<'a>>) -> Result<Decoded<'a>,
         Some(Some(name)) if name == "jac" => Some(Alignment::Jac),
         Some(_) => return Err("\"alignment\" must be one of lta|wmr|jac".into()),
     };
-    Ok(Decoded { title, leaf, k, id, alignment })
+    Ok(Decoded {
+        title,
+        leaf,
+        k,
+        id,
+        alignment,
+    })
 }
 
 fn source_label(source: ServeSource) -> &'static str {
@@ -818,7 +893,13 @@ mod tests {
             ("source", Json::str(source_label(served.source))),
             (
                 "keyphrases",
-                Json::Arr(served.keyphrases.iter().map(|k| Json::str(k.clone())).collect()),
+                Json::Arr(
+                    served
+                        .keyphrases
+                        .iter()
+                        .map(|k| Json::str(k.clone()))
+                        .collect(),
+                ),
             ),
             ("snapshot_version", Json::uint(served.snapshot_version)),
         ];
@@ -876,7 +957,10 @@ mod tests {
         assert_eq!((health.status, health.text().as_str()), (200, "ok\n"));
 
         let single = client
-            .post_json("/v1/infer", r#"{"title":"widget gadget pro max","leaf":1,"k":2,"id":7}"#)
+            .post_json(
+                "/v1/infer",
+                r#"{"title":"widget gadget pro max","leaf":1,"k":2,"id":7}"#,
+            )
             .unwrap();
         assert_eq!(single.status, 200);
         let body = json::parse(&single.text()).unwrap();
@@ -887,10 +971,17 @@ mod tests {
 
         // Same id again: a store hit over the same connection.
         let again = client
-            .post_json("/v1/infer", r#"{"title":"widget gadget pro max","leaf":1,"k":2,"id":7}"#)
+            .post_json(
+                "/v1/infer",
+                r#"{"title":"widget gadget pro max","leaf":1,"k":2,"id":7}"#,
+            )
             .unwrap();
         assert_eq!(
-            json::parse(&again.text()).unwrap().get("source").unwrap().as_str(),
+            json::parse(&again.text())
+                .unwrap()
+                .get("source")
+                .unwrap()
+                .as_str(),
             Some("store_hit")
         );
 
@@ -904,8 +995,14 @@ mod tests {
         let body = json::parse(&batch.text()).unwrap();
         let responses = body.get("responses").unwrap().as_arr().unwrap();
         assert_eq!(responses.len(), 2);
-        assert_eq!(responses[0].get("outcome").unwrap().as_str(), Some("exact_leaf"));
-        assert_eq!(responses[1].get("outcome").unwrap().as_str(), Some("unknown_leaf"));
+        assert_eq!(
+            responses[0].get("outcome").unwrap().as_str(),
+            Some("exact_leaf")
+        );
+        assert_eq!(
+            responses[1].get("outcome").unwrap().as_str(),
+            Some("unknown_leaf")
+        );
 
         let status = client.get("/statusz").unwrap();
         assert_eq!(status.status, 200);
@@ -915,10 +1012,16 @@ mod tests {
         // The store's footprint is read, not inferred: item 7 and nothing
         // else (id-less answers are never stored).
         let store = server.api().unwrap().store();
-        assert_eq!((store.len(), store.record_bytes()), (1, store.record(7).unwrap().heap_bytes()));
+        assert_eq!(
+            (store.len(), store.record_bytes()),
+            (1, store.record(7).unwrap().heap_bytes())
+        );
         let footprint = stats.get("store").unwrap();
         assert_eq!(footprint.get("items").unwrap().as_u64(), Some(1));
-        assert_eq!(footprint.get("bytes").unwrap().as_u64(), Some(store.record_bytes() as u64));
+        assert_eq!(
+            footprint.get("bytes").unwrap().as_u64(),
+            Some(store.record_bytes() as u64)
+        );
 
         let metrics = client.get("/metrics").unwrap();
         assert_eq!(metrics.status, 200);
@@ -960,7 +1063,11 @@ mod tests {
         let server = crate::start(test_config(), api).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let mut previous = None;
-        for (title, leaf) in [("widget gadget pro max", 1), ("widget gadget", 1), ("widget gadget", 2)] {
+        for (title, leaf) in [
+            ("widget gadget pro max", 1),
+            ("widget gadget", 1),
+            ("widget gadget", 2),
+        ] {
             let body = format!(r#"{{"title":"{title}","leaf":{leaf},"k":10,"id":7}}"#);
             let reply = client.post_json("/v1/infer", &body).unwrap();
             assert_eq!(reply.status, 200, "{}", reply.text());
@@ -974,10 +1081,16 @@ mod tests {
                 .map(|k| k.as_str().unwrap())
                 .collect();
             let fresh = engine.infer(
-                &graphex_core::InferRequest::new(title, LeafId(leaf)).k(10).resolve_texts(true),
+                &graphex_core::InferRequest::new(title, LeafId(leaf))
+                    .k(10)
+                    .resolve_texts(true),
             );
             assert_eq!(served, fresh.texts, "{title:?} in leaf {leaf}");
-            assert_ne!(Some(fresh.texts.clone()), previous, "each step asks something new");
+            assert_ne!(
+                Some(fresh.texts.clone()),
+                previous,
+                "each step asks something new"
+            );
             previous = Some(fresh.texts);
         }
         drop(client);
@@ -993,12 +1106,27 @@ mod tests {
         // connection per probe (the server closes after an error).
         type Probe = Box<dyn Fn(&mut HttpClient) -> std::io::Result<crate::Response>>;
         let cases: Vec<(u16, Probe)> = vec![
-            (400, Box::new(|c| c.post_json("/v1/infer", "this is not json"))),
+            (
+                400,
+                Box::new(|c| c.post_json("/v1/infer", "this is not json")),
+            ),
             (400, Box::new(|c| c.post_json("/v1/infer", r#"{"leaf":1}"#))),
-            (400, Box::new(|c| c.post_json("/v1/infer", r#"{"title":"x","leaf":-3}"#))),
-            (400, Box::new(|c| c.post_json("/v1/infer", r#"{"title":"x","leaf":1,"k":0}"#))),
-            (400, Box::new(|c| c.post_json("/v1/infer", r#"{"requests":7}"#))),
-            (400, Box::new(|c| c.post_json("/v1/infer", r#"{"requests":[{"title":1,"leaf":1}]}"#))),
+            (
+                400,
+                Box::new(|c| c.post_json("/v1/infer", r#"{"title":"x","leaf":-3}"#)),
+            ),
+            (
+                400,
+                Box::new(|c| c.post_json("/v1/infer", r#"{"title":"x","leaf":1,"k":0}"#)),
+            ),
+            (
+                400,
+                Box::new(|c| c.post_json("/v1/infer", r#"{"requests":7}"#)),
+            ),
+            (
+                400,
+                Box::new(|c| c.post_json("/v1/infer", r#"{"requests":[{"title":1,"leaf":1}]}"#)),
+            ),
             (404, Box::new(|c| c.get("/nope"))),
             (405, Box::new(|c| c.get("/v1/infer"))),
             (405, Box::new(|c| c.post_json("/healthz", "{}"))),
@@ -1020,7 +1148,11 @@ mod tests {
     /// in `edge.rs`): a connection-level 429 lands in `ServeStats::shed`.
     #[test]
     fn full_accept_queue_sheds_with_429() {
-        let config = ServerConfig { workers: 1, queue_depth: 1, ..test_config() };
+        let config = ServerConfig {
+            workers: 1,
+            queue_depth: 1,
+            ..test_config()
+        };
         let server = crate::start(config, api()).unwrap();
         let addr = server.addr();
         // One connection pins the single worker, the next fills the queue
@@ -1043,8 +1175,9 @@ mod tests {
         };
         let server = crate::start(config, api()).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
-        let response =
-            client.post_json("/v1/infer", r#"{"title":"widget gadget","leaf":1}"#).unwrap();
+        let response = client
+            .post_json("/v1/infer", r#"{"title":"widget gadget","leaf":1}"#)
+            .unwrap();
         assert_eq!(response.status, 503);
         let stats = server.api().unwrap().stats();
         assert_eq!(stats.deadline_exceeded, 1);
@@ -1066,7 +1199,10 @@ mod tests {
         let response = client.post_json("/v1/infer", &body).unwrap();
         assert_eq!(response.status, 200, "{}", response.text());
         let parsed = json::parse(&response.text()).unwrap();
-        assert_eq!(parsed.get("id").unwrap().as_str(), Some(big.to_string().as_str()));
+        assert_eq!(
+            parsed.get("id").unwrap().as_str(),
+            Some(big.to_string().as_str())
+        );
         // Small ids keep the plain-number form.
         let response = client
             .post_json("/v1/infer", r#"{"title":"widget gadget","leaf":1,"id":12}"#)
@@ -1075,7 +1211,10 @@ mod tests {
         assert_eq!(parsed.get("id").unwrap().as_u64(), Some(12));
         // A number past 2^53 is a 400, not silent precision loss.
         let response = client
-            .post_json("/v1/infer", r#"{"title":"widget gadget","leaf":1,"id":18446744073709551615}"#)
+            .post_json(
+                "/v1/infer",
+                r#"{"title":"widget gadget","leaf":1,"id":18446744073709551615}"#,
+            )
             .unwrap();
         assert_eq!(response.status, 400);
         drop(client);
@@ -1094,8 +1233,9 @@ mod tests {
         let server = crate::start(config, api()).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         std::thread::sleep(Duration::from_millis(400)); // > deadline, pure think-time
-        let response =
-            client.post_json("/v1/infer", r#"{"title":"widget gadget","leaf":1}"#).unwrap();
+        let response = client
+            .post_json("/v1/infer", r#"{"title":"widget gadget","leaf":1}"#)
+            .unwrap();
         assert_eq!(response.status, 200, "{}", response.text());
         assert_eq!(server.api().unwrap().stats().deadline_exceeded, 0);
         drop(client);
@@ -1113,55 +1253,74 @@ mod tests {
             .unwrap()
     }
 
-    fn fleet_fixture(label: &str, tenants: &[(&str, u32)]) -> (std::path::PathBuf, Arc<TenantFleet>) {
-        let root = std::env::temp_dir()
-            .join(format!("graphex-server-fleet-{label}-{}", std::process::id()));
+    fn fleet_fixture(
+        label: &str,
+        tenants: &[(&str, u32)],
+    ) -> (std::path::PathBuf, Arc<TenantFleet>) {
+        let root = std::env::temp_dir().join(format!(
+            "graphex-server-fleet-{label}-{}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&root);
         let fleet = TenantFleet::open(
             &root,
-            graphex_serving::FleetConfig { resident_cap: 2, ..Default::default() },
+            graphex_serving::FleetConfig {
+                resident_cap: 2,
+                ..Default::default()
+            },
         )
         .unwrap();
         for &(name, tag) in tenants {
-            fleet.publish_model(name, &tenant_model(tag), "seed").unwrap();
+            fleet
+                .publish_model(name, &tenant_model(tag), "seed")
+                .unwrap();
         }
         (root, Arc::new(fleet))
     }
 
     #[test]
     fn fleet_mode_multiplexes_tenants_by_path() {
-        let (root, fleet) =
-            fleet_fixture("mux", &[("default", 0), ("alpha", 1), ("beta", 2)]);
+        let (root, fleet) = fleet_fixture("mux", &[("default", 0), ("alpha", 1), ("beta", 2)]);
         let server = crate::start_fleet(test_config(), fleet).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
 
         // Tenant paths reach the right tenant's model.
         for (tenant, tag) in [("alpha", 1), ("beta", 2)] {
             let body = format!(r#"{{"title":"tenant{tag} widget v0","leaf":1,"k":2}}"#);
-            let response = client.post_json(&format!("/v1/t/{tenant}/infer"), &body).unwrap();
+            let response = client
+                .post_json(&format!("/v1/t/{tenant}/infer"), &body)
+                .unwrap();
             assert_eq!(response.status, 200, "{tenant}: {}", response.text());
             let parsed = json::parse(&response.text()).unwrap();
             assert_eq!(parsed.get("outcome").unwrap().as_str(), Some("exact_leaf"));
             let phrases = parsed.get("keyphrases").unwrap().as_arr().unwrap();
             assert!(
-                phrases.iter().all(|p| p.as_str().unwrap().contains(&format!("tenant{tag}"))),
+                phrases
+                    .iter()
+                    .all(|p| p.as_str().unwrap().contains(&format!("tenant{tag}"))),
                 "{tenant} answered with another tenant's phrases: {phrases:?}"
             );
         }
 
         // The legacy path serves the default tenant.
         let legacy = client
-            .post_json("/v1/infer", r#"{"title":"tenant0 widget v0","leaf":1,"k":2}"#)
+            .post_json(
+                "/v1/infer",
+                r#"{"title":"tenant0 widget v0","leaf":1,"k":2}"#,
+            )
             .unwrap();
         assert_eq!(legacy.status, 200);
         let parsed = json::parse(&legacy.text()).unwrap();
         assert_eq!(parsed.get("outcome").unwrap().as_str(), Some("exact_leaf"));
 
         // Unknown and invalid tenants are client errors, not 5xx.
-        let unknown = client.post_json("/v1/t/ghost/infer", r#"{"title":"x","leaf":1}"#).unwrap();
+        let unknown = client
+            .post_json("/v1/t/ghost/infer", r#"{"title":"x","leaf":1}"#)
+            .unwrap();
         assert_eq!(unknown.status, 404);
-        let invalid =
-            client.post_json("/v1/t/..%2fescape/infer", r#"{"title":"x","leaf":1}"#).unwrap();
+        let invalid = client
+            .post_json("/v1/t/..%2fescape/infer", r#"{"title":"x","leaf":1}"#)
+            .unwrap();
         assert_eq!(invalid.status, 404);
         // GET on a tenant infer path is a 405 like the legacy path.
         assert_eq!(client.get("/v1/t/alpha/infer").unwrap().status, 405);
@@ -1169,7 +1328,10 @@ mod tests {
         // /statusz reports the fleet table.
         let status = json::parse(&client.get("/statusz").unwrap().text()).unwrap();
         assert_eq!(status.get("mode").unwrap().as_str(), Some("fleet"));
-        assert_eq!(status.get("default_tenant").unwrap().as_str(), Some("default"));
+        assert_eq!(
+            status.get("default_tenant").unwrap().as_str(),
+            Some("default")
+        );
         let rows = status.get("tenants").unwrap().as_arr().unwrap();
         assert_eq!(rows.len(), 3);
         let alpha = rows
@@ -1190,13 +1352,27 @@ mod tests {
         assert!(metrics.contains("graphex_fleet_resident_cap 2"));
         // A tenant's store goes with its incarnation: the evicted one
         // reads empty, a resident one holds what it answered.
-        assert!(metrics.contains("graphex_store_items{tenant=\"alpha\"} 0"), "{metrics}");
-        assert!(metrics.contains("graphex_store_bytes{tenant=\"alpha\"} 0"), "{metrics}");
+        assert!(
+            metrics.contains("graphex_store_items{tenant=\"alpha\"} 0"),
+            "{metrics}"
+        );
+        assert!(
+            metrics.contains("graphex_store_bytes{tenant=\"alpha\"} 0"),
+            "{metrics}"
+        );
         let default_row = rows
             .iter()
             .find(|row| row.get("name").unwrap().as_str() == Some("default"))
             .expect("default row");
-        assert_eq!(default_row.get("store").unwrap().get("items").unwrap().as_u64(), Some(0));
+        assert_eq!(
+            default_row
+                .get("store")
+                .unwrap()
+                .get("items")
+                .unwrap()
+                .as_u64(),
+            Some(0)
+        );
         assert!(metrics.contains(
             "graphex_tenant_serve_outcome_total{tenant=\"beta\",outcome=\"exact_leaf\"} 1"
         ));
@@ -1217,7 +1393,10 @@ mod tests {
 
         // Onboard a brand-new leaf.
         let ack = client
-            .post_json("/v1/upsert", r#"{"text":"solar panel kit","leaf":42,"search":120,"recall":9}"#)
+            .post_json(
+                "/v1/upsert",
+                r#"{"text":"solar panel kit","leaf":42,"search":120,"recall":9}"#,
+            )
             .unwrap();
         assert_eq!(ack.status, 200, "{}", ack.text());
         let ack = json::parse(&ack.text()).unwrap();
@@ -1226,28 +1405,47 @@ mod tests {
 
         // The very next request serves it.
         let served = client
-            .post_json("/v1/infer", r#"{"title":"solar panel kit","leaf":42,"k":3}"#)
+            .post_json(
+                "/v1/infer",
+                r#"{"title":"solar panel kit","leaf":42,"k":3}"#,
+            )
             .unwrap();
         assert_eq!(served.status, 200, "{}", served.text());
         let served = json::parse(&served.text()).unwrap();
         let phrases = served.get("keyphrases").unwrap().as_arr().unwrap();
         assert!(
-            phrases.iter().any(|p| p.as_str() == Some("solar panel kit")),
+            phrases
+                .iter()
+                .any(|p| p.as_str() == Some("solar panel kit")),
             "upserted phrase must serve: {phrases:?}"
         );
 
         // Batch envelope onto an existing leaf: composes with base content.
         let batch = client
-            .post_json("/v1/upsert", r#"{"records":[{"text":"widget gadget ultra","leaf":1,"search":80}]}"#)
+            .post_json(
+                "/v1/upsert",
+                r#"{"records":[{"text":"widget gadget ultra","leaf":1,"search":80}]}"#,
+            )
             .unwrap();
         assert_eq!(batch.status, 200, "{}", batch.text());
         let augmented = client
-            .post_json("/v1/infer", r#"{"title":"widget gadget ultra","leaf":1,"k":5}"#)
+            .post_json(
+                "/v1/infer",
+                r#"{"title":"widget gadget ultra","leaf":1,"k":5}"#,
+            )
             .unwrap();
         let augmented = json::parse(&augmented.text()).unwrap();
         let phrases = augmented.get("keyphrases").unwrap().as_arr().unwrap();
-        assert!(phrases.iter().any(|p| p.as_str() == Some("widget gadget ultra")), "{phrases:?}");
-        assert!(phrases.iter().any(|p| p.as_str() == Some("widget gadget")), "base content kept: {phrases:?}");
+        assert!(
+            phrases
+                .iter()
+                .any(|p| p.as_str() == Some("widget gadget ultra")),
+            "{phrases:?}"
+        );
+        assert!(
+            phrases.iter().any(|p| p.as_str() == Some("widget gadget")),
+            "base content kept: {phrases:?}"
+        );
 
         // The journal exports both records in interchange form.
         let journal = client.get("/v1/overlay/journal").unwrap();
@@ -1266,7 +1464,9 @@ mod tests {
         assert!(metrics.contains("graphex_http_requests_total{endpoint=\"upsert\",code=\"200\"} 2"));
 
         // Drain the first entry (as a compaction that absorbed seq 1 would).
-        let drained = client.post_json("/v1/overlay/drain", r#"{"upto":1}"#).unwrap();
+        let drained = client
+            .post_json("/v1/overlay/drain", r#"{"upto":1}"#)
+            .unwrap();
         assert_eq!(drained.status, 200, "{}", drained.text());
         let drained = json::parse(&drained.text()).unwrap();
         assert_eq!(drained.get("drained").unwrap().as_u64(), Some(1));
@@ -1292,7 +1492,13 @@ mod tests {
         assert_eq!(client.get("/v1/overlay/journal").unwrap().status, 404);
         // Wrong methods on overlay paths are 405s, not 404s.
         assert_eq!(client.get("/v1/upsert").unwrap().status, 405);
-        assert_eq!(client.post_json("/v1/overlay/journal", "{}").unwrap().status, 405);
+        assert_eq!(
+            client
+                .post_json("/v1/overlay/journal", "{}")
+                .unwrap()
+                .status,
+            405
+        );
         drop(client);
         server.shutdown();
 
@@ -1300,7 +1506,10 @@ mod tests {
         let server = crate::start(test_config(), api_with_overlay(8)).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let shed = client
-            .post_json("/v1/upsert", r#"{"text":"a phrase far larger than the cap","leaf":7,"search":10}"#)
+            .post_json(
+                "/v1/upsert",
+                r#"{"text":"a phrase far larger than the cap","leaf":7,"search":10}"#,
+            )
             .unwrap();
         assert_eq!(shed.status, 429, "{}", shed.text());
         assert_eq!(shed.header("retry-after"), Some("5"));
@@ -1326,51 +1535,88 @@ mod tests {
     /// overlay only, and export under its `tenant` metrics label.
     #[test]
     fn fleet_upserts_are_tenant_scoped() {
-        let root = std::env::temp_dir()
-            .join(format!("graphex-server-fleet-upsert-{}", std::process::id()));
+        let root = std::env::temp_dir().join(format!(
+            "graphex-server-fleet-upsert-{}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&root);
         let fleet = TenantFleet::open(
             &root,
-            graphex_serving::FleetConfig { resident_cap: 2, overlay: true, ..Default::default() },
+            graphex_serving::FleetConfig {
+                resident_cap: 2,
+                overlay: true,
+                ..Default::default()
+            },
         )
         .unwrap();
-        fleet.publish_model("default", &tenant_model(0), "seed").unwrap();
-        fleet.publish_model("alpha", &tenant_model(1), "seed").unwrap();
+        fleet
+            .publish_model("default", &tenant_model(0), "seed")
+            .unwrap();
+        fleet
+            .publish_model("alpha", &tenant_model(1), "seed")
+            .unwrap();
         let server = crate::start_fleet(test_config(), Arc::new(fleet)).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
 
         let ack = client
-            .post_json("/v1/t/alpha/upsert", r#"{"text":"alpha exclusive phrase","leaf":9,"search":60}"#)
+            .post_json(
+                "/v1/t/alpha/upsert",
+                r#"{"text":"alpha exclusive phrase","leaf":9,"search":60}"#,
+            )
             .unwrap();
         assert_eq!(ack.status, 200, "{}", ack.text());
 
         // Alpha serves it; the default tenant does not know the leaf.
         let alpha = client
-            .post_json("/v1/t/alpha/infer", r#"{"title":"alpha exclusive phrase","leaf":9}"#)
+            .post_json(
+                "/v1/t/alpha/infer",
+                r#"{"title":"alpha exclusive phrase","leaf":9}"#,
+            )
             .unwrap();
         let alpha = json::parse(&alpha.text()).unwrap();
         let phrases = alpha.get("keyphrases").unwrap().as_arr().unwrap();
-        assert!(phrases.iter().any(|p| p.as_str() == Some("alpha exclusive phrase")), "{phrases:?}");
+        assert!(
+            phrases
+                .iter()
+                .any(|p| p.as_str() == Some("alpha exclusive phrase")),
+            "{phrases:?}"
+        );
         let other = client
-            .post_json("/v1/infer", r#"{"title":"alpha exclusive phrase","leaf":9}"#)
+            .post_json(
+                "/v1/infer",
+                r#"{"title":"alpha exclusive phrase","leaf":9}"#,
+            )
             .unwrap();
         let other = json::parse(&other.text()).unwrap();
         let leaked = other.get("keyphrases").unwrap().as_arr().unwrap();
         assert!(
-            leaked.iter().all(|p| p.as_str() != Some("alpha exclusive phrase")),
+            leaked
+                .iter()
+                .all(|p| p.as_str() != Some("alpha exclusive phrase")),
             "alpha's upsert leaked into the default tenant: {leaked:?}"
         );
 
         // Observability carries the tenant label.
         let metrics = client.get("/metrics").unwrap().text();
-        assert!(metrics.contains("graphex_overlay_depth{tenant=\"alpha\"} 1"), "{metrics}");
+        assert!(
+            metrics.contains("graphex_overlay_depth{tenant=\"alpha\"} 1"),
+            "{metrics}"
+        );
         let status = json::parse(&client.get("/statusz").unwrap().text()).unwrap();
         let rows = status.get("tenants").unwrap().as_arr().unwrap();
         let alpha_row = rows
             .iter()
             .find(|row| row.get("name").unwrap().as_str() == Some("alpha"))
             .unwrap();
-        assert_eq!(alpha_row.get("overlay").unwrap().get("depth").unwrap().as_u64(), Some(1));
+        assert_eq!(
+            alpha_row
+                .get("overlay")
+                .unwrap()
+                .get("depth")
+                .unwrap()
+                .as_u64(),
+            Some(1)
+        );
 
         assert_eq!(server.metrics().server_errors(), 0);
         drop(client);
@@ -1382,18 +1628,22 @@ mod tests {
     fn single_mode_rejects_tenant_paths() {
         let server = crate::start(test_config(), api()).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
-        let response =
-            client.post_json("/v1/t/alpha/infer", r#"{"title":"widget gadget","leaf":1}"#).unwrap();
+        let response = client
+            .post_json("/v1/t/alpha/infer", r#"{"title":"widget gadget","leaf":1}"#)
+            .unwrap();
         assert_eq!(response.status, 404);
-        assert!(response.text().contains("no tenant fleet"), "{}", response.text());
+        assert!(
+            response.text().contains("no tenant fleet"),
+            "{}",
+            response.text()
+        );
         drop(client);
         server.shutdown();
     }
 
     #[test]
     fn fleet_eviction_under_traffic_never_5xxes() {
-        let (root, fleet) =
-            fleet_fixture("evict", &[("default", 0), ("a", 1), ("b", 2), ("c", 3)]);
+        let (root, fleet) = fleet_fixture("evict", &[("default", 0), ("a", 1), ("b", 2), ("c", 3)]);
         let server = crate::start_fleet(test_config(), Arc::clone(&fleet)).unwrap();
         let addr = server.addr();
 
@@ -1405,9 +1655,15 @@ mod tests {
         for round in 0..6 {
             for (tenant, tag) in names.iter().zip(tags) {
                 let body = format!(r#"{{"title":"tenant{tag} widget v0","leaf":1,"k":2}}"#);
-                let response =
-                    client.post_json(&format!("/v1/t/{tenant}/infer"), &body).unwrap();
-                assert_eq!(response.status, 200, "round {round} {tenant}: {}", response.text());
+                let response = client
+                    .post_json(&format!("/v1/t/{tenant}/infer"), &body)
+                    .unwrap();
+                assert_eq!(
+                    response.status,
+                    200,
+                    "round {round} {tenant}: {}",
+                    response.text()
+                );
             }
         }
         assert!(fleet.resident_count() <= 2, "cap must hold under churn");
@@ -1425,11 +1681,29 @@ mod tests {
     /// snapshot versions on both sides of 2^53.
     fn phrases(script: &mut impl FnMut() -> u8) -> Vec<String> {
         const PALETTE: [char; 16] = [
-            'a', 'z', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{1}', '\u{1f}', '\u{7f}', '\u{e9}',
-            '\u{20ac}', '\u{1f600}', '}',
+            'a',
+            'z',
+            ' ',
+            '"',
+            '\\',
+            '/',
+            '\n',
+            '\r',
+            '\t',
+            '\u{1}',
+            '\u{1f}',
+            '\u{7f}',
+            '\u{e9}',
+            '\u{20ac}',
+            '\u{1f600}',
+            '}',
         ];
         (0..script() % 9)
-            .map(|_| (0..script() % 7).map(|_| PALETTE[usize::from(script()) % 16]).collect())
+            .map(|_| {
+                (0..script() % 7)
+                    .map(|_| PALETTE[usize::from(script()) % 16])
+                    .collect()
+            })
             .collect()
     }
 

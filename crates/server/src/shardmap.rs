@@ -101,8 +101,9 @@ impl ShardMap {
                 }
                 "backend" => {
                     let n = declared.ok_or_else(|| fail("backend before shards line"))?;
-                    let (index, addr) =
-                        value.split_once(' ').ok_or_else(|| fail("bad backend line"))?;
+                    let (index, addr) = value
+                        .split_once(' ')
+                        .ok_or_else(|| fail("bad backend line"))?;
                     let index: usize = index.parse().map_err(|_| fail("bad backend index"))?;
                     if index >= n {
                         return Err(fail("backend index out of range"));
@@ -131,8 +132,8 @@ impl ShardMap {
     /// Reads and parses a shard-map file.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, String> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("read {}: {e}", path.display()))?;
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         Self::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 }
@@ -177,11 +178,26 @@ mod tests {
             ("graphex-shardmap 2\nshards 1\nbackend 0 a\n", "bad version"),
             ("graphex-shardmap 1\n", "missing shards"),
             ("graphex-shardmap 1\nshards 0\n", "zero shards"),
-            ("graphex-shardmap 1\nshards 2\nbackend 0 a\n", "missing shard 1"),
-            ("graphex-shardmap 1\nshards 1\nbackend 0 a\nbackend 0 b\n", "duplicate"),
-            ("graphex-shardmap 1\nshards 1\nbackend 5 a\n", "out of range"),
-            ("graphex-shardmap 1\nbackend 0 a\nshards 1\n", "backend before shards"),
-            ("graphex-shardmap 1\nshards 1\nbackend 0  \n", "empty address"),
+            (
+                "graphex-shardmap 1\nshards 2\nbackend 0 a\n",
+                "missing shard 1",
+            ),
+            (
+                "graphex-shardmap 1\nshards 1\nbackend 0 a\nbackend 0 b\n",
+                "duplicate",
+            ),
+            (
+                "graphex-shardmap 1\nshards 1\nbackend 5 a\n",
+                "out of range",
+            ),
+            (
+                "graphex-shardmap 1\nbackend 0 a\nshards 1\n",
+                "backend before shards",
+            ),
+            (
+                "graphex-shardmap 1\nshards 1\nbackend 0  \n",
+                "empty address",
+            ),
         ] {
             assert!(ShardMap::parse(bad).is_err(), "accepted {why}: {bad:?}");
         }

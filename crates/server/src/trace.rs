@@ -155,7 +155,10 @@ pub fn backend_trace_from_json(shard: usize, addr: &str, trace: &Json) -> Option
     let mut spans = Vec::new();
     if let Some(arr) = trace.get("spans").and_then(Json::as_arr) {
         for span in arr {
-            let Some(stage) = span.get("stage").and_then(Json::as_str).and_then(Stage::from_name)
+            let Some(stage) = span
+                .get("stage")
+                .and_then(Json::as_str)
+                .and_then(Stage::from_name)
             else {
                 continue;
             };
@@ -168,7 +171,12 @@ pub fn backend_trace_from_json(shard: usize, addr: &str, trace: &Json) -> Option
             });
         }
     }
-    Some(BackendTrace { shard, addr: addr.to_string(), total_nanos, spans })
+    Some(BackendTrace {
+        shard,
+        addr: addr.to_string(),
+        total_nanos,
+        spans,
+    })
 }
 
 /// Renders an in-progress trace as the embeddable `"trace"` object a
@@ -406,8 +414,16 @@ impl TraceRecorder {
     /// The `/statusz` trace block: ring occupancy plus per-stage count
     /// and quantile estimates.
     pub fn statusz_json(&self) -> Json {
-        let ring_len = self.ring.lock().unwrap_or_else(PoisonError::into_inner).len();
-        let slow_len = self.slow_ring.lock().unwrap_or_else(PoisonError::into_inner).len();
+        let ring_len = self
+            .ring
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len();
+        let slow_len = self
+            .slow_ring
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len();
         let stages: Vec<(&str, Json)> = Stage::ALL
             .iter()
             .filter_map(|&stage| {
@@ -450,7 +466,12 @@ impl TraceRecorder {
                 let hist = &self.stage_hist[stage.index()];
                 let count = hist.count();
                 (count > 0).then(|| {
-                    (stage.name(), count, hist.quantile(0.50), hist.quantile(0.99))
+                    (
+                        stage.name(),
+                        count,
+                        hist.quantile(0.50),
+                        hist.quantile(0.99),
+                    )
                 })
             })
             .collect()
@@ -536,8 +557,9 @@ mod tests {
     #[test]
     fn rings_cap_and_order_newest_first() {
         let r = recorder(1000);
-        let ids: Vec<u64> =
-            (0..6).map(|_| finish_one(&r, Duration::from_micros(100)).id).collect();
+        let ids: Vec<u64> = (0..6)
+            .map(|_| finish_one(&r, Duration::from_micros(100)).id)
+            .collect();
         let recent = r.recent(false);
         assert_eq!(recent.len(), 4); // capped
         assert_eq!(recent[0].id, ids[5]); // newest first
@@ -569,7 +591,10 @@ mod tests {
         assert_eq!(filtered.matches("\"id\"").count(), 1, "{filtered}");
         let slow = r.render_debug(Some("slow&limit=1"));
         assert_eq!(slow.matches("\"id\"").count(), 1, "{slow}");
-        assert!(slow.contains("\"ring\": \"slow\"") || slow.contains("\"ring\":\"slow\""), "{slow}");
+        assert!(
+            slow.contains("\"ring\": \"slow\"") || slow.contains("\"ring\":\"slow\""),
+            "{slow}"
+        );
         // Valid JSON end to end.
         assert!(crate::json::parse(&all).is_ok());
     }
@@ -584,7 +609,12 @@ mod tests {
         assert!(!block.contains("\"traversal\""), "{block}"); // unrecorded stage omitted
         let mut metrics = String::new();
         r.render_metrics(&mut metrics);
-        assert_eq!(metrics.matches("# TYPE graphex_stage_latency_seconds").count(), 1);
+        assert_eq!(
+            metrics
+                .matches("# TYPE graphex_stage_latency_seconds")
+                .count(),
+            1
+        );
         assert!(
             metrics.contains("graphex_stage_latency_seconds_count{stage=\"parse\"} 1"),
             "{metrics}"
@@ -598,7 +628,15 @@ mod tests {
         let (mut trace, id) = r.begin(t0, parse_trace_id("00000000000000ab"));
         assert_eq!(id, 0xab);
         trace.record_span(Stage::Traversal, t0, Duration::from_micros(40), 0);
-        let record = r.finish(trace, id, None, 200, 1, Duration::from_micros(90), Vec::new());
+        let record = r.finish(
+            trace,
+            id,
+            None,
+            200,
+            1,
+            Duration::from_micros(90),
+            Vec::new(),
+        );
         let json = record.to_json();
         let parsed = backend_trace_from_json(2, "127.0.0.1:9", &json).expect("parsable");
         assert_eq!(parsed.shard, 2);

@@ -66,14 +66,21 @@ impl Client {
     fn connect(addr: SocketAddr) -> Self {
         let stream = TcpStream::connect(addr).expect("connect");
         stream.set_nodelay(true).expect("nodelay");
-        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
-        Self { stream, buf: [0; 4096] }
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        Self {
+            stream,
+            buf: [0; 4096],
+        }
     }
 
     /// One exchange; the response's bytes, head and body.
     fn round_trip(&mut self, request: &[u8]) -> &[u8] {
         fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-            haystack.windows(needle.len()).position(|window| window == needle)
+            haystack
+                .windows(needle.len())
+                .position(|window| window == needle)
         }
         self.stream.write_all(request).expect("send");
         let mut filled = 0;
@@ -98,24 +105,49 @@ impl Client {
 
 #[test]
 fn a_store_hit_request_stays_within_its_allocation_budget() {
-    let words = ["battery", "case", "leather", "wireless", "charger", "cable", "mini", "pro"];
+    let words = [
+        "battery", "case", "leather", "wireless", "charger", "cable", "mini", "pro",
+    ];
     let mut config = GraphExConfig::default();
     config.curation.min_search_count = 0;
     let records = (0..240usize).map(|i| {
-        let text =
-            format!("{} {} {} model{}", words[i % 8], words[i / 8 % 8], words[i * 3 % 8], i % 30);
-        KeyphraseRecord::new(text, LeafId(i as u32 % 3), 10 + i as u32 % 17, 1 + i as u32 % 5)
+        let text = format!(
+            "{} {} {} model{}",
+            words[i % 8],
+            words[i / 8 % 8],
+            words[i * 3 % 8],
+            i % 30
+        );
+        KeyphraseRecord::new(
+            text,
+            LeafId(i as u32 % 3),
+            10 + i as u32 % 17,
+            1 + i as u32 % 5,
+        )
     });
-    let model = GraphExBuilder::new(config).add_records(records).build().expect("model");
-    let api = Arc::new(ServingApi::new(Arc::new(model), Arc::new(KvStore::new()), 10));
+    let model = GraphExBuilder::new(config)
+        .add_records(records)
+        .build()
+        .expect("model");
+    let api = Arc::new(ServingApi::new(
+        Arc::new(model),
+        Arc::new(KvStore::new()),
+        10,
+    ));
     let server = graphex_server::start(
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             deadline: None,
             keep_alive_timeout: Duration::from_secs(10),
-            trace: TraceConfig { enabled: false, ..Default::default() },
-            history: HistoryConfig { enabled: false, ..Default::default() },
+            trace: TraceConfig {
+                enabled: false,
+                ..Default::default()
+            },
+            history: HistoryConfig {
+                enabled: false,
+                ..Default::default()
+            },
             ..Default::default()
         },
         Arc::clone(&api),
@@ -143,9 +175,17 @@ fn a_store_hit_request_stays_within_its_allocation_budget() {
     let mut client = Client::connect(server.addr());
     for request in &requests {
         let reply = client.round_trip(request);
-        assert!(reply.starts_with(b"HTTP/1.1 200 "), "{}", String::from_utf8_lossy(reply));
+        assert!(
+            reply.starts_with(b"HTTP/1.1 200 "),
+            "{}",
+            String::from_utf8_lossy(reply)
+        );
     }
-    assert_eq!(api.stats().read_throughs as usize, ITEMS, "every item computed once");
+    assert_eq!(
+        api.stats().read_throughs as usize,
+        ITEMS,
+        "every item computed once"
+    );
     drop(client);
 
     // Three windows, the least counted: anything else the process does
@@ -163,7 +203,11 @@ fn a_store_hit_request_stays_within_its_allocation_budget() {
             assert!(reply.starts_with(b"HTTP/1.1 200 "));
         }
         let counted = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!((api.stats().store_hits - hits_before) as usize, COUNTED, "all store hits");
+        assert_eq!(
+            (api.stats().store_hits - hits_before) as usize,
+            COUNTED,
+            "all store hits"
+        );
         least = least.min(counted);
     }
     let per_request = least as f64 / COUNTED as f64;
@@ -199,17 +243,28 @@ impl Write for CountedWrites {
 #[test]
 fn a_response_is_one_write() {
     let body = br#"{"outcome":"exact_leaf","keyphrases":["a","b"]}"#;
-    for (keep_alive, extra) in
-        [(true, &[][..]), (false, &[("Retry-After", "1"), ("Allow", "GET")][..])]
-    {
+    for (keep_alive, extra) in [
+        (true, &[][..]),
+        (false, &[("Retry-After", "1"), ("Allow", "GET")][..]),
+    ] {
         let mut stream = CountedWrites::default();
-        http::write_response(&mut stream, 200, "application/json", body, keep_alive, extra)
-            .expect("in-memory");
+        http::write_response(
+            &mut stream,
+            200,
+            "application/json",
+            body,
+            keep_alive,
+            extra,
+        )
+        .expect("in-memory");
         assert_eq!(stream.writes, 1, "head and body in one write");
         assert!(stream.bytes.starts_with(b"HTTP/1.1 200 OK\r\n"));
         assert!(stream.bytes.ends_with(body));
         let head = String::from_utf8_lossy(&stream.bytes[..stream.bytes.len() - body.len()]);
-        assert!(head.contains(&format!("Content-Length: {}\r\n", body.len())), "{head}");
+        assert!(
+            head.contains(&format!("Content-Length: {}\r\n", body.len())),
+            "{head}"
+        );
         assert!(head.ends_with("\r\n\r\n"), "{head}");
     }
     // A body of megabytes still leaves in as few writes as the stream

@@ -58,7 +58,10 @@ fn reference(stream: &mut &[u8], max_body: usize) -> Result<Parsed, ReadError> {
     }
     let mut parts = request_line.split(' ');
     let method = parts.next().unwrap_or("").to_string();
-    let target = parts.next().ok_or(ReadError::Bad("missing target"))?.to_string();
+    let target = parts
+        .next()
+        .ok_or(ReadError::Bad("missing target"))?
+        .to_string();
     let version = parts.next().ok_or(ReadError::Bad("missing version"))?;
     if parts.next().is_some() || !version.starts_with("HTTP/1.") {
         return Err(ReadError::Bad("malformed request line"));
@@ -91,9 +94,15 @@ fn reference(stream: &mut &[u8], max_body: usize) -> Result<Parsed, ReadError> {
     }
 
     let named = |wanted: &'static str| {
-        headers.iter().filter(move |(k, _)| k.eq_ignore_ascii_case(wanted)).map(|(_, v)| v.as_str())
+        headers
+            .iter()
+            .filter(move |(k, _)| k.eq_ignore_ascii_case(wanted))
+            .map(|(_, v)| v.as_str())
     };
-    if named("transfer-encoding").next().is_some_and(|te| !te.eq_ignore_ascii_case("identity")) {
+    if named("transfer-encoding")
+        .next()
+        .is_some_and(|te| !te.eq_ignore_ascii_case("identity"))
+    {
         return Err(ReadError::UnsupportedTransferEncoding);
     }
     let mut content_length = None;
@@ -101,7 +110,9 @@ fn reference(stream: &mut &[u8], max_body: usize) -> Result<Parsed, ReadError> {
         if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
             return Err(ReadError::Bad("bad content-length"));
         }
-        let length = raw.parse::<usize>().map_err(|_| ReadError::Bad("bad content-length"))?;
+        let length = raw
+            .parse::<usize>()
+            .map_err(|_| ReadError::Bad("bad content-length"))?;
         if content_length.is_some_and(|first| first != length) {
             return Err(ReadError::Bad("conflicting content-length"));
         }
@@ -109,11 +120,20 @@ fn reference(stream: &mut &[u8], max_body: usize) -> Result<Parsed, ReadError> {
     }
     let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
-        return Err(ReadError::BodyTooLarge { declared: content_length, max: max_body });
+        return Err(ReadError::BodyTooLarge {
+            declared: content_length,
+            max: max_body,
+        });
     }
     let mut body = vec![0u8; content_length];
     stream.read_exact(&mut body).map_err(ReadError::Io)?;
-    Ok(Parsed { method, path, query, headers, body })
+    Ok(Parsed {
+        method,
+        path,
+        query,
+        headers,
+        body,
+    })
 }
 
 /// A reader that hands `wire` over in two pieces, the first `cut` bytes
@@ -127,7 +147,11 @@ struct Pieces<'a> {
 
 impl Read for Pieces<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let end = if self.at < self.cut { self.cut } else { self.wire.len() };
+        let end = if self.at < self.cut {
+            self.cut
+        } else {
+            self.wire.len()
+        };
         let n = (end - self.at).min(self.step).min(buf.len());
         buf[..n].copy_from_slice(&self.wire[self.at..self.at + n]);
         self.at += n;
@@ -152,12 +176,23 @@ fn outcome(result: Result<Parsed, ReadError>) -> Result<Parsed, String> {
 fn assert_agrees(wire: &[u8], max_body: usize, capacity: usize, cut: usize, step: usize) {
     let mut rest = wire;
     let want = outcome(reference(&mut rest, max_body));
-    let mut stream = BufReader::with_capacity(capacity, Pieces { wire, at: 0, cut, step });
+    let mut stream = BufReader::with_capacity(
+        capacity,
+        Pieces {
+            wire,
+            at: 0,
+            cut,
+            step,
+        },
+    );
     let got = http::read_request(&mut stream, max_body).map(|request| Parsed {
         method: request.method().to_string(),
         path: request.path().to_string(),
         query: request.query().map(str::to_string),
-        headers: request.headers().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+        headers: request
+            .headers()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect(),
         body: request.body().to_vec(),
     });
     let got = outcome(got);
@@ -166,7 +201,12 @@ fn assert_agrees(wire: &[u8], max_body: usize, capacity: usize, cut: usize, step
     if want.is_ok() {
         let mut behind = Vec::new();
         stream.read_to_end(&mut behind).expect("in-memory");
-        assert_eq!(behind, rest, "{delivery}: bytes behind {:?}", String::from_utf8_lossy(wire));
+        assert_eq!(
+            behind,
+            rest,
+            "{delivery}: bytes behind {:?}",
+            String::from_utf8_lossy(wire)
+        );
     }
 }
 
@@ -193,15 +233,39 @@ fn grow(script: &[u8]) -> Vec<u8> {
     let mut bytes = script.iter();
     let mut next = move || usize::from(bytes.next().copied().unwrap_or(0));
     const METHODS: [&str; 6] = ["GET", "POST", "DELETE", "get", "", "P0ST"];
-    const TARGETS: [&str; 7] =
-        ["/", "/v1/infer", "/a?b=c", "/a?b?c", "noslash", "/sp ace", "/caf\u{e9}?q=\u{1f600}"];
+    const TARGETS: [&str; 7] = [
+        "/",
+        "/v1/infer",
+        "/a?b=c",
+        "/a?b?c",
+        "noslash",
+        "/sp ace",
+        "/caf\u{e9}?q=\u{1f600}",
+    ];
     const VERSIONS: [&str; 5] = ["HTTP/1.1", "HTTP/1.0", "HTTP/2", "SPDY/3", ""];
     const NAMES: [&str; 9] = [
-        "Host", "X-A", "content-length", "Content-Length", "Transfer-Encoding", "Connection",
-        "bad name", "", "X-\u{e9}",
+        "Host",
+        "X-A",
+        "content-length",
+        "Content-Length",
+        "Transfer-Encoding",
+        "Connection",
+        "bad name",
+        "",
+        "X-\u{e9}",
     ];
     const VALUES: [&str; 12] = [
-        "x", "", " padded \t", "a:b", "close", "identity", "chunked", "0", "5", "+5", "05",
+        "x",
+        "",
+        " padded \t",
+        "a:b",
+        "close",
+        "identity",
+        "chunked",
+        "0",
+        "5",
+        "+5",
+        "05",
         "18446744073709551616",
     ];
     let mut wire = Vec::new();
@@ -212,7 +276,11 @@ fn grow(script: &[u8]) -> Vec<u8> {
         0 => wire.extend_from_slice(b"GARBAGE"),
         1 => {}
         _ => {
-            let line = [METHODS[next() % 6], TARGETS[next() % 7], VERSIONS[next() % 5]];
+            let line = [
+                METHODS[next() % 6],
+                TARGETS[next() % 7],
+                VERSIONS[next() % 5],
+            ];
             wire.extend_from_slice(line.join(" ").as_bytes());
             if next() % 16 == 0 {
                 wire.extend_from_slice(b" extra");
@@ -297,14 +365,24 @@ fn header_byte_cap_falls_on_the_same_byte() {
         let pad = head - prefix.len() - suffix.len();
         let mut wire = format!("{prefix}{}{suffix}body", "p".repeat(pad)).into_bytes();
         wire.extend_from_slice(b"GET /second HTTP/1.1\r\n\r\n");
-        assert_eq!(reference(&mut &wire[..], 64).is_ok(), excess <= 0, "excess {excess}");
+        assert_eq!(
+            reference(&mut &wire[..], 64).is_ok(),
+            excess <= 0,
+            "excess {excess}"
+        );
         assert_agrees_however_delivered(&wire, 64);
         // LF-only line ends shift where the cap falls by one per line.
-        let lf_only: Vec<u8> = String::from_utf8(wire).unwrap().replace("\r\n", "\n").into_bytes();
+        let lf_only: Vec<u8> = String::from_utf8(wire)
+            .unwrap()
+            .replace("\r\n", "\n")
+            .into_bytes();
         assert_agrees_however_delivered(&lf_only, 64);
     }
     // Never terminated: refused at the cap, not buffered without bound.
-    let endless = format!("GET / HTTP/1.1\r\nX-Pad: {}", "p".repeat(2 * MAX_HEADER_BYTES));
+    let endless = format!(
+        "GET / HTTP/1.1\r\nX-Pad: {}",
+        "p".repeat(2 * MAX_HEADER_BYTES)
+    );
     assert_agrees_however_delivered(endless.as_bytes(), 64);
     let endless_line = "G".repeat(2 * MAX_HEADER_BYTES);
     assert_agrees_however_delivered(endless_line.as_bytes(), 64);

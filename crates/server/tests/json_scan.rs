@@ -45,10 +45,26 @@ fn grow(script: &mut std::slice::Iter<'_, u8>, depth: usize) -> Json {
 /// Short strings over everything the string grammar treats specially.
 fn text(next: &mut impl FnMut() -> u8) -> String {
     const PALETTE: [char; 16] = [
-        'a', 'z', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', '\u{8}', '\u{c}', '\u{e9}',
-        '\u{20ac}', '\u{1f600}', '{', ']',
+        'a',
+        'z',
+        ' ',
+        '"',
+        '\\',
+        '/',
+        '\n',
+        '\t',
+        '\u{1}',
+        '\u{8}',
+        '\u{c}',
+        '\u{e9}',
+        '\u{20ac}',
+        '\u{1f600}',
+        '{',
+        ']',
     ];
-    (0..next() % 6).map(|_| PALETTE[usize::from(next()) % PALETTE.len()]).collect()
+    (0..next() % 6)
+        .map(|_| PALETTE[usize::from(next()) % PALETTE.len()])
+        .collect()
 }
 
 /// A second rendering of `value`: whitespace between tokens as `ws`
@@ -139,7 +155,11 @@ fn assert_scan_matches_parse(text: &str) {
         elements.unwrap_or_else(|e| panic!("elements refused ({e}) what parse took: {text:?}"));
     let child = |range: &std::ops::Range<usize>| {
         let slice = &text[range.clone()];
-        assert_eq!(slice.trim_matches([' ', '\t', '\n', '\r']), slice, "span carries whitespace");
+        assert_eq!(
+            slice.trim_matches([' ', '\t', '\n', '\r']),
+            slice,
+            "span carries whitespace"
+        );
         json::parse(slice).unwrap_or_else(|e| panic!("span {slice:?} of {text:?}: {e}"))
     };
     match tree.as_obj() {
@@ -243,26 +263,54 @@ fn depth_limit_is_shared() {
         let objects = "{\"k\":".repeat(depth) + "0" + &"}".repeat(depth);
         assert_scan_matches_parse(&arrays);
         assert_scan_matches_parse(&objects);
-        assert_eq!(json::parse(&arrays).is_ok(), json::parse(&objects).is_ok(), "depth {depth}");
+        assert_eq!(
+            json::parse(&arrays).is_ok(),
+            json::parse(&objects).is_ok(),
+            "depth {depth}"
+        );
         accepted.push(json::parse(&arrays).is_ok());
     }
-    assert!(accepted[0] && !accepted[79], "the limit lies between 1 and 80 levels");
-    assert!(accepted.windows(2).all(|w| w[0] || !w[1]), "accepted depths are a prefix");
+    assert!(
+        accepted[0] && !accepted[79],
+        "the limit lies between 1 and 80 levels"
+    );
+    assert!(
+        accepted.windows(2).all(|w| w[0] || !w[1]),
+        "accepted depths are a prefix"
+    );
 }
 
 /// The corners the generator may visit rarely, named.
 #[test]
 fn named_corners() {
     for text in [
-        "{}", "[]", " { } ", "[ ]", "null", "\"\"", "0", "-0.5e-3",
+        "{}",
+        "[]",
+        " { } ",
+        "[ ]",
+        "null",
+        "\"\"",
+        "0",
+        "-0.5e-3",
         r#"{"\u0061\ud83d\ude00\/":"\ud83d\ude00"}"#,
         r#"{"a":1,"a":2}"#,
-        r#"["\ud800"]"#, r#"["\udc00"]"#, r#"{"k":"\ud83dx"}"#, r#"["\u12g4"]"#,
-        "[\"raw\u{1}control\"]", "{\"a\":1}}", "[1]]", "[1],", "{\"a\":1,}", "[1e999]", "[-]",
+        r#"["\ud800"]"#,
+        r#"["\udc00"]"#,
+        r#"{"k":"\ud83dx"}"#,
+        r#"["\u12g4"]"#,
+        "[\"raw\u{1}control\"]",
+        "{\"a\":1}}",
+        "[1]]",
+        "[1],",
+        "{\"a\":1,}",
+        "[1e999]",
+        "[-]",
         "\u{feff}{}",
     ] {
         assert_scan_matches_parse(text);
     }
-    let escaped = json::members(r#"{"\u0061\ud83d\ude00\/":[]}"#).unwrap().unwrap();
+    let escaped = json::members(r#"{"\u0061\ud83d\ude00\/":[]}"#)
+        .unwrap()
+        .unwrap();
     assert_eq!(escaped[0].0, "a\u{1f600}/", "keys come back decoded");
 }

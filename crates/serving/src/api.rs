@@ -163,7 +163,10 @@ impl Flight {
             if let Some(served) = &*guard {
                 return served.clone();
             }
-            guard = self.ready.wait(guard).unwrap_or_else(PoisonError::into_inner);
+            guard = self
+                .ready
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -414,7 +417,11 @@ impl ServingApi {
     /// landed since they were last built. Cheap when nothing changed
     /// (one relaxed load); the compare-exchange makes concurrent
     /// detectors rebase once.
-    fn rebase_overlay_if_swapped(&self, overlay: &OverlayStore, active: &crate::registry::ActiveModel) {
+    fn rebase_overlay_if_swapped(
+        &self,
+        overlay: &OverlayStore,
+        active: &crate::registry::ActiveModel,
+    ) {
         let seen = self.overlay_base.load(Ordering::Relaxed);
         if seen != active.version
             && self
@@ -463,7 +470,10 @@ impl ServingApi {
     /// [`ServingApi::serve_request`].
     pub fn serve(&self, item_id: u64, title: &str, leaf: LeafId) -> Served {
         self.serve_request(
-            &InferRequest::new(title, leaf).k(self.default_k).id(item_id).resolve_texts(true),
+            &InferRequest::new(title, leaf)
+                .k(self.default_k)
+                .id(item_id)
+                .resolve_texts(true),
         )
     }
 
@@ -560,7 +570,10 @@ impl ServingApi {
                 Some(stored) => {
                     trace.record_detail(graphex_core::Stage::KvLookup, kv_start, 1);
                     self.count(ServeSource::Store, stored.outcome());
-                    return sink(Answer::Hit { record: &stored, k: request.k });
+                    return sink(Answer::Hit {
+                        record: &stored,
+                        k: request.k,
+                    });
                 }
                 None => trace.record_detail(graphex_core::Stage::KvLookup, kv_start, 0),
             }
@@ -611,7 +624,12 @@ impl ServingApi {
                     // the flight entry and publishes an unservable answer,
                     // so followers unblock and later requests retry instead
                     // of joining a wedged flight forever.
-                    let mut guard = LeaderGuard { api: self, key, flight: &flight, armed: true };
+                    let mut guard = LeaderGuard {
+                        api: self,
+                        key,
+                        flight: &flight,
+                        armed: true,
+                    };
                     let served = self.compute_traced(request, trace);
                     if served.outcome.is_servable() {
                         let tags = Tags {
@@ -619,7 +637,8 @@ impl ServingApi {
                             overlay_epoch: served.overlay_epoch,
                             fingerprint,
                         };
-                        self.store.put_tagged(item, &served.keyphrases, served.outcome, tags);
+                        self.store
+                            .put_tagged(item, &served.keyphrases, served.outcome, tags);
                     }
                     // Store write is published; only now may new callers
                     // miss the flight entry (they re-check the store under
@@ -711,8 +730,11 @@ impl ServingApi {
         request: &InferRequest<'_>,
         trace: &mut graphex_core::StageTrace,
     ) -> Served {
-        let request =
-            if request.id.is_some() { request.resolve_texts(true) } else { *request };
+        let request = if request.id.is_some() {
+            request.resolve_texts(true)
+        } else {
+            *request
+        };
         // Resolve the model per computation: this is the hot-swap seam.
         // The `Arc` held here pins the snapshot for the whole inference.
         let active = self.watch.current();
@@ -867,7 +889,10 @@ mod tests {
     /// What a precomputing writer (a batch pass) stores for a title.
     fn precomputed(store: &KvStore, item: u64, keyphrases: &[&str], title: &str, leaf: LeafId) {
         let keyphrases: Vec<String> = keyphrases.iter().map(|k| k.to_string()).collect();
-        let tags = Tags { fingerprint: kv::fingerprint(leaf, title), ..Tags::default() };
+        let tags = Tags {
+            fingerprint: kv::fingerprint(leaf, title),
+            ..Tags::default()
+        };
         store.put_tagged(item, &keyphrases, Outcome::ExactLeaf, tags);
     }
 
@@ -884,8 +909,12 @@ mod tests {
         assert_eq!(api.stats().outcomes.exact_leaf, 1);
         // A plain `put` carries no fingerprint, so no request is answered
         // from it.
-        api.store().put(8, vec!["unfingerprinted".into()], Outcome::ExactLeaf, 0);
-        assert_eq!(api.serve(8, "widget gadget", LeafId(1)).source, ServeSource::ReadThrough);
+        api.store()
+            .put(8, vec!["unfingerprinted".into()], Outcome::ExactLeaf, 0);
+        assert_eq!(
+            api.serve(8, "widget gadget", LeafId(1)).source,
+            ServeSource::ReadThrough
+        );
     }
 
     #[test]
@@ -935,11 +964,17 @@ mod tests {
                 .unwrap(),
         );
         let api = ServingApi::new(model, Arc::new(KvStore::new()), 10);
-        let one = api
-            .serve_request(&InferRequest::new("widget gadget pro max", LeafId(1)).k(1).id(1));
+        let one = api.serve_request(
+            &InferRequest::new("widget gadget pro max", LeafId(1))
+                .k(1)
+                .id(1),
+        );
         assert_eq!(one.keyphrases.len(), 1);
-        let all = api
-            .serve_request(&InferRequest::new("widget gadget pro max", LeafId(1)).k(10).id(2));
+        let all = api.serve_request(
+            &InferRequest::new("widget gadget pro max", LeafId(1))
+                .k(10)
+                .id(2),
+        );
         assert_eq!(all.keyphrases.len(), 3);
     }
 
@@ -959,7 +994,8 @@ mod tests {
     #[test]
     fn computed_answers_carry_prediction_attributes() {
         let api = ServingApi::new(model(), Arc::new(KvStore::new()), 10);
-        let fresh = api.serve_request(&InferRequest::new("widget gadget pro", LeafId(1)).k(5).id(4));
+        let fresh =
+            api.serve_request(&InferRequest::new("widget gadget pro", LeafId(1)).k(5).id(4));
         assert_eq!(fresh.source, ServeSource::ReadThrough);
         assert_eq!(fresh.predictions.len(), fresh.keyphrases.len());
         assert!(fresh.predictions[0].matched > 0);
@@ -975,7 +1011,9 @@ mod tests {
         let store = Arc::new(KvStore::new());
         let api = ServingApi::new(model(), store.clone(), 10);
         let served = api.serve_request(
-            &InferRequest::new("widget gadget pro", LeafId(1)).k(5).resolve_texts(true),
+            &InferRequest::new("widget gadget pro", LeafId(1))
+                .k(5)
+                .resolve_texts(true),
         );
         assert_eq!(served.source, ServeSource::Direct);
         assert!(!served.keyphrases.is_empty());
@@ -1005,7 +1043,10 @@ mod tests {
         assert_eq!(served[1].source, ServeSource::ReadThrough);
         assert_eq!(served[2].source, ServeSource::None);
         let stats = api.stats();
-        assert_eq!((stats.store_hits, stats.read_throughs, stats.unservable), (1, 1, 1));
+        assert_eq!(
+            (stats.store_hits, stats.read_throughs, stats.unservable),
+            (1, 1, 1)
+        );
     }
 
     #[test]
@@ -1014,7 +1055,9 @@ mod tests {
         let api = ServingApi::new(model(), store, 10);
         let service: &dyn KeyphraseService = &api;
         let responses = service.infer_batch(&[
-            InferRequest::new("widget gadget pro", LeafId(1)).k(5).id(11),
+            InferRequest::new("widget gadget pro", LeafId(1))
+                .k(5)
+                .id(11),
             InferRequest::new("nothing", LeafId(999)).k(5).id(12),
         ]);
         assert_eq!(responses[0].outcome, Outcome::ExactLeaf);
@@ -1071,7 +1114,11 @@ mod tests {
             }
             let answers: Vec<Served> = handles.into_iter().map(|h| h.join().unwrap()).collect();
             // One write, no matter how the 8 callers interleaved.
-            assert_eq!(store.get(42).unwrap().version, 1, "stampede bumped the version");
+            assert_eq!(
+                store.get(42).unwrap().version,
+                1,
+                "stampede bumped the version"
+            );
             // Everyone got the same keyphrases, each from a valid source.
             for s in &answers {
                 assert_eq!(s.keyphrases, answers[0].keyphrases);
@@ -1095,16 +1142,12 @@ mod tests {
         assert_eq!(fixed.stats().snapshot_version, 0);
         assert_eq!(fixed.stats().model_swaps, 0);
 
-        let root = std::env::temp_dir()
-            .join(format!("graphex-api-registry-{}", std::process::id()));
+        let root =
+            std::env::temp_dir().join(format!("graphex-api-registry-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let registry = crate::ModelRegistry::open(&root).unwrap();
         registry.publish(&model(), "first").unwrap();
-        let api = ServingApi::with_watch(
-            registry.watch().unwrap(),
-            Arc::new(KvStore::new()),
-            10,
-        );
+        let api = ServingApi::with_watch(registry.watch().unwrap(), Arc::new(KvStore::new()), 10);
         let served = api.serve(1, "widget gadget pro", LeafId(1));
         assert_ne!(served.source, ServeSource::None);
         assert_eq!(api.stats().snapshot_version, 1);
@@ -1125,8 +1168,8 @@ mod tests {
     /// Fig. 7 serve-stale behaviour.
     #[test]
     fn invalidate_policy_recomputes_after_swap_and_rollback() {
-        let root = std::env::temp_dir()
-            .join(format!("graphex-api-swap-policy-{}", std::process::id()));
+        let root =
+            std::env::temp_dir().join(format!("graphex-api-swap-policy-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let registry = crate::ModelRegistry::open(&root).unwrap();
         registry.publish(&model(), "v1").unwrap();
@@ -1140,7 +1183,10 @@ mod tests {
         assert_eq!(first.source, ServeSource::ReadThrough);
         assert_eq!(store.get(5).unwrap().tags.snapshot_version, 1);
         // Same snapshot: a plain store hit.
-        assert_eq!(api.serve(5, "widget gadget pro", LeafId(1)).source, ServeSource::Store);
+        assert_eq!(
+            api.serve(5, "widget gadget pro", LeafId(1)).source,
+            ServeSource::Store
+        );
 
         // Hot swap to snapshot 2: the cached record is stale, so the next
         // request recomputes and re-tags it.
@@ -1148,7 +1194,11 @@ mod tests {
         let after_swap = api.serve(5, "widget gadget pro", LeafId(1));
         assert_eq!(after_swap.source, ServeSource::ReadThrough);
         assert_eq!(store.get(5).unwrap().tags.snapshot_version, 2);
-        assert_eq!(store.get(5).unwrap().version, 2, "record was overwritten once");
+        assert_eq!(
+            store.get(5).unwrap().version,
+            2,
+            "record was overwritten once"
+        );
 
         // Rollback to snapshot 1: the version-2 record is stale again —
         // a rollback cannot leave withdrawn-model answers serving.
@@ -1166,7 +1216,10 @@ mod tests {
         let lax = ServingApi::with_watch(registry.watch().unwrap(), lax_store.clone(), 10);
         lax.serve(5, "widget gadget pro", LeafId(1));
         registry.publish(&model(), "v3").unwrap();
-        assert_eq!(lax.serve(5, "widget gadget pro", LeafId(1)).source, ServeSource::Store);
+        assert_eq!(
+            lax.serve(5, "widget gadget pro", LeafId(1)).source,
+            ServeSource::Store
+        );
         assert_eq!(lax.stats().invalidated, 0);
         std::fs::remove_dir_all(&root).ok();
     }
@@ -1208,17 +1261,33 @@ mod tests {
 
         // Upsert a new keyphrase into leaf 1: the cached record is stale.
         let ack = api
-            .apply_upsert(&[KeyphraseRecord::new("widget gadget ultra", LeafId(1), 999, 1)])
+            .apply_upsert(&[KeyphraseRecord::new(
+                "widget gadget ultra",
+                LeafId(1),
+                999,
+                1,
+            )])
             .unwrap();
         assert_eq!(ack.seq, 1);
         let after = api.serve(7, "widget gadget ultra", LeafId(1));
-        assert_eq!(after.source, ServeSource::ReadThrough, "cached answer was invalidated");
+        assert_eq!(
+            after.source,
+            ServeSource::ReadThrough,
+            "cached answer was invalidated"
+        );
         assert!(after.keyphrases.iter().any(|k| k == "widget gadget ultra"));
-        assert_eq!(store.get(7).unwrap().tags.overlay_epoch, 1, "write-back re-tagged the record");
+        assert_eq!(
+            store.get(7).unwrap().tags.overlay_epoch,
+            1,
+            "write-back re-tagged the record"
+        );
         assert_eq!(api.stats().overlay_invalidated, 1);
 
         // The re-tagged record is a plain store hit now.
-        assert_eq!(api.serve(7, "widget gadget ultra", LeafId(1)).source, ServeSource::Store);
+        assert_eq!(
+            api.serve(7, "widget gadget ultra", LeafId(1)).source,
+            ServeSource::Store
+        );
 
         // A brand-new leaf the snapshot never saw serves from the overlay.
         api.apply_upsert(&[KeyphraseRecord::new("quantum doohickey", LeafId(42), 50, 5)])
@@ -1232,8 +1301,8 @@ mod tests {
     /// absorbed by the new snapshot leave the overlay, late upserts stay.
     #[test]
     fn drain_after_publish_keeps_late_upserts_serving() {
-        let root = std::env::temp_dir()
-            .join(format!("graphex-api-overlay-drain-{}", std::process::id()));
+        let root =
+            std::env::temp_dir().join(format!("graphex-api-overlay-drain-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let registry = crate::ModelRegistry::open(&root).unwrap();
         registry.publish(&model(), "base").unwrap();
@@ -1257,7 +1326,8 @@ mod tests {
                 .unwrap(),
         );
         // A late upsert races the publish; it must survive the drain.
-        api.apply_upsert(&[KeyphraseRecord::new("late arrival", LeafId(42), 10, 1)]).unwrap();
+        api.apply_upsert(&[KeyphraseRecord::new("late arrival", LeafId(42), 10, 1)])
+            .unwrap();
         registry.publish(&compacted, "compacted").unwrap();
         let report = api.drain_overlay(journal.upto).unwrap();
         assert_eq!((report.drained, report.remaining), (1, 1));
@@ -1284,7 +1354,8 @@ mod tests {
 
         let tiny = ServingApi::new(model(), Arc::new(KvStore::new()), 10)
             .with_overlay(Arc::new(crate::overlay::OverlayStore::with_cap(16)));
-        tiny.apply_upsert(&[KeyphraseRecord::new("fits", LeafId(1), 1, 1)]).ok();
+        tiny.apply_upsert(&[KeyphraseRecord::new("fits", LeafId(1), 1, 1)])
+            .ok();
         assert!(matches!(
             tiny.apply_upsert(&[KeyphraseRecord::new("over the cap now", LeafId(1), 1, 1)]),
             Err(OverlayError::CapExceeded { .. })
@@ -1313,18 +1384,33 @@ mod tests {
         );
         let engine = Engine::new(model.clone());
         let fresh = |title: &str, leaf: u32| {
-            engine.infer(&InferRequest::new(title, LeafId(leaf)).k(10).resolve_texts(true)).texts
+            engine
+                .infer(
+                    &InferRequest::new(title, LeafId(leaf))
+                        .k(10)
+                        .resolve_texts(true),
+                )
+                .texts
         };
         let (original, revised) = ("widget gadget pro", "sprocket cog deluxe");
         assert_ne!(fresh(original, 1), fresh(revised, 1));
         assert_ne!(fresh(revised, 1), fresh(revised, 2));
-        let script = [(original, 1), (revised, 1), (revised, 2), (original, 1), (original, 3)];
+        let script = [
+            (original, 1),
+            (revised, 1),
+            (revised, 2),
+            (original, 1),
+            (original, 3),
+        ];
         for policy in [SwapPolicy::Serve, SwapPolicy::Invalidate] {
             for prewarmed in [false, true] {
                 let store = Arc::new(KvStore::new());
                 if prewarmed {
-                    let item =
-                        crate::batch::BatchItem { id: 42, title: original.into(), leaf: LeafId(1) };
+                    let item = crate::batch::BatchItem {
+                        id: 42,
+                        title: original.into(),
+                        leaf: LeafId(1),
+                    };
                     crate::BatchPipeline::new(&model, &store, 10, 1).run_full(&[item]);
                 }
                 let api = ServingApi::new(model.clone(), store, 10).swap_policy(policy);

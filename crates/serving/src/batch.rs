@@ -17,9 +17,7 @@
 use crate::kv::{self, KvStore, Tags};
 use crate::registry::ModelWatch;
 use graphex_core::parallel::batch_infer_with;
-use graphex_core::{
-    GraphExModel, InferRequest, InferResponse, LeafId, OutcomeCounts, ScratchPool,
-};
+use graphex_core::{GraphExModel, InferRequest, InferResponse, LeafId, OutcomeCounts, ScratchPool};
 
 /// A batch work item (owned so pipelines can be fed from any source).
 #[derive(Debug, Clone)]
@@ -63,13 +61,23 @@ pub struct BatchPipeline<'a> {
 impl<'a> BatchPipeline<'a> {
     /// `threads = 0` uses all cores (the paper's batch node uses 70).
     pub fn new(model: &'a GraphExModel, store: &'a KvStore, k: usize, threads: usize) -> Self {
-        Self { model: PipelineModel::Borrowed(model), store, k, threads }
+        Self {
+            model: PipelineModel::Borrowed(model),
+            store,
+            k,
+            threads,
+        }
     }
 
     /// Pipeline over a registry watch (see [`crate::ModelRegistry`]):
     /// each run resolves the active snapshot at its start.
     pub fn with_watch(watch: ModelWatch, store: &'a KvStore, k: usize, threads: usize) -> Self {
-        Self { model: PipelineModel::Watched(watch), store, k, threads }
+        Self {
+            model: PipelineModel::Watched(watch),
+            store,
+            k,
+            threads,
+        }
     }
 
     /// Full pass over `items` ("for all items in eBay").
@@ -124,11 +132,21 @@ impl<'a> BatchPipeline<'a> {
                 overlay_epoch: 0,
                 fingerprint: kv::fingerprint(item.leaf, &item.title),
             };
-            self.store.put_tagged(u64::from(item.id), &response.texts, response.outcome, tags);
+            self.store
+                .put_tagged(u64::from(item.id), &response.texts, response.outcome, tags);
         };
-        let workers =
-            batch_infer_with(model, items.len(), request, self.threads, &ScratchPool::new(), store);
-        let mut report = BatchReport { snapshot_version, ..BatchReport::default() };
+        let workers = batch_infer_with(
+            model,
+            items.len(),
+            request,
+            self.threads,
+            &ScratchPool::new(),
+            store,
+        );
+        let mut report = BatchReport {
+            snapshot_version,
+            ..BatchReport::default()
+        };
         for worker in workers {
             report.items_processed += worker.items_processed;
             report.items_with_recommendations += worker.items_with_recommendations;
@@ -150,7 +168,12 @@ mod tests {
         config.curation.min_search_count = 0;
         GraphExBuilder::new(config)
             .add_records((0..20).map(|i| {
-                KeyphraseRecord::new(format!("brand{i} gadget model{i}"), LeafId(i % 4), 50 + i, 5)
+                KeyphraseRecord::new(
+                    format!("brand{i} gadget model{i}"),
+                    LeafId(i % 4),
+                    50 + i,
+                    5,
+                )
             }))
             .build()
             .unwrap()
@@ -200,15 +223,24 @@ mod tests {
             let store = KvStore::new();
             let pipeline = BatchPipeline::new(&model, &store, 10, threads);
             pipeline.run_full(&batch);
-            let report = BatchReport { elapsed_ms: 0, ..pipeline.run_full(&batch) };
-            let records: Vec<_> = batch.iter().map(|item| store.get(u64::from(item.id))).collect();
+            let report = BatchReport {
+                elapsed_ms: 0,
+                ..pipeline.run_full(&batch)
+            };
+            let records: Vec<_> = batch
+                .iter()
+                .map(|item| store.get(u64::from(item.id)))
+                .collect();
             (report, records)
         };
         let (one, stored_by_one) = run(1);
         assert_eq!(one.items_processed, 203);
         assert_eq!(one.outcomes.total(), 203);
         assert!(one.outcomes.meta_fallback + one.outcomes.unknown_leaf > 0);
-        assert!(stored_by_one.iter().flatten().all(|record| record.version == 2));
+        assert!(stored_by_one
+            .iter()
+            .flatten()
+            .all(|record| record.version == 2));
         assert_eq!((one, stored_by_one), run(4));
     }
 
@@ -219,8 +251,10 @@ mod tests {
         let pipeline = BatchPipeline::new(&model, &store, 10, 2);
         let batch = items(20);
         pipeline.run_full(&batch);
-        let v_before: Vec<u32> =
-            batch.iter().map(|i| store.get(u64::from(i.id)).unwrap().version).collect();
+        let v_before: Vec<u32> = batch
+            .iter()
+            .map(|i| store.get(u64::from(i.id)).unwrap().version)
+            .collect();
 
         // Revise items 0 and 1.
         let mut changed = vec![batch[0].clone(), batch[1].clone()];
@@ -232,10 +266,19 @@ mod tests {
         assert_eq!(store.get(0).unwrap().version, v_before[0] + 1);
         assert_eq!(store.get(1).unwrap().version, v_before[1] + 1);
         for item in &batch[2..] {
-            assert_eq!(store.get(u64::from(item.id)).unwrap().version, 1, "untouched item re-written");
+            assert_eq!(
+                store.get(u64::from(item.id)).unwrap().version,
+                1,
+                "untouched item re-written"
+            );
         }
         // Revised title → revised keyphrases.
-        assert!(store.get(0).unwrap().keyphrases.iter().any(|k| k.contains("model3")));
+        assert!(store
+            .get(0)
+            .unwrap()
+            .keyphrases
+            .iter()
+            .any(|k| k.contains("model3")));
     }
 
     #[test]

@@ -110,7 +110,10 @@ impl std::fmt::Display for FleetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::InvalidName(name) => {
-                write!(f, "invalid tenant name {name:?} (want [A-Za-z0-9_-], 1..=64 chars)")
+                write!(
+                    f,
+                    "invalid tenant name {name:?} (want [A-Za-z0-9_-], 1..=64 chars)"
+                )
             }
             Self::UnknownTenant(name) => write!(f, "unknown tenant {name:?}"),
             Self::Tenant { name, source } => write!(f, "tenant {name:?}: {source}"),
@@ -137,7 +140,9 @@ pub type FleetResult<T> = std::result::Result<T, FleetError>;
 pub fn is_valid_tenant_name(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= 64
-        && name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
 }
 
 /// The resident half of a tenant: live handles, dropped on eviction.
@@ -235,7 +240,11 @@ impl TenantFleet {
                 }
             }
         }
-        Ok(Self { tenants_root, config, inner: Mutex::new(Inner { tenants, tick: 0 }) })
+        Ok(Self {
+            tenants_root,
+            config,
+            inner: Mutex::new(Inner { tenants, tick: 0 }),
+        })
     }
 
     /// The `<root>/tenants/` directory this fleet manages.
@@ -260,30 +269,49 @@ impl TenantFleet {
     /// Fleet table: one status row per tenant, sorted by name.
     pub fn list(&self) -> Vec<TenantStatus> {
         let inner = self.inner.lock();
-        inner.tenants.iter().map(|(name, state)| self.status_of(name, state)).collect()
+        inner
+            .tenants
+            .iter()
+            .map(|(name, state)| self.status_of(name, state))
+            .collect()
     }
 
     /// One tenant's status row, if the tenant is known.
     pub fn status(&self, name: &str) -> Option<TenantStatus> {
         let inner = self.inner.lock();
-        inner.tenants.get(name).map(|state| self.status_of(name, state))
+        inner
+            .tenants
+            .get(name)
+            .map(|state| self.status_of(name, state))
     }
 
     /// Lifetime serve counters for one tenant (folded + live).
     pub fn stats(&self, name: &str) -> FleetResult<ServeStats> {
-        self.status(name).map(|s| s.stats).ok_or_else(|| FleetError::UnknownTenant(name.into()))
+        self.status(name)
+            .map(|s| s.stats)
+            .ok_or_else(|| FleetError::UnknownTenant(name.into()))
     }
 
     /// Number of tenants currently resident.
     pub fn resident_count(&self) -> usize {
-        self.inner.lock().tenants.values().filter(|t| t.resident.is_some()).count()
+        self.inner
+            .lock()
+            .tenants
+            .values()
+            .filter(|t| t.resident.is_some())
+            .count()
     }
 
     /// Total backing bytes across resident tenants (page-cache-shared
     /// under mmap, private heap under `LoadMode::Heap`).
     pub fn resident_bytes(&self) -> u64 {
         let inner = self.inner.lock();
-        inner.tenants.values().filter_map(|t| t.resident.as_ref()).map(resident_bytes).sum()
+        inner
+            .tenants
+            .values()
+            .filter_map(|t| t.resident.as_ref())
+            .map(resident_bytes)
+            .sum()
     }
 
     /// The serving api for `name`, admitting the tenant if it is cold
@@ -309,7 +337,9 @@ impl TenantFleet {
             if !self.tenants_root.join(name).is_dir() {
                 return Err(FleetError::UnknownTenant(name.into()));
             }
-            inner.tenants.insert(name.to_string(), TenantState::default());
+            inner
+                .tenants
+                .insert(name.to_string(), TenantState::default());
         }
 
         let state = inner.tenants.get_mut(name).expect("inserted above");
@@ -322,13 +352,19 @@ impl TenantFleet {
         // concurrent cold starts (single-flight per fleet — the cap
         // stays exact and one tenant is never admitted twice).
         let started = Instant::now();
-        let registry = ModelRegistry::open_with_mode(self.tenants_root.join(name), self.config.load_mode)
-            .map_err(|e| FleetError::Tenant { name: name.into(), source: e })?;
-        let watch = registry
-            .watch()
-            .map_err(|e| FleetError::Tenant { name: name.into(), source: e })?;
-        let mut built = ServingApi::with_watch(watch, Arc::new(KvStore::new()), self.config.default_k)
-            .swap_policy(self.config.swap_policy);
+        let registry =
+            ModelRegistry::open_with_mode(self.tenants_root.join(name), self.config.load_mode)
+                .map_err(|e| FleetError::Tenant {
+                    name: name.into(),
+                    source: e,
+                })?;
+        let watch = registry.watch().map_err(|e| FleetError::Tenant {
+            name: name.into(),
+            source: e,
+        })?;
+        let mut built =
+            ServingApi::with_watch(watch, Arc::new(KvStore::new()), self.config.default_k)
+                .swap_policy(self.config.swap_policy);
         if self.config.overlay {
             let state = inner.tenants.get_mut(name).expect("inserted above");
             let overlay = state
@@ -374,13 +410,23 @@ impl TenantFleet {
     /// tenant if it does not exist yet. A resident tenant hot-swaps (its
     /// watch observes the new snapshot); a cold tenant just gains a new
     /// on-disk version for its next admission.
-    pub fn publish_model(&self, name: &str, model: &GraphExModel, note: &str) -> FleetResult<SnapshotMeta> {
+    pub fn publish_model(
+        &self,
+        name: &str,
+        model: &GraphExModel,
+        note: &str,
+    ) -> FleetResult<SnapshotMeta> {
         self.publish_with(name, |registry| registry.publish(model, note))
     }
 
     /// Publishes an already-serialized snapshot file to tenant `name`
     /// (the CLI ingest path), creating the tenant if needed.
-    pub fn publish_file(&self, name: &str, path: impl AsRef<Path>, note: &str) -> FleetResult<SnapshotMeta> {
+    pub fn publish_file(
+        &self,
+        name: &str,
+        path: impl AsRef<Path>,
+        note: &str,
+    ) -> FleetResult<SnapshotMeta> {
         let path = path.as_ref();
         self.publish_with(name, |registry| registry.publish_file(path, note))
     }
@@ -393,7 +439,10 @@ impl TenantFleet {
         if !is_valid_tenant_name(name) {
             return Err(FleetError::InvalidName(name.into()));
         }
-        let wrap = |e: RegistryError| FleetError::Tenant { name: name.into(), source: e };
+        let wrap = |e: RegistryError| FleetError::Tenant {
+            name: name.into(),
+            source: e,
+        };
         // Resolve the target registry under the lock, publish outside
         // it: admission of the *new* snapshot (load + warm-up) must not
         // stall requests to other tenants.
@@ -435,7 +484,9 @@ impl TenantFleet {
                 .tenants
                 .iter()
                 .filter_map(|(name, t)| {
-                    t.resident.as_ref().map(|r| (name.clone(), Arc::clone(&r.registry)))
+                    t.resident
+                        .as_ref()
+                        .map(|r| (name.clone(), Arc::clone(&r.registry)))
                 })
                 .collect()
         };
@@ -457,7 +508,11 @@ impl TenantFleet {
     /// never evicting `keep` (the tenant that triggered the admission).
     fn evict_over_cap(&self, inner: &mut Inner, keep: &str) {
         loop {
-            let resident = inner.tenants.values().filter(|t| t.resident.is_some()).count();
+            let resident = inner
+                .tenants
+                .values()
+                .filter(|t| t.resident.is_some())
+                .count();
             if resident <= self.config.resident_cap {
                 return;
             }
@@ -550,7 +605,12 @@ mod tests {
         config.curation.min_search_count = 0;
         GraphExBuilder::new(config)
             .add_records((0..6u32).map(|i| {
-                KeyphraseRecord::new(format!("tenant{tag} widget model{i}"), LeafId(i % 2), 100 + i, 10)
+                KeyphraseRecord::new(
+                    format!("tenant{tag} widget model{i}"),
+                    LeafId(i % 2),
+                    100 + i,
+                    10,
+                )
             }))
             .build()
             .unwrap()
@@ -565,7 +625,10 @@ mod tests {
     fn fleet_with(root: &Path, cap: usize, tenants: &[(&str, u32)]) -> TenantFleet {
         let fleet = TenantFleet::open(
             root,
-            FleetConfig { resident_cap: cap, ..FleetConfig::default() },
+            FleetConfig {
+                resident_cap: cap,
+                ..FleetConfig::default()
+            },
         )
         .unwrap();
         for &(name, tag) in tenants {
@@ -576,14 +639,23 @@ mod tests {
 
     fn ask(api: &ServingApi, tag: u32) -> Vec<String> {
         let title = format!("tenant{tag} widget model0");
-        api.serve_request(&InferRequest::new(&title, LeafId(0)).k(3).resolve_texts(true)).keyphrases
+        api.serve_request(
+            &InferRequest::new(&title, LeafId(0))
+                .k(3)
+                .resolve_texts(true),
+        )
+        .keyphrases
     }
 
     #[test]
     fn lazy_admission_and_isolation() {
         let root = temproot("lazy");
         let fleet = fleet_with(&root, 4, &[("alpha", 1), ("beta", 2)]);
-        assert_eq!(fleet.resident_count(), 0, "publish to cold tenants must not admit");
+        assert_eq!(
+            fleet.resident_count(),
+            0,
+            "publish to cold tenants must not admit"
+        );
 
         let alpha = fleet.api("alpha").unwrap();
         assert_eq!(fleet.resident_count(), 1);
@@ -609,8 +681,11 @@ mod tests {
         ask(&fleet.api("a").unwrap(), 1);
         ask(&fleet.api("c").unwrap(), 3);
         assert_eq!(fleet.resident_count(), 2);
-        let status: BTreeMap<String, bool> =
-            fleet.list().into_iter().map(|t| (t.name.clone(), t.resident)).collect();
+        let status: BTreeMap<String, bool> = fleet
+            .list()
+            .into_iter()
+            .map(|t| (t.name.clone(), t.resident))
+            .collect();
         assert!(status["a"]);
         assert!(!status["b"], "LRU tenant must be the one evicted");
         assert!(status["c"]);
@@ -621,7 +696,10 @@ mod tests {
         let b = fleet.status("b").unwrap();
         assert_eq!(b.admissions, 2);
         assert_eq!(b.evictions, 1);
-        assert_eq!(b.stats.outcomes.exact_leaf, 2, "stats folded across eviction");
+        assert_eq!(
+            b.stats.outcomes.exact_leaf, 2,
+            "stats folded across eviction"
+        );
         let again_a = ask(&fleet.api("a").unwrap(), 1);
         assert_eq!(first_a, again_a);
         std::fs::remove_dir_all(&root).ok();
@@ -679,7 +757,9 @@ mod tests {
         assert_eq!(swapped.len(), 1);
         assert_eq!(swapped[0].0, "ext");
         assert_eq!(*swapped[0].1.as_ref().unwrap(), 2);
-        assert!(ask(&fleet.api("ext").unwrap(), 7).iter().all(|t| t.contains("tenant7")));
+        assert!(ask(&fleet.api("ext").unwrap(), 7)
+            .iter()
+            .all(|t| t.contains("tenant7")));
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -691,7 +771,11 @@ mod tests {
         let fleet = fleet_with(&root, 4, &[("frozen", 1)]);
         assert_eq!(fleet.status("frozen").unwrap().snapshot_version, 1);
         fleet.publish_model("frozen", &model(2), "second").unwrap();
-        assert_eq!(fleet.resident_count(), 0, "publish to a cold tenant must not admit");
+        assert_eq!(
+            fleet.resident_count(),
+            0,
+            "publish to a cold tenant must not admit"
+        );
         assert_eq!(fleet.status("frozen").unwrap().snapshot_version, 2);
         // A tenant directory with no publishes yet genuinely is 0.
         std::fs::create_dir_all(fleet.tenants_root().join("empty")).unwrap();
@@ -708,26 +792,41 @@ mod tests {
         let root = temproot("overlay");
         let fleet = TenantFleet::open(
             &root,
-            FleetConfig { resident_cap: 4, overlay: true, ..FleetConfig::default() },
+            FleetConfig {
+                resident_cap: 4,
+                overlay: true,
+                ..FleetConfig::default()
+            },
         )
         .unwrap();
         fleet.publish_model("shop", &model(1), "seed").unwrap();
 
         let api = fleet.api("shop").unwrap();
-        api.apply_upsert(&[KeyphraseRecord::new("fresh arrival", LeafId(42), 10, 1)]).unwrap();
+        api.apply_upsert(&[KeyphraseRecord::new("fresh arrival", LeafId(42), 10, 1)])
+            .unwrap();
         let served = api.serve_request(
-            &InferRequest::new("fresh arrival", LeafId(42)).k(3).id(1).resolve_texts(true),
+            &InferRequest::new("fresh arrival", LeafId(42))
+                .k(3)
+                .id(1)
+                .resolve_texts(true),
         );
         assert_eq!(served.keyphrases, ["fresh arrival"]);
 
         assert!(fleet.evict("shop").unwrap());
         let status = fleet.status("shop").unwrap();
-        assert_eq!(status.overlay.as_ref().map(|o| o.depth), Some(1), "overlay outlives eviction");
+        assert_eq!(
+            status.overlay.as_ref().map(|o| o.depth),
+            Some(1),
+            "overlay outlives eviction"
+        );
 
         // Re-admission re-attaches the same overlay: still servable.
         let again = fleet.api("shop").unwrap();
         let served = again.serve_request(
-            &InferRequest::new("fresh arrival", LeafId(42)).k(3).id(2).resolve_texts(true),
+            &InferRequest::new("fresh arrival", LeafId(42))
+                .k(3)
+                .id(2)
+                .resolve_texts(true),
         );
         assert_eq!(served.keyphrases, ["fresh arrival"]);
         std::fs::remove_dir_all(&root).ok();
@@ -743,10 +842,17 @@ mod tests {
                 "{bad:?} accepted"
             );
         }
-        assert!(matches!(fleet.api("ghost"), Err(FleetError::UnknownTenant(_))));
+        assert!(matches!(
+            fleet.api("ghost"),
+            Err(FleetError::UnknownTenant(_))
+        ));
         // A corrupt tenant names its snapshot file and leaves others serving.
         fleet.publish_model("sick", &model(2), "").unwrap();
-        let path = fleet.tenants_root().join("sick").join("1").join("model.gexm");
+        let path = fleet
+            .tenants_root()
+            .join("sick")
+            .join("1")
+            .join("model.gexm");
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
@@ -770,7 +876,9 @@ mod tests {
         let other = ModelRegistry::attach(fleet.tenants_root().join("newcomer")).unwrap();
         other.publish(&model(4), "").unwrap();
         drop(other);
-        assert!(ask(&fleet.api("newcomer").unwrap(), 4).iter().all(|t| t.contains("tenant4")));
+        assert!(ask(&fleet.api("newcomer").unwrap(), 4)
+            .iter()
+            .all(|t| t.contains("tenant4")));
         std::fs::remove_dir_all(&root).ok();
     }
 }

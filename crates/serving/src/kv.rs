@@ -168,8 +168,8 @@ impl PackedRecs {
     /// The keyphrases, in rank order, borrowed from the record.
     pub fn keyphrases(&self) -> impl ExactSizeIterator<Item = &str> {
         let count = self.len();
-        let text = std::str::from_utf8(&self.0[ENDS_AT + 4 * count..])
-            .expect("packed from whole strings");
+        let text =
+            std::str::from_utf8(&self.0[ENDS_AT + 4 * count..]).expect("packed from whole strings");
         let mut start = 0;
         (0..count).map(move |i| {
             let end = self.u32_at(ENDS_AT + 4 * i) as usize;
@@ -213,7 +213,9 @@ impl Default for KvStore {
 impl KvStore {
     pub fn new() -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| RwLock::new(FxHashMap::default())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| RwLock::new(FxHashMap::default()))
+                .collect(),
             bytes: AtomicUsize::new(0),
         }
     }
@@ -230,7 +232,15 @@ impl KvStore {
     /// from the record — writers that know the request use
     /// [`KvStore::put_tagged`].
     pub fn put(&self, item: u64, keyphrases: Vec<String>, outcome: Outcome, snapshot_version: u64) {
-        self.put_tagged(item, &keyphrases, outcome, Tags { snapshot_version, ..Tags::default() });
+        self.put_tagged(
+            item,
+            &keyphrases,
+            outcome,
+            Tags {
+                snapshot_version,
+                ..Tags::default()
+            },
+        );
     }
 
     /// [`KvStore::put`] with every tag given: the overlay sequence the
@@ -332,10 +342,22 @@ mod tests {
     fn put_tagged_carries_the_overlay_epoch() {
         let kv = KvStore::new();
         kv.put(1, vec!["plain".into()], Outcome::ExactLeaf, 2);
-        let plain = Tags { snapshot_version: 2, overlay_epoch: 0, fingerprint: 0 };
-        assert_eq!(kv.get(1).unwrap().tags, plain, "plain puts carry no epoch or fingerprint");
+        let plain = Tags {
+            snapshot_version: 2,
+            overlay_epoch: 0,
+            fingerprint: 0,
+        };
+        assert_eq!(
+            kv.get(1).unwrap().tags,
+            plain,
+            "plain puts carry no epoch or fingerprint"
+        );
         assert_eq!(kv.probe_tags(1), Some(plain));
-        let tagged = Tags { snapshot_version: 2, overlay_epoch: 17, fingerprint: 99 };
+        let tagged = Tags {
+            snapshot_version: 2,
+            overlay_epoch: 17,
+            fingerprint: 99,
+        };
         kv.put_tagged(1, &["tagged".into()], Outcome::ExactLeaf, tagged);
         let got = kv.get(1).unwrap();
         assert_eq!((got.version, got.tags), (2, tagged));
@@ -348,7 +370,15 @@ mod tests {
     /// never the 0 a plain `put` writes.
     #[test]
     fn fingerprint_separates_leaf_and_title_and_is_never_zero() {
-        let titles = ["", "a", "a\0", "\0", "widget gadget pro", "widget gadget pro ", "é"];
+        let titles = [
+            "",
+            "a",
+            "a\0",
+            "\0",
+            "widget gadget pro",
+            "widget gadget pro ",
+            "é",
+        ];
         let mut seen = FxHashMap::default();
         for leaf in [0, 1, 2, u32::MAX] {
             for title in titles {
@@ -369,18 +399,28 @@ mod tests {
         let lists: [Vec<String>; 4] = [
             vec![],
             vec![String::new()],
-            vec!["".into(), "line\nbreak \"quoted\" \\".into(), "".into(), "é😀 wide".into()],
+            vec![
+                "".into(),
+                "line\nbreak \"quoted\" \\".into(),
+                "".into(),
+                "é😀 wide".into(),
+            ],
             (0..300).map(|i| format!("kp {i}")).collect(),
         ];
         for (item, keyphrases) in lists.iter().enumerate() {
             let item = item as u64;
-            let tags =
-                Tags { snapshot_version: u64::MAX, overlay_epoch: u64::MAX - 1, fingerprint: u64::MAX - 2 };
+            let tags = Tags {
+                snapshot_version: u64::MAX,
+                overlay_epoch: u64::MAX - 1,
+                fingerprint: u64::MAX - 2,
+            };
             for outcome in Outcome::ALL {
                 kv.put_tagged(item, keyphrases, outcome, tags);
                 let record = kv.record(item).unwrap();
                 assert_eq!(record.len(), keyphrases.len());
-                assert!(record.keyphrases().eq(keyphrases.iter().map(String::as_str)));
+                assert!(record
+                    .keyphrases()
+                    .eq(keyphrases.iter().map(String::as_str)));
                 let got = kv.get(item).unwrap();
                 assert_eq!(&got.keyphrases, keyphrases);
                 assert_eq!((got.outcome, got.tags), (outcome, tags));
@@ -395,7 +435,10 @@ mod tests {
     fn record_bytes_tracks_the_stored_records() {
         let kv = KvStore::new();
         let walked = |kv: &KvStore| -> usize {
-            (0..8u64).filter_map(|item| kv.record(item)).map(|r| r.heap_bytes()).sum()
+            (0..8u64)
+                .filter_map(|item| kv.record(item))
+                .map(|r| r.heap_bytes())
+                .sum()
         };
         assert_eq!(kv.record_bytes(), 0);
         kv.put(1, vec!["abc".into(), "de".into()], Outcome::ExactLeaf, 1);

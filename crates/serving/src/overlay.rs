@@ -62,7 +62,11 @@ pub struct JournalEntry {
 pub enum OverlayError {
     /// The uncompacted journal would exceed the configured cap; retry
     /// after the next compaction drains it.
-    CapExceeded { cap_bytes: usize, journal_bytes: usize, retry_after_secs: u64 },
+    CapExceeded {
+        cap_bytes: usize,
+        journal_bytes: usize,
+        retry_after_secs: u64,
+    },
     /// A record failed validation (empty text, or text containing the
     /// tab/newline bytes the journal interchange format reserves).
     Invalid(String),
@@ -245,7 +249,10 @@ impl OverlayStore {
         for rec in records {
             inner.seq += 1;
             let seq = inner.seq;
-            inner.journal.push(JournalEntry { seq, record: rec.clone() });
+            inner.journal.push(JournalEntry {
+                seq,
+                record: rec.clone(),
+            });
             if !touched.contains(&rec.leaf) {
                 touched.push(rec.leaf);
             }
@@ -267,7 +274,10 @@ impl OverlayStore {
             journal_bytes: inner.journal_bytes,
         };
         {
-            let mut leaf_seq = self.leaf_seq.write().unwrap_or_else(PoisonError::into_inner);
+            let mut leaf_seq = self
+                .leaf_seq
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
             for leaf in &touched {
                 leaf_seq.insert(leaf.0, seq);
             }
@@ -276,8 +286,10 @@ impl OverlayStore {
         drop(inner);
 
         self.upserts_applied.fetch_add(1, Ordering::Relaxed);
-        self.records_applied.fetch_add(records.len() as u64, Ordering::Relaxed);
-        self.apply_nanos.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.records_applied
+            .fetch_add(records.len() as u64, Ordering::Relaxed);
+        self.apply_nanos
+            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         Ok(ack)
     }
 
@@ -287,7 +299,10 @@ impl OverlayStore {
     /// the compaction window survive the drain.
     pub fn export_journal(&self) -> OverlayJournal {
         let inner = self.lock_inner();
-        OverlayJournal { upto: inner.seq, entries: inner.journal.clone() }
+        OverlayJournal {
+            upto: inner.seq,
+            entries: inner.journal.clone(),
+        }
     }
 
     /// Atomically drops every journal entry with `seq <= upto` (absorbed
@@ -295,7 +310,12 @@ impl OverlayStore {
     /// remainder against the **new** base model.
     pub fn drain(&self, base: &GraphExModel, upto: u64) -> DrainReport {
         let mut inner = self.lock_inner();
-        let OverlayInner { journal, seq, drained_upto, journal_bytes } = &mut *inner;
+        let OverlayInner {
+            journal,
+            seq,
+            drained_upto,
+            journal_bytes,
+        } = &mut *inner;
         let before = journal.len();
         journal.retain(|e| e.seq > upto);
         let remaining = journal.len();
@@ -304,7 +324,10 @@ impl OverlayStore {
         self.rebuild_view(base, journal, *seq);
         drop(inner);
         self.drains.fetch_add(1, Ordering::Relaxed);
-        DrainReport { drained: before - remaining, remaining }
+        DrainReport {
+            drained: before - remaining,
+            remaining,
+        }
     }
 
     /// Re-composes the live view against a *new* base model without
@@ -321,7 +344,10 @@ impl OverlayStore {
     fn rebuild_view(&self, base: &GraphExModel, journal: &[JournalEntry], seq: u64) {
         let mut pending: BTreeMap<LeafId, Vec<KeyphraseRecord>> = BTreeMap::new();
         for entry in journal {
-            pending.entry(entry.record.leaf).or_default().push(entry.record.clone());
+            pending
+                .entry(entry.record.leaf)
+                .or_default()
+                .push(entry.record.clone());
         }
         let view = Arc::new(OverlayView::build(base, &pending, seq));
         *self.view.write().unwrap_or_else(PoisonError::into_inner) = view;
@@ -422,7 +448,9 @@ impl OverlayJournal {
             None => return Err("empty journal file".into()),
         }
         let upto = match lines.next().and_then(|l| l.strip_prefix("upto ")) {
-            Some(v) => v.parse::<u64>().map_err(|_| format!("bad upto value {v:?}"))?,
+            Some(v) => v
+                .parse::<u64>()
+                .map_err(|_| format!("bad upto value {v:?}"))?,
             None => return Err("missing upto header line".into()),
         };
         let mut entries = Vec::new();
@@ -437,7 +465,10 @@ impl OverlayJournal {
                 .ok_or_else(|| err("missing seq"))?
                 .parse()
                 .map_err(|_| err("seq is not a number"))?;
-            let text = cols.next().filter(|t| !t.is_empty()).ok_or_else(|| err("empty text"))?;
+            let text = cols
+                .next()
+                .filter(|t| !t.is_empty())
+                .ok_or_else(|| err("empty text"))?;
             let leaf: u32 = cols
                 .next()
                 .ok_or_else(|| err("missing leaf"))?
@@ -490,7 +521,9 @@ mod tests {
     fn apply_makes_new_leaf_servable_before_ack_returns() {
         let model = base();
         let store = OverlayStore::new();
-        let ack = store.apply(&model, &[rec("ski goggles anti fog", 9, 50, 5)]).unwrap();
+        let ack = store
+            .apply(&model, &[rec("ski goggles anti fog", 9, 50, 5)])
+            .unwrap();
         assert_eq!(ack.seq, 1);
         assert_eq!(ack.applied, 1);
         // The view visible after the ack serves the new leaf.
@@ -512,9 +545,19 @@ mod tests {
     fn cap_sheds_without_mutating() {
         let model = base();
         let store = OverlayStore::with_cap(64);
-        store.apply(&model, &[rec("fits under cap", 9, 1, 1)]).unwrap();
+        store
+            .apply(&model, &[rec("fits under cap", 9, 1, 1)])
+            .unwrap();
         let err = store
-            .apply(&model, &[rec("this batch pushes the journal past the tiny cap", 9, 1, 1)])
+            .apply(
+                &model,
+                &[rec(
+                    "this batch pushes the journal past the tiny cap",
+                    9,
+                    1,
+                    1,
+                )],
+            )
             .unwrap_err();
         assert!(matches!(err, OverlayError::CapExceeded { .. }));
         let status = store.status();
@@ -527,7 +570,10 @@ mod tests {
     fn invalid_records_are_rejected() {
         let model = base();
         let store = OverlayStore::new();
-        assert!(matches!(store.apply(&model, &[]), Err(OverlayError::Invalid(_))));
+        assert!(matches!(
+            store.apply(&model, &[]),
+            Err(OverlayError::Invalid(_))
+        ));
         assert!(matches!(
             store.apply(&model, &[rec("has\ttab", 1, 1, 1)]),
             Err(OverlayError::Invalid(_))
@@ -543,8 +589,18 @@ mod tests {
     fn journal_round_trips_through_text() {
         let model = base();
         let store = OverlayStore::new();
-        store.apply(&model, &[rec("ski goggles", 9, 50, 5), rec("audeze maxwell", 7, 10, 1)]).unwrap();
-        store.apply(&model, &[rec("snow helmet kids", 10, 30, 3)]).unwrap();
+        store
+            .apply(
+                &model,
+                &[
+                    rec("ski goggles", 9, 50, 5),
+                    rec("audeze maxwell", 7, 10, 1),
+                ],
+            )
+            .unwrap();
+        store
+            .apply(&model, &[rec("snow helmet kids", 10, 30, 3)])
+            .unwrap();
         let journal = store.export_journal();
         assert_eq!(journal.upto, 3);
         let parsed = OverlayJournal::parse(&journal.to_text()).unwrap();
@@ -561,23 +617,36 @@ mod tests {
         assert!(
             OverlayJournal::parse("graphex-overlay-journal 1\nupto 1\n1\tonly text\n").is_err()
         );
-        assert!(OverlayJournal::parse("graphex-overlay-journal 1\nupto 1\n1\ta\t2\t3\t4\t5\n")
-            .is_err());
+        assert!(
+            OverlayJournal::parse("graphex-overlay-journal 1\nupto 1\n1\ta\t2\t3\t4\t5\n").is_err()
+        );
     }
 
     #[test]
     fn drain_drops_absorbed_entries_and_keeps_late_arrivals() {
         let model = base();
         let store = OverlayStore::new();
-        store.apply(&model, &[rec("ski goggles", 9, 50, 5)]).unwrap();
-        store.apply(&model, &[rec("snow helmet", 10, 30, 3)]).unwrap();
+        store
+            .apply(&model, &[rec("ski goggles", 9, 50, 5)])
+            .unwrap();
+        store
+            .apply(&model, &[rec("snow helmet", 10, 30, 3)])
+            .unwrap();
         let journal = store.export_journal();
         assert_eq!(journal.upto, 2);
         // A write lands while the compaction is building/publishing.
-        store.apply(&model, &[rec("snow gloves", 11, 20, 2)]).unwrap();
+        store
+            .apply(&model, &[rec("snow gloves", 11, 20, 2)])
+            .unwrap();
 
         let report = store.drain(&model, journal.upto);
-        assert_eq!(report, DrainReport { drained: 2, remaining: 1 });
+        assert_eq!(
+            report,
+            DrainReport {
+                drained: 2,
+                remaining: 1
+            }
+        );
         let status = store.status();
         assert_eq!(status.depth, 1);
         assert_eq!(status.drained_upto, 2);
@@ -596,7 +665,9 @@ mod tests {
     fn rebase_recomposes_against_a_new_model() {
         let model = base();
         let store = OverlayStore::new();
-        store.apply(&model, &[rec("audeze maxwell xbox edition", 7, 990, 10)]).unwrap();
+        store
+            .apply(&model, &[rec("audeze maxwell xbox edition", 7, 990, 10)])
+            .unwrap();
 
         // A richer snapshot hot-swaps in (not a compaction of this
         // journal): the overlaid leaf must re-merge against it.
@@ -615,12 +686,17 @@ mod tests {
         let mut scratch = graphex_core::Scratch::new();
         let resp = view
             .infer_request(
-                &InferRequest::new("wireless audeze maxwell xbox", LeafId(7)).k(10).resolve_texts(true),
+                &InferRequest::new("wireless audeze maxwell xbox", LeafId(7))
+                    .k(10)
+                    .resolve_texts(true),
                 &mut scratch,
             )
             .unwrap();
         assert!(resp.texts.iter().any(|t| t == "wireless headphones xbox"));
-        assert!(resp.texts.iter().any(|t| t == "audeze maxwell xbox edition"));
+        assert!(resp
+            .texts
+            .iter()
+            .any(|t| t == "audeze maxwell xbox edition"));
     }
 
     #[test]
@@ -636,7 +712,11 @@ mod tests {
         store.apply(&model, std::slice::from_ref(&second)).unwrap();
         let view = store.view();
         assert!(staged.ptr_eq(&view.staged_base(LeafId(7)).unwrap()));
-        assert_eq!(staged.strong_count(), 1, "only the live view's leaf holds it");
+        assert_eq!(
+            staged.strong_count(),
+            1,
+            "only the live view's leaf holds it"
+        );
 
         // A shed batch and an invalid one leave view, leaf_seq, journal
         // and staging exactly as they were.
@@ -652,7 +732,10 @@ mod tests {
         assert_eq!(staged.strong_count(), 1);
         let status = store.status();
         assert_eq!((status.upserts_applied, status.upserts_shed), (2, 1));
-        assert_eq!(status.apply_micros_total, applied_micros, "accepted batches only");
+        assert_eq!(
+            status.apply_micros_total, applied_micros,
+            "accepted batches only"
+        );
 
         // Once a drain takes the leaf out of the view, its staging goes.
         drop(view);
@@ -690,7 +773,10 @@ mod tests {
                                 &InferRequest::new("phrase 0 1", LeafId(leaf)),
                                 &mut scratch,
                             ) {
-                                assert!(matches!(resp.outcome, Outcome::ExactLeaf | Outcome::Empty));
+                                assert!(matches!(
+                                    resp.outcome,
+                                    Outcome::ExactLeaf | Outcome::Empty
+                                ));
                             }
                         }
                     }

@@ -141,15 +141,16 @@ impl SnapshotMeta {
         for line in text.lines() {
             let (key, value) = line.split_once(' ').unwrap_or((line, ""));
             let num = || -> RegistryResult<u64> {
-                value.parse().map_err(|_| RegistryError::Manifest(format!("bad {key}: {value:?}")))
+                value
+                    .parse()
+                    .map_err(|_| RegistryError::Manifest(format!("bad {key}: {value:?}")))
             };
             match key {
                 "version" => stated_version = num()?,
                 "format" => meta.format = num()? as u32,
                 "checksum" => {
-                    meta.checksum = u64::from_str_radix(value, 16).map_err(|_| {
-                        RegistryError::Manifest(format!("bad checksum: {value:?}"))
-                    })?;
+                    meta.checksum = u64::from_str_radix(value, 16)
+                        .map_err(|_| RegistryError::Manifest(format!("bad checksum: {value:?}")))?;
                 }
                 "leaves" => meta.leaves = num()?,
                 "keyphrases" => meta.keyphrases = num()?,
@@ -331,7 +332,10 @@ impl ModelRegistry {
     /// the page cache, `LoadMode::Heap` forces private copies (the
     /// pre-mmap behaviour; also the bench baseline).
     pub fn open_with_mode(root: impl AsRef<Path>, load_mode: LoadMode) -> RegistryResult<Self> {
-        let registry = Self { load_mode, ..Self::attach(root)? };
+        let registry = Self {
+            load_mode,
+            ..Self::attach(root)?
+        };
         registry.activate_pinned()?;
         Ok(registry)
     }
@@ -371,7 +375,10 @@ impl ModelRegistry {
         Ok(Self {
             write_lock: directory_lock(&root),
             root,
-            shared: Arc::new(Shared { active: RwLock::new(None), epoch: AtomicU64::new(0) }),
+            shared: Arc::new(Shared {
+                active: RwLock::new(None),
+                epoch: AtomicU64::new(0),
+            }),
             load_mode: LoadMode::default(),
         })
     }
@@ -407,7 +414,11 @@ impl ModelRegistry {
             if !entry.file_type()?.is_dir() {
                 continue;
             }
-            if let Some(v) = entry.file_name().to_str().and_then(|s| s.parse::<u64>().ok()) {
+            if let Some(v) = entry
+                .file_name()
+                .to_str()
+                .and_then(|s| s.parse::<u64>().ok())
+            {
                 if entry.path().join(MODEL_FILE).is_file() {
                     out.push(v);
                 }
@@ -419,15 +430,17 @@ impl ModelRegistry {
 
     /// Manifests of every snapshot, ascending by version.
     pub fn list(&self) -> RegistryResult<Vec<SnapshotMeta>> {
-        self.versions()?.into_iter().map(|v| self.manifest(v)).collect()
+        self.versions()?
+            .into_iter()
+            .map(|v| self.manifest(v))
+            .collect()
     }
 
     /// The parsed manifest of one version.
     pub fn manifest(&self, version: u64) -> RegistryResult<SnapshotMeta> {
         let path = self.version_dir(version).join(MANIFEST_FILE);
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            RegistryError::Manifest(format!("{}: {e}", path.display()))
-        })?;
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| RegistryError::Manifest(format!("{}: {e}", path.display())))?;
         SnapshotMeta::parse(&text, version)
     }
 
@@ -451,7 +464,9 @@ impl ModelRegistry {
         if self.shared.active.read().is_none() {
             return Err(RegistryError::NoSnapshots);
         }
-        Ok(ModelWatch { shared: Arc::clone(&self.shared) })
+        Ok(ModelWatch {
+            shared: Arc::clone(&self.shared),
+        })
     }
 
     /// Publishes a freshly built model: writes `model.gexm` +
@@ -511,7 +526,9 @@ impl ModelRegistry {
         for (name, _) in extras {
             let reserved = [MODEL_FILE, MANIFEST_FILE, CURRENT_FILE].contains(name);
             if reserved || name.is_empty() || name.contains(['/', '\\']) {
-                return Err(RegistryError::Manifest(format!("invalid sidecar file name {name:?}")));
+                return Err(RegistryError::Manifest(format!(
+                    "invalid sidecar file name {name:?}"
+                )));
             }
         }
         let _writer = self.write_lock.lock();
@@ -594,7 +611,12 @@ impl ModelRegistry {
         self.write_current_file(version)?;
 
         // Atomic epoch-pointer swap.
-        let active = Arc::new(ActiveModel { version, engine, meta, load_mode });
+        let active = Arc::new(ActiveModel {
+            version,
+            engine,
+            meta,
+            load_mode,
+        });
         *self.shared.active.write() = Some(Arc::clone(&active));
         self.shared.epoch.fetch_add(1, Ordering::AcqRel);
         Ok(active)
@@ -659,13 +681,18 @@ impl ModelRegistry {
         // deterministic, so admission never depends on hash-map order.
         let mut probe_leaves: Vec<_> = model.leaf_ids().collect();
         probe_leaves.sort_unstable();
-        let mut report = WarmupReport { probes: 0, servable: 0 };
+        let mut report = WarmupReport {
+            probes: 0,
+            servable: 0,
+        };
         for leaf in probe_leaves.into_iter().take(3) {
             let graph = model.leaf_graph(leaf).expect("listed leaf has a graph");
             if graph.num_labels() == 0 {
                 continue;
             }
-            let title = model.keyphrase_text(graph.keyphrase_id(0)).unwrap_or_default();
+            let title = model
+                .keyphrase_text(graph.keyphrase_id(0))
+                .unwrap_or_default();
             let response = engine.infer(&InferRequest::new(title, leaf).k(5));
             report.probes += 1;
             if response.is_servable() {
@@ -673,7 +700,9 @@ impl ModelRegistry {
             }
         }
         if report.probes == 0 {
-            return Err(RegistryError::Warmup("model has no leaf graphs to probe".into()));
+            return Err(RegistryError::Warmup(
+                "model has no leaf graphs to probe".into(),
+            ));
         }
         if report.servable == 0 {
             return Err(RegistryError::Warmup(format!(
@@ -689,7 +718,11 @@ impl ModelRegistry {
     }
 
     fn read_current_file(&self) -> Option<u64> {
-        std::fs::read_to_string(self.root.join(CURRENT_FILE)).ok()?.trim().parse().ok()
+        std::fs::read_to_string(self.root.join(CURRENT_FILE))
+            .ok()?
+            .trim()
+            .parse()
+            .ok()
     }
 
     fn write_current_file(&self, version: u64) -> RegistryResult<()> {
@@ -704,12 +737,20 @@ impl ModelRegistry {
 /// The checks every snapshot read back from disk goes through, on its
 /// one hash pass: whole-file checksum equal to the manifest's, then
 /// trailer, magic, version word and the full structural parse.
-fn admit(snapshot: &Hashed, meta: &SnapshotMeta, model_path: &Path) -> RegistryResult<GraphExModel> {
+fn admit(
+    snapshot: &Hashed,
+    meta: &SnapshotMeta,
+    model_path: &Path,
+) -> RegistryResult<GraphExModel> {
     let actual = snapshot.checksum();
     if actual != meta.checksum {
         // With the file's own verdict on itself, which names a snapshot
         // (and so a manifest) written before this format's checksum.
-        let own = snapshot.inspect().err().map(|e| format!(" — {e}")).unwrap_or_default();
+        let own = snapshot
+            .inspect()
+            .err()
+            .map(|e| format!(" — {e}"))
+            .unwrap_or_default();
         return Err(RegistryError::Manifest(format!(
             "{}: checksum mismatch for version {}: manifest {:016x}, file {actual:016x}{own}",
             model_path.display(),
@@ -754,7 +795,8 @@ mod tests {
     }
 
     fn tempdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("graphex-registry-{name}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("graphex-registry-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -800,9 +842,11 @@ mod tests {
         assert_eq!(watch.swap_count(), 1);
         // The pre-swap Arc still answers: in-flight requests finish on
         // the old model.
-        let resp = before
-            .engine
-            .infer(&InferRequest::new("brand1 widget model0", LeafId(0)).k(3).resolve_texts(true));
+        let resp = before.engine.infer(
+            &InferRequest::new("brand1 widget model0", LeafId(0))
+                .k(3)
+                .resolve_texts(true),
+        );
         assert!(resp.is_servable());
         assert!(resp.texts.iter().any(|t| t.contains("brand1")));
         std::fs::remove_dir_all(&root).ok();
@@ -816,7 +860,10 @@ mod tests {
         registry.publish(&model(2), "").unwrap();
         assert_eq!(registry.rollback().unwrap(), (2, 1));
         assert_eq!(registry.current_version(), Some(1));
-        assert!(matches!(registry.rollback(), Err(RegistryError::NothingToRollBack)));
+        assert!(matches!(
+            registry.rollback(),
+            Err(RegistryError::NothingToRollBack)
+        ));
 
         // A fresh open honours CURRENT (the rollback), not max-version.
         drop(registry);
@@ -870,7 +917,10 @@ mod tests {
         // The active snapshot still serves and a reopen still boots.
         assert!(registry.current().unwrap().engine.model().num_keyphrases() > 0);
         drop(registry);
-        assert_eq!(ModelRegistry::open(&root).unwrap().current_version(), Some(3));
+        assert_eq!(
+            ModelRegistry::open(&root).unwrap().current_version(),
+            Some(3)
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -885,12 +935,16 @@ mod tests {
         let active = registry.current().unwrap();
         assert_eq!(active.load_mode, LoadMode::Mmap);
         let m = active.engine.model();
-        assert!(m.leaf_ids().all(|l| m.leaf_graph(l).unwrap().is_zero_copy()));
+        assert!(m
+            .leaf_ids()
+            .all(|l| m.leaf_graph(l).unwrap().is_zero_copy()));
 
         let heap = ModelRegistry::open_with_mode(&root, LoadMode::Heap).unwrap();
         let heap_active = heap.current().unwrap();
         assert_eq!(heap_active.load_mode, LoadMode::Heap);
-        let req = InferRequest::new("brand1 widget model0", LeafId(0)).k(5).resolve_texts(true);
+        let req = InferRequest::new("brand1 widget model0", LeafId(0))
+            .k(5)
+            .resolve_texts(true);
         let a = active.engine.infer(&req);
         let b = heap_active.engine.infer(&req);
         assert_eq!(a.texts, b.texts);
@@ -922,8 +976,14 @@ mod tests {
         std::fs::write(root.join("1").join(MANIFEST_FILE), fixed.render()).unwrap();
 
         let err = registry.activate(1).unwrap_err();
-        assert!(matches!(err, RegistryError::Model(GraphExError::Corrupt(_))), "{err}");
-        assert!(err.to_string().contains("model.gexm"), "path missing from: {err}");
+        assert!(
+            matches!(err, RegistryError::Model(GraphExError::Corrupt(_))),
+            "{err}"
+        );
+        assert!(
+            err.to_string().contains("model.gexm"),
+            "path missing from: {err}"
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -943,7 +1003,10 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(meta.version, 2);
 
-        assert!(matches!(registry.activate(2), Err(RegistryError::Manifest(_))));
+        assert!(matches!(
+            registry.activate(2),
+            Err(RegistryError::Manifest(_))
+        ));
         // Still serving the model that was active before the bad activate.
         assert_eq!(registry.current_version(), Some(2));
         let verify = registry.verify(2);
@@ -973,8 +1036,7 @@ mod tests {
         // directory entry's kind, then rewrite the trailer so only
         // the deep parse (inside activate) can catch it.
         let mut bytes = graphex_core::serialize::to_bytes(&model(2)).to_vec();
-        let dir_offset =
-            u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+        let dir_offset = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
         bytes[dir_offset..dir_offset + 4].copy_from_slice(&99u32.to_le_bytes());
         let n = bytes.len();
         let sum = graphex_core::serialize::checksum(&bytes[..n - 8]);
@@ -982,7 +1044,10 @@ mod tests {
         let bad = root.join("bad.gexm");
         std::fs::write(&bad, &bytes).unwrap();
 
-        assert!(matches!(registry.publish_file(&bad, ""), Err(RegistryError::Model(_))));
+        assert!(matches!(
+            registry.publish_file(&bad, ""),
+            Err(RegistryError::Model(_))
+        ));
         // Version 2 was withdrawn; version 1 still serves and is still
         // the newest on-disk snapshot, so gc/rollback stay sane.
         assert_eq!(registry.versions().unwrap(), [1]);
@@ -995,11 +1060,18 @@ mod tests {
         let sound = serialize::to_bytes(&model(2));
         let mut info = sound.inspect().unwrap();
         info.file_checksum ^= 1;
-        let err = registry.publish_inspected(&sound, &info, "wrong sums", &[]).unwrap_err();
+        let err = registry
+            .publish_inspected(&sound, &info, "wrong sums", &[])
+            .unwrap_err();
         assert!(matches!(err, RegistryError::Manifest(_)), "{err}");
         assert_eq!(registry.versions().unwrap(), [1]);
         assert_eq!(registry.current_version(), Some(1));
-        assert_eq!(std::fs::read_to_string(root.join(CURRENT_FILE)).unwrap().trim(), "1");
+        assert_eq!(
+            std::fs::read_to_string(root.join(CURRENT_FILE))
+                .unwrap()
+                .trim(),
+            "1"
+        );
         let resp = registry
             .current()
             .unwrap()
@@ -1033,7 +1105,9 @@ mod tests {
         assert_eq!(ro.gc(1).unwrap(), [1]);
         assert_eq!(ro.versions().unwrap(), [2, 3]);
         assert_eq!(
-            std::fs::read_to_string(root.join("CURRENT")).unwrap().trim(),
+            std::fs::read_to_string(root.join("CURRENT"))
+                .unwrap()
+                .trim(),
             "2",
             "attach/gc must not rewrite CURRENT"
         );
@@ -1046,7 +1120,11 @@ mod tests {
         let registry = ModelRegistry::open(&root).unwrap();
         let bytes = graphex_core::serialize::to_bytes(&model(1));
         let meta = registry
-            .publish_with_files(&bytes, "pipeline build", &[("BUILDINFO", b"fingerprints\n")])
+            .publish_with_files(
+                &bytes,
+                "pipeline build",
+                &[("BUILDINFO", b"fingerprints\n")],
+            )
             .unwrap();
         assert_eq!(meta.version, 1);
         assert_eq!(
@@ -1057,7 +1135,10 @@ mod tests {
         // anything lands on disk.
         for bad in ["model.gexm", "MANIFEST", "CURRENT", "", "a/b"] {
             let res = registry.publish_with_files(&bytes, "", &[(bad, b"x" as &[u8])]);
-            assert!(matches!(res, Err(RegistryError::Manifest(_))), "{bad:?} accepted");
+            assert!(
+                matches!(res, Err(RegistryError::Manifest(_))),
+                "{bad:?} accepted"
+            );
         }
         assert_eq!(registry.versions().unwrap(), [1]);
         std::fs::remove_dir_all(&root).ok();
@@ -1088,12 +1169,20 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = registry.publish_file(&path, "version word 1").unwrap_err();
         assert!(
-            matches!(err, RegistryError::Model(GraphExError::UnsupportedVersion(1))),
+            matches!(
+                err,
+                RegistryError::Model(GraphExError::UnsupportedVersion(1))
+            ),
             "{err}"
         );
         assert_eq!(registry.current_version(), Some(1));
         assert_eq!(registry.versions().unwrap(), [1]);
-        assert_eq!(std::fs::read_to_string(root.join(CURRENT_FILE)).unwrap().trim(), "1");
+        assert_eq!(
+            std::fs::read_to_string(root.join(CURRENT_FILE))
+                .unwrap()
+                .trim(),
+            "1"
+        );
 
         // A snapshot an older build wrote — version word 2 under a
         // trailer (FNV-1a) that this build's checksum does not match —
@@ -1104,14 +1193,20 @@ mod tests {
         bytes[4] = 2;
         std::fs::write(&path, &bytes).unwrap();
         let err = registry.publish_file(&path, "version word 2").unwrap_err();
-        assert!(matches!(err, RegistryError::Model(GraphExError::Corrupt(_))), "{err}");
+        assert!(
+            matches!(err, RegistryError::Model(GraphExError::Corrupt(_))),
+            "{err}"
+        );
         assert!(err.to_string().contains(NAMED), "{err}");
         assert_eq!(registry.versions().unwrap(), [1]);
 
         registry.publish(&model(8), "to be overwritten").unwrap();
         registry.activate(1).unwrap();
         std::fs::write(root.join("2").join(MODEL_FILE), &bytes).unwrap();
-        for err in [registry.activate(2).map(drop).unwrap_err(), registry.verify(2).map(drop).unwrap_err()] {
+        for err in [
+            registry.activate(2).map(drop).unwrap_err(),
+            registry.verify(2).map(drop).unwrap_err(),
+        ] {
             assert!(matches!(err, RegistryError::Manifest(_)), "{err}");
             assert!(err.to_string().contains(NAMED), "{err}");
         }
@@ -1152,10 +1247,20 @@ mod tests {
                 (publisher.join().unwrap(), opener.join().unwrap())
             });
             let meta = published.unwrap_or_else(|e| panic!("round {round}: publish failed: {e}"));
-            assert!(opened.unwrap_or_else(|e| panic!("round {round}: open failed: {e}")).is_some());
+            assert!(opened
+                .unwrap_or_else(|e| panic!("round {round}: open failed: {e}"))
+                .is_some());
             let current = std::fs::read_to_string(root.join(CURRENT_FILE)).unwrap();
-            assert_eq!(current.trim(), meta.version.to_string(), "round {round}: CURRENT re-pinned");
-            let newest = ModelRegistry::attach(&root).unwrap().versions().unwrap().pop();
+            assert_eq!(
+                current.trim(),
+                meta.version.to_string(),
+                "round {round}: CURRENT re-pinned"
+            );
+            let newest = ModelRegistry::attach(&root)
+                .unwrap()
+                .versions()
+                .unwrap()
+                .pop();
             assert_eq!(newest, Some(meta.version), "round {round}");
         }
         std::fs::remove_dir_all(&root).ok();

@@ -43,7 +43,10 @@ pub fn figure3_model() -> (LeafId, GraphExModel) {
     let (leaf, records) = figure3_records();
     let mut config = GraphExConfig::default();
     config.curation.min_search_count = 0;
-    let model = GraphExBuilder::new(config).add_records(records).build().expect("figure 3 model");
+    let model = GraphExBuilder::new(config)
+        .add_records(records)
+        .build()
+        .expect("figure 3 model");
     (leaf, model)
 }
 
@@ -72,12 +75,20 @@ mod tests {
     fn figure3_top3_matches_paper() {
         let (leaf, model) = figure3_model();
         let engine = graphex_core::Engine::from_model(model);
-        let request = graphex_core::InferRequest::new("Audeze Maxwell gaming headphones for Xbox", leaf)
-            .k(3)
-            .resolve_texts(true);
+        let request =
+            graphex_core::InferRequest::new("Audeze Maxwell gaming headphones for Xbox", leaf)
+                .k(3)
+                .resolve_texts(true);
         let response = engine.infer(&request);
         assert_eq!(response.outcome, graphex_core::Outcome::ExactLeaf);
-        assert_eq!(response.texts, ["gaming headphones xbox", "audeze maxwell", "audeze headphones"]);
+        assert_eq!(
+            response.texts,
+            [
+                "gaming headphones xbox",
+                "audeze maxwell",
+                "audeze headphones"
+            ]
+        );
     }
 
     #[test]

@@ -116,7 +116,10 @@ mod tests {
     #[test]
     fn byte_tail_is_hashed() {
         // Inputs differing only in the non-8-byte tail must differ.
-        assert_ne!(hash_one(b"abcdefgh-x".as_slice()), hash_one(b"abcdefgh-y".as_slice()));
+        assert_ne!(
+            hash_one(b"abcdefgh-x".as_slice()),
+            hash_one(b"abcdefgh-y".as_slice())
+        );
     }
 
     #[test]

@@ -63,7 +63,10 @@ mod tests {
 
     #[test]
     fn lowercases_and_strips_punctuation() {
-        assert_eq!(normalize("Audeze Maxwell, for Xbox!"), "audeze maxwell for xbox");
+        assert_eq!(
+            normalize("Audeze Maxwell, for Xbox!"),
+            "audeze maxwell for xbox"
+        );
     }
 
     #[test]

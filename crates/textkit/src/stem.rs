@@ -46,7 +46,12 @@ pub fn stem(word: &str) -> &str {
         // "batteries"/"batterie" style variants.
         return &word[..word.len() - 3];
     }
-    if word.len() >= 4 && word.ends_with('s') && !word.ends_with("ss") && !word.ends_with("us") && !word.ends_with("is") {
+    if word.len() >= 4
+        && word.ends_with('s')
+        && !word.ends_with("ss")
+        && !word.ends_with("us")
+        && !word.ends_with("is")
+    {
         return &word[..word.len() - 1];
     }
     word
@@ -118,7 +123,14 @@ mod tests {
 
     #[test]
     fn idempotent() {
-        for w in ["headphones", "boxes", "batteries", "glass", "ps5", "watches"] {
+        for w in [
+            "headphones",
+            "boxes",
+            "batteries",
+            "glass",
+            "ps5",
+            "watches",
+        ] {
             let (mut a, mut b) = (String::new(), String::new());
             let once = stem_into(w, &mut a);
             let twice = stem_into(once, &mut b);

@@ -30,7 +30,10 @@ pub struct TokenizerBuilder {
 
 impl TokenizerBuilder {
     pub fn new() -> Self {
-        Self { stemming: false, max_token_len: 64 }
+        Self {
+            stemming: false,
+            max_token_len: 64,
+        }
     }
 
     /// Enables the light suffix stemmer of [`crate::stem()`].
@@ -47,7 +50,10 @@ impl TokenizerBuilder {
     }
 
     pub fn build(self) -> Tokenizer {
-        Tokenizer { stemming: self.stemming, max_token_len: self.max_token_len }
+        Tokenizer {
+            stemming: self.stemming,
+            max_token_len: self.max_token_len,
+        }
     }
 }
 
@@ -74,7 +80,11 @@ impl Tokenizer {
     pub fn tokenize<'a>(&'a self, text: &str) -> TokenIter<'a> {
         let mut buf = TokenBuf::default();
         normalize_into(text, &mut buf.normalized);
-        TokenIter { tokenizer: self, buf, pos: 0 }
+        TokenIter {
+            tokenizer: self,
+            buf,
+            pos: 0,
+        }
     }
 
     /// Calls `visit` with every token of `text`, in order, each borrowed
@@ -159,7 +169,11 @@ impl Iterator for TokenIter<'_> {
 
     fn next(&mut self) -> Option<String> {
         let raw = next_raw(&self.buf.normalized, &mut self.pos)?;
-        Some(self.tokenizer.finish_token(raw, &mut self.buf.stemmed).to_owned())
+        Some(
+            self.tokenizer
+                .finish_token(raw, &mut self.buf.stemmed)
+                .to_owned(),
+        )
     }
 }
 
@@ -170,8 +184,13 @@ mod tests {
     #[test]
     fn default_tokenization() {
         let tok = Tokenizer::default();
-        let toks: Vec<String> = tok.tokenize("Audeze Maxwell gaming headphones for Xbox").collect();
-        assert_eq!(toks, ["audeze", "maxwell", "gaming", "headphones", "for", "xbox"]);
+        let toks: Vec<String> = tok
+            .tokenize("Audeze Maxwell gaming headphones for Xbox")
+            .collect();
+        assert_eq!(
+            toks,
+            ["audeze", "maxwell", "gaming", "headphones", "for", "xbox"]
+        );
     }
 
     #[test]
@@ -210,14 +229,21 @@ mod tests {
 
     #[test]
     fn surface_walk_pairs_each_token_with_its_unstemmed_clip() {
-        let tok = TokenizerBuilder::new().stemming(true).max_token_len(7).build();
+        let tok = TokenizerBuilder::new()
+            .stemming(true)
+            .max_token_len(7)
+            .build();
         let mut buf = TokenBuf::default();
         let mut seen = Vec::new();
         tok.for_each_surface_token("Berries, boxes TOPAZIES", &mut buf, |surface, token| {
             seen.push((surface.to_owned(), token.to_owned()))
         });
         // "topazies" clips to "topazie" first, so no `-ies → y` applies.
-        let want = [("berries", "berry"), ("boxes", "box"), ("topazie", "topazie")];
+        let want = [
+            ("berries", "berry"),
+            ("boxes", "box"),
+            ("topazie", "topazie"),
+        ];
         let want: Vec<(String, String)> = want.iter().map(|&(s, t)| (s.into(), t.into())).collect();
         assert_eq!(seen, want);
     }

@@ -83,8 +83,11 @@ impl Vocab {
         if start != blob.len() {
             return Err("last end is not the blob's length");
         }
-        let mut vocab =
-            Self { blob: blob.to_owned(), ends: ends.to_vec(), table: vec![EMPTY; slots_for(ends.len())] };
+        let mut vocab = Self {
+            blob: blob.to_owned(),
+            ends: ends.to_vec(),
+            table: vec![EMPTY; slots_for(ends.len())],
+        };
         let mut start = 0usize;
         for (id, &end) in ends.iter().enumerate() {
             let s = &vocab.blob[start..end as usize];
@@ -329,7 +332,11 @@ mod tests {
             for i in 0..n {
                 v.intern(i.to_string());
             }
-            assert_eq!((v.blob.capacity(), v.ends.capacity(), v.table.len()), before, "{n} strings");
+            assert_eq!(
+                (v.blob.capacity(), v.ends.capacity(), v.table.len()),
+                before,
+                "{n} strings"
+            );
         }
     }
 }

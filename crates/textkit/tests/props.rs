@@ -9,17 +9,28 @@ use proptest::prelude::*;
 fn reference_tokens(text: &str, stemming: bool, max_token_len: usize) -> Vec<String> {
     let spaced: String = text
         .chars()
-        .map(|ch| if ch.is_alphanumeric() { ch.to_lowercase().collect() } else { " ".to_string() })
+        .map(|ch| {
+            if ch.is_alphanumeric() {
+                ch.to_lowercase().collect()
+            } else {
+                " ".to_string()
+            }
+        })
         .collect();
     spaced
         .split(' ')
         .filter(|piece| !piece.is_empty())
         .map(|piece| {
-            let end = (0..=max_token_len.min(piece.len())).rev().find(|&i| piece.is_char_boundary(i));
+            let end = (0..=max_token_len.min(piece.len()))
+                .rev()
+                .find(|&i| piece.is_char_boundary(i));
             let piece = &piece[..end.expect("0 is a boundary")];
             if !stemming {
                 piece.to_string()
-            } else if piece.len() > 4 && piece.ends_with("ies") && !piece.bytes().any(|b| b.is_ascii_digit()) {
+            } else if piece.len() > 4
+                && piece.ends_with("ies")
+                && !piece.bytes().any(|b| b.is_ascii_digit())
+            {
                 format!("{}y", &piece[..piece.len() - 3])
             } else {
                 stem(piece).to_string()
@@ -263,12 +274,20 @@ fn vocab_from_parts_is_sized_for_its_contents() {
         let (blob, ends) = built.parts();
         let mut loaded = Vocab::from_parts(blob, ends).unwrap();
         let slots = (2 * strings).next_power_of_two().max(8);
-        assert_eq!(loaded.heap_bytes(), blob.len() + 4 * strings + 4 * slots, "{strings} strings");
+        assert_eq!(
+            loaded.heap_bytes(),
+            blob.len() + 4 * strings + 4 * slots,
+            "{strings} strings"
+        );
         let before = loaded.heap_bytes();
         for i in 0..strings {
             assert_eq!(loaded.intern(format!("w{i}")), i as u32);
         }
-        assert_eq!(loaded.heap_bytes(), before, "{strings} strings grew a buffer");
+        assert_eq!(
+            loaded.heap_bytes(),
+            before,
+            "{strings} strings grew a buffer"
+        );
     }
 }
 
@@ -277,16 +296,30 @@ fn vocab_from_parts_is_sized_for_its_contents() {
 fn vocab_from_parts_refuses_what_interning_cannot_build() {
     let refused = |blob: &[u8], ends: &[u32]| Vocab::from_parts(blob, ends).map(drop).unwrap_err();
     assert_eq!(refused(b"abc", &[2, 1, 3]), "ends decrease");
-    assert_eq!(refused("aéb".as_bytes(), &[1, 2, 4]), "end is not on a char boundary of the blob");
-    assert_eq!(refused(b"abc", &[1, 4]), "end is not on a char boundary of the blob");
-    assert_eq!(refused(b"abc", &[1, 2]), "last end is not the blob's length");
+    assert_eq!(
+        refused("aéb".as_bytes(), &[1, 2, 4]),
+        "end is not on a char boundary of the blob"
+    );
+    assert_eq!(
+        refused(b"abc", &[1, 4]),
+        "end is not on a char boundary of the blob"
+    );
+    assert_eq!(
+        refused(b"abc", &[1, 2]),
+        "last end is not the blob's length"
+    );
     assert_eq!(refused(b"abc", &[]), "last end is not the blob's length");
     assert_eq!(refused(b"ab\xff", &[1, 3]), "blob is not utf-8");
     assert_eq!(refused(b"abab", &[2, 4]), "duplicate string");
     assert_eq!(refused(b"ab", &[0, 2, 2]), "duplicate string");
     assert_eq!(refused(b"", &[0, 0]), "duplicate string");
     // One empty string is a string like any other, wherever it sits.
-    for (blob, ends) in [(&b""[..], &[0u32][..]), (b"ab", &[0, 2]), (b"ab", &[1, 1, 2]), (b"ab", &[2, 2])] {
+    for (blob, ends) in [
+        (&b""[..], &[0u32][..]),
+        (b"ab", &[0, 2]),
+        (b"ab", &[1, 1, 2]),
+        (b"ab", &[2, 2]),
+    ] {
         let vocab = Vocab::from_parts(blob, ends).unwrap();
         assert_eq!(vocab.len(), ends.len());
         assert!(vocab.get("").is_some());

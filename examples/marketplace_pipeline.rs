@@ -29,10 +29,18 @@ fn main() {
     println!("training the six models of the paper's comparison ...");
     let mut config = GraphExConfig::default();
     config.curation.min_search_count = 2;
-    let graphex =
-        GraphExBuilder::new(config).add_records(ds.keyphrase_records()).build().expect("model");
+    let graphex = GraphExBuilder::new(config)
+        .add_records(ds.keyphrase_records())
+        .build()
+        .expect("model");
     let models: Vec<Box<dyn Recommender>> = vec![
-        Box::new(FastTextLike::train(&ds, FastTextConfig { epochs: 12, ..Default::default() })),
+        Box::new(FastTextLike::train(
+            &ds,
+            FastTextConfig {
+                epochs: 12,
+                ..Default::default()
+            },
+        )),
         Box::new(SlEmb::train(&ds, 25, 0.05)),
         Box::new(SlQuery::train(&ds, 0.2)),
         Box::new(Graphite::train(&ds, 512)),

@@ -25,12 +25,18 @@ fn main() {
         .add_records(ds.keyphrase_records())
         .build()
         .expect("build");
-    println!("construction: {:?} ({} keyphrases)", t0.elapsed(), model.num_keyphrases());
+    println!(
+        "construction: {:?} ({} keyphrases)",
+        t0.elapsed(),
+        model.num_keyphrases()
+    );
 
     let root = std::env::temp_dir().join("graphex_model_ops_registry");
     let _ = std::fs::remove_dir_all(&root);
     let registry = ModelRegistry::open(&root).expect("open registry");
-    let meta = registry.publish(&model, "daily batch, cat=tiny").expect("publish");
+    let meta = registry
+        .publish(&model, "daily batch, cat=tiny")
+        .expect("publish");
     println!(
         "published snapshot v{} ({} bytes, GEXM v{}, checksum {:016x})",
         meta.version, meta.size_bytes, meta.format, meta.checksum
@@ -38,7 +44,10 @@ fn main() {
 
     // Everything downstream consumes the watch, not the model directly.
     let watch = registry.watch().expect("watch");
-    println!("reloaded zero-copy OK (alignment {})", watch.current().engine.model().alignment());
+    println!(
+        "reloaded zero-copy OK (alignment {})",
+        watch.current().engine.model().alignment()
+    );
 
     // --- full batch over the catalog --------------------------------------
     let store = KvStore::new();
@@ -47,7 +56,11 @@ fn main() {
         .marketplace
         .items
         .iter()
-        .map(|i| BatchItem { id: i.id, title: i.title.clone(), leaf: i.leaf })
+        .map(|i| BatchItem {
+            id: i.id,
+            title: i.title.clone(),
+            leaf: i.leaf,
+        })
         .collect();
     let report = pipeline.run_full(&items);
     println!(
@@ -66,7 +79,9 @@ fn main() {
         .add_records(ds.keyphrase_records())
         .build()
         .expect("rebuild");
-    registry.publish(&refreshed, "daily batch, refreshed").expect("republish");
+    registry
+        .publish(&refreshed, "daily batch, refreshed")
+        .expect("republish");
     let after = api.serve(9_999_999, &probe.title, probe.leaf);
     let stats = api.stats();
     println!(
@@ -85,7 +100,10 @@ fn main() {
         "differential batch: {} items in {} ms (snapshot v{})",
         diff.items_processed, diff.elapsed_ms, diff.snapshot_version
     );
-    println!("item 0 now at version {}", store.get(0).map(|r| r.version).unwrap_or_default());
+    println!(
+        "item 0 now at version {}",
+        store.get(0).map(|r| r.version).unwrap_or_default()
+    );
 
     // --- NRT: a just-created listing, then its seller's revision ----------
     // Both are plain requests: a title the store has no answer for reads
@@ -112,13 +130,16 @@ fn main() {
 
     // --- rollback: yesterday's model comes back with one pointer flip -----
     let (from, to) = registry.rollback().expect("rollback");
-    println!("rollback: v{from} → v{to}; api serves v{}", api.stats().snapshot_version);
+    println!(
+        "rollback: v{from} → v{to}; api serves v{}",
+        api.stats().snapshot_version
+    );
 
     // Unknown leaf? Falls back to the meta-category graph (never a panic),
     // and the response outcome says the fallback answered.
     let engine = watch.current().engine.clone();
-    let fallback = engine
-        .infer(&graphex_core::InferRequest::new(&new_item.title, LeafId(u32::MAX)).k(5));
+    let fallback =
+        engine.infer(&graphex_core::InferRequest::new(&new_item.title, LeafId(u32::MAX)).k(5));
     println!(
         "fallback-graph inference for an unknown leaf: {} keyphrases (outcome: {})",
         fallback.len(),

@@ -5,7 +5,9 @@
 //! cargo run --release -p graphex-suite --example quickstart
 //! ```
 
-use graphex_core::{Alignment, Engine, GraphExBuilder, GraphExConfig, InferRequest, KeyphraseRecord, LeafId};
+use graphex_core::{
+    Alignment, Engine, GraphExBuilder, GraphExConfig, InferRequest, KeyphraseRecord, LeafId,
+};
 
 fn main() {
     // Curated buyer queries for one leaf category ("gaming headsets"),
@@ -22,7 +24,10 @@ fn main() {
     // Construction phase: per-leaf bipartite word→keyphrase graphs.
     let mut config = GraphExConfig::default();
     config.curation.min_search_count = 0; // demo data is tiny; keep everything
-    let model = GraphExBuilder::new(config).add_records(records).build().expect("build model");
+    let model = GraphExBuilder::new(config)
+        .add_records(records)
+        .build()
+        .expect("build model");
     let stats = model.stats();
     println!(
         "model: {} keyphrases, {} tokens, {} edges, {} bytes serialized\n",
@@ -39,8 +44,15 @@ fn main() {
     println!("item title: {title:?}\n");
     let request = InferRequest::new(title, leaf).k(10).resolve_texts(true);
     let response = engine.infer(&request);
-    println!("outcome: {} ({} keyphrases)\n", response.outcome.name(), response.len());
-    println!("{:<32} {:>7} {:>9} {:>8} {:>8}", "keyphrase", "LTA", "matched", "search", "recall");
+    println!(
+        "outcome: {} ({} keyphrases)\n",
+        response.outcome.name(),
+        response.len()
+    );
+    println!(
+        "{:<32} {:>7} {:>9} {:>8} {:>8}",
+        "keyphrase", "LTA", "matched", "search", "recall"
+    );
     for (p, text) in response.predictions.iter().zip(&response.texts) {
         println!(
             "{:<32} {:>7.2} {:>6}/{:<2} {:>8} {:>8}",

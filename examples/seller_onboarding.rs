@@ -27,17 +27,21 @@ fn main() {
     let mut nightly =
         build(&plan, vec![Box::new(MarketsimSource::new(&corpus))]).expect("nightly build");
 
-    let root = std::env::temp_dir()
-        .join(format!("graphex-seller-onboarding-{}", std::process::id()));
+    let root =
+        std::env::temp_dir().join(format!("graphex-seller-onboarding-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let registry = ModelRegistry::open(&root).expect("registry");
     nightly.publish(&registry, "nightly").expect("publish");
 
     // The serving stack: registry watch (hot-swaps on publish) plus a
     // mutable overlay for seconds-latency onboarding.
-    let api = ServingApi::with_watch(registry.watch().expect("watch"), Arc::new(KvStore::new()), 10)
-        .swap_policy(SwapPolicy::Invalidate)
-        .with_overlay(Arc::new(OverlayStore::new()));
+    let api = ServingApi::with_watch(
+        registry.watch().expect("watch"),
+        Arc::new(KvStore::new()),
+        10,
+    )
+    .swap_policy(SwapPolicy::Invalidate)
+    .with_overlay(Arc::new(OverlayStore::new()));
 
     // A seller opens a leaf category the marketplace has never seen and
     // lists three items. None of this exists in the nightly snapshot.
@@ -62,14 +66,20 @@ fn main() {
         ack.seq, ack.applied, ack.depth
     );
     assert!(
-        served.keyphrases.iter().any(|k| k == "handmade walnut chess set"),
+        served
+            .keyphrases
+            .iter()
+            .any(|k| k == "handmade walnut chess set"),
         "the new listing must be servable on the very next request: {:?}",
         served.keyphrases
     );
 
     // Interpretability carries over: every recommendation still traces
     // back to title-token overlap, straight from the overlay mini graph.
-    println!("\n{:<40} {:>6} {:>10}  token overlap", "recommended keyphrase", "LTA", "searches");
+    println!(
+        "\n{:<40} {:>6} {:>10}  token overlap",
+        "recommended keyphrase", "LTA", "searches"
+    );
     for (p, text) in served.predictions.iter().zip(&served.keyphrases) {
         println!(
             "{:<40} {:>6.2} {:>10}  {} of {} keyphrase tokens in title",
@@ -87,27 +97,37 @@ fn main() {
     // empties the overlay of everything the new snapshot covers.
     let journal = api.export_overlay_journal().expect("journal");
     let mut compacted = build(
-        &BuildPlan::new(config.clone()).jobs(2).delta(DeltaBase::load(&root).expect("delta base")),
-        vec![Box::new(MarketsimSource::new(&corpus)), Box::new(overlay_journal_source(&journal))],
+        &BuildPlan::new(config.clone())
+            .jobs(2)
+            .delta(DeltaBase::load(&root).expect("delta base")),
+        vec![
+            Box::new(MarketsimSource::new(&corpus)),
+            Box::new(overlay_journal_source(&journal)),
+        ],
     )
     .expect("compaction build");
-    let meta = compacted.publish(&registry, "overlay compaction").expect("publish v2");
+    let meta = compacted
+        .publish(&registry, "overlay compaction")
+        .expect("publish v2");
     let drained = api.drain_overlay(journal.upto).expect("drain");
     let status = api.overlay_status().expect("overlay status");
     println!(
         "\ncompacted into snapshot v{} ({} leaves borrowed), drained {} — overlay depth {}",
-        meta.version,
-        compacted.report.leaves_reused,
-        drained.drained,
-        status.depth
+        meta.version, compacted.report.leaves_reused, drained.drained, status.depth
     );
     assert_eq!(status.depth, 0, "compaction must empty the overlay");
 
     // The compacted snapshot answers exactly like the overlay did — and
     // exactly like a from-scratch rebuild of the union corpus would.
     let after = api.serve_request(&InferRequest::new(title, leaf).k(5).resolve_texts(true));
-    assert_eq!(after.snapshot_version, meta.version, "serve must ride the hot-swapped snapshot");
-    assert_eq!(after.keyphrases, served.keyphrases, "compaction must not change answers");
+    assert_eq!(
+        after.snapshot_version, meta.version,
+        "serve must ride the hot-swapped snapshot"
+    );
+    assert_eq!(
+        after.keyphrases, served.keyphrases,
+        "compaction must not change answers"
+    );
 
     let direct = build(
         &BuildPlan::new(config).jobs(1),
@@ -124,7 +144,10 @@ fn main() {
     );
     let oracle = Engine::from_model(direct.model.clone());
     let expected = oracle.infer(&InferRequest::new(title, leaf).k(5).resolve_texts(true));
-    assert_eq!(after.keyphrases, expected.texts, "served answers must match the direct engine");
+    assert_eq!(
+        after.keyphrases, expected.texts,
+        "served answers must match the direct engine"
+    );
     println!("\ncompacted snapshot is byte-identical to a direct rebuild; answers unchanged ✓");
 
     std::fs::remove_dir_all(&root).ok();

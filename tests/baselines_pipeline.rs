@@ -9,7 +9,13 @@ use graphex_suite::{tiny_dataset, tiny_model};
 
 fn all_models(ds: &graphex_marketsim::CategoryDataset) -> Vec<Box<dyn Recommender>> {
     vec![
-        Box::new(FastTextLike::train(ds, FastTextConfig { epochs: 10, ..Default::default() })),
+        Box::new(FastTextLike::train(
+            ds,
+            FastTextConfig {
+                epochs: 10,
+                ..Default::default()
+            },
+        )),
         Box::new(SlEmb::train(ds, 25, 0.05)),
         Box::new(SlQuery::train(ds, 0.2)),
         Box::new(Graphite::train(ds, 512)),
@@ -33,7 +39,11 @@ fn every_model_produces_output_for_clicked_items() {
     let item_ref = ItemRef::known(item.id, &item.title, item.leaf);
     for model in &models {
         let recs = model.recommend(&item_ref, 20);
-        assert!(!recs.is_empty(), "{} produced nothing for a well-clicked item", model.name());
+        assert!(
+            !recs.is_empty(),
+            "{} produced nothing for a well-clicked item",
+            model.name()
+        );
         assert!(recs.len() <= 20, "{} exceeded k", model.name());
         // Scores are non-increasing.
         for w in recs.windows(2) {
@@ -71,7 +81,11 @@ fn model_size_ordering_matches_figure6b() {
     let ds = tiny_dataset(0xB3);
     let models = all_models(&ds);
     let size = |name: &str| {
-        models.iter().find(|m| m.name() == name).map(|m| m.size_bytes()).unwrap_or(0)
+        models
+            .iter()
+            .find(|m| m.name() == name)
+            .map(|m| m.size_bytes())
+            .unwrap_or(0)
     };
     assert!(
         size("fastText") > 3 * size("GraphEx"),
@@ -104,7 +118,10 @@ fn graphex_recommends_unclicked_head_queries() {
             break;
         }
     }
-    assert!(found, "GraphEx never expanded beyond the click associations");
+    assert!(
+        found,
+        "GraphEx never expanded beyond the click associations"
+    );
 }
 
 #[test]

@@ -13,15 +13,14 @@
 use graphex_core::GraphExConfig;
 use graphex_marketsim::{CategorySpec, ChurnCorpus};
 use graphex_pipeline::{build, BuildOutput, BuildPlan, DeltaBase, MarketsimSource};
-use graphex_serving::{KvStore, ModelRegistry, ServingApi, SwapPolicy};
 use graphex_server::{HttpClient, Json, ServerConfig};
+use graphex_serving::{KvStore, ModelRegistry, ServingApi, SwapPolicy};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn tempdir(name: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("graphex-buildpipe-{name}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("graphex-buildpipe-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -80,12 +79,10 @@ fn churn_build_publish_serve_loopback_zero_5xx() {
 
     // Live HTTP frontend over the registry watch.
     let clients = 4usize;
-    let api = Arc::new(ServingApi::with_watch(
-        registry.watch().unwrap(),
-        Arc::new(KvStore::new()),
-        10,
-    )
-    .swap_policy(SwapPolicy::Invalidate));
+    let api = Arc::new(
+        ServingApi::with_watch(registry.watch().unwrap(), Arc::new(KvStore::new()), 10)
+            .swap_policy(SwapPolicy::Invalidate),
+    );
     let server = graphex_server::start(
         ServerConfig {
             addr: "127.0.0.1:0".into(),
@@ -163,7 +160,9 @@ fn churn_build_publish_serve_loopback_zero_5xx() {
         );
         reused_total += delta.report.leaves_reused;
 
-        let meta = delta.publish(&registry, &format!("gen{generation} delta")).unwrap();
+        let meta = delta
+            .publish(&registry, &format!("gen{generation} delta"))
+            .unwrap();
         assert_eq!(meta.version, u64::from(generation) + 1);
     }
     std::thread::sleep(Duration::from_millis(80));
@@ -179,10 +178,20 @@ fn churn_build_publish_serve_loopback_zero_5xx() {
             "unknown snapshot_version in {versions:?}"
         );
     }
-    assert!(reused_total > 0, "no leaf was ever reused — delta path never engaged live");
-    assert_eq!(server.metrics().server_errors(), 0, "zero 5xx across {total} requests + 2 swaps");
+    assert!(
+        reused_total > 0,
+        "no leaf was ever reused — delta path never engaged live"
+    );
+    assert_eq!(
+        server.metrics().server_errors(),
+        0,
+        "zero 5xx across {total} requests + 2 swaps"
+    );
     let stats = api.stats();
-    assert_eq!(stats.snapshot_version, 3, "frontend finished on the last published snapshot");
+    assert_eq!(
+        stats.snapshot_version, 3,
+        "frontend finished on the last published snapshot"
+    );
     assert_eq!(stats.model_swaps, 2);
 
     server.shutdown();
@@ -204,6 +213,9 @@ fn tampered_pipeline_snapshot_fails_admission() {
     bytes[mid] ^= 0xFF;
     let err = registry.publish_with_files(&bytes, "tampered", &[("BUILDINFO", b"x" as &[u8])]);
     assert!(err.is_err(), "corrupt snapshot must fail admission");
-    assert!(registry.versions().unwrap().is_empty(), "rejected publish must not linger");
+    assert!(
+        registry.versions().unwrap().is_empty(),
+        "rejected publish must not linger"
+    );
     std::fs::remove_dir_all(&root).ok();
 }

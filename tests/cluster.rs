@@ -84,13 +84,17 @@ impl Fixture {
         let root = tempdir(name);
         let snapshots = gen0.emit_shards(SHARDS).unwrap();
         graphex_pipeline::publish_shards(&snapshots, &root, "gen0").unwrap();
-        let roots: Vec<PathBuf> =
-            (0..SHARDS).map(|i| graphex_pipeline::shard_root(&root, i)).collect();
+        let roots: Vec<PathBuf> = (0..SHARDS)
+            .map(|i| graphex_pipeline::shard_root(&root, i))
+            .collect();
         // Trace ids are minted per process, so traced responses can never
         // be byte-identical across servers — the sharded≡monolith byte
         // gates run with tracing off on every frontend. (The trace gate
         // lives in tests/trace.rs.)
-        let untraced = TraceConfig { enabled: false, ..TraceConfig::default() };
+        let untraced = TraceConfig {
+            enabled: false,
+            ..TraceConfig::default()
+        };
         let config = ClusterConfig {
             backend: ServerConfig {
                 addr: "127.0.0.1:0".into(),
@@ -118,12 +122,22 @@ impl Fixture {
             10,
         ));
         let monolith = graphex_server::start(
-            ServerConfig { addr: "127.0.0.1:0".into(), trace: untraced, ..Default::default() },
+            ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                trace: untraced,
+                ..Default::default()
+            },
             api,
         )
         .unwrap();
 
-        Self { corpus, cluster, monolith, root, monolith_root }
+        Self {
+            corpus,
+            cluster,
+            monolith,
+            root,
+            monolith_root,
+        }
     }
 
     /// (title, leaf) probe pool from the corpus.
@@ -173,7 +187,8 @@ fn sharded_cluster_equals_monolith_and_rolls_with_zero_5xx() {
         assert_eq!(sharded.status, 200, "{}", sharded.text());
         assert_eq!(monolith.status, 200);
         assert_eq!(
-            sharded.body, monolith.body,
+            sharded.body,
+            monolith.body,
             "sharded ≠ monolith for {title:?} (leaf {leaf}):\n  cluster:  {}\n  monolith: {}",
             sharded.text(),
             monolith.text()
@@ -184,14 +199,17 @@ fn sharded_cluster_equals_monolith_and_rolls_with_zero_5xx() {
     // Consecutive corpus items hit different residues, so each batch
     // scatters across several backends and must reassemble byte-equal.
     for window in probes.chunks(9).take(5) {
-        let entries: Vec<String> =
-            window.iter().map(|(title, leaf)| single_body(title, *leaf)).collect();
+        let entries: Vec<String> = window
+            .iter()
+            .map(|(title, leaf)| single_body(title, *leaf))
+            .collect();
         let body = format!(r#"{{"requests":[{}]}}"#, entries.join(","));
         let sharded = via_router.post_json("/v1/infer", &body).unwrap();
         let monolith = via_monolith.post_json("/v1/infer", &body).unwrap();
         assert_eq!(sharded.status, 200, "{}", sharded.text());
         assert_eq!(
-            sharded.body, monolith.body,
+            sharded.body,
+            monolith.body,
             "cross-shard batch diverged:\n  cluster:  {}\n  monolith: {}",
             sharded.text(),
             monolith.text()
@@ -223,7 +241,9 @@ fn sharded_cluster_equals_monolith_and_rolls_with_zero_5xx() {
                         );
                         client.post_json("/v1/infer", &body).unwrap()
                     } else {
-                        client.post_json("/v1/infer", &single_body(title, *leaf)).unwrap()
+                        client
+                            .post_json("/v1/infer", &single_body(title, *leaf))
+                            .unwrap()
                     };
                     assert!(
                         response.status < 500,
@@ -266,12 +286,28 @@ fn sharded_cluster_equals_monolith_and_rolls_with_zero_5xx() {
     std::thread::sleep(Duration::from_millis(150));
     stop.store(true, Ordering::Relaxed);
     let total: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-    assert!(total >= 100, "meaningful concurrency across the roll: {total} requests");
+    assert!(
+        total >= 100,
+        "meaningful concurrency across the roll: {total} requests"
+    );
 
-    assert_eq!(fixture.cluster.server_errors(), 0, "zero-5xx gate across the rolling swap");
-    assert_eq!(fixture.cluster.router().degraded(), 0, "no degradation during a clean roll");
+    assert_eq!(
+        fixture.cluster.server_errors(),
+        0,
+        "zero-5xx gate across the rolling swap"
+    );
+    assert_eq!(
+        fixture.cluster.router().degraded(),
+        0,
+        "no degradation during a clean roll"
+    );
     for backend in fixture.cluster.backends() {
-        assert_eq!(backend.api.snapshot_version(), 2, "shard {} rolled", backend.shard);
+        assert_eq!(
+            backend.api.snapshot_version(),
+            2,
+            "shard {} rolled",
+            backend.shard
+        );
     }
 
     // --- Gate 3: after the roll, the cluster serves gen1's answers. ----
@@ -283,19 +319,37 @@ fn sharded_cluster_equals_monolith_and_rolls_with_zero_5xx() {
             .infer(&request)
             .predictions
             .iter()
-            .map(|p| engine.model().keyphrase_text(p.keyphrase).unwrap().to_string())
+            .map(|p| {
+                engine
+                    .model()
+                    .keyphrase_text(p.keyphrase)
+                    .unwrap()
+                    .to_string()
+            })
             .collect();
-        let response =
-            via_router.post_json("/v1/infer", &single_body(&item.title, item.leaf.0)).unwrap();
+        let response = via_router
+            .post_json("/v1/infer", &single_body(&item.title, item.leaf.0))
+            .unwrap();
         assert_eq!(response.status, 200);
         let parsed = graphex_server::json::parse(&response.text()).unwrap();
-        assert_eq!(parsed.get("snapshot_version").and_then(Json::as_u64), Some(2));
+        assert_eq!(
+            parsed.get("snapshot_version").and_then(Json::as_u64),
+            Some(2)
+        );
         let got: Vec<String> = parsed
             .get("keyphrases")
             .and_then(|k| k.as_arr())
-            .map(|arr| arr.iter().filter_map(|k| k.as_str().map(str::to_string)).collect())
+            .map(|arr| {
+                arr.iter()
+                    .filter_map(|k| k.as_str().map(str::to_string))
+                    .collect()
+            })
             .unwrap_or_default();
-        assert_eq!(got, want, "post-roll answer for {:?} is not gen1's", item.title);
+        assert_eq!(
+            got, want,
+            "post-roll answer for {:?} is not gen1's",
+            item.title
+        );
         checked += 1;
     }
     assert!(checked >= 30);
@@ -303,7 +357,10 @@ fn sharded_cluster_equals_monolith_and_rolls_with_zero_5xx() {
     // --- Gate 4: the router's /statusz sees every backend healthy after
     // the clean roll, and every node's history ring is live. -----------
     let status = graphex_server::json::parse(&via_router.get("/statusz").unwrap().text()).unwrap();
-    let backends = status.get("backends").and_then(Json::as_arr).expect("statusz backends table");
+    let backends = status
+        .get("backends")
+        .and_then(Json::as_arr)
+        .expect("statusz backends table");
     assert_eq!(backends.len(), SHARDS as usize);
     for backend in backends {
         assert_eq!(
@@ -320,12 +377,20 @@ fn sharded_cluster_equals_monolith_and_rolls_with_zero_5xx() {
         let body = graphex_server::json::parse(&response.text()).unwrap();
         body.get("series")
             .and_then(Json::as_obj)
-            .map(|series| series.iter().map(|(key, _)| key.clone()).collect::<Vec<_>>())
+            .map(|series| {
+                series
+                    .iter()
+                    .map(|(key, _)| key.clone())
+                    .collect::<Vec<_>>()
+            })
             .unwrap_or_default()
     };
     let router_keys = history_keys(&mut via_router);
     for key in ["router/requests_in", "router/backends_healthy"] {
-        assert!(router_keys.iter().any(|k| k == key), "router history lacks {key}: {router_keys:?}");
+        assert!(
+            router_keys.iter().any(|k| k == key),
+            "router history lacks {key}: {router_keys:?}"
+        );
     }
     for backend in fixture.cluster.backends() {
         let keys = history_keys(&mut HttpClient::connect(backend.addr()).unwrap());
@@ -352,18 +417,22 @@ impl ChaosFixture {
     fn boot() -> Self {
         let ds = graphex_suite::tiny_dataset(0xC4A0);
         let model = graphex_suite::tiny_model(&ds);
-        let api = Arc::new(ServingApi::new(Arc::new(model), Arc::new(KvStore::new()), 10));
+        let api = Arc::new(ServingApi::new(
+            Arc::new(model),
+            Arc::new(KvStore::new()),
+            10,
+        ));
         let real = graphex_server::start(
-            ServerConfig { addr: "127.0.0.1:0".into(), ..Default::default() },
+            ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                ..Default::default()
+            },
             api,
         )
         .unwrap();
         let chaos = ChaosBackend::start_with_hang_cap(Duration::from_secs(2)).unwrap();
-        let map = ShardMap::from_backends(vec![
-            real.addr().to_string(),
-            chaos.addr().to_string(),
-        ])
-        .unwrap();
+        let map = ShardMap::from_backends(vec![real.addr().to_string(), chaos.addr().to_string()])
+            .unwrap();
         let router = start_router(
             RouterConfig {
                 addr: "127.0.0.1:0".into(),
@@ -377,7 +446,11 @@ impl ChaosFixture {
             map,
         )
         .unwrap();
-        Self { real, chaos, router }
+        Self {
+            real,
+            chaos,
+            router,
+        }
     }
 
     fn statusz_backend(&self, client: &mut HttpClient, shard: usize) -> Json {
@@ -419,7 +492,10 @@ fn chaos_backend_is_ejected_fails_fast_and_readmitted() {
     fixture.chaos.set_mode(ChaosMode::Error500);
     for round in 0..3 {
         let degraded = client.post_json("/v1/infer", &chaos_body()).unwrap();
-        assert_eq!(degraded.status, 200, "degradation is never a 5xx (round {round})");
+        assert_eq!(
+            degraded.status, 200,
+            "degradation is never a 5xx (round {round})"
+        );
         let parsed = graphex_server::json::parse(&degraded.text()).unwrap();
         assert_eq!(
             parsed.get("outcome").and_then(Json::as_str),
@@ -438,7 +514,10 @@ fn chaos_backend_is_ejected_fails_fast_and_readmitted() {
     let fast = client.post_json("/v1/infer", &chaos_body()).unwrap();
     assert_eq!(fast.status, 200);
     let parsed = graphex_server::json::parse(&fast.text()).unwrap();
-    assert_eq!(parsed.get("outcome").and_then(Json::as_str), Some(OUTCOME_BACKEND_UNAVAILABLE));
+    assert_eq!(
+        parsed.get("outcome").and_then(Json::as_str),
+        Some(OUTCOME_BACKEND_UNAVAILABLE)
+    );
     let backend = fixture.statusz_backend(&mut client, 1);
     assert_eq!(
         backend.get("calls").and_then(Json::as_u64).unwrap(),
@@ -448,7 +527,9 @@ fn chaos_backend_is_ejected_fails_fast_and_readmitted() {
     assert!(backend.get("fast_failures").and_then(Json::as_u64).unwrap() >= 1);
 
     // The healthy shard is unaffected throughout.
-    let healthy = client.post_json("/v1/infer", &single_body("some real title", 0)).unwrap();
+    let healthy = client
+        .post_json("/v1/infer", &single_body("some real title", 0))
+        .unwrap();
     assert_eq!(healthy.status, 200);
     let parsed = graphex_server::json::parse(&healthy.text()).unwrap();
     assert!(
@@ -475,7 +556,11 @@ fn chaos_backend_is_ejected_fails_fast_and_readmitted() {
     assert_eq!(backend.get("state").and_then(Json::as_str), Some("healthy"));
     assert!(backend.get("readmissions").and_then(Json::as_u64).unwrap() >= 1);
 
-    assert_eq!(fixture.router.metrics().server_errors(), 0, "no 5xx through the whole storm");
+    assert_eq!(
+        fixture.router.metrics().server_errors(),
+        0,
+        "no 5xx through the whole storm"
+    );
     drop(client);
     fixture.finish();
 }
@@ -507,7 +592,10 @@ fn retries_ride_out_keepalive_deaths_and_hangs_degrade_not_5xx() {
     let hung = client.post_json("/v1/infer", &chaos_body()).unwrap();
     assert_eq!(hung.status, 200, "a hung backend degrades, never 5xxs");
     let parsed = graphex_server::json::parse(&hung.text()).unwrap();
-    assert_eq!(parsed.get("outcome").and_then(Json::as_str), Some(OUTCOME_BACKEND_UNAVAILABLE));
+    assert_eq!(
+        parsed.get("outcome").and_then(Json::as_str),
+        Some(OUTCOME_BACKEND_UNAVAILABLE)
+    );
 
     assert_eq!(fixture.router.metrics().server_errors(), 0);
     drop(client);
@@ -531,7 +619,10 @@ fn router_wire_fuzz_never_panics() {
         fixture.chaos.set_mode(mode);
         let mut client = HttpClient::connect(addr).unwrap();
         let response = client.post_json("/v1/infer", &chaos_body()).unwrap();
-        assert_eq!(response.status, 200, "{mode:?}: wire garbage must degrade, not error");
+        assert_eq!(
+            response.status, 200,
+            "{mode:?}: wire garbage must degrade, not error"
+        );
         let parsed = graphex_server::json::parse(&response.text()).unwrap();
         assert_eq!(
             parsed.get("outcome").and_then(Json::as_str),
@@ -546,9 +637,7 @@ fn router_wire_fuzz_never_panics() {
             std::thread::sleep(Duration::from_millis(100));
             let probe = client.post_json("/v1/infer", &chaos_body()).unwrap();
             let parsed = graphex_server::json::parse(&probe.text()).unwrap();
-            if parsed.get("outcome").and_then(Json::as_str)
-                != Some(OUTCOME_BACKEND_UNAVAILABLE)
-            {
+            if parsed.get("outcome").and_then(Json::as_str) != Some(OUTCOME_BACKEND_UNAVAILABLE) {
                 healthy_again = true;
                 break;
             }
@@ -562,7 +651,10 @@ fn router_wire_fuzz_never_panics() {
         (r#"{"title":"x"}"#, 400),
         (r#"{"title":"x","leaf":4294967296}"#, 400),
         (r#"{"requests":{}}"#, 400),
-        (r#"{"requests":[{"title":"x","leaf":1},{"title":"y"}]}"#, 400),
+        (
+            r#"{"requests":[{"title":"x","leaf":1},{"title":"y"}]}"#,
+            400,
+        ),
     ];
     for (body, expected) in cases {
         let mut client = HttpClient::connect(addr).unwrap();
@@ -583,7 +675,10 @@ fn router_wire_fuzz_never_panics() {
     )
     .unwrap();
     assert!(
-        err.get("error").and_then(Json::as_str).unwrap().starts_with("requests[1]:"),
+        err.get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .starts_with("requests[1]:"),
         "batch errors must be indexed like a backend's"
     );
 
@@ -596,7 +691,11 @@ fn router_wire_fuzz_never_panics() {
     let parsed = graphex_server::json::parse(&response.text()).unwrap();
     assert_eq!(parsed.get("id").and_then(Json::as_str), Some(big.as_str()));
 
-    assert_eq!(fixture.router.metrics().server_errors(), 0, "fuzz produced no 5xx");
+    assert_eq!(
+        fixture.router.metrics().server_errors(),
+        0,
+        "fuzz produced no 5xx"
+    );
     drop(client);
     fixture.finish();
 }
@@ -623,9 +722,15 @@ impl GatherFixture {
                 addrs.push(backend.addr().to_string());
                 chaos.push(backend);
             } else {
-                let api =
-                    Arc::new(ServingApi::new(Arc::clone(&model), Arc::new(KvStore::new()), 10));
-                let config = ServerConfig { addr: "127.0.0.1:0".into(), ..Default::default() };
+                let api = Arc::new(ServingApi::new(
+                    Arc::clone(&model),
+                    Arc::new(KvStore::new()),
+                    10,
+                ));
+                let config = ServerConfig {
+                    addr: "127.0.0.1:0".into(),
+                    ..Default::default()
+                };
                 let backend = graphex_server::start(config, api).unwrap();
                 addrs.push(backend.addr().to_string());
                 real.push(backend);
@@ -642,7 +747,12 @@ impl GatherFixture {
             ShardMap::from_backends(addrs.clone()).unwrap(),
         )
         .unwrap();
-        Self { real, chaos, addrs, router }
+        Self {
+            real,
+            chaos,
+            addrs,
+            router,
+        }
     }
 
     fn finish(self) {
@@ -663,8 +773,9 @@ impl GatherFixture {
         let mut merged: Vec<Option<Json>> = vec![None; entries.len()];
         let mut snapshot_version = 0;
         for (shard, addr) in self.addrs.iter().enumerate() {
-            let owned: Vec<usize> =
-                (0..entries.len()).filter(|&i| shard_of(&entries[i]) == shard).collect();
+            let owned: Vec<usize> = (0..entries.len())
+                .filter(|&i| shard_of(&entries[i]) == shard)
+                .collect();
             if owned.is_empty() {
                 continue;
             }
@@ -672,8 +783,10 @@ impl GatherFixture {
                 "requests",
                 Json::Arr(owned.iter().map(|&i| entries[i].clone()).collect()),
             )]);
-            let answer =
-                HttpClient::connect(addr).unwrap().post_json("/v1/infer", &sub.render()).unwrap();
+            let answer = HttpClient::connect(addr)
+                .unwrap()
+                .post_json("/v1/infer", &sub.render())
+                .unwrap();
             if answer.status != 200 {
                 for &i in &owned {
                     let mut members = vec![
@@ -682,7 +795,10 @@ impl GatherFixture {
                         ("keyphrases", Json::Arr(Vec::new())),
                         ("snapshot_version", Json::uint(0)),
                         ("shard", Json::uint(shard as u64)),
-                        ("error", Json::str(format!("backend {addr}: HTTP {}", answer.status))),
+                        (
+                            "error",
+                            Json::str(format!("backend {addr}: HTTP {}", answer.status)),
+                        ),
                     ];
                     if let Some(id) = entries[i].get("id") {
                         members.insert(0, ("id", id.clone()));
@@ -692,7 +808,10 @@ impl GatherFixture {
                 continue;
             }
             let answer = graphex_server::json::parse(&answer.text()).unwrap();
-            let version = answer.get("snapshot_version").and_then(Json::as_u64).unwrap();
+            let version = answer
+                .get("snapshot_version")
+                .and_then(Json::as_u64)
+                .unwrap();
             snapshot_version = snapshot_version.max(version);
             let responses = answer.get("responses").and_then(Json::as_arr).unwrap();
             assert_eq!(responses.len(), owned.len());
@@ -715,8 +834,13 @@ impl GatherFixture {
 /// Splits a router body into what the backends said and the trace stamp
 /// (`trace_id`, then `trace`) the router appended after it.
 fn split_stamp(body: Json) -> (Json, Vec<(String, Json)>) {
-    let Json::Obj(mut members) = body else { panic!("router body is not an object: {body:?}") };
-    let at = members.iter().position(|(k, _)| k == "trace_id").unwrap_or(members.len());
+    let Json::Obj(mut members) = body else {
+        panic!("router body is not an object: {body:?}")
+    };
+    let at = members
+        .iter()
+        .position(|(k, _)| k == "trace_id")
+        .unwrap_or(members.len());
     let stamp = members.split_off(at);
     (Json::Obj(members), stamp)
 }
@@ -736,39 +860,70 @@ fn router_body_equals_the_merge_of_the_backends_parsed_answers() {
     let big = Json::str(u64::MAX.to_string());
     let title = "gialket mioktiar pro case";
     let batch: Vec<Json> = vec![
-        entry(title, 9002, Some(Json::uint(11))), // shard 2
+        entry(title, 9002, Some(Json::uint(11))),      // shard 2
         entry("chaos first", 1, Some(Json::uint(12))), // shard 1
-        entry(title, 9000, None),                 // shard 0
-        entry(title, 9001, Some(big.clone())),    // shard 1, id > 2^53
-        entry("escapes \"quoted\" \\ \u{e9}\u{1f600}\n", 9003, Some(Json::uint(13))), // shard 0
-        entry(title, 9005, Some(Json::uint(14))), // shard 2
+        entry(title, 9000, None),                      // shard 0
+        entry(title, 9001, Some(big.clone())),         // shard 1, id > 2^53
+        entry(
+            "escapes \"quoted\" \\ \u{e9}\u{1f600}\n",
+            9003,
+            Some(Json::uint(13)),
+        ), // shard 0
+        entry(title, 9005, Some(Json::uint(14))),      // shard 2
     ];
     let envelope = |entries: &[Json]| Json::obj(vec![("requests", Json::Arr(entries.to_vec()))]);
     let pinned = "00000000feedf00d";
 
     let mut check = |what: &str, entries: &[Json], is_batch: bool, traced: bool| {
-        let body = if is_batch { envelope(entries).render() } else { entries[0].render() };
+        let body = if is_batch {
+            envelope(entries).render()
+        } else {
+            entries[0].render()
+        };
         // Once unrecorded, so keyed entries are store hits on both paths.
-        assert_eq!(client.post_json("/v1/infer", &body).unwrap().status, 200, "{what}");
-        let headers: &[(&str, &str)] =
-            if traced { &[("x-graphex-trace", pinned)] } else { &[] };
-        let response = client.post_json_with_headers("/v1/infer", &body, headers).unwrap();
+        assert_eq!(
+            client.post_json("/v1/infer", &body).unwrap().status,
+            200,
+            "{what}"
+        );
+        let headers: &[(&str, &str)] = if traced {
+            &[("x-graphex-trace", pinned)]
+        } else {
+            &[]
+        };
+        let response = client
+            .post_json_with_headers("/v1/infer", &body, headers)
+            .unwrap();
         assert_eq!(response.status, 200, "{what}: {}", response.text());
         let parsed = graphex_server::json::parse(&response.text()).unwrap_or_else(|e| {
-            panic!("{what}: router body does not parse ({e}): {}", response.text())
+            panic!(
+                "{what}: router body does not parse ({e}): {}",
+                response.text()
+            )
         });
         let (said, stamp) = split_stamp(parsed);
-        assert_eq!(said, fixture.reference_merge(entries, is_batch), "{what}: {}", response.text());
+        assert_eq!(
+            said,
+            fixture.reference_merge(entries, is_batch),
+            "{what}: {}",
+            response.text()
+        );
         // The stamp: always the id; the breakdown only for a caller that
         // sent the header.
         let keys: Vec<&str> = stamp.iter().map(|(k, _)| k.as_str()).collect();
         if traced {
             assert_eq!(keys, ["trace_id", "trace"], "{what}");
             assert_eq!(stamp[0].1.as_str(), Some(pinned), "{what}");
-            assert_eq!(stamp[1].1.get("id").and_then(Json::as_str), Some(pinned), "{what}");
+            assert_eq!(
+                stamp[1].1.get("id").and_then(Json::as_str),
+                Some(pinned),
+                "{what}"
+            );
             let spans = stamp[1].1.get("spans").and_then(Json::as_arr).unwrap();
             assert!(
-                spans.iter().any(|s| s.get("stage").and_then(Json::as_str) == Some("fanout")),
+                spans
+                    .iter()
+                    .any(|s| s.get("stage").and_then(Json::as_str) == Some("fanout")),
                 "{what}: {spans:?}"
             );
         } else {
@@ -790,7 +945,12 @@ fn router_body_equals_the_merge_of_the_backends_parsed_answers() {
     fixture.chaos[0].set_mode(ChaosMode::Error500);
     check("mixed healthy + degraded batch", &batch, true, false);
     check("mixed, traced", &batch, true, true);
-    check("degraded single object, id > 2^53", &batch[3..4], false, true);
+    check(
+        "degraded single object, id > 2^53",
+        &batch[3..4],
+        false,
+        true,
+    );
     assert!(fixture.router.degraded() >= 6);
 
     assert_eq!(fixture.router.metrics().server_errors(), 0);
@@ -827,7 +987,10 @@ fn two_hung_shards_cost_one_deadline_per_round_and_spare_the_healthy_one() {
         took < backend_timeout * 2 + Duration::from_millis(250),
         "two hung shards took {took:?}"
     );
-    assert!(took >= backend_timeout * 2, "both rounds wait out the deadline: {took:?}");
+    assert!(
+        took >= backend_timeout * 2,
+        "both rounds wait out the deadline: {took:?}"
+    );
     let parsed = graphex_server::json::parse(&response.text()).unwrap();
     let outcomes: Vec<&str> = parsed
         .get("responses")
@@ -838,8 +1001,18 @@ fn two_hung_shards_cost_one_deadline_per_round_and_spare_the_healthy_one() {
         .collect();
     assert_eq!(outcomes[0], OUTCOME_BACKEND_UNAVAILABLE);
     assert_eq!(outcomes[2], OUTCOME_BACKEND_UNAVAILABLE);
-    assert_ne!(outcomes[1], OUTCOME_BACKEND_UNAVAILABLE, "{}", response.text());
-    assert_ne!(outcomes[3], OUTCOME_BACKEND_UNAVAILABLE, "{}", response.text());
+    assert_ne!(
+        outcomes[1],
+        OUTCOME_BACKEND_UNAVAILABLE,
+        "{}",
+        response.text()
+    );
+    assert_ne!(
+        outcomes[3],
+        OUTCOME_BACKEND_UNAVAILABLE,
+        "{}",
+        response.text()
+    );
     assert_eq!(fixture.router.degraded(), 2);
 
     // Per-shard accounting is what it was: two calls, one of them a retry,
@@ -848,10 +1021,23 @@ fn two_hung_shards_cost_one_deadline_per_round_and_spare_the_healthy_one() {
     let rows = status.get("backends").and_then(Json::as_arr).unwrap();
     let row = |shard: usize, key: &str| rows[shard].get(key).and_then(Json::as_u64).unwrap();
     for hung in [0, 1] {
-        assert_eq!((row(hung, "calls"), row(hung, "retries"), row(hung, "failures")), (2, 1, 2));
+        assert_eq!(
+            (
+                row(hung, "calls"),
+                row(hung, "retries"),
+                row(hung, "failures")
+            ),
+            (2, 1, 2)
+        );
     }
-    assert_eq!((row(2, "calls"), row(2, "retries"), row(2, "failures")), (1, 0, 0));
-    assert_eq!(status.get("fanout_subrequests").and_then(Json::as_u64), Some(3));
+    assert_eq!(
+        (row(2, "calls"), row(2, "retries"), row(2, "failures")),
+        (1, 0, 0)
+    );
+    assert_eq!(
+        status.get("fanout_subrequests").and_then(Json::as_u64),
+        Some(3)
+    );
 
     assert_eq!(fixture.router.metrics().server_errors(), 0);
     drop(client);

@@ -17,9 +17,15 @@ fn dataset_to_predictions_to_relevance() {
     let mut total = 0usize;
     let mut scratch = Scratch::new();
     for item in ds.test_items(60, 1) {
-        let request = InferRequest::new(&item.title, item.leaf).k(5).resolve_texts(true);
+        let request = InferRequest::new(&item.title, item.leaf)
+            .k(5)
+            .resolve_texts(true);
         let response = model.infer_request(&request, &mut scratch);
-        assert_ne!(response.outcome, Outcome::UnknownLeaf, "test items come from known leaves");
+        assert_ne!(
+            response.outcome,
+            Outcome::UnknownLeaf,
+            "test items come from known leaves"
+        );
         for text in &response.texts {
             total += 1;
             if oracle.is_relevant(item, text) {
@@ -40,7 +46,9 @@ fn predictions_are_real_buyer_queries() {
     let engine = Engine::from_model(tiny_model(&ds));
     let oracle = ds.oracle();
     for item in ds.test_items(40, 2) {
-        let request = InferRequest::new(&item.title, item.leaf).k(10).resolve_texts(true);
+        let request = InferRequest::new(&item.title, item.leaf)
+            .k(10)
+            .resolve_texts(true);
         for text in &engine.infer(&request).texts {
             assert!(
                 oracle.query_by_text(text).is_some(),
@@ -58,7 +66,9 @@ fn serialization_roundtrip_mid_pipeline() {
     let restored = serialize::from_bytes(&bytes).expect("roundtrip");
     let mut scratch = Scratch::new();
     for item in ds.test_items(25, 3) {
-        let request = InferRequest::new(&item.title, item.leaf).k(10).resolve_texts(true);
+        let request = InferRequest::new(&item.title, item.leaf)
+            .k(10)
+            .resolve_texts(true);
         let a = model.infer_request(&request, &mut scratch);
         let b = restored.infer_request(&request, &mut scratch);
         assert_eq!(a.outcome, b.outcome);
@@ -75,7 +85,11 @@ fn parallel_batch_equals_sequential() {
     let requests: Vec<InferRequest<'_>> = items
         .iter()
         .enumerate()
-        .map(|(i, item)| InferRequest::new(&item.title, item.leaf).k(5 + (i % 3) * 5).id(i as u64))
+        .map(|(i, item)| {
+            InferRequest::new(&item.title, item.leaf)
+                .k(5 + (i % 3) * 5)
+                .id(i as u64)
+        })
         .collect();
     let seq = batch_infer(&model, &requests, 1);
     let par = batch_infer(&model, &requests, 8);
@@ -94,7 +108,9 @@ fn curation_threshold_monotonicity_end_to_end() {
     let build = |threshold: u32| {
         let mut config = GraphExConfig::default();
         config.curation.min_search_count = threshold;
-        GraphExBuilder::new(config).add_records(ds.keyphrase_records()).build()
+        GraphExBuilder::new(config)
+            .add_records(ds.keyphrase_records())
+            .build()
     };
     let loose = build(1).expect("loose model");
     let strict = build(8).expect("strict model");

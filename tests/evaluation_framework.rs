@@ -6,7 +6,12 @@ use graphex_eval::metrics::{exclusive_relevant_head, fig4_rows, precision_recall
 use graphex_eval::{Evaluation, HeadThreshold, RelevanceJudge};
 use graphex_suite::{tiny_dataset, tiny_model};
 
-fn run_eval(seed: u64) -> (graphex_marketsim::CategoryDataset, Vec<Box<dyn Recommender>>) {
+fn run_eval(
+    seed: u64,
+) -> (
+    graphex_marketsim::CategoryDataset,
+    Vec<Box<dyn Recommender>>,
+) {
     let ds = tiny_dataset(seed);
     let models: Vec<Box<dyn Recommender>> = vec![
         Box::new(RulesEngine::train(&ds, 1)),
@@ -48,7 +53,11 @@ fn evaluation_is_deterministic() {
     let a = Evaluation::run(&ds, &refs, &items, 20, &judge);
     let b = Evaluation::run(&ds, &refs, &items, 20, &judge);
     for (ma, mb) in a.models.iter().zip(&b.models) {
-        assert_eq!(ma.per_item, mb.per_item, "evaluation not reproducible for {}", ma.name);
+        assert_eq!(
+            ma.per_item, mb.per_item,
+            "evaluation not reproducible for {}",
+            ma.name
+        );
     }
 }
 
@@ -78,7 +87,10 @@ fn metrics_are_internally_consistent() {
     }
     // Venn region sizes add up.
     for (name, unique, shared) in venn_counts(&eval) {
-        assert_eq!(unique + shared, eval.model(&name).unwrap().total_predictions());
+        assert_eq!(
+            unique + shared,
+            eval.model(&name).unwrap().total_predictions()
+        );
     }
     // RE scores perfectly against itself.
     let self_pr = precision_recall_vs(&eval, "RE", "RE");
@@ -145,8 +157,7 @@ fn serving_stack_is_evaluable_as_a_service() {
 
     let judge = RelevanceJudge::new(&ds);
     let items = ds.test_items(30, 5);
-    let refs: Vec<&dyn Recommender> =
-        vec![&direct, &via_engine, &via_serving];
+    let refs: Vec<&dyn Recommender> = vec![&direct, &via_engine, &via_serving];
     let eval = Evaluation::run(&ds, &refs, &items, 20, &judge);
 
     let a = eval.model("GraphEx").unwrap();

@@ -19,8 +19,8 @@
 //! and the `/statusz` sparklines.
 
 use graphex_core::{GraphExBuilder, GraphExConfig, GraphExModel, KeyphraseRecord, LeafId};
-use graphex_serving::{FleetConfig, KvStore, ModelRegistry, ServingApi, TenantFleet};
 use graphex_server::{HistoryConfig, HttpClient, Json, ServerConfig};
+use graphex_serving::{FleetConfig, KvStore, ModelRegistry, ServingApi, TenantFleet};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,9 +35,10 @@ fn widget_model(tag: &str) -> GraphExModel {
     let mut config = GraphExConfig::default();
     config.curation.min_search_count = 0;
     GraphExBuilder::new(config)
-        .add_records((0..6u32).map(|i| {
-            KeyphraseRecord::new(format!("{tag} widget {i}"), LeafId(1), 40 + i, 5)
-        }))
+        .add_records(
+            (0..6u32)
+                .map(|i| KeyphraseRecord::new(format!("{tag} widget {i}"), LeafId(1), 40 + i, 5)),
+        )
         .build()
         .unwrap()
 }
@@ -50,7 +51,10 @@ fn widget_model(tag: &str) -> GraphExModel {
 fn manual_history_config() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".into(),
-        history: HistoryConfig { interval: Duration::from_secs(3600), ..Default::default() },
+        history: HistoryConfig {
+            interval: Duration::from_secs(3600),
+            ..Default::default()
+        },
         deadline: None,
         keep_alive_timeout: Duration::from_secs(60),
         ..Default::default()
@@ -80,13 +84,18 @@ fn assert_history_over_http(client: &mut HttpClient) {
         response.text()
     );
     assert!(
-        body.get("series").and_then(|s| s.get("http/requests")).is_some(),
+        body.get("series")
+            .and_then(|s| s.get("http/requests"))
+            .is_some(),
         "debug/history has no http/requests series: {}",
         response.text()
     );
     let status = client.get("/statusz").expect("statusz");
     let parsed = graphex_server::json::parse(&status.text()).unwrap();
-    let sparklines = parsed.get("history").and_then(|h| h.get("sparklines")).and_then(Json::as_obj);
+    let sparklines = parsed
+        .get("history")
+        .and_then(|h| h.get("sparklines"))
+        .and_then(Json::as_obj);
     assert!(
         sparklines.is_some_and(|s| !s.is_empty()),
         "statusz history block has no sparklines: {}",
@@ -181,8 +190,14 @@ fn history_survives_registry_hot_swap_without_losing_or_double_counting() {
 fn per_tenant_history_survives_eviction_and_readmission() {
     let root = tempdir("evict");
     let fleet = Arc::new(
-        TenantFleet::open(&root, FleetConfig { resident_cap: 1, ..FleetConfig::default() })
-            .unwrap(),
+        TenantFleet::open(
+            &root,
+            FleetConfig {
+                resident_cap: 1,
+                ..FleetConfig::default()
+            },
+        )
+        .unwrap(),
     );
     fleet.publish_model("a", &widget_model("a"), "v1").unwrap();
     fleet.publish_model("b", &widget_model("b"), "v1").unwrap();
@@ -208,7 +223,9 @@ fn per_tenant_history_survives_eviction_and_readmission() {
     sample_after_tally(&server, &mut client);
     assert_history_over_http(&mut client);
     // `?series=` narrows the ring to one tenant's keys.
-    let filtered = client.get("/debug/history?series=tenant/a").expect("debug/history");
+    let filtered = client
+        .get("/debug/history?series=tenant/a")
+        .expect("debug/history");
     assert_eq!(filtered.status, 200, "{}", filtered.text());
     let body = graphex_server::json::parse(&filtered.text()).unwrap();
     let keys: Vec<&str> = body
@@ -217,7 +234,10 @@ fn per_tenant_history_survives_eviction_and_readmission() {
         .map(|series| series.iter().map(|(key, _)| key.as_str()).collect())
         .unwrap_or_default();
     assert!(keys.contains(&"tenant/a/serve/requests"), "{keys:?}");
-    assert!(!keys.iter().any(|key| key.starts_with("tenant/b/")), "{keys:?}");
+    assert!(
+        !keys.iter().any(|key| key.starts_with("tenant/b/")),
+        "{keys:?}"
+    );
 
     let history = server.history().expect("history enabled").clone();
     assert_contiguous_ticks(&history);
@@ -236,7 +256,11 @@ fn per_tenant_history_survives_eviction_and_readmission() {
 
     // Residency actually churned: a was resident, evicted, re-admitted.
     let resident = history.series("tenant/a/resident", usize::MAX);
-    assert_eq!(resident, vec![1.0, 0.0, 1.0], "cap-1 fleet must evict a for b");
+    assert_eq!(
+        resident,
+        vec![1.0, 0.0, 1.0],
+        "cap-1 fleet must evict a for b"
+    );
 
     // Fleet-level residency never exceeds the cap in any sample.
     for sample in history.samples(usize::MAX) {
@@ -257,7 +281,10 @@ fn disabled_history_exposes_no_surface() {
     ));
     let config = ServerConfig {
         addr: "127.0.0.1:0".into(),
-        history: HistoryConfig { enabled: false, ..Default::default() },
+        history: HistoryConfig {
+            enabled: false,
+            ..Default::default()
+        },
         deadline: None,
         keep_alive_timeout: Duration::from_secs(60),
         ..Default::default()

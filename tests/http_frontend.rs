@@ -11,8 +11,8 @@
 //!   the withdrawn snapshot are recomputed, not served;
 //! * malformed requests map to 4xx — never a panic, hang, or 5xx.
 
-use graphex_serving::{KvStore, ModelRegistry, ServingApi, SwapPolicy};
 use graphex_server::{HttpClient, Json, ServerConfig, ServerHandle};
+use graphex_serving::{KvStore, ModelRegistry, ServingApi, SwapPolicy};
 use graphex_suite::{tiny_dataset, tiny_model};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -65,7 +65,13 @@ impl Fixture {
             .take(64)
             .map(|i| (i.title.clone(), i.leaf.0))
             .collect();
-        Self { registry, server, api, titles, root }
+        Self {
+            registry,
+            server,
+            api,
+            titles,
+            root,
+        }
     }
 
     fn finish(self) {
@@ -119,7 +125,9 @@ fn hot_swap_and_rollback_under_concurrent_load_zero_5xx() {
                         );
                         client.post_json("/v1/infer", &body).unwrap()
                     } else {
-                        client.post_json("/v1/infer", &infer_body(title, *leaf, id)).unwrap()
+                        client
+                            .post_json("/v1/infer", &infer_body(title, *leaf, id))
+                            .unwrap()
                     };
                     assert!(
                         response.status < 500,
@@ -178,7 +186,10 @@ fn hot_swap_and_rollback_under_concurrent_load_zero_5xx() {
             .map(|(v, _)| *v)
             .collect();
         for pair in monotone.windows(2) {
-            assert!(pair[0] <= pair[1], "snapshot_version went backwards: {pair:?}");
+            assert!(
+                pair[0] <= pair[1],
+                "snapshot_version went backwards: {pair:?}"
+            );
         }
         assert!(
             versions.iter().all(|(v, _)| (1..=3).contains(v)),
@@ -191,14 +202,14 @@ fn hot_swap_and_rollback_under_concurrent_load_zero_5xx() {
     assert_eq!(stats.model_swaps, 2);
     assert_eq!(
         stats.outcomes.total(),
-        stats.store_hits
-            + stats.read_throughs
-            + stats.coalesced
-            + stats.direct
-            + stats.unservable,
+        stats.store_hits + stats.read_throughs + stats.coalesced + stats.direct + stats.unservable,
         "every request is accounted for exactly once"
     );
-    assert_eq!(fixture.server.metrics().server_errors(), 0, "zero 5xx through two hot swaps");
+    assert_eq!(
+        fixture.server.metrics().server_errors(),
+        0,
+        "zero 5xx through two hot swaps"
+    );
 
     // Rollback (3 → 2) under a fresh request wave: still zero 5xx, and
     // the invalidate policy recomputes answers cached by snapshot 3.
@@ -206,13 +217,18 @@ fn hot_swap_and_rollback_under_concurrent_load_zero_5xx() {
     fixture.registry.rollback().unwrap();
     let mut client = HttpClient::connect(addr).unwrap();
     for (i, (title, leaf)) in fixture.titles.iter().take(24).enumerate() {
-        let response = client.post_json("/v1/infer", &infer_body(title, *leaf, i as u64)).unwrap();
+        let response = client
+            .post_json("/v1/infer", &infer_body(title, *leaf, i as u64))
+            .unwrap();
         assert_eq!(response.status, 200, "{}", response.text());
         let body = graphex_server::json::parse(&response.text()).unwrap();
         assert_eq!(body.get("snapshot_version").unwrap().as_u64(), Some(2));
     }
     let stats = fixture.api.stats();
-    assert_eq!(stats.snapshot_version, 2, "rollback swapped the serving model");
+    assert_eq!(
+        stats.snapshot_version, 2,
+        "rollback swapped the serving model"
+    );
     assert_eq!(stats.model_swaps, 3);
     assert!(
         stats.invalidated > invalidated_before,
@@ -220,7 +236,10 @@ fn hot_swap_and_rollback_under_concurrent_load_zero_5xx() {
     );
     assert_eq!(fixture.server.metrics().server_errors(), 0);
     drop(client);
-    assert!(total_requests >= 100, "meaningful concurrency: {total_requests} requests");
+    assert!(
+        total_requests >= 100,
+        "meaningful concurrency: {total_requests} requests"
+    );
     fixture.finish();
 }
 
@@ -234,18 +253,23 @@ fn malformed_requests_never_panic_or_5xx() {
     let post_cases: &[(&str, u16)] = &[
         ("{not json", 400),
         ("", 400),
-        ("[1,2,3]", 400),                                  // valid JSON, wrong shape
-        (r#"{"title":"x"}"#, 400),                         // missing leaf
-        (r#"{"title":"x","leaf":"one"}"#, 400),            // non-integer leaf
-        (r#"{"title":"x","leaf":4294967296}"#, 400),       // leaf > u32
+        ("[1,2,3]", 400),                            // valid JSON, wrong shape
+        (r#"{"title":"x"}"#, 400),                   // missing leaf
+        (r#"{"title":"x","leaf":"one"}"#, 400),      // non-integer leaf
+        (r#"{"title":"x","leaf":4294967296}"#, 400), // leaf > u32
         (r#"{"title":"x","leaf":1,"alignment":"bogus"}"#, 400),
         (r#"{"requests":{}}"#, 400),
-        (r#"{"title":"\ud800","leaf":1}"#, 400),           // lone surrogate
+        (r#"{"title":"\ud800","leaf":1}"#, 400), // lone surrogate
     ];
     for (body, expected) in post_cases {
         let mut client = HttpClient::connect(addr).unwrap();
         let response = client.post_json("/v1/infer", body).unwrap();
-        assert_eq!(response.status, *expected, "body {body:?} → {}", response.text());
+        assert_eq!(
+            response.status,
+            *expected,
+            "body {body:?} → {}",
+            response.text()
+        );
     }
 
     // Framing a client library would never send: a `Content-Length` that
@@ -254,10 +278,27 @@ fn malformed_requests_never_panic_or_5xx() {
     let body = r#"{"title":"x","leaf":1}"#;
     let framing_cases: &[(String, u16)] = &[
         (format!("Content-Length: +{}", body.len()), 400),
-        (format!("Content-Length: {} {}", body.len(), body.len()), 400),
+        (
+            format!("Content-Length: {} {}", body.len(), body.len()),
+            400,
+        ),
         ("Content-Length: 0x16".into(), 400),
-        (format!("Content-Length: {}\r\nContent-Length: {}", body.len(), body.len() - 1), 400),
-        (format!("Content-Length: {}\r\ncontent-length: 0{}", body.len(), body.len()), 200),
+        (
+            format!(
+                "Content-Length: {}\r\nContent-Length: {}",
+                body.len(),
+                body.len() - 1
+            ),
+            400,
+        ),
+        (
+            format!(
+                "Content-Length: {}\r\ncontent-length: 0{}",
+                body.len(),
+                body.len()
+            ),
+            200,
+        ),
     ];
     for (headers, expected) in framing_cases {
         use std::io::{Read as _, Write as _};
@@ -270,7 +311,10 @@ fn malformed_requests_never_panic_or_5xx() {
         // connection behind the reply: what was read is what counts.
         let mut reply = String::new();
         let _ = raw.read_to_string(&mut reply);
-        assert!(reply.starts_with(&format!("HTTP/1.1 {expected} ")), "{headers:?} → {reply}");
+        assert!(
+            reply.starts_with(&format!("HTTP/1.1 {expected} ")),
+            "{headers:?} → {reply}"
+        );
     }
 
     // Unknown path → 404; wrong method → 405; oversized body → 413.
@@ -286,7 +330,9 @@ fn malformed_requests_never_panic_or_5xx() {
     let mut client = HttpClient::connect(addr).unwrap();
     assert_eq!(client.get("/healthz").unwrap().status, 200);
     let (title, leaf) = &fixture.titles[0];
-    let ok = client.post_json("/v1/infer", &infer_body(title, *leaf, 7)).unwrap();
+    let ok = client
+        .post_json("/v1/infer", &infer_body(title, *leaf, 7))
+        .unwrap();
     assert_eq!(ok.status, 200);
     assert_eq!(fixture.server.metrics().server_errors(), 0);
     drop(client);
@@ -303,21 +349,45 @@ fn statusz_and_metrics_are_consistent() {
     let (title, leaf) = &fixture.titles[0];
     for id in 0..5u64 {
         assert_eq!(
-            client.post_json("/v1/infer", &infer_body(title, *leaf, id % 2)).unwrap().status,
+            client
+                .post_json("/v1/infer", &infer_body(title, *leaf, id % 2))
+                .unwrap()
+                .status,
             200
         );
     }
     let statusz = graphex_server::json::parse(&client.get("/statusz").unwrap().text()).unwrap();
     let stats = fixture.api.stats();
-    assert_eq!(statusz.get("store_hits").unwrap().as_u64(), Some(stats.store_hits));
-    assert_eq!(statusz.get("read_throughs").unwrap().as_u64(), Some(stats.read_throughs));
+    assert_eq!(
+        statusz.get("store_hits").unwrap().as_u64(),
+        Some(stats.store_hits)
+    );
+    assert_eq!(
+        statusz.get("read_throughs").unwrap().as_u64(),
+        Some(stats.read_throughs)
+    );
     assert_eq!(statusz.get("snapshot_version").unwrap().as_u64(), Some(1));
     for key in ["in_flight", "shed", "deadline_exceeded"] {
-        assert!(statusz.get(key).and_then(Json::as_u64).is_some(), "statusz lacks {key}");
+        assert!(
+            statusz.get(key).and_then(Json::as_u64).is_some(),
+            "statusz lacks {key}"
+        );
     }
-    assert_eq!(statusz.get("latency").and_then(|l| l.get("count")).and_then(Json::as_u64), Some(5));
-    let recorded = statusz.get("trace").and_then(|t| t.get("recorded")).and_then(Json::as_u64);
-    assert!(recorded.is_some_and(|n| n > 0), "statusz trace block recorded nothing");
+    assert_eq!(
+        statusz
+            .get("latency")
+            .and_then(|l| l.get("count"))
+            .and_then(Json::as_u64),
+        Some(5)
+    );
+    let recorded = statusz
+        .get("trace")
+        .and_then(|t| t.get("recorded"))
+        .and_then(Json::as_u64);
+    assert!(
+        recorded.is_some_and(|n| n > 0),
+        "statusz trace block recorded nothing"
+    );
 
     let metrics = client.get("/metrics").unwrap().text();
     assert!(metrics.contains(&format!(
@@ -348,7 +418,11 @@ fn three_frontends_share_one_edge() {
         keep_alive_timeout: Duration::from_secs(60),
         ..Default::default()
     };
-    let api = Arc::new(ServingApi::new(Arc::new(model.clone()), Arc::new(KvStore::new()), 10));
+    let api = Arc::new(ServingApi::new(
+        Arc::new(model.clone()),
+        Arc::new(KvStore::new()),
+        10,
+    ));
     let single = graphex_server::start(config.clone(), api).unwrap();
     let fleet_root = tempdir("parity-fleet");
     let fleet = TenantFleet::open(&fleet_root, FleetConfig::default()).unwrap();
@@ -388,7 +462,11 @@ fn three_frontends_share_one_edge() {
         ("GET", "/v1/t/acme/infer", POST_ONLY, UNKNOWN),
         ("POST", "/v1/t/acme/overlay/journal", GET_ONLY, UNKNOWN),
     ];
-    let frontends = [("single", single.addr()), ("fleet", fleet.addr()), ("router", router.addr())];
+    let frontends = [
+        ("single", single.addr()),
+        ("fleet", fleet.addr()),
+        ("router", router.addr()),
+    ];
     for (name, addr) in frontends {
         let mut client = HttpClient::connect(addr).unwrap();
         for (method, path, on_server, on_router) in table {
@@ -397,7 +475,11 @@ fn three_frontends_share_one_edge() {
                 _ => client.post_json(path, "{}"),
             }
             .unwrap();
-            let expected = if name == "router" { on_router } else { on_server };
+            let expected = if name == "router" {
+                on_router
+            } else {
+                on_server
+            };
             assert_eq!(
                 (response.status, response.header("allow")),
                 *expected,
@@ -410,14 +492,18 @@ fn three_frontends_share_one_edge() {
     // span — on the router exactly as on the backend behind it.
     for (name, addr) in [("single", single.addr()), ("router", router.addr())] {
         let mut client = HttpClient::connect(addr).unwrap();
-        let response = client.post_json("/v1/infer", r#"{"title":"x","leaf":1}"#).unwrap();
+        let response = client
+            .post_json("/v1/infer", r#"{"title":"x","leaf":1}"#)
+            .unwrap();
         assert_eq!(response.status, 200, "{name}: {}", response.text());
         let traces = client.get("/debug/traces?limit=1").unwrap().text();
         let traces = graphex_server::json::parse(&traces).unwrap();
         let newest = &traces.get("traces").unwrap().as_arr().unwrap()[0];
         let spans = newest.get("spans").unwrap().as_arr().unwrap();
         assert!(
-            spans.iter().any(|s| s.get("stage").unwrap().as_str() == Some("queue_wait")),
+            spans
+                .iter()
+                .any(|s| s.get("stage").unwrap().as_str() == Some("queue_wait")),
             "{name}: no queue_wait span in {spans:?}"
         );
     }
@@ -443,7 +529,10 @@ fn three_frontends_share_one_edge() {
         ("single", timed(|| single.shutdown())),
         ("fleet", timed(|| fleet.shutdown())),
     ] {
-        assert!(took < Duration::from_millis(250), "{name} shutdown took {took:?}");
+        assert!(
+            took < Duration::from_millis(250),
+            "{name} shutdown took {took:?}"
+        );
     }
     drop(idle);
     std::fs::remove_dir_all(&fleet_root).ok();

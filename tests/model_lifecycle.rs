@@ -28,9 +28,14 @@ fn build_model(extra_phrases: &[(&str, u32)]) -> GraphExModel {
         KeyphraseRecord::new("gamma gizmo charger", LeafId(3), 400, 250),
     ];
     records.extend(
-        extra_phrases.iter().map(|&(text, leaf)| KeyphraseRecord::new(text, LeafId(leaf), 300, 50)),
+        extra_phrases
+            .iter()
+            .map(|&(text, leaf)| KeyphraseRecord::new(text, LeafId(leaf), 300, 50)),
     );
-    GraphExBuilder::new(config).add_records(records).build().unwrap()
+    GraphExBuilder::new(config)
+        .add_records(records)
+        .build()
+        .unwrap()
 }
 
 fn probe_requests() -> Vec<(String, LeafId)> {
@@ -71,11 +76,21 @@ fn snapshot_roundtrip_is_a_byte_fixpoint_and_inference_identical() {
 
     let bytes = serialize::to_bytes(&original);
     let loaded = bytes.parse().expect("load");
-    assert_eq!(expected, infer_all(&loaded), "round-trip changed inference results");
-    assert_eq!(bytes, serialize::to_bytes(&loaded), "save → load → save is not a fixpoint");
+    assert_eq!(
+        expected,
+        infer_all(&loaded),
+        "round-trip changed inference results"
+    );
+    assert_eq!(
+        bytes,
+        serialize::to_bytes(&loaded),
+        "save → load → save is not a fixpoint"
+    );
 
     // And the load really borrowed its arrays.
-    assert!(loaded.leaf_ids().all(|l| loaded.leaf_graph(l).unwrap().is_zero_copy()));
+    assert!(loaded
+        .leaf_ids()
+        .all(|l| loaded.leaf_graph(l).unwrap().is_zero_copy()));
 }
 
 /// The same equality through the registry: `publish_file` of a snapshot
@@ -97,7 +112,10 @@ fn registry_serves_published_files_and_models_identically() {
     let from_model = registry.publish(&model, "from a model").unwrap();
     let served_model = infer_all(registry.current().unwrap().engine.model());
 
-    assert_eq!((from_file.format, from_file.checksum), (3, from_model.checksum));
+    assert_eq!(
+        (from_file.format, from_file.checksum),
+        (3, from_model.checksum)
+    );
     assert_eq!(from_model.format, 3);
     assert_eq!(expected, served_file);
     assert_eq!(expected, served_model);
@@ -114,9 +132,14 @@ fn hot_swap_under_load_has_zero_failed_requests() {
     let root = tempdir("swap-load");
     let registry = Arc::new(ModelRegistry::open(&root).unwrap());
     registry.publish(&build_model(&[]), "v1").unwrap();
-    registry.publish(&build_model(&[("alpha widget deluxe", 1)]), "v2").unwrap();
-    let api =
-        Arc::new(ServingApi::with_watch(registry.watch().unwrap(), Arc::new(KvStore::new()), 10));
+    registry
+        .publish(&build_model(&[("alpha widget deluxe", 1)]), "v2")
+        .unwrap();
+    let api = Arc::new(ServingApi::with_watch(
+        registry.watch().unwrap(),
+        Arc::new(KvStore::new()),
+        10,
+    ));
 
     let done = Arc::new(AtomicBool::new(false));
     let mut workers = Vec::new();
@@ -127,12 +150,10 @@ fn hot_swap_under_load_has_zero_failed_requests() {
             let mut failed = 0usize;
             for i in 0..400u64 {
                 let (title, leaf) = &probes[(i % 3) as usize]; // servable probes only
-                // Mix store-path requests (cycling ids → hits + misses)
-                // and id-less direct computations.
+                                                               // Mix store-path requests (cycling ids → hits + misses)
+                                                               // and id-less direct computations.
                 let served = if i % 3 == 0 {
-                    api.serve_request(
-                        &InferRequest::new(title, *leaf).k(5).resolve_texts(true),
-                    )
+                    api.serve_request(&InferRequest::new(title, *leaf).k(5).resolve_texts(true))
                 } else {
                     api.serve(t * 10_000 + (i % 50), title, *leaf)
                 };
@@ -162,12 +183,18 @@ fn hot_swap_under_load_has_zero_failed_requests() {
         })
     };
 
-    let failed: usize = workers.into_iter().map(|w| w.join().expect("worker panicked")).sum();
+    let failed: usize = workers
+        .into_iter()
+        .map(|w| w.join().expect("worker panicked"))
+        .sum();
     done.store(true, Ordering::Release);
     let swaps = swapper.join().expect("swapper panicked");
 
     assert_eq!(failed, 0, "requests failed during hot swaps");
-    assert!(swaps >= 1, "load test finished before a single swap happened");
+    assert!(
+        swaps >= 1,
+        "load test finished before a single swap happened"
+    );
     let stats = api.stats();
     assert_eq!(
         stats.store_hits + stats.read_throughs + stats.coalesced + stats.direct,
@@ -210,9 +237,14 @@ fn batch_and_read_through_follow_republishes() {
     assert_eq!(report.snapshot_version, 1);
     assert_eq!(report.items_with_recommendations, 20);
 
-    registry.publish(&build_model(&[("alpha widget deluxe", 1)]), "").unwrap();
+    registry
+        .publish(&build_model(&[("alpha widget deluxe", 1)]), "")
+        .unwrap();
     let report = pipeline.run_differential(&items[..5]);
-    assert_eq!(report.snapshot_version, 2, "pipeline did not follow the publish");
+    assert_eq!(
+        report.snapshot_version, 2,
+        "pipeline did not follow the publish"
+    );
 
     // New listings read through on the republished snapshot, and every
     // one is stored under it.
@@ -220,7 +252,10 @@ fn batch_and_read_through_follow_republishes() {
     let api = ServingApi::with_watch(watch.clone(), read_through_store.clone(), 10);
     for i in 0..10u64 {
         let served = api.serve(i, "beta gadget pro", LeafId(2));
-        assert_eq!((served.source, served.snapshot_version), (ServeSource::ReadThrough, 2));
+        assert_eq!(
+            (served.source, served.snapshot_version),
+            (ServeSource::ReadThrough, 2)
+        );
         assert_eq!(read_through_store.get(i).unwrap().tags.snapshot_version, 2);
     }
     assert_eq!(api.stats().snapshot_version, 2);

@@ -16,8 +16,10 @@ use graphex_marketsim::{CategorySpec, ChurnCorpus};
 use graphex_pipeline::{
     build, overlay_journal_source, BuildOutput, BuildPlan, DeltaBase, MarketsimSource, VecSource,
 };
-use graphex_serving::{KvStore, ModelRegistry, OverlayJournal, OverlayStore, ServingApi, SwapPolicy};
 use graphex_server::{HttpClient, Json, ServerConfig};
+use graphex_serving::{
+    KvStore, ModelRegistry, OverlayJournal, OverlayStore, ServingApi, SwapPolicy,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -73,7 +75,10 @@ fn upsert_records(corpus: &ChurnCorpus, count: usize) -> Vec<graphex_core::Keyph
             let (text, leaf) = if i % 3 == 2 {
                 (format!("nrt extra phrase {i} widget"), existing)
             } else {
-                (format!("nrt onboard item {i} gadget"), LeafId(9_000 + i as u32))
+                (
+                    format!("nrt onboard item {i} gadget"),
+                    LeafId(9_000 + i as u32),
+                )
             };
             graphex_core::KeyphraseRecord::new(text, leaf, 40 + i as u32, 4)
         })
@@ -108,8 +113,16 @@ fn overlay_compaction_is_byte_identical_to_direct_rebuild() {
     assert_eq!(reparsed, journal);
 
     // Compaction: delta build over the base, journal as one more source.
-    let compacted = pipeline_build(&corpus, Some(&reparsed), Some(DeltaBase::load(&root).unwrap()), 3);
-    assert!(compacted.report.leaves_reused > 0, "delta must borrow untouched leaves");
+    let compacted = pipeline_build(
+        &corpus,
+        Some(&reparsed),
+        Some(DeltaBase::load(&root).unwrap()),
+        3,
+    );
+    assert!(
+        compacted.report.leaves_reused > 0,
+        "delta must borrow untouched leaves"
+    );
 
     // Direct rebuild of the union corpus: no overlay ever existed.
     let direct_plan = BuildPlan::new(config()).jobs(1);
@@ -200,7 +213,9 @@ fn live_upserts_with_midrun_compaction_zero_5xx() {
                 let mut requests = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let (title, leaf) = &titles[(t + requests as usize) % titles.len()];
-                    let response = client.post_json("/v1/infer", &infer_body(title, *leaf)).unwrap();
+                    let response = client
+                        .post_json("/v1/infer", &infer_body(title, *leaf))
+                        .unwrap();
                     if response.header("Connection") == Some("close") {
                         client = HttpClient::connect(addr).unwrap();
                     }
@@ -216,20 +231,25 @@ fn live_upserts_with_midrun_compaction_zero_5xx() {
     let records = upsert_records(&corpus, 12);
     let mut writer = HttpClient::connect(addr).unwrap();
     let serve_now = |client: &mut HttpClient, record: &graphex_core::KeyphraseRecord| {
-        let response =
-            client.post_json("/v1/infer", &infer_body(&record.text, record.leaf.0)).unwrap();
+        let response = client
+            .post_json("/v1/infer", &infer_body(&record.text, record.leaf.0))
+            .unwrap();
         assert_eq!(response.status, 200, "{}", response.text());
         let parsed = graphex_server::json::parse(&response.text()).unwrap();
         let phrases = parsed.get("keyphrases").unwrap().as_arr().unwrap();
         assert!(
-            phrases.iter().any(|p| p.as_str() == Some(record.text.as_str())),
+            phrases
+                .iter()
+                .any(|p| p.as_str() == Some(record.text.as_str())),
             "{:?} not servable right after its ack: {phrases:?}",
             record.text
         );
     };
     let (first_half, second_half) = records.split_at(6);
     for record in first_half {
-        let ack = writer.post_json("/v1/upsert", &upsert_body(record)).unwrap();
+        let ack = writer
+            .post_json("/v1/upsert", &upsert_body(record))
+            .unwrap();
         assert_eq!(ack.status, 200, "{}", ack.text());
         serve_now(&mut writer, record);
     }
@@ -240,12 +260,19 @@ fn live_upserts_with_midrun_compaction_zero_5xx() {
     assert_eq!(exported.status, 200);
     let journal = OverlayJournal::parse(&exported.text()).unwrap();
     assert_eq!(journal.entries.len(), 6);
-    let mut compacted =
-        pipeline_build(&corpus, Some(&journal), Some(DeltaBase::load(&root).unwrap()), 3);
+    let mut compacted = pipeline_build(
+        &corpus,
+        Some(&journal),
+        Some(DeltaBase::load(&root).unwrap()),
+        3,
+    );
     let meta = compacted.publish(&registry, "compaction").unwrap();
     assert_eq!(meta.version, 2);
     let drained = writer
-        .post_json("/v1/overlay/drain", &format!(r#"{{"upto":{}}}"#, journal.upto))
+        .post_json(
+            "/v1/overlay/drain",
+            &format!(r#"{{"upto":{}}}"#, journal.upto),
+        )
         .unwrap();
     assert_eq!(drained.status, 200, "{}", drained.text());
     let drained = graphex_server::json::parse(&drained.text()).unwrap();
@@ -253,7 +280,9 @@ fn live_upserts_with_midrun_compaction_zero_5xx() {
 
     // Upserts keep landing (and serving) on the swapped base.
     for record in second_half {
-        let ack = writer.post_json("/v1/upsert", &upsert_body(record)).unwrap();
+        let ack = writer
+            .post_json("/v1/upsert", &upsert_body(record))
+            .unwrap();
         assert_eq!(ack.status, 200, "{}", ack.text());
         serve_now(&mut writer, record);
     }
@@ -278,10 +307,14 @@ fn live_upserts_with_midrun_compaction_zero_5xx() {
     .unwrap();
     let oracle = Engine::from_model(direct.model.clone());
     for record in &records {
-        let expected =
-            oracle.infer(&InferRequest::new(&record.text, record.leaf).k(5).resolve_texts(true));
-        let response =
-            writer.post_json("/v1/infer", &infer_body(&record.text, record.leaf.0)).unwrap();
+        let expected = oracle.infer(
+            &InferRequest::new(&record.text, record.leaf)
+                .k(5)
+                .resolve_texts(true),
+        );
+        let response = writer
+            .post_json("/v1/infer", &infer_body(&record.text, record.leaf.0))
+            .unwrap();
         let parsed = graphex_server::json::parse(&response.text()).unwrap();
         let served: Vec<&str> = parsed
             .get("keyphrases")
@@ -292,12 +325,23 @@ fn live_upserts_with_midrun_compaction_zero_5xx() {
             .filter_map(Json::as_str)
             .collect();
         let expected: Vec<&str> = expected.texts.iter().map(String::as_str).collect();
-        assert_eq!(served, expected, "{:?}: overlay answer diverged from direct rebuild", record.text);
+        assert_eq!(
+            served, expected,
+            "{:?}: overlay answer diverged from direct rebuild",
+            record.text
+        );
     }
 
-    assert_eq!(server.metrics().server_errors(), 0, "zero 5xx across {reads} reads + upserts");
+    assert_eq!(
+        server.metrics().server_errors(),
+        0,
+        "zero 5xx across {reads} reads + upserts"
+    );
     let stats = api.stats();
-    assert_eq!(stats.model_swaps, 1, "the compaction publish must have hot-swapped");
+    assert_eq!(
+        stats.model_swaps, 1,
+        "the compaction publish must have hot-swapped"
+    );
     server.shutdown();
     std::fs::remove_dir_all(&root).ok();
 }

@@ -12,8 +12,8 @@
 //! consecutive scrapes with traffic in between.
 
 use graphex_core::{GraphExBuilder, GraphExConfig, KeyphraseRecord, LeafId};
-use graphex_serving::{FleetConfig, KvStore, OverlayStore, ServingApi, TenantFleet};
 use graphex_server::{start_router, HttpClient, RouterConfig, ServerConfig, ShardMap};
+use graphex_serving::{FleetConfig, KvStore, OverlayStore, ServingApi, TenantFleet};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -34,14 +34,20 @@ fn check_exposition(text: &str, context: &str) -> Scrape {
         }
         if let Some(rest) = line.strip_prefix("# TYPE ") {
             let mut parts = rest.split_whitespace();
-            let name = parts.next().unwrap_or_else(|| panic!("{context}:{lineno}: bare # TYPE"));
-            let kind = parts.next().unwrap_or_else(|| panic!("{context}:{lineno}: TYPE {name} has no kind"));
+            let name = parts
+                .next()
+                .unwrap_or_else(|| panic!("{context}:{lineno}: bare # TYPE"));
+            let kind = parts
+                .next()
+                .unwrap_or_else(|| panic!("{context}:{lineno}: TYPE {name} has no kind"));
             assert!(
                 matches!(kind, "counter" | "gauge" | "histogram"),
                 "{context}:{lineno}: unknown kind {kind:?}"
             );
             assert!(
-                families.insert(name.to_string(), kind.to_string()).is_none(),
+                families
+                    .insert(name.to_string(), kind.to_string())
+                    .is_none(),
                 "{context}:{lineno}: duplicate # TYPE for {name}"
             );
             continue;
@@ -58,7 +64,9 @@ fn check_exposition(text: &str, context: &str) -> Scrape {
             "{context}:{lineno}: unparseable sample value {value:?}"
         );
         assert!(
-            series.insert(key.to_string(), value.parse().unwrap()).is_none(),
+            series
+                .insert(key.to_string(), value.parse().unwrap())
+                .is_none(),
             "{context}:{lineno}: duplicate series {key}"
         );
         // The series must belong to a declared family; histogram
@@ -69,7 +77,10 @@ fn check_exposition(text: &str, context: &str) -> Scrape {
                 name.strip_suffix(suffix)
                     .is_some_and(|base| families.get(base).map(String::as_str) == Some("histogram"))
             });
-        assert!(declared, "{context}:{lineno}: series {name} has no # TYPE family");
+        assert!(
+            declared,
+            "{context}:{lineno}: series {name} has no # TYPE family"
+        );
     }
     assert!(!families.is_empty(), "{context}: no families rendered");
     Scrape { families, series }
@@ -93,7 +104,10 @@ fn check_monotone(before: &Scrape, after: &Scrape, context: &str) {
             .series
             .get(key)
             .unwrap_or_else(|| panic!("{context}: series {key} vanished between scrapes"));
-        assert!(now >= was, "{context}: counter {key} moved backwards ({was} -> {now})");
+        assert!(
+            now >= was,
+            "{context}: counter {key} moved backwards ({was} -> {now})"
+        );
     }
 }
 
@@ -120,7 +134,10 @@ fn single_server_with_overlay_exposition_is_conformant() {
             .with_overlay(Arc::new(OverlayStore::new())),
     );
     let server = graphex_server::start(
-        ServerConfig { addr: "127.0.0.1:0".into(), ..Default::default() },
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            ..Default::default()
+        },
         api,
     )
     .unwrap();
@@ -132,7 +149,10 @@ fn single_server_with_overlay_exposition_is_conformant() {
     };
     drive_infer(&mut client, "/v1/infer", &title, leaf, 8);
     let ack = client
-        .post_json("/v1/upsert", r#"{"text":"prom conformance phrase","leaf":77,"search":40,"recall":4}"#)
+        .post_json(
+            "/v1/upsert",
+            r#"{"text":"prom conformance phrase","leaf":77,"search":40,"recall":4}"#,
+        )
         .unwrap();
     assert_eq!(ack.status, 200, "{}", ack.text());
 
@@ -147,28 +167,36 @@ fn single_server_with_overlay_exposition_is_conformant() {
         "graphex_stage_latency_seconds",
         "graphex_traces_recorded_total",
     ] {
-        assert!(before.families.contains_key(family), "single scrape lacks {family}");
+        assert!(
+            before.families.contains_key(family),
+            "single scrape lacks {family}"
+        );
     }
 
     drive_infer(&mut client, "/v1/infer", &title, leaf, 8);
     // A second accepted upsert moves the pair the mean apply time is
     // read from: one more batch, and no less time inside `apply`.
     let ack = client
-        .post_json("/v1/upsert", r#"{"text":"prom conformance sequel","leaf":77,"search":41,"recall":4}"#)
+        .post_json(
+            "/v1/upsert",
+            r#"{"text":"prom conformance sequel","leaf":77,"search":41,"recall":4}"#,
+        )
         .unwrap();
     assert_eq!(ack.status, 200, "{}", ack.text());
     let after = scrape(&mut client, "single");
     check_monotone(&before, &after, "single");
     let moved = |name: &str| after.series[name] - before.series[name];
     assert_eq!(moved("graphex_overlay_upserts_total"), 1.0);
-    assert!(after.series["graphex_overlay_apply_micros_total"] > 0.0, "two applies take time");
+    assert!(
+        after.series["graphex_overlay_apply_micros_total"] > 0.0,
+        "two applies take time"
+    );
     server.shutdown();
 }
 
 #[test]
 fn fleet_exposition_is_conformant() {
-    let root =
-        std::env::temp_dir().join(format!("graphex-prom-fleet-{}", std::process::id()));
+    let root = std::env::temp_dir().join(format!("graphex-prom-fleet-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let fleet = Arc::new(TenantFleet::open(&root, FleetConfig::default()).unwrap());
     for tenant in ["alpha", "beta"] {
@@ -188,7 +216,10 @@ fn fleet_exposition_is_conformant() {
         fleet.publish_model(tenant, &model, "v1").unwrap();
     }
     let server = graphex_server::start_fleet(
-        ServerConfig { addr: "127.0.0.1:0".into(), ..Default::default() },
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            ..Default::default()
+        },
         fleet,
     )
     .unwrap();
@@ -204,13 +235,24 @@ fn fleet_exposition_is_conformant() {
         );
     }
     let before = scrape(&mut client, "fleet");
-    for family in
-        ["graphex_tenant_resident", "graphex_tenant_serve_outcome_total", "graphex_stage_latency_seconds"]
-    {
-        assert!(before.families.contains_key(family), "fleet scrape lacks {family}");
+    for family in [
+        "graphex_tenant_resident",
+        "graphex_tenant_serve_outcome_total",
+        "graphex_stage_latency_seconds",
+    ] {
+        assert!(
+            before.families.contains_key(family),
+            "fleet scrape lacks {family}"
+        );
     }
 
-    drive_infer(&mut client, "/v1/t/alpha/infer", "alpha widget edition0", 0, 6);
+    drive_infer(
+        &mut client,
+        "/v1/t/alpha/infer",
+        "alpha widget edition0",
+        0,
+        6,
+    );
     let after = scrape(&mut client, "fleet");
     check_monotone(&before, &after, "fleet");
     server.shutdown();
@@ -221,16 +263,28 @@ fn fleet_exposition_is_conformant() {
 fn router_exposition_is_conformant() {
     let ds = graphex_suite::tiny_dataset(0x9203);
     let model = graphex_suite::tiny_model(&ds);
-    let api = Arc::new(ServingApi::new(Arc::new(model), Arc::new(KvStore::new()), 10));
+    let api = Arc::new(ServingApi::new(
+        Arc::new(model),
+        Arc::new(KvStore::new()),
+        10,
+    ));
     let backend = graphex_server::start(
-        ServerConfig { addr: "127.0.0.1:0".into(), ..Default::default() },
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            ..Default::default()
+        },
         api,
     )
     .unwrap();
     let map = ShardMap::from_backends(vec![backend.addr().to_string()]).unwrap();
-    let router =
-        start_router(RouterConfig { addr: "127.0.0.1:0".into(), ..Default::default() }, map)
-            .unwrap();
+    let router = start_router(
+        RouterConfig {
+            addr: "127.0.0.1:0".into(),
+            ..Default::default()
+        },
+        map,
+    )
+    .unwrap();
     let mut client = HttpClient::connect(router.addr()).unwrap();
 
     let (title, leaf) = {
@@ -244,7 +298,10 @@ fn router_exposition_is_conformant() {
         "graphex_router_backend_healthy",
         "graphex_stage_latency_seconds",
     ] {
-        assert!(before.families.contains_key(family), "router scrape lacks {family}");
+        assert!(
+            before.families.contains_key(family),
+            "router scrape lacks {family}"
+        );
     }
 
     drive_infer(&mut client, "/v1/infer", &title, leaf, 8);

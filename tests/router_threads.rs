@@ -17,7 +17,10 @@ const SHARDS: u32 = 3;
 
 fn process_threads() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    let line = status.lines().find(|l| l.starts_with("Threads:")).expect("a Threads: line");
+    let line = status
+        .lines()
+        .find(|l| l.starts_with("Threads:"))
+        .expect("a Threads: line");
     line["Threads:".len()..].trim().parse().unwrap()
 }
 
@@ -37,18 +40,24 @@ fn scatter_spawns_no_threads() {
     );
     let mut config = GraphExConfig::default();
     config.curation.min_search_count = 2;
-    let built =
-        build(&BuildPlan::new(config).jobs(2), vec![Box::new(MarketsimSource::new(&corpus))])
-            .unwrap();
+    let built = build(
+        &BuildPlan::new(config).jobs(2),
+        vec![Box::new(MarketsimSource::new(&corpus))],
+    )
+    .unwrap();
     let root = std::env::temp_dir().join(format!("graphex-router-threads-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     graphex_pipeline::publish_shards(&built.emit_shards(SHARDS).unwrap(), &root, "gen0").unwrap();
-    let roots: Vec<PathBuf> =
-        (0..SHARDS).map(|i| graphex_pipeline::shard_root(&root, i)).collect();
+    let roots: Vec<PathBuf> = (0..SHARDS)
+        .map(|i| graphex_pipeline::shard_root(&root, i))
+        .collect();
     let cluster = LocalCluster::boot(
         &roots,
         &ClusterConfig {
-            router: RouterConfig { addr: "127.0.0.1:0".into(), ..Default::default() },
+            router: RouterConfig {
+                addr: "127.0.0.1:0".into(),
+                ..Default::default()
+            },
             ..Default::default()
         },
     )
@@ -95,15 +104,26 @@ fn scatter_spawns_no_threads() {
             let response = client.post_json("/v1/infer", &body).unwrap();
             assert_eq!(response.status, 200, "{}", response.text());
             // The edge caps keep-alive; reconnect when told to.
-            if response.header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close")) {
+            if response
+                .header("connection")
+                .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+            {
                 client = HttpClient::connect(cluster.router_addr()).unwrap();
             }
         }
         stop.store(true, Ordering::Relaxed);
         threads
     });
-    assert_eq!(fanout(&mut client) - fanout_before, 3_000, "an envelope did not span three shards");
-    assert_eq!(most.load(Ordering::Relaxed), threads, "threads came and went during the loop");
+    assert_eq!(
+        fanout(&mut client) - fanout_before,
+        3_000,
+        "an envelope did not span three shards"
+    );
+    assert_eq!(
+        most.load(Ordering::Relaxed),
+        threads,
+        "threads came and went during the loop"
+    );
     assert_eq!(cluster.router().degraded(), 0);
 
     drop(client);

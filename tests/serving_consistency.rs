@@ -19,7 +19,11 @@ fn batch_items(ds: &graphex_marketsim::CategoryDataset, n: usize) -> Vec<BatchIt
         .items
         .iter()
         .take(n)
-        .map(|i| BatchItem { id: i.id, title: i.title.clone(), leaf: i.leaf })
+        .map(|i| BatchItem {
+            id: i.id,
+            title: i.title.clone(),
+            leaf: i.leaf,
+        })
         .collect()
 }
 
@@ -28,7 +32,12 @@ const K: usize = 10;
 
 /// The kernel's answer for a request, as a serving API with [`K`] asks
 /// for it.
-fn kernel(engine: &Engine, overlay: Option<&OverlayStore>, title: &str, leaf: LeafId) -> Vec<String> {
+fn kernel(
+    engine: &Engine,
+    overlay: Option<&OverlayStore>,
+    title: &str,
+    leaf: LeafId,
+) -> Vec<String> {
     let request = InferRequest::new(title, leaf).k(K).resolve_texts(true);
     let view = overlay.map(OverlayStore::view);
     engine.infer_with_overlay(&request, view.as_deref()).texts
@@ -52,7 +61,11 @@ fn batch_precompute_equals_read_through() {
         match batch_store.get(u64::from(item.id)) {
             Some(batch) => {
                 assert_eq!(served.source, ServeSource::ReadThrough, "item {}", item.id);
-                assert_eq!(batch.keyphrases, served.keyphrases, "divergence on item {}", item.id);
+                assert_eq!(
+                    batch.keyphrases, served.keyphrases,
+                    "divergence on item {}",
+                    item.id
+                );
                 compared += 1;
             }
             // Both paths skipped it (no candidates).
@@ -68,7 +81,10 @@ fn batch_precompute_equals_read_through() {
         prewarmed.serve(u64::from(item.id), &item.title, item.leaf);
     }
     let stats = prewarmed.stats();
-    assert_eq!((stats.store_hits as usize, stats.read_throughs), (compared, 0));
+    assert_eq!(
+        (stats.store_hits as usize, stats.read_throughs),
+        (compared, 0)
+    );
 }
 
 #[test]
@@ -87,7 +103,10 @@ fn differential_refresh_after_revision() {
         .marketplace
         .items
         .iter()
-        .find(|i| i.leaf == items[0].leaf && i.product != ds.marketplace.items[items[0].id as usize].product)
+        .find(|i| {
+            i.leaf == items[0].leaf
+                && i.product != ds.marketplace.items[items[0].id as usize].product
+        })
         .expect("another product in the leaf");
     items[0].title = donor.title.clone();
     pipeline.run_differential(&items[..1]);
@@ -96,7 +115,10 @@ fn differential_refresh_after_revision() {
     match (before, after) {
         (Some(b), Some(a)) => {
             assert!(a.version > b.version, "version must bump on refresh");
-            assert_ne!(a.keyphrases, b.keyphrases, "revision should change recommendations");
+            assert_ne!(
+                a.keyphrases, b.keyphrases,
+                "revision should change recommendations"
+            );
         }
         _ => panic!("item lost from store"),
     }
@@ -115,8 +137,11 @@ fn read_through_serves_the_latest_revision() {
     // leaf.
     let revision = |i: usize, round: usize| {
         let leaf = items[i].leaf;
-        let titles: Vec<&str> =
-            items.iter().filter(|o| o.leaf == leaf).map(|o| o.title.as_str()).collect();
+        let titles: Vec<&str> = items
+            .iter()
+            .filter(|o| o.leaf == leaf)
+            .map(|o| o.title.as_str())
+            .collect();
         titles[(i + round) % titles.len()]
     };
     for round in 0..10 {
@@ -132,7 +157,11 @@ fn read_through_serves_the_latest_revision() {
         assert_eq!(served.keyphrases, fresh, "item {}", item.id);
         // The last revision's answer is the stored one, unless there is
         // none to store.
-        let expected = if fresh.is_empty() { ServeSource::None } else { ServeSource::Store };
+        let expected = if fresh.is_empty() {
+            ServeSource::None
+        } else {
+            ServeSource::Store
+        };
         assert_eq!(served.source, expected, "item {}", item.id);
         stored += usize::from(!fresh.is_empty());
     }
@@ -158,12 +187,15 @@ fn two_titles_under_one_id_each_get_their_own_answer() {
         })
         .expect("a title in the same leaf with another answer");
     let titles = [first.title.clone(), other.title.clone()];
-    let answers = titles.clone().map(|title| kernel(&engine, None, &title, first.leaf));
+    let answers = titles
+        .clone()
+        .map(|title| kernel(&engine, None, &title, first.leaf));
 
     let api = Arc::new(ServingApi::new(model, Arc::new(KvStore::new()), K));
     let (done, finished) = std::sync::mpsc::channel();
     for thread in 0..8usize {
-        let (api, titles, answers, done) = (api.clone(), titles.clone(), answers.clone(), done.clone());
+        let (api, titles, answers, done) =
+            (api.clone(), titles.clone(), answers.clone(), done.clone());
         let leaf = first.leaf;
         std::thread::spawn(move || {
             let run = (0..2000).try_for_each(|step| {
@@ -179,7 +211,8 @@ fn two_titles_under_one_id_each_get_their_own_answer() {
     }
     for _ in 0..8 {
         let run = finished.recv_timeout(std::time::Duration::from_secs(120));
-        run.expect("a serving thread never finished").unwrap_or_else(|wrong| panic!("{wrong}"));
+        run.expect("a serving thread never finished")
+            .unwrap_or_else(|wrong| panic!("{wrong}"));
     }
     assert_eq!(api.stats().unservable, 0);
 }
@@ -209,7 +242,10 @@ fn script(seed: u64, items: usize, steps: usize, swaps: bool) -> Vec<Step> {
         .map(|_| match next(10) {
             0 if swaps => Step::Swap,
             1 | 2 => Step::Upsert { item: next(items) },
-            _ => Step::Serve { item: next(items), variant: next(3) },
+            _ => Step::Serve {
+                item: next(items),
+                variant: next(3),
+            },
         })
         .collect()
 }
@@ -225,7 +261,12 @@ fn generated_scripts_serve_the_kernel_answer_for_each_request() {
     let models: [Arc<GraphExModel>; 2] = [Arc::new(tiny_model(&ds)), {
         let mut config = GraphExConfig::default();
         config.curation.min_search_count = 4;
-        Arc::new(GraphExBuilder::new(config).add_records(ds.keyphrase_records()).build().unwrap())
+        Arc::new(
+            GraphExBuilder::new(config)
+                .add_records(ds.keyphrase_records())
+                .build()
+                .unwrap(),
+        )
     }];
     let items = batch_items(&ds, 24);
     let leaves: Vec<LeafId> = items.iter().map(|i| i.leaf).collect();
@@ -253,14 +294,19 @@ fn generated_scripts_serve_the_kernel_answer_for_each_request() {
             let mut reference = OverlayStore::new();
 
             let swaps = policy == SwapPolicy::Invalidate;
-            for (n, step) in script(seed, items.len(), 120, swaps).into_iter().enumerate() {
+            for (n, step) in script(seed, items.len(), 120, swaps)
+                .into_iter()
+                .enumerate()
+            {
                 match step {
                     Step::Swap => {
                         active = 1 - active;
                         registry.activate(versions[active]).unwrap();
                         reference = OverlayStore::new();
                         for record in &upserts {
-                            reference.apply(&models[active], std::slice::from_ref(record)).unwrap();
+                            reference
+                                .apply(&models[active], std::slice::from_ref(record))
+                                .unwrap();
                         }
                     }
                     Step::Upsert { item } => {
@@ -272,7 +318,9 @@ fn generated_scripts_serve_the_kernel_answer_for_each_request() {
                         );
                         let record = KeyphraseRecord::new(text, items[item].leaf, 50, 4);
                         api.apply_upsert(std::slice::from_ref(&record)).unwrap();
-                        reference.apply(&models[active], std::slice::from_ref(&record)).unwrap();
+                        reference
+                            .apply(&models[active], std::slice::from_ref(&record))
+                            .unwrap();
                         upserts.push(record);
                     }
                     Step::Serve { item, variant } => {
@@ -297,6 +345,9 @@ fn generated_scripts_serve_the_kernel_answer_for_each_request() {
             }
         }
     }
-    assert!(hits > 100 && misses > 100, "scripts too one-sided: {hits} hits, {misses} misses");
+    assert!(
+        hits > 100 && misses > 100,
+        "scripts too one-sided: {hits} hits, {misses} misses"
+    );
     std::fs::remove_dir_all(&root).ok();
 }

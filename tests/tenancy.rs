@@ -13,8 +13,8 @@
 //!   admission.
 
 use graphex_core::{GraphExBuilder, GraphExConfig, GraphExModel, KeyphraseRecord, LeafId};
-use graphex_serving::{FleetConfig, TenantFleet};
 use graphex_server::{HttpClient, ServerConfig};
+use graphex_serving::{FleetConfig, TenantFleet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -67,7 +67,10 @@ fn ask(client: &mut HttpClient, tag: usize, context: &str) -> Vec<String> {
         .iter()
         .map(|k| k.as_str().unwrap().to_string())
         .collect();
-    assert!(!keyphrases.is_empty(), "{context}: tenant {tag} answered empty");
+    assert!(
+        !keyphrases.is_empty(),
+        "{context}: tenant {tag} answered empty"
+    );
     let marker = format!("tenant{tag} ");
     assert!(
         keyphrases.iter().all(|k| k.starts_with(&marker)),
@@ -83,12 +86,17 @@ fn eight_tenants_cap_three_zero_5xx_through_evictions_and_hot_swaps() {
     let fleet = Arc::new(
         TenantFleet::open(
             &root,
-            FleetConfig { resident_cap: RESIDENT_CAP, ..FleetConfig::default() },
+            FleetConfig {
+                resident_cap: RESIDENT_CAP,
+                ..FleetConfig::default()
+            },
         )
         .unwrap(),
     );
     for tag in 0..TENANTS {
-        fleet.publish_model(&tenant_name(tag), &tenant_model(tag), "v1").unwrap();
+        fleet
+            .publish_model(&tenant_name(tag), &tenant_model(tag), "v1")
+            .unwrap();
     }
     let server = graphex_server::start_fleet(
         ServerConfig {
@@ -108,8 +116,9 @@ fn eight_tenants_cap_three_zero_5xx_through_evictions_and_hot_swaps() {
 
     // Baseline answers from each tenant's first admission.
     let mut client = HttpClient::connect(addr).unwrap();
-    let baseline: Vec<Vec<String>> =
-        (0..TENANTS).map(|tag| ask(&mut client, tag, "baseline")).collect();
+    let baseline: Vec<Vec<String>> = (0..TENANTS)
+        .map(|tag| ask(&mut client, tag, "baseline"))
+        .collect();
     drop(client);
 
     // Storm: one keep-alive client per tenant while the driver below
@@ -141,7 +150,9 @@ fn eight_tenants_cap_three_zero_5xx_through_evictions_and_hot_swaps() {
             }
         }
         let tag = round % TENANTS;
-        fleet.publish_model(&tenant_name(tag), &tenant_model(tag), "v2").unwrap();
+        fleet
+            .publish_model(&tenant_name(tag), &tenant_model(tag), "v2")
+            .unwrap();
     }
     std::thread::sleep(Duration::from_millis(60));
     stop.store(true, Ordering::Relaxed);
@@ -152,19 +163,31 @@ fn eight_tenants_cap_three_zero_5xx_through_evictions_and_hot_swaps() {
         assert!(requests > 0, "every tenant's client made progress");
         total_requests += requests;
     }
-    assert!(total_requests > 100, "storm too small to mean anything: {total_requests}");
+    assert!(
+        total_requests > 100,
+        "storm too small to mean anything: {total_requests}"
+    );
     assert_eq!(
         server.metrics().server_errors(),
         0,
         "evictions/hot-swaps under load caused 5xx"
     );
-    assert!(fleet.resident_count() <= RESIDENT_CAP, "residency cap violated");
+    assert!(
+        fleet.resident_count() <= RESIDENT_CAP,
+        "residency cap violated"
+    );
     let table = fleet.list();
     assert_eq!(table.len(), TENANTS);
     let evictions: u64 = table.iter().map(|t| t.evictions).sum();
     let admissions: u64 = table.iter().map(|t| t.admissions).sum();
-    assert!(evictions >= TENANTS as u64, "storm must churn residency: {evictions} evictions");
-    assert!(admissions > evictions, "every eviction was preceded by an admission");
+    assert!(
+        evictions >= TENANTS as u64,
+        "storm must churn residency: {evictions} evictions"
+    );
+    assert!(
+        admissions > evictions,
+        "every eviction was preceded by an admission"
+    );
 
     // Evict everything, then re-admit: answers are identical to each
     // tenant's first admission (publishes were same-content).
@@ -175,7 +198,10 @@ fn eight_tenants_cap_three_zero_5xx_through_evictions_and_hot_swaps() {
     let mut client = HttpClient::connect(addr).unwrap();
     for (tag, expected) in baseline.iter().enumerate() {
         let again = ask(&mut client, tag, "re-admission");
-        assert_eq!(&again, expected, "tenant {tag} changed answers across evict → re-admit");
+        assert_eq!(
+            &again, expected,
+            "tenant {tag} changed answers across evict → re-admit"
+        );
     }
 
     // The republished tenants serve their v2 snapshot after re-admission

@@ -20,11 +20,11 @@
 use graphex_core::{GraphExBuilder, GraphExConfig, KeyphraseRecord, LeafId, Stage};
 use graphex_marketsim::{CategorySpec, ChurnCorpus};
 use graphex_pipeline::{build, BuildOutput, BuildPlan, MarketsimSource};
-use graphex_serving::{FleetConfig, KvStore, ModelRegistry, OverlayStore, ServingApi, TenantFleet};
 use graphex_server::{
     start_router, HttpClient, Json, RouterConfig, ServerConfig, ServerHandle, ShardMap,
     TraceConfig, TRACE_HEADER,
 };
+use graphex_serving::{FleetConfig, KvStore, ModelRegistry, OverlayStore, ServingApi, TenantFleet};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -94,15 +94,17 @@ impl Fixture {
             );
             backends.push(
                 graphex_server::start(
-                    ServerConfig { addr: "127.0.0.1:0".into(), ..Default::default() },
+                    ServerConfig {
+                        addr: "127.0.0.1:0".into(),
+                        ..Default::default()
+                    },
                     api,
                 )
                 .unwrap(),
             );
         }
-        let map =
-            ShardMap::from_backends(backends.iter().map(|b| b.addr().to_string()).collect())
-                .unwrap();
+        let map = ShardMap::from_backends(backends.iter().map(|b| b.addr().to_string()).collect())
+            .unwrap();
         let router = start_router(
             RouterConfig {
                 addr: "127.0.0.1:0".into(),
@@ -117,7 +119,13 @@ impl Fixture {
             map.clone(),
         )
         .unwrap();
-        Self { corpus, backends, map, router, root }
+        Self {
+            corpus,
+            backends,
+            map,
+            router,
+            root,
+        }
     }
 
     fn probes(&self, n: usize) -> Vec<(String, u32)> {
@@ -157,7 +165,10 @@ fn debug_traces(client: &mut HttpClient, query: &str) -> Vec<Json> {
 }
 
 fn span_sum_us(spans: &[Json]) -> f64 {
-    spans.iter().map(|s| s.get("us").unwrap().as_f64().unwrap()).sum()
+    spans
+        .iter()
+        .map(|s| s.get("us").unwrap().as_f64().unwrap())
+        .sum()
 }
 
 /// Every span names a stage the current vocabulary knows.
@@ -165,9 +176,18 @@ fn assert_spans_well_formed(spans: &[Json], context: &str) {
     assert!(!spans.is_empty(), "{context}: empty span list");
     for span in spans {
         let stage = span.get("stage").unwrap().as_str().unwrap();
-        assert!(Stage::from_name(stage).is_some(), "{context}: unknown stage {stage:?}");
-        assert!(span.get("us").unwrap().as_f64().is_some(), "{context}: span without us");
-        assert!(span.get("start_us").unwrap().as_f64().is_some(), "{context}: span without start");
+        assert!(
+            Stage::from_name(stage).is_some(),
+            "{context}: unknown stage {stage:?}"
+        );
+        assert!(
+            span.get("us").unwrap().as_f64().is_some(),
+            "{context}: span without us"
+        );
+        assert!(
+            span.get("start_us").unwrap().as_f64().is_some(),
+            "{context}: span without start"
+        );
     }
 }
 
@@ -197,13 +217,19 @@ fn trace_ids_propagate_router_to_backends_with_overlay_upserts_midrun() {
     let mut client = HttpClient::connect(router_addr).unwrap();
     let (title, leaf) = &probes[0];
     let response = client
-        .post_json_with_headers("/v1/infer", &infer_body(title, *leaf), &[(TRACE_HEADER, pinned)])
+        .post_json_with_headers(
+            "/v1/infer",
+            &infer_body(title, *leaf),
+            &[(TRACE_HEADER, pinned)],
+        )
         .unwrap();
     assert_eq!(response.status, 200, "{}", response.text());
     assert_eq!(response.header(TRACE_HEADER), Some(pinned));
     let body = graphex_server::json::parse(&response.text()).unwrap();
     assert_eq!(body.get("trace_id").unwrap().as_str(), Some(pinned));
-    let embedded = body.get("trace").expect("header-carrying request embeds its trace");
+    let embedded = body
+        .get("trace")
+        .expect("header-carrying request embeds its trace");
     assert_eq!(embedded.get("id").unwrap().as_str(), Some(pinned));
     assert_spans_well_formed(embedded.get("spans").unwrap().as_arr().unwrap(), "embedded");
 
@@ -222,7 +248,8 @@ fn trace_ids_propagate_router_to_backends_with_overlay_upserts_midrun() {
                             // A batch spanning several shards.
                             let entries: Vec<String> = (0..3)
                                 .map(|j| {
-                                    let (title, leaf) = &probes[(t * 13 + r + j * 7) % probes.len()];
+                                    let (title, leaf) =
+                                        &probes[(t * 13 + r + j * 7) % probes.len()];
                                     infer_body(title, *leaf)
                                 })
                                 .collect();
@@ -234,7 +261,9 @@ fn trace_ids_propagate_router_to_backends_with_overlay_upserts_midrun() {
                                 .unwrap()
                         } else {
                             let (title, leaf) = &probes[(t * 13 + r) % probes.len()];
-                            client.post_json("/v1/infer", &infer_body(title, *leaf)).unwrap()
+                            client
+                                .post_json("/v1/infer", &infer_body(title, *leaf))
+                                .unwrap()
                         };
                         assert_eq!(response.status, 200, "{}", response.text());
                         let body = graphex_server::json::parse(&response.text()).unwrap();
@@ -298,7 +327,10 @@ fn trace_ids_propagate_router_to_backends_with_overlay_upserts_midrun() {
                 .iter()
                 .find(|s| s.get("stage").unwrap().as_str() == Some("overlay_consult"))
                 .unwrap_or_else(|| panic!("trace {id} has no overlay_consult span: {record:?}"));
-            assert_eq!(consult.get("detail").unwrap().as_u64(), Some(u64::from(leaf)));
+            assert_eq!(
+                consult.get("detail").unwrap().as_u64(),
+                Some(u64::from(leaf))
+            );
         }
 
         handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -316,7 +348,10 @@ fn trace_ids_propagate_router_to_backends_with_overlay_upserts_midrun() {
             assert!(ring_ids.contains(id), "router ring lost trace {id}");
         }
     }
-    assert!(ring_ids.contains(pinned), "router ring lost the pinned trace");
+    assert!(
+        ring_ids.contains(pinned),
+        "router ring lost the pinned trace"
+    );
 
     // --- Structural + stage-sum audit of every router record.
     let mut saw_multi_backend = false;
@@ -324,13 +359,18 @@ fn trace_ids_propagate_router_to_backends_with_overlay_upserts_midrun() {
     for record in &ring {
         let id = record.get("id").unwrap().as_str().unwrap();
         assert_eq!(id.len(), 16, "trace id {id:?} is not 16 hex digits");
-        assert!(id.bytes().all(|b| b.is_ascii_hexdigit()), "trace id {id:?} is not hex");
+        assert!(
+            id.bytes().all(|b| b.is_ascii_hexdigit()),
+            "trace id {id:?} is not hex"
+        );
         assert_eq!(record.get("status").unwrap().as_u64(), Some(200));
         let total_us = record.get("total_us").unwrap().as_f64().unwrap();
         let spans = record.get("spans").unwrap().as_arr().unwrap();
         assert_spans_well_formed(spans, id);
         assert!(
-            spans.iter().any(|s| s.get("stage").unwrap().as_str() == Some("fanout")),
+            spans
+                .iter()
+                .any(|s| s.get("stage").unwrap().as_str() == Some("fanout")),
             "router trace {id} has no fanout span"
         );
 
@@ -341,7 +381,10 @@ fn trace_ids_propagate_router_to_backends_with_overlay_upserts_midrun() {
             .unwrap_or_else(|| panic!("router trace {id} embeds no backends"))
             .as_arr()
             .unwrap();
-        assert!(!backends.is_empty(), "router trace {id}: empty backends array");
+        assert!(
+            !backends.is_empty(),
+            "router trace {id}: empty backends array"
+        );
         saw_multi_backend |= backends.len() > 1;
         for backend in backends {
             let backend_total = backend.get("total_us").unwrap().as_f64().unwrap();
@@ -352,7 +395,11 @@ fn trace_ids_propagate_router_to_backends_with_overlay_upserts_midrun() {
                 backend_total <= total_us + SUM_SLACK_US,
                 "{id}: backend total {backend_total:.1}µs exceeds router total {total_us:.1}µs"
             );
-            coverage.push(assert_sum_bounded(backend_spans, backend_total, &format!("{id} backend")));
+            coverage.push(assert_sum_bounded(
+                backend_spans,
+                backend_total,
+                &format!("{id} backend"),
+            ));
         }
 
         // Router spans never overlap when a single backend is involved
@@ -363,9 +410,13 @@ fn trace_ids_propagate_router_to_backends_with_overlay_upserts_midrun() {
             coverage.push(assert_sum_bounded(spans, total_us, id));
         }
     }
-    assert!(saw_multi_backend, "no batch ever spanned more than one shard");
-    let (span_total, e2e_total) =
-        coverage.iter().fold((0.0, 0.0), |(s, t), &(sum, total)| (s + sum, t + total));
+    assert!(
+        saw_multi_backend,
+        "no batch ever spanned more than one shard"
+    );
+    let (span_total, e2e_total) = coverage
+        .iter()
+        .fold((0.0, 0.0), |(s, t), &(sum, total)| (s + sum, t + total));
     assert!(
         span_total >= MIN_COVERAGE * e2e_total,
         "across {} records, spans cover {span_total:.0}µs of {e2e_total:.0}µs end-to-end \
@@ -375,7 +426,11 @@ fn trace_ids_propagate_router_to_backends_with_overlay_upserts_midrun() {
 
     // --- Cross-layer id propagation: the newest collected id is also on
     // its owning backend's ring (the router forwarded the header).
-    let newest = collected.iter().flat_map(|ids| ids.last()).next_back().unwrap();
+    let newest = collected
+        .iter()
+        .flat_map(|ids| ids.last())
+        .next_back()
+        .unwrap();
     let found = fixture.backends.iter().any(|b| {
         let mut backend = HttpClient::connect(b.addr()).unwrap();
         debug_traces(&mut backend, "")
@@ -386,8 +441,14 @@ fn trace_ids_propagate_router_to_backends_with_overlay_upserts_midrun() {
 
     // --- Ring filters: the slow ring is fed (1µs threshold) and min_us
     // prunes everything at an absurd floor.
-    assert!(!debug_traces(&mut client, "?slow").is_empty(), "slow ring never fed");
-    assert!(debug_traces(&mut client, "?min_us=10000000").is_empty(), "min_us filter inert");
+    assert!(
+        !debug_traces(&mut client, "?slow").is_empty(),
+        "slow ring never fed"
+    );
+    assert!(
+        debug_traces(&mut client, "?min_us=10000000").is_empty(),
+        "min_us filter inert"
+    );
     let limited = debug_traces(&mut client, "?limit=3");
     assert_eq!(limited.len(), 3);
 
@@ -396,13 +457,20 @@ fn trace_ids_propagate_router_to_backends_with_overlay_upserts_midrun() {
     let status = client.get("/statusz").unwrap();
     assert_eq!(status.status, 200);
     let status = graphex_server::json::parse(&status.text()).unwrap();
-    let latency = status.get("latency").expect("router statusz lacks latency block");
+    let latency = status
+        .get("latency")
+        .expect("router statusz lacks latency block");
     assert!(latency.get("count").unwrap().as_u64().unwrap() > 0);
-    let trace_block = status.get("trace").expect("router statusz lacks trace block");
+    let trace_block = status
+        .get("trace")
+        .expect("router statusz lacks trace block");
     assert_eq!(trace_block.get("enabled").unwrap().as_bool(), Some(true));
     assert!(trace_block.get("recorded").unwrap().as_u64().unwrap() > 0);
     let stages = trace_block.get("stages").unwrap();
-    assert!(stages.get("fanout").is_some(), "no fanout stage aggregates: {stages:?}");
+    assert!(
+        stages.get("fanout").is_some(),
+        "no fanout stage aggregates: {stages:?}"
+    );
     for row in status.get("backends").unwrap().as_arr().unwrap() {
         assert!(row.get("last_error").unwrap().as_str().is_some());
         // Healthy backends were never probed: the tick stays at 0.
@@ -410,8 +478,14 @@ fn trace_ids_propagate_router_to_backends_with_overlay_upserts_midrun() {
     }
 
     let metrics = client.get("/metrics").unwrap().text();
-    assert!(metrics.contains("graphex_stage_latency_seconds_count{stage=\"fanout\"}"), "{metrics}");
-    assert!(metrics.contains("graphex_traces_recorded_total"), "{metrics}");
+    assert!(
+        metrics.contains("graphex_stage_latency_seconds_count{stage=\"fanout\"}"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("graphex_traces_recorded_total"),
+        "{metrics}"
+    );
 
     // --- Zero 5xx across every layer, as always.
     assert_eq!(fixture.router.metrics().server_errors(), 0);
@@ -430,20 +504,31 @@ fn fleet_traces_carry_tenant_attribution() {
     config.curation.min_search_count = 0;
     let model = GraphExBuilder::new(config)
         .add_records((0..6u32).map(|i| {
-            KeyphraseRecord::new(format!("acme widget edition{i}"), LeafId(i % 2), 100 + i, 10)
+            KeyphraseRecord::new(
+                format!("acme widget edition{i}"),
+                LeafId(i % 2),
+                100 + i,
+                10,
+            )
         }))
         .build()
         .unwrap();
     fleet.publish_model("acme", &model, "v1").unwrap();
     let server = graphex_server::start_fleet(
-        ServerConfig { addr: "127.0.0.1:0".into(), ..Default::default() },
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            ..Default::default()
+        },
         fleet,
     )
     .unwrap();
 
     let mut client = HttpClient::connect(server.addr()).unwrap();
     let response = client
-        .post_json("/v1/t/acme/infer", r#"{"title":"acme widget edition0","leaf":0,"k":3}"#)
+        .post_json(
+            "/v1/t/acme/infer",
+            r#"{"title":"acme widget edition0","leaf":0,"k":3}"#,
+        )
         .unwrap();
     assert_eq!(response.status, 200, "{}", response.text());
     let body = graphex_server::json::parse(&response.text()).unwrap();
@@ -463,7 +548,11 @@ fn fleet_traces_carry_tenant_attribution() {
 fn debug_traces_content_type_and_stage_filter() {
     let ds = graphex_suite::tiny_dataset(0x51A);
     let model = graphex_suite::tiny_model(&ds);
-    let api = Arc::new(ServingApi::new(Arc::new(model), Arc::new(KvStore::new()), 10));
+    let api = Arc::new(ServingApi::new(
+        Arc::new(model),
+        Arc::new(KvStore::new()),
+        10,
+    ));
     let server = graphex_server::start(
         ServerConfig {
             addr: "127.0.0.1:0".into(),
@@ -476,8 +565,9 @@ fn debug_traces_content_type_and_stage_filter() {
     .unwrap();
     let mut client = HttpClient::connect(server.addr()).unwrap();
     for item in ds.marketplace.items.iter().take(3) {
-        let response =
-            client.post_json("/v1/infer", &infer_body(&item.title, item.leaf.0)).unwrap();
+        let response = client
+            .post_json("/v1/infer", &infer_body(&item.title, item.leaf.0))
+            .unwrap();
         assert_eq!(response.status, 200, "{}", response.text());
     }
 
@@ -503,14 +593,19 @@ fn debug_traces_content_type_and_stage_filter() {
     for trace in debug_traces(&mut client, "?stage=traversal") {
         let spans = trace.get("spans").unwrap().as_arr().unwrap();
         assert!(
-            spans.iter().any(|s| s.get("stage").unwrap().as_str() == Some("traversal")),
+            spans
+                .iter()
+                .any(|s| s.get("stage").unwrap().as_str() == Some("traversal")),
             "filtered trace lacks the requested stage: {trace:?}"
         );
     }
     assert_eq!(debug_traces(&mut client, "?stage=fanout").len(), 0);
     assert_eq!(debug_traces(&mut client, "?stage=no_such_stage").len(), 0);
     // The filter composes with limit.
-    assert_eq!(debug_traces(&mut client, "?stage=traversal&limit=1").len(), 1);
+    assert_eq!(
+        debug_traces(&mut client, "?stage=traversal&limit=1").len(),
+        1
+    );
     server.shutdown();
 }
 
@@ -518,11 +613,18 @@ fn debug_traces_content_type_and_stage_filter() {
 fn disabled_tracing_exposes_no_surface() {
     let ds = graphex_suite::tiny_dataset(0x0FF);
     let model = graphex_suite::tiny_model(&ds);
-    let api = Arc::new(ServingApi::new(Arc::new(model), Arc::new(KvStore::new()), 10));
+    let api = Arc::new(ServingApi::new(
+        Arc::new(model),
+        Arc::new(KvStore::new()),
+        10,
+    ));
     let server = graphex_server::start(
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            trace: TraceConfig { enabled: false, ..TraceConfig::default() },
+            trace: TraceConfig {
+                enabled: false,
+                ..TraceConfig::default()
+            },
             ..Default::default()
         },
         api,
@@ -550,8 +652,14 @@ fn disabled_tracing_exposes_no_surface() {
 
     assert_eq!(client.get("/debug/traces").unwrap().status, 404);
     let status = graphex_server::json::parse(&client.get("/statusz").unwrap().text()).unwrap();
-    assert!(matches!(status.get("trace"), Some(Json::Null)), "trace block should be null");
+    assert!(
+        matches!(status.get("trace"), Some(Json::Null)),
+        "trace block should be null"
+    );
     let metrics = client.get("/metrics").unwrap().text();
-    assert!(!metrics.contains("graphex_stage_latency_seconds"), "{metrics}");
+    assert!(
+        !metrics.contains("graphex_stage_latency_seconds"),
+        "{metrics}"
+    );
     server.shutdown();
 }
