@@ -40,6 +40,7 @@ use crate::leaf_graph::{GraphBody, LeafGraph};
 use crate::model::GraphExModel;
 use crate::types::{KeyphraseRecord, LeafId};
 use graphex_textkit::{FxHashMap, TokenBuf, Tokenizer, Vocab};
+use std::sync::Arc;
 
 /// "Not seen yet" in a [`GraphParts`] remap table.
 const UNSEEN: u32 = u32::MAX;
@@ -257,17 +258,6 @@ impl GraphParts {
         }
     }
 
-    /// The assembled graph, and the keyphrase id of every label in label
-    /// order. The graph's own label ids are the label indices — the last
-    /// tie-break of ranking is that id, so it must not depend on the id
-    /// space the records came in with; its `row_tokens()` are the token
-    /// ids as pushed.
-    pub(crate) fn finish(self) -> (LeafGraph, Vec<u32>) {
-        let (row_tokens, keyphrases, body) = self.split();
-        let identity = (0..keyphrases.len() as u32).collect();
-        (LeafGraph::from_body(row_tokens, identity, body), keyphrases)
-    }
-
     /// The assembled graph under the ids the records came in with: its
     /// label ids are the keyphrase ids, its `row_tokens()` the token ids.
     fn finish_as_pushed(self) -> LeafGraph {
@@ -276,8 +266,10 @@ impl GraphParts {
     }
 
     /// The token id of every row, the keyphrase id of every label, and
-    /// the graph without them.
-    fn split(self) -> (Vec<u32>, Vec<u32>, GraphBody) {
+    /// the graph without them — for callers that put the graph under
+    /// other ids (the serving overlay maps its staged ids to the base
+    /// model's).
+    pub(crate) fn split(self) -> (Vec<u32>, Vec<u32>, GraphBody) {
         let rows = self.row_tokens.len() as u32;
         let body = GraphBody::new(rows, self.edges, self.label_len, self.search, self.recall);
         (self.row_tokens, self.labels, body)
@@ -373,26 +365,6 @@ impl LeafAssembly {
             keyphrases: local(&model.keyphrases, graph.labels()),
             body: graph.body(),
         }
-    }
-
-    /// The leaf-local token vocabulary.
-    #[cfg(test)]
-    pub(crate) fn tokens(&self) -> &Vocab {
-        &self.tokens
-    }
-
-    /// The leaf-local keyphrase vocabulary.
-    #[cfg(test)]
-    pub(crate) fn keyphrases(&self) -> &Vocab {
-        &self.keyphrases
-    }
-
-    /// The assembled leaf graph under its local ids.
-    #[cfg(test)]
-    pub(crate) fn graph(&self) -> LeafGraph {
-        let identity = |n: usize| (0..n as u32).collect();
-        let (rows, labels) = (identity(self.tokens.len()), identity(self.keyphrases.len()));
-        LeafGraph::from_body(rows, labels, self.body.clone())
     }
 }
 
@@ -558,8 +530,8 @@ impl ModelAssembler {
     pub fn finish(self) -> GraphExModel {
         GraphExModel {
             tokenizer: GraphExModel::make_tokenizer(self.stemming),
-            tokens: self.tokens,
-            keyphrases: self.keyphrases,
+            tokens: Arc::new(self.tokens),
+            keyphrases: Arc::new(self.keyphrases),
             leaves: self.leaves,
             fallback: self.fallback,
             alignment: self.alignment,

@@ -169,6 +169,19 @@ impl LeafGraph {
         }
     }
 
+    /// The CSR row of the word with global token id `tok`, if the word
+    /// occurs in this leaf.
+    #[inline]
+    pub(crate) fn row_of(&self, tok: TokenId) -> Option<u32> {
+        self.word_rows.get(&tok).copied()
+    }
+
+    /// Labels of CSR row `row` (sorted local label indices).
+    #[inline]
+    pub(crate) fn labels_of_row(&self, row: u32) -> &[u32] {
+        self.csr.neighbors(row)
+    }
+
     /// Global keyphrase id of a local label.
     #[inline]
     pub fn keyphrase_id(&self, label: u32) -> KeyphraseId {

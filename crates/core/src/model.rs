@@ -9,6 +9,7 @@ use crate::leaf_graph::LeafGraph;
 use crate::service::{InferRequest, InferResponse, Outcome};
 use crate::types::{KeyphraseId, LeafId};
 use graphex_textkit::{FxHashMap, Tokenizer, TokenizerBuilder, Vocab};
+use std::sync::Arc;
 
 /// A constructed GraphEx model (output of [`crate::GraphExBuilder::build`]).
 ///
@@ -16,8 +17,10 @@ use graphex_textkit::{FxHashMap, Tokenizer, TokenizerBuilder, Vocab};
 /// owns a [`Scratch`].
 #[derive(Debug, Clone)]
 pub struct GraphExModel {
-    pub(crate) tokens: Vocab,
-    pub(crate) keyphrases: Vocab,
+    /// The vocabularies sit behind `Arc`s so that an overlay view can
+    /// resolve against the very base it was staged on without a copy.
+    pub(crate) tokens: Arc<Vocab>,
+    pub(crate) keyphrases: Arc<Vocab>,
     pub(crate) leaves: FxHashMap<LeafId, LeafGraph>,
     /// Meta-category fallback graph for unknown leaves (union of all
     /// curated keyphrases), if configured.

@@ -13,27 +13,39 @@
 //! untouched leaves never pay a thing.
 //!
 //! **Stage once, re-assemble in integers.** The first upsert to a leaf
-//! *stages* its base records: every base label is normalized, tokenized
-//! and interned into two leaf tables, and kept — in canonical `(text,
-//! search, recall)` order — as a keyphrase id, token ids and counts.
-//! That part never changes while the base snapshot serves, so it sits
-//! behind an `Arc` shared by every later version of the leaf, and the
-//! view resolves texts and title tokens from the same tables. A later
-//! upsert stages only the records it was handed (into a small delta that
-//! continues the base id space), merge-walks base and delta in canonical
-//! order and re-assembles the mini graph through `GraphParts` (the
-//! routine `LeafAssembly::build` feeds too) — integer remaps, no
-//! hashing, no strings.
+//! *stages* its base records straight off the snapshot: each base label
+//! is its label index, its tokens are its CSR rows (in token-string
+//! order) and its text is the snapshot's own — no base label is
+//! normalized or tokenized again. Those records are put in canonical
+//! `(text, search, recall)` order once; that part never changes while the
+//! base snapshot serves, so it sits behind an `Arc` shared by every later
+//! version of the leaf. An upsert stages only the records it was handed
+//! (into a small delta whose ids continue the base's), merge-walks base
+//! and delta in canonical order and re-assembles the mini graph through
+//! `GraphParts` (the routine `LeafAssembly::build` feeds too) — integer
+//! remaps, no hashing of base strings.
 //!
-//! **Invariant.** The mini graph is exactly what [`canonicalize`] →
-//! [`LeafAssembly::build`] over (base records reconstructed from the
-//! snapshot ∪ delta records) produces — label order, row order, counts,
-//! CSR, and the label → global-id map; the `overlay_incremental` property
-//! test pins it against that rebuild after every step. **Lifetime.** A
-//! leaf's staging lives exactly as long as the leaf stays in the view:
-//! [`OverlayView::build`] (what the store's drain and rebase call)
-//! stages afresh against the base it is handed, so
-//! [`OverlayView::with_leaf`] must be given the base of the last build.
+//! **Ids are the base model's.** The mini graph is built under the base
+//! model's ids: a row is a base token id, a label a base keyphrase id,
+//! and a word or phrase the base vocabulary lacks gets a synthetic id past
+//! it. So an overlaid leaf answers a title that shares no stemmed word
+//! with the leaf's delta records exactly as the base answers it — the
+//! same candidates, the same `|T|` (a title word counts when the model's
+//! vocabulary or the leaf's delta knows it), ties broken on the same
+//! keyphrase ids, the same label texts. The serving store leans on this:
+//! an upsert leaves every cached answer whose title shares no word with
+//! it valid.
+//!
+//! **Invariant.** The mini graph is exactly what `GraphParts` makes of
+//! (the base leaf's records as the snapshot holds them ∪ the analyzed
+//! delta records), pushed in canonical order, base before delta on equal
+//! keys — label order, row order, counts, CSR, and the label → id map;
+//! the `overlay_incremental` property test pins it against that rebuild
+//! after every step. **Lifetime.** A leaf's staging lives exactly as long
+//! as the leaf stays in the view: [`OverlayView::build`] (what the
+//! store's drain and rebase call) stages afresh against the base it is
+//! handed, so [`OverlayView::with_leaf`] must be given the base of the
+//! last build.
 //!
 //! Determinism is inherited, not re-proven: because the upserted records
 //! are raw [`KeyphraseRecord`]s that later enter the build pipeline as
@@ -44,9 +56,6 @@
 //!
 //! A view is immutable and cheap to share (`Arc` swap per upsert batch in
 //! `graphex_serving::overlay::OverlayStore`).
-//!
-//! [`canonicalize`]: crate::assembly::canonicalize
-//! [`LeafAssembly::build`]: crate::assembly::LeafAssembly::build
 
 use crate::alignment::Alignment;
 use crate::assembly::{AssemblyContext, GraphParts};
@@ -55,9 +64,10 @@ use crate::leaf_graph::LeafGraph;
 use crate::model::GraphExModel;
 use crate::service::{InferRequest, InferResponse, Outcome};
 use crate::types::{KeyphraseId, KeyphraseRecord, LeafId};
-use graphex_textkit::{FxHashMap, Tokenizer};
+use graphex_textkit::{FxHashMap, FxHasher, TokenBuf, TokenId, Tokenizer, Vocab};
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 use std::ops::Range;
 use std::sync::{Arc, Weak};
 
@@ -78,6 +88,10 @@ impl Table {
         self.strings.len() as u32
     }
 
+    fn get(&self, s: &str) -> Option<u32> {
+        self.ids.get(s).copied()
+    }
+
     /// Appends `s`, which must be absent.
     fn push(&mut self, s: &str) -> u32 {
         let id = self.len();
@@ -88,23 +102,80 @@ impl Table {
     }
 }
 
-/// Id of `s` in the id space that runs through `base`, then `delta`.
-fn lookup(base: &Table, delta: &Table, s: &str) -> Option<u32> {
-    base.ids
-        .get(s)
-        .copied()
-        .or_else(|| delta.ids.get(s).map(|id| base.len() + id))
+/// A base leaf's labels as the snapshot holds them. Its ids are the base
+/// graph's own: a record's keyphrase is its label index, its tokens are
+/// CSR rows; texts and counts are read off the graph and the model.
+#[derive(Debug, Default)]
+struct BaseStage {
+    /// Label indices in canonical `(text, search, recall)` order.
+    order: Vec<u32>,
+    /// The rows of label `l`, in token-string order (the order
+    /// [`AssemblyContext::analyze`] yields a record's tokens in), are
+    /// `rows[starts[l]..starts[l + 1]]`.
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+    /// Base keyphrase id → label, for delta records whose normalized text
+    /// is a base label's.
+    label_of: FxHashMap<KeyphraseId, u32>,
 }
 
-/// Inverse of [`lookup`].
-fn resolve<'a>(base: &'a Table, delta: &'a Table, id: u32) -> &'a str {
-    match id.checked_sub(base.len()) {
-        None => &base.strings[id as usize],
-        Some(id) => &delta.strings[id as usize],
+impl BaseStage {
+    /// Stages `graph`, a leaf of `model`, without reading a text twice.
+    fn of(model: &GraphExModel, graph: &LeafGraph) -> Self {
+        let labels = graph.num_labels();
+        let key = |label: u32| {
+            let text = &model.keyphrases[graph.keyphrase_id(label)];
+            (text, graph.search_count(label), graph.recall_count(label))
+        };
+        let mut order: Vec<u32> = (0..labels).collect();
+        order.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)));
+
+        // Transpose the CSR, visiting rows in token-string order so that
+        // each label's rows land in that order.
+        let row_tokens = graph.row_tokens();
+        let mut by_text: Vec<u32> = (0..graph.num_words()).collect();
+        by_text.sort_unstable_by_key(|&row| &model.tokens[row_tokens[row as usize]]);
+        let mut starts = vec![0u32; labels as usize + 1];
+        for row in 0..graph.num_words() {
+            for &label in graph.labels_of_row(row) {
+                starts[label as usize + 1] += 1;
+            }
+        }
+        for l in 0..labels as usize {
+            starts[l + 1] += starts[l];
+        }
+        let mut cursor = starts.clone();
+        let mut rows = vec![0u32; graph.num_edges()];
+        for &row in &by_text {
+            for &label in graph.labels_of_row(row) {
+                let at = &mut cursor[label as usize];
+                rows[*at as usize] = row;
+                *at += 1;
+            }
+        }
+        let label_of = (0..labels)
+            .map(|label| (graph.keyphrase_id(label), label))
+            .collect();
+        Self {
+            order,
+            starts,
+            rows,
+            label_of,
+        }
+    }
+
+    fn num_labels(&self) -> u32 {
+        self.order.len() as u32
+    }
+
+    fn rows_of(&self, label: u32) -> &[u32] {
+        &self.rows[self.starts[label as usize] as usize..self.starts[label as usize + 1] as usize]
     }
 }
 
-/// One record reduced to integers.
+/// One upserted record reduced to integers. Its ids continue the base
+/// leaf's: keyphrase `labels + i` and token `rows + j` are entries `i`
+/// and `j` of the delta's tables.
 #[derive(Debug, Clone)]
 struct Staged {
     /// The record's text where that is not its own normalized form; the
@@ -113,92 +184,117 @@ struct Staged {
     /// Id of the normalized text; [`NONE`] for a punctuation-only record,
     /// which sorts but never reaches the graph.
     keyphrase: u32,
-    /// Its distinct stemmed tokens in string order, in `Stage::token_ids`.
+    /// Its distinct stemmed tokens in string order, in `Delta::token_ids`.
     tokens: Range<u32>,
     search: u32,
     recall: u32,
 }
 
-/// Staged records in canonical order, with the tables their ids index.
-/// A leaf has two: the base leaf's, and the delta's, whose ids continue
-/// the base's.
+/// The upserted records of one leaf, in canonical order, with the tables
+/// of the texts and words the base leaf lacks.
 #[derive(Debug, Clone, Default)]
-struct Stage {
+struct Delta {
     keyphrases: Table,
-    tokens: Table,
-    /// Per keyphrase of this stage: its id in the base vocabulary, or
+    /// Per entry of `keyphrases`: its id in the base vocabulary, or
     /// [`NONE`].
-    global: Vec<KeyphraseId>,
+    keyphrase_ids: Vec<KeyphraseId>,
+    tokens: Table,
+    /// Per entry of `tokens`: its id in the base vocabulary, or [`NONE`].
+    token_ids_global: Vec<TokenId>,
     records: Vec<Staged>,
     token_ids: Vec<u32>,
 }
 
-impl Stage {
-    /// Stages the labels of `leaf` as the snapshot holds them.
-    fn of_base_leaf(model: &GraphExModel, leaf: LeafId, ctx: &mut AssemblyContext) -> Self {
-        let mut stage = Self::default();
-        let Some(graph) = model.leaf_graph(leaf) else {
-            return stage;
-        };
-        let text = |label: u32| {
-            model
-                .keyphrase_text(graph.keyphrase_id(label))
-                .expect("base leaf label resolves in base vocabulary")
-        };
-        let key = |label: u32| {
-            (
-                text(label),
-                graph.search_count(label),
-                graph.recall_count(label),
-            )
-        };
-        let mut order: Vec<u32> = (0..graph.num_labels()).collect();
-        order.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)));
-        let before = Self::default();
-        for label in order {
-            let (text, search, recall) = key(label);
-            let id = graph.keyphrase_id(label);
-            let staged = stage.stage(&before, model, ctx, text, (search, recall), Some(id));
-            stage.records.push(staged);
-        }
-        stage
+/// What staging a delta record reads of the base: the model, the leaf's
+/// graph when the base has one, and its staged labels.
+struct Base<'a> {
+    model: &'a GraphExModel,
+    graph: Option<&'a LeafGraph>,
+    stage: &'a BaseStage,
+}
+
+impl Base<'_> {
+    fn labels(&self) -> u32 {
+        self.stage.num_labels()
     }
 
-    /// Tokenizes and interns one record behind `before`'s id space; the
-    /// caller places the result in `records`. `known` is the base
-    /// vocabulary id of `text` itself, when it has one.
+    fn rows(&self) -> u32 {
+        self.graph.map_or(0, LeafGraph::num_words)
+    }
+
+    /// The text of a record's keyphrase, base label or delta entry.
+    fn keyphrase_text<'a>(&'a self, delta: &'a Delta, keyphrase: u32) -> &'a str {
+        match keyphrase.checked_sub(self.labels()) {
+            None => {
+                let graph = self.graph.expect("a base label implies a base graph");
+                &self.model.keyphrases[graph.keyphrase_id(keyphrase)]
+            }
+            Some(i) => &delta.keyphrases.strings[i as usize],
+        }
+    }
+
+    /// The canonical sort key of base label `label`.
+    fn label_key(&self, label: u32) -> (&str, u32, u32) {
+        let graph = self.graph.expect("a base label implies a base graph");
+        (
+            &self.model.keyphrases[graph.keyphrase_id(label)],
+            graph.search_count(label),
+            graph.recall_count(label),
+        )
+    }
+
+    /// The canonical sort key of a delta record.
+    fn record_key<'a>(&'a self, delta: &'a Delta, rec: &'a Staged) -> (&'a str, u32, u32) {
+        let text = match &rec.raw {
+            Some(raw) => raw,
+            None => self.keyphrase_text(delta, rec.keyphrase),
+        };
+        (text, rec.search, rec.recall)
+    }
+}
+
+impl Delta {
+    /// Tokenizes and interns one record behind the base leaf's ids; the
+    /// caller places the result in `records`.
     fn stage(
         &mut self,
-        before: &Stage,
-        model: &GraphExModel,
+        base: &Base<'_>,
         ctx: &mut AssemblyContext,
         text: &str,
         (search, recall): (u32, u32),
-        known: Option<KeyphraseId>,
     ) -> Staged {
         let start = self.token_ids.len() as u32;
         let Some((normalized, words)) = ctx.analyze(text) else {
+            let tokens = start..start;
             return Staged {
                 raw: Some(text.into()),
                 keyphrase: NONE,
-                tokens: start..start,
+                tokens,
                 search,
                 recall,
             };
         };
-        let keyphrase =
-            lookup(&before.keyphrases, &self.keyphrases, normalized).unwrap_or_else(|| {
-                // Reuse the base id for phrases the base vocabulary
-                // already knows (in this leaf or another).
-                self.global.push(match known {
-                    Some(id) if normalized == text => id,
-                    _ => model.keyphrase_id(normalized).unwrap_or(NONE),
-                });
-                before.keyphrases.len() + self.keyphrases.push(normalized)
-            });
+        let known = base.model.keyphrase_id(normalized);
+        let keyphrase = match known.and_then(|id| base.stage.label_of.get(&id)) {
+            Some(&label) => label,
+            None => match self.keyphrases.get(normalized) {
+                Some(i) => base.labels() + i,
+                None => {
+                    self.keyphrase_ids.push(known.unwrap_or(NONE));
+                    base.labels() + self.keyphrases.push(normalized)
+                }
+            },
+        };
         for word in words {
-            let id = lookup(&before.tokens, &self.tokens, word)
-                .unwrap_or_else(|| before.tokens.len() + self.tokens.push(word));
+            let known = base.model.token_id(word);
+            let row = known.and_then(|id| base.graph?.row_of(id));
+            let id = row.unwrap_or_else(|| {
+                base.rows()
+                    + self.tokens.get(word).unwrap_or_else(|| {
+                        self.token_ids_global.push(known.unwrap_or(NONE));
+                        self.tokens.push(word)
+                    })
+            });
             self.token_ids.push(id);
         }
         Staged {
@@ -211,32 +307,25 @@ impl Stage {
     }
 }
 
-/// The canonical sort key of a staged record of `base` or `delta`.
-fn sort_key<'a>(base: &'a Stage, delta: &'a Stage, rec: &'a Staged) -> (&'a str, u32, u32) {
-    let text = match &rec.raw {
-        Some(raw) => &**raw,
-        None => resolve(&base.keyphrases, &delta.keyphrases, rec.keyphrase),
-    };
-    (text, rec.search, rec.recall)
-}
-
 /// One overlaid leaf: its staged base and delta records, and the
-/// leaf-local graph assembled from their union.
+/// leaf-local graph assembled from their union under the base model's
+/// ids.
 #[derive(Debug)]
 struct OverlayLeaf {
     /// Immutable while the base snapshot serves; shared by every version
     /// of this leaf.
-    base: Arc<Stage>,
+    base: Arc<BaseStage>,
     /// Every uncompacted delta record of this leaf (this version's own
     /// copy: integers and `Arc` handles).
-    delta: Stage,
+    delta: Delta,
+    /// Rows are base token ids (or synthetic ones past the base
+    /// vocabulary, see [`OverlayView::token_id`]); labels are base
+    /// keyphrase ids, or synthetic ones past the base vocabulary, minted
+    /// in label order.
     graph: LeafGraph,
-    /// Label → keyphrase id in the staged tables.
-    label_keyphrases: Vec<u32>,
-    /// Label → global keyphrase id: the base model's id when the phrase
-    /// already exists there, else a synthetic id past the base
-    /// vocabulary (stable within one view).
-    global_ids: Vec<KeyphraseId>,
+    /// Synthetic keyphrase id `num_keyphrases + s` ↦ entry `synthetic[s]`
+    /// of the delta's keyphrase table.
+    synthetic: Vec<u32>,
     /// True when the base snapshot has no graph for this leaf at all —
     /// the seconds-old-seller case.
     brand_new: bool,
@@ -256,76 +345,99 @@ impl OverlayLeaf {
         added: impl IntoIterator<Item = &'a KeyphraseRecord>,
         ctx: &mut AssemblyContext,
     ) -> Self {
-        let base_labels = model
-            .leaf_graph(leaf)
-            .map(|graph| graph.num_labels() as usize);
+        let graph = model.leaf_graph(leaf);
         let (shared, mut delta) = match prev {
             Some(prev) => (Arc::clone(&prev.base), prev.delta.clone()),
-            None => (
-                Arc::new(Stage::of_base_leaf(model, leaf, ctx)),
-                Stage::default(),
-            ),
+            None => {
+                let stage = graph
+                    .map(|graph| BaseStage::of(model, graph))
+                    .unwrap_or_default();
+                (Arc::new(stage), Delta::default())
+            }
         };
-        let base = &*shared;
+        let base = Base {
+            model,
+            graph,
+            stage: &shared,
+        };
         debug_assert_eq!(
-            base.records.len(),
-            base_labels.unwrap_or(0),
+            base.labels(),
+            graph.map_or(0, LeafGraph::num_labels),
             "{leaf} was staged against another base: rebuild the view after a swap"
         );
         for rec in added {
             let counts = (rec.search_count, rec.recall_count);
-            let staged = delta.stage(base, model, ctx, &rec.text, counts, None);
+            let staged = delta.stage(&base, ctx, &rec.text, counts);
+            let key = base.record_key(&delta, &staged);
             let at = delta
                 .records
-                .partition_point(|r| sort_key(base, &delta, r) <= sort_key(base, &delta, &staged));
+                .partition_point(|r| base.record_key(&delta, r) <= key);
             delta.records.insert(at, staged);
         }
 
+        let (labels, rows) = (base.labels(), base.rows());
         let mut parts = GraphParts::with_capacity(
-            (base.keyphrases.len() + delta.keyphrases.len()) as usize,
-            (base.tokens.len() + delta.tokens.len()) as usize,
-            base.token_ids.len() + delta.token_ids.len(),
+            (labels + delta.keyphrases.len()) as usize,
+            (rows + delta.tokens.len()) as usize,
+            shared.rows.len() + delta.token_ids.len(),
         );
-        let mut push = |stage: &Stage, rec: &Staged| {
+        let push_label = |parts: &mut GraphParts, label: u32| {
+            let (_, search, recall) = base.label_key(label);
+            parts.push(label, shared.rows_of(label), search, recall);
+        };
+        let mut rest = &shared.order[..];
+        for rec in &delta.records {
+            let key = base.record_key(&delta, rec);
+            let cut = rest.partition_point(|&label| base.label_key(label) <= key);
+            rest[..cut]
+                .iter()
+                .for_each(|&label| push_label(&mut parts, label));
+            rest = &rest[cut..];
             if rec.keyphrase != NONE {
-                let tokens = &stage.token_ids[rec.tokens.start as usize..rec.tokens.end as usize];
+                let tokens = &delta.token_ids[rec.tokens.start as usize..rec.tokens.end as usize];
                 parts.push(rec.keyphrase, tokens, rec.search, rec.recall);
             }
-        };
-        let mut rest = &base.records[..];
-        for rec in &delta.records {
-            let cut =
-                rest.partition_point(|b| sort_key(base, &delta, b) <= sort_key(base, &delta, rec));
-            rest[..cut].iter().for_each(|b| push(base, b));
-            rest = &rest[cut..];
-            push(&delta, rec);
         }
-        rest.iter().for_each(|b| push(base, b));
-        let (graph, label_keyphrases) = parts.finish();
+        rest.iter().for_each(|&label| push_label(&mut parts, label));
+        let (local_rows, local_labels, body) = parts.split();
 
-        // Mint synthetic ids past the base vocabulary, in label order.
-        let mut next_synthetic = model.num_keyphrases() as u32;
-        let global_ids = label_keyphrases
+        // The base model's ids: a row's token, a label's keyphrase; past
+        // the base vocabulary, synthetic ids (keyphrases minted in label
+        // order).
+        let num_tokens = model.tokens.len() as u32;
+        let row_tokens = local_rows
             .iter()
-            .map(|&id| {
-                let global = match id.checked_sub(base.keyphrases.len()) {
-                    None => base.global[id as usize],
-                    Some(id) => delta.global[id as usize],
-                };
-                if global != NONE {
-                    return global;
-                }
-                next_synthetic += 1;
-                next_synthetic - 1
+            .map(|&row| match row.checked_sub(rows) {
+                None => graph.expect("a base row implies a base graph").row_tokens()[row as usize],
+                Some(j) => match delta.token_ids_global[j as usize] {
+                    NONE => num_tokens + j,
+                    id => id,
+                },
+            })
+            .collect();
+        let mut synthetic = Vec::new();
+        let num_keyphrases = model.num_keyphrases() as u32;
+        let label_ids = local_labels
+            .iter()
+            .map(|&label| match label.checked_sub(labels) {
+                None => graph
+                    .expect("a base label implies a base graph")
+                    .keyphrase_id(label),
+                Some(i) => match delta.keyphrase_ids[i as usize] {
+                    NONE => {
+                        synthetic.push(i);
+                        num_keyphrases + synthetic.len() as u32 - 1
+                    }
+                    id => id,
+                },
             })
             .collect();
 
         Self {
+            graph: LeafGraph::from_body(row_tokens, label_ids, body),
+            synthetic,
+            brand_new: graph.is_none(),
             delta,
-            graph,
-            label_keyphrases,
-            global_ids,
-            brand_new: base_labels.is_none(),
             base: shared,
         }
     }
@@ -354,6 +466,10 @@ pub struct OverlayLeafStats {
 #[derive(Debug)]
 pub struct OverlayView {
     leaves: FxHashMap<LeafId, Arc<OverlayLeaf>>,
+    /// The base model's vocabularies, shared with it: title words and
+    /// answer texts resolve against the base the leaves were staged on.
+    tokens: Arc<Vocab>,
+    keyphrases: Arc<Vocab>,
     tokenizer: Tokenizer,
     alignment: Alignment,
     /// Global overlay sequence number this view was built at (the epoch
@@ -366,6 +482,8 @@ impl OverlayView {
     pub fn empty() -> Self {
         Self {
             leaves: FxHashMap::default(),
+            tokens: Arc::default(),
+            keyphrases: Arc::default(),
             tokenizer: GraphExModel::make_tokenizer(true),
             alignment: Alignment::Lta,
             seq: 0,
@@ -377,10 +495,10 @@ impl OverlayView {
     ///
     /// Every overlaid leaf's mini graph is a pure function of the base
     /// model and the delta record multiset: the base leaf's records
-    /// (normalized text + counts per label) unioned with the deltas, in
-    /// canonical order, with the normalized-text merge (sum search, max
-    /// recall) that curation + assembly will apply to the same records
-    /// at compaction time.
+    /// (label text + tokens + counts, as the snapshot holds them) unioned
+    /// with the deltas, in canonical order, with the normalized-text merge
+    /// (sum search, max recall) that curation + assembly will apply to the
+    /// same records at compaction time.
     pub fn build(
         base: &GraphExModel,
         deltas: &BTreeMap<LeafId, Vec<KeyphraseRecord>>,
@@ -427,6 +545,8 @@ impl OverlayView {
     /// A view of no leaves that reads titles the way `base` does.
     fn over(base: &GraphExModel) -> Self {
         Self {
+            tokens: Arc::clone(&base.tokens),
+            keyphrases: Arc::clone(&base.keyphrases),
             tokenizer: GraphExModel::make_tokenizer(base.stemming()),
             alignment: base.alignment(),
             ..Self::empty()
@@ -458,6 +578,23 @@ impl OverlayView {
         self.leaves.is_empty()
     }
 
+    /// The 64-bit Fx hash of every distinct stemmed word of `text`, as
+    /// this view's leaves index words, sorted, into `out`. The serving
+    /// store keys its per-leaf record of written words with these: an
+    /// answer whose title hashes no written word is one the write cannot
+    /// change (module doc). A collision only makes an answer look stale.
+    pub fn word_hashes(&self, text: &str, out: &mut Vec<u64>) {
+        out.clear();
+        self.tokenizer
+            .for_each_token(text, &mut TokenBuf::default(), |word| {
+                let mut hasher = FxHasher::default();
+                hasher.write(word.as_bytes());
+                out.push(hasher.finish());
+            });
+        out.sort_unstable();
+        out.dedup();
+    }
+
     /// A weak handle on the staged base records of `leaf`, for tests of
     /// the staging's lifetime: it upgrades exactly as long as some view
     /// overlays the leaf with that staging.
@@ -484,40 +621,50 @@ impl OverlayView {
         stats
     }
 
+    /// The id a title word has in `ov`'s mini graph: its base token id,
+    /// or for a word only the leaf's delta knows, a synthetic id past the
+    /// base vocabulary. A word neither knows is not counted in `|T|`,
+    /// exactly as on the base path.
+    fn token_id(&self, ov: &OverlayLeaf, word: &str) -> Option<TokenId> {
+        self.tokens
+            .get(word)
+            .or_else(|| Some(self.tokens.len() as u32 + ov.delta.tokens.get(word)?))
+    }
+
+    /// The text of a keyphrase id of `ov`'s mini graph.
+    fn keyphrase_text<'a>(&'a self, ov: &'a OverlayLeaf, id: KeyphraseId) -> &'a str {
+        match id.checked_sub(self.keyphrases.len() as u32) {
+            None => &self.keyphrases[id],
+            Some(s) => &ov.delta.keyphrases.strings[ov.synthetic[s as usize] as usize],
+        }
+    }
+
     /// Answers `request` from the overlay, or `None` when the leaf is not
     /// overlaid (the caller then falls through to the base model).
     ///
     /// Same machinery as the base path: `collect_title_tokens` against
-    /// the leaf's staged token tables, then the generation-stamped
-    /// count-array enumeration and ranking of `infer_on_graph` — reusing
-    /// the caller's [`Scratch`], so steady-state overlay reads allocate
-    /// nothing extra.
+    /// the base vocabulary (and the leaf's delta words), then the
+    /// generation-stamped count-array enumeration and ranking of
+    /// `infer_on_graph` — reusing the caller's [`Scratch`], so steady-state
+    /// overlay reads allocate nothing extra.
     pub fn infer_request(
         &self,
         request: &InferRequest<'_>,
         scratch: &mut Scratch,
     ) -> Option<InferResponse> {
         let ov = self.leaves.get(&request.leaf)?;
-        let (base, delta) = (&*ov.base, &ov.delta);
-        let token_id = |word: &str| lookup(&base.tokens, &delta.tokens, word);
+        let token_id = |word: &str| self.token_id(ov, word);
         collect_title_tokens(&self.tokenizer, token_id, request.title, scratch);
         let alignment = request.alignment.unwrap_or(self.alignment);
-        let mut predictions = infer_on_graph(&ov.graph, alignment, &request.params(), scratch);
-        // `keyphrase` is the label index here (see `GraphParts::finish`).
+        let predictions = infer_on_graph(&ov.graph, alignment, &request.params(), scratch);
         let texts = if request.resolve_texts {
             predictions
                 .iter()
-                .map(|p| {
-                    let id = ov.label_keyphrases[p.keyphrase as usize];
-                    resolve(&base.keyphrases, &delta.keyphrases, id).to_string()
-                })
+                .map(|p| self.keyphrase_text(ov, p.keyphrase).to_string())
                 .collect()
         } else {
             Vec::new()
         };
-        for p in &mut predictions {
-            p.keyphrase = ov.global_ids[p.keyphrase as usize];
-        }
         let outcome = if predictions.is_empty() {
             Outcome::Empty
         } else {
@@ -835,6 +982,81 @@ mod tests {
             .infer_request(&InferRequest::new("x", LeafId(1)), &mut scratch)
             .is_none());
     }
+
+    /// "zeta red" in leaves 0 and 1, "alpha red" in leaf 1 (so "zeta red"
+    /// has the smaller global id), "İstanbul bag" in leaf 2; every count
+    /// equal, so every tie goes to the last tie-break.
+    fn divergence_model() -> GraphExModel {
+        let mut config = GraphExConfig::default();
+        config.curation.min_search_count = 0;
+        GraphExBuilder::new(config)
+            .add_records(vec![
+                KeyphraseRecord::new("zeta red", LeafId(0), 5, 1),
+                KeyphraseRecord::new("zeta red", LeafId(1), 5, 1),
+                KeyphraseRecord::new("alpha red", LeafId(1), 5, 1),
+                KeyphraseRecord::new("İstanbul bag", LeafId(2), 5, 1),
+            ])
+            .build()
+            .unwrap()
+    }
+
+    /// `request` answered by the base, and by a view holding an upsert of
+    /// "blue hat" — which shares no word with the title — in its leaf.
+    fn base_and_unrelated_overlay(request: &InferRequest<'_>) -> (InferResponse, InferResponse) {
+        let base = divergence_model();
+        let leaf = request.leaf;
+        let view = OverlayView::empty().with_leaf(
+            &base,
+            leaf,
+            &[KeyphraseRecord::new("blue hat", leaf, 7, 2)],
+            1,
+        );
+        let mut scratch = Scratch::new();
+        let overlaid = view.infer_request(request, &mut scratch).unwrap();
+        (base.infer_request(request, &mut scratch), overlaid)
+    }
+
+    #[test]
+    fn overlay_ties_rank_on_global_ids_like_the_base() {
+        let request = InferRequest::new("red zeta alpha", LeafId(1))
+            .k(10)
+            .resolve_texts(true);
+        let (base, overlaid) = base_and_unrelated_overlay(&request);
+        assert_eq!(base.texts, ["zeta red", "alpha red"]);
+        assert_eq!(overlaid, base);
+    }
+
+    #[test]
+    fn overlay_title_length_counts_words_the_model_knows() {
+        // "zeta" is no word of leaf 1, but the model knows it: |T| = 3.
+        for alignment in [Alignment::Lta, Alignment::Jac] {
+            let request = InferRequest::new("red zeta alpha", LeafId(1))
+                .k(10)
+                .alignment(alignment)
+                .resolve_texts(true);
+            let (base, overlaid) = base_and_unrelated_overlay(&request);
+            assert!(base.predictions.iter().all(|p| p.title_len == 3));
+            assert_eq!(overlaid, base, "{alignment:?}");
+        }
+    }
+
+    #[test]
+    fn overlay_serves_base_labels_with_their_snapshot_text() {
+        let request = InferRequest::new("İstanbul bag", LeafId(2))
+            .k(10)
+            .resolve_texts(true);
+        let (base, overlaid) = base_and_unrelated_overlay(&request);
+        assert_eq!(overlaid, base);
+        // Normalized once, the label is a text of the vocabulary; a second
+        // normalization would split the combining dot off into another.
+        assert_eq!(base.texts.len(), 1);
+        let model = divergence_model();
+        assert!(
+            model.keyphrase_id(&overlaid.texts[0]).is_some(),
+            "{:?}",
+            overlaid.texts
+        );
+    }
 }
 
 /// Incremental ≡ from-scratch, by generated input: after every step of a
@@ -846,49 +1068,92 @@ mod tests {
 #[cfg(test)]
 mod overlay_incremental {
     use super::*;
-    use crate::assembly::{canonicalize, LeafAssembly};
     use crate::builder::{GraphExBuilder, GraphExConfig};
     use proptest::prelude::*;
 
-    /// One overlaid leaf as the parent of this change built it.
+    /// One overlaid leaf as a from-scratch assembly builds it: the base
+    /// leaf's records as the snapshot holds them (text verbatim, tokens
+    /// off its CSR) and the analyzed delta records, stably sorted into
+    /// canonical order (base before delta on equal keys), interned into
+    /// fresh leaf-local vocabularies and pushed through `GraphParts`.
+    ///
+    /// It differs from the per-upsert rebuild this module replaced in
+    /// three ways, each a fix that makes an overlaid leaf answer like the
+    /// base: base records are not normalized or tokenized again, a title
+    /// word counts in `|T|` when the base vocabulary knows it, and ties
+    /// rank on global keyphrase ids rather than label indices.
     struct Oracle {
-        assembly: LeafAssembly,
+        tokens: Vocab,
+        keyphrases: Vocab,
+        /// Rows are local token ids, labels local keyphrase ids.
+        local: LeafGraph,
+        /// The same graph with global keyphrase ids as labels: the ids
+        /// ranking breaks ties on.
+        ranked: LeafGraph,
         global_ids: Vec<KeyphraseId>,
+    }
+
+    /// A record reduced to what assembly keys on.
+    struct Analyzed {
+        key: (String, u32, u32),
+        text: String,
+        words: Vec<String>,
     }
 
     impl Oracle {
         fn build(base: &GraphExModel, leaf: LeafId, delta: &[KeyphraseRecord]) -> Self {
-            let mut records: Vec<KeyphraseRecord> = Vec::new();
+            let mut records: Vec<Analyzed> = Vec::new();
             if let Some(graph) = base.leaf_graph(leaf) {
                 for label in 0..graph.num_labels() {
                     let text = base.keyphrase_text(graph.keyphrase_id(label)).unwrap();
-                    records.push(KeyphraseRecord::new(
-                        text,
-                        leaf,
-                        graph.search_count(label),
-                        graph.recall_count(label),
-                    ));
+                    let mut words: Vec<String> = (0..graph.num_words())
+                        .filter(|&row| graph.labels_of_row(row).contains(&label))
+                        .map(|row| base.tokens[graph.row_tokens()[row as usize]].to_string())
+                        .collect();
+                    words.sort_unstable();
+                    let (search, recall) = (graph.search_count(label), graph.recall_count(label));
+                    let key = (text.to_string(), search, recall);
+                    records.push(Analyzed {
+                        key,
+                        text: text.to_string(),
+                        words,
+                    });
                 }
             }
-            records.extend(delta.iter().cloned());
-            canonicalize(&mut records);
-            let assembly =
-                LeafAssembly::build(&records, &mut AssemblyContext::new(base.stemming()));
+            let mut ctx = AssemblyContext::new(base.stemming());
+            for rec in delta {
+                // A punctuation-only record sorts but never reaches the graph.
+                if let Some((text, words)) = ctx.analyze(&rec.text) {
+                    let key = (rec.text.clone(), rec.search_count, rec.recall_count);
+                    let (text, words) = (text.to_string(), words.map(str::to_string).collect());
+                    records.push(Analyzed { key, text, words });
+                }
+            }
+            records.sort_by(|a, b| a.key.cmp(&b.key));
+
+            let (mut tokens, mut keyphrases) = (Vocab::new(), Vocab::new());
+            let mut parts = GraphParts::default();
+            for rec in &records {
+                let keyphrase = keyphrases.intern(&rec.text);
+                let ids: Vec<u32> = rec.words.iter().map(|word| tokens.intern(word)).collect();
+                parts.push(keyphrase, &ids, rec.key.1, rec.key.2);
+            }
+            let (rows, labels, body) = parts.split();
             let mut next_synthetic = base.num_keyphrases() as u32;
-            let global_ids = assembly
-                .graph()
-                .labels()
+            let global_ids: Vec<KeyphraseId> = labels
                 .iter()
                 .map(|&local| {
-                    let text = assembly.keyphrases().resolve(local).unwrap();
-                    base.keyphrase_id(text).unwrap_or_else(|| {
+                    base.keyphrase_id(&keyphrases[local]).unwrap_or_else(|| {
                         next_synthetic += 1;
                         next_synthetic - 1
                     })
                 })
                 .collect();
             Self {
-                assembly,
+                local: LeafGraph::from_body(rows.clone(), labels, body.clone()),
+                ranked: LeafGraph::from_body(rows, global_ids.clone(), body),
+                tokens,
+                keyphrases,
                 global_ids,
             }
         }
@@ -900,28 +1165,28 @@ mod overlay_incremental {
             scratch: &mut Scratch,
         ) -> InferResponse {
             let tokenizer = GraphExModel::make_tokenizer(base.stemming());
-            let tokens = self.assembly.tokens();
-            collect_title_tokens(&tokenizer, |word| tokens.get(word), request.title, scratch);
+            // A word the base vocabulary knows and this leaf does not
+            // counts in |T|, under an id no row has.
+            let local = self.tokens.len() as u32;
+            let token_id = |word: &str| {
+                self.tokens
+                    .get(word)
+                    .or_else(|| Some(local + base.token_id(word)?))
+            };
+            collect_title_tokens(&tokenizer, token_id, request.title, scratch);
             let alignment = request.alignment.unwrap_or(base.alignment());
-            let mut predictions = infer_on_graph(
-                &self.assembly.graph(),
-                alignment,
-                &request.params(),
-                scratch,
-            );
+            let predictions = infer_on_graph(&self.ranked, alignment, &request.params(), scratch);
             let texts = predictions
                 .iter()
                 .map(|p| {
-                    self.assembly
-                        .keyphrases()
-                        .resolve(p.keyphrase)
-                        .unwrap()
-                        .to_string()
+                    let label = self
+                        .global_ids
+                        .iter()
+                        .position(|&id| id == p.keyphrase)
+                        .unwrap();
+                    self.keyphrases[label as u32].to_string()
                 })
                 .collect();
-            for p in &mut predictions {
-                p.keyphrase = self.global_ids[p.keyphrase as usize];
-            }
             let outcome = if predictions.is_empty() {
                 Outcome::Empty
             } else {
@@ -1049,6 +1314,14 @@ mod overlay_incremental {
         KeyphraseRecord::new(text, leaf, p.2, p.3)
     }
 
+    /// The text of a row id of an overlaid leaf's mini graph.
+    fn token_text<'a>(view: &'a OverlayView, ov: &'a OverlayLeaf, id: TokenId) -> &'a str {
+        match id.checked_sub(view.tokens.len() as u32) {
+            None => &view.tokens[id],
+            Some(j) => &ov.delta.tokens.strings[j as usize],
+        }
+    }
+
     fn by_leaf(pending: &[(u64, KeyphraseRecord)]) -> BTreeMap<LeafId, Vec<KeyphraseRecord>> {
         let mut map: BTreeMap<LeafId, Vec<KeyphraseRecord>> = BTreeMap::new();
         for (_, rec) in pending {
@@ -1071,32 +1344,32 @@ mod overlay_incremental {
         for (&leaf, delta) in &pending {
             let ov = &view.leaves[&leaf];
             let oracle = Oracle::build(base, leaf, delta);
-            let (got, want) = (&ov.graph, oracle.assembly.graph());
+            let (got, want) = (&ov.graph, &oracle.local);
             assert_eq!(got.csr_parts(), want.csr_parts(), "{leaf} csr");
             assert_eq!(got.label_lens(), want.label_lens(), "{leaf} label lengths");
             assert_eq!(got.searches(), want.searches(), "{leaf} search counts");
             assert_eq!(got.recalls(), want.recalls(), "{leaf} recall counts");
-            assert_eq!(ov.global_ids, oracle.global_ids, "{leaf} global ids");
-            let got_labels: Vec<&str> = ov
-                .label_keyphrases
+            assert_eq!(got.labels(), oracle.global_ids, "{leaf} global ids");
+            let got_labels: Vec<&str> = got
+                .labels()
                 .iter()
-                .map(|&id| resolve(&ov.base.keyphrases, &ov.delta.keyphrases, id))
+                .map(|&id| view.keyphrase_text(ov, id))
                 .collect();
             let want_labels: Vec<&str> = want
                 .labels()
                 .iter()
-                .map(|&id| oracle.assembly.keyphrases().resolve(id).unwrap())
+                .map(|&id| &oracle.keyphrases[id])
                 .collect();
             assert_eq!(got_labels, want_labels, "{leaf} label texts");
             let got_rows: Vec<&str> = got
                 .row_tokens()
                 .iter()
-                .map(|&id| resolve(&ov.base.tokens, &ov.delta.tokens, id))
+                .map(|&id| token_text(view, ov, id))
                 .collect();
             let want_rows: Vec<&str> = want
                 .row_tokens()
                 .iter()
-                .map(|&id| oracle.assembly.tokens().resolve(id).unwrap())
+                .map(|&id| &oracle.tokens[id])
                 .collect();
             assert_eq!(got_rows, want_rows, "{leaf} row tokens");
             assert_eq!(ov.delta.records.len(), delta.len());
@@ -1169,6 +1442,59 @@ mod overlay_incremental {
                 }
                 prop_assert_eq!(view.seq(), seq);
                 assert_view_matches_rebuild(&view, base, &pending, &titles);
+            }
+        }
+
+        /// What the serving store's freshness rule rests on: once upserts
+        /// land in a leaf, every title that shares no stemmed word with
+        /// the leaf's delta records is answered exactly as the base
+        /// answers it — outcome, texts and every prediction field — under
+        /// each alignment, with and without the threshold group. Counts
+        /// are tiny, so full ties are common.
+        #[test]
+        fn titles_sharing_no_word_with_the_delta_are_answered_as_the_base_answers(
+            corpus in prop::collection::vec(prop::collection::vec(
+                (prop::collection::vec(0..BASE_WORDS, 1..=3), 0u8..4, 1u32..3, 0u32..2), 3..8), 3..=6),
+            upserts in prop::collection::vec((0u8..8, 0usize..64, 0usize..64, phrase(ALL_WORDS)), 1..8),
+            titles in prop::collection::vec(prop::collection::vec(0..ALL_WORDS, 1..6), 3..8),
+        ) {
+            let base = base_model(&corpus);
+            let mut view = OverlayView::empty();
+            let mut delta: BTreeMap<LeafId, Vec<String>> = BTreeMap::new();
+            for (seq, spec) in upserts.iter().enumerate() {
+                let record = upsert(&base, spec);
+                view = view.with_leaf(&base, record.leaf, [&record], seq as u64 + 1);
+                delta.entry(record.leaf).or_default().extend(base.tokenize_title(&record.text));
+            }
+            let mut scratch = Scratch::new();
+            for (&leaf, written) in delta.iter().filter(|(&leaf, _)| base.leaf_graph(leaf).is_some()) {
+                for title in &titles {
+                    // The title's words that share no stemmed word with the
+                    // leaf's delta.
+                    let words: Vec<String> = title
+                        .iter()
+                        .map(|&i| word(leaf.0, i))
+                        .filter(|w| base.tokenize_title(w).iter().all(|t| !written.contains(t)))
+                        .collect();
+                    let title = words.join(" ");
+                    prop_assert!(base.tokenize_title(&title).iter().all(|t| !written.contains(t)));
+                    for alignment in [Alignment::Lta, Alignment::Wmr, Alignment::Jac] {
+                        for keep in [false, true] {
+                            for k in [1, 3, 10] {
+                                let request = InferRequest::new(&title, leaf)
+                                    .k(k)
+                                    .alignment(alignment)
+                                    .keep_threshold_group(keep)
+                                    .resolve_texts(true);
+                                prop_assert_eq!(
+                                    view.infer_request(&request, &mut scratch).unwrap(),
+                                    base.infer_request(&request, &mut scratch),
+                                    "{} {:?} {:?} keep={} k={}", leaf, title, alignment, keep, k
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }

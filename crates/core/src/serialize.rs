@@ -82,6 +82,7 @@ use bytes::{BufMut, Bytes};
 use graphex_textkit::{FxHashMap, Vocab};
 use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"GEXM";
 /// The format version this module writes and reads.
@@ -440,8 +441,8 @@ fn parse_model(data: Bytes) -> Result<GraphExModel> {
 
     Ok(GraphExModel {
         tokenizer: GraphExModel::make_tokenizer(stemming),
-        tokens,
-        keyphrases,
+        tokens: Arc::new(tokens),
+        keyphrases: Arc::new(keyphrases),
         leaves,
         fallback,
         alignment,

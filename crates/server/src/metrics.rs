@@ -453,6 +453,12 @@ pub fn render_serve_families(serve: &ServeStats, out: &mut String) {
         "graphex_serve_overlay_invalidated_total {}",
         serve.overlay_invalidated
     );
+    let _ = writeln!(out, "# TYPE graphex_serve_overlay_retagged_total counter");
+    let _ = writeln!(
+        out,
+        "graphex_serve_overlay_retagged_total {}",
+        serve.overlay_retagged
+    );
     let _ = writeln!(out, "# TYPE graphex_shed_total counter");
     let _ = writeln!(out, "graphex_shed_total {}", serve.shed);
     let _ = writeln!(out, "# TYPE graphex_deadline_exceeded_total counter");
@@ -486,6 +492,7 @@ mod tests {
             unservable: 1,
             invalidated: 0,
             overlay_invalidated: 0,
+            overlay_retagged: 6,
             shed: 4,
             deadline_exceeded: 0,
             in_flight: 2,
@@ -569,6 +576,7 @@ mod tests {
         assert_eq!(m.server_errors(), 1);
         assert_eq!(m.responses_for(Endpoint::Infer, 503), 1);
         assert!(text.contains("graphex_serve_overlay_invalidated_total 0"));
+        assert!(text.contains("graphex_serve_overlay_retagged_total 6"));
     }
 
     #[test]

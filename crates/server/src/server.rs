@@ -378,6 +378,7 @@ fn statusz_single(api: &ServingApi) -> Vec<(&'static str, Json)> {
         ("unservable", Json::uint(stats.unservable)),
         ("invalidated", Json::uint(stats.invalidated)),
         ("overlay_invalidated", Json::uint(stats.overlay_invalidated)),
+        ("overlay_retagged", Json::uint(stats.overlay_retagged)),
         (
             "store",
             store_json(api.store().len() as u64, api.store().record_bytes() as u64),

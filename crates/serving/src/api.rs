@@ -31,7 +31,9 @@
 //!   caller. A request carrying another title never joins that flight.
 
 use crate::kv::{self, KvStore, PackedRecs, Tags};
-use crate::overlay::{DrainReport, OverlayError, OverlayStatus, OverlayStore, UpsertAck};
+use crate::overlay::{
+    DrainReport, Freshness, OverlayError, OverlayStatus, OverlayStore, TitleWords, UpsertAck,
+};
 use crate::registry::ModelWatch;
 use graphex_core::{
     Engine, GraphExModel, InferRequest, InferResponse, KeyphraseRecord, KeyphraseService, LeafId,
@@ -54,7 +56,9 @@ pub enum ServeSource {
     /// or rewritten). An unservable leader answer keeps
     /// [`ServeSource::None`] for every coalesced caller too.
     Coalesced,
-    /// Computed for an id-less request: served, but never stored.
+    /// Computed for a request whose answer is never stored: an id-less
+    /// one, or one that overrides the alignment or keeps the threshold
+    /// group (served, not written back, not shared with other callers).
     Direct,
     /// No recommendations derivable (unknown leaf without fallback, or no
     /// candidate keyphrases).
@@ -215,9 +219,12 @@ pub struct ServingApi {
     /// Store hits bypassed because their snapshot tag was stale
     /// ([`SwapPolicy::Invalidate`] only).
     invalidated: AtomicU64,
-    /// Store hits bypassed because an overlay upsert touched their leaf
-    /// after the record was written.
+    /// Store hits bypassed because an overlay upsert after the record
+    /// could change it.
     overlay_invalidated: AtomicU64,
+    /// Store hits served after verifying that the overlay upserts to
+    /// their leaf since the record could not change it.
+    overlay_retagged: AtomicU64,
     /// Requests refused upstream by admission control (recorded by a
     /// network frontend via [`ServingApi::note_shed`]).
     shed: AtomicU64,
@@ -240,15 +247,21 @@ pub struct ServeStats {
     pub read_throughs: u64,
     /// Requests answered by another caller's in-flight inference.
     pub coalesced: u64,
-    /// Id-less requests computed without store interaction.
+    /// Requests computed and never stored: id-less ones, and keyed ones
+    /// under an override that missed the store.
     pub direct: u64,
     pub unservable: u64,
     /// Store hits recomputed because their record was tagged with a
     /// different model snapshot ([`SwapPolicy::Invalidate`] only).
     pub invalidated: u64,
-    /// Store hits recomputed because an overlay upsert touched their
-    /// leaf after the record was written (overlay serving only).
+    /// Store hits recomputed because an overlay upsert after the record
+    /// could change it — it carried a word of the title or created the
+    /// leaf (overlay serving only).
     pub overlay_invalidated: u64,
+    /// Store hits served although their leaf was upserted after the
+    /// record was written: none of those upserts carried a word of the
+    /// title, so the record was verified fresh and re-tagged.
+    pub overlay_retagged: u64,
     /// Requests refused by admission control (load shed, e.g. HTTP 429).
     pub shed: u64,
     /// Requests that missed their deadline (e.g. HTTP 503).
@@ -283,6 +296,7 @@ impl ServeStats {
         self.unservable += other.unservable;
         self.invalidated += other.invalidated;
         self.overlay_invalidated += other.overlay_invalidated;
+        self.overlay_retagged += other.overlay_retagged;
         self.shed += other.shed;
         self.deadline_exceeded += other.deadline_exceeded;
         self.in_flight += other.in_flight;
@@ -326,6 +340,7 @@ impl ServingApi {
             unservable: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
             overlay_invalidated: AtomicU64::new(0),
+            overlay_retagged: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
             in_flight_gauge: AtomicU64::new(0),
@@ -486,11 +501,13 @@ impl ServingApi {
     /// key to store them under).
     ///
     /// Cache semantics for per-request overrides: the store holds *one*
-    /// precomputed answer per item, so a store hit (or a coalesced
-    /// answer) serves that answer truncated to the request's `k`; a `k`
-    /// larger than what was stored, or an alignment override, cannot
-    /// re-rank a cached answer. Send the request id-less to force a
-    /// fresh computation with full override fidelity.
+    /// precomputed answer per item, ranked the way the model ranks, so a
+    /// store hit (or a coalesced answer) serves that answer truncated to
+    /// the request's `k`; a `k` larger than what was stored, or an
+    /// alignment override, cannot re-rank a cached answer. On a miss, an
+    /// answer computed under an alignment override or with the threshold
+    /// group kept is served but never stored. Send the request id-less
+    /// to force a fresh computation with full override fidelity.
     pub fn serve_request(&self, request: &InferRequest<'_>) -> Served {
         self.serve_request_traced(request, &mut graphex_core::StageTrace::disabled())
     }
@@ -530,6 +547,9 @@ impl ServingApi {
         // below, keys the single flight and tags the write-back.
         let fingerprint = kv::fingerprint(request.leaf, request.title);
         let key = (item, fingerprint);
+        // The title's words, hashed on first need: every freshness check
+        // of this request shares them.
+        let mut words = TitleWords::new(request.title);
 
         // Miss path: elect a leader for this item and title, or join an
         // existing flight. The loop re-enters only when the double-check
@@ -555,15 +575,22 @@ impl ServingApi {
             if let Some(stored) = self.store.record(item) {
                 // Anything stale falls through to the read-through path,
                 // which overwrites the record (and re-tags it).
-                match self.staleness(stored.tags(), &wanted) {
-                    None => fresh_hit = Some(stored),
-                    Some(Stale::Snapshot) => {
+                match self.staleness(stored.tags(), &wanted, &mut words) {
+                    Verdict::Fresh => fresh_hit = Some(stored),
+                    Verdict::Verified(seq) => {
+                        // Fresh through `seq`: say so on the record, so
+                        // the next read takes the fast path.
+                        self.store.retag(item, &stored, seq);
+                        self.overlay_retagged.fetch_add(1, Ordering::Relaxed);
+                        fresh_hit = Some(stored);
+                    }
+                    Verdict::Stale(Stale::Snapshot) => {
                         self.invalidated.fetch_add(1, Ordering::Relaxed);
                     }
-                    Some(Stale::Overlay) => {
+                    Verdict::Stale(Stale::Overlay) => {
                         self.overlay_invalidated.fetch_add(1, Ordering::Relaxed);
                     }
-                    Some(Stale::Revised) => {}
+                    Verdict::Stale(Stale::Revised) => {}
                 }
             }
             match fresh_hit {
@@ -577,6 +604,14 @@ impl ServingApi {
                 }
                 None => trace.record_detail(graphex_core::Stage::KvLookup, kv_start, 0),
             }
+            if !Self::stores(request) {
+                // Computed under an override: served, never stored, and
+                // never shared through a flight — a later plain request
+                // must not be answered with another ranking.
+                let served = self.compute_traced(request, trace);
+                self.count(served.source, served.outcome);
+                return sink(Answer::Computed(served));
+            }
             let role = {
                 let mut inflight = self.lock_inflight();
                 // Double-check under the map lock: the leader writes the
@@ -588,9 +623,12 @@ impl ServingApi {
                 // the read above made: a present-but-stale record does
                 // *not* `continue` (the next pass would see it stale again
                 // and loop forever); it proceeds to leader election so it
-                // gets overwritten.
+                // gets overwritten. The title's words hashed by the read
+                // above are reused here.
                 let tags = self.store.probe_tags(item);
-                if tags.is_some_and(|tags| self.staleness(tags, &wanted).is_none()) {
+                let fresh =
+                    |tags| !matches!(self.staleness(tags, &wanted, &mut words), Verdict::Stale(_));
+                if tags.is_some_and(fresh) {
                     continue;
                 }
                 if let Some(flight) = inflight.get(&key) {
@@ -677,6 +715,7 @@ impl ServingApi {
             unservable: load(&self.unservable),
             invalidated: load(&self.invalidated),
             overlay_invalidated: load(&self.overlay_invalidated),
+            overlay_retagged: load(&self.overlay_retagged),
             shed: load(&self.shed),
             deadline_exceeded: load(&self.deadline_exceeded),
             in_flight: load(&self.in_flight_gauge),
@@ -691,36 +730,57 @@ impl ServingApi {
         }
     }
 
-    /// The freshness rule: why a record with these tags may not answer a
-    /// request, or `None` when it may. In order:
+    /// The freshness rule: whether a record with these tags may answer a
+    /// request. It may not, in order, when:
     ///
     /// * its fingerprint is another title's or leaf's — a revision;
     /// * under [`SwapPolicy::Invalidate`], another snapshot computed it
     ///   (records tagged 0, fixed-engine writes, are exempt);
-    /// * an upsert touched the request's leaf after the record was
-    ///   written. `leaf_seq` is monotone and survives drains, so records
-    ///   written by overlay-blind writers (epoch 0) go stale the moment an
-    ///   upsert touches their leaf, and never before.
-    fn staleness(&self, tags: Tags, wanted: &Wanted) -> Option<Stale> {
+    /// * an overlay upsert after its epoch can change it: one that created
+    ///   the request's leaf, or one whose record carried a stemmed word of
+    ///   the title ([`OverlayStore::freshness`]).
+    ///
+    /// An upsert to the leaf that carried no word of the title cannot
+    /// change the answer (an overlaid leaf answers such a title exactly
+    /// as before). So a record whose epoch predates only such upserts is
+    /// served, and [`Verdict::Verified`] names the sequence it is now
+    /// known fresh through. The overlay's records are monotone and
+    /// survive drains, so records written by overlay-blind writers (epoch
+    /// 0) go stale the moment an upsert that can change them lands, and
+    /// never before. The fast path — no upsert to the leaf since the
+    /// epoch — reads one sequence and tokenizes nothing; past it the
+    /// title is tokenized once per request, into `words`.
+    fn staleness(&self, tags: Tags, wanted: &Wanted, words: &mut TitleWords<'_>) -> Verdict {
         if tags.fingerprint != wanted.fingerprint {
-            return Some(Stale::Revised);
+            return Verdict::Stale(Stale::Revised);
         }
         if let Some(current) = wanted.snapshot {
             if tags.snapshot_version != 0 && tags.snapshot_version != current {
-                return Some(Stale::Snapshot);
+                return Verdict::Stale(Stale::Snapshot);
             }
         }
-        match &self.overlay {
-            Some(overlay) if tags.overlay_epoch < overlay.leaf_seq(wanted.leaf) => {
-                Some(Stale::Overlay)
-            }
-            _ => None,
+        let Some(overlay) = &self.overlay else {
+            return Verdict::Fresh;
+        };
+        match overlay.freshness(wanted.leaf, tags.overlay_epoch, words) {
+            Freshness::Fresh => Verdict::Fresh,
+            Freshness::Verified(seq) => Verdict::Verified(seq),
+            Freshness::Stale => Verdict::Stale(Stale::Overlay),
         }
     }
 
+    /// Whether the answer to `request` goes to the store: a keyed
+    /// request's, ranked the way the model ranks. An answer under an
+    /// alignment override or with the whole threshold group kept would
+    /// otherwise be served to every later plain request for the item.
+    fn stores(request: &InferRequest<'_>) -> bool {
+        request.id.is_some() && request.alignment.is_none() && !request.keep_threshold_group
+    }
+
     /// Pure inference through the engine pool (no store interaction).
-    /// Text resolution is forced only when the answer can reach the store
-    /// (the store holds texts); id-less requests keep the caller's
+    /// Text resolution is forced for keyed requests (the store holds
+    /// texts, and a keyed caller is served texts whether or not its
+    /// answer is stored); id-less requests keep the caller's
     /// `resolve_texts` choice, matching the `Engine` trait behaviour.
     /// The returned [`Served::snapshot_version`] is the snapshot the
     /// inference actually ran on, so the write-back tags the record with
@@ -753,7 +813,7 @@ impl ServingApi {
         let response = active.engine.infer_traced(&request, view.as_deref(), trace);
         let source = if !response.outcome.is_servable() {
             ServeSource::None
-        } else if request.id.is_some() {
+        } else if Self::stores(&request) {
             ServeSource::ReadThrough
         } else {
             ServeSource::Direct
@@ -795,13 +855,25 @@ struct Wanted {
     leaf: LeafId,
 }
 
+/// Whether a stored record may answer a request (see
+/// [`ServingApi::staleness`]).
+enum Verdict {
+    /// Serve it.
+    Fresh,
+    /// Serve it, and re-tag it with this overlay sequence: upserts to its
+    /// leaf came after it, and none of them can change it.
+    Verified(u64),
+    /// Do not.
+    Stale(Stale),
+}
+
 /// Why a stored record may not answer a request.
 enum Stale {
     /// Computed for another title or leaf.
     Revised,
     /// Computed by another snapshot ([`SwapPolicy::Invalidate`] only).
     Snapshot,
-    /// An upsert touched the request's leaf since.
+    /// An upsert since can change it.
     Overlay,
 }
 
@@ -872,7 +944,7 @@ impl KeyphraseService for ServingApi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphex_core::{GraphExBuilder, GraphExConfig, KeyphraseRecord};
+    use graphex_core::{Alignment, GraphExBuilder, GraphExConfig, KeyphraseRecord};
 
     fn model() -> Arc<GraphExModel> {
         let mut config = GraphExConfig::default();
@@ -1295,6 +1367,119 @@ mod tests {
         let novel = api.serve(8, "quantum doohickey deluxe", LeafId(42));
         assert_eq!(novel.outcome, Outcome::ExactLeaf);
         assert_eq!(novel.keyphrases, ["quantum doohickey"]);
+    }
+
+    /// An upsert to a leaf stales only the cached answers whose titles
+    /// share a stemmed word with it: any other is served from the store
+    /// — verified once, re-tagged, and a plain fast-path hit after that.
+    #[test]
+    fn upsert_leaves_answers_it_cannot_change_in_the_store() {
+        let mut config = GraphExConfig::default();
+        config.curation.min_search_count = 0;
+        let model = Arc::new(
+            GraphExBuilder::new(config)
+                .add_records(vec![
+                    KeyphraseRecord::new("widget gadget pro", LeafId(1), 50, 5),
+                    KeyphraseRecord::new("sprocket cog", LeafId(1), 70, 5),
+                ])
+                .build()
+                .unwrap(),
+        );
+        let store = Arc::new(KvStore::new());
+        let api = ServingApi::new(model, store.clone(), 10)
+            .with_overlay(Arc::new(crate::overlay::OverlayStore::new()));
+        let (widget, sprocket) = ("widget gadget pro", "sprocket cog");
+        assert_eq!(api.serve(1, widget, LeafId(1)).source, ServeSource::ReadThrough);
+        assert_eq!(api.serve(2, sprocket, LeafId(1)).source, ServeSource::ReadThrough);
+
+        // A phrase of two words of item 1's title: item 2's answer stands.
+        let ack = api
+            .apply_upsert(&[KeyphraseRecord::new("gadget pro nrt1", LeafId(1), 999, 1)])
+            .unwrap();
+        let kept = api.serve(2, sprocket, LeafId(1));
+        assert_eq!(kept.source, ServeSource::Store);
+        assert_eq!(store.get(2).unwrap().tags.overlay_epoch, ack.seq, "re-tagged");
+        assert_eq!(store.get(2).unwrap().version, 1, "a re-tag is no write");
+        assert_eq!(api.stats().overlay_retagged, 1);
+        assert_eq!(api.serve(2, sprocket, LeafId(1)).source, ServeSource::Store);
+        assert_eq!(api.stats().overlay_retagged, 1, "the second hit takes the fast path");
+
+        let changed = api.serve(1, widget, LeafId(1));
+        assert_eq!(changed.source, ServeSource::ReadThrough);
+        assert!(changed.keyphrases.iter().any(|k| k == "gadget pro nrt1"));
+        assert_eq!(api.stats().overlay_invalidated, 1);
+    }
+
+    /// An upsert that creates a leaf the base has no graph for changes
+    /// every title's outcome in it: a cached meta-fallback answer goes
+    /// stale though the upsert shares no word with its title.
+    #[test]
+    fn upsert_creating_a_leaf_stales_every_answer_in_it() {
+        let mut config = GraphExConfig::default();
+        config.curation.min_search_count = 0;
+        let model = Arc::new(
+            GraphExBuilder::new(config)
+                .add_record(KeyphraseRecord::new("widget gadget pro", LeafId(1), 50, 5))
+                .build()
+                .unwrap(),
+        );
+        let engine = Engine::new(model.clone());
+        let overlay = Arc::new(crate::overlay::OverlayStore::new());
+        let api = ServingApi::new(model, Arc::new(KvStore::new()), 10).with_overlay(overlay.clone());
+        let title = "widget gadget pro";
+        let fallback = api.serve(7, title, LeafId(42));
+        assert_eq!(fallback.outcome, Outcome::MetaFallback);
+        assert_eq!(api.serve(7, title, LeafId(42)).source, ServeSource::Store);
+
+        api.apply_upsert(&[KeyphraseRecord::new("quantum doohickey", LeafId(42), 50, 5)])
+            .unwrap();
+        let after = api.serve(7, title, LeafId(42));
+        let kernel = engine.infer_with_overlay(
+            &InferRequest::new(title, LeafId(42)).k(10).resolve_texts(true),
+            Some(&overlay.view()),
+        );
+        assert_ne!(after.source, ServeSource::Store);
+        assert_eq!((after.outcome, &after.keyphrases), (kernel.outcome, &kernel.texts));
+        assert_eq!(after.outcome, Outcome::Empty);
+    }
+
+    /// An answer computed under an override is served but never stored: a
+    /// JAC read-through for an item must not become the answer its later
+    /// plain requests are served.
+    #[test]
+    fn override_answers_are_served_but_never_stored() {
+        let mut config = GraphExConfig::default();
+        config.curation.min_search_count = 0;
+        // Title words widget, gadget, pro, max: "widget gadget" matches 2
+        // of 2 (LTA 2, JAC 2/4), "widget pro max ultra" 3 of 4 (LTA 1.5,
+        // JAC 3/5) — the two alignments rank them apart.
+        let model = Arc::new(
+            GraphExBuilder::new(config)
+                .add_records(vec![
+                    KeyphraseRecord::new("widget gadget", LeafId(1), 50, 5),
+                    KeyphraseRecord::new("widget pro max ultra", LeafId(1), 50, 5),
+                ])
+                .build()
+                .unwrap(),
+        );
+        let engine = Engine::new(model.clone());
+        let title = "widget gadget pro max";
+        let kernel = |request: InferRequest<'_>| engine.infer(&request.resolve_texts(true)).texts;
+        let plain = kernel(InferRequest::new(title, LeafId(1)).k(10));
+        let jac = kernel(InferRequest::new(title, LeafId(1)).k(10).alignment(Alignment::Jac));
+        assert_eq!(plain.len(), 2);
+        assert_ne!(plain, jac, "the title must rank differently under the two alignments");
+
+        let store = Arc::new(KvStore::new());
+        let api = ServingApi::new(model, store.clone(), 10);
+        let overridden = InferRequest::new(title, LeafId(1)).k(10).id(5);
+        let served = api.serve_request(&overridden.alignment(Alignment::Jac));
+        assert_eq!((served.keyphrases, served.source), (jac, ServeSource::Direct));
+        let grouped = api.serve_request(&overridden.keep_threshold_group(true));
+        assert_eq!(grouped.source, ServeSource::Direct);
+        assert!(store.get(5).is_none(), "an override's answer reached the store");
+        let served = api.serve(5, title, LeafId(1));
+        assert_eq!((served.keyphrases, served.source), (plain, ServeSource::ReadThrough));
     }
 
     /// Draining after a compaction publish keeps answers stable: entries

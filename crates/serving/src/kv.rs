@@ -48,11 +48,14 @@ pub struct Tags {
     /// for a fixed engine without a registry). Lets serving detect records
     /// that outlived a hot swap or rollback.
     pub snapshot_version: u64,
-    /// Overlay sequence the computing view had absorbed (0 for writers
-    /// that never saw an overlay). Serving compares it against the
-    /// overlay's per-leaf last-write sequence: an upsert touching the
-    /// record's leaf makes the record stale, so cached answers never hide
-    /// fresh overlay content.
+    /// Overlay sequence the record is known fresh through (0 for writers
+    /// that never saw an overlay): the sequence the computing view had
+    /// absorbed, raised by [`KvStore::retag`] when serving verifies that
+    /// no later write could change the answer. Serving serves the record
+    /// outright while no upsert touched its leaf after this sequence;
+    /// past it, only while no later upsert carried a word of the record's
+    /// title or created its leaf — so cached answers never hide fresh
+    /// overlay content.
     pub overlay_epoch: u64,
     /// [`fingerprint`] of the title and leaf the record answers (0 from
     /// [`KvStore::put`], which no request matches).
@@ -114,6 +117,14 @@ impl PackedRecs {
         for keyphrase in keyphrases {
             bytes.extend_from_slice(keyphrase.as_bytes());
         }
+        Self(bytes.into())
+    }
+
+    /// This record with another overlay epoch, in a new allocation; the
+    /// version stays.
+    fn with_epoch(&self, epoch: u64) -> Self {
+        let mut bytes = self.0.to_vec();
+        bytes[EPOCH_AT..EPOCH_AT + 8].copy_from_slice(&epoch.to_le_bytes());
         Self(bytes.into())
     }
 
@@ -262,6 +273,25 @@ impl KvStore {
         }
     }
 
+    /// Raises the overlay epoch of `item`'s record to `epoch`, provided the
+    /// store still holds `seen` — the very record (`Arc::ptr_eq`) serving
+    /// verified — so a record written since is never overwritten. The
+    /// version stays: the answer did not change, only how long it is
+    /// known to hold. Returns whether the record was re-tagged.
+    pub fn retag(&self, item: u64, seen: &PackedRecs, epoch: u64) -> bool {
+        // Copied before the lock is taken; it is swapped in only if `seen`
+        // is still the item's record.
+        let retagged = seen.with_epoch(epoch);
+        let mut shard = self.shard(item).write();
+        match shard.get_mut(&item) {
+            Some(current) if Arc::ptr_eq(&current.0, &seen.0) => {
+                *current = retagged;
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Takes a record that left the map out of the byte count.
     fn forget(&self, record: &PackedRecs) {
         self.bytes.fetch_sub(record.heap_bytes(), Ordering::Relaxed);
@@ -363,6 +393,50 @@ mod tests {
         assert_eq!((got.version, got.tags), (2, tagged));
         assert_eq!(kv.probe_tags(1), Some(tagged));
         assert_eq!(kv.probe_tags(9), None);
+    }
+
+    /// A re-tag raises the epoch of exactly the record it was handed and
+    /// nothing else: the version, the keyphrases, the other tags and the
+    /// byte count stay, and a record written since is left alone.
+    #[test]
+    fn retag_raises_the_epoch_of_the_record_it_saw_only() {
+        let kv = KvStore::new();
+        let tags = Tags {
+            snapshot_version: 3,
+            overlay_epoch: 5,
+            fingerprint: 99,
+        };
+        kv.put_tagged(1, &["a".into(), "b".into()], Outcome::ExactLeaf, tags);
+        kv.put_tagged(1, &["a".into(), "b".into()], Outcome::ExactLeaf, tags);
+        let seen = kv.record(1).unwrap();
+        let bytes = kv.record_bytes();
+        assert!(kv.retag(1, &seen, 9));
+        let got = kv.get(1).unwrap();
+        assert_eq!(got.version, 2, "a re-tag is no write");
+        assert_eq!(got.keyphrases, ["a", "b"]);
+        assert_eq!(
+            got.tags,
+            Tags {
+                overlay_epoch: 9,
+                ..tags
+            }
+        );
+        assert_eq!(kv.record_bytes(), bytes);
+        // `seen` is no longer the item's record: a second re-tag through
+        // it is refused.
+        assert!(!kv.retag(1, &seen, 12));
+        assert_eq!(kv.get(1).unwrap().tags.overlay_epoch, 9);
+        // Nor does a re-tag overwrite a record written after it was read.
+        let stale = kv.record(1).unwrap();
+        kv.put_tagged(1, &["newer".into()], Outcome::ExactLeaf, tags);
+        assert!(!kv.retag(1, &stale, 20));
+        let got = kv.get(1).unwrap();
+        assert_eq!(
+            (got.keyphrases, got.version, got.tags),
+            (vec!["newer".to_string()], 3, tags)
+        );
+        assert!(!kv.retag(2, &stale, 20), "absent items stay absent");
+        assert!(kv.get(2).is_none());
     }
 
     /// The fingerprint tells apart what a request can differ in — the

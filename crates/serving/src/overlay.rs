@@ -28,15 +28,26 @@
 //! snapshot absorbed (identified by the export's `upto` sequence) and
 //! rebuilds the view from whatever arrived since the export.
 //!
-//! KV interaction: every accepted write bumps a per-leaf last-write
-//! sequence ([`OverlayStore::leaf_seq`]); `ServingApi` tags cached store
-//! entries with the view sequence they were computed at and treats an
-//! entry as stale when its tag is older than the leaf's last write — so
-//! overlay writes invalidate exactly the affected items, lazily, through
-//! the existing single-flight read-through.
+//! KV interaction: `ServingApi` tags each cached answer with the overlay
+//! sequence it is known fresh through, and asks
+//! [`OverlayStore`]'s freshness check before serving it. The store keeps,
+//! per leaf and under one lock, the sequence of the last accepted write
+//! and, for each stemmed word an upserted record carried (keyed by its
+//! 64-bit Fx hash, [`OverlayView::word_hashes`]), the last write that
+//! carried it. An answer tagged at or past the leaf's last write is fresh
+//! — the fast path, one lookup. Otherwise it is stale only if a write
+//! after its tag carried a word of its title: an overlaid leaf answers a
+//! title that shares no stemmed word with its delta exactly as it did
+//! before (see `graphex_core::overlay`), so every other answer still
+//! holds, and serving re-tags it with the leaf's last write. A hash
+//! collision can only make an answer look stale. A write that creates a
+//! leaf the base has no graph for changes every title's outcome in it,
+//! so it stales the whole leaf. Invalidation is lazy, through the
+//! existing single-flight read-through.
 
 use graphex_core::{GraphExModel, KeyphraseRecord, LeafId, OverlayView};
-use std::collections::{BTreeMap, HashMap};
+use graphex_textkit::FxHashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
@@ -147,14 +158,65 @@ struct OverlayInner {
     journal_bytes: usize,
 }
 
+/// What accepted writes did to one leaf, for the freshness rule (module
+/// doc). Monotone; never trimmed, so bounded by the leaves and words ever
+/// upserted.
+#[derive(Debug, Default)]
+struct LeafWrites {
+    /// The last accepted write to the leaf.
+    seq: u64,
+    /// The last write that created the leaf in the view while the base
+    /// had no graph for it.
+    created: u64,
+    /// Hash of each stemmed word an upserted record carried → the last
+    /// write that carried it.
+    words: FxHashMap<u64, u64>,
+}
+
+/// Whether an answer computed through some overlay sequence still holds
+/// (see [`OverlayStore::freshness`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Freshness {
+    /// No write to its leaf since.
+    Fresh,
+    /// Writes to its leaf since, none to a word of its title: it holds
+    /// through the leaf's last write, this sequence.
+    Verified(u64),
+    /// A write since can change it.
+    Stale,
+}
+
+/// A request's title, its words hashed the way the overlay keys written
+/// words — on first need, and then once for the whole request.
+pub(crate) struct TitleWords<'a> {
+    title: &'a str,
+    hashes: Option<Vec<u64>>,
+}
+
+impl<'a> TitleWords<'a> {
+    pub(crate) fn new(title: &'a str) -> Self {
+        Self {
+            title,
+            hashes: None,
+        }
+    }
+
+    fn hashes(&mut self, view: impl FnOnce() -> Arc<OverlayView>) -> &[u64] {
+        self.hashes.get_or_insert_with(|| {
+            let mut hashes = Vec::new();
+            view().word_hashes(self.title, &mut hashes);
+            hashes
+        })
+    }
+}
+
 /// The serving-side mutable overlay (see module docs).
 #[derive(Debug)]
 pub struct OverlayStore {
     inner: Mutex<OverlayInner>,
     view: RwLock<Arc<OverlayView>>,
-    /// Per-leaf last-accepted-write sequence; monotone, never trimmed
-    /// (bounded by the number of distinct leaves ever upserted).
-    leaf_seq: RwLock<HashMap<u32, u64>>,
+    /// Per leaf, what accepted writes did to it.
+    writes: RwLock<FxHashMap<u32, LeafWrites>>,
     cap_bytes: usize,
     upserts_applied: AtomicU64,
     records_applied: AtomicU64,
@@ -174,7 +236,7 @@ impl OverlayStore {
         Self {
             inner: Mutex::new(OverlayInner::default()),
             view: RwLock::new(Arc::new(OverlayView::empty())),
-            leaf_seq: RwLock::new(HashMap::new()),
+            writes: RwLock::new(FxHashMap::default()),
             cap_bytes,
             upserts_applied: AtomicU64::new(0),
             records_applied: AtomicU64::new(0),
@@ -196,15 +258,41 @@ impl OverlayStore {
     }
 
     /// Sequence of the last accepted write touching `leaf` (0 if never
-    /// written). The KV staleness comparison: a cached entry computed at
-    /// view sequence `s` is stale for this leaf iff `s < leaf_seq(leaf)`.
+    /// written).
     pub fn leaf_seq(&self, leaf: LeafId) -> u64 {
-        self.leaf_seq
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.read_writes()
             .get(&leaf.0)
-            .copied()
-            .unwrap_or(0)
+            .map_or(0, |writes| writes.seq)
+    }
+
+    /// Whether an answer for `title` in `leaf`, known fresh through
+    /// overlay sequence `epoch`, still holds (module doc): fresh when no
+    /// write touched the leaf after `epoch`; else stale when a later write
+    /// created the leaf or carried a word of the title, and verified
+    /// through the leaf's last write otherwise. The title is tokenized
+    /// only past the fast path, and at most once per `title`.
+    pub(crate) fn freshness(
+        &self,
+        leaf: LeafId,
+        epoch: u64,
+        title: &mut TitleWords<'_>,
+    ) -> Freshness {
+        match self.read_writes().get(&leaf.0) {
+            Some(writes) if epoch < writes.created => return Freshness::Stale,
+            Some(writes) if epoch < writes.seq => {}
+            _ => return Freshness::Fresh,
+        }
+        let words = title.hashes(|| self.view());
+        // Decided under one read of the leaf's record: the sequence it is
+        // verified through is the last write this check saw.
+        let all = self.read_writes();
+        let writes = &all[&leaf.0];
+        let written = |hash| writes.words.get(hash).is_some_and(|&seq| seq > epoch);
+        if epoch < writes.created || words.iter().any(written) {
+            Freshness::Stale
+        } else {
+            Freshness::Verified(writes.seq)
+        }
     }
 
     /// Applies a batch of raw upsert records against `base`,
@@ -262,7 +350,8 @@ impl OverlayStore {
 
         // Each touched leaf takes its own records of the batch; the rest
         // of the view is shared.
-        let mut view = self.view();
+        let before = self.view();
+        let mut view = Arc::clone(&before);
         for &leaf in &touched {
             let added = records.iter().filter(|rec| rec.leaf == leaf);
             view = Arc::new(view.with_leaf(base, leaf, added, seq));
@@ -273,13 +362,32 @@ impl OverlayStore {
             depth: inner.journal.len(),
             journal_bytes: inner.journal_bytes,
         };
+        let mut words = Vec::new();
+        let hashed: Vec<(LeafId, Vec<u64>)> = records
+            .iter()
+            .map(|rec| {
+                view.word_hashes(&rec.text, &mut words);
+                (rec.leaf, words.clone())
+            })
+            .collect();
         {
-            let mut leaf_seq = self
-                .leaf_seq
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            for leaf in &touched {
-                leaf_seq.insert(leaf.0, seq);
+            // Recorded before the view swaps in: a reader that sees the
+            // new view also sees what it invalidates.
+            let mut writes = self.write_writes();
+            for &leaf in &touched {
+                let leaf_writes = writes.entry(leaf.0).or_default();
+                leaf_writes.seq = seq;
+                if base.leaf_graph(leaf).is_none() && !before.covers(leaf) {
+                    leaf_writes.created = seq;
+                }
+            }
+            for (leaf, hashes) in hashed {
+                let leaf_writes = writes
+                    .get_mut(&leaf.0)
+                    .expect("every record's leaf is touched");
+                leaf_writes
+                    .words
+                    .extend(hashes.into_iter().map(|hash| (hash, seq)));
             }
         }
         *self.view.write().unwrap_or_else(PoisonError::into_inner) = view;
@@ -379,6 +487,14 @@ impl OverlayStore {
 
     fn lock_inner(&self) -> std::sync::MutexGuard<'_, OverlayInner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn read_writes(&self) -> std::sync::RwLockReadGuard<'_, FxHashMap<u32, LeafWrites>> {
+        self.writes.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write_writes(&self) -> std::sync::RwLockWriteGuard<'_, FxHashMap<u32, LeafWrites>> {
+        self.writes.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -164,6 +164,7 @@ fn single_server_with_overlay_exposition_is_conformant() {
         "graphex_serve_outcome_total",
         "graphex_overlay_depth",
         "graphex_overlay_apply_micros_total",
+        "graphex_serve_overlay_retagged_total",
         "graphex_stage_latency_seconds",
         "graphex_traces_recorded_total",
     ] {
@@ -191,6 +192,29 @@ fn single_server_with_overlay_exposition_is_conformant() {
         after.series["graphex_overlay_apply_micros_total"] > 0.0,
         "two applies take time"
     );
+
+    // A keyed answer outlives an upsert to its leaf that shares no word
+    // with its title: the next read is a store hit, verified and
+    // re-tagged once.
+    let keyed = format!(r#"{{"title":"{title}","leaf":{leaf},"k":5,"id":424242}}"#);
+    for _ in 0..2 {
+        let response = client.post_json("/v1/infer", &keyed).unwrap();
+        assert_eq!(response.status, 200, "{}", response.text());
+    }
+    let unrelated = format!(
+        r#"{{"text":"prom conformance unrelated","leaf":{leaf},"search":42,"recall":4}}"#
+    );
+    let ack = client.post_json("/v1/upsert", &unrelated).unwrap();
+    assert_eq!(ack.status, 200, "{}", ack.text());
+    for _ in 0..2 {
+        let response = client.post_json("/v1/infer", &keyed).unwrap();
+        assert_eq!(response.status, 200, "{}", response.text());
+    }
+    let last = scrape(&mut client, "single");
+    check_monotone(&after, &last, "single");
+    let moved = |name: &str| last.series[name] - after.series[name];
+    assert_eq!(moved("graphex_serve_overlay_retagged_total"), 1.0);
+    assert_eq!(moved("graphex_serve_overlay_invalidated_total"), 0.0);
     server.shutdown();
 }
 

@@ -226,6 +226,9 @@ enum Step {
     Swap,
     /// Upsert a keyphrase made of two words of item `item`'s title.
     Upsert { item: usize },
+    /// Upsert into item `item`'s leaf a keyphrase made of two words of
+    /// its leaf-mates' titles that its own title lacks.
+    UpsertBeside { item: usize },
 }
 
 /// A deterministic script: mostly serves, with swaps (only where asked
@@ -242,6 +245,7 @@ fn script(seed: u64, items: usize, steps: usize, swaps: bool) -> Vec<Step> {
         .map(|_| match next(10) {
             0 if swaps => Step::Swap,
             1 | 2 => Step::Upsert { item: next(items) },
+            3 => Step::UpsertBeside { item: next(items) },
             _ => Step::Serve {
                 item: next(items),
                 variant: next(3),
@@ -273,7 +277,7 @@ fn generated_scripts_serve_the_kernel_answer_for_each_request() {
     let root = std::env::temp_dir().join(format!("graphex-consistency-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
 
-    let (mut hits, mut misses) = (0, 0);
+    let (mut hits, mut misses, mut retagged) = (0, 0, 0);
     for policy in [SwapPolicy::Serve, SwapPolicy::Invalidate] {
         for seed in 1..=6u64 {
             let registry = ModelRegistry::open(root.join(format!("{policy:?}-{seed}"))).unwrap();
@@ -309,12 +313,22 @@ fn generated_scripts_serve_the_kernel_answer_for_each_request() {
                                 .unwrap();
                         }
                     }
-                    Step::Upsert { item } => {
-                        let mut words = items[item].title.split(' ');
+                    Step::Upsert { item } | Step::UpsertBeside { item } => {
+                        let own: Vec<&str> = items[item].title.split(' ').collect();
+                        let mut words = own.clone();
+                        if matches!(step, Step::UpsertBeside { .. }) {
+                            words.clear();
+                            let mates = items.iter().filter(|mate| mate.leaf == leaves[item]);
+                            for word in mates.flat_map(|mate| mate.title.split(' ')) {
+                                if !own.contains(&word) && !words.contains(&word) {
+                                    words.push(word);
+                                }
+                            }
+                        }
                         let text = format!(
                             "{} {} nrt{seed}x{n}",
-                            words.next().unwrap_or("x"),
-                            words.next().unwrap_or("y")
+                            words.first().unwrap_or(&"x"),
+                            words.get(1).unwrap_or(&"y")
                         );
                         let record = KeyphraseRecord::new(text, items[item].leaf, 50, 4);
                         api.apply_upsert(std::slice::from_ref(&record)).unwrap();
@@ -343,11 +357,16 @@ fn generated_scripts_serve_the_kernel_answer_for_each_request() {
                     }
                 }
             }
+            retagged += api.stats().overlay_retagged;
         }
     }
     assert!(
         hits > 100 && misses > 100,
         "scripts too one-sided: {hits} hits, {misses} misses"
     );
+
+    // Upserts beside an item leave its stored answer serving, verified
+    // and re-tagged rather than recomputed.
+    assert!(retagged > 0, "no store hit was verified fresh after an upsert to its leaf");
     std::fs::remove_dir_all(&root).ok();
 }
