@@ -1,12 +1,17 @@
 # Developer entry points. `make ci` runs every step of CI
-# (.github/workflows/ci.yml) in CI's order: the four gates — build, test,
-# doc, clippy — then the two walkthrough examples, bench-smoke,
-# bench-contract, bench-overhead and report. CI's named gates are test
+# (.github/workflows/ci.yml) in CI's order: the format check, the four
+# gates — build, test, doc, clippy — then the two walkthrough examples,
+# bench-smoke, bench-contract, bench-overhead and report. CI's named gates are test
 # binaries `make test` runs (the table above CI's Test step says which).
 
 CARGO ?= cargo
 
-.PHONY: build test doc clippy bench-smoke bench-contract bench-pair bench bench-snapshot bench-tenancy bench-overhead report ci
+.PHONY: fmt-check build test doc clippy bench-smoke bench-contract bench-pair bench bench-snapshot bench-tenancy bench-overhead report ci
+
+# The tree is kept `cargo fmt`-clean (workspace crates, tests, examples,
+# vendor shims; benchmark/ is its own package).
+fmt-check:
+	$(CARGO) fmt --all -- --check
 
 # Tier-1 gate, part 1.
 build:
@@ -84,7 +89,7 @@ bench:
 	$(CARGO) bench -p graphex-bench
 
 # Everything CI runs, in CI's order.
-ci: build test doc clippy
+ci: fmt-check build test doc clippy
 	$(CARGO) run --release -p graphex-suite --example seller_onboarding
 	$(CARGO) run --release -p graphex-suite --example model_ops
 	$(MAKE) bench-smoke bench-contract bench-overhead report

@@ -123,18 +123,22 @@ impl BaseStage {
     /// Stages `graph`, a leaf of `model`, without reading a text twice.
     fn of(model: &GraphExModel, graph: &LeafGraph) -> Self {
         let labels = graph.num_labels();
-        let key = |label: u32| {
-            let text = &model.keyphrases[graph.keyphrase_id(label)];
-            (text, graph.search_count(label), graph.recall_count(label))
-        };
-        let mut order: Vec<u32> = (0..labels).collect();
-        order.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)));
+        let mut keys: Vec<(&str, u32, u32, u32)> = (0..labels)
+            .map(|label| {
+                let text = &model.keyphrases[graph.keyphrase_id(label)];
+                (
+                    text,
+                    graph.search_count(label),
+                    graph.recall_count(label),
+                    label,
+                )
+            })
+            .collect();
+        keys.sort_unstable();
+        let order = keys.iter().map(|&(.., label)| label).collect();
 
-        // Transpose the CSR, visiting rows in token-string order so that
-        // each label's rows land in that order.
-        let row_tokens = graph.row_tokens();
-        let mut by_text: Vec<u32> = (0..graph.num_words()).collect();
-        by_text.sort_unstable_by_key(|&row| &model.tokens[row_tokens[row as usize]]);
+        // Transpose the CSR, then put each label's few rows in
+        // token-string order.
         let mut starts = vec![0u32; labels as usize + 1];
         for row in 0..graph.num_words() {
             for &label in graph.labels_of_row(row) {
@@ -146,12 +150,17 @@ impl BaseStage {
         }
         let mut cursor = starts.clone();
         let mut rows = vec![0u32; graph.num_edges()];
-        for &row in &by_text {
+        for row in 0..graph.num_words() {
             for &label in graph.labels_of_row(row) {
                 let at = &mut cursor[label as usize];
                 rows[*at as usize] = row;
                 *at += 1;
             }
+        }
+        let row_tokens = graph.row_tokens();
+        for l in 0..labels as usize {
+            let own = &mut rows[starts[l] as usize..starts[l + 1] as usize];
+            own.sort_unstable_by_key(|&row| &model.tokens[row_tokens[row as usize]]);
         }
         let label_of = (0..labels)
             .map(|label| (graph.keyphrase_id(label), label))
@@ -197,10 +206,10 @@ struct Delta {
     keyphrases: Table,
     /// Per entry of `keyphrases`: its id in the base vocabulary, or
     /// [`NONE`].
-    keyphrase_ids: Vec<KeyphraseId>,
+    keyphrase_base_ids: Vec<KeyphraseId>,
     tokens: Table,
     /// Per entry of `tokens`: its id in the base vocabulary, or [`NONE`].
-    token_ids_global: Vec<TokenId>,
+    token_base_ids: Vec<TokenId>,
     records: Vec<Staged>,
     token_ids: Vec<u32>,
 }
@@ -280,7 +289,7 @@ impl Delta {
             None => match self.keyphrases.get(normalized) {
                 Some(i) => base.labels() + i,
                 None => {
-                    self.keyphrase_ids.push(known.unwrap_or(NONE));
+                    self.keyphrase_base_ids.push(known.unwrap_or(NONE));
                     base.labels() + self.keyphrases.push(normalized)
                 }
             },
@@ -291,7 +300,7 @@ impl Delta {
             let id = row.unwrap_or_else(|| {
                 base.rows()
                     + self.tokens.get(word).unwrap_or_else(|| {
-                        self.token_ids_global.push(known.unwrap_or(NONE));
+                        self.token_base_ids.push(known.unwrap_or(NONE));
                         self.tokens.push(word)
                     })
             });
@@ -376,13 +385,18 @@ impl OverlayLeaf {
         }
 
         let (labels, rows) = (base.labels(), base.rows());
+        // The base graph's arrays, by label and by row.
+        let (base_ids, searches, recalls, base_rows) = match graph {
+            Some(g) => (g.labels(), g.searches(), g.recalls(), g.row_tokens()),
+            None => (&[][..], &[][..], &[][..], &[][..]),
+        };
         let mut parts = GraphParts::with_capacity(
             (labels + delta.keyphrases.len()) as usize,
             (rows + delta.tokens.len()) as usize,
             shared.rows.len() + delta.token_ids.len(),
         );
         let push_label = |parts: &mut GraphParts, label: u32| {
-            let (_, search, recall) = base.label_key(label);
+            let (search, recall) = (searches[label as usize], recalls[label as usize]);
             parts.push(label, shared.rows_of(label), search, recall);
         };
         let mut rest = &shared.order[..];
@@ -408,8 +422,8 @@ impl OverlayLeaf {
         let row_tokens = local_rows
             .iter()
             .map(|&row| match row.checked_sub(rows) {
-                None => graph.expect("a base row implies a base graph").row_tokens()[row as usize],
-                Some(j) => match delta.token_ids_global[j as usize] {
+                None => base_rows[row as usize],
+                Some(j) => match delta.token_base_ids[j as usize] {
                     NONE => num_tokens + j,
                     id => id,
                 },
@@ -420,10 +434,8 @@ impl OverlayLeaf {
         let label_ids = local_labels
             .iter()
             .map(|&label| match label.checked_sub(labels) {
-                None => graph
-                    .expect("a base label implies a base graph")
-                    .keyphrase_id(label),
-                Some(i) => match delta.keyphrase_ids[i as usize] {
+                None => base_ids[label as usize],
+                Some(i) => match delta.keyphrase_base_ids[i as usize] {
                     NONE => {
                         synthetic.push(i);
                         num_keyphrases + synthetic.len() as u32 - 1
@@ -579,20 +591,21 @@ impl OverlayView {
     }
 
     /// The 64-bit Fx hash of every distinct stemmed word of `text`, as
-    /// this view's leaves index words, sorted, into `out`. The serving
-    /// store keys its per-leaf record of written words with these: an
-    /// answer whose title hashes no written word is one the write cannot
-    /// change (module doc). A collision only makes an answer look stale.
-    pub fn word_hashes(&self, text: &str, out: &mut Vec<u64>) {
-        out.clear();
+    /// this view's leaves index words, sorted. The serving store keys its
+    /// per-leaf record of written words with these: an answer whose title
+    /// hashes no written word is one the write cannot change (module
+    /// doc). A collision only makes an answer look stale.
+    pub fn word_hashes(&self, text: &str) -> Vec<u64> {
+        let mut hashes = Vec::new();
         self.tokenizer
             .for_each_token(text, &mut TokenBuf::default(), |word| {
                 let mut hasher = FxHasher::default();
                 hasher.write(word.as_bytes());
-                out.push(hasher.finish());
+                hashes.push(hasher.finish());
             });
-        out.sort_unstable();
-        out.dedup();
+        hashes.sort_unstable();
+        hashes.dedup();
+        hashes
     }
 
     /// A weak handle on the staged base records of `leaf`, for tests of

@@ -82,10 +82,11 @@ pub struct Served {
     /// snapshot under [`SwapPolicy::Serve`]). 0 = fixed engine without a
     /// registry, or an unservable answer.
     pub snapshot_version: u64,
-    /// Overlay sequence the computing view had absorbed (0 when the api
-    /// serves without an overlay, or on store hits written by
-    /// overlay-blind writers). Write-backs tag the KV record with this so
-    /// later upserts to the same leaf invalidate it.
+    /// Overlay sequence the answer is known fresh through: the computing
+    /// view's for a computed answer, the record's tag for a store hit (0
+    /// when the api serves without an overlay, or on store hits written
+    /// by overlay-blind writers). Write-backs tag the KV record with this
+    /// so that later upserts that can change the answer invalidate it.
     pub overlay_epoch: u64,
 }
 
@@ -385,8 +386,10 @@ impl ServingApi {
 
     /// Applies an upsert batch to the overlay: records become servable
     /// before this returns (the swapped-in view is what the next request
-    /// reads), and every cached KV answer for a touched leaf is
-    /// invalidated lazily via its overlay epoch tag.
+    /// reads), and every cached KV answer the batch can change — one
+    /// whose title shares a stemmed word with an upserted record, or in a
+    /// leaf the batch creates — is invalidated lazily via its overlay
+    /// epoch tag (see `ServingApi::staleness`).
     ///
     /// Errors with [`OverlayError::CapExceeded`] when the journal is at
     /// its byte cap (HTTP frontends translate this to 429 +
@@ -1389,8 +1392,14 @@ mod tests {
         let api = ServingApi::new(model, store.clone(), 10)
             .with_overlay(Arc::new(crate::overlay::OverlayStore::new()));
         let (widget, sprocket) = ("widget gadget pro", "sprocket cog");
-        assert_eq!(api.serve(1, widget, LeafId(1)).source, ServeSource::ReadThrough);
-        assert_eq!(api.serve(2, sprocket, LeafId(1)).source, ServeSource::ReadThrough);
+        assert_eq!(
+            api.serve(1, widget, LeafId(1)).source,
+            ServeSource::ReadThrough
+        );
+        assert_eq!(
+            api.serve(2, sprocket, LeafId(1)).source,
+            ServeSource::ReadThrough
+        );
 
         // A phrase of two words of item 1's title: item 2's answer stands.
         let ack = api
@@ -1398,11 +1407,19 @@ mod tests {
             .unwrap();
         let kept = api.serve(2, sprocket, LeafId(1));
         assert_eq!(kept.source, ServeSource::Store);
-        assert_eq!(store.get(2).unwrap().tags.overlay_epoch, ack.seq, "re-tagged");
+        assert_eq!(
+            store.get(2).unwrap().tags.overlay_epoch,
+            ack.seq,
+            "re-tagged"
+        );
         assert_eq!(store.get(2).unwrap().version, 1, "a re-tag is no write");
         assert_eq!(api.stats().overlay_retagged, 1);
         assert_eq!(api.serve(2, sprocket, LeafId(1)).source, ServeSource::Store);
-        assert_eq!(api.stats().overlay_retagged, 1, "the second hit takes the fast path");
+        assert_eq!(
+            api.stats().overlay_retagged,
+            1,
+            "the second hit takes the fast path"
+        );
 
         let changed = api.serve(1, widget, LeafId(1));
         assert_eq!(changed.source, ServeSource::ReadThrough);
@@ -1425,7 +1442,8 @@ mod tests {
         );
         let engine = Engine::new(model.clone());
         let overlay = Arc::new(crate::overlay::OverlayStore::new());
-        let api = ServingApi::new(model, Arc::new(KvStore::new()), 10).with_overlay(overlay.clone());
+        let api =
+            ServingApi::new(model, Arc::new(KvStore::new()), 10).with_overlay(overlay.clone());
         let title = "widget gadget pro";
         let fallback = api.serve(7, title, LeafId(42));
         assert_eq!(fallback.outcome, Outcome::MetaFallback);
@@ -1435,11 +1453,16 @@ mod tests {
             .unwrap();
         let after = api.serve(7, title, LeafId(42));
         let kernel = engine.infer_with_overlay(
-            &InferRequest::new(title, LeafId(42)).k(10).resolve_texts(true),
+            &InferRequest::new(title, LeafId(42))
+                .k(10)
+                .resolve_texts(true),
             Some(&overlay.view()),
         );
         assert_ne!(after.source, ServeSource::Store);
-        assert_eq!((after.outcome, &after.keyphrases), (kernel.outcome, &kernel.texts));
+        assert_eq!(
+            (after.outcome, &after.keyphrases),
+            (kernel.outcome, &kernel.texts)
+        );
         assert_eq!(after.outcome, Outcome::Empty);
     }
 
@@ -1466,20 +1489,43 @@ mod tests {
         let title = "widget gadget pro max";
         let kernel = |request: InferRequest<'_>| engine.infer(&request.resolve_texts(true)).texts;
         let plain = kernel(InferRequest::new(title, LeafId(1)).k(10));
-        let jac = kernel(InferRequest::new(title, LeafId(1)).k(10).alignment(Alignment::Jac));
+        let jac = kernel(
+            InferRequest::new(title, LeafId(1))
+                .k(10)
+                .alignment(Alignment::Jac),
+        );
         assert_eq!(plain.len(), 2);
-        assert_ne!(plain, jac, "the title must rank differently under the two alignments");
+        assert_ne!(
+            plain, jac,
+            "the title must rank differently under the two alignments"
+        );
 
         let store = Arc::new(KvStore::new());
         let api = ServingApi::new(model, store.clone(), 10);
-        let overridden = InferRequest::new(title, LeafId(1)).k(10).id(5);
-        let served = api.serve_request(&overridden.alignment(Alignment::Jac));
-        assert_eq!((served.keyphrases, served.source), (jac, ServeSource::Direct));
-        let grouped = api.serve_request(&overridden.keep_threshold_group(true));
-        assert_eq!(grouped.source, ServeSource::Direct);
-        assert!(store.get(5).is_none(), "an override's answer reached the store");
+        let jac_served = api.serve_request(
+            &InferRequest::new(title, LeafId(1))
+                .k(10)
+                .id(5)
+                .alignment(Alignment::Jac),
+        );
+        assert_eq!(jac_served.keyphrases, jac);
+        // The plain request that follows is answered the plain way.
         let served = api.serve(5, title, LeafId(1));
-        assert_eq!((served.keyphrases, served.source), (plain, ServeSource::ReadThrough));
+        assert_eq!(served.keyphrases, plain);
+        assert_eq!(served.source, ServeSource::ReadThrough);
+        assert_eq!(jac_served.source, ServeSource::Direct);
+        // Keeping the threshold group is an override too.
+        let grouped = api.serve_request(
+            &InferRequest::new(title, LeafId(1))
+                .k(1)
+                .id(6)
+                .keep_threshold_group(true),
+        );
+        assert_eq!(grouped.source, ServeSource::Direct);
+        assert!(
+            store.get(6).is_none(),
+            "an override's answer reached the store"
+        );
     }
 
     /// Draining after a compaction publish keeps answers stable: entries

@@ -46,8 +46,7 @@
 //! existing single-flight read-through.
 
 use graphex_core::{GraphExModel, KeyphraseRecord, LeafId, OverlayView};
-use graphex_textkit::FxHashMap;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
@@ -169,8 +168,9 @@ struct LeafWrites {
     /// had no graph for it.
     created: u64,
     /// Hash of each stemmed word an upserted record carried → the last
-    /// write that carried it.
-    words: FxHashMap<u64, u64>,
+    /// write that carried it. Words and leaves come from outside the
+    /// program, so both maps keep the default hasher.
+    words: HashMap<u64, u64>,
 }
 
 /// Whether an answer computed through some overlay sequence still holds
@@ -201,12 +201,9 @@ impl<'a> TitleWords<'a> {
         }
     }
 
-    fn hashes(&mut self, view: impl FnOnce() -> Arc<OverlayView>) -> &[u64] {
-        self.hashes.get_or_insert_with(|| {
-            let mut hashes = Vec::new();
-            view().word_hashes(self.title, &mut hashes);
-            hashes
-        })
+    fn hashes(&mut self, store: &OverlayStore) -> &[u64] {
+        self.hashes
+            .get_or_insert_with(|| store.view().word_hashes(self.title))
     }
 }
 
@@ -216,7 +213,7 @@ pub struct OverlayStore {
     inner: Mutex<OverlayInner>,
     view: RwLock<Arc<OverlayView>>,
     /// Per leaf, what accepted writes did to it.
-    writes: RwLock<FxHashMap<u32, LeafWrites>>,
+    writes: RwLock<HashMap<u32, LeafWrites>>,
     cap_bytes: usize,
     upserts_applied: AtomicU64,
     records_applied: AtomicU64,
@@ -236,7 +233,7 @@ impl OverlayStore {
         Self {
             inner: Mutex::new(OverlayInner::default()),
             view: RwLock::new(Arc::new(OverlayView::empty())),
-            writes: RwLock::new(FxHashMap::default()),
+            writes: RwLock::new(HashMap::new()),
             cap_bytes,
             upserts_applied: AtomicU64::new(0),
             records_applied: AtomicU64::new(0),
@@ -282,11 +279,11 @@ impl OverlayStore {
             Some(writes) if epoch < writes.seq => {}
             _ => return Freshness::Fresh,
         }
-        let words = title.hashes(|| self.view());
+        let words = title.hashes(self);
         // Decided under one read of the leaf's record: the sequence it is
         // verified through is the last write this check saw.
         let all = self.read_writes();
-        let writes = &all[&leaf.0];
+        let writes = all.get(&leaf.0).expect("a leaf's record is never removed");
         let written = |hash| writes.words.get(hash).is_some_and(|&seq| seq > epoch);
         if epoch < writes.created || words.iter().any(written) {
             Freshness::Stale
@@ -362,13 +359,9 @@ impl OverlayStore {
             depth: inner.journal.len(),
             journal_bytes: inner.journal_bytes,
         };
-        let mut words = Vec::new();
         let hashed: Vec<(LeafId, Vec<u64>)> = records
             .iter()
-            .map(|rec| {
-                view.word_hashes(&rec.text, &mut words);
-                (rec.leaf, words.clone())
-            })
+            .map(|rec| (rec.leaf, view.word_hashes(&rec.text)))
             .collect();
         {
             // Recorded before the view swaps in: a reader that sees the
@@ -489,11 +482,11 @@ impl OverlayStore {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn read_writes(&self) -> std::sync::RwLockReadGuard<'_, FxHashMap<u32, LeafWrites>> {
+    fn read_writes(&self) -> std::sync::RwLockReadGuard<'_, HashMap<u32, LeafWrites>> {
         self.writes.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn write_writes(&self) -> std::sync::RwLockWriteGuard<'_, FxHashMap<u32, LeafWrites>> {
+    fn write_writes(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<u32, LeafWrites>> {
         self.writes.write().unwrap_or_else(PoisonError::into_inner)
     }
 }

@@ -201,9 +201,8 @@ fn single_server_with_overlay_exposition_is_conformant() {
         let response = client.post_json("/v1/infer", &keyed).unwrap();
         assert_eq!(response.status, 200, "{}", response.text());
     }
-    let unrelated = format!(
-        r#"{{"text":"prom conformance unrelated","leaf":{leaf},"search":42,"recall":4}}"#
-    );
+    let unrelated =
+        format!(r#"{{"text":"prom conformance unrelated","leaf":{leaf},"search":42,"recall":4}}"#);
     let ack = client.post_json("/v1/upsert", &unrelated).unwrap();
     assert_eq!(ack.status, 200, "{}", ack.text());
     for _ in 0..2 {

@@ -367,6 +367,9 @@ fn generated_scripts_serve_the_kernel_answer_for_each_request() {
 
     // Upserts beside an item leave its stored answer serving, verified
     // and re-tagged rather than recomputed.
-    assert!(retagged > 0, "no store hit was verified fresh after an upsert to its leaf");
+    assert!(
+        retagged > 0,
+        "no store hit was verified fresh after an upsert to its leaf"
+    );
     std::fs::remove_dir_all(&root).ok();
 }
