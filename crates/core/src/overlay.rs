@@ -231,20 +231,21 @@ impl Base<'_> {
         self.graph.map_or(0, LeafGraph::num_words)
     }
 
+    fn graph(&self) -> &LeafGraph {
+        self.graph.expect("a base label implies a base graph")
+    }
+
     /// The text of a record's keyphrase, base label or delta entry.
     fn keyphrase_text<'a>(&'a self, delta: &'a Delta, keyphrase: u32) -> &'a str {
         match keyphrase.checked_sub(self.labels()) {
-            None => {
-                let graph = self.graph.expect("a base label implies a base graph");
-                &self.model.keyphrases[graph.keyphrase_id(keyphrase)]
-            }
+            None => &self.model.keyphrases[self.graph().keyphrase_id(keyphrase)],
             Some(i) => &delta.keyphrases.strings[i as usize],
         }
     }
 
     /// The canonical sort key of base label `label`.
     fn label_key(&self, label: u32) -> (&str, u32, u32) {
-        let graph = self.graph.expect("a base label implies a base graph");
+        let graph = self.graph();
         (
             &self.model.keyphrases[graph.keyphrase_id(label)],
             graph.search_count(label),
@@ -274,11 +275,10 @@ impl Delta {
     ) -> Staged {
         let start = self.token_ids.len() as u32;
         let Some((normalized, words)) = ctx.analyze(text) else {
-            let tokens = start..start;
             return Staged {
                 raw: Some(text.into()),
                 keyphrase: NONE,
-                tokens,
+                tokens: start..start,
                 search,
                 recall,
             };
