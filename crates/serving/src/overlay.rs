@@ -42,7 +42,8 @@
 //! holds, and serving re-tags it with the leaf's last write. A hash
 //! collision can only make an answer look stale. A write that creates a
 //! leaf the base has no graph for changes every title's outcome in it,
-//! so it stales the whole leaf. Invalidation is lazy, through the
+//! so it stales the whole leaf; so does forgetting old words, which
+//! keeps a leaf's record bounded. Invalidation is lazy, through the
 //! existing single-flight read-through.
 
 use graphex_core::{GraphExModel, KeyphraseRecord, LeafId, OverlayView};
@@ -157,20 +158,42 @@ struct OverlayInner {
     journal_bytes: usize,
 }
 
+/// Words a leaf's write record keeps: past this many it forgets the
+/// older half (see [`LeafWrites::bound`]), so the record stays bounded
+/// however many distinct words are upserted — every upsert of a seller
+/// may carry a word no other does.
+const WORDS_PER_LEAF: usize = 4096;
+
 /// What accepted writes did to one leaf, for the freshness rule (module
-/// doc). Monotone; never trimmed, so bounded by the leaves and words ever
-/// upserted.
+/// doc). Monotone: a leaf's record is never removed.
 #[derive(Debug, Default)]
 struct LeafWrites {
     /// The last accepted write to the leaf.
     seq: u64,
-    /// The last write that created the leaf in the view while the base
-    /// had no graph for it.
-    created: u64,
+    /// Every answer older than this is stale, whatever its title: the
+    /// last write that created the leaf in the view while the base had
+    /// no graph for it, or the newest write whose words were forgotten.
+    floor: u64,
     /// Hash of each stemmed word an upserted record carried → the last
     /// write that carried it. Words and leaves come from outside the
     /// program, so both maps keep the default hasher.
     words: HashMap<u64, u64>,
+}
+
+impl LeafWrites {
+    /// Keeps at most [`WORDS_PER_LEAF`] words: past that, forgets the
+    /// older half and raises the floor to the newest write it forgot —
+    /// an answer that old can no longer be verified, so it goes stale.
+    fn bound(&mut self) {
+        if self.words.len() <= WORDS_PER_LEAF {
+            return;
+        }
+        let mut seqs: Vec<u64> = self.words.values().copied().collect();
+        let half = seqs.len() / 2;
+        let forgotten = *seqs.select_nth_unstable(half).1;
+        self.words.retain(|_, &mut seq| seq > forgotten);
+        self.floor = self.floor.max(forgotten);
+    }
 }
 
 /// Whether an answer computed through some overlay sequence still holds
@@ -264,9 +287,11 @@ impl OverlayStore {
 
     /// Whether an answer for `title` in `leaf`, known fresh through
     /// overlay sequence `epoch`, still holds (module doc): fresh when no
-    /// write touched the leaf after `epoch`; else stale when a later write
-    /// created the leaf or carried a word of the title, and verified
-    /// through the leaf's last write otherwise. The title is tokenized
+    /// write touched the leaf after `epoch`; else stale when `epoch` is
+    /// below the leaf's floor (a later write created the leaf, or the
+    /// words written since were forgotten) or a later write carried a
+    /// word of the title, and verified through the leaf's last write
+    /// otherwise. The title is tokenized
     /// only past the fast path, and at most once per `title`.
     pub(crate) fn freshness(
         &self,
@@ -275,7 +300,7 @@ impl OverlayStore {
         title: &mut TitleWords<'_>,
     ) -> Freshness {
         match self.read_writes().get(&leaf.0) {
-            Some(writes) if epoch < writes.created => return Freshness::Stale,
+            Some(writes) if epoch < writes.floor => return Freshness::Stale,
             Some(writes) if epoch < writes.seq => {}
             _ => return Freshness::Fresh,
         }
@@ -285,7 +310,7 @@ impl OverlayStore {
         let all = self.read_writes();
         let writes = all.get(&leaf.0).expect("a leaf's record is never removed");
         let written = |hash| writes.words.get(hash).is_some_and(|&seq| seq > epoch);
-        if epoch < writes.created || words.iter().any(written) {
+        if epoch < writes.floor || words.iter().any(written) {
             Freshness::Stale
         } else {
             Freshness::Verified(writes.seq)
@@ -371,7 +396,7 @@ impl OverlayStore {
                 let leaf_writes = writes.entry(leaf.0).or_default();
                 leaf_writes.seq = seq;
                 if base.leaf_graph(leaf).is_none() && !before.covers(leaf) {
-                    leaf_writes.created = seq;
+                    leaf_writes.floor = seq;
                 }
             }
             for (leaf, hashes) in hashed {
@@ -381,6 +406,9 @@ impl OverlayStore {
                 leaf_writes
                     .words
                     .extend(hashes.into_iter().map(|hash| (hash, seq)));
+            }
+            for leaf in &touched {
+                writes.get_mut(&leaf.0).expect("touched above").bound();
             }
         }
         *self.view.write().unwrap_or_else(PoisonError::into_inner) = view;
@@ -851,6 +879,40 @@ mod tests {
         store.drain(&model, journal.upto);
         assert!(!store.view().covers(LeafId(7)));
         assert!(staged.upgrade().is_none());
+    }
+
+    /// A leaf's write record stays bounded: past [`WORDS_PER_LEAF`]
+    /// words it forgets the older half, and an answer older than what it
+    /// forgot goes stale instead of being verified against words it no
+    /// longer keeps. A newer answer is still verified.
+    #[test]
+    fn a_leaf_record_forgets_old_words_and_stales_answers_older_than_them() {
+        let model = base();
+        let store = OverlayStore::new();
+        let leaf = LeafId(7);
+        let title = "audeze maxwell";
+        // 64 words a write, one write past the cap.
+        let applies = WORDS_PER_LEAF / 64 + 1;
+        for i in 0..applies {
+            let words: Vec<String> = (0..64).map(|j| format!("nrt{i}x{j}")).collect();
+            store
+                .apply(&model, &[rec(&words.join(" "), 7, 10, 1)])
+                .unwrap();
+        }
+        let last = store.leaf_seq(leaf);
+        let writes = store.read_writes();
+        let (floor, kept) = (writes[&7].floor, writes[&7].words.len());
+        drop(writes);
+        assert!(
+            kept <= WORDS_PER_LEAF && floor > 1,
+            "kept {kept}, floor {floor}"
+        );
+        let fresh = |epoch, title: &str| store.freshness(leaf, epoch, &mut TitleWords::new(title));
+        let newest = format!("{title} nrt{}x0", applies - 1);
+        assert_eq!(fresh(floor - 1, title), Freshness::Stale);
+        assert_eq!(fresh(floor, title), Freshness::Verified(last));
+        assert_eq!(fresh(last - 1, &newest), Freshness::Stale);
+        assert_eq!(fresh(last, title), Freshness::Fresh);
     }
 
     #[test]
