@@ -20,6 +20,8 @@
 //! exposure/popularity/MNAR biases, which is precisely the phenomenon the
 //! paper's evaluation quantifies.
 
+#![forbid(unsafe_code)]
+
 pub mod embedding;
 pub mod fasttext;
 pub mod graphex_rec;

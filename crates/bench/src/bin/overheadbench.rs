@@ -32,6 +32,8 @@
 //! cargo run --release -p graphex-bench --bin overheadbench   # make bench-overhead
 //! ```
 
+#![forbid(unsafe_code)]
+
 use graphex_bench::experiments::{build_graphex, default_threshold};
 use graphex_core::GraphExModel;
 use graphex_marketsim::{CategoryDataset, CategorySpec};

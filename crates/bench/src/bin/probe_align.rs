@@ -1,5 +1,7 @@
 //! Diagnostic: how often do WMR/JAC/LTA produce different top-k sets?
 
+#![forbid(unsafe_code)]
+
 use graphex_bench::experiments::{build_graphex, default_threshold};
 use graphex_core::{Alignment, InferRequest, Scratch};
 use graphex_marketsim::{CategoryDataset, CategorySpec};

@@ -9,6 +9,8 @@
 //! cargo run --release -p graphex-bench --bin repro_all -- --only table3  # one section
 //! ```
 
+#![forbid(unsafe_code)]
+
 use graphex_bench::experiments::{render, run_studies, run_study, Study};
 use graphex_bench::Scale;
 

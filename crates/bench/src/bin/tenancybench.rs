@@ -10,6 +10,8 @@
 //! cargo run --release -p graphex-bench --bin tenancybench -- [--seed 11]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use graphex_core::serialize::LoadMode;
 use graphex_core::{GraphExConfig, GraphExModel};
 use graphex_marketsim::{CategorySpec, ChurnCorpus};

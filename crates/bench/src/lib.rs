@@ -15,6 +15,8 @@
 //! cargo bench -p graphex-bench                                           # criterion suite
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod tables;
 

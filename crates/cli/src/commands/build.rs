@@ -36,7 +36,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
     let mut plan = BuildPlan::new(config)
         .jobs(args.get_num::<usize>("jobs", 0)?)
         .strict(args.switch("strict"));
-    plan.batch = args.get_num::<usize>("batch", 4096)?.max(1);
+    plan.batch = args.get_num::<usize>("batch", 4096)?;
     if let Some(base) = args.get("delta") {
         plan = plan.delta(DeltaBase::load(base).map_err(|e| format!("--delta {base}: {e}"))?);
     }

@@ -2,6 +2,8 @@
 //! from parsed arguments to an output string, so the whole surface is unit-
 //! and integration-testable without spawning processes.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod commands;
 pub mod records;

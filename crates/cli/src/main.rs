@@ -11,6 +11,8 @@
 //! Record TSV format (one keyphrase per line):
 //! `text<TAB>leaf_id<TAB>search_count<TAB>recall_count`
 
+#![forbid(unsafe_code)]
+
 use graphex_cli::{dispatch, usage};
 
 fn main() {

@@ -66,6 +66,8 @@
 //! Every frontend (store-backed serving, CLI, evaluation, benches) speaks
 //! the same [`KeyphraseService`] trait.
 
+#![deny(unsafe_code)]
+
 pub mod alignment;
 pub mod assembly;
 pub mod builder;
@@ -82,6 +84,8 @@ pub mod parallel;
 pub mod ranking;
 pub mod serialize;
 pub mod service;
+// The crate's only `unsafe`, beside the invariants it relies on.
+#[allow(unsafe_code)]
 pub mod storage;
 pub mod trace;
 pub mod types;

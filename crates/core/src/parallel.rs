@@ -95,17 +95,16 @@ where
     }
     let chunk = count.div_ceil(threads);
     let work = &work;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let workers: Vec<_> = (0..count)
             .step_by(chunk)
-            .map(|start| scope.spawn(move |_| work(start..count.min(start + chunk))))
+            .map(|start| scope.spawn(move || work(start..count.min(start + chunk))))
             .collect();
         workers
             .into_iter()
             .map(|w| w.join().expect("batch inference worker panicked"))
             .collect()
     })
-    .expect("batch inference worker panicked")
 }
 
 fn effective_threads(requested: usize, work_items: usize) -> usize {
@@ -178,6 +177,15 @@ mod tests {
             batch_infer_with(&model, 0, request, 4, &pool, note),
             [vec![]]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "batch inference worker panicked")]
+    fn a_worker_panic_panics_the_batch() {
+        let model = model();
+        let request = |_| InferRequest::new("brand1 model1 widget", LeafId(1));
+        let fail_on_seven = |_: &mut (), i: usize, _| assert_ne!(i, 7, "sink refused item 7");
+        batch_infer_with(&model, 10, request, 4, &ScratchPool::new(), fail_on_seven);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! around one layout ([`to_bytes`]): a fixed 32-byte header, a **section
 //! directory**, and every array stored as a raw little-endian section on
 //! an **8-byte boundary**. The loader borrows the CSR/label/score arrays
-//! straight out of the load buffer ([`bytes::Bytes`]-backed
+//! straight out of the load buffer ([`crate::storage::Bytes`]-backed
 //! [`crate::storage::PodView`]s) — zero per-edge copies, and mmap-ready:
 //! any `AsRef<[u8]>` owner with an 8-aligned base can back
 //! [`from_shared`]. Only the string tables and the per-leaf word index
@@ -76,9 +76,8 @@ use crate::alignment::Alignment;
 use crate::error::{GraphExError, Result};
 use crate::leaf_graph::LeafGraph;
 use crate::model::GraphExModel;
-use crate::storage::{AlignedBuf, PodView};
+use crate::storage::{AlignedBuf, Bytes, PodView};
 use crate::types::LeafId;
-use bytes::{BufMut, Bytes};
 use graphex_textkit::{FxHashMap, Vocab};
 use std::io::Write;
 use std::path::Path;
@@ -254,15 +253,15 @@ pub fn to_bytes(model: &GraphExModel) -> Hashed {
         dir: Vec::with_capacity(section_count),
     };
     let buf = &mut out.buf;
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u8(model_flags(model));
-    buf.put_u8(alignment_tag(model.alignment));
-    buf.put_u16_le(0); // reserved
-    buf.put_u32_le(leaf_ids.len() as u32);
-    buf.put_u64_le(dir_offset as u64);
-    buf.put_u32_le(section_count as u32);
-    buf.put_u32_le(0); // reserved
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.push(model_flags(model));
+    buf.push(alignment_tag(model.alignment));
+    buf.extend_from_slice(&0u16.to_le_bytes()); // reserved
+    buf.extend_from_slice(&(leaf_ids.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&(dir_offset as u64).to_le_bytes());
+    buf.extend_from_slice(&(section_count as u32).to_le_bytes());
+    buf.extend_from_slice(&0u32.to_le_bytes()); // reserved
     debug_assert_eq!(buf.len(), HEADER_LEN);
 
     out.put_u32s(section::LEAF_TABLE, NO_OWNER, &leaf_ids);
@@ -284,11 +283,11 @@ pub fn to_bytes(model: &GraphExModel) -> Hashed {
         "sections were not sized as written"
     );
     for entry in &dir {
-        buf.put_u32_le(entry.kind);
-        buf.put_u32_le(entry.owner);
-        buf.put_u64_le(entry.offset);
-        buf.put_u64_le(entry.byte_len);
-        buf.put_u64_le(entry.elems);
+        buf.extend_from_slice(&entry.kind.to_le_bytes());
+        buf.extend_from_slice(&entry.owner.to_le_bytes());
+        buf.extend_from_slice(&entry.offset.to_le_bytes());
+        buf.extend_from_slice(&entry.byte_len.to_le_bytes());
+        buf.extend_from_slice(&entry.elems.to_le_bytes());
     }
 
     // The payload is whole words: the sum is read off here and carries
@@ -296,7 +295,7 @@ pub fn to_bytes(model: &GraphExModel) -> Hashed {
     let mut sum = LaneSum::new();
     sum.absorb(&buf);
     let payload = sum.finish(buf.len());
-    buf.put_u64_le(payload);
+    buf.extend_from_slice(&payload.to_le_bytes());
     sum.absorb(&payload.to_le_bytes());
     let sums = Sums {
         payload,

@@ -3,14 +3,17 @@
 //! The `GEXM` snapshot format lays every CSR/label/score array out as
 //! an 8-byte-aligned little-endian section so the loader can *borrow* the
 //! arrays straight out of the load buffer instead of copying them. This
-//! module supplies the three pieces that makes sound:
+//! module supplies the four pieces that make it sound:
 //!
+//! * [`Bytes`] — an immutable byte range over a refcounted owner. Cloning
+//!   and [`Bytes::slice`] are O(1) and share the owner, so every section
+//!   of a loaded snapshot is a `Bytes` slice of the one load buffer.
 //! * [`AlignedBuf`] — a byte buffer whose base pointer is 8-byte aligned
 //!   (backed by a `Vec<u64>`), so a section at an 8-aligned file offset is
 //!   8-aligned in memory too. Model files are read directly into one.
-//! * [`PodView`] — a typed `&[T]` view over a refcounted [`Bytes`] slice,
-//!   validated for alignment and length at construction. Cloning is O(1)
-//!   and shares the underlying buffer.
+//! * [`PodView`] — a typed `&[T]` view over a [`Bytes`] slice, validated
+//!   for alignment and length at construction. Cloning is O(1) and shares
+//!   the underlying buffer.
 //! * [`U32Store`] / [`U16Store`] — either an owned boxed slice (built
 //!   models) or a borrowed [`PodView`] (loaded snapshots). The graph
 //!   structures store these and deref to plain slices, so inference code
@@ -20,9 +23,79 @@
 //! host, which every supported target is; [`PodView::new`] rejects
 //! misaligned or odd-length sections with `None` rather than UB.
 
-use bytes::Bytes;
 use std::marker::PhantomData;
-use std::ops::Deref;
+use std::ops::{Bound, Deref, RangeBounds};
+use std::sync::Arc;
+
+/// Immutable, refcounted bytes: an `Arc`-held owner plus a range of it.
+///
+/// The guarantee [`PodView`] rests on: **an owner's bytes never move
+/// while any `Arc` holds it.** The owner lives in the `Arc`'s allocation,
+/// which is freed only when the last clone or slice drops, and `Bytes`
+/// never takes `&mut` to it, so the slice its `AsRef` lends out stays
+/// where it is, unchanged, for as long as any `Bytes` of it exists.
+#[derive(Clone)]
+pub struct Bytes {
+    owner: Arc<dyn AsRef<[u8]> + Send + Sync>,
+    start: usize,
+    end: usize,
+}
+
+impl Bytes {
+    /// Wraps any byte owner (a `Vec<u8>`, an [`AlignedBuf`], a memory
+    /// map); the `Bytes`, and every slice of it, keeps the owner alive.
+    pub fn from_owner<T: AsRef<[u8]> + Send + Sync + 'static>(owner: T) -> Self {
+        let end = owner.as_ref().len();
+        Self {
+            owner: Arc::new(owner),
+            start: 0,
+            end,
+        }
+    }
+
+    /// A sub-range sharing this buffer's owner. O(1); panics if the
+    /// range is inverted or out of bounds.
+    pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
+        let len = self.len();
+        let begin = match range.start_bound() {
+            Bound::Included(&n) => n,
+            Bound::Excluded(&n) => n + 1,
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&n) => n + 1,
+            Bound::Excluded(&n) => n,
+            Bound::Unbounded => len,
+        };
+        assert!(begin <= end, "slice start {begin} > end {end}");
+        assert!(end <= len, "slice end {end} out of bounds (len {len})");
+        Self {
+            owner: Arc::clone(&self.owner),
+            start: self.start + begin,
+            end: self.start + end,
+        }
+    }
+}
+
+impl Deref for Bytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &(*self.owner).as_ref()[self.start..self.end]
+    }
+}
+
+impl From<Vec<u8>> for Bytes {
+    fn from(v: Vec<u8>) -> Self {
+        Self::from_owner(v)
+    }
+}
+
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
 
 /// A byte buffer guaranteed to start on an 8-byte boundary.
 ///
@@ -61,12 +134,13 @@ impl AlignedBuf {
 
     /// The buffer contents.
     pub fn as_slice(&self) -> &[u8] {
-        // Sound: u64 -> u8 loosens alignment, len never exceeds the
+        // SAFETY: u64 -> u8 loosens alignment, and len never exceeds the
         // allocation (words.len() * 8 >= len by construction).
         unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<u8>(), self.len) }
     }
 
     fn as_mut_slice(&mut self) -> &mut [u8] {
+        // SAFETY: as in `as_slice`; `&mut self` makes the borrow unique.
         unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<u8>(), self.len) }
     }
 
@@ -106,11 +180,12 @@ impl Pod for u64 {}
 /// Constructed only through [`PodView::new`], which checks that the byte
 /// range is a whole number of elements and that its base pointer satisfies
 /// `T`'s alignment — the two conditions that make the pointer cast sound.
-/// The base pointer and element count are cached at construction (the
-/// owner sits pinned behind the `Bytes`' `Arc`, so the address is
-/// stable), keeping `Deref` on the inference hot path a plain
-/// `from_raw_parts` with no virtual dispatch through the buffer owner.
-/// Cloning shares the buffer (O(1)).
+/// The base pointer and element count are cached at construction: the
+/// view holds its `Bytes`, and an owner's bytes never move while any
+/// `Arc` holds it (see [`Bytes`]), so the address stays valid. That keeps
+/// `Deref` on the inference hot path a plain `from_raw_parts` with no
+/// virtual dispatch through the buffer owner. Cloning shares the buffer
+/// (O(1)).
 #[derive(Clone)]
 pub struct PodView<T: Pod> {
     /// Keep-alive handle for the backing allocation; never re-read on
@@ -121,8 +196,9 @@ pub struct PodView<T: Pod> {
     _elem: PhantomData<T>,
 }
 
-// Sound: the view is an immutable window into an allocation owned (and
-// pinned) by the refcounted `Bytes`; `T` is a sealed plain-old-data
+// SAFETY: the view is an immutable window into bytes its `Bytes` keeps
+// alive, and an owner's bytes never move while any `Arc` holds it; the
+// owner is itself `Send + Sync`, and `T` is a sealed plain-old-data
 // integer type with no interior mutability.
 unsafe impl<T: Pod> Send for PodView<T> {}
 unsafe impl<T: Pod> Sync for PodView<T> {}
@@ -159,11 +235,11 @@ impl<T: Pod> Deref for PodView<T> {
 
     #[inline]
     fn deref(&self) -> &[T] {
-        // Sound: alignment and whole-element length were verified in
-        // `new`, the buffer is immutable and kept alive by `self._bytes`
-        // (owner pinned behind an `Arc`, so `ptr` stays valid), and T is
-        // a sealed POD integer type (little-endian host assumed, as
-        // documented at module level).
+        // SAFETY: alignment and whole-element length were verified in
+        // `new`; `self._bytes` holds the owner's `Arc`, and an owner's
+        // bytes never move while any `Arc` holds it, so `ptr` still
+        // points at them, unchanged; T is a sealed POD integer type
+        // (little-endian host assumed, as documented at module level).
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
@@ -292,6 +368,53 @@ mod tests {
         assert!(PodView::<u32>::new(bytes.slice(0..7)).is_none());
         // Empty view is fine.
         assert_eq!(PodView::<u32>::new(bytes.slice(8..8)).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn slices_share_the_owner() {
+        let bytes = Bytes::from((0u8..32).collect::<Vec<_>>());
+        let head = bytes.slice(0..8);
+        let mid = bytes.slice(8..24);
+        let nested = mid.slice(4..8);
+        assert_eq!(&head[..], &(0u8..8).collect::<Vec<_>>()[..]);
+        assert_eq!(&nested[..], &[12, 13, 14, 15]);
+        // Same backing allocation: pointer arithmetic lines up.
+        let base = bytes.as_ptr() as usize;
+        assert_eq!(head.as_ptr() as usize, base);
+        assert_eq!(mid.as_ptr() as usize, base + 8);
+        assert_eq!(nested.as_ptr() as usize, base + 12);
+        // Dropping the root keeps slices alive (refcount, not borrow).
+        drop(bytes);
+        assert_eq!(nested.len(), 4);
+    }
+
+    #[test]
+    fn from_owner_keeps_custom_owner_alive() {
+        struct Owner(Vec<u8>);
+        impl AsRef<[u8]> for Owner {
+            fn as_ref(&self) -> &[u8] {
+                &self.0
+            }
+        }
+        let b = Bytes::from_owner(Owner(vec![9, 8, 7]));
+        let tail = b.slice(1..);
+        drop(b);
+        assert_eq!(&tail[..], &[8, 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_out_of_bounds_panics() {
+        let b = Bytes::from(vec![1, 2, 3]);
+        let _ = b.slice(0..4);
+    }
+
+    #[test]
+    fn bytes_compare_by_content_not_by_owner() {
+        let owned = Bytes::from(vec![1u8, 2]);
+        let aligned = Bytes::from_owner(AlignedBuf::copy_from(&[0, 1, 2]));
+        assert!(owned == aligned.slice(1..));
+        assert!(owned != aligned.slice(..2));
     }
 
     #[test]

@@ -80,7 +80,7 @@ proptest! {
         let mut bytes = sample_bytes_v3();
         let idx = pos % bytes.len();
         bytes[idx] ^= xor;
-        let shared = bytes::Bytes::from_owner(graphex_core::storage::AlignedBuf::copy_from(&bytes));
+        let shared = graphex_core::storage::Bytes::from_owner(graphex_core::storage::AlignedBuf::copy_from(&bytes));
         assert_corrupt(serialize::from_shared(shared), "v3 shared flip");
     }
 

@@ -20,6 +20,8 @@
 //! deterministic noise (default 8 %, mirroring the paper's ≤10 % judge
 //! disagreement); see [`judge::RelevanceJudge`].
 
+#![forbid(unsafe_code)]
+
 pub mod capabilities;
 pub mod harness;
 pub mod judge;

@@ -24,6 +24,8 @@
 //! with presets mirroring the paper's CAT_1/CAT_2/CAT_3 (Table II) at
 //! laptop scale.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod churn;
 pub mod corpus;

@@ -1,7 +1,7 @@
 //! The build orchestrator: ingest → shard → assemble → merge → snapshot.
 //!
 //! ```text
-//!  sources ──► ingest thread ──► per-shard bounded queues (backpressure)
+//!  sources ──► ingest thread ──► per-shard bounded channels (backpressure)
 //!                                      │ leaf.0 % jobs
 //!                                      ▼
 //!                     shard workers: Curator → canonicalize →
@@ -29,7 +29,6 @@
 //! calls, for full and delta builds alike.
 
 use crate::manifest::{buildinfo_path_for, BuildManifest, BUILDINFO_FILE};
-use crate::queue::Bounded;
 use crate::source::{RecordSource, SourceStats};
 use graphex_core::assembly::{
     canonicalize, config_fingerprint, leaf_fingerprint, leaf_runs, AssemblyContext, LeafAssembly,
@@ -43,8 +42,12 @@ use graphex_core::{
 use graphex_serving::{ModelRegistry, RegistryError, SnapshotMeta};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
+
+/// Batches each shard's channel holds before ingest blocks on it: the
+/// backpressure bound, `QUEUE_DEPTH × batch` records per shard.
+const QUEUE_DEPTH: usize = 4;
 
 /// Errors surfaced by the build pipeline.
 #[derive(Debug)]
@@ -186,10 +189,8 @@ pub struct BuildPlan {
     pub config: GraphExConfig,
     /// Shard workers (`0` = all available cores).
     pub jobs: usize,
-    /// Records per ingest batch / queue item.
+    /// Records per ingest batch / channel item (`0` is taken as `1`).
     pub batch: usize,
-    /// Bounded queue depth per shard, in batches (backpressure bound).
-    pub queue_depth: usize,
     /// Fail the build on any parse error instead of count-and-skip.
     pub strict: bool,
     /// Previous snapshot to borrow unchanged leaves from.
@@ -202,7 +203,6 @@ impl BuildPlan {
             config,
             jobs: 0,
             batch: 4096,
-            queue_depth: 4,
             strict: false,
             delta: None,
         }
@@ -269,7 +269,7 @@ pub struct BuildReport {
 pub struct StageTimes {
     /// Ingest ∥ shard workers: curate → canonicalize → per-leaf assemble.
     pub shards_ms: f64,
-    /// The slowest shard worker's first half: draining its queue while
+    /// The slowest shard worker's first half: draining its channel while
     /// curating (so it includes waiting on ingest), then canonicalizing
     /// and fingerprinting every leaf.
     pub curate_ms: f64,
@@ -372,37 +372,28 @@ pub fn build(plan: &BuildPlan, sources: Vec<Box<dyn RecordSource>>) -> PipelineR
         other => other.as_ref(),
     };
 
-    let queues: Vec<Arc<Bounded<Vec<KeyphraseRecord>>>> = (0..jobs)
-        .map(|_| Arc::new(Bounded::new(plan.queue_depth.max(1))))
-        .collect();
-    let (yield_tx, yield_rx) = crossbeam::channel::unbounded::<ShardYield>();
+    // A zero batch would read as an empty source on the first call.
+    let batch = plan.batch.max(1);
+    let (source_stats, ingest_result, mut shard_yields) = std::thread::scope(|scope| {
+        let (senders, workers): (Vec<_>, Vec<_>) = (0..jobs)
+            .map(|_| {
+                let (tx, rx) = sync_channel(QUEUE_DEPTH);
+                let config = &plan.config;
+                (tx, scope.spawn(move || run_shard(rx, config, delta)))
+            })
+            .unzip();
 
-    let (source_stats, ingest_result) = crossbeam::thread::scope(|scope| {
-        for queue in &queues {
-            let queue = Arc::clone(queue);
-            let config = &plan.config;
-            let tx = yield_tx.clone();
-            scope.spawn(move |_| {
-                let shard_yield = run_shard(&queue, config, delta);
-                // The receiver only disappears if the build is aborting.
-                let _ = tx.send(shard_yield);
-            });
-        }
-        drop(yield_tx);
-
-        // Ingest on this thread; close every queue on *all* exits so the
-        // workers always drain and join.
+        // Ingest on this thread. It owns the senders and drops them on
+        // every exit, so each worker drains its channel and returns.
         let mut stats: Vec<SourceStats> = Vec::with_capacity(sources.len());
-        let result = ingest(plan, sources, &queues, jobs, &mut stats);
-        for queue in &queues {
-            queue.close();
-        }
-        (stats, result)
-    })
-    .expect("shard worker panicked");
+        let result = ingest(plan.strict, batch, sources, senders, &mut stats);
+        let yields: Vec<ShardYield> = workers
+            .into_iter()
+            .map(|worker| worker.join().expect("shard worker panicked"))
+            .collect();
+        (stats, result, yields)
+    });
     ingest_result?;
-
-    let mut shard_yields: Vec<ShardYield> = yield_rx.into_iter().collect();
     let shards_done = Instant::now();
 
     // Deterministic merge: all leaves, ascending.
@@ -492,35 +483,36 @@ pub fn build(plan: &BuildPlan, sources: Vec<Box<dyn RecordSource>>) -> PipelineR
     })
 }
 
-/// Reads every source to exhaustion, routing records to their shard
-/// queue (`leaf.0 % jobs`) in batches.
+/// Reads every source to exhaustion, routing records to their shard's
+/// channel (`leaf.0 % jobs`) in batches of `batch` (≥ 1).
 fn ingest(
-    plan: &BuildPlan,
+    strict: bool,
+    batch: usize,
     sources: Vec<Box<dyn RecordSource>>,
-    queues: &[Arc<Bounded<Vec<KeyphraseRecord>>>],
-    jobs: usize,
+    senders: Vec<SyncSender<Vec<KeyphraseRecord>>>,
     stats_out: &mut Vec<SourceStats>,
 ) -> PipelineResult<()> {
+    let jobs = senders.len();
     let mut staging: Vec<Vec<KeyphraseRecord>> = (0..jobs).map(|_| Vec::new()).collect();
-    let mut batch: Vec<KeyphraseRecord> = Vec::with_capacity(plan.batch);
+    let mut read: Vec<KeyphraseRecord> = Vec::with_capacity(batch);
     for mut source in sources {
         loop {
             source
-                .next_batch(plan.batch, &mut batch)
+                .next_batch(batch, &mut read)
                 .map_err(PipelineError::Source)?;
-            if batch.is_empty() {
+            if read.is_empty() {
                 break;
             }
-            for rec in batch.drain(..) {
+            for rec in read.drain(..) {
                 let shard = rec.leaf.0 as usize % jobs;
                 staging[shard].push(rec);
-                if staging[shard].len() >= plan.batch {
-                    push_batch(&queues[shard], &mut staging[shard], plan.batch);
+                if staging[shard].len() >= batch {
+                    send_batch(&senders[shard], &mut staging[shard], batch);
                 }
             }
         }
         let stats = source.stats().clone();
-        if plan.strict && stats.parse_errors > 0 {
+        if strict && stats.parse_errors > 0 {
             return Err(PipelineError::Strict(format!(
                 "{}: {} unparsable record(s), first: {}",
                 stats.name,
@@ -534,35 +526,36 @@ fn ingest(
         }
         stats_out.push(stats);
     }
-    for (shard, pending) in staging.iter_mut().enumerate() {
+    for (sender, pending) in senders.iter().zip(&mut staging) {
         if !pending.is_empty() {
-            push_batch(&queues[shard], pending, 0);
+            send_batch(sender, pending, 0);
         }
     }
     Ok(())
 }
 
-fn push_batch(
-    queue: &Bounded<Vec<KeyphraseRecord>>,
+/// Sends `staged` as one batch, blocking while the channel is full.
+fn send_batch(
+    sender: &SyncSender<Vec<KeyphraseRecord>>,
     staged: &mut Vec<KeyphraseRecord>,
     cap: usize,
 ) {
     let batch = std::mem::replace(staged, Vec::with_capacity(cap));
-    // A closed queue here means a worker vanished — only possible if it
-    // panicked, which the surrounding scope turns into a build panic.
-    let _ = queue.push(batch);
+    // A closed channel here means a worker vanished — only possible if it
+    // panicked, which joining it turns into a build panic.
+    let _ = sender.send(batch);
 }
 
-/// One shard worker: curate the shard's records, then assemble (or
-/// borrow) each owned leaf.
+/// One shard worker: curate the shard's records until ingest drops its
+/// sender, then assemble (or borrow) each owned leaf.
 fn run_shard(
-    queue: &Bounded<Vec<KeyphraseRecord>>,
+    batches: Receiver<Vec<KeyphraseRecord>>,
     config: &GraphExConfig,
     delta: Option<&DeltaBase>,
 ) -> ShardYield {
     let started = Instant::now();
     let mut curator = Curator::new(config.curation.clone());
-    while let Some(batch) = queue.pop() {
+    for batch in batches {
         for rec in batch {
             curator.push(rec);
         }

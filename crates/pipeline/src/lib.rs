@@ -11,8 +11,9 @@
 //!   [`graphex_marketsim::ChurnCorpus`] in bounded batches with
 //!   per-source parse-error accounting — no full-corpus buffering.
 //! * **Parallel sharded construction** ([`build`]): records are routed
-//!   by leaf category to a worker pool over bounded (backpressuring)
-//!   queues; each worker curates and assembles its leaves concurrently,
+//!   by leaf category to scoped worker threads over bounded
+//!   (backpressuring) `std::sync::mpsc` channels; each worker curates and
+//!   assembles its leaves concurrently and returns them when joined,
 //!   and a deterministic single-threaded merge produces a model that is
 //!   **byte-identical** to the sequential builder's output, for any
 //!   worker count and any record arrival order.
@@ -44,9 +45,10 @@
 //! assert_eq!(output.manifest.leaves.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod build;
 pub mod manifest;
-mod queue;
 pub mod shard;
 pub mod source;
 

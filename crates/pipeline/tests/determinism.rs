@@ -121,3 +121,75 @@ fn empty_corpus_fails_like_the_builder() {
         "empty corpus must fail admission, got {err:?}"
     );
 }
+
+#[test]
+fn zero_batch_builds_like_batch_one() {
+    let records = corpus_records(5);
+    let bytes_with = |batch: usize| {
+        let mut plan = BuildPlan::new(config()).jobs(2);
+        plan.batch = batch;
+        let source = VecSource::new("test", records.clone());
+        build(&plan, vec![Box::new(source)]).unwrap().bytes.to_vec()
+    };
+    assert_eq!(
+        bytes_with(0),
+        bytes_with(1),
+        "batch 0 must build as batch 1"
+    );
+}
+
+/// Yields its records one per batch, then fails like a read error.
+struct FailingSource {
+    records: Vec<KeyphraseRecord>,
+    stats: graphex_pipeline::SourceStats,
+}
+
+impl graphex_pipeline::RecordSource for FailingSource {
+    fn name(&self) -> &str {
+        "failing"
+    }
+
+    fn next_batch(&mut self, max: usize, out: &mut Vec<KeyphraseRecord>) -> Result<(), String> {
+        out.clear();
+        if self.records.is_empty() {
+            return Err("disk went away".into());
+        }
+        let keep = self.records.len().saturating_sub(max);
+        out.extend(self.records.drain(keep..));
+        Ok(())
+    }
+
+    fn stats(&self) -> &graphex_pipeline::SourceStats {
+        &self.stats
+    }
+}
+
+/// A source error ends the build with that error, even while ingest is
+/// blocked on full shard channels: the workers must be released, not
+/// left waiting for batches that will never come.
+#[test]
+fn ingest_error_under_backpressure_returns_instead_of_hanging() {
+    let records: Vec<KeyphraseRecord> = (0..20_000u32)
+        .map(|i| {
+            let text = format!("wireless noise cancelling headphones model {i} black");
+            KeyphraseRecord::new(text, graphex_core::LeafId(i % 4), 50, 10)
+        })
+        .collect();
+    let source = FailingSource {
+        records,
+        stats: graphex_pipeline::SourceStats::default(),
+    };
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut plan = BuildPlan::new(config()).jobs(2);
+        plan.batch = 1;
+        let _ = done_tx.send(build(&plan, vec![Box::new(source)]).map(|_| ()));
+    });
+    let result = done_rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("build hung after its source failed");
+    assert!(
+        matches!(&result, Err(graphex_pipeline::PipelineError::Source(e)) if e == "disk went away"),
+        "got {result:?}"
+    );
+}

@@ -9,6 +9,8 @@
 //! regression or a latency cliff should be reviewable from a CI artifact
 //! without any serving infrastructure running.
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub mod evalrun;
 pub mod html;

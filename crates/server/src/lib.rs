@@ -49,6 +49,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 //! ## Scale-out serving
 //!
 //! One process is the paper's unit of serving, but the reproduction also

@@ -35,6 +35,7 @@ use crate::overlay::{
     DrainReport, Freshness, OverlayError, OverlayStatus, OverlayStore, TitleWords, UpsertAck,
 };
 use crate::registry::ModelWatch;
+use crate::sync::lock;
 use graphex_core::{
     Engine, GraphExModel, InferRequest, InferResponse, KeyphraseRecord, KeyphraseService, LeafId,
     Outcome,
@@ -158,12 +159,12 @@ struct Flight {
 
 impl Flight {
     fn publish(&self, served: Served) {
-        *self.result.lock().unwrap_or_else(PoisonError::into_inner) = Some(served);
+        *lock(&self.result) = Some(served);
         self.ready.notify_all();
     }
 
     fn wait(&self) -> Served {
-        let mut guard = self.result.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = lock(&self.result);
         loop {
             if let Some(served) = &*guard {
                 return served.clone();
@@ -616,7 +617,7 @@ impl ServingApi {
                 return sink(Answer::Computed(served));
             }
             let role = {
-                let mut inflight = self.lock_inflight();
+                let mut inflight = lock(&self.inflight);
                 // Double-check under the map lock: the leader writes the
                 // store *before* clearing its flight entry, so a concurrent
                 // completion is visible here. Only a tag probe runs under
@@ -684,7 +685,7 @@ impl ServingApi {
                     // Store write is published; only now may new callers
                     // miss the flight entry (they re-check the store under
                     // the lock).
-                    self.lock_inflight().remove(&key);
+                    lock(&self.inflight).remove(&key);
                     // Followers cloned the handle under that lock and
                     // nobody can find the flight any more: a count of one
                     // means nobody waits, and the answer is not copied.
@@ -842,10 +843,6 @@ impl ServingApi {
         counter.fetch_add(1, Ordering::Relaxed);
         self.outcomes[outcome.index()].fetch_add(1, Ordering::Relaxed);
     }
-
-    fn lock_inflight(&self) -> std::sync::MutexGuard<'_, FxHashMap<FlightKey, Arc<Flight>>> {
-        self.inflight.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// What a keyed request needs of a stored record to be answered from it
@@ -911,7 +908,7 @@ struct LeaderGuard<'a> {
 impl Drop for LeaderGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            self.api.lock_inflight().remove(&self.key);
+            lock(&self.api.inflight).remove(&self.key);
             self.flight.publish(Served {
                 keyphrases: Vec::new(),
                 source: ServeSource::None,

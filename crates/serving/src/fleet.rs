@@ -45,12 +45,12 @@ use crate::api::{ServeStats, ServingApi, SwapPolicy};
 use crate::kv::KvStore;
 use crate::overlay::{OverlayStatus, OverlayStore, DEFAULT_OVERLAY_CAP_BYTES};
 use crate::registry::{ModelRegistry, RegistryError, RegistryResult, SnapshotMeta};
+use crate::sync::lock;
 use graphex_core::serialize::LoadMode;
 use graphex_core::GraphExModel;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Subdirectory of the fleet root holding one registry per tenant.
@@ -263,12 +263,12 @@ impl TenantFleet {
 
     /// All known tenant names, sorted.
     pub fn names(&self) -> Vec<String> {
-        self.inner.lock().tenants.keys().cloned().collect()
+        lock(&self.inner).tenants.keys().cloned().collect()
     }
 
     /// Fleet table: one status row per tenant, sorted by name.
     pub fn list(&self) -> Vec<TenantStatus> {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         inner
             .tenants
             .iter()
@@ -278,7 +278,7 @@ impl TenantFleet {
 
     /// One tenant's status row, if the tenant is known.
     pub fn status(&self, name: &str) -> Option<TenantStatus> {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         inner
             .tenants
             .get(name)
@@ -294,8 +294,7 @@ impl TenantFleet {
 
     /// Number of tenants currently resident.
     pub fn resident_count(&self) -> usize {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .tenants
             .values()
             .filter(|t| t.resident.is_some())
@@ -305,7 +304,7 @@ impl TenantFleet {
     /// Total backing bytes across resident tenants (page-cache-shared
     /// under mmap, private heap under `LoadMode::Heap`).
     pub fn resident_bytes(&self) -> u64 {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         inner
             .tenants
             .values()
@@ -327,7 +326,7 @@ impl TenantFleet {
         if !is_valid_tenant_name(name) {
             return Err(FleetError::InvalidName(name.into()));
         }
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
 
@@ -398,7 +397,7 @@ impl TenantFleet {
     /// persistent accumulator). Returns `true` if the tenant was
     /// resident. In-flight requests finish on the `Arc`s they hold.
     pub fn evict(&self, name: &str) -> FleetResult<bool> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let state = inner
             .tenants
             .get_mut(name)
@@ -447,7 +446,7 @@ impl TenantFleet {
         // it: admission of the *new* snapshot (load + warm-up) must not
         // stall requests to other tenants.
         let resident_registry = {
-            let mut inner = self.inner.lock();
+            let mut inner = lock(&self.inner);
             inner.tenants.entry(name.to_string()).or_default();
             inner
                 .tenants
@@ -479,7 +478,7 @@ impl TenantFleet {
         // fleet lock — loading a republished snapshot must not block
         // routing for unrelated tenants.
         let residents: Vec<(String, Arc<ModelRegistry>)> = {
-            let inner = self.inner.lock();
+            let inner = lock(&self.inner);
             inner
                 .tenants
                 .iter()

@@ -17,12 +17,12 @@
 //! [`StoredRecs`] is that record decoded, for callers that want owned
 //! strings ([`KvStore::get`]).
 
+use crate::sync::{read, write};
 use graphex_core::{LeafId, Outcome};
 use graphex_textkit::{FxHashMap, FxHasher};
-use parking_lot::RwLock;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// Number of shards; power of two so the shard pick is a mask.
 const SHARDS: usize = 16;
@@ -262,7 +262,7 @@ impl KvStore {
         let mut record = PackedRecs::pack(keyphrases, outcome, tags);
         self.bytes.fetch_add(record.heap_bytes(), Ordering::Relaxed);
         let replaced = {
-            let mut shard = self.shard(item).write();
+            let mut shard = write(self.shard(item));
             if let Some(existing) = shard.get(&item) {
                 record.set_version(existing.version() + 1);
             }
@@ -282,7 +282,7 @@ impl KvStore {
         // Copied before the lock is taken; it is swapped in only if `seen`
         // is still the item's record.
         let retagged = seen.with_epoch(epoch);
-        let mut shard = self.shard(item).write();
+        let mut shard = write(self.shard(item));
         match shard.get_mut(&item) {
             Some(current) if Arc::ptr_eq(&current.0, &seen.0) => {
                 *current = retagged;
@@ -299,7 +299,7 @@ impl KvStore {
 
     /// The serving read path: the item's record, shared, not copied.
     pub fn record(&self, item: u64) -> Option<PackedRecs> {
-        self.shard(item).read().get(&item).cloned()
+        read(self.shard(item)).get(&item).cloned()
     }
 
     /// The item's record decoded into owned strings.
@@ -310,12 +310,12 @@ impl KvStore {
     /// An item's record's [`Tags`] (cheap enough to call under another
     /// lock).
     pub fn probe_tags(&self, item: u64) -> Option<Tags> {
-        self.shard(item).read().get(&item).map(PackedRecs::tags)
+        read(self.shard(item)).get(&item).map(PackedRecs::tags)
     }
 
     /// Number of items stored.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| read(s).len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -324,7 +324,7 @@ impl KvStore {
 
     /// Removes an item (listing ended).
     pub fn remove(&self, item: u64) -> bool {
-        let removed = self.shard(item).write().remove(&item);
+        let removed = write(self.shard(item)).remove(&item);
         if let Some(removed) = &removed {
             self.forget(removed);
         }

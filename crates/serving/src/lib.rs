@@ -22,6 +22,8 @@
 //! precompute and read-through agree* — an item served through either
 //! path carries the same keyphrases.
 
+#![forbid(unsafe_code)]
+
 //! A fourth moving part closes the production loop: the
 //! [`ModelRegistry`] (module [`registry`]) manages versioned snapshot
 //! directories and hot-swaps republished models under live traffic — the
@@ -42,6 +44,7 @@ pub mod fleet;
 pub mod kv;
 pub mod overlay;
 pub mod registry;
+mod sync;
 
 pub use api::{Answer, InFlightGuard, ServeSource, ServeStats, Served, ServingApi, SwapPolicy};
 pub use batch::{BatchPipeline, BatchReport};

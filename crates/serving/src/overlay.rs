@@ -46,10 +46,11 @@
 //! keeps a leaf's record bounded. Invalidation is lazy, through the
 //! existing single-flight read-through.
 
+use crate::sync::{lock, read, write};
 use graphex_core::{GraphExModel, KeyphraseRecord, LeafId, OverlayView};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// Default journal cap: plenty for an inter-compaction window, small
@@ -274,13 +275,13 @@ impl OverlayStore {
     /// The live composed view (cheap `Arc` clone; never blocks writers
     /// for longer than the swap).
     pub fn view(&self) -> Arc<OverlayView> {
-        Arc::clone(&self.view.read().unwrap_or_else(PoisonError::into_inner))
+        Arc::clone(&read(&self.view))
     }
 
     /// Sequence of the last accepted write touching `leaf` (0 if never
     /// written).
     pub fn leaf_seq(&self, leaf: LeafId) -> u64 {
-        self.read_writes()
+        read(&self.writes)
             .get(&leaf.0)
             .map_or(0, |writes| writes.seq)
     }
@@ -299,7 +300,7 @@ impl OverlayStore {
         epoch: u64,
         title: &mut TitleWords<'_>,
     ) -> Freshness {
-        match self.read_writes().get(&leaf.0) {
+        match read(&self.writes).get(&leaf.0) {
             Some(writes) if epoch < writes.floor => return Freshness::Stale,
             Some(writes) if epoch < writes.seq => {}
             _ => return Freshness::Fresh,
@@ -307,7 +308,7 @@ impl OverlayStore {
         let words = title.hashes(self);
         // Decided under one read of the leaf's record: the sequence it is
         // verified through is the last write this check saw.
-        let all = self.read_writes();
+        let all = read(&self.writes);
         let writes = all.get(&leaf.0).expect("a leaf's record is never removed");
         let written = |hash| writes.words.get(hash).is_some_and(|&seq| seq > epoch);
         if epoch < writes.floor || words.iter().any(written) {
@@ -345,7 +346,7 @@ impl OverlayStore {
         }
         let added_bytes: usize = records.iter().map(Self::record_bytes).sum();
 
-        let mut inner = self.lock_inner();
+        let mut inner = lock(&self.inner);
         if inner.journal_bytes + added_bytes > self.cap_bytes {
             self.upserts_shed.fetch_add(1, Ordering::Relaxed);
             return Err(OverlayError::CapExceeded {
@@ -391,7 +392,7 @@ impl OverlayStore {
         {
             // Recorded before the view swaps in: a reader that sees the
             // new view also sees what it invalidates.
-            let mut writes = self.write_writes();
+            let mut writes = write(&self.writes);
             for &leaf in &touched {
                 let leaf_writes = writes.entry(leaf.0).or_default();
                 leaf_writes.seq = seq;
@@ -411,7 +412,7 @@ impl OverlayStore {
                 writes.get_mut(&leaf.0).expect("touched above").bound();
             }
         }
-        *self.view.write().unwrap_or_else(PoisonError::into_inner) = view;
+        *write(&self.view) = view;
         drop(inner);
 
         self.upserts_applied.fetch_add(1, Ordering::Relaxed);
@@ -427,7 +428,7 @@ impl OverlayStore {
     /// after the compacted snapshot publishes, so records upserted during
     /// the compaction window survive the drain.
     pub fn export_journal(&self) -> OverlayJournal {
-        let inner = self.lock_inner();
+        let inner = lock(&self.inner);
         OverlayJournal {
             upto: inner.seq,
             entries: inner.journal.clone(),
@@ -438,7 +439,7 @@ impl OverlayStore {
     /// by a published compaction) and rebuilds the view from the
     /// remainder against the **new** base model.
     pub fn drain(&self, base: &GraphExModel, upto: u64) -> DrainReport {
-        let mut inner = self.lock_inner();
+        let mut inner = lock(&self.inner);
         let OverlayInner {
             journal,
             seq,
@@ -464,7 +465,7 @@ impl OverlayStore {
     /// hot-swap so overlaid leaves merge against what is actually
     /// serving.
     pub fn rebase(&self, base: &GraphExModel) {
-        let inner = self.lock_inner();
+        let inner = lock(&self.inner);
         self.rebuild_view(base, &inner.journal, inner.seq);
     }
 
@@ -479,12 +480,12 @@ impl OverlayStore {
                 .push(entry.record.clone());
         }
         let view = Arc::new(OverlayView::build(base, &pending, seq));
-        *self.view.write().unwrap_or_else(PoisonError::into_inner) = view;
+        *write(&self.view) = view;
     }
 
     /// Point-in-time accounting.
     pub fn status(&self) -> OverlayStatus {
-        let inner = self.lock_inner();
+        let inner = lock(&self.inner);
         let leaves = self.view().num_leaves();
         OverlayStatus {
             seq: inner.seq,
@@ -504,18 +505,6 @@ impl OverlayStore {
     fn record_bytes(rec: &KeyphraseRecord) -> usize {
         // text + leaf/search/recall + per-entry bookkeeping.
         rec.text.len() + 24
-    }
-
-    fn lock_inner(&self) -> std::sync::MutexGuard<'_, OverlayInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn read_writes(&self) -> std::sync::RwLockReadGuard<'_, HashMap<u32, LeafWrites>> {
-        self.writes.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn write_writes(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<u32, LeafWrites>> {
-        self.writes.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -900,7 +889,7 @@ mod tests {
                 .unwrap();
         }
         let last = store.leaf_seq(leaf);
-        let writes = store.read_writes();
+        let writes = read(&store.writes);
         let (floor, kept) = (writes[&7].floor, writes[&7].words.len());
         drop(writes);
         assert!(

@@ -27,13 +27,13 @@
 //! batch pipeline resolve per request or run, so a `publish` or
 //! `rollback` propagates without restarting anything.
 
+use crate::sync::{lock, read, write};
 use graphex_core::serialize::{self, Hashed, LoadMode, SnapshotInfo};
 use graphex_core::{Engine, GraphExError, GraphExModel, InferRequest};
-use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 
 /// Errors surfaced by the model lifecycle layer.
 #[derive(Debug)]
@@ -213,9 +213,7 @@ impl ModelWatch {
     /// Infallible by construction: a watch can only be created once a
     /// snapshot is active, and activation never clears the slot.
     pub fn current(&self) -> Arc<ActiveModel> {
-        self.shared
-            .active
-            .read()
+        read(&self.shared.active)
             .clone()
             .expect("watch exists only after a snapshot was activated")
     }
@@ -301,7 +299,7 @@ pub struct ModelRegistry {
 fn directory_lock(root: &Path) -> Arc<Mutex<()>> {
     static LOCKS: Mutex<BTreeMap<PathBuf, Weak<Mutex<()>>>> = Mutex::new(BTreeMap::new());
     let key = std::fs::canonicalize(root).unwrap_or_else(|_| root.to_path_buf());
-    let mut locks = LOCKS.lock();
+    let mut locks = lock(&LOCKS);
     if let Some(lock) = locks.get(&key).and_then(Weak::upgrade) {
         return lock;
     }
@@ -345,7 +343,7 @@ impl ModelRegistry {
     /// made under the write lock, so no publish can land between reading
     /// `CURRENT` and writing it back.
     fn activate_pinned(&self) -> RegistryResult<()> {
-        let _writer = self.write_lock.lock();
+        let _writer = lock(&self.write_lock);
         let versions = self.versions()?;
         if versions.is_empty() {
             return Ok(());
@@ -446,7 +444,7 @@ impl ModelRegistry {
 
     /// The currently active model, if any snapshot has been activated.
     pub fn current(&self) -> Option<Arc<ActiveModel>> {
-        self.shared.active.read().clone()
+        read(&self.shared.active).clone()
     }
 
     /// Version of the active snapshot.
@@ -461,7 +459,7 @@ impl ModelRegistry {
 
     /// A consumer handle; requires an active snapshot.
     pub fn watch(&self) -> RegistryResult<ModelWatch> {
-        if self.shared.active.read().is_none() {
+        if read(&self.shared.active).is_none() {
             return Err(RegistryError::NoSnapshots);
         }
         Ok(ModelWatch {
@@ -531,7 +529,7 @@ impl ModelRegistry {
                 )));
             }
         }
-        let _writer = self.write_lock.lock();
+        let _writer = lock(&self.write_lock);
         let version = self.versions()?.last().copied().unwrap_or(0) + 1;
         let meta = SnapshotMeta {
             version,
@@ -575,7 +573,7 @@ impl ModelRegistry {
     /// every [`ModelWatch`] observes the new model on its next poll while
     /// in-flight holders of the old `Arc` finish undisturbed.
     pub fn activate(&self, version: u64) -> RegistryResult<Arc<ActiveModel>> {
-        let _writer = self.write_lock.lock();
+        let _writer = lock(&self.write_lock);
         self.activate_locked(version)
     }
 
@@ -617,7 +615,7 @@ impl ModelRegistry {
             meta,
             load_mode,
         });
-        *self.shared.active.write() = Some(Arc::clone(&active));
+        *write(&self.shared.active) = Some(Arc::clone(&active));
         self.shared.epoch.fetch_add(1, Ordering::AcqRel);
         Ok(active)
     }
@@ -625,7 +623,7 @@ impl ModelRegistry {
     /// Swaps back to the newest snapshot older than the current one.
     /// Returns `(from, to)` versions.
     pub fn rollback(&self) -> RegistryResult<(u64, u64)> {
-        let _writer = self.write_lock.lock();
+        let _writer = lock(&self.write_lock);
         let from = self.current_version().ok_or(RegistryError::NoSnapshots)?;
         let to = self
             .versions()?
@@ -642,7 +640,7 @@ impl ModelRegistry {
     /// never collect the snapshot another process boots from. Returns
     /// the versions removed.
     pub fn gc(&self, keep_n: usize) -> RegistryResult<Vec<u64>> {
-        let _writer = self.write_lock.lock();
+        let _writer = lock(&self.write_lock);
         let versions = self.versions()?;
         let protected = [self.current_version(), self.pinned_version()];
         let keep_from = versions.len().saturating_sub(keep_n.max(1));

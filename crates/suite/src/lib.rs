@@ -4,6 +4,8 @@
 //! `tests/` and `examples/` directories (which span every crate in the
 //! workspace) into cargo targets, and provides small shared fixtures.
 
+#![forbid(unsafe_code)]
+
 use graphex_core::{GraphExBuilder, GraphExConfig, GraphExModel, KeyphraseRecord, LeafId};
 use graphex_marketsim::{CategoryDataset, CategorySpec};
 

@@ -31,6 +31,8 @@
 //! assert_eq!(vocab.resolve(ids[0]), Some("audeze"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod fxhash;
 pub mod normalize;
 pub mod stem;
