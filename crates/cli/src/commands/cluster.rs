@@ -85,20 +85,16 @@ fn up(args: &ParsedArgs) -> Result<String, String> {
     loop {
         std::thread::sleep(poll);
         for backend in cluster.backends() {
-            let pinned = backend.registry.pinned_version();
-            if pinned != backend.registry.current_version() {
-                if let Some(version) = pinned {
-                    match backend.registry.activate(version) {
-                        Ok(_) => println!(
-                            "shard {}: hot-swapped to snapshot_version {version}",
-                            backend.shard
-                        ),
-                        Err(e) => eprintln!(
-                            "shard {}: activation of {version} failed: {e} (still serving)",
-                            backend.shard
-                        ),
-                    }
-                }
+            match backend.registry.activate_pinned() {
+                Some(Ok(version)) => println!(
+                    "shard {}: hot-swapped to snapshot_version {version}",
+                    backend.shard
+                ),
+                Some(Err(e)) => eprintln!(
+                    "shard {}: activation failed: {e} (still serving)",
+                    backend.shard
+                ),
+                None => {}
             }
         }
     }

@@ -55,7 +55,7 @@ fn action_path(name: Option<&str>, action: &str) -> String {
 }
 
 fn render_overlay_row(out: &mut String, overlay: &Json) {
-    let field = |key: &str| overlay.get(key).and_then(Json::as_u64).unwrap_or(0);
+    let field = |key: &str| super::num(overlay, key);
     let _ = writeln!(
         out,
         "depth {} ({} leaves), journal {} / {} bytes, seq {} (drained to {})",
@@ -76,53 +76,23 @@ fn render_overlay_row(out: &mut String, overlay: &Json) {
     );
 }
 
-/// Overlay accounting from a live server's `/statusz` (single-tenant
-/// object or the fleet table, optionally filtered by `--name`).
+/// Overlay accounting from a live server's `/statusz`: each serving
+/// row's overlay block (a single server's one row, or the fleet's tenant
+/// rows, kept to `--name`'s when given).
 fn status(args: &ParsedArgs) -> Result<String, String> {
-    let mut client = connect(args)?;
-    let response = client
-        .get("/statusz")
-        .map_err(|e| format!("GET /statusz: {e}"))?;
-    if response.status != 200 {
-        return Err(format!("GET /statusz: HTTP {}", response.status));
-    }
-    let statusz = graphex_server::json::parse(&response.text())
-        .map_err(|e| format!("statusz is not JSON: {e}"))?;
+    let statusz = super::fetch_statusz(args.require("server")?)?;
     let mut out = String::new();
-    if statusz.get("mode").and_then(Json::as_str) == Some("fleet") {
-        let tenants = statusz
-            .get("tenants")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "statusz missing tenants table".to_string())?;
-        let mut matched = false;
-        for row in tenants {
-            let row_name = row.get("name").and_then(Json::as_str).unwrap_or("?");
-            if let Some(wanted) = args.get("name") {
-                if row_name != wanted {
-                    continue;
-                }
+    for (tenant, row) in super::statusz_rows(&statusz, args.get("name"))? {
+        match (tenant, row.get("overlay")) {
+            (None, Some(overlay @ Json::Obj(_))) => render_overlay_row(&mut out, overlay),
+            (None, _) => return Err("overlay serving is not enabled on this server".into()),
+            (Some(name), Some(overlay @ Json::Obj(_))) => {
+                let _ = writeln!(out, "tenant {name}:");
+                render_overlay_row(&mut out, overlay);
             }
-            matched = true;
-            match row.get("overlay") {
-                Some(overlay @ Json::Obj(_)) => {
-                    let _ = writeln!(out, "tenant {row_name}:");
-                    render_overlay_row(&mut out, overlay);
-                }
-                _ => {
-                    let _ = writeln!(out, "tenant {row_name}: overlay not enabled");
-                }
+            (Some(name), _) => {
+                let _ = writeln!(out, "tenant {name}: overlay not enabled");
             }
-        }
-        if !matched {
-            return Err(match args.get("name") {
-                Some(wanted) => format!("server knows no tenant {wanted:?}"),
-                None => "server reported an empty fleet".into(),
-            });
-        }
-    } else {
-        match statusz.get("overlay") {
-            Some(overlay @ Json::Obj(_)) => render_overlay_row(&mut out, overlay),
-            _ => return Err("overlay serving is not enabled on this server".into()),
         }
     }
     Ok(out)

@@ -82,14 +82,10 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
         let poll = Duration::from_millis(args.get_num::<u64>("poll-ms", 2000)?.max(100));
         loop {
             std::thread::sleep(poll);
-            let pinned = registry.pinned_version();
-            if pinned != registry.current_version() {
-                if let Some(version) = pinned {
-                    match registry.activate(version) {
-                        Ok(_) => println!("hot-swapped to snapshot_version {version}"),
-                        Err(e) => eprintln!("activation of {version} failed: {e} (still serving)"),
-                    }
-                }
+            match registry.activate_pinned() {
+                Some(Ok(version)) => println!("hot-swapped to snapshot_version {version}"),
+                Some(Err(e)) => eprintln!("activation failed: {e} (still serving)"),
+                None => {}
             }
         }
     }

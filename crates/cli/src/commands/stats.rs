@@ -1,14 +1,15 @@
 //! `graphex stats` — model inventory: global stats plus a per-leaf table.
 //! With `--server <addr>` it instead queries a running `graphex serve`
 //! frontend's `/statusz` and renders the live serving counters, including
-//! the admission-control gauges (shed / deadline-exceeded / in-flight).
+//! the admission-control gauges (shed / deadline-exceeded / in-flight) —
+//! one block per tenant on a fleet server.
 //!
 //! A comma-separated `--server a,b,c` (or `--map <shard map file>`)
 //! aggregates across a backend cluster: one row per backend plus a
 //! cluster rollup, with unreachable backends reported as `down` instead
 //! of failing the whole command.
 
-use super::load_model;
+use super::{fetch_statusz, load_model, num, statusz_rows};
 use crate::args::ParsedArgs;
 use graphex_server::Json;
 use std::fmt::Write as _;
@@ -94,42 +95,23 @@ fn render_buildinfo(model_path: &std::path::Path, out: &mut String) {
     }
 }
 
-/// Live serving counters from a running frontend's `/statusz`.
+/// Live serving counters from a running frontend's `/statusz`: the
+/// server's own lines, then each serving row's block — a single server's
+/// one row, or one per fleet tenant.
 fn server_stats(addr: &str) -> Result<String, String> {
-    let mut client =
-        graphex_server::HttpClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let response = client
-        .get("/statusz")
-        .map_err(|e| format!("GET /statusz: {e}"))?;
-    if response.status != 200 {
-        return Err(format!("GET /statusz: HTTP {}", response.status));
-    }
-    let stats = graphex_server::json::parse(&response.text())
-        .map_err(|e| format!("statusz payload: {e}"))?;
-    let num = |key: &str| stats.get(key).and_then(|v| v.as_u64()).unwrap_or(0);
-
+    let stats = fetch_statusz(addr)?;
     let mut out = String::new();
-    let _ = writeln!(out, "server: http://{addr}");
     let _ = writeln!(
         out,
-        "model: snapshot_version {}  swaps {}",
-        num("snapshot_version"),
-        num("model_swaps")
-    );
-    let _ = writeln!(
-        out,
-        "admission: in-flight {}  shed {}  deadline-exceeded {}  queue depth {}",
-        num("in_flight"),
-        num("shed"),
-        num("deadline_exceeded"),
-        num("queue_depth")
+        "server: http://{addr}  queue depth {}",
+        num(&stats, "queue_depth")
     );
     if let Some(latency) = stats.get("latency") {
         let q = |key: &str| latency.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
         let _ = writeln!(
             out,
             "latency: {} inferences  p50 {:.0}µs  p90 {:.0}µs  p99 {:.0}µs",
-            latency.get("count").and_then(|v| v.as_u64()).unwrap_or(0),
+            num(latency, "count"),
             q("p50_us"),
             q("p90_us"),
             q("p99_us"),
@@ -137,48 +119,66 @@ fn server_stats(addr: &str) -> Result<String, String> {
     }
     if let Some(trace) = stats.get("trace") {
         if trace.get("enabled").and_then(|v| v.as_bool()) == Some(true) {
-            let tn = |key: &str| trace.get(key).and_then(|v| v.as_u64()).unwrap_or(0);
             let _ = writeln!(
                 out,
                 "tracing: recorded {}  slow {} (threshold {}µs)  — `graphex trace --server {addr}`",
-                tn("recorded"),
-                tn("slow"),
-                tn("slow_threshold_us"),
+                num(trace, "recorded"),
+                num(trace, "slow"),
+                num(trace, "slow_threshold_us"),
             );
         }
     }
+    // An empty fleet has no rows: the server's own lines are the answer.
+    for (tenant, row) in statusz_rows(&stats, None).unwrap_or_default() {
+        let indent = match tenant {
+            Some(name) => {
+                let _ = writeln!(out, "tenant {name}:");
+                "  "
+            }
+            None => "",
+        };
+        render_row(row, indent, &mut out);
+    }
+    Ok(out)
+}
+
+/// One serving row's counters.
+fn render_row(row: &Json, indent: &str, out: &mut String) {
+    let field = |key: &str| num(row, key);
     let _ = writeln!(
         out,
-        "serving: store hits {}  read-throughs {}  coalesced {}  direct {}  unservable {}  invalidated {}",
-        num("store_hits"),
-        num("read_throughs"),
-        num("coalesced"),
-        num("direct"),
-        num("unservable"),
-        num("invalidated")
+        "{indent}model: snapshot_version {}  swaps {}",
+        field("snapshot_version"),
+        field("model_swaps")
     );
-    if let Some(outcomes) = stats.get("outcomes") {
-        let of = |key: &str| outcomes.get(key).and_then(|v| v.as_u64()).unwrap_or(0);
+    let _ = writeln!(
+        out,
+        "{indent}admission: in-flight {}  shed {}  deadline-exceeded {}",
+        field("in_flight"),
+        field("shed"),
+        field("deadline_exceeded"),
+    );
+    let _ = writeln!(
+        out,
+        "{indent}serving: store hits {}  read-throughs {}  coalesced {}  direct {}  unservable {}  invalidated {}",
+        field("store_hits"),
+        field("read_throughs"),
+        field("coalesced"),
+        field("direct"),
+        field("unservable"),
+        field("invalidated")
+    );
+    if let Some(outcomes) = row.get("outcomes") {
+        let of = |key: &str| num(outcomes, key);
         let _ = writeln!(
             out,
-            "outcomes: exact_leaf {}  meta_fallback {}  unknown_leaf {}  empty {}",
+            "{indent}outcomes: exact_leaf {}  meta_fallback {}  unknown_leaf {}  empty {}",
             of("exact_leaf"),
             of("meta_fallback"),
             of("unknown_leaf"),
             of("empty")
         );
     }
-    Ok(out)
-}
-
-/// One `/statusz` fetch for the cluster table; `None` = unreachable.
-fn fetch_statusz(addr: &str) -> Option<Json> {
-    let mut client = graphex_server::HttpClient::connect(addr).ok()?;
-    let response = client.get("/statusz").ok()?;
-    if response.status != 200 {
-        return None;
-    }
-    graphex_server::json::parse(&response.text()).ok()
 }
 
 /// Per-backend rows + a cluster rollup across a shard map. Backends that
@@ -213,9 +213,9 @@ fn cluster_stats(addrs: &[String]) -> Result<String, String> {
     let mut versions: Vec<u64> = Vec::new();
     for (shard, addr) in addrs.iter().enumerate() {
         match fetch_statusz(addr) {
-            Some(stats) => {
+            Ok(stats) => {
                 up += 1;
-                let num = |key: &str| stats.get(key).and_then(|v| v.as_u64()).unwrap_or(0);
+                let num = |key: &str| num(&stats, key);
                 versions.push(num("snapshot_version"));
                 let mut row = [0u64; COUNTERS.len()];
                 for (slot, key) in COUNTERS.iter().enumerate() {
@@ -235,7 +235,7 @@ fn cluster_stats(addrs: &[String]) -> Result<String, String> {
                     row[5]
                 );
             }
-            None => {
+            Err(_) => {
                 let _ = writeln!(
                     out,
                     "{shard:>5}  {addr:<21} {:>6} {:>9} {:>9} {:>6} {:>9} {:>11} {:>13} {:>11}",
@@ -291,5 +291,90 @@ fn render_leaf_table(model: &graphex_core::GraphExModel, out: &mut String) {
             g.num_edges(),
             g.avg_degree(),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use graphex_core::{GraphExBuilder, GraphExConfig, KeyphraseRecord, LeafId};
+    use graphex_serving::{FleetConfig, TenantFleet};
+    use std::sync::Arc;
+
+    fn args(s: &[&str]) -> ParsedArgs {
+        ParsedArgs::parse(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>()).unwrap()
+    }
+
+    /// Against a fleet server, `stats --server` prints each tenant's row
+    /// with the reader a single server's row goes through, and `overlay
+    /// status` / `tenant stats` read the same rows.
+    #[test]
+    fn server_stats_prints_one_block_per_fleet_tenant() {
+        let root =
+            std::env::temp_dir().join(format!("graphex-cli-stats-fleet-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let fleet = TenantFleet::open(&root, FleetConfig::default()).unwrap();
+        for (tenant, tag) in [("alpha", 1u32), ("beta", 2)] {
+            let mut config = GraphExConfig::default();
+            config.curation.min_search_count = 0;
+            let model = GraphExBuilder::new(config)
+                .add_records((0..4u32).map(|i| {
+                    KeyphraseRecord::new(format!("tenant{tag} widget v{i}"), LeafId(1), 100, 10)
+                }))
+                .build()
+                .unwrap();
+            fleet.publish_model(tenant, &model, "seed").unwrap();
+        }
+        let config = graphex_server::ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            ..Default::default()
+        };
+        let server = graphex_server::start_fleet(config, Arc::new(fleet)).unwrap();
+        let addr = server.addr().to_string();
+        let mut client = graphex_server::HttpClient::connect(&addr).unwrap();
+        for _ in 0..2 {
+            let body = r#"{"title":"tenant1 widget v0","leaf":1,"id":5}"#;
+            let reply = client.post_json("/v1/t/alpha/infer", body).unwrap();
+            assert_eq!(reply.status, 200, "{}", reply.text());
+        }
+        drop(client);
+
+        let out = run(&args(&["--server", &addr])).unwrap();
+        let alpha = out.split("tenant alpha:\n").nth(1).expect("alpha block");
+        assert!(
+            alpha.starts_with("  model: snapshot_version 1  swaps 0\n"),
+            "{out}"
+        );
+        assert!(
+            alpha.contains("  serving: store hits 1  read-throughs 1  "),
+            "{out}"
+        );
+        assert!(alpha.contains("  outcomes: exact_leaf 2  "), "{out}");
+        let beta = out.split("tenant beta:\n").nth(1).expect("beta block");
+        assert!(beta.contains("  outcomes: exact_leaf 0  "), "{out}");
+
+        let overlay = super::super::overlay::run(&[
+            "status".into(),
+            "--server".into(),
+            addr.clone(),
+            "--name".into(),
+            "beta".into(),
+        ])
+        .unwrap();
+        assert_eq!(overlay, "tenant beta: overlay not enabled\n");
+        let table = super::super::tenant::run(&[
+            "stats".into(),
+            "--server".into(),
+            addr.clone(),
+            "--name".into(),
+            "alpha".into(),
+        ])
+        .unwrap();
+        assert!(table.contains("\nalpha\ttrue\t1\t"), "{table}");
+        assert!(table.contains("\t2\t1\t0\n"), "{table}");
+
+        server.shutdown();
+        std::fs::remove_dir_all(&root).ok();
     }
 }

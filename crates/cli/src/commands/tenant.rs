@@ -15,7 +15,9 @@
 //! operate on the on-disk layout (publish creates the tenant directory
 //! if needed and is picked up by a live server's poll loop).
 
+use super::num;
 use crate::args::ParsedArgs;
+use graphex_server::Json;
 use graphex_serving::{FleetConfig, ModelRegistry, TenantFleet};
 use std::fmt::Write as _;
 
@@ -142,74 +144,45 @@ fn stats(args: &ParsedArgs) -> Result<String, String> {
 
 /// Fleet table from a running `graphex serve --tenants` (its `/statusz`).
 fn server_stats(addr: &str, name: Option<&str>) -> Result<String, String> {
-    let mut client =
-        graphex_server::HttpClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let response = client
-        .get("/statusz")
-        .map_err(|e| format!("GET /statusz: {e}"))?;
-    if response.status != 200 {
-        return Err(format!("GET /statusz: HTTP {}", response.status));
-    }
-    let status = graphex_server::json::parse(&response.text())
-        .map_err(|e| format!("statusz is not JSON: {e}"))?;
+    let status = super::fetch_statusz(addr)?;
     if status.get("mode").and_then(|m| m.as_str()) != Some("fleet") {
         return Err(format!(
             "{addr} is not a fleet server (single-tenant /statusz)"
         ));
     }
-    let tenants = status
-        .get("tenants")
-        .and_then(|t| t.as_arr())
-        .ok_or_else(|| "statusz missing tenants table".to_string())?;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "fleet on http://{addr}: {} resident / cap {}, {} bytes resident",
-        status.get("resident").and_then(|v| v.as_u64()).unwrap_or(0),
-        status
-            .get("resident_cap")
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0),
-        status
-            .get("resident_bytes")
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0),
+        num(&status, "resident"),
+        num(&status, "resident_cap"),
+        num(&status, "resident_bytes"),
     );
     let _ = writeln!(
         out,
         "tenant\tresident\tversion\tmode\tbytes\trequests\tadmissions\tevictions"
     );
-    let mut matched = false;
-    for row in tenants {
-        let row_name = row.get("name").and_then(|n| n.as_str()).unwrap_or("?");
-        if let Some(wanted) = name {
-            if row_name != wanted {
-                continue;
-            }
-        }
-        matched = true;
-        let field = |key: &str| row.get(key).and_then(|v| v.as_u64()).unwrap_or(0);
+    for (row_name, row) in super::statusz_rows(&status, name)? {
+        // A row's requests are its outcome tallies, summed.
+        let requests: u64 = match row.get("outcomes") {
+            Some(Json::Obj(outcomes)) => outcomes.iter().filter_map(|(_, n)| n.as_u64()).sum(),
+            _ => 0,
+        };
         let _ = writeln!(
             out,
-            "{row_name}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            "{}\t{}\t{}\t{}\t{}\t{requests}\t{}\t{}",
+            row_name.unwrap_or("?"),
             row.get("resident")
                 .and_then(|v| v.as_bool())
                 .unwrap_or(false),
-            field("snapshot_version"),
+            num(row, "snapshot_version"),
             row.get("load_mode")
                 .and_then(|v| v.as_str())
                 .unwrap_or("cold"),
-            field("resident_bytes"),
-            field("requests"),
-            field("admissions"),
-            field("evictions"),
+            num(row, "resident_bytes"),
+            num(row, "admissions"),
+            num(row, "evictions"),
         );
-    }
-    if !matched {
-        return Err(match name {
-            Some(wanted) => format!("server knows no tenant {wanted:?}"),
-            None => "server reported an empty fleet".into(),
-        });
     }
     Ok(out)
 }

@@ -3,11 +3,18 @@
 //!
 //! Everything is lock-free on the hot path except the per-response status
 //! tally (one short mutexed map update per request — noise next to an
-//! inference). The serving-layer counters (store hits, outcomes, shed,
-//! in-flight) live in [`graphex_serving::ServeStats`] and are merged in at
-//! render time, so `/metrics` and `/statusz` agree by construction.
+//! inference). The serving-layer numbers (store hits, outcomes, shed,
+//! in-flight, the store's footprint, the overlay's accounting) are one
+//! [`ServeReport`] row per [`graphex_serving::ServingApi`], read at render
+//! time. One field table per row type (`SERVE_FIELDS`,
+//! `OVERLAY_FIELDS`) names each number's `/statusz` member, metric
+//! family and history series, and `row_statusz`, `render_rows` and
+//! `sample_row` walk it: a single server renders its one row with no
+//! label, a fleet each tenant's under `tenant="…"` (and `tenant/<n>/`),
+//! so the surfaces, and the two frontends, agree by construction.
 
-use graphex_serving::{OverlayStatus, ServeStats};
+use crate::json::Json;
+use graphex_serving::{OverlayStatus, ServeReport};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -153,50 +160,179 @@ impl Endpoint {
     }
 }
 
-/// The overlay metric families: `(name, prometheus type, extractor)`.
-/// One table shared by the single-tenant and fleet expositions so the
-/// family names cannot drift apart.
-type OverlayFamily = (&'static str, &'static str, fn(&OverlayStatus) -> u64);
-const OVERLAY_FAMILIES: [OverlayFamily; 11] = [
-    ("graphex_overlay_depth", "gauge", |s| s.depth as u64),
-    ("graphex_overlay_journal_bytes", "gauge", |s| {
-        s.journal_bytes as u64
-    }),
-    ("graphex_overlay_cap_bytes", "gauge", |s| s.cap_bytes as u64),
-    ("graphex_overlay_leaves", "gauge", |s| s.leaves as u64),
-    ("graphex_overlay_seq", "gauge", |s| s.seq),
-    ("graphex_overlay_drained_upto", "gauge", |s| s.drained_upto),
-    ("graphex_overlay_upserts_total", "counter", |s| {
-        s.upserts_applied
-    }),
-    ("graphex_overlay_records_total", "counter", |s| {
-        s.records_applied
-    }),
-    ("graphex_overlay_shed_total", "counter", |s| s.upserts_shed),
-    ("graphex_overlay_drains_total", "counter", |s| s.drains),
-    // rate(apply_micros_total) / rate(upserts_total) = mean apply time.
-    ("graphex_overlay_apply_micros_total", "counter", |s| {
-        s.apply_micros_total
-    }),
+/// One number a serving row reports, on every surface that shows it.
+/// An empty name means the surface does not show the field.
+struct Field<T> {
+    /// `/statusz` member; `group/key` nests it in the `group` object.
+    statusz: &'static str,
+    /// Metric family and its Prometheus type.
+    family: &'static str,
+    kind: &'static str,
+    /// The label that tells this field's samples from the family's other
+    /// fields' (`source="store_hit"`); empty when the field is the family.
+    label: &'static str,
+    /// History series, behind the row's prefix.
+    series: &'static str,
+    get: fn(&T) -> u64,
+}
+
+const fn field<T>(
+    statusz: &'static str,
+    family: &'static str,
+    kind: &'static str,
+    label: &'static str,
+    series: &'static str,
+    get: fn(&T) -> u64,
+) -> Field<T> {
+    Field {
+        statusz,
+        family,
+        kind,
+        label,
+        series,
+        get,
+    }
+}
+
+const COUNTER: &str = "counter";
+const GAUGE: &str = "gauge";
+
+/// The fields of a [`ServeReport`], in [`field`]'s argument order:
+/// `/statusz` member, metric family, type, label, history series,
+/// extractor. A family's fields are adjacent, so each family renders
+/// under one `# TYPE` header.
+#[rustfmt::skip]
+const SERVE_FIELDS: [Field<ServeReport>; 20] = [
+    field("snapshot_version",        "graphex_model_snapshot_version",           GAUGE,    "",                           "model/snapshot_version",  |r| r.stats.snapshot_version),
+    field("model_swaps",             "graphex_model_swaps_total",                COUNTER,  "",                           "model/swaps",             |r| r.stats.model_swaps),
+    field("in_flight",               "graphex_in_flight",                        GAUGE,    "",                           "serve/in_flight",         |r| r.stats.in_flight),
+    field("shed",                    "graphex_shed_total",                       COUNTER,  "",                           "serve/shed",              |r| r.stats.shed),
+    field("deadline_exceeded",       "graphex_deadline_exceeded_total",          COUNTER,  "",                           "serve/deadline_exceeded", |r| r.stats.deadline_exceeded),
+    field("store_hits",              "graphex_serve_source_total",               COUNTER,  "source=\"store_hit\"",       "serve/store_hits",        |r| r.stats.store_hits),
+    field("read_throughs",           "graphex_serve_source_total",               COUNTER,  "source=\"read_through\"",    "serve/read_throughs",     |r| r.stats.read_throughs),
+    field("coalesced",               "graphex_serve_source_total",               COUNTER,  "source=\"coalesced\"",       "",                        |r| r.stats.coalesced),
+    field("direct",                  "graphex_serve_source_total",               COUNTER,  "source=\"direct\"",          "",                        |r| r.stats.direct),
+    field("unservable",              "graphex_serve_source_total",               COUNTER,  "source=\"unservable\"",      "",                        |r| r.stats.unservable),
+    field("invalidated",             "graphex_serve_invalidated_total",          COUNTER,  "",                           "",                        |r| r.stats.invalidated),
+    field("overlay_invalidated",     "graphex_serve_overlay_invalidated_total",  COUNTER,  "",                           "",                        |r| r.stats.overlay_invalidated),
+    field("overlay_retagged",        "graphex_serve_overlay_retagged_total",     COUNTER,  "",                           "",                        |r| r.stats.overlay_retagged),
+    field("store/items",             "graphex_store_items",                      GAUGE,    "",                           "",                        |r| r.store_items),
+    field("store/bytes",             "graphex_store_bytes",                      GAUGE,    "",                           "",                        |r| r.store_bytes),
+    field("outcomes/exact_leaf",     "graphex_serve_outcome_total",              COUNTER,  "outcome=\"exact_leaf\"",     "",                        |r| r.stats.outcomes.exact_leaf),
+    field("outcomes/meta_fallback",  "graphex_serve_outcome_total",              COUNTER,  "outcome=\"meta_fallback\"",  "",                        |r| r.stats.outcomes.meta_fallback),
+    field("outcomes/unknown_leaf",   "graphex_serve_outcome_total",              COUNTER,  "outcome=\"unknown_leaf\"",   "",                        |r| r.stats.outcomes.unknown_leaf),
+    field("outcomes/empty",          "graphex_serve_outcome_total",              COUNTER,  "outcome=\"empty\"",          "",                        |r| r.stats.outcomes.empty),
+    field("",                        "",                                         "",       "",                           "serve/requests",          |r| r.stats.outcomes.total()),
 ];
 
-/// Appends the overlay gauge/counter families for a set of labeled
-/// [`OverlayStatus`] rows. Each row's label string is spliced verbatim
-/// inside the braces (empty for single-tenant mode, `tenant="acme"` in
-/// fleet mode); all rows of a family render under one `# TYPE` header.
-pub fn render_overlay_families(rows: &[(String, OverlayStatus)], out: &mut String) {
+/// The fields of an [`OverlayStatus`]: a row's `overlay` object on
+/// `/statusz`, its `graphex_overlay_*` families and `overlay/*` series.
+#[rustfmt::skip]
+const OVERLAY_FIELDS: [Field<OverlayStatus>; 11] = [
+    field("seq",              "graphex_overlay_seq",                 GAUGE,    "",  "overlay/seq",          |s| s.seq),
+    field("drained_upto",     "graphex_overlay_drained_upto",        GAUGE,    "",  "",                     |s| s.drained_upto),
+    field("depth",            "graphex_overlay_depth",               GAUGE,    "",  "overlay/depth",        |s| s.depth as u64),
+    field("journal_bytes",    "graphex_overlay_journal_bytes",       GAUGE,    "",  "",                     |s| s.journal_bytes as u64),
+    field("cap_bytes",        "graphex_overlay_cap_bytes",           GAUGE,    "",  "",                     |s| s.cap_bytes as u64),
+    field("leaves",           "graphex_overlay_leaves",              GAUGE,    "",  "",                     |s| s.leaves as u64),
+    field("upserts_applied",  "graphex_overlay_upserts_total",       COUNTER,  "",  "",                     |s| s.upserts_applied),
+    field("records_applied",  "graphex_overlay_records_total",       COUNTER,  "",  "",                     |s| s.records_applied),
+    field("upserts_shed",     "graphex_overlay_shed_total",          COUNTER,  "",  "",                     |s| s.upserts_shed),
+    field("drains",           "graphex_overlay_drains_total",        COUNTER,  "",  "",                     |s| s.drains),
+    // rate(apply_micros_total) / rate(upserts_total) = mean apply time;
+    // `/statusz` shows the mean itself as `apply_us_mean`.
+    field("",                 "graphex_overlay_apply_micros_total",  COUNTER,  "",  "overlay/apply_micros", |s| s.apply_micros_total),
+];
+
+/// The `/statusz` members of one serving row: the [`ServeReport`]
+/// fields, then `overlay` (`null` without one).
+pub(crate) fn row_statusz(row: &ServeReport) -> Vec<(&'static str, Json)> {
+    let mut members = statusz_members(&SERVE_FIELDS, row);
+    let overlay = row.overlay.map_or(Json::Null, |status| {
+        let mut members = statusz_members(&OVERLAY_FIELDS, &status);
+        let mean = status.apply_micros_total as f64 / status.upserts_applied.max(1) as f64;
+        members.push(("apply_us_mean", Json::num(mean)));
+        Json::obj(members)
+    });
+    members.push(("overlay", overlay));
+    members
+}
+
+fn statusz_members<T>(fields: &[Field<T>], value: &T) -> Vec<(&'static str, Json)> {
+    let mut members: Vec<(&'static str, Json)> = Vec::new();
+    for field in fields.iter().filter(|f| !f.statusz.is_empty()) {
+        let v = Json::uint((field.get)(value));
+        let Some((group, key)) = field.statusz.split_once('/') else {
+            members.push((field.statusz, v));
+            continue;
+        };
+        match members.iter_mut().find(|(name, _)| *name == group) {
+            Some((_, Json::Obj(inner))) => inner.push((key.to_string(), v)),
+            _ => members.push((group, Json::obj(vec![(key, v)]))),
+        }
+    }
+    members
+}
+
+/// Appends every serving row's families. Each row's label string is
+/// spliced into its samples' braces ahead of the field's own label:
+/// empty for a single api's one row, `tenant="acme"` for a fleet's.
+pub(crate) fn render_rows(rows: &[(String, ServeReport)], out: &mut String) {
+    let serve: Vec<_> = rows
+        .iter()
+        .map(|(label, row)| (label.as_str(), row))
+        .collect();
+    render_families(&SERVE_FIELDS, &serve, out);
+    let overlay: Vec<_> = rows
+        .iter()
+        .filter_map(|(label, row)| Some((label.as_str(), row.overlay.as_ref()?)))
+        .collect();
+    render_families(&OVERLAY_FIELDS, &overlay, out);
+}
+
+fn render_families<T>(fields: &[Field<T>], rows: &[(&str, &T)], out: &mut String) {
     if rows.is_empty() {
         return;
     }
-    for (name, kind, extract) in OVERLAY_FAMILIES {
+    for family in fields.chunk_by(|a, b| a.family == b.family) {
+        let (name, kind) = (family[0].family, family[0].kind);
+        if name.is_empty() {
+            continue;
+        }
         let _ = writeln!(out, "# TYPE {name} {kind}");
-        for (labels, status) in rows {
-            if labels.is_empty() {
-                let _ = writeln!(out, "{name} {}", extract(status));
-            } else {
-                let _ = writeln!(out, "{name}{{{labels}}} {}", extract(status));
+        for (labels, value) in rows {
+            for field in family {
+                let v = (field.get)(value);
+                let sep = if labels.is_empty() || field.label.is_empty() {
+                    ""
+                } else {
+                    ","
+                };
+                let _ = if labels.is_empty() && field.label.is_empty() {
+                    writeln!(out, "{name} {v}")
+                } else {
+                    writeln!(out, "{name}{{{labels}{sep}{}}} {v}", field.label)
+                };
             }
         }
+    }
+}
+
+/// Appends one serving row's history series, each behind `prefix`
+/// (empty for a single api, `tenant/<name>/` for a fleet's tenant).
+pub(crate) fn sample_row(prefix: &str, row: &ServeReport, values: &mut Vec<(String, f64)>) {
+    sample_fields(&SERVE_FIELDS, prefix, row, values);
+    if let Some(status) = &row.overlay {
+        sample_fields(&OVERLAY_FIELDS, prefix, status, values);
+    }
+}
+
+fn sample_fields<T>(fields: &[Field<T>], prefix: &str, value: &T, values: &mut Vec<(String, f64)>) {
+    for field in fields.iter().filter(|f| !f.series.is_empty()) {
+        values.push((
+            format!("{prefix}{}", field.series),
+            (field.get)(value) as f64,
+        ));
     }
 }
 
@@ -247,7 +383,7 @@ impl HttpMetrics {
     /// Renders the HTTP-layer metric families only (request tallies,
     /// connection counters, queue gauge, latency histogram) — the part
     /// shared by the backend frontend and the cluster router, which has
-    /// no [`ServeStats`] of its own.
+    /// no [`ServeReport`] of its own.
     pub fn render_http_families(&self, queue_depth: usize, out: &mut String) {
         let _ = writeln!(out, "# TYPE graphex_http_requests_total counter");
         {
@@ -286,205 +422,12 @@ impl HttpMetrics {
     }
 }
 
-/// Appends the fleet-mode serving families: per-tenant serving counters
-/// (every family carries a `tenant` label; cold tenants keep exporting
-/// their folded lifetime counters so eviction never zeroes a time
-/// series).
-pub fn render_fleet_families(fleet: &graphex_serving::TenantFleet, out: &mut String) {
-    let tenants = fleet.list();
-    let _ = writeln!(out, "# TYPE graphex_fleet_resident gauge");
-    let _ = writeln!(
-        out,
-        "graphex_fleet_resident {}",
-        tenants.iter().filter(|t| t.resident).count()
-    );
-    let _ = writeln!(out, "# TYPE graphex_fleet_resident_cap gauge");
-    let _ = writeln!(
-        out,
-        "graphex_fleet_resident_cap {}",
-        fleet.config().resident_cap
-    );
-    let _ = writeln!(out, "# TYPE graphex_fleet_resident_bytes gauge");
-    let _ = writeln!(
-        out,
-        "graphex_fleet_resident_bytes {}",
-        tenants.iter().map(|t| t.resident_bytes).sum::<u64>()
-    );
-
-    let _ = writeln!(out, "# TYPE graphex_tenant_resident gauge");
-    for t in &tenants {
-        let _ = writeln!(
-            out,
-            "graphex_tenant_resident{{tenant=\"{}\"}} {}",
-            t.name,
-            u8::from(t.resident)
-        );
-    }
-    let _ = writeln!(out, "# TYPE graphex_tenant_resident_bytes gauge");
-    for t in &tenants {
-        let _ = writeln!(
-            out,
-            "graphex_tenant_resident_bytes{{tenant=\"{}\"}} {}",
-            t.name, t.resident_bytes
-        );
-    }
-    let _ = writeln!(out, "# TYPE graphex_store_items gauge");
-    for t in &tenants {
-        let _ = writeln!(
-            out,
-            "graphex_store_items{{tenant=\"{}\"}} {}",
-            t.name, t.store_items
-        );
-    }
-    let _ = writeln!(out, "# TYPE graphex_store_bytes gauge");
-    for t in &tenants {
-        let _ = writeln!(
-            out,
-            "graphex_store_bytes{{tenant=\"{}\"}} {}",
-            t.name, t.store_bytes
-        );
-    }
-    let _ = writeln!(out, "# TYPE graphex_tenant_snapshot_version gauge");
-    for t in &tenants {
-        let _ = writeln!(
-            out,
-            "graphex_tenant_snapshot_version{{tenant=\"{}\"}} {}",
-            t.name, t.snapshot_version
-        );
-    }
-    let _ = writeln!(out, "# TYPE graphex_tenant_admissions_total counter");
-    for t in &tenants {
-        let _ = writeln!(
-            out,
-            "graphex_tenant_admissions_total{{tenant=\"{}\"}} {}",
-            t.name, t.admissions
-        );
-    }
-    let _ = writeln!(out, "# TYPE graphex_tenant_evictions_total counter");
-    for t in &tenants {
-        let _ = writeln!(
-            out,
-            "graphex_tenant_evictions_total{{tenant=\"{}\"}} {}",
-            t.name, t.evictions
-        );
-    }
-    let _ = writeln!(out, "# TYPE graphex_tenant_serve_source_total counter");
-    for t in &tenants {
-        for (label, n) in [
-            ("store_hit", t.stats.store_hits),
-            ("read_through", t.stats.read_throughs),
-            ("coalesced", t.stats.coalesced),
-            ("direct", t.stats.direct),
-            ("unservable", t.stats.unservable),
-        ] {
-            let _ = writeln!(
-                out,
-                "graphex_tenant_serve_source_total{{tenant=\"{}\",source=\"{label}\"}} {n}",
-                t.name
-            );
-        }
-    }
-    let _ = writeln!(out, "# TYPE graphex_tenant_serve_outcome_total counter");
-    for t in &tenants {
-        for outcome in graphex_core::Outcome::ALL {
-            let _ = writeln!(
-                out,
-                "graphex_tenant_serve_outcome_total{{tenant=\"{}\",outcome=\"{}\"}} {}",
-                t.name,
-                outcome.name(),
-                t.stats.outcomes.of(outcome)
-            );
-        }
-    }
-    let _ = writeln!(out, "# TYPE graphex_tenant_model_swaps_total counter");
-    for t in &tenants {
-        let _ = writeln!(
-            out,
-            "graphex_tenant_model_swaps_total{{tenant=\"{}\"}} {}",
-            t.name, t.stats.model_swaps
-        );
-    }
-    let overlay_rows: Vec<(String, OverlayStatus)> = tenants
-        .iter()
-        .filter_map(|t| t.overlay.map(|o| (format!("tenant=\"{}\"", t.name), o)))
-        .collect();
-    render_overlay_families(&overlay_rows, out);
-}
-
-/// Appends the single-api KV store gauges: items held and the heap bytes
-/// of their records (`/statusz` reports the same pair as `store`).
-pub fn render_store_families(store: &graphex_serving::KvStore, out: &mut String) {
-    let _ = writeln!(out, "# TYPE graphex_store_items gauge");
-    let _ = writeln!(out, "graphex_store_items {}", store.len());
-    let _ = writeln!(out, "# TYPE graphex_store_bytes gauge");
-    let _ = writeln!(out, "graphex_store_bytes {}", store.record_bytes());
-}
-
-/// Appends the single-api serving families: the serving-layer
-/// [`ServeStats`] passed in (same numbers `/statusz` reports).
-pub fn render_serve_families(serve: &ServeStats, out: &mut String) {
-    let _ = writeln!(out, "# TYPE graphex_serve_source_total counter");
-    for (label, n) in [
-        ("store_hit", serve.store_hits),
-        ("read_through", serve.read_throughs),
-        ("coalesced", serve.coalesced),
-        ("direct", serve.direct),
-        ("unservable", serve.unservable),
-    ] {
-        let _ = writeln!(out, "graphex_serve_source_total{{source=\"{label}\"}} {n}");
-    }
-    let _ = writeln!(out, "# TYPE graphex_serve_outcome_total counter");
-    for outcome in graphex_core::Outcome::ALL {
-        let _ = writeln!(
-            out,
-            "graphex_serve_outcome_total{{outcome=\"{}\"}} {}",
-            outcome.name(),
-            serve.outcomes.of(outcome)
-        );
-    }
-    let _ = writeln!(out, "# TYPE graphex_serve_invalidated_total counter");
-    let _ = writeln!(out, "graphex_serve_invalidated_total {}", serve.invalidated);
-    let _ = writeln!(
-        out,
-        "# TYPE graphex_serve_overlay_invalidated_total counter"
-    );
-    let _ = writeln!(
-        out,
-        "graphex_serve_overlay_invalidated_total {}",
-        serve.overlay_invalidated
-    );
-    let _ = writeln!(out, "# TYPE graphex_serve_overlay_retagged_total counter");
-    let _ = writeln!(
-        out,
-        "graphex_serve_overlay_retagged_total {}",
-        serve.overlay_retagged
-    );
-    let _ = writeln!(out, "# TYPE graphex_shed_total counter");
-    let _ = writeln!(out, "graphex_shed_total {}", serve.shed);
-    let _ = writeln!(out, "# TYPE graphex_deadline_exceeded_total counter");
-    let _ = writeln!(
-        out,
-        "graphex_deadline_exceeded_total {}",
-        serve.deadline_exceeded
-    );
-    let _ = writeln!(out, "# TYPE graphex_in_flight gauge");
-    let _ = writeln!(out, "graphex_in_flight {}", serve.in_flight);
-    let _ = writeln!(out, "# TYPE graphex_model_snapshot_version gauge");
-    let _ = writeln!(
-        out,
-        "graphex_model_snapshot_version {}",
-        serve.snapshot_version
-    );
-    let _ = writeln!(out, "# TYPE graphex_model_swaps_total counter");
-    let _ = writeln!(out, "graphex_model_swaps_total {}", serve.model_swaps);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn empty_stats() -> ServeStats {
-        ServeStats {
+    fn empty_stats() -> graphex_serving::ServeStats {
+        graphex_serving::ServeStats {
             store_hits: 3,
             read_throughs: 2,
             coalesced: 0,
@@ -563,7 +506,11 @@ mod tests {
         m.connections_shed.fetch_add(1, Ordering::Relaxed);
         let mut text = String::new();
         m.render_http_families(3, &mut text);
-        render_serve_families(&empty_stats(), &mut text);
+        let row = ServeReport {
+            stats: empty_stats(),
+            ..Default::default()
+        };
+        render_rows(&[(String::new(), row)], &mut text);
         assert!(text.contains("graphex_http_requests_total{endpoint=\"infer\",code=\"200\"} 2"));
         assert!(text.contains("graphex_http_requests_total{endpoint=\"other\",code=\"404\"} 1"));
         assert!(text.contains("graphex_http_shed_total 1"));
@@ -590,8 +537,12 @@ mod tests {
             apply_micros_total: 450,
             ..Default::default()
         };
+        let row = |overlay| ServeReport {
+            overlay,
+            ..Default::default()
+        };
         let mut bare = String::new();
-        render_overlay_families(&[(String::new(), status)], &mut bare);
+        render_rows(&[(String::new(), row(Some(status)))], &mut bare);
         assert!(
             bare.contains("# TYPE graphex_overlay_depth gauge"),
             "{bare}"
@@ -608,10 +559,11 @@ mod tests {
         );
 
         let mut fleet = String::new();
-        render_overlay_families(
+        render_rows(
             &[
-                ("tenant=\"acme\"".into(), status),
-                ("tenant=\"bob\"".into(), OverlayStatus::default()),
+                ("tenant=\"acme\"".into(), row(Some(status))),
+                ("tenant=\"bob\"".into(), row(Some(OverlayStatus::default()))),
+                ("tenant=\"cold\"".into(), row(None)),
             ],
             &mut fleet,
         );
@@ -630,8 +582,49 @@ mod tests {
         // One TYPE header per family, not per row.
         assert_eq!(fleet.matches("# TYPE graphex_overlay_seq gauge").count(), 1);
 
+        assert!(
+            !fleet.contains("graphex_overlay_seq{tenant=\"cold\"}"),
+            "{fleet}"
+        );
+        assert!(
+            fleet.contains("graphex_store_items{tenant=\"cold\"} 0"),
+            "{fleet}"
+        );
+
+        let mut bare = String::new();
+        render_rows(&[(String::new(), row(None))], &mut bare);
+        assert!(!bare.contains("graphex_overlay"), "{bare}");
         let mut empty = String::new();
-        render_overlay_families(&[], &mut empty);
+        render_rows(&[], &mut empty);
         assert!(empty.is_empty());
+    }
+
+    /// The table's outcome fields are [`Outcome::ALL`], each read off its
+    /// own counter, on `/statusz` and `/metrics` alike.
+    #[test]
+    fn every_outcome_is_a_field() {
+        let mut row = ServeReport::default();
+        for (i, outcome) in graphex_core::Outcome::ALL.iter().enumerate() {
+            let n = 10 + i as u64;
+            match outcome {
+                graphex_core::Outcome::ExactLeaf => row.stats.outcomes.exact_leaf = n,
+                graphex_core::Outcome::MetaFallback => row.stats.outcomes.meta_fallback = n,
+                graphex_core::Outcome::UnknownLeaf => row.stats.outcomes.unknown_leaf = n,
+                graphex_core::Outcome::Empty => row.stats.outcomes.empty = n,
+            }
+        }
+        let statusz = Json::obj(row_statusz(&row));
+        let mut text = String::new();
+        render_rows(&[(String::new(), row)], &mut text);
+        for outcome in graphex_core::Outcome::ALL {
+            let n = row.stats.outcomes.of(outcome);
+            let member = statusz.get("outcomes").and_then(|o| o.get(outcome.name()));
+            assert_eq!(member.and_then(Json::as_u64), Some(n), "{outcome:?}");
+            let sample = format!(
+                "graphex_serve_outcome_total{{outcome=\"{}\"}} {n}\n",
+                outcome.name()
+            );
+            assert!(text.contains(&sample), "{text}");
+        }
     }
 }

@@ -9,6 +9,14 @@
 //! `/statusz`, `/metrics` and the history ring, over either one
 //! [`ServingApi`] or a [`TenantFleet`].
 //!
+//! The two backends differ only where behaviour does: which api a
+//! request reaches, who a connection-level shed is charged to, and the
+//! fleet's residency block. Every report walks the same serving rows
+//! (`metrics.rs`' field table): a single api is one row with no label, at
+//! the top level of `/statusz`; a fleet is one row per tenant, in its
+//! `tenants` table, under `tenant="…"` on `/metrics` and `tenant/<n>/` in
+//! the history ring.
+//!
 //! The model behind the [`ServingApi`] hot-swaps under live traffic: each
 //! inference resolves the current snapshot through the api's `ModelWatch`,
 //! so a registry publish/rollback propagates to the next request with
@@ -19,14 +27,12 @@ use crate::edge::{self, Cx, EdgeConfig, EdgeHandle, Handler, Route, Routed};
 use crate::history::{HistoryConfig, MetricsHistory};
 use crate::http::Request;
 use crate::json::{self, Json};
-use crate::metrics::{
-    render_fleet_families, render_overlay_families, render_serve_families, render_store_families,
-    Endpoint, HttpMetrics,
-};
+use crate::metrics::{render_rows, row_statusz, sample_row, Endpoint, HttpMetrics};
 use crate::trace::{TraceConfig, TraceRecorder};
 use graphex_core::{Alignment, InferRequest, KeyphraseRecord, LeafId, Stage};
 use graphex_serving::{
-    Answer, FleetError, OverlayError, OverlayStatus, ServeSource, ServingApi, TenantFleet,
+    Answer, FleetError, OverlayError, ServeReport, ServeSource, ServingApi, TenantFleet,
+    TenantStatus,
 };
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -244,61 +250,65 @@ impl Handler for ServeHandler {
         }
     }
 
-    /// [`ServeStats`](graphex_serving::ServeStats) plus config gauges for
-    /// a single-api server; the fleet table in fleet mode.
+    /// Every serving row's members plus config gauges: a single api's one
+    /// row is the top level; a fleet puts its rows in its tenant table.
     fn statusz(&self) -> Vec<(&'static str, Json)> {
-        let mut members = match &self.backend {
-            Backend::Single(api) => statusz_single(api),
-            Backend::Fleet(fleet) => statusz_fleet(fleet),
-        };
+        let (rows, fleet) = self.rows();
+        let mut members = Vec::new();
+        let mut tenants = Vec::new();
+        for Row { report, tenant } in &rows {
+            match tenant {
+                None => members.extend(row_statusz(report)),
+                Some(t) => {
+                    let mut row = tenant_members(t);
+                    row.extend(row_statusz(report));
+                    tenants.push(Json::obj(row));
+                }
+            }
+        }
+        if let Some(fleet) = fleet {
+            members.extend(fleet_members(fleet, &rows));
+            members.push(("tenants", Json::Arr(tenants)));
+        }
         members.push(("workers", Json::uint(self.workers as u64)));
         members
     }
 
     fn render_metrics(&self, out: &mut String) {
-        match &self.backend {
-            Backend::Single(api) => {
-                render_serve_families(&api.stats(), out);
-                render_store_families(api.store(), out);
-                if let Some(status) = api.overlay_status() {
-                    render_overlay_families(&[(String::new(), status)], out);
-                }
-            }
-            Backend::Fleet(fleet) => render_fleet_families(fleet, out),
+        let (rows, fleet) = self.rows();
+        let labelled: Vec<(String, ServeReport)> = rows
+            .iter()
+            .map(|row| {
+                let label = row
+                    .tenant
+                    .as_ref()
+                    .map_or(String::new(), |t| format!("tenant=\"{}\"", t.name));
+                (label, row.report)
+            })
+            .collect();
+        render_rows(&labelled, out);
+        if let Some(fleet) = fleet {
+            render_residency_families(fleet, &rows, out);
         }
     }
 
     /// Serving-layer cumulative counters (monotone across hot-swaps; the
     /// fleet folds evicted tenants' counters, so these survive eviction).
     fn sample_history(&self, values: &mut Vec<(String, f64)>) {
-        match &self.backend {
-            Backend::Single(api) => {
-                serve_series(values, "", &api.stats());
-                if let Some(status) = api.overlay_status() {
-                    values.push(("overlay/depth".into(), status.depth as f64));
-                    values.push(("overlay/seq".into(), status.seq as f64));
-                    values.push((
-                        "overlay/apply_micros".into(),
-                        status.apply_micros_total as f64,
-                    ));
-                }
-            }
-            Backend::Fleet(fleet) => {
-                let tenants = fleet.list();
-                values.push((
-                    "fleet/resident".into(),
-                    tenants.iter().filter(|t| t.resident).count() as f64,
-                ));
-                values.push((
-                    "fleet/resident_bytes".into(),
-                    tenants.iter().map(|t| t.resident_bytes).sum::<u64>() as f64,
-                ));
-                for t in &tenants {
-                    serve_series(values, &format!("tenant/{}/", t.name), &t.stats);
-                    let resident = if t.resident { 1.0 } else { 0.0 };
-                    values.push((format!("tenant/{}/resident", t.name), resident));
-                }
-            }
+        let (rows, fleet) = self.rows();
+        for Row { report, tenant } in &rows {
+            let Some(t) = tenant else {
+                sample_row("", report, values);
+                continue;
+            };
+            let prefix = format!("tenant/{}/", t.name);
+            sample_row(&prefix, report, values);
+            values.push((format!("{prefix}resident"), f64::from(u8::from(t.resident))));
+        }
+        if fleet.is_some() {
+            let (resident, bytes) = residency(&rows);
+            values.push(("fleet/resident".into(), resident as f64));
+            values.push(("fleet/resident_bytes".into(), bytes as f64));
         }
     }
 
@@ -313,137 +323,24 @@ impl Handler for ServeHandler {
     }
 }
 
-/// The per-[`ServeStats`] series (shared by single mode, with an empty
-/// prefix, and fleet mode, prefixed `tenant/<name>/`).
-fn serve_series(
-    values: &mut Vec<(String, f64)>,
-    prefix: &str,
-    stats: &graphex_serving::ServeStats,
-) {
-    let mut push = |key: &str, v: f64| values.push((format!("{prefix}{key}"), v));
-    push("serve/requests", stats.outcomes.total() as f64);
-    push("serve/store_hits", stats.store_hits as f64);
-    push("serve/read_throughs", stats.read_throughs as f64);
-    push("serve/shed", stats.shed as f64);
-    push("serve/deadline_exceeded", stats.deadline_exceeded as f64);
-    push("serve/in_flight", stats.in_flight as f64);
-    push("model/snapshot_version", stats.snapshot_version as f64);
-    push("model/swaps", stats.model_swaps as f64);
+/// One serving row as the reports walk it: a single api's, or one
+/// tenant's with its residency (the tenant's name labels the row).
+struct Row {
+    report: ServeReport,
+    tenant: Option<TenantStatus>,
 }
 
-/// The `/statusz` shape of one [`OverlayStatus`] snapshot (shared by
-/// the single-mode top-level object and the fleet table rows).
-fn overlay_status_json(status: &OverlayStatus) -> Json {
-    Json::obj(vec![
-        ("seq", Json::uint(status.seq)),
-        ("drained_upto", Json::uint(status.drained_upto)),
-        ("depth", Json::uint(status.depth as u64)),
-        ("journal_bytes", Json::uint(status.journal_bytes as u64)),
-        ("cap_bytes", Json::uint(status.cap_bytes as u64)),
-        ("leaves", Json::uint(status.leaves as u64)),
-        ("upserts_applied", Json::uint(status.upserts_applied)),
-        ("records_applied", Json::uint(status.records_applied)),
-        ("upserts_shed", Json::uint(status.upserts_shed)),
-        ("drains", Json::uint(status.drains)),
-        (
-            "apply_us_mean",
-            Json::num(status.apply_micros_total as f64 / status.upserts_applied.max(1) as f64),
-        ),
-    ])
-}
-
-/// The `/statusz` shape of a KV store's footprint: how many items it
-/// holds and the heap bytes of their records — the per-item figure the
-/// paper's "billions of items" turns on, read rather than inferred.
-fn store_json(items: u64, bytes: u64) -> Json {
-    Json::obj(vec![
-        ("items", Json::uint(items)),
-        ("bytes", Json::uint(bytes)),
-    ])
-}
-
-fn statusz_single(api: &ServingApi) -> Vec<(&'static str, Json)> {
-    let stats = api.stats();
-    let stats = &stats;
-    vec![
-        ("snapshot_version", Json::uint(stats.snapshot_version)),
-        ("model_swaps", Json::uint(stats.model_swaps)),
-        ("in_flight", Json::uint(stats.in_flight)),
-        ("shed", Json::uint(stats.shed)),
-        ("deadline_exceeded", Json::uint(stats.deadline_exceeded)),
-        ("store_hits", Json::uint(stats.store_hits)),
-        ("read_throughs", Json::uint(stats.read_throughs)),
-        ("coalesced", Json::uint(stats.coalesced)),
-        ("direct", Json::uint(stats.direct)),
-        ("unservable", Json::uint(stats.unservable)),
-        ("invalidated", Json::uint(stats.invalidated)),
-        ("overlay_invalidated", Json::uint(stats.overlay_invalidated)),
-        ("overlay_retagged", Json::uint(stats.overlay_retagged)),
-        (
-            "store",
-            store_json(api.store().len() as u64, api.store().record_bytes() as u64),
-        ),
-        (
-            "overlay",
-            match api.overlay_status() {
-                Some(status) => overlay_status_json(&status),
-                None => Json::Null,
-            },
-        ),
-        (
-            "outcomes",
-            Json::obj(
-                graphex_core::Outcome::ALL
-                    .iter()
-                    .map(|o| (o.name(), Json::uint(stats.outcomes.of(*o))))
-                    .collect(),
-            ),
-        ),
-    ]
-}
-
-/// Fleet-mode `/statusz`: residency gauges plus one table row per
-/// tenant (cold tenants included — their folded lifetime counters
-/// survive eviction).
-fn statusz_fleet(fleet: &TenantFleet) -> Vec<(&'static str, Json)> {
-    let tenants = fleet.list();
-    let rows: Vec<Json> = tenants
+/// Resident tenants and their backing bytes, over a fleet's rows.
+fn residency(rows: &[Row]) -> (usize, u64) {
+    let resident = rows
         .iter()
-        .map(|t| {
-            Json::obj(vec![
-                ("name", Json::str(t.name.clone())),
-                ("resident", Json::Bool(t.resident)),
-                ("snapshot_version", Json::uint(t.snapshot_version)),
-                (
-                    "load_mode",
-                    match t.load_mode {
-                        Some(mode) => Json::str(mode.as_str()),
-                        None => Json::str("cold"),
-                    },
-                ),
-                ("resident_bytes", Json::uint(t.resident_bytes)),
-                ("store", store_json(t.store_items, t.store_bytes)),
-                ("admissions", Json::uint(t.admissions)),
-                ("evictions", Json::uint(t.evictions)),
-                (
-                    "admitted_in_us",
-                    Json::uint(t.admitted_in.map_or(0, |d| d.as_micros() as u64)),
-                ),
-                ("requests", Json::uint(t.stats.outcomes.total())),
-                ("store_hits", Json::uint(t.stats.store_hits)),
-                ("read_throughs", Json::uint(t.stats.read_throughs)),
-                ("in_flight", Json::uint(t.stats.in_flight)),
-                ("model_swaps", Json::uint(t.stats.model_swaps)),
-                (
-                    "overlay",
-                    match &t.overlay {
-                        Some(status) => overlay_status_json(status),
-                        None => Json::Null,
-                    },
-                ),
-            ])
-        })
-        .collect();
+        .filter_map(|r| r.tenant.as_ref().filter(|t| t.resident));
+    resident.fold((0, 0), |(n, bytes), t| (n + 1, bytes + t.resident_bytes))
+}
+
+/// A fleet's top-level `/statusz` members (its tenant table follows).
+fn fleet_members(fleet: &TenantFleet, rows: &[Row]) -> Vec<(&'static str, Json)> {
+    let (resident, bytes) = residency(rows);
     vec![
         ("mode", Json::str("fleet")),
         ("default_tenant", Json::str(fleet.default_tenant())),
@@ -451,19 +348,82 @@ fn statusz_fleet(fleet: &TenantFleet) -> Vec<(&'static str, Json)> {
             "resident_cap",
             Json::uint(fleet.config().resident_cap as u64),
         ),
+        ("resident", Json::uint(resident as u64)),
+        ("resident_bytes", Json::uint(bytes)),
+    ]
+}
+
+/// A tenant's residency family: `(name, type, extractor)`.
+type TenantFamily = (&'static str, &'static str, fn(&TenantStatus) -> u64);
+
+#[rustfmt::skip]
+const PER_TENANT: [TenantFamily; 4] = [
+    ("graphex_tenant_resident",         "gauge",   |t| u64::from(t.resident)),
+    ("graphex_tenant_resident_bytes",   "gauge",   |t| t.resident_bytes),
+    ("graphex_tenant_admissions_total", "counter", |t| t.admissions),
+    ("graphex_tenant_evictions_total",  "counter", |t| t.evictions),
+];
+
+/// A fleet's residency families: fleet-wide gauges, then each tenant's
+/// residency (its serving row renders with every other row's).
+fn render_residency_families(fleet: &TenantFleet, rows: &[Row], out: &mut String) {
+    let (resident, bytes) = residency(rows);
+    for (name, value) in [
+        ("graphex_fleet_resident", resident as u64),
         (
-            "resident",
-            Json::uint(tenants.iter().filter(|t| t.resident).count() as u64),
+            "graphex_fleet_resident_cap",
+            fleet.config().resident_cap as u64,
         ),
-        (
-            "resident_bytes",
-            Json::uint(tenants.iter().map(|t| t.resident_bytes).sum()),
-        ),
-        ("tenants", Json::Arr(rows)),
+        ("graphex_fleet_resident_bytes", bytes),
+    ] {
+        let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");
+    }
+    for (name, kind, get) in PER_TENANT {
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+        for t in rows.iter().filter_map(|r| r.tenant.as_ref()) {
+            let _ = writeln!(out, "{name}{{tenant=\"{}\"}} {}", t.name, get(t));
+        }
+    }
+}
+
+/// A tenant row's residency members (its serving row's follow).
+fn tenant_members(t: &TenantStatus) -> Vec<(&'static str, Json)> {
+    let load_mode = t.load_mode.map_or("cold", |mode| mode.as_str());
+    let admitted_in_us = t.admitted_in.map_or(0, |d| d.as_micros() as u64);
+    vec![
+        ("name", Json::str(t.name.clone())),
+        ("resident", Json::Bool(t.resident)),
+        ("load_mode", Json::str(load_mode)),
+        ("resident_bytes", Json::uint(t.resident_bytes)),
+        ("admissions", Json::uint(t.admissions)),
+        ("evictions", Json::uint(t.evictions)),
+        ("admitted_in_us", Json::uint(admitted_in_us)),
     ]
 }
 
 impl ServeHandler {
+    /// What every report walks, read once per report: a single api's one
+    /// row, or one row per tenant — and then the fleet, for its residency
+    /// block.
+    fn rows(&self) -> (Vec<Row>, Option<&TenantFleet>) {
+        match &self.backend {
+            Backend::Single(api) => {
+                let row = Row {
+                    report: api.report(),
+                    tenant: None,
+                };
+                (vec![row], None)
+            }
+            Backend::Fleet(fleet) => {
+                let rows = fleet.list().into_iter().map(|t| Row {
+                    report: t.report,
+                    tenant: Some(t),
+                });
+                (rows.collect(), Some(fleet))
+            }
+        }
+    }
+
     /// Resolves the serving api a request addresses: single backend, or
     /// per-tenant lookup (with lazy admission) through the fleet. Tenant
     /// routing failures are client errors (404) — an unknown or invalid
@@ -1339,7 +1299,11 @@ mod tests {
             .iter()
             .find(|row| row.get("name").unwrap().as_str() == Some("alpha"))
             .expect("alpha row");
-        assert_eq!(alpha.get("requests").unwrap().as_u64(), Some(1));
+        let requests: u64 = match alpha.get("outcomes").unwrap() {
+            Json::Obj(outcomes) => outcomes.iter().filter_map(|(_, n)| n.as_u64()).sum(),
+            other => panic!("outcomes is no object: {other:?}"),
+        };
+        assert_eq!(requests, 1);
 
         // /metrics carries per-tenant families and zero server errors.
         // Three tenants took traffic under a cap of 2, so the first one
@@ -1347,9 +1311,8 @@ mod tests {
         let metrics = client.get("/metrics").unwrap().text();
         assert!(metrics.contains("graphex_tenant_resident{tenant=\"default\"} 1"));
         assert!(metrics.contains("graphex_tenant_resident{tenant=\"alpha\"} 0"));
-        assert!(metrics.contains(
-            "graphex_tenant_serve_outcome_total{tenant=\"alpha\",outcome=\"exact_leaf\"} 1"
-        ));
+        assert!(metrics
+            .contains("graphex_serve_outcome_total{tenant=\"alpha\",outcome=\"exact_leaf\"} 1"));
         assert!(metrics.contains("graphex_fleet_resident_cap 2"));
         // A tenant's store goes with its incarnation: the evicted one
         // reads empty, a resident one holds what it answered.
@@ -1374,10 +1337,93 @@ mod tests {
                 .as_u64(),
             Some(0)
         );
-        assert!(metrics.contains(
-            "graphex_tenant_serve_outcome_total{tenant=\"beta\",outcome=\"exact_leaf\"} 1"
-        ));
+        assert!(metrics
+            .contains("graphex_serve_outcome_total{tenant=\"beta\",outcome=\"exact_leaf\"} 1"));
         assert_eq!(server.metrics().server_errors(), 0);
+
+        drop(client);
+        server.shutdown();
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A fleet reports every counter a single api does, per tenant: a
+    /// deadline-exceeded request shows on its tenant's `/metrics` samples,
+    /// `/statusz` row and history series, next to every other row field.
+    #[test]
+    fn fleet_exports_every_serving_counter_per_tenant() {
+        let root = std::env::temp_dir().join(format!(
+            "graphex-server-fleet-counters-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let fleet = TenantFleet::open(
+            &root,
+            graphex_serving::FleetConfig {
+                overlay: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        fleet
+            .publish_model("alpha", &tenant_model(1), "seed")
+            .unwrap();
+        fleet.admit("alpha").unwrap();
+        let config = ServerConfig {
+            deadline: Some(Duration::ZERO),
+            ..test_config()
+        };
+        let server = crate::start_fleet(config, Arc::new(fleet)).unwrap();
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let late = client
+            .post_json(
+                "/v1/t/alpha/infer",
+                r#"{"title":"tenant1 widget v0","leaf":1}"#,
+            )
+            .unwrap();
+        assert_eq!(late.status, 503, "{}", late.text());
+        let fleet = server.fleet().unwrap();
+        assert_eq!(fleet.stats("alpha").unwrap().deadline_exceeded, 1);
+
+        let metrics = client.get("/metrics").unwrap().text();
+        assert!(
+            metrics.contains("graphex_deadline_exceeded_total{tenant=\"alpha\"} 1\n"),
+            "{metrics}"
+        );
+        for family in [
+            "graphex_serve_invalidated_total",
+            "graphex_serve_overlay_invalidated_total",
+            "graphex_serve_overlay_retagged_total",
+            "graphex_shed_total",
+            "graphex_in_flight",
+            "graphex_model_snapshot_version",
+            "graphex_model_swaps_total",
+        ] {
+            assert!(
+                metrics.contains(&format!("{family}{{tenant=\"alpha\"}} ")),
+                "{family}: {metrics}"
+            );
+        }
+
+        let status = json::parse(&client.get("/statusz").unwrap().text()).unwrap();
+        let rows = status.get("tenants").unwrap().as_arr().unwrap();
+        let alpha = &rows[0];
+        assert_eq!(alpha.get("deadline_exceeded").unwrap().as_u64(), Some(1));
+        for key in ["coalesced", "direct", "unservable", "shed", "invalidated"] {
+            assert_eq!(alpha.get(key).unwrap().as_u64(), Some(0), "{key}");
+        }
+        let exact = alpha.get("outcomes").and_then(|o| o.get("exact_leaf"));
+        assert_eq!(exact.and_then(Json::as_u64), Some(0));
+
+        server.sample_history_now();
+        let sample = server.history().unwrap().samples(1).pop().unwrap();
+        assert_eq!(
+            sample.value("tenant/alpha/serve/deadline_exceeded"),
+            Some(1.0)
+        );
+        for series in ["overlay/depth", "overlay/seq", "overlay/apply_micros"] {
+            let key = format!("tenant/alpha/{series}");
+            assert_eq!(sample.value(&key), Some(0.0), "{key}");
+        }
 
         drop(client);
         server.shutdown();

@@ -313,6 +313,21 @@ impl ServeStats {
     }
 }
 
+/// What one [`ServingApi`] reports: its counters, its store's footprint
+/// and its overlay's accounting. `/statusz`, `/metrics` and the history
+/// ring all read this one row — a single server has one, a tenant fleet
+/// one per tenant ([`TenantStatus::report`](crate::TenantStatus::report)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ServeReport {
+    pub stats: ServeStats,
+    /// Items in the [`KvStore`] and the heap bytes of their records
+    /// ([`KvStore::record_bytes`]).
+    pub store_items: u64,
+    pub store_bytes: u64,
+    /// Overlay depth and counters (`None` when no overlay is attached).
+    pub overlay: Option<OverlayStatus>,
+}
+
 impl ServingApi {
     /// Serving facade over a shared model; `default_k` applies to
     /// [`ServingApi::serve`] calls (envelope requests carry their own `k`).
@@ -731,6 +746,17 @@ impl ServingApi {
             },
             snapshot_version: self.watch.version(),
             model_swaps: self.watch.swap_count(),
+        }
+    }
+
+    /// This api's report row: [`ServingApi::stats`], the store's
+    /// footprint and [`ServingApi::overlay_status`].
+    pub fn report(&self) -> ServeReport {
+        ServeReport {
+            stats: self.stats(),
+            store_items: self.store.len() as u64,
+            store_bytes: self.store.record_bytes() as u64,
+            overlay: self.overlay_status(),
         }
     }
 

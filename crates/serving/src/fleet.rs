@@ -41,9 +41,9 @@
 //! recently evicted tenant is close to free — that is the point of the
 //! mmap backend.
 
-use crate::api::{ServeStats, ServingApi, SwapPolicy};
+use crate::api::{ServeReport, ServeStats, ServingApi, SwapPolicy};
 use crate::kv::KvStore;
-use crate::overlay::{OverlayStatus, OverlayStore, DEFAULT_OVERLAY_CAP_BYTES};
+use crate::overlay::{OverlayStore, DEFAULT_OVERLAY_CAP_BYTES};
 use crate::registry::{ModelRegistry, RegistryError, RegistryResult, SnapshotMeta};
 use crate::sync::lock;
 use graphex_core::serialize::LoadMode;
@@ -177,38 +177,32 @@ struct Inner {
 }
 
 /// One row of the fleet table (what `/statusz` and `graphex tenant
-/// list` render).
+/// list` render): the tenant's residency and its serving row.
 #[derive(Debug, Clone)]
 pub struct TenantStatus {
     pub name: String,
     pub resident: bool,
-    /// Snapshot version: the *active* one while resident, else the
-    /// last-known published version read from the tenant's on-disk
-    /// registry pin (0 only for a tenant that never had a publish).
-    /// A cold tenant with three published snapshots reports 3, not 0.
-    pub snapshot_version: u64,
     /// Storage backend actually serving the resident snapshot.
     pub load_mode: Option<LoadMode>,
     /// Size of the resident snapshot's backing bytes (0 while cold).
     /// Under mmap this is file bytes shared with the page cache, not
     /// private anonymous memory.
     pub resident_bytes: u64,
-    /// Items in the resident incarnation's KV store and the bytes their
-    /// records occupy ([`KvStore::record_bytes`]); both 0 while cold —
-    /// the store goes with the incarnation.
-    pub store_items: u64,
-    pub store_bytes: u64,
     pub admissions: u64,
     pub evictions: u64,
     /// Cold-start cost of the current incarnation, if resident.
     pub admitted_in: Option<Duration>,
-    /// Lifetime serve counters: folded evicted incarnations + the live
-    /// one.
-    pub stats: ServeStats,
-    /// Overlay depth/counters, when the fleet runs with overlays
-    /// enabled (present even while cold — the overlay outlives
-    /// residency).
-    pub overlay: Option<OverlayStatus>,
+    /// The tenant's serving row, as a single api reports it, with three
+    /// differences. Its counters are lifetime ones: folded evicted
+    /// incarnations plus the live one. Its snapshot version is the
+    /// *active* one while resident, else the last-known published
+    /// version read from the tenant's on-disk registry pin (0 only for a
+    /// tenant that never had a publish), so a cold tenant with three
+    /// published snapshots reports 3, not 0. Its store is the resident
+    /// incarnation's (empty while cold: the store goes with the
+    /// incarnation), while its overlay is present even while cold (the
+    /// overlay outlives residency).
+    pub report: ServeReport,
 }
 
 /// Many named model registries under one root, with lazy admission and
@@ -288,7 +282,7 @@ impl TenantFleet {
     /// Lifetime serve counters for one tenant (folded + live).
     pub fn stats(&self, name: &str) -> FleetResult<ServeStats> {
         self.status(name)
-            .map(|s| s.stats)
+            .map(|s| s.report.stats)
             .ok_or_else(|| FleetError::UnknownTenant(name.into()))
     }
 
@@ -465,14 +459,10 @@ impl TenantFleet {
         }
     }
 
-    /// Activates cross-process publishes: for every resident tenant
-    /// whose on-disk pin (`CURRENT`, or a newer snapshot) differs from
-    /// the serving version, runs admission and swaps. Returns
-    /// `(tenant, result)` per attempted swap; a failed activation
-    /// leaves that tenant serving its previous snapshot.
-    ///
-    /// This is the fleet analogue of `graphex serve --root`'s poll
-    /// loop, one poll for N tenants.
+    /// Activates cross-process publishes: [`ModelRegistry::activate_pinned`]
+    /// on every resident tenant. Returns `(tenant, result)` per attempted
+    /// swap; a failed activation leaves that tenant serving its previous
+    /// snapshot.
     pub fn poll_publishes(&self) -> Vec<(String, RegistryResult<u64>)> {
         // Snapshot the resident registries, then activate outside the
         // fleet lock — loading a republished snapshot must not block
@@ -489,18 +479,10 @@ impl TenantFleet {
                 })
                 .collect()
         };
-        let mut swapped = Vec::new();
-        for (name, registry) in residents {
-            let pinned = registry.pinned_version();
-            if pinned == registry.current_version() {
-                continue;
-            }
-            if let Some(version) = pinned {
-                let result = registry.activate(version).map(|a| a.version);
-                swapped.push((name, result));
-            }
-        }
-        swapped
+        residents
+            .into_iter()
+            .filter_map(|(name, registry)| Some((name, registry.activate_pinned()?)))
+            .collect()
     }
 
     /// Evicts least-recently-used residents until the cap holds,
@@ -547,35 +529,31 @@ impl TenantFleet {
     }
 
     fn status_of(&self, name: &str, state: &TenantState) -> TenantStatus {
-        let mut stats = state.folded;
         let resident = state.resident.as_ref();
-        if let Some(r) = resident {
-            stats.absorb(&r.api.stats());
-        }
-        // A cold tenant still has a last-known published version on
-        // disk: read the registry pin without activating anything, so
-        // `list`/`status` never misreport an evicted tenant as version 0
-        // (it would look like "never published" to operators).
-        let snapshot_version = match resident {
-            Some(r) => r.registry.current_version().unwrap_or(0),
-            None => ModelRegistry::attach(self.tenants_root.join(name))
+        let mut report = resident.map(|r| r.api.report()).unwrap_or_default();
+        let mut stats = state.folded;
+        stats.absorb(&report.stats);
+        report.stats = stats;
+        if resident.is_none() {
+            // A cold tenant still has a last-known published version on
+            // disk: read the registry pin without activating anything, so
+            // `list`/`status` never misreport an evicted tenant as version
+            // 0 (it would look like "never published" to operators).
+            report.stats.snapshot_version = ModelRegistry::attach(self.tenants_root.join(name))
                 .ok()
                 .and_then(|r| r.pinned_version())
-                .unwrap_or(0),
-        };
+                .unwrap_or(0);
+            report.overlay = state.overlay.as_ref().map(|o| o.status());
+        }
         TenantStatus {
             name: name.to_string(),
             resident: resident.is_some(),
-            snapshot_version,
             load_mode: resident.and_then(|r| r.registry.current().map(|a| a.load_mode)),
             resident_bytes: resident.map_or(0, resident_bytes),
-            store_items: resident.map_or(0, |r| r.api.store().len() as u64),
-            store_bytes: resident.map_or(0, |r| r.api.store().record_bytes() as u64),
             admissions: state.admissions,
             evictions: state.evictions,
             admitted_in: resident.map(|r| r.admitted_in),
-            stats,
-            overlay: state.overlay.as_ref().map(|o| o.status()),
+            report,
         }
     }
 }
@@ -696,7 +674,7 @@ mod tests {
         assert_eq!(b.admissions, 2);
         assert_eq!(b.evictions, 1);
         assert_eq!(
-            b.stats.outcomes.exact_leaf, 2,
+            b.report.stats.outcomes.exact_leaf, 2,
             "stats folded across eviction"
         );
         let again_a = ask(&fleet.api("a").unwrap(), 1);
@@ -716,9 +694,9 @@ mod tests {
         assert_eq!(fleet.resident_count(), 0);
         assert_eq!(fleet.resident_bytes(), 0);
         let status = fleet.status("solo").unwrap();
-        assert_eq!(status.stats.outcomes.exact_leaf, 2);
+        assert_eq!(status.report.stats.outcomes.exact_leaf, 2);
         assert_eq!(
-            status.snapshot_version, 1,
+            status.report.stats.snapshot_version, 1,
             "an evicted tenant reports its last-known published version, not 0"
         );
         // The Arc held across the eviction still serves (in-flight
@@ -736,7 +714,10 @@ mod tests {
         fleet.publish_model("live", &model(5), "refresh").unwrap();
         // The same api handle observes the swap on its next request.
         assert!(ask(&api, 5).iter().all(|t| t.contains("tenant5")));
-        assert_eq!(fleet.status("live").unwrap().snapshot_version, 2);
+        assert_eq!(
+            fleet.status("live").unwrap().report.stats.snapshot_version,
+            2
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -768,18 +749,37 @@ mod tests {
     fn cold_tenant_status_reports_last_published_version() {
         let root = temproot("cold-version");
         let fleet = fleet_with(&root, 4, &[("frozen", 1)]);
-        assert_eq!(fleet.status("frozen").unwrap().snapshot_version, 1);
+        assert_eq!(
+            fleet
+                .status("frozen")
+                .unwrap()
+                .report
+                .stats
+                .snapshot_version,
+            1
+        );
         fleet.publish_model("frozen", &model(2), "second").unwrap();
         assert_eq!(
             fleet.resident_count(),
             0,
             "publish to a cold tenant must not admit"
         );
-        assert_eq!(fleet.status("frozen").unwrap().snapshot_version, 2);
+        assert_eq!(
+            fleet
+                .status("frozen")
+                .unwrap()
+                .report
+                .stats
+                .snapshot_version,
+            2
+        );
         // A tenant directory with no publishes yet genuinely is 0.
         std::fs::create_dir_all(fleet.tenants_root().join("empty")).unwrap();
         let fleet = TenantFleet::open(&root, FleetConfig::default()).unwrap();
-        assert_eq!(fleet.status("empty").unwrap().snapshot_version, 0);
+        assert_eq!(
+            fleet.status("empty").unwrap().report.stats.snapshot_version,
+            0
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -814,7 +814,7 @@ mod tests {
         assert!(fleet.evict("shop").unwrap());
         let status = fleet.status("shop").unwrap();
         assert_eq!(
-            status.overlay.as_ref().map(|o| o.depth),
+            status.report.overlay.as_ref().map(|o| o.depth),
             Some(1),
             "overlay outlives eviction"
         );

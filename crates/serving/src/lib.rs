@@ -46,7 +46,9 @@ pub mod overlay;
 pub mod registry;
 mod sync;
 
-pub use api::{Answer, InFlightGuard, ServeSource, ServeStats, Served, ServingApi, SwapPolicy};
+pub use api::{
+    Answer, InFlightGuard, ServeReport, ServeSource, ServeStats, Served, ServingApi, SwapPolicy,
+};
 pub use batch::{BatchPipeline, BatchReport};
 pub use fleet::{FleetConfig, FleetError, FleetResult, TenantFleet, TenantStatus};
 pub use kv::{KvStore, PackedRecs, Tags};

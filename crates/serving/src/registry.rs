@@ -334,7 +334,7 @@ impl ModelRegistry {
             load_mode,
             ..Self::attach(root)?
         };
-        registry.activate_pinned()?;
+        registry.boot()?;
         Ok(registry)
     }
 
@@ -342,7 +342,7 @@ impl ModelRegistry {
     /// the others newest first, until one passes admission. The choice is
     /// made under the write lock, so no publish can land between reading
     /// `CURRENT` and writing it back.
-    fn activate_pinned(&self) -> RegistryResult<()> {
+    fn boot(&self) -> RegistryResult<()> {
         let _writer = lock(&self.write_lock);
         let versions = self.versions()?;
         if versions.is_empty() {
@@ -618,6 +618,20 @@ impl ModelRegistry {
         *write(&self.shared.active) = Some(Arc::clone(&active));
         self.shared.epoch.fetch_add(1, Ordering::AcqRel);
         Ok(active)
+    }
+
+    /// Activates the pinned version ([`ModelRegistry::pinned_version`])
+    /// when it is not the active one: how a serving process picks up a
+    /// publish or rollback made by another process. `None` when there is
+    /// nothing to do (the pin is active, or the directory holds no
+    /// snapshot); else the activated version, or the error with the
+    /// previous snapshot still serving.
+    pub fn activate_pinned(&self) -> Option<RegistryResult<u64>> {
+        let pinned = self.pinned_version()?;
+        if self.current_version() == Some(pinned) {
+            return None;
+        }
+        Some(self.activate(pinned).map(|active| active.version))
     }
 
     /// Swaps back to the newest snapshot older than the current one.
@@ -1017,6 +1031,56 @@ mod tests {
         drop(registry);
         let reopened = ModelRegistry::open(&root).unwrap();
         assert_eq!(reopened.current_version(), Some(1));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn activate_pinned_is_a_no_op_while_the_pin_is_active() {
+        let root = tempdir("pin-noop");
+        let registry = ModelRegistry::open(&root).unwrap();
+        assert!(registry.activate_pinned().is_none(), "no snapshot yet");
+        registry.publish(&model(1), "").unwrap();
+        let epoch = registry.epoch();
+        assert!(registry.activate_pinned().is_none());
+        assert_eq!(registry.epoch(), epoch, "a no-op swaps nothing");
+
+        // Another process publishes: the pin moves, one poll activates it.
+        ModelRegistry::attach(&root)
+            .unwrap()
+            .publish(&model(2), "")
+            .unwrap();
+        assert_eq!(registry.activate_pinned().unwrap().unwrap(), 2);
+        assert_eq!(registry.current_version(), Some(2));
+        assert!(registry.activate_pinned().is_none());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn activate_pinned_failure_keeps_the_previous_snapshot_serving() {
+        let root = tempdir("pin-fail");
+        let registry = ModelRegistry::open(&root).unwrap();
+        registry.publish(&model(1), "").unwrap();
+        ModelRegistry::attach(&root)
+            .unwrap()
+            .publish(&model(2), "")
+            .unwrap();
+        let path = root.join("2").join(MODEL_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+
+        assert!(matches!(
+            registry.activate_pinned(),
+            Some(Err(RegistryError::Manifest(_)))
+        ));
+        assert_eq!(registry.current_version(), Some(1));
+        let active = registry.current().unwrap();
+        let served = active.engine.infer(&graphex_core::InferRequest::new(
+            "brand1 widget model0",
+            LeafId(0),
+        ));
+        assert!(!served.is_empty(), "the previous snapshot still answers");
         std::fs::remove_dir_all(&root).ok();
     }
 

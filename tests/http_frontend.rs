@@ -396,8 +396,140 @@ fn statusz_and_metrics_are_consistent() {
     )));
     assert!(metrics.contains("graphex_request_duration_seconds_count 5"));
     assert!(metrics.contains("graphex_model_snapshot_version 1"));
+    assert_row_matches_samples(&statusz, &metrics, "");
+    let (title, leaf) = (title.clone(), *leaf);
     drop(client);
     fixture.finish();
+
+    // A fleet reports the same row per tenant: each tenant row's counters
+    // equal its `tenant`-labelled samples.
+    use graphex_serving::{FleetConfig, TenantFleet};
+    let root = tempdir("statusz-fleet");
+    let fleet = TenantFleet::open(&root, FleetConfig::default()).unwrap();
+    let model = tiny_model(&tiny_dataset(0xE46E));
+    for tenant in ["alpha", "beta"] {
+        fleet.publish_model(tenant, &model, "v1").unwrap();
+    }
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        ..Default::default()
+    };
+    let server = graphex_server::start_fleet(config, Arc::new(fleet)).unwrap();
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    for (tenant, n) in [("alpha", 5u64), ("beta", 2)] {
+        for id in 0..n {
+            let path = format!("/v1/t/{tenant}/infer");
+            let reply = client
+                .post_json(&path, &infer_body(&title, leaf, id % 2))
+                .unwrap();
+            assert_eq!(reply.status, 200, "{}", reply.text());
+        }
+    }
+    let statusz = graphex_server::json::parse(&client.get("/statusz").unwrap().text()).unwrap();
+    let metrics = client.get("/metrics").unwrap().text();
+    let rows = statusz.get("tenants").and_then(Json::as_arr).unwrap();
+    assert_eq!(rows.len(), 2);
+    for row in rows {
+        let name = row.get("name").and_then(Json::as_str).unwrap();
+        assert_row_matches_samples(row, &metrics, &format!("tenant=\"{name}\""));
+    }
+    let alpha = &rows[0];
+    assert_eq!(alpha.get("store_hits").and_then(Json::as_u64), Some(3));
+    drop(client);
+    server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Every counter of a serving row's `/statusz` members and the metric
+/// sample it is exported as, its labels without the row's own.
+const ROW_SAMPLES: [(&str, &str, &str); 19] = [
+    ("snapshot_version", "graphex_model_snapshot_version", ""),
+    ("model_swaps", "graphex_model_swaps_total", ""),
+    ("in_flight", "graphex_in_flight", ""),
+    ("shed", "graphex_shed_total", ""),
+    ("deadline_exceeded", "graphex_deadline_exceeded_total", ""),
+    (
+        "store_hits",
+        "graphex_serve_source_total",
+        "source=\"store_hit\"",
+    ),
+    (
+        "read_throughs",
+        "graphex_serve_source_total",
+        "source=\"read_through\"",
+    ),
+    (
+        "coalesced",
+        "graphex_serve_source_total",
+        "source=\"coalesced\"",
+    ),
+    ("direct", "graphex_serve_source_total", "source=\"direct\""),
+    (
+        "unservable",
+        "graphex_serve_source_total",
+        "source=\"unservable\"",
+    ),
+    ("invalidated", "graphex_serve_invalidated_total", ""),
+    (
+        "overlay_invalidated",
+        "graphex_serve_overlay_invalidated_total",
+        "",
+    ),
+    (
+        "overlay_retagged",
+        "graphex_serve_overlay_retagged_total",
+        "",
+    ),
+    ("store/items", "graphex_store_items", ""),
+    ("store/bytes", "graphex_store_bytes", ""),
+    (
+        "outcomes/exact_leaf",
+        "graphex_serve_outcome_total",
+        "outcome=\"exact_leaf\"",
+    ),
+    (
+        "outcomes/meta_fallback",
+        "graphex_serve_outcome_total",
+        "outcome=\"meta_fallback\"",
+    ),
+    (
+        "outcomes/unknown_leaf",
+        "graphex_serve_outcome_total",
+        "outcome=\"unknown_leaf\"",
+    ),
+    (
+        "outcomes/empty",
+        "graphex_serve_outcome_total",
+        "outcome=\"empty\"",
+    ),
+];
+
+/// Asserts each of a row's `/statusz` counters equals its sample on
+/// `/metrics`, the row's `labels` (empty for a single server) first.
+fn assert_row_matches_samples(row: &Json, metrics: &str, labels: &str) {
+    for (key, family, own) in ROW_SAMPLES {
+        let member = match key.split_once('/') {
+            Some((group, key)) => row.get(group).and_then(|g| g.get(key)),
+            None => row.get(key),
+        };
+        let value = member
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("statusz row lacks {key}"));
+        let all: Vec<&str> = [labels, own]
+            .into_iter()
+            .filter(|l| !l.is_empty())
+            .collect();
+        let series = if all.is_empty() {
+            family.to_string()
+        } else {
+            format!("{family}{{{}}}", all.join(","))
+        };
+        assert!(
+            metrics.contains(&format!("\n{series} {value}\n")),
+            "{key} = {value}, but /metrics lacks `{series} {value}`:\n{metrics}"
+        );
+    }
 }
 
 /// The single server, the fleet server and the router stand on one edge

@@ -221,7 +221,12 @@ fn single_server_with_overlay_exposition_is_conformant() {
 fn fleet_exposition_is_conformant() {
     let root = std::env::temp_dir().join(format!("graphex-prom-fleet-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let fleet = Arc::new(TenantFleet::open(&root, FleetConfig::default()).unwrap());
+    let fleet_config = FleetConfig {
+        overlay: true,
+        ..Default::default()
+    };
+    let fleet = Arc::new(TenantFleet::open(&root, fleet_config).unwrap());
+    let mut models = Vec::new();
     for tenant in ["alpha", "beta"] {
         let mut config = GraphExConfig::default();
         config.curation.min_search_count = 0;
@@ -237,6 +242,7 @@ fn fleet_exposition_is_conformant() {
             .build()
             .unwrap();
         fleet.publish_model(tenant, &model, "v1").unwrap();
+        models.push(model);
     }
     let server = graphex_server::start_fleet(
         ServerConfig {
@@ -260,7 +266,7 @@ fn fleet_exposition_is_conformant() {
     let before = scrape(&mut client, "fleet");
     for family in [
         "graphex_tenant_resident",
-        "graphex_tenant_serve_outcome_total",
+        "graphex_serve_outcome_total",
         "graphex_stage_latency_seconds",
     ] {
         assert!(
@@ -278,6 +284,64 @@ fn fleet_exposition_is_conformant() {
     );
     let after = scrape(&mut client, "fleet");
     check_monotone(&before, &after, "fleet");
+
+    // Parity: a single api over one of the same models, overlay attached
+    // like the fleet's tenants. Every family its scrape has, the fleet's
+    // has too; a family the fleet labels per tenant carries every single
+    // series once per tenant, the tenant label first.
+    let api = Arc::new(
+        ServingApi::new(Arc::new(models.remove(0)), Arc::new(KvStore::new()), 10)
+            .with_overlay(Arc::new(OverlayStore::new())),
+    );
+    let single = graphex_server::start(
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            ..Default::default()
+        },
+        api,
+    )
+    .unwrap();
+    let mut single_client = HttpClient::connect(single.addr()).unwrap();
+    drive_infer(
+        &mut single_client,
+        "/v1/infer",
+        "alpha widget edition0",
+        0,
+        2,
+    );
+    let single_scrape = scrape(&mut single_client, "single");
+    for (family, kind) in &single_scrape.families {
+        assert_eq!(
+            after.families.get(family),
+            Some(kind),
+            "fleet scrape lacks single family {family} ({kind})"
+        );
+        let per_tenant = after
+            .series
+            .keys()
+            .any(|key| key.starts_with(&format!("{family}{{tenant=\"")));
+        if !per_tenant {
+            continue;
+        }
+        for key in single_scrape.series.keys() {
+            let Some(labels) = key.strip_prefix(family.as_str()) else {
+                continue;
+            };
+            let own = match labels.strip_prefix('{') {
+                Some(own) => format!(",{own}"),
+                None if labels.is_empty() => "}".into(),
+                None => continue, // another family sharing this prefix
+            };
+            for tenant in ["alpha", "beta"] {
+                let twin = format!("{family}{{tenant=\"{tenant}\"{own}");
+                assert!(
+                    after.series.contains_key(&twin),
+                    "fleet scrape lacks {twin} (single has {key})"
+                );
+            }
+        }
+    }
+    single.shutdown();
     server.shutdown();
     std::fs::remove_dir_all(&root).ok();
 }
