@@ -20,7 +20,7 @@
 //! regress mid-handoff.
 
 use crate::args::ParsedArgs;
-use crate::records;
+use graphex_core::KeyphraseRecord;
 use graphex_server::{HttpClient, Json};
 use graphex_serving::OverlayJournal;
 use std::fmt::Write as _;
@@ -98,7 +98,7 @@ fn status(args: &ParsedArgs) -> Result<String, String> {
     Ok(out)
 }
 
-fn records_from_inputs(args: &ParsedArgs) -> Result<Vec<graphex_core::KeyphraseRecord>, String> {
+fn records_from_inputs(args: &ParsedArgs) -> Result<Vec<KeyphraseRecord>, String> {
     let inputs = args.require("input")?;
     let mut out = Vec::new();
     for path in inputs.split(',').filter(|p| !p.is_empty()) {
@@ -107,7 +107,8 @@ fn records_from_inputs(args: &ParsedArgs) -> Result<Vec<graphex_core::KeyphraseR
             if line.trim().is_empty() {
                 continue;
             }
-            let record = records::parse_line(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
+            let record =
+                KeyphraseRecord::from_tsv(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
             out.push(record);
         }
     }

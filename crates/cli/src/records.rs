@@ -1,18 +1,13 @@
 //! Record TSV output: `text<TAB>leaf_id<TAB>search_count<TAB>recall_count`.
 //!
-//! Reading lives in the build pipeline (`graphex_pipeline::source`,
-//! streaming with per-source error accounting) — the TSV grammar exists
-//! exactly once; [`parse_line`] re-exports it for CLI callers.
+//! The line grammar exists once, beside the record
+//! ([`KeyphraseRecord::from_tsv`] / [`KeyphraseRecord::tsv`]); streaming
+//! reads with per-source error accounting live in the build pipeline
+//! (`graphex_pipeline::source`).
 
 use graphex_core::KeyphraseRecord;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-
-/// Parses one TSV record line (the single source of truth is
-/// [`graphex_pipeline::source::parse_tsv_line`]).
-pub fn parse_line(line: &str) -> Result<KeyphraseRecord, String> {
-    graphex_pipeline::source::parse_tsv_line(line)
-}
 
 /// Writes records to a TSV file (buffered).
 pub fn write_tsv(path: impl AsRef<Path>, records: &[KeyphraseRecord]) -> Result<(), String> {
@@ -20,12 +15,7 @@ pub fn write_tsv(path: impl AsRef<Path>, records: &[KeyphraseRecord]) -> Result<
         .map_err(|e| format!("create {}: {e}", path.as_ref().display()))?;
     let mut out = BufWriter::new(file);
     for rec in records {
-        writeln!(
-            out,
-            "{}\t{}\t{}\t{}",
-            rec.text, rec.leaf.0, rec.search_count, rec.recall_count
-        )
-        .map_err(|e| format!("write: {e}"))?;
+        writeln!(out, "{}", rec.tsv()).map_err(|e| format!("write: {e}"))?;
     }
     out.flush().map_err(|e| format!("flush: {e}"))
 }
@@ -38,7 +28,7 @@ mod tests {
 
     #[test]
     fn parse_valid_line() {
-        let rec = parse_line("gaming headphones\t42\t800\t700").unwrap();
+        let rec = KeyphraseRecord::from_tsv("gaming headphones\t42\t800\t700").unwrap();
         assert_eq!(rec.text, "gaming headphones");
         assert_eq!(rec.leaf, LeafId(42));
         assert_eq!((rec.search_count, rec.recall_count), (800, 700));
@@ -46,11 +36,11 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed() {
-        assert!(parse_line("").is_err());
-        assert!(parse_line("text only").is_err());
-        assert!(parse_line("text\tnotanumber\t1\t2").is_err());
-        assert!(parse_line("text\t1\t2\t3\t4").is_err());
-        assert!(parse_line("\t1\t2\t3").is_err());
+        assert!(KeyphraseRecord::from_tsv("").is_err());
+        assert!(KeyphraseRecord::from_tsv("text only").is_err());
+        assert!(KeyphraseRecord::from_tsv("text\tnotanumber\t1\t2").is_err());
+        assert!(KeyphraseRecord::from_tsv("text\t1\t2\t3\t4").is_err());
+        assert!(KeyphraseRecord::from_tsv("\t1\t2\t3").is_err());
     }
 
     #[test]

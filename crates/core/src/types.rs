@@ -50,6 +50,43 @@ impl KeyphraseRecord {
             recall_count,
         }
     }
+
+    /// Parses one record line of the TSV interchange format,
+    /// `text<TAB>leaf_id<TAB>search_count<TAB>recall_count` — the one
+    /// grammar the build pipeline's TSV source, the overlay journal and
+    /// the CLI read.
+    pub fn from_tsv(line: &str) -> Result<Self, String> {
+        let mut cols = line.split('\t');
+        let text = cols
+            .next()
+            .filter(|t| !t.is_empty())
+            .ok_or("empty keyphrase text")?;
+        let mut number = |missing: &str, bad: &str| -> Result<u32, String> {
+            let col = cols.next().ok_or(missing)?;
+            col.parse().map_err(|_| bad.to_string())
+        };
+        let leaf = number("missing leaf id", "leaf id is not a number")?;
+        let search = number("missing search count", "search count is not a number")?;
+        let recall = number("missing recall count", "recall count is not a number")?;
+        if cols.next().is_some() {
+            return Err("too many columns".into());
+        }
+        Ok(Self::new(text, LeafId(leaf), search, recall))
+    }
+
+    /// This record as one TSV line, without its newline (the inverse of
+    /// [`KeyphraseRecord::from_tsv`]).
+    pub fn tsv(&self) -> impl std::fmt::Display + '_ {
+        struct Line<'a>(&'a KeyphraseRecord);
+        impl std::fmt::Display for Line<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                let r = self.0;
+                let (leaf, search, recall) = (r.leaf.0, r.search_count, r.recall_count);
+                write!(f, "{}\t{leaf}\t{search}\t{recall}", r.text)
+            }
+        }
+        Line(self)
+    }
 }
 
 #[cfg(test)]
@@ -67,5 +104,13 @@ mod tests {
         assert_eq!(r.text, "gaming headphones");
         assert_eq!(r.leaf, LeafId(1));
         assert_eq!((r.search_count, r.recall_count), (10, 5));
+    }
+
+    #[test]
+    fn tsv_line_round_trips() {
+        let r = KeyphraseRecord::new("gaming headphones", LeafId(42), 800, 700);
+        let line = r.tsv().to_string();
+        assert_eq!(line, "gaming headphones\t42\t800\t700");
+        assert_eq!(KeyphraseRecord::from_tsv(&line), Ok(r));
     }
 }

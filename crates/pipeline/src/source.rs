@@ -77,35 +77,6 @@ pub trait RecordSource: Send {
 // TSV
 // ====================================================================
 
-/// Parses one TSV record line:
-/// `text<TAB>leaf_id<TAB>search_count<TAB>recall_count`.
-pub fn parse_tsv_line(line: &str) -> Result<KeyphraseRecord, String> {
-    let mut cols = line.split('\t');
-    let text = cols
-        .next()
-        .filter(|t| !t.is_empty())
-        .ok_or("empty keyphrase text")?;
-    let leaf: u32 = cols
-        .next()
-        .ok_or("missing leaf id")?
-        .parse()
-        .map_err(|_| "leaf id is not a number")?;
-    let search: u32 = cols
-        .next()
-        .ok_or("missing search count")?
-        .parse()
-        .map_err(|_| "search count is not a number")?;
-    let recall: u32 = cols
-        .next()
-        .ok_or("missing recall count")?
-        .parse()
-        .map_err(|_| "recall count is not a number")?;
-    if cols.next().is_some() {
-        return Err("too many columns".into());
-    }
-    Ok(KeyphraseRecord::new(text, LeafId(leaf), search, recall))
-}
-
 /// Line-by-line record reader over any [`BufRead`], parameterized by the
 /// per-line parser (TSV or NDJSON share everything else).
 struct LineSource<R: BufRead> {
@@ -174,7 +145,7 @@ impl TsvFileSource {
             inner: LineSource::new(
                 path.display().to_string(),
                 std::io::BufReader::new(file),
-                parse_tsv_line,
+                KeyphraseRecord::from_tsv,
             ),
         })
     }
@@ -513,12 +484,12 @@ mod tests {
 
     #[test]
     fn tsv_line_parses_and_rejects() {
-        let rec = parse_tsv_line("gaming headphones\t42\t800\t700").unwrap();
+        let rec = KeyphraseRecord::from_tsv("gaming headphones\t42\t800\t700").unwrap();
         assert_eq!(rec.text, "gaming headphones");
         assert_eq!(rec.leaf, LeafId(42));
-        assert!(parse_tsv_line("text only").is_err());
-        assert!(parse_tsv_line("text\tx\t1\t2").is_err());
-        assert!(parse_tsv_line("a\t1\t2\t3\t4").is_err());
+        assert!(KeyphraseRecord::from_tsv("text only").is_err());
+        assert!(KeyphraseRecord::from_tsv("text\tx\t1\t2").is_err());
+        assert!(KeyphraseRecord::from_tsv("a\t1\t2\t3\t4").is_err());
     }
 
     #[test]

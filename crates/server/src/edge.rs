@@ -22,8 +22,10 @@
 //! history ring (with their sampler thread), the five shared `GET`
 //! routes, the 404/405 answers and the trace bracket. What differs
 //! between the backend server and the router — domain routes and the
-//! members/families/series they add to `/statusz`, `/metrics` and the
-//! history ring — enters through the [`Handler`] trait.
+//! numbers they report — enters through the [`Handler`] trait. A handler
+//! renders no report: it returns its rows (`metrics::Row`), the edge adds
+//! its own (HTTP, trace, history), and `/statusz`, `/metrics` and each
+//! history sample are one walk over the same rows (`metrics.rs`).
 //!
 //! [`EdgeHandle::shutdown`] is graceful and prompt: stop accepting, drain
 //! every admitted connection, answer requests already read or buffered
@@ -33,7 +35,7 @@
 use crate::history::{HistoryConfig, MetricsHistory};
 use crate::http::{self, ReadError, Request};
 use crate::json::{self, Json};
-use crate::metrics::{Endpoint, HttpMetrics};
+use crate::metrics::{self, Endpoint, HttpMetrics, Row};
 use crate::queue::Bounded;
 use crate::trace::{
     parse_trace_id, trace_json_inline, BackendTrace, TraceConfig, TraceRecorder, TRACE_HEADER,
@@ -243,14 +245,10 @@ pub(crate) trait Handler: Send + Sync {
         cx: &mut Cx,
         out: &mut String,
     ) -> Routed;
-    /// `/statusz` members ahead of the edge's latency/trace/history/queue
-    /// blocks.
-    fn statusz(&self) -> Vec<(&'static str, Json)>;
-    /// `/metrics` families between the HTTP-layer ones and the stage
-    /// histograms, appended to `out`.
-    fn render_metrics(&self, out: &mut String);
-    /// History series beside the edge's `http/*`, `queue/*`, `stage/*`.
-    fn sample_history(&self, values: &mut Vec<(String, f64)>);
+    /// Everything the frontend reports, read once per report: the edge
+    /// walks these rows, then its own, for `/statusz`, `/metrics` and
+    /// each history sample.
+    fn rows(&self) -> Vec<Row>;
     /// A connection was shed with 429 before any routing.
     fn note_shed(&self) {}
     /// Every edge thread has been joined.
@@ -415,45 +413,33 @@ fn sampler_loop(shared: &Shared) {
     }
 }
 
-/// Collects one history sample from the HTTP metrics, the handler's
-/// counters, and (when tracing is on) the per-stage histograms. All
-/// reads are the same relaxed atomic loads `/metrics` performs — the
-/// request path is never touched.
+/// Collects one history sample: the series of every row. The reads are
+/// the relaxed atomic loads `/metrics` performs — the request path is
+/// never touched.
 fn sample_history(shared: &Shared) {
     let Some(history) = &shared.history else {
         return;
     };
     let mut values: Vec<(String, f64)> = Vec::with_capacity(48);
-    let http = &shared.metrics;
-    values.push(("http/requests".into(), http.infer_latency.count() as f64));
-    if http.infer_latency.count() > 0 {
-        values.push((
-            "http/p50_us".into(),
-            http.infer_latency.quantile(0.50) * 1e6,
-        ));
-        values.push((
-            "http/p99_us".into(),
-            http.infer_latency.quantile(0.99) * 1e6,
-        ));
-    }
-    values.push((
-        "http/accepted".into(),
-        http.connections_accepted.load(Ordering::Relaxed) as f64,
-    ));
-    values.push((
-        "http/shed".into(),
-        http.connections_shed.load(Ordering::Relaxed) as f64,
-    ));
-    values.push(("queue/depth".into(), shared.queue.len() as f64));
-    shared.handler.sample_history(&mut values);
-    if let Some(recorder) = &shared.traces {
-        for (stage, count, p50, p99) in recorder.stage_summaries() {
-            values.push((format!("stage/{stage}/count"), count as f64));
-            values.push((format!("stage/{stage}/p50_us"), p50 * 1e6));
-            values.push((format!("stage/{stage}/p99_us"), p99 * 1e6));
-        }
-    }
+    metrics::sample_history(&rows(shared), &mut values);
     history.record(values);
+}
+
+/// The handler's rows, then the edge's: flight recorder, history ring,
+/// HTTP layer and accept queue (`trace`/`history` are `null` when off).
+fn rows(shared: &Shared) -> Vec<Row> {
+    let mut rows = shared.handler.rows();
+    let mut edge = Row::top().http(&shared.metrics.report(shared.queue.len()));
+    match &shared.traces {
+        Some(recorder) => rows.push(recorder.row()),
+        None => edge = edge.member("trace", Json::Null),
+    }
+    match &shared.history {
+        Some(history) => rows.push(history.row()),
+        None => edge = edge.member("history", Json::Null),
+    }
+    rows.push(edge);
+    rows
 }
 
 /// How long a shed connection stays open after its 429 is written, and
@@ -683,9 +669,9 @@ fn route(
         }
         let routed = match route.endpoint {
             Endpoint::Healthz => Routed::text(out, 200, "ok\n"),
-            Endpoint::Statusz => Routed::json(out, 200, &statusz(shared)),
+            Endpoint::Statusz => Routed::json(out, 200, &metrics::statusz(&rows(shared))),
             Endpoint::Metrics => {
-                render_metrics(shared, out);
+                metrics::render_metrics(&rows(shared), out);
                 Routed::new(200, "text/plain; version=0.0.4; charset=utf-8")
             }
             Endpoint::Traces => match &shared.traces {
@@ -762,46 +748,6 @@ fn handle_traced(
     routed.with_header(TRACE_HEADER, format!("{:016x}", cx.trace_id))
 }
 
-/// The `/statusz` envelope: the handler's members, then the blocks every
-/// frontend reports the same way.
-fn statusz(shared: &Shared) -> Json {
-    let h = &shared.metrics.infer_latency;
-    let latency = Json::obj(vec![
-        ("count", Json::uint(h.count())),
-        ("p50_us", Json::num(h.quantile(0.50) * 1e6)),
-        ("p90_us", Json::num(h.quantile(0.90) * 1e6)),
-        ("p99_us", Json::num(h.quantile(0.99) * 1e6)),
-    ]);
-    let mut members = shared.handler.statusz();
-    members.extend([
-        ("latency", latency),
-        (
-            "trace",
-            shared
-                .traces
-                .as_ref()
-                .map_or(Json::Null, |r| r.statusz_json()),
-        ),
-        (
-            "history",
-            shared
-                .history
-                .as_ref()
-                .map_or(Json::Null, |h| h.statusz_json()),
-        ),
-        ("queue_depth", Json::uint(shared.queue.len() as u64)),
-    ]);
-    Json::obj(members)
-}
-
-fn render_metrics(shared: &Shared, out: &mut String) {
-    shared.metrics.render_http_families(shared.queue.len(), out);
-    shared.handler.render_metrics(out);
-    if let Some(recorder) = &shared.traces {
-        recorder.render_metrics(out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -868,16 +814,17 @@ mod tests {
             }
         }
 
-        fn statusz(&self) -> Vec<(&'static str, Json)> {
-            vec![("role", Json::str("toy"))]
-        }
-
-        fn render_metrics(&self, out: &mut String) {
-            out.push_str("toy_family 1\n");
-        }
-
-        fn sample_history(&self, values: &mut Vec<(String, f64)>) {
-            values.push(("toy/series".into(), 1.0));
+        fn rows(&self) -> Vec<Row> {
+            static TOY_FIELDS: [metrics::Field<Toy>; 1] = [metrics::field(
+                "",
+                "toy_family",
+                "",
+                "toy/series",
+                metrics::Get::Gauge(|_| 1),
+            )];
+            vec![Row::top()
+                .member("role", Json::str("toy"))
+                .fields(&TOY_FIELDS, self)]
         }
 
         fn note_shed(&self) {

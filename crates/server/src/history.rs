@@ -19,7 +19,11 @@
 //!   gauges it is just the end-to-end slope).
 //! * a `history` block on `/statusz` — ring occupancy plus Unicode
 //!   sparklines over the most recent samples, so a plain curl shows the
-//!   shape of the last few minutes.
+//!   shape of the last few minutes (the ring's one `metrics::Row`).
+//!
+//! What a sample holds is not listed here: the edge walks the same rows
+//! it renders `/statusz` and `/metrics` from, and every field that names
+//! a history series contributes it (`metrics.rs`).
 //!
 //! Overhead: the hot path never touches this module. Sampling reads the
 //! same atomics `/metrics` reads, once per interval, on a dedicated
@@ -27,6 +31,8 @@
 //! throughput.
 
 use crate::json::Json;
+use crate::metrics::Get::{Flag, Gauge};
+use crate::metrics::{field, Field, Row};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -86,6 +92,15 @@ pub struct MetricsHistory {
     tick: AtomicU64,
     ring: Mutex<VecDeque<Arc<HistorySample>>>,
 }
+
+/// The numbers of a [`MetricsHistory`]'s `/statusz` block.
+#[rustfmt::skip]
+static HISTORY_FIELDS: [Field<MetricsHistory>; 4] = [
+    field("enabled",      "",  "",  "",  Flag(|h| h.config.enabled)),
+    field("interval_ms",  "",  "",  "",  Gauge(|h| h.config.interval.as_millis() as u64)),
+    field("recorded",     "",  "",  "",  Gauge(|h| h.recorded())),
+    field("samples",      "",  "",  "",  Gauge(|h| h.len() as u64)),
+];
 
 /// Series shown as `/statusz` sparklines, at most.
 const STATUSZ_SPARKLINES: usize = 24;
@@ -225,35 +240,33 @@ impl MetricsHistory {
         .render()
     }
 
-    /// The `/statusz` history block: ring occupancy plus sparklines over
-    /// the most recent samples (alphabetical, capped so a curl stays
-    /// readable).
-    pub fn statusz_json(&self) -> Json {
+    /// The `/statusz` `history` block: ring occupancy plus sparklines over
+    /// the most recent samples (capped so a curl stays readable).
+    pub(crate) fn row(&self) -> Row {
+        Row::at("history")
+            .member("sparklines", self.sparklines())
+            .fields(&HISTORY_FIELDS, self)
+    }
+
+    /// Frontend-wide series first (fewest `/` segments), so one row per
+    /// backend or tenant cannot crowd out `router/*` or `serve/*`.
+    fn sparklines(&self) -> Json {
         let samples = self.samples(SPARKLINE_WIDTH);
-        let mut keys: BTreeMap<&str, ()> = BTreeMap::new();
-        for sample in &samples {
-            for (key, _) in &sample.values {
-                keys.insert(key, ());
-            }
-        }
+        let mut keys: Vec<&str> = samples
+            .iter()
+            .flat_map(|sample| sample.values.iter().map(|(key, _)| key.as_str()))
+            .collect();
+        keys.sort_by_key(|key| (key.matches('/').count(), *key));
+        keys.dedup();
         let sparklines: Vec<(&str, Json)> = keys
-            .keys()
+            .into_iter()
             .take(STATUSZ_SPARKLINES)
-            .map(|&key| {
+            .map(|key| {
                 let points: Vec<f64> = samples.iter().filter_map(|s| s.value(key)).collect();
                 (key, Json::str(sparkline(&points)))
             })
             .collect();
-        Json::obj(vec![
-            ("enabled", Json::Bool(self.config.enabled)),
-            (
-                "interval_ms",
-                Json::num(self.config.interval.as_millis() as f64),
-            ),
-            ("recorded", Json::uint(self.recorded())),
-            ("samples", Json::uint(self.len() as u64)),
-            ("sparklines", Json::obj(sparklines)),
-        ])
+        Json::obj(sparklines)
     }
 
     fn lock_ring(&self) -> std::sync::MutexGuard<'_, VecDeque<Arc<HistorySample>>> {
@@ -383,10 +396,12 @@ mod tests {
         for i in 0..4 {
             h.record(kv(&[("serve/requests", (i * i) as f64)]));
         }
-        let block = h.statusz_json().render();
+        let block = crate::metrics::statusz(&[h.row()]).render();
         assert!(block.contains("sparklines"), "{block}");
         assert!(block.contains("serve/requests"), "{block}");
         let parsed = crate::json::parse(&block).unwrap();
+        let parsed = parsed.get("history").unwrap();
+        assert_eq!(parsed.get("samples").and_then(Json::as_u64), Some(4));
         let line = parsed
             .get("sparklines")
             .unwrap()
@@ -396,6 +411,35 @@ mod tests {
             .unwrap()
             .to_string();
         assert_eq!(line.chars().count(), 4);
+    }
+
+    /// On a router with a few shards, the per-backend series alone
+    /// outnumber the sparkline cap; the router-wide ones still get one.
+    #[test]
+    fn statusz_sparklines_put_frontend_wide_series_first() {
+        let h = history(8);
+        let mut values = kv(&[("router/requests_in", 3.0), ("http/requests", 3.0)]);
+        for shard in 0..3 {
+            for counter in ["calls", "failures", "retries", "ejections", "fast_failures"] {
+                values.push((format!("backend/{shard}/{counter}"), 1.0));
+            }
+            values.push((format!("backend/{shard}/healthy"), 1.0));
+            values.push((format!("backend/{shard}/readmissions"), 0.0));
+            values.push((format!("backend/{shard}/last_probe_tick"), 0.0));
+            values.push((format!("backend/{shard}/consecutive_failures"), 0.0));
+        }
+        h.record(values);
+        let lines = h.sparklines();
+        let Json::Obj(lines) = lines else {
+            panic!("sparklines is no object");
+        };
+        let keys: Vec<&str> = lines.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(keys.len(), STATUSZ_SPARKLINES);
+        assert_eq!(keys[..2], ["http/requests", "router/requests_in"]);
+        assert!(
+            keys[2..].iter().all(|k| k.starts_with("backend/")),
+            "{keys:?}"
+        );
     }
 
     #[test]

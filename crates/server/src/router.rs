@@ -56,7 +56,8 @@ use crate::edge::{self, Cx, EdgeConfig, EdgeHandle, Handler, Route, Routed};
 use crate::history::{HistoryConfig, MetricsHistory};
 use crate::http::Request;
 use crate::json::{self, Json};
-use crate::metrics::{Endpoint, HttpMetrics};
+use crate::metrics::Get::{Counter, Flag, Gauge};
+use crate::metrics::{field, Endpoint, Field, HttpMetrics, Row};
 use crate::server::{decode_envelope, decode_one, id_json, Decoded, Fields};
 use crate::shardmap::ShardMap;
 use crate::trace::{backend_trace_from_json, TraceConfig, TraceRecorder, TRACE_HEADER};
@@ -141,6 +142,12 @@ impl Default for RouterConfig {
 enum Health {
     Healthy { consecutive_failures: u32 },
     Ejected { until: Instant, backoff: Duration },
+}
+
+impl Health {
+    fn is_healthy(&self) -> bool {
+        matches!(self, Health::Healthy { .. })
+    }
 }
 
 /// One backend: address, connection pool, health, counters.
@@ -361,15 +368,6 @@ impl Backend {
             .unwrap_or_else(PoisonError::into_inner)
             .clear();
     }
-
-    fn health_label(&self) -> (&'static str, u64) {
-        match &*self.lock_health() {
-            Health::Healthy {
-                consecutive_failures,
-            } => ("healthy", u64::from(*consecutive_failures)),
-            Health::Ejected { .. } => ("ejected", 0),
-        }
-    }
 }
 
 /// The scatter-gather [`Handler`]: shard map, backends, fan-out counters.
@@ -387,6 +385,36 @@ struct ScatterHandler {
     /// `last_probe_tick`.
     probe_ticks: AtomicU64,
 }
+
+/// The router's own numbers, in [`crate::metrics::field`]'s argument order.
+#[rustfmt::skip]
+static ROUTER_FIELDS: [Field<ScatterHandler>; 5] = [
+    field("shards",              "",                                 "",  "",                         Gauge(|h| u64::from(h.map.shards()))),
+    field("requests_in",         "graphex_router_requests_total",    "",  "router/requests_in",       Counter(|h| h.requests_in.load(Ordering::Relaxed))),
+    field("fanout_subrequests",  "graphex_router_fanout_total",      "",  "router/fanout",            Counter(|h| h.fanout.load(Ordering::Relaxed))),
+    field("degraded",            "graphex_router_degraded_total",    "",  "router/degraded",          Counter(|h| h.degraded.load(Ordering::Relaxed))),
+    field("backends_healthy",    "graphex_router_backends_healthy",  "",  "router/backends_healthy",  Gauge(|h| h.backends.iter().filter(|b| b.lock_health().is_healthy()).count() as u64)),
+];
+
+/// A backend's health, read once per report (its `state` member is the
+/// same read).
+#[rustfmt::skip]
+static HEALTH_FIELDS: [Field<Health>; 2] = [
+    field("consecutive_failures",  "graphex_router_backend_consecutive_failures",  "",  "consecutive_failures",  Gauge(|h| match h { Health::Healthy { consecutive_failures: n } => u64::from(*n), _ => 0 })),
+    field("healthy",               "graphex_router_backend_healthy",               "",  "healthy",               Flag(Health::is_healthy)),
+];
+
+/// A backend's counters.
+#[rustfmt::skip]
+static BACKEND_FIELDS: [Field<Backend>; 7] = [
+    field("calls",            "graphex_router_backend_calls_total",          "",  "calls",            Counter(|b| b.calls.load(Ordering::Relaxed))),
+    field("failures",         "graphex_router_backend_failures_total",       "",  "failures",         Counter(|b| b.failures.load(Ordering::Relaxed))),
+    field("retries",          "graphex_router_backend_retries_total",        "",  "retries",          Counter(|b| b.retries.load(Ordering::Relaxed))),
+    field("ejections",        "graphex_router_backend_ejections_total",      "",  "ejections",        Counter(|b| b.ejections.load(Ordering::Relaxed))),
+    field("readmissions",     "graphex_router_backend_readmissions_total",   "",  "readmissions",     Counter(|b| b.readmissions.load(Ordering::Relaxed))),
+    field("fast_failures",    "graphex_router_backend_fast_failures_total",  "",  "fast_failures",    Counter(|b| b.fast_failures.load(Ordering::Relaxed))),
+    field("last_probe_tick",  "graphex_router_backend_last_probe_tick",      "",  "last_probe_tick",  Gauge(|b| b.last_probe_tick.load(Ordering::Relaxed))),
+];
 
 /// A running router; dropping it shuts down gracefully.
 pub struct RouterHandle {
@@ -490,131 +518,32 @@ impl Handler for ScatterHandler {
         self.infer(request, cx, out)
     }
 
-    /// Fan-out counters plus the per-backend health table.
-    fn statusz(&self) -> Vec<(&'static str, Json)> {
-        let backends: Vec<Json> = self
-            .backends
-            .iter()
-            .enumerate()
-            .map(|(shard, b)| {
-                let (state, consecutive_failures) = b.health_label();
-                Json::obj(vec![
-                    ("shard", Json::uint(shard as u64)),
-                    ("addr", Json::str(b.addr.clone())),
-                    ("state", Json::str(state)),
-                    ("consecutive_failures", Json::uint(consecutive_failures)),
-                    ("calls", Json::uint(b.calls.load(Ordering::Relaxed))),
-                    ("failures", Json::uint(b.failures.load(Ordering::Relaxed))),
-                    ("retries", Json::uint(b.retries.load(Ordering::Relaxed))),
-                    ("ejections", Json::uint(b.ejections.load(Ordering::Relaxed))),
-                    (
-                        "readmissions",
-                        Json::uint(b.readmissions.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "fast_failures",
-                        Json::uint(b.fast_failures.load(Ordering::Relaxed)),
-                    ),
-                    ("last_error", Json::str(b.last_error_snapshot())),
-                    (
-                        "last_probe_tick",
-                        Json::uint(b.last_probe_tick.load(Ordering::Relaxed)),
-                    ),
-                ])
-            })
-            .collect();
-        vec![
-            ("role", Json::str("router")),
-            ("shards", Json::uint(u64::from(self.map.shards()))),
-            (
-                "requests_in",
-                Json::uint(self.requests_in.load(Ordering::Relaxed)),
-            ),
-            (
-                "fanout_subrequests",
-                Json::uint(self.fanout.load(Ordering::Relaxed)),
-            ),
-            (
-                "degraded",
-                Json::uint(self.degraded.load(Ordering::Relaxed)),
-            ),
-            ("backends", Json::Arr(backends)),
-        ]
-    }
-
-    fn render_metrics(&self, out: &mut String) {
-        for (name, counter) in [
-            ("requests", &self.requests_in),
-            ("fanout", &self.fanout),
-            ("degraded", &self.degraded),
-        ] {
-            let _ = writeln!(out, "# TYPE graphex_router_{name}_total counter");
-            let _ = writeln!(
-                out,
-                "graphex_router_{name}_total {}",
-                counter.load(Ordering::Relaxed)
-            );
-        }
-        for family in ["calls", "failures", "retries", "ejections", "readmissions"] {
-            let _ = writeln!(out, "# TYPE graphex_router_backend_{family}_total counter");
-            for (shard, backend) in self.backends.iter().enumerate() {
-                let value = match family {
-                    "calls" => backend.calls.load(Ordering::Relaxed),
-                    "failures" => backend.failures.load(Ordering::Relaxed),
-                    "retries" => backend.retries.load(Ordering::Relaxed),
-                    "ejections" => backend.ejections.load(Ordering::Relaxed),
-                    _ => backend.readmissions.load(Ordering::Relaxed),
-                };
-                let _ = writeln!(
-                    out,
-                    "graphex_router_backend_{family}_total{{shard=\"{shard}\"}} {value}"
-                );
-            }
-        }
-        let _ = writeln!(out, "# TYPE graphex_router_backend_healthy gauge");
+    /// The fan-out counters, then one row per backend in the `backends`
+    /// table, under `shard="<i>"` and `backend/<i>/`.
+    fn rows(&self) -> Vec<Row> {
+        let top = Row::top()
+            .member("role", Json::str("router"))
+            .member("backends", Json::Arr(Vec::new()))
+            .fields(&ROUTER_FIELDS, self);
+        let mut rows = vec![top];
         for (shard, backend) in self.backends.iter().enumerate() {
-            let healthy = matches!(&*backend.lock_health(), Health::Healthy { .. });
-            let _ = writeln!(
-                out,
-                "graphex_router_backend_healthy{{shard=\"{shard}\"}} {}",
-                u8::from(healthy)
-            );
+            let health = backend.lock_health().clone();
+            let state = if health.is_healthy() {
+                "healthy"
+            } else {
+                "ejected"
+            };
+            let (label, prefix) = (format!("shard=\"{shard}\""), format!("backend/{shard}/"));
+            let row = Row::element("backends", label, prefix)
+                .member("shard", Json::uint(shard as u64))
+                .member("addr", Json::str(backend.addr.clone()))
+                .member("state", Json::str(state))
+                .member("last_error", Json::str(backend.last_error_snapshot()))
+                .fields(&HEALTH_FIELDS, &health)
+                .fields(&BACKEND_FIELDS, backend);
+            rows.push(row);
         }
-    }
-
-    /// Fan-out counters and per-backend call/failure/health series.
-    fn sample_history(&self, values: &mut Vec<(String, f64)>) {
-        let mut push = |key: String, v: f64| values.push((key, v));
-        push(
-            "router/requests_in".into(),
-            self.requests_in.load(Ordering::Relaxed) as f64,
-        );
-        push(
-            "router/fanout".into(),
-            self.fanout.load(Ordering::Relaxed) as f64,
-        );
-        push(
-            "router/degraded".into(),
-            self.degraded.load(Ordering::Relaxed) as f64,
-        );
-        let mut healthy = 0u64;
-        for (shard, backend) in self.backends.iter().enumerate() {
-            let is_healthy = matches!(&*backend.lock_health(), Health::Healthy { .. });
-            healthy += u64::from(is_healthy);
-            push(
-                format!("backend/{shard}/calls"),
-                backend.calls.load(Ordering::Relaxed) as f64,
-            );
-            push(
-                format!("backend/{shard}/failures"),
-                backend.failures.load(Ordering::Relaxed) as f64,
-            );
-            push(
-                format!("backend/{shard}/healthy"),
-                if is_healthy { 1.0 } else { 0.0 },
-            );
-        }
-        push("router/backends_healthy".into(), healthy as f64);
+        rows
     }
 
     fn on_shutdown(&self) {

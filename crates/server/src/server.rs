@@ -5,17 +5,17 @@
 //! loop, shedding, the shared debug routes, tracing and history plumbing.
 //! This file owns the domain side: the `/v1/infer`, `/v1/upsert` and
 //! `/v1/overlay/*` routes (each also answering at `/v1/t/<tenant>/…`),
-//! the per-request deadline, and the serving-layer members of
-//! `/statusz`, `/metrics` and the history ring, over either one
-//! [`ServingApi`] or a [`TenantFleet`].
+//! the per-request deadline, and the serving-layer rows every report
+//! walks, over either one [`ServingApi`] or a [`TenantFleet`].
 //!
 //! The two backends differ only where behaviour does: which api a
 //! request reaches, who a connection-level shed is charged to, and the
-//! fleet's residency block. Every report walks the same serving rows
-//! (`metrics.rs`' field table): a single api is one row with no label, at
-//! the top level of `/statusz`; a fleet is one row per tenant, in its
-//! `tenants` table, under `tenant="…"` on `/metrics` and `tenant/<n>/` in
-//! the history ring.
+//! fleet's residency. The handler renders no report; it returns rows
+//! (`metrics.rs`) that the edge walks: a single api is one serving row
+//! with no label, at the top level of `/statusz`; a fleet is its
+//! residency (`FLEET_FIELDS`) and one row per tenant — residency
+//! (`TENANT_FIELDS`) then serving — in its `tenants` table, under
+//! `tenant="…"` on `/metrics` and `tenant/<n>/` in the history ring.
 //!
 //! The model behind the [`ServingApi`] hot-swaps under live traffic: each
 //! inference resolves the current snapshot through the api's `ModelWatch`,
@@ -27,12 +27,12 @@ use crate::edge::{self, Cx, EdgeConfig, EdgeHandle, Handler, Route, Routed};
 use crate::history::{HistoryConfig, MetricsHistory};
 use crate::http::Request;
 use crate::json::{self, Json};
-use crate::metrics::{render_rows, row_statusz, sample_row, Endpoint, HttpMetrics};
+use crate::metrics::Get::{Counter, Flag, Gauge};
+use crate::metrics::{field, Endpoint, Field, HttpMetrics, Row};
 use crate::trace::{TraceConfig, TraceRecorder};
 use graphex_core::{Alignment, InferRequest, KeyphraseRecord, LeafId, Stage};
 use graphex_serving::{
-    Answer, FleetError, OverlayError, ServeReport, ServeSource, ServingApi, TenantFleet,
-    TenantStatus,
+    Answer, FleetError, OverlayError, ServeSource, ServingApi, TenantFleet, TenantStatus,
 };
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -250,66 +250,40 @@ impl Handler for ServeHandler {
         }
     }
 
-    /// Every serving row's members plus config gauges: a single api's one
-    /// row is the top level; a fleet puts its rows in its tenant table.
-    fn statusz(&self) -> Vec<(&'static str, Json)> {
-        let (rows, fleet) = self.rows();
-        let mut members = Vec::new();
-        let mut tenants = Vec::new();
-        for Row { report, tenant } in &rows {
-            match tenant {
-                None => members.extend(row_statusz(report)),
-                Some(t) => {
-                    let mut row = tenant_members(t);
-                    row.extend(row_statusz(report));
-                    tenants.push(Json::obj(row));
-                }
-            }
+    /// A single api's one serving row at the top level; or the fleet's
+    /// residency, then one row per tenant in its `tenants` table.
+    fn rows(&self) -> Vec<Row> {
+        let top = Row::top().fields(&SERVER_FIELDS, self);
+        let fleet = match &self.backend {
+            Backend::Single(api) => return vec![top.serving(&api.report())],
+            Backend::Fleet(fleet) => fleet,
+        };
+        let tenants = fleet.list();
+        let resident = tenants.iter().filter(|t| t.resident);
+        let residency = Residency {
+            cap: fleet.config().resident_cap as u64,
+            resident: resident.clone().count() as u64,
+            bytes: resident.map(|t| t.resident_bytes).sum(),
+        };
+        let top = top
+            .member("mode", Json::str("fleet"))
+            .member("default_tenant", Json::str(fleet.default_tenant()))
+            .member("tenants", Json::Arr(Vec::new()))
+            .fields(&FLEET_FIELDS, &residency);
+        let mut rows = vec![top];
+        for t in &tenants {
+            let (label, prefix) = (
+                format!("tenant=\"{}\"", t.name),
+                format!("tenant/{}/", t.name),
+            );
+            let load_mode = t.load_mode.map_or("cold", |mode| mode.as_str());
+            let row = Row::element("tenants", label, prefix)
+                .member("name", Json::str(t.name.clone()))
+                .member("load_mode", Json::str(load_mode))
+                .fields(&TENANT_FIELDS, t);
+            rows.push(row.serving(&t.report));
         }
-        if let Some(fleet) = fleet {
-            members.extend(fleet_members(fleet, &rows));
-            members.push(("tenants", Json::Arr(tenants)));
-        }
-        members.push(("workers", Json::uint(self.workers as u64)));
-        members
-    }
-
-    fn render_metrics(&self, out: &mut String) {
-        let (rows, fleet) = self.rows();
-        let labelled: Vec<(String, ServeReport)> = rows
-            .iter()
-            .map(|row| {
-                let label = row
-                    .tenant
-                    .as_ref()
-                    .map_or(String::new(), |t| format!("tenant=\"{}\"", t.name));
-                (label, row.report)
-            })
-            .collect();
-        render_rows(&labelled, out);
-        if let Some(fleet) = fleet {
-            render_residency_families(fleet, &rows, out);
-        }
-    }
-
-    /// Serving-layer cumulative counters (monotone across hot-swaps; the
-    /// fleet folds evicted tenants' counters, so these survive eviction).
-    fn sample_history(&self, values: &mut Vec<(String, f64)>) {
-        let (rows, fleet) = self.rows();
-        for Row { report, tenant } in &rows {
-            let Some(t) = tenant else {
-                sample_row("", report, values);
-                continue;
-            };
-            let prefix = format!("tenant/{}/", t.name);
-            sample_row(&prefix, report, values);
-            values.push((format!("{prefix}resident"), f64::from(u8::from(t.resident))));
-        }
-        if fleet.is_some() {
-            let (resident, bytes) = residency(&rows);
-            values.push(("fleet/resident".into(), resident as f64));
-            values.push(("fleet/resident_bytes".into(), bytes as f64));
-        }
+        rows
     }
 
     /// Connection-level shed (429 before any routing): in single mode
@@ -323,107 +297,37 @@ impl Handler for ServeHandler {
     }
 }
 
-/// One serving row as the reports walk it: a single api's, or one
-/// tenant's with its residency (the tenant's name labels the row).
-struct Row {
-    report: ServeReport,
-    tenant: Option<TenantStatus>,
-}
-
-/// Resident tenants and their backing bytes, over a fleet's rows.
-fn residency(rows: &[Row]) -> (usize, u64) {
-    let resident = rows
-        .iter()
-        .filter_map(|r| r.tenant.as_ref().filter(|t| t.resident));
-    resident.fold((0, 0), |(n, bytes), t| (n + 1, bytes + t.resident_bytes))
-}
-
-/// A fleet's top-level `/statusz` members (its tenant table follows).
-fn fleet_members(fleet: &TenantFleet, rows: &[Row]) -> Vec<(&'static str, Json)> {
-    let (resident, bytes) = residency(rows);
-    vec![
-        ("mode", Json::str("fleet")),
-        ("default_tenant", Json::str(fleet.default_tenant())),
-        (
-            "resident_cap",
-            Json::uint(fleet.config().resident_cap as u64),
-        ),
-        ("resident", Json::uint(resident as u64)),
-        ("resident_bytes", Json::uint(bytes)),
-    ]
-}
-
-/// A tenant's residency family: `(name, type, extractor)`.
-type TenantFamily = (&'static str, &'static str, fn(&TenantStatus) -> u64);
-
+/// The serving handler's own numbers.
 #[rustfmt::skip]
-const PER_TENANT: [TenantFamily; 4] = [
-    ("graphex_tenant_resident",         "gauge",   |t| u64::from(t.resident)),
-    ("graphex_tenant_resident_bytes",   "gauge",   |t| t.resident_bytes),
-    ("graphex_tenant_admissions_total", "counter", |t| t.admissions),
-    ("graphex_tenant_evictions_total",  "counter", |t| t.evictions),
+static SERVER_FIELDS: [Field<ServeHandler>; 1] = [
+    field("workers",  "",  "",  "",  Gauge(|h| h.workers as u64)),
 ];
 
-/// A fleet's residency families: fleet-wide gauges, then each tenant's
-/// residency (its serving row renders with every other row's).
-fn render_residency_families(fleet: &TenantFleet, rows: &[Row], out: &mut String) {
-    let (resident, bytes) = residency(rows);
-    for (name, value) in [
-        ("graphex_fleet_resident", resident as u64),
-        (
-            "graphex_fleet_resident_cap",
-            fleet.config().resident_cap as u64,
-        ),
-        ("graphex_fleet_resident_bytes", bytes),
-    ] {
-        let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");
-    }
-    for (name, kind, get) in PER_TENANT {
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        for t in rows.iter().filter_map(|r| r.tenant.as_ref()) {
-            let _ = writeln!(out, "{name}{{tenant=\"{}\"}} {}", t.name, get(t));
-        }
-    }
+/// A fleet's residency: what its tenants' rows add up to, and the cap.
+struct Residency {
+    cap: u64,
+    resident: u64,
+    bytes: u64,
 }
 
-/// A tenant row's residency members (its serving row's follow).
-fn tenant_members(t: &TenantStatus) -> Vec<(&'static str, Json)> {
-    let load_mode = t.load_mode.map_or("cold", |mode| mode.as_str());
-    let admitted_in_us = t.admitted_in.map_or(0, |d| d.as_micros() as u64);
-    vec![
-        ("name", Json::str(t.name.clone())),
-        ("resident", Json::Bool(t.resident)),
-        ("load_mode", Json::str(load_mode)),
-        ("resident_bytes", Json::uint(t.resident_bytes)),
-        ("admissions", Json::uint(t.admissions)),
-        ("evictions", Json::uint(t.evictions)),
-        ("admitted_in_us", Json::uint(admitted_in_us)),
-    ]
-}
+#[rustfmt::skip]
+static FLEET_FIELDS: [Field<Residency>; 3] = [
+    field("resident_cap",    "graphex_fleet_resident_cap",    "",  "",                      Gauge(|r| r.cap)),
+    field("resident",        "graphex_fleet_resident",        "",  "fleet/resident",        Gauge(|r| r.resident)),
+    field("resident_bytes",  "graphex_fleet_resident_bytes",  "",  "fleet/resident_bytes",  Gauge(|r| r.bytes)),
+];
+
+/// One tenant's residency, ahead of its serving row.
+#[rustfmt::skip]
+static TENANT_FIELDS: [Field<TenantStatus>; 5] = [
+    field("resident",        "graphex_tenant_resident",          "",  "resident",        Flag(|t| t.resident)),
+    field("resident_bytes",  "graphex_tenant_resident_bytes",    "",  "resident_bytes",  Gauge(|t| t.resident_bytes)),
+    field("admissions",      "graphex_tenant_admissions_total",  "",  "admissions",      Counter(|t| t.admissions)),
+    field("evictions",       "graphex_tenant_evictions_total",   "",  "evictions",       Counter(|t| t.evictions)),
+    field("admitted_in_us",  "",                                 "",  "",                Gauge(|t| t.admitted_in.map_or(0, |d| d.as_micros() as u64))),
+];
 
 impl ServeHandler {
-    /// What every report walks, read once per report: a single api's one
-    /// row, or one row per tenant — and then the fleet, for its residency
-    /// block.
-    fn rows(&self) -> (Vec<Row>, Option<&TenantFleet>) {
-        match &self.backend {
-            Backend::Single(api) => {
-                let row = Row {
-                    report: api.report(),
-                    tenant: None,
-                };
-                (vec![row], None)
-            }
-            Backend::Fleet(fleet) => {
-                let rows = fleet.list().into_iter().map(|t| Row {
-                    report: t.report,
-                    tenant: Some(t),
-                });
-                (rows.collect(), Some(fleet))
-            }
-        }
-    }
-
     /// Resolves the serving api a request addresses: single backend, or
     /// per-tenant lookup (with lazy admission) through the fleet. Tenant
     /// routing failures are client errors (404) — an unknown or invalid

@@ -1,6 +1,8 @@
 //! The flight recorder: per-request trace ids, completed-trace retention,
-//! and the trace expositions (`/debug/traces`, the `/statusz` block, the
-//! `graphex_stage_latency_seconds` families).
+//! and the trace expositions: `/debug/traces` here, and the one row
+//! (`TRACE_FIELDS`) the edge walks into the `/statusz` `trace` block, the
+//! `graphex_traces_*` and `graphex_stage_latency_seconds` families and
+//! the `stage/<name>/*` history series.
 //!
 //! The hot-path recording itself lives in [`graphex_core::StageTrace`]
 //! (pooled inside `Scratch`); this module is the *sink*. A request checks
@@ -19,7 +21,8 @@
 //! each backend's stage breakdown under the same id.
 
 use crate::json::Json;
-use crate::metrics::LatencyHistogram;
+use crate::metrics::Get::{Counter, Flag, Gauge, Hist, Real};
+use crate::metrics::{field, Field, Histogram, LatencyHistogram, Row};
 use graphex_core::{Stage, StageTrace};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -411,99 +414,51 @@ impl TraceRecorder {
         .render()
     }
 
-    /// The `/statusz` trace block: ring occupancy plus per-stage count
-    /// and quantile estimates.
-    pub fn statusz_json(&self) -> Json {
-        let ring_len = self
-            .ring
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len();
-        let slow_len = self
-            .slow_ring
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len();
-        let stages: Vec<(&str, Json)> = Stage::ALL
-            .iter()
-            .filter_map(|&stage| {
-                let hist = &self.stage_hist[stage.index()];
-                if hist.count() == 0 {
-                    return None;
-                }
-                Some((
-                    stage.name(),
-                    Json::obj(vec![
-                        ("count", Json::uint(hist.count())),
-                        ("p50_us", Json::num(hist.quantile(0.50) * 1e6)),
-                        ("p90_us", Json::num(hist.quantile(0.90) * 1e6)),
-                        ("p99_us", Json::num(hist.quantile(0.99) * 1e6)),
-                    ]),
-                ))
-            })
-            .collect();
-        Json::obj(vec![
-            ("enabled", Json::Bool(self.config.enabled)),
-            ("recorded", Json::uint(self.recorded())),
-            ("slow", Json::uint(self.slow_count())),
-            ("ring", Json::uint(ring_len as u64)),
-            ("slow_ring", Json::uint(slow_len as u64)),
-            (
-                "slow_threshold_us",
-                Json::num(self.config.slow_threshold.as_nanos() as f64 / 1e3),
-            ),
-            ("stages", Json::obj(stages)),
-        ])
+    /// The `/statusz` `trace` block, the trace families and the `stage/*`
+    /// series: ring occupancy and one latency histogram per stage.
+    pub(crate) fn row(&self) -> Row {
+        Row::at("trace")
+            .member("stages", Json::obj(Vec::new()))
+            .fields(&TRACE_FIELDS, self)
     }
 
-    /// Per-stage `(name, count, p50 secs, p99 secs)` summaries for every
-    /// stage that has recorded at least one span — what the history
-    /// sampler snapshots into its ring each tick.
-    pub fn stage_summaries(&self) -> Vec<(&'static str, u64, f64, f64)> {
-        Stage::ALL
-            .iter()
-            .filter_map(|&stage| {
-                let hist = &self.stage_hist[stage.index()];
-                let count = hist.count();
-                (count > 0).then(|| {
-                    (
-                        stage.name(),
-                        count,
-                        hist.quantile(0.50),
-                        hist.quantile(0.99),
-                    )
-                })
-            })
-            .collect()
+    fn ring_len(&self, slow: bool) -> u64 {
+        let ring = if slow { &self.slow_ring } else { &self.ring };
+        ring.lock().unwrap_or_else(PoisonError::into_inner).len() as u64
     }
 
-    /// Appends the trace metric families to a `/metrics` exposition: the
-    /// recorder counters plus one `graphex_stage_latency_seconds`
-    /// histogram family with a `stage` label per recorded stage.
-    pub fn render_metrics(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = writeln!(out, "# TYPE graphex_traces_recorded_total counter");
-        let _ = writeln!(out, "graphex_traces_recorded_total {}", self.recorded());
-        let _ = writeln!(out, "# TYPE graphex_traces_slow_total counter");
-        let _ = writeln!(out, "graphex_traces_slow_total {}", self.slow_count());
-        let _ = writeln!(out, "# TYPE graphex_stage_latency_seconds histogram");
-        for stage in Stage::ALL {
-            let hist = &self.stage_hist[stage.index()];
-            if hist.count() == 0 {
-                continue;
-            }
-            hist.render_series(
-                "graphex_stage_latency_seconds",
-                &format!("stage=\"{}\"", stage.name()),
-                out,
-            );
-        }
+    fn stage(&self, stage: Stage) -> Histogram {
+        self.stage_hist[stage.index()].snapshot()
     }
 
     fn lock_pool(&self) -> std::sync::MutexGuard<'_, Vec<StageTrace>> {
         self.pool.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
+
+/// The fields of a [`TraceRecorder`]: its `/statusz` block (a stage
+/// that has recorded nothing is left out), `graphex_traces_*` and the
+/// `graphex_stage_latency_seconds` family, the `stage/<name>/*` series.
+#[rustfmt::skip]
+static TRACE_FIELDS: [Field<TraceRecorder>; 15] = [
+    field("enabled",                    "",                               "",                              "",                                Flag(|t| t.config.enabled)),
+    field("recorded",                   "graphex_traces_recorded_total",  "",                              "",                                Counter(|t| t.recorded())),
+    field("slow",                       "graphex_traces_slow_total",      "",                              "",                                Counter(|t| t.slow_count())),
+    field("ring",                       "",                               "",                              "",                                Gauge(|t| t.ring_len(false))),
+    field("slow_ring",                  "",                               "",                              "",                                Gauge(|t| t.ring_len(true))),
+    field("slow_threshold_us",          "",                               "",                              "",                                Real(|t| t.config.slow_threshold.as_nanos() as f64 / 1e3)),
+    field("stages/queue_wait",          STAGE_FAMILY,                     "stage=\"queue_wait\"",          "stage/queue_wait/count",          Hist(|t| t.stage(Stage::QueueWait))),
+    field("stages/parse",               STAGE_FAMILY,                     "stage=\"parse\"",               "stage/parse/count",               Hist(|t| t.stage(Stage::Parse))),
+    field("stages/kv_lookup",           STAGE_FAMILY,                     "stage=\"kv_lookup\"",           "stage/kv_lookup/count",           Hist(|t| t.stage(Stage::KvLookup))),
+    field("stages/single_flight_wait",  STAGE_FAMILY,                     "stage=\"single_flight_wait\"",  "stage/single_flight_wait/count",  Hist(|t| t.stage(Stage::SingleFlightWait))),
+    field("stages/overlay_consult",     STAGE_FAMILY,                     "stage=\"overlay_consult\"",     "stage/overlay_consult/count",     Hist(|t| t.stage(Stage::OverlayConsult))),
+    field("stages/traversal",           STAGE_FAMILY,                     "stage=\"traversal\"",           "stage/traversal/count",           Hist(|t| t.stage(Stage::Traversal))),
+    field("stages/ranking",             STAGE_FAMILY,                     "stage=\"ranking\"",             "stage/ranking/count",             Hist(|t| t.stage(Stage::Ranking))),
+    field("stages/serialize",           STAGE_FAMILY,                     "stage=\"serialize\"",           "stage/serialize/count",           Hist(|t| t.stage(Stage::Serialize))),
+    field("stages/fanout",              STAGE_FAMILY,                     "stage=\"fanout\"",              "stage/fanout/count",              Hist(|t| t.stage(Stage::Fanout))),
+];
+
+const STAGE_FAMILY: &str = "graphex_stage_latency_seconds";
 
 /// Address anchor for the id seed (see [`TraceRecorder::new`]).
 static BUCKET_SEED_ANCHOR: u8 = 0;
@@ -603,12 +558,13 @@ mod tests {
     fn finish_feeds_stage_histograms_and_statusz() {
         let r = recorder(25);
         finish_one(&r, Duration::from_micros(200));
-        let block = r.statusz_json().render();
+        let rows = [r.row()];
+        let block = crate::metrics::statusz(&rows).render();
         assert!(block.contains("\"parse\""), "{block}");
         assert!(block.contains("\"serialize\""), "{block}");
         assert!(!block.contains("\"traversal\""), "{block}"); // unrecorded stage omitted
         let mut metrics = String::new();
-        r.render_metrics(&mut metrics);
+        crate::metrics::render_metrics(&rows, &mut metrics);
         assert_eq!(
             metrics
                 .matches("# TYPE graphex_stage_latency_seconds")
@@ -644,5 +600,46 @@ mod tests {
         assert_eq!(parsed.spans.len(), 1);
         assert_eq!(parsed.spans[0].stage, Stage::Traversal);
         assert_eq!(parsed.spans[0].nanos, 40_000);
+    }
+
+    /// The table's stage fields are [`Stage::ALL`], each read off its own
+    /// histogram and named after it on every surface.
+    #[test]
+    fn every_stage_is_a_field() {
+        let r = recorder(25);
+        let t0 = Instant::now();
+        let (mut trace, id) = r.begin(t0, None);
+        for (i, stage) in Stage::ALL.iter().enumerate() {
+            let took = Duration::from_micros(10 * (i as u64 + 1));
+            for _ in 0..=i {
+                trace.record_span(*stage, t0, took, 0);
+            }
+        }
+        r.finish(
+            trace,
+            id,
+            None,
+            200,
+            1,
+            Duration::from_millis(1),
+            Vec::new(),
+        );
+        let rows = [r.row()];
+        let status = crate::metrics::statusz(&rows);
+        let mut metrics = String::new();
+        crate::metrics::render_metrics(&rows, &mut metrics);
+        let mut series = Vec::new();
+        crate::metrics::sample_history(&rows, &mut series);
+        for (i, stage) in Stage::ALL.iter().enumerate() {
+            let name = stage.name();
+            let n = i as u64 + 1;
+            let block = status.get("trace").and_then(|t| t.get("stages"));
+            let count = block.and_then(|b| b.get(name)).and_then(|s| s.get("count"));
+            assert_eq!(count.and_then(Json::as_u64), Some(n), "{name}");
+            let sample = format!("{STAGE_FAMILY}_count{{stage=\"{name}\"}} {n}\n");
+            assert!(metrics.contains(&sample), "{metrics}");
+            let key = format!("stage/{name}/count");
+            assert!(series.contains(&(key, n as f64)), "{name}: {series:?}");
+        }
     }
 }

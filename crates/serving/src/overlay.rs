@@ -49,6 +49,7 @@
 use crate::sync::{lock, read, write};
 use graphex_core::{GraphExModel, KeyphraseRecord, LeafId, OverlayView};
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -550,16 +551,9 @@ impl OverlayJournal {
     pub fn to_text(&self) -> String {
         let mut out = String::with_capacity(64 + self.entries.len() * 48);
         out.push_str("graphex-overlay-journal 1\n");
-        out.push_str(&format!("upto {}\n", self.upto));
+        let _ = writeln!(out, "upto {}", self.upto);
         for entry in &self.entries {
-            out.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\n",
-                entry.seq,
-                entry.record.text,
-                entry.record.leaf.0,
-                entry.record.search_count,
-                entry.record.recall_count
-            ));
+            let _ = writeln!(out, "{}\t{}", entry.seq, entry.record.tsv());
         }
         out
     }
@@ -584,39 +578,11 @@ impl OverlayJournal {
             if line.is_empty() {
                 continue;
             }
-            let mut cols = line.split('\t');
             let err = |what: &str| format!("journal line {}: {what}", i + 3);
-            let seq: u64 = cols
-                .next()
-                .ok_or_else(|| err("missing seq"))?
-                .parse()
-                .map_err(|_| err("seq is not a number"))?;
-            let text = cols
-                .next()
-                .filter(|t| !t.is_empty())
-                .ok_or_else(|| err("empty text"))?;
-            let leaf: u32 = cols
-                .next()
-                .ok_or_else(|| err("missing leaf"))?
-                .parse()
-                .map_err(|_| err("leaf is not a number"))?;
-            let search: u32 = cols
-                .next()
-                .ok_or_else(|| err("missing search count"))?
-                .parse()
-                .map_err(|_| err("search count is not a number"))?;
-            let recall: u32 = cols
-                .next()
-                .ok_or_else(|| err("missing recall count"))?
-                .parse()
-                .map_err(|_| err("recall count is not a number"))?;
-            if cols.next().is_some() {
-                return Err(err("too many columns"));
-            }
-            entries.push(JournalEntry {
-                seq,
-                record: KeyphraseRecord::new(text, LeafId(leaf), search, recall),
-            });
+            let (seq, record) = line.split_once('\t').ok_or_else(|| err("missing text"))?;
+            let seq: u64 = seq.parse().map_err(|_| err("seq is not a number"))?;
+            let record = KeyphraseRecord::from_tsv(record).map_err(|e| err(&e))?;
+            entries.push(JournalEntry { seq, record });
         }
         Ok(Self { upto, entries })
     }

@@ -565,6 +565,208 @@ fn chaos_backend_is_ejected_fails_fast_and_readmitted() {
     fixture.finish();
 }
 
+/// Every number in a `/statusz` backend row is on all three surfaces,
+/// with one value: its `graphex_router_backend_*{shard="<i>"}` sample and
+/// its `backend/<i>/…` history series (a yes/no member as 1/0). The chaos
+/// shard is driven through every counter first: failures, an ejection,
+/// fast failures, a failed half-open probe, then a readmission.
+#[test]
+fn router_backend_rows_agree_on_every_surface() {
+    let fixture = ChaosFixture::boot();
+    let mut client = HttpClient::connect(fixture.router.addr()).unwrap();
+    let mut infer = |body: &str| {
+        let response = client.post_json("/v1/infer", body).unwrap();
+        assert_eq!(response.status, 200, "{}", response.text());
+        graphex_server::json::parse(&response.text()).unwrap()
+    };
+    infer(&single_body("some real title", 0));
+    fixture.chaos.set_mode(ChaosMode::Error500);
+    for _ in 0..3 {
+        infer(&chaos_body());
+    }
+    // Past the 200 ms backoff the next call probes, and the probe fails.
+    std::thread::sleep(Duration::from_millis(250));
+    infer(&chaos_body());
+    fixture.chaos.set_mode(ChaosMode::Healthy);
+    let readmitted = (0..20).any(|_| {
+        std::thread::sleep(Duration::from_millis(120));
+        let answer = infer(&chaos_body());
+        answer.get("outcome").and_then(Json::as_str) != Some(OUTCOME_BACKEND_UNAVAILABLE)
+    });
+    assert!(readmitted, "backend was never re-admitted after recovery");
+
+    fixture.router.sample_history_now();
+    let history = fixture.router.history().unwrap().samples(1).pop().unwrap();
+    let status = graphex_server::json::parse(&client.get("/statusz").unwrap().text()).unwrap();
+    let metrics = client.get("/metrics").unwrap().text();
+    let samples: std::collections::BTreeMap<&str, f64> = metrics
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| line.rsplit_once(' '))
+        .map(|(key, value)| (key, value.parse().unwrap()))
+        .collect();
+    let rows = status.get("backends").and_then(Json::as_arr).unwrap();
+    assert_eq!(rows.len(), 2);
+    let mut checked = Vec::new();
+    for (shard, row) in rows.iter().enumerate() {
+        let Json::Obj(members) = row else {
+            panic!("backend row is no object: {}", row.render());
+        };
+        for (member, value) in members {
+            let value = match value {
+                Json::Num(n) => *n,
+                Json::Bool(b) => f64::from(u8::from(*b)),
+                _ => continue,
+            };
+            if member == "shard" {
+                // The row's key: its label and its series prefix.
+                assert_eq!(value, shard as f64);
+                continue;
+            }
+            let sample = [
+                format!("graphex_router_backend_{member}_total{{shard=\"{shard}\"}}"),
+                format!("graphex_router_backend_{member}{{shard=\"{shard}\"}}"),
+            ]
+            .iter()
+            .find_map(|key| samples.get(key.as_str()).copied());
+            assert_eq!(sample, Some(value), "{member} of shard {shard} on /metrics");
+            let series = format!("backend/{shard}/{member}");
+            assert_eq!(history.value(&series), Some(value), "{series}");
+            checked.push(member.clone());
+        }
+    }
+    let chaos = &rows[1];
+    for counter in ["calls", "failures", "retries", "ejections", "readmissions"] {
+        assert!(
+            chaos.get(counter).and_then(Json::as_u64) > Some(0),
+            "{counter}"
+        );
+    }
+    for counter in ["fast_failures", "last_probe_tick"] {
+        assert!(
+            chaos.get(counter).and_then(Json::as_u64) > Some(0),
+            "{counter}"
+        );
+    }
+    checked.sort();
+    checked.dedup();
+    assert_eq!(
+        checked,
+        [
+            "calls",
+            "consecutive_failures",
+            "ejections",
+            "failures",
+            "fast_failures",
+            "healthy",
+            "last_probe_tick",
+            "readmissions",
+            "retries"
+        ]
+    );
+    assert_eq!(fixture.router.metrics().server_errors(), 0);
+    drop(client);
+    fixture.finish();
+}
+
+/// What the repo benchmark reads off a running program at run time, by
+/// name (`benchmark/` is a package of its own, built against the public
+/// API, so a rename here would only show when the benchmark runs): the
+/// router's `requests_in`, `fanout_subrequests` and `backends[].retries`,
+/// `trace.stages.<stage>.p50_us` for the stages it reports, and the
+/// `HttpMetrics` connection counters of both handles.
+#[test]
+fn names_the_repo_benchmark_reads_are_served() {
+    use graphex_server::HttpMetrics;
+
+    let ds = graphex_suite::tiny_dataset(0xBE7C);
+    let model = graphex_suite::tiny_model(&ds);
+    let api = Arc::new(ServingApi::new(
+        Arc::new(model),
+        Arc::new(KvStore::new()),
+        10,
+    ));
+    let backend = graphex_server::start(
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            ..Default::default()
+        },
+        api,
+    )
+    .unwrap();
+    let router = start_router(
+        RouterConfig {
+            addr: "127.0.0.1:0".into(),
+            ..Default::default()
+        },
+        ShardMap::from_backends(vec![backend.addr().to_string()]).unwrap(),
+    )
+    .unwrap();
+    let entries: Vec<Json> = ds.marketplace.items[..4]
+        .iter()
+        .enumerate()
+        .map(|(id, item)| {
+            Json::obj(vec![
+                ("title", Json::str(item.title.clone())),
+                ("leaf", Json::uint(u64::from(item.leaf.0))),
+                ("id", Json::uint(id as u64)),
+            ])
+        })
+        .collect();
+    let envelope = Json::obj(vec![("requests", Json::Arr(entries))]).render();
+    for addr in [router.addr(), backend.addr()] {
+        let mut client = HttpClient::connect(addr).unwrap();
+        let response = client.post_json("/v1/infer", &envelope).unwrap();
+        assert_eq!(response.status, 200, "{}", response.text());
+    }
+
+    let statusz = |addr| {
+        let mut client = HttpClient::connect(addr).unwrap();
+        graphex_server::json::parse(&client.get("/statusz").unwrap().text()).unwrap()
+    };
+    let routed = statusz(router.addr());
+    assert_eq!(routed.get("requests_in").and_then(Json::as_u64), Some(1));
+    assert_eq!(
+        routed.get("fanout_subrequests").and_then(Json::as_u64),
+        Some(1)
+    );
+    let backends = routed.get("backends").and_then(Json::as_arr).unwrap();
+    assert_eq!(backends[0].get("retries").and_then(Json::as_u64), Some(0));
+    let served = statusz(backend.addr());
+    let p50 = |doc: &Json, stage: &str| {
+        let stages = doc.get("trace").and_then(|t| t.get("stages"));
+        stages
+            .and_then(|s| s.get(stage))
+            .and_then(|s| s.get("p50_us"))
+            .and_then(Json::as_f64)
+    };
+    for stage in [
+        "queue_wait",
+        "parse",
+        "kv_lookup",
+        "traversal",
+        "ranking",
+        "serialize",
+    ] {
+        assert!(p50(&served, stage) > Some(0.0), "backend stage {stage}");
+        assert!(p50(&routed, stage) > Some(0.0), "router stage {stage}");
+    }
+    assert!(p50(&routed, "fanout") > Some(0.0), "router stage fanout");
+
+    let connections = |metrics: &HttpMetrics| {
+        (
+            metrics.connections_accepted.load(Ordering::Relaxed),
+            metrics.connections_shed.load(Ordering::Relaxed),
+        )
+    };
+    let (accepted, shed) = connections(backend.metrics());
+    assert!(accepted >= 3 && shed == 0, "{accepted} {shed}");
+    let (accepted, shed) = connections(router.metrics());
+    assert!(accepted >= 2 && shed == 0, "{accepted} {shed}");
+    router.shutdown();
+    backend.shutdown();
+}
+
 #[test]
 fn retries_ride_out_keepalive_deaths_and_hangs_degrade_not_5xx() {
     let fixture = ChaosFixture::boot();

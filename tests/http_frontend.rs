@@ -669,3 +669,72 @@ fn three_frontends_share_one_edge() {
     drop(idle);
     std::fs::remove_dir_all(&fleet_root).ok();
 }
+
+/// A connection shed with 429 at admission is on `/statusz` too, as the
+/// top-level `connections_shed`, equal to `graphex_http_shed_total` — on
+/// a fleet server, where no tenant row can be charged with it, and on a
+/// router, which has no serving row at all.
+#[test]
+fn a_shed_connection_shows_on_statusz_and_metrics() {
+    use graphex_server::{start_router, RouterConfig, ShardMap};
+    use graphex_serving::{FleetConfig, TenantFleet};
+
+    let root = tempdir("shed-fleet");
+    let fleet = TenantFleet::open(&root, FleetConfig::default()).unwrap();
+    let model = tiny_model(&tiny_dataset(0x5ED));
+    fleet.publish_model("default", &model, "seed").unwrap();
+    let fleet = graphex_server::start_fleet(
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            queue_depth: 1,
+            ..Default::default()
+        },
+        Arc::new(fleet),
+    )
+    .unwrap();
+    let router = start_router(
+        RouterConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            queue_depth: 1,
+            ..Default::default()
+        },
+        ShardMap::from_backends(vec![fleet.addr().to_string()]).unwrap(),
+    )
+    .unwrap();
+
+    for (name, addr) in [("fleet", fleet.addr()), ("router", router.addr())] {
+        // One connection pins the single worker, the next fills the queue
+        // (the acceptor admits in connect order), so a third is shed.
+        let mut held = HttpClient::connect(addr).unwrap();
+        assert_eq!(held.get("/healthz").unwrap().status, 200);
+        let queued = std::net::TcpStream::connect(addr).unwrap();
+        let shed = HttpClient::connect(addr).unwrap().get("/healthz").unwrap();
+        assert_eq!(shed.status, 429, "{name}");
+
+        // Asked on the held connection: a new one would be shed too.
+        let status = graphex_server::json::parse(&held.get("/statusz").unwrap().text()).unwrap();
+        let metrics = held.get("/metrics").unwrap().text();
+        drop((held, queued));
+        let sample = |family: &str| {
+            metrics
+                .lines()
+                .find_map(|line| line.strip_prefix(family)?.strip_prefix(' '))
+                .and_then(|value| value.parse::<u64>().ok())
+        };
+        let member = |key: &str| status.get(key).and_then(Json::as_u64);
+        assert_eq!(member("connections_shed"), Some(1), "{name}");
+        assert_eq!(sample("graphex_http_shed_total"), Some(1), "{name}");
+        // Three connections before this one, all counted.
+        assert!(member("connections_accepted") >= Some(3), "{name}");
+        assert_eq!(
+            member("connections_accepted"),
+            sample("graphex_http_connections_accepted_total"),
+            "{name}"
+        );
+    }
+    router.shutdown();
+    fleet.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+}

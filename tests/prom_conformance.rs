@@ -9,7 +9,8 @@
 //! * parseable sample values on every line,
 //!
 //! and counters (plus histogram cumulative series) are monotone across
-//! consecutive scrapes with traffic in between.
+//! consecutive scrapes with traffic in between. The router's scrape also
+//! carries a family for every number of its `/statusz` backend rows.
 
 use graphex_core::{GraphExBuilder, GraphExConfig, KeyphraseRecord, LeafId};
 use graphex_server::{start_router, HttpClient, RouterConfig, ServerConfig, ShardMap};
@@ -384,12 +385,48 @@ fn router_exposition_is_conformant() {
         "graphex_router_requests_total",
         "graphex_router_backend_healthy",
         "graphex_stage_latency_seconds",
+        "graphex_http_shed_total",
+        "graphex_http_connections_accepted_total",
     ] {
         assert!(
             before.families.contains_key(family),
             "router scrape lacks {family}"
         );
     }
+    // Every number of a `/statusz` backend row is a family with one
+    // sample per shard, of the type its kind calls for.
+    let status = client.get("/statusz").unwrap().text();
+    let status = graphex_server::json::parse(&status).unwrap();
+    let row = &status.get("backends").and_then(|b| b.as_arr()).unwrap()[0];
+    let graphex_server::Json::Obj(members) = row else {
+        panic!("backend row is no object");
+    };
+    let numbers = members.iter().filter(|(key, value)| {
+        key != "shard" && (value.as_f64().is_some() || value.as_bool().is_some())
+    });
+    let mut families = 0;
+    for (member, _) in numbers {
+        let counter = format!("graphex_router_backend_{member}_total");
+        let gauge = format!("graphex_router_backend_{member}");
+        let (family, kind) = match before.families.get(&counter) {
+            Some(kind) => (counter, kind),
+            None => (gauge.clone(), &before.families[&gauge]),
+        };
+        let expected = if family.ends_with("_total") {
+            "counter"
+        } else {
+            "gauge"
+        };
+        assert_eq!(kind, expected, "{family}");
+        assert!(
+            before
+                .series
+                .contains_key(&format!("{family}{{shard=\"0\"}}")),
+            "router scrape lacks {family}{{shard=\"0\"}}"
+        );
+        families += 1;
+    }
+    assert_eq!(families, 9, "{}", row.render());
 
     drive_infer(&mut client, "/v1/infer", &title, leaf, 8);
     let after = scrape(&mut client, "router");
