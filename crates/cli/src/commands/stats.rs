@@ -1,8 +1,9 @@
 //! `graphex stats` — model inventory: global stats plus a per-leaf table.
 //! With `--server <addr>` it instead queries a running `graphex serve`
 //! frontend's `/statusz` and renders the live serving counters, including
-//! the admission-control gauges (shed / deadline-exceeded / in-flight) —
-//! one block per tenant on a fleet server.
+//! the admission-control gauges (in-flight / deadline-exceeded per serving
+//! row, one block per tenant on a fleet server; connections shed with 429,
+//! once for the whole server).
 //!
 //! A comma-separated `--server a,b,c` (or `--map <shard map file>`)
 //! aggregates across a backend cluster: one row per backend plus a
@@ -103,8 +104,9 @@ fn server_stats(addr: &str) -> Result<String, String> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "server: http://{addr}  queue depth {}",
-        num(&stats, "queue_depth")
+        "server: http://{addr}  queue depth {}  shed {}",
+        num(&stats, "queue_depth"),
+        num(&stats, "connections_shed")
     );
     if let Some(latency) = stats.get("latency") {
         let q = |key: &str| latency.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
@@ -153,9 +155,8 @@ fn render_row(row: &Json, indent: &str, out: &mut String) {
     );
     let _ = writeln!(
         out,
-        "{indent}admission: in-flight {}  shed {}  deadline-exceeded {}",
+        "{indent}admission: in-flight {}  deadline-exceeded {}",
         field("in_flight"),
-        field("shed"),
         field("deadline_exceeded"),
     );
     let _ = writeln!(
@@ -187,7 +188,7 @@ fn render_row(row: &Json, indent: &str, out: &mut String) {
 fn cluster_stats(addrs: &[String]) -> Result<String, String> {
     const COUNTERS: [&str; 6] = [
         "in_flight",
-        "shed",
+        "connections_shed",
         "deadline_exceeded",
         "store_hits",
         "read_throughs",

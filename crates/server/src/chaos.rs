@@ -15,8 +15,8 @@
 //! production deployment, which is fine — nothing routes to it unless a
 //! shard map says so.
 
-use crate::http::{self, ReadError};
-use crate::json::Json;
+use crate::http;
+use crate::server::decode_envelope;
 use std::io::{BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -180,10 +180,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let mut write_half = stream;
 
     loop {
-        let request = match http::read_request(&mut reader, 1 << 20) {
-            Ok(request) => request,
-            Err(ReadError::Closed | ReadError::Io(_)) => return,
-            Err(_) => return,
+        let Ok(request) = http::read_request(&mut reader, 1 << 20) else {
+            return;
         };
         shared.requests.fetch_add(1, Ordering::Relaxed);
         let mode = shared.mode();
@@ -231,15 +229,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 return;
             }
             ChaosMode::WrongShape => {
-                let body = Json::obj(vec![("surprise", Json::str("no responses here"))]).render();
-                let _ = http::write_response(
-                    &mut write_half,
-                    200,
-                    "application/json",
-                    body.as_bytes(),
-                    true,
-                    &[],
-                );
+                let body = br#"{"surprise":"no responses here"}"#;
+                let _ =
+                    http::write_response(&mut write_half, 200, "application/json", body, true, &[]);
             }
             ChaosMode::Healthy | ChaosMode::ServeThenDie => {
                 let body = healthy_response(&request);
@@ -267,36 +259,28 @@ fn healthy_response(request: &http::Request) -> (String, &'static str) {
     match (request.method(), request.path()) {
         ("GET", "/healthz") => ("ok\n".into(), "text/plain; charset=utf-8"),
         ("POST", "/v1/infer") => {
-            let entry = |id: Option<&Json>| {
-                let mut members = vec![
-                    ("outcome", Json::str("exact_leaf")),
-                    ("source", Json::str("direct")),
-                    ("keyphrases", Json::Arr(vec![Json::str(CHAOS_KEYPHRASE)])),
-                    ("snapshot_version", Json::uint(1)),
-                ];
-                if let Some(id) = id {
-                    members.insert(0, ("id", id.clone()));
+            // One entry per request, echoing its `id` as the request wrote it.
+            let entry = |id: Option<&str>| {
+                let id = id.map(|id| format!(r#""id":{id},"#)).unwrap_or_default();
+                format!(
+                    r#"{{{id}"outcome":"exact_leaf","source":"direct","keyphrases":["{CHAOS_KEYPHRASE}"],"snapshot_version":1}}"#
+                )
+            };
+            let ids = decode_envelope(request.body(), "requests", |fields| {
+                Ok(fields.and_then(|fields| fields.get("id")))
+            });
+            let body = match ids {
+                Ok((ids, true)) => {
+                    let entries: Vec<String> = ids.into_iter().map(entry).collect();
+                    format!(
+                        r#"{{"responses":[{}],"snapshot_version":1}}"#,
+                        entries.join(",")
+                    )
                 }
-                Json::obj(members)
+                Ok((ids, false)) => entry(ids[0]),
+                Err(_) => entry(None),
             };
-            let parsed = std::str::from_utf8(request.body())
-                .ok()
-                .and_then(|text| crate::json::parse(text).ok());
-            let body = match parsed
-                .as_ref()
-                .and_then(|p| p.get("requests"))
-                .and_then(Json::as_arr)
-            {
-                Some(requests) => Json::obj(vec![
-                    (
-                        "responses",
-                        Json::Arr(requests.iter().map(|r| entry(r.get("id"))).collect()),
-                    ),
-                    ("snapshot_version", Json::uint(1)),
-                ]),
-                None => entry(parsed.as_ref().and_then(|p| p.get("id"))),
-            };
-            (body.render(), "application/json")
+            (body, "application/json")
         }
         _ => ("{}".into(), "application/json"),
     }

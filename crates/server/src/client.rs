@@ -4,33 +4,13 @@
 //! crate-private split `send` / `recv` pair to have a request in flight on
 //! several connections at once. Keep-alive by default; one
 //! in-flight request per connection (no pipelining).
+//! An answer is read by the edge's own head reader, [`http::read_response`].
 
-use std::io::{BufRead, BufReader, Write};
+pub use crate::http::Response;
+use crate::http::{self, ReadError};
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-
-/// A parsed response.
-#[derive(Debug)]
-pub struct Response {
-    pub status: u16,
-    pub headers: Vec<(String, String)>,
-    pub body: Vec<u8>,
-}
-
-impl Response {
-    /// Case-insensitive header lookup.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Body as UTF-8 (lossy).
-    pub fn text(&self) -> String {
-        String::from_utf8_lossy(&self.body).into_owned()
-    }
-}
 
 /// Default cap on a response body's declared `Content-Length`. Generous
 /// for loopback tooling (a `/metrics` scrape is kilobytes); the router
@@ -90,12 +70,13 @@ impl HttpClient {
 
     /// `GET path`.
     pub fn get(&mut self, path: &str) -> std::io::Result<Response> {
-        self.request("GET", path, None, &[])
+        self.send("GET", path, None, &[])?;
+        self.recv()
     }
 
     /// `POST path` with a JSON body.
     pub fn post_json(&mut self, path: &str, body: &str) -> std::io::Result<Response> {
-        self.request("POST", path, Some(body.as_bytes()), &[])
+        self.post_json_with_headers(path, body, &[])
     }
 
     /// [`post_json`](Self::post_json) with extra request headers — how
@@ -106,17 +87,7 @@ impl HttpClient {
         body: &str,
         headers: &[(&str, &str)],
     ) -> std::io::Result<Response> {
-        self.request("POST", path, Some(body.as_bytes()), headers)
-    }
-
-    fn request(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&[u8]>,
-        headers: &[(&str, &str)],
-    ) -> std::io::Result<Response> {
-        self.send(method, path, body, headers)?;
+        self.send("POST", path, Some(body.as_bytes()), headers)?;
         self.recv()
     }
 
@@ -154,7 +125,7 @@ impl HttpClient {
 
     /// Reads the answer to the request [`send`](Self::send) wrote.
     pub(crate) fn recv(&mut self) -> std::io::Result<Response> {
-        read_response(&mut self.reader, self.max_response_bytes)
+        http::read_response(&mut self.reader, self.max_response_bytes).map_err(io_error)
     }
 
     /// Replaces the read timeout set at connect (the router's per-round
@@ -164,65 +135,27 @@ impl HttpClient {
     }
 }
 
-fn bad(what: &str) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string())
-}
-
-fn read_response<S: BufRead>(stream: &mut S, max_body: usize) -> std::io::Result<Response> {
-    let mut status_line = String::new();
-    if stream.read_line(&mut status_line)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "server closed before responding",
-        ));
-    }
-    let mut parts = status_line.trim_end().splitn(3, ' ');
-    let version = parts.next().unwrap_or("");
-    if !version.starts_with("HTTP/1.") {
-        return Err(bad("not an HTTP/1.x response"));
-    }
-    let status: u16 = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("bad status code"))?;
-
-    let mut headers = Vec::new();
-    loop {
-        let mut line = String::new();
-        if stream.read_line(&mut line)? == 0 {
-            return Err(bad("truncated headers"));
+/// A refused answer as an `io::Error`: a socket error keeps its kind, a
+/// connection closed before any byte is `UnexpectedEof`, and a head or
+/// body the reader refuses is `InvalidData`.
+fn io_error(e: ReadError) -> std::io::Error {
+    use std::io::{Error, ErrorKind};
+    match e {
+        ReadError::Io(e) => e,
+        ReadError::Closed => {
+            Error::new(ErrorKind::UnexpectedEof, "server closed before responding")
         }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            headers.push((name.trim().to_string(), value.trim().to_string()));
-        }
+        e => Error::new(ErrorKind::InvalidData, format!("response {e}")),
     }
-
-    let content_length: usize = headers
-        .iter()
-        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.parse().ok())
-        .ok_or_else(|| bad("response without content-length"))?;
-    if content_length > max_body {
-        // Refuse before allocating: an untrusted Content-Length must not
-        // size a buffer.
-        return Err(bad("response body exceeds cap"));
-    }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
-    Ok(Response {
-        status,
-        headers,
-        body,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn read_response(stream: &mut impl std::io::BufRead, max: usize) -> std::io::Result<Response> {
+        http::read_response(stream, max).map_err(io_error)
+    }
 
     #[test]
     fn parses_response_wire_format() {

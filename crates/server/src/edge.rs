@@ -249,8 +249,6 @@ pub(crate) trait Handler: Send + Sync {
     /// walks these rows, then its own, for `/statusz`, `/metrics` and
     /// each history sample.
     fn rows(&self) -> Vec<Row>;
-    /// A connection was shed with 429 before any routing.
-    fn note_shed(&self) {}
     /// Every edge thread has been joined.
     fn on_shutdown(&self) {}
 }
@@ -481,7 +479,6 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
         if let Err(refused) = shared.queue.try_push(conn) {
             // Admission control: the queue is full (or shutting down) —
             // shed with 429 instead of buffering or hanging.
-            shared.handler.note_shed();
             shared
                 .metrics
                 .connections_shed
@@ -584,21 +581,14 @@ fn handle_connection(conn: Conn, shared: &Shared, slot: &Slot, buffers: &mut Buf
             Err(error) => {
                 // Malformed input: answer the right 4xx/5xx and close —
                 // a desynced byte stream cannot be trusted for reuse.
-                let (status, message) = match &error {
-                    ReadError::Bad(what) => (400, format!("bad request: {what}\n")),
-                    ReadError::BodyTooLarge { declared, max } => (
-                        413,
-                        format!("body of {declared} bytes exceeds cap of {max}\n"),
-                    ),
-                    ReadError::UnsupportedTransferEncoding => (
-                        501,
-                        "transfer-encoding not supported; send content-length\n".into(),
-                    ),
-                    ReadError::Closed | ReadError::Io(_) => unreachable!("handled above"),
+                let status = match error {
+                    ReadError::BodyTooLarge { .. } => 413,
+                    ReadError::UnsupportedTransferEncoding => 501,
+                    _ => 400,
                 };
                 shared.metrics.record_response(Endpoint::Other, status);
-                let message = message.as_bytes();
-                let _ = http::write_response(&mut writer, status, TEXT, message, false, &[]);
+                let message = format!("{error}\n").into_bytes();
+                let _ = http::write_response(&mut writer, status, TEXT, &message, false, &[]);
                 return;
             }
         };
@@ -753,13 +743,11 @@ mod tests {
     use super::*;
     use crate::client::HttpClient;
     use std::io::{Read as _, Write as _};
-    use std::sync::atomic::AtomicU64;
     use std::sync::mpsc;
 
     /// A handler with no domain behind it: echo, panic, and a gate that
     /// holds a request in flight until the test releases it.
     struct Toy {
-        shed: AtomicU64,
         stopped: AtomicBool,
         entered: Mutex<mpsc::Sender<()>>,
         release: Mutex<mpsc::Receiver<()>>,
@@ -827,10 +815,6 @@ mod tests {
                 .fields(&TOY_FIELDS, self)]
         }
 
-        fn note_shed(&self) {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-        }
-
         fn on_shutdown(&self) {
             self.stopped.store(true, Ordering::SeqCst);
         }
@@ -850,7 +834,6 @@ mod tests {
         let (entered_tx, entered) = mpsc::channel();
         let (release, release_rx) = mpsc::channel();
         let toy = Arc::new(Toy {
-            shed: AtomicU64::new(0),
             stopped: AtomicBool::new(false),
             entered: Mutex::new(entered_tx),
             release: Mutex::new(release_rx),
@@ -1018,7 +1001,6 @@ mod tests {
         let response = shed.get("/healthz").unwrap();
         assert_eq!(response.status, 429);
         assert_eq!(response.header("retry-after"), Some("1"));
-        assert_eq!(f.toy.shed.load(Ordering::Relaxed), 1);
         assert_eq!(f.edge.metrics().connections_shed.load(Ordering::Relaxed), 1);
         drop((held, queued, shed));
         f.edge.shutdown();

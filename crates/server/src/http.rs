@@ -1,15 +1,16 @@
-//! HTTP/1.1 wire format over blocking sockets: request parsing with hard
-//! limits (header bytes, header count, body size) and response writing.
-//! Supports persistent connections (`keep-alive`) and `Content-Length`
-//! bodies; `Transfer-Encoding: chunked` is rejected as unsupported rather
-//! than mis-parsed. Every malformed input maps to a typed error — the
-//! caller turns those into 4xx responses; nothing here panics.
+//! HTTP/1.1 wire format over blocking sockets: one reader for requests
+//! (the edge) and responses (the client, so the router's backend calls)
+//! that differ only in a head's first line, and response writing. Both
+//! directions share the hard limits (header bytes and count, body size),
+//! and a message two parsers could frame differently is refused, not
+//! guessed at. Every malformed input maps to a typed error — the edge
+//! turns those into 4xx responses; nothing here panics.
 
 use std::io::{BufRead, Write};
 use std::ops::Range;
 
-/// Hard cap on request-line + header bytes (hostile clients can't make the
-/// server buffer unboundedly before the body limit even applies).
+/// Hard cap on start-line + header bytes (a hostile peer can't make the
+/// reader buffer unboundedly before the body limit even applies).
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// Hard cap on header count.
 pub const MAX_HEADERS: usize = 64;
@@ -17,93 +18,33 @@ pub const MAX_HEADERS: usize = 64;
 /// grew for a multi-megabyte body drops back instead of pinning it.
 pub(crate) const RETAINED_BUFFER_BYTES: usize = 64 * 1024;
 
-/// One parsed request. The head is kept as one string — each line as it
-/// was received, sans line end — and the fields are spans of it, so a
-/// `Request` that is read into again (the edge keeps one per worker)
-/// reuses everything it holds.
+/// A message head as received — each line sans line end, appended to one
+/// string — and its header fields as spans of it, so a head that is read
+/// into again reuses everything it holds.
 #[derive(Debug, Default)]
-pub struct Request {
-    head: String,
-    method: Range<usize>,
-    path: Range<usize>,
-    query: Option<Range<usize>>,
+struct Head {
+    text: String,
     headers: Vec<(Range<usize>, Range<usize>)>,
-    body: Vec<u8>,
 }
 
-impl Request {
-    pub fn method(&self) -> &str {
-        &self.head[self.method.clone()]
+impl Head {
+    /// Copies `text` onto the head and returns where it lies.
+    fn keep(&mut self, text: &str) -> Range<usize> {
+        let start = self.text.len();
+        self.text.push_str(text);
+        start..self.text.len()
     }
 
-    /// Path only (query strings are split off into [`Request::query`]).
-    pub fn path(&self) -> &str {
-        &self.head[self.path.clone()]
-    }
-
-    /// Raw query string (without `?`), if any.
-    pub fn query(&self) -> Option<&str> {
-        self.query.clone().map(|span| &self.head[span])
-    }
-
-    /// `(name, value)` of every header, in order; values are trimmed.
-    pub fn headers(&self) -> impl Iterator<Item = (&str, &str)> {
+    fn headers(&self) -> impl Iterator<Item = (&str, &str)> {
         self.headers
             .iter()
-            .map(|(name, value)| (&self.head[name.clone()], &self.head[value.clone()]))
+            .map(|(name, value)| (&self.text[name.clone()], &self.text[value.clone()]))
     }
 
-    /// Case-insensitive header lookup (first match).
-    pub fn header(&self, name: &str) -> Option<&str> {
+    fn header(&self, name: &str) -> Option<&str> {
         self.headers()
             .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v)
-    }
-
-    pub fn body(&self) -> &[u8] {
-        &self.body
-    }
-
-    /// Whether the client asked to keep the connection open after this
-    /// request (HTTP/1.1 default unless `Connection: close`).
-    pub fn keep_alive(&self) -> bool {
-        !matches!(self.header("connection"), Some(v) if v.eq_ignore_ascii_case("close"))
-    }
-
-    /// Copies `text` onto the head and returns where it lies.
-    fn keep(&mut self, text: &str) -> Range<usize> {
-        let start = self.head.len();
-        self.head.push_str(text);
-        start..self.head.len()
-    }
-
-    fn request_line(&mut self, line: &str) -> Result<(), ReadError> {
-        if line.is_empty() {
-            return Err(ReadError::Bad("empty request line"));
-        }
-        let mut parts = line.split(' ');
-        let method = parts.next().unwrap_or("");
-        let target = parts
-            .next()
-            .ok_or(ReadError::Bad("missing request target"))?;
-        let version = parts.next().ok_or(ReadError::Bad("missing HTTP version"))?;
-        if parts.next().is_some() || !version.starts_with("HTTP/1.") {
-            return Err(ReadError::Bad("malformed request line"));
-        }
-        if method.is_empty() || !method.bytes().all(|b| b.is_ascii_uppercase()) {
-            return Err(ReadError::Bad("malformed method"));
-        }
-        if !target.starts_with('/') {
-            return Err(ReadError::Bad("request target must be absolute path"));
-        }
-        let (path, query) = match target.split_once('?') {
-            Some((path, query)) => (path, Some(query)),
-            None => (target, None),
-        };
-        self.method = self.keep(method);
-        self.path = self.keep(path);
-        self.query = query.map(|query| self.keep(query));
-        Ok(())
     }
 
     fn header_line(&mut self, line: &str) -> Result<(), ReadError> {
@@ -121,11 +62,10 @@ impl Request {
         Ok(())
     }
 
-    /// The body length the headers declare. Every `Content-Length` must
-    /// be ASCII digits only (`usize::from_str` alone would take `+5`), and
-    /// all of them must agree: a request two parsers could frame
-    /// differently is refused, not guessed at.
-    fn declared_length(&self) -> Result<usize, ReadError> {
+    /// The body length the headers declare, if any. Every
+    /// `Content-Length` must be ASCII digits only (`usize::from_str` alone
+    /// would take `+5`), and all of them must agree.
+    fn declared_length(&self) -> Result<Option<usize>, ReadError> {
         let mut declared = None;
         for (_, value) in self
             .headers()
@@ -142,20 +82,142 @@ impl Request {
             }
             declared = Some(length);
         }
-        Ok(declared.unwrap_or(0))
+        Ok(declared)
     }
 }
 
-/// Why a request could not be read.
+/// Where a request line's parts lie in its [`Head`].
+#[derive(Debug, Default)]
+struct RequestLine {
+    method: Range<usize>,
+    path: Range<usize>,
+    query: Option<Range<usize>>,
+}
+
+fn request_line(line: &str, head: &mut Head) -> Result<RequestLine, ReadError> {
+    if line.is_empty() {
+        return Err(ReadError::Bad("empty request line"));
+    }
+    let mut parts = line.split(' ');
+    let method = parts.next().unwrap_or("");
+    let target = parts
+        .next()
+        .ok_or(ReadError::Bad("missing request target"))?;
+    let version = parts.next().ok_or(ReadError::Bad("missing HTTP version"))?;
+    if parts.next().is_some() || !version.starts_with("HTTP/1.") {
+        return Err(ReadError::Bad("malformed request line"));
+    }
+    if method.is_empty() || !method.bytes().all(|b| b.is_ascii_uppercase()) {
+        return Err(ReadError::Bad("malformed method"));
+    }
+    if !target.starts_with('/') {
+        return Err(ReadError::Bad("request target must be absolute path"));
+    }
+    let (path, query) = match target.split_once('?') {
+        Some((path, query)) => (path, Some(query)),
+        None => (target, None),
+    };
+    Ok(RequestLine {
+        method: head.keep(method),
+        path: head.keep(path),
+        query: query.map(|query| head.keep(query)),
+    })
+}
+
+/// `HTTP/1.x <3 digits>[ <reason>]`: the code is all that is kept.
+fn status_line(line: &str, _: &mut Head) -> Result<u16, ReadError> {
+    let (version, rest) = line.split_once(' ').unwrap_or((line, ""));
+    let code = rest.split_once(' ').map_or(rest, |(code, _)| code);
+    // Three digits: `u16::from_str` alone would take `+20`.
+    let digits = code.len() == 3 && code.bytes().all(|b| b.is_ascii_digit());
+    match code.parse() {
+        Ok(status) if digits && version.starts_with("HTTP/1.") => Ok(status),
+        _ => Err(ReadError::Bad("malformed status line")),
+    }
+}
+
+/// One parsed request. The head is kept as one string and the fields are
+/// spans of it, so a `Request` that is read into again (the edge keeps
+/// one per worker) reuses everything it holds.
+#[derive(Debug, Default)]
+pub struct Request {
+    head: Head,
+    line: RequestLine,
+    body: Vec<u8>,
+}
+
+impl Request {
+    pub fn method(&self) -> &str {
+        &self.head.text[self.line.method.clone()]
+    }
+
+    /// Path only (query strings are split off into [`Request::query`]).
+    pub fn path(&self) -> &str {
+        &self.head.text[self.line.path.clone()]
+    }
+
+    /// Raw query string (without `?`), if any.
+    pub fn query(&self) -> Option<&str> {
+        self.line.query.clone().map(|span| &self.head.text[span])
+    }
+
+    /// `(name, value)` of every header, in order; values are trimmed.
+    pub fn headers(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.head.headers()
+    }
+
+    /// Case-insensitive header lookup (first match).
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.head.header(name)
+    }
+
+    pub fn body(&self) -> &[u8] {
+        &self.body
+    }
+
+    /// Whether the client asked to keep the connection open after this
+    /// request (HTTP/1.1 default unless `Connection: close`).
+    pub fn keep_alive(&self) -> bool {
+        !matches!(self.header("connection"), Some(v) if v.eq_ignore_ascii_case("close"))
+    }
+}
+
+/// One parsed response: the status code, the head as one string with the
+/// headers as spans of it, and the body.
+#[derive(Debug)]
+pub struct Response {
+    pub status: u16,
+    pub body: Vec<u8>,
+    head: Head,
+}
+
+impl Response {
+    /// `(name, value)` of every header, in order; values are trimmed.
+    pub fn headers(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.head.headers()
+    }
+
+    /// Case-insensitive header lookup (first match).
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.head.header(name)
+    }
+
+    /// Body as UTF-8 (lossy).
+    pub fn text(&self) -> String {
+        String::from_utf8_lossy(&self.body).into_owned()
+    }
+}
+
+/// Why a message could not be read.
 #[derive(Debug)]
 pub enum ReadError {
-    /// The peer closed the connection cleanly before sending a request
+    /// The peer closed the connection cleanly before sending a message
     /// (normal end of a keep-alive session).
     Closed,
     /// Socket error (including read timeouts on idle keep-alive
     /// connections).
     Io(std::io::Error),
-    /// Syntactically invalid request → 400.
+    /// Syntactically invalid or ambiguously framed head → 400.
     Bad(&'static str),
     /// Declared body larger than the configured cap → 413.
     BodyTooLarge { declared: usize, max: usize },
@@ -163,16 +225,20 @@ pub enum ReadError {
     UnsupportedTransferEncoding,
 }
 
+/// The refusal's wording, whichever way the message travelled: the body
+/// of the edge's 4xx, and the client's `InvalidData` error.
 impl std::fmt::Display for ReadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Closed => write!(f, "connection closed"),
             Self::Io(e) => write!(f, "socket error: {e}"),
-            Self::Bad(what) => write!(f, "malformed request: {what}"),
+            Self::Bad(what) => write!(f, "malformed head: {what}"),
             Self::BodyTooLarge { declared, max } => {
-                write!(f, "declared body of {declared} bytes exceeds cap of {max}")
+                write!(f, "body of {declared} bytes exceeds cap of {max}")
             }
-            Self::UnsupportedTransferEncoding => write!(f, "unsupported transfer encoding"),
+            Self::UnsupportedTransferEncoding => {
+                write!(f, "transfer-encoding not supported; send content-length")
+            }
         }
     }
 }
@@ -181,34 +247,57 @@ impl std::fmt::Display for ReadError {
 /// `Content-Length`.
 pub fn read_request<S: BufRead>(stream: &mut S, max_body: usize) -> Result<Request, ReadError> {
     let mut request = Request::default();
-    read_request_into(stream, max_body, &mut request)?;
-    Ok(request)
+    read_request_into(stream, max_body, &mut request).map(|()| request)
 }
 
 /// [`read_request`] into a `Request` the caller keeps: a connection's
 /// requests are all read into the same one, which after the first holds
 /// every buffer it needs.
-///
-/// The head is parsed where the stream buffered it, a line at a time as
-/// lines complete — so a malformed line is refused when it arrives, not
-/// when the head ends — and nothing but the head is taken off the stream
-/// before the body: bytes of a pipelined request stay where they are.
 pub(crate) fn read_request_into<S: BufRead>(
     stream: &mut S,
     max_body: usize,
     request: &mut Request,
 ) -> Result<(), ReadError> {
-    request.head.clear();
-    request.headers.clear();
-    request.body.clear();
-    request.body.shrink_to(RETAINED_BUFFER_BYTES);
+    let Request { head, line, body } = request;
+    *line = read_message(stream, max_body, head, body, request_line)?;
+    Ok(())
+}
+
+/// Reads one response from a buffered stream. `max_body` caps the
+/// declared `Content-Length`, which a response must carry.
+pub fn read_response<S: BufRead>(stream: &mut S, max_body: usize) -> Result<Response, ReadError> {
+    let (mut head, mut body) = (Head::default(), Vec::new());
+    let status = read_message(stream, max_body, &mut head, &mut body, status_line)?;
+    head.header("content-length")
+        .ok_or(ReadError::Bad("no content-length"))?;
+    Ok(Response { status, body, head })
+}
+
+/// The one reader: a head whose first line `start_line` parses, then its
+/// body, into `head` and `body` (what they held is overwritten).
+///
+/// The head is parsed where the stream buffered it, a line at a time as
+/// lines complete — so a malformed line is refused when it arrives, not
+/// when the head ends — and nothing but the head is taken off the stream
+/// before the body: bytes of a pipelined message stay where they are.
+fn read_message<S: BufRead, L>(
+    stream: &mut S,
+    max_body: usize,
+    head: &mut Head,
+    body: &mut Vec<u8>,
+    start_line: fn(&str, &mut Head) -> Result<L, ReadError>,
+) -> Result<L, ReadError> {
+    head.text.clear();
+    head.headers.clear();
+    body.clear();
+    body.shrink_to(RETAINED_BUFFER_BYTES);
 
     // Head bytes the cap still allows, and the start of a line that a
     // read cut short (empty unless the head arrives in pieces).
     let mut allowed = MAX_HEADER_BYTES;
     let mut partial: Vec<u8> = Vec::new();
-    let mut request_line_read = false;
-    'head: loop {
+    let mut first = None;
+    let start = 'head: loop {
         let chunk = match stream.fill_buf() {
             Ok(chunk) => chunk,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -246,33 +335,33 @@ pub(crate) fn read_request_into<S: BufRead>(
             let line = line.strip_suffix(b"\r").unwrap_or(line);
             let line =
                 std::str::from_utf8(line).map_err(|_| ReadError::Bad("non-UTF-8 header bytes"))?;
-            if !request_line_read {
-                request.request_line(line)?;
-                request_line_read = true;
-            } else if line.is_empty() {
-                stream.consume(used);
-                break 'head;
-            } else {
-                request.header_line(line)?;
+            match first {
+                None => first = Some(start_line(line, head)?),
+                Some(start) if line.is_empty() => {
+                    stream.consume(used);
+                    break 'head start;
+                }
+                Some(_) => head.header_line(line)?,
             }
             partial.clear();
         }
-    }
+    };
 
-    if let Some(te) = request.header("transfer-encoding") {
+    if let Some(te) = head.header("transfer-encoding") {
         if !te.eq_ignore_ascii_case("identity") {
             return Err(ReadError::UnsupportedTransferEncoding);
         }
     }
-    let content_length = request.declared_length()?;
+    let content_length = head.declared_length()?.unwrap_or(0);
     if content_length > max_body {
         return Err(ReadError::BodyTooLarge {
             declared: content_length,
             max: max_body,
         });
     }
-    request.body.resize(content_length, 0);
-    stream.read_exact(&mut request.body).map_err(ReadError::Io)
+    body.resize(content_length, 0);
+    stream.read_exact(body).map_err(ReadError::Io)?;
+    Ok(start)
 }
 
 /// Canonical reason phrase for the status codes this server emits.

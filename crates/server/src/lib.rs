@@ -9,8 +9,8 @@
 //! first-class citizens:
 //!
 //! * **Admission control** — a full accept queue sheds load with `429`
-//!   (plus a `ServeStats::shed` counter) instead of buffering until
-//!   collapse.
+//!   (counted once, by the edge, as `connections_shed`) instead of
+//!   buffering until collapse.
 //! * **Deadlines** — requests that outwait their budget answer `503`
 //!   without touching the model.
 //! * **Hot swap under traffic** — inference resolves the active model

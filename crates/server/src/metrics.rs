@@ -251,11 +251,10 @@ pub(crate) const fn field<T>(
 /// `/statusz` member, metric family, label, history series, and what it
 /// is with its extractor.
 #[rustfmt::skip]
-static SERVE_FIELDS: [Field<ServeReport>; 20] = [
+static SERVE_FIELDS: [Field<ServeReport>; 19] = [
     field("snapshot_version",        "graphex_model_snapshot_version",           "",                           "model/snapshot_version",   Gauge(|r| r.stats.snapshot_version)),
     field("model_swaps",             "graphex_model_swaps_total",                "",                           "model/swaps",              Counter(|r| r.stats.model_swaps)),
     field("in_flight",               "graphex_in_flight",                        "",                           "serve/in_flight",          Gauge(|r| r.stats.in_flight)),
-    field("shed",                    "graphex_shed_total",                       "",                           "serve/shed",               Counter(|r| r.stats.shed)),
     field("deadline_exceeded",       "graphex_deadline_exceeded_total",          "",                           "serve/deadline_exceeded",  Counter(|r| r.stats.deadline_exceeded)),
     field("store_hits",              "graphex_serve_source_total",               "source=\"store_hit\"",       "serve/store_hits",         Counter(|r| r.stats.store_hits)),
     field("read_throughs",           "graphex_serve_source_total",               "source=\"read_through\"",    "serve/read_throughs",      Counter(|r| r.stats.read_throughs)),
@@ -642,7 +641,6 @@ mod tests {
             invalidated: 0,
             overlay_invalidated: 0,
             overlay_retagged: 6,
-            shed: 4,
             deadline_exceeded: 0,
             in_flight: 2,
             outcomes: Default::default(),
@@ -752,7 +750,7 @@ mod tests {
         assert!(text.contains("graphex_http_queue_depth 3"));
         assert!(text.contains("graphex_serve_source_total{source=\"store_hit\"} 3"));
         assert!(text.contains("graphex_serve_outcome_total{outcome=\"exact_leaf\"} 0"));
-        assert!(text.contains("graphex_shed_total 4"));
+        assert!(!text.contains("graphex_shed_total"), "a shed is the edge's");
         assert!(text.contains("graphex_in_flight 2"));
         assert!(text.contains("graphex_model_snapshot_version 7"));
         assert_eq!(m.server_errors(), 1);

@@ -12,7 +12,9 @@
 //! cluster. Each request entry is validated with the backend's own
 //! decoder (`crate::server::decode_one`), routed by
 //! `leaf % shards` through the [`ShardMap`], and scattered as per-backend
-//! batch sub-envelopes over pooled keep-alive connections.
+//! batch sub-envelopes over pooled keep-alive connections. An answer is
+//! framed by the edge's own head reader (`http::read_response`): a head
+//! the edge would refuse is a failed call, and its connection is dropped.
 //!
 //! **Scatter in rounds, on the worker's own thread.** A round sends the
 //! sub-request to every shard still pending and only then reads the
@@ -22,12 +24,14 @@
 //! later round is one retry, on fresh ones. The reads of a round share
 //! one deadline (`backend_timeout` after the round's first send).
 //!
-//! **Gather by span, not by tree.** A backend's answer is checked in full
-//! (200, UTF-8, one grammatical document, the entry count) but never
-//! built: `json::members`/`json::elements` give the byte range of each
-//! entry, and the reply is written once, the entries' own bytes in the
-//! caller's order — ids (including the >2^53 decimal-string form) and
-//! everything else exactly as the backend rendered them.
+//! **Scatter by span, gather by span, not by tree.** A shard's
+//! sub-envelope is `{"requests":[…]}` over its entries' own text, as the
+//! client wrote them. A backend's answer is checked in full (200, UTF-8,
+//! one grammatical document, the entry count) but never built:
+//! `json::members`/`json::elements` give the byte range of each entry,
+//! and the reply is written once, the entries' own bytes in the caller's
+//! order — ids (including the >2^53 decimal-string form) and everything
+//! else exactly as the backend rendered them.
 //!
 //! **Partial failure degrades, it does not storm.** A backend call that
 //! exhausts its bounded retries yields per-request `Outcome`-level
@@ -640,21 +644,20 @@ impl ScatterHandler {
         // Validate with the backend's own decoder so the router 400s exactly
         // what a backend would — a forwarded entry is never refused
         // downstream, which would otherwise surface as a degradation. Each
-        // entry's JSON rides along to be forwarded.
-        fn decode<'a>(entry: Option<&Fields<'a>>) -> Result<(Decoded<'a>, Json), String> {
-            let decoded = decode_one(entry)?;
-            let forwarded = entry.and_then(|entry| json::parse(entry.text).ok());
-            Ok((decoded, forwarded.ok_or("request must be a JSON object")?))
+        // entry's own text rides along to be forwarded.
+        fn decode<'a>(entry: Option<&Fields<'a>>) -> Result<(Decoded<'a>, &'a str), String> {
+            Ok((decode_one(entry)?, entry.map_or("", |entry| entry.text)))
         }
         let (envelope, batch) = match decode_envelope(request.body(), "requests", decode) {
             Ok(envelope) => envelope,
             Err(message) => return Routed::error(body, 400, message),
         };
-        let (decoded, mut entries): (Vec<Decoded<'_>>, Vec<Json>) = envelope.into_iter().unzip();
+        let (decoded, texts): (Vec<Decoded<'_>>, Vec<&str>) = envelope.into_iter().unzip();
         self.requests_in.fetch_add(1, Ordering::Relaxed);
         cx.trace.record(Stage::Parse, parse_start);
 
-        // Scatter: group entry indices by owning shard, preserving order.
+        // Scatter: group entry indices by owning shard, preserving order;
+        // a shard's sub-envelope is its entries' own text.
         let shards = self.map.shards() as usize;
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shards];
         for (i, d) in decoded.iter().enumerate() {
@@ -667,13 +670,10 @@ impl ScatterHandler {
                 if group.is_empty() {
                     return None;
                 }
-                let forwarded: Vec<Json> = group
-                    .iter()
-                    .map(|&i| std::mem::replace(&mut entries[i], Json::Null))
-                    .collect();
+                let entries: Vec<&str> = group.iter().map(|&i| texts[i]).collect();
                 Some(Sub {
                     shard,
-                    body: Json::obj(vec![("requests", Json::Arr(forwarded))]).render(),
+                    body: format!("{{\"requests\":[{}]}}", entries.join(",")),
                     expected: group.len(),
                     in_flight: None,
                     dispatched: Instant::now(),
@@ -1052,7 +1052,14 @@ mod tests {
             .receive(&config, client, 1, config.backend_timeout)
             .err()
             .expect("refused");
-        assert_eq!(refused, "call: response body exceeds cap");
+        assert_eq!(
+            refused,
+            format!(
+                "call: response body of {} bytes exceeds cap of {}",
+                1u64 << 40,
+                1 << 20
+            )
+        );
         chaos.shutdown();
     }
 

@@ -9,13 +9,13 @@
 //! walks, over either one [`ServingApi`] or a [`TenantFleet`].
 //!
 //! The two backends differ only where behaviour does: which api a
-//! request reaches, who a connection-level shed is charged to, and the
-//! fleet's residency. The handler renders no report; it returns rows
-//! (`metrics.rs`) that the edge walks: a single api is one serving row
-//! with no label, at the top level of `/statusz`; a fleet is its
-//! residency (`FLEET_FIELDS`) and one row per tenant — residency
-//! (`TENANT_FIELDS`) then serving — in its `tenants` table, under
-//! `tenant="…"` on `/metrics` and `tenant/<n>/` in the history ring.
+//! request reaches, and the fleet's residency. The handler renders no
+//! report; it returns rows (`metrics.rs`) that the edge walks: a single
+//! api is one serving row with no label, at the top level of
+//! `/statusz`; a fleet is its residency (`FLEET_FIELDS`) and one row per
+//! tenant — residency (`TENANT_FIELDS`) then serving — in its `tenants`
+//! table, under `tenant="…"` on `/metrics` and `tenant/<n>/` in the
+//! history ring.
 //!
 //! The model behind the [`ServingApi`] hot-swaps under live traffic: each
 //! inference resolves the current snapshot through the api's `ModelWatch`,
@@ -285,16 +285,6 @@ impl Handler for ServeHandler {
         }
         rows
     }
-
-    /// Connection-level shed (429 before any routing): in single mode
-    /// the one api's counter takes it; in fleet mode no tenant can be
-    /// blamed yet, so only the HTTP-layer `connections_shed` counter
-    /// (recorded by the edge) sees it.
-    fn note_shed(&self) {
-        if let Backend::Single(api) = &self.backend {
-            api.note_shed();
-        }
-    }
 }
 
 /// The serving handler's own numbers.
@@ -475,13 +465,11 @@ fn overlay_journal(api: &ServingApi, out: &mut String) -> Routed {
 /// absorbed by a published compaction. Entries that arrived after the
 /// journal export survive and keep serving.
 fn overlay_drain(api: &ServingApi, request: &Request, out: &mut String) -> Routed {
-    let envelope =
-        body_text(request.body()).and_then(|text| json::parse(text).map_err(invalid_json));
-    let envelope = match envelope {
-        Ok(value) => value,
+    let upto = match body_text(request.body()).and_then(Fields::scan) {
+        Ok(fields) => fields.and_then(|fields| fields.u64("upto").flatten()),
         Err(message) => return Routed::error(out, 400, message),
     };
-    let Some(upto) = envelope.get("upto").and_then(Json::as_u64) else {
+    let Some(upto) = upto else {
         return Routed::error(out, 400, "missing or non-integer \"upto\"");
     };
     match api.drain_overlay(upto) {
@@ -522,7 +510,7 @@ impl<'a> Fields<'a> {
     }
 
     /// The value of the first member named `key`, as written.
-    fn get(&self, key: &str) -> Option<&'a str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&'a str> {
         self.members
             .iter()
             .find(|(k, _)| k == key)
@@ -1009,8 +997,9 @@ mod tests {
         server.shutdown();
     }
 
-    /// The serving handler's half of shedding (the edge's half is tested
-    /// in `edge.rs`): a connection-level 429 lands in `ServeStats::shed`.
+    /// A connection-level 429 on a single server is counted once, by the
+    /// edge: `connections_shed`, `graphex_http_shed_total` and `http/shed`
+    /// read 1, and the serving row carries no shed count of its own.
     #[test]
     fn full_accept_queue_sheds_with_429() {
         let config = ServerConfig {
@@ -1027,7 +1016,22 @@ mod tests {
         let queued = std::net::TcpStream::connect(addr).unwrap();
         let response = HttpClient::connect(addr).unwrap().get("/healthz").unwrap();
         assert_eq!(response.status, 429);
-        assert_eq!(server.api().unwrap().stats().shed, 1);
+        let metrics = held.get("/metrics").unwrap().text();
+        assert!(
+            metrics.contains("\ngraphex_http_shed_total 1\n"),
+            "{metrics}"
+        );
+        assert!(!metrics.contains("graphex_shed_total"), "{metrics}");
+        let status = json::parse(&held.get("/statusz").unwrap().text()).unwrap();
+        assert_eq!(
+            status.get("connections_shed").and_then(Json::as_u64),
+            Some(1)
+        );
+        assert!(status.get("shed").is_none());
+        server.sample_history_now();
+        let sample = server.history().unwrap().samples(1).pop().unwrap();
+        assert_eq!(sample.value("http/shed"), Some(1.0));
+        assert_eq!(sample.value("serve/shed"), None);
         drop((held, queued));
         server.shutdown();
     }
@@ -1297,7 +1301,6 @@ mod tests {
             "graphex_serve_invalidated_total",
             "graphex_serve_overlay_invalidated_total",
             "graphex_serve_overlay_retagged_total",
-            "graphex_shed_total",
             "graphex_in_flight",
             "graphex_model_snapshot_version",
             "graphex_model_swaps_total",
@@ -1312,7 +1315,7 @@ mod tests {
         let rows = status.get("tenants").unwrap().as_arr().unwrap();
         let alpha = &rows[0];
         assert_eq!(alpha.get("deadline_exceeded").unwrap().as_u64(), Some(1));
-        for key in ["coalesced", "direct", "unservable", "shed", "invalidated"] {
+        for key in ["coalesced", "direct", "unservable", "invalidated"] {
             assert_eq!(alpha.get(key).unwrap().as_u64(), Some(0), "{key}");
         }
         let exact = alpha.get("outcomes").and_then(|o| o.get("exact_leaf"));

@@ -72,11 +72,13 @@ impl ShardMap {
         out
     }
 
-    /// Parses shard-map text, requiring every shard index exactly once.
+    /// Parses shard-map text, requiring one `shards` line and every shard
+    /// index exactly once.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut declared: Option<usize> = None;
         let mut versioned = false;
-        let mut slots: Vec<Option<String>> = Vec::new();
+        // (index, line number, address) of each backend line.
+        let mut entries: Vec<(usize, usize, String)> = Vec::new();
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -92,12 +94,14 @@ impl ShardMap {
                     versioned = true;
                 }
                 "shards" => {
+                    if declared.is_some() {
+                        return Err(fail("duplicate shards line"));
+                    }
                     let n: usize = value.parse().map_err(|_| fail("bad shard count"))?;
                     if n == 0 {
                         return Err(fail("shard count must be at least 1"));
                     }
                     declared = Some(n);
-                    slots.resize(n, None);
                 }
                 "backend" => {
                     let n = declared.ok_or_else(|| fail("backend before shards line"))?;
@@ -111,9 +115,7 @@ impl ShardMap {
                     if addr.trim().is_empty() {
                         return Err(fail("empty backend address"));
                     }
-                    if slots[index].replace(addr.trim().to_string()).is_some() {
-                        return Err(fail("duplicate backend index"));
-                    }
+                    entries.push((index, lineno + 1, addr.trim().to_string()));
                 }
                 _ => {} // forward-compatible
             }
@@ -122,11 +124,23 @@ impl ShardMap {
             return Err("missing graphex-shardmap header".into());
         }
         let declared = declared.ok_or("missing shards line")?;
-        let mut backends = Vec::with_capacity(declared);
-        for (i, slot) in slots.into_iter().enumerate() {
-            backends.push(slot.ok_or_else(|| format!("shard {i} has no backend"))?);
+        // Sized by the backend lines, never by the declared count. In index
+        // order the i-th line must name shard i: an index seen again is a
+        // duplicate, and the first one skipped has no backend.
+        entries.sort_unstable_by_key(|&(index, lineno, _)| (index, lineno));
+        let mut backends = Vec::with_capacity(entries.len());
+        for (index, lineno, addr) in entries {
+            if index < backends.len() {
+                return Err(format!("line {lineno}: duplicate backend index"));
+            }
+            if index == backends.len() {
+                backends.push(addr);
+            }
         }
-        Self::from_backends(backends)
+        match backends.len() {
+            n if n < declared => Err(format!("shard {n} has no backend")),
+            _ => Self::from_backends(backends),
+        }
     }
 
     /// Reads and parses a shard-map file.
@@ -200,6 +214,94 @@ mod tests {
             ),
         ] {
             assert!(ShardMap::parse(bad).is_err(), "accepted {why}: {bad:?}");
+        }
+    }
+
+    /// A declared count is checked against the backend lines, never
+    /// allocated for: `usize::MAX` shards is an error, not an abort.
+    #[test]
+    fn a_huge_shard_count_is_refused_without_allocating() {
+        for text in [
+            format!("graphex-shardmap 1\nshards {}\n", usize::MAX),
+            format!("graphex-shardmap 1\nshards {}\nbackend 0 a\n", usize::MAX),
+            format!(
+                "graphex-shardmap 1\nshards {}\nbackend {} a\n",
+                usize::MAX,
+                usize::MAX - 1
+            ),
+        ] {
+            assert!(ShardMap::parse(&text).is_err(), "accepted {text:?}");
+        }
+        let twice = "graphex-shardmap 1\nshards 1\nbackend 0 a\nshards 1\n";
+        assert!(ShardMap::parse(twice).is_err(), "two shards lines");
+    }
+
+    /// A map grown from a byte script: addresses from a small alphabet,
+    /// with comments and unknown keys between the lines and the backend
+    /// lines in any order.
+    fn grow(script: &[u8]) -> (ShardMap, String) {
+        let mut bytes = script.iter().copied();
+        let mut next = move || usize::from(bytes.next().unwrap_or(0));
+        let shards = 1 + next() % 6;
+        let backends: Vec<String> = (0..shards)
+            .map(|i| format!("10.0.{}.{}:{}", next() % 4, i, 7000 + next()))
+            .collect();
+        let map = ShardMap::from_backends(backends).unwrap();
+        let mut lines: Vec<String> = map.render().lines().map(str::to_string).collect();
+        let tail = lines.split_off(2);
+        let mut shuffled: Vec<String> = Vec::new();
+        for line in tail {
+            let at = next() % (shuffled.len() + 1);
+            shuffled.insert(at, line);
+        }
+        lines.extend(shuffled);
+        for _ in 0..next() % 3 {
+            let at = 1 + next() % lines.len();
+            lines.insert(at, ["# note", "future x y", ""][next() % 3].to_string());
+        }
+        (map, lines.join("\n"))
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Generated maps survive render → parse, and so does the text
+        /// they were grown as.
+        #[test]
+        fn generated_maps_round_trip(script in prop::collection::vec(any::<u8>(), 0..32)) {
+            let (map, text) = grow(&script);
+            prop_assert_eq!(ShardMap::parse(&map.render()).unwrap(), map.clone());
+            prop_assert_eq!(ShardMap::parse(&text).unwrap(), map);
+        }
+
+        /// A generated map with one token replaced or inserted — counts
+        /// and indices up to `usize::MAX` among them — never panics, and
+        /// whatever parses is a complete map that round-trips.
+        #[test]
+        fn mutated_maps_never_panic(
+            script in prop::collection::vec(any::<u8>(), 0..32),
+            at in any::<u16>(),
+            token in prop::sample::select(vec![
+                "0", "1", "7", " ", "\n", "#", "shards", "backend", "-1", "+2",
+                "18446744073709551615", "18446744073709551614", "4294967296",
+            ]),
+            insert in any::<bool>(),
+        ) {
+            let mut text = grow(&script).1.into_bytes();
+            let at = usize::from(at) % (text.len() + 1);
+            if !insert && at < text.len() {
+                text.remove(at);
+            }
+            for (i, &b) in token.as_bytes().iter().enumerate() {
+                text.insert(at + i, b);
+            }
+            let text = String::from_utf8(text).unwrap();
+            if let Ok(map) = ShardMap::parse(&text) {
+                prop_assert_eq!(map.shards() as usize, map.backends().len());
+                prop_assert_eq!(ShardMap::parse(&map.render()).unwrap(), map);
+            }
         }
     }
 

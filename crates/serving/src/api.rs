@@ -227,9 +227,6 @@ pub struct ServingApi {
     /// Store hits served after verifying that the overlay upserts to
     /// their leaf since the record could not change it.
     overlay_retagged: AtomicU64,
-    /// Requests refused upstream by admission control (recorded by a
-    /// network frontend via [`ServingApi::note_shed`]).
-    shed: AtomicU64,
     /// Requests answered with a deadline-exceeded error upstream
     /// (recorded via [`ServingApi::note_deadline_exceeded`]).
     deadline_exceeded: AtomicU64,
@@ -264,8 +261,6 @@ pub struct ServeStats {
     /// record was written: none of those upserts carried a word of the
     /// title, so the record was verified fresh and re-tagged.
     pub overlay_retagged: u64,
-    /// Requests refused by admission control (load shed, e.g. HTTP 429).
-    pub shed: u64,
     /// Requests that missed their deadline (e.g. HTTP 503).
     pub deadline_exceeded: u64,
     /// Requests executing right now (gauge, not a counter).
@@ -299,7 +294,6 @@ impl ServeStats {
         self.invalidated += other.invalidated;
         self.overlay_invalidated += other.overlay_invalidated;
         self.overlay_retagged += other.overlay_retagged;
-        self.shed += other.shed;
         self.deadline_exceeded += other.deadline_exceeded;
         self.in_flight += other.in_flight;
         self.outcomes.exact_leaf += other.outcomes.exact_leaf;
@@ -358,7 +352,6 @@ impl ServingApi {
             invalidated: AtomicU64::new(0),
             overlay_invalidated: AtomicU64::new(0),
             overlay_retagged: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
             in_flight_gauge: AtomicU64::new(0),
             outcomes: Default::default(),
@@ -465,13 +458,6 @@ impl ServingApi {
         {
             overlay.rebase(active.engine.model());
         }
-    }
-
-    /// Records one admission-control refusal (load shed). Network
-    /// frontends call this when the accept queue is saturated, so the
-    /// counter shows up in [`ServeStats`] next to the serving counters.
-    pub fn note_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one deadline-exceeded refusal.
@@ -735,7 +721,6 @@ impl ServingApi {
             invalidated: load(&self.invalidated),
             overlay_invalidated: load(&self.overlay_invalidated),
             overlay_retagged: load(&self.overlay_retagged),
-            shed: load(&self.shed),
             deadline_exceeded: load(&self.deadline_exceeded),
             in_flight: load(&self.in_flight_gauge),
             outcomes: graphex_core::OutcomeCounts {
@@ -1322,8 +1307,8 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
-    /// The frontend gauges ride `ServeStats`: shed / deadline-exceeded
-    /// counters and the in-flight gauge with its RAII guard.
+    /// The frontend gauges ride `ServeStats`: the deadline-exceeded
+    /// counter and the in-flight gauge with its RAII guard.
     #[test]
     fn frontend_gauges_are_recorded() {
         let api = ServingApi::new(model(), Arc::new(KvStore::new()), 10);
@@ -1334,11 +1319,8 @@ mod tests {
             assert_eq!(api.stats().in_flight, 2);
         }
         assert_eq!(api.stats().in_flight, 0);
-        api.note_shed();
-        api.note_shed();
         api.note_deadline_exceeded();
-        let stats = api.stats();
-        assert_eq!((stats.shed, stats.deadline_exceeded), (2, 1));
+        assert_eq!(api.stats().deadline_exceeded, 1);
     }
 
     /// The tentpole read-path property: an upsert is servable on the very

@@ -22,6 +22,11 @@
 //!   backends' bytes, and its body still parses to exactly the merge of
 //!   the backends' parsed answers (batch, single, id > 2^53, degraded,
 //!   traced);
+//! * **framing** — a backend answer whose head the edge would refuse
+//!   (two lengths, a signed length, a transfer coding beside a length,
+//!   a header line past `MAX_HEADER_BYTES`, more than `MAX_HEADERS`
+//!   headers) degrades that shard's entries inside a 200, and only
+//!   those;
 //! * **one deadline per round** — two hung shards cost an envelope
 //!   `(retries + 1) × backend_timeout`, not that per shard, and the
 //!   healthy shard read after them is still served. (That the scatter
@@ -35,6 +40,8 @@ use graphex_server::{
     RouterConfig, ServerConfig, ShardMap, TraceConfig, OUTCOME_BACKEND_UNAVAILABLE,
 };
 use graphex_serving::{KvStore, ModelRegistry, ServingApi};
+use std::io::{BufReader, Write as _};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -1244,4 +1251,166 @@ fn two_hung_shards_cost_one_deadline_per_round_and_spare_the_healthy_one() {
     assert_eq!(fixture.router.metrics().server_errors(), 0);
     drop(client);
     fixture.finish();
+}
+
+/// The head a [`FramingFake`] writes for a body of the given length.
+type FramingHead = fn(usize) -> String;
+
+/// A backend on a raw listener: it answers every request with a
+/// well-formed `/v1/infer` body — one entry per request it was sent —
+/// under the head `head` writes for the body's length.
+struct FramingFake {
+    addr: String,
+    stop: Arc<AtomicBool>,
+    acceptor: std::thread::JoinHandle<()>,
+}
+
+impl FramingFake {
+    fn start(head: FramingHead) -> Self {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let stop = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    if let Ok(stream) = stream {
+                        std::thread::spawn(move || Self::answer(stream, head));
+                    }
+                }
+            })
+        };
+        Self {
+            addr,
+            stop,
+            acceptor,
+        }
+    }
+
+    fn answer(stream: TcpStream, head: FramingHead) {
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        while let Ok(request) = graphex_server::http::read_request(&mut reader, 1 << 20) {
+            let sent = std::str::from_utf8(request.body())
+                .ok()
+                .and_then(|body| graphex_server::json::parse(body).ok())
+                .and_then(|body| Some(body.get("requests")?.as_arr()?.len()))
+                .unwrap_or(0);
+            let entry = r#"{"outcome":"exact_leaf","source":"direct","keyphrases":["fake"]}"#;
+            let body = format!(
+                r#"{{"responses":[{}],"snapshot_version":1}}"#,
+                vec![entry; sent].join(",")
+            );
+            let wire = head(body.len()) + &body;
+            if writer.write_all(wire.as_bytes()).is_err() {
+                return;
+            }
+        }
+    }
+
+    fn stop(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(&self.addr);
+        self.acceptor.join().unwrap();
+    }
+}
+
+/// One HTTP/1.1 reader frames both directions, so a backend answer the
+/// edge would refuse as a request is a failed call at the router: each
+/// flawed head below — complete, with a body that would otherwise be
+/// served — degrades the fake shard's entries inside a 200, while the
+/// real shards around it answer normally and nothing 5xxes.
+#[test]
+fn router_refuses_ambiguous_backend_framing() {
+    use graphex_server::http::{MAX_HEADERS, MAX_HEADER_BYTES};
+    const OK: &str = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n";
+    let flaws: [(&str, FramingHead); 5] = [
+        ("two lengths", |n| {
+            format!(
+                "{OK}Content-Length: {n}\r\nContent-Length: {}\r\n\r\n",
+                n + 1
+            )
+        }),
+        ("a signed length", |n| {
+            format!("{OK}Content-Length: +{n}\r\n\r\n")
+        }),
+        ("chunked beside a length", |n| {
+            format!("{OK}Transfer-Encoding: chunked\r\nContent-Length: {n}\r\n\r\n")
+        }),
+        ("a header line past the cap", |n| {
+            let pad = "p".repeat(MAX_HEADER_BYTES);
+            format!("{OK}Content-Length: {n}\r\nX-Pad: {pad}\r\n\r\n")
+        }),
+        ("too many headers", |n| {
+            let extra = "X-H: v\r\n".repeat(MAX_HEADERS);
+            format!("{OK}Content-Length: {n}\r\n{extra}\r\n")
+        }),
+    ];
+    let model = Arc::new(graphex_suite::tiny_model(&graphex_suite::tiny_dataset(
+        0xC4A0,
+    )));
+    let real: Vec<_> = (0..2)
+        .map(|_| {
+            let api = Arc::new(ServingApi::new(
+                Arc::clone(&model),
+                Arc::new(KvStore::new()),
+                10,
+            ));
+            let config = ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                ..Default::default()
+            };
+            graphex_server::start(config, api).unwrap()
+        })
+        .collect();
+    // Leaves 9000–9002 land on shards 0, 1 (the fake) and 2.
+    let body = format!(
+        r#"{{"requests":[{},{},{},{}]}}"#,
+        single_body("gialket mioktiar pro case", 9000),
+        single_body("gialket mioktiar pro case", 9001),
+        single_body("gialket mioktiar case", 9002),
+        single_body("gialket mioktiar case", 9001),
+    );
+    for (flaw, head) in flaws {
+        let fake = FramingFake::start(head);
+        let addrs = vec![
+            real[0].addr().to_string(),
+            fake.addr.clone(),
+            real[1].addr().to_string(),
+        ];
+        let router = start_router(
+            RouterConfig {
+                addr: "127.0.0.1:0".into(),
+                backend_timeout: Duration::from_millis(500),
+                ..Default::default()
+            },
+            ShardMap::from_backends(addrs).unwrap(),
+        )
+        .unwrap();
+        let mut client = HttpClient::connect(router.addr()).unwrap();
+        let response = client.post_json("/v1/infer", &body).unwrap();
+        assert_eq!(response.status, 200, "{flaw}: {}", response.text());
+        let parsed = graphex_server::json::parse(&response.text()).unwrap();
+        let outcomes: Vec<&str> = parsed
+            .get("responses")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|entry| entry.get("outcome").and_then(Json::as_str).unwrap())
+            .collect();
+        let degraded = OUTCOME_BACKEND_UNAVAILABLE;
+        assert_eq!(outcomes[1], degraded, "{flaw}: {}", response.text());
+        assert_eq!(outcomes[3], degraded, "{flaw}: {}", response.text());
+        assert_ne!(outcomes[0], degraded, "{flaw}: {}", response.text());
+        assert_ne!(outcomes[2], degraded, "{flaw}: {}", response.text());
+        assert_eq!(router.degraded(), 2, "{flaw}");
+        assert_eq!(router.metrics().server_errors(), 0, "{flaw}");
+        drop(client);
+        router.shutdown();
+        fake.stop();
+    }
+    real.into_iter().for_each(|backend| backend.shutdown());
 }

@@ -367,7 +367,7 @@ fn statusz_and_metrics_are_consistent() {
         Some(stats.read_throughs)
     );
     assert_eq!(statusz.get("snapshot_version").unwrap().as_u64(), Some(1));
-    for key in ["in_flight", "shed", "deadline_exceeded"] {
+    for key in ["in_flight", "connections_shed", "deadline_exceeded"] {
         assert!(
             statusz.get(key).and_then(Json::as_u64).is_some(),
             "statusz lacks {key}"
@@ -443,11 +443,10 @@ fn statusz_and_metrics_are_consistent() {
 
 /// Every counter of a serving row's `/statusz` members and the metric
 /// sample it is exported as, its labels without the row's own.
-const ROW_SAMPLES: [(&str, &str, &str); 19] = [
+const ROW_SAMPLES: [(&str, &str, &str); 18] = [
     ("snapshot_version", "graphex_model_snapshot_version", ""),
     ("model_swaps", "graphex_model_swaps_total", ""),
     ("in_flight", "graphex_in_flight", ""),
-    ("shed", "graphex_shed_total", ""),
     ("deadline_exceeded", "graphex_deadline_exceeded_total", ""),
     (
         "store_hits",
